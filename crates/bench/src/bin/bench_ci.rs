@@ -29,8 +29,8 @@
 //! failure, 3 = usage error.
 
 use parcoach_bench::{
-    bench_session, bench_session_with, compile_suite_concurrent, compile_with_codegen,
-    lower_workload, measure, static_phase_breakdown,
+    bench_session, compile_suite_concurrent, compile_with_codegen, lower_workload, measure,
+    static_phase_breakdown,
 };
 use parcoach_core::AnalysisSession;
 use parcoach_front::parse_and_check;
@@ -268,11 +268,9 @@ fn run(args: &[String]) -> Result<bool, String> {
     );
 
     // --- per-phase static-analysis breakdown (informational) -------------
-    // The fact-store refactor's target metric: `matching` no longer
-    // recomputes per-block frontiers per event set. Recorded per phase
-    // into the main JSON (trend spelunking) and mirrored into a compact
-    // phases-only file uploaded as its own CI artifact; the cached vs
-    // uncached totals are the E10 memoization ablation.
+    // Recorded per phase into the main JSON (trend spelunking) and
+    // mirrored into a compact phases-only file uploaded as its own CI
+    // artifact.
     let phase_records = phase_breakdown();
     let mut phases_only: BTreeMap<String, u64> = BTreeMap::new();
     phases_only.insert("calibration_ns".into(), calibration_ns);
@@ -281,8 +279,8 @@ fn run(args: &[String]) -> Result<bool, String> {
         phases_only.insert(key.clone(), *ns);
     }
 
-    // Absolute latency bar on the default (incremental-worklist) driver:
-    // a full cold static analysis of HERA class B must finish under
+    // Absolute latency bar: a full cold static analysis of HERA class B
+    // must finish under
     // 0.4 ms. Like the warm-re-check gate above, this needs no baseline
     // entry — the bound is a property of the analysis, not the machine.
     const HERA_B_TOTAL_BOUND_NS: u64 = 400_000;
@@ -300,7 +298,7 @@ fn run(args: &[String]) -> Result<bool, String> {
     );
 
     // --- simulator fast-path rows (absolute gates) -----------------------
-    // Acceptance bars of the sharded-matching-space simulator work. All
+    // Acceptance bars of the simulator's census-driven verdicts. All
     // three are absolute bounds — the speed comes from census-driven
     // verdicts replacing timeout waits, a property of the simulator,
     // not the machine — with generous headroom over the measured
@@ -536,16 +534,9 @@ fn detection_pass() -> bool {
 /// Per-phase static-analysis minima for the EPCC and HERA class-B
 /// workloads on a 1-lane deterministic pool (at `jobs = 1` the
 /// per-function phase sums equal wall time, so the breakdown is
-/// directly comparable run to run), plus the E10 memoization ablation:
-/// the same analysis with the PDF+ memo disabled (`pdf_memo: false`,
-/// the recompute-per-event-set engine the fact store replaced).
+/// directly comparable run to run).
 fn phase_breakdown() -> Vec<(String, u64)> {
-    let mut memo_on = bench_session(true);
-    let mut memo_off = bench_session(false);
-    // E13 ablation: same analysis with the legacy full-re-walk context
-    // driver (`incr_fixpoint: false`) — the round loop the worklist
-    // replaced. Only `contexts`/`total` differ between the drivers.
-    let mut legacy_fixpoint = bench_session_with(true, false);
+    let mut session = bench_session();
     let mut out = Vec::new();
     for (label, w) in [
         (
@@ -558,39 +549,15 @@ fn phase_breakdown() -> Vec<(String, u64)> {
         ),
     ] {
         let module = lower_workload(&w);
-        let cached = static_phase_breakdown(&module, &mut memo_on, PHASE_REPS);
-        let uncached = static_phase_breakdown(&module, &mut memo_off, PHASE_REPS);
-        let legacy = static_phase_breakdown(&module, &mut legacy_fixpoint, PHASE_REPS);
-        for (phase, dur) in cached.lines() {
+        let phases = static_phase_breakdown(&module, &mut session, PHASE_REPS);
+        for (phase, dur) in phases.lines() {
             out.push((format!("phase/{label}/{phase}_ns"), dur.as_nanos() as u64));
         }
-        out.push((
-            format!("phase/{label}/matching_uncached_ns"),
-            uncached.matching.as_nanos() as u64,
-        ));
-        out.push((
-            format!("phase/{label}/total_uncached_ns"),
-            uncached.total.as_nanos() as u64,
-        ));
-        out.push((
-            format!("phase/{label}/contexts_legacy_ns"),
-            legacy.contexts.as_nanos() as u64,
-        ));
-        out.push((
-            format!("phase/{label}/total_legacy_ns"),
-            legacy.total.as_nanos() as u64,
-        ));
-        let ratio = uncached.matching.as_secs_f64() / cached.matching.as_secs_f64().max(1e-9);
-        let ctx_ratio = legacy.contexts.as_secs_f64() / cached.contexts.as_secs_f64().max(1e-9);
         println!(
-            "phases {label}: total {:.3} ms, matching {:.3} ms \
-             (uncached PDF+ matching {:.3} ms → {ratio:.2}x), contexts {:.3} ms \
-             (legacy fixpoint {:.3} ms → {ctx_ratio:.2}x)",
-            cached.total.as_secs_f64() * 1e3,
-            cached.matching.as_secs_f64() * 1e3,
-            uncached.matching.as_secs_f64() * 1e3,
-            cached.contexts.as_secs_f64() * 1e3,
-            legacy.contexts.as_secs_f64() * 1e3,
+            "phases {label}: total {:.3} ms, contexts {:.3} ms, matching {:.3} ms",
+            phases.total.as_secs_f64() * 1e3,
+            phases.contexts.as_secs_f64() * 1e3,
+            phases.matching.as_secs_f64() * 1e3,
         );
     }
     out

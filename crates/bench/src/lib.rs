@@ -103,26 +103,14 @@ pub fn static_phase_breakdown(
     best.unwrap_or_default()
 }
 
-/// The measurement session the ablations and CI benches share: a
-/// 1-lane deterministic pool (at `jobs = 1` the per-function phase sums
-/// equal wall time, and the two PDF+ configurations compare on
-/// identical schedules). This is the *one* place the bench side
-/// configures `AnalysisOptions` — the ad-hoc `pdf_memo: false` rebuilds
-/// it replaced drifted independently.
-pub fn bench_session(pdf_memo: bool) -> AnalysisSession {
-    bench_session_with(pdf_memo, true)
-}
-
-/// [`bench_session`] with the context-propagation driver selectable as
-/// well: `incr_fixpoint: false` measures the legacy full-re-walk round
-/// loop (the E13 ablation baseline), `true` the incremental worklist.
-pub fn bench_session_with(pdf_memo: bool, incr_fixpoint: bool) -> AnalysisSession {
+/// The measurement session the CI benches share: a 1-lane deterministic
+/// pool (at `jobs = 1` the per-function phase sums equal wall time).
+/// This is the *one* place the bench side configures a session.
+pub fn bench_session() -> AnalysisSession {
     AnalysisSession::builder()
         .jobs(1)
         .deterministic(true)
         .seed(42)
-        .pdf_memo(pdf_memo)
-        .incr_fixpoint(incr_fixpoint)
         .build()
 }
 
@@ -293,7 +281,7 @@ mod tests {
         let suite = figure1_suite(WorkloadClass::A);
         let w = suite.iter().find(|w| w.name == "EPCC").unwrap();
         let m = lower_workload(w);
-        let t = static_phase_breakdown(&m, &mut bench_session(true), 3);
+        let t = static_phase_breakdown(&m, &mut bench_session(), 3);
         assert!(t.total > Duration::ZERO);
         // The per-function phases all ran on a collective-rich workload.
         assert!(t.matching > Duration::ZERO);

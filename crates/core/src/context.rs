@@ -8,20 +8,14 @@
 //! [`InitialContext::Sequential`]. The fixpoint is an ascending iteration
 //! over the (finite, 3-point) context lattice.
 //!
-//! Two fixpoint drivers share the same transfer functions:
-//!
-//! * the **incremental worklist** ([`compute_contexts_db`], the
-//!   default): only functions whose entry context was raised are
-//!   re-propagated, and each one's per-call-site contribution is a
-//!   memoized [`SiteContexts`] query, so `parcoachd` warm re-checks
-//!   skip untouched functions entirely. Convergence is *asserted* — a
-//!   function re-enters the worklist only when its context strictly
-//!   rises, which the lattice bounds at two raises;
-//! * the **legacy round loop** ([`compute_contexts_legacy`]): chaotic
-//!   iteration re-walking every function's call sites each round. Kept
-//!   as the ablation baseline (bench E13, the fuzz differential's
-//!   `--legacy-fixpoint` mode) and pinned byte-identical to the
-//!   worklist by the `incr_fixpoint_matches_legacy_reports` property.
+//! The fixpoint is a round loop: each round refreshes the parallelism
+//! words of every function whose context moved (misses in parallel, hits
+//! served from the [`QueryDb`] when one is supplied), then joins every
+//! call site's context into its callee, until a full round changes
+//! nothing. Convergence is *asserted*: the lattice has height 3 and the
+//! call graph is finite, so `3·n` rounds cannot be reached. (An
+//! incremental worklist driver was retired in PR 13 at measured parity,
+//! see git history.)
 //!
 //! This module also computes which functions may (transitively) execute
 //! MPI collectives — calls to those functions act as *collective events*
@@ -30,7 +24,7 @@
 
 use crate::lang::MonoVerdict;
 use crate::pw::{compute_pw, InitialContext, PwResult, PwState};
-use crate::query::{call_summary, CallSummary, QueryDb, SiteContexts};
+use crate::query::{call_summary, CallSummary, QueryDb};
 use parcoach_front::span::Span;
 use parcoach_ir::func::Module;
 use parcoach_ir::types::BlockId;
@@ -103,41 +97,15 @@ pub fn compute_contexts_with(
 }
 
 /// [`compute_contexts_with`] consulting an incremental [`QueryDb`] for
-/// the per-`(function, context)` parallelism words and call-site
-/// contexts. The db must have been reconciled against `m` (see
+/// the per-`(function, context)` parallelism words and the call
+/// summaries. The db must have been reconciled against `m` (see
 /// [`QueryDb::reconcile_module`]); cached results are shared by `Arc`,
 /// fresh ones are inserted back.
-///
-/// Runs the incremental worklist fixpoint (see the module docs).
 pub fn compute_contexts_db(
     m: &Module,
     entry_context: InitialContext,
     pool: &parcoach_pool::Pool,
-    db: Option<&mut QueryDb>,
-) -> CallContexts {
-    compute_contexts_impl(m, entry_context, pool, db, true)
-}
-
-/// [`compute_contexts_db`] driven by the legacy round-based fixpoint:
-/// every round re-walks every function's call sites. Same least
-/// fixpoint, same outputs — kept as the ablation baseline
-/// ([`AnalysisOptions::incr_fixpoint`](crate::pipeline::AnalysisOptions)
-/// = `false`, bench E13, `fuzz_differential --legacy-fixpoint`).
-pub fn compute_contexts_legacy(
-    m: &Module,
-    entry_context: InitialContext,
-    pool: &parcoach_pool::Pool,
-    db: Option<&mut QueryDb>,
-) -> CallContexts {
-    compute_contexts_impl(m, entry_context, pool, db, false)
-}
-
-fn compute_contexts_impl(
-    m: &Module,
-    entry_context: InitialContext,
-    pool: &parcoach_pool::Pool,
     mut db: Option<&mut QueryDb>,
-    worklist: bool,
 ) -> CallContexts {
     // --- per-function call-graph summaries: served from the query cache
     // for green functions, derived from the IR otherwise. Everything
@@ -206,127 +174,50 @@ fn compute_contexts_impl(
     let mut multithreaded_calls: Vec<(String, String, Span)> = Vec::new();
     let mut pw_cache: Vec<Option<(InitialContext, Arc<PwResult>)>> = vec![None; n];
 
-    if worklist {
-        // --- incremental worklist fixpoint. The frontier holds exactly
-        // the functions whose entry context changed since they were last
-        // propagated (initially: everyone). Each iteration refreshes pw
-        // + site contexts for the frontier only, then joins their call
-        // sites into callees; a callee whose context rises joins the
-        // next frontier. Functions off the frontier are never touched.
-        let mut sites_cache: Vec<Option<Arc<SiteContexts>>> = vec![None; n];
-        let mut frontier: Vec<usize> = (0..n).collect();
-        let mut visits = vec![0u32; n];
-        while !frontier.is_empty() {
-            refresh_frontier(
-                m,
-                pool,
-                &frontier,
-                &mut pw_cache,
-                &mut sites_cache,
-                &summaries,
-                &initial,
-                &mut db,
-            );
-            let mut next: Vec<usize> = Vec::new();
-            for &fi in &frontier {
-                // Convergence: a function re-enters the frontier only
-                // when its context strictly rises, and the 3-point
-                // lattice bounds that at two raises (+1 initial visit).
-                visits[fi] += 1;
-                assert!(
-                    visits[fi] <= 3,
-                    "context fixpoint failed to converge: `{}` re-propagated \
-                     more often than the lattice height permits",
-                    m.funcs[fi].name
-                );
-                let sites = sites_cache[fi].as_ref().expect("frontier refreshed");
-                for (site_ctx, ci) in sites.per_site.iter().zip(&callee_idx[fi]) {
-                    let Some(ci) = *ci else { continue };
-                    let cur = initial[ci];
-                    let joined = cur.join(*site_ctx);
-                    if joined != cur {
-                        initial[ci] = joined;
-                        if !next.contains(&ci) {
-                            next.push(ci);
-                        }
-                    }
-                }
-            }
-            // Module order keeps pw/site refreshes (and so QueryDb
-            // insertion order) deterministic at every pool width.
-            next.sort_unstable();
-            frontier = next;
-        }
-        // One module-order pass at the (asserted-stable) final contexts
-        // collects the multithreaded calls — the same order the legacy
-        // loop produces on its final round.
+    // --- round loop: recompute each function's pw under its current
+    // context and push call-site contexts into callees, every round,
+    // until a full round changes nothing. The lattice has height 3 and
+    // the call graph is finite, so the round bound is unreachable —
+    // asserted below, not silently papered over.
+    let mut converged = false;
+    for _round in 0..(3 * n.max(1)) {
+        let mut any = false;
+        multithreaded_calls.clear();
+        refresh_stale(m, pool, &mut pw_cache, &initial, &mut db);
         for (fi, (f, s)) in m.funcs.iter().zip(&summaries).enumerate() {
-            let sites = sites_cache[fi].as_ref().expect("all refreshed");
-            for ((site_ctx, ci), (_bid, callee, span)) in sites
-                .per_site
-                .iter()
-                .zip(&callee_idx[fi])
-                .zip(&s.call_sites)
-            {
-                if let Some(ci) = *ci {
-                    assert!(
-                        initial[ci].join(*site_ctx) == initial[ci],
-                        "context fixpoint failed to converge at call {} -> {}",
-                        f.name,
-                        callee
-                    );
-                    if *site_ctx == InitialContext::Parallel && bearing[ci] {
-                        multithreaded_calls.push((f.name.clone(), callee.clone(), *span));
+            let pw = &pw_cache[fi].as_ref().expect("refreshed").1;
+            // Summaries keep sites in block order, so the entry context
+            // of each block is computed once per run of same-block sites.
+            let mut cur: Option<(BlockId, InitialContext)> = None;
+            for ((bid, callee, span), ci) in s.call_sites.iter().zip(&callee_idx[fi]) {
+                let site_ctx = match cur {
+                    Some((b, ctx)) if b == *bid => ctx,
+                    _ => {
+                        let ctx = site_context(pw, bid.index());
+                        cur = Some((*bid, ctx));
+                        ctx
                     }
+                };
+                let Some(ci) = *ci else { continue };
+                let joined = initial[ci].join(site_ctx);
+                if joined != initial[ci] {
+                    initial[ci] = joined;
+                    any = true;
+                }
+                if site_ctx == InitialContext::Parallel && bearing[ci] {
+                    multithreaded_calls.push((f.name.clone(), callee.clone(), *span));
                 }
             }
         }
-    } else {
-        // --- legacy round loop: recompute each function's pw under its
-        // current context and push call-site contexts into callees,
-        // every round, until a full round changes nothing. The lattice
-        // has height 3 and the call graph is finite, so the round bound
-        // is unreachable — asserted below, not silently papered over.
-        let mut converged = false;
-        for _round in 0..(3 * n.max(1)) {
-            let mut any = false;
-            multithreaded_calls.clear();
-            refresh_stale(m, pool, &mut pw_cache, &initial, &mut db);
-            for (fi, (f, s)) in m.funcs.iter().zip(&summaries).enumerate() {
-                let pw = &pw_cache[fi].as_ref().expect("refreshed").1;
-                // Summaries keep sites in block order, so the entry context
-                // of each block is computed once per run of same-block sites.
-                let mut cur: Option<(BlockId, InitialContext)> = None;
-                for ((bid, callee, span), ci) in s.call_sites.iter().zip(&callee_idx[fi]) {
-                    let site_ctx = match cur {
-                        Some((b, ctx)) if b == *bid => ctx,
-                        _ => {
-                            let ctx = site_context(pw, bid.index());
-                            cur = Some((*bid, ctx));
-                            ctx
-                        }
-                    };
-                    let Some(ci) = *ci else { continue };
-                    let joined = initial[ci].join(site_ctx);
-                    if joined != initial[ci] {
-                        initial[ci] = joined;
-                        any = true;
-                    }
-                    if site_ctx == InitialContext::Parallel && bearing[ci] {
-                        multithreaded_calls.push((f.name.clone(), callee.clone(), *span));
-                    }
-                }
-            }
-            if !any {
-                converged = true;
-                break;
-            }
+        if !any {
+            converged = true;
+            break;
         }
-        assert!(
-            converged,
-            "context fixpoint failed to converge within the lattice bound"
-        );
     }
+    assert!(
+        converged,
+        "context fixpoint failed to converge within the lattice bound"
+    );
 
     CallContexts {
         initial: m
@@ -353,95 +244,6 @@ fn compute_contexts_impl(
             .collect(),
         summaries,
     }
-}
-
-/// Refresh pw results and [`SiteContexts`] for the frontier functions at
-/// their current contexts. pw misses run in parallel (per-function
-/// pure); site contexts derive sequentially from the pw result (a cached
-/// O(1) verdict per call block). With a [`QueryDb`], both are served as
-/// `Arc` clones on a hit and inserted back on a miss — this is the
-/// delta-propagation query `parcoachd` warm re-checks replay for free.
-#[allow(clippy::too_many_arguments)]
-fn refresh_frontier(
-    m: &Module,
-    pool: &parcoach_pool::Pool,
-    frontier: &[usize],
-    pw_cache: &mut [Option<(InitialContext, Arc<PwResult>)>],
-    sites_cache: &mut [Option<Arc<SiteContexts>>],
-    summaries: &[Arc<CallSummary>],
-    initial: &[InitialContext],
-    db: &mut Option<&mut QueryDb>,
-) {
-    let stale: Vec<usize> = frontier
-        .iter()
-        .copied()
-        .filter(|&fi| pw_cache[fi].as_ref().map(|(c, _)| *c) != Some(initial[fi]))
-        .collect();
-    let misses: Vec<usize> = match db.as_deref_mut() {
-        None => stale,
-        Some(db) => stale
-            .into_iter()
-            .filter(|&fi| match db.pw(&m.funcs[fi].name, initial[fi]) {
-                Some(pw) => {
-                    pw_cache[fi] = Some((initial[fi], pw));
-                    false
-                }
-                None => true,
-            })
-            .collect(),
-    };
-    let fresh = pool.par_map(&misses, |&fi| {
-        let ctx = initial[fi];
-        (fi, Arc::new(compute_pw(&m.funcs[fi], ctx)))
-    });
-    if let Some(db) = db.as_deref_mut() {
-        for (fi, pw) in &fresh {
-            db.insert_pw(&m.funcs[*fi].name, initial[*fi], pw.clone());
-        }
-    }
-    for (fi, pw) in fresh {
-        pw_cache[fi] = Some((initial[fi], pw));
-    }
-
-    for &fi in frontier {
-        let ctx = initial[fi];
-        let served = db
-            .as_deref_mut()
-            .and_then(|db| db.site_contexts(&m.funcs[fi].name, ctx));
-        let sites = match served {
-            Some(s) => s,
-            None => {
-                let pw = &pw_cache[fi].as_ref().expect("refreshed above").1;
-                let s = Arc::new(derive_site_contexts(pw, &summaries[fi]));
-                if let Some(db) = db.as_deref_mut() {
-                    db.insert_site_contexts(&m.funcs[fi].name, ctx, s.clone());
-                }
-                s
-            }
-        };
-        sites_cache[fi] = Some(sites);
-    }
-}
-
-/// Derive one function's per-call-site callee contexts from its pw
-/// result. Summaries keep sites in block order, so the context of each
-/// block is computed once per run of same-block sites — exactly the
-/// memoization the legacy loop applies inline.
-fn derive_site_contexts(pw: &PwResult, summary: &CallSummary) -> SiteContexts {
-    let mut per_site = Vec::with_capacity(summary.call_sites.len());
-    let mut cur: Option<(BlockId, InitialContext)> = None;
-    for (bid, _callee, _span) in &summary.call_sites {
-        let ctx = match cur {
-            Some((b, c)) if b == *bid => c,
-            _ => {
-                let c = site_context(pw, bid.index());
-                cur = Some((*bid, c));
-                c
-            }
-        };
-        per_site.push(ctx);
-    }
-    SiteContexts { per_site }
 }
 
 /// Refresh the fixpoint's pw cache for every function whose context
@@ -620,37 +422,10 @@ mod tests {
         assert_eq!(ctx.context_of("rec"), InitialContext::Parallel);
     }
 
-    /// Every observable output of the two fixpoint drivers must agree.
-    fn assert_matches_legacy(m: &Module) {
-        let pool = parcoach_pool::global();
-        let wl = compute_contexts_db(m, InitialContext::Sequential, pool, None);
-        let lg = compute_contexts_legacy(m, InitialContext::Sequential, pool, None);
-        assert_eq!(wl.initial, lg.initial);
-        assert_eq!(wl.collective_bearing, lg.collective_bearing);
-        assert_eq!(wl.multithreaded_calls, lg.multithreaded_calls);
-        assert_eq!(
-            wl.pw.keys().collect::<std::collections::BTreeSet<_>>(),
-            lg.pw.keys().collect::<std::collections::BTreeSet<_>>()
-        );
-        for (name, a) in &wl.pw {
-            let b = &lg.pw[name];
-            assert_eq!(a.entry.len(), b.entry.len(), "{name}");
-            for i in 0..a.entry.len() {
-                let wa = a.entry[i].map(|s| s.node().map(|n| a.dag.materialize(n)));
-                let wb = b.entry[i].map(|s| s.node().map(|n| b.dag.materialize(n)));
-                assert_eq!(wa, wb, "{name} block {i}");
-            }
-            assert_eq!(a.phase_merged, b.phase_merged, "{name}");
-            assert_eq!(a.divergences, b.divergences, "{name}");
-        }
-    }
-
     #[test]
     fn cyclic_call_graph_converges_and_matches_legacy() {
-        // Mutual recursion reached from a parallel region — the cyclic
-        // shape that previously leaned on the legacy loop's silent
-        // round-bound fallback. The worklist must assert-converge and
-        // agree with the legacy driver on every output.
+        // Mutual recursion reached from a parallel region: the round
+        // loop must reach the fixpoint well inside its asserted bound.
         let m = lower(
             "fn ping(n: int) { if (n > 0) { pong(n - 1); } MPI_Barrier(); }
              fn pong(n: int) { if (n > 0) { ping(n - 1); } }
@@ -660,13 +435,22 @@ mod tests {
         assert_eq!(ctx.context_of("ping"), InitialContext::Parallel);
         assert_eq!(ctx.context_of("pong"), InitialContext::Parallel);
         assert!(ctx.bears_collectives("pong"), "cycle propagates bearing");
-        assert_matches_legacy(&m);
+        let edges: Vec<(&str, &str)> = ctx
+            .multithreaded_calls
+            .iter()
+            .map(|(caller, callee, _)| (caller.as_str(), callee.as_str()))
+            .collect();
+        assert_eq!(
+            edges,
+            [("ping", "pong"), ("pong", "ping"), ("main", "ping")],
+            "one entry per multithreaded call edge, in module order"
+        );
     }
 
     #[test]
     fn worklist_matches_legacy_on_joining_chains() {
         // A callee reached under three different contexts (joined to the
-        // worst case) plus a deeper chain: exercises frontier re-entry.
+        // worst case) plus a deeper chain below it.
         let m = lower(
             "fn leaf() { MPI_Barrier(); }
              fn work() { leaf(); }
@@ -676,6 +460,45 @@ mod tests {
                 parallel { work(); }
              }",
         );
-        assert_matches_legacy(&m);
+        let ctx = compute_contexts(&m, InitialContext::Sequential);
+        assert_eq!(ctx.context_of("work"), InitialContext::Parallel);
+        assert_eq!(ctx.context_of("leaf"), InitialContext::Parallel);
+        assert_eq!(
+            ctx.multithreaded_calls.len(),
+            2,
+            "work->leaf and the parallel main->work"
+        );
+        assert_eq!(ctx.pw.len(), 3);
+    }
+
+    #[test]
+    fn callee_raised_through_the_whole_lattice_converges() {
+        // Callees precede callers in module order, so each round pushes
+        // contexts one call edge further: `leaf` is raised Sequential ->
+        // ParallelSingle (round 2, via `mid`) -> Parallel (round 3, via
+        // `outer` -> `inner`) — the lattice height — and the loop must
+        // still stop inside its 3·n bound with the least fixpoint.
+        let m = lower(
+            "fn leaf() { MPI_Barrier(); }
+             fn inner() { leaf(); }
+             fn outer() { inner(); }
+             fn mid() { leaf(); }
+             fn main() {
+                parallel { single { mid(); } }
+                parallel { outer(); }
+             }",
+        );
+        let ctx = compute_contexts(&m, InitialContext::Sequential);
+        assert_eq!(ctx.context_of("mid"), InitialContext::ParallelSingle);
+        assert_eq!(ctx.context_of("outer"), InitialContext::Parallel);
+        assert_eq!(ctx.context_of("inner"), InitialContext::Parallel);
+        assert_eq!(ctx.context_of("leaf"), InitialContext::Parallel);
+        // The returned words are those of the final contexts, not of a
+        // context the function passed through on the way up.
+        for f in &m.funcs {
+            let fresh = compute_pw(f, ctx.context_of(&f.name));
+            let kept = ctx.pw_of(&f.name).expect("every function has words");
+            assert_eq!(kept.word_at(f.entry), fresh.word_at(f.entry), "{}", f.name);
+        }
     }
 }

@@ -189,27 +189,25 @@ impl<'m> AnalysisCx<'m> {
     /// contexts' cached pw results are *moved* into the per-function
     /// facts (they were previously cloned once per function).
     pub fn from_contexts(m: &'m Module, ctxs: CallContexts, pool: &parcoach_pool::Pool) -> Self {
-        Self::from_contexts_db(m, ctxs, pool, None, false)
+        Self::from_contexts_db(m, ctxs, pool, None)
     }
 
     /// [`AnalysisCx::from_contexts`] consulting an incremental
-    /// [`QueryDb`] for the per-function CFG facts and — when
-    /// `module_memo` is on — the module-wide communicator/request
-    /// tables. The db must have been reconciled against `m` (see
-    /// [`QueryDb::reconcile_module`]).
+    /// [`QueryDb`] for the per-function CFG facts and the module-wide
+    /// communicator/request tables. The db must have been reconciled
+    /// against `m` (see [`QueryDb::reconcile_module`]).
     pub fn from_contexts_db(
         m: &'m Module,
         mut ctxs: CallContexts,
         pool: &parcoach_pool::Pool,
         mut db: Option<&mut QueryDb>,
-        module_memo: bool,
     ) -> Self {
         // Module-wide register resolutions: wholesale-cached behind a
         // key over every function's comm/request input projection, so an
         // edit touching no communicator (or request) instruction reuses
         // the entire table. The interning spans inside a reused table
         // may be stale, but nothing reads them — labels print class ids.
-        let (comms, reqs) = match db.as_deref_mut().filter(|_| module_memo) {
+        let (comms, reqs) = match db.as_deref_mut() {
             Some(db) => {
                 let ck = db.module_comm_key(m);
                 let comms = db.module_comms(ck).unwrap_or_else(|| {

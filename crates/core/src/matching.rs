@@ -13,8 +13,7 @@
 //! block→event map is precomputed (interned [`EventId`]s), the per-block
 //! post-dominance frontiers are computed once, and `PDF+(S_e)` queries
 //! go through a memoizing [`IpdfEngine`] so events issued from the same
-//! block set share one fixpoint ([`MatchingOptions::memoize`] disables
-//! the cache for the E10 ablation — results are identical either way).
+//! block set share one fixpoint.
 //!
 //! **Refinement** (extension, see DESIGN.md): a conditional whose two
 //! arms provably execute the *same* sequence of collective events before
@@ -146,17 +145,11 @@ pub struct MatchingResult {
 pub struct MatchingOptions {
     /// Apply the balanced-arms sequence refinement.
     pub refine: bool,
-    /// Serve `PDF+` queries from the per-function memo (identical
-    /// results; `false` recomputes per event set — the E10 ablation).
-    pub memoize: bool,
 }
 
 impl Default for MatchingOptions {
     fn default() -> Self {
-        MatchingOptions {
-            refine: true,
-            memoize: true,
-        }
+        MatchingOptions { refine: true }
     }
 }
 
@@ -229,11 +222,7 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
         let e = cx.events.get(id);
         let sites = &by_event[&id];
         let blocks: Vec<BlockId> = sites.iter().map(|(b, _)| *b).collect();
-        let mut frontier = if opts.memoize {
-            engine.iterated(&blocks)
-        } else {
-            facts.cfg().pdt.iterated_frontier(f, &blocks)
-        };
+        let mut frontier = engine.iterated(&blocks);
         // OpenMP dispatch branches (`single`/`master`/`section` entry)
         // choose *which thread* runs the body, but the body still runs
         // exactly once per process per encounter — they are not
@@ -407,13 +396,7 @@ mod tests {
 
     fn run_with(src: &str, refine: bool) -> MatchingResult {
         let m = lower(src);
-        run_on(
-            &m,
-            MatchingOptions {
-                refine,
-                ..MatchingOptions::default()
-            },
-        )
+        run_on(&m, MatchingOptions { refine })
     }
 
     fn run(src: &str) -> MatchingResult {
@@ -432,28 +415,6 @@ mod tests {
         assert_eq!(r.warnings.len(), 1, "{:?}", r.warnings);
         assert_eq!(r.warnings[0].kind, WarningKind::CollectiveMismatch);
         assert!(!r.suspects.is_empty());
-    }
-
-    #[test]
-    fn memoized_and_uncached_agree() {
-        // Several distinct events under shared conditionals: the memo
-        // path and the recompute-per-set path must produce identical
-        // results (the E10 ablation's correctness premise).
-        let src = "fn main() {
-                if (rank() == 0) { MPI_Barrier(); } else { let x = MPI_Allreduce(1, SUM); }
-                if (rank() > 1) { let y = MPI_Bcast(1.0, 0); }
-                for (i in 0..3) { MPI_Barrier(); }
-            }";
-        let m = lower(src);
-        let cached = run_on(&m, MatchingOptions::default());
-        let uncached = run_on(
-            &m,
-            MatchingOptions {
-                memoize: false,
-                ..MatchingOptions::default()
-            },
-        );
-        assert_eq!(format!("{cached:?}"), format!("{uncached:?}"));
     }
 
     #[test]

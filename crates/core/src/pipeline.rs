@@ -29,24 +29,6 @@ pub struct AnalysisOptions {
     /// request-free modules disabling it is report-invisible — pinned by
     /// the `no_request_modules_match_blocking_path` property test.
     pub check_requests: bool,
-    /// Serve `PDF+` queries from the per-function memo over precomputed
-    /// frontiers. `false` recomputes the frontier per event set — the
-    /// pre-fact-store engine, kept for the E10 ablation and pinned
-    /// report-identical by `fact_store_matches_legacy_reports`.
-    pub pdf_memo: bool,
-    /// Drive the interprocedural context fixpoint with the incremental
-    /// worklist (`true`, the default). `false` falls back to the legacy
-    /// round-based re-walk — kept for the E13 ablation and the fuzz
-    /// differential's `--legacy-fixpoint` mode, and pinned
-    /// report-identical by `incr_fixpoint_matches_legacy_reports`.
-    pub incr_fixpoint: bool,
-    /// Serve the **module-wide** tables (communicator classes, request
-    /// classes, the p2p matching core) from the incremental store when
-    /// their input fingerprints are green (`true`, the default; only
-    /// effective on sessions with a [`crate::query::QueryDb`]). `false`
-    /// recomputes them every check — the ablation baseline and the fuzz
-    /// differential's `--no-module-memo` mode.
-    pub module_memo: bool,
 }
 
 impl Default for AnalysisOptions {
@@ -56,9 +38,6 @@ impl Default for AnalysisOptions {
             refine_matching: true,
             check_thread_level: true,
             check_requests: true,
-            pdf_memo: true,
-            incr_fixpoint: true,
-            module_memo: true,
         }
     }
 }
@@ -252,7 +231,6 @@ fn analyze_function(
         fidx,
         MatchingOptions {
             refine: opts.refine_matching,
-            memoize: opts.pdf_memo,
         },
     );
     if let Some(s) = sink {
@@ -297,17 +275,13 @@ fn analyze_module_inner(
 
     // Interprocedural contexts, then the shared fact store.
     let t = Instant::now();
-    let ctxs = if opts.incr_fixpoint {
-        crate::context::compute_contexts_db(m, opts.entry_context, pool, db.as_deref_mut())
-    } else {
-        crate::context::compute_contexts_legacy(m, opts.entry_context, pool, db.as_deref_mut())
-    };
+    let ctxs = crate::context::compute_contexts_db(m, opts.entry_context, pool, db.as_deref_mut());
     if let Some(s) = sink {
         TimingSink::add(&s.contexts, t);
     }
     checkpoint(token)?;
     let t = Instant::now();
-    let cx = AnalysisCx::from_contexts_db(m, ctxs, pool, db.as_deref_mut(), opts.module_memo);
+    let cx = AnalysisCx::from_contexts_db(m, ctxs, pool, db.as_deref_mut());
     if let Some(s) = sink {
         TimingSink::add(&s.facts, t);
     }
@@ -415,12 +389,12 @@ fn analyze_module_inner(
     // warning order is identical at any pool width. The request
     // resolution (already in the fact store) feeds the matcher (deferred
     // completion of non-blocking receives) and the life-cycle pass.
-    // With the module memo on, the span-free matching core is served
+    // On a session with a store, the span-free matching core is served
     // wholesale from the store when no function's p2p inputs (sites,
     // waits, comm/request tables, reachability, finalize placement)
     // changed; warning spans are re-read from the live IR either way.
     let t = Instant::now();
-    let p2p = match db.filter(|_| opts.module_memo) {
+    let p2p = match db {
         Some(db) => {
             let key = db.module_p2p_key(m, &cx.reachable);
             match db.p2p_core(key) {
@@ -790,24 +764,6 @@ mod tests {
             .expect("not cancelled");
         let cold = AnalysisSession::builder().build().check_module(&m);
         assert_eq!(format!("{report:?}"), format!("{cold:?}"));
-    }
-
-    #[test]
-    fn uncached_pdf_path_matches_memoized() {
-        let src = "fn exchange() { MPI_Barrier(); }
-             fn main() {
-                 if (rank() == 0) { exchange(); } else { exchange(); }
-                 if (rank() > 1) { MPI_Barrier(); }
-                 for (i in 0..3) { let x = MPI_Allreduce(i, SUM); }
-             }";
-        let unit = parse_and_check("t.mh", src).expect("valid");
-        let m = lower_program(&unit.program, &unit.signatures);
-        let memo = AnalysisSession::builder().build().check_module(&m);
-        let raw = AnalysisSession::builder()
-            .pdf_memo(false)
-            .build()
-            .check_module(&m);
-        assert_eq!(format!("{memo:?}"), format!("{raw:?}"));
     }
 
     #[test]

@@ -441,22 +441,6 @@ pub fn call_summary(f: &FuncIr) -> CallSummary {
     }
 }
 
-/// The per-`(function, context)` delta-propagation query of the context
-/// fixpoint: each call site's contribution to its callee's entry
-/// context, aligned index-for-index with [`CallSummary::call_sites`].
-///
-/// This is what the incremental worklist in [`crate::context`]
-/// re-propagates: when a function's context (or body) is unchanged, its
-/// site contexts are served from here and the fixpoint never touches its
-/// blocks. Entirely span-free — derived from the pw result and the
-/// summary's block ids — so [`QueryDb::shift`] has nothing to rebase.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SiteContexts {
-    /// The callee entry context induced by each call site, in
-    /// [`CallSummary::call_sites`] order.
-    pub per_site: Vec<InitialContext>,
-}
-
 /// Hit/miss counters, surfaced through the daemon's `timings` verb and
 /// asserted on by the incrementality tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -469,11 +453,6 @@ pub struct QueryStats {
     pub cfg_hits: u64,
     /// CFG facts recomputed.
     pub cfg_misses: u64,
-    /// Call-site context vectors served from cache (the fixpoint's
-    /// delta-propagation query, see [`SiteContexts`]).
-    pub site_hits: u64,
-    /// Call-site context vectors recomputed.
-    pub site_misses: u64,
     /// Red entries whose recomputed fingerprint still matched (edit was
     /// structurally a no-op — the red-green short-circuit).
     pub greened: u64,
@@ -504,9 +483,6 @@ struct FuncEntry {
     sub: Option<SubFps>,
     /// Cached pw per [`InitialContext`] (index = lattice position).
     pw: [Option<Arc<PwResult>>; 3],
-    /// Cached call-site contexts per [`InitialContext`], keyed like `pw`
-    /// (they are a pure function of the pw result and the summary).
-    sites: [Option<Arc<SiteContexts>>; 3],
     /// Cached CFG facts; the flag records whether the frontier set was
     /// materialized (an event-presence change re-keys the entry).
     cfg: Option<(bool, Arc<CfgFacts>)>,
@@ -608,7 +584,6 @@ impl QueryDb {
                     self.stats.invalidated += 1;
                 }
                 entry.pw = [None, None, None];
-                entry.sites = [None, None, None];
                 entry.cfg = None;
                 entry.summary = None;
                 entry.sub = None;
@@ -663,30 +638,6 @@ impl QueryDb {
     /// Record freshly computed CFG facts for `name`.
     pub fn insert_cfg(&mut self, name: &str, with_pdf: bool, cfg: Arc<CfgFacts>) {
         self.funcs.entry(name.to_string()).or_default().cfg = Some((with_pdf, cfg));
-    }
-
-    /// Cached call-site contexts of `name` under `ctx`, if green — the
-    /// fixpoint's delta-propagation query.
-    pub fn site_contexts(&mut self, name: &str, ctx: InitialContext) -> Option<Arc<SiteContexts>> {
-        let hit = self
-            .funcs
-            .get(name)
-            .and_then(|e| e.sites[ctx_index(ctx)].clone());
-        match hit {
-            Some(s) => {
-                self.stats.site_hits += 1;
-                Some(s)
-            }
-            None => {
-                self.stats.site_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Record freshly derived call-site contexts for `name` under `ctx`.
-    pub fn insert_site_contexts(&mut self, name: &str, ctx: InitialContext, s: Arc<SiteContexts>) {
-        self.funcs.entry(name.to_string()).or_default().sites[ctx_index(ctx)] = Some(s);
     }
 
     /// Cached call-graph summary of `name`, if green.

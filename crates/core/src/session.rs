@@ -111,29 +111,6 @@ impl AnalysisSessionBuilder {
         self
     }
 
-    /// Toggle the memoized `PDF+` engine (off = the E10 ablation's
-    /// recompute-per-query path).
-    pub fn pdf_memo(mut self, on: bool) -> Self {
-        self.opts.pdf_memo = on;
-        self
-    }
-
-    /// Toggle the incremental worklist driver of the context fixpoint
-    /// (off = the E13 ablation's legacy round-based re-walk).
-    pub fn incr_fixpoint(mut self, on: bool) -> Self {
-        self.opts.incr_fixpoint = on;
-        self
-    }
-
-    /// Toggle the module-wide table memo (communicator/request classes,
-    /// p2p matching core) on incremental sessions. Off = recompute per
-    /// check — the ablation baseline and the fuzz differential's
-    /// `--no-module-memo` mode.
-    pub fn module_memo(mut self, on: bool) -> Self {
-        self.opts.module_memo = on;
-        self
-    }
-
     /// Keep span-free derived facts (parallelism words, CFG facts) in a
     /// content-hash-keyed memo across checks. See the type docs for the
     /// edit-notification contract this puts on the caller.
@@ -390,9 +367,9 @@ mod tests {
         assert_eq!(format!("{warm_report:?}"), format!("{cold_report:?}"));
     }
 
-    /// Edit-soak for the delta-propagation queries: after an edit to one
-    /// function, the pw and site-context queries must miss for exactly
-    /// that function and keep serving every other function from cache.
+    /// Edit-soak for the memoized pw query: after an edit to one
+    /// function, it must miss for exactly that function and keep serving
+    /// every other function from cache.
     #[test]
     fn edit_invalidates_exactly_the_dirty_function() {
         let src_v1 = "fn left() { MPI_Barrier(); }
@@ -419,25 +396,20 @@ mod tests {
         let cold = s.query_stats();
         // All three functions are analyzed in one context each.
         assert_eq!(cold.pw_misses, 3);
-        assert_eq!(cold.site_misses, 3);
         // Unedited soak rounds: pure hits, zero new misses.
         for _ in 0..3 {
             s.check_module(&m1);
         }
         let soaked = s.query_stats();
         assert_eq!(soaked.pw_misses, cold.pw_misses);
-        assert_eq!(soaked.site_misses, cold.site_misses);
         assert_eq!(soaked.pw_hits, cold.pw_hits + 3 * 3);
-        assert_eq!(soaked.site_hits, cold.site_hits + 3 * 3);
-        // Edit exactly one function: exactly one pw miss and one
-        // site-context miss; the other two functions stay green.
+        // Edit exactly one function: exactly one pw miss; the other two
+        // functions stay green.
         s.mark_edited("right");
         let edited = s.check_module(&m2);
         let after = s.query_stats();
         assert_eq!(after.pw_misses, soaked.pw_misses + 1);
-        assert_eq!(after.site_misses, soaked.site_misses + 1);
         assert_eq!(after.pw_hits, soaked.pw_hits + 2);
-        assert_eq!(after.site_hits, soaked.site_hits + 2);
         // And the warm result is byte-identical to a cold analysis.
         let cold_report = AnalysisSession::builder().build().check_module(&m2);
         assert_eq!(format!("{edited:?}"), format!("{cold_report:?}"));
@@ -517,35 +489,6 @@ mod tests {
         assert_eq!(s.query_stats().p2p_misses, 2, "reachability is keyed");
         let cold_report = AnalysisSession::builder().build().check_module(&m2);
         assert_eq!(format!("{edited:?}"), format!("{cold_report:?}"));
-    }
-
-    /// The ablation path (`module_memo(false)`) recomputes the tables
-    /// every check and stays byte-identical.
-    #[test]
-    fn module_memo_off_matches_on() {
-        let m = lower(
-            "fn main() {
-                 MPI_Init();
-                 let peer = size() - 1 - rank();
-                 let v = MPI_Recv(peer, 7);
-                 MPI_Send(1, peer, 7);
-                 MPI_Finalize();
-             }",
-        );
-        let mut on = AnalysisSession::builder().incremental(true).build();
-        let mut off = AnalysisSession::builder()
-            .incremental(true)
-            .module_memo(false)
-            .build();
-        for _ in 0..2 {
-            assert_eq!(
-                format!("{:?}", on.check_module(&m)),
-                format!("{:?}", off.check_module(&m))
-            );
-        }
-        assert_eq!(off.query_stats().comm_hits, 0);
-        assert_eq!(off.query_stats().p2p_hits, 0);
-        assert!(on.query_stats().p2p_hits > 0);
     }
 
     #[test]

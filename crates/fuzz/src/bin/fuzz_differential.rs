@@ -8,22 +8,10 @@
 //! ```text
 //! fuzz_differential [--seed S] [--rounds N] [--modules M] [--dry K]
 //!                   [--jobs J] [--workers W | --shard I/N]
-//!                   [--legacy-fixpoint] [--no-module-memo]
-//!                   [--legacy-world-lock]
 //!                   [--minimize] [--corpus-out DIR]
 //!                   [--summary-out FILE] [--records-out FILE]
 //!                   [--expected FILE] [--quiet]
 //! ```
-//!
-//! `--legacy-fixpoint` runs the static side with the legacy full-re-walk
-//! context driver instead of the incremental worklist, so CI pins both
-//! against the simulator ground truth. `--no-module-memo` likewise
-//! disables the fingerprint-keyed module match tables, pinning the
-//! direct-recompute path; CI compares the two summaries byte for byte.
-//! `--legacy-world-lock` runs the dynamic side on the simulator's legacy
-//! single-world-lock engine instead of the sharded matching spaces, so
-//! CI pins the sharded engine against its ablation baseline the same
-//! way.
 //!
 //! Deterministic by construction: module seeds derive from
 //! `(--seed, module index)` only, so the summary is byte-identical at
@@ -52,9 +40,7 @@ struct Opts {
 }
 
 const USAGE: &str = "usage: fuzz_differential [--seed S] [--rounds N] [--modules M] [--dry K] \
-[--jobs J] [--workers W | --shard I/N] [--legacy-fixpoint] [--no-module-memo] \
-[--legacy-world-lock] [--minimize] \
-[--corpus-out DIR] \
+[--jobs J] [--workers W | --shard I/N] [--minimize] [--corpus-out DIR] \
 [--summary-out FILE] [--records-out FILE] [--expected FILE] [--quiet]";
 
 fn usage_err(msg: &str) -> ! {
@@ -104,9 +90,6 @@ fn parse_opts() -> Opts {
                     .unwrap_or_else(|| usage_err(&format!("--shard: bad spec `{v}`")));
                 opts.cfg.shard = Some((i, n));
             }
-            "--legacy-fixpoint" => opts.cfg.oracle.incr_fixpoint = false,
-            "--no-module-memo" => opts.cfg.oracle.module_memo = false,
-            "--legacy-world-lock" => opts.cfg.oracle.legacy_world_lock = true,
             "--minimize" => opts.minimize = true,
             "--corpus-out" => {
                 opts.corpus_out = Some(
@@ -170,15 +153,6 @@ fn run_workers(opts: &Opts) -> Result<Vec<parcoach_fuzz::ModuleRecord>, String> 
             .arg("--records-out")
             .arg(&records)
             .arg("--quiet");
-        if !opts.cfg.oracle.incr_fixpoint {
-            cmd.arg("--legacy-fixpoint");
-        }
-        if !opts.cfg.oracle.module_memo {
-            cmd.arg("--no-module-memo");
-        }
-        if opts.cfg.oracle.legacy_world_lock {
-            cmd.arg("--legacy-world-lock");
-        }
         if let Some(jobs) = opts.jobs {
             cmd.arg("--jobs")
                 .arg(jobs.div_ceil(opts.workers).to_string());

@@ -22,19 +22,6 @@ pub struct OracleConfig {
     /// Hard wall-clock cap per module; a run that exceeds it is
     /// recorded as the synthetic dynamic code `hang`.
     pub watchdog: Duration,
-    /// Context-propagation driver for the static side: the incremental
-    /// worklist (default) or, when `false`, the legacy full-re-walk
-    /// round loop — so the campaign can pin both against the simulator.
-    pub incr_fixpoint: bool,
-    /// Module-level memo for the comm/request/p2p match tables: the
-    /// fingerprint-keyed path (default) or, when `false`, direct
-    /// recomputation — so the campaign can pin the keyed tables against
-    /// the simulator too.
-    pub module_memo: bool,
-    /// Run the simulated MPI on its legacy single-world-lock engine
-    /// instead of the sharded one — so the campaign can pin the sharded
-    /// matching spaces against the ablation baseline.
-    pub legacy_world_lock: bool,
 }
 
 impl Default for OracleConfig {
@@ -43,18 +30,7 @@ impl Default for OracleConfig {
             ranks: 2,
             threads: 2,
             watchdog: Duration::from_secs(10),
-            incr_fixpoint: true,
-            module_memo: true,
-            legacy_world_lock: false,
         }
-    }
-}
-
-impl OracleConfig {
-    fn run_config(&self) -> RunConfig {
-        let mut cfg = RunConfig::fast_fail(self.ranks, self.threads);
-        cfg.legacy_world_lock = self.legacy_world_lock;
-        cfg
     }
 }
 
@@ -102,11 +78,7 @@ pub fn observe(name: &str, src: &str, cfg: &OracleConfig) -> OracleOutcome {
 /// (and verified) module. Callers that hold a lowered module — the
 /// micro-benchmarks, batched replays — skip the parse entirely.
 pub fn observe_module(module: &Module, cfg: &OracleConfig) -> Observation {
-    let report = AnalysisSession::builder()
-        .incr_fixpoint(cfg.incr_fixpoint)
-        .module_memo(cfg.module_memo)
-        .build()
-        .check_module(module);
+    let report = AnalysisSession::builder().build().check_module(module);
     let mut static_codes: Vec<String> = report
         .warnings
         .iter()
@@ -116,7 +88,7 @@ pub fn observe_module(module: &Module, cfg: &OracleConfig) -> Observation {
     static_codes.dedup();
 
     let (instrumented, _stats) = instrument_module(module, &report, InstrumentMode::Selective);
-    let run_cfg = cfg.run_config();
+    let run_cfg = RunConfig::fast_fail(cfg.ranks, cfg.threads);
     // The executor joins its rank threads before returning, so a stuck
     // schedule would stall the campaign without this watchdog. The run
     // is dispatched to a parked cache worker instead of a fresh OS

@@ -115,3 +115,25 @@ fn minimizer_preserves_class_while_shrinking() {
         OracleOutcome::Invalid(e) => panic!("minimized module no longer compiles: {e}"),
     }
 }
+
+/// The flags that selected the paths retired in PR 13 are gone: the
+/// driver rejects them like any unknown flag (usage on stderr, exit 3)
+/// before running anything.
+#[test]
+fn retired_mode_flags_are_rejected_as_unknown() {
+    for flag in [
+        "--legacy-fixpoint",
+        "--no-module-memo",
+        "--legacy-world-lock",
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fuzz_differential"))
+            .args(["--rounds", "1", "--modules", "1", flag])
+            .output()
+            .expect("fuzz_differential runs");
+        assert_eq!(out.status.code(), Some(3), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        assert!(err.contains("usage: fuzz_differential"), "{err}");
+        assert!(out.stdout.is_empty(), "{flag}: nothing ran");
+    }
+}

@@ -1,115 +1,43 @@
-//! Seeded property test: the sharded simulator engine and its legacy
-//! single-world-lock ablation baseline agree on every generated module.
+//! Seeded property test: the static half of the differential oracle's
+//! verdict does not depend on the pool width the sweep runs at.
 //!
 //! 100 scenario-generator modules go through the full differential
-//! pipeline on both engines; the static codes must match exactly and
-//! the dynamic codes must match at error-family granularity (the
-//! granularity the fuzz classifier uses — within a family, e.g.
-//! deadlock vs. rank-finished-early, the precise code is
-//! schedule-dependent in *both* engines). Some modules are
-//! schedule-dependent *across* families too: two different dynamic
-//! checks race to observe the same underlying bug (e.g. a thread-level
-//! violation vs. the collective mismatch it causes), on either engine.
-//! A first-try mismatch therefore triggers a resample: each engine runs
-//! the module several more times, and the engines are equivalent iff
-//! their observed verdict sets intersect — a genuine divergence (one
-//! engine *cannot* produce what the other does) stays disjoint and
-//! fails. The sweep also runs at pool widths 1 and 4 to pin
-//! jobs-independence of the comparison itself.
+//! pipeline at pool widths 1 and 4. The dynamic half is deliberately
+//! *not* pinned across widths — a racing module's dynamic verdict is a
+//! sample of a schedule distribution, and pool width is part of the
+//! schedule; the dynamic side's reference is the campaign's pinned
+//! class list (`FUZZ_expected.txt`, `fuzz_differential_replay.rs`).
 
-use parcoach_fuzz::{dyn_family, module_seed, observe, OracleConfig, OracleOutcome};
+use parcoach_fuzz::{module_seed, observe, OracleConfig, OracleOutcome};
 use parcoach_pool::{Pool, PoolConfig};
 use parcoach_testutil::Scenario;
-use std::collections::BTreeSet;
 
 const SEED: u64 = 4242;
 const MODULES: u64 = 100;
-const RESAMPLES: usize = 5;
 
-/// (static codes, dynamic error families) of one module.
-type Verdict = (Vec<String>, BTreeSet<String>);
-
-fn source(i: u64) -> String {
-    Scenario::generate(module_seed(SEED, i)).render()
-}
-
-fn observe_one(i: u64, src: &str, legacy_world_lock: bool) -> Verdict {
-    let cfg = OracleConfig {
-        legacy_world_lock,
-        ..OracleConfig::default()
-    };
-    match observe(&format!("eq_{i}.mh"), src, &cfg) {
-        OracleOutcome::Valid(obs) => {
-            let families: BTreeSet<String> = obs
-                .dyn_codes
-                .iter()
-                .map(|c| dyn_family(c).to_string())
-                .collect();
-            (obs.static_codes, families)
-        }
-        OracleOutcome::Invalid(diag) => panic!("generator produced invalid module {i}: {diag}"),
-    }
-}
-
-fn observe_all(jobs: usize, legacy_world_lock: bool) -> Vec<Verdict> {
+/// The static codes of every module, observed on a `jobs`-lane pool.
+fn static_codes_at(jobs: usize) -> Vec<Vec<String>> {
     let pool = Pool::new(PoolConfig {
         jobs,
         ..PoolConfig::default()
     });
     let indices: Vec<u64> = (0..MODULES).collect();
-    pool.par_map(&indices, |&i| observe_one(i, &source(i), legacy_world_lock))
-}
-
-/// On a first-try mismatch, resample both engines: the module is
-/// equivalent across engines iff some verdict is reachable by both.
-fn assert_agree(i: u64, first_a: &Verdict, first_b: &Verdict) {
-    if first_a == first_b {
-        return;
-    }
-    let src = source(i);
-    let mut seen_a: BTreeSet<Verdict> = [first_a.clone()].into();
-    let mut seen_b: BTreeSet<Verdict> = [first_b.clone()].into();
-    for _ in 0..RESAMPLES {
-        seen_a.insert(observe_one(i, &src, false));
-        seen_b.insert(observe_one(i, &src, true));
-        if seen_a.intersection(&seen_b).next().is_some() {
-            return;
+    pool.par_map(&indices, |&i| {
+        let src = Scenario::generate(module_seed(SEED, i)).render();
+        match observe(&format!("eq_{i}.mh"), &src, &OracleConfig::default()) {
+            OracleOutcome::Valid(obs) => obs.static_codes,
+            OracleOutcome::Invalid(diag) => panic!("generator produced invalid module {i}: {diag}"),
         }
-    }
-    panic!(
-        "module {i} (seed {}): disjoint verdicts — sharded {seen_a:?} vs legacy world lock \
-         {seen_b:?}",
-        module_seed(SEED, i)
-    );
-}
-
-#[test]
-fn sharded_and_legacy_world_lock_agree() {
-    let sharded = observe_all(4, false);
-    let legacy = observe_all(4, true);
-    for (i, (s, l)) in sharded.iter().zip(legacy.iter()).enumerate() {
-        assert_agree(i as u64, s, l);
-    }
+    })
 }
 
 #[test]
 fn static_side_is_jobs_independent() {
-    // The static half of every verdict must not depend on the pool
-    // width the sweep ran at: the analysis is deterministic, and a
-    // width-dependent static code would mean the sweep layout leaks
-    // into the comparison. The dynamic half is deliberately *not*
-    // pinned across widths — a racing module's dynamic verdict is a
-    // sample of a schedule distribution, and pool width is part of the
-    // schedule; cross-engine dynamic equivalence is the first test's
-    // job, with resampling on both sides.
-    for legacy in [false, true] {
-        let narrow = observe_all(1, legacy);
-        let wide = observe_all(4, legacy);
-        for (i, (n, w)) in narrow.iter().zip(wide.iter()).enumerate() {
-            assert_eq!(
-                n.0, w.0,
-                "module {i} (legacy={legacy}): static codes changed with pool width"
-            );
-        }
+    // The analysis is deterministic: a width-dependent static code would
+    // mean the sweep layout leaks into the verdict.
+    let narrow = static_codes_at(1);
+    let wide = static_codes_at(4);
+    for (i, (n, w)) in narrow.iter().zip(wide.iter()).enumerate() {
+        assert_eq!(n, w, "module {i}: static codes changed with pool width");
     }
 }

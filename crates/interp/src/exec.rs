@@ -40,19 +40,6 @@ pub struct RunConfig {
     pub max_call_depth: usize,
     /// Highest thread level the simulated MPI grants.
     pub max_provided: ThreadLevel,
-    /// Run rank threads and team members on the shared simulator thread
-    /// cache (reused across runs/regions). `false` falls back to
-    /// spawning fresh OS threads everywhere, as before the pool existed
-    /// — the determinism tests compare the two.
-    pub pooled: bool,
-    /// Run the simulated MPI on its legacy single-world-lock engine
-    /// instead of the sharded one (ablation baseline / cross-check).
-    pub legacy_world_lock: bool,
-    /// Allocation-reuse fast paths of the interpreter: pooled frame
-    /// slots and one-pass print rendering. `false` falls back to fresh
-    /// allocations per call frame and per printed argument — the
-    /// ablation baseline; outputs are byte-identical either way.
-    pub value_interning: bool,
 }
 
 impl Default for RunConfig {
@@ -65,9 +52,6 @@ impl Default for RunConfig {
             max_steps: 200_000_000,
             max_call_depth: 128,
             max_provided: ThreadLevel::Multiple,
-            pooled: true,
-            legacy_world_lock: false,
-            value_interning: true,
         }
     }
 }
@@ -177,26 +161,18 @@ struct RankEnv {
     mono: Vec<Mutex<Vec<(u64, usize)>>>,
     /// Retired call frames, reused by later calls (and member frame
     /// copies) so steady-state interpretation allocates no frame
-    /// vectors. Empty and unused when `value_interning` is off.
+    /// vectors.
     frames: Mutex<Vec<Frame>>,
-    /// Mirror of [`RunConfig::value_interning`].
-    value_interning: bool,
 }
 
 impl RankEnv {
     /// A cleared frame buffer from the pool (or a fresh one).
     fn take_frame(&self) -> Frame {
-        if !self.value_interning {
-            return Frame::new();
-        }
         self.frames.lock().pop().unwrap_or_default()
     }
 
     /// Return a frame's allocation to the pool.
     fn put_frame(&self, mut f: Frame) {
-        if !self.value_interning {
-            return;
-        }
         f.clear();
         let mut pool = self.frames.lock();
         if pool.len() < 64 {
@@ -252,7 +228,6 @@ impl Executor {
             world_size: self.cfg.ranks,
             max_provided: self.cfg.max_provided,
             op_timeout: self.cfg.mpi_timeout,
-            legacy_world_lock: self.cfg.legacy_world_lock,
         });
         let output: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let steps = Arc::new(AtomicU64::new(0));
@@ -265,7 +240,6 @@ impl Executor {
                     default_num_threads: self.cfg.default_threads,
                     barrier_timeout: self.cfg.barrier_timeout,
                     max_levels: 8,
-                    pooled: self.cfg.pooled,
                 }),
                 rank,
                 output: output.clone(),
@@ -281,7 +255,6 @@ impl Executor {
                     .map(|_| Mutex::new(Vec::new()))
                     .collect(),
                 frames: Mutex::new(Vec::new()),
-                value_interning: self.cfg.value_interning,
             };
             let mut ctx = ThreadCtx::initial();
             world.thread_started(rank);
@@ -295,16 +268,7 @@ impl Executor {
                 *errors[rank].lock() = Some(e);
             }
         };
-        if self.cfg.pooled {
-            parcoach_pool::thread_cache().run_set(self.cfg.ranks, run_rank);
-        } else {
-            std::thread::scope(|s| {
-                for rank in 0..self.cfg.ranks {
-                    let run_rank = &run_rank;
-                    s.spawn(move || run_rank(rank));
-                }
-            });
-        }
+        parcoach_pool::thread_cache().run_set(self.cfg.ranks, run_rank);
         // Prefer root-cause errors over secondary echoes (aborted MPI
         // calls, poisoned barriers on sibling ranks).
         let mut errs: Vec<RunError> = errors.into_iter().filter_map(|m| m.into_inner()).collect();
@@ -805,28 +769,18 @@ impl Executor {
                 }
             }
             Instr::Print { args } => {
-                let line = if env.value_interning {
-                    // One pass, one allocation: render straight into the
-                    // output line instead of one `String` per argument
-                    // plus a join. Byte-identical to the legacy path.
-                    use std::fmt::Write as _;
-                    let mut line = String::new();
-                    let _ = write!(line, "[rank {}] ", env.rank);
-                    for (k, a) in args.iter().enumerate() {
-                        if k > 0 {
-                            line.push(' ');
-                        }
-                        let _ = write!(line, "{}", self.read(frame, *a));
+                // One pass, one allocation: render straight into the
+                // output line instead of one `String` per argument plus
+                // a join.
+                use std::fmt::Write as _;
+                let mut line = String::new();
+                let _ = write!(line, "[rank {}] ", env.rank);
+                for (k, a) in args.iter().enumerate() {
+                    if k > 0 {
+                        line.push(' ');
                     }
-                    line
-                } else {
-                    let text = args
-                        .iter()
-                        .map(|a| self.read(frame, *a).to_string())
-                        .collect::<Vec<_>>()
-                        .join(" ");
-                    format!("[rank {}] {}", env.rank, text)
-                };
+                    let _ = write!(line, "{}", self.read(frame, *a));
+                }
                 env.output.lock().push(line);
             }
             Instr::Check(check) => {

@@ -1,5 +1,4 @@
-//! The global liveness census, shared by the legacy single-lock world
-//! and the sharded world so both modes reach byte-identical verdicts.
+//! The global liveness census.
 //!
 //! The census proves a deadlock instead of waiting out the operation
 //! timeout. It fires when nothing can progress:
@@ -23,10 +22,8 @@
 use crate::error::{MpiError, RankActivity};
 use parcoach_front::ast::ThreadLevel;
 
-/// A consistent snapshot of the census-relevant state. The legacy world
-/// borrows it straight from its single `WorldState`; the sharded world
-/// assembles it while holding the world lock plus every matching-space
-/// and mailbox-shard lock (in canonical order).
+/// A consistent snapshot of the census-relevant state, borrowed from the
+/// world's state under its lock.
 pub(crate) struct CensusInput<'a> {
     /// Declared thread level (None before `MPI_Init`).
     pub provided: Option<ThreadLevel>,

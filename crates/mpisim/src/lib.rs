@@ -36,8 +36,6 @@
 
 pub(crate) mod census;
 pub mod error;
-pub(crate) mod legacy;
-pub(crate) mod sharded;
 pub mod signature;
 pub mod value;
 pub mod world;
@@ -59,7 +57,6 @@ mod tests {
             world_size: n,
             max_provided: ThreadLevel::Multiple,
             op_timeout: Duration::from_secs(5),
-            ..Default::default()
         })
     }
 
@@ -68,7 +65,6 @@ mod tests {
             world_size: n,
             max_provided: ThreadLevel::Multiple,
             op_timeout: Duration::from_millis(200),
-            ..Default::default()
         })
     }
 
@@ -419,7 +415,6 @@ mod tests {
             world_size: 2,
             max_provided: ThreadLevel::Multiple,
             op_timeout: Duration::from_secs(2),
-            ..Default::default()
         });
         w.init(0, ThreadLevel::Serialized);
         // Two threads of rank 0 inside MPI simultaneously: one blocks in
@@ -461,7 +456,6 @@ mod tests {
             world_size: 1,
             max_provided: ThreadLevel::Serialized,
             op_timeout: Duration::from_secs(1),
-            ..Default::default()
         });
         let provided = w.init(0, ThreadLevel::Multiple);
         assert_eq!(provided, ThreadLevel::Serialized);
@@ -797,7 +791,6 @@ mod tests {
             world_size: 2,
             max_provided: ThreadLevel::Single,
             op_timeout: Duration::from_secs(30),
-            ..Default::default()
         });
         let t0 = std::time::Instant::now();
         let res = run_ranks(&w, 2, |r| {

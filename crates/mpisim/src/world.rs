@@ -36,7 +36,7 @@
 //!
 //! A real MPI run with mismatched collective *counts* hangs. Here every
 //! blocking wait participates in a liveness census (see
-//! [`crate::census`]): when **all** ranks are blocked
+//! `census.rs`): when **all** ranks are blocked
 //! (collective/recv/wait) or finished and nothing can complete on any
 //! communicator, the world aborts with a per-rank activity dump. Before
 //! declaring a generic deadlock the census builds a **wait-for graph**
@@ -45,29 +45,24 @@
 //! [`MpiError::WaitCycle`] naming the ranks on it. A rank finishing
 //! while others wait in a collective aborts immediately.
 //!
-//! ## Engines
+//! ## Locking
 //!
-//! Two interchangeable matching engines implement this contract and
-//! must produce byte-identical reports:
-//!
-//! * the **sharded** engine (default, [`crate::sharded`]): one matching
-//!   space per communicator and one mailbox shard per (communicator,
-//!   destination), each with its own lock and condvar, so disjoint
-//!   traffic never contends; one small world lock covers only the
-//!   liveness census;
-//! * the **legacy** engine ([`crate::legacy`], via
-//!   [`MpiConfig::legacy_world_lock`]): the original single
-//!   world-lock schedule, kept as the ablation baseline and fuzz
-//!   cross-check.
+//! One `Mutex<WorldState>` and one `Condvar` serialize every rank,
+//! communicator, mailbox, request and census operation: every blocking
+//! wait parks on the one condvar and every state change that could
+//! complete a wait notifies it. (A sharded engine with per-communicator
+//! and per-mailbox locks was retired in PR 13 at measured parity, see
+//! git history.)
 
-use crate::error::MpiError;
-use crate::legacy::LegacyWorld;
-use crate::sharded::ShardedWorld;
+use crate::census::{deadlock_census, CensusInput};
+use crate::error::{MpiError, RankActivity};
 use crate::signature::{CollectiveOp, Signature};
 use crate::value::{reduce_array, reduce_scalar, MpiType, MpiValue};
 use parcoach_front::ast::{ReduceOp, ThreadLevel, ANY_SOURCE, ANY_TAG};
+use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The handle of `MPI_COMM_WORLD`.
 pub const COMM_WORLD: usize = 0;
@@ -81,9 +76,6 @@ pub struct MpiConfig {
     pub max_provided: ThreadLevel,
     /// Blocking-operation timeout (deadlock fallback).
     pub op_timeout: Duration,
-    /// Run on the legacy single-world-lock engine instead of the
-    /// sharded one (ablation baseline / cross-check).
-    pub legacy_world_lock: bool,
 }
 
 impl Default for MpiConfig {
@@ -92,35 +84,34 @@ impl Default for MpiConfig {
             world_size: 2,
             max_provided: ThreadLevel::Multiple,
             op_timeout: Duration::from_secs(10),
-            legacy_world_lock: false,
         }
     }
 }
 
 /// One buffered point-to-point message.
 #[derive(Debug, Clone)]
-pub(crate) struct Message {
+struct Message {
     /// Communicator the message travels on.
-    pub(crate) comm: usize,
+    comm: usize,
     /// Sender's local rank within `comm`.
-    pub(crate) src: usize,
-    pub(crate) tag: i64,
-    pub(crate) value: MpiValue,
+    src: usize,
+    tag: i64,
+    value: MpiValue,
 }
 
 /// One collective instance (the n-th collective of a communicator).
-pub(crate) struct Instance {
-    pub(crate) signature: Option<Signature>,
-    pub(crate) first_rank: usize,
-    pub(crate) payloads: Vec<Option<MpiValue>>,
-    pub(crate) arrived_count: usize,
-    pub(crate) results: Option<Vec<MpiValue>>,
-    pub(crate) collected: Vec<bool>,
-    pub(crate) collected_count: usize,
+struct Instance {
+    signature: Option<Signature>,
+    first_rank: usize,
+    payloads: Vec<Option<MpiValue>>,
+    arrived_count: usize,
+    results: Option<Vec<MpiValue>>,
+    collected: Vec<bool>,
+    collected_count: usize,
 }
 
 impl Instance {
-    pub(crate) fn new(size: usize) -> Instance {
+    fn new(size: usize) -> Instance {
         Instance {
             signature: None,
             first_rank: 0,
@@ -135,7 +126,7 @@ impl Instance {
 
 /// State of one non-blocking request.
 #[derive(Debug, Clone)]
-pub(crate) enum RequestState {
+enum RequestState {
     /// A buffered isend: complete at post time, `wait` just retires it.
     SendDone,
     /// An irecv post awaiting a matching message.
@@ -153,15 +144,15 @@ pub(crate) enum RequestState {
 
 /// One non-blocking request, owned by the rank that posted it.
 #[derive(Debug, Clone)]
-pub(crate) struct Request {
-    pub(crate) owner: usize,
-    pub(crate) state: RequestState,
+struct Request {
+    owner: usize,
+    state: RequestState,
 }
 
 /// Index of the buffered message a (possibly wildcarded) receive should
 /// take: lowest sender rank first, then earliest arrival — the
 /// deterministic wildcard tie-break.
-pub(crate) fn matching_message(
+fn matching_message(
     mailbox: &[Message],
     comm: usize,
     src: Option<usize>,
@@ -189,10 +180,7 @@ pub(crate) fn matching_message(
 
 /// Decode a sentinel-encoded (source, tag) receive key: `ANY_SOURCE` /
 /// `ANY_TAG` become wildcards, other negative values are errors.
-pub(crate) fn decode_recv_key(
-    src: i64,
-    tag: i64,
-) -> Result<(Option<usize>, Option<i64>), MpiError> {
+fn decode_recv_key(src: i64, tag: i64) -> Result<(Option<usize>, Option<i64>), MpiError> {
     let s = match src {
         ANY_SOURCE => None,
         s if s < 0 => {
@@ -214,11 +202,11 @@ pub(crate) fn decode_recv_key(
     Ok((s, t))
 }
 
-/// The thread-level enforcement shared by both engines: `Some(detail)`
+/// The thread-level enforcement: `Some(detail)`
 /// when this MPI entry violates the provided level. `concurrent` = the
 /// rank already has another MPI call in flight; `is_initial_thread` =
 /// the caller is the process's initial thread.
-pub(crate) fn thread_level_violation(
+fn thread_level_violation(
     provided: ThreadLevel,
     concurrent: bool,
     is_initial_thread: bool,
@@ -248,16 +236,65 @@ pub(crate) fn thread_level_violation(
     }
 }
 
-/// The simulated MPI world. Shared by all rank threads via `Arc`.
-/// A thin facade over the selected matching engine.
-pub struct World {
-    cfg: MpiConfig,
-    imp: Engine,
+/// Per-communicator matching state.
+struct CommState {
+    /// Global ranks, ordered; the position is the comm-local rank.
+    members: Vec<usize>,
+    instances: VecDeque<Instance>,
+    base_seq: u64,
+    per_rank_seq: Vec<u64>,
+    /// Messages sent on this communicator, per local sender.
+    p2p_sent: Vec<u64>,
+    /// Messages received on this communicator, per local receiver.
+    p2p_recvd: Vec<u64>,
 }
 
-enum Engine {
-    Legacy(LegacyWorld),
-    Sharded(ShardedWorld),
+impl CommState {
+    fn new(members: Vec<usize>) -> CommState {
+        let n = members.len();
+        CommState {
+            members,
+            instances: VecDeque::new(),
+            base_seq: 0,
+            per_rank_seq: vec![0; n],
+            p2p_sent: vec![0; n],
+            p2p_recvd: vec![0; n],
+        }
+    }
+
+    fn local_rank(&self, global: usize) -> Option<usize> {
+        self.members.iter().position(|&g| g == global)
+    }
+}
+
+struct WorldState {
+    comms: Vec<CommState>,
+    activity: Vec<RankActivity>,
+    mailboxes: Vec<Vec<Message>>,
+    /// All non-blocking requests ever posted; handles index this table.
+    requests: Vec<Request>,
+    abort: Option<MpiError>,
+    provided: Option<ThreadLevel>,
+    /// Number of MPI calls currently in flight per rank (threads).
+    in_flight: Vec<usize>,
+    /// Interpreter threads currently able to issue MPI calls, per rank
+    /// (registered via `thread_started`/`thread_departed`). Zero when
+    /// the embedder does not register — the liveness census then falls
+    /// back to the pure timeout under `MPI_THREAD_MULTIPLE`.
+    live: Vec<usize>,
+    /// One entry per thread parked in a blocking MPI wait, per rank:
+    /// the pattern it is blocked on. Together with `live` this lets the
+    /// census rule out rescue-by-sibling-thread under
+    /// `MPI_THREAD_MULTIPLE`: when every live thread of every
+    /// unfinished rank is parked, nothing can progress.
+    blocked: Vec<Vec<RankActivity>>,
+}
+
+/// The simulated MPI world. Shared by all rank threads via `Arc`.
+pub struct World {
+    cfg: MpiConfig,
+    state: Mutex<WorldState>,
+    cv: Condvar,
 }
 
 /// Result of the `CC` control collective: the per-(local-)rank colors.
@@ -292,12 +329,22 @@ impl World {
             world_size: cfg.world_size.max(1),
             ..cfg
         };
-        let imp = if cfg.legacy_world_lock {
-            Engine::Legacy(LegacyWorld::new(cfg.clone()))
-        } else {
-            Engine::Sharded(ShardedWorld::new(cfg.clone()))
-        };
-        Arc::new(World { cfg, imp })
+        let size = cfg.world_size;
+        Arc::new(World {
+            state: Mutex::new(WorldState {
+                comms: vec![CommState::new((0..size).collect())],
+                activity: vec![RankActivity::Running; size],
+                mailboxes: vec![Vec::new(); size],
+                requests: Vec::new(),
+                abort: None,
+                provided: None,
+                in_flight: vec![0; size],
+                live: vec![0; size],
+                blocked: vec![Vec::new(); size],
+            }),
+            cv: Condvar::new(),
+            cfg,
+        })
     }
 
     /// Number of ranks in the world.
@@ -307,54 +354,80 @@ impl World {
 
     /// Number of members of a communicator (None for a bad handle).
     pub fn comm_size(&self, comm: usize) -> Option<usize> {
-        match &self.imp {
-            Engine::Legacy(w) => w.comm_size(comm),
-            Engine::Sharded(w) => w.comm_size(comm),
-        }
+        self.state.lock().comms.get(comm).map(|c| c.members.len())
     }
 
     /// The local rank of `global` within `comm` (None when not a
     /// member or the handle is bad).
     pub fn comm_rank(&self, global: usize, comm: usize) -> Option<usize> {
-        match &self.imp {
-            Engine::Legacy(w) => w.comm_rank(comm, global),
-            Engine::Sharded(w) => w.comm_rank(comm, global),
-        }
+        self.state
+            .lock()
+            .comms
+            .get(comm)
+            .and_then(|c| c.local_rank(global))
     }
 
     /// `MPI_Init(_thread)`: returns the provided level
     /// (`min(required, max_provided)`).
-    pub fn init(&self, rank: usize, required: ThreadLevel) -> ThreadLevel {
-        match &self.imp {
-            Engine::Legacy(w) => w.init(rank, required),
-            Engine::Sharded(w) => w.init(rank, required),
-        }
+    pub fn init(&self, _rank: usize, required: ThreadLevel) -> ThreadLevel {
+        let provided = required.min(self.cfg.max_provided);
+        let mut st = self.state.lock();
+        // First init fixes the level; later inits (other ranks) keep the
+        // weakest requested so enforcement is uniform.
+        st.provided = Some(match st.provided {
+            None => provided,
+            Some(cur) => cur.min(provided),
+        });
+        provided
     }
 
     /// The currently provided thread level (`Multiple` before init —
     /// enforcement only starts once the program declared its level).
     pub fn provided(&self) -> ThreadLevel {
-        match &self.imp {
-            Engine::Legacy(w) => w.provided(),
-            Engine::Sharded(w) => w.provided(),
-        }
+        self.state.lock().provided.unwrap_or(ThreadLevel::Multiple)
     }
 
     /// Abort the world: all blocked and future operations fail with
     /// [`MpiError::Aborted`] carrying `reason`. The first abort wins.
     pub fn abort(&self, reason: MpiError) {
-        match &self.imp {
-            Engine::Legacy(w) => w.abort(reason),
-            Engine::Sharded(w) => w.abort(reason),
+        let mut st = self.state.lock();
+        if st.abort.is_none() {
+            st.abort = Some(reason);
         }
+        self.cv.notify_all();
     }
 
     /// The abort reason, if the world aborted.
     pub fn abort_reason(&self) -> Option<MpiError> {
-        match &self.imp {
-            Engine::Legacy(w) => w.abort_reason(),
-            Engine::Sharded(w) => w.abort_reason(),
+        self.state.lock().abort.clone()
+    }
+
+    /// Guard every MPI entry: enforces the provided thread level.
+    ///
+    /// `is_initial_thread` = the calling thread is the process's initial
+    /// thread (master of every enclosing team).
+    fn enter_mpi(&self, rank: usize, is_initial_thread: bool) -> Result<(), MpiError> {
+        let mut st = self.state.lock();
+        if let Some(e) = &st.abort {
+            return Err(MpiError::Aborted(e.to_string()));
         }
+        let provided = st.provided.unwrap_or(ThreadLevel::Multiple);
+        let concurrent = st.in_flight[rank] > 0;
+        if let Some(detail) = thread_level_violation(provided, concurrent, is_initial_thread) {
+            let err = MpiError::ThreadLevelViolation { provided, detail };
+            if st.abort.is_none() {
+                st.abort = Some(err.clone());
+            }
+            self.cv.notify_all();
+            return Err(err);
+        }
+        st.in_flight[rank] += 1;
+        Ok(())
+    }
+
+    fn leave_mpi(&self, rank: usize) {
+        let mut st = self.state.lock();
+        st.in_flight[rank] = st.in_flight[rank].saturating_sub(1);
     }
 
     /// Register one interpreter thread that may issue MPI calls for
@@ -363,10 +436,8 @@ impl World {
     /// liveness census so it can prove deadlocks under
     /// `MPI_THREAD_MULTIPLE` instead of waiting out the op timeout.
     pub fn thread_started(&self, rank: usize) {
-        match &self.imp {
-            Engine::Legacy(w) => w.thread_started(rank),
-            Engine::Sharded(w) => w.thread_started(rank),
-        }
+        let mut st = self.state.lock();
+        st.live[rank] += 1;
     }
 
     /// A registered thread can no longer issue MPI calls for `rank`
@@ -374,19 +445,38 @@ impl World {
     /// a fork). Wakes blocked peers: their census condition may have
     /// just become provable.
     pub fn thread_departed(&self, rank: usize) {
-        match &self.imp {
-            Engine::Legacy(w) => w.thread_departed(rank),
-            Engine::Sharded(w) => w.thread_departed(rank),
-        }
+        let mut st = self.state.lock();
+        st.live[rank] = st.live[rank].saturating_sub(1);
+        drop(st);
+        self.cv.notify_all();
     }
 
     /// Mark a rank's program as terminated. Detects "finished while
     /// others wait in a collective".
     pub fn finish_rank(&self, rank: usize) {
-        match &self.imp {
-            Engine::Legacy(w) => w.finish_rank(rank),
-            Engine::Sharded(w) => w.finish_rank(rank),
+        let mut st = self.state.lock();
+        st.activity[rank] = RankActivity::Finished;
+        st.live[rank] = st.live[rank].saturating_sub(1);
+        if st.abort.is_none() {
+            let pending_collective = st
+                .comms
+                .iter()
+                .flat_map(|c| c.instances.iter())
+                .any(|i| i.results.is_none() && i.arrived_count > 0);
+            let all_settled = st
+                .activity
+                .iter()
+                .all(|a| !matches!(a, RankActivity::Running));
+            if pending_collective && all_settled {
+                st.abort = Some(MpiError::RankFinishedEarly {
+                    finished_rank: rank,
+                    states: st.activity.clone(),
+                });
+            } else if let Some(dl) = deadlock(&st) {
+                st.abort = Some(dl);
+            }
         }
+        self.cv.notify_all();
     }
 
     fn enter_collective(
@@ -397,9 +487,147 @@ impl World {
         payload: Option<MpiValue>,
         is_initial_thread: bool,
     ) -> Result<MpiValue, MpiError> {
-        match &self.imp {
-            Engine::Legacy(w) => w.enter_collective(rank, comm, sig, payload, is_initial_thread),
-            Engine::Sharded(w) => w.enter_collective(rank, comm, sig, payload, is_initial_thread),
+        self.enter_mpi(rank, is_initial_thread)?;
+        let result = self.enter_collective_inner(rank, comm, sig, payload);
+        self.leave_mpi(rank);
+        result
+    }
+
+    fn enter_collective_inner(
+        &self,
+        rank: usize,
+        comm: usize,
+        sig: Signature,
+        payload: Option<MpiValue>,
+    ) -> Result<MpiValue, MpiError> {
+        let deadline = Instant::now() + self.cfg.op_timeout;
+        let mut st = self.state.lock();
+        if let Some(e) = &st.abort {
+            return Err(MpiError::Aborted(e.to_string()));
+        }
+        let Some(c) = st.comms.get(comm) else {
+            let err = bad_comm(comm);
+            self.abort_locked(&mut st, err.clone());
+            return Err(err);
+        };
+        let Some(local) = c.local_rank(rank) else {
+            let err = not_member(rank, comm);
+            self.abort_locked(&mut st, err.clone());
+            return Err(err);
+        };
+        let size = c.members.len();
+        let seq = st.comms[comm].per_rank_seq[local];
+        st.comms[comm].per_rank_seq[local] += 1;
+        // Materialize instances up to `seq`.
+        while st.comms[comm].base_seq + (st.comms[comm].instances.len() as u64) <= seq {
+            st.comms[comm].instances.push_back(Instance::new(size));
+        }
+        let idx = (seq - st.comms[comm].base_seq) as usize;
+        let complete = {
+            let inst = &mut st.comms[comm].instances[idx];
+            match &inst.signature {
+                None => {
+                    inst.signature = Some(sig);
+                    inst.first_rank = rank;
+                }
+                Some(existing) if *existing != sig => {
+                    let err = MpiError::CollectiveMismatch {
+                        comm,
+                        seq,
+                        expected: *existing,
+                        expected_rank: inst.first_rank,
+                        got: sig,
+                        got_rank: rank,
+                    };
+                    st.abort = Some(err.clone());
+                    self.cv.notify_all();
+                    return Err(err);
+                }
+                Some(_) => {}
+            }
+            inst.payloads[local] = payload;
+            inst.arrived_count += 1;
+            inst.arrived_count == size
+        };
+        if complete {
+            // Compute results outside the instance borrow: communicator
+            // management collectives allocate new communicators.
+            let payloads = st.comms[comm].instances[idx].payloads.clone();
+            let results = match sig.op {
+                CollectiveOp::CommSplit => split_results(&mut st, comm, &payloads),
+                CollectiveOp::CommDup => Ok(dup_results(&mut st, comm)),
+                CollectiveOp::P2pCensus => Ok(census_results(&mut st, size)),
+                _ => compute_results(sig, &payloads, size),
+            };
+            match results {
+                Ok(results) => {
+                    st.comms[comm].instances[idx].results = Some(results);
+                    self.cv.notify_all();
+                }
+                Err(err) => {
+                    st.abort = Some(err.clone());
+                    self.cv.notify_all();
+                    return Err(err);
+                }
+            }
+        }
+        let act = RankActivity::InCollective {
+            seq,
+            what: format!("{sig}{}", comm_suffix(comm)),
+        };
+        st.activity[rank] = act.clone();
+        // Wait for results.
+        loop {
+            if let Some(e) = &st.abort {
+                return Err(MpiError::Aborted(e.to_string()));
+            }
+            let idx = (seq - st.comms[comm].base_seq) as usize;
+            let done = {
+                let inst = &mut st.comms[comm].instances[idx];
+                if let Some(results) = &inst.results {
+                    let out = results[local].clone();
+                    inst.collected[local] = true;
+                    inst.collected_count += 1;
+                    Some(out)
+                } else {
+                    None
+                }
+            };
+            if let Some(out) = done {
+                st.activity[rank] = RankActivity::Running;
+                // Drop fully-collected instances from the front.
+                let cs = &mut st.comms[comm];
+                while let Some(front) = cs.instances.front() {
+                    if front.collected_count == cs.members.len() {
+                        cs.instances.pop_front();
+                        cs.base_seq += 1;
+                    } else {
+                        break;
+                    }
+                }
+                return Ok(out);
+            }
+            st.blocked[rank].push(act.clone());
+            if let Some(dl) = deadlock(&st) {
+                unpark(&mut st, rank, &act);
+                st.abort = Some(dl.clone());
+                self.cv.notify_all();
+                return Err(dl);
+            }
+            let res = self.cv.wait_until(&mut st, deadline);
+            unpark(&mut st, rank, &act);
+            if res.timed_out() {
+                let err = MpiError::Timeout {
+                    what: format!(
+                        "{sig}{} on rank {rank} (collective #{seq})",
+                        comm_suffix(comm)
+                    ),
+                    states: st.activity.clone(),
+                };
+                st.abort = Some(err.clone());
+                self.cv.notify_all();
+                return Err(err);
+            }
         }
     }
 
@@ -566,10 +794,17 @@ impl World {
         value: MpiValue,
         is_initial_thread: bool,
     ) -> Result<(), MpiError> {
-        match &self.imp {
-            Engine::Legacy(w) => w.send_on(rank, comm, dest, tag, value, is_initial_thread),
-            Engine::Sharded(w) => w.send_on(rank, comm, dest, tag, value, is_initial_thread),
+        self.enter_mpi(rank, is_initial_thread)?;
+        let result = {
+            let mut st = self.state.lock();
+            deliver(&mut st, rank, comm, dest, tag, value)
+        };
+        if let Err(e) = &result {
+            self.abort(e.clone());
         }
+        self.cv.notify_all();
+        self.leave_mpi(rank);
+        result
     }
 
     /// `MPI_Isend`: buffered send on a communicator (the message is
@@ -585,10 +820,22 @@ impl World {
         value: MpiValue,
         is_initial_thread: bool,
     ) -> Result<usize, MpiError> {
-        match &self.imp {
-            Engine::Legacy(w) => w.isend(rank, comm, dest, tag, value, is_initial_thread),
-            Engine::Sharded(w) => w.isend(rank, comm, dest, tag, value, is_initial_thread),
+        self.enter_mpi(rank, is_initial_thread)?;
+        let result: Result<usize, MpiError> = (|| {
+            let mut st = self.state.lock();
+            deliver(&mut st, rank, comm, dest, tag, value)?;
+            st.requests.push(Request {
+                owner: rank,
+                state: RequestState::SendDone,
+            });
+            Ok(st.requests.len() - 1)
+        })();
+        if let Err(e) = &result {
+            self.abort(e.clone());
         }
+        self.cv.notify_all();
+        self.leave_mpi(rank);
+        result
     }
 
     /// `MPI_Irecv`: non-blocking receive post on a communicator. `src`
@@ -604,10 +851,39 @@ impl World {
         tag: i64,
         is_initial_thread: bool,
     ) -> Result<usize, MpiError> {
-        match &self.imp {
-            Engine::Legacy(w) => w.irecv(rank, comm, src, tag, is_initial_thread),
-            Engine::Sharded(w) => w.irecv(rank, comm, src, tag, is_initial_thread),
+        self.enter_mpi(rank, is_initial_thread)?;
+        let result = (|| {
+            let (s, t) = decode_recv_key(src, tag)?;
+            let mut st = self.state.lock();
+            let Some(c) = st.comms.get(comm) else {
+                return Err(bad_comm(comm));
+            };
+            if c.local_rank(rank).is_none() {
+                return Err(not_member(rank, comm));
+            }
+            if let Some(s) = s {
+                if s >= c.members.len() {
+                    return Err(MpiError::ArgError(format!(
+                        "irecv source {s} out of range for communicator size {}",
+                        c.members.len()
+                    )));
+                }
+            }
+            st.requests.push(Request {
+                owner: rank,
+                state: RequestState::RecvPending {
+                    comm,
+                    src: s,
+                    tag: t,
+                },
+            });
+            Ok(st.requests.len() - 1)
+        })();
+        if let Err(e) = &result {
+            self.abort(e.clone());
         }
+        self.leave_mpi(rank);
+        result
     }
 
     /// `MPI_Wait`: block until `request` completes. Send requests
@@ -622,9 +898,98 @@ impl World {
         request: usize,
         is_initial_thread: bool,
     ) -> Result<MpiValue, MpiError> {
-        match &self.imp {
-            Engine::Legacy(w) => w.wait(rank, request, is_initial_thread),
-            Engine::Sharded(w) => w.wait(rank, request, is_initial_thread),
+        self.enter_mpi(rank, is_initial_thread)?;
+        let result = self.wait_inner(rank, request);
+        self.leave_mpi(rank);
+        result
+    }
+
+    fn wait_inner(&self, rank: usize, request: usize) -> Result<MpiValue, MpiError> {
+        let deadline = Instant::now() + self.cfg.op_timeout;
+        let mut st = self.state.lock();
+        let req = match st.requests.get(request).cloned() {
+            Some(r) => r,
+            None => {
+                let err = MpiError::ArgError(format!("invalid request handle #{request}"));
+                self.abort_locked(&mut st, err.clone());
+                return Err(err);
+            }
+        };
+        if req.owner != rank {
+            let err = MpiError::ArgError(format!(
+                "rank {rank} cannot wait on request #{request} posted by rank {}",
+                req.owner
+            ));
+            self.abort_locked(&mut st, err.clone());
+            return Err(err);
+        }
+        let (comm, src, tag) = match req.state {
+            RequestState::SendDone => {
+                st.requests[request].state = RequestState::Retired;
+                return Ok(MpiValue::Int(0));
+            }
+            RequestState::Retired => {
+                let err = MpiError::ArgError(format!(
+                    "request #{request} was already completed by a previous wait"
+                ));
+                self.abort_locked(&mut st, err.clone());
+                return Err(err);
+            }
+            RequestState::RecvPending { comm, src, tag } => (comm, src, tag),
+        };
+        loop {
+            if let Some(e) = &st.abort {
+                return Err(MpiError::Aborted(e.to_string()));
+            }
+            // Re-read the state every round: under MPI_THREAD_MULTIPLE a
+            // sibling thread waiting on the same request may have
+            // completed it while we slept — that is a double wait and
+            // must error, not steal the next matching message.
+            if matches!(st.requests[request].state, RequestState::Retired) {
+                let err = MpiError::ArgError(format!(
+                    "request #{request} was already completed by a previous wait"
+                ));
+                self.abort_locked(&mut st, err.clone());
+                return Err(err);
+            }
+            if let Some(pos) = matching_message(&st.mailboxes[rank], comm, src, tag) {
+                let msg = st.mailboxes[rank].remove(pos);
+                let my_local = st.comms[comm]
+                    .local_rank(rank)
+                    .expect("membership checked at post time");
+                st.comms[comm].p2p_recvd[my_local] += 1;
+                st.requests[request].state = RequestState::Retired;
+                st.activity[rank] = RankActivity::Running;
+                return Ok(msg.value);
+            }
+            let act = RankActivity::InWait {
+                request,
+                comm,
+                src,
+                tag,
+            };
+            st.activity[rank] = act.clone();
+            st.blocked[rank].push(act.clone());
+            if let Some(dl) = deadlock(&st) {
+                unpark(&mut st, rank, &act);
+                st.abort = Some(dl.clone());
+                self.cv.notify_all();
+                return Err(dl);
+            }
+            let res = self.cv.wait_until(&mut st, deadline);
+            unpark(&mut st, rank, &act);
+            if res.timed_out() {
+                let err = MpiError::Timeout {
+                    what: format!(
+                        "MPI_Wait(req #{request}){} on rank {rank}",
+                        comm_suffix(comm)
+                    ),
+                    states: st.activity.clone(),
+                };
+                st.abort = Some(err.clone());
+                self.cv.notify_all();
+                return Err(err);
+            }
         }
     }
 
@@ -652,10 +1017,91 @@ impl World {
         tag: i64,
         is_initial_thread: bool,
     ) -> Result<MpiValue, MpiError> {
-        match &self.imp {
-            Engine::Legacy(w) => w.recv_on(rank, comm, src, tag, is_initial_thread),
-            Engine::Sharded(w) => w.recv_on(rank, comm, src, tag, is_initial_thread),
+        self.enter_mpi(rank, is_initial_thread)?;
+        let result = self.recv_inner(rank, comm, src, tag);
+        self.leave_mpi(rank);
+        result
+    }
+
+    fn recv_inner(
+        &self,
+        rank: usize,
+        comm: usize,
+        src: i64,
+        tag: i64,
+    ) -> Result<MpiValue, MpiError> {
+        let deadline = Instant::now() + self.cfg.op_timeout;
+        let mut st = self.state.lock();
+        let (src, tag) = match decode_recv_key(src, tag) {
+            Ok(k) => k,
+            Err(err) => {
+                self.abort_locked(&mut st, err.clone());
+                return Err(err);
+            }
+        };
+        let Some(c) = st.comms.get(comm) else {
+            let err = bad_comm(comm);
+            self.abort_locked(&mut st, err.clone());
+            return Err(err);
+        };
+        let Some(my_local) = c.local_rank(rank) else {
+            let err = not_member(rank, comm);
+            self.abort_locked(&mut st, err.clone());
+            return Err(err);
+        };
+        if let Some(s) = src {
+            if s >= c.members.len() {
+                let err = MpiError::ArgError(format!(
+                    "recv source {s} out of range for communicator size {}",
+                    c.members.len()
+                ));
+                self.abort_locked(&mut st, err.clone());
+                return Err(err);
+            }
         }
+        loop {
+            if let Some(e) = &st.abort {
+                return Err(MpiError::Aborted(e.to_string()));
+            }
+            if let Some(pos) = matching_message(&st.mailboxes[rank], comm, src, tag) {
+                let msg = st.mailboxes[rank].remove(pos);
+                st.comms[comm].p2p_recvd[my_local] += 1;
+                st.activity[rank] = RankActivity::Running;
+                return Ok(msg.value);
+            }
+            let act = RankActivity::InRecv { comm, src, tag };
+            st.activity[rank] = act.clone();
+            st.blocked[rank].push(act.clone());
+            if let Some(dl) = deadlock(&st) {
+                unpark(&mut st, rank, &act);
+                st.abort = Some(dl.clone());
+                self.cv.notify_all();
+                return Err(dl);
+            }
+            let res = self.cv.wait_until(&mut st, deadline);
+            unpark(&mut st, rank, &act);
+            if res.timed_out() {
+                let err = MpiError::Timeout {
+                    what: format!(
+                        "MPI_Recv(src={}, tag={}{}) on rank {rank}",
+                        value_or_any(src),
+                        value_or_any(tag),
+                        comm_suffix(comm)
+                    ),
+                    states: st.activity.clone(),
+                };
+                st.abort = Some(err.clone());
+                self.cv.notify_all();
+                return Err(err);
+            }
+        }
+    }
+
+    fn abort_locked(&self, st: &mut WorldState, err: MpiError) {
+        if st.abort.is_none() {
+            st.abort = Some(err);
+        }
+        self.cv.notify_all();
     }
 
     /// Blocking receive on `MPI_COMM_WORLD`.
@@ -670,23 +1116,176 @@ impl World {
     }
 }
 
-pub(crate) fn bad_comm(comm: usize) -> MpiError {
+/// Deliver one buffered message — the shared core of the blocking and
+/// non-blocking sends: validates the destination and tag, bumps the
+/// sender's per-communicator counter and appends to the destination's
+/// mailbox.
+fn deliver(
+    st: &mut WorldState,
+    rank: usize,
+    comm: usize,
+    dest: usize,
+    tag: i64,
+    value: MpiValue,
+) -> Result<(), MpiError> {
+    if tag < 0 {
+        return Err(MpiError::ArgError(format!(
+            "send tag {tag} must be non-negative (wildcards are receive-only)"
+        )));
+    }
+    let Some(c) = st.comms.get(comm) else {
+        return Err(bad_comm(comm));
+    };
+    let Some(src_local) = c.local_rank(rank) else {
+        return Err(not_member(rank, comm));
+    };
+    if dest >= c.members.len() {
+        return Err(MpiError::ArgError(format!(
+            "send destination {dest} out of range for communicator size {}",
+            c.members.len()
+        )));
+    }
+    let global_dest = c.members[dest];
+    st.comms[comm].p2p_sent[src_local] += 1;
+    st.mailboxes[global_dest].push(Message {
+        comm,
+        src: src_local,
+        tag,
+        value,
+    });
+    Ok(())
+}
+
+/// `MPI_Comm_split` results: group the parent's members by color,
+/// order each group by (key, global rank), allocate one new
+/// communicator per color (ascending), and hand every member its
+/// group's handle.
+fn split_results(
+    st: &mut WorldState,
+    parent: usize,
+    payloads: &[Option<MpiValue>],
+) -> Result<Vec<MpiValue>, MpiError> {
+    let members = st.comms[parent].members.clone();
+    let mut entries: Vec<(i64, i64, usize)> = Vec::with_capacity(members.len()); // (color, key, global)
+    for (local, p) in payloads.iter().enumerate() {
+        match p {
+            Some(MpiValue::ArrayInt(ck)) if ck.len() == 2 => {
+                entries.push((ck[0], ck[1], members[local]));
+            }
+            _ => {
+                return Err(MpiError::ArgError(
+                    "MPI_Comm_split payload must be [color, key]".into(),
+                ))
+            }
+        }
+    }
+    let mut colors: Vec<i64> = entries.iter().map(|e| e.0).collect();
+    colors.sort_unstable();
+    colors.dedup();
+    let mut handle_of_global: Vec<(usize, usize)> = Vec::new(); // (global, handle)
+    for color in colors {
+        let mut group: Vec<(i64, usize)> = entries
+            .iter()
+            .filter(|e| e.0 == color)
+            .map(|e| (e.1, e.2))
+            .collect();
+        group.sort_unstable();
+        let handle = st.comms.len();
+        let group_members: Vec<usize> = group.iter().map(|&(_, g)| g).collect();
+        for &g in &group_members {
+            handle_of_global.push((g, handle));
+        }
+        st.comms.push(CommState::new(group_members));
+    }
+    Ok(members
+        .iter()
+        .map(|g| {
+            let h = handle_of_global
+                .iter()
+                .find(|(gg, _)| gg == g)
+                .expect("every member is in a group")
+                .1;
+            MpiValue::Int(h as i64)
+        })
+        .collect())
+}
+
+/// `MPI_Comm_dup` results: one new communicator with the same members.
+fn dup_results(st: &mut WorldState, parent: usize) -> Vec<MpiValue> {
+    let members = st.comms[parent].members.clone();
+    let size = members.len();
+    let handle = st.comms.len();
+    st.comms.push(CommState::new(members));
+    vec![MpiValue::Int(handle as i64); size]
+}
+
+/// P2p census results: snapshot the per-communicator send/receive
+/// totals, then reset the counters (the epoch ends at the census).
+fn census_results(st: &mut WorldState, size: usize) -> Vec<MpiValue> {
+    let mut flat: Vec<i64> = Vec::with_capacity(st.comms.len() * 3);
+    for (h, c) in st.comms.iter().enumerate() {
+        flat.push(h as i64);
+        flat.push(c.p2p_sent.iter().sum::<u64>() as i64);
+        flat.push(c.p2p_recvd.iter().sum::<u64>() as i64);
+    }
+    for c in st.comms.iter_mut() {
+        c.p2p_sent.iter_mut().for_each(|x| *x = 0);
+        c.p2p_recvd.iter_mut().for_each(|x| *x = 0);
+    }
+    vec![MpiValue::ArrayInt(flat); size]
+}
+
+/// Remove one parked-pattern record for `rank` equal to `act` (the
+/// entry this thread pushed before waiting; equal records from sibling
+/// threads are interchangeable, so removing any one keeps the multiset
+/// right).
+fn unpark(st: &mut WorldState, rank: usize, act: &RankActivity) {
+    if let Some(i) = st.blocked[rank].iter().rposition(|a| a == act) {
+        st.blocked[rank].swap_remove(i);
+    }
+}
+
+/// Evaluate the liveness census over the world state.
+fn deadlock(st: &WorldState) -> Option<MpiError> {
+    let input = CensusInput {
+        provided: st.provided,
+        activity: &st.activity,
+        live: &st.live,
+        blocked: &st.blocked,
+        any_uncollected: st
+            .comms
+            .iter()
+            .flat_map(|c| c.instances.iter())
+            .any(|i| i.results.is_some()),
+    };
+    deadlock_census(
+        &input,
+        &|rank, comm, src, tag| matching_message(&st.mailboxes[rank], comm, src, tag).is_some(),
+        &|comm, local| {
+            st.comms
+                .get(comm)
+                .and_then(|c| c.members.get(local).copied())
+        },
+    )
+}
+
+fn bad_comm(comm: usize) -> MpiError {
     MpiError::ArgError(format!("invalid communicator handle #{comm}"))
 }
 
-pub(crate) fn not_member(rank: usize, comm: usize) -> MpiError {
+fn not_member(rank: usize, comm: usize) -> MpiError {
     MpiError::ArgError(format!(
         "rank {rank} is not a member of communicator #{comm}"
     ))
 }
 
 /// Render an optional receive-key field as its value or `ANY`.
-pub(crate) fn value_or_any(v: Option<impl std::fmt::Display>) -> String {
+fn value_or_any(v: Option<impl std::fmt::Display>) -> String {
     v.map(|x| x.to_string()).unwrap_or_else(|| "ANY".into())
 }
 
 /// Suffix for activity/error strings; empty for the world.
-pub(crate) fn comm_suffix(comm: usize) -> String {
+fn comm_suffix(comm: usize) -> String {
     if comm == COMM_WORLD {
         String::new()
     } else {
@@ -695,7 +1294,7 @@ pub(crate) fn comm_suffix(comm: usize) -> String {
 }
 
 /// Compute per-(local-)rank results once all payloads arrived.
-pub(crate) fn compute_results(
+fn compute_results(
     sig: Signature,
     payloads: &[Option<MpiValue>],
     size: usize,

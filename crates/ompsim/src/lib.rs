@@ -50,12 +50,6 @@ pub struct OmpConfig {
     pub barrier_timeout: Duration,
     /// Maximum nesting depth of parallel regions (defensive bound).
     pub max_levels: usize,
-    /// Run team members on the shared [`parcoach_pool::ThreadCache`]
-    /// (reusing parked OS threads across `parallel` regions) instead of
-    /// spawning a fresh thread per member per region. Semantics are
-    /// identical — every member still gets a dedicated concurrent
-    /// thread; only the spawn cost disappears.
-    pub pooled: bool,
 }
 
 impl Default for OmpConfig {
@@ -64,7 +58,6 @@ impl Default for OmpConfig {
             default_num_threads: 4,
             barrier_timeout: Duration::from_secs(5),
             max_levels: 8,
-            pooled: true,
         }
     }
 }
@@ -121,29 +114,17 @@ impl OmpSim {
         let team = team::new_team(size, level);
         let results: Vec<parking_lot::Mutex<Option<Result<(), E>>>> =
             (0..size).map(|_| parking_lot::Mutex::new(None)).collect();
-        if self.cfg.pooled {
-            // Cached simulator threads: the spawn cost is paid once per
-            // process, not once per member per region.
-            parcoach_pool::thread_cache().run_set(size, |tid| {
-                let mut ctx = team::member_ctx(team.clone(), tid);
-                *results[tid].lock() = Some(body(&mut ctx));
-                // The member has left the region body for good: siblings
-                // still waiting at a barrier learn immediately whether
-                // the team has diverged.
-                team.barrier.depart();
-            });
-        } else {
-            std::thread::scope(|scope| {
-                for (tid, slot) in results.iter().enumerate() {
-                    let team = team.clone();
-                    scope.spawn(move || {
-                        let mut ctx = team::member_ctx(team.clone(), tid);
-                        *slot.lock() = Some(body(&mut ctx));
-                        team.barrier.depart();
-                    });
-                }
-            });
-        }
+        // Cached simulator threads ([`parcoach_pool::ThreadCache`]): every
+        // member still gets a dedicated concurrent thread, but the spawn
+        // cost is paid once per process, not once per member per region.
+        parcoach_pool::thread_cache().run_set(size, |tid| {
+            let mut ctx = team::member_ctx(team.clone(), tid);
+            *results[tid].lock() = Some(body(&mut ctx));
+            // The member has left the region body for good: siblings
+            // still waiting at a barrier learn immediately whether
+            // the team has diverged.
+            team.barrier.depart();
+        });
         let mut first_err = None;
         for r in results.into_iter().filter_map(|m| m.into_inner()) {
             if let Err(e) = r {

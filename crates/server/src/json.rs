@@ -203,6 +203,7 @@ impl std::fmt::Display for ParseError {
 /// Parse one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -220,6 +221,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -377,18 +380,18 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
+                0x00..=0x1f => return Err(self.err("raw control character in string")),
                 _ => {
-                    // Re-decode UTF-8 from the byte stream: back up and
-                    // take the full code point.
+                    // A run of unescaped characters, copied in one piece
+                    // up to the next `"`, `\` or control byte. All of
+                    // those are ASCII, so the run ends on a char boundary.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    out.push_str(&self.src[start..start + len]);
+                    self.pos = start + len;
                 }
             }
         }
@@ -477,6 +480,50 @@ mod tests {
         // Deep nesting is rejected, not overflowed.
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn control_bytes_are_rejected_at_the_same_offset_wherever_they_sit() {
+        let raw = "raw control character in string";
+        // (input, offset just past the control byte)
+        for (bad, offset) in [
+            ("\"\u{1}abc\"", 2),    // first in the string
+            ("\"abc\u{1}def\"", 5), // in the middle of a run
+            ("\"é€\u{1f}\"", 7),    // after multi-byte characters
+            ("\"a\\n\u{1}\"", 5),   // right after an escape
+            ("\"a\\u00e9\tb\"", 9), // right after a \u escape
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(err.message, raw, "{bad:?}");
+            assert_eq!(err.offset, offset, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn multibyte_chars_next_to_escapes_round_trip() {
+        // 2-, 3- and 4-byte characters on both sides of `\n`, `\"` and
+        // `\u00e9`: runs must start and stop on char boundaries.
+        let text = r#""é\n€\"😀\u00e9é€\n😀\"é\u00e9😀""#;
+        let want = "é\n€\"😀éé€\n😀\"éé😀";
+        let v = parse(text).unwrap();
+        assert_eq!(v, Value::Str(want.to_string()));
+        let line = v.to_line();
+        assert_eq!(line, r#""é\n€\"😀éé€\n😀\"éé😀""#);
+        assert_eq!(parse(&line).unwrap(), v);
+    }
+
+    #[test]
+    fn long_strings_parse_and_report_a_missing_quote_at_the_end() {
+        let body = "let x = é;\\n".repeat(80_000); // ≈ 1 MB, one escape per 11 chars
+        let v = parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(
+            v.as_str().map(str::len),
+            Some("let x = é;\n".len() * 80_000)
+        );
+        let open = format!("\"{}", "x".repeat(100_000));
+        let err = parse(&open).unwrap_err();
+        assert_eq!(err.message, "unterminated string");
+        assert_eq!(err.offset, open.len());
     }
 
     #[test]

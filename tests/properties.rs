@@ -342,200 +342,9 @@ fn no_request_modules_match_blocking_path() {
     }
 }
 
-/// Generator for the fact-store equivalence property: modules mixing
-/// collectives (uniform and divergent), sub-communicators, blocking and
-/// non-blocking point-to-point, wildcards and cross-function calls —
-/// every fact the store interns (events, symbols, words, comm/request
-/// resolutions) gets exercised.
-fn random_fact_rich_module(rng: &mut Rng) -> String {
-    let stmt = |rng: &mut Rng, fresh: &mut u32, callees: &[String]| -> String {
-        let mut choices: Vec<u32> = (0..12).collect();
-        if callees.is_empty() {
-            choices.pop(); // no call statement without callees
-        }
-        match *rng.pick(&choices) {
-            0 => "MPI_Barrier();".to_string(),
-            1 => "acc = acc + int_of(MPI_Allreduce(1.0, SUM));".to_string(),
-            // Divergent collective: PDF+ mismatch candidates.
-            2 => "if (rank() == 0) { MPI_Barrier(); }".to_string(),
-            // Balanced arms: refinement + event-sequence comparison.
-            3 => "if (rank() % 2 == 0) { MPI_Barrier(); } else { MPI_Barrier(); }".to_string(),
-            // Sub-communicator traffic: comm interning + per-comm PDF+.
-            4 => {
-                *fresh += 1;
-                format!(
-                    "let c{f} = MPI_Comm_dup(MPI_COMM_WORLD); MPI_Barrier(c{f});",
-                    f = fresh
-                )
-            }
-            // Non-blocking exchange: request interning + deferred completion.
-            5 => {
-                *fresh += 1;
-                format!(
-                    "let r{f} = MPI_Irecv(peer, {t}); MPI_Send(1.0, peer, {t}); \
-                     let v{f} = MPI_Wait(r{f});",
-                    f = fresh,
-                    t = rng.range_i64(1, 5)
-                )
-            }
-            // Wildcard waitall pair.
-            6 => {
-                *fresh += 1;
-                format!(
-                    "let w{f} = MPI_Irecv(MPI_ANY_SOURCE, MPI_ANY_TAG); \
-                     let s{f} = MPI_Isend(rank() + 1, peer, {t}); MPI_Waitall(w{f}, s{f});",
-                    f = fresh,
-                    t = rng.range_i64(5, 9)
-                )
-            }
-            // Matched blocking self-pair.
-            7 => "MPI_Send(acc, rank(), 11); let rv = MPI_Recv(rank(), 11); \
-                  acc = acc + int_of(rv) % 3;"
-                .to_string(),
-            // Multithreaded + properly-single'd collectives: word interning.
-            8 => "parallel num_threads(2) { let y = MPI_Allreduce(1.0, SUM); }".to_string(),
-            9 => "parallel num_threads(2) { single { MPI_Barrier(); } }".to_string(),
-            // Concurrency sites (nowait single pair).
-            10 => "parallel num_threads(2) {
-                    single nowait { MPI_Barrier(); }
-                    single { let z = MPI_Allreduce(1.0, SUM); }
-                }"
-            .to_string(),
-            // Cross-function call: symbol interning + taint propagation.
-            _ => format!("{}();", rng.pick(callees)),
-        }
-    };
-    let nfuncs = rng.range_usize(2, 6);
-    let mut fresh = 0u32;
-    let mut names: Vec<String> = Vec::new();
-    let mut out = String::new();
-    for f in 0..nfuncs {
-        let name = format!("work_{f}");
-        let nstmts = rng.range_usize(1, 4);
-        let body: Vec<String> = (0..nstmts).map(|_| stmt(rng, &mut fresh, &names)).collect();
-        out.push_str(&format!(
-            "fn {name}() {{\n    let acc = 1;\n    let peer = size() - 1 - rank();\n    {}\n    print(acc);\n}}\n",
-            body.join("\n    ")
-        ));
-        names.push(name);
-    }
-    let mut main_body = String::new();
-    for name in &names {
-        match rng.below(4) {
-            0 => main_body.push_str(&format!("    {name}();\n")),
-            1 => main_body.push_str(&format!("    if (rank() == 0) {{ {name}(); }}\n")),
-            2 => main_body.push_str(&format!(
-                "    parallel num_threads(2) {{ single {{ {name}(); }} }}\n"
-            )),
-            _ => {}
-        }
-    }
-    format!(
-        "{out}fn main() {{\n    MPI_Init_thread(MULTIPLE);\n{main_body}    MPI_Finalize();\n}}\n"
-    )
-}
-
-/// The fact-store refactor must be report-invisible: the memoized PDF+
-/// engine (`pdf_memo: true`, the default) and the legacy
-/// recompute-per-event-set path (`pdf_memo: false`) must produce
-/// **byte-identical** `StaticReport`s on ≥ 100 seeded fact-rich modules
-/// (collectives + communicators + requests + wildcards), at `jobs = 1`
-/// and `jobs = 4` alike.
-#[test]
-fn fact_store_matches_legacy_reports() {
-    let session = |jobs, memo| {
-        AnalysisSession::builder()
-            .jobs(jobs)
-            .deterministic(true)
-            .seed(23)
-            .pdf_memo(memo)
-            .build()
-    };
-    let mut memoized1 = session(1, true);
-    let mut memoized4 = session(4, true);
-    let mut legacy1 = session(1, false);
-    let mut legacy4 = session(4, false);
-    for seed in 500..600u64 {
-        let src = random_fact_rich_module(&mut Rng::new(seed));
-        let unit = parse_and_check("gen.mh", &src)
-            .unwrap_or_else(|(d, sm)| panic!("seed {seed}: {}\n{src}", d.render(&sm)));
-        let module = lower_program(&unit.program, &unit.signatures);
-        let baseline = legacy1.check_module(&module);
-        let baseline_dbg = format!("{baseline:?}");
-        let baseline_txt = baseline.render(&unit.source_map);
-        for (label, s) in [
-            ("memoized jobs=1", &mut memoized1),
-            ("memoized jobs=4", &mut memoized4),
-            ("legacy jobs=4", &mut legacy4),
-        ] {
-            let report = s.check_module(&module);
-            assert_eq!(
-                format!("{report:?}"),
-                baseline_dbg,
-                "seed {seed}: {label} report differs from the legacy PDF+ path in\n{src}"
-            );
-            assert_eq!(
-                report.render(&unit.source_map),
-                baseline_txt,
-                "seed {seed}: {label} rendered report differs in\n{src}"
-            );
-        }
-    }
-}
-
-/// The incremental worklist fixpoint must be report-invisible: the
-/// delta-propagating driver (`incr_fixpoint: true`, the default) and
-/// the legacy full-re-walk round loop (`incr_fixpoint: false`) must
-/// produce **byte-identical** `StaticReport`s on ≥ 100 seeded fact-rich
-/// modules (cross-function calls under mixed parallel/sequential
-/// contexts), at `jobs = 1` and `jobs = 4` alike. The mirror of
-/// `fact_store_matches_legacy_reports` for the context-propagation
-/// phase.
-#[test]
-fn incr_fixpoint_matches_legacy_reports() {
-    let session = |jobs, incremental| {
-        AnalysisSession::builder()
-            .jobs(jobs)
-            .deterministic(true)
-            .seed(23)
-            .incr_fixpoint(incremental)
-            .build()
-    };
-    let mut worklist1 = session(1, true);
-    let mut worklist4 = session(4, true);
-    let mut legacy1 = session(1, false);
-    let mut legacy4 = session(4, false);
-    for seed in 600..700u64 {
-        let src = random_fact_rich_module(&mut Rng::new(seed));
-        let unit = parse_and_check("gen.mh", &src)
-            .unwrap_or_else(|(d, sm)| panic!("seed {seed}: {}\n{src}", d.render(&sm)));
-        let module = lower_program(&unit.program, &unit.signatures);
-        let baseline = legacy1.check_module(&module);
-        let baseline_dbg = format!("{baseline:?}");
-        let baseline_txt = baseline.render(&unit.source_map);
-        for (label, s) in [
-            ("worklist jobs=1", &mut worklist1),
-            ("worklist jobs=4", &mut worklist4),
-            ("legacy jobs=4", &mut legacy4),
-        ] {
-            let report = s.check_module(&module);
-            assert_eq!(
-                format!("{report:?}"),
-                baseline_dbg,
-                "seed {seed}: {label} report differs from the legacy fixpoint in\n{src}"
-            );
-            assert_eq!(
-                report.render(&unit.source_map),
-                baseline_txt,
-                "seed {seed}: {label} rendered report differs in\n{src}"
-            );
-        }
-    }
-}
-
-/// Wider worlds are affordable now that rank threads are pooled: a
-/// collective program over 8 ranks (16 under the extended budget), with
-/// the result checked exactly.
+/// Wider worlds are affordable because rank threads come from the thread
+/// cache: a collective program over 8 ranks (16 under the extended
+/// budget), with the result checked exactly.
 #[test]
 fn wide_world_allreduce_is_exact() {
     let ranks = if parcoach_testutil::case_budget(1) >= 4 {
