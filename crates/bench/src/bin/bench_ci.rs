@@ -32,10 +32,11 @@ use parcoach_bench::{
     bench_session, compile_suite_concurrent, compile_with_codegen, lower_workload, measure,
     static_phase_breakdown,
 };
-use parcoach_core::AnalysisSession;
+use parcoach_core::{AnalysisSession, QueryDb, StaticReport};
 use parcoach_front::parse_and_check;
 use parcoach_interp::{check_and_run, RunConfig};
 use parcoach_ir::lower::lower_program;
+use parcoach_ir::Module;
 use parcoach_workloads::{
     error_catalogue, figure1_suite, ExpectDynamic, ExpectStatic, Workload, WorkloadClass,
 };
@@ -595,11 +596,11 @@ fn analyze_speedup() -> (u64, u64, bool) {
 
 /// The daemon's headline number: cold one-shot check of HERA class B
 /// (full front-end + fresh analysis, what `parcoachc check` pays) vs a
-/// warm re-check in a resident incremental session after a
-/// single-function edit. The edit alternates one probe function between
-/// two bodies, so every warm rep re-fingerprints the module, recomputes
-/// exactly that function's parallelism word and CFG facts, and reuses
-/// the rest — the steady state `parcoachd` serves. Returns
+/// warm re-check over a resident memo table after a single-function
+/// edit. The edit alternates one probe function between two bodies, so
+/// every warm rep re-keys that function, recomputes exactly its
+/// parallelism word and CFG facts, and reuses the rest — the steady
+/// state `parcoachd`'s documents serve. Returns
 /// `(cold_ns, warm_ns, identical)` where `identical` compares the warm
 /// report byte-for-byte against a cold fresh-session report of the same
 /// edited module.
@@ -628,26 +629,13 @@ fn incremental_latency() -> (u64, u64, bool) {
     });
 
     let (module_a, module_b) = (compile(&src_a), compile(&src_b));
-    let mut warm_session = AnalysisSession::builder()
-        .jobs(1)
-        .deterministic(true)
-        .seed(42)
-        .incremental(true)
-        .build();
-    let _ = warm_session.check_module(&module_b);
-    warm_session.mark_edited("bench_ci_probe");
-    let warm_report = warm_session.check_module(&module_a);
-    let cold_report = session(1).check_module(&module_a);
+    let mut probe = WarmProbe::new(module_a, module_b);
+    let warm_report = probe.flip();
+    let cold_report = session(1).check_module(probe.current());
     let identical = format!("{warm_report:?}") == format!("{cold_report:?}");
 
-    let mut flip = false;
     let warm = measure(ANALYZE_REPS, || {
-        flip = !flip;
-        // The edited-function dirty mark is part of the session contract
-        // (the daemon's `edit` issues it); the re-check then
-        // re-fingerprints and re-derives exactly this function.
-        warm_session.mark_edited("bench_ci_probe");
-        let _ = warm_session.check_module(if flip { &module_b } else { &module_a });
+        let _ = probe.flip();
     });
     // Minimum over reps, like every other latency metric here: the
     // single-core CI runners have enough scheduler noise to swing a
@@ -660,11 +648,57 @@ fn incremental_latency() -> (u64, u64, bool) {
     )
 }
 
-/// The module-memo counterpart of [`incremental_latency`]: the probe
+/// What `parcoachd`'s document does around a single-function edit, in
+/// miniature: one memo table over a module whose probe function flips
+/// between two bodies. Each [`WarmProbe::flip`] marks the probe dirty
+/// (handing the table the outgoing IR, as `Document::edit` does) and
+/// re-checks the other variant over the table.
+struct WarmProbe {
+    session: AnalysisSession,
+    db: QueryDb,
+    modules: [Module; 2],
+    /// Index into `modules` of the variant the table was last checked
+    /// against.
+    cur: usize,
+    probe: usize,
+}
+
+impl WarmProbe {
+    fn new(a: Module, b: Module) -> WarmProbe {
+        let mut p = WarmProbe {
+            session: bench_session(),
+            db: QueryDb::new(),
+            probe: a.by_name["bench_ci_probe"],
+            modules: [a, b],
+            cur: 1,
+        };
+        let _ = p.check();
+        p
+    }
+
+    fn current(&self) -> &Module {
+        &self.modules[self.cur]
+    }
+
+    fn check(&mut self) -> StaticReport {
+        self.session
+            .check_module_in(&self.modules[self.cur], &mut self.db, None)
+            .expect("no token, cannot cancel")
+    }
+
+    fn flip(&mut self) -> StaticReport {
+        self.db
+            .mark_dirty(self.probe, &self.modules[self.cur].funcs[self.probe]);
+        self.cur ^= 1;
+        self.check()
+    }
+}
+
+/// The module-table counterpart of [`incremental_latency`]: the probe
 /// flips between two bodies with NO comm/request/p2p events, so every
-/// warm rep re-fingerprints the module and re-derives the probe's local
-/// facts but finds the module-wide comm/request/p2p match tables
-/// fingerprint-clean and reuses them wholesale. Returns
+/// warm rep re-keys the probe and re-derives its local facts but finds
+/// the module-wide comm/request/p2p tables untouched by the edit and
+/// reuses them wholesale. Returns
 /// `(warm_module_ns, identical, memo_live)` — `identical` compares the
 /// warm report against a cold fresh-session report of the same edited
 /// module; `memo_live` certifies the timed loop actually hit the module
@@ -681,32 +715,16 @@ fn module_warm_latency() -> (u64, bool, bool) {
         let unit = parse_and_check(w.name, src).expect("workload compiles");
         lower_program(&unit.program, &unit.signatures)
     };
-    let (module_a, module_b) = (compile(&src_a), compile(&src_b));
-    let mut warm_session = AnalysisSession::builder()
-        .jobs(1)
-        .deterministic(true)
-        .seed(42)
-        .incremental(true)
-        .build();
-    let _ = warm_session.check_module(&module_b);
-    warm_session.mark_edited("bench_ci_probe");
-    let warm_report = warm_session.check_module(&module_a);
-    let mut cold_session = AnalysisSession::builder()
-        .jobs(1)
-        .deterministic(true)
-        .seed(42)
-        .build();
-    let cold_report = cold_session.check_module(&module_a);
+    let mut probe = WarmProbe::new(compile(&src_a), compile(&src_b));
+    let warm_report = probe.flip();
+    let cold_report = bench_session().check_module(probe.current());
     let identical = format!("{warm_report:?}") == format!("{cold_report:?}");
 
-    let before = warm_session.query_stats();
-    let mut flip = false;
+    let before = probe.db.stats();
     let warm = measure(ANALYZE_REPS, || {
-        flip = !flip;
-        warm_session.mark_edited("bench_ci_probe");
-        let _ = warm_session.check_module(if flip { &module_b } else { &module_a });
+        let _ = probe.flip();
     });
-    let after = warm_session.query_stats();
+    let after = probe.db.stats();
     // Every timed rep must have reused the comm and p2p module tables
     // without a single rebuild.
     let memo_live = after.comm_hits > before.comm_hits

@@ -3,12 +3,12 @@
 //! `parcoachd` serves many clients from one process; a client that edits
 //! again mid-check (or disconnects) should not pin a worker on a result
 //! nobody will read. A [`CancelToken`] is handed to
-//! [`AnalysisSession::check_module_cancellable`](crate::session::AnalysisSession::check_module_cancellable)
+//! [`AnalysisSession::check_module_in`](crate::session::AnalysisSession::check_module_in)
 //! and observed at the pipeline's phase boundaries — the coarsest
 //! granularity that needs no unwinding: a cancelled check may leave
-//! freshly computed facts in the incremental store, but they are
-//! fingerprint-keyed and stay valid, so the next check simply starts
-//! warmer.
+//! freshly computed facts in the caller's memo table, but they were
+//! derived from the reconciled IR and stay valid, so the next check
+//! simply starts warmer.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

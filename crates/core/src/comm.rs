@@ -12,8 +12,8 @@
 //! control-flow merges or function boundaries degrade to
 //! [`CommId::UNKNOWN`], which conservatively groups with everything.
 
+use crate::query::Locator;
 use parcoach_front::ast::Type;
-use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::instr::{Instr, MpiIr};
 use parcoach_ir::types::Value;
@@ -56,10 +56,10 @@ pub enum CommDef {
     World,
     /// Unresolvable handle.
     Unknown,
-    /// One `MPI_Comm_split` call site (keyed by source span).
-    Split(Span),
-    /// One `MPI_Comm_dup` call site (keyed by source span).
-    Dup(Span),
+    /// One `MPI_Comm_split` call site.
+    Split(Locator),
+    /// One `MPI_Comm_dup` call site.
+    Dup(Locator),
 }
 
 /// The module-wide interned communicator table.
@@ -213,8 +213,8 @@ impl ModuleComms {
 pub fn compute_comms(m: &Module) -> ModuleComms {
     let mut table = CommTable::new();
     let mut per_func = HashMap::new();
-    for f in &m.funcs {
-        per_func.insert(f.name.clone(), resolve_func(f, &mut table));
+    for (fidx, f) in m.funcs.iter().enumerate() {
+        per_func.insert(f.name.clone(), resolve_func(fidx, f, &mut table));
     }
     ModuleComms { table, per_func }
 }
@@ -226,7 +226,7 @@ pub fn compute_comms(m: &Module) -> ModuleComms {
 /// result or parameter) degrades to [`CommId::UNKNOWN`]. Copy chains of
 /// comm-typed registers propagate; the loop iterates until stable
 /// (bounded by the register count, in practice two rounds).
-fn resolve_func(f: &FuncIr, table: &mut CommTable) -> FuncComms {
+fn resolve_func(fidx: usize, f: &FuncIr, table: &mut CommTable) -> FuncComms {
     let n = f.reg_types.len();
     // Fast path: a function with no comm-typed register can neither
     // create a communicator class (creation sites define comm-typed
@@ -263,16 +263,16 @@ fn resolve_func(f: &FuncIr, table: &mut CommTable) -> FuncComms {
                 false
             }
         };
-        for b in &f.blocks {
-            for i in &b.instrs {
+        for (bid, b) in f.iter_blocks() {
+            for (iidx, i) in b.instrs.iter().enumerate() {
                 match i {
                     Instr::Mpi {
                         dest: Some(d), op, ..
                     } => {
-                        let def = match (op, i.span()) {
-                            (MpiIr::CommWorld, _) => Some(CommDef::World),
-                            (MpiIr::CommSplit { .. }, Some(sp)) => Some(CommDef::Split(sp)),
-                            (MpiIr::CommDup { .. }, Some(sp)) => Some(CommDef::Dup(sp)),
+                        let def = match op {
+                            MpiIr::CommWorld => Some(CommDef::World),
+                            MpiIr::CommSplit { .. } => Some(CommDef::Split((fidx, bid, iidx))),
+                            MpiIr::CommDup { .. } => Some(CommDef::Dup((fidx, bid, iidx))),
                             _ => None,
                         };
                         if let Some(def) = def {

@@ -9,8 +9,8 @@
 //! over the (finite, 3-point) context lattice.
 //!
 //! The fixpoint is a round loop: each round refreshes the parallelism
-//! words of every function whose context moved (misses in parallel, hits
-//! served from the [`QueryDb`] when one is supplied), then joins every
+//! words of every function whose context moved (hits served from the
+//! [`QueryDb`], misses computed in parallel), then joins every
 //! call site's context into its callee, until a full round changes
 //! nothing. Convergence is *asserted*: the lattice has height 3 and the
 //! call graph is finite, so `3·n` rounds cannot be reached. (An
@@ -24,7 +24,7 @@
 
 use crate::lang::MonoVerdict;
 use crate::pw::{compute_pw, InitialContext, PwResult, PwState};
-use crate::query::{call_summary, CallSummary, QueryDb};
+use crate::query::{call_summary, span_at, CallSummary, QueryDb};
 use parcoach_front::span::Span;
 use parcoach_ir::func::Module;
 use parcoach_ir::types::BlockId;
@@ -43,12 +43,12 @@ pub struct CallContexts {
     pub multithreaded_calls: Vec<(String, String, Span)>,
     /// Parallelism words per function, computed under the final contexts
     /// (reused by the analysis phases — computing pw is the costliest
-    /// part of the pipeline). `Arc`-shared with the incremental query
-    /// cache so a warm re-check pays no clone.
+    /// part of the pipeline). `Arc`-shared with the [`QueryDb`] so a
+    /// warm re-check pays no clone.
     pub pw: HashMap<String, Arc<PwResult>>,
     /// Per-function call-graph summaries, indexed like `Module::funcs`.
-    /// `Arc`-shared with the incremental query cache; the fact store
-    /// derives entry reachability from these without another IR walk.
+    /// `Arc`-shared with the [`QueryDb`]; the fact store derives entry
+    /// reachability from these without another IR walk.
     pub summaries: Vec<Arc<CallSummary>>,
 }
 
@@ -69,66 +69,40 @@ impl CallContexts {
     }
 }
 
-/// Compute call contexts and collective-bearing facts for a module on
-/// the process-wide pool.
-pub fn compute_contexts(m: &Module, entry_context: InitialContext) -> CallContexts {
-    compute_contexts_with(m, entry_context, parcoach_pool::global())
-}
-
 /// Compute call contexts and collective-bearing facts for a module.
 ///
 /// `entry_context` is the context `main` is assumed to start in
 /// (normally [`InitialContext::Sequential`]; the paper's "initial level"
-/// option).
+/// option). `db` must have been reconciled against `m`
+/// ([`QueryDb::reconcile`]); the per-`(function, context)` parallelism
+/// words and the call summaries are served from it where present
+/// (shared by `Arc`) and stored into it where not.
 ///
 /// The fixpoint alternates two passes per round: the parallelism words
 /// of every function whose context changed are recomputed *in parallel*
 /// on `pool` (word propagation is the costliest part of the pipeline and
 /// is pure per function), then a sequential pass joins call-site
 /// contexts into callees. Chaotic ascending iteration over a finite
-/// lattice reaches the same least fixpoint in either schedule, so the
-/// result is identical to the old interleaved loop.
-pub fn compute_contexts_with(
+/// lattice reaches the same least fixpoint in either schedule.
+pub fn compute_contexts(
     m: &Module,
     entry_context: InitialContext,
     pool: &parcoach_pool::Pool,
+    db: &mut QueryDb,
 ) -> CallContexts {
-    compute_contexts_db(m, entry_context, pool, None)
-}
-
-/// [`compute_contexts_with`] consulting an incremental [`QueryDb`] for
-/// the per-`(function, context)` parallelism words and the call
-/// summaries. The db must have been reconciled against `m` (see
-/// [`QueryDb::reconcile_module`]); cached results are shared by `Arc`,
-/// fresh ones are inserted back.
-pub fn compute_contexts_db(
-    m: &Module,
-    entry_context: InitialContext,
-    pool: &parcoach_pool::Pool,
-    mut db: Option<&mut QueryDb>,
-) -> CallContexts {
-    // --- per-function call-graph summaries: served from the query cache
-    // for green functions, derived from the IR otherwise. Everything
-    // below (collective-bearing, the context fixpoint, and — via the
-    // fact store — entry reachability) reads these instead of re-walking
+    // --- per-function call-graph summaries. Everything below
+    // (collective-bearing, the context fixpoint, and — via the fact
+    // store — entry reachability) reads these instead of re-walking
     // instructions.
-    let summaries: Vec<Arc<CallSummary>> = {
-        let mut v = Vec::with_capacity(m.funcs.len());
-        for f in &m.funcs {
-            let cached = db.as_deref_mut().and_then(|db| db.summary(&f.name));
-            v.push(match cached {
-                Some(s) => s,
-                None => {
-                    let s = Arc::new(call_summary(f));
-                    if let Some(db) = db.as_deref_mut() {
-                        db.insert_summary(&f.name, s.clone());
-                    }
-                    s
-                }
-            });
-        }
-        v
-    };
+    let summaries: Vec<Arc<CallSummary>> = m
+        .funcs
+        .iter()
+        .enumerate()
+        .map(|(fi, f)| {
+            let summary = &mut db.func(fi).summary;
+            summary.get_or_put(|| Arc::new(call_summary(f))).clone()
+        })
+        .collect();
 
     // --- resolve call-site callee names to module indices once: the
     // fixpoints below run on dense per-function arrays (no string
@@ -140,7 +114,7 @@ pub fn compute_contexts_db(
         .map(|s| {
             s.call_sites
                 .iter()
-                .map(|(_, c, _)| m.by_name.get(c.as_str()).copied())
+                .map(|(_, _, c)| m.by_name.get(c.as_str()).copied())
                 .collect()
         })
         .collect();
@@ -183,13 +157,13 @@ pub fn compute_contexts_db(
     for _round in 0..(3 * n.max(1)) {
         let mut any = false;
         multithreaded_calls.clear();
-        refresh_stale(m, pool, &mut pw_cache, &initial, &mut db);
+        refresh_stale(m, pool, &mut pw_cache, &initial, db);
         for (fi, (f, s)) in m.funcs.iter().zip(&summaries).enumerate() {
             let pw = &pw_cache[fi].as_ref().expect("refreshed").1;
             // Summaries keep sites in block order, so the entry context
             // of each block is computed once per run of same-block sites.
             let mut cur: Option<(BlockId, InitialContext)> = None;
-            for ((bid, callee, span), ci) in s.call_sites.iter().zip(&callee_idx[fi]) {
+            for ((bid, ii, callee), ci) in s.call_sites.iter().zip(&callee_idx[fi]) {
                 let site_ctx = match cur {
                     Some((b, ctx)) if b == *bid => ctx,
                     _ => {
@@ -205,7 +179,8 @@ pub fn compute_contexts_db(
                     any = true;
                 }
                 if site_ctx == InitialContext::Parallel && bearing[ci] {
-                    multithreaded_calls.push((f.name.clone(), callee.clone(), *span));
+                    let span = span_at(m, (fi, *bid, *ii));
+                    multithreaded_calls.push((f.name.clone(), callee.clone(), span));
                 }
             }
         }
@@ -247,42 +222,32 @@ pub fn compute_contexts_db(
 }
 
 /// Refresh the fixpoint's pw cache for every function whose context
-/// moved since its last computation. Misses run in parallel (words are
-/// per-function pure); when a [`QueryDb`] is supplied, memoized results
-/// are served as `Arc` clones and fresh ones flow back into it.
+/// moved since its last computation: stored results are served as `Arc`
+/// clones, misses run in parallel (words are per-function pure) and
+/// flow back into the table.
 fn refresh_stale(
     m: &Module,
     pool: &parcoach_pool::Pool,
     pw_cache: &mut [Option<(InitialContext, Arc<PwResult>)>],
     initial: &[InitialContext],
-    db: &mut Option<&mut QueryDb>,
+    db: &mut QueryDb,
 ) {
-    let stale: Vec<usize> = (0..m.funcs.len())
-        .filter(|&fi| pw_cache[fi].as_ref().map(|(c, _)| *c) != Some(initial[fi]))
-        .collect();
-    let misses: Vec<usize> = match db.as_deref_mut() {
-        None => stale,
-        Some(db) => stale
-            .into_iter()
-            .filter(|&fi| match db.pw(&m.funcs[fi].name, initial[fi]) {
-                Some(pw) => {
-                    pw_cache[fi] = Some((initial[fi], pw));
-                    false
-                }
-                None => true,
-            })
-            .collect(),
-    };
-    let fresh = pool.par_map(&misses, |&fi| {
+    let mut misses: Vec<usize> = Vec::new();
+    for fi in 0..m.funcs.len() {
         let ctx = initial[fi];
-        (fi, Arc::new(compute_pw(&m.funcs[fi], ctx)))
-    });
-    if let Some(db) = db.as_deref_mut() {
-        for (fi, pw) in &fresh {
-            db.insert_pw(&m.funcs[*fi].name, initial[*fi], pw.clone());
+        if pw_cache[fi].as_ref().map(|(c, _)| *c) == Some(ctx) {
+            continue;
+        }
+        match db.func(fi).pw[ctx as usize].get() {
+            Some(pw) => pw_cache[fi] = Some((ctx, pw.clone())),
+            None => misses.push(fi),
         }
     }
-    for (fi, pw) in fresh {
+    let fresh = pool.par_map(&misses, |&fi| {
+        Arc::new(compute_pw(&m.funcs[fi], initial[fi]))
+    });
+    for (fi, pw) in misses.into_iter().zip(fresh) {
+        db.func(fi).pw[initial[fi] as usize].put(pw.clone());
         pw_cache[fi] = Some((initial[fi], pw));
     }
 }
@@ -310,6 +275,13 @@ mod tests {
     fn lower(src: &str) -> Module {
         let unit = parse_and_check("t.mh", src).expect("valid");
         lower_program(&unit.program, &unit.signatures)
+    }
+
+    /// One-shot contexts: the pipeline's stage over a fresh table.
+    fn compute_contexts(m: &Module, entry: InitialContext) -> CallContexts {
+        let mut db = QueryDb::new();
+        db.reconcile(m);
+        super::compute_contexts(m, entry, parcoach_pool::global(), &mut db)
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! interned ids never depend on scheduling.
 
 use crate::comm::{compute_comms, FuncComms, ModuleComms};
-use crate::context::{compute_contexts_with, CallContexts};
+use crate::context::{compute_contexts, CallContexts};
 use crate::intern::{EventArena, EventId, SymTable, WordArena, WordId, WordNode};
 use crate::matching::{block_events, Event};
 use crate::pw::{compute_pw, InitialContext, PwResult, PwState};
@@ -57,7 +57,7 @@ pub struct CfgFacts {
 
 /// Facts for one function, computed once and shared by all phases.
 /// The expensive span-free members (`cfg`, `pw`) are `Arc`-shared with
-/// the incremental [`QueryDb`] so warm re-checks reuse them in place.
+/// the [`QueryDb`] so warm re-checks reuse them in place.
 #[derive(Debug)]
 pub struct FuncFacts {
     /// CFG facts; `None` for functions with no MPI instructions and no
@@ -99,9 +99,8 @@ pub struct AnalysisCx<'m> {
     /// Interprocedural call contexts (the pw map is drained into
     /// [`FuncFacts::pw`] — use the facts, not [`CallContexts::pw_of`]).
     pub ctxs: CallContexts,
-    /// Interned communicator classes + per-function register resolution.
-    /// `Arc`-shared with the incremental [`QueryDb`]'s module-wide cache
-    /// when the fingerprint key is green.
+    /// Interned communicator classes + per-function register resolution,
+    /// `Arc`-shared with the [`QueryDb`]'s module-wide slot.
     pub comms: Arc<ModuleComms>,
     /// Interned request classes + per-function register resolution
     /// (`Arc`-shared like [`AnalysisCx::comms`]).
@@ -135,7 +134,7 @@ fn compute_reachable(m: &Module, ctxs: &CallContexts) -> Vec<bool> {
     reachable[entry] = true;
     let mut work = vec![entry];
     while let Some(fidx) = work.pop() {
-        for (_, func, _) in &ctxs.summaries[fidx].call_sites {
+        for (_, _, func) in &ctxs.summaries[fidx].call_sites {
             if let Some(&cidx) = m.by_name.get(func) {
                 if !reachable[cidx] {
                     reachable[cidx] = true;
@@ -178,53 +177,33 @@ fn compute_cfg(f: &FuncIr, with_pdf: bool) -> CfgFacts {
 }
 
 impl<'m> AnalysisCx<'m> {
-    /// Compute contexts and build the fact store for `m`, fanning the
-    /// per-function construction out over `pool`.
+    /// Contexts and fact store for `m` over a fresh table — the
+    /// convenience the phase unit tests use; the pipeline runs the same
+    /// two stages against the caller's table.
     pub fn build(m: &'m Module, entry: InitialContext, pool: &parcoach_pool::Pool) -> Self {
-        let ctxs = compute_contexts_with(m, entry, pool);
-        Self::from_contexts(m, ctxs, pool)
+        let mut db = QueryDb::new();
+        db.reconcile(m);
+        let ctxs = compute_contexts(m, entry, pool, &mut db);
+        Self::from_contexts(m, ctxs, pool, &mut db)
     }
 
-    /// Build the fact store from already-computed call contexts. The
-    /// contexts' cached pw results are *moved* into the per-function
-    /// facts (they were previously cloned once per function).
-    pub fn from_contexts(m: &'m Module, ctxs: CallContexts, pool: &parcoach_pool::Pool) -> Self {
-        Self::from_contexts_db(m, ctxs, pool, None)
-    }
-
-    /// [`AnalysisCx::from_contexts`] consulting an incremental
-    /// [`QueryDb`] for the per-function CFG facts and the module-wide
-    /// communicator/request tables. The db must have been reconciled
-    /// against `m` (see [`QueryDb::reconcile_module`]).
-    pub fn from_contexts_db(
+    /// Build the fact store from already-computed call contexts, whose
+    /// pw results are *moved* into the per-function facts. The
+    /// per-function CFG facts and the module-wide communicator/request
+    /// tables are served from `db` where present and stored into it
+    /// where not; `db` must have been reconciled against `m`
+    /// ([`QueryDb::reconcile`]).
+    pub fn from_contexts(
         m: &'m Module,
         mut ctxs: CallContexts,
         pool: &parcoach_pool::Pool,
-        mut db: Option<&mut QueryDb>,
+        db: &mut QueryDb,
     ) -> Self {
-        // Module-wide register resolutions: wholesale-cached behind a
-        // key over every function's comm/request input projection, so an
-        // edit touching no communicator (or request) instruction reuses
-        // the entire table. The interning spans inside a reused table
-        // may be stale, but nothing reads them — labels print class ids.
-        let (comms, reqs) = match db.as_deref_mut() {
-            Some(db) => {
-                let ck = db.module_comm_key(m);
-                let comms = db.module_comms(ck).unwrap_or_else(|| {
-                    let t = Arc::new(compute_comms(m));
-                    db.insert_module_comms(ck, t.clone());
-                    t
-                });
-                let rk = db.module_req_key(m);
-                let reqs = db.module_reqs(rk).unwrap_or_else(|| {
-                    let t = Arc::new(compute_requests(m));
-                    db.insert_module_reqs(rk, t.clone());
-                    t
-                });
-                (comms, reqs)
-            }
-            None => (Arc::new(compute_comms(m)), Arc::new(compute_requests(m))),
-        };
+        // Module-wide register resolutions: an edit touching no
+        // communicator (or request) instruction leaves the whole table
+        // in its slot.
+        let comms = db.comms.get_or_put(|| Arc::new(compute_comms(m))).clone();
+        let reqs = db.reqs.get_or_put(|| Arc::new(compute_requests(m))).clone();
         let syms = SymTable::for_module(m);
 
         // Parallel stage 1: block→event maps. Span-bearing, so always
@@ -241,7 +220,7 @@ impl<'m> AnalysisCx<'m> {
             let relevant = s.has_mpi
                 || s.call_sites
                     .iter()
-                    .any(|(_, c, _)| ctxs.bears_collectives(c));
+                    .any(|(_, _, c)| ctxs.bears_collectives(c));
             if !relevant {
                 return RawFacts {
                     needs_cfg: false,
@@ -266,31 +245,26 @@ impl<'m> AnalysisCx<'m> {
             }
         });
 
-        // Stage 2: CFG facts — served from the query cache on a
-        // fingerprint hit, computed on the pool otherwise. Frontiers
-        // feed `PDF+` queries, which only event-bearing functions
-        // issue, so event presence is part of the cache key.
+        // Stage 2: CFG facts — served from the table where stored,
+        // computed on the pool otherwise. Frontiers feed `PDF+` queries,
+        // which only event-bearing functions issue, so event presence is
+        // kept beside the value.
         let mut cfgs: Vec<Option<Arc<CfgFacts>>> = (0..m.funcs.len()).map(|_| None).collect();
         let mut misses: Vec<usize> = Vec::new();
         for (i, raw) in raws.iter().enumerate() {
             if !raw.needs_cfg {
                 continue;
             }
-            let cached = db
-                .as_deref_mut()
-                .and_then(|db| db.cfg(&m.funcs[i].name, raw.has_events));
-            match cached {
-                Some(cfg) => cfgs[i] = Some(cfg),
+            match db.func(i).cfg.get_if(|(pdf, _)| *pdf == raw.has_events) {
+                Some((_, cfg)) => cfgs[i] = Some(cfg.clone()),
                 None => misses.push(i),
             }
         }
         let computed = pool.par_map(&misses, |&i| {
             Arc::new(compute_cfg(&m.funcs[i], raws[i].has_events))
         });
-        for (&i, cfg) in misses.iter().zip(computed) {
-            if let Some(db) = db.as_deref_mut() {
-                db.insert_cfg(&m.funcs[i].name, raws[i].has_events, cfg.clone());
-            }
+        for (i, cfg) in misses.into_iter().zip(computed) {
+            db.func(i).cfg.put((raws[i].has_events, cfg.clone()));
             cfgs[i] = Some(cfg);
         }
 

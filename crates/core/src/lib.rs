@@ -54,14 +54,14 @@ pub mod word;
 
 pub use cancel::{CancelToken, Cancelled};
 pub use comm::{compute_comms, CommDef, CommId, CommTable, ModuleComms};
-pub use context::{compute_contexts, compute_contexts_db, CallContexts};
+pub use context::{compute_contexts, CallContexts};
 pub use facts::{AnalysisCx, FuncFacts};
 pub use instrument::{instrument_module, InstrumentMode, InstrumentStats};
 pub use intern::{EventArena, EventId, Sym, SymTable, WordArena, WordDag, WordId, WordNode};
 pub use lang::{classify, ContextClass, MonoVerdict};
 pub use pipeline::{AnalysisOptions, PhaseTimings};
 pub use pw::{compute_pw, InitialContext, PwResult};
-pub use query::{fingerprint, Fingerprint, QueryDb, QueryStats};
+pub use query::{fingerprint, Fingerprint, Locator, QueryDb, QueryStats};
 pub use report::{InstrumentationPlan, StaticReport, StaticWarning, WarningKind};
 pub use request::{compute_requests, ModuleRequests, ReqDef, ReqId, ReqTable};
 pub use session::{AnalysisSession, AnalysisSessionBuilder};

@@ -48,7 +48,7 @@ pub fn check_monothread(cx: &AnalysisCx, fidx: usize) -> MonoResult {
                  ({} vs {}) — a barrier may be executed by only part of the team",
                 d.left, d.right
             ),
-            span: d.span,
+            span: f.block(d.block).span,
             related: Vec::new(),
         });
     }

@@ -33,10 +33,10 @@
 
 use crate::comm::CommId;
 use crate::facts::AnalysisCx;
+use crate::query::{span_at, Locator};
 use crate::report::{StaticWarning, WarningKind};
 use crate::request::{ReqId, ReqResolution};
 use parcoach_front::ast::ANY_TAG;
-use parcoach_front::span::Span;
 use parcoach_ir::func::Module;
 use parcoach_ir::instr::{Instr, MpiIr};
 use parcoach_ir::types::{BlockId, Const, Value};
@@ -124,12 +124,6 @@ pub struct P2pResult {
     pub epoch_functions: Vec<String>,
 }
 
-/// A span-free program point: `(function index, block, instruction)`.
-/// The materializer re-reads the live instruction's span through it, so
-/// a cached [`P2pCore`] survives edits that move code without changing
-/// structure (the whitespace-interior-edit hazard).
-type Locator = (usize, BlockId, usize);
-
 /// One matching diagnostic with locators instead of spans.
 #[derive(Debug, Clone)]
 struct P2pWarningCore {
@@ -140,25 +134,20 @@ struct P2pWarningCore {
     related: Vec<(Locator, String)>,
 }
 
-/// The span-free output of the p2p matching pass — what the incremental
-/// store caches under [`crate::query::QueryDb::module_p2p_key`].
-/// Messages embed only tags and communicator-class labels, which are
-/// stable while the key is green; spans are *not* stored (see
-/// `Locator`).
+/// The span-free output of the p2p matching pass — what the
+/// [`QueryDb`](crate::query::QueryDb) stores. Messages embed only tags
+/// and communicator-class labels, which are stable while the core's
+/// inputs are; positions are [`Locator`]s, so a stored core survives
+/// edits that move code without changing structure.
 #[derive(Debug, Clone, Default)]
 pub struct P2pCore {
     warnings: Vec<P2pWarningCore>,
     epoch_functions: Vec<String>,
 }
 
-/// Turn a cached (or fresh) [`P2pCore`] into span-bearing warnings by
+/// Turn a stored (or fresh) [`P2pCore`] into span-bearing warnings by
 /// reading each locator's instruction span from the live IR.
 pub fn materialize_p2p(core: &P2pCore, m: &Module) -> P2pResult {
-    let span_of = |(fi, b, ii): Locator| -> Span {
-        m.funcs[fi].blocks[b.0 as usize].instrs[ii]
-            .span()
-            .unwrap_or(Span::DUMMY)
-    };
     P2pResult {
         warnings: core
             .warnings
@@ -167,11 +156,11 @@ pub fn materialize_p2p(core: &P2pCore, m: &Module) -> P2pResult {
                 kind: w.kind,
                 func: w.func.clone(),
                 message: w.message.clone(),
-                span: span_of(w.site),
+                span: span_at(m, w.site),
                 related: w
                     .related
                     .iter()
-                    .map(|(loc, msg)| (span_of(*loc), msg.clone()))
+                    .map(|(loc, msg)| (span_at(m, *loc), msg.clone()))
                     .collect(),
             })
             .collect(),
@@ -179,14 +168,9 @@ pub fn materialize_p2p(core: &P2pCore, m: &Module) -> P2pResult {
     }
 }
 
-/// Run the pass over a whole module, reading register resolutions and
-/// dominator trees from the fact store.
-pub fn check_p2p(cx: &AnalysisCx) -> P2pResult {
-    materialize_p2p(&p2p_core(cx), cx.module)
-}
-
-/// The span-free matching pass: everything [`check_p2p`] computes, with
-/// warning positions as `Locator`s.
+/// The span-free matching pass over a whole module, reading register
+/// resolutions and dominator trees from the fact store; warning
+/// positions are [`Locator`]s ([`materialize_p2p`] resolves them).
 pub fn p2p_core(cx: &AnalysisCx) -> P2pCore {
     let m = cx.module;
     let comms = &cx.comms;
@@ -446,7 +430,7 @@ mod tests {
         let unit = parse_and_check("t.mh", src).expect("valid");
         let m = lower_program(&unit.program, &unit.signatures);
         let cx = AnalysisCx::build(&m, InitialContext::Sequential, parcoach_pool::global());
-        check_p2p(&cx)
+        materialize_p2p(&p2p_core(&cx), &m)
     }
 
     #[test]

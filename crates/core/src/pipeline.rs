@@ -122,40 +122,6 @@ impl TimingSink {
     }
 }
 
-/// The shared timed entry: one cold or warm analysis with a per-phase
-/// breakdown and optional cooperative cancellation at phase boundaries.
-/// [`crate::session::AnalysisSession`] is the public surface.
-pub(crate) fn analyze_timed_impl(
-    m: &Module,
-    opts: &AnalysisOptions,
-    pool: &parcoach_pool::Pool,
-    db: Option<&mut crate::query::QueryDb>,
-    token: Option<&crate::cancel::CancelToken>,
-) -> Result<(StaticReport, PhaseTimings), crate::cancel::Cancelled> {
-    let sink = TimingSink::default();
-    let t0 = Instant::now();
-    let report = analyze_module_inner(m, opts, pool, Some(&sink), db, token)?;
-    let timings = sink.into_timings(t0.elapsed());
-    Ok((report, timings))
-}
-
-/// [`AnalysisSession::check_module`](crate::session::AnalysisSession::check_module)
-/// as a free function over an explicit [`crate::query::QueryDb`]: the
-/// red-green reconciliation pass runs first, then the pw, CFG and
-/// module-table queries are served from cache wherever the fingerprints
-/// are green. The report is byte-identical to a cold run — only
-/// span-free facts are cached, and the db's span-rebase hook keeps
-/// cached divergences aligned with the document (the edit-soak property
-/// test pins this).
-pub fn analyze_module_db(
-    m: &Module,
-    opts: &AnalysisOptions,
-    pool: &parcoach_pool::Pool,
-    db: &mut crate::query::QueryDb,
-) -> (StaticReport, PhaseTimings) {
-    analyze_timed_impl(m, opts, pool, Some(db), None).expect("no token, cannot cancel")
-}
-
 /// The three per-function phases' output for one function, produced on a
 /// pool worker and merged into the report in function order. `Default`
 /// is the empty analysis — what an entry-unreachable function gets.
@@ -183,26 +149,14 @@ fn analyze_function(
     cx: &AnalysisCx,
     fidx: usize,
     opts: &AnalysisOptions,
-    sink: Option<&TimingSink>,
+    sink: &TimingSink,
 ) -> FuncAnalysis {
-    let mut out = FuncAnalysis {
-        warnings: Vec::new(),
-        suspects: Vec::new(),
-        monothread_checks: Vec::new(),
-        concurrency_sites: Vec::new(),
-        needs_cc: false,
-        tainted: Vec::new(),
-        required_level: None,
-        pdf_candidates: 0,
-        pdf_confirmed: 0,
-    };
+    let mut out = FuncAnalysis::default();
 
     // Phase 1 — monothread contexts.
     let t = Instant::now();
     let mono = check_monothread(cx, fidx);
-    if let Some(s) = sink {
-        TimingSink::add(&s.mono, t);
-    }
+    TimingSink::add(&sink.mono, t);
     out.required_level = mono.required_level;
     out.suspects.extend(mono.suspects.iter().copied());
     out.monothread_checks.extend(mono.suspects.iter().copied());
@@ -212,9 +166,7 @@ fn analyze_function(
     // Phase 2 — sequential order of collectives (per communicator).
     let t = Instant::now();
     let conc = check_concurrency(cx, fidx);
-    if let Some(s) = sink {
-        TimingSink::add(&s.concurrency, t);
-    }
+    TimingSink::add(&sink.concurrency, t);
     out.suspects.extend(conc.suspects.iter().copied());
     out.concurrency_sites
         .extend(conc.sites.iter().map(|(region, site)| (region.0, *site)));
@@ -233,9 +185,7 @@ fn analyze_function(
             refine: opts.refine_matching,
         },
     );
-    if let Some(s) = sink {
-        TimingSink::add(&s.matching, t);
-    }
+    TimingSink::add(&sink.matching, t);
     out.suspects.extend(mat.suspects.iter().copied());
     out.needs_cc |= !mat.suspects.is_empty();
     out.tainted = mat.tainted_callees;
@@ -246,9 +196,9 @@ fn analyze_function(
 }
 
 /// Observe a cancellation request, if a token is installed. Called at
-/// phase boundaries: a cancelled check may leave freshly computed facts
-/// in the db (they are fingerprint-keyed and remain valid — the next
-/// check simply starts warmer).
+/// phase boundaries: a cancelled check leaves what it already computed
+/// in the table (derived from the reconciled IR, so it remains valid —
+/// the next check simply starts warmer).
 fn checkpoint(token: Option<&crate::cancel::CancelToken>) -> Result<(), crate::cancel::Cancelled> {
     match token {
         Some(t) if t.is_cancelled() => Err(crate::cancel::Cancelled),
@@ -256,35 +206,35 @@ fn checkpoint(token: Option<&crate::cancel::CancelToken>) -> Result<(), crate::c
     }
 }
 
-fn analyze_module_inner(
+/// The static phase, once: the analysis of `m` over the table `db` —
+/// created empty for a one-shot check, kept by a resident document —
+/// with a per-phase breakdown and optional cooperative cancellation at
+/// phase boundaries. [`crate::session::AnalysisSession`] is the public
+/// surface.
+pub(crate) fn analyze_module(
     m: &Module,
     opts: &AnalysisOptions,
     pool: &parcoach_pool::Pool,
-    sink: Option<&TimingSink>,
-    mut db: Option<&mut crate::query::QueryDb>,
+    db: &mut crate::query::QueryDb,
     token: Option<&crate::cancel::CancelToken>,
-) -> Result<StaticReport, crate::cancel::Cancelled> {
+) -> Result<(StaticReport, PhaseTimings), crate::cancel::Cancelled> {
+    let sink = TimingSink::default();
+    let t0 = Instant::now();
     let mut report = StaticReport::default();
     checkpoint(token)?;
 
-    // Red-green pass: bring the memo store's fingerprints up to date so
-    // the context and fact queries below only miss on real changes.
-    if let Some(db) = db.as_deref_mut() {
-        db.reconcile_module(m);
-    }
+    // Red-green pass: drop what the edits since the last check changed,
+    // so the lookups below only miss on real changes.
+    db.reconcile(m);
 
     // Interprocedural contexts, then the shared fact store.
     let t = Instant::now();
-    let ctxs = crate::context::compute_contexts_db(m, opts.entry_context, pool, db.as_deref_mut());
-    if let Some(s) = sink {
-        TimingSink::add(&s.contexts, t);
-    }
+    let ctxs = crate::context::compute_contexts(m, opts.entry_context, pool, db);
+    TimingSink::add(&sink.contexts, t);
     checkpoint(token)?;
     let t = Instant::now();
-    let cx = AnalysisCx::from_contexts_db(m, ctxs, pool, db.as_deref_mut());
-    if let Some(s) = sink {
-        TimingSink::add(&s.facts, t);
-    }
+    let cx = AnalysisCx::from_contexts(m, ctxs, pool, db);
+    TimingSink::add(&sink.facts, t);
     checkpoint(token)?;
 
     // Interprocedural phase-1 findings: collective-bearing functions
@@ -314,7 +264,7 @@ fn analyze_module_inner(
     let idxs: Vec<usize> = (0..m.funcs.len()).collect();
     let per_func = pool.par_map(&idxs, |&i| {
         if cx.is_reachable(i) {
-            analyze_function(&cx, i, opts, sink)
+            analyze_function(&cx, i, opts, &sink)
         } else {
             FuncAnalysis::default()
         }
@@ -389,29 +339,21 @@ fn analyze_module_inner(
     // warning order is identical at any pool width. The request
     // resolution (already in the fact store) feeds the matcher (deferred
     // completion of non-blocking receives) and the life-cycle pass.
-    // On a session with a store, the span-free matching core is served
-    // wholesale from the store when no function's p2p inputs (sites,
-    // waits, comm/request tables, reachability, finalize placement)
-    // changed; warning spans are re-read from the live IR either way.
+    // The span-free matching core is served wholesale from the table
+    // when no function's p2p inputs (sites, waits, comm/request tables,
+    // finalize placement) changed and reachability is what it was
+    // matched under; warning spans are read from the live IR either way.
     let t = Instant::now();
-    let p2p = match db {
-        Some(db) => {
-            let key = db.module_p2p_key(m, &cx.reachable);
-            match db.p2p_core(key) {
-                Some(core) => crate::p2p::materialize_p2p(&core, m),
-                None => {
-                    let core = std::sync::Arc::new(crate::p2p::p2p_core(&cx));
-                    let out = crate::p2p::materialize_p2p(&core, m);
-                    db.insert_p2p_core(key, core);
-                    out
-                }
-            }
+    let core = match db.p2p.get_if(|(reachable, _)| *reachable == cx.reachable) {
+        Some((_, core)) => core.clone(),
+        None => {
+            let core = std::sync::Arc::new(crate::p2p::p2p_core(&cx));
+            db.p2p.put((cx.reachable.clone(), core.clone()));
+            core
         }
-        None => crate::p2p::check_p2p(&cx),
     };
-    if let Some(s) = sink {
-        TimingSink::add(&s.p2p, t);
-    }
+    let p2p = crate::p2p::materialize_p2p(&core, m);
+    TimingSink::add(&sink.p2p, t);
     report.warnings.extend(p2p.warnings);
     report.plan.p2p_epoch_functions = p2p.epoch_functions;
     checkpoint(token)?;
@@ -422,9 +364,7 @@ fn analyze_module_inner(
     if opts.check_requests {
         let t = Instant::now();
         let req = crate::request::check_requests(&cx);
-        if let Some(s) = sink {
-            TimingSink::add(&s.requests, t);
-        }
+        TimingSink::add(&sink.requests, t);
         if !req.warnings.is_empty() && report.plan.p2p_epoch_functions.is_empty() {
             report.plan.p2p_epoch_functions = crate::p2p::finalize_functions(m);
         }
@@ -467,7 +407,7 @@ fn analyze_module_inner(
         .monothread_checks
         .sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     report.plan.monothread_checks.dedup();
-    Ok(report)
+    Ok((report, sink.into_timings(t0.elapsed())))
 }
 
 /// Make concurrency site ids unique across functions.
@@ -752,7 +692,7 @@ mod tests {
         let unit = parse_and_check("t.mh", "fn main() { if (rank() == 0) { MPI_Barrier(); } }")
             .expect("valid");
         let m = lower_program(&unit.program, &unit.signatures);
-        let mut s = AnalysisSession::builder().incremental(true).build();
+        let mut s = AnalysisSession::builder().build();
         let cancelled = crate::cancel::CancelToken::new();
         cancelled.cancel();
         assert!(s.check_module_cancellable(&m, &cancelled).is_err());

@@ -28,7 +28,6 @@
 use crate::intern::{WordDag, WordNode};
 use crate::lang::ContextClass;
 use crate::word::{SKind, Token, Word};
-use parcoach_front::span::Span;
 use parcoach_ir::func::FuncIr;
 use parcoach_ir::instr::{Directive, Terminator};
 use parcoach_ir::types::{BlockId, RegionId};
@@ -63,8 +62,6 @@ pub struct Divergence {
     pub left: Word,
     /// Second word.
     pub right: Word,
-    /// Representative span (the join block's span).
-    pub span: Span,
 }
 
 /// Result of the propagation over one function.
@@ -76,7 +73,8 @@ pub struct PwResult {
     /// counts at and after these blocks are iteration-dependent.
     pub phase_merged: Vec<bool>,
     /// Structural divergences (candidate deadlocks), with materialized
-    /// words (they flow into report messages and span rebasing).
+    /// words (they flow into report messages). Span-free: the warning
+    /// is placed at the join block's span, read from the live IR.
     pub divergences: Vec<Divergence>,
     /// The hash-consed words of this function × context.
     pub dag: WordDag,
@@ -209,7 +207,6 @@ pub fn compute_pw(f: &FuncIr, init: InitialContext) -> PwResult {
                                 block: succ,
                                 left: dag.materialize(l),
                                 right: dag.materialize(r),
-                                span: f.block(succ).span,
                             });
                         }
                     }

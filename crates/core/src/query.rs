@@ -1,59 +1,65 @@
-//! Content-hash-keyed memoized queries for incremental re-analysis.
+//! The one memo table of the static phase.
 //!
-//! `parcoachd` holds one [`QueryDb`] per open document and re-runs the
-//! whole static pipeline after every edit. The pipeline stays
-//! byte-identical to a cold run because only **span-free** derived facts
-//! are served from the cache:
+//! Every check runs the same pipeline against a [`QueryDb`]. A one-shot
+//! check (`parcoachc check`, [`AnalysisSession::check_module`]) hands it
+//! a table created empty and dropped at return; a resident document
+//! (`parcoachd`'s `Document`) keeps its table across edits, so a re-check
+//! re-derives only what an edit changed. There is no second path and
+//! nothing to switch on: cold is warm with nothing stored yet.
 //!
-//! * the parallelism-word result per `(function, initial context)` —
-//!   the costliest part of the interprocedural fixpoint
-//!   ([`crate::context`]). Its only spans live in
-//!   [`Divergence`](crate::pw::Divergence)s, which [`QueryDb::shift`]
-//!   rebases when an edit moves the function within the document;
-//! * the CFG facts per function ([`CfgFacts`]: dominator/post-dominator
-//!   trees, frontiers, natural loops) — pure block-graph structure with
-//!   no spans at all;
-//! * the **module-wide** tables — communicator classes
-//!   ([`ModuleComms`]), request classes ([`ModuleRequests`]) and the
-//!   p2p matching core ([`P2pCore`]) — each keyed by a hash of every
-//!   function's projection of that family's inputs (`SubFps`), so an
-//!   edit touching no communicator/request/p2p instruction anywhere
-//!   reuses the whole table. The p2p core stores warning *locators*
-//!   (function/block/instruction indices), never spans; the pipeline
-//!   re-reads spans from the live IR when materializing warnings.
+//! ## What is stored
 //!
-//! Everything span-bearing (block→event maps, warning assembly, the
-//! interning merge) is re-derived from the span-correct IR on every
-//! check; it is cheap compared to the cached queries.
+//! Every memoized value sits in a [`Slot`] — value plus hit/miss
+//! counters, `get` / `put` / `clear`:
 //!
-//! ## Keys and the red-green pass
+//! * per function: the parallelism words under each of the three
+//!   [`InitialContext`](crate::pw::InitialContext)s (the costliest part
+//!   of the context fixpoint), the CFG facts ([`CfgFacts`], re-keyed by
+//!   whether frontiers were materialized) and the call-graph summary
+//!   ([`CallSummary`]);
+//! * per module: the communicator classes ([`ModuleComms`]), the request
+//!   classes ([`ModuleRequests`]) and the p2p matching core
+//!   ([`P2pCore`], stored beside the reachability vector it was matched
+//!   under).
 //!
-//! Each function's cache entries are keyed by a 128-bit **span-insensitive
-//! structural fingerprint** of its IR ([`fingerprint`]): every semantic
-//! field is hashed, every `Span` is skipped. An edit that only moves a
-//! function (whitespace above it) keeps its fingerprint, so its facts
-//! stay *green* and are reused; an edit that changes its structure turns
-//! the entry *red* and the next check re-derives its facts. The session
-//! marks edited functions dirty ([`QueryDb::mark_dirty`]); the
-//! reconciliation pass ([`QueryDb::reconcile_module`]) re-fingerprints
-//! exactly the dirty set and compares against the stored hash — a
-//! reverted or no-op edit turns green again without recomputation
-//! (red-green invalidation). Module-level inputs the cached queries read
-//! (the callee context lattice, event presence) are part of the key
-//! instead: pw is keyed by [`InitialContext`], CFG facts by whether the
-//! frontier set was materialized.
+//! [`QueryStats`] is a view summed from the slots.
+//!
+//! ## Span-free by construction
+//!
+//! No stored value contains a `Span`. Positions are block ids or
+//! [`Locator`]s, and whoever builds a warning reads the span from the
+//! live IR ([`span_at`]). An edit that moves code without changing its
+//! structure — whitespace above a function *or inside it* — therefore
+//! needs no rebasing: the table never knew where anything was.
+//!
+//! ## Keys on demand
+//!
+//! The table belongs to one module lineage whose only editor (the
+//! document) reports every edit through [`QueryDb::mark_dirty`], so a
+//! clean entry is trusted without hashing anything. A function's key —
+//! its span-insensitive structural [`fingerprint`] plus its projection
+//! onto each module table's inputs — is computed only once the function
+//! is marked dirty, from the IR the stored values were derived from;
+//! [`QueryDb::reconcile`] re-derives it from the new IR and either
+//! *greens* the entry (structure unchanged: a whitespace, reverted or
+//! no-op edit keeps every fact) or *invalidates* it, and drops a module
+//! table iff a dirty function's projection for that family changed. A
+//! table with nothing stored has nothing to compare against and computes
+//! no key at all — which is why the one-shot path costs what it did
+//! before it had a table.
+//!
+//! [`AnalysisSession::check_module`]: crate::session::AnalysisSession::check_module
 
 use crate::comm::ModuleComms;
 use crate::facts::CfgFacts;
 use crate::p2p::P2pCore;
-use crate::pw::{InitialContext, PwResult};
+use crate::pw::PwResult;
 use crate::request::ModuleRequests;
 use parcoach_front::ast::Type;
 use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiIr, Terminator};
 use parcoach_ir::types::BlockId;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -317,18 +323,30 @@ fn hash_terminator(h: &mut Fnv128, t: &Terminator) {
     }
 }
 
-/// Per-function projections of the **module-level** fact inputs: what
-/// one function contributes to the communicator tables, the request
-/// tables and the p2p matcher. Hashed together in module order they key
-/// the module-wide caches ([`QueryDb::module_comm_key`] and friends), so
-/// an edit that touches none of a family's inputs anywhere in the module
-/// reuses that family's table wholesale.
+/// A span-free program point: `(function index, block, instruction
+/// index)`. Stored values name positions this way; [`span_at`] turns one
+/// into the live instruction's span when a warning is built.
+pub type Locator = (usize, BlockId, usize);
+
+/// The span the instruction at `loc` has *now*.
+pub fn span_at(m: &Module, (fi, b, ii): Locator) -> Span {
+    m.funcs[fi].blocks[b.index()].instrs[ii]
+        .span()
+        .unwrap_or(Span::DUMMY)
+}
+
+/// What [`QueryDb::reconcile`] compares for an edited function: the
+/// structural fingerprint that keys its own slots, and its projection
+/// onto each module table's inputs — so an edit touching none of a
+/// family's inputs leaves that family's table in place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SubFps {
+struct FuncKey {
+    fp: Fingerprint,
     /// Inputs of the communicator resolution: `0` when the function has
     /// no `comm`-typed register (the resolver's fast path), else a
     /// span-insensitive hash of the signature, the register types and
-    /// every instruction defining a `comm`-typed register.
+    /// every instruction defining a `comm`-typed register, with its
+    /// position (class definitions are keyed by [`Locator`]).
     comm: u128,
     /// Same projection for `request`-typed registers.
     req: u128,
@@ -338,6 +356,42 @@ struct SubFps {
     /// when it only contains `MPI_Finalize` (the epoch census walks all
     /// functions for finalize presence), else `0`.
     p2p: u128,
+}
+
+impl FuncKey {
+    fn of(f: &FuncIr) -> FuncKey {
+        let fp = fingerprint(f);
+        let mpi_ops = f
+            .blocks
+            .iter()
+            .flat_map(|b| &b.instrs)
+            .filter_map(|i| match i {
+                Instr::Mpi { op, .. } => Some(op),
+                _ => None,
+            });
+        let mut p2p = 0;
+        for op in mpi_ops {
+            match op {
+                MpiIr::Send { .. }
+                | MpiIr::Recv { .. }
+                | MpiIr::Isend { .. }
+                | MpiIr::Irecv { .. }
+                | MpiIr::Wait { .. }
+                | MpiIr::Waitall { .. } => {
+                    p2p = fp.0;
+                    break;
+                }
+                MpiIr::Finalize => p2p = 1,
+                _ => {}
+            }
+        }
+        FuncKey {
+            fp,
+            comm: typed_def_fp(f, Type::Comm),
+            req: typed_def_fp(f, Type::Request),
+            p2p,
+        }
+    }
 }
 
 /// Span-insensitive hash of everything the per-register lattice
@@ -351,48 +405,16 @@ fn typed_def_fp(f: &FuncIr, ty: Type) -> u128 {
     let _ = write!(h, "{:?}|{:?}", f.params, f.reg_types);
     for b in &f.blocks {
         h.tag(0xB1);
-        for i in &b.instrs {
+        for (ii, i) in b.instrs.iter().enumerate() {
             if i.dest()
                 .is_some_and(|d| f.reg_types.get(d.index()) == Some(&ty))
             {
+                h.u32(ii as u32);
                 hash_instr(&mut h, i);
             }
         }
     }
     h.0
-}
-
-fn compute_sub_fps(f: &FuncIr, full: Option<Fingerprint>) -> SubFps {
-    let mut has_p2p = false;
-    let mut has_finalize = false;
-    for b in &f.blocks {
-        for i in &b.instrs {
-            if let Instr::Mpi { op, .. } = i {
-                match op {
-                    MpiIr::Send { .. }
-                    | MpiIr::Recv { .. }
-                    | MpiIr::Isend { .. }
-                    | MpiIr::Irecv { .. }
-                    | MpiIr::Wait { .. }
-                    | MpiIr::Waitall { .. } => has_p2p = true,
-                    MpiIr::Finalize => has_finalize = true,
-                    _ => {}
-                }
-            }
-        }
-    }
-    let p2p = if has_p2p {
-        full.unwrap_or_else(|| fingerprint(f)).0
-    } else if has_finalize {
-        1
-    } else {
-        0
-    };
-    SubFps {
-        comm: typed_def_fp(f, Type::Comm),
-        req: typed_def_fp(f, Type::Request),
-        p2p,
-    }
 }
 
 /// One function's call-graph contribution, derived from its IR alone —
@@ -411,10 +433,10 @@ pub struct CallSummary {
     /// with no MPI and no collective-bearing callees cannot produce
     /// events, so its blocks are never walked on a warm re-check.
     pub has_mpi: bool,
-    /// Every call site as `(block, callee, span)`, in block order then
-    /// instruction order. Spans feed multithreaded-call warnings, so
-    /// [`QueryDb::shift`] rebases them like pw divergences.
-    pub call_sites: Vec<(BlockId, String, Span)>,
+    /// Every call site as `(block, instruction index, callee)`, in block
+    /// order then instruction order. A multithreaded-call warning reads
+    /// the call's span from the live instruction.
+    pub call_sites: Vec<(BlockId, usize, String)>,
 }
 
 /// Compute one function's [`CallSummary`] from its IR (one walk).
@@ -423,13 +445,13 @@ pub fn call_summary(f: &FuncIr) -> CallSummary {
     let mut has_mpi = false;
     let mut call_sites = Vec::new();
     for (bid, b) in f.iter_blocks() {
-        for i in &b.instrs {
+        for (ii, i) in b.instrs.iter().enumerate() {
             match i {
                 Instr::Mpi { op, .. } => {
                     has_mpi = true;
                     own_bearing |= op.collective_kind().is_some() || op.comm_mgmt().is_some();
                 }
-                Instr::Call { func, span, .. } => call_sites.push((bid, func.clone(), *span)),
+                Instr::Call { func, .. } => call_sites.push((bid, ii, func.clone())),
                 _ => {}
             }
         }
@@ -442,349 +464,271 @@ pub fn call_summary(f: &FuncIr) -> CallSummary {
 }
 
 /// Hit/miss counters, surfaced through the daemon's `timings` verb and
-/// asserted on by the incrementality tests.
+/// asserted on by the incrementality tests. A view: [`QueryDb::stats`]
+/// sums it from the slots.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Parallelism-word results served from cache.
+    /// Parallelism-word results served from the table.
     pub pw_hits: u64,
     /// Parallelism-word results recomputed.
     pub pw_misses: u64,
-    /// CFG facts served from cache.
+    /// CFG facts served from the table.
     pub cfg_hits: u64,
     /// CFG facts recomputed.
     pub cfg_misses: u64,
-    /// Red entries whose recomputed fingerprint still matched (edit was
-    /// structurally a no-op — the red-green short-circuit).
+    /// Dirty entries whose recomputed fingerprint still matched (the
+    /// edit was structurally a no-op — the red-green short-circuit).
     pub greened: u64,
-    /// Red entries whose facts were actually dropped.
+    /// Dirty entries whose facts were actually dropped.
     pub invalidated: u64,
-    /// Module-wide communicator tables served from cache.
+    /// Module-wide communicator tables served from the table.
     pub comm_hits: u64,
     /// Module-wide communicator tables recomputed.
     pub comm_misses: u64,
-    /// Module-wide request tables served from cache.
+    /// Module-wide request tables served from the table.
     pub req_hits: u64,
     /// Module-wide request tables recomputed.
     pub req_misses: u64,
-    /// Module-wide p2p matching results served from cache.
+    /// Module-wide p2p matching results served from the table.
     pub p2p_hits: u64,
     /// Module-wide p2p matching results recomputed.
     pub p2p_misses: u64,
 }
 
-/// One function's memoized facts.
-#[derive(Debug, Default)]
-struct FuncEntry {
-    fp: Option<Fingerprint>,
-    /// Set by [`QueryDb::mark_dirty`]; cleared by reconciliation.
-    dirty: bool,
-    /// Lazily-filled module-fact projections (see `SubFps`); dropped
-    /// whenever the structural fingerprint changes.
-    sub: Option<SubFps>,
-    /// Cached pw per [`InitialContext`] (index = lattice position).
-    pw: [Option<Arc<PwResult>>; 3],
-    /// Cached CFG facts; the flag records whether the frontier set was
-    /// materialized (an event-presence change re-keys the entry).
-    cfg: Option<(bool, Arc<CfgFacts>)>,
-    /// Cached call-graph summary (see [`CallSummary`]).
-    summary: Option<Arc<CallSummary>>,
+/// One memoized value with its hit/miss counters. `get` and `put` are
+/// separate calls because the per-function misses are batched through
+/// the pool before they are stored.
+#[derive(Debug)]
+pub struct Slot<V> {
+    value: Option<V>,
+    hits: u64,
+    misses: u64,
 }
 
-/// The per-document memo store. See the module docs for the caching
-/// contract; the pipeline consults it through
-/// [`analyze_module_db`](crate::pipeline::analyze_module_db).
-#[derive(Debug, Default)]
-pub struct QueryDb {
-    funcs: HashMap<String, FuncEntry>,
-    /// The last module-wide communicator tables, keyed by
-    /// [`QueryDb::module_comm_key`].
-    comms: Option<(u128, Arc<ModuleComms>)>,
-    /// The last module-wide request tables, keyed by
-    /// [`QueryDb::module_req_key`].
-    reqs: Option<(u128, Arc<ModuleRequests>)>,
-    /// The last span-free p2p matching core, keyed by
-    /// [`QueryDb::module_p2p_key`].
-    p2p: Option<(u128, Arc<P2pCore>)>,
-    /// Running hit/miss counters.
-    pub stats: QueryStats,
-}
-
-fn ctx_index(ctx: InitialContext) -> usize {
-    match ctx {
-        InitialContext::Sequential => 0,
-        InitialContext::ParallelSingle => 1,
-        InitialContext::Parallel => 2,
+impl<V> Default for Slot<V> {
+    fn default() -> Self {
+        Slot {
+            value: None,
+            hits: 0,
+            misses: 0,
+        }
     }
 }
 
+impl<V> Slot<V> {
+    /// The stored value, if there is one and it was stored under the
+    /// condition `ok` checks (the part of a key that is cheaper to keep
+    /// beside the value than to hash). Counts a hit or a miss.
+    pub fn get_if(&mut self, ok: impl FnOnce(&V) -> bool) -> Option<&V> {
+        let hit = self.value.as_ref().filter(|v| ok(v));
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        hit
+    }
+
+    /// The stored value, if any. Counts a hit or a miss.
+    pub fn get(&mut self) -> Option<&V> {
+        self.get_if(|_| true)
+    }
+
+    /// Store a freshly computed value.
+    pub fn put(&mut self, v: V) {
+        self.value = Some(v);
+    }
+
+    /// [`Slot::get`], computing and storing the value on a miss.
+    pub fn get_or_put(&mut self, compute: impl FnOnce() -> V) -> &V {
+        if self.get().is_none() {
+            self.put(compute());
+        }
+        self.value.as_ref().expect("just stored")
+    }
+
+    /// Drop the value; the counters keep running.
+    pub fn clear(&mut self) {
+        self.value = None;
+    }
+}
+
+/// One function's slots and the bookkeeping that guards them.
+#[derive(Debug, Default)]
+pub(crate) struct FuncSlots {
+    /// The function this entry describes — what ties the table to one
+    /// module shape.
+    name: String,
+    /// The key of the IR the stored values were derived from; present
+    /// once the function has been marked dirty (see the module docs).
+    key: Option<FuncKey>,
+    /// Set by [`QueryDb::mark_dirty`]; cleared by reconciliation.
+    dirty: bool,
+    /// Parallelism words per [`InitialContext`](crate::pw::InitialContext)
+    /// (index = lattice position, `ctx as usize`).
+    pub(crate) pw: [Slot<Arc<PwResult>>; 3],
+    /// CFG facts beside the frontier choice they were computed under
+    /// (an event-presence change re-keys the slot).
+    pub(crate) cfg: Slot<(bool, Arc<CfgFacts>)>,
+    /// Call-graph summary (see [`CallSummary`]).
+    pub(crate) summary: Slot<Arc<CallSummary>>,
+}
+
+/// The memo table. See the module docs for the contract; the pipeline
+/// consults it through
+/// [`AnalysisSession::check_module_in`](crate::session::AnalysisSession::check_module_in).
+#[derive(Debug, Default)]
+pub struct QueryDb {
+    /// One entry per function, indexed like `Module::funcs`.
+    funcs: Vec<FuncSlots>,
+    /// The module-wide communicator tables.
+    pub(crate) comms: Slot<Arc<ModuleComms>>,
+    /// The module-wide request tables.
+    pub(crate) reqs: Slot<Arc<ModuleRequests>>,
+    /// The span-free p2p matching core, beside the entry-reachability
+    /// vector it was matched under (a call-graph edit anywhere can
+    /// silence or unmask sites without touching any p2p instruction).
+    pub(crate) p2p: Slot<(Vec<bool>, Arc<P2pCore>)>,
+    /// `greened` / `invalidated`, plus the counters of slots that no
+    /// longer exist ([`QueryDb::clear`]).
+    base: QueryStats,
+}
+
 impl QueryDb {
-    /// An empty store (everything misses once).
+    /// An empty table (everything misses once).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Mark one function's facts as possibly stale. Called by the
-    /// session for every edited function; reconciliation decides whether
-    /// the facts actually die (red) or survive (green).
-    pub fn mark_dirty(&mut self, name: &str) {
-        self.funcs.entry(name.to_string()).or_default().dirty = true;
+    /// The slots of function `fi`. The table must have been reconciled
+    /// against the module `fi` indexes.
+    pub(crate) fn func(&mut self, fi: usize) -> &mut FuncSlots {
+        &mut self.funcs[fi]
     }
 
-    /// Rebase the spans inside `name`'s cached facts by `delta` bytes —
-    /// an edit to an *earlier* function moved this one within the
-    /// document. Only pw divergences carry spans; CFG facts are
-    /// span-free.
-    pub fn shift(&mut self, name: &str, delta: i64) {
-        if delta == 0 {
-            return;
-        }
-        let Some(entry) = self.funcs.get_mut(name) else {
+    /// Function `fi` is about to be replaced; `old` is the IR the stored
+    /// values were derived from. Its key is computed now unless an
+    /// earlier edit already did (two edits between checks must compare
+    /// against the IR the tables were built from, not the one in
+    /// between). A table that stores nothing for `old` ignores the call.
+    pub fn mark_dirty(&mut self, fi: usize, old: &FuncIr) {
+        let Some(e) = self.funcs.get_mut(fi).filter(|e| e.name == old.name) else {
             return;
         };
-        for slot in entry.pw.iter_mut().flatten() {
-            if slot.divergences.is_empty() {
-                continue;
-            }
-            let pw = Arc::make_mut(slot);
-            for d in &mut pw.divergences {
-                d.span = shift_span(d.span, delta);
-            }
-        }
-        if let Some(s) = entry.summary.as_mut() {
-            if !s.call_sites.is_empty() {
-                let s = Arc::make_mut(s);
-                for (_, _, span) in &mut s.call_sites {
-                    *span = shift_span(*span, delta);
-                }
-            }
-        }
+        e.key.get_or_insert_with(|| FuncKey::of(old));
+        e.dirty = true;
     }
 
-    /// The red-green pass: bring every function's stored fingerprint up
-    /// to date and drop the facts of functions whose structure changed.
+    /// The red-green pass, run before any lookup against `m`: re-key
+    /// exactly the dirty functions and drop what their edits changed.
     ///
-    /// Clean entries are a hash lookup; dirty entries are
-    /// re-fingerprinted and either *greened* (hash unchanged — keep the
-    /// facts) or *invalidated* (drop them). Functions deleted from the
-    /// module lose their entries. Must run before any `pw`/`cfg` lookup
-    /// against `m` — [`analyze_module_db`](crate::pipeline::analyze_module_db)
-    /// does this.
-    pub fn reconcile_module(&mut self, m: &Module) {
-        self.funcs.retain(|name, _| m.by_name.contains_key(name));
-        for f in &m.funcs {
-            let entry = self.funcs.entry(f.name.clone()).or_default();
-            if entry.fp.is_some() && !entry.dirty {
+    /// A dirty entry is either *greened* (fingerprint unchanged — keep
+    /// its facts) or *invalidated* (drop them); a module table goes iff
+    /// some dirty function's projection for that family changed, the p2p
+    /// core also when a table it was matched against went. Clean entries
+    /// cost nothing. A table that belongs to another module shape —
+    /// first use included — starts over with one entry per function.
+    pub fn reconcile(&mut self, m: &Module) {
+        let stored = self.funcs.iter().map(|e| &e.name);
+        if !stored.eq(m.funcs.iter().map(|f| &f.name)) {
+            self.clear();
+            self.funcs = m
+                .funcs
+                .iter()
+                .map(|f| FuncSlots {
+                    name: f.name.clone(),
+                    ..FuncSlots::default()
+                })
+                .collect();
+            return;
+        }
+        for (e, f) in self.funcs.iter_mut().zip(&m.funcs) {
+            if !std::mem::take(&mut e.dirty) {
                 continue;
             }
-            let fp = fingerprint(f);
-            if entry.fp == Some(fp) {
-                self.stats.greened += 1;
+            let old = e.key.expect("mark_dirty stored the key");
+            let new = FuncKey::of(f);
+            if new.fp == old.fp {
+                self.base.greened += 1;
             } else {
-                if entry.fp.is_some() {
-                    self.stats.invalidated += 1;
-                }
-                entry.pw = [None, None, None];
-                entry.cfg = None;
-                entry.summary = None;
-                entry.sub = None;
-                entry.fp = Some(fp);
+                self.base.invalidated += 1;
+                e.pw.iter_mut().for_each(Slot::clear);
+                e.cfg.clear();
+                e.summary.clear();
             }
-            entry.dirty = false;
+            let (comm, req) = (new.comm != old.comm, new.req != old.req);
+            if comm {
+                self.comms.clear();
+            }
+            if req {
+                self.reqs.clear();
+            }
+            if comm || req || new.p2p != old.p2p {
+                self.p2p.clear();
+            }
+            e.key = Some(new);
         }
     }
 
-    /// Cached pw of `name` under `ctx`, if green.
-    pub fn pw(&mut self, name: &str, ctx: InitialContext) -> Option<Arc<PwResult>> {
-        let hit = self
-            .funcs
-            .get(name)
-            .and_then(|e| e.pw[ctx_index(ctx)].clone());
-        match hit {
-            Some(pw) => {
-                self.stats.pw_hits += 1;
-                Some(pw)
+    /// Forget every stored value (the document was recompiled wholesale);
+    /// the counters keep running.
+    pub fn clear(&mut self) {
+        *self = QueryDb {
+            base: self.stats(),
+            ..QueryDb::default()
+        };
+    }
+
+    /// The hit/miss counters, summed from the slots.
+    pub fn stats(&self) -> QueryStats {
+        let mut s = self.base;
+        for e in &self.funcs {
+            for pw in &e.pw {
+                s.pw_hits += pw.hits;
+                s.pw_misses += pw.misses;
             }
-            None => {
-                self.stats.pw_misses += 1;
-                None
-            }
+            s.cfg_hits += e.cfg.hits;
+            s.cfg_misses += e.cfg.misses;
         }
-    }
-
-    /// Record a freshly computed pw for `name` under `ctx`.
-    pub fn insert_pw(&mut self, name: &str, ctx: InitialContext, pw: Arc<PwResult>) {
-        self.funcs.entry(name.to_string()).or_default().pw[ctx_index(ctx)] = Some(pw);
-    }
-
-    /// Cached CFG facts of `name`, if green and materialized with the
-    /// same frontier choice.
-    pub fn cfg(&mut self, name: &str, with_pdf: bool) -> Option<Arc<CfgFacts>> {
-        let hit = self.funcs.get(name).and_then(|e| match &e.cfg {
-            Some((p, cfg)) if *p == with_pdf => Some(cfg.clone()),
-            _ => None,
-        });
-        match hit {
-            Some(cfg) => {
-                self.stats.cfg_hits += 1;
-                Some(cfg)
-            }
-            None => {
-                self.stats.cfg_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Record freshly computed CFG facts for `name`.
-    pub fn insert_cfg(&mut self, name: &str, with_pdf: bool, cfg: Arc<CfgFacts>) {
-        self.funcs.entry(name.to_string()).or_default().cfg = Some((with_pdf, cfg));
-    }
-
-    /// Cached call-graph summary of `name`, if green.
-    pub fn summary(&self, name: &str) -> Option<Arc<CallSummary>> {
-        self.funcs.get(name).and_then(|e| e.summary.clone())
-    }
-
-    /// Record a freshly computed call summary for `name`.
-    pub fn insert_summary(&mut self, name: &str, s: Arc<CallSummary>) {
-        self.funcs.entry(name.to_string()).or_default().summary = Some(s);
-    }
-
-    /// `f`'s module-fact projections, computing and caching them on
-    /// first use after an invalidation.
-    fn sub_fps(&mut self, f: &FuncIr) -> SubFps {
-        let e = self.funcs.entry(f.name.clone()).or_default();
-        if let Some(s) = e.sub {
-            return s;
-        }
-        let s = compute_sub_fps(f, e.fp);
-        e.sub = Some(s);
+        s.comm_hits += self.comms.hits;
+        s.comm_misses += self.comms.misses;
+        s.req_hits += self.reqs.hits;
+        s.req_misses += self.reqs.misses;
+        s.p2p_hits += self.p2p.hits;
+        s.p2p_misses += self.p2p.misses;
         s
     }
-
-    fn module_key(&mut self, m: &Module, tag: u8, proj: impl Fn(SubFps) -> u128) -> u128 {
-        let mut h = Fnv128::new();
-        h.tag(tag);
-        for f in &m.funcs {
-            let sub = self.sub_fps(f);
-            h.bytes(f.name.as_bytes());
-            h.tag(0x00);
-            h.bytes(&proj(sub).to_le_bytes());
-        }
-        h.0
-    }
-
-    /// Cache key of the module-wide communicator tables: every
-    /// function's `(name, comm projection)` in module order, so the key
-    /// is green exactly when no function's communicator inputs changed.
-    pub fn module_comm_key(&mut self, m: &Module) -> u128 {
-        self.module_key(m, 0xC1, |s| s.comm)
-    }
-
-    /// Cache key of the module-wide request tables (see
-    /// [`QueryDb::module_comm_key`]).
-    pub fn module_req_key(&mut self, m: &Module) -> u128 {
-        self.module_key(m, 0xC2, |s| s.req)
-    }
-
-    /// Cache key of the module-wide p2p matching core. Covers everything
-    /// the matcher reads: the communicator and request tables (their
-    /// keys), per-function p2p/finalize projections, and
-    /// entry-reachability (a call-graph edit anywhere can silence or
-    /// unmask sites without touching any p2p instruction).
-    pub fn module_p2p_key(&mut self, m: &Module, reachable: &[bool]) -> u128 {
-        let comm_key = self.module_comm_key(m);
-        let req_key = self.module_req_key(m);
-        let mut h = Fnv128::new();
-        h.tag(0xC3);
-        h.bytes(&comm_key.to_le_bytes());
-        h.bytes(&req_key.to_le_bytes());
-        for (f, r) in m.funcs.iter().zip(reachable) {
-            let sub = self.sub_fps(f);
-            h.bytes(f.name.as_bytes());
-            h.tag(u8::from(*r));
-            h.bytes(&sub.p2p.to_le_bytes());
-        }
-        h.0
-    }
-
-    /// The cached module-wide communicator tables, if keyed by `key`.
-    pub fn module_comms(&mut self, key: u128) -> Option<Arc<ModuleComms>> {
-        match &self.comms {
-            Some((k, t)) if *k == key => {
-                self.stats.comm_hits += 1;
-                Some(t.clone())
-            }
-            _ => {
-                self.stats.comm_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Record freshly computed communicator tables under `key`.
-    pub fn insert_module_comms(&mut self, key: u128, t: Arc<ModuleComms>) {
-        self.comms = Some((key, t));
-    }
-
-    /// The cached module-wide request tables, if keyed by `key`.
-    pub fn module_reqs(&mut self, key: u128) -> Option<Arc<ModuleRequests>> {
-        match &self.reqs {
-            Some((k, t)) if *k == key => {
-                self.stats.req_hits += 1;
-                Some(t.clone())
-            }
-            _ => {
-                self.stats.req_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Record freshly computed request tables under `key`.
-    pub fn insert_module_reqs(&mut self, key: u128, t: Arc<ModuleRequests>) {
-        self.reqs = Some((key, t));
-    }
-
-    /// The cached p2p matching core, if keyed by `key`.
-    pub fn p2p_core(&mut self, key: u128) -> Option<Arc<P2pCore>> {
-        match &self.p2p {
-            Some((k, c)) if *k == key => {
-                self.stats.p2p_hits += 1;
-                Some(c.clone())
-            }
-            _ => {
-                self.stats.p2p_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Record a freshly computed p2p matching core under `key`.
-    pub fn insert_p2p_core(&mut self, key: u128, c: Arc<P2pCore>) {
-        self.p2p = Some((key, c));
-    }
-}
-
-fn shift_span(span: parcoach_front::span::Span, delta: i64) -> parcoach_front::span::Span {
-    use parcoach_front::span::Span;
-    if span.is_dummy() {
-        return span;
-    }
-    let lo = span.lo as i64 + delta;
-    let hi = span.hi as i64 + delta;
-    Span::new(lo.max(0) as u32, hi.max(0) as u32)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pw::{compute_pw, InitialContext};
+    use crate::session::AnalysisSession;
     use parcoach_front::parse_and_check;
     use parcoach_ir::lower::lower_program;
 
     fn lower(src: &str) -> Module {
         let unit = parse_and_check("t.mh", src).expect("valid");
         lower_program(&unit.program, &unit.signatures)
+    }
+
+    fn check(m: &Module, db: &mut QueryDb) -> String {
+        let mut s = AnalysisSession::builder().build();
+        format!("{:?}", s.check_module_in(m, db, None).expect("no token"))
+    }
+
+    fn cold(m: &Module) -> String {
+        check(m, &mut QueryDb::new())
+    }
+
+    /// What the owner does just before replacing `name` in `old`.
+    fn mark(db: &mut QueryDb, old: &Module, name: &str) {
+        let fi = old.by_name[name];
+        db.mark_dirty(fi, &old.funcs[fi]);
+    }
+
+    fn main_pw<'a>(db: &'a mut QueryDb, m: &Module) -> &'a mut Slot<Arc<PwResult>> {
+        &mut db.func(m.by_name["main"]).pw[InitialContext::Sequential as usize]
     }
 
     #[test]
@@ -821,64 +765,163 @@ mod tests {
     fn red_green_keeps_facts_on_structural_noop() {
         let m = lower("fn main() { MPI_Barrier(); }");
         let mut db = QueryDb::new();
-        db.reconcile_module(&m);
-        db.insert_pw(
-            "main",
-            InitialContext::Sequential,
-            Arc::new(crate::pw::compute_pw(
-                &m.funcs[0],
-                InitialContext::Sequential,
-            )),
-        );
+        db.reconcile(&m);
+        let pw = Arc::new(compute_pw(&m.funcs[0], InitialContext::Sequential));
+        main_pw(&mut db, &m).put(pw);
         // A whitespace-style edit: same structure, different spans.
         let m2 = lower("   fn main() { MPI_Barrier(); }");
-        db.mark_dirty("main");
-        db.reconcile_module(&m2);
-        assert_eq!(db.stats.greened, 1);
-        assert!(db.pw("main", InitialContext::Sequential).is_some());
+        mark(&mut db, &m, "main");
+        db.reconcile(&m2);
+        assert_eq!(db.stats().greened, 1);
+        assert!(main_pw(&mut db, &m2).get().is_some());
         // A real edit kills the entry.
         let m3 = lower("fn main() { MPI_Barrier(); MPI_Barrier(); }");
-        db.mark_dirty("main");
-        db.reconcile_module(&m3);
-        assert_eq!(db.stats.invalidated, 1);
-        assert!(db.pw("main", InitialContext::Sequential).is_none());
+        mark(&mut db, &m2, "main");
+        db.reconcile(&m3);
+        assert_eq!(db.stats().invalidated, 1);
+        assert!(main_pw(&mut db, &m3).get().is_none());
     }
 
     #[test]
     fn reconcile_drops_deleted_functions() {
         let m = lower("fn gone() { let x = 1; } fn main() { gone(); }");
         let mut db = QueryDb::new();
-        db.reconcile_module(&m);
-        db.insert_pw(
-            "gone",
-            InitialContext::Sequential,
-            Arc::new(crate::pw::compute_pw(
-                &m.funcs[0],
-                InitialContext::Sequential,
-            )),
-        );
+        check(&m, &mut db);
+        let stored = db.stats();
+        // Another module shape: the table starts over (and keeps
+        // counting), so nothing derived from `gone` survives.
         let m2 = lower("fn main() { let x = 1; }");
-        db.reconcile_module(&m2);
-        assert!(db.pw("gone", InitialContext::Sequential).is_none());
+        db.reconcile(&m2);
+        assert_eq!(db.funcs.len(), 1);
+        assert!(main_pw(&mut db, &m2).get().is_none());
+        assert_eq!(db.stats().pw_misses, stored.pw_misses + 1);
+        assert_eq!(check(&m2, &mut db), cold(&m2));
     }
 
+    /// Two edits of one function between checks: the key stored by the
+    /// first `mark_dirty` — the IR the tables were built from — is what
+    /// reconciliation compares against, not the IR in between.
     #[test]
-    fn shift_rebases_divergence_spans() {
-        use parcoach_front::span::Span;
-        let m = lower("fn main() { parallel { if (thread_num() == 0) { barrier; } } }");
-        let mut pw = crate::pw::compute_pw(&m.funcs[0], InitialContext::Sequential);
-        assert!(!pw.divergences.is_empty(), "one-armed barrier diverges");
-        // Joins land on synthesized blocks (dummy spans); pin the rebase
-        // arithmetic on a real span and the dummy-preservation on the rest.
-        pw.divergences[0].span = Span::new(40, 47);
+    fn two_edits_between_checks_compare_against_the_checked_ir() {
+        let helper = |body: &str| {
+            lower(&format!(
+                "fn helper() {{ {body} }}\n\
+                 fn main() {{ MPI_Init(); helper(); let v = MPI_Recv(0, 3); MPI_Finalize(); }}"
+            ))
+        };
+        let checked = helper("MPI_Send(1, 0, 3);");
+        let between = helper("let x = 1;");
         let mut db = QueryDb::new();
-        db.reconcile_module(&m);
-        db.insert_pw("main", InitialContext::Sequential, Arc::new(pw));
-        db.shift("main", 7);
-        let shifted = db.pw("main", InitialContext::Sequential).unwrap();
-        assert_eq!(shifted.divergences[0].span, Span::new(47, 54));
-        for d in &shifted.divergences[1..] {
-            assert!(d.span.is_dummy() || d.span.lo >= 7);
+        check(&checked, &mut db);
+
+        // Away and back again: green, nothing recomputed.
+        mark(&mut db, &checked, "helper");
+        mark(&mut db, &between, "helper");
+        let before = db.stats();
+        assert_eq!(check(&checked, &mut db), cold(&checked));
+        let after = db.stats();
+        assert_eq!(after.greened, before.greened + 1);
+        assert_eq!(after.pw_misses, before.pw_misses);
+        assert_eq!(after.p2p_misses, before.p2p_misses);
+
+        // Away, then somewhere the p2p table must notice: comparing
+        // against `between` (no p2p either side) would keep the stale
+        // core and its unmatched-send verdict.
+        let last = helper("let y = 2;");
+        mark(&mut db, &checked, "helper");
+        mark(&mut db, &between, "helper");
+        assert_eq!(check(&last, &mut db), cold(&last));
+        assert_eq!(db.stats().p2p_misses, after.p2p_misses + 1);
+    }
+
+    /// A check cancelled right after the red-green pass leaves the table
+    /// reconciled but not refilled; the next check must not trust what
+    /// the cancelled one dropped.
+    #[test]
+    fn cancelled_after_reconcile_then_uncancelled_equals_cold() {
+        let with = |body: &str| {
+            lower(&format!(
+                "fn helper() {{ {body} }}\n\
+                 fn main() {{ MPI_Init(); if (rank() == 0) {{ helper(); }} MPI_Finalize(); }}"
+            ))
+        };
+        let m1 = with("let c = MPI_Comm_dup(MPI_COMM_WORLD); MPI_Barrier(c);");
+        let m2 = with("MPI_Send(1, 0, 9);");
+        let mut db = QueryDb::new();
+        check(&m1, &mut db);
+        mark(&mut db, &m1, "helper");
+        // What a check cancelled at its first phase boundary after the
+        // pass has done to the table:
+        db.reconcile(&m2);
+        assert_eq!(check(&m2, &mut db), cold(&m2));
+        assert_eq!(db.stats().invalidated, 1, "reconciled once, not twice");
+    }
+
+    /// The size bound, by construction: the table holds one entry per
+    /// function and three module slots, whatever the edit history, and
+    /// keeps no reference a finished check has not released.
+    #[test]
+    fn thousand_alternating_edits_keep_the_table_bounded() {
+        let with = |left: &str, right: &str| {
+            lower(&format!(
+                "fn left() {{ {left} }}\nfn right() {{ {right} }}\n\
+                 fn main() {{ MPI_Init(); left(); right(); let v = MPI_Recv(0, 1); MPI_Finalize(); }}"
+            ))
+        };
+        let bodies = ["MPI_Barrier();", "MPI_Send(1, 0, 1);"];
+        let census = |db: &QueryDb| {
+            let mut filled = 0usize;
+            let mut lone = |n: usize| {
+                filled += 1;
+                assert_eq!(n, 1, "a finished check left a reference behind");
+            };
+            for e in &db.funcs {
+                e.pw.iter()
+                    .filter_map(|s| s.value.as_ref())
+                    .for_each(|v| lone(Arc::strong_count(v)));
+                e.cfg
+                    .value
+                    .iter()
+                    .for_each(|(_, v)| lone(Arc::strong_count(v)));
+                e.summary
+                    .value
+                    .iter()
+                    .for_each(|v| lone(Arc::strong_count(v)));
+            }
+            db.comms
+                .value
+                .iter()
+                .for_each(|v| lone(Arc::strong_count(v)));
+            db.reqs
+                .value
+                .iter()
+                .for_each(|v| lone(Arc::strong_count(v)));
+            db.p2p
+                .value
+                .iter()
+                .for_each(|(_, v)| lone(Arc::strong_count(v)));
+            (db.funcs.len(), filled)
+        };
+        let mut db = QueryDb::new();
+        let mut cur = with(bodies[0], bodies[0]);
+        check(&cur, &mut db);
+        let first = census(&db);
+        let (mut l, mut r) = (0usize, 0usize);
+        for step in 0..1000 {
+            let name = if step % 2 == 0 { "left" } else { "right" };
+            if step % 2 == 0 {
+                l ^= 1;
+            } else {
+                r ^= 1;
+            }
+            let next = with(bodies[l], bodies[r]);
+            mark(&mut db, &cur, name);
+            let warm = check(&next, &mut db);
+            if step % 97 == 0 {
+                assert_eq!(warm, cold(&next), "step {step}");
+            }
+            cur = next;
+            assert_eq!(census(&db), first, "step {step}");
         }
     }
 }

@@ -25,6 +25,7 @@
 //!   transformed IR fails loudly instead of waiting on a null handle at
 //!   run time).
 
+use crate::query::Locator;
 use crate::report::{StaticWarning, WarningKind};
 use parcoach_front::ast::Type;
 use parcoach_front::span::Span;
@@ -53,10 +54,10 @@ impl ReqId {
 pub enum ReqDef {
     /// Unresolvable handle.
     Unknown,
-    /// One `MPI_Isend` call site (keyed by source span).
-    Isend(Span),
-    /// One `MPI_Irecv` call site (keyed by source span).
-    Irecv(Span),
+    /// One `MPI_Isend` call site.
+    Isend(Locator),
+    /// One `MPI_Irecv` call site.
+    Irecv(Locator),
 }
 
 /// The module-wide interned request table.
@@ -183,15 +184,15 @@ impl ModuleRequests {
 pub fn compute_requests(m: &Module) -> ModuleRequests {
     let mut table = ReqTable::new();
     let mut per_func = HashMap::new();
-    for f in &m.funcs {
-        per_func.insert(f.name.clone(), resolve_func(f, &mut table));
+    for (fidx, f) in m.funcs.iter().enumerate() {
+        per_func.insert(f.name.clone(), resolve_func(fidx, f, &mut table));
     }
     ModuleRequests { table, per_func }
 }
 
 /// Flow-insensitive per-register fixpoint over one function, mirroring
 /// [`crate::comm`]'s communicator resolution.
-fn resolve_func(f: &FuncIr, table: &mut ReqTable) -> FuncRequests {
+fn resolve_func(fidx: usize, f: &FuncIr, table: &mut ReqTable) -> FuncRequests {
     let n = f.reg_types.len();
     // Fast path: a function with no request-typed register can neither
     // post a request (Isend/Irecv define request-typed destinations)
@@ -228,15 +229,15 @@ fn resolve_func(f: &FuncIr, table: &mut ReqTable) -> FuncRequests {
                 false
             }
         };
-        for b in &f.blocks {
-            for i in &b.instrs {
+        for (bid, b) in f.iter_blocks() {
+            for (iidx, i) in b.instrs.iter().enumerate() {
                 match i {
                     Instr::Mpi {
                         dest: Some(d), op, ..
                     } => {
-                        let def = match (op, i.span()) {
-                            (MpiIr::Isend { .. }, Some(sp)) => Some(ReqDef::Isend(sp)),
-                            (MpiIr::Irecv { .. }, Some(sp)) => Some(ReqDef::Irecv(sp)),
+                        let def = match op {
+                            MpiIr::Isend { .. } => Some(ReqDef::Isend((fidx, bid, iidx))),
+                            MpiIr::Irecv { .. } => Some(ReqDef::Irecv((fidx, bid, iidx))),
                             _ => None,
                         };
                         if let Some(def) = def {

@@ -1,13 +1,8 @@
-//! The consolidated analysis entry point.
+//! The analysis entry point.
 //!
-//! The static pipeline grew four overlapping entry points
-//! (`analyze_module`, `analyze_module_with`, `analyze_module_timed`,
-//! plus ad-hoc `AnalysisOptions` plumbing at every call site).
-//! [`AnalysisSession`] replaces them with one builder-configured object
-//! that owns the execution resources (pool choice, determinism, seed),
-//! the tuning knobs ([`AnalysisOptions`]) and — when incremental mode is
-//! on — the memoized query store ([`QueryDb`]) that makes warm
-//! re-checks fast:
+//! [`AnalysisSession`] is one builder-configured object that owns the
+//! execution resources (pool choice, determinism, seed), the analysis
+//! options ([`AnalysisOptions`]) and the timings of its last check:
 //!
 //! ```
 //! use parcoach_core::session::AnalysisSession;
@@ -26,17 +21,17 @@
 //! assert!(session.timings().is_some());
 //! ```
 //!
-//! A default session is stateless: every `check_module` is a cold run,
-//! byte-identical to the old free functions. `incremental(true)` turns
-//! on the content-hash-keyed memo store; the caller (normally
-//! `parcoachd`'s document layer) then reports edits through
-//! [`AnalysisSession::mark_edited`] / [`AnalysisSession::shift_function`]
-//! so the red-green pass can invalidate precisely.
+//! A session holds no analysis state, so it can check any number of
+//! unrelated modules. Every check runs the one pipeline over a memo
+//! table ([`QueryDb`]): [`AnalysisSession::check_module`] over a fresh
+//! one it drops at return, [`AnalysisSession::check_module_in`] over the
+//! caller's — which is how `parcoachd`'s document layer, the owner of
+//! both the module and its table, makes warm re-checks fast.
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::pipeline::{analyze_timed_impl, AnalysisOptions, PhaseTimings};
+use crate::pipeline::{analyze_module, AnalysisOptions, PhaseTimings};
 use crate::pw::InitialContext;
-use crate::query::{QueryDb, QueryStats};
+use crate::query::QueryDb;
 use crate::report::{StaticReport, StaticWarning};
 use parcoach_ir::func::Module;
 use parcoach_pool::{Pool, PoolConfig};
@@ -56,7 +51,6 @@ pub struct AnalysisSessionBuilder {
     deterministic: bool,
     seed: u64,
     opts: AnalysisOptions,
-    incremental: bool,
 }
 
 impl AnalysisSessionBuilder {
@@ -111,14 +105,6 @@ impl AnalysisSessionBuilder {
         self
     }
 
-    /// Keep span-free derived facts (parallelism words, CFG facts) in a
-    /// content-hash-keyed memo across checks. See the type docs for the
-    /// edit-notification contract this puts on the caller.
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
-    }
-
     /// Build the session.
     pub fn build(self) -> AnalysisSession {
         let pool = if self.jobs.is_some() || self.deterministic {
@@ -133,20 +119,16 @@ impl AnalysisSessionBuilder {
         AnalysisSession {
             pool,
             opts: self.opts,
-            db: self.incremental.then(QueryDb::new),
             timings: None,
         }
     }
 }
 
-/// A configured analysis pipeline: pool + options (+ optional
-/// incremental memo store). The one entry point — the historical
-/// free-function family (`analyze_module` and friends) is gone.
+/// A configured analysis pipeline: pool + options + the timings of the
+/// last check. The one entry point to the static phase.
 pub struct AnalysisSession {
     pool: PoolChoice,
     opts: AnalysisOptions,
-    /// The memo store; `Some` iff the session is incremental.
-    db: Option<QueryDb>,
     /// Breakdown of the most recent check.
     timings: Option<PhaseTimings>,
 }
@@ -159,14 +141,13 @@ impl Default for AnalysisSession {
 
 impl AnalysisSession {
     /// Start configuring a session. The default configuration runs on
-    /// the process-wide pool with default options, non-incremental.
+    /// the process-wide pool with default options.
     pub fn builder() -> AnalysisSessionBuilder {
         AnalysisSessionBuilder {
             jobs: None,
             deterministic: false,
             seed: 0,
             opts: AnalysisOptions::default(),
-            incremental: false,
         }
     }
 
@@ -183,46 +164,50 @@ impl AnalysisSession {
         &self.opts
     }
 
-    /// Run the full static analysis. Byte-identical to the legacy
-    /// `analyze_module_with` at any pool width; with `incremental(true)`
-    /// the expensive span-free queries are served from the memo wherever
-    /// the per-function fingerprints are green.
+    /// Run the full static analysis of `m`, one-shot: the pipeline runs
+    /// over a table created empty and dropped at return. The report is
+    /// byte-identical at any pool width.
     pub fn check_module(&mut self, m: &Module) -> StaticReport {
-        self.check_impl(m, None).expect("no token, cannot cancel")
+        self.check_module_in(m, &mut QueryDb::new(), None)
+            .expect("no token, cannot cancel")
     }
 
     /// [`AnalysisSession::check_module`] with cooperative cancellation:
     /// `token` is observed at every phase boundary, and a cancelled (or
     /// deadline-expired) check returns `Err(Cancelled)` without a
-    /// report. Facts computed before the cancellation stay in the
-    /// incremental store — they are fingerprint-keyed and valid, so the
-    /// next check starts warmer.
+    /// report.
     pub fn check_module_cancellable(
         &mut self,
         m: &Module,
         token: &CancelToken,
     ) -> Result<StaticReport, Cancelled> {
-        self.check_impl(m, Some(token))
+        self.check_module_in(m, &mut QueryDb::new(), Some(token))
     }
 
-    fn check_impl(
+    /// The resident entry: analyze `m` over the caller's table, serving
+    /// what `db` already holds and storing what it does not. Whoever
+    /// owns `db` owns `m` too and has reported every edit since the last
+    /// check through [`QueryDb::mark_dirty`] (see [`crate::query`]); the
+    /// report is then byte-identical to a one-shot check of `m`. Facts
+    /// computed before a cancellation stay in `db` — they are valid, so
+    /// the next check starts warmer.
+    pub fn check_module_in(
         &mut self,
         m: &Module,
+        db: &mut QueryDb,
         token: Option<&CancelToken>,
     ) -> Result<StaticReport, Cancelled> {
         let pool = match &self.pool {
             PoolChoice::Global => parcoach_pool::global(),
             PoolChoice::Owned(p) => p,
         };
-        let (report, timings) = analyze_timed_impl(m, &self.opts, pool, self.db.as_mut(), token)?;
+        let (report, timings) = analyze_module(m, &self.opts, pool, db, token)?;
         self.timings = Some(timings);
         Ok(report)
     }
 
     /// Run the analysis and return only the warnings attributed to
-    /// `name` (`None` if the module has no such function). The warm path
-    /// of `parcoachd check {func}`: on an incremental session only the
-    /// edited function's facts are re-derived.
+    /// `name` (`None` if the module has no such function).
     pub fn check_function(&mut self, m: &Module, name: &str) -> Option<Vec<StaticWarning>> {
         if !m.by_name.contains_key(name) {
             return None;
@@ -241,45 +226,6 @@ impl AnalysisSession {
     pub fn timings(&self) -> Option<&PhaseTimings> {
         self.timings.as_ref()
     }
-
-    /// Whether the session keeps a memo store across checks.
-    pub fn is_incremental(&self) -> bool {
-        self.db.is_some()
-    }
-
-    /// Hit/miss counters of the memo store (zeroes when
-    /// non-incremental).
-    pub fn query_stats(&self) -> QueryStats {
-        self.db.as_ref().map(|db| db.stats).unwrap_or_default()
-    }
-
-    /// Tell the memo store that `name`'s text changed; the next check's
-    /// red-green pass re-fingerprints it and drops its facts only if the
-    /// structure really changed. No-op on non-incremental sessions.
-    pub fn mark_edited(&mut self, name: &str) {
-        if let Some(db) = self.db.as_mut() {
-            db.mark_dirty(name);
-        }
-    }
-
-    /// Tell the memo store that `name` moved by `delta` bytes within the
-    /// document (an earlier function grew or shrank), so cached spans
-    /// are rebased. No-op on non-incremental sessions.
-    pub fn shift_function(&mut self, name: &str, delta: i64) {
-        if let Some(db) = self.db.as_mut() {
-            db.shift(name, delta);
-        }
-    }
-
-    /// Drop every memoized fact (e.g. after replacing the document
-    /// wholesale). No-op on non-incremental sessions.
-    pub fn invalidate_all(&mut self) {
-        if let Some(db) = self.db.as_mut() {
-            let stats = db.stats;
-            *db = QueryDb::new();
-            db.stats = stats;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,6 +237,17 @@ mod tests {
     fn lower(src: &str) -> Module {
         let unit = parse_and_check("t.mh", src).expect("valid");
         lower_program(&unit.program, &unit.signatures)
+    }
+
+    /// A resident owner in miniature: check `m` over its table.
+    fn check_in(s: &mut AnalysisSession, m: &Module, db: &mut QueryDb) -> StaticReport {
+        s.check_module_in(m, db, None).expect("no token")
+    }
+
+    /// What the owner does just before replacing `name` in `old`.
+    fn mark(db: &mut QueryDb, old: &Module, name: &str) {
+        let fi = old.by_name[name];
+        db.mark_dirty(fi, &old.funcs[fi]);
     }
 
     const SRC: &str = "fn exchange() { MPI_Barrier(); }
@@ -333,25 +290,25 @@ mod tests {
     #[test]
     fn incremental_warm_check_hits_cache_and_matches_cold() {
         let m = lower(SRC);
-        let mut warm = AnalysisSession::builder().incremental(true).build();
+        let (mut s, mut db) = (AnalysisSession::builder().build(), QueryDb::new());
         let cold_report = AnalysisSession::builder().build().check_module(&m);
-        let first = warm.check_module(&m);
+        let first = check_in(&mut s, &m, &mut db);
         assert_eq!(format!("{first:?}"), format!("{cold_report:?}"));
-        let misses = warm.query_stats().pw_misses;
+        let misses = db.stats().pw_misses;
         assert!(misses > 0);
         // Unedited re-check: everything green, zero new misses.
-        let second = warm.check_module(&m);
+        let second = check_in(&mut s, &m, &mut db);
         assert_eq!(format!("{second:?}"), format!("{cold_report:?}"));
-        assert_eq!(warm.query_stats().pw_misses, misses);
-        assert!(warm.query_stats().pw_hits > 0);
-        assert!(warm.query_stats().cfg_hits > 0);
+        assert_eq!(db.stats().pw_misses, misses);
+        assert!(db.stats().pw_hits > 0);
+        assert!(db.stats().cfg_hits > 0);
     }
 
     #[test]
     fn incremental_edit_invalidate_matches_cold() {
         let m = lower(SRC);
-        let mut warm = AnalysisSession::builder().incremental(true).build();
-        warm.check_module(&m);
+        let (mut s, mut db) = (AnalysisSession::builder().build(), QueryDb::new());
+        check_in(&mut s, &m, &mut db);
         // Edit `main` (different structure). exchange stays cached.
         let m2 = lower(
             "fn exchange() { MPI_Barrier(); }
@@ -361,8 +318,8 @@ mod tests {
                  MPI_Finalize();
              }",
         );
-        warm.mark_edited("main");
-        let warm_report = warm.check_module(&m2);
+        mark(&mut db, &m, "main");
+        let warm_report = check_in(&mut s, &m2, &mut db);
         let cold_report = AnalysisSession::builder().build().check_module(&m2);
         assert_eq!(format!("{warm_report:?}"), format!("{cold_report:?}"));
     }
@@ -391,23 +348,23 @@ mod tests {
              }";
         let m1 = lower(src_v1);
         let m2 = lower(src_v2);
-        let mut s = AnalysisSession::builder().incremental(true).build();
-        s.check_module(&m1);
-        let cold = s.query_stats();
+        let (mut s, mut db) = (AnalysisSession::builder().build(), QueryDb::new());
+        check_in(&mut s, &m1, &mut db);
+        let cold = db.stats();
         // All three functions are analyzed in one context each.
         assert_eq!(cold.pw_misses, 3);
         // Unedited soak rounds: pure hits, zero new misses.
         for _ in 0..3 {
-            s.check_module(&m1);
+            check_in(&mut s, &m1, &mut db);
         }
-        let soaked = s.query_stats();
+        let soaked = db.stats();
         assert_eq!(soaked.pw_misses, cold.pw_misses);
         assert_eq!(soaked.pw_hits, cold.pw_hits + 3 * 3);
         // Edit exactly one function: exactly one pw miss; the other two
         // functions stay green.
-        s.mark_edited("right");
-        let edited = s.check_module(&m2);
-        let after = s.query_stats();
+        mark(&mut db, &m1, "right");
+        let edited = check_in(&mut s, &m2, &mut db);
+        let after = db.stats();
         assert_eq!(after.pw_misses, soaked.pw_misses + 1);
         assert_eq!(after.pw_hits, soaked.pw_hits + 2);
         // And the warm result is byte-identical to a cold analysis.
@@ -435,29 +392,29 @@ mod tests {
         let m2 = lower(&format!(
             "fn compute() {{ let x = 1; let y = x + 1; }}\n{body}"
         ));
-        let mut s = AnalysisSession::builder().incremental(true).build();
-        let first = s.check_module(&m1);
+        let (mut s, mut db) = (AnalysisSession::builder().build(), QueryDb::new());
+        let first = check_in(&mut s, &m1, &mut db);
         assert_eq!(
             first.count(crate::report::WarningKind::P2pOrder),
             1,
             "{:#?}",
             first.warnings
         );
-        let cold = s.query_stats();
+        let cold = db.stats();
         assert_eq!(cold.comm_misses, 1);
         assert_eq!(cold.req_misses, 1);
         assert_eq!(cold.p2p_misses, 1);
         // Unedited warm re-check: pure hits.
-        s.check_module(&m1);
-        let warm = s.query_stats();
+        check_in(&mut s, &m1, &mut db);
+        let warm = db.stats();
         assert_eq!(warm.comm_hits, cold.comm_hits + 1);
         assert_eq!(warm.req_hits, cold.req_hits + 1);
         assert_eq!(warm.p2p_hits, cold.p2p_hits + 1);
         assert_eq!(warm.p2p_misses, cold.p2p_misses);
         // Edit only `compute`: every module table stays green.
-        s.mark_edited("compute");
-        let edited = s.check_module(&m2);
-        let after = s.query_stats();
+        mark(&mut db, &m1, "compute");
+        let edited = check_in(&mut s, &m2, &mut db);
+        let after = db.stats();
         assert_eq!(after.comm_misses, warm.comm_misses);
         assert_eq!(after.req_misses, warm.req_misses);
         assert_eq!(after.p2p_misses, warm.p2p_misses);
@@ -480,13 +437,13 @@ mod tests {
         let m2 = lower(&format!(
             "{helper}\nfn main() {{ MPI_Init(); MPI_Finalize(); }}"
         ));
-        let mut s = AnalysisSession::builder().incremental(true).build();
-        let first = s.check_module(&m1);
+        let (mut s, mut db) = (AnalysisSession::builder().build(), QueryDb::new());
+        let first = check_in(&mut s, &m1, &mut db);
         assert_eq!(first.count(crate::report::WarningKind::UnmatchedP2p), 1);
-        s.mark_edited("main");
-        let edited = s.check_module(&m2);
+        mark(&mut db, &m1, "main");
+        let edited = check_in(&mut s, &m2, &mut db);
         assert!(edited.is_clean(), "{:#?}", edited.warnings);
-        assert_eq!(s.query_stats().p2p_misses, 2, "reachability is keyed");
+        assert_eq!(db.stats().p2p_misses, 2, "reachability is keyed");
         let cold_report = AnalysisSession::builder().build().check_module(&m2);
         assert_eq!(format!("{edited:?}"), format!("{cold_report:?}"));
     }
@@ -504,11 +461,12 @@ mod tests {
     #[test]
     fn invalidate_all_forces_recompute() {
         let m = lower(SRC);
-        let mut s = AnalysisSession::builder().incremental(true).build();
-        s.check_module(&m);
-        let misses = s.query_stats().pw_misses;
-        s.invalidate_all();
-        s.check_module(&m);
-        assert!(s.query_stats().pw_misses > misses);
+        let (mut s, mut db) = (AnalysisSession::builder().build(), QueryDb::new());
+        check_in(&mut s, &m, &mut db);
+        let misses = db.stats().pw_misses;
+        db.clear();
+        assert_eq!(db.stats().pw_misses, misses, "counters keep running");
+        check_in(&mut s, &m, &mut db);
+        assert!(db.stats().pw_misses > misses);
     }
 }

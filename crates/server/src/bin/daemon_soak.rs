@@ -1,13 +1,15 @@
 //! `daemon_soak` — the edit-soak differential client for `parcoachd`.
 //!
 //! Spawns a real daemon process, opens a seeded random program, then
-//! hammers it with single-function edits. After every accepted edit it
+//! hammers it with single-function edits (structural, whitespace-only
+//! and `main` edits from `parcoach_testutil::EditStream`). After every
+//! accepted edit it
 //! issues a warm `check` and compares the response — byte for byte —
 //! against a cold oracle computed in-process: a from-scratch compile of
 //! the mirrored text through a fresh one-shot session with identical
 //! pool settings. Any divergence is a correctness bug in the
-//! incremental layer (span rebasing, red-green invalidation, module
-//! memo keying) and fails the run.
+//! incremental layer (a stored position, red-green invalidation, a
+//! module table kept too long) and fails the run.
 //!
 //! `--clients N` (N > 1) switches to the concurrent mode: the daemon is
 //! driven over a unix socket by N client threads, each soaking its own
@@ -37,7 +39,7 @@ use parcoach_core::AnalysisSession;
 use parcoach_server::json::{obj, parse, Value};
 use parcoach_server::server::check_result_json_v2;
 use parcoach_server::Document;
-use parcoach_testutil::{Rng, Scenario, ScenarioConfig};
+use parcoach_testutil::{EditStream, Scenario, ScenarioConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, ExitCode, Stdio};
@@ -299,19 +301,6 @@ fn base_scenario(seed: u64, cfg: &ScenarioConfig) -> Scenario {
         .unwrap()
 }
 
-/// Render one helper as a full function definition (the `edit` payload),
-/// body statements donated by another scenario's helper.
-fn render_helper(name: &str, stmts: &[String]) -> String {
-    let mut out = format!("fn {name}() {{\n");
-    out.push_str("    let acc = 1;\n");
-    out.push_str("    let peer = size() - 1 - rank();\n");
-    for s in stmts {
-        out.push_str(&format!("    {s}\n"));
-    }
-    out.push('}');
-    out
-}
-
 /// The per-client differential soak: edit, warm-check over the wire,
 /// cold oracle in-process, compare bytes. `seed` differentiates clients
 /// so concurrent documents differ.
@@ -323,7 +312,6 @@ fn soak_client(conn: &mut Conn, uri: &str, seed: u64, opts: &Opts) -> Result<Cli
     };
     let base = base_scenario(seed, &cfg);
     let text = base.render();
-    let helper_names: Vec<String> = base.helpers.iter().map(|h| h.name.clone()).collect();
 
     expect_ok(&conn.call("initialize", obj([("protocolVersion", Value::from(2i64))]))?)?;
     expect_ok(&conn.call(
@@ -335,13 +323,10 @@ fn soak_client(conn: &mut Conn, uri: &str, seed: u64, opts: &Opts) -> Result<Cli
     )?)?;
 
     // The client-side mirror: same Document type the daemon uses, so
-    // splices and fallbacks stay in lockstep; its session is a scratch
-    // (the oracle compiles cold every time).
+    // splices and fallbacks stay in lockstep (the oracle compiles cold
+    // every time).
     let mut mirror = Document::open(uri, &text).map_err(|e| format!("mirror open: {e:?}"))?;
-    let mut scratch = AnalysisSession::builder().build();
-
-    let mut rng = Rng::new(seed ^ 0x50AC);
-    let mut donor_seed = seed.wrapping_mul(31).wrapping_add(1000);
+    let mut stream = EditStream::new(&base, &cfg, seed);
     let started = Instant::now();
     let mut st = ClientStats::default();
 
@@ -354,14 +339,8 @@ fn soak_client(conn: &mut Conn, uri: &str, seed: u64, opts: &Opts) -> Result<Cli
         if st.rejected > 50 * opts.edits + 100 {
             return Err("generator stalled: too many rejected edits".into());
         }
-        // Donate a replacement body from a fresh scenario's helper.
-        donor_seed += 1;
-        let donor = Scenario::generate_with(donor_seed, &cfg);
-        let Some(dh) = donor.helpers.first() else {
-            continue;
-        };
-        let func = rng.pick(&helper_names).clone();
-        let new_text = render_helper(&func, &dh.stmts);
+        let proposed = stream.propose();
+        let (func, new_text) = (&proposed.func, &proposed.text);
 
         let resp = conn.call(
             "edit",
@@ -374,7 +353,7 @@ fn soak_client(conn: &mut Conn, uri: &str, seed: u64, opts: &Opts) -> Result<Cli
         if resp.get("error").is_some() {
             // The daemon rejected the edit (donor body illegal in this
             // program); the mirror must agree and stay unchanged.
-            if mirror.edit(&mut scratch, &func, &new_text).is_ok() {
+            if mirror.edit(func, new_text).is_ok() {
                 eprintln!("daemon rejected an edit the oracle accepts: {func}");
                 st.divergent += 1;
             }
@@ -388,8 +367,9 @@ fn soak_client(conn: &mut Conn, uri: &str, seed: u64, opts: &Opts) -> Result<Cli
             .unwrap_or(false);
         st.incremental += inc as usize;
         mirror
-            .edit(&mut scratch, &func, &new_text)
+            .edit(func, new_text)
             .map_err(|e| format!("oracle rejected an edit the daemon accepted: {e:?}"))?;
+        stream.accept(&proposed);
         st.accepted += 1;
 
         // Warm check over the wire, cold oracle in-process.
@@ -409,15 +389,7 @@ fn soak_client(conn: &mut Conn, uri: &str, seed: u64, opts: &Opts) -> Result<Cli
         }
     }
 
-    storm_client(
-        conn,
-        uri,
-        &mut mirror,
-        &mut scratch,
-        &mut st,
-        opts,
-        &mut rng,
-    )?;
+    storm_client(conn, uri, &mut mirror, &mut stream, &mut st, opts)?;
     Ok(st)
 }
 
@@ -429,34 +401,14 @@ fn storm_client(
     conn: &mut Conn,
     uri: &str,
     mirror: &mut Document,
-    scratch: &mut AnalysisSession,
+    stream: &mut EditStream,
     st: &mut ClientStats,
     opts: &Opts,
-    rng: &mut Rng,
 ) -> Result<(), String> {
-    if opts.cancel_storm == 0 {
-        return Ok(());
-    }
-    let helper_names: Vec<String> = mirror
-        .functions()
-        .into_iter()
-        .filter(|f| f != "main")
-        .collect();
-    let cfg = ScenarioConfig {
-        max_helpers: 4,
-        max_main_stmts: 6,
-        max_helper_stmts: 3,
-    };
-    let mut donor_seed = 0x57AB ^ opts.seed;
     let mut round = 0usize;
     while round < opts.cancel_storm {
-        donor_seed += 1;
-        let donor = Scenario::generate_with(donor_seed, &cfg);
-        let Some(dh) = donor.helpers.first() else {
-            continue;
-        };
-        let func = rng.pick(&helper_names).clone();
-        let new_text = render_helper(&func, &dh.stmts);
+        let proposed = stream.propose();
+        let (func, new_text) = (&proposed.func, &proposed.text);
         let resp = conn.call(
             "edit",
             obj([
@@ -469,8 +421,9 @@ fn storm_client(
             continue; // illegal donor; try another
         }
         mirror
-            .edit(scratch, &func, &new_text)
+            .edit(func, new_text)
             .map_err(|e| format!("storm: oracle rejected accepted edit: {e:?}"))?;
+        stream.accept(&proposed);
         round += 1;
 
         if round % 2 == 1 {

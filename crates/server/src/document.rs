@@ -1,25 +1,27 @@
-//! A resident compilation unit: source text plus the parsed, checked
-//! and lowered artifacts, kept consistent across per-function edits.
+//! A resident compilation unit: source text, the parsed, checked and
+//! lowered artifacts, and the analysis memo table derived from them —
+//! kept consistent across per-function edits.
 //!
 //! The daemon's latency story lives here. `open` pays the full
 //! front-end once; [`Document::edit`] then tries the **incremental
 //! path**: reparse *only* the replacement function (padded with blanks
 //! so its spans land at absolute file offsets), sema-check it against
 //! the existing signature table, re-lower it in isolation, and rebase
-//! the spans of every function after the splice point by the byte
-//! delta. The analysis session is told exactly what moved
-//! ([`parcoach_core::AnalysisSession::mark_edited`] /
-//! [`shift_function`](parcoach_core::AnalysisSession::shift_function)),
-//! so a following `check` re-derives one function's facts and reuses
-//! the rest.
+//! the spans of every function after the splice point in the resident
+//! AST and IR by the byte delta. The document is the only thing that
+//! ever edits the module, so it also owns the module's
+//! [`QueryDb`]: `edit` marks the replaced function dirty itself, and a
+//! following [`Document::check`] re-derives that one function's facts
+//! and reuses the rest. The table stores no source positions, so moved
+//! code needs no further bookkeeping.
 //!
 //! The incremental path declines (falling back to a full reopen of the
-//! spliced text) when the edit is not a drop-in replacement: the new
-//! text is not exactly one function, keeps a different name, or changes
-//! the signature — any of which can change how *callers* lower, not
-//! just the edited body.
+//! spliced text, with an emptied table) when the edit is not a drop-in
+//! replacement: the new text is not exactly one function, keeps a
+//! different name, or changes the signature — any of which can change
+//! how *callers* lower, not just the edited body.
 
-use parcoach_core::AnalysisSession;
+use parcoach_core::{AnalysisSession, CancelToken, Cancelled, QueryDb, QueryStats, StaticReport};
 use parcoach_front::{parser, sema, Function, Program, SourceMap, Span};
 use parcoach_ir::lower::{lower_function, lower_program};
 use parcoach_ir::Module;
@@ -40,8 +42,8 @@ pub enum DocError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EditOutcome {
     /// Whether the single-function incremental path applied (`false`
-    /// means the document was reopened from the spliced text and the
-    /// session cache fully invalidated).
+    /// means the document was reopened from the spliced text and its
+    /// memo table emptied).
     pub incremental: bool,
     /// Signed byte growth of the document.
     pub delta: i64,
@@ -56,6 +58,8 @@ pub struct Document {
     signatures: HashMap<String, sema::Signature>,
     source_map: SourceMap,
     module: Module,
+    /// What the last checks derived from `module`.
+    db: QueryDb,
 }
 
 impl Document {
@@ -71,6 +75,7 @@ impl Document {
             signatures,
             source_map,
             module,
+            db: QueryDb::new(),
         })
     }
 
@@ -99,18 +104,26 @@ impl Document {
         &self.source_map
     }
 
-    /// Replace the definition of `func` with `new_text` (which must
-    /// contain the full replacement definition, `fn` keyword included).
-    ///
-    /// `session` is kept in sync: the edited function is marked dirty
-    /// and later functions' cached facts are span-rebased, or — on the
-    /// full-reopen fallback — the whole cache is invalidated.
-    pub fn edit(
+    /// Analyze the resident module over the document's own memo table:
+    /// only what the edits since the last check changed is re-derived,
+    /// and the report is byte-identical to a one-shot check of the
+    /// current text.
+    pub fn check(
         &mut self,
         session: &mut AnalysisSession,
-        func: &str,
-        new_text: &str,
-    ) -> Result<EditOutcome, DocError> {
+        token: Option<&CancelToken>,
+    ) -> Result<StaticReport, Cancelled> {
+        session.check_module_in(&self.module, &mut self.db, token)
+    }
+
+    /// Hit/miss counters of the document's memo table.
+    pub fn query_stats(&self) -> QueryStats {
+        self.db.stats()
+    }
+
+    /// Replace the definition of `func` with `new_text` (which must
+    /// contain the full replacement definition, `fn` keyword included).
+    pub fn edit(&mut self, func: &str, new_text: &str) -> Result<EditOutcome, DocError> {
         let idx = self
             .program
             .functions
@@ -133,12 +146,11 @@ impl Document {
             for later in &mut self.program.functions[idx + 1..] {
                 shift_ast_function(later, delta);
             }
+            self.db.mark_dirty(idx, &self.module.funcs[idx]);
             self.module.funcs[idx] = new_ir;
             for later in &mut self.module.funcs[idx + 1..] {
                 parcoach_ir::shift_spans(later, delta);
-                session.shift_function(&later.name, delta);
             }
-            session.mark_edited(func);
             return Ok(EditOutcome {
                 incremental: true,
                 delta,
@@ -146,15 +158,15 @@ impl Document {
         }
 
         // Fallback: whole-document recompile. Anything may have changed
-        // shape, so the session cache starts over (a failed compile
-        // leaves both document and session untouched).
+        // shape, so the memo table starts over (a failed compile leaves
+        // the document untouched).
         let (program, signatures, source_map, module) = compile(&self.uri, &spliced)?;
         self.text = spliced;
         self.program = program;
         self.signatures = signatures;
         self.source_map = source_map;
         self.module = module;
-        session.invalidate_all();
+        self.db.clear();
         Ok(EditOutcome {
             incremental: false,
             delta,
@@ -249,7 +261,6 @@ fn main() {
             .jobs(1)
             .deterministic(true)
             .seed(1)
-            .incremental(true)
             .build()
     }
 
@@ -271,10 +282,10 @@ fn main() {
     fn incremental_edit_matches_full_recompile() {
         let mut s = session();
         let mut doc = Document::open("t.mh", SRC).unwrap();
-        let _ = s.check_module(doc.module());
+        let _ = doc.check(&mut s, None);
 
         let replacement = "fn helper() {\n    MPI_Barrier();\n    MPI_Barrier();\n}";
-        let out = s_edit(&mut doc, &mut s, "helper", replacement);
+        let out = doc.edit("helper", replacement).unwrap();
         assert!(out.incremental);
         assert!(out.delta > 0);
 
@@ -290,61 +301,76 @@ fn main() {
         assert_eq!(doc.module().by_name, fresh.module().by_name);
 
         // And a warm check is byte-identical to a cold one.
-        let warm = format!("{:?}", s.check_module(doc.module()));
-        let cold = format!(
-            "{:?}",
-            AnalysisSession::builder()
-                .jobs(1)
-                .deterministic(true)
-                .seed(1)
-                .build()
-                .check_module(fresh.module())
-        );
+        let warm = format!("{:?}", doc.check(&mut s, None).unwrap());
+        let cold = format!("{:?}", session().check_module(fresh.module()));
         assert_eq!(warm, cold);
+    }
+
+    /// A structural no-op as the *first* edit of a function: the table
+    /// has never keyed `helper`, so the key it greens against is the one
+    /// `edit` takes from the IR it is about to replace.
+    #[test]
+    fn structural_noop_as_first_edit_greens() {
+        let mut s = session();
+        let mut doc = Document::open("t.mh", SRC).unwrap();
+        let _ = doc.check(&mut s, None);
+        let before = doc.query_stats();
+
+        let out = doc
+            .edit("helper", "fn helper() {\n\n        MPI_Barrier();\n}")
+            .unwrap();
+        assert!(out.incremental);
+        let warm = format!("{:?}", doc.check(&mut s, None).unwrap());
+        let after = doc.query_stats();
+        assert_eq!(after.greened, before.greened + 1);
+        assert_eq!(after.invalidated, before.invalidated);
+        assert_eq!(after.pw_misses, before.pw_misses, "nothing recomputed");
+
+        let fresh = Document::open("t.mh", doc.text()).unwrap();
+        assert_eq!(
+            warm,
+            format!("{:?}", session().check_module(fresh.module()))
+        );
     }
 
     #[test]
     fn signature_change_falls_back_to_reopen() {
         let mut s = session();
         let mut doc = Document::open("t.mh", SRC).unwrap();
-        let _ = s.check_module(doc.module());
+        let _ = doc.check(&mut s, None);
         // helper() -> helper(x: int) changes the signature, but the call
         // site `helper();` would no longer compile — so change both via
         // an edit of `main`... which *renames* nothing but the helper
         // edit alone must decline the incremental path and then fail to
         // compile the spliced text. The document must stay untouched.
         let before = doc.text().to_string();
-        let bad = doc.edit(
-            &mut s,
-            "helper",
-            "fn helper(x: int) {\n    MPI_Barrier();\n}\n",
-        );
+        let bad = doc.edit("helper", "fn helper(x: int) {\n    MPI_Barrier();\n}\n");
         assert!(matches!(bad, Err(DocError::Compile { .. })));
         assert_eq!(doc.text(), before);
 
         // A body edit of `main` that adds a second function is also not
         // a drop-in replacement: full reopen, still correct.
-        let out = s_edit(
-            &mut doc,
-            &mut s,
-            "main",
-            "fn extra() { MPI_Barrier(); }\nfn main() {\n    MPI_Init();\n    helper();\n    extra();\n    MPI_Finalize();\n}",
-        );
+        let out = doc
+            .edit(
+                "main",
+                "fn extra() { MPI_Barrier(); }\nfn main() {\n    MPI_Init();\n    helper();\n    extra();\n    MPI_Finalize();\n}",
+            )
+            .unwrap();
         assert!(!out.incremental);
         assert_eq!(doc.functions(), ["helper", "extra", "main"]);
+        let fresh = Document::open("t.mh", doc.text()).unwrap();
+        assert_eq!(
+            format!("{:?}", doc.check(&mut s, None).unwrap()),
+            format!("{:?}", session().check_module(fresh.module()))
+        );
     }
 
     #[test]
     fn unknown_function_is_rejected() {
-        let mut s = session();
         let mut doc = Document::open("t.mh", SRC).unwrap();
         assert!(matches!(
-            doc.edit(&mut s, "nope", "fn nope() {}"),
+            doc.edit("nope", "fn nope() {}"),
             Err(DocError::UnknownFunction(_))
         ));
-    }
-
-    fn s_edit(doc: &mut Document, s: &mut AnalysisSession, func: &str, text: &str) -> EditOutcome {
-        doc.edit(s, func, text).unwrap()
     }
 }

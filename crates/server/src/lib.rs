@@ -6,18 +6,19 @@
 //!
 //! * [`document`] — a resident compilation unit. `open` pays the full
 //!   front-end once; a per-function `edit` reparses and re-lowers only
-//!   the replaced function, rebases spans after the splice point, and
-//!   tells the analysis session exactly which facts died.
+//!   the replaced function, rebases the resident IR's spans after the
+//!   splice point, and marks that function dirty in the memo table it
+//!   owns, so the next check re-derives exactly the facts that died.
 //! * [`server`] — the JSON-RPC dispatcher: `initialize` (protocol v1 or
 //!   v2), `open`, `edit`, `check`, `diagnostics`, `timings`,
 //!   `shutdown`, `$/cancelRequest`. Each [`Server`] is a per-connection
 //!   view over the process-wide [`ServerShared`].
 //! * [`sched`] — the concurrency layer: the shared document map (each
-//!   document paired with its own incremental
-//!   [`parcoach_core::AnalysisSession`] and an epoch-keyed result
-//!   cache), plus the per-connection scheduler — bounded request queue
-//!   with `SERVER_BUSY` backpressure, a cached worker thread, and
-//!   cooperative cancellation (`$/cancelRequest`, `deadlineMs`).
+//!   document paired with its own [`parcoach_core::AnalysisSession`]
+//!   and an epoch-keyed result cache), plus the per-connection
+//!   scheduler — bounded request queue with `SERVER_BUSY`
+//!   backpressure, a cached worker thread, and cooperative
+//!   cancellation (`$/cancelRequest`, `deadlineMs`).
 //! * [`json`] / [`proto`] — a dependency-free, insertion-ordered JSON
 //!   layer, so a `--deterministic` daemon emits byte-identical
 //!   transcripts (the property the edit-soak CI job asserts).

@@ -32,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 /// Build the per-document analysis session a [`ServerConfig`] asks for.
 pub(crate) fn build_session(config: &ServerConfig) -> AnalysisSession {
-    let mut b = AnalysisSession::builder().incremental(true);
+    let mut b = AnalysisSession::builder();
     if let Some(jobs) = config.jobs {
         b = b.jobs(jobs);
     }
@@ -49,10 +49,9 @@ pub(crate) struct CheckCache {
     pub(crate) rendered: String,
 }
 
-/// One resident document plus everything derived from it. The analysis
-/// session lives *with* the document (its memo store is keyed by this
-/// document's function names), so switching documents never poisons a
-/// cache — there is no "active" document any more.
+/// One resident document plus everything derived from it. The memo
+/// table lives *in* the document (see [`crate::document`]), so switching
+/// documents never poisons a cache — there is no "active" document.
 pub struct DocEntry {
     pub(crate) state: Mutex<DocState>,
 }

@@ -3,9 +3,9 @@
 //!
 //! A [`Server`] is a *per-connection view* over the process-wide
 //! [`ServerShared`]: it holds only the connection's negotiated protocol
-//! version and shutdown flag, while documents — each paired with its own
-//! incremental [`AnalysisSession`](parcoach_core::AnalysisSession) and
-//! an epoch-keyed result cache — live in the shared map (see
+//! version and shutdown flag, while documents — each owning its memo
+//! table, paired with an [`AnalysisSession`](parcoach_core::AnalysisSession)
+//! and an epoch-keyed result cache — live in the shared map (see
 //! [`crate::sched`]). Any number of connections dispatch concurrently:
 //! different documents in parallel, same-document requests serialized on
 //! the document lock.
@@ -230,7 +230,7 @@ impl Server {
         };
         let mut st = entry.state.lock().unwrap();
         let st = &mut *st;
-        match st.doc.edit(&mut st.session, func, text) {
+        match st.doc.edit(func, text) {
             Ok(out) => {
                 // New snapshot: concurrent readers either saw the old
                 // epoch's cache or will recompute against the new text.
@@ -295,12 +295,9 @@ impl Server {
         let mut st = entry.state.lock().unwrap();
         let st = &mut *st;
         if st.cache.as_ref().is_none_or(|c| c.epoch != st.epoch) {
-            let report = st
-                .session
-                .check_module_cancellable(st.doc.module(), &token)
-                .map_err(|_| {
-                    proto::err(&req.id, code::REQUEST_CANCELLED, "request cancelled", None)
-                })?;
+            let report = st.doc.check(&mut st.session, Some(&token)).map_err(|_| {
+                proto::err(&req.id, code::REQUEST_CANCELLED, "request cancelled", None)
+            })?;
             let rendered = report.render(st.doc.source_map());
             st.cache = Some(CheckCache {
                 epoch: st.epoch,
@@ -332,7 +329,7 @@ impl Server {
             .iter()
             .map(|(name, dur)| (format!("{name}_ns"), Value::from(dur.as_nanos() as u64)))
             .collect::<Vec<_>>();
-        let stats = st.session.query_stats();
+        let stats = st.doc.query_stats();
         proto::ok(
             &req.id,
             obj([

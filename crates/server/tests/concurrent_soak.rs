@@ -9,8 +9,8 @@
 //! pipeline promises width-independence too).
 
 use parcoach_server::json::{obj, Value};
-use parcoach_server::{Server, ServerConfig, ServerShared};
-use parcoach_testutil::{Rng, Scenario, ScenarioConfig};
+use parcoach_server::{Document, Server, ServerConfig, ServerShared};
+use parcoach_testutil::{EditStream, Scenario, ScenarioConfig};
 use std::sync::Arc;
 
 const CLIENTS: usize = 4;
@@ -26,23 +26,11 @@ fn request(id: i64, method: &str, params: Value) -> String {
     .to_line()
 }
 
-/// Render one helper as an `edit` payload (same prologue the scenario
-/// generator emits, so donated statements' locals resolve).
-fn render_helper(name: &str, stmts: &[String]) -> String {
-    let mut out = format!("fn {name}() {{\n");
-    out.push_str("    let acc = 1;\n");
-    out.push_str("    let peer = size() - 1 - rank();\n");
-    for s in stmts {
-        out.push_str(&format!("    {s}\n"));
-    }
-    out.push('}');
-    out
-}
-
 /// The deterministic request script of client `k`: open its own
-/// document, then interleave donated edits with checks. Rejected edits
-/// stay in the script — their error responses must replay identically
-/// too.
+/// document, then interleave edits from the shared soak generator with
+/// checks. Rejected edits stay in the script — their error responses
+/// must replay identically too (a mirror document tells the generator
+/// which ones went through).
 fn client_script(k: usize) -> Vec<String> {
     let cfg = ScenarioConfig {
         max_helpers: 4,
@@ -55,9 +43,9 @@ fn client_script(k: usize) -> Vec<String> {
         .find(|sc| !sc.helpers.is_empty())
         .unwrap();
     let text = base.render();
-    let helpers: Vec<String> = base.helpers.iter().map(|h| h.name.clone()).collect();
     let uri = format!("soak_{k}.mh");
-    let mut rng = Rng::new(seed ^ 0xC0FFEE);
+    let mut mirror = Document::open(&uri, &text).unwrap();
+    let mut stream = EditStream::new(&base, &cfg, seed);
     let mut lines = vec![
         request(
             0,
@@ -74,24 +62,20 @@ fn client_script(k: usize) -> Vec<String> {
         ),
         request(2, "check", obj([("uri", Value::from(uri.as_str()))])),
     ];
-    let mut donor_seed = seed.wrapping_mul(31).wrapping_add(1);
     let mut id = 2i64;
     for _ in 0..ATTEMPTS {
-        donor_seed += 1;
-        let donor = Scenario::generate_with(donor_seed, &cfg);
-        let Some(dh) = donor.helpers.first() else {
-            continue;
-        };
-        let func = rng.pick(&helpers).clone();
-        let new_text = render_helper(&func, &dh.stmts);
+        let edit = stream.propose();
+        if mirror.edit(&edit.func, &edit.text).is_ok() {
+            stream.accept(&edit);
+        }
         id += 1;
         lines.push(request(
             id,
             "edit",
             obj([
                 ("uri", Value::from(uri.as_str())),
-                ("func", Value::from(func.as_str())),
-                ("text", Value::from(new_text.as_str())),
+                ("func", Value::from(edit.func.as_str())),
+                ("text", Value::from(edit.text.as_str())),
             ]),
         ));
         id += 1;

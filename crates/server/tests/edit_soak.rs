@@ -1,7 +1,9 @@
 //! Seeded edit-soak property, in-process.
 //!
 //! Two warm servers (pool widths 1 and 4, both deterministic) receive
-//! the same stream of random single-function edits. After every
+//! the same stream of random single-function edits — structural edits
+//! of helpers, whitespace-only re-renders and drop-in edits of `main`
+//! (`parcoach_testutil::EditStream`). After every
 //! accepted edit, their `check` responses must be byte-identical to
 //! each other AND to a cold oracle: a from-scratch [`Document::open`]
 //! of the mirrored text checked by a fresh one-shot session. This is
@@ -12,10 +14,12 @@
 use parcoach_core::AnalysisSession;
 use parcoach_server::json::{obj, Value};
 use parcoach_server::{check_result_json, proto, Document, Server, ServerConfig};
-use parcoach_testutil::{Rng, Scenario, ScenarioConfig};
+use parcoach_testutil::{case_budget, EditStream, Scenario, ScenarioConfig};
 
 const SEED: u64 = 7;
-const EDITS: usize = 25;
+/// Accepted edits at the default budget (`PARCOACH_PROP_BUDGET` scales
+/// it, as it does the other property suites).
+const EDITS: u64 = 25;
 
 fn server(jobs: usize) -> Server {
     let mut srv = Server::new(ServerConfig {
@@ -41,20 +45,6 @@ fn request(id: i64, method: &str, params: Value) -> String {
     .to_line()
 }
 
-/// Render one helper as an `edit` payload, body donated by another
-/// scenario's helper (same prologue the generator emits, so the donor
-/// statements' locals resolve).
-fn render_helper(name: &str, stmts: &[String]) -> String {
-    let mut out = format!("fn {name}() {{\n");
-    out.push_str("    let acc = 1;\n");
-    out.push_str("    let peer = size() - 1 - rank();\n");
-    for s in stmts {
-        out.push_str(&format!("    {s}\n"));
-    }
-    out.push('}');
-    out
-}
-
 #[test]
 fn warm_checks_match_cold_oracle_at_jobs_1_and_4() {
     let cfg = ScenarioConfig {
@@ -67,8 +57,8 @@ fn warm_checks_match_cold_oracle_at_jobs_1_and_4() {
         .find(|sc| sc.helpers.len() >= 2)
         .unwrap();
     let text = base.render();
-    let helper_names: Vec<String> = base.helpers.iter().map(|h| h.name.clone()).collect();
     let uri = "soak.mh";
+    let edits = case_budget(EDITS) as usize;
 
     let mut narrow = server(1);
     let mut wide = server(4);
@@ -82,25 +72,19 @@ fn warm_checks_match_cold_oracle_at_jobs_1_and_4() {
     );
     assert_eq!(narrow.handle_line(&open), wide.handle_line(&open));
 
-    // The oracle mirror tracks the text the servers hold; its session is
-    // a scratch — the oracle itself always compiles cold.
+    // The oracle mirror tracks the text the servers hold; the oracle
+    // itself always compiles cold.
     let mut mirror = Document::open(uri, &text).unwrap();
-    let mut scratch = AnalysisSession::builder().build();
 
-    let mut rng = Rng::new(SEED ^ 0x50AC);
-    let mut donor_seed = SEED.wrapping_mul(31).wrapping_add(1000);
+    let mut stream = EditStream::new(&base, &cfg, SEED);
     let mut id = 1i64;
     let (mut accepted, mut rejected, mut incremental) = (0usize, 0usize, 0usize);
+    let mut main_edits = 0usize;
 
-    while accepted < EDITS {
-        assert!(rejected < 50 * EDITS + 100, "generator stalled");
-        donor_seed += 1;
-        let donor = Scenario::generate_with(donor_seed, &cfg);
-        let Some(dh) = donor.helpers.first() else {
-            continue;
-        };
-        let func = rng.pick(&helper_names).clone();
-        let new_text = render_helper(&func, &dh.stmts);
+    while accepted < edits {
+        assert!(rejected < 50 * edits + 100, "generator stalled");
+        let proposed = stream.propose();
+        let (func, new_text) = (&proposed.func, &proposed.text);
 
         id += 1;
         let edit = request(
@@ -118,15 +102,17 @@ fn warm_checks_match_cold_oracle_at_jobs_1_and_4() {
         if resp_n.contains(r#""error""#) {
             // Both servers rejected; the mirror must agree.
             assert!(
-                mirror.edit(&mut scratch, &func, &new_text).is_err(),
+                mirror.edit(func, new_text).is_err(),
                 "servers rejected an edit the oracle accepts: {func}"
             );
             rejected += 1;
             continue;
         }
         incremental += resp_n.contains(r#""incremental":true"#) as usize;
-        mirror.edit(&mut scratch, &func, &new_text).unwrap();
+        mirror.edit(func, new_text).unwrap();
+        stream.accept(&proposed);
         accepted += 1;
+        main_edits += (func == "main") as usize;
 
         id += 1;
         let check = request(id, "check", obj([("uri", Value::from(uri))]));
@@ -158,4 +144,13 @@ fn warm_checks_match_cold_oracle_at_jobs_1_and_4() {
         incremental * 2 >= accepted,
         "only {incremental}/{accepted} edits took the incremental path"
     );
+    // ... and the edit classes the structural-helper-only generator
+    // could not produce: edits of `main`, and whitespace-only re-renders
+    // (the ones reconciliation greens).
+    assert!(main_edits > 0, "no accepted edit touched `main`");
+    let timings = narrow.handle_line(&request(id + 1, "timings", obj([])));
+    let greened = parcoach_server::json::parse(&timings)
+        .ok()
+        .and_then(|t| t.get("result")?.get("cache")?.get("greened")?.as_i64());
+    assert!(greened > Some(0), "no edit was greened: {timings}");
 }

@@ -24,6 +24,8 @@
 //!   differential oracle. Unlike the property-test generators, its
 //!   programs may be erroneous on purpose; it guarantees validity
 //!   (parse/lower/verify) and schedule-deterministic outcomes instead.
+//!   Its [`EditStream`] is the seeded single-function edit generator the
+//!   daemon soaks share.
 
 pub mod bench;
 pub mod rng;
@@ -31,4 +33,4 @@ pub mod scenario;
 
 pub use bench::{Bencher, BenchmarkGroup, BenchmarkId, Criterion};
 pub use rng::{case_budget, Rng};
-pub use scenario::{GenFunc, InitLevel, Scenario, ScenarioConfig};
+pub use scenario::{Edit, EditStream, GenFunc, InitLevel, Scenario, ScenarioConfig};

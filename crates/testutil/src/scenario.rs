@@ -174,25 +174,160 @@ impl Scenario {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for h in &self.helpers {
-            out.push_str(&format!("fn {}() {{\n", h.name));
-            out.push_str("    let acc = 1;\n");
-            out.push_str("    let peer = size() - 1 - rank();\n");
-            for s in &h.stmts {
-                out.push_str(&format!("    {s}\n"));
-            }
-            out.push_str("}\n");
+            out.push_str(&render_fn(&h.name, None, &h.stmts, Layout::DEFAULT));
+            out.push('\n');
         }
-        out.push_str("fn main() {\n");
-        out.push_str(&format!("    {}\n", self.level.stmt()));
-        out.push_str("    let acc = 1;\n");
-        out.push_str("    let peer = size() - 1 - rank();\n");
-        for s in &self.main_stmts {
-            out.push_str(&format!("    {s}\n"));
-        }
-        out.push_str("    print(acc);\n");
-        out.push_str("    MPI_Finalize();\n");
-        out.push_str("}\n");
+        out.push_str(&render_fn(
+            "main",
+            Some(self.level),
+            &self.main_stmts,
+            Layout::DEFAULT,
+        ));
+        out.push('\n');
         out
+    }
+}
+
+/// How a function body is laid out — whitespace only, never statements.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    /// Spaces before every body line.
+    indent: usize,
+    /// A blank line before every `blank_every`-th body line (0 = none).
+    blank_every: usize,
+}
+
+impl Layout {
+    /// What [`Scenario::render`] emits.
+    const DEFAULT: Layout = Layout {
+        indent: 4,
+        blank_every: 0,
+    };
+}
+
+/// One full function definition (no trailing newline): the prologue
+/// every generated statement may rely on (`acc`, `peer`), the body
+/// statements, and — for `main`, which is the function given an init
+/// level — init first, `print` + finalize last.
+fn render_fn(
+    name: &str,
+    main_level: Option<InitLevel>,
+    stmts: &[String],
+    layout: Layout,
+) -> String {
+    let mut lines: Vec<&str> = Vec::with_capacity(stmts.len() + 5);
+    lines.extend(main_level.map(InitLevel::stmt));
+    lines.extend(["let acc = 1;", "let peer = size() - 1 - rank();"]);
+    lines.extend(stmts.iter().map(String::as_str));
+    if main_level.is_some() {
+        lines.extend(["print(acc);", "MPI_Finalize();"]);
+    }
+    let mut out = format!("fn {name}() {{\n");
+    for (k, line) in lines.into_iter().enumerate() {
+        if layout.blank_every != 0 && k % layout.blank_every == 0 {
+            out.push('\n');
+        }
+        out.push_str(&" ".repeat(layout.indent));
+        out.push_str(line);
+        out.push('\n');
+    }
+    out.push('}');
+    out
+}
+
+/// One proposed single-function edit: the payload of a daemon `edit`
+/// request.
+#[derive(Debug)]
+pub struct Edit {
+    /// The function to replace.
+    pub func: String,
+    /// Its full replacement definition.
+    pub text: String,
+    stmts: Vec<String>,
+}
+
+/// The seeded edit stream every daemon soak shares: single-function
+/// replacements against a rendered [`Scenario`], of three kinds —
+///
+/// * **structural** edits of a helper (the body donated by a fresh
+///   scenario's first helper);
+/// * **whitespace-only** re-renders of a function's *current* body —
+///   changed indentation and blank lines, same statements — which keep
+///   the function's structure and move every position inside it;
+/// * **drop-in edits of `main`** (the statements donated by a fresh
+///   scenario's `main`, under the base's init level).
+///
+/// Donated bodies may be illegal in the target program (a call to a
+/// helper it lacks); the daemon rejects those, which is part of what the
+/// soaks replay. The stream learns what a function currently holds from
+/// [`EditStream::accept`].
+#[derive(Debug)]
+pub struct EditStream {
+    rng: Rng,
+    donor_seed: u64,
+    cfg: ScenarioConfig,
+    level: InitLevel,
+    /// Current body statements per function: the helpers, then `main`.
+    bodies: Vec<GenFunc>,
+}
+
+impl EditStream {
+    /// The stream for `base` (as rendered by [`Scenario::render`]);
+    /// donors are generated with `cfg`.
+    pub fn new(base: &Scenario, cfg: &ScenarioConfig, seed: u64) -> EditStream {
+        let mut bodies = base.helpers.clone();
+        bodies.push(GenFunc {
+            name: "main".to_string(),
+            stmts: base.main_stmts.clone(),
+        });
+        EditStream {
+            rng: Rng::new(seed ^ 0x50AC),
+            donor_seed: seed.wrapping_mul(31).wrapping_add(1000),
+            cfg: cfg.clone(),
+            level: base.level,
+            bodies,
+        }
+    }
+
+    fn donor(&mut self) -> Scenario {
+        self.donor_seed += 1;
+        Scenario::generate_with(self.donor_seed, &self.cfg)
+    }
+
+    /// The next edit to try.
+    pub fn propose(&mut self) -> Edit {
+        let main = self.bodies.len() - 1;
+        let kind = self.rng.pick_weighted(&[4, 2, 1]);
+        let (target, stmts, layout) = if kind == 1 {
+            let target = self.rng.below(self.bodies.len());
+            let layout = Layout {
+                indent: *self.rng.pick(&[2, 6, 8]),
+                blank_every: self.rng.range_usize(1, 4),
+            };
+            (target, self.bodies[target].stmts.clone(), layout)
+        } else if kind == 0 && main > 0 {
+            let stmts = loop {
+                if let Some(h) = self.donor().helpers.into_iter().next() {
+                    break h.stmts;
+                }
+            };
+            (self.rng.below(main), stmts, Layout::DEFAULT)
+        } else {
+            (main, self.donor().main_stmts, Layout::DEFAULT)
+        };
+        let func = self.bodies[target].name.clone();
+        let main_level = (target == main).then_some(self.level);
+        Edit {
+            text: render_fn(&func, main_level, &stmts, layout),
+            func,
+            stmts,
+        }
+    }
+
+    /// The edit went through: the function now holds its statements.
+    pub fn accept(&mut self, edit: &Edit) {
+        let body = self.bodies.iter_mut().find(|b| b.name == edit.func);
+        body.expect("an edit this stream proposed").stmts = edit.stmts.clone();
     }
 }
 
