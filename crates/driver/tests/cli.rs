@@ -314,3 +314,38 @@ fn compile_error_exits_3() {
     let out = parcoachc(&["check", p.to_str().unwrap()]);
     assert_eq!(exit_code(&out), 3);
 }
+
+/// Nesting bombs and non-ASCII bytes are compile errors (exit 3 with a
+/// rendered diagnostic), not a stack overflow (SIGABRT) or a panic.
+#[test]
+fn hostile_source_exits_3_with_a_diagnostic() {
+    let n = 100_000;
+    let parens = format!(
+        "fn main() {{ let x = {}1{}; }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let ifs = format!(
+        "fn main() {{ {} {} }}",
+        "if (true) {".repeat(20_000),
+        "}".repeat(20_000)
+    );
+    for (name, src, needle) in [
+        ("bomb-parens", parens.as_str(), "nesting too deep"),
+        ("bomb-ifs", ifs.as_str(), "nesting too deep"),
+        (
+            "non-ascii",
+            "fn main() { \u{e9} }",
+            "unexpected character `\u{e9}`",
+        ),
+    ] {
+        let p = write_mh(name, src);
+        for cmd in ["check", "run"] {
+            let out = parcoachc(&[cmd, p.to_str().unwrap()]);
+            assert_eq!(exit_code(&out), 3, "{name} {cmd}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(needle), "{name} {cmd}: {:.300}", err);
+            assert!(!err.contains("panicked"), "{name} {cmd}: {:.300}", err);
+        }
+    }
+}

@@ -33,6 +33,7 @@ pub mod diag;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
+pub mod scope;
 pub mod sema;
 pub mod span;
 pub mod token;
@@ -42,6 +43,7 @@ pub use ast::{
     LValue, MpiOp, OmpStmt, Param, Program, ReduceOp, Stmt, StmtKind, ThreadLevel, Type, UnOp,
 };
 pub use diag::{Diagnostic, Diagnostics, Severity};
+pub use scope::ScopeStack;
 pub use span::{LineCol, SourceMap, Span};
 
 /// A fully parsed and semantically checked compilation unit.

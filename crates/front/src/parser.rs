@@ -4,46 +4,89 @@
 //! parser is resilient: on error it records a diagnostic and synchronizes
 //! to the next statement/function boundary so one typo does not hide the
 //! rest of the program.
+//!
+//! Tokens are `Copy` and carry no text. The parser borrows the source
+//! and reads an identifier's name from under its span exactly where an
+//! AST [`Ident`] or an error message is built, so the one `String` per
+//! identifier that exists is the one the AST owns.
 
 use crate::ast::*;
 use crate::diag::Diagnostics;
-use crate::lexer::lex;
+use crate::lexer::lex_at;
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
+
+/// How deep expressions and blocks may nest before the parser gives up
+/// with one `nesting too deep` error.
+///
+/// Every recursive consumer of the AST (sema, lowering, the pretty
+/// printer, `Clone`, `Drop`) recurses once per level, so this bound is
+/// what keeps hostile input — 100 000 opening parentheses — from
+/// overflowing the stack of the thread that compiles it. Chosen by
+/// measurement: in a debug build on a 2 MiB stack (the default for
+/// spawned threads, so what daemon workers and `cargo test` run on),
+/// parse + sema + lower + pretty-print + clone + drop survive 354 levels
+/// of the most expensive construct (nested call arguments, ≈ 5.9 KiB a
+/// level) and 390–800 of the others. `crates/ir/tests/nesting_limit.rs`
+/// runs that pipeline at the limit on a 1.5 MiB stack.
+pub const MAX_NESTING: u32 = 200;
 
 /// Parse a complete program from source text.
 ///
 /// Returns the (possibly partial) AST plus diagnostics; callers should
 /// check [`Diagnostics::has_errors`] before trusting the AST.
 pub fn parse_program(src: &str) -> (Program, Diagnostics) {
+    parse_program_at(src, 0)
+}
+
+/// Parse `src` as the text found at byte offset `base` of a larger
+/// file: every span in the AST and the diagnostics is absolute. Equal,
+/// span for span, to parsing `src` behind `base` blanks.
+pub fn parse_program_at(src: &str, base: u32) -> (Program, Diagnostics) {
     let mut diags = Diagnostics::new();
-    let tokens = lex(src, &mut diags);
+    let tokens = lex_at(src, base, &mut diags);
     let mut p = Parser {
+        src,
+        base,
         tokens,
         pos: 0,
         diags,
+        depth: 0,
+        too_deep: false,
     };
     let prog = p.program();
     (prog, p.diags)
 }
 
-struct Parser {
+struct Parser<'s> {
+    src: &'s str,
+    /// Offset of `src` in the file its spans refer to.
+    base: u32,
     tokens: Vec<Token>,
     pos: usize,
     diags: Diagnostics,
+    /// Current nesting of expressions and blocks, see [`MAX_NESTING`].
+    depth: u32,
+    /// Set once the nesting limit was hit: the rest of the input is
+    /// skipped and no further error is recorded.
+    too_deep: bool,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+impl<'s> Parser<'s> {
+    fn tok(&self) -> Token {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek2(&self) -> &TokenKind {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
+    fn peek(&self) -> TokenKind {
+        self.tok().kind
+    }
+
+    fn peek2(&self) -> TokenKind {
+        self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
     }
 
     fn span(&self) -> Span {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].span
+        self.tok().span
     }
 
     fn prev_span(&self) -> Span {
@@ -51,18 +94,61 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+        let t = self.tok();
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
         t
     }
 
-    fn at(&self, kind: &TokenKind) -> bool {
+    /// The source text under `span` (a span of one of this parser's
+    /// tokens).
+    fn text(&self, span: Span) -> &'s str {
+        &self.src[(span.lo - self.base) as usize..(span.hi - self.base) as usize]
+    }
+
+    /// The current token as error messages name it: an identifier with
+    /// its name, anything else by kind.
+    fn found(&self) -> String {
+        let t = self.tok();
+        match t.kind {
+            TokenKind::Ident => format!("identifier `{}`", self.text(t.span)),
+            kind => kind.describe(),
+        }
+    }
+
+    fn error(&mut self, message: impl Into<String>, span: Span) {
+        if !self.too_deep {
+            self.diags.error("parse-error", message, span);
+        }
+    }
+
+    /// Enter one more level of expression or block nesting. `false`
+    /// means the limit is reached: one error is recorded, the rest of
+    /// the input is dropped (every enclosing production then sees end
+    /// of file and returns), and the caller must not recurse.
+    fn enter(&mut self) -> bool {
+        if self.depth >= MAX_NESTING {
+            let span = self.span();
+            self.error(
+                format!(
+                    "nesting too deep (more than {MAX_NESTING} levels of expressions or blocks)"
+                ),
+                span,
+            );
+            self.too_deep = true;
+            self.pos = self.tokens.len() - 1;
+            return false;
+        }
+        self.depth += 1;
+        true
+    }
+
+    fn at(&self, kind: TokenKind) -> bool {
         self.peek() == kind
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind) -> bool {
         if self.at(kind) {
             self.bump();
             true
@@ -71,31 +157,35 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> bool {
+    fn expect(&mut self, kind: TokenKind) -> bool {
         if self.eat(kind) {
             true
         } else {
-            let found = self.peek().describe();
-            self.diags.error(
-                "parse-error",
-                format!("expected {}, found {}", kind.describe(), found),
-                self.span(),
-            );
+            let msg = format!("expected {}, found {}", kind.describe(), self.found());
+            self.error(msg, self.span());
             false
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Ident {
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            let t = self.bump();
-            Ident::new(name, t.span)
+    /// The identifier under the cursor, if there is one: its name and
+    /// span, consumed.
+    fn eat_ident(&mut self) -> Option<(&'s str, Span)> {
+        if self.at(TokenKind::Ident) {
+            let span = self.bump().span;
+            Some((self.text(span), span))
         } else {
-            self.diags.error(
-                "parse-error",
-                format!("expected {what}, found {}", self.peek().describe()),
-                self.span(),
-            );
-            Ident::new("<error>", self.span())
+            None
+        }
+    }
+
+    fn expect_ident(&mut self, what: &str) -> Ident {
+        match self.eat_ident() {
+            Some((name, span)) => Ident::new(name, span),
+            None => {
+                let msg = format!("expected {what}, found {}", self.found());
+                self.error(msg, self.span());
+                Ident::new("<error>", self.span())
+            }
         }
     }
 
@@ -132,21 +222,15 @@ impl Parser {
 
     fn program(&mut self) -> Program {
         let mut functions = Vec::new();
-        while !self.at(&TokenKind::Eof) {
-            if self.at(&TokenKind::Fn) {
+        while !self.at(TokenKind::Eof) {
+            if self.at(TokenKind::Fn) {
                 functions.push(self.function());
             } else {
-                self.diags.error(
-                    "parse-error",
-                    format!(
-                        "expected `fn` at top level, found {}",
-                        self.peek().describe()
-                    ),
-                    self.span(),
-                );
+                let msg = format!("expected `fn` at top level, found {}", self.found());
+                self.error(msg, self.span());
                 self.bump();
                 // Skip until the next `fn` or EOF.
-                while !self.at(&TokenKind::Fn) && !self.at(&TokenKind::Eof) {
+                while !self.at(TokenKind::Fn) && !self.at(TokenKind::Eof) {
                     self.bump();
                 }
             }
@@ -156,23 +240,23 @@ impl Parser {
 
     fn function(&mut self) -> Function {
         let start = self.span();
-        self.expect(&TokenKind::Fn);
+        self.expect(TokenKind::Fn);
         let name = self.expect_ident("function name");
-        self.expect(&TokenKind::LParen);
+        self.expect(TokenKind::LParen);
         let mut params = Vec::new();
-        if !self.at(&TokenKind::RParen) {
+        if !self.at(TokenKind::RParen) {
             loop {
                 let pname = self.expect_ident("parameter name");
-                self.expect(&TokenKind::Colon);
+                self.expect(TokenKind::Colon);
                 let ty = self.ty();
                 params.push(Param { name: pname, ty });
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen);
-        let ret = if self.eat(&TokenKind::Arrow) {
+        self.expect(TokenKind::RParen);
+        let ret = if self.eat(TokenKind::Arrow) {
             self.ty()
         } else {
             Type::Void
@@ -206,25 +290,21 @@ impl Parser {
                 self.bump();
                 Type::Void
             }
-            other => {
-                let msg = format!("expected type, found {}", other.describe());
-                self.diags.error("parse-error", msg, self.span());
+            _ => {
+                let msg = format!("expected type, found {}", self.found());
+                self.error(msg, self.span());
                 self.bump();
                 Type::Int
             }
         };
         // Array suffix `[]`.
-        if self.at(&TokenKind::LBracket) && self.peek2() == &TokenKind::RBracket {
+        if self.at(TokenKind::LBracket) && self.peek2() == TokenKind::RBracket {
             self.bump();
             self.bump();
             match Type::array_of(base) {
                 Some(t) => t,
                 None => {
-                    self.diags.error(
-                        "parse-error",
-                        format!("`{base}[]` is not a valid type"),
-                        self.prev_span(),
-                    );
+                    self.error(format!("`{base}[]` is not a valid type"), self.prev_span());
                     Type::ArrayInt
                 }
             }
@@ -235,23 +315,26 @@ impl Parser {
 
     fn block(&mut self) -> Block {
         let start = self.span();
-        if !self.expect(&TokenKind::LBrace) {
+        if !self.expect(TokenKind::LBrace) {
             return Block {
                 stmts: Vec::new(),
                 span: start,
             };
         }
         let mut stmts = Vec::new();
-        while !self.at(&TokenKind::RBrace) && !self.at(&TokenKind::Eof) {
-            let before = self.pos;
-            stmts.push(self.stmt());
-            if self.pos == before {
-                // No progress: drop the offending token to avoid looping.
-                self.bump();
+        if self.enter() {
+            while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
+                let before = self.pos;
+                stmts.push(self.stmt());
+                if self.pos == before {
+                    // No progress: drop the offending token to avoid looping.
+                    self.bump();
+                }
             }
+            self.depth -= 1;
         }
         let end = self.span();
-        self.expect(&TokenKind::RBrace);
+        self.expect(TokenKind::RBrace);
         Block {
             stmts,
             span: start.to(end),
@@ -260,50 +343,50 @@ impl Parser {
 
     fn stmt(&mut self) -> Stmt {
         let start = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Let => self.let_stmt(),
             TokenKind::If => self.if_stmt(),
             TokenKind::While => self.while_stmt(),
             TokenKind::For => self.for_stmt(),
             TokenKind::Return => {
                 self.bump();
-                let value = if self.at(&TokenKind::Semi) {
+                let value = if self.at(TokenKind::Semi) {
                     None
                 } else {
                     Some(self.expr())
                 };
-                self.expect(&TokenKind::Semi);
+                self.expect(TokenKind::Semi);
                 Stmt::new(StmtKind::Return(value), start.to(self.prev_span()))
             }
             TokenKind::Break => {
                 self.bump();
-                self.expect(&TokenKind::Semi);
+                self.expect(TokenKind::Semi);
                 Stmt::new(StmtKind::Break, start.to(self.prev_span()))
             }
             TokenKind::Continue => {
                 self.bump();
-                self.expect(&TokenKind::Semi);
+                self.expect(TokenKind::Semi);
                 Stmt::new(StmtKind::Continue, start.to(self.prev_span()))
             }
             TokenKind::Print => {
                 self.bump();
-                self.expect(&TokenKind::LParen);
+                self.expect(TokenKind::LParen);
                 let mut args = Vec::new();
-                if !self.at(&TokenKind::RParen) {
+                if !self.at(TokenKind::RParen) {
                     loop {
                         args.push(self.expr());
-                        if !self.eat(&TokenKind::Comma) {
+                        if !self.eat(TokenKind::Comma) {
                             break;
                         }
                     }
                 }
-                self.expect(&TokenKind::RParen);
-                self.expect(&TokenKind::Semi);
+                self.expect(TokenKind::RParen);
+                self.expect(TokenKind::Semi);
                 Stmt::new(StmtKind::Print(args), start.to(self.prev_span()))
             }
             TokenKind::Barrier => {
                 self.bump();
-                self.expect(&TokenKind::Semi);
+                self.expect(TokenKind::Semi);
                 Stmt::new(StmtKind::Barrier, start.to(self.prev_span()))
             }
             TokenKind::Parallel => self.parallel_stmt(),
@@ -322,7 +405,7 @@ impl Parser {
             }
             TokenKind::PFor => self.pfor_stmt(),
             TokenKind::Sections => self.sections_stmt(),
-            TokenKind::Ident(_) => self.assign_or_expr_stmt(),
+            TokenKind::Ident => self.assign_or_expr_stmt(),
             _ => {
                 // Expression statement fallback (e.g. a bare MPI call would
                 // be an Ident; anything else here is an error).
@@ -331,7 +414,7 @@ impl Parser {
                 if self.diags.len() > before {
                     self.synchronize_stmt();
                 } else {
-                    self.expect(&TokenKind::Semi);
+                    self.expect(TokenKind::Semi);
                 }
                 Stmt::new(StmtKind::Expr(e), start.to(self.prev_span()))
             }
@@ -342,33 +425,36 @@ impl Parser {
         let start = self.span();
         self.bump(); // let
         let name = self.expect_ident("variable name");
-        let ty = if self.eat(&TokenKind::Colon) {
+        let ty = if self.eat(TokenKind::Colon) {
             Some(self.ty())
         } else {
             None
         };
-        self.expect(&TokenKind::Assign);
+        self.expect(TokenKind::Assign);
         let init = self.expr();
-        self.expect(&TokenKind::Semi);
+        self.expect(TokenKind::Semi);
         Stmt::new(StmtKind::Let { name, ty, init }, start.to(self.prev_span()))
     }
 
     fn if_stmt(&mut self) -> Stmt {
         let start = self.span();
         self.bump(); // if
-        self.expect(&TokenKind::LParen);
+        self.expect(TokenKind::LParen);
         let cond = self.expr();
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         let then_blk = self.block();
-        let else_blk = if self.eat(&TokenKind::Else) {
-            if self.at(&TokenKind::If) {
-                // `else if` sugar: wrap the nested if in a block.
-                let nested = self.if_stmt();
-                let span = nested.span;
-                Some(Block {
-                    stmts: vec![nested],
-                    span,
-                })
+        let else_blk = if self.eat(TokenKind::Else) {
+            if self.at(TokenKind::If) {
+                // `else if` sugar: wrap the nested if in a block (one
+                // more level of nesting, like the block it stands for).
+                let start = self.span();
+                let mut stmts = Vec::new();
+                if self.enter() {
+                    stmts.push(self.if_stmt());
+                    self.depth -= 1;
+                }
+                let span = stmts.last().map_or(start, |s| s.span);
+                Some(Block { stmts, span })
             } else {
                 Some(self.block())
             }
@@ -389,9 +475,9 @@ impl Parser {
     fn while_stmt(&mut self) -> Stmt {
         let start = self.span();
         self.bump(); // while
-        self.expect(&TokenKind::LParen);
+        self.expect(TokenKind::LParen);
         let cond = self.expr();
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         let body = self.block();
         let span = start.to(body.span);
         Stmt::new(StmtKind::While { cond, body }, span)
@@ -400,13 +486,13 @@ impl Parser {
     fn for_stmt(&mut self) -> Stmt {
         let start = self.span();
         self.bump(); // for
-        self.expect(&TokenKind::LParen);
+        self.expect(TokenKind::LParen);
         let var = self.expect_ident("loop variable");
-        self.expect(&TokenKind::In);
+        self.expect(TokenKind::In);
         let lo = self.expr();
-        self.expect(&TokenKind::DotDot);
+        self.expect(TokenKind::DotDot);
         let hi = self.expr();
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         let body = self.block();
         let span = start.to(body.span);
         Stmt::new(StmtKind::For { var, lo, hi, body }, span)
@@ -415,10 +501,10 @@ impl Parser {
     fn parallel_stmt(&mut self) -> Stmt {
         let start = self.span();
         self.bump(); // parallel
-        let num_threads = if self.eat(&TokenKind::NumThreadsClause) {
-            self.expect(&TokenKind::LParen);
+        let num_threads = if self.eat(TokenKind::NumThreadsClause) {
+            self.expect(TokenKind::LParen);
             let e = self.expr();
-            self.expect(&TokenKind::RParen);
+            self.expect(TokenKind::RParen);
             Some(Box::new(e))
         } else {
             None
@@ -431,7 +517,7 @@ impl Parser {
     fn single_stmt(&mut self) -> Stmt {
         let start = self.span();
         self.bump(); // single
-        let nowait = self.eat(&TokenKind::Nowait);
+        let nowait = self.eat(TokenKind::Nowait);
         let body = self.block();
         let span = start.to(body.span);
         Stmt::new(StmtKind::Omp(OmpStmt::Single { nowait, body }), span)
@@ -440,14 +526,14 @@ impl Parser {
     fn pfor_stmt(&mut self) -> Stmt {
         let start = self.span();
         self.bump(); // pfor
-        let nowait = self.eat(&TokenKind::Nowait);
-        self.expect(&TokenKind::LParen);
+        let nowait = self.eat(TokenKind::Nowait);
+        self.expect(TokenKind::LParen);
         let var = self.expect_ident("loop variable");
-        self.expect(&TokenKind::In);
+        self.expect(TokenKind::In);
         let lo = self.expr();
-        self.expect(&TokenKind::DotDot);
+        self.expect(TokenKind::DotDot);
         let hi = self.expr();
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         let body = self.block();
         let span = start.to(body.span);
         Stmt::new(
@@ -465,22 +551,21 @@ impl Parser {
     fn sections_stmt(&mut self) -> Stmt {
         let start = self.span();
         self.bump(); // sections
-        let nowait = self.eat(&TokenKind::Nowait);
-        self.expect(&TokenKind::LBrace);
+        let nowait = self.eat(TokenKind::Nowait);
+        self.expect(TokenKind::LBrace);
         let mut sections = Vec::new();
-        while self.at(&TokenKind::Section) {
+        while self.at(TokenKind::Section) {
             self.bump();
             sections.push(self.block());
         }
         if sections.is_empty() {
-            self.diags.error(
-                "parse-error",
+            self.error(
                 "`sections` requires at least one `section` block",
                 self.span(),
             );
         }
         let end = self.span();
-        self.expect(&TokenKind::RBrace);
+        self.expect(TokenKind::RBrace);
         Stmt::new(
             StmtKind::Omp(OmpStmt::Sections { nowait, sections }),
             start.to(end),
@@ -491,57 +576,63 @@ impl Parser {
         let start = self.span();
         // Lookahead: IDENT `=` → assign; IDENT `[` expr `]` `=` → indexed
         // assign. Anything else is an expression statement.
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if self.peek2() == &TokenKind::Assign {
-                let id_tok = self.bump();
-                self.bump(); // =
+        if self.peek2() == TokenKind::Assign {
+            let target = LValue::Var(self.expect_ident("variable name"));
+            self.bump(); // =
+            let value = self.expr();
+            self.expect(TokenKind::Semi);
+            return Stmt::new(
+                StmtKind::Assign { target, value },
+                start.to(self.prev_span()),
+            );
+        }
+        if self.peek2() == TokenKind::LBracket {
+            // Could be `a[i] = e;` or the expression `a[i]` — parse the
+            // index then decide.
+            let save = self.pos;
+            let name = self.expect_ident("array name");
+            self.bump(); // [
+            let idx = self.expr();
+            self.expect(TokenKind::RBracket);
+            if self.eat(TokenKind::Assign) {
                 let value = self.expr();
-                self.expect(&TokenKind::Semi);
+                self.expect(TokenKind::Semi);
                 return Stmt::new(
                     StmtKind::Assign {
-                        target: LValue::Var(Ident::new(name, id_tok.span)),
+                        target: LValue::Index(name, Box::new(idx)),
                         value,
                     },
                     start.to(self.prev_span()),
                 );
             }
-            if self.peek2() == &TokenKind::LBracket {
-                // Could be `a[i] = e;` or the expression `a[i]` — parse the
-                // index then decide.
-                let save = self.pos;
-                let id_tok = self.bump();
-                self.bump(); // [
-                let idx = self.expr();
-                self.expect(&TokenKind::RBracket);
-                if self.eat(&TokenKind::Assign) {
-                    let value = self.expr();
-                    self.expect(&TokenKind::Semi);
-                    return Stmt::new(
-                        StmtKind::Assign {
-                            target: LValue::Index(Ident::new(name, id_tok.span), Box::new(idx)),
-                            value,
-                        },
-                        start.to(self.prev_span()),
-                    );
-                }
-                // Not an assignment: rewind and reparse as expression.
-                self.pos = save;
-            }
+            // Not an assignment: rewind and reparse as expression.
+            self.pos = save;
         }
         let e = self.expr();
-        self.expect(&TokenKind::Semi);
+        self.expect(TokenKind::Semi);
         Stmt::new(StmtKind::Expr(e), start.to(self.prev_span()))
     }
 
     // ---- expressions (precedence climbing) ------------------------------
 
+    /// Every nested expression (parenthesized, argument, index) comes
+    /// through here, so this is where expression nesting is counted.
+    /// The left-associative operator loops below count one level per
+    /// operator too: each makes the tree one node deeper without any
+    /// recursion in the parser.
     fn expr(&mut self) -> Expr {
-        self.or_expr()
+        if !self.enter() {
+            return Expr::new(ExprKind::Int(0), self.span());
+        }
+        let e = self.or_expr();
+        self.depth -= 1;
+        e
     }
 
     fn or_expr(&mut self) -> Expr {
         let mut lhs = self.and_expr();
-        while self.at(&TokenKind::OrOr) {
+        let depth = self.depth;
+        while self.at(TokenKind::OrOr) && self.enter() {
             self.bump();
             let rhs = self.and_expr();
             let span = lhs.span.to(rhs.span);
@@ -550,12 +641,14 @@ impl Parser {
                 span,
             );
         }
+        self.depth = depth;
         lhs
     }
 
     fn and_expr(&mut self) -> Expr {
         let mut lhs = self.cmp_expr();
-        while self.at(&TokenKind::AndAnd) {
+        let depth = self.depth;
+        while self.at(TokenKind::AndAnd) && self.enter() {
             self.bump();
             let rhs = self.cmp_expr();
             let span = lhs.span.to(rhs.span);
@@ -564,6 +657,7 @@ impl Parser {
                 span,
             );
         }
+        self.depth = depth;
         lhs
     }
 
@@ -586,22 +680,28 @@ impl Parser {
 
     fn add_expr(&mut self) -> Expr {
         let mut lhs = self.mul_expr();
+        let depth = self.depth;
         loop {
             let op = match self.peek() {
                 TokenKind::Plus => BinOp::Add,
                 TokenKind::Minus => BinOp::Sub,
                 _ => break,
             };
+            if !self.enter() {
+                break;
+            }
             self.bump();
             let rhs = self.mul_expr();
             let span = lhs.span.to(rhs.span);
             lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
         }
+        self.depth = depth;
         lhs
     }
 
     fn mul_expr(&mut self) -> Expr {
         let mut lhs = self.unary_expr();
+        let depth = self.depth;
         loop {
             let op = match self.peek() {
                 TokenKind::Star => BinOp::Mul,
@@ -609,36 +709,38 @@ impl Parser {
                 TokenKind::Percent => BinOp::Rem,
                 _ => break,
             };
+            if !self.enter() {
+                break;
+            }
             self.bump();
             let rhs = self.unary_expr();
             let span = lhs.span.to(rhs.span);
             lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
         }
+        self.depth = depth;
         lhs
     }
 
     fn unary_expr(&mut self) -> Expr {
         let start = self.span();
-        match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                let e = self.unary_expr();
-                let span = start.to(e.span);
-                Expr::new(ExprKind::Unary(UnOp::Neg, Box::new(e)), span)
-            }
-            TokenKind::Not => {
-                self.bump();
-                let e = self.unary_expr();
-                let span = start.to(e.span);
-                Expr::new(ExprKind::Unary(UnOp::Not, Box::new(e)), span)
-            }
-            _ => self.primary_expr(),
+        let op = match self.peek() {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Not => UnOp::Not,
+            _ => return self.primary_expr(),
+        };
+        if !self.enter() {
+            return Expr::new(ExprKind::Int(0), start);
         }
+        self.bump();
+        let e = self.unary_expr();
+        self.depth -= 1;
+        let span = start.to(e.span);
+        Expr::new(ExprKind::Unary(op, Box::new(e)), span)
     }
 
     fn primary_expr(&mut self) -> Expr {
         let start = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
                 Expr::new(ExprKind::Int(v), start)
@@ -654,36 +756,39 @@ impl Parser {
             TokenKind::LParen => {
                 self.bump();
                 let e = self.expr();
-                self.expect(&TokenKind::RParen);
+                self.expect(TokenKind::RParen);
                 e
             }
-            TokenKind::Ident(name) => {
-                let id_tok = self.bump();
-                let ident = Ident::new(name.clone(), id_tok.span);
-                if ident.name == "MPI_COMM_WORLD" && !self.at(&TokenKind::LParen) {
-                    Expr::new(ExprKind::Mpi(MpiOp::CommWorld), id_tok.span)
-                } else if ident.name == "MPI_ANY_SOURCE" && !self.at(&TokenKind::LParen) {
-                    Expr::new(ExprKind::Mpi(MpiOp::AnySource), id_tok.span)
-                } else if ident.name == "MPI_ANY_TAG" && !self.at(&TokenKind::LParen) {
-                    Expr::new(ExprKind::Mpi(MpiOp::AnyTag), id_tok.span)
-                } else if self.at(&TokenKind::LParen) {
-                    self.call_expr(ident)
-                } else if self.at(&TokenKind::LBracket) {
+            TokenKind::Ident => {
+                self.bump();
+                let name = self.text(start);
+                if self.at(TokenKind::LParen) {
+                    return self.call_expr(name, start);
+                }
+                let constant = match name {
+                    "MPI_COMM_WORLD" => Some(MpiOp::CommWorld),
+                    "MPI_ANY_SOURCE" => Some(MpiOp::AnySource),
+                    "MPI_ANY_TAG" => Some(MpiOp::AnyTag),
+                    _ => None,
+                };
+                if let Some(op) = constant {
+                    Expr::new(ExprKind::Mpi(op), start)
+                } else if self.at(TokenKind::LBracket) {
                     self.bump();
                     let idx = self.expr();
-                    self.expect(&TokenKind::RBracket);
+                    self.expect(TokenKind::RBracket);
                     let span = start.to(self.prev_span());
-                    Expr::new(ExprKind::Index(ident, Box::new(idx)), span)
+                    Expr::new(
+                        ExprKind::Index(Ident::new(name, start), Box::new(idx)),
+                        span,
+                    )
                 } else {
-                    Expr::new(ExprKind::Var(ident), start)
+                    Expr::new(ExprKind::Var(Ident::new(name, start)), start)
                 }
             }
-            other => {
-                self.diags.error(
-                    "parse-error",
-                    format!("expected expression, found {}", other.describe()),
-                    start,
-                );
+            _ => {
+                let msg = format!("expected expression, found {}", self.found());
+                self.error(msg, start);
                 // Produce a placeholder so parsing can continue.
                 Expr::new(ExprKind::Int(0), start)
             }
@@ -692,65 +797,57 @@ impl Parser {
 
     /// Parse `name(args…)` where `name` may be an MPI builtin, an
     /// intrinsic, or a user function.
-    fn call_expr(&mut self, name: Ident) -> Expr {
-        let start = name.span;
-        self.expect(&TokenKind::LParen);
+    fn call_expr(&mut self, name: &str, start: Span) -> Expr {
+        self.expect(TokenKind::LParen);
 
-        if name.name.starts_with("MPI_") {
+        if name.starts_with("MPI_") {
             return self.mpi_call(name, start);
         }
 
         let mut args = Vec::new();
-        if !self.at(&TokenKind::RParen) {
+        if !self.at(TokenKind::RParen) {
             loop {
                 args.push(self.expr());
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         let span = start.to(self.prev_span());
 
-        if let Some(intr) = Intrinsic::from_name(&name.name) {
+        if let Some(intr) = Intrinsic::from_name(name) {
             Expr::new(ExprKind::Intrinsic(intr, args), span)
         } else {
-            Expr::new(ExprKind::Call(name, args), span)
+            Expr::new(ExprKind::Call(Ident::new(name, start), args), span)
         }
     }
 
     /// Argument position that must be a bare identifier (reduce op or
     /// thread level name).
-    fn bare_name_arg(&mut self, what: &str) -> Option<Ident> {
-        if let TokenKind::Ident(n) = self.peek().clone() {
-            let t = self.bump();
-            Some(Ident::new(n, t.span))
-        } else {
-            self.diags.error(
-                "parse-error",
-                format!("expected {what} name, found {}", self.peek().describe()),
-                self.span(),
-            );
-            None
+    fn bare_name_arg(&mut self, what: &str) -> Option<(&'s str, Span)> {
+        let arg = self.eat_ident();
+        if arg.is_none() {
+            let msg = format!("expected {what} name, found {}", self.found());
+            self.error(msg, self.span());
         }
+        arg
     }
 
-    fn mpi_call(&mut self, name: Ident, start: Span) -> Expr {
+    fn mpi_call(&mut self, name: &str, start: Span) -> Expr {
         // `(` already consumed.
-        let op: Option<MpiOp> = match name.name.as_str() {
+        let op: Option<MpiOp> = match name {
             "MPI_Init" => Some(MpiOp::Init),
             "MPI_Finalize" => Some(MpiOp::Finalize),
             "MPI_Init_thread" => {
-                let level = self.bare_name_arg("thread level").and_then(|id| {
-                    let l = ThreadLevel::from_name(&id.name);
+                let level = self.bare_name_arg("thread level").and_then(|(level, span)| {
+                    let l = ThreadLevel::from_name(level);
                     if l.is_none() {
-                        self.diags.error(
-                            "parse-error",
+                        self.error(
                             format!(
-                                "unknown thread level `{}` (expected SINGLE, FUNNELED, SERIALIZED or MULTIPLE)",
-                                id.name
+                                "unknown thread level `{level}` (expected SINGLE, FUNNELED, SERIALIZED or MULTIPLE)"
                             ),
-                            id.span,
+                            span,
                         );
                     }
                     l
@@ -761,9 +858,9 @@ impl Parser {
             }
             "MPI_Send" => {
                 let value = Box::new(self.expr());
-                self.expect(&TokenKind::Comma);
+                self.expect(TokenKind::Comma);
                 let dest = Box::new(self.expr());
-                self.expect(&TokenKind::Comma);
+                self.expect(TokenKind::Comma);
                 let tag = Box::new(self.expr());
                 let comm = self.trailing_comm_arg();
                 Some(MpiOp::Send {
@@ -775,16 +872,16 @@ impl Parser {
             }
             "MPI_Recv" => {
                 let src = Box::new(self.expr());
-                self.expect(&TokenKind::Comma);
+                self.expect(TokenKind::Comma);
                 let tag = Box::new(self.expr());
                 let comm = self.trailing_comm_arg();
                 Some(MpiOp::Recv { src, tag, comm })
             }
             "MPI_Comm_split" => {
                 let parent = Box::new(self.expr());
-                self.expect(&TokenKind::Comma);
+                self.expect(TokenKind::Comma);
                 let color = Box::new(self.expr());
-                self.expect(&TokenKind::Comma);
+                self.expect(TokenKind::Comma);
                 let key = Box::new(self.expr());
                 Some(MpiOp::CommSplit { parent, color, key })
             }
@@ -794,9 +891,9 @@ impl Parser {
             }
             "MPI_Isend" => {
                 let value = Box::new(self.expr());
-                self.expect(&TokenKind::Comma);
+                self.expect(TokenKind::Comma);
                 let dest = Box::new(self.expr());
-                self.expect(&TokenKind::Comma);
+                self.expect(TokenKind::Comma);
                 let tag = Box::new(self.expr());
                 let comm = self.trailing_comm_arg();
                 Some(MpiOp::Isend {
@@ -808,7 +905,7 @@ impl Parser {
             }
             "MPI_Irecv" => {
                 let src = Box::new(self.expr());
-                self.expect(&TokenKind::Comma);
+                self.expect(TokenKind::Comma);
                 let tag = Box::new(self.expr());
                 let comm = self.trailing_comm_arg();
                 Some(MpiOp::Irecv { src, tag, comm })
@@ -819,40 +916,32 @@ impl Parser {
             }
             "MPI_Waitall" => {
                 let mut requests = Vec::new();
-                if !self.at(&TokenKind::RParen) {
+                if !self.at(TokenKind::RParen) {
                     loop {
                         requests.push(self.expr());
-                        if !self.eat(&TokenKind::Comma) {
+                        if !self.eat(TokenKind::Comma) {
                             break;
                         }
                     }
                 }
                 if requests.is_empty() {
-                    self.diags.error(
-                        "parse-error",
-                        "MPI_Waitall requires at least one request",
-                        name.span,
-                    );
+                    self.error("MPI_Waitall requires at least one request", start);
                 }
                 Some(MpiOp::Waitall { requests })
             }
-            _ => match CollectiveKind::from_name(&name.name) {
+            _ => match CollectiveKind::from_name(name) {
                 Some(kind) => Some(MpiOp::Collective(self.collective_args(kind))),
                 None => {
-                    self.diags.error(
-                        "parse-error",
-                        format!("unknown MPI operation `{}`", name.name),
-                        name.span,
-                    );
+                    self.error(format!("unknown MPI operation `{name}`"), start);
                     None
                 }
             },
         };
         // Consume anything left and the closing paren.
-        while !self.at(&TokenKind::RParen) && !self.at(&TokenKind::Eof) {
+        while !self.at(TokenKind::RParen) && !self.at(TokenKind::Eof) {
             self.bump();
         }
-        self.expect(&TokenKind::RParen);
+        self.expect(TokenKind::RParen);
         let span = start.to(self.prev_span());
         match op {
             Some(op) => Expr::new(ExprKind::Mpi(op), span),
@@ -862,7 +951,7 @@ impl Parser {
 
     /// Optional trailing `, comm` argument of MPI operations.
     fn trailing_comm_arg(&mut self) -> Option<Box<Expr>> {
-        if self.eat(&TokenKind::Comma) {
+        if self.eat(TokenKind::Comma) {
             Some(Box::new(self.expr()))
         } else {
             None
@@ -879,7 +968,7 @@ impl Parser {
         };
         if kind == CollectiveKind::Barrier {
             // Only argument (if any) is the communicator.
-            if !self.at(&TokenKind::RParen) {
+            if !self.at(TokenKind::RParen) {
                 call.comm = Some(Box::new(self.expr()));
             }
             return call;
@@ -887,25 +976,21 @@ impl Parser {
         // value
         call.value = Some(Box::new(self.expr()));
         // reduce op
-        if kind.has_reduce_op() && self.expect(&TokenKind::Comma) {
-            {
-                if let Some(id) = self.bare_name_arg("reduction operator") {
-                    match ReduceOp::from_name(&id.name) {
-                        Some(op) => call.reduce_op = Some(op),
-                        None => self.diags.error(
-                            "parse-error",
-                            format!(
-                                "unknown reduction operator `{}` (expected SUM, PROD, MIN, MAX, LAND or LOR)",
-                                id.name
-                            ),
-                            id.span,
+        if kind.has_reduce_op() && self.expect(TokenKind::Comma) {
+            if let Some((op, span)) = self.bare_name_arg("reduction operator") {
+                call.reduce_op = ReduceOp::from_name(op);
+                if call.reduce_op.is_none() {
+                    self.error(
+                        format!(
+                            "unknown reduction operator `{op}` (expected SUM, PROD, MIN, MAX, LAND or LOR)"
                         ),
-                    }
+                        span,
+                    );
                 }
             }
         }
         // root
-        if kind.has_root() && self.expect(&TokenKind::Comma) {
+        if kind.has_root() && self.expect(TokenKind::Comma) {
             call.root = Some(Box::new(self.expr()));
         }
         // optional trailing communicator
@@ -1236,6 +1321,134 @@ mod tests {
         let p = parse_ok(src);
         let s = &p.functions[0].body.stmts[0];
         assert_eq!(&src[s.span.lo as usize..s.span.hi as usize], "let x = 1;");
+    }
+
+    /// Messages that name the identifier under the cursor read its text
+    /// back from the source; pinned byte for byte.
+    #[test]
+    fn messages_naming_an_identifier_token() {
+        // (source, message, the text the diagnostic points at)
+        for (src, message, at) in [
+            (
+                "fn main() { let x = 1 foo; }",
+                "expected `;`, found identifier `foo`",
+                "foo",
+            ),
+            (
+                "fn main() { let x: foo = 1; }",
+                "expected type, found identifier `foo`",
+                "foo",
+            ),
+            (
+                "MPI_Barrier fn main() { }",
+                "expected `fn` at top level, found identifier `MPI_Barrier`",
+                "MPI_Barrier",
+            ),
+            (
+                "fn main() { let x = MPI_Allreduce(1, BOGUS); }",
+                "unknown reduction operator `BOGUS` (expected SUM, PROD, MIN, MAX, LAND or LOR)",
+                "BOGUS",
+            ),
+            (
+                "fn main() { MPI_Init_thread(SOME); }",
+                "unknown thread level `SOME` (expected SINGLE, FUNNELED, SERIALIZED or MULTIPLE)",
+                "SOME",
+            ),
+            (
+                "fn main() { MPI_Frobnicate(1); }",
+                "unknown MPI operation `MPI_Frobnicate`",
+                "MPI_Frobnicate",
+            ),
+            (
+                "fn main() { let x = MPI_Allreduce(1, 2); }",
+                "expected reduction operator name, found integer `2`",
+                "2",
+            ),
+            (
+                "fn 7() { }",
+                "expected function name, found integer `7`",
+                "7",
+            ),
+        ] {
+            let d = parse_err(src).into_vec().remove(0);
+            let lo = src.find(at).unwrap() as u32;
+            assert_eq!(d.code, "parse-error", "{src}");
+            assert_eq!(d.message, message, "{src}");
+            assert_eq!(d.span, Span::new(lo, lo + at.len() as u32), "{src}");
+        }
+    }
+
+    /// One `nesting too deep` error and nothing else, whatever is nested.
+    fn assert_too_deep(src: &str) {
+        let diags = parse_err(src).into_vec();
+        assert_eq!(diags.len(), 1, "{:#?}", &diags[..diags.len().min(3)]);
+        assert_eq!(diags[0].code, "parse-error");
+        assert_eq!(
+            diags[0].message,
+            format!("nesting too deep (more than {MAX_NESTING} levels of expressions or blocks)")
+        );
+    }
+
+    #[test]
+    fn nesting_bombs_are_one_diagnostic_not_a_stack_overflow() {
+        let n = 100_000;
+        assert_too_deep(&format!(
+            "fn main() {{ let x = {}1{}; }}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ));
+        assert_too_deep(&format!(
+            "fn main() {{ {} {} }}",
+            "if (true) {".repeat(20_000),
+            "}".repeat(20_000)
+        ));
+        // Unclosed, and with functions after the bomb.
+        assert_too_deep(&format!("fn main() {{ let x = {}", "(".repeat(n)));
+        assert_too_deep(&format!(
+            "fn main() {{ {} }} fn later( {{ }}",
+            "while (true) {".repeat(n)
+        ));
+        // The shapes that nest the tree without nesting brackets.
+        assert_too_deep(&format!("fn main() {{ let x = {}1; }}", "-".repeat(n)));
+        assert_too_deep(&format!("fn main() {{ let x = 1{}; }}", " + 1".repeat(n)));
+        assert_too_deep(&format!(
+            "fn main() {{ let b = true{}; }}",
+            " && true || false".repeat(n)
+        ));
+        assert_too_deep(&format!(
+            "fn main() {{ if (true) {{ }} {} }}",
+            "else if (true) { }".repeat(n)
+        ));
+        assert_too_deep(&format!(
+            "fn f(a: int) -> int {{ return a; }} fn main() {{ let x = {}1{}; }}",
+            "f(a[".repeat(n),
+            "])".repeat(n)
+        ));
+    }
+
+    #[test]
+    fn nesting_limit_is_exact_and_leaves_no_residue() {
+        // The body block is level 1, the `let` initializer level 2 and
+        // every parenthesis one more.
+        let parens = |n: usize| {
+            format!(
+                "fn main() {{ let x = {}1{}; let y = 2; }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            )
+        };
+        let fits = MAX_NESTING as usize - 2;
+        let p = parse_ok(&parens(fits));
+        assert_eq!(p.functions[0].body.stmts.len(), 2);
+        assert_too_deep(&parens(fits + 1));
+        // The counter unwinds: a sibling at the limit parses as well.
+        parse_ok(&format!(
+            "fn main() {{ let x = {}1{}; let y = {}1{}; }}",
+            "(".repeat(fits),
+            ")".repeat(fits),
+            "-".repeat(fits),
+            ""
+        ));
     }
 
     #[test]

@@ -15,6 +15,7 @@
 
 use crate::ast::*;
 use crate::diag::Diagnostics;
+use crate::scope::ScopeStack;
 use crate::span::Span;
 use std::collections::HashMap;
 
@@ -54,7 +55,7 @@ pub fn check_function(
     let mut ck = Checker {
         signatures,
         diags,
-        scopes: vec![HashMap::new()],
+        scopes: ScopeStack::new(),
         ret_ty: f.ret,
         omp_depth: 0,
         loops: Vec::new(),
@@ -123,8 +124,8 @@ struct LoopCtx {
 struct Checker<'a> {
     signatures: &'a HashMap<String, Signature>,
     diags: &'a mut Diagnostics,
-    /// Lexical scopes, innermost last.
-    scopes: Vec<HashMap<String, Type>>,
+    /// Types of the variables in scope; names borrowed from the AST.
+    scopes: ScopeStack<'a, Type>,
     ret_ty: Type,
     omp_depth: u32,
     loops: Vec<LoopCtx>,
@@ -135,33 +136,41 @@ struct Checker<'a> {
 }
 
 impl<'a> Checker<'a> {
-    fn declare(&mut self, name: &Ident, ty: Type) {
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name.name.clone(), ty);
+    fn declare(&mut self, name: &'a Ident, ty: Type) {
+        self.scopes.declare(&name.name, ty);
     }
 
     fn lookup(&self, name: &str) -> Option<Type> {
-        self.scopes.iter().rev().find_map(|s| s.get(name).copied())
+        self.scopes.lookup(name)
     }
 
-    fn check_block(&mut self, b: &Block) {
-        self.scopes.push(HashMap::new());
+    fn check_block(&mut self, b: &'a Block) {
+        self.scopes.push();
         for s in &b.stmts {
             self.check_stmt(s);
         }
         self.scopes.pop();
     }
 
+    /// Check a loop body with its induction variable bound in the
+    /// body's own scope.
+    fn check_loop_body(&mut self, var: &'a Ident, body: &'a Block) {
+        self.scopes.push();
+        self.declare(var, Type::Int);
+        for st in &body.stmts {
+            self.check_stmt(st);
+        }
+        self.scopes.pop();
+    }
+
     /// Check a construct body with OMP depth increased by one.
-    fn check_omp_body(&mut self, b: &Block) {
+    fn check_omp_body(&mut self, b: &'a Block) {
         self.omp_depth += 1;
         self.check_block(b);
         self.omp_depth -= 1;
     }
 
-    fn check_stmt(&mut self, s: &Stmt) {
+    fn check_stmt(&mut self, s: &'a Stmt) {
         match &s.kind {
             StmtKind::Let { name, ty, init } => {
                 let init_ty = self.check_expr(init);
@@ -281,12 +290,7 @@ impl<'a> Checker<'a> {
                     kind: LoopKind::Sequential,
                     omp_depth: self.omp_depth,
                 });
-                self.scopes.push(HashMap::new());
-                self.declare(var, Type::Int);
-                for st in &body.stmts {
-                    self.check_stmt(st);
-                }
-                self.scopes.pop();
+                self.check_loop_body(var, body);
                 self.loops.pop();
             }
             StmtKind::Return(value) => {
@@ -386,7 +390,7 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_omp(&mut self, omp: &OmpStmt, span: Span) {
+    fn check_omp(&mut self, omp: &'a OmpStmt, span: Span) {
         // OpenMP closely-nested-region rule: worksharing constructs,
         // `single` and `master` may not be closely nested inside
         // worksharing, `single`, `master` or `critical` regions (an
@@ -442,12 +446,7 @@ impl<'a> Checker<'a> {
                     omp_depth: self.omp_depth + 1,
                 });
                 self.omp_depth += 1;
-                self.scopes.push(HashMap::new());
-                self.declare(var, Type::Int);
-                for st in &body.stmts {
-                    self.check_stmt(st);
-                }
-                self.scopes.pop();
+                self.check_loop_body(var, body);
                 self.omp_depth -= 1;
                 self.loops.pop();
                 self.barrier_forbidden = saved;
@@ -1122,6 +1121,54 @@ mod tests {
             "undeclared-variable",
         );
         sema_ok("fn main() { let x = 1; if (true) { let x = 2.0; x = 3.0; } x = 4; }");
+    }
+
+    #[test]
+    fn redeclaration_in_one_block_takes_the_later_type() {
+        sema_ok("fn main() { let x = 1; let x = 2.5; x = 3.5; }");
+        sema_err(
+            "fn main() { let x = 1; let x = 2.5; x = 3; }",
+            "type-mismatch",
+        );
+        // A parameter can be shadowed by a body-level `let`.
+        sema_ok("fn f(a: int) { let a = true; if (a) { } } fn main() { f(1); }");
+    }
+
+    #[test]
+    fn inner_shadow_ends_with_its_block() {
+        // After the block, `x` is the outer int again — two levels deep.
+        sema_err(
+            "fn main() { let x = 1; if (true) { let x = 2.0; while (false) { let x = true; } x = 1; } }",
+            "type-mismatch",
+        );
+        sema_err(
+            "fn main() { let x = 1; if (true) { let x = 2.0; } x = 2.0; }",
+            "type-mismatch",
+        );
+        // A block that binds nothing leaves the outer bindings alone.
+        sema_ok("fn main() { let x = 1; if (true) { } else { } x = 2; }");
+    }
+
+    #[test]
+    fn induction_variables_are_scoped_to_their_loop() {
+        sema_ok("fn main() { for (i in 0..4) { let y = i + 1; } }");
+        sema_ok("fn main() { parallel { pfor (i in 0..4) { let y = i + 1; } } }");
+        for src in [
+            "fn main() { for (i in 0..4) { } print(i); }",
+            "fn main() { parallel { pfor (i in 0..4) { } print(i); } }",
+            // A body `let` lives in the same scope as the variable and
+            // goes with it.
+            "fn main() { for (i in 0..4) { let y = i; } print(y); }",
+        ] {
+            sema_err(src, "undeclared-variable");
+        }
+        // The induction variable is an int whatever it shadows, and the
+        // shadowed binding is back after the loop.
+        sema_ok("fn main() { let i = 1.5; for (i in 0..4) { let y = i + 1; } i = 2.5; }");
+        sema_err(
+            "fn main() { let i = 1.5; parallel { pfor (i in 0..4) { i = 2.5; } } }",
+            "type-mismatch",
+        );
     }
 
     #[test]

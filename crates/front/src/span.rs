@@ -95,12 +95,11 @@ impl SourceMap {
     /// Build a map for `src`. `name` is used when formatting locations.
     pub fn new(name: impl Into<String>, src: impl Into<String>) -> Self {
         let src = src.into();
-        let mut line_starts = vec![0u32];
-        for (i, b) in src.bytes().enumerate() {
-            if b == b'\n' {
-                line_starts.push(i as u32 + 1);
-            }
-        }
+        // `match_indices` on a one-byte pattern searches a word at a
+        // time, not a byte at a time.
+        let line_starts = std::iter::once(0)
+            .chain(src.match_indices('\n').map(|(i, _)| i as u32 + 1))
+            .collect();
         SourceMap {
             name: name.into(),
             src,

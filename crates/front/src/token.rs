@@ -4,7 +4,10 @@ use crate::span::Span;
 use std::fmt;
 
 /// The kind of a lexical token.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `Copy`: no variant owns heap data. An identifier's text is not stored
+/// in the token — it is the source slice its [`Token::span`] covers.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TokenKind {
     // Literals
     /// Integer literal, e.g. `42`.
@@ -13,8 +16,9 @@ pub enum TokenKind {
     Float(f64),
     /// `true` / `false`.
     Bool(bool),
-    /// Identifier or keyword-candidate name.
-    Ident(String),
+    /// Identifier (a name that is not a keyword); its text is the
+    /// source slice under the token's span.
+    Ident,
 
     // Keywords (control flow and declarations)
     /// `fn`
@@ -134,12 +138,14 @@ pub enum TokenKind {
 
 impl TokenKind {
     /// A short human-readable description used in parse error messages.
+    /// An identifier describes itself as plain `identifier`: the parser,
+    /// which holds the source, appends the name.
     pub fn describe(&self) -> String {
         match self {
             TokenKind::Int(v) => format!("integer `{v}`"),
             TokenKind::Float(v) => format!("float `{v}`"),
             TokenKind::Bool(v) => format!("`{v}`"),
-            TokenKind::Ident(s) => format!("identifier `{s}`"),
+            TokenKind::Ident => "identifier".into(),
             TokenKind::Fn => "`fn`".into(),
             TokenKind::Let => "`let`".into(),
             TokenKind::If => "`if`".into(),
@@ -237,7 +243,7 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source span.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Token {
     /// What the token is.
     pub kind: TokenKind,
@@ -267,12 +273,19 @@ mod tests {
     }
 
     #[test]
+    fn tokens_are_small_and_copy() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<Token>();
+        assert_eq!(std::mem::size_of::<Token>(), 24);
+    }
+
+    #[test]
     fn describe_is_nonempty() {
         for k in [
             TokenKind::Fn,
             TokenKind::DotDot,
             TokenKind::Eof,
-            TokenKind::Ident("abc".into()),
+            TokenKind::Ident,
             TokenKind::Int(7),
         ] {
             assert!(!k.describe().is_empty());

@@ -20,6 +20,7 @@ use parcoach_front::ast::{
     BinOp, Block, Expr, ExprKind, Function, Intrinsic, LValue, MpiOp, OmpStmt, Program, Stmt,
     StmtKind, Type, UnOp,
 };
+use parcoach_front::scope::ScopeStack;
 use parcoach_front::sema::Signature;
 use parcoach_front::span::Span;
 use std::collections::HashMap;
@@ -53,8 +54,8 @@ struct Lowerer<'a> {
     blocks: Vec<BasicBlock>,
     reg_types: Vec<Type>,
     reg_names: Vec<Option<String>>,
-    /// Lexical scopes mapping variable names to registers.
-    scopes: Vec<HashMap<String, Reg>>,
+    /// Registers of the variables in scope; names borrowed from the AST.
+    scopes: ScopeStack<'a, Reg>,
     cur: BlockId,
     regions: u32,
     loops: Vec<LoopTargets>,
@@ -68,7 +69,7 @@ impl<'a> Lowerer<'a> {
             blocks: vec![BasicBlock::new()],
             reg_types: Vec::new(),
             reg_names: Vec::new(),
-            scopes: vec![HashMap::new()],
+            scopes: ScopeStack::new(),
             cur: BlockId(0),
             regions: 0,
             loops: Vec::new(),
@@ -77,16 +78,14 @@ impl<'a> Lowerer<'a> {
 
     fn run(mut self) -> FuncIr {
         let mut params = Vec::new();
-        for p in &self.src.params {
+        let src = self.src;
+        for p in &src.params {
             let r = self.fresh_named(p.ty, &p.name.name);
-            self.scopes
-                .last_mut()
-                .expect("scope stack non-empty")
-                .insert(p.name.name.clone(), r);
+            self.scopes.declare(&p.name.name, r);
             params.push(r);
         }
-        self.blocks[0].span = self.src.span;
-        self.lower_block(&self.src.body);
+        self.blocks[0].span = src.span;
+        self.lower_block(&src.body);
         // Fall-through at the end of the body: synthesize a return.
         if matches!(self.blocks[self.cur.index()].term, Terminator::Unreachable) {
             self.blocks[self.cur.index()].term = Terminator::Return {
@@ -169,16 +168,14 @@ impl<'a> Lowerer<'a> {
 
     fn lookup(&self, name: &str) -> Reg {
         self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.get(name).copied())
+            .lookup(name)
             .unwrap_or_else(|| panic!("sema guaranteed variable `{name}` exists"))
     }
 
     // ---- statements -------------------------------------------------------
 
-    fn lower_block(&mut self, b: &Block) {
-        self.scopes.push(HashMap::new());
+    fn lower_block(&mut self, b: &'a Block) {
+        self.scopes.push();
         for s in &b.stmts {
             if self.terminated() {
                 break; // dead code after break/continue/return
@@ -188,7 +185,21 @@ impl<'a> Lowerer<'a> {
         self.scopes.pop();
     }
 
-    fn lower_stmt(&mut self, s: &Stmt) {
+    /// Lower a loop body with its induction variable bound to `iv` in
+    /// the body's own scope.
+    fn lower_loop_body(&mut self, var: &'a str, iv: Reg, body: &'a Block) {
+        self.scopes.push();
+        self.scopes.declare(var, iv);
+        for st in &body.stmts {
+            if self.terminated() {
+                break;
+            }
+            self.lower_stmt(st);
+        }
+        self.scopes.pop();
+    }
+
+    fn lower_stmt(&mut self, s: &'a Stmt) {
         if self.blocks[self.cur.index()].span.is_dummy() {
             self.blocks[self.cur.index()].span = s.span;
         }
@@ -198,10 +209,7 @@ impl<'a> Lowerer<'a> {
                 let ty = ty.unwrap_or_else(|| self.value_ty(v));
                 let r = self.fresh_named(ty, &name.name);
                 self.emit(Instr::Copy { dest: r, src: v });
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack non-empty")
-                    .insert(name.name.clone(), r);
+                self.scopes.declare(&name.name, r);
             }
             StmtKind::Assign { target, value } => {
                 let v = self.lower_expr(value);
@@ -317,18 +325,7 @@ impl<'a> Lowerer<'a> {
                     break_bb: exit,
                 });
                 self.cur = body_bb;
-                self.scopes.push(HashMap::new());
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack non-empty")
-                    .insert(var.name.clone(), iv);
-                for st in &body.stmts {
-                    if self.terminated() {
-                        break;
-                    }
-                    self.lower_stmt(st);
-                }
-                self.scopes.pop();
+                self.lower_loop_body(&var.name, iv, body);
                 if !self.terminated() {
                     self.set_term(Terminator::Goto(incr));
                 }
@@ -391,7 +388,7 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn lower_omp(&mut self, omp: &OmpStmt, span: Span) {
+    fn lower_omp(&mut self, omp: &'a OmpStmt, span: Span) {
         match omp {
             OmpStmt::Parallel { num_threads, body } => {
                 let nt = num_threads.as_ref().map(|e| self.lower_expr(e));
@@ -572,18 +569,7 @@ impl<'a> Lowerer<'a> {
                     break_bb: we,
                 });
                 self.cur = body_bb;
-                self.scopes.push(HashMap::new());
-                self.scopes
-                    .last_mut()
-                    .expect("scope stack non-empty")
-                    .insert(var.name.clone(), iv);
-                for st in &body.stmts {
-                    if self.terminated() {
-                        break;
-                    }
-                    self.lower_stmt(st);
-                }
-                self.scopes.pop();
+                self.lower_loop_body(&var.name, iv, body);
                 if !self.terminated() {
                     self.set_term(Terminator::Goto(incr));
                 }
@@ -1035,6 +1021,7 @@ impl<'a> Lowerer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Const;
     use parcoach_front::parse_and_check;
 
     fn lower(src: &str) -> Module {
@@ -1059,6 +1046,56 @@ mod tests {
             Terminator::Return { value: None, .. }
         ));
         assert!(!f.has_omp());
+    }
+
+    /// The register each `print(<tag>, <var>)` reads, indexed by tag.
+    fn printed_regs(f: &FuncIr) -> Vec<Reg> {
+        let mut prints: Vec<(i64, Reg)> = f
+            .iter_blocks()
+            .flat_map(|(_, b)| &b.instrs)
+            .filter_map(|i| match i {
+                Instr::Print { args } => match args[..] {
+                    [Value::Const(Const::Int(tag)), Value::Reg(r)] => Some((tag, r)),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        prints.sort_unstable_by_key(|&(tag, _)| tag);
+        prints.into_iter().map(|(_, r)| r).collect()
+    }
+
+    #[test]
+    fn scopes_resolve_to_the_innermost_live_binding() {
+        let m = lower(
+            "fn f(x: int) {
+                print(0, x);
+                let x = 1; print(1, x);
+                if (true) { print(2, x); let x = 2; print(3, x); let x = 3; print(4, x); }
+                print(5, x);
+                for (x in 0..2) { print(6, x); let x = 4; print(7, x); }
+                print(8, x);
+                parallel { pfor (x in 0..2) { print(9, x); } }
+                print(10, x);
+            }
+            fn main() { f(0); }",
+        );
+        let f = m.func("f").unwrap();
+        let p = printed_regs(f);
+        assert_eq!(p.len(), 11);
+        let (param, outer) = (p[0], p[1]);
+        assert_eq!(param, f.params[0]);
+        // Same-block redeclaration and every nested binding get a
+        // register of their own…
+        let distinct: std::collections::HashSet<Reg> = [p[0], p[1], p[3], p[4], p[6], p[7], p[9]]
+            .into_iter()
+            .collect();
+        assert_eq!(distinct.len(), 7, "{p:?}");
+        // …an inner block sees the outer binding until it shadows it…
+        assert_eq!(p[2], outer);
+        // …and the outer binding is back when the block, the loop and
+        // the worksharing loop end.
+        assert_eq!([p[5], p[8], p[10]], [outer; 3]);
     }
 
     #[test]

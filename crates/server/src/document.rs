@@ -4,8 +4,8 @@
 //!
 //! The daemon's latency story lives here. `open` pays the full
 //! front-end once; [`Document::edit`] then tries the **incremental
-//! path**: reparse *only* the replacement function (padded with blanks
-//! so its spans land at absolute file offsets), sema-check it against
+//! path**: reparse *only* the replacement function (lexed at its byte
+//! offset in the file, so its spans are absolute), sema-check it against
 //! the existing signature table, re-lower it in isolation, and rebase
 //! the spans of every function after the splice point in the resident
 //! AST and IR by the byte delta. The document is the only thing that
@@ -53,9 +53,9 @@ pub struct EditOutcome {
 #[derive(Debug)]
 pub struct Document {
     uri: String,
-    text: String,
     program: Program,
     signatures: HashMap<String, sema::Signature>,
+    /// Owns the one resident copy of the source text.
     source_map: SourceMap,
     module: Module,
     /// What the last checks derived from `module`.
@@ -70,7 +70,6 @@ impl Document {
         let (program, signatures, source_map, module) = compile(uri, text)?;
         Ok(Document {
             uri: uri.to_string(),
-            text: text.to_string(),
             program,
             signatures,
             source_map,
@@ -84,7 +83,7 @@ impl Document {
     }
 
     pub fn text(&self) -> &str {
-        &self.text
+        self.source_map.source()
     }
 
     /// Function names in definition order.
@@ -134,14 +133,14 @@ impl Document {
         let (lo, hi) = (old_span.lo as usize, old_span.hi as usize);
         let delta = new_text.len() as i64 - (hi - lo) as i64;
 
-        let mut spliced = String::with_capacity(self.text.len() + new_text.len());
-        spliced.push_str(&self.text[..lo]);
+        let text = self.text();
+        let mut spliced = String::with_capacity(text.len() - (hi - lo) + new_text.len());
+        spliced.push_str(&text[..lo]);
         spliced.push_str(new_text);
-        spliced.push_str(&self.text[hi..]);
+        spliced.push_str(&text[hi..]);
 
-        if let Some((new_fn, new_ir)) = self.try_incremental(func, idx, lo, new_text) {
-            self.text = spliced;
-            self.source_map = SourceMap::new(&self.uri, &self.text);
+        if let Some((new_fn, new_ir)) = self.try_incremental(func, idx, old_span.lo, new_text) {
+            self.source_map = SourceMap::new(&self.uri, spliced);
             self.program.functions[idx] = new_fn;
             for later in &mut self.program.functions[idx + 1..] {
                 shift_ast_function(later, delta);
@@ -161,7 +160,6 @@ impl Document {
         // shape, so the memo table starts over (a failed compile leaves
         // the document untouched).
         let (program, signatures, source_map, module) = compile(&self.uri, &spliced)?;
-        self.text = spliced;
         self.program = program;
         self.signatures = signatures;
         self.source_map = source_map;
@@ -173,19 +171,18 @@ impl Document {
         })
     }
 
-    /// The single-function path: parse `new_text` alone (padded to
-    /// absolute offsets), and accept it only if it is a drop-in
+    /// The single-function path: parse `new_text` alone (at its
+    /// absolute offset), and accept it only if it is a drop-in
     /// replacement — same name, same signature, sema-clean against the
     /// existing signature table.
     fn try_incremental(
         &self,
         func: &str,
         idx: usize,
-        offset: usize,
+        offset: u32,
         new_text: &str,
     ) -> Option<(Function, parcoach_ir::FuncIr)> {
-        let padded = format!("{}{}", " ".repeat(offset), new_text);
-        let (prog, diags) = parser::parse_program(&padded);
+        let (prog, diags) = parser::parse_program_at(new_text, offset);
         if diags.has_errors() || prog.functions.len() != 1 {
             return None;
         }

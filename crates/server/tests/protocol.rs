@@ -221,6 +221,56 @@ fn open_compile_error_is_32003_with_diagnostics() {
     assert!(check.contains(r#""code":-32004"#), "{check}");
 }
 
+/// Hostile text — a nesting bomb, or bytes outside ASCII — is a compile
+/// error like any other: one response, and the server goes on answering.
+#[test]
+fn hostile_source_is_a_compile_error_and_the_server_lives() {
+    let mut srv = server();
+    init(&mut srv);
+    let n = 100_000;
+    let parens = format!(
+        "fn main() {{ let x = {}1{}; }}",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let ifs = format!(
+        "fn main() {{ {} {} }}",
+        "if (true) {".repeat(20_000),
+        "}".repeat(20_000)
+    );
+    for (text, needle) in [
+        (parens.as_str(), "nesting too deep"),
+        (ifs.as_str(), "nesting too deep"),
+        ("fn main() { \u{e9} }", "unexpected character `\u{e9}`"),
+    ] {
+        let resp = open(&mut srv, text);
+        assert!(resp.contains(r#""code":-32003"#), "{:.300}", resp);
+        assert!(resp.contains(needle), "{:.300}", resp);
+        assert_eq!(
+            resp.matches("[parse-error]").count() + resp.matches("[lex-error]").count(),
+            1
+        );
+    }
+
+    // The next requests are answered: a good open, then a bomb as an
+    // edit, which leaves the resident document as it was.
+    let resp = open(&mut srv, DIVERGENT);
+    assert!(resp.contains(r#""result""#), "{resp}");
+    let params = json::obj([
+        ("uri", json::Value::from("t.mh")),
+        ("func", json::Value::from("main")),
+        ("text", json::Value::from(parens.as_str())),
+    ]);
+    let resp = srv.handle_line(&format!(
+        r#"{{"jsonrpc":"2.0","id":2,"method":"edit","params":{}}}"#,
+        params.to_line()
+    ));
+    assert!(resp.contains(r#""code":-32003"#), "{:.300}", resp);
+    let check =
+        srv.handle_line(r#"{"jsonrpc":"2.0","id":3,"method":"check","params":{"uri":"t.mh"}}"#);
+    assert!(check.contains("collective-mismatch"), "{check}");
+}
+
 #[test]
 fn edit_unknown_targets_are_32004() {
     let mut srv = server();
