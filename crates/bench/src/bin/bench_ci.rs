@@ -218,11 +218,12 @@ fn run(args: &[String]) -> Result<bool, String> {
         }
     );
 
-    // --- incremental warm re-check vs cold one-shot (absolute gate) ------
-    // The PR's acceptance bar: a warm single-function re-check must be
-    // at least 10x faster than a cold full analysis. The gate is
-    // absolute (both numbers come from the same run on the same
-    // machine), so it needs no baseline entry.
+    // --- incremental warm re-check (absolute gate) ------------------------
+    // A warm single-function re-check over a resident table must stay
+    // under 80 µs — a bound on the warm side alone: the ratio to the
+    // cold check (still recorded) shrinks every time the cold path gets
+    // faster. Absolute, so it needs no baseline entry.
+    const WARM_RECHECK_BOUND_NS: u64 = 80_000;
     let (cold, warm_ns, warm_identical) = incremental_latency();
     let cold_ns = cold.total_ns;
     results.insert("info/incr/hera_b/cold_full_ns".into(), cold_ns);
@@ -232,22 +233,39 @@ fn run(args: &[String]) -> Result<bool, String> {
         "info/incr/hera_b/speedup_x1000".into(),
         (incr_speedup * 1000.0) as u64,
     );
-    let incr_ok = incr_speedup >= 10.0 && warm_identical;
+    let incr_ok = warm_ns <= WARM_RECHECK_BOUND_NS && warm_identical;
     println!(
-        "incremental HERA/B: cold {:.3} ms, warm re-check {:.3} ms  → {incr_speedup:.1}x, \
+        "incremental HERA/B: cold {:.3} ms, warm re-check {:.3} ms (bound {:.3} ms; {incr_speedup:.1}x), \
          reports {} — {}",
         cold_ns as f64 / 1e6,
         warm_ns as f64 / 1e6,
+        WARM_RECHECK_BOUND_NS as f64 / 1e6,
         if warm_identical {
             "byte-identical"
         } else {
             "DIFFER"
         },
-        if incr_ok {
-            "ok (>= 10x)"
+        if incr_ok { "ok" } else { "GATE FAILURE" }
+    );
+
+    // --- one neutral edit through the daemon's front door (absolute gate) -
+    // What a `parcoachd` client waits for: an `edit` request line plus a
+    // `check` request line through `Server::handle_line` on resident
+    // HERA-B, request bytes in to response bytes out.
+    const NEUTRAL_EDIT_BOUND_NS: u64 = 200_000;
+    let (neutral_edit_ns, edit_live) = neutral_edit_latency();
+    results.insert("info/incr/hera_b/neutral_edit_ns".into(), neutral_edit_ns);
+    let neutral_ok = neutral_edit_ns <= NEUTRAL_EDIT_BOUND_NS && edit_live;
+    println!(
+        "neutral edit HERA/B: edit + check {:.3} ms (bound {:.3} ms), {} — {}",
+        neutral_edit_ns as f64 / 1e6,
+        NEUTRAL_EDIT_BOUND_NS as f64 / 1e6,
+        if edit_live {
+            "incremental, findings served from the table"
         } else {
-            "GATE FAILURE"
-        }
+            "NOT INCREMENTAL"
+        },
+        if neutral_ok { "ok" } else { "GATE FAILURE" }
     );
 
     // --- module-memo warm re-check (absolute gate) -----------------------
@@ -381,6 +399,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         return Ok(detection_ok
             && identical
             && incr_ok
+            && neutral_ok
             && module_ok
             && hera_ok
             && budget_ok
@@ -390,6 +409,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         && detection_ok
         && identical
         && incr_ok
+        && neutral_ok
         && module_ok
         && hera_ok
         && budget_ok
@@ -649,13 +669,13 @@ fn analyze_speedup() -> (u64, u64, bool) {
     )
 }
 
-/// The daemon's headline number: cold one-shot check of HERA class B
-/// (full front-end + fresh analysis, what `parcoachc check` pays) vs a
-/// warm re-check over a resident memo table after a single-function
-/// edit. The edit alternates one probe function between two bodies, so
-/// every warm rep re-keys that function, recomputes exactly its
-/// parallelism word and CFG facts, and reuses the rest — the steady
-/// state `parcoachd`'s documents serve. Returns
+/// The analysis inside the daemon's headline number: cold one-shot
+/// check of HERA class B (full front-end + fresh analysis, what
+/// `parcoachc check` pays) vs a warm re-check over a resident memo
+/// table after a single-function edit. The edit alternates one probe
+/// function between two bodies, so every warm rep re-keys that function,
+/// re-derives exactly its words, CFG facts and findings, and reuses the
+/// rest — the steady state `parcoachd`'s documents serve. Returns
 /// `(cold, warm_ns, identical)` where `identical` compares the warm
 /// report byte-for-byte against a cold fresh-session report of the same
 /// edited module.
@@ -806,6 +826,108 @@ impl WarmProbe {
         self.cur ^= 1;
         self.check()
     }
+}
+
+/// One MPI-neutral `edit` request line plus one `check` request line
+/// through `Server::handle_line` on a resident HERA class B document:
+/// a function in the middle of the file alternates between two values
+/// of an added `let`, so every rep re-parses and re-lowers it, rebases
+/// what follows, re-derives that one function's findings and re-encodes
+/// the response. Returns the fastest rep and whether the reps were what
+/// they claim to be: every edit incremental, every other function's
+/// findings and the context fixpoint served from the table.
+fn neutral_edit_latency() -> (u64, bool) {
+    use parcoach_server::json::{obj, parse, Value};
+    use parcoach_server::{Server, ServerConfig};
+
+    let w: Workload = parcoach_workloads::hera::generate(WorkloadClass::B);
+    let request = |id: i64, method: &str, params: Value| {
+        obj([
+            ("jsonrpc", Value::from("2.0")),
+            ("id", Value::from(id)),
+            ("method", Value::from(method)),
+            ("params", params),
+        ])
+        .to_line()
+    };
+    let uri = || ("uri", Value::from(w.name));
+
+    let mut server = Server::new(ServerConfig {
+        jobs: Some(1),
+        deterministic: true,
+        seed: 42,
+        ..ServerConfig::default()
+    });
+    let version = obj([("protocolVersion", Value::from(2i64))]);
+    server.handle_line(&request(0, "initialize", version));
+    let opened = server.handle_line(&request(
+        1,
+        "open",
+        obj([uri(), ("text", Value::from(w.source.as_str()))]),
+    ));
+    let functions = parse(&opened)
+        .ok()
+        .and_then(|r| match r.get("result")?.get("functions")? {
+            Value::Arr(names) => Some(names.len()),
+            _ => None,
+        })
+        .expect("open lists the functions");
+
+    // The definition in the middle of the file: from its `fn` to the
+    // next one (generated sources put both in column 0).
+    let starts: Vec<usize> = std::iter::once(0)
+        .chain(w.source.match_indices("\nfn ").map(|(i, _)| i + 1))
+        .collect();
+    let mid = starts.len() / 2;
+    let def = w.source[starts[mid]..starts[mid + 1]].trim_end();
+    let (head, body) = def.split_once('\n').expect("a multi-line definition");
+    let name = head["fn ".len()..].split('(').next().expect("fn name(");
+    let edits: Vec<String> = [1, 2]
+        .iter()
+        .map(|pad| {
+            let text = format!("{head}\n    let bench_pad = {pad};\n{body}");
+            let params = obj([
+                uri(),
+                ("func", Value::from(name)),
+                ("text", Value::from(text)),
+            ]);
+            request(2, "edit", params)
+        })
+        .collect();
+    let check = request(3, "check", obj([uri()]));
+
+    let mut rep = 0usize;
+    let mut live = true;
+    let mut step = |server: &mut Server| {
+        let edited = server.handle_line(&edits[rep % 2]);
+        let checked = server.handle_line(&check);
+        rep += 1;
+        live &= edited.contains(r#""incremental":true"#) && checked.contains(r#""result""#);
+    };
+    // The first two reps add the line and settle the call summary (the
+    // added instruction moves the call sites after it).
+    step(&mut server);
+    step(&mut server);
+    let cache = |server: &mut Server| {
+        let timings = server.handle_line(&request(4, "timings", obj([])));
+        let cache = parse(&timings).ok()?.get("result")?.get("cache")?.clone();
+        let read = |key: &str| cache.get(key).and_then(Value::as_i64);
+        Some((
+            read("analysisHits")?,
+            read("analysisMisses")?,
+            read("contextHits")?,
+            read("contextMisses")?,
+        ))
+    };
+    let before = cache(&mut server).expect("timings after a check");
+    let t = measure(ANALYZE_REPS, || step(&mut server));
+    let after = cache(&mut server).expect("timings after a check");
+    let reps = (ANALYZE_REPS + 1) as i64; // `measure` warms up once
+    live &= after.0 - before.0 == reps * (functions as i64 - 1)
+        && after.1 - before.1 == reps
+        && after.2 - before.2 == reps
+        && after.3 == before.3;
+    (t.min.as_nanos() as u64, live)
 }
 
 /// The module-table counterpart of [`incremental_latency`]: the probe

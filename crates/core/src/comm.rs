@@ -195,6 +195,15 @@ impl ModuleComms {
         self.per_func.get(name).unwrap_or(&EMPTY_FUNC_COMMS)
     }
 
+    /// All that code reading the table through function `func` can see
+    /// of it: the class of each of the function's `comm`-typed registers,
+    /// with how the class was created ([`CommTable::label`] prints both).
+    /// Empty for a function without such registers.
+    pub fn view(&self, func: &str) -> Vec<(CommId, CommDef)> {
+        let classes = self.func(func).per_reg.iter().flatten();
+        classes.map(|&id| (id, self.table.def(id))).collect()
+    }
+
     /// Resolve a comm operand of an instruction in `func`.
     pub fn resolve(&self, func: &str, v: Option<Value>) -> CommId {
         match self.per_func.get(func) {
@@ -271,8 +280,12 @@ fn resolve_func(fidx: usize, f: &FuncIr, table: &mut CommTable) -> FuncComms {
                     } => {
                         let def = match op {
                             MpiIr::CommWorld => Some(CommDef::World),
-                            MpiIr::CommSplit { .. } => Some(CommDef::Split((fidx, bid, iidx))),
-                            MpiIr::CommDup { .. } => Some(CommDef::Dup((fidx, bid, iidx))),
+                            MpiIr::CommSplit { .. } => {
+                                Some(CommDef::Split(Locator::Instr(fidx, bid, iidx)))
+                            }
+                            MpiIr::CommDup { .. } => {
+                                Some(CommDef::Dup(Locator::Instr(fidx, bid, iidx)))
+                            }
                             _ => None,
                         };
                         if let Some(def) = def {

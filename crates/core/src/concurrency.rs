@@ -26,9 +26,9 @@
 use crate::comm::CommId;
 use crate::facts::AnalysisCx;
 use crate::intern::WordId;
-use crate::report::{StaticWarning, WarningKind};
+use crate::query::Locator;
+use crate::report::{WarningCore, WarningKind};
 use parcoach_front::ast::ThreadLevel;
-use parcoach_front::span::Span;
 use parcoach_ir::func::FuncIr;
 use parcoach_ir::instr::{BlockKind, Directive, Instr, MpiIr, Terminator};
 use parcoach_ir::types::{BlockId, RegionId};
@@ -38,7 +38,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct ConcurrencyResult {
     /// Warnings found.
-    pub warnings: Vec<StaticWarning>,
+    pub warnings: Vec<WarningCore>,
     /// Monothreaded regions to instrument with concurrency counters,
     /// with their cluster site id (regions that may run concurrently with
     /// each other share a site).
@@ -63,7 +63,7 @@ enum OpClass {
 /// An MPI node together with its innermost monothreaded region.
 struct RegionColl {
     block: BlockId,
-    span: Span,
+    site: Locator,
     name: &'static str,
     class: OpClass,
     /// Interned entry word of the block (resolved via the module arena).
@@ -77,7 +77,7 @@ struct RegionColl {
 /// resolutions from the fact store.
 pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
     let f = &cx.module.funcs[fidx];
-    let facts = &cx.funcs[fidx];
+    let facts = cx.facts(fidx);
     let comms = cx.comms_of(fidx);
     let table = &cx.comms.table;
     let mut out = ConcurrencyResult::default();
@@ -118,8 +118,8 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
             continue;
         }
         let region = w.tokens()[s_pos].region().expect("S token has region");
-        for i in &f.block(bid).instrs {
-            let Instr::Mpi { op, span, .. } = i else {
+        for (ii, i) in f.block(bid).instrs.iter().enumerate() {
+            let Instr::Mpi { op, .. } = i else {
                 continue;
             };
             let (name, class) = match op {
@@ -146,7 +146,7 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
             };
             colls.push(RegionColl {
                 block: bid,
-                span: *span,
+                site: Locator::Instr(fidx, bid, ii),
                 name,
                 class,
                 word: wid,
@@ -204,16 +204,15 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
                         } else {
                             format!(" on {}", table.label(ca))
                         };
-                        out.warnings.push(StaticWarning {
+                        out.warnings.push(WarningCore {
                             kind: WarningKind::ConcurrentCollectives,
-                            func: f.name.clone(),
                             message: format!(
                                 "{} and {} are in concurrent monothreaded regions{comm_note} \
                                  (words {wa} / {wb}); their order is schedule-dependent",
                                 a.name, b.name
                             ),
-                            span: a.span,
-                            related: vec![(b.span, format!("concurrent {} here", b.name))],
+                            site: a.site,
+                            related: vec![(Some(b.site), format!("concurrent {} here", b.name))],
                         });
                         out.suspects.push(a.block);
                         out.suspects.push(b.block);
@@ -256,17 +255,16 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
                 // Union with itself just materializes the cluster.
                 let r = find(&mut parent, c.region);
                 parent.insert(r, r);
-                out.warnings.push(StaticWarning {
+                out.warnings.push(WarningCore {
                     kind: WarningKind::SelfConcurrentRegion,
-                    func: f.name.clone(),
                     message: format!(
                         "{} is in a monothreaded region inside a loop with no \
                          barrier on the cycle; iterations of the region may \
                          overlap",
                         c.name
                     ),
-                    span: c.span,
-                    related: vec![(f.block(l.header).span, "loop here".into())],
+                    site: c.site,
+                    related: vec![(Some(Locator::Block(fidx, l.header)), "loop here".into())],
                 });
                 out.suspects.push(c.block);
                 break; // one warning per collective is enough

@@ -20,53 +20,96 @@
 //! This module also computes which functions may (transitively) execute
 //! MPI collectives — calls to those functions act as *collective events*
 //! in the matching phase, and their call sites from multithreaded
-//! contexts are reported.
+//! contexts are reported — and which functions `main` can reach.
+//!
+//! ## Early cut-off
+//!
+//! The result is one module [`Slot`](crate::query::Slot) of the table.
+//! All the loop ever reads from a function is its [`CallSummary`] and,
+//! for each context the function passed through on its way up, the
+//! context at each of its call sites; the result keeps those beside
+//! itself. A later check re-derives the same two things for exactly the
+//! functions the red-green pass invalidated and, when none of them
+//! differs, returns the stored result without looking at any other
+//! function: the loop would read the same values in the same order and
+//! end where it ended. The comparison is on derived *values*, so an edit
+//! that changes a function's fingerprint but nothing the call graph sees
+//! of it — the common case — stops here.
 
 use crate::lang::MonoVerdict;
 use crate::pw::{compute_pw, InitialContext, PwResult, PwState};
-use crate::query::{call_summary, span_at, CallSummary, QueryDb};
-use parcoach_front::span::Span;
+use crate::query::{call_summary, CallSummary, Locator, QueryDb};
 use parcoach_ir::func::Module;
-use parcoach_ir::types::BlockId;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Per-module interprocedural facts.
-#[derive(Debug, Clone)]
+/// Per-module interprocedural facts, indexed like `Module::funcs`.
+/// Span-free: call sites are [`Locator`]s.
+#[derive(Debug)]
 pub struct CallContexts {
-    /// Initial context per function name.
-    pub initial: HashMap<String, InitialContext>,
+    /// The context `main` was assumed to start in.
+    pub entry: InitialContext,
+    /// Initial context per function.
+    pub initial: Vec<InitialContext>,
     /// Functions that may (transitively) execute an MPI collective.
-    pub collective_bearing: HashMap<String, bool>,
+    pub collective_bearing: Vec<bool>,
+    /// Entry-point reachability: `main` and everything transitively
+    /// called from it (every function, in a module without a `main`).
+    /// The phases only diagnose reachable code — an uncalled helper can
+    /// neither warn (its operations never execute: a guaranteed false
+    /// positive, found by differential fuzzing) nor feed the module-wide
+    /// p2p matcher (its sends would silently balance reachable
+    /// receives).
+    pub reachable: Vec<bool>,
     /// Call sites of collective-bearing functions found in multithreaded
-    /// contexts: (caller, callee, call span).
-    pub multithreaded_calls: Vec<(String, String, Span)>,
-    /// Parallelism words per function, computed under the final contexts
-    /// (reused by the analysis phases — computing pw is the costliest
-    /// part of the pipeline). `Arc`-shared with the [`QueryDb`] so a
-    /// warm re-check pays no clone.
-    pub pw: HashMap<String, Arc<PwResult>>,
-    /// Per-function call-graph summaries, indexed like `Module::funcs`.
-    /// `Arc`-shared with the [`QueryDb`]; the fact store derives entry
-    /// reachability from these without another IR walk.
+    /// contexts, as `(call site, callee)`, in module order.
+    pub multithreaded_calls: Vec<(Locator, usize)>,
+    /// The call-graph summary the fixpoint read for each function,
+    /// `Arc`-shared with the function's own slot.
     pub summaries: Vec<Arc<CallSummary>>,
+    /// Per function and per context it was evaluated under
+    /// (`ctx as usize`): the context at each call site, aligned with
+    /// [`CallSummary::call_sites`].
+    site_contexts: Vec<[Option<Vec<InitialContext>>; 3]>,
 }
 
 impl CallContexts {
-    /// The initial context for `func` (Sequential when unknown).
-    pub fn context_of(&self, func: &str) -> InitialContext {
-        self.initial.get(func).copied().unwrap_or_default()
+    /// Does the function at the other end of a call site (`None`: not a
+    /// function of the module) execute collectives?
+    pub fn callee_bears(&self, callee: Option<usize>) -> bool {
+        callee.is_some_and(|ci| self.collective_bearing[ci])
     }
 
-    /// The cached parallelism-word result for `func`.
-    pub fn pw_of(&self, func: &str) -> Option<&PwResult> {
-        self.pw.get(func).map(|a| a.as_ref())
+    /// Would the fixpoint read from function `fi`, as `db` now holds it,
+    /// what it read when this result was computed?
+    fn reads_the_same_from(&self, m: &Module, fi: usize, db: &mut QueryDb) -> bool {
+        let now = db
+            .func(fi)
+            .summary
+            .peek()
+            .expect("summaries are refreshed first");
+        if **now != *self.summaries[fi] {
+            return false;
+        }
+        InitialContext::ALL.into_iter().all(|ctx| {
+            let Some(then) = &self.site_contexts[fi][ctx as usize] else {
+                return true;
+            };
+            *then == site_contexts(&pw_under(m, fi, ctx, db), &self.summaries[fi])
+        })
     }
+}
 
-    /// Does `func` (transitively) execute collectives?
-    pub fn bears_collectives(&self, func: &str) -> bool {
-        self.collective_bearing.get(func).copied().unwrap_or(false)
-    }
+/// The parallelism words of function `fi` under `ctx`, from the table or
+/// computed into it.
+pub(crate) fn pw_under(
+    m: &Module,
+    fi: usize,
+    ctx: InitialContext,
+    db: &mut QueryDb,
+) -> Arc<PwResult> {
+    let slot = &mut db.func(fi).pw[ctx as usize];
+    slot.get_or_put(|| Arc::new(compute_pw(&m.funcs[fi], ctx)))
+        .clone()
 }
 
 /// Compute call contexts and collective-bearing facts for a module.
@@ -74,9 +117,9 @@ impl CallContexts {
 /// `entry_context` is the context `main` is assumed to start in
 /// (normally [`InitialContext::Sequential`]; the paper's "initial level"
 /// option). `db` must have been reconciled against `m`
-/// ([`QueryDb::reconcile`]); the per-`(function, context)` parallelism
-/// words and the call summaries are served from it where present
-/// (shared by `Arc`) and stored into it where not.
+/// ([`QueryDb::reconcile`]); the result, the per-`(function, context)`
+/// parallelism words and the call summaries are served from it where
+/// present (shared by `Arc`) and stored into it where not.
 ///
 /// The fixpoint alternates two passes per round: the parallelism words
 /// of every function whose context changed are recomputed *in parallel*
@@ -89,34 +132,29 @@ pub fn compute_contexts(
     entry_context: InitialContext,
     pool: &parcoach_pool::Pool,
     db: &mut QueryDb,
-) -> CallContexts {
-    // --- per-function call-graph summaries. Everything below
-    // (collective-bearing, the context fixpoint, and — via the fact
-    // store — entry reachability) reads these instead of re-walking
-    // instructions.
-    let summaries: Vec<Arc<CallSummary>> = m
-        .funcs
-        .iter()
-        .enumerate()
-        .map(|(fi, f)| {
-            let summary = &mut db.func(fi).summary;
-            summary.get_or_put(|| Arc::new(call_summary(f))).clone()
-        })
-        .collect();
-
-    // --- resolve call-site callee names to module indices once: the
-    // fixpoints below run on dense per-function arrays (no string
-    // hashing or cloning on the hot path). Aligned index-for-index with
-    // each summary's `call_sites`; `None` marks externs.
+) -> Arc<CallContexts> {
+    // --- per-function call-graph summaries: re-derived for exactly the
+    // functions whose slot the red-green pass emptied.
     let n = m.funcs.len();
-    let callee_idx: Vec<Vec<Option<usize>>> = summaries
-        .iter()
-        .map(|s| {
-            s.call_sites
-                .iter()
-                .map(|(_, _, c)| m.by_name.get(c.as_str()).copied())
-                .collect()
-        })
+    let mut rederived: Vec<usize> = Vec::new();
+    for (fi, f) in m.funcs.iter().enumerate() {
+        let slot = &mut db.func(fi).summary;
+        if slot.get().is_none() {
+            slot.put(Arc::new(call_summary(f, &m.by_name)));
+            rederived.push(fi);
+        }
+    }
+
+    // --- early cut-off (see the module docs).
+    let stored = db.contexts.peek().cloned();
+    let unchanged = stored.as_ref().is_some_and(|s| {
+        s.entry == entry_context && rederived.iter().all(|&fi| s.reads_the_same_from(m, fi, db))
+    });
+    if let Some(hit) = db.contexts.get_if(|_| unchanged) {
+        return hit.clone();
+    }
+    let summaries: Vec<Arc<CallSummary>> = (0..n)
+        .map(|fi| db.func(fi).summary.peek().expect("refreshed above").clone())
         .collect();
 
     // --- collective-bearing: own collectives (including the
@@ -130,9 +168,10 @@ pub fn compute_contexts(
             if bearing[fi] {
                 continue;
             }
-            let has = callee_idx[fi]
+            let has = summaries[fi]
+                .call_sites
                 .iter()
-                .any(|c| c.map(|ci| bearing[ci]).unwrap_or(false));
+                .any(|(_, _, c)| c.is_some_and(|ci| bearing[ci]));
             if has {
                 bearing[fi] = true;
                 changed = true;
@@ -145,8 +184,8 @@ pub fn compute_contexts(
     if let Some(&mi) = m.by_name.get("main") {
         initial[mi] = entry_context;
     }
-    let mut multithreaded_calls: Vec<(String, String, Span)> = Vec::new();
     let mut pw_cache: Vec<Option<(InitialContext, Arc<PwResult>)>> = vec![None; n];
+    let mut site_ctxs: Vec<[Option<Vec<InitialContext>>; 3]> = vec![[None, None, None]; n];
 
     // --- round loop: recompute each function's pw under its current
     // context and push call-site contexts into callees, every round,
@@ -156,31 +195,18 @@ pub fn compute_contexts(
     let mut converged = false;
     for _round in 0..(3 * n.max(1)) {
         let mut any = false;
-        multithreaded_calls.clear();
         refresh_stale(m, pool, &mut pw_cache, &initial, db);
-        for (fi, (f, s)) in m.funcs.iter().zip(&summaries).enumerate() {
-            let pw = &pw_cache[fi].as_ref().expect("refreshed").1;
-            // Summaries keep sites in block order, so the entry context
-            // of each block is computed once per run of same-block sites.
-            let mut cur: Option<(BlockId, InitialContext)> = None;
-            for ((bid, ii, callee), ci) in s.call_sites.iter().zip(&callee_idx[fi]) {
-                let site_ctx = match cur {
-                    Some((b, ctx)) if b == *bid => ctx,
-                    _ => {
-                        let ctx = site_context(pw, bid.index());
-                        cur = Some((*bid, ctx));
-                        ctx
-                    }
-                };
-                let Some(ci) = *ci else { continue };
-                let joined = initial[ci].join(site_ctx);
+        for (fi, s) in summaries.iter().enumerate() {
+            // The context the round started `fi` under — an earlier
+            // function of this round may have raised it since.
+            let (ctx, pw) = pw_cache[fi].as_ref().expect("refreshed");
+            let sites = site_ctxs[fi][*ctx as usize].get_or_insert_with(|| site_contexts(pw, s));
+            for ((_, _, callee), site_ctx) in s.call_sites.iter().zip(sites.iter()) {
+                let Some(ci) = *callee else { continue };
+                let joined = initial[ci].join(*site_ctx);
                 if joined != initial[ci] {
                     initial[ci] = joined;
                     any = true;
-                }
-                if site_ctx == InitialContext::Parallel && bearing[ci] {
-                    let span = span_at(m, (fi, *bid, *ii));
-                    multithreaded_calls.push((f.name.clone(), callee.clone(), span));
                 }
             }
         }
@@ -194,31 +220,55 @@ pub fn compute_contexts(
         "context fixpoint failed to converge within the lattice bound"
     );
 
-    CallContexts {
-        initial: m
-            .funcs
-            .iter()
-            .zip(&initial)
-            .map(|(f, c)| (f.name.clone(), *c))
-            .collect(),
-        collective_bearing: m
-            .funcs
-            .iter()
-            .zip(&bearing)
-            .map(|(f, b)| (f.name.clone(), *b))
-            .collect(),
-        multithreaded_calls,
-        pw: m
-            .funcs
-            .iter()
-            .zip(pw_cache)
-            .map(|(f, entry)| {
-                let (_c, pw) = entry.expect("every function propagated");
-                (f.name.clone(), pw)
-            })
-            .collect(),
-        summaries,
+    // The last round moved nothing, so it evaluated every function under
+    // its final context.
+    let mut multithreaded_calls = Vec::new();
+    for (fi, s) in summaries.iter().enumerate() {
+        let sites = site_ctxs[fi][initial[fi] as usize]
+            .as_ref()
+            .expect("evaluated in the last round");
+        for (&(bid, ii, callee), site_ctx) in s.call_sites.iter().zip(sites) {
+            let callee = callee.filter(|&ci| bearing[ci]);
+            if let (Some(ci), InitialContext::Parallel) = (callee, site_ctx) {
+                multithreaded_calls.push((Locator::Instr(fi, bid, ii), ci));
+            }
+        }
     }
+
+    let ctxs = Arc::new(CallContexts {
+        entry: entry_context,
+        initial,
+        collective_bearing: bearing,
+        reachable: compute_reachable(m, &summaries),
+        multithreaded_calls,
+        summaries,
+        site_contexts: site_ctxs,
+    });
+    db.contexts.put(ctxs.clone());
+    ctxs
+}
+
+/// Walk the call graph from `main` over the call summaries (no IR
+/// walk). Modules without a `main` (library-style inputs, unit-test
+/// fixtures) keep every function reachable.
+fn compute_reachable(m: &Module, summaries: &[Arc<CallSummary>]) -> Vec<bool> {
+    let Some(&entry) = m.by_name.get("main") else {
+        return vec![true; m.funcs.len()];
+    };
+    let mut reachable = vec![false; m.funcs.len()];
+    reachable[entry] = true;
+    let mut work = vec![entry];
+    while let Some(fidx) = work.pop() {
+        for &(_, _, callee) in &summaries[fidx].call_sites {
+            if let Some(cidx) = callee {
+                if !reachable[cidx] {
+                    reachable[cidx] = true;
+                    work.push(cidx);
+                }
+            }
+        }
+    }
+    reachable
 }
 
 /// Refresh the fixpoint's pw cache for every function whose context
@@ -252,6 +302,15 @@ fn refresh_stale(
     }
 }
 
+/// The entry context each call site of `s` hands its callee, given the
+/// function's words.
+fn site_contexts(pw: &PwResult, s: &CallSummary) -> Vec<InitialContext> {
+    let sites = s.call_sites.iter();
+    sites
+        .map(|&(bid, _, _)| site_context(pw, bid.index()))
+        .collect()
+}
+
 /// Map the pw state at a call-site block to the callee's entry context.
 /// The verdict is a cached attribute of the word node — no token scan.
 fn site_context(pw: &PwResult, block_index: usize) -> InitialContext {
@@ -277,11 +336,39 @@ mod tests {
         lower_program(&unit.program, &unit.signatures)
     }
 
-    /// One-shot contexts: the pipeline's stage over a fresh table.
-    fn compute_contexts(m: &Module, entry: InitialContext) -> CallContexts {
+    /// One-shot contexts — the pipeline's stage over a fresh table —
+    /// with by-name views for the assertions below.
+    struct Named<'m> {
+        m: &'m Module,
+        ctxs: Arc<CallContexts>,
+        db: QueryDb,
+    }
+
+    fn compute_contexts(m: &Module, entry: InitialContext) -> Named<'_> {
         let mut db = QueryDb::new();
         db.reconcile(m);
-        super::compute_contexts(m, entry, parcoach_pool::global(), &mut db)
+        let ctxs = super::compute_contexts(m, entry, parcoach_pool::global(), &mut db);
+        Named { m, ctxs, db }
+    }
+
+    impl Named<'_> {
+        fn context_of(&self, func: &str) -> InitialContext {
+            self.ctxs.initial[self.m.by_name[func]]
+        }
+
+        fn bears_collectives(&self, func: &str) -> bool {
+            self.ctxs.collective_bearing[self.m.by_name[func]]
+        }
+
+        /// `(caller, callee)` of every multithreaded call, in order.
+        fn multithreaded_calls(&self) -> Vec<(&str, &str)> {
+            let name = |fi: usize| self.m.funcs[fi].name.as_str();
+            self.ctxs
+                .multithreaded_calls
+                .iter()
+                .map(|(site, callee)| (name(site.func()), name(*callee)))
+                .collect()
+        }
     }
 
     #[test]
@@ -351,8 +438,7 @@ mod tests {
              fn main() { parallel { exchange(); } }",
         );
         let ctx = compute_contexts(&m, InitialContext::Sequential);
-        assert_eq!(ctx.multithreaded_calls.len(), 1);
-        assert_eq!(ctx.multithreaded_calls[0].1, "exchange");
+        assert_eq!(ctx.multithreaded_calls(), [("main", "exchange")]);
     }
 
     #[test]
@@ -368,9 +454,9 @@ mod tests {
         assert_eq!(ctx.context_of("mid"), InitialContext::Parallel);
         assert_eq!(ctx.context_of("leaf"), InitialContext::Parallel);
         assert!(
-            ctx.multithreaded_calls.len() >= 2,
+            ctx.multithreaded_calls().len() >= 2,
             "both call edges are multithreaded: {:?}",
-            ctx.multithreaded_calls
+            ctx.multithreaded_calls()
         );
     }
 
@@ -381,7 +467,7 @@ mod tests {
              fn main() { exchange(); }",
         );
         let ctx = compute_contexts(&m, InitialContext::Sequential);
-        assert!(ctx.multithreaded_calls.is_empty());
+        assert!(ctx.multithreaded_calls().is_empty());
     }
 
     #[test]
@@ -407,13 +493,8 @@ mod tests {
         assert_eq!(ctx.context_of("ping"), InitialContext::Parallel);
         assert_eq!(ctx.context_of("pong"), InitialContext::Parallel);
         assert!(ctx.bears_collectives("pong"), "cycle propagates bearing");
-        let edges: Vec<(&str, &str)> = ctx
-            .multithreaded_calls
-            .iter()
-            .map(|(caller, callee, _)| (caller.as_str(), callee.as_str()))
-            .collect();
         assert_eq!(
-            edges,
+            ctx.multithreaded_calls(),
             [("ping", "pong"), ("pong", "ping"), ("main", "ping")],
             "one entry per multithreaded call edge, in module order"
         );
@@ -436,11 +517,10 @@ mod tests {
         assert_eq!(ctx.context_of("work"), InitialContext::Parallel);
         assert_eq!(ctx.context_of("leaf"), InitialContext::Parallel);
         assert_eq!(
-            ctx.multithreaded_calls.len(),
+            ctx.multithreaded_calls().len(),
             2,
             "work->leaf and the parallel main->work"
         );
-        assert_eq!(ctx.pw.len(), 3);
     }
 
     #[test]
@@ -460,16 +540,19 @@ mod tests {
                 parallel { outer(); }
              }",
         );
-        let ctx = compute_contexts(&m, InitialContext::Sequential);
+        let mut ctx = compute_contexts(&m, InitialContext::Sequential);
         assert_eq!(ctx.context_of("mid"), InitialContext::ParallelSingle);
         assert_eq!(ctx.context_of("outer"), InitialContext::Parallel);
         assert_eq!(ctx.context_of("inner"), InitialContext::Parallel);
         assert_eq!(ctx.context_of("leaf"), InitialContext::Parallel);
-        // The returned words are those of the final contexts, not of a
-        // context the function passed through on the way up.
-        for f in &m.funcs {
-            let fresh = compute_pw(f, ctx.context_of(&f.name));
-            let kept = ctx.pw_of(&f.name).expect("every function has words");
+        // The table holds the words of the final contexts, not only of
+        // a context the function passed through on the way up.
+        for (fi, f) in m.funcs.iter().enumerate() {
+            let final_ctx = ctx.context_of(&f.name);
+            let fresh = compute_pw(f, final_ctx);
+            let kept = ctx.db.func(fi).pw[final_ctx as usize]
+                .peek()
+                .expect("every function has words");
             assert_eq!(kept.word_at(f.entry), fresh.word_at(f.entry), "{}", f.name);
         }
     }

@@ -10,25 +10,30 @@
 //!
 //! * dominator / post-dominator trees, per-block post-dominance
 //!   frontiers (the memoized `PDF+` engine's input) and natural loops;
-//! * the parallelism-word result (moved out of the interprocedural
-//!   context fixpoint — no longer cloned per phase) plus interned
-//!   per-block entry words;
+//! * the parallelism-word result under the function's final context,
+//!   plus interned per-block entry words;
 //! * the block→event map with interned [`EventId`]s;
 //! * the module-wide communicator and request register resolutions.
 //!
+//! Facts exist only for the functions a check asked for — the ones whose
+//! phase results the table could not serve. The arenas
+//! ([`crate::intern`]) are per check and hold what those functions
+//! needed, so an [`EventId`] or [`WordId`] means nothing outside the
+//! check that minted it: the phases turn ids back into events and words
+//! before anything is stored or ordered.
+//!
 //! Construction is deterministic at every pool width: the parallel part
 //! is pure per function and results are merged in module order; the
-//! arenas ([`crate::intern`]) are filled by the sequential merge, so
-//! interned ids never depend on scheduling.
+//! arenas are filled by the sequential merge, so interned ids never
+//! depend on scheduling.
 
 use crate::comm::{compute_comms, FuncComms, ModuleComms};
-use crate::context::{compute_contexts, CallContexts};
-use crate::intern::{EventArena, EventId, SymTable, WordArena, WordId, WordNode};
+use crate::context::{compute_contexts, pw_under, CallContexts};
+use crate::intern::{EventArena, EventId, WordArena, WordId, WordNode};
 use crate::matching::{block_events, Event};
-use crate::pw::{compute_pw, InitialContext, PwResult, PwState};
+use crate::pw::{InitialContext, PwResult, PwState};
 use crate::query::QueryDb;
 use crate::request::{compute_requests, FuncRequests, ModuleRequests};
-use parcoach_front::span::Span;
 use parcoach_ir::dom::{DomTree, PostDomTree};
 use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::loops::LoopInfo;
@@ -70,8 +75,9 @@ pub struct FuncFacts {
     /// for MPI-irrelevant functions: only the concurrency phase reads
     /// these, indexed by MPI block, so nothing else is interned.
     pub words: Vec<Option<WordId>>,
-    /// Collective events issued per block, in instruction order.
-    pub block_events: Vec<Vec<(EventId, Span)>>,
+    /// Collective events issued per block, in instruction order, each
+    /// with the index of the instruction issuing it.
+    pub block_events: Vec<Vec<(EventId, usize)>>,
 }
 
 impl FuncFacts {
@@ -96,54 +102,22 @@ impl FuncFacts {
 pub struct AnalysisCx<'m> {
     /// The module under analysis.
     pub module: &'m Module,
-    /// Interprocedural call contexts (the pw map is drained into
-    /// [`FuncFacts::pw`] — use the facts, not [`CallContexts::pw_of`]).
-    pub ctxs: CallContexts,
-    /// Interned communicator classes + per-function register resolution,
-    /// `Arc`-shared with the [`QueryDb`]'s module-wide slot.
+    /// Interprocedural call contexts, `Arc`-shared with the [`QueryDb`]'s
+    /// module-wide slot.
+    pub ctxs: Arc<CallContexts>,
+    /// Interned communicator classes + per-function register resolution
+    /// (`Arc`-shared like [`AnalysisCx::ctxs`]).
     pub comms: Arc<ModuleComms>,
     /// Interned request classes + per-function register resolution
-    /// (`Arc`-shared like [`AnalysisCx::comms`]).
+    /// (`Arc`-shared like [`AnalysisCx::ctxs`]).
     pub reqs: Arc<ModuleRequests>,
-    /// Interned function names.
-    pub syms: SymTable,
     /// Interned collective events.
     pub events: EventArena,
     /// Interned parallelism words.
     pub words: WordArena,
-    /// Per-function facts, indexed like `module.funcs`.
-    pub funcs: Vec<FuncFacts>,
-    /// Entry-point reachability, indexed like `module.funcs`: `main`
-    /// and everything transitively called from it. The phases only
-    /// diagnose reachable code — an uncalled helper can neither warn
-    /// (its operations never execute: a guaranteed false positive,
-    /// found by differential fuzzing) nor feed the module-wide p2p
-    /// matcher (its sends would silently balance reachable receives).
-    pub reachable: Vec<bool>,
-}
-
-/// Walk the call graph from `main` using the contexts' cached
-/// per-function call summaries (no IR re-walk). Modules without a
-/// `main` (library-style inputs, unit-test fixtures) keep every
-/// function reachable.
-fn compute_reachable(m: &Module, ctxs: &CallContexts) -> Vec<bool> {
-    let Some(&entry) = m.by_name.get("main") else {
-        return vec![true; m.funcs.len()];
-    };
-    let mut reachable = vec![false; m.funcs.len()];
-    reachable[entry] = true;
-    let mut work = vec![entry];
-    while let Some(fidx) = work.pop() {
-        for (_, _, func) in &ctxs.summaries[fidx].call_sites {
-            if let Some(&cidx) = m.by_name.get(func) {
-                if !reachable[cidx] {
-                    reachable[cidx] = true;
-                    work.push(cidx);
-                }
-            }
-        }
-    }
-    reachable
+    /// Per-function facts, indexed like `module.funcs`; `None` for the
+    /// functions this check did not ask for.
+    funcs: Vec<Option<FuncFacts>>,
 }
 
 /// The pool-computed part of one function's facts (no interning, so the
@@ -153,13 +127,13 @@ struct RawFacts {
     needs_cfg: bool,
     /// Does the function issue collective events (⇒ frontiers needed)?
     has_events: bool,
-    raw_events: Vec<Vec<(Event, Span)>>,
+    raw_events: Vec<Vec<(Event, usize)>>,
 }
 
 /// Dominator/post-dominator trees, frontiers and loops for one
 /// function. `with_pdf` additionally materializes the per-block
 /// post-dominance frontiers (only event-bearing functions query them).
-fn compute_cfg(f: &FuncIr, with_pdf: bool) -> CfgFacts {
+pub(crate) fn compute_cfg(f: &FuncIr, with_pdf: bool) -> CfgFacts {
     let dom = DomTree::compute(f);
     let pdt = PostDomTree::compute(f);
     let loops = LoopInfo::compute(f, &dom);
@@ -177,50 +151,53 @@ fn compute_cfg(f: &FuncIr, with_pdf: bool) -> CfgFacts {
 }
 
 impl<'m> AnalysisCx<'m> {
-    /// Contexts and fact store for `m` over a fresh table — the
-    /// convenience the phase unit tests use; the pipeline runs the same
-    /// two stages against the caller's table.
+    /// Contexts and facts of *every* function of `m` over a fresh table
+    /// — the convenience the phase unit tests use; the pipeline runs the
+    /// same stages against the caller's table, for the functions it has
+    /// to re-derive.
     pub fn build(m: &'m Module, entry: InitialContext, pool: &parcoach_pool::Pool) -> Self {
         let mut db = QueryDb::new();
         db.reconcile(m);
         let ctxs = compute_contexts(m, entry, pool, &mut db);
-        Self::from_contexts(m, ctxs, pool, &mut db)
+        let mut cx = Self::new(m, ctxs, &mut db);
+        let all: Vec<usize> = (0..m.funcs.len()).collect();
+        cx.derive(&all, pool, &mut db);
+        cx
     }
 
-    /// Build the fact store from already-computed call contexts, whose
-    /// pw results are *moved* into the per-function facts. The
-    /// per-function CFG facts and the module-wide communicator/request
-    /// tables are served from `db` where present and stored into it
-    /// where not; `db` must have been reconciled against `m`
-    /// ([`QueryDb::reconcile`]).
-    pub fn from_contexts(
-        m: &'m Module,
-        mut ctxs: CallContexts,
-        pool: &parcoach_pool::Pool,
-        db: &mut QueryDb,
-    ) -> Self {
-        // Module-wide register resolutions: an edit touching no
-        // communicator (or request) instruction leaves the whole table
-        // in its slot.
-        let comms = db.comms.get_or_put(|| Arc::new(compute_comms(m))).clone();
-        let reqs = db.reqs.get_or_put(|| Arc::new(compute_requests(m))).clone();
-        let syms = SymTable::for_module(m);
+    /// The module-wide part of the store, with no function's facts yet:
+    /// the register resolutions are served from `db` where present and
+    /// stored into it where not (an edit touching no communicator or
+    /// request instruction leaves the whole table in its slot). `db`
+    /// must have been reconciled against `m` ([`QueryDb::reconcile`]).
+    pub fn new(m: &'m Module, ctxs: Arc<CallContexts>, db: &mut QueryDb) -> Self {
+        AnalysisCx {
+            module: m,
+            ctxs,
+            comms: db.comms.get_or_put(|| Arc::new(compute_comms(m))).clone(),
+            reqs: db.reqs.get_or_put(|| Arc::new(compute_requests(m))).clone(),
+            events: EventArena::default(),
+            words: WordArena::default(),
+            funcs: (0..m.funcs.len()).map(|_| None).collect(),
+        }
+    }
 
-        // Parallel stage 1: block→event maps. Span-bearing, so always
-        // derived fresh from the (span-correct) IR — but only for
-        // functions that *can* produce events. The contexts' call
-        // summaries tell us for free: a function with no MPI
-        // instruction and no collective-bearing callee has no events
-        // and never queries CFG facts, so its blocks are not walked at
-        // all (most kernels of a large workload).
-        let idxs: Vec<usize> = (0..m.funcs.len()).collect();
-        let raws: Vec<RawFacts> = pool.par_map(&idxs, |&i| {
+    /// Add the facts of the functions `which` (ascending indices into
+    /// the module's functions). Parallelism words and CFG facts are
+    /// served from `db` where present and stored into it where not.
+    pub fn derive(&mut self, which: &[usize], pool: &parcoach_pool::Pool, db: &mut QueryDb) {
+        let (m, ctxs, comms) = (self.module, &self.ctxs, &self.comms);
+
+        // Parallel stage 1: block→event maps — only for functions that
+        // *can* produce events. The call summaries tell us for free: a
+        // function with no MPI instruction and no collective-bearing
+        // callee has no events and never queries CFG facts, so its
+        // blocks are not walked at all (most kernels of a large
+        // workload).
+        let raws: Vec<RawFacts> = pool.par_map(which, |&i| {
             let f = &m.funcs[i];
             let s = &ctxs.summaries[i];
-            let relevant = s.has_mpi
-                || s.call_sites
-                    .iter()
-                    .any(|(_, _, c)| ctxs.bears_collectives(c));
+            let relevant = s.has_mpi || s.call_sites.iter().any(|(_, _, c)| ctxs.callee_bears(*c));
             if !relevant {
                 return RawFacts {
                     needs_cfg: false,
@@ -229,9 +206,9 @@ impl<'m> AnalysisCx<'m> {
                 };
             }
             let fc = comms.func(&f.name);
-            let raw_events: Vec<Vec<(Event, Span)>> = f
+            let raw_events: Vec<Vec<(Event, usize)>> = f
                 .block_ids()
-                .map(|b| block_events(f, b, &ctxs, fc, &syms))
+                .map(|b| block_events(m, f, b, ctxs, fc))
                 .collect();
             let has_events = raw_events.iter().any(|v| !v.is_empty());
             // CFG facts are only queried for functions with MPI nodes
@@ -247,37 +224,29 @@ impl<'m> AnalysisCx<'m> {
 
         // Stage 2: CFG facts — served from the table where stored,
         // computed on the pool otherwise. Frontiers feed `PDF+` queries,
-        // which only event-bearing functions issue, so event presence is
-        // kept beside the value.
-        let mut cfgs: Vec<Option<Arc<CfgFacts>>> = (0..m.funcs.len()).map(|_| None).collect();
+        // which only event-bearing functions issue.
+        let mut cfgs: Vec<Option<Arc<CfgFacts>>> = vec![None; which.len()];
         let mut misses: Vec<usize> = Vec::new();
-        for (i, raw) in raws.iter().enumerate() {
-            if !raw.needs_cfg {
-                continue;
-            }
-            match db.func(i).cfg.get_if(|(pdf, _)| *pdf == raw.has_events) {
-                Some((_, cfg)) => cfgs[i] = Some(cfg.clone()),
-                None => misses.push(i),
+        for (k, (raw, &i)) in raws.iter().zip(which).enumerate() {
+            if raw.needs_cfg {
+                cfgs[k] = db.cfg_stored(i, raw.has_events);
+                if cfgs[k].is_none() {
+                    misses.push(k);
+                }
             }
         }
-        let computed = pool.par_map(&misses, |&i| {
-            Arc::new(compute_cfg(&m.funcs[i], raws[i].has_events))
+        let computed = pool.par_map(&misses, |&k| {
+            Arc::new(compute_cfg(&m.funcs[which[k]], raws[k].has_events))
         });
-        for (i, cfg) in misses.into_iter().zip(computed) {
-            db.func(i).cfg.put((raws[i].has_events, cfg.clone()));
-            cfgs[i] = Some(cfg);
+        for (k, cfg) in misses.into_iter().zip(computed) {
+            db.func(which[k]).cfg.put((raws[k].has_events, cfg.clone()));
+            cfgs[k] = Some(cfg);
         }
 
-        // Sequential merge in module order: move pw out of the context
-        // cache and fill the arenas deterministically.
-        let mut events = EventArena::default();
-        let mut words = WordArena::default();
-        let mut pw_map = std::mem::take(&mut ctxs.pw);
-        let mut funcs = Vec::with_capacity(m.funcs.len());
-        for ((f, raw), cfg) in m.funcs.iter().zip(raws).zip(cfgs) {
-            let pw = pw_map
-                .remove(&f.name)
-                .unwrap_or_else(|| Arc::new(compute_pw(f, ctxs.context_of(&f.name))));
+        // Sequential merge in module order: fetch the words the context
+        // stage left in the table and fill the arenas deterministically.
+        for ((&i, raw), cfg) in which.iter().zip(raws).zip(cfgs) {
+            let pw = pw_under(m, i, ctxs.initial[i], db);
             // Entry words are only read by the phases for MPI-relevant
             // functions (concurrency indexes them per MPI block), so
             // the rest skip the per-block interning. Words materialize
@@ -291,7 +260,7 @@ impl<'m> AnalysisCx<'m> {
                         Some(PwState::Word(n)) => Some(
                             *node_memo
                                 .entry(*n)
-                                .or_insert_with(|| words.intern(&pw.dag.materialize(*n))),
+                                .or_insert_with(|| self.words.intern(&pw.dag.materialize(*n))),
                         ),
                         _ => None,
                     })
@@ -305,45 +274,30 @@ impl<'m> AnalysisCx<'m> {
                 .map(|block| {
                     block
                         .into_iter()
-                        .map(|(e, span)| (events.intern(e), span))
+                        .map(|(e, ii)| (self.events.intern(e), ii))
                         .collect()
                 })
                 .collect();
-            funcs.push(FuncFacts {
+            self.funcs[i] = Some(FuncFacts {
                 cfg,
                 pw,
                 words: word_ids,
                 block_events,
             });
         }
+    }
 
-        let reachable = compute_reachable(m, &ctxs);
-        AnalysisCx {
-            module: m,
-            ctxs,
-            comms,
-            reqs,
-            syms,
-            events,
-            words,
-            funcs,
-            reachable,
-        }
+    /// The facts of function `fidx`, which this store must have been
+    /// built for.
+    pub fn facts(&self, fidx: usize) -> &FuncFacts {
+        self.funcs[fidx]
+            .as_ref()
+            .expect("facts queried for a function the check did not ask for")
     }
 
     /// Is function `fidx` reachable from the entry point?
     pub fn is_reachable(&self, fidx: usize) -> bool {
-        self.reachable[fidx]
-    }
-
-    /// Is the function named `name` reachable from the entry point?
-    /// Unknown names read as reachable (the conservative answer for
-    /// callers that only have a name, e.g. context-fixpoint call sites).
-    pub fn is_reachable_name(&self, name: &str) -> bool {
-        self.module
-            .by_name
-            .get(name)
-            .is_none_or(|&i| self.reachable[i])
+        self.ctxs.reachable[fidx]
     }
 
     /// The communicator register resolution of function `fidx`.
@@ -378,8 +332,8 @@ mod tests {
              }",
         );
         let cx = AnalysisCx::build(&m, InitialContext::Sequential, parcoach_pool::global());
-        assert_eq!(cx.funcs.len(), m.funcs.len());
-        for (f, facts) in m.funcs.iter().zip(&cx.funcs) {
+        for (fi, f) in m.funcs.iter().enumerate() {
+            let facts = cx.facts(fi);
             assert_eq!(facts.block_events.len(), f.block_count());
             assert_eq!(facts.words.len(), f.block_count());
             let has_events = facts.block_events.iter().any(|v| !v.is_empty());
@@ -392,9 +346,13 @@ mod tests {
                 );
             }
         }
-        // Both function names are interned; the call event resolves.
-        assert!(cx.syms.lookup("exchange").is_some());
-        assert!(cx.syms.lookup("main").is_some());
+        // The call to `exchange` is an event of `main`.
+        let call = Event::Call(crate::intern::Sym(m.by_name["exchange"] as u32));
+        let main_events = &cx.facts(m.by_name["main"]).block_events;
+        assert!(main_events
+            .iter()
+            .flatten()
+            .any(|(e, _)| cx.events.get(*e) == call));
         assert!(!cx.events.is_empty());
         assert!(!cx.words.is_empty());
     }
@@ -405,7 +363,7 @@ mod tests {
         // word plus at most a couple of region words.
         let m = lower("fn main() { let a = 1; let b = a + 1; MPI_Barrier(); print(b); }");
         let cx = AnalysisCx::build(&m, InitialContext::Sequential, parcoach_pool::global());
-        let facts = &cx.funcs[m.by_name["main"]];
+        let facts = cx.facts(m.by_name["main"]);
         let distinct = cx.words.len();
         let populated = facts.words.iter().filter(|w| w.is_some()).count();
         assert!(populated >= 1);
@@ -440,23 +398,17 @@ mod tests {
                 .map(|i| cx.events.get(crate::intern::EventId(i)))
                 .collect()
         };
-        let names = |cx: &AnalysisCx| -> Vec<String> {
-            (0..cx.syms.len() as u32)
-                .map(|i| cx.syms.name(crate::intern::Sym(i)).to_string())
-                .collect()
-        };
         let words = |cx: &AnalysisCx| -> Vec<_> {
             (0..cx.words.len() as u32)
                 .map(|i| cx.words.get(WordId(i)).clone())
                 .collect()
         };
         assert_eq!(events(&cx1), events(&cx4));
-        assert_eq!(names(&cx1), names(&cx4));
         assert_eq!(words(&cx1), words(&cx4));
-        for (a, b) in cx1.funcs.iter().zip(&cx4.funcs) {
+        for fi in 0..m.funcs.len() {
             assert_eq!(
-                format!("{:?}", a.block_events),
-                format!("{:?}", b.block_events)
+                format!("{:?}", cx1.facts(fi).block_events),
+                format!("{:?}", cx4.facts(fi).block_events)
             );
         }
     }

@@ -4,9 +4,9 @@
 //! `Vec`-backed parallelism words through every per-function result;
 //! the arenas replace those with copy-cheap, hash-fast ids:
 //!
-//! * [`Sym`] / [`SymTable`] — interned function names. `Event::Call`,
-//!   `tainted_callees` and the taint worklist all carry `Sym`s; strings
-//!   materialize only at the report boundary.
+//! * [`Sym`] / [`SymTable`] — interned function names. `Event::Call`
+//!   and `tainted_callees` carry `Sym`s; strings materialize only at
+//!   the report boundary.
 //! * [`EventId`] / [`EventArena`] — interned collective events (see
 //!   [`crate::matching::Event`]). Block→event maps and the balanced-arms
 //!   sequences compare `u32`s instead of re-hashing enum payloads.
@@ -15,9 +15,9 @@
 //!   stores each distinct word once per module.
 //!
 //! All three are thin typed wrappers over one generic `Interner`. The
-//! arenas are built **sequentially in module order** by
-//! [`crate::facts::AnalysisCx::from_contexts`], so ids are deterministic
-//! at every pool width.
+//! event and word arenas are filled **sequentially in module order** by
+//! [`crate::facts::AnalysisCx::derive`], so ids are deterministic at
+//! every pool width.
 //!
 //! The fourth structure, [`WordDag`], is different in kind: it interns
 //! words *structurally* as `(parent, token)` nodes, so extending a word
@@ -91,9 +91,18 @@ impl Interner<String> {
     }
 }
 
-/// An interned function name.
+/// An interned function name. The static phases use a function's index
+/// in `Module::funcs` — the module is its own symbol table, and
+/// [`SymTable::for_module`] assigns the same ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(pub u32);
+
+impl Sym {
+    /// The name of function `self` of `m`.
+    pub fn name(self, m: &parcoach_ir::func::Module) -> &str {
+        &m.funcs[self.0 as usize].name
+    }
+}
 
 /// The module symbol table: function names ↔ [`Sym`]s.
 #[derive(Debug, Clone, Default)]

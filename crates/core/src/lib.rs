@@ -38,6 +38,7 @@ pub mod comm;
 pub mod concurrency;
 pub mod context;
 pub mod facts;
+pub mod fingerprint;
 pub mod instrument;
 pub mod intern;
 pub mod lang;

@@ -25,13 +25,13 @@
 use crate::comm::{CommId, CommTable, FuncComms};
 use crate::context::CallContexts;
 use crate::facts::AnalysisCx;
-use crate::intern::{EventId, Sym, SymTable};
-use crate::report::{StaticWarning, WarningKind};
+use crate::intern::{EventId, Sym};
+use crate::query::Locator;
+use crate::report::{WarningCore, WarningKind};
 use parcoach_front::ast::CollectiveKind;
-use parcoach_front::span::Span;
 use parcoach_ir::dom::IpdfEngine;
-use parcoach_ir::func::FuncIr;
-use parcoach_ir::instr::{Instr, MpiIr, Terminator};
+use parcoach_ir::func::{FuncIr, Module};
+use parcoach_ir::instr::{Instr, MpiIr};
 use parcoach_ir::types::BlockId;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -45,8 +45,9 @@ use std::collections::HashMap;
 /// differently, so `MPI_Barrier(a)` and `MPI_Barrier(b)` are distinct
 /// events when `a` and `b` cannot alias.
 ///
-/// Callee names are interned [`Sym`]s, which makes the whole enum `Copy`
-/// — event sequences and phase results carry ids, not `String`s.
+/// Callees are [`Sym`]s — indices into `Module::funcs` — which makes the
+/// whole enum `Copy`: event sequences and phase results carry ids, not
+/// `String`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Event {
     /// Direct MPI collective on a communicator class.
@@ -62,20 +63,20 @@ pub enum Event {
 
 impl Event {
     /// Display name for warnings.
-    pub fn name(&self, table: &CommTable, syms: &SymTable) -> String {
+    pub fn name(&self, table: &CommTable, m: &Module) -> String {
         match self {
             Event::Coll(c, k) if c.is_world() => k.mpi_name().to_string(),
             Event::Coll(c, k) => format!("{} on {}", k.mpi_name(), table.label(*c)),
             Event::CommMgmt(c, name) if c.is_world() => (*name).to_string(),
             Event::CommMgmt(c, name) => format!("{} of {}", name, table.label(*c)),
-            Event::Call(f) => format!("call to `{}`", syms.name(*f)),
+            Event::Call(f) => format!("call to `{}`", f.name(m)),
         }
     }
 
     /// Report order: collectives, then comm management, then calls —
     /// calls compared by *name* (not by `Sym` id), so the warning order
     /// matches the pre-interning `Ord`-on-`Event` sort exactly.
-    pub fn cmp_for_report(&self, other: &Event, syms: &SymTable) -> Ordering {
+    pub fn cmp_for_report(&self, other: &Event, m: &Module) -> Ordering {
         fn rank(e: &Event) -> u8 {
             match e {
                 Event::Coll(..) => 0,
@@ -86,38 +87,48 @@ impl Event {
         match (self, other) {
             (Event::Coll(c1, k1), Event::Coll(c2, k2)) => c1.cmp(c2).then(k1.cmp(k2)),
             (Event::CommMgmt(c1, n1), Event::CommMgmt(c2, n2)) => c1.cmp(c2).then(n1.cmp(n2)),
-            (Event::Call(s1), Event::Call(s2)) => syms.name(*s1).cmp(syms.name(*s2)),
+            (Event::Call(s1), Event::Call(s2)) => s1.name(m).cmp(s2.name(m)),
             _ => rank(self).cmp(&rank(other)),
         }
     }
 }
 
-/// The events issued by one block, in instruction order. Called once per
-/// block by the fact-store construction ([`crate::facts`]); the phases
-/// read the precomputed (interned) map.
+/// The events issued by one block, in instruction order, each with the
+/// index of the instruction issuing it. Called once per block by the
+/// fact-store construction ([`crate::facts`]); the phases read the
+/// precomputed (interned) map.
 pub(crate) fn block_events(
+    m: &Module,
     f: &FuncIr,
     b: BlockId,
     ctxs: &CallContexts,
     comms: &FuncComms,
-    syms: &SymTable,
-) -> Vec<(Event, Span)> {
+) -> Vec<(Event, usize)> {
     f.block(b)
         .instrs
         .iter()
-        .filter_map(|i| match i {
-            Instr::Mpi { op, span, .. } => match op {
-                MpiIr::Collective { kind, comm, .. } => {
-                    Some((Event::Coll(comms.of_operand(*comm), *kind), *span))
+        .enumerate()
+        .filter_map(|(ii, i)| {
+            let event = match i {
+                Instr::Mpi { op, .. } => match op {
+                    MpiIr::Collective { kind, comm, .. } => {
+                        Event::Coll(comms.of_operand(*comm), *kind)
+                    }
+                    _ => {
+                        let (name, parent) = op.comm_mgmt()?;
+                        Event::CommMgmt(comms.of_operand(Some(parent)), name)
+                    }
+                },
+                Instr::Call { func, .. } => {
+                    let callee = *m.by_name.get(func)?;
+                    if !ctxs.collective_bearing[callee] {
+                        return None;
+                    }
+                    Event::Call(Sym(callee as u32))
                 }
-                _ => op.comm_mgmt().map(|(name, parent)| {
-                    (Event::CommMgmt(comms.of_operand(Some(parent)), name), *span)
-                }),
-            },
-            Instr::Call { func, span, .. } if ctxs.bears_collectives(func) => {
-                syms.lookup(func).map(|sym| (Event::Call(sym), *span))
-            }
-            _ => None,
+                _ => return None,
+            };
+            Some((event, ii))
         })
         .collect()
 }
@@ -126,12 +137,12 @@ pub(crate) fn block_events(
 #[derive(Debug, Clone, Default)]
 pub struct MatchingResult {
     /// Warnings found.
-    pub warnings: Vec<StaticWarning>,
+    pub warnings: Vec<WarningCore>,
     /// Blocks with collectives that participate in a potential mismatch
     /// (all blocks of the affected event kinds).
     pub suspects: Vec<BlockId>,
-    /// Interned names of called functions involved in mismatch warnings
-    /// (their bodies need `CC` instrumentation too).
+    /// Called functions involved in mismatch warnings (their bodies need
+    /// `CC` instrumentation too), by name.
     pub tainted_callees: Vec<Sym>,
     /// Candidate conditionals found by PDF+ *before* the sequence
     /// refinement (ablation metric).
@@ -156,16 +167,17 @@ impl Default for MatchingOptions {
 /// Run Algorithm 1 on one function, with one PDF+ query per
 /// (communicator, event) group.
 pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> MatchingResult {
-    let f = &cx.module.funcs[fidx];
-    let facts = &cx.funcs[fidx];
+    let m = cx.module;
+    let f = &m.funcs[fidx];
+    let facts = cx.facts(fidx);
     let table = &cx.comms.table;
     let mut out = MatchingResult::default();
 
     // Group blocks by (interned) event.
-    let mut by_event: HashMap<EventId, Vec<(BlockId, Span)>> = HashMap::new();
+    let mut by_event: HashMap<EventId, Vec<(BlockId, usize)>> = HashMap::new();
     for b in f.block_ids() {
-        for &(e, span) in &facts.block_events[b.index()] {
-            by_event.entry(e).or_default().push((b, span));
+        for &(e, ii) in &facts.block_events[b.index()] {
+            by_event.entry(e).or_default().push((b, ii));
         }
     }
     if by_event.is_empty() {
@@ -173,11 +185,8 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
     }
 
     let mut events: Vec<EventId> = by_event.keys().copied().collect();
-    events.sort_unstable_by(|a, b| {
-        cx.events
-            .get(*a)
-            .cmp_for_report(&cx.events.get(*b), &cx.syms)
-    });
+    events.sort_unstable_by(|a, b| cx.events.get(*a).cmp_for_report(&cx.events.get(*b), m));
+    let locate = |&(b, ii): &(BlockId, usize)| Locator::Instr(fidx, b, ii);
 
     // A collective whose communicator operand could not be resolved to
     // one creation site merged handles from different sites across
@@ -195,20 +204,19 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
             continue;
         }
         let sites = &by_event[&id];
-        out.warnings.push(StaticWarning {
+        out.warnings.push(WarningCore {
             kind: WarningKind::CollectiveMismatch,
-            func: f.name.clone(),
             message: format!(
                 "{} is called on a control-flow-dependent communicator \
                  (the handle merges several creation sites); ranks may \
                  enter the collective on different communicators",
-                e.name(table, &cx.syms)
+                e.name(table, m)
             ),
-            span: sites[0].1,
+            site: locate(&sites[0]),
             related: sites
                 .iter()
                 .skip(1)
-                .map(|(_, s)| (*s, "also called here".to_string()))
+                .map(|s| (Some(locate(s)), "also called here".to_string()))
                 .collect(),
         });
         out.suspects.extend(sites.iter().map(|(b, _)| *b));
@@ -243,32 +251,30 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
         if confirmed.is_empty() {
             continue;
         }
-        let mut related: Vec<(Span, String)> = confirmed
+        let mut related: Vec<(Option<Locator>, String)> = confirmed
             .iter()
             .map(|&c| {
-                let span = match &f.block(c).term {
-                    Terminator::Branch { span, .. } => *span,
-                    _ => f.block(c).span,
-                };
-                (span, "execution depends on this conditional".to_string())
+                (
+                    Some(Locator::Cond(fidx, c)),
+                    "execution depends on this conditional".to_string(),
+                )
             })
             .collect();
-        for (_, span) in sites.iter().skip(1) {
+        for s in sites.iter().skip(1) {
             related.push((
-                *span,
-                format!("{} also called here", e.name(table, &cx.syms)),
+                Some(locate(s)),
+                format!("{} also called here", e.name(table, m)),
             ));
         }
-        out.warnings.push(StaticWarning {
+        out.warnings.push(WarningCore {
             kind: WarningKind::CollectiveMismatch,
-            func: f.name.clone(),
             message: format!(
                 "{} may not be executed by all processes (or not the same \
                  number of times): control-flow divergence at {} point(s)",
-                e.name(table, &cx.syms),
+                e.name(table, m),
                 confirmed.len()
             ),
-            span: sites[0].1,
+            site: locate(&sites[0]),
             related,
         });
         out.suspects.extend(blocks);
@@ -279,7 +285,7 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
     out.suspects.sort_unstable();
     out.suspects.dedup();
     out.tainted_callees
-        .sort_unstable_by(|a, b| cx.syms.name(*a).cmp(cx.syms.name(*b)));
+        .sort_unstable_by(|a, b| a.name(m).cmp(b.name(m)));
     out.tainted_callees.dedup();
     out
 }
@@ -481,7 +487,7 @@ mod tests {
         let r = check_matching(&cx, m.by_name["main"], MatchingOptions::default());
         assert_eq!(r.warnings.len(), 1, "{:?}", r.warnings);
         assert_eq!(r.tainted_callees.len(), 1);
-        assert_eq!(cx.syms.name(r.tainted_callees[0]), "exchange");
+        assert_eq!(r.tainted_callees[0].name(&m), "exchange");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 use crate::facts::AnalysisCx;
 use crate::lang::MonoVerdict;
 use crate::pw::{PwState, SYNTH_BASE};
-use crate::report::{StaticWarning, WarningKind};
+use crate::query::Locator;
+use crate::report::{WarningCore, WarningKind};
 use crate::word::Token;
 use parcoach_front::ast::ThreadLevel;
-use parcoach_front::span::Span;
 use parcoach_ir::func::FuncIr;
 use parcoach_ir::types::BlockId;
 
@@ -21,7 +21,7 @@ use parcoach_ir::types::BlockId;
 #[derive(Debug, Clone, Default)]
 pub struct MonoResult {
     /// Warnings found.
-    pub warnings: Vec<StaticWarning>,
+    pub warnings: Vec<WarningCore>,
     /// Collective blocks in (possibly) multithreaded context — the set
     /// `S`; these need `CC` + monothread checks.
     pub suspects: Vec<BlockId>,
@@ -34,21 +34,20 @@ pub struct MonoResult {
 /// fact store.
 pub fn check_monothread(cx: &AnalysisCx, fidx: usize) -> MonoResult {
     let f = &cx.module.funcs[fidx];
-    let pw = &cx.funcs[fidx].pw;
+    let pw = &cx.facts(fidx).pw;
     let mut out = MonoResult::default();
 
     // Structural divergences (barrier in one branch only) are reported
     // regardless of collectives: they are candidate thread deadlocks.
     for d in &pw.divergences {
-        out.warnings.push(StaticWarning {
+        out.warnings.push(WarningCore {
             kind: WarningKind::BarrierDivergence,
-            func: f.name.clone(),
             message: format!(
                 "parallel construct / barrier structure differs between paths \
                  ({} vs {}) — a barrier may be executed by only part of the team",
                 d.left, d.right
             ),
-            span: f.block(d.block).span,
+            site: Locator::Block(fidx, d.block),
             related: Vec::new(),
         });
     }
@@ -59,8 +58,8 @@ pub fn check_monothread(cx: &AnalysisCx, fidx: usize) -> MonoResult {
     // parent's members — a whole team creating a communicator is the
     // same error as a whole team entering a barrier).
     for (bid, block) in f.iter_blocks() {
-        for i in &block.instrs {
-            let parcoach_ir::instr::Instr::Mpi { op, span, .. } = i else {
+        for (ii, i) in block.instrs.iter().enumerate() {
+            let parcoach_ir::instr::Instr::Mpi { op, .. } = i else {
                 continue;
             };
             let name = match op.collective_kind() {
@@ -70,19 +69,18 @@ pub fn check_monothread(cx: &AnalysisCx, fidx: usize) -> MonoResult {
                     None => continue,
                 },
             };
-            let span = *span;
+            let site = Locator::Instr(fidx, bid, ii);
             match pw.entry[bid.index()] {
                 None => continue, // unreachable
                 Some(PwState::Conflict) => {
                     // Conflict state: context depends on control flow.
-                    out.warnings.push(StaticWarning {
+                    out.warnings.push(WarningCore {
                         kind: WarningKind::MultithreadedCollective,
-                        func: f.name.clone(),
                         message: format!(
                             "{name} is reached with control-flow-dependent thread \
                              context; cannot prove monothreaded execution"
                         ),
-                        span,
+                        site,
                         related: Vec::new(),
                     });
                     out.suspects.push(bid);
@@ -97,33 +95,31 @@ pub fn check_monothread(cx: &AnalysisCx, fidx: usize) -> MonoResult {
                         MonoVerdict::SequentialContext | MonoVerdict::MonoThreaded => {}
                         MonoVerdict::MultiThreaded => {
                             let w = pw.dag.materialize(node);
-                            let related = responsible_construct(f, &w);
-                            out.warnings.push(StaticWarning {
+                            let related = responsible_construct(f, fidx, &w);
+                            out.warnings.push(WarningCore {
                                 kind: WarningKind::MultithreadedCollective,
-                                func: f.name.clone(),
                                 message: format!(
                                     "{name} may be executed by multiple non-synchronized \
                                      threads (parallelism word {w}); requires \
                                      MPI_THREAD_MULTIPLE and a proof that a single \
                                      thread calls it"
                                 ),
-                                span,
+                                site,
                                 related,
                             });
                             out.suspects.push(bid);
                         }
                         MonoVerdict::NestedParallelism => {
                             let w = pw.dag.materialize(node);
-                            let related = responsible_construct(f, &w);
-                            out.warnings.push(StaticWarning {
+                            let related = responsible_construct(f, fidx, &w);
+                            out.warnings.push(WarningCore {
                                 kind: WarningKind::NestedParallelismCollective,
-                                func: f.name.clone(),
                                 message: format!(
                                     "{name} sits under nested parallel regions \
                                      (parallelism word {w}); one thread per team may \
                                      execute it"
                                 ),
-                                span,
+                                site,
                                 related,
                             });
                             out.suspects.push(bid);
@@ -164,17 +160,21 @@ impl MonoResult {
 /// Locate the parallel construct responsible for the multithreaded
 /// context: the innermost `P` token's begin block (or a note that the
 /// context comes from the caller when the token is synthetic).
-fn responsible_construct(f: &FuncIr, w: &crate::word::Word) -> Vec<(Span, String)> {
+fn responsible_construct(
+    f: &FuncIr,
+    fidx: usize,
+    w: &crate::word::Word,
+) -> Vec<(Option<Locator>, String)> {
     let mut related = Vec::new();
     if let Some(Token::P(r)) = w.tokens().iter().rev().find(|t| t.is_p()) {
         if r.0 >= SYNTH_BASE {
             related.push((
-                Span::DUMMY,
+                None,
                 "the multithreaded context comes from a caller of this function".to_string(),
             ));
         } else if let Some(begin) = f.region_begin_block(*r) {
             related.push((
-                f.block(begin).span,
+                Some(Locator::Block(fidx, begin)),
                 "parallel region opened here".to_string(),
             ));
         }

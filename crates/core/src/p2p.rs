@@ -32,14 +32,16 @@
 //! everything and produce no diagnostics.
 
 use crate::comm::CommId;
-use crate::facts::AnalysisCx;
-use crate::query::{span_at, Locator};
-use crate::report::{StaticWarning, WarningKind};
+use crate::context::CallContexts;
+use crate::facts::{AnalysisCx, CfgFacts};
+use crate::query::Locator;
+use crate::report::{StaticWarning, WarningCore, WarningKind};
 use crate::request::{ReqId, ReqResolution};
 use parcoach_front::ast::ANY_TAG;
 use parcoach_ir::func::Module;
 use parcoach_ir::instr::{Instr, MpiIr};
 use parcoach_ir::types::{BlockId, Const, Value};
+use std::sync::Arc;
 
 /// Direction of a p2p site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,16 +126,6 @@ pub struct P2pResult {
     pub epoch_functions: Vec<String>,
 }
 
-/// One matching diagnostic with locators instead of spans.
-#[derive(Debug, Clone)]
-struct P2pWarningCore {
-    kind: WarningKind,
-    func: String,
-    message: String,
-    site: Locator,
-    related: Vec<(Locator, String)>,
-}
-
 /// The span-free output of the p2p matching pass — what the
 /// [`QueryDb`](crate::query::QueryDb) stores. Messages embed only tags
 /// and communicator-class labels, which are stable while the core's
@@ -141,7 +133,7 @@ struct P2pWarningCore {
 /// edits that move code without changing structure.
 #[derive(Debug, Clone, Default)]
 pub struct P2pCore {
-    warnings: Vec<P2pWarningCore>,
+    warnings: Vec<WarningCore>,
     epoch_functions: Vec<String>,
 }
 
@@ -149,29 +141,17 @@ pub struct P2pCore {
 /// reading each locator's instruction span from the live IR.
 pub fn materialize_p2p(core: &P2pCore, m: &Module) -> P2pResult {
     P2pResult {
-        warnings: core
-            .warnings
-            .iter()
-            .map(|w| StaticWarning {
-                kind: w.kind,
-                func: w.func.clone(),
-                message: w.message.clone(),
-                span: span_at(m, w.site),
-                related: w
-                    .related
-                    .iter()
-                    .map(|(loc, msg)| (span_at(m, *loc), msg.clone()))
-                    .collect(),
-            })
-            .collect(),
+        warnings: core.warnings.iter().map(|w| w.materialize(m)).collect(),
         epoch_functions: core.epoch_functions.clone(),
     }
 }
 
-/// The span-free matching pass over a whole module, reading register
-/// resolutions and dominator trees from the fact store; warning
-/// positions are [`Locator`]s ([`materialize_p2p`] resolves them).
-pub fn p2p_core(cx: &AnalysisCx) -> P2pCore {
+/// The span-free matching pass over a whole module, reading reachability
+/// and register resolutions from the fact store and each function's
+/// dominator tree through `cfg_of` (asked only for functions with a
+/// receive whose order is in question); warning positions are
+/// [`Locator`]s ([`materialize_p2p`] resolves them).
+pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>) -> P2pCore {
     let m = cx.module;
     let comms = &cx.comms;
     let mut out = P2pCore::default();
@@ -265,16 +245,15 @@ pub fn p2p_core(cx: &AnalysisCx) -> P2pCore {
                      forever"
                 }
             };
-            out.warnings.push(P2pWarningCore {
+            out.warnings.push(WarningCore {
                 kind: WarningKind::UnmatchedP2p,
-                func: m.funcs[s.func].name.clone(),
                 message: format!(
                     "{} with tag {} on {} is unmatched: {consequence}",
                     s.name,
                     s.tag,
                     comms.table.label(s.comm),
                 ),
-                site: (s.func, s.block, s.instr),
+                site: Locator::Instr(s.func, s.block, s.instr),
                 related: Vec::new(),
             });
         }
@@ -283,9 +262,8 @@ pub fn p2p_core(cx: &AnalysisCx) -> P2pCore {
     // --- receive-before-send ordering ------------------------------------
     // The blocking point of an `MPI_Recv` is the receive itself; the
     // blocking point of an `MPI_Irecv` is every wait that completes its
-    // request class (deferred completion). Dominator trees come from the
-    // fact store — computed once per function, shared with the other
-    // phases.
+    // request class (deferred completion). Dominator trees are the ones
+    // the other phases use — computed once per function.
     for r in sites.iter().filter(|s| s.dir == Dir::Recv) {
         if !r.resolved() {
             continue;
@@ -318,8 +296,8 @@ pub fn p2p_core(cx: &AnalysisCx) -> P2pCore {
                 for_class.iter().map(|w| (w.block, w.instr)).collect()
             }
         };
-        let f = &m.funcs[r.func];
-        let dom = &cx.funcs[r.func].cfg().dom;
+        let cfg = cfg_of(r.func);
+        let dom = &cfg.dom;
         // Every blocking point must precede every matching send: if one
         // wait site can run after a send, the message can exist.
         let all_dominated = block_points.iter().all(|&(wb, wi)| {
@@ -332,17 +310,20 @@ pub fn p2p_core(cx: &AnalysisCx) -> P2pCore {
             })
         });
         if all_dominated {
-            let mut related: Vec<(Locator, String)> = Vec::new();
+            let mut related: Vec<(Option<Locator>, String)> = Vec::new();
             if r.req.is_some() {
                 for &(wb, wi) in &block_points {
                     if (wb, wi) != (r.block, r.instr) {
-                        related.push(((r.func, wb, wi), "the receive blocks at this wait".into()));
+                        related.push((
+                            Some(Locator::Instr(r.func, wb, wi)),
+                            "the receive blocks at this wait".into(),
+                        ));
                     }
                 }
             }
             related.extend(matching.iter().map(|s| {
                 (
-                    (s.func, s.block, s.instr),
+                    Some(Locator::Instr(s.func, s.block, s.instr)),
                     "matching send only happens after the receive".into(),
                 )
             }));
@@ -351,9 +332,8 @@ pub fn p2p_core(cx: &AnalysisCx) -> P2pCore {
             } else {
                 "the receive"
             };
-            out.warnings.push(P2pWarningCore {
+            out.warnings.push(WarningCore {
                 kind: WarningKind::P2pOrder,
-                func: f.name.clone(),
                 message: format!(
                     "{} with tag {} on {} precedes every matching send on \
                      every path: all ranks block in {blocking_point} before \
@@ -362,7 +342,7 @@ pub fn p2p_core(cx: &AnalysisCx) -> P2pCore {
                     r.tag,
                     comms.table.label(r.comm),
                 ),
-                site: (r.func, r.block, r.instr),
+                site: Locator::Instr(r.func, r.block, r.instr),
                 related,
             });
         }
@@ -375,28 +355,19 @@ pub fn p2p_core(cx: &AnalysisCx) -> P2pCore {
     // function containing a finalize whenever the module has suspect
     // p2p traffic.
     if !out.warnings.is_empty() {
-        out.epoch_functions = finalize_functions(m);
+        out.epoch_functions = finalize_functions(m, &cx.ctxs);
     }
     out
 }
 
 /// Names of the functions containing an `MPI_Finalize` — where the p2p
 /// epoch census belongs (world-global counters observe all traffic).
-pub fn finalize_functions(m: &Module) -> Vec<String> {
+pub fn finalize_functions(m: &Module, ctxs: &CallContexts) -> Vec<String> {
     m.funcs
         .iter()
-        .filter(|f| {
-            f.blocks.iter().flat_map(|b| &b.instrs).any(|i| {
-                matches!(
-                    i,
-                    Instr::Mpi {
-                        op: MpiIr::Finalize,
-                        ..
-                    }
-                )
-            })
-        })
-        .map(|f| f.name.clone())
+        .zip(&ctxs.summaries)
+        .filter(|(_, s)| s.has_finalize)
+        .map(|(f, _)| f.name.clone())
         .collect()
 }
 
@@ -430,7 +401,10 @@ mod tests {
         let unit = parse_and_check("t.mh", src).expect("valid");
         let m = lower_program(&unit.program, &unit.signatures);
         let cx = AnalysisCx::build(&m, InitialContext::Sequential, parcoach_pool::global());
-        materialize_p2p(&p2p_core(&cx), &m)
+        let core = p2p_core(&cx, &mut |fi| {
+            Arc::new(crate::facts::compute_cfg(&m.funcs[fi], false))
+        });
+        materialize_p2p(&core, &m)
     }
 
     #[test]

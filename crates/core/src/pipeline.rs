@@ -1,19 +1,24 @@
-//! The end-to-end static phase: build the fact store, run all
-//! verification phases over it, assemble the warning report + the
-//! instrumentation plan.
+//! The end-to-end static phase: reconcile the memo table, settle the
+//! call contexts, run the verification phases over the functions whose
+//! findings the table cannot serve, and assemble the warning report +
+//! the instrumentation plan from the per-function findings.
 
+use crate::comm::{CommDef, CommId};
 use crate::concurrency::check_concurrency;
+use crate::context::CallContexts;
 use crate::facts::AnalysisCx;
 use crate::intern::Sym;
 use crate::matching::{check_matching, MatchingOptions};
 use crate::mono::check_monothread;
 use crate::pw::InitialContext;
-use crate::report::{InstrumentationPlan, StaticReport, StaticWarning, WarningKind};
+use crate::query::{span_at, Locator};
+use crate::report::{StaticReport, StaticWarning, WarningCore, WarningKind};
 use parcoach_front::ast::ThreadLevel;
+use parcoach_front::span::Span;
 use parcoach_ir::func::Module;
-use parcoach_ir::instr::{Instr, MpiIr};
-use std::collections::HashSet;
+use parcoach_ir::types::BlockId;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for the static phase.
@@ -122,19 +127,79 @@ impl TimingSink {
     }
 }
 
-/// The three per-function phases' output for one function, produced on a
-/// pool worker and merged into the report in function order. `Default`
-/// is the empty analysis — what an entry-unreachable function gets.
-#[derive(Default)]
-struct FuncAnalysis {
-    warnings: Vec<StaticWarning>,
+/// Everything the three per-function phases read beyond the function's
+/// own structure: the key of its stored findings, kept beside them. The
+/// structure itself is guarded by the red-green pass, which empties the
+/// slot when the fingerprint moves. (The request tables are not here:
+/// only the module-wide p2p and life-cycle passes read them.)
+#[derive(Debug, Default)]
+struct PhaseInputs {
+    /// Reachable from the entry point? An unreachable function has no
+    /// findings, whatever its other inputs are.
+    reachable: bool,
+    /// The initial context the function was analysed under.
+    ctx: InitialContext,
+    /// For each call site, in [`CallSummary`](crate::query::CallSummary)
+    /// order: does the callee execute collectives (is the call an
+    /// event)?
+    callee_bearing: Vec<bool>,
+    /// The class of each `comm`-typed register with how it was created —
+    /// all the phases can see of the module's communicator table, whose
+    /// ids label warnings. Empty for most functions.
+    comms: Vec<(CommId, CommDef)>,
+    /// [`AnalysisOptions::refine_matching`], the one option the phases
+    /// read.
+    refine: bool,
+}
+
+/// Is each call site of function `fi` a collective event?
+fn callee_bearing(ctxs: &CallContexts, fi: usize) -> impl Iterator<Item = bool> + '_ {
+    let sites = &ctxs.summaries[fi].call_sites;
+    sites
+        .iter()
+        .map(|(_, _, callee)| ctxs.callee_bears(*callee))
+}
+
+impl PhaseInputs {
+    /// The inputs of function `fidx` as this check sees them.
+    fn of(cx: &AnalysisCx, fidx: usize, opts: &AnalysisOptions) -> Self {
+        PhaseInputs {
+            reachable: cx.is_reachable(fidx),
+            ctx: cx.ctxs.initial[fidx],
+            callee_bearing: callee_bearing(&cx.ctxs, fidx).collect(),
+            comms: cx.comms.view(&cx.module.funcs[fidx].name),
+            refine: opts.refine_matching,
+        }
+    }
+
+    /// Would [`PhaseInputs::of`] return `self`? Decided without building
+    /// anything; the communicator table is consulted only for a function
+    /// that read it.
+    fn still_hold(&self, cx: &AnalysisCx, fidx: usize, opts: &AnalysisOptions) -> bool {
+        if !self.reachable || !cx.is_reachable(fidx) {
+            return self.reachable == cx.is_reachable(fidx);
+        }
+        self.ctx == cx.ctxs.initial[fidx]
+            && self.refine == opts.refine_matching
+            && callee_bearing(&cx.ctxs, fidx).eq(self.callee_bearing.iter().copied())
+            && (self.comms.is_empty() || self.comms == cx.comms.view(&cx.module.funcs[fidx].name))
+    }
+}
+
+/// The three per-function phases' findings for one function — the value
+/// of its `analysis` slot. Span-free: positions are [`Locator`]s, callees
+/// are function indices, and nothing is numbered by a per-check arena.
+#[derive(Debug, Default)]
+pub(crate) struct FuncAnalysis {
+    inputs: PhaseInputs,
+    warnings: Vec<WarningCore>,
     /// Collective blocks needing `CC` instrumentation (phases 1–3, in
     /// phase order).
-    suspects: Vec<parcoach_ir::types::BlockId>,
+    suspects: Vec<BlockId>,
     /// Phase-1 suspects also need monothread asserts.
-    monothread_checks: Vec<parcoach_ir::types::BlockId>,
+    monothread_checks: Vec<BlockId>,
     /// Phase-2 `(region, site)` pairs, in discovery order (site ids are
-    /// renumbered globally after the merge).
+    /// renumbered globally when the report is assembled).
     concurrency_sites: Vec<(u32, u32)>,
     needs_cc: bool,
     tainted: Vec<Sym>,
@@ -144,14 +209,23 @@ struct FuncAnalysis {
 }
 
 /// Phases 1–3 for one function. Pure: reads only the shared fact store,
-/// so every function can run on a different worker.
+/// so every function can run on a different worker. An entry-unreachable
+/// function is skipped wholesale — its operations never execute, so any
+/// diagnosis would be a guaranteed false positive (and its suspects
+/// would bloat the plan).
 fn analyze_function(
     cx: &AnalysisCx,
     fidx: usize,
     opts: &AnalysisOptions,
     sink: &TimingSink,
 ) -> FuncAnalysis {
-    let mut out = FuncAnalysis::default();
+    let mut out = FuncAnalysis {
+        inputs: PhaseInputs::of(cx, fidx, opts),
+        ..FuncAnalysis::default()
+    };
+    if !out.inputs.reachable {
+        return out;
+    }
 
     // Phase 1 — monothread contexts.
     let t = Instant::now();
@@ -220,66 +294,88 @@ pub(crate) fn analyze_module(
 ) -> Result<(StaticReport, PhaseTimings), crate::cancel::Cancelled> {
     let sink = TimingSink::default();
     let t0 = Instant::now();
-    let mut report = StaticReport::default();
     checkpoint(token)?;
 
     // Red-green pass: drop what the edits since the last check changed,
     // so the lookups below only miss on real changes.
     db.reconcile(m);
 
-    // Interprocedural contexts, then the shared fact store.
+    // Interprocedural contexts: the stored fixpoint when no edit changed
+    // what it read, a fresh one otherwise.
     let t = Instant::now();
     let ctxs = crate::context::compute_contexts(m, opts.entry_context, pool, db);
     TimingSink::add(&sink.contexts, t);
     checkpoint(token)?;
+
+    // Which functions' findings were derived under other inputs than
+    // this check's (or never)? Only those get facts, and only those run
+    // the phases.
     let t = Instant::now();
-    let cx = AnalysisCx::from_contexts(m, ctxs, pool, db);
+    let mut cx = AnalysisCx::new(m, ctxs, db);
+    let stale: Vec<usize> = (0..m.funcs.len())
+        .filter(|&fi| {
+            let stored = &mut db.func(fi).analysis;
+            stored
+                .get_if(|a| a.inputs.still_hold(&cx, fi, opts))
+                .is_none()
+        })
+        .collect();
+    let live: Vec<usize> = stale
+        .iter()
+        .copied()
+        .filter(|&fi| cx.is_reachable(fi))
+        .collect();
+    cx.derive(&live, pool, db);
     TimingSink::add(&sink.facts, t);
     checkpoint(token)?;
 
+    // Per-function fan-out: the phases only read the shared facts.
+    let fresh = pool.par_map(&stale, |&fi| {
+        Arc::new(analyze_function(&cx, fi, opts, &sink))
+    });
+    for (&fi, fa) in stale.iter().zip(fresh) {
+        db.func(fi).analysis.put(fa);
+    }
+    checkpoint(token)?;
+
+    // Assemble the report from the per-function findings, stored or
+    // fresh alike, in module order.
+    let ctxs = &cx.ctxs;
+    let mut report = StaticReport {
+        contexts: ctxs.initial.clone(),
+        ..StaticReport::default()
+    };
+
     // Interprocedural phase-1 findings: collective-bearing functions
     // called from multithreaded contexts. Only for call sites that can
-    // actually execute — see `AnalysisCx::reachable`.
-    for (caller, callee, span) in &cx.ctxs.multithreaded_calls {
-        if !cx.is_reachable_name(caller) {
+    // actually execute — see `CallContexts::reachable`.
+    for &(site, callee) in &ctxs.multithreaded_calls {
+        if !ctxs.reachable[site.func()] {
             continue;
         }
         report.warnings.push(StaticWarning {
             kind: WarningKind::MultithreadedCall,
-            func: caller.clone(),
+            func: m.funcs[site.func()].name.clone(),
             message: format!(
-                "`{callee}` executes MPI collectives but is called from a \
+                "`{}` executes MPI collectives but is called from a \
                  multithreaded context; every thread of the team will run its \
-                 collectives"
+                 collectives",
+                m.funcs[callee].name
             ),
-            span: *span,
+            span: span_at(m, site),
             related: Vec::new(),
         });
     }
 
-    // Per-function fan-out: the phases only read the shared facts.
-    // Entry-unreachable functions are skipped wholesale — their
-    // operations never execute, so any diagnosis would be a guaranteed
-    // false positive (and their suspects would bloat the plan).
-    let idxs: Vec<usize> = (0..m.funcs.len()).collect();
-    let per_func = pool.par_map(&idxs, |&i| {
-        if cx.is_reachable(i) {
-            analyze_function(&cx, i, opts, &sink)
-        } else {
-            FuncAnalysis::default()
-        }
-    });
-    checkpoint(token)?;
-
-    let mut cc_functions: HashSet<Sym> = HashSet::new();
-    let mut tainted: Vec<Sym> = Vec::new();
+    let mut needs_cc = vec![false; m.funcs.len()];
+    let mut tainted: Vec<usize> = Vec::new();
     let mut required_level = ThreadLevel::Single;
-
-    // Merge in function order — the same order the sequential loop used.
-    for (f, fa) in m.funcs.iter().zip(per_func) {
-        report
-            .contexts
-            .push((f.name.clone(), cx.ctxs.context_of(&f.name)));
+    // Concurrency sites are numbered per function, densely from 0; the
+    // plan needs them unique across functions (they would collide at run
+    // time).
+    let mut next_site = 0u32;
+    for (fi, f) in m.funcs.iter().enumerate() {
+        let fa = db.func(fi).analysis.peek().expect("stored or just put");
         if let Some(l) = fa.required_level {
             required_level = required_level.max(l);
         }
@@ -289,48 +385,41 @@ pub(crate) fn analyze_module(
         for b in &fa.monothread_checks {
             report.plan.monothread_checks.push((f.name.clone(), *b));
         }
-        for (region, site) in &fa.concurrency_sites {
+        let base = next_site;
+        for &(region, site) in &fa.concurrency_sites {
+            let global = base + site;
             report
                 .plan
                 .concurrency_sites
-                .push((f.name.clone(), *region, *site));
+                .push((f.name.clone(), region, global));
+            next_site = next_site.max(global + 1);
         }
-        if fa.needs_cc {
-            cc_functions.insert(cx.syms.lookup(&f.name).expect("module functions interned"));
-        }
-        tainted.extend(fa.tainted);
+        needs_cc[fi] = fa.needs_cc;
+        tainted.extend(fa.tainted.iter().map(|s| s.0 as usize));
         report.pdf_candidates += fa.pdf_candidates;
         report.pdf_confirmed += fa.pdf_confirmed;
-        report.warnings.extend(fa.warnings);
+        report
+            .warnings
+            .extend(fa.warnings.iter().map(|w| w.materialize(m)));
     }
 
     // Functions called under divergent conditions need CC inside their
     // bodies too — a mismatch pairs *their* collectives across processes.
-    // Propagate down the call graph, entirely on interned symbols.
-    let mut work = tainted;
-    while let Some(sym) = work.pop() {
-        if !cc_functions.insert(sym) {
+    // Propagate down the call graph, over the call summaries.
+    while let Some(fi) = tainted.pop() {
+        if std::mem::replace(&mut needs_cc[fi], true) {
             continue;
         }
-        if let Some(f) = m.func(cx.syms.name(sym)) {
-            for b in &f.blocks {
-                for i in &b.instrs {
-                    if let Instr::Call { func: callee, .. } = i {
-                        if cx.ctxs.bears_collectives(callee) {
-                            if let Some(cs) = cx.syms.lookup(callee) {
-                                if !cc_functions.contains(&cs) {
-                                    work.push(cs);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        for &(_, _, callee) in &ctxs.summaries[fi].call_sites {
+            tainted.extend(callee.filter(|&ci| ctxs.collective_bearing[ci] && !needs_cc[ci]));
         }
     }
-    report.plan.cc_functions = cc_functions
-        .into_iter()
-        .map(|s| cx.syms.name(s).to_string())
+    report.plan.cc_functions = m
+        .funcs
+        .iter()
+        .zip(&needs_cc)
+        .filter(|(_, cc)| **cc)
+        .map(|(f, _)| f.name.clone())
         .collect();
     report.plan.cc_functions.sort_unstable();
 
@@ -344,11 +433,12 @@ pub(crate) fn analyze_module(
     // finalize placement) changed and reachability is what it was
     // matched under; warning spans are read from the live IR either way.
     let t = Instant::now();
-    let core = match db.p2p.get_if(|(reachable, _)| *reachable == cx.reachable) {
+    let core = match db.p2p.get_if(|(reachable, _)| *reachable == ctxs.reachable) {
         Some((_, core)) => core.clone(),
         None => {
-            let core = std::sync::Arc::new(crate::p2p::p2p_core(&cx));
-            db.p2p.put((cx.reachable.clone(), core.clone()));
+            let mut cfg_of = |fi: usize| db.cfg_of(fi, &m.funcs[fi], false);
+            let core = Arc::new(crate::p2p::p2p_core(&cx, &mut cfg_of));
+            db.p2p.put((ctxs.reachable.clone(), core.clone()));
             core
         }
     };
@@ -366,22 +456,23 @@ pub(crate) fn analyze_module(
         let req = crate::request::check_requests(&cx);
         TimingSink::add(&sink.requests, t);
         if !req.warnings.is_empty() && report.plan.p2p_epoch_functions.is_empty() {
-            report.plan.p2p_epoch_functions = crate::p2p::finalize_functions(m);
+            report.plan.p2p_epoch_functions = crate::p2p::finalize_functions(m, ctxs);
         }
         report.warnings.extend(req.warnings);
     }
 
-    // Renumber concurrency sites globally (per-function numbering would
-    // collide at run time).
-    renumber_sites(&mut report.plan);
-
-    // Thread-level adequacy.
+    // Thread-level adequacy: the level the program requests via
+    // `MPI_Init`/`MPI_Init_thread` (the highest, if it has several)
+    // against the level its MPI calls require. The warning sits at the
+    // first init of the module.
+    let inits = ctxs.summaries.iter().enumerate();
+    let mut inits = inits.filter_map(|(fi, s)| s.init.map(|(b, ii, level)| (fi, b, ii, level)));
     report.required_level = required_level;
-    report.requested_level = requested_level(m);
+    report.requested_level = inits.clone().map(|(.., level)| level).max();
     if opts.check_thread_level {
         if let Some(req) = report.requested_level {
             if required_level > req {
-                let span = init_span(m).unwrap_or(parcoach_front::span::Span::DUMMY);
+                let first = inits.next().map(|(fi, b, ii, _)| Locator::Instr(fi, b, ii));
                 report.warnings.push(StaticWarning {
                     kind: WarningKind::InsufficientThreadLevel,
                     func: "main".into(),
@@ -389,7 +480,7 @@ pub(crate) fn analyze_module(
                         "program requests {} but its MPI calls require at least {}",
                         req, required_level
                     ),
-                    span,
+                    span: first.map_or(Span::DUMMY, |loc| span_at(m, loc)),
                     related: Vec::new(),
                 });
             }
@@ -408,61 +499,6 @@ pub(crate) fn analyze_module(
         .sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     report.plan.monothread_checks.dedup();
     Ok((report, sink.into_timings(t0.elapsed())))
-}
-
-/// Make concurrency site ids unique across functions.
-fn renumber_sites(plan: &mut InstrumentationPlan) {
-    use std::collections::HashMap;
-    let mut mapping: HashMap<(String, u32), u32> = HashMap::new();
-    let mut next = 0u32;
-    for (f, _region, site) in plan.concurrency_sites.iter_mut() {
-        let key = (f.clone(), *site);
-        let global = *mapping.entry(key).or_insert_with(|| {
-            let g = next;
-            next += 1;
-            g
-        });
-        *site = global;
-    }
-}
-
-/// The thread level the program requests via `MPI_Init`/`MPI_Init_thread`
-/// (plain `MPI_Init` counts as `SINGLE`).
-fn requested_level(m: &Module) -> Option<ThreadLevel> {
-    let mut best: Option<ThreadLevel> = None;
-    for f in &m.funcs {
-        for b in &f.blocks {
-            for i in &b.instrs {
-                if let Instr::Mpi {
-                    op: MpiIr::Init { required },
-                    ..
-                } = i
-                {
-                    let l = required.unwrap_or(ThreadLevel::Single);
-                    best = Some(best.map_or(l, |cur: ThreadLevel| cur.max(l)));
-                }
-            }
-        }
-    }
-    best
-}
-
-fn init_span(m: &Module) -> Option<parcoach_front::span::Span> {
-    for f in &m.funcs {
-        for b in &f.blocks {
-            for i in &b.instrs {
-                if let Instr::Mpi {
-                    op: MpiIr::Init { .. },
-                    span,
-                    ..
-                } = i
-                {
-                    return Some(*span);
-                }
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -650,6 +686,82 @@ mod tests {
              fn main() { parallel { w(); } }",
         );
         assert_eq!(r.contexts.len(), 2);
+    }
+
+    /// What the module-level passes used to find by walking every
+    /// instruction of the module — which functions can draw a request
+    /// warning, where `MPI_Init` and `MPI_Finalize` are, which level is
+    /// requested — they now read from the call summaries: same findings.
+    #[test]
+    fn summary_facts_replace_whole_module_walks() {
+        let lower = |src: &str| {
+            let unit = parse_and_check("t.mh", src).expect("valid");
+            lower_program(&unit.program, &unit.signatures)
+        };
+        let helpers = |leak: &str| {
+            let mut src = String::from("fn setup() {\n    MPI_Init_thread(FUNNELED);\n}\n");
+            for i in 0..48 {
+                let body = if i == 7 { leak } else { "" };
+                src += &format!(
+                    "fn f{i}() {{\n    MPI_Send(1.0, 0, {i});\n{body}    let v = MPI_Recv(0, {i});\n}}\n"
+                );
+            }
+            src += "fn main() {\n    setup();\n";
+            for i in 0..48 {
+                src += &format!("    f{i}();\n");
+            }
+            src + "    parallel { single { MPI_Barrier(); } }\n    MPI_Finalize();\n}\n"
+        };
+
+        // Request-free, 50 functions: the life-cycle pass has nothing to
+        // look at, on or off.
+        let m = lower(&helpers(""));
+        assert_eq!(m.funcs.len(), 50);
+        let on = AnalysisSession::builder().build().check_module(&m);
+        let off = AnalysisSession::builder()
+            .check_requests(false)
+            .build()
+            .check_module(&m);
+        assert_eq!(format!("{on:?}"), format!("{off:?}"));
+        // The init is in a helper: level and position are still found.
+        assert_eq!(on.requested_level, Some(ThreadLevel::Funneled));
+        assert_eq!(on.required_level, ThreadLevel::Serialized);
+        let level: Vec<_> = on
+            .warnings
+            .iter()
+            .filter(|w| w.kind == WarningKind::InsufficientThreadLevel)
+            .collect();
+        assert_eq!(level.len(), 1, "{:#?}", on.warnings);
+        let src = helpers("");
+        let init = src.find("MPI_Init_thread").unwrap() as u32;
+        assert_eq!(level[0].span.lo, init);
+        assert_eq!(on.warnings.len(), 1, "{:#?}", on.warnings);
+        assert!(on.plan.p2p_epoch_functions.is_empty());
+
+        // One leaked `MPI_Irecv`, in the 9th function: one warning, where
+        // the post is, and the census where the finalize is.
+        let src = helpers("    let r = MPI_Irecv(0, 99);\n");
+        let leaky = AnalysisSession::builder()
+            .build()
+            .check_module(&lower(&src));
+        let leaks: Vec<_> = leaky
+            .warnings
+            .iter()
+            .filter(|w| w.kind == WarningKind::UnwaitedRequest)
+            .collect();
+        assert_eq!(leaks.len(), 1, "{:#?}", leaky.warnings);
+        assert_eq!(leaks[0].func, "f7");
+        assert_eq!(leaks[0].span.lo, src.find("MPI_Irecv").unwrap() as u32);
+        assert_eq!(leaky.plan.p2p_epoch_functions, ["main"]);
+        let kinds: Vec<_> = leaky.warnings.iter().map(|w| w.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                WarningKind::UnmatchedP2p,
+                WarningKind::UnwaitedRequest,
+                WarningKind::InsufficientThreadLevel
+            ]
+        );
     }
 
     /// The session's timed run is behaviorally identical to an untimed

@@ -130,6 +130,13 @@ pub enum InitialContext {
 pub const SYNTH_BASE: u32 = 1_000_000;
 
 impl InitialContext {
+    /// Every context, in lattice order — the order of `ctx as usize`.
+    pub const ALL: [InitialContext; 3] = [
+        InitialContext::Sequential,
+        InitialContext::ParallelSingle,
+        InitialContext::Parallel,
+    ];
+
     /// The synthetic word prefix for this context.
     pub fn prefix(self) -> Word {
         match self {

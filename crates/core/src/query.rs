@@ -13,22 +13,35 @@
 //! counters, `get` / `put` / `clear`:
 //!
 //! * per function: the parallelism words under each of the three
-//!   [`InitialContext`](crate::pw::InitialContext)s (the costliest part
-//!   of the context fixpoint), the CFG facts ([`CfgFacts`], re-keyed by
-//!   whether frontiers were materialized) and the call-graph summary
-//!   ([`CallSummary`]);
-//! * per module: the communicator classes ([`ModuleComms`]), the request
-//!   classes ([`ModuleRequests`]) and the p2p matching core
+//!   [`InitialContext`](crate::pw::InitialContext)s, the CFG facts
+//!   ([`CfgFacts`], beside whether frontiers were materialized), what
+//!   the module-level passes read from the function ([`CallSummary`]),
+//!   and the three phases' findings beside the inputs they were derived
+//!   under (`pipeline::FuncAnalysis`) — so a check runs the phases only for the
+//!   functions an edit actually reached;
+//! * per module: the context fixpoint's result ([`CallContexts`], reused
+//!   while no re-derived function hands it anything new — see
+//!   [`crate::context`]), the communicator classes ([`ModuleComms`]),
+//!   the request classes ([`ModuleRequests`]) and the p2p matching core
 //!   ([`P2pCore`], stored beside the reachability vector it was matched
 //!   under).
 //!
 //! [`QueryStats`] is a view summed from the slots.
 //!
+//! Two kinds of key guard a value. What a function's *own structure*
+//! determines is guarded by the red-green pass below, which empties the
+//! function's slots when its fingerprint moves. What depends on *other*
+//! functions — a calling context, whether a callee executes collectives,
+//! a communicator class numbered module-wide — is kept beside the value
+//! and compared at lookup ([`Slot::get_if`]): cheaper than hashing it,
+//! and exact.
+//!
 //! ## Span-free by construction
 //!
 //! No stored value contains a `Span`. Positions are block ids or
-//! [`Locator`]s, and whoever builds a warning reads the span from the
-//! live IR ([`span_at`]). An edit that moves code without changing its
+//! [`Locator`]s — stored warnings are
+//! [`WarningCore`](crate::report::WarningCore)s — and whoever builds a
+//! warning reads the span from the live IR ([`span_at`]). An edit that moves code without changing its
 //! structure — whitespace above a function *or inside it* — therefore
 //! needs no rebasing: the table never knew where anything was.
 //!
@@ -51,288 +64,60 @@
 //! [`AnalysisSession::check_module`]: crate::session::AnalysisSession::check_module
 
 use crate::comm::ModuleComms;
+use crate::context::CallContexts;
 use crate::facts::CfgFacts;
+use crate::fingerprint::typed_def_fp;
+pub use crate::fingerprint::{fingerprint, Fingerprint};
 use crate::p2p::P2pCore;
+use crate::pipeline::FuncAnalysis;
 use crate::pw::PwResult;
 use crate::request::ModuleRequests;
-use parcoach_front::ast::Type;
+use parcoach_front::ast::{ThreadLevel, Type};
 use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
-use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiIr, Terminator};
+use parcoach_ir::instr::{Instr, MpiIr, Terminator};
 use parcoach_ir::types::BlockId;
-use std::fmt::Write as _;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A 128-bit span-insensitive structural hash of one function's IR.
+/// A span-free program point. Stored values name positions this way;
+/// [`span_at`] turns one into the span the live IR has there when a
+/// warning is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Fingerprint(pub u128);
+pub enum Locator {
+    /// `(function index, block, instruction index)`.
+    Instr(usize, BlockId, usize),
+    /// A block, by its representative span.
+    Block(usize, BlockId),
+    /// The condition a block branches on (the block itself when its
+    /// terminator is not a branch).
+    Cond(usize, BlockId),
+}
 
-/// FNV-1a, 128-bit variant.
-struct Fnv128(u128);
-
-impl Fnv128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x13b + (1u128 << 88);
-
-    fn new() -> Self {
-        Fnv128(Self::OFFSET)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u128;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+impl Locator {
+    /// Index of the function the point lies in.
+    pub fn func(self) -> usize {
+        match self {
+            Locator::Instr(fi, ..) | Locator::Block(fi, _) | Locator::Cond(fi, _) => fi,
         }
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
-
-    /// Tag byte separating fields/variants so adjacent fields can never
-    /// alias across a boundary shift.
-    fn tag(&mut self, t: u8) {
-        self.bytes(&[t]);
     }
 }
 
-/// Span-free leaves (operators, operands, ids, types) hash via their
-/// `Debug` form — exhaustive by construction and unambiguous once
-/// interleaved with [`Fnv128::tag`] separators.
-impl std::fmt::Write for Fnv128 {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// Compute the span-insensitive structural fingerprint of `f`.
-///
-/// The walk mirrors the IR shape by hand wherever a `Span` hides
-/// ([`Instr`], [`Directive`], [`Terminator`], [`CheckOp`], blocks, the
-/// function header) and falls back to `Debug` for span-free leaves
-/// ([`MpiIr`], operators, operands, ids).
-pub fn fingerprint(f: &FuncIr) -> Fingerprint {
-    let mut h = Fnv128::new();
-    h.bytes(f.name.as_bytes());
-    h.tag(0xF0);
-    let _ = write!(
-        h,
-        "{:?}|{:?}|{:?}|{:?}",
-        f.params, f.ret, f.reg_types, f.reg_names
-    );
-    h.u32(f.entry.0);
-    h.u32(f.region_count);
-    for b in &f.blocks {
-        h.tag(0xB0);
-        match &b.kind {
-            BlockKind::Normal => h.tag(0),
-            BlockKind::Directive(d) => {
-                h.tag(1);
-                hash_directive(&mut h, d);
-            }
-        }
-        for i in &b.instrs {
-            hash_instr(&mut h, i);
-        }
-        hash_terminator(&mut h, &b.term);
-    }
-    Fingerprint(h.0)
-}
-
-fn hash_instr(h: &mut Fnv128, i: &Instr) {
-    h.tag(0x10);
-    match i {
-        // Span-free variants: Debug covers every field.
-        Instr::Copy { .. }
-        | Instr::Unary { .. }
-        | Instr::Intrinsic { .. }
-        | Instr::Print { .. } => {
-            h.tag(0);
-            let _ = write!(h, "{i:?}");
-        }
-        Instr::Binary {
-            dest,
-            op,
-            lhs,
-            rhs,
-            span: _,
-        } => {
-            h.tag(1);
-            let _ = write!(h, "{dest:?}{op:?}{lhs:?}{rhs:?}");
-        }
-        Instr::ArrayNew {
-            dest,
-            len,
-            init,
-            elem,
-            span: _,
-        } => {
-            h.tag(2);
-            let _ = write!(h, "{dest:?}{len:?}{init:?}{elem:?}");
-        }
-        Instr::Load {
-            dest,
-            arr,
-            idx,
-            span: _,
-        } => {
-            h.tag(3);
-            let _ = write!(h, "{dest:?}{arr:?}{idx:?}");
-        }
-        Instr::Store {
-            arr,
-            idx,
-            value,
-            span: _,
-        } => {
-            h.tag(4);
-            let _ = write!(h, "{arr:?}{idx:?}{value:?}");
-        }
-        Instr::Call {
-            dest,
-            func,
-            args,
-            span: _,
-        } => {
-            h.tag(5);
-            let _ = write!(h, "{dest:?}{func}|{args:?}");
-        }
-        Instr::Mpi { dest, op, span: _ } => {
-            h.tag(6);
-            // MpiIr carries no spans.
-            let _ = write!(h, "{dest:?}{op:?}");
-        }
-        Instr::Check(c) => {
-            h.tag(7);
-            match c {
-                CheckOp::CollectiveCc {
-                    color,
-                    comm,
-                    span: _,
-                } => {
-                    h.tag(0);
-                    let _ = write!(h, "{color}{comm:?}");
-                }
-                CheckOp::ReturnCc { span: _ } => h.tag(1),
-                CheckOp::AssertMonothread { what, span: _ } => {
-                    h.tag(2);
-                    h.bytes(what.as_bytes());
-                }
-                CheckOp::ConcEnter { site, span: _ } => {
-                    h.tag(3);
-                    h.u32(*site);
-                }
-                CheckOp::ConcExit { site } => {
-                    h.tag(4);
-                    h.u32(*site);
-                }
-                CheckOp::P2pEpoch { span: _ } => h.tag(5),
+/// The span the program point `loc` has *now*.
+pub fn span_at(m: &Module, loc: Locator) -> Span {
+    match loc {
+        Locator::Instr(fi, b, ii) => m.funcs[fi].blocks[b.index()].instrs[ii]
+            .span()
+            .unwrap_or(Span::DUMMY),
+        Locator::Block(fi, b) => m.funcs[fi].blocks[b.index()].span,
+        Locator::Cond(fi, b) => {
+            let block = &m.funcs[fi].blocks[b.index()];
+            match &block.term {
+                Terminator::Branch { span, .. } => *span,
+                _ => block.span,
             }
         }
     }
-}
-
-fn hash_directive(h: &mut Fnv128, d: &Directive) {
-    h.tag(0x20);
-    match d {
-        // Span-free variants: Debug covers every field.
-        Directive::ParallelEnd { .. }
-        | Directive::SingleEnd { .. }
-        | Directive::MasterEnd { .. }
-        | Directive::CriticalEnd { .. }
-        | Directive::WorkshareEnd { .. }
-        | Directive::PForInit { .. }
-        | Directive::SectionBegin { .. }
-        | Directive::SectionEnd { .. } => {
-            h.tag(0);
-            let _ = write!(h, "{d:?}");
-        }
-        Directive::ParallelBegin {
-            region,
-            num_threads,
-            span: _,
-        } => {
-            h.tag(1);
-            let _ = write!(h, "{region:?}{num_threads:?}");
-        }
-        Directive::SingleBegin {
-            region,
-            nowait,
-            chosen,
-            span: _,
-        } => {
-            h.tag(2);
-            let _ = write!(h, "{region:?}{nowait}{chosen:?}");
-        }
-        Directive::MasterBegin {
-            region,
-            chosen,
-            span: _,
-        } => {
-            h.tag(3);
-            let _ = write!(h, "{region:?}{chosen:?}");
-        }
-        Directive::CriticalBegin { region, span: _ } => {
-            h.tag(4);
-            let _ = write!(h, "{region:?}");
-        }
-        Directive::WorkshareBegin {
-            region,
-            kind,
-            nowait,
-            span: _,
-        } => {
-            h.tag(5);
-            let _ = write!(h, "{region:?}{kind:?}{nowait}");
-        }
-        Directive::Barrier {
-            implicit,
-            region,
-            span: _,
-        } => {
-            h.tag(6);
-            let _ = write!(h, "{implicit}{region:?}");
-        }
-    }
-}
-
-fn hash_terminator(h: &mut Fnv128, t: &Terminator) {
-    h.tag(0x30);
-    match t {
-        Terminator::Goto(b) => {
-            h.tag(0);
-            h.u32(b.0);
-        }
-        Terminator::Branch {
-            cond,
-            then_bb,
-            else_bb,
-            span: _,
-        } => {
-            h.tag(1);
-            let _ = write!(h, "{cond:?}");
-            h.u32(then_bb.0);
-            h.u32(else_bb.0);
-        }
-        Terminator::Return { value, span: _ } => {
-            h.tag(2);
-            let _ = write!(h, "{value:?}");
-        }
-        Terminator::Unreachable => h.tag(3),
-    }
-}
-
-/// A span-free program point: `(function index, block, instruction
-/// index)`. Stored values name positions this way; [`span_at`] turns one
-/// into the live instruction's span when a warning is built.
-pub type Locator = (usize, BlockId, usize);
-
-/// The span the instruction at `loc` has *now*.
-pub fn span_at(m: &Module, (fi, b, ii): Locator) -> Span {
-    m.funcs[fi].blocks[b.index()].instrs[ii]
-        .span()
-        .unwrap_or(Span::DUMMY)
 }
 
 /// What [`QueryDb::reconcile`] compares for an edited function: the
@@ -342,19 +127,16 @@ pub fn span_at(m: &Module, (fi, b, ii): Locator) -> Span {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FuncKey {
     fp: Fingerprint,
-    /// Inputs of the communicator resolution: `0` when the function has
-    /// no `comm`-typed register (the resolver's fast path), else a
-    /// span-insensitive hash of the signature, the register types and
-    /// every instruction defining a `comm`-typed register, with its
-    /// position (class definitions are keyed by [`Locator`]).
+    /// Inputs of the communicator resolution
+    /// ([`typed_def_fp`] of `comm`-typed registers).
     comm: u128,
     /// Same projection for `request`-typed registers.
     req: u128,
     /// Inputs of the p2p matcher: the full structural fingerprint when
     /// the function contains any point-to-point or wait operation
     /// (matching reads sites, waits *and* dominators), the sentinel `1`
-    /// when it only contains `MPI_Finalize` (the epoch census walks all
-    /// functions for finalize presence), else `0`.
+    /// when it only contains `MPI_Finalize` (the epoch census is placed
+    /// where finalize is), else `0`.
     p2p: u128,
 }
 
@@ -371,18 +153,12 @@ impl FuncKey {
             });
         let mut p2p = 0;
         for op in mpi_ops {
-            match op {
-                MpiIr::Send { .. }
-                | MpiIr::Recv { .. }
-                | MpiIr::Isend { .. }
-                | MpiIr::Irecv { .. }
-                | MpiIr::Wait { .. }
-                | MpiIr::Waitall { .. } => {
-                    p2p = fp.0;
-                    break;
-                }
-                MpiIr::Finalize => p2p = 1,
-                _ => {}
+            if op.is_p2p() {
+                p2p = fp.0;
+                break;
+            }
+            if matches!(op, MpiIr::Finalize) {
+                p2p = 1;
             }
         }
         FuncKey {
@@ -394,73 +170,75 @@ impl FuncKey {
     }
 }
 
-/// Span-insensitive hash of everything the per-register lattice
-/// resolution of `ty`-typed registers reads from `f`.
-fn typed_def_fp(f: &FuncIr, ty: Type) -> u128 {
-    if !f.reg_types.contains(&ty) {
-        return 0;
-    }
-    let mut h = Fnv128::new();
-    h.tag(0xD0);
-    let _ = write!(h, "{:?}|{:?}", f.params, f.reg_types);
-    for b in &f.blocks {
-        h.tag(0xB1);
-        for (ii, i) in b.instrs.iter().enumerate() {
-            if i.dest()
-                .is_some_and(|d| f.reg_types.get(d.index()) == Some(&ty))
-            {
-                h.u32(ii as u32);
-                hash_instr(&mut h, i);
-            }
-        }
-    }
-    h.0
-}
-
-/// One function's call-graph contribution, derived from its IR alone —
-/// which makes it cacheable by [`fingerprint`] (`Instr::Call` hashes the
-/// callee name, so a retargeted call changes the key). The
-/// interprocedural context fixpoint re-reads these every check; caching
-/// them spares the full instruction re-walk (and its per-site string
-/// allocations) for every green function.
-#[derive(Debug, Clone)]
+/// What the module-level passes read from one function, derived from its
+/// IR alone (one walk) — which makes it cacheable by [`fingerprint`].
+/// The context fixpoint, entry reachability, the taint propagation, the
+/// thread-level check and the census placement all read these instead of
+/// re-walking instructions.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallSummary {
     /// Does the function itself issue collective events (collective ops
     /// or communicator-management collectives)?
     pub own_bearing: bool,
     /// Does the function contain *any* MPI instruction (including p2p)?
-    /// Gates the fact store's per-block event derivation: a function
-    /// with no MPI and no collective-bearing callees cannot produce
-    /// events, so its blocks are never walked on a warm re-check.
+    /// A function with no MPI and no collective-bearing callee cannot
+    /// produce events, so its blocks are never walked for them.
     pub has_mpi: bool,
+    /// Does the function have a `request`-typed register? Only such a
+    /// function can post or wait, so only it can draw a life-cycle
+    /// warning.
+    pub has_requests: bool,
+    /// Does the function contain an `MPI_Finalize`?
+    pub has_finalize: bool,
+    /// The function's first `MPI_Init`/`MPI_Init_thread` and the highest
+    /// thread level any of its inits requests (plain `MPI_Init` counts
+    /// as `SINGLE`).
+    pub init: Option<(BlockId, usize, ThreadLevel)>,
     /// Every call site as `(block, instruction index, callee)`, in block
-    /// order then instruction order. A multithreaded-call warning reads
-    /// the call's span from the live instruction.
-    pub call_sites: Vec<(BlockId, usize, String)>,
+    /// order then instruction order; the callee is an index into
+    /// `Module::funcs` (`None`: not a function of this module). Valid
+    /// for as long as the table is — it starts over when the module's
+    /// function list changes.
+    pub call_sites: Vec<(BlockId, usize, Option<usize>)>,
 }
 
-/// Compute one function's [`CallSummary`] from its IR (one walk).
-pub fn call_summary(f: &FuncIr) -> CallSummary {
-    let mut own_bearing = false;
-    let mut has_mpi = false;
-    let mut call_sites = Vec::new();
+/// Compute one function's [`CallSummary`] from its IR; `by_name` is the
+/// module's (`Module::by_name`).
+pub fn call_summary(f: &FuncIr, by_name: &HashMap<String, usize>) -> CallSummary {
+    let mut s = CallSummary {
+        own_bearing: false,
+        has_mpi: false,
+        has_requests: f.reg_types.contains(&Type::Request),
+        has_finalize: false,
+        init: None,
+        call_sites: Vec::new(),
+    };
     for (bid, b) in f.iter_blocks() {
         for (ii, i) in b.instrs.iter().enumerate() {
             match i {
                 Instr::Mpi { op, .. } => {
-                    has_mpi = true;
-                    own_bearing |= op.collective_kind().is_some() || op.comm_mgmt().is_some();
+                    s.has_mpi = true;
+                    s.own_bearing |= op.collective_kind().is_some() || op.comm_mgmt().is_some();
+                    match op {
+                        MpiIr::Finalize => s.has_finalize = true,
+                        MpiIr::Init { required } => {
+                            let level = required.unwrap_or(ThreadLevel::Single);
+                            s.init = Some(match s.init {
+                                None => (bid, ii, level),
+                                Some((b0, i0, l0)) => (b0, i0, l0.max(level)),
+                            });
+                        }
+                        _ => {}
+                    }
                 }
-                Instr::Call { func, .. } => call_sites.push((bid, ii, func.clone())),
+                Instr::Call { func, .. } => {
+                    s.call_sites.push((bid, ii, by_name.get(func).copied()));
+                }
                 _ => {}
             }
         }
     }
-    CallSummary {
-        own_bearing,
-        has_mpi,
-        call_sites,
-    }
+    s
 }
 
 /// Hit/miss counters, surfaced through the daemon's `timings` verb and
@@ -493,6 +271,14 @@ pub struct QueryStats {
     pub p2p_hits: u64,
     /// Module-wide p2p matching results recomputed.
     pub p2p_misses: u64,
+    /// Per-function phase results served from the table.
+    pub analysis_hits: u64,
+    /// Per-function phase results re-derived.
+    pub analysis_misses: u64,
+    /// Checks that reused the stored context fixpoint.
+    pub context_hits: u64,
+    /// Checks that ran the context fixpoint.
+    pub context_misses: u64,
 }
 
 /// One memoized value with its hit/miss counters. `get` and `put` are
@@ -533,6 +319,13 @@ impl<V> Slot<V> {
         self.get_if(|_| true)
     }
 
+    /// The stored value, uncounted — for a caller that must consult
+    /// other slots before it can tell [`Slot::get_if`] whether the value
+    /// is still good.
+    pub fn peek(&self) -> Option<&V> {
+        self.value.as_ref()
+    }
+
     /// Store a freshly computed value.
     pub fn put(&mut self, v: V) {
         self.value = Some(v);
@@ -566,11 +359,15 @@ pub(crate) struct FuncSlots {
     /// Parallelism words per [`InitialContext`](crate::pw::InitialContext)
     /// (index = lattice position, `ctx as usize`).
     pub(crate) pw: [Slot<Arc<PwResult>>; 3],
-    /// CFG facts beside the frontier choice they were computed under
-    /// (an event-presence change re-keys the slot).
+    /// CFG facts beside whether frontiers were materialized (only
+    /// event-bearing functions query them).
     pub(crate) cfg: Slot<(bool, Arc<CfgFacts>)>,
-    /// Call-graph summary (see [`CallSummary`]).
+    /// Call-graph summary (see [`CallSummary`]). An empty slot is also
+    /// how the context stage learns the function was re-derived.
     pub(crate) summary: Slot<Arc<CallSummary>>,
+    /// The three phases' findings, beside the inputs they were derived
+    /// under (see [`FuncAnalysis`]).
+    pub(crate) analysis: Slot<Arc<FuncAnalysis>>,
 }
 
 /// The memo table. See the module docs for the contract; the pipeline
@@ -580,6 +377,9 @@ pub(crate) struct FuncSlots {
 pub struct QueryDb {
     /// One entry per function, indexed like `Module::funcs`.
     funcs: Vec<FuncSlots>,
+    /// The context fixpoint's result, with what it read from every
+    /// function (see [`crate::context`]).
+    pub(crate) contexts: Slot<Arc<CallContexts>>,
     /// The module-wide communicator tables.
     pub(crate) comms: Slot<Arc<ModuleComms>>,
     /// The module-wide request tables.
@@ -603,6 +403,23 @@ impl QueryDb {
     /// against the module `fi` indexes.
     pub(crate) fn func(&mut self, fi: usize) -> &mut FuncSlots {
         &mut self.funcs[fi]
+    }
+
+    /// The stored CFG facts of function `fi`, if any; `with_pdf` asks
+    /// for materialized frontiers. Counts a hit or a miss.
+    pub(crate) fn cfg_stored(&mut self, fi: usize, with_pdf: bool) -> Option<Arc<CfgFacts>> {
+        let stored = self.funcs[fi].cfg.get_if(|(pdf, _)| *pdf || !with_pdf);
+        stored.map(|(_, cfg)| cfg.clone())
+    }
+
+    /// The CFG facts of `f` (function `fi`), from the table or computed
+    /// into it.
+    pub(crate) fn cfg_of(&mut self, fi: usize, f: &FuncIr, with_pdf: bool) -> Arc<CfgFacts> {
+        self.cfg_stored(fi, with_pdf).unwrap_or_else(|| {
+            let cfg = Arc::new(crate::facts::compute_cfg(f, with_pdf));
+            self.funcs[fi].cfg.put((with_pdf, cfg.clone()));
+            cfg
+        })
     }
 
     /// Function `fi` is about to be replaced; `old` is the IR the stored
@@ -654,6 +471,7 @@ impl QueryDb {
                 e.pw.iter_mut().for_each(Slot::clear);
                 e.cfg.clear();
                 e.summary.clear();
+                e.analysis.clear();
             }
             let (comm, req) = (new.comm != old.comm, new.req != old.req);
             if comm {
@@ -688,7 +506,11 @@ impl QueryDb {
             }
             s.cfg_hits += e.cfg.hits;
             s.cfg_misses += e.cfg.misses;
+            s.analysis_hits += e.analysis.hits;
+            s.analysis_misses += e.analysis.misses;
         }
+        s.context_hits += self.contexts.hits;
+        s.context_misses += self.contexts.misses;
         s.comm_hits += self.comms.hits;
         s.comm_misses += self.comms.misses;
         s.req_hits += self.reqs.hits;
@@ -696,6 +518,16 @@ impl QueryDb {
         s.p2p_hits += self.p2p.hits;
         s.p2p_misses += self.p2p.misses;
         s
+    }
+
+    /// `(hits, misses)` of each function's phase-result slot, indexed
+    /// like `Module::funcs` — which functions an edit made the phases
+    /// revisit, for the tests that pin exactly that.
+    pub fn analysis_counts(&self) -> Vec<(u64, u64)> {
+        self.funcs
+            .iter()
+            .map(|e| (e.analysis.hits, e.analysis.misses))
+            .collect()
     }
 }
 
@@ -858,7 +690,7 @@ mod tests {
     }
 
     /// The size bound, by construction: the table holds one entry per
-    /// function and three module slots, whatever the edit history, and
+    /// function and four module slots, whatever the edit history, and
     /// keeps no reference a finished check has not released.
     #[test]
     fn thousand_alternating_edits_keep_the_table_bounded() {
@@ -871,35 +703,44 @@ mod tests {
         let bodies = ["MPI_Barrier();", "MPI_Send(1, 0, 1);"];
         let census = |db: &QueryDb| {
             let mut filled = 0usize;
-            let mut lone = |n: usize| {
+            let mut held = |n: usize, by: usize| {
                 filled += 1;
-                assert_eq!(n, 1, "a finished check left a reference behind");
+                assert!(n <= by, "a finished check left a reference behind");
             };
             for e in &db.funcs {
                 e.pw.iter()
                     .filter_map(|s| s.value.as_ref())
-                    .for_each(|v| lone(Arc::strong_count(v)));
+                    .for_each(|v| held(Arc::strong_count(v), 1));
                 e.cfg
                     .value
                     .iter()
-                    .for_each(|(_, v)| lone(Arc::strong_count(v)));
+                    .for_each(|(_, v)| held(Arc::strong_count(v), 1));
+                // The context result keeps the summary it read.
                 e.summary
                     .value
                     .iter()
-                    .for_each(|v| lone(Arc::strong_count(v)));
+                    .for_each(|v| held(Arc::strong_count(v), 2));
+                e.analysis
+                    .value
+                    .iter()
+                    .for_each(|v| held(Arc::strong_count(v), 1));
             }
+            db.contexts
+                .value
+                .iter()
+                .for_each(|v| held(Arc::strong_count(v), 1));
             db.comms
                 .value
                 .iter()
-                .for_each(|v| lone(Arc::strong_count(v)));
+                .for_each(|v| held(Arc::strong_count(v), 1));
             db.reqs
                 .value
                 .iter()
-                .for_each(|v| lone(Arc::strong_count(v)));
+                .for_each(|v| held(Arc::strong_count(v), 1));
             db.p2p
                 .value
                 .iter()
-                .for_each(|(_, v)| lone(Arc::strong_count(v)));
+                .for_each(|(_, v)| held(Arc::strong_count(v), 1));
             (db.funcs.len(), filled)
         };
         let mut db = QueryDb::new();

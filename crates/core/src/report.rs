@@ -7,11 +7,13 @@
 //! source code of MPI collective calls involved." (paper §4)
 
 use crate::pw::InitialContext;
+use crate::query::{span_at, Locator};
 use parcoach_front::ast::ThreadLevel;
-use parcoach_front::diag::{Diagnostic, Diagnostics};
+use parcoach_front::diag::{self, Diagnostic, Severity};
 use parcoach_front::span::{SourceMap, Span};
+use parcoach_ir::func::Module;
 use parcoach_ir::types::BlockId;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// The kind of potential error a warning reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -122,17 +124,61 @@ pub struct StaticWarning {
 }
 
 impl StaticWarning {
+    /// The message as diagnostics print it: category, text, function.
+    fn headline(&self) -> impl fmt::Display + '_ {
+        struct Headline<'a>(&'a StaticWarning);
+        impl fmt::Display for Headline<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let w = self.0;
+                write!(f, "[{}] {} (in `{}`)", w.kind, w.message, w.func)
+            }
+        }
+        Headline(self)
+    }
+
     /// Convert into a frontend diagnostic for uniform rendering.
     pub fn to_diagnostic(&self) -> Diagnostic {
-        let mut d = Diagnostic::warning(
-            self.kind.code(),
-            format!("[{}] {} (in `{}`)", self.kind, self.message, self.func),
-            self.span,
-        );
+        let mut d = Diagnostic::warning(self.kind.code(), self.headline().to_string(), self.span);
         for (span, label) in &self.related {
             d = d.with_note(*span, label.clone());
         }
         d
+    }
+}
+
+/// A warning as the memo table stores it: positions are [`Locator`]s,
+/// resolved against the live IR by [`WarningCore::materialize`]. The
+/// message may embed anything that is stable while the inputs of the
+/// value it is stored in are — callee names, parallelism words, tags,
+/// communicator-class labels — and nothing that is numbered per check.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarningCore {
+    /// Error category.
+    pub kind: WarningKind,
+    /// Main message.
+    pub message: String,
+    /// Primary location; the warning belongs to the function it is in.
+    pub site: Locator,
+    /// Secondary locations (`None`: no source position, e.g. a context
+    /// inherited from a caller).
+    pub related: Vec<(Option<Locator>, String)>,
+}
+
+impl WarningCore {
+    /// The span-bearing warning, with every position read from `m` as it
+    /// is now.
+    pub fn materialize(&self, m: &Module) -> StaticWarning {
+        StaticWarning {
+            kind: self.kind,
+            func: m.funcs[self.site.func()].name.clone(),
+            message: self.message.clone(),
+            span: span_at(m, self.site),
+            related: self
+                .related
+                .iter()
+                .map(|(loc, label)| (loc.map_or(Span::DUMMY, |l| span_at(m, l)), label.clone()))
+                .collect(),
+        }
     }
 }
 
@@ -172,8 +218,9 @@ pub struct StaticReport {
     pub warnings: Vec<StaticWarning>,
     /// The instrumentation demand.
     pub plan: InstrumentationPlan,
-    /// Initial context each function was analysed under.
-    pub contexts: Vec<(String, InitialContext)>,
+    /// Initial context each function was analysed under, indexed like
+    /// `Module::funcs`.
+    pub contexts: Vec<InitialContext>,
     /// Thread level requested by the program (`MPI_Init_thread`), if any.
     pub requested_level: Option<ThreadLevel>,
     /// Highest thread level any collective requires.
@@ -200,22 +247,33 @@ impl StaticReport {
 
     /// Render all warnings against the source map.
     pub fn render(&self, sm: &SourceMap) -> String {
-        let mut ds = Diagnostics::new();
+        let mut out = String::new();
         for w in &self.warnings {
-            ds.push(w.to_diagnostic());
-        }
-        let mut out = ds.render(sm);
-        if !out.is_empty() {
+            let notes = w
+                .related
+                .iter()
+                .map(|(span, label)| (*span, label.as_str()));
+            diag::render_parts(
+                &mut out,
+                sm,
+                Severity::Warning,
+                w.headline(),
+                w.kind.code(),
+                w.span,
+                notes,
+            );
             out.push('\n');
         }
-        out.push_str(&format!(
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            out,
             "{} warning(s); instrumentation: {} collective site(s), {} monothread check(s), {} concurrency site(s), {} p2p epoch function(s)",
             self.warnings.len(),
             self.plan.suspect_collectives.len(),
             self.plan.monothread_checks.len(),
             self.plan.concurrency_sites.len(),
             self.plan.p2p_epoch_functions.len(),
-        ));
+        );
         out
     }
 }

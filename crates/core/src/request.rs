@@ -236,8 +236,12 @@ fn resolve_func(fidx: usize, f: &FuncIr, table: &mut ReqTable) -> FuncRequests {
                         dest: Some(d), op, ..
                     } => {
                         let def = match op {
-                            MpiIr::Isend { .. } => Some(ReqDef::Isend((fidx, bid, iidx))),
-                            MpiIr::Irecv { .. } => Some(ReqDef::Irecv((fidx, bid, iidx))),
+                            MpiIr::Isend { .. } => {
+                                Some(ReqDef::Isend(Locator::Instr(fidx, bid, iidx)))
+                            }
+                            MpiIr::Irecv { .. } => {
+                                Some(ReqDef::Irecv(Locator::Instr(fidx, bid, iidx)))
+                            }
                             _ => None,
                         };
                         if let Some(def) = def {
@@ -316,10 +320,11 @@ pub fn check_requests(cx: &crate::facts::AnalysisCx) -> RequestResult {
     let m = cx.module;
     let mut out = RequestResult::default();
     for (fidx, f) in m.funcs.iter().enumerate() {
-        // Requests in entry-unreachable functions are never posted;
-        // diagnosing their life-cycle would be a guaranteed false
-        // positive (same policy as the other phases).
-        if !cx.is_reachable(fidx) {
+        // Only a function with a request-typed register can post or
+        // wait. Requests in entry-unreachable functions are never
+        // posted; diagnosing their life-cycle would be a guaranteed
+        // false positive (same policy as the other phases).
+        if !cx.ctxs.summaries[fidx].has_requests || !cx.is_reachable(fidx) {
             continue;
         }
         let fr = cx.reqs_of(fidx);

@@ -77,23 +77,55 @@ impl Diagnostic {
     /// `file:line:col: severity: message [code]`.
     pub fn render(&self, sm: &SourceMap) -> String {
         let mut out = String::new();
-        let lc = sm.span_start(self.span);
-        out.push_str(&format!(
-            "{}:{}: {}: {} [{}]",
-            sm.name(),
-            lc,
-            self.severity,
-            self.message,
-            self.code
-        ));
-        if let Some(text) = sm.line_text(lc.line) {
-            out.push_str(&format!("\n    {}", text.trim_end()));
-        }
-        for (span, label) in &self.notes {
-            let lc = sm.span_start(*span);
-            out.push_str(&format!("\n  {}:{}: note: {}", sm.name(), lc, label));
-        }
+        self.render_into(sm, &mut out);
         out
+    }
+
+    /// [`Diagnostic::render`], appended to `out`.
+    pub fn render_into(&self, sm: &SourceMap, out: &mut String) {
+        let notes = self
+            .notes
+            .iter()
+            .map(|(span, label)| (*span, label.as_str()));
+        render_parts(
+            out,
+            sm,
+            self.severity,
+            &self.message,
+            &self.code,
+            self.span,
+            notes,
+        );
+    }
+}
+
+/// Append one rendered diagnostic to `out` from its parts — for a caller
+/// whose findings are not [`Diagnostic`]s but render as one (the static
+/// report), so it need not build one per finding.
+pub fn render_parts<'a>(
+    out: &mut String,
+    sm: &SourceMap,
+    severity: Severity,
+    message: impl fmt::Display,
+    code: &str,
+    span: Span,
+    notes: impl Iterator<Item = (Span, &'a str)>,
+) {
+    use fmt::Write as _;
+    let lc = sm.span_start(span);
+    // Writing to a `String` cannot fail.
+    let _ = write!(out, "{}:{lc}: {severity}: {message} [{code}]", sm.name());
+    if let Some(text) = sm.line_text(lc.line) {
+        out.push_str("\n    ");
+        out.push_str(text.trim_end());
+    }
+    for (span, label) in notes {
+        let _ = write!(
+            out,
+            "\n  {}:{}: note: {label}",
+            sm.name(),
+            sm.span_start(span)
+        );
     }
 }
 
@@ -156,11 +188,14 @@ impl Diagnostics {
 
     /// Render all diagnostics, one block per item.
     pub fn render(&self, sm: &SourceMap) -> String {
-        self.items
-            .iter()
-            .map(|d| d.render(sm))
-            .collect::<Vec<_>>()
-            .join("\n")
+        let mut out = String::new();
+        for (i, d) in self.items.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            d.render_into(sm, &mut out);
+        }
+        out
     }
 
     /// Consume into the underlying vector.

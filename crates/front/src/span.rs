@@ -107,6 +107,34 @@ impl SourceMap {
         }
     }
 
+    /// Replace the bytes `lo..hi` by `text`, in place: the result equals
+    /// `SourceMap::new` of the spliced source, at the cost of the edit
+    /// plus one move of the tail — no line outside the replaced range is
+    /// looked at again. `lo..hi` must lie on character boundaries.
+    pub fn splice(&mut self, lo: usize, hi: usize, text: &str) {
+        // A resident document is spliced thousands of times: when it
+        // outgrows its buffer, grow by a sixteenth, not by doubling —
+        // still amortized, without carrying a second copy's worth of
+        // slack for the rest of its life.
+        let growth = text.len().saturating_sub(hi - lo);
+        if growth > self.src.capacity() - self.src.len() {
+            self.src.reserve_exact(growth + self.src.len() / 16);
+        }
+        self.src.replace_range(lo..hi, text);
+        // A line start `s` records a newline at `s - 1`: the newlines
+        // inside `lo..hi` are the starts in `lo + 1 ..= hi`.
+        let first = self.line_starts.partition_point(|&s| s as usize <= lo);
+        let last = self.line_starts.partition_point(|&s| s as usize <= hi);
+        let delta = text.len() as i64 - (hi - lo) as i64;
+        for s in &mut self.line_starts[last..] {
+            *s = (i64::from(*s) + delta) as u32;
+        }
+        self.line_starts.splice(
+            first..last,
+            text.match_indices('\n').map(|(i, _)| (lo + i + 1) as u32),
+        );
+    }
+
     /// Logical file name.
     pub fn name(&self) -> &str {
         &self.name

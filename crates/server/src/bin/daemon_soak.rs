@@ -33,7 +33,8 @@
 //! wall clock including the protocol round-trip) to `--out` as JSON —
 //! the artifact the `daemon-soak` CI job uploads.
 //!
-//! Exit codes: 0 = clean, 1 = divergent response, 3 = usage/spawn error.
+//! Exit codes: 0 = clean, 1 = divergent response or a memo table that
+//! served nothing (`timings` counters), 3 = usage/spawn error.
 
 use parcoach_core::AnalysisSession;
 use parcoach_server::json::{obj, parse, Value};
@@ -290,6 +291,9 @@ struct ClientStats {
     incremental: usize,
     divergent: usize,
     cancelled: usize,
+    /// Whether the daemon served this client's checks from its memo
+    /// table at all (a soak over a dead memo would pass vacuously).
+    memo_live: bool,
 }
 
 /// Generate a scenario with at least two helper functions (the editable
@@ -390,6 +394,14 @@ fn soak_client(conn: &mut Conn, uri: &str, seed: u64, opts: &Opts) -> Result<Cli
     }
 
     storm_client(conn, uri, &mut mirror, &mut stream, &mut st, opts)?;
+
+    let timings = conn.call("timings", Value::Obj(Vec::new()))?;
+    let cache = timings.get("result").and_then(|r| r.get("cache"));
+    let counter = |key: &str| cache.and_then(|c| c.get(key)).and_then(Value::as_i64);
+    st.memo_live = counter("analysisHits") > Some(0) && counter("contextHits") > Some(0);
+    if !st.memo_live {
+        eprintln!("MEMO DEAD in {uri}: {}", timings.to_line());
+    }
     Ok(st)
 }
 
@@ -569,7 +581,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         pct(&latencies_us, 99),
         opts.out
     );
-    Ok(divergent == 0 && accepted > 0)
+    Ok(divergent == 0 && accepted > 0 && stats.iter().all(|s| s.memo_live))
 }
 
 fn expect_ok(resp: &Value) -> Result<(), String> {
@@ -598,20 +610,20 @@ fn histogram_json(
     cancelled: usize,
 ) -> Value {
     // Power-of-two latency buckets: `le_us` upper bounds with counts.
-    let mut buckets: Vec<(String, Value)> = Vec::new();
+    let mut buckets = Vec::new();
     let mut bound = 64u64;
     let mut idx = 0usize;
     while idx < sorted_us.len() {
         let upto = sorted_us.partition_point(|&v| v <= bound);
         if upto > idx {
-            buckets.push((format!("le_{bound}us"), Value::from((upto - idx) as u64)));
+            buckets.push((
+                format!("le_{bound}us").into(),
+                Value::from((upto - idx) as u64),
+            ));
         }
         idx = upto;
         if bound > 1 << 40 {
-            buckets.push((
-                "le_inf".to_string(),
-                Value::from((sorted_us.len() - idx) as u64),
-            ));
+            buckets.push(("le_inf".into(), Value::from((sorted_us.len() - idx) as u64)));
             break;
         }
         bound *= 2;

@@ -6,7 +6,8 @@
 //! front-end once; [`Document::edit`] then tries the **incremental
 //! path**: reparse *only* the replacement function (lexed at its byte
 //! offset in the file, so its spans are absolute), sema-check it against
-//! the existing signature table, re-lower it in isolation, and rebase
+//! the existing signature table, re-lower it in isolation, splice the
+//! text and its line index in place ([`SourceMap::splice`]), and rebase
 //! the spans of every function after the splice point in the resident
 //! AST and IR by the byte delta. The document is the only thing that
 //! ever edits the module, so it also owns the module's
@@ -133,14 +134,8 @@ impl Document {
         let (lo, hi) = (old_span.lo as usize, old_span.hi as usize);
         let delta = new_text.len() as i64 - (hi - lo) as i64;
 
-        let text = self.text();
-        let mut spliced = String::with_capacity(text.len() - (hi - lo) + new_text.len());
-        spliced.push_str(&text[..lo]);
-        spliced.push_str(new_text);
-        spliced.push_str(&text[hi..]);
-
         if let Some((new_fn, new_ir)) = self.try_incremental(func, idx, old_span.lo, new_text) {
-            self.source_map = SourceMap::new(&self.uri, spliced);
+            self.source_map.splice(lo, hi, new_text);
             self.program.functions[idx] = new_fn;
             for later in &mut self.program.functions[idx + 1..] {
                 shift_ast_function(later, delta);
@@ -159,6 +154,8 @@ impl Document {
         // Fallback: whole-document recompile. Anything may have changed
         // shape, so the memo table starts over (a failed compile leaves
         // the document untouched).
+        let text = self.text();
+        let spliced = [&text[..lo], new_text, &text[hi..]].concat();
         let (program, signatures, source_map, module) = compile(&self.uri, &spliced)?;
         self.program = program;
         self.signatures = signatures;

@@ -16,6 +16,7 @@
 //! duration the protocol carries. Writing renders integral values
 //! without a decimal point so `17` stays `17`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value with insertion-ordered objects.
@@ -26,7 +27,9 @@ pub enum Value {
     Num(f64),
     Str(String),
     Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
+    /// Keys are borrowed when they are literals of this program (every
+    /// response it builds) and owned when they were parsed.
+    Obj(Vec<(Cow<'static, str>, Value)>),
 }
 
 impl Value {
@@ -71,12 +74,29 @@ impl Value {
 
     /// Serialize to a single line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.len_hint());
         self.write(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// The encoded length, short only by what escaping adds — what
+    /// [`Value::to_line`] reserves so a large response is written into
+    /// one allocation.
+    pub(crate) fn len_hint(&self) -> usize {
+        match self {
+            Value::Null | Value::Bool(_) => 5,
+            Value::Num(_) => 20,
+            Value::Str(s) => s.len() + 2,
+            Value::Arr(items) => 2 + items.iter().map(|v| v.len_hint() + 1).sum::<usize>(),
+            Value::Obj(fields) => {
+                let field = |(k, v): &(Cow<str>, Value)| k.len() + 4 + v.len_hint();
+                2 + fields.iter().map(field).sum::<usize>()
+            }
+        }
+    }
+
+    /// Append the serialization to `out`.
+    pub fn write(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
@@ -156,7 +176,7 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
     Value::Obj(
         fields
             .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
+            .map(|(k, v)| (Cow::Borrowed(k), v))
             .collect(),
     )
 }
@@ -169,21 +189,30 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal. Runs of characters that need no
+/// escape are copied in one piece; every byte that needs one is ASCII,
+/// so a run always ends on a character boundary.
+pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -323,7 +352,7 @@ impl<'a> Parser<'a> {
             }
             self.skip_ws();
             let val = self.value(depth + 1)?;
-            fields.push((key, val));
+            fields.push((Cow::Owned(key), val));
             self.skip_ws();
             if self.eat(b'}') {
                 return Ok(Value::Obj(fields));
@@ -524,6 +553,68 @@ mod tests {
         let err = parse(&open).unwrap_err();
         assert_eq!(err.message, "unterminated string");
         assert_eq!(err.offset, open.len());
+    }
+
+    /// The writer this crate shipped before it copied runs: one `char`
+    /// at a time. Kept as the oracle for [`write_str`].
+    fn write_str_per_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn write_str_copies_runs_to_the_same_bytes() {
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        let cases = [
+            "",
+            "plain ascii, no escapes at all",
+            "\"",
+            "\\",
+            "\"\"\\\\\n\r\t",
+            "quote \"first\" then \\ and a\ttab\nnewline\rreturn",
+            every_control.as_str(),
+            "\u{7f}\u{80}\u{9f}", // DEL and C1 controls pass through
+            "é€😀",
+            "é\n€\"😀\\é\t€",
+            "\u{1}é\u{1f}€\u{0}",
+            "ends with an escape\n",
+            "\nstarts with one",
+        ];
+        for case in cases {
+            let (mut got, mut want) = (String::new(), String::new());
+            write_str(case, &mut got);
+            write_str_per_char(case, &mut want);
+            assert_eq!(got, want, "{case:?}");
+            assert_eq!(parse(&got).unwrap(), Value::Str(case.to_string()));
+        }
+        // Appends; never clears what the caller already wrote.
+        let mut out = String::from("{\"k\":");
+        write_str("v", &mut out);
+        assert_eq!(out, "{\"k\":\"v\"");
+    }
+
+    #[test]
+    fn to_line_reserves_what_it_writes() {
+        let v = obj([
+            ("text", Value::from("x".repeat(10_000))),
+            ("items", Value::Arr((0..100i64).map(Value::from).collect())),
+        ]);
+        let line = v.to_line();
+        assert!(v.len_hint() >= line.len(), "one allocation, not a regrowth");
+        assert!(v.len_hint() < 2 * line.len());
     }
 
     #[test]

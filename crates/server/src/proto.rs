@@ -82,41 +82,50 @@ pub struct Request {
 /// unparseable).
 pub fn parse_request(line: &str) -> Result<Request, (i64, String)> {
     let v = json::parse(line).map_err(|e| (code::PARSE_ERROR, format!("parse error: {e}")))?;
-    let Value::Obj(_) = v else {
+    let Value::Obj(mut fields) = v else {
         return Err((code::INVALID_REQUEST, "request must be an object".into()));
     };
-    let method = v
-        .get("method")
-        .and_then(Value::as_str)
-        .ok_or((
+    // Moved out, not cloned: `params` carries whole function bodies.
+    let mut take = |key: &str| {
+        let at = fields.iter().position(|(k, _)| k == key)?;
+        Some(std::mem::replace(&mut fields[at].1, Value::Null))
+    };
+    let Some(Value::Str(method)) = take("method") else {
+        return Err((
             code::INVALID_REQUEST,
             "missing or non-string `method`".to_string(),
-        ))?
-        .to_string();
-    let id = v.get("id").cloned().unwrap_or(Value::Null);
-    let params = v.get("params").cloned().unwrap_or(Value::Obj(Vec::new()));
+        ));
+    };
+    let id = take("id").unwrap_or(Value::Null);
+    let params = take("params").unwrap_or(Value::Obj(Vec::new()));
     Ok(Request { id, method, params })
 }
 
 /// A success response line.
 pub fn ok(id: &Value, result: Value) -> String {
-    obj([
-        ("jsonrpc", Value::from("2.0")),
-        ("id", id.clone()),
-        ("result", result),
-    ])
-    .to_line()
+    ok_encoded(id, &result.to_line())
+}
+
+/// A success response line around an already encoded `result`.
+pub fn ok_encoded(id: &Value, result: &str) -> String {
+    let mut out = String::with_capacity(result.len() + 64);
+    out.push_str(r#"{"jsonrpc":"2.0","id":"#);
+    id.write(&mut out);
+    out.push_str(r#","result":"#);
+    out.push_str(result);
+    out.push('}');
+    out
 }
 
 /// An error response line; `data` carries structured detail (rendered
 /// diagnostics for compile errors) when present.
 pub fn err(id: &Value, code: i64, message: &str, data: Option<Value>) -> String {
     let mut fields = vec![
-        ("code".to_string(), Value::from(code)),
-        ("message".to_string(), Value::from(message)),
+        ("code".into(), Value::from(code)),
+        ("message".into(), Value::from(message)),
     ];
     if let Some(d) = data {
-        fields.push(("data".to_string(), d));
+        fields.push(("data".into(), d));
     }
     obj([
         ("jsonrpc", Value::from("2.0")),

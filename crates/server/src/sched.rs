@@ -47,6 +47,11 @@ pub(crate) struct CheckCache {
     pub(crate) epoch: u64,
     pub(crate) report: StaticReport,
     pub(crate) rendered: String,
+    /// The encoded `result` member of the response, per verb and per
+    /// protocol version, each filled by the first request that wants
+    /// it: a repeated `check` of a quiet document is then the envelope,
+    /// the id and one copy of these bytes.
+    pub(crate) encoded: [[Option<String>; 2]; 2],
 }
 
 /// One resident document plus everything derived from it. The memo

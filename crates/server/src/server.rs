@@ -21,7 +21,7 @@
 //! reports measured wall clock, which no scheduler can promise twice).
 
 use crate::document::{DocError, Document};
-use crate::json::{obj, Value};
+use crate::json::{self, obj, Value};
 use crate::proto::{self, code, Request, PROTOCOL_VERSION, PROTOCOL_VERSION_LEGACY};
 use crate::sched::{CheckCache, ServerShared};
 use parcoach_core::{CancelToken, StaticReport, WarningKind};
@@ -249,44 +249,25 @@ impl Server {
     }
 
     fn check(&mut self, req: &Request, token: &CancelToken) -> String {
-        match self.run_check(req, token) {
-            Ok((clean, warnings, rendered)) => proto::ok(
-                &req.id,
-                obj([
-                    ("clean", Value::from(clean)),
-                    ("warnings", warnings),
-                    ("rendered", Value::from(rendered)),
-                ]),
-            ),
-            Err(resp) => resp,
-        }
+        self.run_check(req, token, Verb::Check)
     }
 
     fn diagnostics(&mut self, req: &Request, token: &CancelToken) -> String {
-        match self.run_check(req, token) {
-            Ok((clean, warnings, _)) => proto::ok(
-                &req.id,
-                obj([("clean", Value::from(clean)), ("warnings", warnings)]),
-            ),
-            Err(resp) => resp,
-        }
+        self.run_check(req, token, Verb::Diagnostics)
     }
 
     /// Shared `check`/`diagnostics` body. Serves the epoch-keyed cache
     /// when the document has not changed since the last analysis
-    /// (concurrent readers of a quiet document never recompute);
-    /// otherwise runs the analysis under the document lock, honoring the
-    /// connection token tightened by an optional `deadlineMs` budget.
-    fn run_check(
-        &mut self,
-        req: &Request,
-        token: &CancelToken,
-    ) -> Result<(bool, Value, String), String> {
+    /// (concurrent readers of a quiet document never recompute, and
+    /// after the first of them never re-encode); otherwise runs the
+    /// analysis under the document lock, honoring the connection token
+    /// tightened by an optional `deadlineMs` budget.
+    fn run_check(&mut self, req: &Request, token: &CancelToken, verb: Verb) -> String {
         let Some(uri) = req.params.get("uri").and_then(Value::as_str) else {
-            return Err(invalid_params(&req.id, "check: missing string `uri`"));
+            return invalid_params(&req.id, "check: missing string `uri`");
         };
         let Some(entry) = self.shared.doc(uri) else {
-            return Err(unknown_doc(&req.id, uri));
+            return unknown_doc(&req.id, uri);
         };
         let token = match req.params.get("deadlineMs").and_then(Value::as_i64) {
             Some(ms) => token.bounded(Duration::from_millis(ms.max(0) as u64)),
@@ -295,24 +276,32 @@ impl Server {
         let mut st = entry.state.lock().unwrap();
         let st = &mut *st;
         if st.cache.as_ref().is_none_or(|c| c.epoch != st.epoch) {
-            let report = st.doc.check(&mut st.session, Some(&token)).map_err(|_| {
-                proto::err(&req.id, code::REQUEST_CANCELLED, "request cancelled", None)
-            })?;
+            let Ok(report) = st.doc.check(&mut st.session, Some(&token)) else {
+                return proto::err(&req.id, code::REQUEST_CANCELLED, "request cancelled", None);
+            };
             let rendered = report.render(st.doc.source_map());
             st.cache = Some(CheckCache {
                 epoch: st.epoch,
                 report,
                 rendered,
+                encoded: Default::default(),
             });
         }
-        self.last_checked = Some(uri.to_string());
-        let cache = st.cache.as_ref().expect("cache just filled");
-        let warnings = if self.protocol == Some(PROTOCOL_VERSION_LEGACY) {
-            warnings_json(&cache.report)
-        } else {
-            warnings_json_v2(&cache.report, st.doc.source_map())
-        };
-        Ok((cache.report.is_clean(), warnings, cache.rendered.clone()))
+        if self.last_checked.as_deref() != Some(uri) {
+            self.last_checked = Some(uri.to_string());
+        }
+        let legacy = self.protocol == Some(PROTOCOL_VERSION_LEGACY);
+        let cache = st.cache.as_mut().expect("cache just filled");
+        let result = cache.encoded[verb as usize][usize::from(legacy)].get_or_insert_with(|| {
+            let warnings = if legacy {
+                warnings_json(&cache.report)
+            } else {
+                warnings_json_v2(&cache.report, st.doc.source_map())
+            };
+            let rendered = matches!(verb, Verb::Check).then_some(cache.rendered.as_str());
+            encode_check_result(cache.report.is_clean(), &warnings, rendered)
+        });
+        proto::ok_encoded(&req.id, result)
     }
 
     fn timings(&mut self, req: &Request) -> String {
@@ -327,7 +316,10 @@ impl Server {
         let phases = t
             .lines()
             .iter()
-            .map(|(name, dur)| (format!("{name}_ns"), Value::from(dur.as_nanos() as u64)))
+            .map(|(name, dur)| {
+                let ns = Value::from(dur.as_nanos() as u64);
+                (format!("{name}_ns").into(), ns)
+            })
             .collect::<Vec<_>>();
         let stats = st.doc.query_stats();
         proto::ok(
@@ -351,6 +343,10 @@ impl Server {
                         ("p2pMisses", Value::from(stats.p2p_misses)),
                         ("greened", Value::from(stats.greened)),
                         ("invalidated", Value::from(stats.invalidated)),
+                        ("analysisHits", Value::from(stats.analysis_hits)),
+                        ("analysisMisses", Value::from(stats.analysis_misses)),
+                        ("contextHits", Value::from(stats.context_hits)),
+                        ("contextMisses", Value::from(stats.context_misses)),
                     ]),
                 ),
             ]),
@@ -378,6 +374,32 @@ impl Server {
         }
         Ok(())
     }
+}
+
+/// Which of the two analysis verbs a request is (`diagnostics` is
+/// `check` without the rendered text).
+#[derive(Clone, Copy)]
+enum Verb {
+    Check,
+    Diagnostics,
+}
+
+/// The bytes of a `check` (`rendered` given) or `diagnostics` result:
+/// what [`check_result_json`] / [`check_result_json_v2`] serialize to,
+/// written without first copying the rendered report into a [`Value`].
+fn encode_check_result(clean: bool, warnings: &Value, rendered: Option<&str>) -> String {
+    let text = rendered.map_or(0, |r| r.len() + r.len() / 16);
+    let mut out = String::with_capacity(warnings.len_hint() + text + 64);
+    out.push_str(r#"{"clean":"#);
+    Value::from(clean).write(&mut out);
+    out.push_str(r#","warnings":"#);
+    warnings.write(&mut out);
+    if let Some(rendered) = rendered {
+        out.push_str(r#","rendered":"#);
+        json::write_str(rendered, &mut out);
+    }
+    out.push('}');
+    out
 }
 
 /// The protocol-v1 `check` result object. Public so the soak client can
@@ -515,5 +537,46 @@ fn doc_error(id: &Value, e: DocError) -> String {
             "text does not compile",
             Some(obj([("diagnostics", Value::from(rendered))])),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parcoach_core::AnalysisSession;
+
+    /// The direct encoder writes what the `Value` builders serialize to,
+    /// for both verbs and both protocol versions.
+    #[test]
+    fn encoded_results_are_the_value_builders_bytes() {
+        let src = "fn helper() {\n    MPI_Barrier();\n}\nfn main() {\n    MPI_Init();\n    \
+                   parallel { helper(); }\n    if (rank() == 0) { MPI_Barrier(); }\n    \
+                   MPI_Finalize();\n}\n";
+        for src in [
+            src,
+            "fn main() {\n    MPI_Init();\n    MPI_Finalize();\n}\n",
+        ] {
+            let doc = Document::open("t.mh", src).unwrap();
+            let report = AnalysisSession::builder()
+                .build()
+                .check_module(doc.module());
+            let rendered = report.render(doc.source_map());
+            let clean = report.is_clean();
+
+            let v1 = warnings_json(&report);
+            assert_eq!(
+                encode_check_result(clean, &v1, Some(&rendered)),
+                check_result_json(&report, rendered.clone()).to_line()
+            );
+            let v2 = warnings_json_v2(&report, doc.source_map());
+            assert_eq!(
+                encode_check_result(clean, &v2, Some(&rendered)),
+                check_result_json_v2(&report, rendered.clone(), doc.source_map()).to_line()
+            );
+            assert_eq!(
+                encode_check_result(clean, &v2, None),
+                obj([("clean", Value::from(clean)), ("warnings", v2)]).to_line()
+            );
+        }
     }
 }

@@ -149,8 +149,16 @@ fn warm_checks_match_cold_oracle_at_jobs_1_and_4() {
     // (the ones reconciliation greens).
     assert!(main_edits > 0, "no accepted edit touched `main`");
     let timings = narrow.handle_line(&request(id + 1, "timings", obj([])));
-    let greened = parcoach_server::json::parse(&timings)
+    let cache = parcoach_server::json::parse(&timings)
         .ok()
-        .and_then(|t| t.get("result")?.get("cache")?.get("greened")?.as_i64());
-    assert!(greened > Some(0), "no edit was greened: {timings}");
+        .and_then(|t| t.get("result")?.get("cache").cloned());
+    let counter = |key: &str| cache.as_ref()?.get(key)?.as_i64();
+    assert!(
+        counter("greened") > Some(0),
+        "no edit was greened: {timings}"
+    );
+    // ... and the memo must have been alive while it passed: findings
+    // served per function, the context fixpoint reused across edits.
+    assert!(counter("analysisHits") > Some(0), "{timings}");
+    assert!(counter("contextHits") > Some(0), "{timings}");
 }
