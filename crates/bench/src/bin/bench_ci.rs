@@ -2,9 +2,11 @@
 //!
 //! Measures the fig1 micro-bench (full `compile_with_codegen` per
 //! class-A workload), one end-to-end detection pass over the error
-//! catalogue, and the HERA class-B static-analysis speedup at
-//! `jobs = 4` vs `jobs = 1`; writes everything to a flat JSON file and
-//! compares against a checked-in baseline.
+//! catalogue, the HERA class-B static-analysis speedup at `jobs = 4` vs
+//! `jobs = 1`, and instrumented 2×2 runs of three class-A programs
+//! (timings informational, SP-MZ-A's `RunStats` counts exact); writes
+//! everything to a flat JSON file and compares against a checked-in
+//! baseline.
 //!
 //! Robustness, in layers:
 //! * **Cross-machine**: gated numbers are normalized by an arithmetic
@@ -32,12 +34,12 @@ use parcoach_bench::{
     bench_session, compile_suite_concurrent, compile_with_codegen, lower_workload, measure,
     static_phase_breakdown,
 };
-use parcoach_core::{AnalysisSession, QueryDb, StaticReport};
+use parcoach_core::{instrument_module, AnalysisSession, InstrumentMode, QueryDb, StaticReport};
 use parcoach_front::lexer::lex;
 use parcoach_front::parser::parse_program;
 use parcoach_front::sema::check_program;
 use parcoach_front::{parse_and_check, Diagnostics, SourceMap};
-use parcoach_interp::{check_and_run, RunConfig};
+use parcoach_interp::{check_and_run, Executor, RunConfig, RunStats};
 use parcoach_ir::lower::lower_program;
 use parcoach_ir::{verify_module, Module};
 use parcoach_workloads::{
@@ -59,6 +61,9 @@ const PHASE_REPS: usize = 15;
 /// Extra measurement attempts for a gated aggregate that lands over
 /// tolerance (the fastest attempt is kept).
 const GATE_RETRIES: usize = 2;
+/// Repetitions per program for the simulated class-A runs (the fastest
+/// is kept; every one is counted).
+const SIM_RUN_REPS: usize = 9;
 /// Default regression tolerance on normalized ratios, percent.
 const DEFAULT_TOLERANCE: f64 = 25.0;
 /// Wall-clock watchdog per catalogue case in the detection pass. Every
@@ -386,6 +391,43 @@ fn run(args: &[String]) -> Result<bool, String> {
         if sim_ok { "ok" } else { "GATE FAILURE" }
     );
 
+    // --- instrumented class-A runs (timings informational, counts exact) --
+    // The programs of the benchmark's `sim_run` at its 2 ranks × 2
+    // threads. What a run *does* is a property of the program: SP-MZ-A's
+    // steps, forks and barrier waits must repeat exactly over the
+    // repetitions and equal the baseline's — a simulator change that
+    // adds a synchronisation or a step shows here as a count, whatever
+    // the machine does to the timings.
+    let mut sim_counts_ok = true;
+    for (row, run_ns, stats) in sim_runs(&suite) {
+        results.insert(format!("info/sim/{row}_run_ns"), run_ns);
+        print!("sim run {row}: fastest {:.3} ms", run_ns as f64 / 1e6);
+        match stats {
+            Some(stats) => print!(", every run {stats}"),
+            None => {
+                sim_counts_ok = false;
+                print!(", RUNS FAILED OR COUNTED DIFFERENTLY");
+            }
+        }
+        println!();
+        if let ("sp_mz_a", Some(stats)) = (row.as_str(), stats) {
+            for (name, count) in [
+                ("steps", stats.steps),
+                ("forks", stats.forks),
+                ("barrier_waits", stats.barrier_waits),
+            ] {
+                let key = format!("info/sim/sp_mz_a_{name}");
+                if let Some(&pinned) = baseline.as_ref().and_then(|b| b.get(&key)) {
+                    if pinned != count {
+                        sim_counts_ok = false;
+                        println!("  {key} = {count}, baseline {pinned} — COUNT MOVED");
+                    }
+                }
+                results.insert(key, count);
+            }
+        }
+    }
+
     // --- write ------------------------------------------------------------
     let json = to_json(&results);
     std::fs::write(&out_path, &json).map_err(|e| format!("write {out_path}: {e}"))?;
@@ -403,7 +445,8 @@ fn run(args: &[String]) -> Result<bool, String> {
             && module_ok
             && hera_ok
             && budget_ok
-            && sim_ok);
+            && sim_ok
+            && sim_counts_ok);
     }
     Ok(gate_ok
         && detection_ok
@@ -413,7 +456,44 @@ fn run(args: &[String]) -> Result<bool, String> {
         && module_ok
         && hera_ok
         && budget_ok
-        && sim_ok)
+        && sim_ok
+        && sim_counts_ok)
+}
+
+/// The three class-A programs of the benchmark's `sim_run`, selectively
+/// instrumented, at 2 ranks × 2 threads: per program its row name, the
+/// fastest `Executor::run` of [`SIM_RUN_REPS`] (after one warm-up), and
+/// what every run counted — `None` when a run failed or two runs
+/// counted differently.
+fn sim_runs(suite: &[Workload]) -> Vec<(String, u64, Option<RunStats>)> {
+    suite
+        .iter()
+        .filter(|w| ["EPCC", "HERA", "SP-MZ"].contains(&w.name))
+        .map(|w| {
+            let module = lower_workload(w);
+            let report = bench_session().check_module(&module);
+            let (instrumented, _) = instrument_module(&module, &report, InstrumentMode::Selective);
+            let cfg = RunConfig {
+                ranks: 2,
+                default_threads: 2,
+                ..RunConfig::default()
+            };
+            let exec = Executor::new(instrumented, cfg);
+            let warm = exec.run();
+            let mut stats = warm.is_clean().then_some(warm.stats);
+            let mut fastest = u64::MAX;
+            for _ in 0..SIM_RUN_REPS {
+                let t0 = Instant::now();
+                let run = black_box(exec.run());
+                fastest = fastest.min(t0.elapsed().as_nanos() as u64);
+                if !run.is_clean() || stats != Some(run.stats) {
+                    stats = None;
+                }
+            }
+            let row = format!("{}_a", w.name.to_lowercase().replace('-', "_"));
+            (row, fastest, stats)
+        })
+        .collect()
 }
 
 /// Average full-oracle latency (parse → analyze → instrument → simulate

@@ -188,6 +188,7 @@ fn cmd_run(args: &[String]) -> Result<Exit, String> {
     for line in &run.output {
         println!("{line}");
     }
+    println!("run: {}", run.stats);
     if run.is_clean() {
         println!("--- run completed cleanly ---");
         Ok(Exit::Clean)

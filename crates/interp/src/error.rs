@@ -218,6 +218,50 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// What a run did, all ranks and threads together. Every simulated
+/// thread counts in its own state and the counts are added up where
+/// threads join, so counting costs the run no shared write; on a clean
+/// run of a deterministic program every field repeats exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunStats {
+    /// Interpreter steps executed (one per basic block entered and one
+    /// per instruction) — what `RunConfig::max_steps` bounds.
+    pub steps: u64,
+    /// `parallel` regions forked.
+    pub forks: u64,
+    /// Waits at a team barrier, one per member per barrier. A region's
+    /// end is not among them: there the join is the synchronisation.
+    pub barrier_waits: u64,
+    /// MPI operations the program issued (the checks' own `CC`
+    /// all-reduces are not counted).
+    pub mpi_calls: u64,
+    /// Simulated threads that ran on an OS thread other than the one
+    /// that created them: every rank but 0, every team member but 0.
+    pub os_threads: u64,
+}
+
+impl RunStats {
+    /// Add a joined thread's counts to this one's.
+    pub(crate) fn add(&mut self, other: &RunStats) {
+        self.steps += other.steps;
+        self.forks += other.forks;
+        self.barrier_waits += other.barrier_waits;
+        self.mpi_calls += other.mpi_calls;
+        self.os_threads += other.os_threads;
+    }
+}
+
+impl fmt::Display for RunStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} step(s), {} fork(s), {} barrier wait(s), {} MPI call(s), \
+             {} thread(s) handed to another OS thread",
+            self.steps, self.forks, self.barrier_waits, self.mpi_calls, self.os_threads
+        )
+    }
+}
+
 /// Aggregate outcome of one program run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -225,6 +269,8 @@ pub struct RunReport {
     pub errors: Vec<RunError>,
     /// Captured `print` output, in arrival order, prefixed by rank.
     pub output: Vec<String>,
+    /// What the run did.
+    pub stats: RunStats,
 }
 
 impl RunReport {
@@ -282,6 +328,7 @@ mod tests {
         let clean = RunReport {
             errors: vec![],
             output: vec![],
+            stats: RunStats::default(),
         };
         assert!(clean.is_clean());
         assert!(!clean.detected_by_check());
@@ -294,6 +341,7 @@ mod tests {
                 0,
             )],
             output: vec![],
+            stats: RunStats::default(),
         };
         assert!(!failing.is_clean());
         assert!(failing.detected_by_check());

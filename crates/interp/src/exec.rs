@@ -3,12 +3,16 @@
 //! dynamic checks in-line ("Static Instrumentation for Execution-Time
 //! Verification", paper §3).
 //!
-//! Each MPI rank is an OS thread; `parallel` regions fork real teams.
+//! Each MPI rank is an OS thread (rank 0 the caller's) and `parallel`
+//! regions fork real teams whose member 0 is the encountering thread:
+//! the simulated program's threads are the only threads. Each carries
+//! its own `ThreadState` — step lease, frame pool, counters — so
+//! interpretation between two synchronisations shares nothing.
 //! Scalars follow OpenMP sharing rules (registers defined outside a
 //! parallel region and used inside become shared cells; everything else
 //! is thread-private); arrays are reference types.
 
-use crate::error::{RunError, RunErrorKind, RunReport};
+use crate::error::{RunError, RunErrorKind, RunReport, RunStats};
 use crate::value::Value;
 use parcoach_front::ast::{BinOp, CollectiveKind, Intrinsic, ThreadLevel, Type, UnOp};
 use parcoach_front::span::Span;
@@ -82,6 +86,11 @@ type Frame = Vec<Slot>;
 /// Precomputed facts about one `parallel` region.
 struct RegionPlan {
     body_entry: BlockId,
+    /// The implicit barrier lowering puts at the end of the body. A
+    /// member that reaches it runs the checks attached to it and leaves
+    /// the body: the join that follows is the one synchronisation the
+    /// region's end needs.
+    end_barrier: BlockId,
     end_block: BlockId,
     /// Registers defined outside the region but used inside: shared.
     shared_regs: Vec<Reg>,
@@ -133,8 +142,9 @@ struct RankEnv {
     omp: OmpSim,
     rank: usize,
     output: Arc<Mutex<Vec<String>>>,
-    steps: Arc<AtomicU64>,
-    max_steps: u64,
+    /// Steps of `RunConfig::max_steps` no thread has leased yet — one
+    /// counter for all ranks, touched once per [`STEP_LEASE`] steps.
+    budget: Arc<AtomicU64>,
     /// Concurrency counters per static site (paper's `S_cc` check):
     /// live occupancy, catching regions that truly overlap in time.
     /// Occupancy is inherently cross-thread (thread A's enter must be
@@ -159,24 +169,90 @@ struct RankEnv {
     /// encounter proves the context is not monothreaded. Sharded per
     /// interned assert site, like `conc_seen`.
     mono: Vec<Mutex<Vec<(u64, usize)>>>,
+}
+
+/// Steps a thread leases from the shared budget at a time: large enough
+/// that interpretation touches the shared counter once in a thousand
+/// steps, small enough that what the other live threads hold unexecuted
+/// when one of them finds the budget empty — at most
+/// `(live threads - 1) × STEP_LEASE` steps — is noise against any
+/// `max_steps` worth configuring.
+const STEP_LEASE: u64 = 1024;
+
+/// What one simulated thread owns while it runs, threaded beside its
+/// `ThreadCtx`. Nothing in here is shared, so a step, a call and a
+/// counter cost no other thread a cache line.
+#[derive(Default)]
+struct ThreadState {
+    /// Steps leased from `RankEnv::budget` and not executed yet.
+    lease: u64,
     /// Retired call frames, reused by later calls (and member frame
     /// copies) so steady-state interpretation allocates no frame
     /// vectors.
-    frames: Mutex<Vec<Frame>>,
+    frames: Vec<Frame>,
+    /// What this thread did, plus every member it has joined. `steps`
+    /// counts a lease in full when it is taken; `return_lease` takes the
+    /// unexecuted rest out again.
+    stats: RunStats,
 }
 
-impl RankEnv {
+impl ThreadState {
+    /// The state of a simulated thread handed to an OS thread of its
+    /// own (every rank but 0, every team member but 0).
+    fn dispatched() -> ThreadState {
+        ThreadState {
+            stats: RunStats {
+                os_threads: 1,
+                ..RunStats::default()
+            },
+            ..ThreadState::default()
+        }
+    }
+
+    /// Account one step; `StepLimit` (at `span()`) when the run's budget
+    /// is spent.
+    #[inline]
+    fn step(&mut self, env: &RankEnv, span: impl FnOnce() -> Span) -> Result<(), RunError> {
+        if self.lease == 0 {
+            // `Relaxed`: the counter publishes nothing but itself.
+            let mut got = 0;
+            let _ = env
+                .budget
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
+                    got = left.min(STEP_LEASE);
+                    (got > 0).then(|| left - got)
+                });
+            if got == 0 {
+                return Err(RunError::new(RunErrorKind::StepLimit, span(), env.rank));
+            }
+            self.lease = got;
+            self.stats.steps += got;
+        }
+        self.lease -= 1;
+        Ok(())
+    }
+
+    /// Hand the unexecuted rest of the lease back. Every thread does so
+    /// when it leaves its region or rank body, so a thread waiting at a
+    /// join holds no steps another thread could still need.
+    fn return_lease(&mut self, env: &RankEnv) {
+        if self.lease > 0 {
+            env.budget.fetch_add(self.lease, Ordering::Relaxed);
+            self.stats.steps -= self.lease;
+            self.lease = 0;
+        }
+    }
+
     /// A cleared frame buffer from the pool (or a fresh one).
-    fn take_frame(&self) -> Frame {
-        self.frames.lock().pop().unwrap_or_default()
+    fn take_frame(&mut self) -> Frame {
+        self.frames.pop().unwrap_or_default()
     }
 
     /// Return a frame's allocation to the pool.
-    fn put_frame(&self, mut f: Frame) {
+    fn put_frame(&mut self, mut f: Frame) {
         f.clear();
-        let mut pool = self.frames.lock();
-        if pool.len() < 64 {
-            pool.push(f);
+        if self.frames.len() < 64 {
+            self.frames.push(f);
         }
     }
 }
@@ -230,7 +306,8 @@ impl Executor {
             op_timeout: self.cfg.mpi_timeout,
         });
         let output: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let steps = Arc::new(AtomicU64::new(0));
+        let budget = Arc::new(AtomicU64::new(self.cfg.max_steps));
+        let stats = Mutex::new(RunStats::default());
         let errors: Vec<Mutex<Option<RunError>>> =
             (0..self.cfg.ranks).map(|_| Mutex::new(None)).collect();
         let run_rank = |rank: usize| {
@@ -243,8 +320,7 @@ impl Executor {
                 }),
                 rank,
                 output: output.clone(),
-                steps: steps.clone(),
-                max_steps: self.cfg.max_steps,
+                budget: budget.clone(),
                 conc: (0..self.sites.conc_sites)
                     .map(|_| AtomicI64::new(0))
                     .collect(),
@@ -254,12 +330,18 @@ impl Executor {
                 mono: (0..self.sites.mono_sites.len())
                     .map(|_| Mutex::new(Vec::new()))
                     .collect(),
-                frames: Mutex::new(Vec::new()),
             };
             let mut ctx = ThreadCtx::initial();
+            // Rank 0 runs on `run`'s caller.
+            let mut ts = match rank {
+                0 => ThreadState::default(),
+                _ => ThreadState::dispatched(),
+            };
             world.thread_started(rank);
-            let res = self.exec_function(&env, &mut ctx, true, "main", Vec::new(), 0);
+            let res = self.exec_function(&env, &mut ctx, &mut ts, true, "main", Vec::new(), 0);
             world.finish_rank(rank);
+            ts.return_lease(&env);
+            stats.lock().add(&ts.stats);
             if let Err(e) = res {
                 // Make sure peers blocked in MPI wake up.
                 if world.abort_reason().is_none() {
@@ -281,15 +363,18 @@ impl Executor {
             output: Arc::try_unwrap(output)
                 .map(|m| m.into_inner())
                 .unwrap_or_default(),
+            stats: stats.into_inner(),
         }
     }
 
     // ---- function & block execution ------------------------------------
 
+    #[allow(clippy::too_many_arguments)]
     fn exec_function(
         &self,
         env: &RankEnv,
         omp: &mut ThreadCtx,
+        ts: &mut ThreadState,
         is_initial: bool,
         name: &str,
         args: Vec<Value>,
@@ -312,7 +397,7 @@ impl Executor {
                 ))
             }
         };
-        let mut frame: Frame = env.take_frame();
+        let mut frame: Frame = ts.take_frame();
         frame.extend(
             func.reg_types
                 .iter()
@@ -322,9 +407,9 @@ impl Executor {
             frame[param.index()] = Slot::Owned(arg);
         }
         let flow = self.exec_from(
-            env, omp, is_initial, &mut frame, fidx, func, func.entry, None, depth,
+            env, omp, ts, is_initial, &mut frame, fidx, func, func.entry, None, depth,
         );
-        env.put_frame(frame);
+        ts.put_frame(frame);
         match flow? {
             Flow::Return(v) => {
                 if func.ret != Type::Void && v.is_none() {
@@ -347,6 +432,7 @@ impl Executor {
         &self,
         env: &RankEnv,
         omp: &mut ThreadCtx,
+        ts: &mut ThreadState,
         is_initial: bool,
         frame: &mut Frame,
         fidx: usize,
@@ -358,140 +444,22 @@ impl Executor {
         let mut cur = start;
         let mut critical_guards: Vec<parking_lot::ReentrantMutexGuard<'_, ()>> = Vec::new();
         loop {
+            ts.step(env, || Span::DUMMY)?;
+            let block = func.block(cur);
             if stop == Some(cur) {
+                // The region's end barrier: nothing to wait for here,
+                // the join synchronises the team.
+                self.exec_checks_only(env, omp, is_initial, frame, block, block.span)?;
                 return Ok(Flow::Stopped);
             }
-            self.bump_steps(env, Span::DUMMY)?;
-            let block = func.block(cur);
 
             // Directive semantics first.
             if let BlockKind::Directive(d) = &block.kind {
                 match d {
-                    Directive::ParallelBegin {
-                        region,
-                        num_threads,
-                        span,
-                    } => {
-                        // Run pre-directive checks (instrumentation may
-                        // guard directive nodes).
-                        self.exec_checks_only(env, omp, is_initial, frame, block, *span)?;
-                        let nt = match num_threads {
-                            Some(v) => {
-                                let n = self.read(frame, *v).as_int();
-                                if n < 1 {
-                                    Some(1)
-                                } else {
-                                    Some(n as usize)
-                                }
-                            }
-                            None => None,
-                        };
-                        let plan = &self.plans[&(fidx, region.0)];
-                        // Promote shared registers.
-                        for &r in &plan.shared_regs {
-                            if let Slot::Owned(v) = &frame[r.index()] {
-                                frame[r.index()] = Slot::Shared(Arc::new(RwLock::new(v.clone())));
-                            }
-                        }
-                        let parent_frame: &Frame = frame;
-                        let span = *span;
-                        // The first *root-cause* error across the team;
-                        // sibling threads that then fail on poisoned
-                        // barriers / aborted MPI must not mask it.
-                        let root_err: Mutex<Option<RunError>> = Mutex::new(None);
-                        // Team instance id, exported by the members so
-                        // the parent can retire its counters after join.
-                        let team_id = AtomicU64::new(0);
-                        // The forking thread is consumed by the join
-                        // until the team retires; the members take over
-                        // its MPI-liveness registration so the census
-                        // counts exactly the threads that can issue MPI
-                        // calls for this rank. All members register
-                        // *before* the fork: a member the scheduler has
-                        // not started yet must already count as
-                        // live-and-unblocked, or a census running in
-                        // the gap could prove a "deadlock" the late
-                        // starter was about to break.
-                        let team_size = nt.unwrap_or(self.cfg.default_threads).max(1);
-                        for _ in 0..team_size {
-                            env.world.thread_started(env.rank);
-                        }
-                        env.world.thread_departed(env.rank);
-                        let fork_res = env.omp.fork::<RunError, _>(omp, nt, &|child| {
-                            team_id.store(child.team_instance(), Ordering::Relaxed);
-                            let child_initial = is_initial && child.thread_num() == 0;
-                            let mut child_frame = env.take_frame();
-                            child_frame.extend(parent_frame.iter().cloned());
-                            let res = self.exec_from(
-                                env,
-                                child,
-                                child_initial,
-                                &mut child_frame,
-                                fidx,
-                                func,
-                                plan.body_entry,
-                                Some(plan.end_block),
-                                depth,
-                            );
-                            env.put_frame(child_frame);
-                            let out = match res {
-                                Ok(_) => Ok(()),
-                                Err(e) => {
-                                    if !is_secondary_error(&e) {
-                                        let mut root = root_err.lock();
-                                        if root.is_none() {
-                                            *root = Some(e.clone());
-                                        }
-                                    }
-                                    // Wake siblings + remote ranks.
-                                    if let Some(team) = &child.team {
-                                        OmpSim::poison_team(team);
-                                    }
-                                    if env.world.abort_reason().is_none() {
-                                        env.world.abort(MpiError::Aborted(e.to_string()));
-                                    }
-                                    Err(e)
-                                }
-                            };
-                            env.world.thread_departed(env.rank);
-                            out
-                        });
-                        env.world.thread_started(env.rank);
-                        // The team is retired: drop its concurrency-site
-                        // epoch counts and monothread first-executor
-                        // records (both are keyed by the globally-unique
-                        // team instance and would otherwise grow by one
-                        // entry per site per region executed over the
-                        // rank's lifetime).
-                        let retired = team_id.load(Ordering::Relaxed);
-                        if retired != 0 {
-                            for shard in &env.conc_seen {
-                                shard.lock().retain(|(team, _, _)| *team != retired);
-                            }
-                            for shard in &env.mono {
-                                shard.lock().retain(|(team, _)| *team != retired);
-                            }
-                        }
-                        match fork_res {
-                            Ok(()) => {}
-                            Err(ForkError::Body(e)) => {
-                                return Err(root_err.lock().take().unwrap_or(e))
-                            }
-                            Err(ForkError::Omp(e)) => {
-                                // The fork was refused before any member
-                                // ran: unwind their liveness
-                                // pre-registration.
-                                for _ in 0..team_size {
-                                    env.world.thread_departed(env.rank);
-                                }
-                                return Err(RunError::new(
-                                    RunErrorKind::Omp(e.to_string()),
-                                    span,
-                                    env.rank,
-                                ));
-                            }
-                        }
-                        cur = plan.end_block;
+                    Directive::ParallelBegin { .. } => {
+                        cur = self.exec_parallel(
+                            env, omp, ts, is_initial, frame, fidx, func, block, depth,
+                        )?;
                         continue;
                     }
                     Directive::SingleBegin { region, chosen, .. } => {
@@ -521,6 +489,7 @@ impl Executor {
                     }
                     Directive::Barrier { span, .. } => {
                         self.exec_checks_only(env, omp, is_initial, frame, block, *span)?;
+                        ts.stats.barrier_waits += omp.team.is_some() as u64;
                         omp.barrier(env.omp.barrier_timeout()).map_err(|e| {
                             RunError::new(
                                 RunErrorKind::ThreadBarrier(e.to_string()),
@@ -570,8 +539,8 @@ impl Executor {
                 // Normal block: run all instructions.
                 let mut pending_mono: Option<u32> = None;
                 for i in &block.instrs {
-                    self.bump_steps(env, i.span().unwrap_or(Span::DUMMY))?;
-                    self.exec_instr(env, omp, is_initial, frame, i, depth, &mut pending_mono)?;
+                    ts.step(env, || i.span().unwrap_or(Span::DUMMY))?;
+                    self.exec_instr(env, omp, ts, is_initial, frame, i, depth, &mut pending_mono)?;
                 }
             }
 
@@ -610,6 +579,152 @@ impl Executor {
         }
     }
 
+    /// `parallel`: fork a team on the region's body, go on as its member
+    /// 0 and, when the team has joined, return the block the encountering
+    /// thread continues at. (A function of its own so that the block
+    /// walk, which recursion through calls stacks up, does not carry
+    /// this one's locals in its frame.)
+    #[allow(clippy::too_many_arguments)]
+    fn exec_parallel(
+        &self,
+        env: &RankEnv,
+        omp: &mut ThreadCtx,
+        ts: &mut ThreadState,
+        is_initial: bool,
+        frame: &mut Frame,
+        fidx: usize,
+        func: &FuncIr,
+        block: &parcoach_ir::func::BasicBlock,
+        depth: usize,
+    ) -> Result<BlockId, RunError> {
+        let Some(Directive::ParallelBegin {
+            region,
+            num_threads,
+            span,
+        }) = block.directive()
+        else {
+            unreachable!("called on a parallel.begin block");
+        };
+        // Run pre-directive checks (instrumentation may guard directive
+        // nodes).
+        self.exec_checks_only(env, omp, is_initial, frame, block, *span)?;
+        let nt = num_threads.map(|v| self.read(frame, v).as_int().max(1) as usize);
+        let plan = &self.plans[&(fidx, region.0)];
+        // Promote shared registers.
+        for &r in &plan.shared_regs {
+            if let Slot::Owned(v) = &frame[r.index()] {
+                frame[r.index()] = Slot::Shared(Arc::new(RwLock::new(v.clone())));
+            }
+        }
+        let parent_frame: &Frame = frame;
+        // The first *root-cause* error across the team; sibling threads
+        // that then fail on poisoned barriers / aborted MPI must not
+        // mask it.
+        let root_err: Mutex<Option<RunError>> = Mutex::new(None);
+        // Team instance id, exported by the members so the parent can
+        // retire its counters after join.
+        let team_id = AtomicU64::new(0);
+        // This thread goes on as member 0 and stays MPI-live as such;
+        // members 1.. register *before* the fork: a member the scheduler
+        // has not started yet must already count as live-and-unblocked,
+        // or a census running in the gap could prove a "deadlock" the
+        // late starter was about to break. Every member, 0 included,
+        // departs when it leaves the body, so while this thread waits at
+        // the join the census counts exactly the threads that can still
+        // issue MPI calls for this rank.
+        let team_size = nt.unwrap_or(self.cfg.default_threads).max(1);
+        for _ in 1..team_size {
+            env.world.thread_started(env.rank);
+        }
+        ts.stats.forks += 1;
+        // Member 0 runs on this thread and carries its state on; what
+        // members 1.. counted comes back through `joined`.
+        let own_state = Mutex::new(Some(&mut *ts));
+        let joined = Mutex::new(RunStats::default());
+        let fork_res = env.omp.fork::<RunError, _>(omp, nt, &|child| {
+            team_id.store(child.team_instance(), Ordering::Relaxed);
+            let member_0 = child.thread_num() == 0;
+            let mut dispatched;
+            let ts: &mut ThreadState = if member_0 {
+                own_state.lock().take().expect("member 0 runs once")
+            } else {
+                dispatched = ThreadState::dispatched();
+                &mut dispatched
+            };
+            let mut child_frame = ts.take_frame();
+            child_frame.extend(parent_frame.iter().cloned());
+            let res = self.exec_from(
+                env,
+                child,
+                ts,
+                is_initial && member_0,
+                &mut child_frame,
+                fidx,
+                func,
+                plan.body_entry,
+                Some(plan.end_barrier),
+                depth,
+            );
+            ts.put_frame(child_frame);
+            ts.return_lease(env);
+            if !member_0 {
+                joined.lock().add(&ts.stats);
+            }
+            let out = match res {
+                Ok(_) => Ok(()),
+                Err(e) => {
+                    if !is_secondary_error(&e) {
+                        let mut root = root_err.lock();
+                        if root.is_none() {
+                            *root = Some(e.clone());
+                        }
+                    }
+                    // Wake siblings + remote ranks.
+                    if let Some(team) = &child.team {
+                        OmpSim::poison_team(team);
+                    }
+                    if env.world.abort_reason().is_none() {
+                        env.world.abort(MpiError::Aborted(e.to_string()));
+                    }
+                    Err(e)
+                }
+            };
+            env.world.thread_departed(env.rank);
+            out
+        });
+        ts.stats.add(&joined.into_inner());
+        env.world.thread_started(env.rank);
+        // The team is retired: drop its concurrency-site epoch counts
+        // and monothread first-executor records (both are keyed by the
+        // globally-unique team instance and would otherwise grow by one
+        // entry per site per region executed over the rank's lifetime).
+        let retired = team_id.load(Ordering::Relaxed);
+        if retired != 0 {
+            for shard in &env.conc_seen {
+                shard.lock().retain(|(team, _, _)| *team != retired);
+            }
+            for shard in &env.mono {
+                shard.lock().retain(|(team, _)| *team != retired);
+            }
+        }
+        match fork_res {
+            Ok(()) => Ok(plan.end_block),
+            Err(ForkError::Body(e)) => Err(root_err.lock().take().unwrap_or(e)),
+            Err(ForkError::Omp(e)) => {
+                // The fork was refused before any member ran: unwind
+                // their liveness pre-registration.
+                for _ in 0..team_size {
+                    env.world.thread_departed(env.rank);
+                }
+                Err(RunError::new(
+                    RunErrorKind::Omp(e.to_string()),
+                    *span,
+                    env.rank,
+                ))
+            }
+        }
+    }
+
     /// Run only the `Check` instructions of a directive block.
     fn exec_checks_only(
         &self,
@@ -622,8 +737,8 @@ impl Executor {
     ) -> Result<(), RunError> {
         let mut pending = None;
         for i in &block.instrs {
-            if matches!(i, Instr::Check(_)) {
-                self.exec_instr(env, omp, is_initial, frame, i, 0, &mut pending)?;
+            if let Instr::Check(check) = i {
+                self.exec_check(env, omp, is_initial, frame, check, &mut pending)?;
             }
         }
         Ok(())
@@ -634,6 +749,7 @@ impl Executor {
         &self,
         env: &RankEnv,
         omp: &mut ThreadCtx,
+        ts: &mut ThreadState,
         is_initial: bool,
         frame: &mut Frame,
         instr: &Instr,
@@ -707,20 +823,19 @@ impl Executor {
                 span,
             } => {
                 let i = self.read(frame, *idx).as_int();
-                let arr_v = self.read_reg(frame, *arr);
-                let out = match &arr_v {
+                let out = with_reg(frame, *arr, |arr| match arr {
                     Value::ArrayInt(a) => {
                         let a = a.read();
                         check_bounds(i, a.len(), *span, env.rank)?;
-                        Value::Int(a[i as usize])
+                        Ok(Value::Int(a[i as usize]))
                     }
                     Value::ArrayFloat(a) => {
                         let a = a.read();
                         check_bounds(i, a.len(), *span, env.rank)?;
-                        Value::Float(a[i as usize])
+                        Ok(Value::Float(a[i as usize]))
                     }
                     other => panic!("type-checked load from {other:?}"),
-                };
+                })?;
                 self.write(frame, *dest, out);
             }
             Instr::Store {
@@ -731,20 +846,21 @@ impl Executor {
             } => {
                 let i = self.read(frame, *idx).as_int();
                 let v = self.read(frame, *value);
-                let arr_v = self.read_reg(frame, *arr);
-                match &arr_v {
+                with_reg(frame, *arr, |arr| match arr {
                     Value::ArrayInt(a) => {
                         let mut a = a.write();
                         check_bounds(i, a.len(), *span, env.rank)?;
                         a[i as usize] = v.as_int();
+                        Ok(())
                     }
                     Value::ArrayFloat(a) => {
                         let mut a = a.write();
                         check_bounds(i, a.len(), *span, env.rank)?;
                         a[i as usize] = v.as_float();
+                        Ok(())
                     }
                     other => panic!("type-checked store to {other:?}"),
-                }
+                })?;
             }
             Instr::Intrinsic { dest, intr, args } => {
                 let out = self.intrinsic(env, omp, frame, *intr, args);
@@ -757,12 +873,13 @@ impl Executor {
                 ..
             } => {
                 let argv: Vec<Value> = args.iter().map(|a| self.read(frame, *a)).collect();
-                let ret = self.exec_function(env, omp, is_initial, callee, argv, depth + 1)?;
+                let ret = self.exec_function(env, omp, ts, is_initial, callee, argv, depth + 1)?;
                 if let (Some(d), Some(v)) = (dest, ret) {
                     self.write(frame, *d, v);
                 }
             }
             Instr::Mpi { dest, op, span } => {
+                ts.stats.mpi_calls += 1;
                 let out = self.exec_mpi(env, omp, is_initial, frame, op, *span)?;
                 if let (Some(d), Some(v)) = (dest, out) {
                     self.write(frame, *d, v);
@@ -1198,14 +1315,6 @@ impl Executor {
 
     // ---- small helpers ---------------------------------------------------
 
-    fn bump_steps(&self, env: &RankEnv, span: Span) -> Result<(), RunError> {
-        let n = env.steps.fetch_add(1, Ordering::Relaxed);
-        if n >= env.max_steps {
-            return Err(RunError::new(RunErrorKind::StepLimit, span, env.rank));
-        }
-        Ok(())
-    }
-
     fn read(&self, frame: &Frame, v: IrValue) -> Value {
         match v {
             IrValue::Const(Const::Int(x)) => Value::Int(x),
@@ -1248,6 +1357,17 @@ fn is_secondary_error(e: &RunError) -> bool {
         RunErrorKind::Mpi(MpiError::Aborted(_)) => true,
         RunErrorKind::ThreadBarrier(m) => m.contains("poisoned"),
         _ => false,
+    }
+}
+
+/// Look at a register's value in place: an array operand is borrowed for
+/// the one element access instead of cloned, which for a shared array
+/// would be a reference-count round trip on a line the whole team
+/// writes.
+fn with_reg<R>(frame: &Frame, r: Reg, f: impl FnOnce(&Value) -> R) -> R {
+    match &frame[r.index()] {
+        Slot::Owned(v) => f(v),
+        Slot::Shared(c) => f(&c.read()),
     }
 }
 
@@ -1304,6 +1424,17 @@ fn region_plan(f: &FuncIr, begin: BlockId, region: RegionId) -> RegionPlan {
             _ => None,
         })
         .expect("matching parallel.end exists");
+    let end_barrier = f
+        .iter_blocks()
+        .find_map(|(id, b)| match b.directive() {
+            Some(Directive::Barrier {
+                implicit: true,
+                region: Some(r),
+                ..
+            }) if *r == region => Some(id),
+            _ => None,
+        })
+        .expect("a parallel region ends in its implicit barrier");
     // Region membership: blocks reachable from body_entry without
     // crossing the end block.
     let mut in_region: HashSet<BlockId> = HashSet::new();
@@ -1336,6 +1467,7 @@ fn region_plan(f: &FuncIr, begin: BlockId, region: RegionId) -> RegionPlan {
     shared_regs.sort_unstable();
     RegionPlan {
         body_entry,
+        end_barrier,
         end_block,
         shared_regs,
     }

@@ -31,7 +31,7 @@ pub mod error;
 pub mod exec;
 pub mod value;
 
-pub use error::{RunError, RunErrorKind, RunReport};
+pub use error::{RunError, RunErrorKind, RunReport, RunStats};
 pub use exec::{Executor, RunConfig};
 pub use value::Value;
 

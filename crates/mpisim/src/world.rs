@@ -1485,10 +1485,10 @@ fn short_array(sig: &Signature, len: usize, size: usize) -> MpiError {
     ))
 }
 
-/// Run `f(rank)` for every rank of `world` concurrently — one dedicated
-/// thread per rank from the shared simulator thread cache (reused across
-/// worlds instead of respawned) — and collect the per-rank results in
-/// rank order.
+/// Run `f(rank)` for every rank of `world` concurrently — rank 0 on the
+/// caller, one dedicated thread per other rank from the shared simulator
+/// thread cache (reused across worlds instead of respawned) — and
+/// collect the per-rank results in rank order.
 ///
 /// Ranks may block in collectives/recv; the cache guarantees all of
 /// them run simultaneously, which the matching engine's liveness census

@@ -87,9 +87,11 @@ impl OmpSim {
     }
 
     /// Fork a team of `num_threads` (or the configured default) and run
-    /// `body` on every member. Joins all threads (implicit barrier + join
-    /// of the `parallel` construct), then returns the first error if any
-    /// member failed.
+    /// `body` on every member: the encountering thread *is* member 0, as
+    /// in OpenMP, and members 1.. each get a dedicated concurrent thread.
+    /// Returns when every member has left `body` — the join is the
+    /// region's closing synchronisation, so a `body` need not end in a
+    /// barrier of its own — with the first error if any member failed.
     ///
     /// `E` is the caller's error type (the executor threads its own
     /// run-time errors through).
@@ -114,9 +116,9 @@ impl OmpSim {
         let team = team::new_team(size, level);
         let results: Vec<parking_lot::Mutex<Option<Result<(), E>>>> =
             (0..size).map(|_| parking_lot::Mutex::new(None)).collect();
-        // Cached simulator threads ([`parcoach_pool::ThreadCache`]): every
-        // member still gets a dedicated concurrent thread, but the spawn
-        // cost is paid once per process, not once per member per region.
+        // Cached simulator threads ([`parcoach_pool::ThreadCache`]) for
+        // members 1..: the spawn cost is paid once per process, not once
+        // per member per region.
         parcoach_pool::thread_cache().run_set(size, |tid| {
             let mut ctx = team::member_ctx(team.clone(), tid);
             *results[tid].lock() = Some(body(&mut ctx));

@@ -5,10 +5,12 @@
 //! all 4 running **simultaneously**, which a fixed-width work-stealing
 //! pool cannot guarantee. The [`ThreadCache`] keeps that guarantee while
 //! killing the per-region spawn cost the simulators used to pay: a
-//! [`run_set`] acquires one *dedicated* parked thread per member
-//! (spawning new OS threads only when the idle list runs dry) and the
-//! threads return to the idle list when the member finishes — the next
-//! `parallel` region or rank set reuses them.
+//! [`run_set`] of `n` members runs member 0 on the calling thread — which
+//! would otherwise only park until the set is done — and acquires one
+//! *dedicated* parked thread for each of the other `n - 1` (spawning new
+//! OS threads only when the idle list runs dry); the threads return to
+//! the idle list when their member finishes — the next `parallel` region
+//! or rank set reuses them.
 //!
 //! A member returns its thread to the idle list *before* it counts down
 //! the completion latch, so by the time `run_set` returns, every thread
@@ -178,11 +180,14 @@ impl ThreadCache {
         self.shared.reused.load(Ordering::Relaxed)
     }
 
-    /// Run `f(0), f(1), …, f(n-1)` concurrently, each on its own
-    /// dedicated thread, and return when all have finished. Members may
-    /// block on one another (barriers, collectives); the concurrency
-    /// guarantee is what the simulators' fork/join semantics require.
-    /// The first member panic is resumed on the caller.
+    /// Run `f(0), f(1), …, f(n-1)` concurrently and return when all have
+    /// finished: `f(0)` on the calling thread, every other member on a
+    /// dedicated thread of its own. Members may block on one another
+    /// (barriers, collectives); the concurrency guarantee is what the
+    /// simulators' fork/join semantics require. `run_set(1, f)` touches
+    /// no other thread. A member panic is resumed on the caller once
+    /// every member has finished — member 0's own first, else the first
+    /// one reported.
     pub fn run_set<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -190,18 +195,18 @@ impl ThreadCache {
         if n == 0 {
             return;
         }
-        // Phase 1 — acquire all n threads up front. This is the only
+        // Phase 1 — acquire the n - 1 threads up front. This is the only
         // fallible part (OS thread-spawn can fail near the process's
         // thread limit): if it panics here, no task has been delivered
         // yet, so no lifetime-erased borrow of `f` is live and the
         // unwind is a clean panic, not a use-after-free. Already-parked
         // acquisitions are merely lost from the idle list in that case.
-        let slots: Vec<Arc<WorkSlot>> = (0..n).map(|_| self.acquire_slot()).collect();
-        // Phase 2 — infallible: build and deliver every member task,
-        // then block on the latch.
-        let latch = Arc::new(Latch::new(n));
+        let slots: Vec<Arc<WorkSlot>> = (1..n).map(|_| self.acquire_slot()).collect();
+        // Phase 2 — cannot unwind: deliver members 1.., run member 0
+        // here with its panic caught, then block on the latch.
+        let latch = Arc::new(Latch::new(n - 1));
         let f_ref: &(dyn Fn(usize) + Sync) = &f;
-        for (i, slot) in slots.into_iter().enumerate() {
+        for (i, slot) in (1..n).zip(slots) {
             let latch = Arc::clone(&latch);
             let shared = Arc::clone(&self.shared);
             let task_slot = Arc::clone(&slot);
@@ -212,13 +217,17 @@ impl ThreadCache {
                 latch.count_down(result.err());
             });
             // SAFETY: once the first task is delivered, nothing on this
-            // path can unwind before `latch.wait()` below, and every
-            // member counts the latch down only after it finished using
-            // `f_ref` — so the erased borrow of `f` outlives every use.
+            // path can unwind before `latch.wait()` below — member 0
+            // runs under `catch_unwind` and its panic is resumed only
+            // after the wait — and every dispatched member counts the
+            // latch down only after it finished using `f_ref`. So the
+            // erased borrow of `f` outlives every use.
             let task: CacheTask = unsafe { erase_task_lifetime(task) };
             slot.deliver(SlotMsg::Run(task));
         }
-        if let Some(p) = latch.wait() {
+        let own = catch_unwind(AssertUnwindSafe(|| f_ref(0)));
+        let dispatched = latch.wait();
+        if let Some(p) = own.err().or(dispatched) {
             resume_unwind(p);
         }
     }
@@ -303,34 +312,78 @@ mod tests {
     #[test]
     fn threads_are_reused_across_sets() {
         let cache = ThreadCache::default();
-        // A barrier keeps all 4 members alive at once, forcing 4
-        // distinct threads (without it, a member finishing early can
-        // release its thread for a later member to reuse).
+        // A barrier keeps all 4 members alive at once, forcing 3
+        // distinct threads beside the caller (without it, a member
+        // finishing early can release its thread for a later member to
+        // reuse).
         let barrier = Barrier::new(4);
         cache.run_set(4, |_| {
             barrier.wait();
         });
-        assert_eq!(cache.spawned_total(), 4);
+        assert_eq!(cache.spawned_total(), 3);
         for _ in 0..10 {
             cache.run_set(4, |_| {});
         }
-        // Four threads idle when each later set starts (release happens
+        // Three threads idle when each later set starts (release happens
         // before the completion latch), so nothing new ever spawns.
-        assert_eq!(cache.spawned_total(), 4);
-        assert_eq!(cache.reused_total(), 40);
+        assert_eq!(cache.spawned_total(), 3);
+        assert_eq!(cache.reused_total(), 30);
     }
 
     #[test]
     fn nested_sets_grow_the_cache() {
-        let cache = Arc::new(ThreadCache::default());
-        let c2 = Arc::clone(&cache);
-        cache.run_set(2, move |_| {
-            let inner = Barrier::new(2);
-            c2.run_set(2, |_| {
-                inner.wait();
+        let cache = ThreadCache::default();
+        // All four inner members alive at once: the caller (member 0 of
+        // the outer set and of its inner set), the outer set's other
+        // member, and one more thread per inner set.
+        let all_inner = Barrier::new(4);
+        cache.run_set(2, |_| {
+            cache.run_set(2, |_| {
+                all_inner.wait();
             });
         });
-        assert!(cache.spawned_total() >= 4);
+        assert_eq!(cache.spawned_total(), 3);
+    }
+
+    #[test]
+    fn a_set_of_one_runs_on_the_caller() {
+        let cache = ThreadCache::default();
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(None);
+        cache.run_set(1, |i| {
+            assert_eq!(i, 0);
+            *ran_on.lock() = Some(std::thread::current().id());
+        });
+        assert_eq!(ran_on.into_inner(), Some(caller));
+        assert_eq!(cache.spawned_total(), 0);
+        assert_eq!(cache.reused_total(), 0);
+    }
+
+    #[test]
+    fn member_0_is_the_caller_also_when_nested() {
+        let cache = ThreadCache::default();
+        let caller = std::thread::current().id();
+        // (outer, inner) → the thread it ran on.
+        let ran_on = Mutex::new(Vec::new());
+        cache.run_set(2, |outer| {
+            if outer == 0 {
+                cache.run_set(2, |inner| {
+                    ran_on
+                        .lock()
+                        .push(((outer, inner), std::thread::current().id()));
+                });
+            } else {
+                ran_on
+                    .lock()
+                    .push(((outer, 0), std::thread::current().id()));
+            }
+        });
+        let mut ran_on = ran_on.into_inner();
+        ran_on.sort_by_key(|(member, _)| *member);
+        assert_eq!(ran_on.len(), 3);
+        assert_eq!(ran_on[0], ((0, 0), caller));
+        assert_ne!(ran_on[1].1, caller, "inner member 1 has its own thread");
+        assert_ne!(ran_on[2].1, caller, "outer member 1 has its own thread");
     }
 
     #[test]
@@ -343,16 +396,60 @@ mod tests {
     #[test]
     fn member_panic_propagates() {
         let cache = ThreadCache::default();
+        for down in 0..3 {
+            let res = catch_unwind(AssertUnwindSafe(|| {
+                cache.run_set(3, |i| {
+                    if i == down {
+                        panic!("member down");
+                    }
+                });
+            }));
+            assert!(res.is_err(), "member {down}");
+        }
+        // The cache still works afterwards.
+        cache.run_set(3, |_| {});
+    }
+
+    /// `down` panics as soon as it has told `slow` (over a channel, so
+    /// `slow` is provably still inside `f`); `slow` then dawdles. The
+    /// caller must unwind only after `slow` has finished: `f` and
+    /// everything it borrows die with `run_set`'s frame.
+    fn panic_waits_for_the_other_member(down: usize, slow: usize) {
+        let cache = ThreadCache::default();
+        let (tx, rx) = std::sync::mpsc::channel::<()>();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let finished = std::sync::atomic::AtomicBool::new(false);
         let res = catch_unwind(AssertUnwindSafe(|| {
-            cache.run_set(3, |i| {
-                if i == 1 {
-                    panic!("member down");
+            cache.run_set(2, |i| {
+                if i == down {
+                    tx.lock().send(()).unwrap();
+                    panic!("member {down} down");
+                } else {
+                    assert_eq!(i, slow);
+                    rx.lock().recv().unwrap();
+                    // Not what orders the two members (the channel
+                    // does): it only gives a caller that unwinds too
+                    // early the time to be caught doing so.
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    finished.store(true, Ordering::SeqCst);
                 }
             });
         }));
         assert!(res.is_err());
-        // The cache still works afterwards.
-        cache.run_set(3, |_| {});
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "run_set unwound while member {slow} was still running"
+        );
+    }
+
+    #[test]
+    fn member_0_panic_is_resumed_only_after_member_1_finished() {
+        panic_waits_for_the_other_member(0, 1);
+    }
+
+    #[test]
+    fn member_1_panic_is_resumed_only_after_member_0_finished() {
+        panic_waits_for_the_other_member(1, 0);
     }
 
     #[test]
@@ -384,9 +481,10 @@ mod tests {
         cache.run_set(6, |_| {
             barrier.wait();
         });
-        // Only 2 threads stayed parked; the rest retired. A second wave
-        // reuses those 2 and spawns the difference.
-        cache.run_set(2, |_| {});
+        // Of the 5 threads beside the caller only 2 stayed parked; the
+        // rest retired. A second wave reuses those 2 and spawns the
+        // difference.
+        cache.run_set(4, |_| {});
         assert_eq!(cache.spawned_total(), 6);
         assert_eq!(cache.reused_total(), 2);
     }

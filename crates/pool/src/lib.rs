@@ -12,9 +12,10 @@
 //!   selection so task placement reproduces run to run.
 //! * [`ThreadCache`] — parked OS threads for the *dynamic* side. Team
 //!   members and MPI ranks block on barriers/collectives, so they need
-//!   dedicated concurrent threads, not pool lanes; the cache reuses
-//!   those threads across `parallel` regions and rank sets instead of
-//!   respawning per encounter (the per-call spawn cost was the
+//!   dedicated concurrent threads, not pool lanes: member 0 of a set
+//!   runs on the thread that forked it, the others on cached threads
+//!   reused across `parallel` regions and rank sets instead of
+//!   respawned per encounter (the per-call spawn cost was the
 //!   simulators' scalability killer).
 //!
 //! ## Globals

@@ -76,6 +76,47 @@ fn class_a_workloads_run_clean_instrumented() {
     }
 }
 
+/// What a class-A run does is a property of the program: the counts of
+/// `RunStats` (both ranks together) repeat exactly, run after run.
+#[test]
+fn class_a_run_stats_repeat_exactly() {
+    // (forks, barrier waits, MPI calls); steps are pinned by the
+    // generated source, so only required to repeat.
+    let expect = [
+        ("EPCC", (28, 88, 62)),
+        ("HERA", (144, 432, 34)),
+        ("SP-MZ", (544, 1152, 48)),
+    ];
+    for w in figure1_suite(WorkloadClass::A) {
+        let Some((_, counts)) = expect.iter().find(|(name, _)| *name == w.name) else {
+            continue;
+        };
+        let run = || {
+            let cfg = RunConfig {
+                ranks: 2,
+                default_threads: 2,
+                ..RunConfig::default()
+            };
+            let (_, run) = check_and_run(w.name, &w.source, cfg, true).unwrap();
+            assert!(run.is_clean(), "{}: {:?}", w.name, run.errors);
+            run.stats
+        };
+        let first = run();
+        assert_eq!(
+            (first.forks, first.barrier_waits, first.mpi_calls),
+            *counts,
+            "{}",
+            w.name
+        );
+        // Rank 1, and member 1 of every team of two.
+        assert_eq!(first.os_threads, 1 + first.forks, "{}", w.name);
+        assert!(first.steps > 0);
+        for _ in 1..5 {
+            assert_eq!(run(), first, "{}", w.name);
+        }
+    }
+}
+
 /// The same workloads uninstrumented (sanity: the simulator itself, not
 /// the instrumentation, keeps them alive).
 #[test]
