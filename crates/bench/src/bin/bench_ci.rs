@@ -327,11 +327,12 @@ fn run(args: &[String]) -> Result<bool, String> {
     );
 
     // --- the other half of the cold budget: front + ir spans -------------
-    // `cold_full_ns` above is source → report → everything dropped; the
-    // phase rows cover only the analysis inside it. These rows name the
-    // rest — they are the stage boundaries of the very rep
-    // `cold_full_ns` reports — and the named spans must add up to the
-    // whole: a cold check that grows a stage nobody times fails here.
+    // `cold_full_ns` above is source → report → instrumented module →
+    // everything dropped; the phase rows cover only the analysis inside
+    // it. These rows name the rest — they are the stage boundaries of
+    // the very rep `cold_full_ns` reports — and the named spans must add
+    // up to the whole: a cold check that grows a stage nobody times
+    // fails here.
     let named = [
         ("front/hera_b/lex_ns", cold.lex_ns),
         ("front/hera_b/parse_ns", cold.parse_ns),
@@ -339,11 +340,34 @@ fn run(args: &[String]) -> Result<bool, String> {
         ("ir/hera_b/lower_ns", cold.lower_ns),
         ("ir/hera_b/verify_ns", cold.verify_ns),
         ("phase/hera_b/total_ns", hera_total_ns),
+        ("core/hera_b/instrument_ns", cold.instrument_ns),
         ("drop/hera_b/products_ns", cold.drop_ns),
     ];
     for (key, ns) in named {
         results.insert(format!("info/{key}"), ns);
     }
+    // Absolute bars on the spans whose cost was allocation, not work
+    // (EXPERIMENTS.md E21): verifying HERA-B walks 1 100 blocks and
+    // dropping a cold check's products frees a few thousand vectors —
+    // about twice the measured numbers, so that a per-block or per-node
+    // allocation coming back fails here whatever the machine.
+    const VERIFY_BOUND_NS: u64 = 100_000;
+    const PRODUCTS_DROP_BOUND_NS: u64 = 200_000;
+    const COLD_FULL_BOUND_NS: u64 = 2_000_000;
+    let layout_ok = cold.verify_ns <= VERIFY_BOUND_NS
+        && cold.drop_ns <= PRODUCTS_DROP_BOUND_NS
+        && cold_ns <= COLD_FULL_BOUND_NS;
+    println!(
+        "hera_b cold layout: verify {:.3} ms (bound {:.1}), drop {:.3} ms (bound {:.1}), \
+         cold check + instrument {:.3} ms (bound {:.1}) — {}",
+        cold.verify_ns as f64 / 1e6,
+        VERIFY_BOUND_NS as f64 / 1e6,
+        cold.drop_ns as f64 / 1e6,
+        PRODUCTS_DROP_BOUND_NS as f64 / 1e6,
+        cold_ns as f64 / 1e6,
+        COLD_FULL_BOUND_NS as f64 / 1e6,
+        if layout_ok { "ok" } else { "GATE FAILURE" }
+    );
     let named_ns: u64 = named.iter().map(|(_, ns)| ns).sum();
     let budget_ok = named_ns.abs_diff(cold_ns) * 10 <= cold_ns;
     println!(
@@ -445,6 +469,7 @@ fn run(args: &[String]) -> Result<bool, String> {
             && module_ok
             && hera_ok
             && budget_ok
+            && layout_ok
             && sim_ok
             && sim_counts_ok);
     }
@@ -456,6 +481,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         && module_ok
         && hera_ok
         && budget_ok
+        && layout_ok
         && sim_ok
         && sim_counts_ok)
 }
@@ -807,13 +833,17 @@ struct ColdSpans {
     sema_ns: u64,
     lower_ns: u64,
     verify_ns: u64,
-    /// Dropping report, session, module, signatures and AST.
+    /// `instrument_module(Selective)`.
+    instrument_ns: u64,
+    /// Dropping the instrumented module, report, session, module,
+    /// signatures and AST.
     drop_ns: u64,
 }
 
 /// The one-shot path of `parcoachc check` over `src` — source map,
-/// parse, sema, lower, verify, a fresh session's `check_module`, then
-/// everything dropped — with a timestamp at every stage boundary.
+/// parse, sema, lower, verify, a fresh session's `check_module`,
+/// selective instrumentation, then everything dropped — with a
+/// timestamp at every stage boundary.
 /// Reports the fastest of `ANALYZE_REPS` reps (after one warm-up) and
 /// *that* rep's boundaries, so the spans are one consistent cold check
 /// and not a collage of minima.
@@ -840,20 +870,30 @@ fn cold_check_spans(name: &str, src: &str) -> ColdSpans {
         let mut session = bench_session();
         let report = session.check_module(&module);
         let t5 = Instant::now();
-        drop((
-            report, session, module, signatures, program, diags, source_map,
-        ));
+        let instrumented = instrument_module(&module, &report, InstrumentMode::Selective);
         let t6 = Instant::now();
+        drop((
+            instrumented,
+            report,
+            session,
+            module,
+            signatures,
+            program,
+            diags,
+            source_map,
+        ));
+        let t7 = Instant::now();
 
         let ns = |a: Instant, b: Instant| (b - a).as_nanos() as u64;
         let rep = ColdSpans {
-            total_ns: ns(t0, t6),
+            total_ns: ns(t0, t7),
             lex_ns,
             parse_ns: ns(t0, t1).saturating_sub(lex_ns),
             sema_ns: ns(t1, t2),
             lower_ns: ns(t2, t3),
             verify_ns: ns(t3, t4),
-            drop_ns: ns(t5, t6),
+            instrument_ns: ns(t5, t6),
+            drop_ns: ns(t6, t7),
         };
         if best.as_ref().is_none_or(|b| rep.total_ns < b.total_ns) {
             best = Some(rep);

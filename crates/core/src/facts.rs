@@ -134,9 +134,10 @@ struct RawFacts {
 /// function. `with_pdf` additionally materializes the per-block
 /// post-dominance frontiers (only event-bearing functions query them).
 pub(crate) fn compute_cfg(f: &FuncIr, with_pdf: bool) -> CfgFacts {
-    let dom = DomTree::compute(f);
-    let pdt = PostDomTree::compute(f);
-    let loops = LoopInfo::compute(f, &dom);
+    let preds = f.predecessors();
+    let dom = DomTree::compute(f, &preds);
+    let pdt = PostDomTree::compute(f, &preds);
+    let loops = LoopInfo::compute(f, &dom, &preds);
     let pdf = if with_pdf {
         pdt.frontier(f)
     } else {

@@ -22,6 +22,7 @@ use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::instr::{CheckOp, Instr, MpiIr, Terminator};
 use parcoach_ir::types::{BlockId, RegionId};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// How aggressively to instrument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,8 +64,10 @@ impl InstrumentStats {
 /// Instrument a module according to the static report. Returns the
 /// transformed module and insertion statistics.
 ///
-/// The input module is cloned; the original stays pristine (the compile-
-/// time benchmark measures exactly this pass).
+/// The input module stays pristine. The result shares every function
+/// that receives no check with it ([`Module`] holds its functions behind
+/// `Arc`s) and copies only the ones the plan names: code proven correct
+/// statically is not instrumented — it is not even copied.
 pub fn instrument_module(
     m: &Module,
     report: &StaticReport,
@@ -100,29 +103,35 @@ pub fn instrument_module(
     // Full mode guards every finalize when the module has p2p traffic
     // anywhere (the counters are world-global; the suspect send may
     // live in a different function than the finalize).
-    let module_has_p2p = m.funcs.iter().any(|f| f.has_p2p());
+    let guard_every_finalize = mode == InstrumentMode::Full && m.funcs.iter().any(|f| f.has_p2p());
+    let no_blocks = HashSet::new();
 
-    for func in &mut out.funcs {
-        let name = func.name.clone();
-        let full = mode == InstrumentMode::Full && func.has_mpi();
-        let cc_here = full || cc_funcs.contains(name.as_str());
-        let mono_blocks = mono_checks.get(name.as_str()).cloned().unwrap_or_default();
+    for shared in &mut out.funcs {
+        let name = shared.name.as_str();
+        let full = mode == InstrumentMode::Full && shared.has_mpi();
+        let cc_here = full || cc_funcs.contains(name);
+        let mono_blocks = mono_checks.get(name).unwrap_or(&no_blocks);
+        let sites = conc_sites.get(name).map_or(&[][..], Vec::as_slice);
+        let p2p_here = (full && guard_every_finalize) || p2p_funcs.contains(name);
+        if !cc_here && mono_blocks.is_empty() && sites.is_empty() && !p2p_here {
+            continue;
+        }
+        // The one copy: `m` holds the function too.
+        let func = Arc::make_mut(shared);
 
-        instrument_collectives(func, cc_here, &mono_blocks, &mut stats);
+        instrument_collectives(func, cc_here, mono_blocks, &mut stats);
 
         if cc_here {
             instrument_returns(func, &mut stats);
         }
 
-        if let Some(sites) = conc_sites.get(name.as_str()) {
-            for &(region, site) in sites {
-                if instrument_region_counter(func, RegionId(region), site) {
-                    stats.concurrency_sites += 1;
-                }
+        for &(region, site) in sites {
+            if instrument_region_counter(func, RegionId(region), site) {
+                stats.concurrency_sites += 1;
             }
         }
 
-        if (full && module_has_p2p) || p2p_funcs.contains(name.as_str()) {
+        if p2p_here {
             instrument_p2p_epochs(func, &mut stats);
         }
     }
@@ -375,9 +384,88 @@ mod tests {
         let unit = parse_and_check("t.mh", "fn main() { if (rank() == 0) { MPI_Barrier(); } }")
             .expect("valid");
         let m = lower_program(&unit.program, &unit.signatures);
-        let before = m.total_instrs();
         let report = AnalysisSession::builder().build().check_module(&m);
-        let _ = instrument_module(&m, &report, InstrumentMode::Selective);
-        assert_eq!(m.total_instrs(), before);
+        let (instr, stats) = instrument_module(&m, &report, InstrumentMode::Selective);
+        assert!(stats.total() > 0);
+        assert_ne!(instr, m);
+        assert_eq!(m, lower_program(&unit.program, &unit.signatures));
+    }
+
+    /// Code proven correct statically is not instrumented — it is not
+    /// even copied: the instrumented module holds the input's functions.
+    #[test]
+    fn clean_program_shares_every_function() {
+        let unit = parse_and_check(
+            "t.mh",
+            "fn halo() { MPI_Barrier(); }
+             fn main() { MPI_Init(); halo(); MPI_Finalize(); }",
+        )
+        .expect("valid");
+        let m = lower_program(&unit.program, &unit.signatures);
+        let report = AnalysisSession::builder().build().check_module(&m);
+        assert!(report.is_clean());
+        let (instr, stats) = instrument_module(&m, &report, InstrumentMode::Selective);
+        assert_eq!(stats.total(), 0);
+        for (before, after) in m.funcs.iter().zip(&instr.funcs) {
+            assert!(Arc::ptr_eq(before, after), "`{}` was copied", before.name);
+        }
+    }
+
+    #[test]
+    fn only_the_functions_the_plan_names_are_copied() {
+        let src = "
+            fn clean() { MPI_Barrier(); }
+            fn dirty() { if (rank() == 0) { MPI_Barrier(); } }
+            fn main() { clean(); dirty(); }
+        ";
+        let unit = parse_and_check("t.mh", src).expect("valid");
+        let m = lower_program(&unit.program, &unit.signatures);
+        let report = AnalysisSession::builder().build().check_module(&m);
+        let (instr, _) = instrument_module(&m, &report, InstrumentMode::Selective);
+        for (before, after) in m.funcs.iter().zip(&instr.funcs) {
+            let named = report.plan.cc_functions.contains(&before.name);
+            assert_eq!(Arc::ptr_eq(before, after), !named, "`{}`", before.name);
+        }
+        assert!(report.plan.cc_functions.contains(&"dirty".to_string()));
+        assert!(
+            Arc::ptr_eq(&m.funcs[0], &instr.funcs[0]),
+            "`clean` is shared"
+        );
+    }
+
+    /// The p2p counters are world-global: in `Full` mode a module with
+    /// p2p traffic anywhere guards every `MPI_Finalize`, also one in a
+    /// function with no p2p of its own.
+    #[test]
+    fn full_mode_guards_every_finalize_of_a_module_with_p2p() {
+        let src = "
+            fn exchange() { if (rank() == 0) { MPI_Send(1, 1, 7); } else { let v = MPI_Recv(0, 7); } }
+            fn shutdown() { MPI_Finalize(); }
+            fn main() { MPI_Init(); exchange(); shutdown(); }
+        ";
+        let (m, stats) = pipeline(src, InstrumentMode::Full);
+        assert_eq!(stats.p2p_epochs, 1);
+        let shutdown = m.func("shutdown").unwrap();
+        let guarded = shutdown.blocks.iter().any(|b| {
+            b.instrs.windows(2).any(|w| {
+                matches!(
+                    w,
+                    [
+                        Instr::Check(CheckOp::P2pEpoch { .. }),
+                        Instr::Mpi {
+                            op: MpiIr::Finalize,
+                            ..
+                        }
+                    ]
+                )
+            })
+        });
+        assert!(guarded, "{}", shutdown.dump());
+        // Without p2p traffic there is nothing to count.
+        let (_, stats) = pipeline(
+            "fn main() { MPI_Init(); MPI_Barrier(); MPI_Finalize(); }",
+            InstrumentMode::Full,
+        );
+        assert_eq!(stats.p2p_epochs, 0);
     }
 }

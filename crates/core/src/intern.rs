@@ -4,7 +4,7 @@
 //! `Vec`-backed parallelism words through every per-function result;
 //! the arenas replace those with copy-cheap, hash-fast ids:
 //!
-//! * [`Sym`] / [`SymTable`] — interned function names. `Event::Call`
+//! * [`Sym`] — a function as its index in `Module::funcs`. `Event::Call`
 //!   and `tainted_callees` carry `Sym`s; strings materialize only at
 //!   the report boundary.
 //! * [`EventId`] / [`EventArena`] — interned collective events (see
@@ -14,12 +14,12 @@
 //!   line blocks overwhelmingly share their entry word, so the arena
 //!   stores each distinct word once per module.
 //!
-//! All three are thin typed wrappers over one generic `Interner`. The
-//! event and word arenas are filled **sequentially in module order** by
+//! The two arenas are thin typed wrappers over one generic `Interner`
+//! and are filled **sequentially in module order** by
 //! [`crate::facts::AnalysisCx::derive`], so ids are deterministic at
 //! every pool width.
 //!
-//! The fourth structure, [`WordDag`], is different in kind: it interns
+//! The last structure, [`WordDag`], is different in kind: it interns
 //! words *structurally* as `(parent, token)` nodes, so extending a word
 //! by one token — the inner loop of the parallelism-word propagation —
 //! is a single hash probe instead of a `Vec<Token>` clone, and the
@@ -71,29 +71,8 @@ impl<T: Clone + Eq + std::hash::Hash> Interner<T> {
     }
 }
 
-impl Interner<String> {
-    /// String-keyed intern: no allocation on a hit (the generic
-    /// [`Interner::intern`] would require an owned `String` to probe
-    /// the map).
-    fn intern_str(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.by_item.get(name) {
-            return id;
-        }
-        let id = self.items.len() as u32;
-        self.items.push(name.to_string());
-        self.by_item.insert(name.to_string(), id);
-        id
-    }
-
-    /// String-keyed lookup: never allocates.
-    fn lookup_str(&self, name: &str) -> Option<u32> {
-        self.by_item.get(name).copied()
-    }
-}
-
-/// An interned function name. The static phases use a function's index
-/// in `Module::funcs` — the module is its own symbol table, and
-/// [`SymTable::for_module`] assigns the same ids.
+/// A function name as the function's index in `Module::funcs`: the
+/// module is its own symbol table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Sym(pub u32);
 
@@ -101,46 +80,6 @@ impl Sym {
     /// The name of function `self` of `m`.
     pub fn name(self, m: &parcoach_ir::func::Module) -> &str {
         &m.funcs[self.0 as usize].name
-    }
-}
-
-/// The module symbol table: function names ↔ [`Sym`]s.
-#[derive(Debug, Clone, Default)]
-pub struct SymTable(Interner<String>);
-
-impl SymTable {
-    /// A table pre-seeded with every function of `m`, in module order.
-    pub fn for_module(m: &parcoach_ir::func::Module) -> SymTable {
-        let mut t = SymTable::default();
-        for f in &m.funcs {
-            t.intern(&f.name);
-        }
-        t
-    }
-
-    /// Intern a name, returning its stable id.
-    pub fn intern(&mut self, name: &str) -> Sym {
-        Sym(self.0.intern_str(name))
-    }
-
-    /// The id of an already-interned name.
-    pub fn lookup(&self, name: &str) -> Option<Sym> {
-        self.0.lookup_str(name).map(Sym)
-    }
-
-    /// The name of an interned id.
-    pub fn name(&self, s: Sym) -> &str {
-        self.0.get(s.0)
-    }
-
-    /// Number of interned names.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when nothing is interned.
-    pub fn is_empty(&self) -> bool {
-        self.0.len() == 0
     }
 }
 
@@ -445,19 +384,6 @@ mod tests {
     use super::*;
     use crate::word::Token;
     use parcoach_ir::types::RegionId;
-
-    #[test]
-    fn sym_table_round_trips() {
-        let mut t = SymTable::default();
-        let a = t.intern("alpha");
-        let b = t.intern("beta");
-        assert_ne!(a, b);
-        assert_eq!(t.intern("alpha"), a, "re-interning is stable");
-        assert_eq!(t.name(a), "alpha");
-        assert_eq!(t.lookup("beta"), Some(b));
-        assert_eq!(t.lookup("gamma"), None);
-        assert_eq!(t.len(), 2);
-    }
 
     #[test]
     fn word_dag_extend_dedups_and_materializes() {

@@ -58,7 +58,7 @@ pub use comm::{compute_comms, CommDef, CommId, CommTable, ModuleComms};
 pub use context::{compute_contexts, CallContexts};
 pub use facts::{AnalysisCx, FuncFacts};
 pub use instrument::{instrument_module, InstrumentMode, InstrumentStats};
-pub use intern::{EventArena, EventId, Sym, SymTable, WordArena, WordDag, WordId, WordNode};
+pub use intern::{EventArena, EventId, Sym, WordArena, WordDag, WordId, WordNode};
 pub use lang::{classify, ContextClass, MonoVerdict};
 pub use pipeline::{AnalysisOptions, PhaseTimings};
 pub use pw::{compute_pw, InitialContext, PwResult};

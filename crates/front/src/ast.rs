@@ -7,35 +7,65 @@
 //! CFG shape), and MPI operations as builtin calls.
 
 use crate::span::Span;
+use crate::symbol::{Interner, Symbol};
 use std::fmt;
 
-/// An identifier with its source span.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// An identifier occurrence: its interned name and where it appears.
+/// The text is [`Interner::resolve`]d from the unit's interner
+/// ([`Program::interner`]) where it is rendered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ident {
-    /// The name text.
-    pub name: String,
+    /// The interned name.
+    pub sym: Symbol,
     /// Where it appears.
     pub span: Span,
 }
 
 impl Ident {
     /// Construct an identifier.
-    pub fn new(name: impl Into<String>, span: Span) -> Self {
-        Ident {
-            name: name.into(),
-            span,
-        }
-    }
-
-    /// Construct with a dummy span (synthesized code).
-    pub fn synth(name: impl Into<String>) -> Self {
-        Ident::new(name, Span::DUMMY)
+    pub fn new(sym: Symbol, span: Span) -> Self {
+        Ident { sym, span }
     }
 }
 
-impl fmt::Display for Ident {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)
+/// Index of an expression in its function's arena
+/// ([`Function::exprs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ExprId(pub u32);
+
+/// A run of consecutive expressions in a function's arena: an argument
+/// list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ExprRange {
+    /// Arena index of the first expression.
+    pub start: u32,
+    /// Number of expressions.
+    pub len: u32,
+}
+
+impl ExprRange {
+    /// Number of expressions.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// True for an empty list.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`-th expression.
+    ///
+    /// # Panics
+    /// If `i` is out of range.
+    pub fn get(self, i: usize) -> ExprId {
+        assert!(i < self.len(), "argument {i} of {}", self.len);
+        ExprId(self.start + i as u32)
+    }
+
+    /// The expressions, in order.
+    pub fn iter(self) -> impl Iterator<Item = ExprId> {
+        (self.start..self.start + self.len).map(ExprId)
     }
 }
 
@@ -415,7 +445,7 @@ impl fmt::Display for CollectiveKind {
 }
 
 /// A full MPI operation as it appears in source.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MpiOp {
     /// `MPI_Init()`
     Init,
@@ -433,22 +463,22 @@ pub enum MpiOp {
     /// checked by the static point-to-point matching pass.
     Send {
         /// Value expression.
-        value: Box<Expr>,
+        value: ExprId,
         /// Destination rank (within `comm`).
-        dest: Box<Expr>,
+        dest: ExprId,
         /// Message tag.
-        tag: Box<Expr>,
+        tag: ExprId,
         /// Communicator (None = `MPI_COMM_WORLD`).
-        comm: Option<Box<Expr>>,
+        comm: Option<ExprId>,
     },
     /// `MPI_Recv(src, tag[, comm])` — returns the received value.
     Recv {
         /// Source rank (within `comm`).
-        src: Box<Expr>,
+        src: ExprId,
         /// Message tag.
-        tag: Box<Expr>,
+        tag: ExprId,
         /// Communicator (None = `MPI_COMM_WORLD`).
-        comm: Option<Box<Expr>>,
+        comm: Option<ExprId>,
     },
     /// The `MPI_COMM_WORLD` handle as an expression.
     CommWorld,
@@ -457,51 +487,51 @@ pub enum MpiOp {
     /// (`key`, parent rank).
     CommSplit {
         /// Parent communicator.
-        parent: Box<Expr>,
+        parent: ExprId,
         /// Partition color (non-negative).
-        color: Box<Expr>,
+        color: ExprId,
         /// Ordering key within the new communicator.
-        key: Box<Expr>,
+        key: ExprId,
     },
     /// `MPI_Comm_dup(comm)` — collective over `comm`; returns a new
     /// communicator with the same members but a separate matching space.
     CommDup {
         /// Communicator to duplicate.
-        comm: Box<Expr>,
+        comm: ExprId,
     },
     /// `MPI_Isend(v, dest, tag[, comm])` — non-blocking (buffered) send;
     /// returns a request that must be completed by `MPI_Wait[all]`.
     Isend {
         /// Value expression.
-        value: Box<Expr>,
+        value: ExprId,
         /// Destination rank (within `comm`).
-        dest: Box<Expr>,
+        dest: ExprId,
         /// Message tag.
-        tag: Box<Expr>,
+        tag: ExprId,
         /// Communicator (None = `MPI_COMM_WORLD`).
-        comm: Option<Box<Expr>>,
+        comm: Option<ExprId>,
     },
     /// `MPI_Irecv(src, tag[, comm])` — non-blocking receive post; `src`
     /// may be `MPI_ANY_SOURCE` and `tag` may be `MPI_ANY_TAG`. Returns a
     /// request; the received value is produced by `MPI_Wait`.
     Irecv {
         /// Source rank (within `comm`) or `MPI_ANY_SOURCE`.
-        src: Box<Expr>,
+        src: ExprId,
         /// Message tag or `MPI_ANY_TAG`.
-        tag: Box<Expr>,
+        tag: ExprId,
         /// Communicator (None = `MPI_COMM_WORLD`).
-        comm: Option<Box<Expr>>,
+        comm: Option<ExprId>,
     },
     /// `MPI_Wait(req)` — block until the request completes; returns the
     /// received value for receive requests (0.0 for send requests).
     Wait {
         /// The request to complete.
-        request: Box<Expr>,
+        request: ExprId,
     },
     /// `MPI_Waitall(r1, r2, …)` — complete every request, in order.
     Waitall {
         /// The requests to complete.
-        requests: Vec<Expr>,
+        requests: ExprRange,
     },
     /// The `MPI_ANY_SOURCE` receive wildcard as an (int) expression.
     AnySource,
@@ -510,19 +540,19 @@ pub enum MpiOp {
 }
 
 /// A collective call: kind + arguments.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveCall {
     /// Which collective.
     pub kind: CollectiveKind,
     /// Payload value (absent for `MPI_Barrier`).
-    pub value: Option<Box<Expr>>,
+    pub value: Option<ExprId>,
     /// Reduction operator for reducing collectives.
     pub reduce_op: Option<ReduceOp>,
     /// Root rank expression for rooted collectives.
-    pub root: Option<Box<Expr>>,
+    pub root: Option<ExprId>,
     /// Communicator the collective runs on (None = `MPI_COMM_WORLD`),
     /// always the last argument when present.
-    pub comm: Option<Box<Expr>>,
+    pub comm: Option<ExprId>,
 }
 
 /// MPI threading support levels (MPI-2 §12.4).
@@ -568,8 +598,9 @@ impl fmt::Display for ThreadLevel {
     }
 }
 
-/// Expression node.
-#[derive(Debug, Clone, PartialEq)]
+/// Expression node. Sub-expressions are [`ExprId`]s into the arena of
+/// the function the node belongs to.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Expr {
     /// What the expression is.
     pub kind: ExprKind,
@@ -578,7 +609,7 @@ pub struct Expr {
 }
 
 /// Expression kinds.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExprKind {
     /// Integer literal.
     Int(i64),
@@ -589,15 +620,15 @@ pub enum ExprKind {
     /// Variable reference.
     Var(Ident),
     /// Array indexing `a[i]`.
-    Index(Ident, Box<Expr>),
+    Index(Ident, ExprId),
     /// Unary operation.
-    Unary(UnOp, Box<Expr>),
+    Unary(UnOp, ExprId),
     /// Binary operation.
-    Binary(BinOp, Box<Expr>, Box<Expr>),
+    Binary(BinOp, ExprId, ExprId),
     /// Call to a user-defined function.
-    Call(Ident, Vec<Expr>),
+    Call(Ident, ExprRange),
     /// Call to a builtin intrinsic.
-    Intrinsic(Intrinsic, Vec<Expr>),
+    Intrinsic(Intrinsic, ExprRange),
     /// An MPI operation used as an expression.
     Mpi(MpiOp),
 }
@@ -613,22 +644,21 @@ impl Expr {
         Expr::new(ExprKind::Int(v), span)
     }
 
-    /// Walk this expression and all sub-expressions, pre-order.
-    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        f(self);
+    /// The direct sub-expressions, in source order.
+    pub fn children(&self, mut f: impl FnMut(ExprId)) {
+        fn opt(e: &Option<ExprId>, f: &mut impl FnMut(ExprId)) {
+            if let Some(e) = e {
+                f(*e)
+            }
+        }
         match &self.kind {
             ExprKind::Int(_) | ExprKind::Float(_) | ExprKind::Bool(_) | ExprKind::Var(_) => {}
-            ExprKind::Index(_, idx) => idx.walk(f),
-            ExprKind::Unary(_, e) => e.walk(f),
+            ExprKind::Index(_, e) | ExprKind::Unary(_, e) => f(*e),
             ExprKind::Binary(_, l, r) => {
-                l.walk(f);
-                r.walk(f);
+                f(*l);
+                f(*r);
             }
-            ExprKind::Call(_, args) | ExprKind::Intrinsic(_, args) => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
+            ExprKind::Call(_, args) | ExprKind::Intrinsic(_, args) => args.iter().for_each(f),
             ExprKind::Mpi(op) => match op {
                 MpiOp::Init
                 | MpiOp::InitThread { .. }
@@ -637,80 +667,52 @@ impl Expr {
                 | MpiOp::AnySource
                 | MpiOp::AnyTag => {}
                 MpiOp::Collective(c) => {
-                    if let Some(v) = &c.value {
-                        v.walk(f);
-                    }
-                    if let Some(r) = &c.root {
-                        r.walk(f);
-                    }
-                    if let Some(cm) = &c.comm {
-                        cm.walk(f);
-                    }
+                    opt(&c.value, &mut f);
+                    opt(&c.root, &mut f);
+                    opt(&c.comm, &mut f);
                 }
                 MpiOp::Send {
                     value,
                     dest,
                     tag,
                     comm,
-                } => {
-                    value.walk(f);
-                    dest.walk(f);
-                    tag.walk(f);
-                    if let Some(cm) = comm {
-                        cm.walk(f);
-                    }
                 }
-                MpiOp::Recv { src, tag, comm } => {
-                    src.walk(f);
-                    tag.walk(f);
-                    if let Some(cm) = comm {
-                        cm.walk(f);
-                    }
-                }
-                MpiOp::CommSplit { parent, color, key } => {
-                    parent.walk(f);
-                    color.walk(f);
-                    key.walk(f);
-                }
-                MpiOp::CommDup { comm } => comm.walk(f),
-                MpiOp::Isend {
+                | MpiOp::Isend {
                     value,
                     dest,
                     tag,
                     comm,
                 } => {
-                    value.walk(f);
-                    dest.walk(f);
-                    tag.walk(f);
-                    if let Some(cm) = comm {
-                        cm.walk(f);
-                    }
+                    f(*value);
+                    f(*dest);
+                    f(*tag);
+                    opt(comm, &mut f);
                 }
-                MpiOp::Irecv { src, tag, comm } => {
-                    src.walk(f);
-                    tag.walk(f);
-                    if let Some(cm) = comm {
-                        cm.walk(f);
-                    }
+                MpiOp::Recv { src, tag, comm } | MpiOp::Irecv { src, tag, comm } => {
+                    f(*src);
+                    f(*tag);
+                    opt(comm, &mut f);
                 }
-                MpiOp::Wait { request } => request.walk(f),
-                MpiOp::Waitall { requests } => {
-                    for r in requests {
-                        r.walk(f);
-                    }
+                MpiOp::CommSplit { parent, color, key } => {
+                    f(*parent);
+                    f(*color);
+                    f(*key);
                 }
+                MpiOp::CommDup { comm } => f(*comm),
+                MpiOp::Wait { request } => f(*request),
+                MpiOp::Waitall { requests } => requests.iter().for_each(f),
             },
         }
     }
 }
 
 /// Assignment target.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LValue {
     /// Plain variable.
     Var(Ident),
     /// Array element.
-    Index(Ident, Box<Expr>),
+    Index(Ident, ExprId),
 }
 
 impl LValue {
@@ -718,14 +720,6 @@ impl LValue {
     pub fn base(&self) -> &Ident {
         match self {
             LValue::Var(id) | LValue::Index(id, _) => id,
-        }
-    }
-
-    /// Span covering the whole lvalue.
-    pub fn span(&self) -> Span {
-        match self {
-            LValue::Var(id) => id.span,
-            LValue::Index(id, idx) => id.span.to(idx.span),
         }
     }
 }
@@ -773,7 +767,7 @@ pub enum OmpStmt {
     /// + join at the end.
     Parallel {
         /// Optional requested team size.
-        num_threads: Option<Box<Expr>>,
+        num_threads: Option<ExprId>,
         /// Region body.
         body: Block,
     },
@@ -805,9 +799,9 @@ pub enum OmpStmt {
         /// Loop variable.
         var: Ident,
         /// Inclusive lower bound.
-        lo: Box<Expr>,
+        lo: ExprId,
         /// Exclusive upper bound.
-        hi: Box<Expr>,
+        hi: ExprId,
         /// Loop body.
         body: Block,
     },
@@ -845,19 +839,19 @@ pub enum StmtKind {
         /// Optional annotation.
         ty: Option<Type>,
         /// Initializer.
-        init: Expr,
+        init: ExprId,
     },
     /// `lv = e;`
     Assign {
         /// Target.
         target: LValue,
         /// Value.
-        value: Expr,
+        value: ExprId,
     },
     /// `if (c) { .. } [else { .. }]`
     If {
         /// Condition.
-        cond: Expr,
+        cond: ExprId,
         /// Then branch.
         then_blk: Block,
         /// Optional else branch.
@@ -866,7 +860,7 @@ pub enum StmtKind {
     /// `while (c) { .. }`
     While {
         /// Condition.
-        cond: Expr,
+        cond: ExprId,
         /// Body.
         body: Block,
     },
@@ -875,22 +869,22 @@ pub enum StmtKind {
         /// Loop variable.
         var: Ident,
         /// Lower bound (inclusive).
-        lo: Expr,
+        lo: ExprId,
         /// Upper bound (exclusive).
-        hi: Expr,
+        hi: ExprId,
         /// Body.
         body: Block,
     },
     /// `return [e];`
-    Return(Option<Expr>),
+    Return(Option<ExprId>),
     /// `break;`
     Break,
     /// `continue;`
     Continue,
     /// Expression statement `e;`.
-    Expr(Expr),
+    Expr(ExprId),
     /// `print(e, ...);`
-    Print(Vec<Expr>),
+    Print(ExprRange),
     /// An OpenMP construct.
     Omp(OmpStmt),
     /// `barrier;` — explicit thread barrier.
@@ -906,7 +900,9 @@ pub struct Param {
     pub ty: Type,
 }
 
-/// A function definition.
+/// A function definition, together with the arena its expressions live
+/// in: the statements name expressions by [`ExprId`], so a function and
+/// its `exprs` are replaced together.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name.
@@ -917,21 +913,49 @@ pub struct Function {
     pub ret: Type,
     /// Body.
     pub body: Block,
+    /// Every expression of the body; children precede their parent.
+    pub exprs: Vec<Expr>,
     /// Span of the whole definition.
     pub span: Span,
 }
 
-/// A whole program: a set of functions, `main` being the entry point.
+impl Function {
+    /// The expression behind `id`.
+    pub fn expr(&self, id: ExprId) -> &Expr {
+        &self.exprs[id.0 as usize]
+    }
+
+    /// Walk the expression `root` and all its sub-expressions, pre-order.
+    pub fn walk_expr<'a>(&'a self, root: ExprId, f: &mut impl FnMut(&'a Expr)) {
+        let e = self.expr(root);
+        f(e);
+        e.children(|c| self.walk_expr(c, f));
+    }
+}
+
+/// A whole program: a set of functions, `main` being the entry point,
+/// and the interner their identifiers were minted by.
+///
+/// Two programs parsed from the same text are equal: symbols are
+/// assigned in first-appearance order.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
     /// Functions in definition order.
     pub functions: Vec<Function>,
+    /// The names behind every [`Symbol`] of `functions`.
+    pub interner: Interner,
 }
 
 impl Program {
     /// Find a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
-        self.functions.iter().find(|f| f.name.name == name)
+        let sym = self.interner.get(name)?;
+        self.functions.iter().find(|f| f.name.sym == sym)
+    }
+
+    /// The text of an identifier of this program.
+    pub fn name(&self, id: Ident) -> &str {
+        self.interner.resolve(id.sym)
     }
 
     /// The entry point, if present.
@@ -1015,39 +1039,16 @@ mod tests {
 
     #[test]
     fn expr_walk_visits_all() {
-        // 1 + f(a[i], -2)
-        let e = Expr::new(
-            ExprKind::Binary(
-                BinOp::Add,
-                Box::new(Expr::int(1, Span::DUMMY)),
-                Box::new(Expr::new(
-                    ExprKind::Call(
-                        Ident::synth("f"),
-                        vec![
-                            Expr::new(
-                                ExprKind::Index(
-                                    Ident::synth("a"),
-                                    Box::new(Expr::new(
-                                        ExprKind::Var(Ident::synth("i")),
-                                        Span::DUMMY,
-                                    )),
-                                ),
-                                Span::DUMMY,
-                            ),
-                            Expr::new(
-                                ExprKind::Unary(UnOp::Neg, Box::new(Expr::int(2, Span::DUMMY))),
-                                Span::DUMMY,
-                            ),
-                        ],
-                    ),
-                    Span::DUMMY,
-                )),
-            ),
-            Span::DUMMY,
-        );
+        let (prog, diags) = crate::parse("fn main() { let x = 1 + f(a[i], -2); }");
+        assert!(!diags.has_errors());
+        let f = &prog.functions[0];
+        let StmtKind::Let { init, .. } = &f.body.stmts[0].kind else {
+            panic!("expected let");
+        };
         let mut n = 0;
-        e.walk(&mut |_| n += 1);
+        f.walk_expr(*init, &mut |_| n += 1);
         assert_eq!(n, 7);
+        assert_eq!(f.exprs.len(), 7, "the arena holds exactly the nodes");
     }
 
     #[test]
@@ -1066,37 +1067,11 @@ mod tests {
 
     #[test]
     fn stmt_count_recurses() {
-        // fn main { if (true) { let x = 1; } }  => if + let = 2
-        let prog = Program {
-            functions: vec![Function {
-                name: Ident::synth("main"),
-                params: vec![],
-                ret: Type::Void,
-                span: Span::DUMMY,
-                body: Block {
-                    stmts: vec![Stmt::new(
-                        StmtKind::If {
-                            cond: Expr::new(ExprKind::Bool(true), Span::DUMMY),
-                            then_blk: Block {
-                                stmts: vec![Stmt::new(
-                                    StmtKind::Let {
-                                        name: Ident::synth("x"),
-                                        ty: None,
-                                        init: Expr::int(1, Span::DUMMY),
-                                    },
-                                    Span::DUMMY,
-                                )],
-                                span: Span::DUMMY,
-                            },
-                            else_blk: None,
-                        },
-                        Span::DUMMY,
-                    )],
-                    span: Span::DUMMY,
-                },
-            }],
-        };
+        // if + let = 2
+        let (prog, diags) = crate::parse("fn main() { if (true) { let x = 1; } }");
+        assert!(!diags.has_errors());
         assert_eq!(prog.stmt_count(), 2);
         assert!(prog.main().is_some());
+        assert!(prog.function("x").is_none(), "a variable is not a function");
     }
 }

@@ -36,25 +36,29 @@ pub mod pretty;
 pub mod scope;
 pub mod sema;
 pub mod span;
+pub mod symbol;
 pub mod token;
 
 pub use ast::{
-    BinOp, Block, CollectiveCall, CollectiveKind, Expr, ExprKind, Function, Ident, Intrinsic,
-    LValue, MpiOp, OmpStmt, Param, Program, ReduceOp, Stmt, StmtKind, ThreadLevel, Type, UnOp,
+    BinOp, Block, CollectiveCall, CollectiveKind, Expr, ExprId, ExprKind, ExprRange, Function,
+    Ident, Intrinsic, LValue, MpiOp, OmpStmt, Param, Program, ReduceOp, Stmt, StmtKind,
+    ThreadLevel, Type, UnOp,
 };
 pub use diag::{Diagnostic, Diagnostics, Severity};
 pub use scope::ScopeStack;
 pub use span::{LineCol, SourceMap, Span};
+pub use symbol::{Interner, Symbol};
 
 /// A fully parsed and semantically checked compilation unit.
 #[derive(Debug, Clone)]
 pub struct CheckedUnit {
-    /// The AST.
+    /// The AST, with the interner its symbols (and `signatures`' keys)
+    /// belong to.
     pub program: Program,
     /// Source map for rendering locations.
     pub source_map: SourceMap,
     /// Function signatures.
-    pub signatures: std::collections::HashMap<String, sema::Signature>,
+    pub signatures: sema::Signatures,
     /// Non-error diagnostics produced along the way.
     pub warnings: Diagnostics,
 }
@@ -96,7 +100,8 @@ mod tests {
     fn parse_and_check_ok() {
         let unit = parse_and_check("t.mh", "fn main() { let x = 1; }").unwrap();
         assert!(unit.warnings.is_empty());
-        assert!(unit.signatures.contains_key("main"));
+        let main = unit.program.interner.get("main").expect("interned");
+        assert!(unit.signatures.get(main).is_some());
     }
 
     #[test]

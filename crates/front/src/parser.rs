@@ -7,13 +7,22 @@
 //!
 //! Tokens are `Copy` and carry no text. The parser borrows the source
 //! and reads an identifier's name from under its span exactly where an
-//! AST [`Ident`] or an error message is built, so the one `String` per
-//! identifier that exists is the one the AST owns.
+//! AST [`Ident`] is built — interning it into the unit's [`Interner`] —
+//! or an error message names it.
+//!
+//! Expression productions return their node *by value*; whoever embeds
+//! it moves it into the function's arena ([`Function::exprs`]) and keeps
+//! the [`ExprId`]. Children therefore precede their parent, and an
+//! argument list — parked on a side stack until its closing parenthesis
+//! — lands in consecutive slots ([`ExprRange`]). The arena is a scratch
+//! vector of the parser, copied out at its final size when a function
+//! ends.
 
 use crate::ast::*;
 use crate::diag::Diagnostics;
 use crate::lexer::lex_at;
 use crate::span::Span;
+use crate::symbol::Interner;
 use crate::token::{Token, TokenKind};
 
 /// How deep expressions and blocks may nest before the parser gives up
@@ -36,13 +45,28 @@ pub const MAX_NESTING: u32 = 200;
 /// Returns the (possibly partial) AST plus diagnostics; callers should
 /// check [`Diagnostics::has_errors`] before trusting the AST.
 pub fn parse_program(src: &str) -> (Program, Diagnostics) {
-    parse_program_at(src, 0)
+    let mut interner = Interner::new();
+    let (functions, diags) = parse_functions_at(src, 0, &mut interner);
+    (
+        Program {
+            functions,
+            interner,
+        },
+        diags,
+    )
 }
 
 /// Parse `src` as the text found at byte offset `base` of a larger
-/// file: every span in the AST and the diagnostics is absolute. Equal,
-/// span for span, to parsing `src` behind `base` blanks.
-pub fn parse_program_at(src: &str, base: u32) -> (Program, Diagnostics) {
+/// file whose identifiers live in `interner`: every span in the
+/// functions and the diagnostics is absolute (equal, span for span, to
+/// parsing `src` behind `base` blanks), and every symbol is `interner`'s
+/// — the daemon reparses one function of a document this way, into the
+/// document's own interner.
+pub fn parse_functions_at(
+    src: &str,
+    base: u32,
+    interner: &mut Interner,
+) -> (Vec<Function>, Diagnostics) {
     let mut diags = Diagnostics::new();
     let tokens = lex_at(src, base, &mut diags);
     let mut p = Parser {
@@ -51,11 +75,14 @@ pub fn parse_program_at(src: &str, base: u32) -> (Program, Diagnostics) {
         tokens,
         pos: 0,
         diags,
+        interner,
+        exprs: Vec::new(),
+        args: Vec::new(),
         depth: 0,
         too_deep: false,
     };
-    let prog = p.program();
-    (prog, p.diags)
+    let functions = p.functions();
+    (functions, p.diags)
 }
 
 struct Parser<'s> {
@@ -65,6 +92,12 @@ struct Parser<'s> {
     tokens: Vec<Token>,
     pos: usize,
     diags: Diagnostics,
+    interner: &'s mut Interner,
+    /// The arena of the function being parsed.
+    exprs: Vec<Expr>,
+    /// Arguments of the calls being parsed, innermost last, until their
+    /// list is complete.
+    args: Vec<Expr>,
     /// Current nesting of expressions and blocks, see [`MAX_NESTING`].
     depth: u32,
     /// Set once the nesting limit was hit: the rest of the input is
@@ -178,14 +211,52 @@ impl<'s> Parser<'s> {
         }
     }
 
+    fn ident(&mut self, name: &str, span: Span) -> Ident {
+        Ident::new(self.interner.intern(name), span)
+    }
+
     fn expect_ident(&mut self, what: &str) -> Ident {
         match self.eat_ident() {
-            Some((name, span)) => Ident::new(name, span),
+            Some((name, span)) => self.ident(name, span),
             None => {
                 let msg = format!("expected {what}, found {}", self.found());
                 self.error(msg, self.span());
-                Ident::new("<error>", self.span())
+                self.ident("<error>", self.span())
             }
+        }
+    }
+
+    /// Move a finished node into the function's arena.
+    fn alloc(&mut self, e: Expr) -> ExprId {
+        let id = ExprId(self.exprs.len() as u32);
+        self.exprs.push(e);
+        id
+    }
+
+    /// Parse an expression and place it in the arena.
+    fn expr_id(&mut self) -> ExprId {
+        let e = self.expr();
+        self.alloc(e)
+    }
+
+    /// `e, e, …` up to (not including) the closing parenthesis, placed
+    /// in consecutive arena slots.
+    fn arg_list(&mut self) -> ExprRange {
+        let mark = self.args.len();
+        if !self.at(TokenKind::RParen) {
+            loop {
+                let e = self.expr();
+                self.args.push(e);
+                if !self.eat(TokenKind::Comma) {
+                    break;
+                }
+            }
+        }
+        let start = self.exprs.len() as u32;
+        self.exprs.extend(self.args.drain(mark..));
+        ExprRange {
+            start,
+            len: self.exprs.len() as u32 - start,
         }
     }
 
@@ -220,7 +291,7 @@ impl<'s> Parser<'s> {
 
     // ---- grammar productions -------------------------------------------
 
-    fn program(&mut self) -> Program {
+    fn functions(&mut self) -> Vec<Function> {
         let mut functions = Vec::new();
         while !self.at(TokenKind::Eof) {
             if self.at(TokenKind::Fn) {
@@ -235,7 +306,7 @@ impl<'s> Parser<'s> {
                 }
             }
         }
-        Program { functions }
+        functions
     }
 
     fn function(&mut self) -> Function {
@@ -263,11 +334,15 @@ impl<'s> Parser<'s> {
         };
         let body = self.block();
         let span = start.to(body.span);
+        // One allocation of the final size; the scratch arena is reused.
+        let exprs = self.exprs.as_slice().to_vec();
+        self.exprs.clear();
         Function {
             name,
             params,
             ret,
             body,
+            exprs,
             span,
         }
     }
@@ -353,7 +428,7 @@ impl<'s> Parser<'s> {
                 let value = if self.at(TokenKind::Semi) {
                     None
                 } else {
-                    Some(self.expr())
+                    Some(self.expr_id())
                 };
                 self.expect(TokenKind::Semi);
                 Stmt::new(StmtKind::Return(value), start.to(self.prev_span()))
@@ -371,15 +446,7 @@ impl<'s> Parser<'s> {
             TokenKind::Print => {
                 self.bump();
                 self.expect(TokenKind::LParen);
-                let mut args = Vec::new();
-                if !self.at(TokenKind::RParen) {
-                    loop {
-                        args.push(self.expr());
-                        if !self.eat(TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                }
+                let args = self.arg_list();
                 self.expect(TokenKind::RParen);
                 self.expect(TokenKind::Semi);
                 Stmt::new(StmtKind::Print(args), start.to(self.prev_span()))
@@ -410,7 +477,7 @@ impl<'s> Parser<'s> {
                 // Expression statement fallback (e.g. a bare MPI call would
                 // be an Ident; anything else here is an error).
                 let before = self.diags.len();
-                let e = self.expr();
+                let e = self.expr_id();
                 if self.diags.len() > before {
                     self.synchronize_stmt();
                 } else {
@@ -431,7 +498,7 @@ impl<'s> Parser<'s> {
             None
         };
         self.expect(TokenKind::Assign);
-        let init = self.expr();
+        let init = self.expr_id();
         self.expect(TokenKind::Semi);
         Stmt::new(StmtKind::Let { name, ty, init }, start.to(self.prev_span()))
     }
@@ -440,7 +507,7 @@ impl<'s> Parser<'s> {
         let start = self.span();
         self.bump(); // if
         self.expect(TokenKind::LParen);
-        let cond = self.expr();
+        let cond = self.expr_id();
         self.expect(TokenKind::RParen);
         let then_blk = self.block();
         let else_blk = if self.eat(TokenKind::Else) {
@@ -476,7 +543,7 @@ impl<'s> Parser<'s> {
         let start = self.span();
         self.bump(); // while
         self.expect(TokenKind::LParen);
-        let cond = self.expr();
+        let cond = self.expr_id();
         self.expect(TokenKind::RParen);
         let body = self.block();
         let span = start.to(body.span);
@@ -489,9 +556,9 @@ impl<'s> Parser<'s> {
         self.expect(TokenKind::LParen);
         let var = self.expect_ident("loop variable");
         self.expect(TokenKind::In);
-        let lo = self.expr();
+        let lo = self.expr_id();
         self.expect(TokenKind::DotDot);
-        let hi = self.expr();
+        let hi = self.expr_id();
         self.expect(TokenKind::RParen);
         let body = self.block();
         let span = start.to(body.span);
@@ -503,9 +570,9 @@ impl<'s> Parser<'s> {
         self.bump(); // parallel
         let num_threads = if self.eat(TokenKind::NumThreadsClause) {
             self.expect(TokenKind::LParen);
-            let e = self.expr();
+            let e = self.expr_id();
             self.expect(TokenKind::RParen);
-            Some(Box::new(e))
+            Some(e)
         } else {
             None
         };
@@ -530,9 +597,9 @@ impl<'s> Parser<'s> {
         self.expect(TokenKind::LParen);
         let var = self.expect_ident("loop variable");
         self.expect(TokenKind::In);
-        let lo = self.expr();
+        let lo = self.expr_id();
         self.expect(TokenKind::DotDot);
-        let hi = self.expr();
+        let hi = self.expr_id();
         self.expect(TokenKind::RParen);
         let body = self.block();
         let span = start.to(body.span);
@@ -540,8 +607,8 @@ impl<'s> Parser<'s> {
             StmtKind::Omp(OmpStmt::PFor {
                 nowait,
                 var,
-                lo: Box::new(lo),
-                hi: Box::new(hi),
+                lo,
+                hi,
                 body,
             }),
             span,
@@ -579,7 +646,7 @@ impl<'s> Parser<'s> {
         if self.peek2() == TokenKind::Assign {
             let target = LValue::Var(self.expect_ident("variable name"));
             self.bump(); // =
-            let value = self.expr();
+            let value = self.expr_id();
             self.expect(TokenKind::Semi);
             return Stmt::new(
                 StmtKind::Assign { target, value },
@@ -589,17 +656,17 @@ impl<'s> Parser<'s> {
         if self.peek2() == TokenKind::LBracket {
             // Could be `a[i] = e;` or the expression `a[i]` — parse the
             // index then decide.
-            let save = self.pos;
+            let (save, save_exprs) = (self.pos, self.exprs.len());
             let name = self.expect_ident("array name");
             self.bump(); // [
-            let idx = self.expr();
+            let idx = self.expr_id();
             self.expect(TokenKind::RBracket);
             if self.eat(TokenKind::Assign) {
-                let value = self.expr();
+                let value = self.expr_id();
                 self.expect(TokenKind::Semi);
                 return Stmt::new(
                     StmtKind::Assign {
-                        target: LValue::Index(name, Box::new(idx)),
+                        target: LValue::Index(name, idx),
                         value,
                     },
                     start.to(self.prev_span()),
@@ -607,8 +674,9 @@ impl<'s> Parser<'s> {
             }
             // Not an assignment: rewind and reparse as expression.
             self.pos = save;
+            self.exprs.truncate(save_exprs);
         }
-        let e = self.expr();
+        let e = self.expr_id();
         self.expect(TokenKind::Semi);
         Stmt::new(StmtKind::Expr(e), start.to(self.prev_span()))
     }
@@ -629,6 +697,11 @@ impl<'s> Parser<'s> {
         e
     }
 
+    fn binary(&mut self, op: BinOp, lhs: Expr, rhs: Expr, span: Span) -> Expr {
+        let (l, r) = (self.alloc(lhs), self.alloc(rhs));
+        Expr::new(ExprKind::Binary(op, l, r), span)
+    }
+
     fn or_expr(&mut self) -> Expr {
         let mut lhs = self.and_expr();
         let depth = self.depth;
@@ -636,10 +709,7 @@ impl<'s> Parser<'s> {
             self.bump();
             let rhs = self.and_expr();
             let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary(BinOp::Or, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
+            lhs = self.binary(BinOp::Or, lhs, rhs, span);
         }
         self.depth = depth;
         lhs
@@ -652,10 +722,7 @@ impl<'s> Parser<'s> {
             self.bump();
             let rhs = self.cmp_expr();
             let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
-                ExprKind::Binary(BinOp::And, Box::new(lhs), Box::new(rhs)),
-                span,
-            );
+            lhs = self.binary(BinOp::And, lhs, rhs, span);
         }
         self.depth = depth;
         lhs
@@ -675,7 +742,7 @@ impl<'s> Parser<'s> {
         self.bump();
         let rhs = self.add_expr();
         let span = lhs.span.to(rhs.span);
-        Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span)
+        self.binary(op, lhs, rhs, span)
     }
 
     fn add_expr(&mut self) -> Expr {
@@ -693,7 +760,7 @@ impl<'s> Parser<'s> {
             self.bump();
             let rhs = self.mul_expr();
             let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
+            lhs = self.binary(op, lhs, rhs, span);
         }
         self.depth = depth;
         lhs
@@ -715,7 +782,7 @@ impl<'s> Parser<'s> {
             self.bump();
             let rhs = self.unary_expr();
             let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span);
+            lhs = self.binary(op, lhs, rhs, span);
         }
         self.depth = depth;
         lhs
@@ -735,7 +802,7 @@ impl<'s> Parser<'s> {
         let e = self.unary_expr();
         self.depth -= 1;
         let span = start.to(e.span);
-        Expr::new(ExprKind::Unary(op, Box::new(e)), span)
+        Expr::new(ExprKind::Unary(op, self.alloc(e)), span)
     }
 
     fn primary_expr(&mut self) -> Expr {
@@ -775,15 +842,12 @@ impl<'s> Parser<'s> {
                     Expr::new(ExprKind::Mpi(op), start)
                 } else if self.at(TokenKind::LBracket) {
                     self.bump();
-                    let idx = self.expr();
+                    let idx = self.expr_id();
                     self.expect(TokenKind::RBracket);
                     let span = start.to(self.prev_span());
-                    Expr::new(
-                        ExprKind::Index(Ident::new(name, start), Box::new(idx)),
-                        span,
-                    )
+                    Expr::new(ExprKind::Index(self.ident(name, start), idx), span)
                 } else {
-                    Expr::new(ExprKind::Var(Ident::new(name, start)), start)
+                    Expr::new(ExprKind::Var(self.ident(name, start)), start)
                 }
             }
             _ => {
@@ -804,22 +868,14 @@ impl<'s> Parser<'s> {
             return self.mpi_call(name, start);
         }
 
-        let mut args = Vec::new();
-        if !self.at(TokenKind::RParen) {
-            loop {
-                args.push(self.expr());
-                if !self.eat(TokenKind::Comma) {
-                    break;
-                }
-            }
-        }
+        let args = self.arg_list();
         self.expect(TokenKind::RParen);
         let span = start.to(self.prev_span());
 
         if let Some(intr) = Intrinsic::from_name(name) {
             Expr::new(ExprKind::Intrinsic(intr, args), span)
         } else {
-            Expr::new(ExprKind::Call(Ident::new(name, start), args), span)
+            Expr::new(ExprKind::Call(self.ident(name, start), args), span)
         }
     }
 
@@ -857,11 +913,11 @@ impl<'s> Parser<'s> {
                 })
             }
             "MPI_Send" => {
-                let value = Box::new(self.expr());
+                let value = self.expr_id();
                 self.expect(TokenKind::Comma);
-                let dest = Box::new(self.expr());
+                let dest = self.expr_id();
                 self.expect(TokenKind::Comma);
-                let tag = Box::new(self.expr());
+                let tag = self.expr_id();
                 let comm = self.trailing_comm_arg();
                 Some(MpiOp::Send {
                     value,
@@ -871,30 +927,30 @@ impl<'s> Parser<'s> {
                 })
             }
             "MPI_Recv" => {
-                let src = Box::new(self.expr());
+                let src = self.expr_id();
                 self.expect(TokenKind::Comma);
-                let tag = Box::new(self.expr());
+                let tag = self.expr_id();
                 let comm = self.trailing_comm_arg();
                 Some(MpiOp::Recv { src, tag, comm })
             }
             "MPI_Comm_split" => {
-                let parent = Box::new(self.expr());
+                let parent = self.expr_id();
                 self.expect(TokenKind::Comma);
-                let color = Box::new(self.expr());
+                let color = self.expr_id();
                 self.expect(TokenKind::Comma);
-                let key = Box::new(self.expr());
+                let key = self.expr_id();
                 Some(MpiOp::CommSplit { parent, color, key })
             }
             "MPI_Comm_dup" => {
-                let comm = Box::new(self.expr());
+                let comm = self.expr_id();
                 Some(MpiOp::CommDup { comm })
             }
             "MPI_Isend" => {
-                let value = Box::new(self.expr());
+                let value = self.expr_id();
                 self.expect(TokenKind::Comma);
-                let dest = Box::new(self.expr());
+                let dest = self.expr_id();
                 self.expect(TokenKind::Comma);
-                let tag = Box::new(self.expr());
+                let tag = self.expr_id();
                 let comm = self.trailing_comm_arg();
                 Some(MpiOp::Isend {
                     value,
@@ -904,26 +960,18 @@ impl<'s> Parser<'s> {
                 })
             }
             "MPI_Irecv" => {
-                let src = Box::new(self.expr());
+                let src = self.expr_id();
                 self.expect(TokenKind::Comma);
-                let tag = Box::new(self.expr());
+                let tag = self.expr_id();
                 let comm = self.trailing_comm_arg();
                 Some(MpiOp::Irecv { src, tag, comm })
             }
             "MPI_Wait" => {
-                let request = Box::new(self.expr());
+                let request = self.expr_id();
                 Some(MpiOp::Wait { request })
             }
             "MPI_Waitall" => {
-                let mut requests = Vec::new();
-                if !self.at(TokenKind::RParen) {
-                    loop {
-                        requests.push(self.expr());
-                        if !self.eat(TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                }
+                let requests = self.arg_list();
                 if requests.is_empty() {
                     self.error("MPI_Waitall requires at least one request", start);
                 }
@@ -950,9 +998,9 @@ impl<'s> Parser<'s> {
     }
 
     /// Optional trailing `, comm` argument of MPI operations.
-    fn trailing_comm_arg(&mut self) -> Option<Box<Expr>> {
+    fn trailing_comm_arg(&mut self) -> Option<ExprId> {
         if self.eat(TokenKind::Comma) {
-            Some(Box::new(self.expr()))
+            Some(self.expr_id())
         } else {
             None
         }
@@ -969,12 +1017,12 @@ impl<'s> Parser<'s> {
         if kind == CollectiveKind::Barrier {
             // Only argument (if any) is the communicator.
             if !self.at(TokenKind::RParen) {
-                call.comm = Some(Box::new(self.expr()));
+                call.comm = Some(self.expr_id());
             }
             return call;
         }
         // value
-        call.value = Some(Box::new(self.expr()));
+        call.value = Some(self.expr_id());
         // reduce op
         if kind.has_reduce_op() && self.expect(TokenKind::Comma) {
             if let Some((op, span)) = self.bare_name_arg("reduction operator") {
@@ -991,7 +1039,7 @@ impl<'s> Parser<'s> {
         }
         // root
         if kind.has_root() && self.expect(TokenKind::Comma) {
-            call.root = Some(Box::new(self.expr()));
+            call.root = Some(self.expr_id());
         }
         // optional trailing communicator
         call.comm = self.trailing_comm_arg();
@@ -1029,7 +1077,7 @@ mod tests {
     fn minimal_main() {
         let p = parse_ok("fn main() {}");
         assert_eq!(p.functions.len(), 1);
-        assert_eq!(p.functions[0].name.name, "main");
+        assert_eq!(p.name(p.functions[0].name), "main");
         assert_eq!(p.functions[0].ret, Type::Void);
         assert!(p.functions[0].body.stmts.is_empty());
     }
@@ -1052,11 +1100,12 @@ mod tests {
             panic!("expected let");
         };
         // Must parse as 1 + (2 * 3)
-        let ExprKind::Binary(BinOp::Add, l, r) = &init.kind else {
-            panic!("expected add at top: {init:?}");
+        let f = &p.functions[0];
+        let ExprKind::Binary(BinOp::Add, l, r) = f.expr(*init).kind else {
+            panic!("expected add at top: {:?}", f.expr(*init));
         };
-        assert!(matches!(l.kind, ExprKind::Int(1)));
-        assert!(matches!(r.kind, ExprKind::Binary(BinOp::Mul, _, _)));
+        assert!(matches!(f.expr(l).kind, ExprKind::Int(1)));
+        assert!(matches!(f.expr(r).kind, ExprKind::Binary(BinOp::Mul, _, _)));
     }
 
     #[test]
@@ -1066,7 +1115,10 @@ mod tests {
             panic!()
         };
         // || binds loosest: true || (false && true)
-        assert!(matches!(init.kind, ExprKind::Binary(BinOp::Or, _, _)));
+        assert!(matches!(
+            p.functions[0].expr(*init).kind,
+            ExprKind::Binary(BinOp::Or, _, _)
+        ));
     }
 
     #[test]
@@ -1145,21 +1197,22 @@ mod tests {
                 MPI_Finalize();
             }",
         );
-        let stmts = &p.functions[0].body.stmts;
+        let f = &p.functions[0];
+        let stmts = &f.body.stmts;
+        let StmtKind::Expr(e) = &stmts[1].kind else {
+            panic!()
+        };
         assert!(matches!(
-            &stmts[1].kind,
-            StmtKind::Expr(Expr {
-                kind: ExprKind::Mpi(MpiOp::Collective(CollectiveCall {
-                    kind: CollectiveKind::Barrier,
-                    ..
-                })),
+            f.expr(*e).kind,
+            ExprKind::Mpi(MpiOp::Collective(CollectiveCall {
+                kind: CollectiveKind::Barrier,
                 ..
-            })
+            }))
         ));
         let StmtKind::Let { init, .. } = &stmts[2].kind else {
             panic!()
         };
-        let ExprKind::Mpi(MpiOp::Collective(c)) = &init.kind else {
+        let ExprKind::Mpi(MpiOp::Collective(c)) = f.expr(*init).kind else {
             panic!()
         };
         assert_eq!(c.kind, CollectiveKind::Allreduce);
@@ -1168,7 +1221,7 @@ mod tests {
         let StmtKind::Let { init, .. } = &stmts[4].kind else {
             panic!()
         };
-        let ExprKind::Mpi(MpiOp::Collective(c)) = &init.kind else {
+        let ExprKind::Mpi(MpiOp::Collective(c)) = f.expr(*init).kind else {
             panic!()
         };
         assert_eq!(c.kind, CollectiveKind::Reduce);
@@ -1183,7 +1236,7 @@ mod tests {
             panic!()
         };
         assert!(matches!(
-            e.kind,
+            p.functions[0].expr(*e).kind,
             ExprKind::Mpi(MpiOp::InitThread {
                 required: ThreadLevel::Multiple
             })
@@ -1209,11 +1262,15 @@ mod tests {
         let StmtKind::Let { init, .. } = &p.functions[0].body.stmts[0].kind else {
             panic!()
         };
-        assert!(matches!(init.kind, ExprKind::Mpi(MpiOp::CommWorld)));
+        let kind_of = |e: &ExprId| p.functions[0].expr(*e).kind;
+        assert!(matches!(kind_of(init), ExprKind::Mpi(MpiOp::CommWorld)));
         let StmtKind::Let { init, .. } = &p.functions[0].body.stmts[1].kind else {
             panic!()
         };
-        assert!(matches!(init.kind, ExprKind::Mpi(MpiOp::CommSplit { .. })));
+        assert!(matches!(
+            kind_of(init),
+            ExprKind::Mpi(MpiOp::CommSplit { .. })
+        ));
     }
 
     #[test]
@@ -1229,15 +1286,16 @@ mod tests {
                 let v = MPI_Recv(1, 7, c);
             }",
         );
-        let barrier_comms: Vec<bool> = p.functions[0]
+        let f = &p.functions[0];
+        let barrier_comms: Vec<bool> = f
             .body
             .stmts
             .iter()
             .filter_map(|s| match &s.kind {
-                StmtKind::Expr(Expr {
-                    kind: ExprKind::Mpi(MpiOp::Collective(call)),
-                    ..
-                }) => Some(call.comm.is_some()),
+                StmtKind::Expr(e) => match f.expr(*e).kind {
+                    ExprKind::Mpi(MpiOp::Collective(call)) => Some(call.comm.is_some()),
+                    _ => None,
+                },
                 _ => None,
             })
             .collect();
@@ -1245,8 +1303,8 @@ mod tests {
         let StmtKind::Let { init, .. } = &p.functions[0].body.stmts[3].kind else {
             panic!()
         };
-        let ExprKind::Mpi(MpiOp::Collective(call)) = &init.kind else {
-            panic!("{init:?}")
+        let ExprKind::Mpi(MpiOp::Collective(call)) = f.expr(*init).kind else {
+            panic!("{:?}", f.expr(*init))
         };
         assert!(call.comm.is_some() && call.reduce_op.is_some());
     }
@@ -1257,7 +1315,10 @@ mod tests {
         let StmtKind::Let { init, .. } = &p.functions[0].body.stmts[0].kind else {
             panic!()
         };
-        assert!(matches!(init.kind, ExprKind::Intrinsic(Intrinsic::Rank, _)));
+        assert!(matches!(
+            p.functions[0].expr(*init).kind,
+            ExprKind::Intrinsic(Intrinsic::Rank, _)
+        ));
     }
 
     #[test]
@@ -1294,7 +1355,7 @@ mod tests {
     fn error_recovery_across_functions() {
         let (prog, diags) = parse_program("fn broken( { } fn ok() { }");
         assert!(diags.has_errors());
-        assert!(prog.functions.iter().any(|f| f.name.name == "ok"));
+        assert!(prog.function("ok").is_some());
     }
 
     #[test]

@@ -5,11 +5,17 @@
 //! `parse(pretty(ast))` must equal `ast` modulo spans.
 
 use crate::ast::*;
+use crate::symbol::Interner;
 use std::fmt::Write;
 
 /// Render a whole program as MiniHPC source.
 pub fn pretty_program(prog: &Program) -> String {
-    let mut p = Printer::new();
+    let mut p = Printer {
+        out: String::new(),
+        indent: 0,
+        interner: &prog.interner,
+        exprs: &[],
+    };
     for (i, f) in prog.functions.iter().enumerate() {
         if i > 0 {
             p.out.push('\n');
@@ -19,24 +25,18 @@ pub fn pretty_program(prog: &Program) -> String {
     p.out
 }
 
-/// Render a single expression (diagnostics, tests).
-pub fn pretty_expr(e: &Expr) -> String {
-    let mut p = Printer::new();
-    p.expr(e);
-    p.out
-}
-
-struct Printer {
+struct Printer<'a> {
     out: String,
     indent: usize,
+    interner: &'a Interner,
+    /// The arena of the function being printed.
+    exprs: &'a [Expr],
 }
 
-impl Printer {
-    fn new() -> Self {
-        Printer {
-            out: String::new(),
-            indent: 0,
-        }
+impl<'a> Printer<'a> {
+    /// The identifier's text.
+    fn name(&self, id: Ident) -> &'a str {
+        self.interner.resolve(id.sym)
     }
 
     fn line(&mut self, text: &str) {
@@ -57,11 +57,12 @@ impl Printer {
         self.line("}");
     }
 
-    fn function(&mut self, f: &Function) {
+    fn function(&mut self, f: &'a Function) {
+        self.exprs = &f.exprs;
         let params = f
             .params
             .iter()
-            .map(|p| format!("{}: {}", p.name, p.ty))
+            .map(|p| format!("{}: {}", self.name(p.name), p.ty))
             .collect::<Vec<_>>()
             .join(", ");
         let ret = if f.ret == Type::Void {
@@ -69,7 +70,7 @@ impl Printer {
         } else {
             format!(" -> {}", f.ret)
         };
-        self.open(&format!("fn {}({params}){ret}", f.name));
+        self.open(&format!("fn {}({params}){ret}", self.name(f.name)));
         self.block_body(&f.body);
         self.close();
     }
@@ -90,16 +91,16 @@ impl Printer {
         match &s.kind {
             StmtKind::Let { name, ty, init } => {
                 let ty = ty.map(|t| format!(": {t}")).unwrap_or_default();
-                let init = self.expr_str(init);
-                self.line(&format!("let {name}{ty} = {init};"));
+                let init = self.expr_str(*init);
+                self.line(&format!("let {}{ty} = {init};", self.name(*name)));
             }
             StmtKind::Assign { target, value } => {
-                let value = self.expr_str(value);
-                match target {
-                    LValue::Var(id) => self.line(&format!("{id} = {value};")),
+                let value = self.expr_str(*value);
+                match *target {
+                    LValue::Var(id) => self.line(&format!("{} = {value};", self.name(id))),
                     LValue::Index(id, idx) => {
                         let idx = self.expr_str(idx);
-                        self.line(&format!("{id}[{idx}] = {value};"));
+                        self.line(&format!("{}[{idx}] = {value};", self.name(id)));
                     }
                 }
             }
@@ -108,7 +109,7 @@ impl Printer {
                 then_blk,
                 else_blk,
             } => {
-                let cond = self.expr_str(cond);
+                let cond = self.expr_str(*cond);
                 self.open(&format!("if ({cond})"));
                 self.block_body(then_blk);
                 match else_blk {
@@ -123,23 +124,23 @@ impl Printer {
                 }
             }
             StmtKind::While { cond, body } => {
-                let cond = self.expr_str(cond);
+                let cond = self.expr_str(*cond);
                 self.nested(&format!("while ({cond})"), body);
             }
             StmtKind::For { var, lo, hi, body } => {
-                let lo = self.expr_str(lo);
-                let hi = self.expr_str(hi);
-                self.nested(&format!("for ({var} in {lo}..{hi})"), body);
+                let lo = self.expr_str(*lo);
+                let hi = self.expr_str(*hi);
+                self.nested(&format!("for ({} in {lo}..{hi})", self.name(*var)), body);
             }
             StmtKind::Return(None) => self.line("return;"),
             StmtKind::Return(Some(e)) => {
-                let e = self.expr_str(e);
+                let e = self.expr_str(*e);
                 self.line(&format!("return {e};"));
             }
             StmtKind::Break => self.line("break;"),
             StmtKind::Continue => self.line("continue;"),
             StmtKind::Expr(e) => {
-                let e = self.expr_str(e);
+                let e = self.expr_str(*e);
                 self.line(&format!("{e};"));
             }
             StmtKind::Print(args) => {
@@ -159,7 +160,7 @@ impl Printer {
         match omp {
             OmpStmt::Parallel { num_threads, body } => {
                 let clause = match num_threads {
-                    Some(e) => format!(" num_threads({})", self.expr_str(e)),
+                    Some(e) => format!(" num_threads({})", self.expr_str(*e)),
                     None => String::new(),
                 };
                 self.nested(&format!("parallel{clause}"), body);
@@ -178,8 +179,9 @@ impl Printer {
                 body,
             } => {
                 let clause = if *nowait { " nowait" } else { "" };
-                let lo = self.expr_str(lo);
-                let hi = self.expr_str(hi);
+                let lo = self.expr_str(*lo);
+                let hi = self.expr_str(*hi);
+                let var = self.name(*var);
                 self.nested(&format!("pfor{clause} ({var} in {lo}..{hi})"), body);
             }
             OmpStmt::Sections { nowait, sections } => {
@@ -193,14 +195,14 @@ impl Printer {
         }
     }
 
-    fn expr_str(&mut self, e: &Expr) -> String {
-        let mut tmp = Printer::new();
-        tmp.expr(e);
-        tmp.out
+    fn expr_str(&mut self, e: ExprId) -> String {
+        let out = std::mem::take(&mut self.out);
+        self.expr(e);
+        std::mem::replace(&mut self.out, out)
     }
 
-    fn expr(&mut self, e: &Expr) {
-        match &e.kind {
+    fn expr(&mut self, e: ExprId) {
+        match &self.exprs[e.0 as usize].kind {
             ExprKind::Int(v) => {
                 let _ = write!(self.out, "{v}");
             }
@@ -215,12 +217,10 @@ impl Printer {
             ExprKind::Bool(v) => {
                 let _ = write!(self.out, "{v}");
             }
-            ExprKind::Var(id) => {
-                let _ = write!(self.out, "{id}");
-            }
+            ExprKind::Var(id) => self.out.push_str(self.name(*id)),
             ExprKind::Index(id, idx) => {
-                let _ = write!(self.out, "{id}[");
-                self.expr(idx);
+                let _ = write!(self.out, "{}[", self.name(*id));
+                self.expr(*idx);
                 self.out.push(']');
             }
             ExprKind::Unary(op, inner) => {
@@ -229,31 +229,31 @@ impl Printer {
                     UnOp::Not => '!',
                 });
                 self.out.push('(');
-                self.expr(inner);
+                self.expr(*inner);
                 self.out.push(')');
             }
             ExprKind::Binary(op, l, r) => {
                 self.out.push('(');
-                self.expr(l);
+                self.expr(*l);
                 let _ = write!(self.out, " {} ", op.symbol());
-                self.expr(r);
+                self.expr(*r);
                 self.out.push(')');
             }
             ExprKind::Call(name, args) => {
-                let _ = write!(self.out, "{name}(");
-                self.args(args);
+                let _ = write!(self.out, "{}(", self.name(*name));
+                self.args(*args);
                 self.out.push(')');
             }
             ExprKind::Intrinsic(intr, args) => {
                 let _ = write!(self.out, "{}(", intr.name());
-                self.args(args);
+                self.args(*args);
                 self.out.push(')');
             }
             ExprKind::Mpi(op) => self.mpi(op),
         }
     }
 
-    fn args(&mut self, args: &[Expr]) {
+    fn args(&mut self, args: ExprRange) {
         for (i, a) in args.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
@@ -263,7 +263,7 @@ impl Printer {
     }
 
     fn mpi(&mut self, op: &MpiOp) {
-        match op {
+        match *op {
             MpiOp::Init => self.out.push_str("MPI_Init()"),
             MpiOp::InitThread { required } => {
                 let name = match required {
@@ -363,7 +363,7 @@ impl Printer {
             MpiOp::Collective(c) => {
                 let _ = write!(self.out, "{}(", c.kind.mpi_name());
                 let mut first = true;
-                if let Some(v) = &c.value {
+                if let Some(v) = c.value {
                     self.expr(v);
                     first = false;
                 }
@@ -374,14 +374,14 @@ impl Printer {
                     self.out.push_str(op.name());
                     first = false;
                 }
-                if let Some(root) = &c.root {
+                if let Some(root) = c.root {
                     if !first {
                         self.out.push_str(", ");
                     }
                     self.expr(root);
                     first = false;
                 }
-                if let Some(cm) = &c.comm {
+                if let Some(cm) = c.comm {
                     if !first {
                         self.out.push_str(", ");
                     }
@@ -459,8 +459,12 @@ mod tests {
 
     #[test]
     fn float_literals_relex_as_floats() {
-        let e = Expr::new(ExprKind::Float(2.0), crate::span::Span::DUMMY);
-        assert_eq!(pretty_expr(&e), "2.0");
+        // `{}` of the f64 2.0 is "2", which would re-lex as an int.
+        let (p, _) = parse_program("fn main() { let x = 2.0; let y = 2.0e0; }");
+        let printed = pretty_program(&p);
+        for var in ["x", "y"] {
+            assert!(printed.contains(&format!("let {var} = 2.0;")), "{printed}");
+        }
     }
 
     #[test]

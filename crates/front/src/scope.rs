@@ -6,24 +6,26 @@
 //! flat vector of bindings plus the positions where the open scopes
 //! start.
 //!
-//! Names are borrowed from the AST, so a binding costs a push and a
-//! lookup compares string slices: nothing is allocated, cloned or hashed
-//! per `let` or per variable reference, and opening a block that binds
-//! nothing costs one `usize`. A lookup scans the live bindings from the
+//! Names are [`Symbol`]s, so a binding costs a push and a lookup
+//! compares integers: nothing is allocated, cloned or hashed per `let`
+//! or per variable reference, and opening a block that binds nothing
+//! costs one `usize`. A lookup scans the live bindings from the
 //! innermost outwards, which is linear in their number — a few dozen in
 //! real functions, where it beats one hash of the name per enclosing
-//! block by a wide margin (most comparisons fail on the length alone).
+//! block by a wide margin.
+
+use crate::symbol::Symbol;
 
 /// A stack of lexical scopes binding names to `T`.
 #[derive(Debug)]
-pub struct ScopeStack<'a, T> {
+pub struct ScopeStack<T> {
     /// Every live binding, outermost first.
-    bindings: Vec<(&'a str, T)>,
+    bindings: Vec<(Symbol, T)>,
     /// `bindings.len()` at the time each open scope was pushed.
     marks: Vec<usize>,
 }
 
-impl<'a, T: Copy> ScopeStack<'a, T> {
+impl<T: Copy> ScopeStack<T> {
     /// One open scope (the function's own: parameters go here) that is
     /// never popped.
     pub fn new() -> Self {
@@ -31,6 +33,13 @@ impl<'a, T: Copy> ScopeStack<'a, T> {
             bindings: Vec::new(),
             marks: Vec::new(),
         }
+    }
+
+    /// Forget every binding and scope: the stack is as [`new`](Self::new)
+    /// made it, with its storage kept for the next function.
+    pub fn clear(&mut self) {
+        self.bindings.clear();
+        self.marks.clear();
     }
 
     /// Open a nested scope.
@@ -49,12 +58,12 @@ impl<'a, T: Copy> ScopeStack<'a, T> {
 
     /// Bind `name` in the innermost scope. A later binding of the same
     /// name — in this scope or a nested one — shadows it.
-    pub fn declare(&mut self, name: &'a str, value: T) {
+    pub fn declare(&mut self, name: Symbol, value: T) {
         self.bindings.push((name, value));
     }
 
     /// The innermost live binding of `name`.
-    pub fn lookup(&self, name: &str) -> Option<T> {
+    pub fn lookup(&self, name: Symbol) -> Option<T> {
         self.bindings
             .iter()
             .rev()
@@ -63,7 +72,7 @@ impl<'a, T: Copy> ScopeStack<'a, T> {
     }
 }
 
-impl<T: Copy> Default for ScopeStack<'_, T> {
+impl<T: Copy> Default for ScopeStack<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -73,32 +82,35 @@ impl<T: Copy> Default for ScopeStack<'_, T> {
 mod tests {
     use super::*;
 
+    const X: Symbol = Symbol(0);
+    const Y: Symbol = Symbol(1);
+
     #[test]
     fn inner_binding_shadows_and_pop_restores() {
         let mut s = ScopeStack::new();
-        s.declare("x", 1);
+        s.declare(X, 1);
         s.push();
-        assert_eq!(s.lookup("x"), Some(1));
-        s.declare("x", 2);
-        s.declare("y", 3);
-        assert_eq!(s.lookup("x"), Some(2));
+        assert_eq!(s.lookup(X), Some(1));
+        s.declare(X, 2);
+        s.declare(Y, 3);
+        assert_eq!(s.lookup(X), Some(2));
         s.push();
-        assert_eq!(s.lookup("y"), Some(3));
+        assert_eq!(s.lookup(Y), Some(3));
         s.pop();
         s.pop();
-        assert_eq!(s.lookup("x"), Some(1));
-        assert_eq!(s.lookup("y"), None);
+        assert_eq!(s.lookup(X), Some(1));
+        assert_eq!(s.lookup(Y), None);
     }
 
     #[test]
     fn redeclaration_in_one_scope_takes_the_later_binding() {
         let mut s = ScopeStack::new();
         s.push();
-        s.declare("x", 1);
-        s.declare("x", 2);
-        assert_eq!(s.lookup("x"), Some(2));
+        s.declare(X, 1);
+        s.declare(X, 2);
+        assert_eq!(s.lookup(X), Some(2));
         s.pop();
-        assert_eq!(s.lookup("x"), None);
+        assert_eq!(s.lookup(X), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::ast::*;
 use crate::diag::Diagnostics;
 use crate::scope::ScopeStack;
 use crate::span::Span;
-use std::collections::HashMap;
+use crate::symbol::{Interner, Symbol};
 
 /// A function signature as seen by callers.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,11 +28,35 @@ pub struct Signature {
     pub ret: Type,
 }
 
+/// The signature of every function of a unit, keyed by the function
+/// name's [`Symbol`] in the unit's interner.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Signatures {
+    /// Indexed by symbol (ids are dense); `None` for names that are not
+    /// functions.
+    by_sym: Vec<Option<Signature>>,
+}
+
+impl Signatures {
+    /// The signature of the function named `name`.
+    pub fn get(&self, name: Symbol) -> Option<&Signature> {
+        self.by_sym.get(name.index())?.as_ref()
+    }
+
+    /// Record `name`'s signature; returns the one it replaces.
+    pub fn insert(&mut self, name: Symbol, sig: Signature) -> Option<Signature> {
+        if self.by_sym.len() <= name.index() {
+            self.by_sym.resize(name.index() + 1, None);
+        }
+        self.by_sym[name.index()].replace(sig)
+    }
+}
+
 /// Result of semantic analysis over a whole program.
 #[derive(Debug, Clone, Default)]
 pub struct SemaResult {
-    /// Signatures for every function, by name.
-    pub signatures: HashMap<String, Signature>,
+    /// Signatures for every function.
+    pub signatures: Signatures,
 }
 
 /// The externally visible signature of `f`, as callers see it.
@@ -44,64 +68,69 @@ pub fn signature_of(f: &Function) -> Signature {
 }
 
 /// Type-check and structurally validate a single function body against a
-/// complete `signatures` map. This is the per-function half of
+/// complete `signatures` table; `interner` is the one `f`'s and the
+/// table's symbols belong to. This is the per-function half of
 /// [`check_program`]; incremental sessions call it directly after a
 /// single-function edit whose signature is unchanged.
 pub fn check_function(
     f: &Function,
-    signatures: &HashMap<String, Signature>,
+    interner: &Interner,
+    signatures: &Signatures,
     diags: &mut Diagnostics,
 ) {
     let mut ck = Checker {
+        func: f,
+        interner,
         signatures,
         diags,
         scopes: ScopeStack::new(),
+        arg_tys: Vec::new(),
         ret_ty: f.ret,
         omp_depth: 0,
         loops: Vec::new(),
-        fn_name: &f.name.name,
         barrier_forbidden: false,
     };
     for p in &f.params {
         if p.ty == Type::Void {
             ck.diags.error(
                 "bad-param",
-                format!("parameter `{}` cannot have type void", p.name.name),
+                format!("parameter `{}` cannot have type void", ck.name(p.name)),
                 p.name.span,
             );
         }
-        ck.declare(&p.name, p.ty);
+        ck.declare(p.name, p.ty);
     }
     ck.check_block(&f.body);
 }
 
 /// Type-check and structurally validate `prog`, reporting into `diags`.
 pub fn check_program(prog: &Program, diags: &mut Diagnostics) -> SemaResult {
-    let mut signatures = HashMap::new();
+    let mut signatures = Signatures::default();
     for f in &prog.functions {
         let sig = signature_of(f);
-        if signatures.insert(f.name.name.clone(), sig).is_some() {
+        if signatures.insert(f.name.sym, sig).is_some() {
             diags.error(
                 "duplicate-function",
-                format!("function `{}` is defined more than once", f.name.name),
+                format!("function `{}` is defined more than once", prog.name(f.name)),
                 f.name.span,
             );
         }
     }
-    if !signatures.contains_key("main") {
-        diags.error(
+    match prog.main() {
+        None => diags.error(
             "missing-main",
             "program has no `main` function",
             Span::DUMMY,
-        );
-    } else if let Some(main) = prog.function("main") {
-        if !main.params.is_empty() {
-            diags.error("bad-main", "`main` must take no parameters", main.name.span);
+        ),
+        Some(main) => {
+            if !main.params.is_empty() {
+                diags.error("bad-main", "`main` must take no parameters", main.name.span);
+            }
         }
     }
 
     for f in &prog.functions {
-        check_function(f, &signatures, diags);
+        check_function(f, &prog.interner, &signatures, diags);
     }
 
     SemaResult { signatures }
@@ -122,26 +151,40 @@ struct LoopCtx {
 }
 
 struct Checker<'a> {
-    signatures: &'a HashMap<String, Signature>,
+    /// The function being checked: its arena resolves every [`ExprId`].
+    func: &'a Function,
+    interner: &'a Interner,
+    signatures: &'a Signatures,
     diags: &'a mut Diagnostics,
-    /// Types of the variables in scope; names borrowed from the AST.
-    scopes: ScopeStack<'a, Type>,
+    /// Types of the variables in scope.
+    scopes: ScopeStack<Type>,
+    /// Types of the arguments of the calls being checked, innermost
+    /// last.
+    arg_tys: Vec<Type>,
     ret_ty: Type,
     omp_depth: u32,
     loops: Vec<LoopCtx>,
-    fn_name: &'a str,
     /// True while inside single/master/critical/pfor/sections, where an
     /// explicit `barrier` is illegal.
     barrier_forbidden: bool,
 }
 
 impl<'a> Checker<'a> {
-    fn declare(&mut self, name: &'a Ident, ty: Type) {
-        self.scopes.declare(&name.name, ty);
+    fn declare(&mut self, name: Ident, ty: Type) {
+        self.scopes.declare(name.sym, ty);
     }
 
-    fn lookup(&self, name: &str) -> Option<Type> {
-        self.scopes.lookup(name)
+    fn lookup(&self, name: Ident) -> Option<Type> {
+        self.scopes.lookup(name.sym)
+    }
+
+    /// The identifier's text, for a message.
+    fn name(&self, id: Ident) -> &'a str {
+        self.interner.resolve(id.sym)
+    }
+
+    fn span_of(&self, e: ExprId) -> Span {
+        self.func.expr(e).span
     }
 
     fn check_block(&mut self, b: &'a Block) {
@@ -154,7 +197,7 @@ impl<'a> Checker<'a> {
 
     /// Check a loop body with its induction variable bound in the
     /// body's own scope.
-    fn check_loop_body(&mut self, var: &'a Ident, body: &'a Block) {
+    fn check_loop_body(&mut self, var: Ident, body: &'a Block) {
         self.scopes.push();
         self.declare(var, Type::Int);
         for st in &body.stmts {
@@ -173,6 +216,7 @@ impl<'a> Checker<'a> {
     fn check_stmt(&mut self, s: &'a Stmt) {
         match &s.kind {
             StmtKind::Let { name, ty, init } => {
+                let (name, init) = (*name, *init);
                 let init_ty = self.check_expr(init);
                 let final_ty = match ty {
                     Some(annot) => {
@@ -187,9 +231,9 @@ impl<'a> Checker<'a> {
                                 "type-mismatch",
                                 format!(
                                     "`{}` declared as {annot} but initialized with {init_ty}",
-                                    name.name
+                                    self.name(name)
                                 ),
-                                init.span,
+                                self.span_of(init),
                             );
                         }
                         *annot
@@ -200,9 +244,9 @@ impl<'a> Checker<'a> {
                                 "type-mismatch",
                                 format!(
                                     "cannot infer a type for `{}` from a void expression",
-                                    name.name
+                                    self.name(name)
                                 ),
-                                init.span,
+                                self.span_of(init),
                             );
                             Type::Int
                         } else {
@@ -213,18 +257,19 @@ impl<'a> Checker<'a> {
                 self.declare(name, final_ty);
             }
             StmtKind::Assign { target, value } => {
+                let value = *value;
                 let value_ty = self.check_expr(value);
-                match target {
-                    LValue::Var(id) => match self.lookup(&id.name) {
+                match *target {
+                    LValue::Var(id) => match self.lookup(id) {
                         Some(t) => {
                             if value_ty != Type::Void && value_ty != t {
                                 self.diags.error(
                                     "type-mismatch",
                                     format!(
                                         "cannot assign {value_ty} to `{}` of type {t}",
-                                        id.name
+                                        self.name(id)
                                     ),
-                                    value.span,
+                                    self.span_of(value),
                                 );
                             }
                         }
@@ -236,10 +281,10 @@ impl<'a> Checker<'a> {
                             self.diags.error(
                                 "type-mismatch",
                                 format!("array index must be int, found {idx_ty}"),
-                                idx.span,
+                                self.span_of(idx),
                             );
                         }
-                        match self.lookup(&id.name) {
+                        match self.lookup(id) {
                             Some(t) if t.is_array() => {
                                 let elem = t.elem().expect("array type has elem");
                                 if value_ty != elem {
@@ -247,15 +292,15 @@ impl<'a> Checker<'a> {
                                         "type-mismatch",
                                         format!(
                                             "cannot store {value_ty} into `{}` of type {t}",
-                                            id.name
+                                            self.name(id)
                                         ),
-                                        value.span,
+                                        self.span_of(value),
                                     );
                                 }
                             }
                             Some(t) => self.diags.error(
                                 "type-mismatch",
-                                format!("`{}` of type {t} cannot be indexed", id.name),
+                                format!("`{}` of type {t} cannot be indexed", self.name(id)),
                                 id.span,
                             ),
                             None => self.undeclared(id),
@@ -268,14 +313,14 @@ impl<'a> Checker<'a> {
                 then_blk,
                 else_blk,
             } => {
-                self.expect_ty(cond, Type::Bool, "if condition");
+                self.expect_ty(*cond, Type::Bool, "if condition");
                 self.check_block(then_blk);
                 if let Some(e) = else_blk {
                     self.check_block(e);
                 }
             }
             StmtKind::While { cond, body } => {
-                self.expect_ty(cond, Type::Bool, "while condition");
+                self.expect_ty(*cond, Type::Bool, "while condition");
                 self.loops.push(LoopCtx {
                     kind: LoopKind::Sequential,
                     omp_depth: self.omp_depth,
@@ -284,13 +329,13 @@ impl<'a> Checker<'a> {
                 self.loops.pop();
             }
             StmtKind::For { var, lo, hi, body } => {
-                self.expect_ty(lo, Type::Int, "for lower bound");
-                self.expect_ty(hi, Type::Int, "for upper bound");
+                self.expect_ty(*lo, Type::Int, "for lower bound");
+                self.expect_ty(*hi, Type::Int, "for upper bound");
                 self.loops.push(LoopCtx {
                     kind: LoopKind::Sequential,
                     omp_depth: self.omp_depth,
                 });
-                self.check_loop_body(var, body);
+                self.check_loop_body(*var, body);
                 self.loops.pop();
             }
             StmtKind::Return(value) => {
@@ -300,12 +345,12 @@ impl<'a> Checker<'a> {
                         format!(
                             "`return` inside a parallel construct is not allowed in \
                              `{}` (the model requires perfectly nested regions)",
-                            self.fn_name
+                            self.name(self.func.name)
                         ),
                         s.span,
                     );
                 }
-                match (value, self.ret_ty) {
+                match (*value, self.ret_ty) {
                     (None, Type::Void) => {}
                     (None, t) => self.diags.error(
                         "type-mismatch",
@@ -318,13 +363,13 @@ impl<'a> Checker<'a> {
                             self.diags.error(
                                 "type-mismatch",
                                 "void function cannot return a value",
-                                v.span,
+                                self.span_of(v),
                             );
                         } else if vt != t {
                             self.diags.error(
                                 "type-mismatch",
                                 format!("function returns {t} but value has type {vt}"),
-                                v.span,
+                                self.span_of(v),
                             );
                         }
                     }
@@ -362,14 +407,15 @@ impl<'a> Checker<'a> {
                 Some(_) => {}
             },
             StmtKind::Expr(e) => {
-                self.check_expr(e);
+                self.check_expr(*e);
             }
             StmtKind::Print(args) => {
-                for a in args {
+                for a in args.iter() {
                     let t = self.check_expr(a);
                     if t == Type::Void {
+                        let span = self.span_of(a);
                         self.diags
-                            .error("type-mismatch", "cannot print a void value", a.span);
+                            .error("type-mismatch", "cannot print a void value", span);
                     }
                 }
             }
@@ -413,7 +459,7 @@ impl<'a> Checker<'a> {
         match omp {
             OmpStmt::Parallel { num_threads, body } => {
                 if let Some(e) = num_threads {
-                    self.expect_ty(e, Type::Int, "num_threads clause");
+                    self.expect_ty(*e, Type::Int, "num_threads clause");
                 }
                 // A new parallel region resets the barrier restriction:
                 // a barrier directly inside the nested region is legal.
@@ -437,8 +483,8 @@ impl<'a> Checker<'a> {
             OmpStmt::PFor {
                 var, lo, hi, body, ..
             } => {
-                self.expect_ty(lo, Type::Int, "pfor lower bound");
-                self.expect_ty(hi, Type::Int, "pfor upper bound");
+                self.expect_ty(*lo, Type::Int, "pfor lower bound");
+                self.expect_ty(*hi, Type::Int, "pfor upper bound");
                 let saved = self.barrier_forbidden;
                 self.barrier_forbidden = true;
                 self.loops.push(LoopCtx {
@@ -446,7 +492,7 @@ impl<'a> Checker<'a> {
                     omp_depth: self.omp_depth + 1,
                 });
                 self.omp_depth += 1;
-                self.check_loop_body(var, body);
+                self.check_loop_body(*var, body);
                 self.omp_depth -= 1;
                 self.loops.pop();
                 self.barrier_forbidden = saved;
@@ -462,31 +508,43 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn undeclared(&mut self, id: &Ident) {
+    fn undeclared(&mut self, id: Ident) {
         self.diags.error(
             "undeclared-variable",
-            format!("use of undeclared variable `{}`", id.name),
+            format!("use of undeclared variable `{}`", self.name(id)),
             id.span,
         );
     }
 
-    fn expect_ty(&mut self, e: &Expr, want: Type, what: &str) {
+    fn expect_ty(&mut self, e: ExprId, want: Type, what: &str) {
         let got = self.check_expr(e);
         if got != want {
             self.diags.error(
                 "type-mismatch",
                 format!("{what} must be {want}, found {got}"),
-                e.span,
+                self.span_of(e),
             );
         }
     }
 
-    fn check_expr(&mut self, e: &Expr) -> Type {
-        match &e.kind {
+    /// Check every argument, leaving their types on top of `arg_tys`;
+    /// returns where they start. The caller truncates back to it.
+    fn check_args(&mut self, args: ExprRange) -> usize {
+        let mark = self.arg_tys.len();
+        for a in args.iter() {
+            let t = self.check_expr(a);
+            self.arg_tys.push(t);
+        }
+        mark
+    }
+
+    fn check_expr(&mut self, id: ExprId) -> Type {
+        let e = *self.func.expr(id);
+        match e.kind {
             ExprKind::Int(_) => Type::Int,
             ExprKind::Float(_) => Type::Float,
             ExprKind::Bool(_) => Type::Bool,
-            ExprKind::Var(id) => match self.lookup(&id.name) {
+            ExprKind::Var(id) => match self.lookup(id) {
                 Some(t) => t,
                 None => {
                     self.undeclared(id);
@@ -495,12 +553,12 @@ impl<'a> Checker<'a> {
             },
             ExprKind::Index(id, idx) => {
                 self.expect_ty(idx, Type::Int, "array index");
-                match self.lookup(&id.name) {
+                match self.lookup(id) {
                     Some(t) if t.is_array() => t.elem().expect("array elem"),
                     Some(t) => {
                         self.diags.error(
                             "type-mismatch",
-                            format!("`{}` of type {t} cannot be indexed", id.name),
+                            format!("`{}` of type {t} cannot be indexed", self.name(id)),
                             id.span,
                         );
                         Type::Int
@@ -519,7 +577,7 @@ impl<'a> Checker<'a> {
                             self.diags.error(
                                 "type-mismatch",
                                 format!("cannot negate {t}"),
-                                inner.span,
+                                self.span_of(inner),
                             );
                             Type::Int
                         } else {
@@ -531,7 +589,7 @@ impl<'a> Checker<'a> {
                             self.diags.error(
                                 "type-mismatch",
                                 format!("`!` requires bool, found {t}"),
-                                inner.span,
+                                self.span_of(inner),
                             );
                         }
                         Type::Bool
@@ -600,56 +658,72 @@ impl<'a> Checker<'a> {
                 }
             }
             ExprKind::Call(name, args) => {
-                let arg_tys: Vec<Type> = args.iter().map(|a| self.check_expr(a)).collect();
-                match self.signatures.get(&name.name) {
+                let mark = self.check_args(args);
+                let signatures = self.signatures;
+                let ret = match signatures.get(name.sym) {
                     None => {
                         self.diags.error(
                             "unknown-function",
-                            format!("call to undefined function `{}`", name.name),
+                            format!("call to undefined function `{}`", self.name(name)),
                             name.span,
                         );
                         Type::Int
                     }
                     Some(sig) => {
-                        if sig.params.len() != arg_tys.len() {
+                        if sig.params.len() != args.len() {
                             self.diags.error(
                                 "arity-mismatch",
                                 format!(
                                     "`{}` expects {} argument(s), {} given",
-                                    name.name,
+                                    self.name(name),
                                     sig.params.len(),
-                                    arg_tys.len()
+                                    args.len()
                                 ),
                                 name.span,
                             );
                         } else {
-                            for (i, (want, got)) in
-                                sig.params.iter().zip(arg_tys.iter()).enumerate()
-                            {
-                                if want != got {
+                            for (i, want) in sig.params.iter().enumerate() {
+                                let got = self.arg_tys[mark + i];
+                                if *want != got {
                                     self.diags.error(
                                         "type-mismatch",
                                         format!(
                                             "argument {} of `{}` expects {want}, found {got}",
                                             i + 1,
-                                            name.name
+                                            self.name(name)
                                         ),
-                                        args[i].span,
+                                        self.span_of(args.get(i)),
                                     );
                                 }
                             }
                         }
                         sig.ret
                     }
-                }
+                };
+                self.arg_tys.truncate(mark);
+                ret
             }
-            ExprKind::Intrinsic(intr, args) => self.check_intrinsic(*intr, args, e.span),
-            ExprKind::Mpi(op) => self.check_mpi(op, e.span),
+            ExprKind::Intrinsic(intr, args) => {
+                let mark = self.check_args(args);
+                // Lent out for the call: it checks no further expression.
+                let tys = std::mem::take(&mut self.arg_tys);
+                let ty = self.check_intrinsic(intr, args, &tys[mark..], e.span);
+                self.arg_tys = tys;
+                self.arg_tys.truncate(mark);
+                ty
+            }
+            ExprKind::Mpi(op) => self.check_mpi(&op, e.span),
         }
     }
 
-    fn check_intrinsic(&mut self, intr: Intrinsic, args: &[Expr], span: Span) -> Type {
-        let arg_tys: Vec<Type> = args.iter().map(|a| self.check_expr(a)).collect();
+    /// `arg_tys` are the types of `args`, already checked.
+    fn check_intrinsic(
+        &mut self,
+        intr: Intrinsic,
+        args: ExprRange,
+        arg_tys: &[Type],
+        span: Span,
+    ) -> Type {
         let arity_err = |ck: &mut Self, want: usize| {
             ck.diags.error(
                 "arity-mismatch",
@@ -681,7 +755,7 @@ impl<'a> Checker<'a> {
                     self.diags.error(
                         "type-mismatch",
                         format!("`sqrt` requires float, found {}", arg_tys[0]),
-                        args[0].span,
+                        self.span_of(args.get(0)),
                     );
                 }
                 Type::Float
@@ -695,7 +769,7 @@ impl<'a> Checker<'a> {
                     self.diags.error(
                         "type-mismatch",
                         format!("`abs` requires a numeric argument, found {}", arg_tys[0]),
-                        args[0].span,
+                        self.span_of(args.get(0)),
                     );
                     return Type::Int;
                 }
@@ -728,7 +802,7 @@ impl<'a> Checker<'a> {
                     self.diags.error(
                         "type-mismatch",
                         format!("`int_of` requires float, found {}", arg_tys[0]),
-                        args[0].span,
+                        self.span_of(args.get(0)),
                     );
                 }
                 Type::Int
@@ -740,7 +814,7 @@ impl<'a> Checker<'a> {
                     self.diags.error(
                         "type-mismatch",
                         format!("`float_of` requires int, found {}", arg_tys[0]),
-                        args[0].span,
+                        self.span_of(args.get(0)),
                     );
                 }
                 Type::Float
@@ -754,7 +828,7 @@ impl<'a> Checker<'a> {
                     self.diags.error(
                         "type-mismatch",
                         format!("array length must be int, found {}", arg_tys[0]),
-                        args[0].span,
+                        self.span_of(args.get(0)),
                     );
                 }
                 match Type::array_of(arg_tys[1]) {
@@ -763,7 +837,7 @@ impl<'a> Checker<'a> {
                         self.diags.error(
                             "type-mismatch",
                             format!("array elements must be int or float, found {}", arg_tys[1]),
-                            args[1].span,
+                            self.span_of(args.get(1)),
                         );
                         Type::ArrayInt
                     }
@@ -776,7 +850,7 @@ impl<'a> Checker<'a> {
                     self.diags.error(
                         "type-mismatch",
                         format!("`len` requires an array, found {}", arg_tys[0]),
-                        args[0].span,
+                        self.span_of(args.get(0)),
                     );
                 }
                 Type::Int
@@ -785,7 +859,7 @@ impl<'a> Checker<'a> {
     }
 
     fn check_mpi(&mut self, op: &MpiOp, span: Span) -> Type {
-        match op {
+        match *op {
             MpiOp::Init | MpiOp::InitThread { .. } | MpiOp::Finalize => Type::Void,
             MpiOp::Send {
                 value,
@@ -798,7 +872,7 @@ impl<'a> Checker<'a> {
                     self.diags.error(
                         "type-mismatch",
                         format!("MPI_Send value must be numeric, found {vt}"),
-                        value.span,
+                        self.span_of(value),
                     );
                 }
                 self.expect_ty(dest, Type::Int, "MPI_Send destination");
@@ -840,7 +914,7 @@ impl<'a> Checker<'a> {
                     self.diags.error(
                         "type-mismatch",
                         format!("MPI_Isend value must be numeric, found {vt}"),
-                        value.span,
+                        self.span_of(value),
                     );
                 }
                 self.expect_ty(dest, Type::Int, "MPI_Isend destination");
@@ -865,18 +939,18 @@ impl<'a> Checker<'a> {
                 Type::Float
             }
             MpiOp::Waitall { requests } => {
-                for r in requests {
+                for r in requests.iter() {
                     self.expect_ty(r, Type::Request, "MPI_Waitall request");
                 }
                 Type::Void
             }
             MpiOp::AnySource | MpiOp::AnyTag => Type::Int,
-            MpiOp::Collective(c) => self.check_collective(c, span),
+            MpiOp::Collective(c) => self.check_collective(&c, span),
         }
     }
 
     fn check_collective(&mut self, c: &CollectiveCall, span: Span) -> Type {
-        if let Some(root) = &c.root {
+        if let Some(root) = c.root {
             self.expect_ty(root, Type::Int, "collective root");
         }
         if c.kind.has_reduce_op() && c.reduce_op.is_none() {
@@ -886,10 +960,10 @@ impl<'a> Checker<'a> {
                 span,
             );
         }
-        if let Some(cm) = &c.comm {
+        if let Some(cm) = c.comm {
             self.expect_ty(cm, Type::Comm, "collective communicator");
         }
-        let vt = c.value.as_ref().map(|v| self.check_expr(v));
+        let vt = c.value.map(|v| self.check_expr(v));
         match c.kind {
             CollectiveKind::Barrier => Type::Void,
             CollectiveKind::Bcast => match vt {
@@ -1336,7 +1410,7 @@ mod tests {
             parse_program("fn f(a: int) -> float { return 1.0; } fn main() { }");
         let res = check_program(&prog, &mut diags);
         assert_eq!(
-            res.signatures.get("f"),
+            res.signatures.get(prog.interner.get("f").unwrap()),
             Some(&Signature {
                 params: vec![Type::Int],
                 ret: Type::Float

@@ -146,7 +146,7 @@ fn checks_attached_to_a_regions_end_barrier_still_run() {
     // monothread assert shows it: both members reach it.
     let unit = parse_and_check("t.mh", "fn main() { parallel num_threads(2) { } }").unwrap();
     let mut module = lower_program(&unit.program, &unit.signatures);
-    let end_barrier = module.funcs[0]
+    let end_barrier = std::sync::Arc::make_mut(&mut module.funcs[0])
         .blocks
         .iter_mut()
         .find(|b| {

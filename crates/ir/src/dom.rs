@@ -12,7 +12,7 @@
 //! another — the nodes PARCOACH reports and instruments.
 
 use crate::func::FuncIr;
-use crate::graph::{reachable, reverse_post_order, ReverseCfg};
+use crate::graph::{reachable, reverse_post_order, Preds, ReverseCfg};
 use crate::types::BlockId;
 
 /// Dominator tree over the forward CFG.
@@ -25,15 +25,15 @@ pub struct DomTree {
 }
 
 impl DomTree {
-    /// Compute the dominator tree of `f`.
-    pub fn compute(f: &FuncIr) -> DomTree {
+    /// Compute the dominator tree of `f`, whose predecessor table is
+    /// `preds` ([`FuncIr::predecessors`]).
+    pub fn compute(f: &FuncIr, preds: &Preds) -> DomTree {
         let n = f.block_count();
         let rpo = reverse_post_order(f);
         let mut rpo_pos = vec![usize::MAX; n];
         for (i, b) in rpo.iter().enumerate() {
             rpo_pos[b.index()] = i;
         }
-        let preds = f.predecessors();
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         idom[f.entry.index()] = Some(f.entry);
         let mut changed = true;
@@ -94,9 +94,8 @@ impl DomTree {
     ///
     /// `DF(b)` = blocks `j` with a predecessor dominated by `b` (or equal
     /// to `b`) where `b` itself does not strictly dominate `j`.
-    pub fn dominance_frontier(&self, f: &FuncIr) -> Vec<Vec<BlockId>> {
+    pub fn dominance_frontier(&self, f: &FuncIr, preds: &Preds) -> Vec<Vec<BlockId>> {
         let n = f.block_count();
-        let preds = f.predecessors();
         let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); n];
         for b in f.block_ids() {
             if preds[b.index()].len() >= 2 {
@@ -155,9 +154,10 @@ pub struct PostDomTree {
 }
 
 impl PostDomTree {
-    /// Compute the post-dominator tree of `f`.
-    pub fn compute(f: &FuncIr) -> PostDomTree {
-        let rcfg = ReverseCfg::build(f);
+    /// Compute the post-dominator tree of `f`, whose predecessor table
+    /// is `preds` ([`FuncIr::predecessors`]).
+    pub fn compute(f: &FuncIr, preds: &Preds) -> PostDomTree {
+        let rcfg = ReverseCfg::build(f, preds);
         let n = rcfg.virtual_exit + 1;
         // RPO on the reverse graph starting at the virtual exit.
         let mut state = vec![0u8; n];
@@ -166,7 +166,8 @@ impl PostDomTree {
         state[rcfg.virtual_exit] = 1;
         stack.push((rcfg.virtual_exit, 0));
         while let Some(&mut (v, ref mut cursor)) = stack.last_mut() {
-            if let Some(&s) = rcfg.succs[v].get(*cursor) {
+            if let Some(s) = rcfg.succs(v).get(*cursor) {
+                let s = s.index();
                 *cursor += 1;
                 if state[s] == 0 {
                     state[s] = 1;
@@ -190,8 +191,12 @@ impl PostDomTree {
         while changed {
             changed = false;
             for &b in rpo.iter().skip(1) {
+                // `b`'s predecessors in the reverse graph: its successors,
+                // and the virtual exit where it is attached to it.
+                let block = BlockId(b as u32);
                 let mut new_idom: Option<usize> = None;
-                for &p in &rcfg.preds[b] {
+                let to_exit = rcfg.exits(block).then_some(rcfg.virtual_exit);
+                for p in f.successors(block).iter().map(|s| s.index()).chain(to_exit) {
                     if ipdom[p].is_none() {
                         continue;
                     }
@@ -435,7 +440,7 @@ mod tests {
     fn diamond_dominators() {
         // 0 → {1,2} → 3
         let f = func_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let dt = DomTree::compute(&f);
+        let dt = DomTree::compute(&f, &f.predecessors());
         assert_eq!(dt.idom(BlockId(0)), None);
         assert_eq!(dt.idom(BlockId(1)), Some(BlockId(0)));
         assert_eq!(dt.idom(BlockId(2)), Some(BlockId(0)));
@@ -449,7 +454,7 @@ mod tests {
     fn loop_dominators() {
         // 0 → 1 → 2 → 1, 2 → 3
         let f = func_from_edges(4, &[(0, 1), (1, 2), (2, 1), (2, 3)]);
-        let dt = DomTree::compute(&f);
+        let dt = DomTree::compute(&f, &f.predecessors());
         assert_eq!(dt.idom(BlockId(1)), Some(BlockId(0)));
         assert_eq!(dt.idom(BlockId(2)), Some(BlockId(1)));
         assert_eq!(dt.idom(BlockId(3)), Some(BlockId(2)));
@@ -461,7 +466,7 @@ mod tests {
         // with ≤2 successors per node:
         // 0→1, 0→2, 1→2... need 1→{2,3}, 2→{1,3}.
         let f = func_from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]);
-        let dt = DomTree::compute(&f);
+        let dt = DomTree::compute(&f, &f.predecessors());
         let naive = naive_dominators(&f);
         for a in f.block_ids() {
             for b in f.block_ids() {
@@ -477,7 +482,7 @@ mod tests {
     #[test]
     fn postdom_diamond() {
         let f = func_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let pdt = PostDomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f, &f.predecessors());
         assert_eq!(pdt.ipdom(BlockId(0)), Some(BlockId(3)));
         assert_eq!(pdt.ipdom(BlockId(1)), Some(BlockId(3)));
         assert_eq!(pdt.ipdom(BlockId(2)), Some(BlockId(3)));
@@ -490,7 +495,7 @@ mod tests {
     fn postdom_multiple_exits() {
         // 0 → {1,2}; both return: neither post-dominates 0.
         let f = func_from_edges(3, &[(0, 1), (0, 2)]);
-        let pdt = PostDomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f, &f.predecessors());
         assert_eq!(pdt.ipdom(BlockId(0)), None);
         assert!(!pdt.post_dominates(BlockId(1), BlockId(0)));
     }
@@ -499,7 +504,7 @@ mod tests {
     fn pdf_of_branch_arm() {
         // 0 → {1,2} → 3; PDF(1) = {0}, PDF(2) = {0}, PDF(3) = {}.
         let f = func_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let pdt = PostDomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f, &f.predecessors());
         let pdf = pdt.frontier(&f);
         assert_eq!(pdf[1], vec![BlockId(0)]);
         assert_eq!(pdf[2], vec![BlockId(0)]);
@@ -512,7 +517,7 @@ mod tests {
         // 0 → {1, 5}; 1 → {2, 3}; 2 → 4; 3 → 4; 4 → 5
         // A block set {2} should iterate: PDF(2)={1}, PDF(1)={0} ⇒ {0,1}.
         let f = func_from_edges(6, &[(0, 1), (0, 5), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]);
-        let pdt = PostDomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f, &f.predecessors());
         let ipdf = pdt.iterated_frontier(&f, &[BlockId(2)]);
         assert_eq!(ipdf, vec![BlockId(0), BlockId(1)]);
     }
@@ -522,7 +527,7 @@ mod tests {
         // A node on every path (e.g. the join) has empty PDF+: no
         // conditional controls whether it executes.
         let f = func_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let pdt = PostDomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f, &f.predecessors());
         let ipdf = pdt.iterated_frontier(&f, &[BlockId(3)]);
         assert!(ipdf.is_empty());
     }
@@ -533,7 +538,7 @@ mod tests {
         // The loop head controls how many times the body runs: PDF+(2)
         // must contain 1.
         let f = func_from_edges(4, &[(0, 1), (1, 2), (1, 3), (2, 1)]);
-        let pdt = PostDomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f, &f.predecessors());
         let ipdf = pdt.iterated_frontier(&f, &[BlockId(2)]);
         assert!(
             ipdf.contains(&BlockId(1)),
@@ -544,8 +549,8 @@ mod tests {
     #[test]
     fn dominance_frontier_diamond() {
         let f = func_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let dt = DomTree::compute(&f);
-        let df = dt.dominance_frontier(&f);
+        let dt = DomTree::compute(&f, &f.predecessors());
+        let df = dt.dominance_frontier(&f, &f.predecessors());
         assert_eq!(df[1], vec![BlockId(3)]);
         assert_eq!(df[2], vec![BlockId(3)]);
         assert!(df[0].is_empty());
@@ -569,7 +574,7 @@ mod tests {
                 (6, 5),
             ],
         );
-        let pdt = PostDomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f, &f.predecessors());
         let pdf = pdt.frontier(&f);
         let mut engine = IpdfEngine::new(&pdf);
         let sets: Vec<Vec<BlockId>> = vec![
@@ -595,7 +600,7 @@ mod tests {
     fn postdom_handles_infinite_loop() {
         // 0 → 1 → 2 → 1: terminal cycle with no return.
         let f = func_from_edges(3, &[(0, 1), (1, 2), (2, 1)]);
-        let pdt = PostDomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f, &f.predecessors());
         // Must not panic / loop; reachable nodes participate.
         let _ = pdt.frontier(&f);
         let _ = pdt.iterated_frontier(&f, &[BlockId(2)]);

@@ -116,7 +116,7 @@ mod tests {
         let pad = "          \n"; // 11 bytes of leading trivia
         let m0 = lower_one(src);
         let m1 = lower_one(&format!("{pad}{src}"));
-        let mut shifted = m0.funcs[0].clone();
+        let mut shifted = FuncIr::clone(&m0.funcs[0]);
         shift_spans(&mut shifted, pad.len() as i64);
         assert_eq!(format!("{shifted:?}"), format!("{:?}", m1.funcs[0]));
         shift_spans(&mut shifted, -(pad.len() as i64));
@@ -129,7 +129,7 @@ mod tests {
     fn dummy_spans_survive_shift() {
         let src = "fn main() { parallel num_threads(2) { single { MPI_Barrier(); } } }";
         let m = lower_one(src);
-        let mut f = m.funcs[0].clone();
+        let mut f = FuncIr::clone(&m.funcs[0]);
         shift_spans(&mut f, 1000);
         let count_dummy = |f: &FuncIr| {
             f.blocks

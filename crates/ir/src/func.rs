@@ -1,11 +1,13 @@
 //! Function-level IR containers: basic blocks, functions, modules.
 
-use crate::instr::{BlockKind, Directive, Instr, Terminator};
+use crate::graph::Preds;
+use crate::instr::{BlockKind, Directive, Instr, Successors, Terminator};
 use crate::types::{BlockId, Reg, RegionId, Value};
 use parcoach_front::ast::Type;
 use parcoach_front::span::Span;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A basic block: a kind (normal or directive), straight-line
 /// instructions, and one terminator.
@@ -118,19 +120,13 @@ impl FuncIr {
     }
 
     /// Successors of a block (from its terminator).
-    pub fn successors(&self, id: BlockId) -> Vec<BlockId> {
+    pub fn successors(&self, id: BlockId) -> Successors {
         self.block(id).term.successors()
     }
 
     /// Predecessor table for the whole function.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for (id, b) in self.iter_blocks() {
-            for s in b.term.successors() {
-                preds[s.index()].push(id);
-            }
-        }
-        preds
+    pub fn predecessors(&self) -> Preds {
+        Preds::build(self)
     }
 
     /// Blocks that end in `Return`.
@@ -217,12 +213,17 @@ impl FuncIr {
 }
 
 /// A lowered module: all functions of a program.
+///
+/// A module *shares* its functions: cloning one copies a vector of
+/// pointers, and a pass that rewrites some functions
+/// ([`Arc::make_mut`], [`Module::func_mut`]) copies exactly those — the
+/// rest stay the very allocations of the module it started from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     /// Functions in definition order.
-    pub funcs: Vec<FuncIr>,
+    pub funcs: Vec<Arc<FuncIr>>,
     /// Name → index into `funcs`.
-    pub by_name: HashMap<String, usize>,
+    pub by_name: Arc<HashMap<String, usize>>,
 }
 
 impl Module {
@@ -233,18 +234,22 @@ impl Module {
             .enumerate()
             .map(|(i, f)| (f.name.clone(), i))
             .collect();
-        Module { funcs, by_name }
+        Module {
+            funcs: funcs.into_iter().map(Arc::new).collect(),
+            by_name: Arc::new(by_name),
+        }
     }
 
     /// Find a function by name.
     pub fn func(&self, name: &str) -> Option<&FuncIr> {
-        self.by_name.get(name).map(|&i| &self.funcs[i])
+        self.by_name.get(name).map(|&i| &*self.funcs[i])
     }
 
-    /// Mutable lookup by name.
+    /// Mutable lookup by name; un-shares the function if another
+    /// module still holds it.
     pub fn func_mut(&mut self, name: &str) -> Option<&mut FuncIr> {
         let i = *self.by_name.get(name)?;
-        Some(&mut self.funcs[i])
+        Some(Arc::make_mut(&mut self.funcs[i]))
     }
 
     /// The entry function.

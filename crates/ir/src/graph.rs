@@ -1,8 +1,56 @@
-//! Small graph utilities over the CFG: reachability, traversal orders,
-//! and a reverse-graph view used by the post-dominance machinery.
+//! Small graph utilities over the CFG: the predecessor table,
+//! reachability, traversal orders, and a reverse-graph view used by the
+//! post-dominance machinery.
 
 use crate::func::FuncIr;
 use crate::types::BlockId;
+
+/// Predecessor lists of every block in one compressed-sparse-row table:
+/// `preds[b.index()]` is a slice of `edges`. Built once per function
+/// ([`FuncIr::predecessors`]) and shared by the dominator tree, the
+/// post-dominator tree and loop detection.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Preds {
+    /// `offsets[b]..offsets[b + 1]` delimits block `b`'s row.
+    offsets: Vec<u32>,
+    /// All predecessor ids, rows back to back; within a row in block
+    /// order of the predecessor (and successor order for a double edge).
+    edges: Vec<BlockId>,
+}
+
+impl Preds {
+    /// The predecessor table of `f`. Terminator targets must be in
+    /// range (the verifier checks that first).
+    pub(crate) fn build(f: &FuncIr) -> Preds {
+        let n = f.block_count();
+        let mut offsets = vec![0u32; n + 1];
+        for b in &f.blocks {
+            for s in b.term.successors() {
+                offsets[s.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut edges = vec![BlockId(0); offsets[n] as usize];
+        let mut fill = offsets.clone();
+        for (id, b) in f.iter_blocks() {
+            for s in b.term.successors() {
+                edges[fill[s.index()] as usize] = id;
+                fill[s.index()] += 1;
+            }
+        }
+        Preds { offsets, edges }
+    }
+}
+
+impl std::ops::Index<usize> for Preds {
+    type Output = [BlockId];
+
+    fn index(&self, block: usize) -> &[BlockId] {
+        &self.edges[self.offsets[block] as usize..self.offsets[block + 1] as usize]
+    }
+}
 
 /// Blocks reachable from the entry, as a dense bool table.
 pub fn reachable(f: &FuncIr) -> Vec<bool> {
@@ -29,14 +77,12 @@ pub fn reverse_post_order(f: &FuncIr) -> Vec<BlockId> {
     let n = f.block_count();
     let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
     let mut post = Vec::with_capacity(n);
-    // Iterative DFS keeping an explicit successor cursor per frame;
-    // `Terminator::successor` serves edges by index so no frame
-    // allocates a successor list.
+    // Iterative DFS keeping an explicit successor cursor per frame.
     let mut stack: Vec<(BlockId, usize)> = Vec::new();
     state[f.entry.index()] = 1;
     stack.push((f.entry, 0));
     while let Some((b, cursor)) = stack.last_mut() {
-        if let Some(s) = f.block(*b).term.successor(*cursor) {
+        if let Some(&s) = f.successors(*b).get(*cursor) {
             *cursor += 1;
             if state[s.index()] == 0 {
                 state[s.index()] = 1;
@@ -59,90 +105,90 @@ pub fn post_order(f: &FuncIr) -> Vec<BlockId> {
     rpo
 }
 
-/// An explicit reverse view of the CFG with a *virtual exit node*.
+/// A reverse view of the CFG with a *virtual exit node*.
 ///
 /// Post-dominance is dominance on the reverse CFG. Real functions may
 /// have several `Return` blocks, and blocks on infinite loops may not
 /// reach any return at all; the virtual exit is a fresh node that every
 /// return block (and, to keep the analysis total, every reachable
 /// terminal cycle) points to.
+///
+/// The view stores only the edges into the virtual exit: a block's
+/// reverse successors are its row of the function's [`Preds`] table,
+/// its reverse predecessors its terminator's successors.
 #[derive(Debug)]
-pub struct ReverseCfg {
-    /// Successor lists in the reverse graph (i.e. original predecessors),
-    /// indexed by block, with `virtual_exit` as the last index.
-    pub succs: Vec<Vec<usize>>,
-    /// Predecessor lists in the reverse graph (original successors).
-    pub preds: Vec<Vec<usize>>,
+pub struct ReverseCfg<'a> {
+    preds: &'a Preds,
+    /// Blocks with an edge to the virtual exit, in the order they were
+    /// attached: the returns in block order, then one representative of
+    /// each terminal cycle.
+    exit_preds: Vec<BlockId>,
+    /// Membership of `exit_preds`, by block.
+    to_exit: Vec<bool>,
     /// Index of the virtual exit node (== original block count).
     pub virtual_exit: usize,
 }
 
-impl ReverseCfg {
-    /// Build the reverse view of `f`.
-    pub fn build(f: &FuncIr) -> ReverseCfg {
+impl<'a> ReverseCfg<'a> {
+    /// Build the reverse view of `f` over its predecessor table.
+    pub fn build(f: &FuncIr, preds: &'a Preds) -> ReverseCfg<'a> {
         let n = f.block_count();
-        let virtual_exit = n;
-        let mut fwd_succs: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
+        let mut rcfg = ReverseCfg {
+            preds,
+            exit_preds: Vec::new(),
+            to_exit: vec![false; n],
+            virtual_exit: n,
+        };
+        let mut reaches_exit = vec![false; n];
+        let mut work: Vec<BlockId> = Vec::new();
+        // Return (or Unreachable) → edge to the virtual exit.
         for (id, b) in f.iter_blocks() {
-            let ss = b.term.successors();
-            if ss.is_empty() {
-                // Return (or Unreachable) → edge to the virtual exit.
-                fwd_succs[id.index()].push(virtual_exit);
-            } else {
-                for s in ss {
-                    fwd_succs[id.index()].push(s.index());
-                }
+            if b.term.successors().is_empty() {
+                rcfg.attach(id, &mut reaches_exit, &mut work);
             }
         }
         // Terminal cycles (infinite loops) never reach the exit; attach
-        // one representative node of each such SCC to the exit so every
-        // reachable node participates in post-dominance. We use a simple
-        // "cannot reach exit" sweep.
-        let mut reaches_exit = vec![false; n + 1];
-        reaches_exit[virtual_exit] = true;
-        // Fixpoint: propagate backwards.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for v in 0..n {
-                if !reaches_exit[v] && fwd_succs[v].iter().any(|&s| reaches_exit[s]) {
-                    reaches_exit[v] = true;
-                    changed = true;
-                }
-            }
-        }
+        // the lowest-numbered block of each to the exit so every
+        // reachable node participates in post-dominance.
         let reach = reachable(f);
-        for v in 0..n {
-            if reach[v] && !reaches_exit[v] {
-                // Part of (or trapped behind) a terminal cycle: wire it to
-                // the exit and re-propagate lazily.
-                fwd_succs[v].push(virtual_exit);
-                let mut changed = true;
-                while changed {
-                    changed = false;
-                    for u in 0..n {
-                        if !reaches_exit[u] && fwd_succs[u].iter().any(|&s| reaches_exit[s]) {
-                            reaches_exit[u] = true;
-                            changed = true;
-                        }
-                    }
+        for v in f.block_ids() {
+            if reach[v.index()] && !reaches_exit[v.index()] {
+                rcfg.attach(v, &mut reaches_exit, &mut work);
+            }
+        }
+        rcfg
+    }
+
+    /// Add the edge `v → virtual exit` and mark everything that reaches
+    /// `v` as reaching the exit.
+    fn attach(&mut self, v: BlockId, reaches_exit: &mut [bool], work: &mut Vec<BlockId>) {
+        self.exit_preds.push(v);
+        self.to_exit[v.index()] = true;
+        reaches_exit[v.index()] = true;
+        work.push(v);
+        while let Some(b) = work.pop() {
+            for &p in &self.preds[b.index()] {
+                if !reaches_exit[p.index()] {
+                    reaches_exit[p.index()] = true;
+                    work.push(p);
                 }
             }
         }
-        // Reverse the edges.
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-        for (v, ss) in fwd_succs.iter().enumerate() {
-            for &s in ss {
-                succs[s].push(v); // reverse edge s → v
-                preds[v].push(s);
-            }
+    }
+
+    /// Successors of node `v` in the reverse graph (original
+    /// predecessors; the blocks attached to it for the virtual exit).
+    pub fn succs(&self, v: usize) -> &[BlockId] {
+        if v == self.virtual_exit {
+            &self.exit_preds
+        } else {
+            &self.preds[v]
         }
-        ReverseCfg {
-            succs,
-            preds,
-            virtual_exit,
-        }
+    }
+
+    /// Does block `v` have an edge to the virtual exit?
+    pub fn exits(&self, v: BlockId) -> bool {
+        self.to_exit[v.index()]
     }
 }
 
@@ -236,23 +282,23 @@ mod tests {
     fn reverse_cfg_virtual_exit() {
         // Two exits: 0 → {1,2}; both return.
         let f = func_from_edges(3, &[(0, 1), (0, 2)]);
-        let r = ReverseCfg::build(&f);
+        let preds = f.predecessors();
+        let r = ReverseCfg::build(&f, &preds);
         assert_eq!(r.virtual_exit, 3);
         // Virtual exit's reverse-successors are the returns.
-        let mut exits = r.succs[r.virtual_exit].clone();
-        exits.sort_unstable();
-        assert_eq!(exits, vec![1, 2]);
+        assert_eq!(r.succs(r.virtual_exit), [BlockId(1), BlockId(2)]);
     }
 
     #[test]
     fn reverse_cfg_infinite_loop_connected() {
         // 0 → 1 → 2 → 1 (no exit from the loop)
         let f = func_from_edges(3, &[(0, 1), (1, 2), (2, 1)]);
-        let r = ReverseCfg::build(&f);
+        let preds = f.predecessors();
+        let r = ReverseCfg::build(&f, &preds);
         // Some loop node must be wired to the virtual exit so the whole
         // graph participates in post-dominance.
         assert!(
-            !r.succs[r.virtual_exit].is_empty(),
+            !r.succs(r.virtual_exit).is_empty(),
             "virtual exit must have at least one incoming node"
         );
     }

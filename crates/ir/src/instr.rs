@@ -6,7 +6,7 @@
 //! barriers get their own explicit nodes ([`Directive::Barrier`] with
 //! `implicit = true`).
 
-use crate::types::{Reg, RegionId, Value};
+use crate::types::{BlockId, Reg, RegionId, Value};
 use parcoach_front::ast::{BinOp, CollectiveKind, Intrinsic, ReduceOp, ThreadLevel, Type, UnOp};
 use parcoach_front::span::Span;
 use std::fmt;
@@ -602,15 +602,15 @@ impl BlockKind {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Terminator {
     /// Unconditional jump.
-    Goto(crate::types::BlockId),
+    Goto(BlockId),
     /// Two-way conditional branch.
     Branch {
         /// Condition operand (bool).
         cond: Value,
         /// Target when true.
-        then_bb: crate::types::BlockId,
+        then_bb: BlockId,
         /// Target when false.
-        else_bb: crate::types::BlockId,
+        else_bb: BlockId,
         /// Span of the controlling condition — PARCOACH warnings point
         /// at this.
         span: Span,
@@ -626,28 +626,53 @@ pub enum Terminator {
     Unreachable,
 }
 
+/// The successors of a terminator: at most two block ids, held inline.
+/// Derefs to `[BlockId]` and iterates by value, so CFG walks ask for
+/// successors without allocating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Successors {
+    ids: [BlockId; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.ids[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.ids.into_iter().take(self.len as usize)
+    }
+}
+
+impl<'a> IntoIterator for &'a Successors {
+    type Item = &'a BlockId;
+    type IntoIter = std::slice::Iter<'a, BlockId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 impl Terminator {
     /// Successor block ids (empty for returns).
-    pub fn successors(&self) -> Vec<crate::types::BlockId> {
-        match self {
-            Terminator::Goto(t) => vec![*t],
+    pub fn successors(&self) -> Successors {
+        let none = BlockId(0);
+        let (ids, len) = match self {
+            Terminator::Goto(t) => ([*t, none], 1),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Return { .. } | Terminator::Unreachable => vec![],
-        }
-    }
-
-    /// The `i`-th successor, without allocating (a terminator has at
-    /// most two). `None` once `i` runs past the out-degree — the shape
-    /// CFG walks want for an explicit-cursor DFS.
-    pub fn successor(&self, i: usize) -> Option<crate::types::BlockId> {
-        match (self, i) {
-            (Terminator::Goto(t), 0) => Some(*t),
-            (Terminator::Branch { then_bb, .. }, 0) => Some(*then_bb),
-            (Terminator::Branch { else_bb, .. }, 1) => Some(*else_bb),
-            _ => None,
-        }
+            } => ([*then_bb, *else_bb], 2),
+            Terminator::Return { .. } | Terminator::Unreachable => ([none, none], 0),
+        };
+        Successors { ids, len }
     }
 }
 
@@ -671,18 +696,17 @@ impl fmt::Display for Terminator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::BlockId;
 
     #[test]
     fn terminator_successors() {
-        assert_eq!(Terminator::Goto(BlockId(3)).successors(), vec![BlockId(3)]);
+        assert_eq!(*Terminator::Goto(BlockId(3)).successors(), [BlockId(3)]);
         let br = Terminator::Branch {
             cond: Value::bool(true),
             then_bb: BlockId(1),
             else_bb: BlockId(2),
             span: Span::DUMMY,
         };
-        assert_eq!(br.successors(), vec![BlockId(1), BlockId(2)]);
+        assert_eq!(*br.successors(), [BlockId(1), BlockId(2)]);
         assert!(Terminator::Return {
             value: None,
             span: Span::DUMMY

@@ -20,7 +20,7 @@
 //!     .expect("valid");
 //! let module = lower_program(&unit.program, &unit.signatures);
 //! let main = module.main().unwrap();
-//! let pdt = PostDomTree::compute(main);
+//! let pdt = PostDomTree::compute(main, &main.predecessors());
 //! let collectives = main.collective_blocks();
 //! // The conditional on rank() shows up in the iterated PDF:
 //! assert!(!pdt.iterated_frontier(main, &collectives).is_empty());

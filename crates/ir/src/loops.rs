@@ -7,6 +7,7 @@
 
 use crate::dom::DomTree;
 use crate::func::FuncIr;
+use crate::graph::Preds;
 use crate::types::BlockId;
 
 /// One natural loop: the header plus every block of its body.
@@ -35,42 +36,40 @@ pub struct LoopInfo {
 
 impl LoopInfo {
     /// Find back edges (`tail → header` where `header` dominates `tail`)
-    /// and collect natural loops.
-    pub fn compute(f: &FuncIr, dom: &DomTree) -> LoopInfo {
-        let preds = f.predecessors();
-        let mut by_header: std::collections::HashMap<BlockId, Vec<BlockId>> =
-            std::collections::HashMap::new();
+    /// and collect natural loops. `preds` is `f`'s predecessor table.
+    pub fn compute(f: &FuncIr, dom: &DomTree, preds: &Preds) -> LoopInfo {
+        let mut back_edges: Vec<(BlockId, BlockId)> = Vec::new(); // (header, tail)
         for (id, b) in f.iter_blocks() {
             for s in b.term.successors() {
                 if dom.dominates(s, id) {
-                    by_header.entry(s).or_default().push(id);
+                    back_edges.push((s, id));
                 }
             }
         }
+        back_edges.sort_unstable();
         let mut loops = Vec::new();
-        for (header, tails) in by_header {
+        let mut in_loop = vec![false; f.block_count()];
+        let mut stack: Vec<BlockId> = Vec::new();
+        for edges in back_edges.chunk_by(|a, b| a.0 == b.0) {
             // Standard natural-loop body collection: walk predecessors
             // backwards from each tail until the header.
-            let mut in_loop = std::collections::HashSet::new();
-            in_loop.insert(header);
-            let mut stack: Vec<BlockId> = Vec::new();
-            for &t in &tails {
-                if in_loop.insert(t) {
-                    stack.push(t);
-                }
-            }
+            let header = edges[0].0;
+            let mut blocks = vec![header];
+            in_loop[header.index()] = true;
+            stack.extend(edges.iter().map(|&(_, tail)| tail));
             while let Some(b) = stack.pop() {
-                for &p in &preds[b.index()] {
-                    if in_loop.insert(p) {
-                        stack.push(p);
-                    }
+                if !in_loop[b.index()] {
+                    in_loop[b.index()] = true;
+                    blocks.push(b);
+                    stack.extend_from_slice(&preds[b.index()]);
                 }
             }
-            let mut blocks: Vec<BlockId> = in_loop.into_iter().collect();
+            for b in &blocks {
+                in_loop[b.index()] = false;
+            }
             blocks.sort_unstable();
             loops.push(NaturalLoop { header, blocks });
         }
-        loops.sort_by_key(|l| l.header);
         LoopInfo { loops }
     }
 
@@ -97,8 +96,8 @@ mod tests {
     fn simple_while_loop() {
         // 0 → 1(head) → {2(body), 3}; 2 → 1
         let f = func_from_edges(4, &[(0, 1), (1, 2), (1, 3), (2, 1)]);
-        let dom = DomTree::compute(&f);
-        let li = LoopInfo::compute(&f, &dom);
+        let dom = DomTree::compute(&f, &f.predecessors());
+        let li = LoopInfo::compute(&f, &dom, &f.predecessors());
         assert_eq!(li.loops.len(), 1);
         let l = &li.loops[0];
         assert_eq!(l.header, BlockId(1));
@@ -113,8 +112,8 @@ mod tests {
         // 0→1, 1→2, 2→3, 3→2 (inner back), 3→4, 4→1 (outer back), 4→5...
         // max 2 succ per node: 3 → {2,4}, 4 → {1,5}
         let f = func_from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 2), (3, 4), (4, 1), (4, 5)]);
-        let dom = DomTree::compute(&f);
-        let li = LoopInfo::compute(&f, &dom);
+        let dom = DomTree::compute(&f, &f.predecessors());
+        let li = LoopInfo::compute(&f, &dom, &f.predecessors());
         assert_eq!(li.loops.len(), 2);
         let inner = li
             .loops
@@ -136,8 +135,8 @@ mod tests {
     #[test]
     fn no_loops_in_dag() {
         let f = func_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let dom = DomTree::compute(&f);
-        let li = LoopInfo::compute(&f, &dom);
+        let dom = DomTree::compute(&f, &f.predecessors());
+        let li = LoopInfo::compute(&f, &dom, &f.predecessors());
         assert!(li.loops.is_empty());
     }
 
@@ -145,8 +144,8 @@ mod tests {
     fn self_loop() {
         // 1 → 1
         let f = func_from_edges(3, &[(0, 1), (1, 1), (1, 2)]);
-        let dom = DomTree::compute(&f);
-        let li = LoopInfo::compute(&f, &dom);
+        let dom = DomTree::compute(&f, &f.predecessors());
+        let li = LoopInfo::compute(&f, &dom, &f.predecessors());
         assert_eq!(li.loops.len(), 1);
         assert_eq!(li.loops[0].blocks, vec![BlockId(1)]);
     }

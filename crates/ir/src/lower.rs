@@ -17,30 +17,28 @@ use crate::func::{BasicBlock, FuncIr, Module};
 use crate::instr::{BlockKind, Directive, Instr, MpiIr, Terminator, WorkshareKind};
 use crate::types::{BlockId, Reg, RegionId, Value};
 use parcoach_front::ast::{
-    BinOp, Block, Expr, ExprKind, Function, Intrinsic, LValue, MpiOp, OmpStmt, Program, Stmt,
-    StmtKind, Type, UnOp,
+    BinOp, Block, Expr, ExprId, ExprKind, Function, Ident, Intrinsic, LValue, MpiOp, OmpStmt,
+    Program, Stmt, StmtKind, Type, UnOp,
 };
 use parcoach_front::scope::ScopeStack;
-use parcoach_front::sema::Signature;
+use parcoach_front::sema::Signatures;
 use parcoach_front::span::Span;
-use std::collections::HashMap;
+use parcoach_front::symbol::Interner;
 
 /// Lower a full checked program to IR.
-pub fn lower_program(prog: &Program, sigs: &HashMap<String, Signature>) -> Module {
-    let funcs = prog
-        .functions
-        .iter()
-        .map(|f| Lowerer::new(f, sigs).run())
-        .collect();
+pub fn lower_program(prog: &Program, sigs: &Signatures) -> Module {
+    let mut lowerer = Lowerer::new(&prog.interner, sigs);
+    let funcs = prog.functions.iter().map(|f| lowerer.run(f)).collect();
     Module::new(funcs)
 }
 
-/// Lower a single checked function against a full signature table. The
+/// Lower a single checked function against a full signature table;
+/// `interner` is the one `f`'s and the table's symbols belong to. The
 /// incremental session (`parcoachd` edits) re-lowers only the edited
 /// function; the result is bit-identical to the corresponding entry of
 /// [`lower_program`] because lowering is per-function pure.
-pub fn lower_function(f: &Function, sigs: &HashMap<String, Signature>) -> FuncIr {
-    Lowerer::new(f, sigs).run()
+pub fn lower_function(f: &Function, interner: &Interner, sigs: &Signatures) -> FuncIr {
+    Lowerer::new(interner, sigs).run(f)
 }
 
 struct LoopTargets {
@@ -48,25 +46,32 @@ struct LoopTargets {
     break_bb: BlockId,
 }
 
+/// Lowers the functions of one program, one after the other. The
+/// vectors a function grows in are the lowerer's: they keep their
+/// capacity from function to function, and each finished function gets
+/// copies of exactly its final size.
 struct Lowerer<'a> {
-    src: &'a Function,
-    sigs: &'a HashMap<String, Signature>,
+    interner: &'a Interner,
+    sigs: &'a Signatures,
+    /// The arena of the function being lowered.
+    exprs: &'a [Expr],
     blocks: Vec<BasicBlock>,
     reg_types: Vec<Type>,
     reg_names: Vec<Option<String>>,
-    /// Registers of the variables in scope; names borrowed from the AST.
-    scopes: ScopeStack<'a, Reg>,
+    /// Registers of the variables in scope.
+    scopes: ScopeStack<Reg>,
     cur: BlockId,
     regions: u32,
     loops: Vec<LoopTargets>,
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(src: &'a Function, sigs: &'a HashMap<String, Signature>) -> Self {
+    fn new(interner: &'a Interner, sigs: &'a Signatures) -> Self {
         Lowerer {
-            src,
+            interner,
             sigs,
-            blocks: vec![BasicBlock::new()],
+            exprs: &[],
+            blocks: Vec::new(),
             reg_types: Vec::new(),
             reg_names: Vec::new(),
             scopes: ScopeStack::new(),
@@ -76,12 +81,15 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn run(mut self) -> FuncIr {
-        let mut params = Vec::new();
-        let src = self.src;
+    fn run(&mut self, src: &'a Function) -> FuncIr {
+        self.exprs = &src.exprs;
+        self.blocks.push(BasicBlock::new());
+        self.cur = BlockId(0);
+        self.regions = 0;
+        let mut params = Vec::with_capacity(src.params.len());
         for p in &src.params {
-            let r = self.fresh_named(p.ty, &p.name.name);
-            self.scopes.declare(&p.name.name, r);
+            let r = self.fresh_named(p.ty, p.name);
+            self.scopes.declare(p.name.sym, r);
             params.push(r);
         }
         self.blocks[0].span = src.span;
@@ -90,19 +98,20 @@ impl<'a> Lowerer<'a> {
         if matches!(self.blocks[self.cur.index()].term, Terminator::Unreachable) {
             self.blocks[self.cur.index()].term = Terminator::Return {
                 value: None,
-                span: self.src.span,
+                span: src.span,
             };
         }
+        self.scopes.clear();
         FuncIr {
-            name: self.src.name.name.clone(),
+            name: self.interner.resolve(src.name.sym).to_string(),
             params,
-            ret: self.src.ret,
-            reg_types: self.reg_types,
-            reg_names: self.reg_names,
-            blocks: self.blocks,
+            ret: src.ret,
+            reg_types: self.reg_types.drain(..).collect(),
+            reg_names: self.reg_names.drain(..).collect(),
+            blocks: self.blocks.drain(..).collect(),
             entry: BlockId(0),
             region_count: self.regions,
-            span: self.src.span,
+            span: src.span,
         }
     }
 
@@ -115,9 +124,9 @@ impl<'a> Lowerer<'a> {
         r
     }
 
-    fn fresh_named(&mut self, ty: Type, name: &str) -> Reg {
+    fn fresh_named(&mut self, ty: Type, name: Ident) -> Reg {
         let r = self.fresh(ty);
-        self.reg_names[r.index()] = Some(name.to_string());
+        self.reg_names[r.index()] = Some(self.interner.resolve(name.sym).to_string());
         r
     }
 
@@ -166,10 +175,17 @@ impl<'a> Lowerer<'a> {
         !matches!(self.blocks[self.cur.index()].term, Terminator::Unreachable)
     }
 
-    fn lookup(&self, name: &str) -> Reg {
-        self.scopes
-            .lookup(name)
-            .unwrap_or_else(|| panic!("sema guaranteed variable `{name}` exists"))
+    fn lookup(&self, name: Ident) -> Reg {
+        self.scopes.lookup(name.sym).unwrap_or_else(|| {
+            panic!(
+                "sema guaranteed variable `{}` exists",
+                self.interner.resolve(name.sym)
+            )
+        })
+    }
+
+    fn span_of(&self, e: ExprId) -> Span {
+        self.exprs[e.0 as usize].span
     }
 
     // ---- statements -------------------------------------------------------
@@ -187,9 +203,9 @@ impl<'a> Lowerer<'a> {
 
     /// Lower a loop body with its induction variable bound to `iv` in
     /// the body's own scope.
-    fn lower_loop_body(&mut self, var: &'a str, iv: Reg, body: &'a Block) {
+    fn lower_loop_body(&mut self, var: Ident, iv: Reg, body: &'a Block) {
         self.scopes.push();
-        self.scopes.declare(var, iv);
+        self.scopes.declare(var.sym, iv);
         for st in &body.stmts {
             if self.terminated() {
                 break;
@@ -205,21 +221,21 @@ impl<'a> Lowerer<'a> {
         }
         match &s.kind {
             StmtKind::Let { name, ty, init } => {
-                let v = self.lower_expr(init);
+                let v = self.lower_expr(*init);
                 let ty = ty.unwrap_or_else(|| self.value_ty(v));
-                let r = self.fresh_named(ty, &name.name);
+                let r = self.fresh_named(ty, *name);
                 self.emit(Instr::Copy { dest: r, src: v });
-                self.scopes.declare(&name.name, r);
+                self.scopes.declare(name.sym, r);
             }
             StmtKind::Assign { target, value } => {
-                let v = self.lower_expr(value);
-                match target {
+                let v = self.lower_expr(*value);
+                match *target {
                     LValue::Var(id) => {
-                        let r = self.lookup(&id.name);
+                        let r = self.lookup(id);
                         self.emit(Instr::Copy { dest: r, src: v });
                     }
                     LValue::Index(id, idx) => {
-                        let arr = self.lookup(&id.name);
+                        let arr = self.lookup(id);
                         let i = self.lower_expr(idx);
                         self.emit(Instr::Store {
                             arr,
@@ -235,7 +251,7 @@ impl<'a> Lowerer<'a> {
                 then_blk,
                 else_blk,
             } => {
-                let c = self.lower_expr(cond);
+                let c = self.lower_expr(*cond);
                 let then_bb = self.new_block();
                 let join = self.new_block();
                 let else_bb = if else_blk.is_some() {
@@ -247,7 +263,7 @@ impl<'a> Lowerer<'a> {
                     cond: c,
                     then_bb,
                     else_bb,
-                    span: cond.span,
+                    span: self.span_of(*cond),
                 });
                 self.cur = then_bb;
                 self.lower_block(then_blk);
@@ -266,14 +282,14 @@ impl<'a> Lowerer<'a> {
             StmtKind::While { cond, body } => {
                 let head = self.new_block();
                 self.goto(head);
-                let c = self.lower_expr(cond);
+                let c = self.lower_expr(*cond);
                 let body_bb = self.new_block();
                 let exit = self.new_block();
                 self.set_term(Terminator::Branch {
                     cond: c,
                     then_bb: body_bb,
                     else_bb: exit,
-                    span: cond.span,
+                    span: self.span_of(*cond),
                 });
                 self.loops.push(LoopTargets {
                     continue_bb: head,
@@ -288,15 +304,15 @@ impl<'a> Lowerer<'a> {
                 self.cur = exit;
             }
             StmtKind::For { var, lo, hi, body } => {
-                let lo_v = self.lower_expr(lo);
-                let hi_v = self.lower_expr(hi);
+                let lo_v = self.lower_expr(*lo);
+                let hi_v = self.lower_expr(*hi);
                 // Materialize the bound so it is evaluated once.
                 let bound = self.fresh(Type::Int);
                 self.emit(Instr::Copy {
                     dest: bound,
                     src: hi_v,
                 });
-                let iv = self.fresh_named(Type::Int, &var.name);
+                let iv = self.fresh_named(Type::Int, *var);
                 self.emit(Instr::Copy {
                     dest: iv,
                     src: lo_v,
@@ -325,7 +341,7 @@ impl<'a> Lowerer<'a> {
                     break_bb: exit,
                 });
                 self.cur = body_bb;
-                self.lower_loop_body(&var.name, iv, body);
+                self.lower_loop_body(*var, iv, body);
                 if !self.terminated() {
                     self.set_term(Terminator::Goto(incr));
                 }
@@ -342,7 +358,7 @@ impl<'a> Lowerer<'a> {
                 self.cur = exit;
             }
             StmtKind::Return(value) => {
-                let v = value.as_ref().map(|e| self.lower_expr(e));
+                let v = value.map(|e| self.lower_expr(e));
                 self.set_term(Terminator::Return {
                     value: v,
                     span: s.span,
@@ -365,7 +381,7 @@ impl<'a> Lowerer<'a> {
                 self.set_term(Terminator::Goto(target));
             }
             StmtKind::Expr(e) => {
-                self.lower_expr(e);
+                self.lower_expr(*e);
             }
             StmtKind::Print(args) => {
                 let vals = args.iter().map(|a| self.lower_expr(a)).collect();
@@ -391,7 +407,7 @@ impl<'a> Lowerer<'a> {
     fn lower_omp(&mut self, omp: &'a OmpStmt, span: Span) {
         match omp {
             OmpStmt::Parallel { num_threads, body } => {
-                let nt = num_threads.as_ref().map(|e| self.lower_expr(e));
+                let nt = num_threads.map(|e| self.lower_expr(e));
                 let region = self.fresh_region();
                 let pb = self.new_directive_block(
                     Directive::ParallelBegin {
@@ -517,8 +533,8 @@ impl<'a> Lowerer<'a> {
                 hi,
                 body,
             } => {
-                let lo_v = self.lower_expr(lo);
-                let hi_v = self.lower_expr(hi);
+                let lo_v = self.lower_expr(*lo);
+                let hi_v = self.lower_expr(*hi);
                 let region = self.fresh_region();
                 let wb = self.new_directive_block(
                     Directive::WorkshareBegin {
@@ -530,7 +546,7 @@ impl<'a> Lowerer<'a> {
                     span,
                 );
                 self.goto(wb);
-                let iv = self.fresh_named(Type::Int, &var.name);
+                let iv = self.fresh_named(Type::Int, *var);
                 let chunk_end = self.fresh(Type::Int);
                 let pi = self.new_directive_block(
                     Directive::PForInit {
@@ -569,7 +585,7 @@ impl<'a> Lowerer<'a> {
                     break_bb: we,
                 });
                 self.cur = body_bb;
-                self.lower_loop_body(&var.name, iv, body);
+                self.lower_loop_body(*var, iv, body);
                 if !self.terminated() {
                     self.set_term(Terminator::Goto(incr));
                 }
@@ -674,14 +690,15 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn lower_expr(&mut self, e: &Expr) -> Value {
-        match &e.kind {
-            ExprKind::Int(v) => Value::int(*v),
-            ExprKind::Float(v) => Value::Const(crate::types::Const::Float(*v)),
-            ExprKind::Bool(v) => Value::bool(*v),
-            ExprKind::Var(id) => Value::Reg(self.lookup(&id.name)),
+    fn lower_expr(&mut self, e: ExprId) -> Value {
+        let e = self.exprs[e.0 as usize];
+        match e.kind {
+            ExprKind::Int(v) => Value::int(v),
+            ExprKind::Float(v) => Value::Const(crate::types::Const::Float(v)),
+            ExprKind::Bool(v) => Value::bool(v),
+            ExprKind::Var(id) => Value::Reg(self.lookup(id)),
             ExprKind::Index(id, idx) => {
-                let arr = self.lookup(&id.name);
+                let arr = self.lookup(id);
                 let i = self.lower_expr(idx);
                 let elem = self.reg_types[arr.index()]
                     .elem()
@@ -702,11 +719,7 @@ impl<'a> Lowerer<'a> {
                     UnOp::Not => Type::Bool,
                 };
                 let dest = self.fresh(ty);
-                self.emit(Instr::Unary {
-                    dest,
-                    op: *op,
-                    src: v,
-                });
+                self.emit(Instr::Unary { dest, op, src: v });
                 dest.into()
             }
             ExprKind::Binary(op @ (BinOp::And | BinOp::Or), l, r) => {
@@ -751,7 +764,7 @@ impl<'a> Lowerer<'a> {
                 let dest = self.fresh(ty);
                 self.emit(Instr::Binary {
                     dest,
-                    op: *op,
+                    op,
                     lhs: lv,
                     rhs: rv,
                     span: e.span,
@@ -760,11 +773,7 @@ impl<'a> Lowerer<'a> {
             }
             ExprKind::Call(name, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.lower_expr(a)).collect();
-                let ret = self
-                    .sigs
-                    .get(&name.name)
-                    .map(|s| s.ret)
-                    .unwrap_or(Type::Void);
+                let ret = self.sigs.get(name.sym).map_or(Type::Void, |s| s.ret);
                 let dest = if ret == Type::Void {
                     None
                 } else {
@@ -772,7 +781,7 @@ impl<'a> Lowerer<'a> {
                 };
                 self.emit(Instr::Call {
                     dest,
-                    func: name.name.clone(),
+                    func: self.interner.resolve(name.sym).to_string(),
                     args: vals,
                     span: e.span,
                 });
@@ -780,7 +789,7 @@ impl<'a> Lowerer<'a> {
             }
             ExprKind::Intrinsic(intr, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.lower_expr(a)).collect();
-                if *intr == Intrinsic::ArrayNew {
+                if intr == Intrinsic::ArrayNew {
                     let elem = self.value_ty(vals[1]);
                     let ty = Type::array_of(elem).expect("sema checked elem type");
                     let dest = self.fresh(ty);
@@ -808,18 +817,18 @@ impl<'a> Lowerer<'a> {
                 let dest = self.fresh(ty);
                 self.emit(Instr::Intrinsic {
                     dest,
-                    intr: *intr,
+                    intr,
                     args: vals,
                 });
                 dest.into()
             }
-            ExprKind::Mpi(op) => self.lower_mpi(op, e.span),
+            ExprKind::Mpi(op) => self.lower_mpi(&op, e.span),
         }
     }
 
     fn lower_mpi(&mut self, op: &MpiOp, span: Span) -> Value {
         use parcoach_front::ast::CollectiveKind as CK;
-        match op {
+        match *op {
             MpiOp::Init => {
                 self.emit(Instr::Mpi {
                     dest: None,
@@ -832,7 +841,7 @@ impl<'a> Lowerer<'a> {
                 self.emit(Instr::Mpi {
                     dest: None,
                     op: MpiIr::Init {
-                        required: Some(*required),
+                        required: Some(required),
                     },
                     span,
                 });
@@ -855,7 +864,7 @@ impl<'a> Lowerer<'a> {
                 let v = self.lower_expr(value);
                 let d = self.lower_expr(dest);
                 let t = self.lower_expr(tag);
-                let c = comm.as_ref().map(|e| self.lower_expr(e));
+                let c = comm.map(|e| self.lower_expr(e));
                 self.emit(Instr::Mpi {
                     dest: None,
                     op: MpiIr::Send {
@@ -871,7 +880,7 @@ impl<'a> Lowerer<'a> {
             MpiOp::Recv { src, tag, comm } => {
                 let s = self.lower_expr(src);
                 let t = self.lower_expr(tag);
-                let c = comm.as_ref().map(|e| self.lower_expr(e));
+                let c = comm.map(|e| self.lower_expr(e));
                 let dest = self.fresh(Type::Float);
                 self.emit(Instr::Mpi {
                     dest: Some(dest),
@@ -928,7 +937,7 @@ impl<'a> Lowerer<'a> {
                 let v = self.lower_expr(value);
                 let d = self.lower_expr(dest);
                 let t = self.lower_expr(tag);
-                let c = comm.as_ref().map(|e| self.lower_expr(e));
+                let c = comm.map(|e| self.lower_expr(e));
                 let req = self.fresh(Type::Request);
                 self.emit(Instr::Mpi {
                     dest: Some(req),
@@ -945,7 +954,7 @@ impl<'a> Lowerer<'a> {
             MpiOp::Irecv { src, tag, comm } => {
                 let s = self.lower_expr(src);
                 let t = self.lower_expr(tag);
-                let c = comm.as_ref().map(|e| self.lower_expr(e));
+                let c = comm.map(|e| self.lower_expr(e));
                 let req = self.fresh(Type::Request);
                 self.emit(Instr::Mpi {
                     dest: Some(req),
@@ -980,9 +989,9 @@ impl<'a> Lowerer<'a> {
             MpiOp::AnySource => Value::int(parcoach_front::ast::ANY_SOURCE),
             MpiOp::AnyTag => Value::int(parcoach_front::ast::ANY_TAG),
             MpiOp::Collective(c) => {
-                let value = c.value.as_ref().map(|v| self.lower_expr(v));
-                let root = c.root.as_ref().map(|r| self.lower_expr(r));
-                let comm = c.comm.as_ref().map(|e| self.lower_expr(e));
+                let value = c.value.map(|v| self.lower_expr(v));
+                let root = c.root.map(|r| self.lower_expr(r));
+                let comm = c.comm.map(|e| self.lower_expr(e));
                 // Result type mirrors sema's typing rules.
                 let ret = match c.kind {
                     CK::Barrier => None,

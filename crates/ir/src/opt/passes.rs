@@ -15,6 +15,7 @@ use crate::opt::usedef::{instr_uses, is_pure};
 use crate::types::{Const, Reg, Value};
 use parcoach_front::ast::{BinOp, UnOp};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Statistics from one optimization run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,6 +42,7 @@ impl OptStats {
 pub fn optimize_module(m: &mut Module, max_rounds: usize) -> OptStats {
     let mut total = OptStats::default();
     for f in &mut m.funcs {
+        let f = Arc::make_mut(f);
         for _ in 0..max_rounds {
             let s = optimize_func(f);
             total.folded += s.folded;

@@ -27,12 +27,25 @@ impl std::fmt::Display for VerifyError {
 
 /// Verify a whole module. Empty result = OK.
 pub fn verify_module(m: &Module) -> Vec<VerifyError> {
-    m.funcs.iter().flat_map(verify_func).collect()
+    let mut errs = Vec::new();
+    let mut walk = NestingWalk::default();
+    for f in &m.funcs {
+        verify_into(f, &mut walk, &mut errs);
+    }
+    errs
 }
 
 /// Verify a single function.
 pub fn verify_func(f: &FuncIr) -> Vec<VerifyError> {
     let mut errs = Vec::new();
+    verify_into(f, &mut NestingWalk::default(), &mut errs);
+    errs
+}
+
+/// Append `f`'s findings to `errs`; `walk` is scratch space that one
+/// module's functions share.
+fn verify_into(f: &FuncIr, walk: &mut NestingWalk, errs: &mut Vec<VerifyError>) {
+    let before = errs.len();
     let mut err = |block: BlockId, message: String| {
         errs.push(VerifyError {
             func: f.name.clone(),
@@ -51,8 +64,8 @@ pub fn verify_func(f: &FuncIr) -> Vec<VerifyError> {
             }
         }
     }
-    if !errs.is_empty() {
-        return errs;
+    if errs.len() > before {
+        return;
     }
     let mut err = |block: BlockId, message: String| {
         errs.push(VerifyError {
@@ -120,111 +133,149 @@ pub fn verify_func(f: &FuncIr) -> Vec<VerifyError> {
     // region stack; every reachable path must see perfectly nested
     // open/close pairs (this is the paper's "perfectly nested regions"
     // invariant, which lowering must establish).
-    verify_region_nesting(f, &mut errs);
-
-    errs
+    walk.run(f, errs);
 }
 
-/// Region-stack state per block for the nesting walk.
-type RegionStack = Vec<u32>;
+/// The region-nesting walk and its state, reused from one function of
+/// a module to the next.
+///
+/// The region stacks live in one parent-linked table: a stack is the id
+/// of its top entry `(rest of the stack, region)`. Pushing appends an
+/// entry and popping follows the parent link, so the walk hands a stack
+/// to a successor by copying an id.
+#[derive(Default)]
+struct NestingWalk {
+    stacks: Vec<(StackId, u32)>,
+    /// The stack each block is entered with; `None` until reached.
+    state: Vec<Option<StackId>>,
+    work: Vec<BlockId>,
+}
 
-fn verify_region_nesting(f: &FuncIr, errs: &mut Vec<VerifyError>) {
-    let n = f.block_count();
-    let mut state: Vec<Option<RegionStack>> = vec![None; n];
-    let mut work = vec![f.entry];
-    state[f.entry.index()] = Some(Vec::new());
-    while let Some(b) = work.pop() {
-        let mut stack = state[b.index()].clone().expect("queued with state");
-        let blk = f.block(b);
-        // `single`/`master`/`section` entries are *conditional*: only the
-        // chosen thread enters the region, so their token is pushed on
-        // the then-edge, not in the directive block itself.
-        let mut conditional_open: Option<u32> = None;
-        if let BlockKind::Directive(d) = &blk.kind {
-            if d.opens_region() {
-                let r = d.region().expect("open directive has region").0;
-                match d {
-                    Directive::SingleBegin { .. }
-                    | Directive::MasterBegin { .. }
-                    | Directive::SectionBegin { .. } => conditional_open = Some(r),
-                    _ => stack.push(r),
+/// Index into [`NestingWalk::stacks`]; [`EMPTY`] is the empty stack.
+type StackId = u32;
+const EMPTY: StackId = u32::MAX;
+
+impl NestingWalk {
+    fn push(&mut self, stack: StackId, region: u32) -> StackId {
+        self.stacks.push((stack, region));
+        (self.stacks.len() - 1) as StackId
+    }
+
+    /// `(rest, top)` of a non-empty stack.
+    fn pop(&self, stack: StackId) -> Option<(StackId, u32)> {
+        (stack != EMPTY).then(|| self.stacks[stack as usize])
+    }
+
+    /// The stack's regions, outermost first.
+    fn regions(&self, mut stack: StackId) -> Vec<u32> {
+        let mut out = Vec::new();
+        while let Some((rest, top)) = self.pop(stack) {
+            out.push(top);
+            stack = rest;
+        }
+        out.reverse();
+        out
+    }
+
+    fn same(&self, mut a: StackId, mut b: StackId) -> bool {
+        while a != b {
+            match (self.pop(a), self.pop(b)) {
+                (Some((rest_a, top_a)), Some((rest_b, top_b))) if top_a == top_b => {
+                    a = rest_a;
+                    b = rest_b;
                 }
-            } else if d.closes_region() {
-                let r = d.region().expect("close directive has region").0;
-                match stack.pop() {
-                    Some(top) if top == r => {}
-                    Some(top) => errs.push(VerifyError {
-                        func: f.name.clone(),
-                        block: b,
-                        message: format!(
-                            "region end r{r} does not match innermost open region r{top}"
-                        ),
-                    }),
-                    None => errs.push(VerifyError {
-                        func: f.name.clone(),
-                        block: b,
-                        message: format!("region end r{r} with no open region"),
-                    }),
-                }
+                _ => return false,
             }
         }
-        if matches!(blk.term, Terminator::Return { .. }) && !stack.is_empty() {
+        true
+    }
+
+    fn run(&mut self, f: &FuncIr, errs: &mut Vec<VerifyError>) {
+        let mut err = |block: BlockId, message: String| {
             errs.push(VerifyError {
                 func: f.name.clone(),
-                block: b,
-                message: format!("return with {} region(s) still open", stack.len()),
+                block,
+                message,
             });
-        }
-        let successor_states: Vec<(BlockId, RegionStack)> = match (&blk.term, conditional_open) {
-            (
-                Terminator::Branch {
-                    then_bb, else_bb, ..
-                },
-                Some(r),
-            ) => {
-                let mut entered = stack.clone();
-                entered.push(r);
-                vec![(*then_bb, entered), (*else_bb, stack.clone())]
-            }
-            (_, Some(r)) => {
-                // A conditional opener without a branch terminator is a
-                // lowering bug.
-                errs.push(VerifyError {
-                    func: f.name.clone(),
-                    block: b,
-                    message: format!("conditional region opener r{r} must end in a branch"),
-                });
-                blk.term
-                    .successors()
-                    .into_iter()
-                    .map(|s| (s, stack.clone()))
-                    .collect()
-            }
-            _ => blk
-                .term
-                .successors()
-                .into_iter()
-                .map(|s| (s, stack.clone()))
-                .collect(),
         };
-        for (s, st) in successor_states {
-            match &state[s.index()] {
-                None => {
-                    state[s.index()] = Some(st);
-                    work.push(s);
+        self.stacks.clear();
+        self.state.clear();
+        self.state.resize(f.block_count(), None);
+        self.work.clear();
+        self.work.push(f.entry);
+        self.state[f.entry.index()] = Some(EMPTY);
+        while let Some(b) = self.work.pop() {
+            let mut stack = self.state[b.index()].expect("queued with state");
+            let blk = f.block(b);
+            // `single`/`master`/`section` entries are *conditional*: only
+            // the chosen thread enters the region, so their token is
+            // pushed on the then-edge, not in the directive block itself.
+            let mut conditional_open: Option<u32> = None;
+            if let BlockKind::Directive(d) = &blk.kind {
+                if d.opens_region() {
+                    let r = d.region().expect("open directive has region").0;
+                    match d {
+                        Directive::SingleBegin { .. }
+                        | Directive::MasterBegin { .. }
+                        | Directive::SectionBegin { .. } => conditional_open = Some(r),
+                        _ => stack = self.push(stack, r),
+                    }
+                } else if d.closes_region() {
+                    let r = d.region().expect("close directive has region").0;
+                    match self.pop(stack) {
+                        Some((rest, top)) => {
+                            stack = rest;
+                            if top != r {
+                                err(
+                                    b,
+                                    format!(
+                                        "region end r{r} does not match innermost open region r{top}"
+                                    ),
+                                );
+                            }
+                        }
+                        None => err(b, format!("region end r{r} with no open region")),
+                    }
                 }
-                Some(existing) => {
-                    if existing != &st {
-                        // Two paths reach `s` with different region
-                        // nesting — the structured lowering must never
-                        // produce this.
-                        errs.push(VerifyError {
-                            func: f.name.clone(),
-                            block: s,
-                            message: format!(
-                                "inconsistent region nesting at join: {existing:?} vs {st:?}"
-                            ),
-                        });
+            }
+            if matches!(blk.term, Terminator::Return { .. }) && stack != EMPTY {
+                let open = self.regions(stack).len();
+                err(b, format!("return with {open} region(s) still open"));
+            }
+            let mut then_stack = stack;
+            if let Some(r) = conditional_open {
+                if matches!(blk.term, Terminator::Branch { .. }) {
+                    then_stack = self.push(stack, r);
+                } else {
+                    // A conditional opener without a branch terminator is
+                    // a lowering bug.
+                    err(
+                        b,
+                        format!("conditional region opener r{r} must end in a branch"),
+                    );
+                }
+            }
+            for (i, s) in blk.term.successors().into_iter().enumerate() {
+                let st = if i == 0 { then_stack } else { stack };
+                match self.state[s.index()] {
+                    None => {
+                        self.state[s.index()] = Some(st);
+                        self.work.push(s);
+                    }
+                    Some(existing) => {
+                        if !self.same(existing, st) {
+                            // Two paths reach `s` with different region
+                            // nesting — the structured lowering must
+                            // never produce this.
+                            err(
+                                s,
+                                format!(
+                                    "inconsistent region nesting at join: {:?} vs {:?}",
+                                    self.regions(existing),
+                                    self.regions(st)
+                                ),
+                            );
+                        }
                     }
                 }
             }
@@ -237,6 +288,7 @@ mod tests {
     use super::*;
     use crate::lower::lower_program;
     use parcoach_front::parse_and_check;
+    use std::sync::Arc;
 
     fn lower_ok(src: &str) -> Module {
         let unit = parse_and_check("t.mh", src).expect("source must check");
@@ -263,7 +315,7 @@ mod tests {
     #[test]
     fn detects_unterminated_block() {
         let mut m = lower_ok("fn main() { let x = 1; }");
-        m.funcs[0].blocks[0].term = Terminator::Unreachable;
+        Arc::make_mut(&mut m.funcs[0]).blocks[0].term = Terminator::Unreachable;
         let errs = verify_module(&m);
         assert!(errs.iter().any(|e| e.message.contains("no terminator")));
     }
@@ -271,7 +323,7 @@ mod tests {
     #[test]
     fn detects_bad_target() {
         let mut m = lower_ok("fn main() { let x = 1; }");
-        m.funcs[0].blocks[0].term = Terminator::Goto(BlockId(99));
+        Arc::make_mut(&mut m.funcs[0]).blocks[0].term = Terminator::Goto(BlockId(99));
         let errs = verify_module(&m);
         assert!(errs
             .iter()
@@ -282,7 +334,7 @@ mod tests {
     fn detects_unbalanced_regions() {
         let mut m = lower_ok("fn main() { parallel { let x = 1; } }");
         // Corrupt: drop the ParallelEnd directive.
-        for b in &mut m.funcs[0].blocks {
+        for b in &mut Arc::make_mut(&mut m.funcs[0]).blocks {
             if matches!(b.kind, BlockKind::Directive(Directive::ParallelEnd { .. })) {
                 b.kind = BlockKind::Normal;
             }
@@ -297,10 +349,12 @@ mod tests {
     #[test]
     fn detects_out_of_range_register() {
         let mut m = lower_ok("fn main() { let x = 1; }");
-        m.funcs[0].blocks[0].instrs.push(Instr::Copy {
-            dest: crate::types::Reg(999),
-            src: crate::types::Value::int(0),
-        });
+        Arc::make_mut(&mut m.funcs[0]).blocks[0]
+            .instrs
+            .push(Instr::Copy {
+                dest: crate::types::Reg(999),
+                src: crate::types::Value::int(0),
+            });
         let errs = verify_module(&m);
         assert!(errs
             .iter()

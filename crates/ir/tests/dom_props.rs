@@ -74,7 +74,7 @@ fn domtree_matches_naive() {
     for seed in 0..cases() {
         let (n, edges) = random_cfg(&mut Rng::new(seed));
         let f = func_from_edges(n, &edges);
-        let dt = DomTree::compute(&f);
+        let dt = DomTree::compute(&f, &f.predecessors());
         let reach = reachable(&f);
         for a in 0..n as u32 {
             for b in 0..n as u32 {
@@ -100,7 +100,7 @@ fn idom_is_strict_dominator() {
     for seed in 0..cases() {
         let (n, edges) = random_cfg(&mut Rng::new(seed));
         let f = func_from_edges(n, &edges);
-        let dt = DomTree::compute(&f);
+        let dt = DomTree::compute(&f, &f.predecessors());
         for b in f.block_ids() {
             if let Some(d) = dt.idom(b) {
                 assert!(d != b, "idom({b}) = {b} (seed {seed})");
@@ -118,7 +118,7 @@ fn pdf_members_are_branch_blocks() {
     for seed in 0..cases() {
         let (n, edges) = random_cfg(&mut Rng::new(seed));
         let f = func_from_edges(n, &edges);
-        let pdt = PostDomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f, &f.predecessors());
         let reach = reachable(&f);
         let all: Vec<BlockId> = f.block_ids().filter(|b| reach[b.index()]).collect();
         for &seed_block in &all {
@@ -138,7 +138,7 @@ fn post_dominance_antisymmetric() {
     for seed in 0..cases() {
         let (n, edges) = random_cfg(&mut Rng::new(seed));
         let f = func_from_edges(n, &edges);
-        let pdt = PostDomTree::compute(&f);
+        let pdt = PostDomTree::compute(&f, &f.predecessors());
         let reach = reachable(&f);
         for a in f.block_ids() {
             for b in f.block_ids() {

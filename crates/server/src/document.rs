@@ -5,8 +5,9 @@
 //! The daemon's latency story lives here. `open` pays the full
 //! front-end once; [`Document::edit`] then tries the **incremental
 //! path**: reparse *only* the replacement function (lexed at its byte
-//! offset in the file, so its spans are absolute), sema-check it against
-//! the existing signature table, re-lower it in isolation, splice the
+//! offset in the file, so its spans are absolute, and interned into the
+//! document's own interner, so its symbols are the document's),
+//! sema-check it against the existing signature table, re-lower it in isolation, splice the
 //! text and its line index in place ([`SourceMap::splice`]), and rebase
 //! the spans of every function after the splice point in the resident
 //! AST and IR by the byte delta. The document is the only thing that
@@ -26,7 +27,7 @@ use parcoach_core::{AnalysisSession, CancelToken, Cancelled, QueryDb, QueryStats
 use parcoach_front::{parser, sema, Function, Program, SourceMap, Span};
 use parcoach_ir::lower::{lower_function, lower_program};
 use parcoach_ir::Module;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Why an `open`/`edit` was rejected. The document is left exactly as
 /// it was — a failed edit never corrupts the resident state.
@@ -54,8 +55,11 @@ pub struct EditOutcome {
 #[derive(Debug)]
 pub struct Document {
     uri: String,
+    /// The AST and the interner every symbol of the document — the
+    /// AST's and `signatures`' keys — belongs to. It only grows: an edit
+    /// adds the names it introduces, a fallback reopen starts it over.
     program: Program,
-    signatures: HashMap<String, sema::Signature>,
+    signatures: sema::Signatures,
     /// Owns the one resident copy of the source text.
     source_map: SourceMap,
     module: Module,
@@ -92,7 +96,7 @@ impl Document {
         self.program
             .functions
             .iter()
-            .map(|f| f.name.name.clone())
+            .map(|f| self.program.name(f.name).to_string())
             .collect()
     }
 
@@ -126,24 +130,29 @@ impl Document {
     pub fn edit(&mut self, func: &str, new_text: &str) -> Result<EditOutcome, DocError> {
         let idx = self
             .program
-            .functions
-            .iter()
-            .position(|f| f.name.name == func)
+            .interner
+            .get(func)
+            .and_then(|sym| {
+                let functions = &self.program.functions;
+                functions.iter().position(|f| f.name.sym == sym)
+            })
             .ok_or_else(|| DocError::UnknownFunction(func.to_string()))?;
         let old_span = self.program.functions[idx].span;
         let (lo, hi) = (old_span.lo as usize, old_span.hi as usize);
         let delta = new_text.len() as i64 - (hi - lo) as i64;
 
-        if let Some((new_fn, new_ir)) = self.try_incremental(func, idx, old_span.lo, new_text) {
+        if let Some((new_fn, new_ir)) = self.try_incremental(idx, old_span.lo, new_text) {
             self.source_map.splice(lo, hi, new_text);
             self.program.functions[idx] = new_fn;
             for later in &mut self.program.functions[idx + 1..] {
                 shift_ast_function(later, delta);
             }
             self.db.mark_dirty(idx, &self.module.funcs[idx]);
-            self.module.funcs[idx] = new_ir;
+            self.module.funcs[idx] = Arc::new(new_ir);
             for later in &mut self.module.funcs[idx + 1..] {
-                parcoach_ir::shift_spans(later, delta);
+                // Never a copy unless a clone of the module (an
+                // instrumented one, say) is alive, and then it must be.
+                parcoach_ir::shift_spans(Arc::make_mut(later), delta);
             }
             return Ok(EditOutcome {
                 incremental: true,
@@ -169,34 +178,38 @@ impl Document {
     }
 
     /// The single-function path: parse `new_text` alone (at its
-    /// absolute offset), and accept it only if it is a drop-in
-    /// replacement — same name, same signature, sema-clean against the
-    /// existing signature table.
+    /// absolute offset, into the document's interner), and accept it
+    /// only if it is a drop-in replacement for function `idx` — same
+    /// name, same signature, sema-clean against the existing signature
+    /// table. A declined text leaves at most its new names behind in the
+    /// interner, which nothing refers to.
     fn try_incremental(
-        &self,
-        func: &str,
+        &mut self,
         idx: usize,
         offset: u32,
         new_text: &str,
     ) -> Option<(Function, parcoach_ir::FuncIr)> {
-        let (prog, diags) = parser::parse_program_at(new_text, offset);
-        if diags.has_errors() || prog.functions.len() != 1 {
+        let interner = &mut self.program.interner;
+        let (functions, diags) = parser::parse_functions_at(new_text, offset, interner);
+        if diags.has_errors() || functions.len() != 1 {
             return None;
         }
-        let new_fn = prog.functions.into_iter().next().unwrap();
-        if new_fn.name.name != func {
+        let new_fn = functions.into_iter().next().unwrap();
+        let name = self.program.functions[idx].name.sym;
+        if new_fn.name.sym != name {
             return None;
         }
-        let old_sig = &self.signatures[func];
+        let old_sig = self.signatures.get(name).expect("resident function");
         if sema::signature_of(&new_fn) != *old_sig {
             return None;
         }
         let mut diags = parcoach_front::Diagnostics::new();
-        sema::check_function(&new_fn, &self.signatures, &mut diags);
+        let interner = &self.program.interner;
+        sema::check_function(&new_fn, interner, &self.signatures, &mut diags);
         if diags.has_errors() {
             return None;
         }
-        let new_ir = lower_function(&new_fn, &self.signatures);
+        let new_ir = lower_function(&new_fn, interner, &self.signatures);
         debug_assert_eq!(self.module.funcs[idx].name, new_ir.name);
         Some((new_fn, new_ir))
     }
@@ -206,7 +219,7 @@ impl Document {
 fn compile(
     uri: &str,
     text: &str,
-) -> Result<(Program, HashMap<String, sema::Signature>, SourceMap, Module), DocError> {
+) -> Result<(Program, sema::Signatures, SourceMap, Module), DocError> {
     let unit =
         parcoach_front::parse_and_check(uri, text).map_err(|(diags, sm)| DocError::Compile {
             rendered: diags.render(&sm),
@@ -356,6 +369,75 @@ fn main() {
         assert_eq!(
             format!("{:?}", doc.check(&mut s, None).unwrap()),
             format!("{:?}", session().check_module(fresh.module()))
+        );
+    }
+
+    /// The module shares its functions with its clones, so an edit
+    /// made while an instrumented copy is alive must copy what it
+    /// rebases instead of moving spans under the copy's feet.
+    #[test]
+    fn edit_leaves_a_live_instrumented_copy_unchanged() {
+        use parcoach_core::{instrument_module, InstrumentMode};
+        let mut s = session();
+        let mut doc = Document::open("t.mh", SRC).unwrap();
+        let report = doc.check(&mut s, None).unwrap();
+        let (instrumented, stats) =
+            instrument_module(doc.module(), &report, InstrumentMode::Selective);
+        assert!(stats.total() > 0);
+        let before = format!("{:?}", instrumented.funcs);
+
+        // `helper` grows, so `main` — instrumented, hence a copy — and
+        // nothing else would do: shift a shared function too.
+        let padded = "fn helper() {\n\n\n    MPI_Barrier();\n}";
+        assert!(doc.edit("helper", padded).unwrap().incremental);
+        assert!(
+            doc.edit(
+                "main",
+                "fn main() {\n    MPI_Init();\n    helper();\n    MPI_Finalize();\n}"
+            )
+            .unwrap()
+            .incremental
+        );
+        assert_eq!(format!("{:?}", instrumented.funcs), before);
+
+        let fresh = Document::open("t.mh", doc.text()).unwrap();
+        assert_eq!(
+            format!("{:?}", doc.module().funcs),
+            format!("{:?}", fresh.module().funcs)
+        );
+    }
+
+    /// An edit interns into the document's interner, which only ever
+    /// gains the names an edit introduces: alternating between two
+    /// bodies a thousand times leaves it at its size after the first
+    /// round.
+    #[test]
+    fn edit_stream_does_not_grow_the_interner() {
+        let mut doc = Document::open("t.mh", SRC).unwrap();
+        let opened = doc.program.interner.len();
+        let bodies = [
+            "fn helper() {\n    let fresh_name = 1;\n    MPI_Barrier();\n}",
+            "fn helper() {\n    MPI_Barrier();\n}",
+        ];
+        for i in 0..1000 {
+            assert!(doc.edit("helper", bodies[i % 2]).unwrap().incremental);
+        }
+        assert_eq!(doc.program.interner.len(), opened + 1, "`fresh_name` only");
+        let fresh = Document::open("t.mh", doc.text()).unwrap();
+        assert_eq!(
+            format!("{:?}", doc.module().funcs),
+            format!("{:?}", fresh.module().funcs)
+        );
+        // A fallback reopen starts the interner over.
+        let out = doc
+            .edit("helper", "fn helper(x: int) { }\nfn main() { helper(1); }")
+            .unwrap_err();
+        assert!(matches!(out, DocError::Compile { .. }), "duplicate main");
+        let out = doc.edit("main", "fn other() { }\nfn main() { }").unwrap();
+        assert!(!out.incremental);
+        assert_eq!(
+            doc.program.interner,
+            Document::open("t.mh", doc.text()).unwrap().program.interner
         );
     }
 

@@ -10,9 +10,9 @@
 //!   stack replaced the per-block hash maps (pinned fingerprint).
 
 use parcoach::front::lexer::{lex, lex_at};
-use parcoach::front::parser::{parse_program, parse_program_at};
+use parcoach::front::parser::{parse_functions_at, parse_program};
 use parcoach::front::token::TokenKind;
-use parcoach::front::{parse_and_check, Diagnostics};
+use parcoach::front::{parse_and_check, Diagnostics, Interner, Program};
 use parcoach::ir::lower::lower_program;
 use parcoach::workloads::{error_catalogue, figure1_suite, WorkloadClass};
 use parcoach_testutil::Scenario;
@@ -76,25 +76,40 @@ fn parse_at_base_equals_parse_of_padded_text() {
         for f in &whole.functions {
             let (lo, hi) = (f.span.lo as usize, f.span.hi as usize);
             let text = &src[lo..hi];
-            let (at, d_at) = parse_program_at(text, f.span.lo);
+            let fname = whole.name(f.name);
+            let (at, d_at) = parse_at(text, f.span.lo);
             let (padded, d_padded) = parse_program(&format!("{}{text}", " ".repeat(lo)));
-            assert_eq!(at, padded, "{name}: `{}`", f.name.name);
-            assert_eq!(d_at, d_padded, "{name}: `{}`", f.name.name);
-            assert_eq!(
-                at.functions,
-                std::slice::from_ref(f),
-                "{name}: `{}`",
-                f.name.name
-            );
+            assert_eq!(at, padded, "{name}: `{fname}`");
+            assert_eq!(d_at, d_padded, "{name}: `{fname}`");
+            // Into the file's own interner — the daemon's reparse — it
+            // is the function parsed in place, symbol for symbol, and
+            // nothing new is interned.
+            let mut interner = whole.interner.clone();
+            let (again, _) = parse_functions_at(text, f.span.lo, &mut interner);
+            assert_eq!(again, std::slice::from_ref(f), "{name}: `{fname}`");
+            assert_eq!(interner, whole.interner, "{name}: `{fname}`");
         }
     }
+}
+
+/// `text` parsed at offset `base`, as a unit of its own.
+fn parse_at(text: &str, base: u32) -> (Program, Diagnostics) {
+    let mut interner = Interner::new();
+    let (functions, diags) = parse_functions_at(text, base, &mut interner);
+    (
+        Program {
+            functions,
+            interner,
+        },
+        diags,
+    )
 }
 
 #[test]
 fn parse_at_base_reports_errors_at_absolute_offsets() {
     let text = "fn f() { let = 1; $ \u{e9} }";
     for base in [0u32, 1, 17, 4096] {
-        let (at, d_at) = parse_program_at(text, base);
+        let (at, d_at) = parse_at(text, base);
         let (padded, d_padded) = parse_program(&format!("{}{text}", " ".repeat(base as usize)));
         assert!(d_at.has_errors());
         assert_eq!(at, padded, "base {base}");

@@ -211,7 +211,7 @@ fn random_world_comm_program(rng: &mut Rng) -> String {
 fn strip_comm_operands(m: &mut parcoach::ir::Module) {
     use parcoach::ir::instr::{Instr, MpiIr};
     for f in &mut m.funcs {
-        for b in &mut f.blocks {
+        for b in &mut std::sync::Arc::make_mut(f).blocks {
             for i in &mut b.instrs {
                 if let Instr::Mpi {
                     op:
