@@ -31,9 +31,8 @@ fn main() {
             .funcs
             .iter()
             .map(|f| {
-                f.blocks
+                f.instrs
                     .iter()
-                    .flat_map(|b| &b.instrs)
                     .filter(|i| i.collective_kind().is_some())
                     .count()
             })

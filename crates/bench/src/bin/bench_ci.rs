@@ -35,10 +35,10 @@ use parcoach_bench::{
     static_phase_breakdown,
 };
 use parcoach_core::{instrument_module, AnalysisSession, InstrumentMode, QueryDb, StaticReport};
-use parcoach_front::lexer::lex;
-use parcoach_front::parser::parse_program;
+use parcoach_front::lexer::lex_source;
+use parcoach_front::parser::parse_source;
 use parcoach_front::sema::check_program;
-use parcoach_front::{parse_and_check, Diagnostics, SourceMap};
+use parcoach_front::{parse_and_check, Diagnostics};
 use parcoach_interp::{check_and_run, Executor, RunConfig, RunStats};
 use parcoach_ir::lower::lower_program;
 use parcoach_ir::{verify_module, Module};
@@ -347,13 +347,15 @@ fn run(args: &[String]) -> Result<bool, String> {
         results.insert(format!("info/{key}"), ns);
     }
     // Absolute bars on the spans whose cost was allocation, not work
-    // (EXPERIMENTS.md E21): verifying HERA-B walks 1 100 blocks and
-    // dropping a cold check's products frees a few thousand vectors —
-    // about twice the measured numbers, so that a per-block or per-node
-    // allocation coming back fails here whatever the machine.
+    // (EXPERIMENTS.md E21, E22): verifying HERA-B walks 1 100 blocks,
+    // dropping a cold check's products frees about 1 400 vectors, and
+    // the whole cold check allocates about 3 000 times — bars about
+    // twice the measured spans (and 1.4 times the cold check), so that
+    // a per-block or per-node allocation coming back fails here
+    // whatever the machine.
     const VERIFY_BOUND_NS: u64 = 100_000;
-    const PRODUCTS_DROP_BOUND_NS: u64 = 200_000;
-    const COLD_FULL_BOUND_NS: u64 = 2_000_000;
+    const PRODUCTS_DROP_BOUND_NS: u64 = 100_000;
+    const COLD_FULL_BOUND_NS: u64 = 1_500_000;
     let layout_ok = cold.verify_ns <= VERIFY_BOUND_NS
         && cold.drop_ns <= PRODUCTS_DROP_BOUND_NS
         && cold_ns <= COLD_FULL_BOUND_NS;
@@ -369,7 +371,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         if layout_ok { "ok" } else { "GATE FAILURE" }
     );
     let named_ns: u64 = named.iter().map(|(_, ns)| ns).sum();
-    let budget_ok = named_ns.abs_diff(cold_ns) * 10 <= cold_ns;
+    let budget_ok = named_ns.abs_diff(cold_ns) * 20 <= cold_ns;
     println!(
         "hera_b cold budget: {} = {:.3} ms of cold {:.3} ms ({:+.1} %) — {}",
         named
@@ -381,7 +383,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         cold_ns as f64 / 1e6,
         (named_ns as f64 / cold_ns as f64 - 1.0) * 100.0,
         if budget_ok {
-            "ok (within 10 %)"
+            "ok (within 5 %)"
         } else {
             "GATE FAILURE"
         }
@@ -826,9 +828,11 @@ fn incremental_latency() -> (ColdSpans, u64, bool) {
 struct ColdSpans {
     /// Source bytes in → report out → every product dropped.
     total_ns: u64,
-    /// Lexing alone (timed on its own: the parser calls it internally).
+    /// Lexing, source map included: the lexer records the line starts
+    /// it meets and the map is built from them (timed on its own: the
+    /// parser calls it internally).
     lex_ns: u64,
-    /// Source map + `parse_program`, minus `lex_ns`.
+    /// `parse_source`, minus `lex_ns`.
     parse_ns: u64,
     sema_ns: u64,
     lower_ns: u64,
@@ -840,16 +844,16 @@ struct ColdSpans {
     drop_ns: u64,
 }
 
-/// The one-shot path of `parcoachc check` over `src` — source map,
-/// parse, sema, lower, verify, a fresh session's `check_module`,
-/// selective instrumentation, then everything dropped — with a
-/// timestamp at every stage boundary.
+/// The one-shot path of `parcoachc check` over `src` — lex (source map
+/// included), parse, sema, lower, verify, a fresh session's
+/// `check_module`, selective instrumentation, then everything dropped —
+/// with a timestamp at every stage boundary.
 /// Reports the fastest of `ANALYZE_REPS` reps (after one warm-up) and
 /// *that* rep's boundaries, so the spans are one consistent cold check
 /// and not a collage of minima.
 fn cold_check_spans(name: &str, src: &str) -> ColdSpans {
     let lex_ns = measure(ANALYZE_REPS, || {
-        black_box(lex(black_box(src), &mut Diagnostics::new()));
+        black_box(lex_source(name, black_box(src), &mut Diagnostics::new()));
     })
     .min
     .as_nanos() as u64;
@@ -857,8 +861,7 @@ fn cold_check_spans(name: &str, src: &str) -> ColdSpans {
     let mut best: Option<ColdSpans> = None;
     for _ in 0..=ANALYZE_REPS {
         let t0 = Instant::now();
-        let source_map = SourceMap::new(name, black_box(src));
-        let (program, mut diags) = parse_program(src);
+        let (program, mut diags, source_map) = parse_source(name, black_box(src));
         let t1 = Instant::now();
         let signatures = check_program(&program, &mut diags).signatures;
         assert!(!diags.has_errors(), "workload compiles");

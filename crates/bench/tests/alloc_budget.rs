@@ -1,11 +1,12 @@
 //! The allocation budget of a cold check, stage by stage.
 //!
 //! A cold check used to spend 40–50 % of its time in `malloc`/`free`
-//! (EXPERIMENTS.md E21): one allocation per identifier occurrence, AST
-//! node, CFG edge list and instrumented block. The products now cost a
-//! handful of allocations per *function*, and this test keeps it so:
-//! allocation counts repeat exactly on any runner, which no timing gate
-//! does.
+//! (EXPERIMENTS.md E21, E22): one allocation per identifier occurrence,
+//! AST node, CFG edge list and instrumented block, then one per block,
+//! statement list, named register and context round. The products now
+//! cost a handful of allocations per *function*, and this test keeps it
+//! so: allocation counts repeat exactly on any runner, which no timing
+//! gate does.
 //!
 //! An integration test is its own binary, so the counting
 //! `#[global_allocator]` touches nothing else. Counts are per thread and
@@ -101,9 +102,10 @@ fn cold_check(name: &str, src: &str) -> Stages {
     }
 }
 
-/// Ceilings: the counts of the PR that introduced the budget + 10 %
-/// (HERA-B then: front 1 394, lower 3 088, verify 260, check 2 519,
-/// instrument 158, drop 3 523 frees, total 7 419 — 29 879 before it).
+/// Ceilings: the counts of the last PR that lowered them + 10 %
+/// (HERA-B then: front 410, lower 982, verify 260, check 1 284,
+/// instrument 102, drop 1 435 frees, total 3 038 — 7 419 before it and
+/// 29 879 before the budget).
 struct Budget {
     workload: &'static str,
     front: u64,
@@ -118,23 +120,23 @@ struct Budget {
 const BUDGETS: [Budget; 2] = [
     Budget {
         workload: "HERA",
-        front: 1_500,
-        lower: 3_400,
-        verify: 290,
-        check: 2_770,
-        instrument: 175,
-        drop_frees: 3_880,
-        total: 8_160,
+        front: 451,
+        lower: 1_080,
+        verify: 286,
+        check: 1_412,
+        instrument: 112,
+        drop_frees: 1_578,
+        total: 3_341,
     },
     Budget {
         workload: "EPCC",
-        front: 260,
-        lower: 450,
-        verify: 58,
-        check: 2_020,
-        instrument: 295,
-        drop_frees: 900,
-        total: 3_080,
+        front: 117,
+        lower: 221,
+        verify: 57,
+        check: 1_076,
+        instrument: 112,
+        drop_frees: 412,
+        total: 1_585,
     },
 ];
 

@@ -178,7 +178,9 @@ impl FuncComms {
 pub struct ModuleComms {
     /// The interned table.
     pub table: CommTable,
-    /// Per function name: register resolution.
+    /// Per function name: register resolution — only for functions
+    /// with a `comm`-typed register; [`ModuleComms::func`] serves every
+    /// other one the empty resolution, which reads the same.
     pub per_func: HashMap<String, FuncComms>,
 }
 
@@ -222,8 +224,13 @@ impl ModuleComms {
 pub fn compute_comms(m: &Module) -> ModuleComms {
     let mut table = CommTable::new();
     let mut per_func = HashMap::new();
+    // A function with no comm-typed register can neither create a
+    // communicator class (creation sites define comm-typed destinations)
+    // nor carry one: it gets no entry.
     for (fidx, f) in m.funcs.iter().enumerate() {
-        per_func.insert(f.name.clone(), resolve_func(fidx, f, &mut table));
+        if f.reg_types.contains(&Type::Comm) {
+            per_func.insert(f.name.clone(), resolve_func(fidx, f, &mut table));
+        }
     }
     ModuleComms { table, per_func }
 }
@@ -237,15 +244,6 @@ pub fn compute_comms(m: &Module) -> ModuleComms {
 /// (bounded by the register count, in practice two rounds).
 fn resolve_func(fidx: usize, f: &FuncIr, table: &mut CommTable) -> FuncComms {
     let n = f.reg_types.len();
-    // Fast path: a function with no comm-typed register can neither
-    // create a communicator class (creation sites define comm-typed
-    // destinations) nor carry one — the fixpoint below would do one
-    // full instruction walk only to conclude exactly this.
-    if !f.reg_types.contains(&Type::Comm) {
-        return FuncComms {
-            per_reg: vec![None; n],
-        };
-    }
     let mut state: Vec<RegComm> = (0..n)
         .map(|i| {
             if f.reg_types[i] == Type::Comm {
@@ -272,8 +270,8 @@ fn resolve_func(fidx: usize, f: &FuncIr, table: &mut CommTable) -> FuncComms {
                 false
             }
         };
-        for (bid, b) in f.iter_blocks() {
-            for (iidx, i) in b.instrs.iter().enumerate() {
+        for bid in f.block_ids() {
+            for (iidx, i) in f.instrs(bid).iter().enumerate() {
                 match i {
                     Instr::Mpi {
                         dest: Some(d), op, ..
@@ -369,8 +367,8 @@ mod tests {
         let f = m.main().unwrap();
         let fc = mc.func("main");
         let mut out = Vec::new();
-        for b in &f.blocks {
-            for i in &b.instrs {
+        for b in f.block_ids() {
+            for i in f.instrs(b) {
                 if let Instr::Mpi {
                     op: MpiIr::Collective { comm, .. },
                     ..

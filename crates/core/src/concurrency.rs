@@ -91,8 +91,8 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
             mpi_blocks.push(b);
         }
     }
-    for (bid, b) in f.iter_blocks() {
-        let has_mgmt = b.instrs.iter().any(|i| match i {
+    for bid in f.block_ids() {
+        let has_mgmt = f.instrs(bid).iter().any(|i| match i {
             Instr::Mpi { op, .. } => op.comm_mgmt().is_some(),
             _ => false,
         });
@@ -118,7 +118,7 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
             continue;
         }
         let region = w.tokens()[s_pos].region().expect("S token has region");
-        for (ii, i) in f.block(bid).instrs.iter().enumerate() {
+        for (ii, i) in f.instrs(bid).iter().enumerate() {
             let Instr::Mpi { op, .. } = i else {
                 continue;
             };

@@ -36,6 +36,7 @@
 //! that changes a function's fingerprint but nothing the call graph sees
 //! of it — the common case — stops here.
 
+use crate::facts::CheckScratch;
 use crate::lang::MonoVerdict;
 use crate::pw::{compute_pw, InitialContext, PwResult, PwState};
 use crate::query::{call_summary, CallSummary, Locator, QueryDb};
@@ -81,7 +82,13 @@ impl CallContexts {
 
     /// Would the fixpoint read from function `fi`, as `db` now holds it,
     /// what it read when this result was computed?
-    fn reads_the_same_from(&self, m: &Module, fi: usize, db: &mut QueryDb) -> bool {
+    fn reads_the_same_from(
+        &self,
+        m: &Module,
+        fi: usize,
+        db: &mut QueryDb,
+        scratch: &mut CheckScratch,
+    ) -> bool {
         let now = db
             .func(fi)
             .summary
@@ -94,7 +101,7 @@ impl CallContexts {
             let Some(then) = &self.site_contexts[fi][ctx as usize] else {
                 return true;
             };
-            *then == site_contexts(&pw_under(m, fi, ctx, db), &self.summaries[fi])
+            *then == site_contexts(&pw_under(m, fi, ctx, db, scratch), &self.summaries[fi])
         })
     }
 }
@@ -106,10 +113,15 @@ pub(crate) fn pw_under(
     fi: usize,
     ctx: InitialContext,
     db: &mut QueryDb,
+    scratch: &mut CheckScratch,
 ) -> Arc<PwResult> {
     let slot = &mut db.func(fi).pw[ctx as usize];
-    slot.get_or_put(|| Arc::new(compute_pw(&m.funcs[fi], ctx)))
-        .clone()
+    slot.get_or_put(|| {
+        scratch.orders.ensure(m, fi);
+        let order = scratch.orders.get(m, fi);
+        Arc::new(compute_pw(&m.funcs[fi], ctx, order, &mut scratch.pw))
+    })
+    .clone()
 }
 
 /// Compute call contexts and collective-bearing facts for a module.
@@ -133,6 +145,20 @@ pub fn compute_contexts(
     pool: &parcoach_pool::Pool,
     db: &mut QueryDb,
 ) -> Arc<CallContexts> {
+    contexts_in(m, entry_context, pool, db, &mut CheckScratch::default())
+}
+
+/// [`compute_contexts`] with the scratch of the check it is part of:
+/// each function's CFG order is computed once however many rounds and
+/// contexts its words are propagated under, and the propagation's
+/// vectors are recycled.
+pub(crate) fn contexts_in(
+    m: &Module,
+    entry_context: InitialContext,
+    pool: &parcoach_pool::Pool,
+    db: &mut QueryDb,
+    scratch: &mut CheckScratch,
+) -> Arc<CallContexts> {
     // --- per-function call-graph summaries: re-derived for exactly the
     // functions whose slot the red-green pass emptied.
     let n = m.funcs.len();
@@ -148,7 +174,10 @@ pub fn compute_contexts(
     // --- early cut-off (see the module docs).
     let stored = db.contexts.peek().cloned();
     let unchanged = stored.as_ref().is_some_and(|s| {
-        s.entry == entry_context && rederived.iter().all(|&fi| s.reads_the_same_from(m, fi, db))
+        s.entry == entry_context
+            && rederived
+                .iter()
+                .all(|&fi| s.reads_the_same_from(m, fi, db, scratch))
     });
     if let Some(hit) = db.contexts.get_if(|_| unchanged) {
         return hit.clone();
@@ -195,7 +224,7 @@ pub fn compute_contexts(
     let mut converged = false;
     for _round in 0..(3 * n.max(1)) {
         let mut any = false;
-        refresh_stale(m, pool, &mut pw_cache, &initial, db);
+        refresh_stale(m, pool, &mut pw_cache, &initial, db, scratch);
         for (fi, s) in summaries.iter().enumerate() {
             // The context the round started `fi` under — an earlier
             // function of this round may have raised it since.
@@ -281,6 +310,7 @@ fn refresh_stale(
     pw_cache: &mut [Option<(InitialContext, Arc<PwResult>)>],
     initial: &[InitialContext],
     db: &mut QueryDb,
+    scratch: &mut CheckScratch,
 ) {
     let mut misses: Vec<usize> = Vec::new();
     for fi in 0..m.funcs.len() {
@@ -293,8 +323,13 @@ fn refresh_stale(
             None => misses.push(fi),
         }
     }
-    let fresh = pool.par_map(&misses, |&fi| {
-        Arc::new(compute_pw(&m.funcs[fi], initial[fi]))
+    for &fi in &misses {
+        scratch.orders.ensure(m, fi);
+    }
+    let orders = &scratch.orders;
+    let fresh = pool.par_map_with(&misses, &mut scratch.pw, |pw, &fi| {
+        let order = orders.get(m, fi);
+        Arc::new(compute_pw(&m.funcs[fi], initial[fi], order, pw))
     });
     for (fi, pw) in misses.into_iter().zip(fresh) {
         db.func(fi).pw[initial[fi] as usize].put(pw.clone());
@@ -549,7 +584,8 @@ mod tests {
         // a context the function passed through on the way up.
         for (fi, f) in m.funcs.iter().enumerate() {
             let final_ctx = ctx.context_of(&f.name);
-            let fresh = compute_pw(f, final_ctx);
+            let order = parcoach_ir::graph::CfgOrder::of(f);
+            let fresh = compute_pw(f, final_ctx, order.view(), &mut Default::default());
             let kept = ctx.db.func(fi).pw[final_ctx as usize]
                 .peek()
                 .expect("every function has words");

@@ -26,20 +26,81 @@
 //! is pure per function and results are merged in module order; the
 //! arenas are filled by the sequential merge, so interned ids never
 //! depend on scheduling.
+//!
+//! A check carries one scratch (`CheckScratch`) through all of this: every
+//! function's CFG order, computed the first time the check needs it and
+//! read by the word propagation on every context round and by the
+//! dominator trees, and the vectors the algorithms need only while they
+//! run, recycled from function to function.
 
 use crate::comm::{compute_comms, FuncComms, ModuleComms};
-use crate::context::{compute_contexts, pw_under, CallContexts};
-use crate::intern::{EventArena, EventId, WordArena, WordId, WordNode};
+use crate::context::{contexts_in, pw_under, CallContexts};
+use crate::intern::{EventArena, EventId, WordArena, WordId};
 use crate::matching::{block_events, Event};
-use crate::pw::{InitialContext, PwResult, PwState};
+use crate::pw::{InitialContext, PwResult, PwScratch, PwState};
 use crate::query::QueryDb;
 use crate::request::{compute_requests, FuncRequests, ModuleRequests};
-use parcoach_ir::dom::{DomTree, PostDomTree};
+use parcoach_ir::dom::{DomTree, Frontiers, PostDomTree};
 use parcoach_ir::func::{FuncIr, Module};
+use parcoach_ir::graph::{order_into, CfgScratch, Order};
 use parcoach_ir::loops::LoopInfo;
 use parcoach_ir::types::BlockId;
-use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The CFG orders of the functions one check needed, each computed
+/// once, back to back in one table.
+#[derive(Debug, Default)]
+pub(crate) struct Orders {
+    /// Per function, once computed: where its reverse post-order starts
+    /// in `rpo`, how long it is, and where its positions start in `pos`.
+    at: Vec<Option<(u32, u32, u32)>>,
+    rpo: Vec<BlockId>,
+    pos: Vec<u32>,
+    /// Depth-first frames.
+    frames: Vec<(BlockId, u32)>,
+}
+
+impl Orders {
+    /// Compute the order of function `fi` of `m`, unless this check
+    /// already has.
+    pub(crate) fn ensure(&mut self, m: &Module, fi: usize) {
+        if self.at.len() < m.funcs.len() {
+            self.at.resize(m.funcs.len(), None);
+        }
+        if self.at[fi].is_none() {
+            let (r0, p0) = (self.rpo.len(), self.pos.len());
+            order_into(&m.funcs[fi], &mut self.rpo, &mut self.pos, &mut self.frames);
+            let len = self.rpo.len() - r0;
+            self.at[fi] = Some((r0 as u32, len as u32, p0 as u32));
+        }
+    }
+
+    /// The order of function `fi` of `m`, which must have been
+    /// [`Orders::ensure`]d.
+    pub(crate) fn get(&self, m: &Module, fi: usize) -> Order<'_> {
+        let (r0, len, p0) = self.at[fi].expect("order ensured before use");
+        let (r0, p0) = (r0 as usize, p0 as usize);
+        Order {
+            rpo: &self.rpo[r0..r0 + len as usize],
+            pos: &self.pos[p0..p0 + m.funcs[fi].block_count()],
+        }
+    }
+}
+
+/// What one check reuses from function to function and round to round
+/// instead of allocating it anew.
+#[derive(Debug, Default)]
+pub(crate) struct CheckScratch {
+    /// Every function's CFG order, computed at most once.
+    pub(crate) orders: Orders,
+    /// Word propagation ([`crate::pw::compute_pw`]).
+    pub(crate) pw: PwScratch,
+    /// Dominators, frontiers and loops ([`compute_cfg`]).
+    pub(crate) cfg: CfgScratch,
+    /// Interned id per word node of the function being merged
+    /// ([`WordId`], or `u32::MAX` before the node is met).
+    word_ids: Vec<u32>,
+}
 
 /// Control-flow facts for one *MPI-relevant* function: functions with
 /// no MPI instructions and no collective events (most kernels of a
@@ -53,9 +114,9 @@ pub struct CfgFacts {
     pub pdt: PostDomTree,
     /// Per-block post-dominance frontiers — computed once; `PDF+` of
     /// event sets is assembled from these by the memoizing engine.
-    /// Empty (not per-block) for functions issuing no collective
-    /// events: nothing ever queries their frontiers.
-    pub pdf: Vec<Vec<BlockId>>,
+    /// Empty (no rows) for functions issuing no collective events:
+    /// nothing ever queries their frontiers.
+    pub pdf: Frontiers,
     /// Natural loops (self-concurrency detection).
     pub loops: LoopInfo,
 }
@@ -131,17 +192,23 @@ struct RawFacts {
 }
 
 /// Dominator/post-dominator trees, frontiers and loops for one
-/// function. `with_pdf` additionally materializes the per-block
-/// post-dominance frontiers (only event-bearing functions query them).
-pub(crate) fn compute_cfg(f: &FuncIr, with_pdf: bool) -> CfgFacts {
+/// function, whose CFG order is `order`. `with_pdf` additionally
+/// materializes the per-block post-dominance frontiers (only
+/// event-bearing functions query them).
+pub(crate) fn compute_cfg(
+    f: &FuncIr,
+    with_pdf: bool,
+    order: Order<'_>,
+    scratch: &mut CfgScratch,
+) -> CfgFacts {
     let preds = f.predecessors();
-    let dom = DomTree::compute(f, &preds);
-    let pdt = PostDomTree::compute(f, &preds);
-    let loops = LoopInfo::compute(f, &dom, &preds);
+    let dom = DomTree::compute(f, &preds, order);
+    let pdt = PostDomTree::compute(f, &preds, order, scratch);
+    let loops = LoopInfo::compute(f, &dom, &preds, scratch);
     let pdf = if with_pdf {
-        pdt.frontier(f)
+        pdt.frontier(f, order, scratch)
     } else {
-        Vec::new()
+        Frontiers::default()
     };
     CfgFacts {
         dom,
@@ -158,11 +225,12 @@ impl<'m> AnalysisCx<'m> {
     /// to re-derive.
     pub fn build(m: &'m Module, entry: InitialContext, pool: &parcoach_pool::Pool) -> Self {
         let mut db = QueryDb::new();
+        let mut scratch = CheckScratch::default();
         db.reconcile(m);
-        let ctxs = compute_contexts(m, entry, pool, &mut db);
+        let ctxs = contexts_in(m, entry, pool, &mut db, &mut scratch);
         let mut cx = Self::new(m, ctxs, &mut db);
         let all: Vec<usize> = (0..m.funcs.len()).collect();
-        cx.derive(&all, pool, &mut db);
+        cx.derive(&all, pool, &mut db, &mut scratch);
         cx
     }
 
@@ -186,7 +254,13 @@ impl<'m> AnalysisCx<'m> {
     /// Add the facts of the functions `which` (ascending indices into
     /// the module's functions). Parallelism words and CFG facts are
     /// served from `db` where present and stored into it where not.
-    pub fn derive(&mut self, which: &[usize], pool: &parcoach_pool::Pool, db: &mut QueryDb) {
+    pub(crate) fn derive(
+        &mut self,
+        which: &[usize],
+        pool: &parcoach_pool::Pool,
+        db: &mut QueryDb,
+        scratch: &mut CheckScratch,
+    ) {
         let (m, ctxs, comms) = (self.module, &self.ctxs, &self.comms);
 
         // Parallel stage 1: block→event maps — only for functions that
@@ -236,8 +310,13 @@ impl<'m> AnalysisCx<'m> {
                 }
             }
         }
-        let computed = pool.par_map(&misses, |&k| {
-            Arc::new(compute_cfg(&m.funcs[which[k]], raws[k].has_events))
+        for &k in &misses {
+            scratch.orders.ensure(m, which[k]);
+        }
+        let orders = &scratch.orders;
+        let computed = pool.par_map_with(&misses, &mut scratch.cfg, |cfg, &k| {
+            let (i, f) = (which[k], &m.funcs[which[k]]);
+            Arc::new(compute_cfg(f, raws[k].has_events, orders.get(m, i), cfg))
         });
         for (k, cfg) in misses.into_iter().zip(computed) {
             db.func(which[k]).cfg.put((raws[k].has_events, cfg.clone()));
@@ -247,22 +326,26 @@ impl<'m> AnalysisCx<'m> {
         // Sequential merge in module order: fetch the words the context
         // stage left in the table and fill the arenas deterministically.
         for ((&i, raw), cfg) in which.iter().zip(raws).zip(cfgs) {
-            let pw = pw_under(m, i, ctxs.initial[i], db);
+            let pw = pw_under(m, i, ctxs.initial[i], db, scratch);
             // Entry words are only read by the phases for MPI-relevant
             // functions (concurrency indexes them per MPI block), so
             // the rest skip the per-block interning. Words materialize
             // from the function's dag at most once per distinct node
             // (straight-line blocks share nodes).
             let word_ids = if raw.needs_cfg {
-                let mut node_memo: HashMap<WordNode, WordId> = HashMap::new();
+                let memo = &mut scratch.word_ids;
+                memo.clear();
+                memo.resize(pw.dag.node_count(), u32::MAX);
                 pw.entry
                     .iter()
                     .map(|state| match state {
-                        Some(PwState::Word(n)) => Some(
-                            *node_memo
-                                .entry(*n)
-                                .or_insert_with(|| self.words.intern(&pw.dag.materialize(*n))),
-                        ),
+                        Some(PwState::Word(n)) => {
+                            let id = &mut memo[n.0 as usize];
+                            if *id == u32::MAX {
+                                *id = self.words.intern(&pw.dag.materialize(*n)).0;
+                            }
+                            Some(WordId(*id))
+                        }
                         _ => None,
                     })
                     .collect()

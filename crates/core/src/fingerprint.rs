@@ -405,8 +405,9 @@ pub fn fingerprint(f: &FuncIr) -> Fingerprint {
         params: _,
         ret,
         reg_types: _,
-        reg_names,
         blocks,
+        // Hashed block by block, below.
+        instrs: _,
         entry,
         region_count,
         span: _,
@@ -415,22 +416,17 @@ pub fn fingerprint(f: &FuncIr) -> Fingerprint {
     h.str(name);
     h.registers(f);
     h.word(*ret as u64);
-    for n in reg_names {
-        match n {
-            None => h.tag(0x50, 0),
-            Some(n) => h.str(n),
-        }
-    }
     h.word(u64::from(entry.0));
     h.word(u64::from(*region_count));
     h.word(blocks.len() as u64);
-    for b in blocks {
+    for (id, b) in f.iter_blocks() {
         match &b.kind {
             BlockKind::Normal => h.tag(0x51, 0),
             BlockKind::Directive(d) => h.directive(d),
         }
-        h.word(b.instrs.len() as u64);
-        for i in &b.instrs {
+        let instrs = f.instrs(id);
+        h.word(instrs.len() as u64);
+        for i in instrs {
             h.instr(i);
         }
         h.terminator(&b.term);
@@ -450,9 +446,9 @@ pub(crate) fn typed_def_fp(f: &FuncIr, ty: Type) -> u128 {
     }
     let mut h = Hash128::new();
     h.registers(f);
-    for b in &f.blocks {
+    for b in f.block_ids() {
         h.tag(0x52, 0);
-        for (ii, i) in b.instrs.iter().enumerate() {
+        for (ii, i) in f.instrs(b).iter().enumerate() {
             if i.dest()
                 .is_some_and(|d| f.reg_types.get(d.index()) == Some(&ty))
             {

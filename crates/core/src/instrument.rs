@@ -18,9 +18,10 @@
 //! ablation experiment (E5) compares against.
 
 use crate::report::StaticReport;
+use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::instr::{CheckOp, Instr, MpiIr, Terminator};
-use parcoach_ir::types::{BlockId, RegionId};
+use parcoach_ir::types::{BlockId, RegionId, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -118,153 +119,134 @@ pub fn instrument_module(
         }
         // The one copy: `m` holds the function too.
         let func = Arc::make_mut(shared);
-
-        instrument_collectives(func, cc_here, mono_blocks, &mut stats);
-
-        if cc_here {
-            instrument_returns(func, &mut stats);
-        }
-
-        for &(region, site) in sites {
-            if instrument_region_counter(func, RegionId(region), site) {
-                stats.concurrency_sites += 1;
-            }
-        }
-
-        if p2p_here {
-            instrument_p2p_epochs(func, &mut stats);
-        }
+        let plan = FuncPlan {
+            cc: cc_here,
+            mono_blocks,
+            counters: region_counters(func, sites),
+            p2p: p2p_here,
+        };
+        stats.concurrency_sites += plan.counters.len();
+        plan.apply(func, &mut stats);
     }
 
     (out, stats)
 }
 
-/// Insert `CC` + monothread asserts before collectives.
-fn instrument_collectives(
-    func: &mut FuncIr,
-    cc_here: bool,
-    mono_blocks: &HashSet<BlockId>,
-    stats: &mut InstrumentStats,
-) {
-    for bidx in 0..func.blocks.len() {
-        let bid = BlockId(bidx as u32);
-        // When a function is CC-instrumented, *every* collective in it
-        // gets a CC — a mismatch can pair any two collectives across
-        // processes, so partial coverage would miss errors. Suspect
-        // blocks additionally get the monothread assert.
-        let needs_cc = cc_here;
-        let block = &mut func.blocks[bidx];
-        let mut i = 0;
-        while i < block.instrs.len() {
-            // Data collectives and the communicator-management
-            // collectives (split/dup, which synchronize their parent)
-            // are guarded alike.
-            let (what, color, comm, span) = match &block.instrs[i] {
-                Instr::Mpi {
-                    op: MpiIr::Collective { kind, comm, .. },
+/// The checks one function receives.
+struct FuncPlan<'a> {
+    /// `CC` before every collective and every return.
+    cc: bool,
+    /// Blocks whose collectives get a monothread assert.
+    mono_blocks: &'a HashSet<BlockId>,
+    /// Concurrency counters: `(body entry, end block, site, span)`.
+    counters: Vec<(BlockId, BlockId, u32, Span)>,
+    /// A `P2pEpoch` census before every `MPI_Finalize`.
+    p2p: bool,
+}
+
+impl FuncPlan<'_> {
+    /// Rebuild `func`'s instruction array with the checks in place, in
+    /// one pass. Within a block:
+    ///
+    /// * the `ConcEnter`s of the regions whose body starts there, last
+    ///   site first;
+    /// * before each collective (data collectives and the
+    ///   communicator-management ones, which synchronize their parent,
+    ///   alike), its `CC` then its monothread assert — when a function
+    ///   is CC-instrumented, *every* collective in it gets a `CC`: a
+    ///   mismatch can pair any two collectives across processes, so
+    ///   partial coverage would miss errors;
+    /// * before each `MPI_Finalize`, the `P2pEpoch` census: the
+    ///   communicators' final synchronization point, where every
+    ///   buffered message must have been received (MPI semantics) — so
+    ///   unbalanced per-communicator send/receive totals are a definite
+    ///   error;
+    /// * at the end, the `ReturnCc` of a returning block, then the
+    ///   `ConcExit`s of the regions that end there, in site order.
+    fn apply(&self, func: &mut FuncIr, stats: &mut InstrumentStats) {
+        func.rewrite_instrs(|bid, block, old, out| {
+            for &(entry, _, site, span) in self.counters.iter().rev() {
+                if entry == bid {
+                    out.push(Instr::Check(CheckOp::ConcEnter { site, span }));
+                }
+            }
+            let mono = self.mono_blocks.contains(&bid);
+            for i in old {
+                if let Some((what, color, comm, span)) = guarded_collective(&i) {
+                    if self.cc {
+                        // The CC runs on the guarded collective's
+                        // communicator (see CheckOp::CollectiveCc).
+                        out.push(Instr::Check(CheckOp::CollectiveCc { color, comm, span }));
+                        stats.cc_collective += 1;
+                    }
+                    if mono {
+                        out.push(Instr::Check(CheckOp::AssertMonothread { what, span }));
+                        stats.monothread_asserts += 1;
+                    }
+                }
+                if let Instr::Mpi {
+                    op: MpiIr::Finalize,
                     span,
                     ..
-                } => (kind.mpi_name(), kind.color(), *comm, *span),
-                Instr::Mpi { op, span, .. } => match op.comm_mgmt() {
-                    Some((name, parent)) => {
-                        let color = if name == "MPI_Comm_split" {
-                            parcoach_ir::instr::COLOR_COMM_SPLIT
-                        } else {
-                            parcoach_ir::instr::COLOR_COMM_DUP
-                        };
-                        (name, color, Some(parent), *span)
+                } = &i
+                {
+                    if self.p2p {
+                        out.push(Instr::Check(CheckOp::P2pEpoch { span: *span }));
+                        stats.p2p_epochs += 1;
                     }
-                    None => {
-                        i += 1;
-                        continue;
-                    }
-                },
-                _ => {
-                    i += 1;
-                    continue;
                 }
-            };
-            let mut inserted = 0;
-            if mono_blocks.contains(&bid) {
-                block
-                    .instrs
-                    .insert(i, Instr::Check(CheckOp::AssertMonothread { what, span }));
-                stats.monothread_asserts += 1;
-                inserted += 1;
+                out.push(i);
             }
-            if needs_cc {
-                // The CC runs on the guarded collective's communicator
-                // (see CheckOp::CollectiveCc).
-                block
-                    .instrs
-                    .insert(i, Instr::Check(CheckOp::CollectiveCc { color, comm, span }));
-                stats.cc_collective += 1;
-                inserted += 1;
+            if let Terminator::Return { span, .. } = &block.term {
+                if self.cc {
+                    out.push(Instr::Check(CheckOp::ReturnCc { span: *span }));
+                    stats.cc_return += 1;
+                }
             }
-            i += inserted + 1;
-        }
+            for &(_, end, site, _) in &self.counters {
+                if end == bid {
+                    out.push(Instr::Check(CheckOp::ConcExit { site }));
+                }
+            }
+        });
     }
 }
 
-/// Append a `ReturnCc` check at the end of every returning block.
-fn instrument_returns(func: &mut FuncIr, stats: &mut InstrumentStats) {
-    for block in &mut func.blocks {
-        if let Terminator::Return { span, .. } = block.term {
-            block.instrs.push(Instr::Check(CheckOp::ReturnCc { span }));
-            stats.cc_return += 1;
-        }
-    }
-}
-
-/// Insert a `P2pEpoch` census immediately before every `MPI_Finalize`:
-/// the communicators' final synchronization point, where every buffered
-/// message must have been received (MPI semantics) — so unbalanced
-/// per-communicator send/receive totals are a definite error.
-fn instrument_p2p_epochs(func: &mut FuncIr, stats: &mut InstrumentStats) {
-    for block in &mut func.blocks {
-        let mut i = 0;
-        while i < block.instrs.len() {
-            if let Instr::Mpi {
-                op: MpiIr::Finalize,
-                span,
-                ..
-            } = &block.instrs[i]
-            {
-                let span = *span;
-                block
-                    .instrs
-                    .insert(i, Instr::Check(CheckOp::P2pEpoch { span }));
-                stats.p2p_epochs += 1;
-                i += 1;
-            }
-            i += 1;
-        }
-    }
-}
-
-/// Place `ConcEnter` at the region's body entry and `ConcExit` in its end
-/// directive block. Returns false when the region cannot be resolved.
-fn instrument_region_counter(func: &mut FuncIr, region: RegionId, site: u32) -> bool {
-    let Some(body_entry) = crate::concurrency::region_body_entry(func, region) else {
-        return false;
+/// What a `CC` guarding `i` checks — `(MPI name, color, communicator,
+/// span)` — if `i` is a collective.
+fn guarded_collective(i: &Instr) -> Option<(&'static str, u32, Option<Value>, Span)> {
+    let Instr::Mpi { op, span, .. } = i else {
+        return None;
     };
-    // Locate the end-directive block of the region.
-    let end_block = func.iter_blocks().find_map(|(id, b)| {
-        b.directive()
-            .filter(|d| d.closes_region() && d.region() == Some(region))
-            .map(|_| id)
-    });
-    let Some(end_block) = end_block else {
-        return false;
+    if let MpiIr::Collective { kind, comm, .. } = op {
+        return Some((kind.mpi_name(), kind.color(), *comm, *span));
+    }
+    let (name, parent) = op.comm_mgmt()?;
+    let color = if name == "MPI_Comm_split" {
+        parcoach_ir::instr::COLOR_COMM_SPLIT
+    } else {
+        parcoach_ir::instr::COLOR_COMM_DUP
     };
-    let span = func.block(body_entry).span;
-    func.block_mut(body_entry)
-        .instrs
-        .insert(0, Instr::Check(CheckOp::ConcEnter { site, span }));
-    func.block_mut(end_block)
-        .instrs
-        .push(Instr::Check(CheckOp::ConcExit { site }));
-    true
+    Some((name, color, Some(parent), *span))
+}
+
+/// Where each `(region, site)` pair's counter goes: `ConcEnter` at the
+/// region's body entry, `ConcExit` in its end directive block. A region
+/// that cannot be resolved gets no counter.
+fn region_counters(func: &FuncIr, sites: &[(u32, u32)]) -> Vec<(BlockId, BlockId, u32, Span)> {
+    sites
+        .iter()
+        .filter_map(|&(region, site)| {
+            let region = RegionId(region);
+            let body_entry = crate::concurrency::region_body_entry(func, region)?;
+            let end_block = func.iter_blocks().find_map(|(id, b)| {
+                b.directive()
+                    .filter(|d| d.closes_region() && d.region() == Some(region))
+                    .map(|_| id)
+            })?;
+            Some((body_entry, end_block, site, func.block(body_entry).span))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -317,11 +299,10 @@ mod tests {
         assert_eq!(stats.cc_collective, 1);
         assert_eq!(stats.cc_return, 1);
         let f = m.main().unwrap();
-        let has_cc = f.blocks.iter().any(|b| {
-            b.instrs
-                .iter()
-                .any(|i| matches!(i, Instr::Check(CheckOp::CollectiveCc { .. })))
-        });
+        let has_cc = f
+            .instrs
+            .iter()
+            .any(|i| matches!(i, Instr::Check(CheckOp::CollectiveCc { .. })));
         assert!(has_cc);
     }
 
@@ -349,15 +330,13 @@ mod tests {
         assert_eq!(stats.concurrency_sites, 2);
         let f = m.main().unwrap();
         let enters = f
-            .blocks
+            .instrs
             .iter()
-            .flat_map(|b| &b.instrs)
             .filter(|i| matches!(i, Instr::Check(CheckOp::ConcEnter { .. })))
             .count();
         let exits = f
-            .blocks
+            .instrs
             .iter()
-            .flat_map(|b| &b.instrs)
             .filter(|i| matches!(i, Instr::Check(CheckOp::ConcExit { .. })))
             .count();
         assert_eq!(enters, 2);
@@ -446,8 +425,8 @@ mod tests {
         let (m, stats) = pipeline(src, InstrumentMode::Full);
         assert_eq!(stats.p2p_epochs, 1);
         let shutdown = m.func("shutdown").unwrap();
-        let guarded = shutdown.blocks.iter().any(|b| {
-            b.instrs.windows(2).any(|w| {
+        let guarded = shutdown.block_ids().any(|b| {
+            shutdown.instrs(b).windows(2).any(|w| {
                 matches!(
                     w,
                     [

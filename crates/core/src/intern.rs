@@ -15,9 +15,9 @@
 //!   stores each distinct word once per module.
 //!
 //! The two arenas are thin typed wrappers over one generic `Interner`
-//! and are filled **sequentially in module order** by
-//! [`crate::facts::AnalysisCx::derive`], so ids are deterministic at
-//! every pool width.
+//! and are filled **sequentially in module order** by the fact store
+//! ([`crate::facts::AnalysisCx`]), so ids are deterministic at every
+//! pool width.
 //!
 //! The last structure, [`WordDag`], is different in kind: it interns
 //! words *structurally* as `(parent, token)` nodes, so extending a word
@@ -230,6 +230,13 @@ impl WordDag {
                 next_sibling: NO_NODE,
             }],
         }
+    }
+
+    /// Forget every word but `ε`, keeping the storage (a scratch dag
+    /// is rebuilt for every function and context).
+    pub fn clear(&mut self) {
+        self.nodes.truncate(1);
+        self.nodes[0].first_child = NO_NODE;
     }
 
     /// The empty word.

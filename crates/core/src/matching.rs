@@ -104,8 +104,7 @@ pub(crate) fn block_events(
     ctxs: &CallContexts,
     comms: &FuncComms,
 ) -> Vec<(Event, usize)> {
-    f.block(b)
-        .instrs
+    f.instrs(b)
         .iter()
         .enumerate()
         .filter_map(|(ii, i)| {

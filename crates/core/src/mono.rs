@@ -57,8 +57,8 @@ pub fn check_monothread(cx: &AnalysisCx, fidx: usize) -> MonoResult {
     // collectives (`MPI_Comm_split`/`dup`, which synchronize their
     // parent's members — a whole team creating a communicator is the
     // same error as a whole team entering a barrier).
-    for (bid, block) in f.iter_blocks() {
-        for (ii, i) in block.instrs.iter().enumerate() {
+    for bid in f.block_ids() {
+        for (ii, i) in f.instrs(bid).iter().enumerate() {
             let parcoach_ir::instr::Instr::Mpi { op, .. } = i else {
                 continue;
             };

@@ -168,8 +168,8 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
         }
         let fc = cx.comms_of(fidx);
         let fr = cx.reqs_of(fidx);
-        for (bid, b) in f.iter_blocks() {
-            for (iidx, i) in b.instrs.iter().enumerate() {
+        for bid in f.block_ids() {
+            for (iidx, i) in f.instrs(bid).iter().enumerate() {
                 let Instr::Mpi { op, dest, .. } = i else {
                     continue;
                 };
@@ -402,7 +402,10 @@ mod tests {
         let m = lower_program(&unit.program, &unit.signatures);
         let cx = AnalysisCx::build(&m, InitialContext::Sequential, parcoach_pool::global());
         let core = p2p_core(&cx, &mut |fi| {
-            Arc::new(crate::facts::compute_cfg(&m.funcs[fi], false))
+            let f = &m.funcs[fi];
+            let order = parcoach_ir::graph::CfgOrder::of(f);
+            let cfg = crate::facts::compute_cfg(f, false, order.view(), &mut Default::default());
+            Arc::new(cfg)
         });
         materialize_p2p(&core, &m)
     }

@@ -6,7 +6,7 @@
 use crate::comm::{CommDef, CommId};
 use crate::concurrency::check_concurrency;
 use crate::context::CallContexts;
-use crate::facts::AnalysisCx;
+use crate::facts::{AnalysisCx, CheckScratch};
 use crate::intern::Sym;
 use crate::matching::{check_matching, MatchingOptions};
 use crate::mono::check_monothread;
@@ -294,6 +294,7 @@ pub(crate) fn analyze_module(
 ) -> Result<(StaticReport, PhaseTimings), crate::cancel::Cancelled> {
     let sink = TimingSink::default();
     let t0 = Instant::now();
+    let mut scratch = CheckScratch::default();
     checkpoint(token)?;
 
     // Red-green pass: drop what the edits since the last check changed,
@@ -303,7 +304,7 @@ pub(crate) fn analyze_module(
     // Interprocedural contexts: the stored fixpoint when no edit changed
     // what it read, a fresh one otherwise.
     let t = Instant::now();
-    let ctxs = crate::context::compute_contexts(m, opts.entry_context, pool, db);
+    let ctxs = crate::context::contexts_in(m, opts.entry_context, pool, db, &mut scratch);
     TimingSink::add(&sink.contexts, t);
     checkpoint(token)?;
 
@@ -325,7 +326,7 @@ pub(crate) fn analyze_module(
         .copied()
         .filter(|&fi| cx.is_reachable(fi))
         .collect();
-    cx.derive(&live, pool, db);
+    cx.derive(&live, pool, db, &mut scratch);
     TimingSink::add(&sink.facts, t);
     checkpoint(token)?;
 
@@ -436,7 +437,7 @@ pub(crate) fn analyze_module(
     let core = match db.p2p.get_if(|(reachable, _)| *reachable == ctxs.reachable) {
         Some((_, core)) => core.clone(),
         None => {
-            let mut cfg_of = |fi: usize| db.cfg_of(fi, &m.funcs[fi], false);
+            let mut cfg_of = |fi: usize| db.cfg_of(m, fi, false, &mut scratch);
             let core = Arc::new(crate::p2p::p2p_core(&cx, &mut cfg_of));
             db.p2p.put((ctxs.reachable.clone(), core.clone()));
             core

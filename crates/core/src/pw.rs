@@ -24,11 +24,17 @@
 //! membership verdict is cached on the node (see [`crate::intern`]).
 //! `Vec`-backed [`Word`]s materialize only at report boundaries
 //! (divergences, warning messages).
+//!
+//! The propagation reads the function's CFG [`Order`], computed once per
+//! check however many contexts the function is evaluated under, and runs
+//! in a [`PwScratch`] the check recycles from function to function and
+//! round to round: a result allocates only what it keeps.
 
-use crate::intern::{WordDag, WordNode};
+use crate::intern::{WordDag, WordNode, EPSILON};
 use crate::lang::ContextClass;
 use crate::word::{SKind, Token, Word};
 use parcoach_ir::func::FuncIr;
+use parcoach_ir::graph::Order;
 use parcoach_ir::instr::{Directive, Terminator};
 use parcoach_ir::types::{BlockId, RegionId};
 use std::collections::VecDeque;
@@ -138,14 +144,13 @@ impl InitialContext {
     ];
 
     /// The synthetic word prefix for this context.
-    pub fn prefix(self) -> Word {
+    pub fn prefix(self) -> &'static [Token] {
+        const P: Token = Token::P(RegionId(SYNTH_BASE));
+        const S: Token = Token::S(RegionId(SYNTH_BASE + 1), SKind::Single);
         match self {
-            InitialContext::Sequential => Word::empty(),
-            InitialContext::ParallelSingle => Word(vec![
-                Token::P(RegionId(SYNTH_BASE)),
-                Token::S(RegionId(SYNTH_BASE + 1), SKind::Single),
-            ]),
-            InitialContext::Parallel => Word(vec![Token::P(RegionId(SYNTH_BASE))]),
+            InitialContext::Sequential => &[],
+            InitialContext::ParallelSingle => &[P, S],
+            InitialContext::Parallel => &[P],
         }
     }
 
@@ -161,27 +166,38 @@ impl InitialContext {
     }
 }
 
-/// Compute parallelism words for every block of `f`, starting from the
-/// given initial context.
-pub fn compute_pw(f: &FuncIr, init: InitialContext) -> PwResult {
+/// The vectors [`compute_pw`] needs only while it runs: the worklist
+/// and the dag the words are built in (copied out at its final size).
+#[derive(Debug, Default)]
+pub struct PwScratch {
+    queue: VecDeque<BlockId>,
+    dag: WordDag,
+}
+
+/// Compute parallelism words for every block of `f`, whose CFG order is
+/// `order`, starting from the given initial context.
+pub fn compute_pw(
+    f: &FuncIr,
+    init: InitialContext,
+    order: Order<'_>,
+    scratch: &mut PwScratch,
+) -> PwResult {
     let n = f.block_count();
-    let mut dag = WordDag::new();
+    let PwScratch { queue, dag } = scratch;
+    dag.clear();
+    queue.clear();
     let mut entry: Vec<Option<PwState>> = vec![None; n];
     let mut phase_merged = vec![false; n];
     let mut divergences: Vec<Divergence> = Vec::new();
-    let mut queue: VecDeque<BlockId> = VecDeque::new();
 
     // RPO positions distinguish retreating (loop back) edges — where a
     // barrier-only word extension is the normal per-iteration growth —
     // from forward joins, where the same mismatch means a control-flow
     // divergent barrier.
-    let rpo = parcoach_ir::graph::reverse_post_order(f);
-    let mut rpo_pos = vec![usize::MAX; n];
-    for (i, b) in rpo.iter().enumerate() {
-        rpo_pos[b.index()] = i;
-    }
+    let rpo_pos = order.pos;
 
-    entry[f.entry.index()] = Some(PwState::Word(dag.intern_word(&init.prefix())));
+    let prefix = init.prefix().iter().fold(EPSILON, |w, &t| dag.extend(w, t));
+    entry[f.entry.index()] = Some(PwState::Word(prefix));
     queue.push_back(f.entry);
 
     // Termination: words only shrink at meets, Conflict is absorbing and
@@ -193,7 +209,7 @@ pub fn compute_pw(f: &FuncIr, init: InitialContext) -> PwResult {
         // returned inline so the hot loop never heap-allocates.
         let out_states: [Option<(BlockId, PwState)>; 2] = match state {
             PwState::Conflict => uniform_out(&blk.term, |_| PwState::Conflict),
-            PwState::Word(w) => transfer(f, b, blk.directive(), &blk.term, w, &mut dag),
+            PwState::Word(w) => transfer(f, b, blk.directive(), &blk.term, w, dag),
         };
         for (succ, new_state) in out_states.into_iter().flatten() {
             match entry[succ.index()] {
@@ -203,7 +219,7 @@ pub fn compute_pw(f: &FuncIr, init: InitialContext) -> PwResult {
                 }
                 Some(existing) => {
                     let retreating = rpo_pos[succ.index()] <= rpo_pos[b.index()];
-                    let (met, note) = meet(existing, new_state, retreating, &dag);
+                    let (met, note) = meet(existing, new_state, retreating, dag);
                     if let MeetNote::PhaseMerge = note {
                         phase_merged[succ.index()] = true;
                     }
@@ -230,7 +246,7 @@ pub fn compute_pw(f: &FuncIr, init: InitialContext) -> PwResult {
         entry,
         phase_merged,
         divergences,
-        dag,
+        dag: dag.clone(),
     }
 }
 
@@ -369,8 +385,14 @@ mod tests {
     use super::*;
     use crate::lang::{classify, MonoVerdict};
     use parcoach_front::parse_and_check;
+    use parcoach_ir::graph::CfgOrder;
     use parcoach_ir::lower::lower_program;
     use parcoach_ir::Module;
+
+    /// The words of `f` under `init`, over a fresh order and scratch.
+    fn compute_pw(f: &FuncIr, init: InitialContext) -> PwResult {
+        super::compute_pw(f, init, CfgOrder::of(f).view(), &mut PwScratch::default())
+    }
 
     fn lower(src: &str) -> Module {
         let unit = parse_and_check("t.mh", src).expect("valid");
@@ -566,6 +588,33 @@ mod tests {
                     pw.entry[b.index()].is_some(),
                     "reachable block {b} lacks pw state"
                 );
+            }
+        }
+    }
+
+    /// One scratch serving several functions and contexts in a row
+    /// gives each the result a fresh one gives.
+    #[test]
+    fn recycled_scratch_gives_fresh_results() {
+        let m = lower(
+            "fn work() { parallel { single { MPI_Barrier(); } barrier; } }
+             fn main() { for (i in 0..3) { parallel { master { work(); } } } MPI_Barrier(); }",
+        );
+        let mut scratch = PwScratch::default();
+        for _ in 0..2 {
+            for f in &m.funcs {
+                for ctx in InitialContext::ALL {
+                    let order = CfgOrder::of(f);
+                    let got = super::compute_pw(f, ctx, order.view(), &mut scratch);
+                    let fresh = compute_pw(f, ctx);
+                    assert_eq!(got.entry, fresh.entry, "{} {ctx:?}", f.name);
+                    assert_eq!(got.phase_merged, fresh.phase_merged);
+                    assert_eq!(got.divergences, fresh.divergences);
+                    assert_eq!(got.dag.node_count(), fresh.dag.node_count());
+                    for b in f.block_ids() {
+                        assert_eq!(got.word_at(b), fresh.word_at(b));
+                    }
+                }
             }
         }
     }

@@ -65,7 +65,7 @@
 
 use crate::comm::ModuleComms;
 use crate::context::CallContexts;
-use crate::facts::CfgFacts;
+use crate::facts::{compute_cfg, CfgFacts, CheckScratch};
 use crate::fingerprint::typed_def_fp;
 pub use crate::fingerprint::{fingerprint, Fingerprint};
 use crate::p2p::P2pCore;
@@ -106,9 +106,7 @@ impl Locator {
 /// The span the program point `loc` has *now*.
 pub fn span_at(m: &Module, loc: Locator) -> Span {
     match loc {
-        Locator::Instr(fi, b, ii) => m.funcs[fi].blocks[b.index()].instrs[ii]
-            .span()
-            .unwrap_or(Span::DUMMY),
+        Locator::Instr(fi, b, ii) => m.funcs[fi].instrs(b)[ii].span().unwrap_or(Span::DUMMY),
         Locator::Block(fi, b) => m.funcs[fi].blocks[b.index()].span,
         Locator::Cond(fi, b) => {
             let block = &m.funcs[fi].blocks[b.index()];
@@ -143,14 +141,10 @@ struct FuncKey {
 impl FuncKey {
     fn of(f: &FuncIr) -> FuncKey {
         let fp = fingerprint(f);
-        let mpi_ops = f
-            .blocks
-            .iter()
-            .flat_map(|b| &b.instrs)
-            .filter_map(|i| match i {
-                Instr::Mpi { op, .. } => Some(op),
-                _ => None,
-            });
+        let mpi_ops = f.instrs.iter().filter_map(|i| match i {
+            Instr::Mpi { op, .. } => Some(op),
+            _ => None,
+        });
         let mut p2p = 0;
         for op in mpi_ops {
             if op.is_p2p() {
@@ -213,8 +207,8 @@ pub fn call_summary(f: &FuncIr, by_name: &HashMap<String, usize>) -> CallSummary
         init: None,
         call_sites: Vec::new(),
     };
-    for (bid, b) in f.iter_blocks() {
-        for (ii, i) in b.instrs.iter().enumerate() {
+    for bid in f.block_ids() {
+        for (ii, i) in f.instrs(bid).iter().enumerate() {
             match i {
                 Instr::Mpi { op, .. } => {
                     s.has_mpi = true;
@@ -412,11 +406,20 @@ impl QueryDb {
         stored.map(|(_, cfg)| cfg.clone())
     }
 
-    /// The CFG facts of `f` (function `fi`), from the table or computed
-    /// into it.
-    pub(crate) fn cfg_of(&mut self, fi: usize, f: &FuncIr, with_pdf: bool) -> Arc<CfgFacts> {
+    /// The CFG facts of function `fi` of `m`, from the table or computed
+    /// into it with the check's `scratch`.
+    pub(crate) fn cfg_of(
+        &mut self,
+        m: &Module,
+        fi: usize,
+        with_pdf: bool,
+        scratch: &mut CheckScratch,
+    ) -> Arc<CfgFacts> {
         self.cfg_stored(fi, with_pdf).unwrap_or_else(|| {
-            let cfg = Arc::new(crate::facts::compute_cfg(f, with_pdf));
+            scratch.orders.ensure(m, fi);
+            let order = scratch.orders.get(m, fi);
+            let facts = compute_cfg(&m.funcs[fi], with_pdf, order, &mut scratch.cfg);
+            let cfg = Arc::new(facts);
             self.funcs[fi].cfg.put((with_pdf, cfg.clone()));
             cfg
         })
@@ -537,6 +540,7 @@ mod tests {
     use crate::pw::{compute_pw, InitialContext};
     use crate::session::AnalysisSession;
     use parcoach_front::parse_and_check;
+    use parcoach_ir::graph::CfgOrder;
     use parcoach_ir::lower::lower_program;
 
     fn lower(src: &str) -> Module {
@@ -598,7 +602,15 @@ mod tests {
         let m = lower("fn main() { MPI_Barrier(); }");
         let mut db = QueryDb::new();
         db.reconcile(&m);
-        let pw = Arc::new(compute_pw(&m.funcs[0], InitialContext::Sequential));
+        let f = &m.funcs[0];
+        let order = CfgOrder::of(f);
+        let pw = compute_pw(
+            f,
+            InitialContext::Sequential,
+            order.view(),
+            &mut Default::default(),
+        );
+        let pw = Arc::new(pw);
         main_pw(&mut db, &m).put(pw);
         // A whitespace-style edit: same structure, different spans.
         let m2 = lower("   fn main() { MPI_Barrier(); }");

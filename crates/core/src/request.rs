@@ -160,7 +160,9 @@ impl FuncRequests {
 pub struct ModuleRequests {
     /// The interned table.
     pub table: ReqTable,
-    /// Per function name: register resolution.
+    /// Per function name: register resolution — only for functions
+    /// with a `request`-typed register; [`ModuleRequests::func`] serves
+    /// every other one the empty resolution, which reads the same.
     pub per_func: HashMap<String, FuncRequests>,
 }
 
@@ -184,8 +186,13 @@ impl ModuleRequests {
 pub fn compute_requests(m: &Module) -> ModuleRequests {
     let mut table = ReqTable::new();
     let mut per_func = HashMap::new();
+    // A function with no request-typed register can neither post a
+    // request (Isend/Irecv define request-typed destinations) nor wait on
+    // one: it gets no entry.
     for (fidx, f) in m.funcs.iter().enumerate() {
-        per_func.insert(f.name.clone(), resolve_func(fidx, f, &mut table));
+        if f.reg_types.contains(&Type::Request) {
+            per_func.insert(f.name.clone(), resolve_func(fidx, f, &mut table));
+        }
     }
     ModuleRequests { table, per_func }
 }
@@ -194,14 +201,6 @@ pub fn compute_requests(m: &Module) -> ModuleRequests {
 /// [`crate::comm`]'s communicator resolution.
 fn resolve_func(fidx: usize, f: &FuncIr, table: &mut ReqTable) -> FuncRequests {
     let n = f.reg_types.len();
-    // Fast path: a function with no request-typed register can neither
-    // post a request (Isend/Irecv define request-typed destinations)
-    // nor wait on one — skip the instruction-walking fixpoint.
-    if !f.reg_types.contains(&Type::Request) {
-        return FuncRequests {
-            per_reg: vec![None; n],
-        };
-    }
     let mut state: Vec<RegReq> = (0..n)
         .map(|i| {
             if f.reg_types[i] == Type::Request {
@@ -229,8 +228,8 @@ fn resolve_func(fidx: usize, f: &FuncIr, table: &mut ReqTable) -> FuncRequests {
                 false
             }
         };
-        for (bid, b) in f.iter_blocks() {
-            for (iidx, i) in b.instrs.iter().enumerate() {
+        for bid in f.block_ids() {
+            for (iidx, i) in f.instrs(bid).iter().enumerate() {
                 match i {
                     Instr::Mpi {
                         dest: Some(d), op, ..
@@ -332,22 +331,33 @@ pub fn check_requests(cx: &crate::facts::AnalysisCx) -> RequestResult {
         let mut posts: Vec<(ReqId, &'static str, Span)> = Vec::new();
         let mut waited: Vec<ReqId> = Vec::new();
         let mut any_unknown_wait = false;
-        for (_bid, b) in f.iter_blocks() {
-            for i in &b.instrs {
-                let Instr::Mpi { op, span, .. } = i else {
-                    continue;
-                };
-                match op {
-                    MpiIr::Isend { .. } => {
-                        posts.push((post_class(fr, i), "MPI_Isend", *span));
-                    }
-                    MpiIr::Irecv { .. } => {
-                        posts.push((post_class(fr, i), "MPI_Irecv", *span));
-                    }
-                    MpiIr::Wait { request } => {
+        for i in &f.instrs {
+            let Instr::Mpi { op, span, .. } = i else {
+                continue;
+            };
+            match op {
+                MpiIr::Isend { .. } => {
+                    posts.push((post_class(fr, i), "MPI_Isend", *span));
+                }
+                MpiIr::Irecv { .. } => {
+                    posts.push((post_class(fr, i), "MPI_Irecv", *span));
+                }
+                MpiIr::Wait { request } => {
+                    record_wait(
+                        fr,
+                        *request,
+                        *span,
+                        f,
+                        &mut waited,
+                        &mut any_unknown_wait,
+                        &mut out,
+                    );
+                }
+                MpiIr::Waitall { requests } => {
+                    for r in requests {
                         record_wait(
                             fr,
-                            *request,
+                            *r,
                             *span,
                             f,
                             &mut waited,
@@ -355,21 +365,8 @@ pub fn check_requests(cx: &crate::facts::AnalysisCx) -> RequestResult {
                             &mut out,
                         );
                     }
-                    MpiIr::Waitall { requests } => {
-                        for r in requests {
-                            record_wait(
-                                fr,
-                                *r,
-                                *span,
-                                f,
-                                &mut waited,
-                                &mut any_unknown_wait,
-                                &mut out,
-                            );
-                        }
-                    }
-                    _ => {}
                 }
+                _ => {}
             }
         }
         if any_unknown_wait {
@@ -521,13 +518,7 @@ mod tests {
         // Hand-built IR: a request register that is never defined,
         // waited on — unreachable from type-checked source.
         let mut b = BasicBlock::new();
-        b.instrs.push(Instr::Mpi {
-            dest: None,
-            op: MpiIr::Wait {
-                request: Value::Reg(Reg(0)),
-            },
-            span: Span::DUMMY,
-        });
+        b.instrs = 0..1;
         b.term = Terminator::Return {
             value: None,
             span: Span::DUMMY,
@@ -537,8 +528,14 @@ mod tests {
             params: vec![],
             ret: Type::Void,
             reg_types: vec![Type::Request],
-            reg_names: vec![None],
             blocks: vec![b],
+            instrs: vec![Instr::Mpi {
+                dest: None,
+                op: MpiIr::Wait {
+                    request: Value::Reg(Reg(0)),
+                },
+                span: Span::DUMMY,
+            }],
             entry: BlockId(0),
             region_count: 0,
             span: Span::DUMMY,

@@ -140,6 +140,31 @@ fn whitespace_only_edit() {
     edit_case(CHAIN, &spaced, &["other"], &[]);
 }
 
+/// A renamed local is not an input either: the IR keeps no names, so
+/// the function keys the same, its entry is greened and every slot is
+/// reused — while the positions after the rename moved, and the warm
+/// report places them where a cold check of the renamed text does.
+#[test]
+fn rename_only_edit() {
+    let before = "
+fn helper() { let count = rank(); if (count == 0) { MPI_Barrier(); } }
+fn main() { MPI_Init(); helper(); MPI_Finalize(); }
+";
+    let after = before.replace("count", "participants_so_far");
+    let cold = |src: &str| session(AnalysisOptions::default()).check_module(&lower(src));
+    let (b, a) = (cold(before), cold(&after));
+    assert_eq!(a.warnings.len(), 1, "{:#?}", a.warnings);
+    assert_ne!(
+        b.warnings[0].span, a.warnings[0].span,
+        "the rename moves the warning"
+    );
+    edit_case(before, &after, &["helper"], &[]);
+    edit_case(&after, before, &["helper"], &[]);
+    // The same in the call chain the other cases edit.
+    let chain = CHAIN.replace("fn other() { let x = 1; }", "fn other() { let y = 1; }");
+    edit_case(CHAIN, &chain, &["other"], &[]);
+}
+
 /// Input 2 — the initial context, raised by an edit of a caller: the
 /// caller itself, and everything below the call whose context moves.
 #[test]

@@ -724,23 +724,32 @@ impl LValue {
     }
 }
 
-/// A `{ ... }` block of statements.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Block {
-    /// Statements in order.
-    pub stmts: Vec<Stmt>,
-    /// Span of the whole block including braces.
-    pub span: Span,
+/// A run of consecutive statements in a function's arena
+/// ([`Function::stmts`]): the body of a block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StmtRange {
+    /// Arena index of the first statement.
+    pub start: u32,
+    /// Number of statements.
+    pub len: u32,
 }
 
-impl Block {
-    /// An empty block with a dummy span.
-    pub fn empty() -> Self {
-        Block {
-            stmts: Vec::new(),
-            span: Span::DUMMY,
-        }
+impl StmtRange {
+    /// The range's statements in `arena`, the [`Function::stmts`] of the
+    /// function it belongs to.
+    pub fn of(self, arena: &[Stmt]) -> &[Stmt] {
+        &arena[self.start as usize..(self.start + self.len) as usize]
     }
+}
+
+/// A `{ ... }` block of statements. The statements live in the arena of
+/// the function the block belongs to ([`Function::stmts`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Block {
+    /// Where the statements are, in order.
+    pub stmts: StmtRange,
+    /// Span of the whole block including braces.
+    pub span: Span,
 }
 
 /// Statement node.
@@ -900,9 +909,10 @@ pub struct Param {
     pub ty: Type,
 }
 
-/// A function definition, together with the arena its expressions live
-/// in: the statements name expressions by [`ExprId`], so a function and
-/// its `exprs` are replaced together.
+/// A function definition, together with the arenas its statements and
+/// expressions live in: blocks name statements by [`StmtRange`] and
+/// statements name expressions by [`ExprId`], so a function and both of
+/// its arenas are replaced together.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name.
@@ -913,6 +923,9 @@ pub struct Function {
     pub ret: Type,
     /// Body.
     pub body: Block,
+    /// Every statement of the body, each block's run consecutive; a
+    /// nested block's run precedes the run of the block around it.
+    pub stmts: Vec<Stmt>,
     /// Every expression of the body; children precede their parent.
     pub exprs: Vec<Expr>,
     /// Span of the whole definition.
@@ -920,6 +933,11 @@ pub struct Function {
 }
 
 impl Function {
+    /// The statements of block `b` of this function, in order.
+    pub fn stmts(&self, b: &Block) -> &[Stmt] {
+        b.stmts.of(&self.stmts)
+    }
+
     /// The expression behind `id`.
     pub fn expr(&self, id: ExprId) -> &Expr {
         &self.exprs[id.0 as usize]
@@ -963,30 +981,11 @@ impl Program {
         self.function("main")
     }
 
-    /// Total number of statements (recursively), a rough size metric used
-    /// by the benchmark tables.
+    /// Total number of statements (nested ones included), a rough size
+    /// metric used by the benchmark tables: every statement sits in its
+    /// function's arena exactly once.
     pub fn stmt_count(&self) -> usize {
-        fn count_block(b: &Block) -> usize {
-            b.stmts.iter().map(count_stmt).sum()
-        }
-        fn count_stmt(s: &Stmt) -> usize {
-            1 + match &s.kind {
-                StmtKind::If {
-                    then_blk, else_blk, ..
-                } => count_block(then_blk) + else_blk.as_ref().map_or(0, count_block),
-                StmtKind::While { body, .. } | StmtKind::For { body, .. } => count_block(body),
-                StmtKind::Omp(o) => match o {
-                    OmpStmt::Parallel { body, .. }
-                    | OmpStmt::Single { body, .. }
-                    | OmpStmt::Master { body }
-                    | OmpStmt::Critical { body }
-                    | OmpStmt::PFor { body, .. } => count_block(body),
-                    OmpStmt::Sections { sections, .. } => sections.iter().map(count_block).sum(),
-                },
-                _ => 0,
-            }
-        }
-        self.functions.iter().map(|f| count_block(&f.body)).sum()
+        self.functions.iter().map(|f| f.stmts.len()).sum()
     }
 }
 
@@ -1042,7 +1041,7 @@ mod tests {
         let (prog, diags) = crate::parse("fn main() { let x = 1 + f(a[i], -2); }");
         assert!(!diags.has_errors());
         let f = &prog.functions[0];
-        let StmtKind::Let { init, .. } = &f.body.stmts[0].kind else {
+        let StmtKind::Let { init, .. } = &f.stmts(&f.body)[0].kind else {
             panic!("expected let");
         };
         let mut n = 0;

@@ -5,9 +5,14 @@
 //! the name reads it back from the source. Lexical errors are reported
 //! through [`Diagnostics`] and the offending characters are skipped so
 //! that parsing can proceed and report further errors.
+//!
+//! The lexer steps over every newline of the text, those inside block
+//! comments included, so it also records where each line starts: a
+//! whole-file lex ([`lex_source`]) hands back the file's [`SourceMap`]
+//! without a second pass over the text.
 
 use crate::diag::Diagnostics;
-use crate::span::Span;
+use crate::span::{SourceMap, Span};
 use crate::token::{Token, TokenKind};
 
 /// Lex `src` completely, with spans counted from offset 0.
@@ -18,23 +23,20 @@ pub fn lex(src: &str, diags: &mut Diagnostics) -> Vec<Token> {
     lex_at(src, 0, diags)
 }
 
+/// Lex the whole file `src` (named `name` in diagnostics) and build its
+/// source map from the line starts met on the way; the map equals
+/// [`SourceMap::new`]`(name, src)`.
+pub fn lex_source(name: &str, src: &str, diags: &mut Diagnostics) -> (Vec<Token>, SourceMap) {
+    let (tokens, line_starts) = Lexer::new(src, 0, diags).run();
+    (tokens, SourceMap::from_line_starts(name, src, line_starts))
+}
+
 /// Lex `src` as the text found at byte offset `base` of a larger file:
 /// every span (tokens and diagnostics) is `base` + the position in
 /// `src`. This is how the daemon re-lexes one function of a resident
 /// document without touching the text before it.
 pub fn lex_at(src: &str, base: u32, diags: &mut Diagnostics) -> Vec<Token> {
-    Lexer {
-        src,
-        base,
-        pos: 0,
-        // The workloads, the catalogue and the generated scenarios run
-        // at 3.2–4.3 source bytes per token, so this is one allocation
-        // that almost never grows (and pages it never touches are never
-        // resident).
-        tokens: Vec::with_capacity(src.len() / 3 + 1),
-        diags,
-    }
-    .run()
+    Lexer::new(src, base, diags).run().0
 }
 
 struct Lexer<'a, 'd> {
@@ -42,10 +44,29 @@ struct Lexer<'a, 'd> {
     base: u32,
     pos: usize,
     tokens: Vec<Token>,
+    /// Offset in `src` of the start of every line met so far.
+    line_starts: Vec<u32>,
     diags: &'d mut Diagnostics,
 }
 
 impl<'a, 'd> Lexer<'a, 'd> {
+    fn new(src: &'a str, base: u32, diags: &'d mut Diagnostics) -> Self {
+        // The workloads, the catalogue and the generated scenarios run
+        // at 3.2–4.3 source bytes per token and 25–34 per line, so each
+        // vector is one allocation that almost never grows (and pages it
+        // never touches are never resident).
+        let mut line_starts = Vec::with_capacity(src.len() / 24 + 1);
+        line_starts.push(0);
+        Lexer {
+            src,
+            base,
+            pos: 0,
+            tokens: Vec::with_capacity(src.len() / 3 + 1),
+            line_starts,
+            diags,
+        }
+    }
+
     fn peek(&self) -> u8 {
         self.src.as_bytes().get(self.pos).copied().unwrap_or(0)
     }
@@ -65,11 +86,18 @@ impl<'a, 'd> Lexer<'a, 'd> {
         b
     }
 
+    /// Step over one byte of trivia, recording the line a newline opens.
+    fn bump_trivia(&mut self) {
+        if self.bump() == b'\n' {
+            self.line_starts.push(self.pos as u32);
+        }
+    }
+
     fn push(&mut self, kind: TokenKind, lo: usize) {
         self.tokens.push(Token::new(kind, self.span_from(lo)));
     }
 
-    fn run(mut self) -> Vec<Token> {
+    fn run(mut self) -> (Vec<Token>, Vec<u32>) {
         loop {
             self.skip_trivia();
             let lo = self.pos;
@@ -230,16 +258,14 @@ impl<'a, 'd> Lexer<'a, 'd> {
                 }
             }
         }
-        self.tokens
+        (self.tokens, self.line_starts)
     }
 
     /// Skip whitespace, `//` line comments and `/* */` block comments.
     fn skip_trivia(&mut self) {
         loop {
             match self.peek() {
-                b' ' | b'\t' | b'\r' | b'\n' => {
-                    self.bump();
-                }
+                b' ' | b'\t' | b'\r' | b'\n' => self.bump_trivia(),
                 b'/' if self.peek2() == b'/' => {
                     while self.pos < self.src.len() && self.peek() != b'\n' {
                         self.bump();
@@ -257,7 +283,7 @@ impl<'a, 'd> Lexer<'a, 'd> {
                             closed = true;
                             break;
                         }
-                        self.bump();
+                        self.bump_trivia();
                     }
                     if !closed {
                         self.diags.error(

@@ -41,7 +41,7 @@ pub mod token;
 
 pub use ast::{
     BinOp, Block, CollectiveCall, CollectiveKind, Expr, ExprId, ExprKind, ExprRange, Function,
-    Ident, Intrinsic, LValue, MpiOp, OmpStmt, Param, Program, ReduceOp, Stmt, StmtKind,
+    Ident, Intrinsic, LValue, MpiOp, OmpStmt, Param, Program, ReduceOp, Stmt, StmtKind, StmtRange,
     ThreadLevel, Type, UnOp,
 };
 pub use diag::{Diagnostic, Diagnostics, Severity};
@@ -68,8 +68,7 @@ pub struct CheckedUnit {
 /// On failure returns the full diagnostics (errors and warnings) plus the
 /// source map needed to render them.
 pub fn parse_and_check(name: &str, src: &str) -> Result<CheckedUnit, (Diagnostics, SourceMap)> {
-    let source_map = SourceMap::new(name, src);
-    let (program, mut diags) = parser::parse_program(src);
+    let (program, mut diags, source_map) = parser::parse_source(name, src);
     let sema = if diags.has_errors() {
         Default::default()
     } else {

@@ -14,14 +14,22 @@
 //! it moves it into the function's arena ([`Function::exprs`]) and keeps
 //! the [`ExprId`]. Children therefore precede their parent, and an
 //! argument list — parked on a side stack until its closing parenthesis
-//! — lands in consecutive slots ([`ExprRange`]). The arena is a scratch
-//! vector of the parser, copied out at its final size when a function
+//! — lands in consecutive slots ([`ExprRange`]). Statements work the
+//! same way: a block's statements wait on a side stack until its closing
+//! brace and then move, consecutively, into the function's statement
+//! arena ([`Function::stmts`], a [`StmtRange`]). Both arenas are scratch
+//! vectors of the parser, copied out at their final size when a function
 //! ends.
+//!
+//! Binary operators are parsed by one precedence-climbing loop
+//! (`Parser::binary_expr`) over the levels `||` < `&&` < comparisons <
+//! `+ -` < `* / %`; every level but the comparisons associates to the
+//! left, and `a < b < c` is an error.
 
 use crate::ast::*;
 use crate::diag::Diagnostics;
-use crate::lexer::lex_at;
-use crate::span::Span;
+use crate::lexer::{lex_at, lex_source};
+use crate::span::{SourceMap, Span};
 use crate::symbol::Interner;
 use crate::token::{Token, TokenKind};
 
@@ -56,6 +64,24 @@ pub fn parse_program(src: &str) -> (Program, Diagnostics) {
     )
 }
 
+/// [`parse_program`] of the file `src`, named `name` in diagnostics,
+/// plus its source map — built from the line starts the lexer met on
+/// its way through the text ([`lex_source`]).
+pub fn parse_source(name: &str, src: &str) -> (Program, Diagnostics, SourceMap) {
+    let mut diags = Diagnostics::new();
+    let (tokens, source_map) = lex_source(name, src, &mut diags);
+    let mut interner = Interner::new();
+    let (functions, diags) = Parser::new(src, 0, tokens, diags, &mut interner).run();
+    (
+        Program {
+            functions,
+            interner,
+        },
+        diags,
+        source_map,
+    )
+}
+
 /// Parse `src` as the text found at byte offset `base` of a larger
 /// file whose identifiers live in `interner`: every span in the
 /// functions and the diagnostics is absolute (equal, span for span, to
@@ -69,20 +95,7 @@ pub fn parse_functions_at(
 ) -> (Vec<Function>, Diagnostics) {
     let mut diags = Diagnostics::new();
     let tokens = lex_at(src, base, &mut diags);
-    let mut p = Parser {
-        src,
-        base,
-        tokens,
-        pos: 0,
-        diags,
-        interner,
-        exprs: Vec::new(),
-        args: Vec::new(),
-        depth: 0,
-        too_deep: false,
-    };
-    let functions = p.functions();
-    (functions, p.diags)
+    Parser::new(src, base, tokens, diags, interner).run()
 }
 
 struct Parser<'s> {
@@ -93,11 +106,16 @@ struct Parser<'s> {
     pos: usize,
     diags: Diagnostics,
     interner: &'s mut Interner,
-    /// The arena of the function being parsed.
+    /// The expression arena of the function being parsed.
     exprs: Vec<Expr>,
     /// Arguments of the calls being parsed, innermost last, until their
     /// list is complete.
     args: Vec<Expr>,
+    /// The statement arena of the function being parsed.
+    stmts: Vec<Stmt>,
+    /// Statements of the blocks being parsed, innermost last, until
+    /// their block is complete.
+    open: Vec<Stmt>,
     /// Current nesting of expressions and blocks, see [`MAX_NESTING`].
     depth: u32,
     /// Set once the nesting limit was hit: the rest of the input is
@@ -105,7 +123,60 @@ struct Parser<'s> {
     too_deep: bool,
 }
 
+/// The binding level of a binary operator token, loosest first, with
+/// its operator; `None` for every other token.
+fn binary_op(kind: TokenKind) -> Option<(u8, BinOp)> {
+    Some(match kind {
+        TokenKind::OrOr => (0, BinOp::Or),
+        TokenKind::AndAnd => (1, BinOp::And),
+        TokenKind::EqEq => (CMP, BinOp::Eq),
+        TokenKind::NotEq => (CMP, BinOp::Ne),
+        TokenKind::Lt => (CMP, BinOp::Lt),
+        TokenKind::Le => (CMP, BinOp::Le),
+        TokenKind::Gt => (CMP, BinOp::Gt),
+        TokenKind::Ge => (CMP, BinOp::Ge),
+        TokenKind::Plus => (3, BinOp::Add),
+        TokenKind::Minus => (3, BinOp::Sub),
+        TokenKind::Star => (4, BinOp::Mul),
+        TokenKind::Slash => (4, BinOp::Div),
+        TokenKind::Percent => (4, BinOp::Rem),
+        _ => return None,
+    })
+}
+
+/// The level of the comparisons, which do not associate.
+const CMP: u8 = 2;
+
 impl<'s> Parser<'s> {
+    fn new(
+        src: &'s str,
+        base: u32,
+        tokens: Vec<Token>,
+        diags: Diagnostics,
+        interner: &'s mut Interner,
+    ) -> Self {
+        Parser {
+            src,
+            base,
+            tokens,
+            pos: 0,
+            diags,
+            interner,
+            exprs: Vec::new(),
+            args: Vec::new(),
+            stmts: Vec::new(),
+            open: Vec::new(),
+            depth: 0,
+            too_deep: false,
+        }
+    }
+
+    /// Parse every function of the token stream.
+    fn run(mut self) -> (Vec<Function>, Diagnostics) {
+        let functions = self.functions();
+        (functions, self.diags)
+    }
+
     fn tok(&self) -> Token {
         self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
@@ -334,7 +405,10 @@ impl<'s> Parser<'s> {
         };
         let body = self.block();
         let span = start.to(body.span);
-        // One allocation of the final size; the scratch arena is reused.
+        // One allocation of the final size each; the scratch arenas are
+        // reused.
+        let stmts = self.stmts.as_slice().to_vec();
+        self.stmts.clear();
         let exprs = self.exprs.as_slice().to_vec();
         self.exprs.clear();
         Function {
@@ -342,6 +416,7 @@ impl<'s> Parser<'s> {
             params,
             ret,
             body,
+            stmts,
             exprs,
             span,
         }
@@ -388,19 +463,31 @@ impl<'s> Parser<'s> {
         }
     }
 
+    /// Move the statements parked since `mark` into the arena, as one
+    /// run.
+    fn close_block(&mut self, mark: usize) -> StmtRange {
+        let start = self.stmts.len() as u32;
+        self.stmts.extend(self.open.drain(mark..));
+        StmtRange {
+            start,
+            len: self.stmts.len() as u32 - start,
+        }
+    }
+
     fn block(&mut self) -> Block {
         let start = self.span();
+        let mark = self.open.len();
         if !self.expect(TokenKind::LBrace) {
             return Block {
-                stmts: Vec::new(),
+                stmts: self.close_block(mark),
                 span: start,
             };
         }
-        let mut stmts = Vec::new();
         if self.enter() {
             while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
                 let before = self.pos;
-                stmts.push(self.stmt());
+                let s = self.stmt();
+                self.open.push(s);
                 if self.pos == before {
                     // No progress: drop the offending token to avoid looping.
                     self.bump();
@@ -411,7 +498,7 @@ impl<'s> Parser<'s> {
         let end = self.span();
         self.expect(TokenKind::RBrace);
         Block {
-            stmts,
+            stmts: self.close_block(mark),
             span: start.to(end),
         }
     }
@@ -514,14 +601,18 @@ impl<'s> Parser<'s> {
             if self.at(TokenKind::If) {
                 // `else if` sugar: wrap the nested if in a block (one
                 // more level of nesting, like the block it stands for).
-                let start = self.span();
-                let mut stmts = Vec::new();
+                let mut span = self.span();
+                let mark = self.open.len();
                 if self.enter() {
-                    stmts.push(self.if_stmt());
+                    let s = self.if_stmt();
+                    span = s.span;
+                    self.open.push(s);
                     self.depth -= 1;
                 }
-                let span = stmts.last().map_or(start, |s| s.span);
-                Some(Block { stmts, span })
+                Some(Block {
+                    stmts: self.close_block(mark),
+                    span,
+                })
             } else {
                 Some(self.block())
             }
@@ -685,14 +776,14 @@ impl<'s> Parser<'s> {
 
     /// Every nested expression (parenthesized, argument, index) comes
     /// through here, so this is where expression nesting is counted.
-    /// The left-associative operator loops below count one level per
-    /// operator too: each makes the tree one node deeper without any
-    /// recursion in the parser.
+    /// The operator loop below counts one level per operator too: each
+    /// makes the tree one node deeper without any recursion in the
+    /// parser.
     fn expr(&mut self) -> Expr {
         if !self.enter() {
             return Expr::new(ExprKind::Int(0), self.span());
         }
-        let e = self.or_expr();
+        let e = self.binary_expr(0);
         self.depth -= 1;
         e
     }
@@ -702,85 +793,43 @@ impl<'s> Parser<'s> {
         Expr::new(ExprKind::Binary(op, l, r), span)
     }
 
-    fn or_expr(&mut self) -> Expr {
-        let mut lhs = self.and_expr();
-        let depth = self.depth;
-        while self.at(TokenKind::OrOr) && self.enter() {
-            self.bump();
-            let rhs = self.and_expr();
-            let span = lhs.span.to(rhs.span);
-            lhs = self.binary(BinOp::Or, lhs, rhs, span);
-        }
-        self.depth = depth;
-        lhs
-    }
-
-    fn and_expr(&mut self) -> Expr {
-        let mut lhs = self.cmp_expr();
-        let depth = self.depth;
-        while self.at(TokenKind::AndAnd) && self.enter() {
-            self.bump();
-            let rhs = self.cmp_expr();
-            let span = lhs.span.to(rhs.span);
-            lhs = self.binary(BinOp::And, lhs, rhs, span);
-        }
-        self.depth = depth;
-        lhs
-    }
-
-    fn cmp_expr(&mut self) -> Expr {
-        let lhs = self.add_expr();
-        let op = match self.peek() {
-            TokenKind::EqEq => BinOp::Eq,
-            TokenKind::NotEq => BinOp::Ne,
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Ge => BinOp::Ge,
-            _ => return lhs,
-        };
-        self.bump();
-        let rhs = self.add_expr();
-        let span = lhs.span.to(rhs.span);
-        self.binary(op, lhs, rhs, span)
-    }
-
-    fn add_expr(&mut self) -> Expr {
-        let mut lhs = self.mul_expr();
-        let depth = self.depth;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            if !self.enter() {
-                break;
-            }
-            self.bump();
-            let rhs = self.mul_expr();
-            let span = lhs.span.to(rhs.span);
-            lhs = self.binary(op, lhs, rhs, span);
-        }
-        self.depth = depth;
-        lhs
-    }
-
-    fn mul_expr(&mut self) -> Expr {
+    /// The operators of level `min` and tighter, folded to the left
+    /// around unary operands; each right operand is the tighter levels'
+    /// run that follows its operator.
+    ///
+    /// The operators one call consumes come in loosening levels (a
+    /// tighter one is the right operand's). Nesting counts one level per
+    /// operator of the current level's run, and the count of a tighter
+    /// run is dropped when a looser operator takes its result as left
+    /// operand — exactly what one function per level, restoring its
+    /// count on return, counted. A comparison counts nothing and ends
+    /// its level: `a < b < c` leaves the second `<` to whoever called
+    /// the expression, which reports it.
+    fn binary_expr(&mut self, min: u8) -> Expr {
         let mut lhs = self.unary_expr();
         let depth = self.depth;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
-            };
-            if !self.enter() {
+        // The loosest level still open to this call, and the level of
+        // the run being counted.
+        let mut max = u8::MAX;
+        let mut run = u8::MAX;
+        while let Some((level, op)) = binary_op(self.peek()) {
+            if level < min || level > max {
                 break;
             }
+            if level != run {
+                self.depth = depth;
+                run = level;
+            }
+            if level == CMP {
+                max = CMP - 1;
+            } else {
+                if !self.enter() {
+                    break;
+                }
+                max = level;
+            }
             self.bump();
-            let rhs = self.unary_expr();
+            let rhs = self.binary_expr(level + 1);
             let span = lhs.span.to(rhs.span);
             lhs = self.binary(op, lhs, rhs, span);
         }
@@ -1061,6 +1110,11 @@ mod tests {
         prog
     }
 
+    /// The statements of the first function's body.
+    fn body(p: &Program) -> &[Stmt] {
+        p.functions[0].stmts(&p.functions[0].body)
+    }
+
     fn parse_err(src: &str) -> Diagnostics {
         let (_prog, diags) = parse_program(src);
         assert!(diags.has_errors(), "expected parse errors, got none");
@@ -1079,7 +1133,7 @@ mod tests {
         assert_eq!(p.functions.len(), 1);
         assert_eq!(p.name(p.functions[0].name), "main");
         assert_eq!(p.functions[0].ret, Type::Void);
-        assert!(p.functions[0].body.stmts.is_empty());
+        assert!(body(&p).is_empty());
     }
 
     #[test]
@@ -1096,7 +1150,7 @@ mod tests {
     #[test]
     fn precedence() {
         let p = parse_ok("fn main() { let x = 1 + 2 * 3; }");
-        let StmtKind::Let { init, .. } = &p.functions[0].body.stmts[0].kind else {
+        let StmtKind::Let { init, .. } = &body(&p)[0].kind else {
             panic!("expected let");
         };
         // Must parse as 1 + (2 * 3)
@@ -1111,7 +1165,7 @@ mod tests {
     #[test]
     fn logical_precedence() {
         let p = parse_ok("fn main() { let x = true || false && true; }");
-        let StmtKind::Let { init, .. } = &p.functions[0].body.stmts[0].kind else {
+        let StmtKind::Let { init, .. } = &body(&p)[0].kind else {
             panic!()
         };
         // || binds loosest: true || (false && true)
@@ -1124,24 +1178,21 @@ mod tests {
     #[test]
     fn if_else_chain() {
         let p = parse_ok("fn main() { if (rank() == 0) { } else if (rank() == 1) { } else { } }");
-        let StmtKind::If { else_blk, .. } = &p.functions[0].body.stmts[0].kind else {
+        let StmtKind::If { else_blk, .. } = &body(&p)[0].kind else {
             panic!()
         };
         let inner = else_blk.as_ref().unwrap();
-        assert!(matches!(inner.stmts[0].kind, StmtKind::If { .. }));
+        assert!(matches!(
+            p.functions[0].stmts(inner)[0].kind,
+            StmtKind::If { .. }
+        ));
     }
 
     #[test]
     fn while_for_loops() {
         let p = parse_ok("fn main() { while (true) { break; } for (i in 0..10) { continue; } }");
-        assert!(matches!(
-            p.functions[0].body.stmts[0].kind,
-            StmtKind::While { .. }
-        ));
-        assert!(matches!(
-            p.functions[0].body.stmts[1].kind,
-            StmtKind::For { .. }
-        ));
+        assert!(matches!(body(&p)[0].kind, StmtKind::While { .. }));
+        assert!(matches!(body(&p)[1].kind, StmtKind::For { .. }));
     }
 
     #[test]
@@ -1159,26 +1210,26 @@ mod tests {
                 }
             }",
         );
-        let StmtKind::Omp(OmpStmt::Parallel { num_threads, body }) =
-            &p.functions[0].body.stmts[0].kind
-        else {
+        let StmtKind::Omp(OmpStmt::Parallel { num_threads, body }) = &body(&p)[0].kind else {
             panic!()
         };
         assert!(num_threads.is_some());
-        assert_eq!(body.stmts.len(), 7);
+        assert_eq!(p.functions[0].stmts(body).len(), 7);
         assert!(matches!(
-            body.stmts[0].kind,
+            p.functions[0].stmts(body)[0].kind,
             StmtKind::Omp(OmpStmt::Single { nowait: true, .. })
         ));
         assert!(matches!(
-            body.stmts[4].kind,
+            p.functions[0].stmts(body)[4].kind,
             StmtKind::Omp(OmpStmt::PFor { nowait: false, .. })
         ));
         assert!(matches!(
-            body.stmts[5].kind,
+            p.functions[0].stmts(body)[5].kind,
             StmtKind::Omp(OmpStmt::PFor { nowait: true, .. })
         ));
-        if let StmtKind::Omp(OmpStmt::Sections { sections, .. }) = &body.stmts[6].kind {
+        if let StmtKind::Omp(OmpStmt::Sections { sections, .. }) =
+            &p.functions[0].stmts(body)[6].kind
+        {
             assert_eq!(sections.len(), 2);
         } else {
             panic!("expected sections");
@@ -1198,7 +1249,7 @@ mod tests {
             }",
         );
         let f = &p.functions[0];
-        let stmts = &f.body.stmts;
+        let stmts = f.stmts(&f.body);
         let StmtKind::Expr(e) = &stmts[1].kind else {
             panic!()
         };
@@ -1232,7 +1283,7 @@ mod tests {
     #[test]
     fn mpi_init_thread() {
         let p = parse_ok("fn main() { MPI_Init_thread(MULTIPLE); }");
-        let StmtKind::Expr(e) = &p.functions[0].body.stmts[0].kind else {
+        let StmtKind::Expr(e) = &body(&p)[0].kind else {
             panic!()
         };
         assert!(matches!(
@@ -1246,7 +1297,7 @@ mod tests {
     #[test]
     fn mpi_send_recv() {
         let p = parse_ok("fn main() { MPI_Send(1, 0, 7); let v = MPI_Recv(1, 7); }");
-        assert_eq!(p.functions[0].body.stmts.len(), 2);
+        assert_eq!(body(&p).len(), 2);
     }
 
     #[test]
@@ -1258,13 +1309,13 @@ mod tests {
                 let d = MPI_Comm_dup(c);
             }",
         );
-        assert_eq!(p.functions[0].body.stmts.len(), 3);
-        let StmtKind::Let { init, .. } = &p.functions[0].body.stmts[0].kind else {
+        assert_eq!(body(&p).len(), 3);
+        let StmtKind::Let { init, .. } = &body(&p)[0].kind else {
             panic!()
         };
         let kind_of = |e: &ExprId| p.functions[0].expr(*e).kind;
         assert!(matches!(kind_of(init), ExprKind::Mpi(MpiOp::CommWorld)));
-        let StmtKind::Let { init, .. } = &p.functions[0].body.stmts[1].kind else {
+        let StmtKind::Let { init, .. } = &body(&p)[1].kind else {
             panic!()
         };
         assert!(matches!(
@@ -1288,8 +1339,7 @@ mod tests {
         );
         let f = &p.functions[0];
         let barrier_comms: Vec<bool> = f
-            .body
-            .stmts
+            .stmts(&f.body)
             .iter()
             .filter_map(|s| match &s.kind {
                 StmtKind::Expr(e) => match f.expr(*e).kind {
@@ -1300,7 +1350,7 @@ mod tests {
             })
             .collect();
         assert_eq!(barrier_comms, vec![true, false]);
-        let StmtKind::Let { init, .. } = &p.functions[0].body.stmts[3].kind else {
+        let StmtKind::Let { init, .. } = &body(&p)[3].kind else {
             panic!()
         };
         let ExprKind::Mpi(MpiOp::Collective(call)) = f.expr(*init).kind else {
@@ -1312,7 +1362,7 @@ mod tests {
     #[test]
     fn intrinsics_resolved() {
         let p = parse_ok("fn main() { let r = rank(); let a = array(10, 0); let n = len(a); }");
-        let StmtKind::Let { init, .. } = &p.functions[0].body.stmts[0].kind else {
+        let StmtKind::Let { init, .. } = &body(&p)[0].kind else {
             panic!()
         };
         assert!(matches!(
@@ -1325,7 +1375,7 @@ mod tests {
     fn indexed_assignment_vs_expression() {
         let p = parse_ok("fn main() { let a = array(4, 0); a[1] = 2; let x = a[1]; }");
         assert!(matches!(
-            p.functions[0].body.stmts[1].kind,
+            body(&p)[1].kind,
             StmtKind::Assign {
                 target: LValue::Index(..),
                 ..
@@ -1348,7 +1398,7 @@ mod tests {
         let (prog, diags) = parse_program("fn main() { let x = 1 let y = 2; }");
         assert!(diags.has_errors());
         // Recovery should still see both lets.
-        assert_eq!(prog.functions[0].body.stmts.len(), 2);
+        assert_eq!(body(&prog).len(), 2);
     }
 
     #[test]
@@ -1366,12 +1416,11 @@ mod tests {
     #[test]
     fn nested_parallel_parses() {
         let p = parse_ok("fn main() { parallel { parallel { single { } } } }");
-        let StmtKind::Omp(OmpStmt::Parallel { body, .. }) = &p.functions[0].body.stmts[0].kind
-        else {
+        let StmtKind::Omp(OmpStmt::Parallel { body, .. }) = &body(&p)[0].kind else {
             panic!()
         };
         assert!(matches!(
-            body.stmts[0].kind,
+            p.functions[0].stmts(body)[0].kind,
             StmtKind::Omp(OmpStmt::Parallel { .. })
         ));
     }
@@ -1380,7 +1429,7 @@ mod tests {
     fn spans_cover_statements() {
         let src = "fn main() { let x = 1; }";
         let p = parse_ok(src);
-        let s = &p.functions[0].body.stmts[0];
+        let s = &body(&p)[0];
         assert_eq!(&src[s.span.lo as usize..s.span.hi as usize], "let x = 1;");
     }
 
@@ -1500,7 +1549,7 @@ mod tests {
         };
         let fits = MAX_NESTING as usize - 2;
         let p = parse_ok(&parens(fits));
-        assert_eq!(p.functions[0].body.stmts.len(), 2);
+        assert_eq!(body(&p).len(), 2);
         assert_too_deep(&parens(fits + 1));
         // The counter unwinds: a sibling at the limit parses as well.
         parse_ok(&format!(
@@ -1510,6 +1559,59 @@ mod tests {
             "-".repeat(fits),
             ""
         ));
+    }
+
+    /// A left-associative chain nests the tree one level per operator of
+    /// a level's run, and a looser operator drops the count of the
+    /// tighter run it follows. Where 250-operator chains hit the limit is
+    /// pinned to the token the parser with one function per precedence
+    /// level stopped at: the 199th operator (the body, the `let`
+    /// initializer and 198 operators fill the 200 levels), and in the
+    /// mixed chain the `*` after the 198th `+`.
+    #[test]
+    fn operator_chains_hit_the_limit_where_they_always_did() {
+        let chain = |op: &str| {
+            format!(
+                "fn main() {{ let x = a{}; }}",
+                format!(" {op} a").repeat(250)
+            )
+        };
+        let mixed = format!("fn main() {{ let x = a * b{}; }}", " + a * b".repeat(250));
+        for (src, op) in [
+            (chain("+"), "+"),
+            (chain("*"), "*"),
+            (chain("&&"), "&&"),
+            (mixed, "*"),
+        ] {
+            assert_too_deep(&src);
+            let d = parse_err(&src).into_vec().remove(0);
+            let at = src.match_indices(op).nth(198).expect("199 operators").0 as u32;
+            assert_eq!(d.span, Span::new(at, at + op.len() as u32), "{op}");
+        }
+    }
+
+    /// `a < b < c` is an error: the first comparison is the whole
+    /// initializer, and the statement then trips over the second one.
+    #[test]
+    fn comparisons_do_not_associate() {
+        for (src, op) in [
+            ("fn main() { let x = a < b < c; }", "<"),
+            ("fn main() { let x = a == b != c; }", "!="),
+        ] {
+            let diags = parse_err(src).into_vec();
+            let at = src.rfind(op).expect("second comparison") as u32;
+            let got: Vec<(&str, Span)> =
+                diags.iter().map(|d| (d.message.as_str(), d.span)).collect();
+            let span = Span::new(at, at + op.len() as u32);
+            assert_eq!(
+                got,
+                [
+                    (format!("expected `;`, found `{op}`").as_str(), span),
+                    (format!("expected expression, found `{op}`").as_str(), span),
+                ],
+                "{src}"
+            );
+        }
     }
 
     #[test]

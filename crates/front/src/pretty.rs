@@ -15,6 +15,7 @@ pub fn pretty_program(prog: &Program) -> String {
         indent: 0,
         interner: &prog.interner,
         exprs: &[],
+        stmts: &[],
     };
     for (i, f) in prog.functions.iter().enumerate() {
         if i > 0 {
@@ -29,8 +30,9 @@ struct Printer<'a> {
     out: String,
     indent: usize,
     interner: &'a Interner,
-    /// The arena of the function being printed.
+    /// The arenas of the function being printed.
     exprs: &'a [Expr],
+    stmts: &'a [Stmt],
 }
 
 impl<'a> Printer<'a> {
@@ -59,6 +61,7 @@ impl<'a> Printer<'a> {
 
     fn function(&mut self, f: &'a Function) {
         self.exprs = &f.exprs;
+        self.stmts = &f.stmts;
         let params = f
             .params
             .iter()
@@ -76,7 +79,7 @@ impl<'a> Printer<'a> {
     }
 
     fn block_body(&mut self, b: &Block) {
-        for s in &b.stmts {
+        for s in b.stmts.of(self.stmts) {
             self.stmt(s);
         }
     }

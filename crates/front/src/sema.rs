@@ -78,29 +78,7 @@ pub fn check_function(
     signatures: &Signatures,
     diags: &mut Diagnostics,
 ) {
-    let mut ck = Checker {
-        func: f,
-        interner,
-        signatures,
-        diags,
-        scopes: ScopeStack::new(),
-        arg_tys: Vec::new(),
-        ret_ty: f.ret,
-        omp_depth: 0,
-        loops: Vec::new(),
-        barrier_forbidden: false,
-    };
-    for p in &f.params {
-        if p.ty == Type::Void {
-            ck.diags.error(
-                "bad-param",
-                format!("parameter `{}` cannot have type void", ck.name(p.name)),
-                p.name.span,
-            );
-        }
-        ck.declare(p.name, p.ty);
-    }
-    ck.check_block(&f.body);
+    Checker::new(interner, signatures, diags).check(f);
 }
 
 /// Type-check and structurally validate `prog`, reporting into `diags`.
@@ -129,8 +107,11 @@ pub fn check_program(prog: &Program, diags: &mut Diagnostics) -> SemaResult {
         }
     }
 
+    // One checker for the whole program: its scopes and stacks keep
+    // their storage from one function to the next.
+    let mut ck = Checker::new(&prog.interner, &signatures, diags);
     for f in &prog.functions {
-        check_function(f, &prog.interner, &signatures, diags);
+        ck.check(f);
     }
 
     SemaResult { signatures }
@@ -150,9 +131,16 @@ struct LoopCtx {
     omp_depth: u32,
 }
 
+/// Checks the functions of one unit, one after the other. The vectors
+/// a function grows are the checker's: [`Checker::check`] clears them
+/// and they keep their capacity.
 struct Checker<'a> {
-    /// The function being checked: its arena resolves every [`ExprId`].
-    func: &'a Function,
+    /// The arenas of the function being checked: they resolve every
+    /// [`StmtRange`] and [`ExprId`].
+    stmts: &'a [Stmt],
+    exprs: &'a [Expr],
+    /// Its name, for messages.
+    func_name: Ident,
     interner: &'a Interner,
     signatures: &'a Signatures,
     diags: &'a mut Diagnostics,
@@ -170,6 +158,47 @@ struct Checker<'a> {
 }
 
 impl<'a> Checker<'a> {
+    fn new(interner: &'a Interner, signatures: &'a Signatures, diags: &'a mut Diagnostics) -> Self {
+        Checker {
+            stmts: &[],
+            exprs: &[],
+            func_name: Ident::new(Symbol(0), Span::DUMMY),
+            interner,
+            signatures,
+            diags,
+            scopes: ScopeStack::new(),
+            arg_tys: Vec::new(),
+            ret_ty: Type::Void,
+            omp_depth: 0,
+            loops: Vec::new(),
+            barrier_forbidden: false,
+        }
+    }
+
+    /// Check function `f`: its parameters, then its body.
+    fn check(&mut self, f: &'a Function) {
+        self.stmts = &f.stmts;
+        self.exprs = &f.exprs;
+        self.func_name = f.name;
+        self.ret_ty = f.ret;
+        self.scopes.clear();
+        self.arg_tys.clear();
+        self.loops.clear();
+        self.omp_depth = 0;
+        self.barrier_forbidden = false;
+        for p in &f.params {
+            if p.ty == Type::Void {
+                self.diags.error(
+                    "bad-param",
+                    format!("parameter `{}` cannot have type void", self.name(p.name)),
+                    p.name.span,
+                );
+            }
+            self.declare(p.name, p.ty);
+        }
+        self.check_block(&f.body);
+    }
+
     fn declare(&mut self, name: Ident, ty: Type) {
         self.scopes.declare(name.sym, ty);
     }
@@ -184,12 +213,12 @@ impl<'a> Checker<'a> {
     }
 
     fn span_of(&self, e: ExprId) -> Span {
-        self.func.expr(e).span
+        self.exprs[e.0 as usize].span
     }
 
-    fn check_block(&mut self, b: &'a Block) {
+    fn check_block(&mut self, b: &Block) {
         self.scopes.push();
-        for s in &b.stmts {
+        for s in b.stmts.of(self.stmts) {
             self.check_stmt(s);
         }
         self.scopes.pop();
@@ -197,17 +226,17 @@ impl<'a> Checker<'a> {
 
     /// Check a loop body with its induction variable bound in the
     /// body's own scope.
-    fn check_loop_body(&mut self, var: Ident, body: &'a Block) {
+    fn check_loop_body(&mut self, var: Ident, body: &Block) {
         self.scopes.push();
         self.declare(var, Type::Int);
-        for st in &body.stmts {
+        for st in body.stmts.of(self.stmts) {
             self.check_stmt(st);
         }
         self.scopes.pop();
     }
 
     /// Check a construct body with OMP depth increased by one.
-    fn check_omp_body(&mut self, b: &'a Block) {
+    fn check_omp_body(&mut self, b: &Block) {
         self.omp_depth += 1;
         self.check_block(b);
         self.omp_depth -= 1;
@@ -345,7 +374,7 @@ impl<'a> Checker<'a> {
                         format!(
                             "`return` inside a parallel construct is not allowed in \
                              `{}` (the model requires perfectly nested regions)",
-                            self.name(self.func.name)
+                            self.name(self.func_name)
                         ),
                         s.span,
                     );
@@ -539,7 +568,7 @@ impl<'a> Checker<'a> {
     }
 
     fn check_expr(&mut self, id: ExprId) -> Type {
-        let e = *self.func.expr(id);
+        let e = self.exprs[id.0 as usize];
         match e.kind {
             ExprKind::Int(_) => Type::Int,
             ExprKind::Float(_) => Type::Float,

@@ -80,7 +80,11 @@ impl fmt::Display for LineCol {
 }
 
 /// Maps byte offsets of one source file back to line/column positions.
-#[derive(Debug, Clone)]
+///
+/// A whole-file compile takes the map from the lexer, which meets every
+/// newline anyway ([`crate::lexer::lex_source`]); [`SourceMap::new`]
+/// scans the text itself, for callers that do not lex.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceMap {
     /// Logical name of the file (for diagnostics only).
     name: String,
@@ -103,6 +107,18 @@ impl SourceMap {
         SourceMap {
             name: name.into(),
             src,
+            line_starts,
+        }
+    }
+
+    /// The map of `src` whose line starts a lexer recorded while
+    /// walking it (`line_starts[0] == 0`, then one offset past every
+    /// newline).
+    pub(crate) fn from_line_starts(name: &str, src: &str, line_starts: Vec<u32>) -> Self {
+        debug_assert_eq!(line_starts.first(), Some(&0));
+        SourceMap {
+            name: name.into(),
+            src: src.into(),
             line_starts,
         }
     }
@@ -194,10 +210,10 @@ impl SourceMap {
     }
 
     /// Number of lines in the file (a trailing newline does not open a new
-    /// line).
+    /// line; the empty file has one, empty, line).
     pub fn line_count(&self) -> u32 {
         let n = self.line_starts.len() as u32;
-        if self.src.ends_with('\n') && self.src.len() > 1 {
+        if self.src.ends_with('\n') {
             n - 1
         } else {
             n
@@ -271,5 +287,13 @@ mod tests {
         assert_eq!(SourceMap::new("t", "a\nb\nc").line_count(), 3);
         assert_eq!(SourceMap::new("t", "a\nb\n").line_count(), 2);
         assert_eq!(SourceMap::new("t", "").line_count(), 1);
+        assert_eq!(SourceMap::new("t", "a\n").line_count(), 1);
+    }
+
+    #[test]
+    fn line_count_of_blank_lines() {
+        assert_eq!(SourceMap::new("t", "\n").line_count(), 1);
+        assert_eq!(SourceMap::new("t", "\n\n").line_count(), 2);
+        assert_eq!(SourceMap::new("t", "\r\n").line_count(), 1);
     }
 }

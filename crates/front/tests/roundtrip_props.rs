@@ -95,7 +95,7 @@ fn shape(prog: &Program) -> String {
 
 fn block_shape(prog: &Program, f: &Function, b: &Block, out: &mut String) {
     out.push('{');
-    for s in &b.stmts {
+    for s in f.stmts(b) {
         let e = |id: &ExprId| expr_shape(prog, f, *id);
         match &s.kind {
             StmtKind::Let { name, ty, init } => {

@@ -113,19 +113,17 @@ impl SiteTable {
         let mut conc_sites = 0usize;
         let mut mono_sites = HashMap::new();
         for f in &module.funcs {
-            for (_, b) in f.iter_blocks() {
-                for i in &b.instrs {
-                    match i {
-                        Instr::Check(CheckOp::ConcEnter { site, .. })
-                        | Instr::Check(CheckOp::ConcExit { site }) => {
-                            conc_sites = conc_sites.max(*site as usize + 1);
-                        }
-                        Instr::Check(CheckOp::AssertMonothread { span, .. }) => {
-                            let next = mono_sites.len() as u32;
-                            mono_sites.entry(span.lo).or_insert(next);
-                        }
-                        _ => {}
+            for i in &f.instrs {
+                match i {
+                    Instr::Check(CheckOp::ConcEnter { site, .. })
+                    | Instr::Check(CheckOp::ConcExit { site }) => {
+                        conc_sites = conc_sites.max(*site as usize + 1);
                     }
+                    Instr::Check(CheckOp::AssertMonothread { span, .. }) => {
+                        let next = mono_sites.len() as u32;
+                        mono_sites.entry(span.lo).or_insert(next);
+                    }
+                    _ => {}
                 }
             }
         }
@@ -449,7 +447,7 @@ impl Executor {
             if stop == Some(cur) {
                 // The region's end barrier: nothing to wait for here,
                 // the join synchronises the team.
-                self.exec_checks_only(env, omp, is_initial, frame, block, block.span)?;
+                self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
                 return Ok(Flow::Stopped);
             }
 
@@ -458,17 +456,17 @@ impl Executor {
                 match d {
                     Directive::ParallelBegin { .. } => {
                         cur = self.exec_parallel(
-                            env, omp, ts, is_initial, frame, fidx, func, block, depth,
+                            env, omp, ts, is_initial, frame, fidx, func, cur, depth,
                         )?;
                         continue;
                     }
                     Directive::SingleBegin { region, chosen, .. } => {
-                        self.exec_checks_only(env, omp, is_initial, frame, block, block.span)?;
+                        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
                         let mine = omp.enter_single(region.0);
                         self.write(frame, *chosen, Value::Bool(mine));
                     }
                     Directive::MasterBegin { chosen, .. } => {
-                        self.exec_checks_only(env, omp, is_initial, frame, block, block.span)?;
+                        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
                         self.write(frame, *chosen, Value::Bool(omp.is_master()));
                     }
                     Directive::SectionBegin {
@@ -477,7 +475,7 @@ impl Executor {
                         chosen,
                         ..
                     } => {
-                        self.exec_checks_only(env, omp, is_initial, frame, block, block.span)?;
+                        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
                         let mine = omp.enter_section(parent.0, *index);
                         self.write(frame, *chosen, Value::Bool(mine));
                     }
@@ -488,7 +486,7 @@ impl Executor {
                         critical_guards.pop();
                     }
                     Directive::Barrier { span, .. } => {
-                        self.exec_checks_only(env, omp, is_initial, frame, block, *span)?;
+                        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
                         ts.stats.barrier_waits += omp.team.is_some() as u64;
                         omp.barrier(env.omp.barrier_timeout()).map_err(|e| {
                             RunError::new(
@@ -532,13 +530,13 @@ impl Executor {
                     | Directive::SectionEnd { .. }
                     | Directive::WorkshareBegin { .. }
                     | Directive::WorkshareEnd { .. } => {
-                        self.exec_checks_only(env, omp, is_initial, frame, block, block.span)?;
+                        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
                     }
                 }
             } else {
                 // Normal block: run all instructions.
                 let mut pending_mono: Option<u32> = None;
-                for i in &block.instrs {
+                for i in func.instrs(cur) {
                     ts.step(env, || i.span().unwrap_or(Span::DUMMY))?;
                     self.exec_instr(env, omp, ts, is_initial, frame, i, depth, &mut pending_mono)?;
                 }
@@ -594,20 +592,20 @@ impl Executor {
         frame: &mut Frame,
         fidx: usize,
         func: &FuncIr,
-        block: &parcoach_ir::func::BasicBlock,
+        cur: BlockId,
         depth: usize,
     ) -> Result<BlockId, RunError> {
         let Some(Directive::ParallelBegin {
             region,
             num_threads,
             span,
-        }) = block.directive()
+        }) = func.block(cur).directive()
         else {
             unreachable!("called on a parallel.begin block");
         };
         // Run pre-directive checks (instrumentation may guard directive
         // nodes).
-        self.exec_checks_only(env, omp, is_initial, frame, block, *span)?;
+        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
         let nt = num_threads.map(|v| self.read(frame, v).as_int().max(1) as usize);
         let plan = &self.plans[&(fidx, region.0)];
         // Promote shared registers.
@@ -732,11 +730,10 @@ impl Executor {
         omp: &mut ThreadCtx,
         is_initial: bool,
         frame: &mut Frame,
-        block: &parcoach_ir::func::BasicBlock,
-        _span: Span,
+        instrs: &[Instr],
     ) -> Result<(), RunError> {
         let mut pending = None;
-        for i in &block.instrs {
+        for i in instrs {
             if let Instr::Check(check) = i {
                 self.exec_check(env, omp, is_initial, frame, check, &mut pending)?;
             }
@@ -1455,7 +1452,7 @@ fn region_plan(f: &FuncIr, begin: BlockId, region: RegionId) -> RegionPlan {
     }
     for (id, b) in f.iter_blocks() {
         let inside = in_region.contains(&id);
-        let (refs, defs) = block_regs(b);
+        let (refs, defs) = block_regs(b, f.instrs(id));
         if inside {
             used.extend(refs.iter().copied());
             used.extend(defs.iter().copied());
@@ -1473,8 +1470,9 @@ fn region_plan(f: &FuncIr, begin: BlockId, region: RegionId) -> RegionPlan {
     }
 }
 
-/// All registers a block references (reads) and defines (writes).
-fn block_regs(b: &parcoach_ir::func::BasicBlock) -> (Vec<Reg>, Vec<Reg>) {
+/// All registers block `b`, whose instructions are `instrs`, references
+/// (reads) and defines (writes).
+fn block_regs(b: &parcoach_ir::func::BasicBlock, instrs: &[Instr]) -> (Vec<Reg>, Vec<Reg>) {
     let mut refs: Vec<Reg> = Vec::new();
     let mut defs: Vec<Reg> = Vec::new();
     let val = |v: &IrValue, out: &mut Vec<Reg>| {
@@ -1482,7 +1480,7 @@ fn block_regs(b: &parcoach_ir::func::BasicBlock) -> (Vec<Reg>, Vec<Reg>) {
             out.push(*r);
         }
     };
-    for i in &b.instrs {
+    for i in instrs {
         if let Some(d) = i.dest() {
             defs.push(d);
         }

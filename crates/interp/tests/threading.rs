@@ -146,10 +146,10 @@ fn checks_attached_to_a_regions_end_barrier_still_run() {
     // monothread assert shows it: both members reach it.
     let unit = parse_and_check("t.mh", "fn main() { parallel num_threads(2) { } }").unwrap();
     let mut module = lower_program(&unit.program, &unit.signatures);
-    let end_barrier = std::sync::Arc::make_mut(&mut module.funcs[0])
-        .blocks
-        .iter_mut()
-        .find(|b| {
+    let f = std::sync::Arc::make_mut(&mut module.funcs[0]);
+    let (end_barrier, span) = f
+        .iter_blocks()
+        .find(|(_, b)| {
             matches!(
                 b.directive(),
                 Some(Directive::Barrier {
@@ -159,14 +159,17 @@ fn checks_attached_to_a_regions_end_barrier_still_run() {
                 })
             )
         })
+        .map(|(id, b)| (id, b.span))
         .expect("the region's implicit end barrier");
-    let span = end_barrier.span;
-    end_barrier
-        .instrs
-        .push(Instr::Check(CheckOp::AssertMonothread {
-            what: "MPI_Barrier",
-            span,
-        }));
+    f.rewrite_instrs(|b, _, old, out| {
+        out.extend(old);
+        if b == end_barrier {
+            out.push(Instr::Check(CheckOp::AssertMonothread {
+                what: "MPI_Barrier",
+                span,
+            }));
+        }
+    });
     let r = Executor::new(module, cfg(1, 2)).run();
     assert_eq!(
         kinds(&r),

@@ -18,13 +18,14 @@ pub fn func_to_dot(f: &FuncIr) -> String {
         let (shape, label) = match &b.kind {
             BlockKind::Normal => {
                 let mut body = String::new();
-                for i in b.instrs.iter().take(6) {
+                let instrs = f.instrs(id);
+                for i in instrs.iter().take(6) {
                     let line = summarize_instr(i);
                     body.push_str(&line);
                     body.push_str("\\l");
                 }
-                if b.instrs.len() > 6 {
-                    body.push_str(&format!("… (+{})\\l", b.instrs.len() - 6));
+                if instrs.len() > 6 {
+                    body.push_str(&format!("… (+{})\\l", instrs.len() - 6));
                 }
                 ("box", format!("{id}\\n{body}"))
             }

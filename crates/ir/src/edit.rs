@@ -41,10 +41,10 @@ pub fn shift_spans(f: &mut FuncIr, delta: i64) {
         if let crate::instr::BlockKind::Directive(d) = &mut b.kind {
             shift_directive(d, delta);
         }
-        for i in &mut b.instrs {
-            shift_instr(i, delta);
-        }
         shift_terminator(&mut b.term, delta);
+    }
+    for i in &mut f.instrs {
+        shift_instr(i, delta);
     }
 }
 
@@ -132,9 +132,8 @@ mod tests {
         let mut f = FuncIr::clone(&m.funcs[0]);
         shift_spans(&mut f, 1000);
         let count_dummy = |f: &FuncIr| {
-            f.blocks
+            f.instrs
                 .iter()
-                .flat_map(|b| &b.instrs)
                 .filter(|i| i.span() == Some(Span::DUMMY))
                 .count()
         };

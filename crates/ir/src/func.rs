@@ -7,16 +7,18 @@ use parcoach_front::ast::Type;
 use parcoach_front::span::Span;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// A basic block: a kind (normal or directive), straight-line
+/// A basic block: a kind (normal or directive), a run of straight-line
 /// instructions, and one terminator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BasicBlock {
     /// Normal code or an OpenMP directive node.
     pub kind: BlockKind,
-    /// Instructions, executed in order.
-    pub instrs: Vec<Instr>,
+    /// Where the block's instructions sit in its function's instruction
+    /// array ([`FuncIr::instrs`]); they execute in order.
+    pub instrs: Range<u32>,
     /// The terminator.
     pub term: Terminator,
     /// Representative source span (first statement lowered into it).
@@ -24,11 +26,12 @@ pub struct BasicBlock {
 }
 
 impl BasicBlock {
-    /// A fresh, normal, unreachable-terminated block.
+    /// A fresh, normal, unreachable-terminated block with no
+    /// instructions.
     pub fn new() -> Self {
         BasicBlock {
             kind: BlockKind::Normal,
-            instrs: Vec::new(),
+            instrs: 0..0,
             term: Terminator::Unreachable,
             span: Span::DUMMY,
         }
@@ -37,14 +40,6 @@ impl BasicBlock {
     /// The directive, if this is a directive block.
     pub fn directive(&self) -> Option<&Directive> {
         self.kind.directive()
-    }
-
-    /// All MPI collective kinds called in this block, with their spans.
-    pub fn collectives(&self) -> impl Iterator<Item = (&Instr, Span)> {
-        self.instrs.iter().filter_map(|i| {
-            i.collective_kind()
-                .map(|_| (i, i.span().unwrap_or(Span::DUMMY)))
-        })
     }
 }
 
@@ -55,6 +50,10 @@ impl Default for BasicBlock {
 }
 
 /// A function lowered to CFG form.
+///
+/// All of a function's instructions live in one array, `instrs`, block
+/// after block in id order; a block holds its run of it. The IR keeps no
+/// source names: a register is its number and its type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuncIr {
     /// Function name.
@@ -65,10 +64,10 @@ pub struct FuncIr {
     pub ret: Type,
     /// Static type of each register, indexed by `Reg`.
     pub reg_types: Vec<Type>,
-    /// Debug names for registers that correspond to source variables.
-    pub reg_names: Vec<Option<String>>,
     /// Block table; `BlockId` indexes into it.
     pub blocks: Vec<BasicBlock>,
+    /// Every instruction, in block order; the blocks' runs tile it.
+    pub instrs: Vec<Instr>,
     /// The entry block (no predecessors).
     pub entry: BlockId,
     /// Number of OpenMP region instances allocated in this function.
@@ -76,6 +75,10 @@ pub struct FuncIr {
     /// Span of the source function.
     pub span: Span,
 }
+
+/// The old instructions of one block, moved out by
+/// [`FuncIr::rewrite_instrs`].
+pub type OldInstrs<'a> = std::iter::Take<&'a mut std::vec::IntoIter<Instr>>;
 
 impl FuncIr {
     /// Access a block.
@@ -86,6 +89,41 @@ impl FuncIr {
     /// Mutable access to a block.
     pub fn block_mut(&mut self, id: BlockId) -> &mut BasicBlock {
         &mut self.blocks[id.index()]
+    }
+
+    /// The instructions of block `id`, in order.
+    #[inline]
+    pub fn instrs(&self, id: BlockId) -> &[Instr] {
+        let r = &self.blocks[id.index()].instrs;
+        &self.instrs[r.start as usize..r.end as usize]
+    }
+
+    /// Mutable access to the instructions of block `id` — for edits
+    /// that keep their number; [`FuncIr::rewrite_instrs`] changes it.
+    #[inline]
+    pub fn instrs_mut(&mut self, id: BlockId) -> &mut [Instr] {
+        let r = &self.blocks[id.index()].instrs;
+        &mut self.instrs[r.start as usize..r.end as usize]
+    }
+
+    /// Rebuild the instruction array in one pass: `emit` is called for
+    /// every block in id order with its old instructions, moved out, and
+    /// pushes the block's new ones onto `out` — the block's run becomes
+    /// what it pushed. The old runs must tile the array in block order,
+    /// as lowering lays them out (the verifier checks it).
+    pub fn rewrite_instrs(
+        &mut self,
+        mut emit: impl FnMut(BlockId, &BasicBlock, OldInstrs<'_>, &mut Vec<Instr>),
+    ) {
+        let mut old = std::mem::take(&mut self.instrs).into_iter();
+        let mut out = Vec::with_capacity(old.len());
+        for (i, b) in self.blocks.iter_mut().enumerate() {
+            let len = b.instrs.len();
+            let start = out.len() as u32;
+            emit(BlockId(i as u32), b, old.by_ref().take(len), &mut out);
+            b.instrs = start..out.len() as u32;
+        }
+        self.instrs = out;
     }
 
     /// Number of blocks.
@@ -137,29 +175,28 @@ impl FuncIr {
             .collect()
     }
 
+    /// Blocks whose instructions satisfy `pred` somewhere.
+    fn blocks_with(&self, pred: impl Fn(&Instr) -> bool) -> Vec<BlockId> {
+        self.block_ids()
+            .filter(|&b| self.instrs(b).iter().any(&pred))
+            .collect()
+    }
+
     /// All blocks containing at least one MPI collective, with kinds.
     pub fn collective_blocks(&self) -> Vec<BlockId> {
-        self.iter_blocks()
-            .filter(|(_, b)| b.instrs.iter().any(|i| i.collective_kind().is_some()))
-            .map(|(id, _)| id)
-            .collect()
+        self.blocks_with(|i| i.collective_kind().is_some())
     }
 
     /// All blocks containing at least one point-to-point operation.
     pub fn p2p_blocks(&self) -> Vec<BlockId> {
-        self.iter_blocks()
-            .filter(|(_, b)| {
-                b.instrs
-                    .iter()
-                    .any(|i| matches!(i, crate::instr::Instr::Mpi { op, .. } if op.is_p2p()))
-            })
-            .map(|(id, _)| id)
-            .collect()
+        self.blocks_with(|i| matches!(i, Instr::Mpi { op, .. } if op.is_p2p()))
     }
 
     /// True if the function contains any point-to-point operation.
     pub fn has_p2p(&self) -> bool {
-        !self.p2p_blocks().is_empty()
+        self.instrs
+            .iter()
+            .any(|i| matches!(i, Instr::Mpi { op, .. } if op.is_p2p()))
     }
 
     /// True if the function contains any OpenMP directive block.
@@ -171,9 +208,7 @@ impl FuncIr {
 
     /// True if the function contains any MPI instruction.
     pub fn has_mpi(&self) -> bool {
-        self.blocks
-            .iter()
-            .any(|b| b.instrs.iter().any(|i| matches!(i, Instr::Mpi { .. })))
+        self.instrs.iter().any(|i| matches!(i, Instr::Mpi { .. }))
     }
 
     /// Find the block carrying the begin directive of `region`.
@@ -203,12 +238,40 @@ impl FuncIr {
                 BlockKind::Directive(d) => format!(" [{}]", d.mnemonic()),
             };
             let _ = writeln!(out, "{id}{kind}:");
-            for i in &b.instrs {
+            for i in self.instrs(id) {
                 let _ = writeln!(out, "    {i:?}");
             }
             let _ = writeln!(out, "    {}", b.term);
         }
         out
+    }
+}
+
+/// The canonical text of a function: its signature, register types,
+/// entry and region count, then every block in id order with its span,
+/// kind, instructions and terminator. It names no register and shows
+/// nothing of how the instructions are stored, so it pins what the IR
+/// means, not its layout.
+impl fmt::Display for FuncIr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "fn {}{:?} -> {:?} {}",
+            self.name, self.params, self.ret, self.span
+        )?;
+        writeln!(f, "  regs {:?}", self.reg_types)?;
+        writeln!(f, "  entry {} regions {}", self.entry, self.region_count)?;
+        for (id, b) in self.iter_blocks() {
+            match &b.kind {
+                BlockKind::Normal => writeln!(f, "{id} {}:", b.span)?,
+                BlockKind::Directive(d) => writeln!(f, "{id} {} {d:?}:", b.span)?,
+            }
+            for i in self.instrs(id) {
+                writeln!(f, "    {i:?}")?;
+            }
+            writeln!(f, "    {:?}", b.term)?;
+        }
+        Ok(())
     }
 }
 
@@ -264,11 +327,7 @@ impl Module {
 
     /// Total instruction count across functions.
     pub fn total_instrs(&self) -> usize {
-        self.funcs
-            .iter()
-            .flat_map(|f| f.blocks.iter())
-            .map(|b| b.instrs.len())
-            .sum()
+        self.funcs.iter().map(|f| f.instrs.len()).sum()
     }
 }
 
@@ -282,10 +341,7 @@ mod tests {
         // bb1: ret
         // bb2: ret
         let mut b0 = BasicBlock::new();
-        b0.instrs.push(Instr::Copy {
-            dest: Reg(0),
-            src: Value::Const(Const::Int(1)),
-        });
+        b0.instrs = 0..1;
         b0.term = Terminator::Branch {
             cond: Value::bool(true),
             then_bb: BlockId(1),
@@ -297,14 +353,18 @@ mod tests {
             value: None,
             span: Span::DUMMY,
         };
+        b1.instrs = 1..1;
         let b2 = b1.clone();
         FuncIr {
             name: "t".into(),
             params: vec![],
             ret: Type::Void,
             reg_types: vec![Type::Int],
-            reg_names: vec![None],
             blocks: vec![b0, b1, b2],
+            instrs: vec![Instr::Copy {
+                dest: Reg(0),
+                src: Value::Const(Const::Int(1)),
+            }],
             entry: BlockId(0),
             region_count: 0,
             span: Span::DUMMY,

@@ -1,6 +1,7 @@
 //! Small graph utilities over the CFG: the predecessor table,
-//! reachability, traversal orders, and a reverse-graph view used by the
-//! post-dominance machinery.
+//! reachability, traversal orders, a reverse-graph view used by the
+//! post-dominance machinery, and the scratch space the CFG algorithms
+//! share.
 
 use crate::func::FuncIr;
 use crate::types::BlockId;
@@ -32,14 +33,18 @@ impl Preds {
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
+        // Fill each row from its start, advancing the start as the fill
+        // cursor; afterwards `offsets[b]` is where row `b + 1` starts,
+        // so one shift restores the table.
         let mut edges = vec![BlockId(0); offsets[n] as usize];
-        let mut fill = offsets.clone();
         for (id, b) in f.iter_blocks() {
             for s in b.term.successors() {
-                edges[fill[s.index()] as usize] = id;
-                fill[s.index()] += 1;
+                edges[offsets[s.index()] as usize] = id;
+                offsets[s.index()] += 1;
             }
         }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
         Preds { offsets, edges }
     }
 }
@@ -68,34 +73,95 @@ pub fn reachable(f: &FuncIr) -> Vec<bool> {
     seen
 }
 
-/// Reverse post-order of the reachable blocks (classic iterative DFS).
+/// Position of an unreachable block in an [`Order`].
+pub const UNREACHED: u32 = u32::MAX;
+
+/// The reverse post-order of a function's reachable blocks, and each
+/// block's position in it — a view, into a [`CfgOrder`] or into a table
+/// of many functions' orders.
 ///
 /// RPO is the canonical iteration order for forward dataflow problems —
 /// the parallelism-word propagation in `parcoach-core` converges in one
-/// pass over structured CFGs when visited in RPO.
-pub fn reverse_post_order(f: &FuncIr) -> Vec<BlockId> {
-    let n = f.block_count();
-    let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
-    let mut post = Vec::with_capacity(n);
-    // Iterative DFS keeping an explicit successor cursor per frame.
-    let mut stack: Vec<(BlockId, usize)> = Vec::new();
-    state[f.entry.index()] = 1;
+/// pass over structured CFGs when visited in RPO — and what tells a loop
+/// back edge from a forward join.
+#[derive(Debug, Clone, Copy)]
+pub struct Order<'a> {
+    /// The reachable blocks, entry first.
+    pub rpo: &'a [BlockId],
+    /// Per block, its index in `rpo`; [`UNREACHED`] when it has none.
+    pub pos: &'a [u32],
+}
+
+impl Order<'_> {
+    /// Is `b` reachable from the entry?
+    pub fn reaches(&self, b: BlockId) -> bool {
+        self.pos[b.index()] != UNREACHED
+    }
+}
+
+/// One function's [`Order`], owned.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CfgOrder {
+    rpo: Vec<BlockId>,
+    pos: Vec<u32>,
+}
+
+impl CfgOrder {
+    /// The order of `f`.
+    pub fn of(f: &FuncIr) -> CfgOrder {
+        let mut o = CfgOrder::default();
+        order_into(f, &mut o.rpo, &mut o.pos, &mut Vec::new());
+        o
+    }
+
+    /// The order as a view.
+    pub fn view(&self) -> Order<'_> {
+        Order {
+            rpo: &self.rpo,
+            pos: &self.pos,
+        }
+    }
+}
+
+/// Append `f`'s reverse post-order to `rpo` and one position per block
+/// to `pos` (the view is then the two tails); `stack` is scratch. The
+/// classic iterative DFS, with an explicit successor cursor per frame.
+pub fn order_into(
+    f: &FuncIr,
+    rpo: &mut Vec<BlockId>,
+    pos: &mut Vec<u32>,
+    stack: &mut Vec<(BlockId, u32)>,
+) {
+    const SEEN: u32 = UNREACHED - 1;
+    let (r0, p0) = (rpo.len(), pos.len());
+    pos.resize(p0 + f.block_count(), UNREACHED);
+    let state = &mut pos[p0..];
+    stack.clear();
+    state[f.entry.index()] = SEEN;
     stack.push((f.entry, 0));
+    // Post-order first, reversed in place below.
     while let Some((b, cursor)) = stack.last_mut() {
-        if let Some(&s) = f.successors(*b).get(*cursor) {
+        if let Some(&s) = f.successors(*b).get(*cursor as usize) {
             *cursor += 1;
-            if state[s.index()] == 0 {
-                state[s.index()] = 1;
+            if state[s.index()] == UNREACHED {
+                state[s.index()] = SEEN;
                 stack.push((s, 0));
             }
         } else {
-            state[b.index()] = 2;
-            post.push(*b);
+            rpo.push(*b);
             stack.pop();
         }
     }
-    post.reverse();
-    post
+    let order = &mut rpo[r0..];
+    order.reverse();
+    for (i, b) in order.iter().enumerate() {
+        state[b.index()] = i as u32;
+    }
+}
+
+/// Reverse post-order of the reachable blocks (see [`Order`]).
+pub fn reverse_post_order(f: &FuncIr) -> Vec<BlockId> {
+    CfgOrder::of(f).rpo
 }
 
 /// Post-order of reachable blocks (reverse of [`reverse_post_order`]).
@@ -105,6 +171,32 @@ pub fn post_order(f: &FuncIr) -> Vec<BlockId> {
     rpo
 }
 
+/// Vectors the CFG algorithms ([`crate::dom`], [`crate::loops`]) need
+/// only while they run. A caller computing them for many functions
+/// passes one scratch to all, so the temporaries are allocated once.
+#[derive(Debug, Default)]
+pub struct CfgScratch {
+    /// Per-node marks: DFS states, positions, visit stamps.
+    pub(crate) marks: Vec<u32>,
+    /// Per-block flags.
+    pub(crate) flags: Vec<u8>,
+    /// Node lists: orders, attachment lists.
+    pub(crate) nodes: Vec<u32>,
+    /// Depth-first frames `(node, successor cursor)`.
+    pub(crate) frames: Vec<(u32, u32)>,
+    /// Worklists.
+    pub(crate) work: Vec<BlockId>,
+    /// The blocks attached to a virtual exit.
+    pub(crate) exits: Vec<BlockId>,
+    /// Back edges `(header, tail)`.
+    pub(crate) edges: Vec<(BlockId, BlockId)>,
+}
+
+/// [`ReverseCfg`] flag: the block has an edge to the virtual exit.
+const TO_EXIT: u8 = 1;
+/// [`ReverseCfg`] flag: the block reaches the virtual exit.
+const REACHES_EXIT: u8 = 2;
+
 /// A reverse view of the CFG with a *virtual exit node*.
 ///
 /// Post-dominance is dominance on the reverse CFG. Real functions may
@@ -113,82 +205,89 @@ pub fn post_order(f: &FuncIr) -> Vec<BlockId> {
 /// return block (and, to keep the analysis total, every reachable
 /// terminal cycle) points to.
 ///
-/// The view stores only the edges into the virtual exit: a block's
-/// reverse successors are its row of the function's [`Preds`] table,
-/// its reverse predecessors its terminator's successors.
+/// The view stores only the edges into the virtual exit, in buffers of
+/// the caller's [`CfgScratch`]: a block's reverse successors are its
+/// row of the function's [`Preds`] table, its reverse predecessors its
+/// terminator's successors.
 #[derive(Debug)]
-pub struct ReverseCfg<'a> {
+pub(crate) struct ReverseCfg<'a> {
     preds: &'a Preds,
     /// Blocks with an edge to the virtual exit, in the order they were
     /// attached: the returns in block order, then one representative of
     /// each terminal cycle.
-    exit_preds: Vec<BlockId>,
-    /// Membership of `exit_preds`, by block.
-    to_exit: Vec<bool>,
+    exit_preds: &'a [BlockId],
+    /// Per block, [`TO_EXIT`] and [`REACHES_EXIT`].
+    flags: &'a [u8],
     /// Index of the virtual exit node (== original block count).
-    pub virtual_exit: usize,
+    pub(crate) virtual_exit: usize,
 }
 
 impl<'a> ReverseCfg<'a> {
-    /// Build the reverse view of `f` over its predecessor table.
-    pub fn build(f: &FuncIr, preds: &'a Preds) -> ReverseCfg<'a> {
+    /// Build the reverse view of `f`, whose predecessor table is `preds`
+    /// and whose order is `order`, into the buffers `exit_preds` and
+    /// `flags`; `work` is scratch.
+    pub(crate) fn build(
+        f: &FuncIr,
+        preds: &'a Preds,
+        order: Order<'_>,
+        exit_preds: &'a mut Vec<BlockId>,
+        flags: &'a mut Vec<u8>,
+        work: &mut Vec<BlockId>,
+    ) -> ReverseCfg<'a> {
         let n = f.block_count();
-        let mut rcfg = ReverseCfg {
-            preds,
-            exit_preds: Vec::new(),
-            to_exit: vec![false; n],
-            virtual_exit: n,
+        exit_preds.clear();
+        flags.clear();
+        flags.resize(n, 0);
+        // Add the edge `v → virtual exit` and mark everything that
+        // reaches `v` as reaching the exit.
+        let mut attach = |v: BlockId, flags: &mut [u8]| {
+            exit_preds.push(v);
+            flags[v.index()] |= TO_EXIT | REACHES_EXIT;
+            work.push(v);
+            while let Some(b) = work.pop() {
+                for &p in &preds[b.index()] {
+                    if flags[p.index()] & REACHES_EXIT == 0 {
+                        flags[p.index()] |= REACHES_EXIT;
+                        work.push(p);
+                    }
+                }
+            }
         };
-        let mut reaches_exit = vec![false; n];
-        let mut work: Vec<BlockId> = Vec::new();
         // Return (or Unreachable) → edge to the virtual exit.
         for (id, b) in f.iter_blocks() {
             if b.term.successors().is_empty() {
-                rcfg.attach(id, &mut reaches_exit, &mut work);
+                attach(id, flags);
             }
         }
         // Terminal cycles (infinite loops) never reach the exit; attach
         // the lowest-numbered block of each to the exit so every
         // reachable node participates in post-dominance.
-        let reach = reachable(f);
         for v in f.block_ids() {
-            if reach[v.index()] && !reaches_exit[v.index()] {
-                rcfg.attach(v, &mut reaches_exit, &mut work);
+            if order.reaches(v) && flags[v.index()] & REACHES_EXIT == 0 {
+                attach(v, flags);
             }
         }
-        rcfg
-    }
-
-    /// Add the edge `v → virtual exit` and mark everything that reaches
-    /// `v` as reaching the exit.
-    fn attach(&mut self, v: BlockId, reaches_exit: &mut [bool], work: &mut Vec<BlockId>) {
-        self.exit_preds.push(v);
-        self.to_exit[v.index()] = true;
-        reaches_exit[v.index()] = true;
-        work.push(v);
-        while let Some(b) = work.pop() {
-            for &p in &self.preds[b.index()] {
-                if !reaches_exit[p.index()] {
-                    reaches_exit[p.index()] = true;
-                    work.push(p);
-                }
-            }
+        ReverseCfg {
+            preds,
+            exit_preds,
+            flags,
+            virtual_exit: n,
         }
     }
 
     /// Successors of node `v` in the reverse graph (original
     /// predecessors; the blocks attached to it for the virtual exit).
-    pub fn succs(&self, v: usize) -> &[BlockId] {
+    pub(crate) fn succs(&self, v: usize) -> &[BlockId] {
         if v == self.virtual_exit {
-            &self.exit_preds
+            self.exit_preds
         } else {
             &self.preds[v]
         }
     }
 
     /// Does block `v` have an edge to the virtual exit?
-    pub fn exits(&self, v: BlockId) -> bool {
-        self.to_exit[v.index()]
+    pub(crate) fn exits(&self, v: BlockId) -> bool {
+        self.flags[v.index()] & TO_EXIT != 0
     }
 }
 
@@ -229,8 +328,8 @@ pub fn func_from_edges(n: usize, edges: &[(u32, u32)]) -> FuncIr {
         params: vec![],
         ret: Type::Void,
         reg_types: vec![],
-        reg_names: vec![],
         blocks,
+        instrs: vec![],
         entry: BlockId(0),
         region_count: 0,
         span: Span::DUMMY,
@@ -270,6 +369,36 @@ mod tests {
     }
 
     #[test]
+    fn order_positions_index_the_rpo() {
+        // 0 → 1 → 2 → 1, 2 → 3; block 4 unreachable.
+        let f = func_from_edges(5, &[(0, 1), (1, 2), (2, 1), (2, 3)]);
+        let o = CfgOrder::of(&f);
+        let v = o.view();
+        for (i, b) in v.rpo.iter().enumerate() {
+            assert_eq!(v.pos[b.index()], i as u32);
+        }
+        assert!(!v.reaches(BlockId(4)) && v.reaches(BlockId(3)));
+        // Appending a second function leaves the first one's tails alone.
+        let (mut rpo, mut pos) = (v.rpo.to_vec(), v.pos.to_vec());
+        let g = func_from_edges(2, &[(0, 1)]);
+        order_into(&g, &mut rpo, &mut pos, &mut Vec::new());
+        assert_eq!(&rpo[v.rpo.len()..], [BlockId(0), BlockId(1)]);
+        assert_eq!(&pos[v.pos.len()..], [0, 1]);
+        assert_eq!(&rpo[..v.rpo.len()], v.rpo);
+    }
+
+    #[test]
+    fn predecessor_rows() {
+        // Diamond plus a self loop: 0 → {1,2} → 3 → 3.
+        let f = func_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 3)]);
+        let preds = f.predecessors();
+        assert!(preds[0].is_empty());
+        assert_eq!(preds[1], [BlockId(0)]);
+        assert_eq!(preds[2], [BlockId(0)]);
+        assert_eq!(preds[3], [BlockId(1), BlockId(2), BlockId(3)]);
+    }
+
+    #[test]
     fn rpo_handles_loops() {
         // 0 → 1 → 2 → 1, 2 → 3
         let f = func_from_edges(4, &[(0, 1), (1, 2), (2, 1), (2, 3)]);
@@ -278,15 +407,34 @@ mod tests {
         assert_eq!(rpo[0], BlockId(0));
     }
 
+    /// The reverse view of `f` over its own table and order.
+    fn reverse_view<'a>(
+        f: &FuncIr,
+        preds: &'a Preds,
+        exits: &'a mut Vec<BlockId>,
+        flags: &'a mut Vec<u8>,
+    ) -> ReverseCfg<'a> {
+        ReverseCfg::build(
+            f,
+            preds,
+            CfgOrder::of(f).view(),
+            exits,
+            flags,
+            &mut Vec::new(),
+        )
+    }
+
     #[test]
     fn reverse_cfg_virtual_exit() {
         // Two exits: 0 → {1,2}; both return.
         let f = func_from_edges(3, &[(0, 1), (0, 2)]);
         let preds = f.predecessors();
-        let r = ReverseCfg::build(&f, &preds);
+        let (mut exits, mut flags) = (Vec::new(), Vec::new());
+        let r = reverse_view(&f, &preds, &mut exits, &mut flags);
         assert_eq!(r.virtual_exit, 3);
         // Virtual exit's reverse-successors are the returns.
         assert_eq!(r.succs(r.virtual_exit), [BlockId(1), BlockId(2)]);
+        assert!(r.exits(BlockId(1)) && !r.exits(BlockId(0)));
     }
 
     #[test]
@@ -294,7 +442,8 @@ mod tests {
         // 0 → 1 → 2 → 1 (no exit from the loop)
         let f = func_from_edges(3, &[(0, 1), (1, 2), (2, 1)]);
         let preds = f.predecessors();
-        let r = ReverseCfg::build(&f, &preds);
+        let (mut exits, mut flags) = (Vec::new(), Vec::new());
+        let r = reverse_view(&f, &preds, &mut exits, &mut flags);
         // Some loop node must be wired to the virtual exit so the whole
         // graph participates in post-dominance.
         assert!(

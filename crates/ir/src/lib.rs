@@ -14,13 +14,15 @@
 //!
 //! ```
 //! use parcoach_front::parse_and_check;
+//! use parcoach_ir::graph::{CfgOrder, CfgScratch};
 //! use parcoach_ir::{lower::lower_program, dom::PostDomTree};
 //!
 //! let unit = parse_and_check("t.mh", "fn main() { if (rank() == 0) { MPI_Barrier(); } }")
 //!     .expect("valid");
 //! let module = lower_program(&unit.program, &unit.signatures);
 //! let main = module.main().unwrap();
-//! let pdt = PostDomTree::compute(main, &main.predecessors());
+//! let order = CfgOrder::of(main);
+//! let pdt = PostDomTree::compute(main, &main.predecessors(), order.view(), &mut CfgScratch::default());
 //! let collectives = main.collective_blocks();
 //! // The conditional on rank() shows up in the iterated PDF:
 //! assert!(!pdt.iterated_frontier(main, &collectives).is_empty());
@@ -38,7 +40,7 @@ pub mod opt;
 pub mod types;
 pub mod verify;
 
-pub use dom::{DomTree, PostDomTree};
+pub use dom::{DomTree, Frontiers, PostDomTree};
 pub use edit::shift_spans;
 pub use func::{BasicBlock, FuncIr, Module};
 pub use instr::{BlockKind, CheckOp, Directive, Instr, MpiIr, Terminator, WorkshareKind};

@@ -50,14 +50,23 @@ struct LoopTargets {
 /// vectors a function grows in are the lowerer's: they keep their
 /// capacity from function to function, and each finished function gets
 /// copies of exactly its final size.
+///
+/// Blocks are filled out of order (an `if` opens its join block before
+/// either arm), so each block collects its instructions in a scratch
+/// vector of its own; the function's one instruction array is written
+/// when it is finished, block after block.
 struct Lowerer<'a> {
     interner: &'a Interner,
     sigs: &'a Signatures,
-    /// The arena of the function being lowered.
+    /// The arenas of the function being lowered.
+    stmts: &'a [Stmt],
     exprs: &'a [Expr],
     blocks: Vec<BasicBlock>,
+    /// The instructions of `blocks[i]` so far, at index `i`. Longer than
+    /// `blocks` after a larger function: the extra vectors wait, empty,
+    /// with their capacity.
+    block_instrs: Vec<Vec<Instr>>,
     reg_types: Vec<Type>,
-    reg_names: Vec<Option<String>>,
     /// Registers of the variables in scope.
     scopes: ScopeStack<Reg>,
     cur: BlockId,
@@ -70,10 +79,11 @@ impl<'a> Lowerer<'a> {
         Lowerer {
             interner,
             sigs,
+            stmts: &[],
             exprs: &[],
             blocks: Vec::new(),
+            block_instrs: Vec::new(),
             reg_types: Vec::new(),
-            reg_names: Vec::new(),
             scopes: ScopeStack::new(),
             cur: BlockId(0),
             regions: 0,
@@ -82,13 +92,14 @@ impl<'a> Lowerer<'a> {
     }
 
     fn run(&mut self, src: &'a Function) -> FuncIr {
+        self.stmts = &src.stmts;
         self.exprs = &src.exprs;
-        self.blocks.push(BasicBlock::new());
+        self.new_block();
         self.cur = BlockId(0);
         self.regions = 0;
         let mut params = Vec::with_capacity(src.params.len());
         for p in &src.params {
-            let r = self.fresh_named(p.ty, p.name);
+            let r = self.fresh(p.ty);
             self.scopes.declare(p.name.sym, r);
             params.push(r);
         }
@@ -107,7 +118,7 @@ impl<'a> Lowerer<'a> {
             params,
             ret: src.ret,
             reg_types: self.reg_types.drain(..).collect(),
-            reg_names: self.reg_names.drain(..).collect(),
+            instrs: self.lay_out_instrs(),
             blocks: self.blocks.drain(..).collect(),
             entry: BlockId(0),
             region_count: self.regions,
@@ -115,18 +126,24 @@ impl<'a> Lowerer<'a> {
         }
     }
 
+    /// Move every block's instructions into one array of the final
+    /// size, in block order, and point each block at its run.
+    fn lay_out_instrs(&mut self) -> Vec<Instr> {
+        let scratch = &mut self.block_instrs[..self.blocks.len()];
+        let mut instrs = Vec::with_capacity(scratch.iter().map(Vec::len).sum());
+        for (b, own) in self.blocks.iter_mut().zip(scratch) {
+            let start = instrs.len() as u32;
+            instrs.append(own);
+            b.instrs = start..instrs.len() as u32;
+        }
+        instrs
+    }
+
     // ---- infrastructure --------------------------------------------------
 
     fn fresh(&mut self, ty: Type) -> Reg {
         let r = Reg(self.reg_types.len() as u32);
         self.reg_types.push(ty);
-        self.reg_names.push(None);
-        r
-    }
-
-    fn fresh_named(&mut self, ty: Type, name: Ident) -> Reg {
-        let r = self.fresh(ty);
-        self.reg_names[r.index()] = Some(self.interner.resolve(name.sym).to_string());
         r
     }
 
@@ -139,6 +156,9 @@ impl<'a> Lowerer<'a> {
     fn new_block(&mut self) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
         self.blocks.push(BasicBlock::new());
+        if self.block_instrs.len() < self.blocks.len() {
+            self.block_instrs.push(Vec::new());
+        }
         id
     }
 
@@ -151,7 +171,7 @@ impl<'a> Lowerer<'a> {
     }
 
     fn emit(&mut self, i: Instr) {
-        self.blocks[self.cur.index()].instrs.push(i);
+        self.block_instrs[self.cur.index()].push(i);
     }
 
     fn set_term(&mut self, t: Terminator) {
@@ -190,9 +210,9 @@ impl<'a> Lowerer<'a> {
 
     // ---- statements -------------------------------------------------------
 
-    fn lower_block(&mut self, b: &'a Block) {
+    fn lower_block(&mut self, b: &Block) {
         self.scopes.push();
-        for s in &b.stmts {
+        for s in b.stmts.of(self.stmts) {
             if self.terminated() {
                 break; // dead code after break/continue/return
             }
@@ -203,10 +223,10 @@ impl<'a> Lowerer<'a> {
 
     /// Lower a loop body with its induction variable bound to `iv` in
     /// the body's own scope.
-    fn lower_loop_body(&mut self, var: Ident, iv: Reg, body: &'a Block) {
+    fn lower_loop_body(&mut self, var: Ident, iv: Reg, body: &Block) {
         self.scopes.push();
         self.scopes.declare(var.sym, iv);
-        for st in &body.stmts {
+        for st in body.stmts.of(self.stmts) {
             if self.terminated() {
                 break;
             }
@@ -223,7 +243,7 @@ impl<'a> Lowerer<'a> {
             StmtKind::Let { name, ty, init } => {
                 let v = self.lower_expr(*init);
                 let ty = ty.unwrap_or_else(|| self.value_ty(v));
-                let r = self.fresh_named(ty, *name);
+                let r = self.fresh(ty);
                 self.emit(Instr::Copy { dest: r, src: v });
                 self.scopes.declare(name.sym, r);
             }
@@ -312,7 +332,7 @@ impl<'a> Lowerer<'a> {
                     dest: bound,
                     src: hi_v,
                 });
-                let iv = self.fresh_named(Type::Int, *var);
+                let iv = self.fresh(Type::Int);
                 self.emit(Instr::Copy {
                     dest: iv,
                     src: lo_v,
@@ -546,7 +566,7 @@ impl<'a> Lowerer<'a> {
                     span,
                 );
                 self.goto(wb);
-                let iv = self.fresh_named(Type::Int, *var);
+                let iv = self.fresh(Type::Int);
                 let chunk_end = self.fresh(Type::Int);
                 let pi = self.new_directive_block(
                     Directive::PForInit {
@@ -1060,8 +1080,8 @@ mod tests {
     /// The register each `print(<tag>, <var>)` reads, indexed by tag.
     fn printed_regs(f: &FuncIr) -> Vec<Reg> {
         let mut prints: Vec<(i64, Reg)> = f
-            .iter_blocks()
-            .flat_map(|(_, b)| &b.instrs)
+            .instrs
+            .iter()
             .filter_map(|i| match i {
                 Instr::Print { args } => match args[..] {
                     [Value::Const(Const::Int(tag)), Value::Reg(r)] => Some((tag, r)),
@@ -1302,7 +1322,7 @@ mod tests {
             }",
         );
         let f = m.main().unwrap();
-        let instrs: Vec<&Instr> = f.blocks.iter().flat_map(|b| &b.instrs).collect();
+        let instrs: Vec<&Instr> = f.instrs.iter().collect();
         let irecv = instrs
             .iter()
             .find_map(|i| match i {
@@ -1390,9 +1410,8 @@ mod tests {
         );
         let f = m.main().unwrap();
         assert!(f
-            .blocks
+            .instrs
             .iter()
-            .flat_map(|b| &b.instrs)
             .any(|i| matches!(i, Instr::Call { func, .. } if func == "work")));
     }
 

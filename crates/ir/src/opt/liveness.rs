@@ -29,7 +29,7 @@ pub fn liveness(f: &FuncIr) -> Liveness {
     // Per-block gen (upward-exposed uses) and kill (defs) sets.
     let mut gen: Vec<BitSet> = Vec::with_capacity(nb);
     let mut kill: Vec<BitSet> = Vec::with_capacity(nb);
-    for b in &f.blocks {
+    for (id, b) in f.iter_blocks() {
         let mut g = BitSet::new(nr);
         let mut k = BitSet::new(nr);
         for r in directive_uses(b) {
@@ -40,7 +40,7 @@ pub fn liveness(f: &FuncIr) -> Liveness {
         for r in directive_defs(b) {
             k.insert(r.index());
         }
-        for i in &b.instrs {
+        for i in f.instrs(id) {
             for u in instr_uses(i) {
                 if !k.contains(u.index()) {
                     g.insert(u.index());
@@ -103,17 +103,26 @@ mod tests {
         m.main().unwrap().clone()
     }
 
+    /// The register the `n`-th `let` of `f`'s entry block binds: each
+    /// `let` lowers to one copy into its variable's register, after the
+    /// instructions computing the initializer.
+    fn let_reg(f: &FuncIr, n: usize) -> usize {
+        f.instrs(f.entry)
+            .iter()
+            .filter_map(|i| match i {
+                crate::instr::Instr::Copy { dest, .. } => Some(dest.index()),
+                _ => None,
+            })
+            .nth(n)
+            .expect("a `let` of the entry block")
+    }
+
     #[test]
     fn loop_variable_live_around_backedge() {
         let f = func("fn main() { let i = 0; while (i < 10) { i = i + 1; } print(i); }");
         let lv = liveness(&f);
-        // The register holding `i` must be live-in at the loop head. Find
-        // it via reg_names.
-        let i_reg = f
-            .reg_names
-            .iter()
-            .position(|n| n.as_deref() == Some("i"))
-            .expect("named reg");
+        // The register holding `i` must be live-in at the loop head.
+        let i_reg = let_reg(&f, 0);
         // Some block must have it live-in (the loop head).
         assert!(
             lv.live_in.iter().any(|s| s.contains(i_reg)),
@@ -125,11 +134,7 @@ mod tests {
     fn dead_value_not_live_anywhere() {
         let f = func("fn main() { let dead = 42; let used = 1; print(used); }");
         let lv = liveness(&f);
-        let dead_reg = f
-            .reg_names
-            .iter()
-            .position(|n| n.as_deref() == Some("dead"))
-            .unwrap();
+        let dead_reg = let_reg(&f, 0);
         assert!(
             lv.live_in.iter().all(|s| !s.contains(dead_reg)),
             "dead value must never be live-in"
@@ -149,11 +154,7 @@ mod tests {
             }",
         );
         let lv = liveness(&f);
-        let c_reg = f
-            .reg_names
-            .iter()
-            .position(|n| n.as_deref() == Some("c"))
-            .unwrap();
+        let c_reg = let_reg(&f, 0);
         let live_in_count = lv.live_in.iter().filter(|s| s.contains(c_reg)).count();
         assert!(
             live_in_count >= 2,

@@ -75,7 +75,8 @@ enum Known {
 
 /// Local constant folding + copy/constant propagation (per block).
 fn local_fold_and_propagate(f: &mut FuncIr, stats: &mut OptStats) {
-    for b in &mut f.blocks {
+    let FuncIr { blocks, instrs, .. } = f;
+    for b in blocks {
         let mut known: HashMap<Reg, Known> = HashMap::new();
         // Resolve a value through the known map.
         let resolve = |v: Value, known: &HashMap<Reg, Known>, stats: &mut OptStats| -> Value {
@@ -100,7 +101,7 @@ fn local_fold_and_propagate(f: &mut FuncIr, stats: &mut OptStats) {
             known.remove(&r);
             known.retain(|_, v| !matches!(v, Known::CopyOf(s) if *s == r));
         }
-        for i in &mut b.instrs {
+        for i in &mut instrs[b.instrs.start as usize..b.instrs.end as usize] {
             // Rewrite operands first.
             match i {
                 Instr::Copy { src, .. } | Instr::Unary { src, .. } => {
@@ -281,11 +282,11 @@ enum ExprKey {
 /// twice in a block with the same operands becomes a copy of the first
 /// result.
 fn local_cse(f: &mut FuncIr, stats: &mut OptStats) {
-    for b in &mut f.blocks {
+    for b in f.block_ids() {
         // (key, result reg); invalidated when any operand register is
         // redefined.
         let mut avail: Vec<(ExprKey, Reg)> = Vec::new();
-        for i in &mut b.instrs {
+        for i in f.instrs_mut(b) {
             let pure = is_pure(i);
             let key = match &*i {
                 Instr::Binary { op, lhs, rhs, .. } if pure => {
@@ -324,21 +325,24 @@ fn local_cse(f: &mut FuncIr, stats: &mut OptStats) {
     }
 }
 
-/// Global dead-code elimination driven by liveness.
+/// Global dead-code elimination driven by liveness. The instruction
+/// array is rebuilt once, without the dead instructions.
 fn dce(f: &mut FuncIr, stats: &mut OptStats) {
     let lv = liveness(f);
-    for (bi, b) in f.blocks.iter_mut().enumerate() {
+    // One keep bit per instruction of the array.
+    let mut keep: Vec<bool> = vec![true; f.instrs.len()];
+    for (bi, b) in f.blocks.iter().enumerate() {
         // Walk backwards with a running live set, which at the block end
         // covers the successors' needs *and* the terminator's own reads.
         let mut live = lv.live_out[bi].clone();
         for u in crate::opt::usedef::term_uses(&b.term) {
             live.insert(u.index());
         }
-        let mut keep: Vec<bool> = vec![true; b.instrs.len()];
-        for (ii, i) in b.instrs.iter().enumerate().rev() {
+        let run = b.instrs.start as usize..b.instrs.end as usize;
+        for (ii, i) in f.instrs[run.clone()].iter().enumerate().rev() {
             let dead_dest = i.dest().map(|d| !live.contains(d.index())).unwrap_or(false);
             if dead_dest && is_pure(i) {
-                keep[ii] = false;
+                keep[run.start + ii] = false;
                 stats.dce_removed += 1;
                 continue; // its uses do not become live
             }
@@ -349,9 +353,11 @@ fn dce(f: &mut FuncIr, stats: &mut OptStats) {
                 live.insert(u.index());
             }
         }
-        let mut it = keep.iter();
-        b.instrs.retain(|_| *it.next().expect("keep mask aligned"));
     }
+    let mut kept = keep.into_iter();
+    f.rewrite_instrs(|_, _, old, out| {
+        out.extend(old.filter(|_| kept.next().expect("keep mask aligned")));
+    });
 }
 
 #[cfg(test)]
@@ -378,7 +384,7 @@ mod tests {
         assert!(verify_module(&m).is_empty());
         // The print argument should now be the constant 14.
         let f = m.main().unwrap();
-        let has_const_print = f.blocks.iter().flat_map(|b| &b.instrs).any(|i| {
+        let has_const_print = f.instrs.iter().any(|i| {
             matches!(
                 i,
                 Instr::Print { args } if args == &vec![Value::Const(Const::Int(14))]
@@ -420,16 +426,14 @@ mod tests {
         let mpi_before = m
             .funcs
             .iter()
-            .flat_map(|f| f.blocks.iter())
-            .flat_map(|b| &b.instrs)
+            .flat_map(|f| &f.instrs)
             .filter(|i| matches!(i, Instr::Mpi { .. }))
             .count();
         optimize_module(&mut m, 4);
         let mpi_after = m
             .funcs
             .iter()
-            .flat_map(|f| f.blocks.iter())
-            .flat_map(|b| &b.instrs)
+            .flat_map(|f| &f.instrs)
             .filter(|i| matches!(i, Instr::Mpi { .. }))
             .count();
         assert_eq!(mpi_before, mpi_after, "MPI ops must never be removed");
@@ -441,9 +445,8 @@ mod tests {
         optimize_module(&mut m, 4);
         let f = m.main().unwrap();
         let has_div = f
-            .blocks
+            .instrs
             .iter()
-            .flat_map(|b| &b.instrs)
             .any(|i| matches!(i, Instr::Binary { op: BinOp::Div, .. }));
         assert!(
             has_div,
@@ -491,11 +494,7 @@ mod tests {
                 ..
             } = &b.term
             {
-                let defined = f
-                    .blocks
-                    .iter()
-                    .flat_map(|b| &b.instrs)
-                    .any(|i| i.dest() == Some(*r));
+                let defined = f.instrs.iter().any(|i| i.dest() == Some(*r));
                 assert!(defined, "branch condition {r} of {id} has no definition");
             }
         }

@@ -56,13 +56,34 @@ fn verify_into(f: &FuncIr, walk: &mut NestingWalk, errs: &mut Vec<VerifyError>) 
     let n = f.block_count();
 
     // Pass 0: terminator targets must be in range before any graph
-    // traversal is safe.
+    // traversal is safe, and the blocks' runs must tile the instruction
+    // array in block order before any block's instructions are read.
+    let mut next = 0;
     for (id, b) in f.iter_blocks() {
         for s in b.term.successors() {
             if s.index() >= n {
                 err(id, format!("terminator targets out-of-range block {s}"));
             }
         }
+        if b.instrs.start != next || b.instrs.end < b.instrs.start {
+            err(
+                id,
+                format!(
+                    "instructions {}..{} do not follow the previous block's (which end at {next})",
+                    b.instrs.start, b.instrs.end
+                ),
+            );
+        }
+        next = b.instrs.end;
+    }
+    if next as usize != f.instrs.len() {
+        err(
+            BlockId(n.saturating_sub(1) as u32),
+            format!(
+                "the blocks cover {next} of the function's {} instructions",
+                f.instrs.len()
+            ),
+        );
     }
     if errs.len() > before {
         return;
@@ -87,7 +108,7 @@ fn verify_into(f: &FuncIr, walk: &mut NestingWalk, errs: &mut Vec<VerifyError>) 
             crate::types::Value::Reg(r) => r.index() < max_reg,
             crate::types::Value::Const(_) => true,
         };
-        for i in &b.instrs {
+        for i in f.instrs(id) {
             let ok = match i {
                 Instr::Copy { dest, src } => dest.index() < max_reg && check_val(src),
                 Instr::Unary { dest, src, .. } => dest.index() < max_reg && check_val(src),
@@ -123,7 +144,7 @@ fn verify_into(f: &FuncIr, walk: &mut NestingWalk, errs: &mut Vec<VerifyError>) 
         // Directive blocks carry no user instructions (checks are allowed:
         // the instrumentation pass may guard directive nodes).
         if let BlockKind::Directive(_) = &b.kind {
-            if b.instrs.iter().any(|i| !matches!(i, Instr::Check(_))) {
+            if f.instrs(id).iter().any(|i| !matches!(i, Instr::Check(_))) {
                 err(id, "directive block contains non-check instructions".into());
             }
         }
@@ -349,15 +370,32 @@ mod tests {
     #[test]
     fn detects_out_of_range_register() {
         let mut m = lower_ok("fn main() { let x = 1; }");
-        Arc::make_mut(&mut m.funcs[0]).blocks[0]
-            .instrs
-            .push(Instr::Copy {
-                dest: crate::types::Reg(999),
-                src: crate::types::Value::int(0),
-            });
+        Arc::make_mut(&mut m.funcs[0]).instrs_mut(BlockId(0))[0] = Instr::Copy {
+            dest: crate::types::Reg(999),
+            src: crate::types::Value::int(0),
+        };
         let errs = verify_module(&m);
         assert!(errs
             .iter()
             .any(|e| e.message.contains("out-of-range register")));
+    }
+
+    #[test]
+    fn detects_runs_that_do_not_tile_the_instructions() {
+        let mut m = lower_ok("fn main() { let x = 1; if (x > 0) { print(x); } }");
+        let f = Arc::make_mut(&mut m.funcs[0]);
+        f.blocks[1].instrs.start += 1;
+        assert!(verify_module(&m)
+            .iter()
+            .any(|e| e.message.contains("do not follow the previous block's")));
+        let mut m = lower_ok("fn main() { let x = 1; }");
+        Arc::make_mut(&mut m.funcs[0]).instrs.pop();
+        assert_eq!(
+            verify_module(&m)
+                .iter()
+                .map(|e| e.message.as_str())
+                .collect::<Vec<_>>(),
+            ["the blocks cover 1 of the function's 0 instructions"]
+        );
     }
 }

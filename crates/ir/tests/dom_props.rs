@@ -6,7 +6,7 @@
 //! regenerates the identical CFG.
 
 use parcoach_ir::dom::{DomTree, PostDomTree};
-use parcoach_ir::graph::{func_from_edges, reachable};
+use parcoach_ir::graph::{func_from_edges, reachable, CfgOrder, CfgScratch};
 use parcoach_ir::types::BlockId;
 use parcoach_testutil::Rng;
 
@@ -74,7 +74,7 @@ fn domtree_matches_naive() {
     for seed in 0..cases() {
         let (n, edges) = random_cfg(&mut Rng::new(seed));
         let f = func_from_edges(n, &edges);
-        let dt = DomTree::compute(&f, &f.predecessors());
+        let dt = DomTree::compute(&f, &f.predecessors(), CfgOrder::of(&f).view());
         let reach = reachable(&f);
         for a in 0..n as u32 {
             for b in 0..n as u32 {
@@ -100,7 +100,7 @@ fn idom_is_strict_dominator() {
     for seed in 0..cases() {
         let (n, edges) = random_cfg(&mut Rng::new(seed));
         let f = func_from_edges(n, &edges);
-        let dt = DomTree::compute(&f, &f.predecessors());
+        let dt = DomTree::compute(&f, &f.predecessors(), CfgOrder::of(&f).view());
         for b in f.block_ids() {
             if let Some(d) = dt.idom(b) {
                 assert!(d != b, "idom({b}) = {b} (seed {seed})");
@@ -118,7 +118,12 @@ fn pdf_members_are_branch_blocks() {
     for seed in 0..cases() {
         let (n, edges) = random_cfg(&mut Rng::new(seed));
         let f = func_from_edges(n, &edges);
-        let pdt = PostDomTree::compute(&f, &f.predecessors());
+        let pdt = PostDomTree::compute(
+            &f,
+            &f.predecessors(),
+            CfgOrder::of(&f).view(),
+            &mut CfgScratch::default(),
+        );
         let reach = reachable(&f);
         let all: Vec<BlockId> = f.block_ids().filter(|b| reach[b.index()]).collect();
         for &seed_block in &all {
@@ -138,7 +143,12 @@ fn post_dominance_antisymmetric() {
     for seed in 0..cases() {
         let (n, edges) = random_cfg(&mut Rng::new(seed));
         let f = func_from_edges(n, &edges);
-        let pdt = PostDomTree::compute(&f, &f.predecessors());
+        let pdt = PostDomTree::compute(
+            &f,
+            &f.predecessors(),
+            CfgOrder::of(&f).view(),
+            &mut CfgScratch::default(),
+        );
         let reach = reachable(&f);
         for a in f.block_ids() {
             for b in f.block_ids() {

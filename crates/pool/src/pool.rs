@@ -379,8 +379,22 @@ impl Pool {
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
+        self.par_map_with(items, &mut (), |_, item| f(item))
+    }
+
+    /// [`Pool::par_map`] with scratch space: `f` gets a `&mut S` beside
+    /// each item, for vectors it needs only while it runs. `scratch`
+    /// serves every item when the map runs inline (one lane, or one
+    /// item); each parallel chunk gets an `S::default()` of its own.
+    pub fn par_map_with<T, S, R, F>(&self, items: &[T], scratch: &mut S, f: F) -> Vec<R>
+    where
+        T: Sync,
+        S: Default + Send,
+        R: Send,
+        F: Fn(&mut S, &T) -> R + Sync,
+    {
         if self.jobs == 1 || items.len() <= 1 {
-            return items.iter().map(f).collect();
+            return items.iter().map(|item| f(scratch, item)).collect();
         }
         let chunk_size = items.len().div_ceil(self.jobs * 4).max(1);
         let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
@@ -388,8 +402,9 @@ impl Pool {
             for (in_chunk, out_chunk) in items.chunks(chunk_size).zip(out.chunks_mut(chunk_size)) {
                 let f = &f;
                 s.spawn(move || {
+                    let mut scratch = S::default();
                     for (item, slot) in in_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *slot = Some(f(item));
+                        *slot = Some(f(&mut scratch, item));
                     }
                 });
             }
@@ -465,6 +480,26 @@ mod tests {
             let got = pool(jobs).par_map(&items, |&x| x.wrapping_mul(31).rotate_left(7));
             assert_eq!(got, expected, "jobs={jobs}");
         }
+    }
+
+    /// Inline, the caller's scratch serves every item; in parallel each
+    /// chunk has its own, and the results are the same either way.
+    #[test]
+    fn par_map_with_lends_scratch_per_lane() {
+        let items: Vec<u64> = (0..50).collect();
+        let seen_before = |seen: &mut Vec<u64>, &x: &u64| {
+            seen.push(x);
+            (x, seen.len())
+        };
+        let mut inline = Vec::new();
+        let out = pool(1).par_map_with(&items, &mut inline, seen_before);
+        assert_eq!(inline, items, "one scratch saw every item");
+        assert_eq!(out.last(), Some(&(49, 50)));
+        let mut unused = Vec::new();
+        let par = pool(4).par_map_with(&items, &mut unused, seen_before);
+        assert!(unused.is_empty(), "the chunks brought their own");
+        let xs: Vec<u64> = par.iter().map(|&(x, _)| x).collect();
+        assert_eq!(xs, items);
     }
 
     #[test]

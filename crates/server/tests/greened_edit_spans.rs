@@ -78,3 +78,15 @@ fn moved_divergence_join_is_reported_where_it_is_now() {
         "barrier-divergence",
     ));
 }
+
+/// A renamed local: the IR keeps no names, so the function stays green
+/// while the condition the warning points at moves.
+#[test]
+fn renamed_local_is_green_and_reported_where_it_is_now() {
+    assert!(warm_equals_cold_after(
+        "fn helper() {\n    let count = rank();\n    if (count == 0) { MPI_Barrier(); }\n}\nfn main() {\n    MPI_Init();\n    helper();\n    MPI_Finalize();\n}\n",
+        "helper",
+        "fn helper() {\n    let participants = rank();\n    if (participants == 0) { MPI_Barrier(); }\n}",
+        "collective-mismatch",
+    ));
+}

@@ -5,9 +5,10 @@
 //!   the source slice under each one re-lexes to that one token;
 //! * parsing a text at a base offset equals, span for span, parsing it
 //!   behind that many blanks (the padding survives only here);
-//! * lowering — which resolves every variable through the shared
-//!   `ScopeStack` — produces exactly the IR it produced before the scope
-//!   stack replaced the per-block hash maps (pinned fingerprint).
+//! * lowering produces exactly the IR it produced before the IR lost its
+//!   register names and its per-block instruction vectors — pinned by the
+//!   fingerprint of the IR's canonical text (`FuncIr`'s `Display`),
+//!   which shows what the IR means and nothing of how it is laid out.
 
 use parcoach::front::lexer::{lex, lex_at};
 use parcoach::front::parser::{parse_functions_at, parse_program};
@@ -123,11 +124,13 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// The IR of the whole corpus, as `{:?}` text, is what it was when
-/// scopes were `Vec<HashMap<String, Reg>>`: the fingerprint below was
-/// computed by this very test on the commit before the `ScopeStack`.
-/// A change that alters lowering on purpose re-pins it (the assertion
-/// message prints the new value).
+/// The IR of the whole corpus, as canonical text, is what it was when
+/// every block owned a vector of instructions and the IR kept each
+/// named register's source name: the fingerprint below was computed by
+/// this very test on the commit before that layout went. (Its `{:?}`
+/// text, pinned here until then, shows the layout and so moved by
+/// construction.) A change that alters lowering on purpose re-pins it
+/// (the assertion message prints the new value).
 #[test]
 fn lowering_is_unchanged_by_the_scope_stack() {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -136,10 +139,10 @@ fn lowering_is_unchanged_by_the_scope_stack() {
         let unit = parse_and_check(&name, &src)
             .unwrap_or_else(|(d, sm)| panic!("{name}: {}", d.render(&sm)));
         let module = lower_program(&unit.program, &unit.signatures);
-        // `funcs`, not the module: `by_name` is a HashMap whose Debug
-        // order is not part of the contract.
         funcs += module.funcs.len();
-        fnv1a(&mut h, format!("{:?}", module.funcs).as_bytes());
+        for f in &module.funcs {
+            fnv1a(&mut h, f.to_string().as_bytes());
+        }
     }
     assert_eq!(
         (funcs, h),
@@ -149,4 +152,4 @@ fn lowering_is_unchanged_by_the_scope_stack() {
 }
 
 const PINNED_FUNCS: usize = 296;
-const PINNED_IR_FINGERPRINT: u64 = 8_751_241_818_294_758_878;
+const PINNED_IR_FINGERPRINT: u64 = 14_665_137_063_450_717_150;

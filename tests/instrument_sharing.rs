@@ -1,7 +1,8 @@
 //! `instrument_module` copies what it changes and shares the rest, on a
 //! real workload: HERA-B's instrumented module holds, pointer for
-//! pointer, the input's functions except the ones the plan names, and is
-//! byte for byte (`{:?}`) what the deep-cloning pass produced.
+//! pointer, the input's functions except the ones the plan names, and its
+//! canonical IR text is byte for byte what the pass produced when it
+//! inserted each check into a block's own instruction vector.
 
 use parcoach::analysis::{instrument_module, AnalysisSession, InstrumentMode, InstrumentStats};
 use parcoach::front::parse_and_check;
@@ -16,9 +17,11 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Computed by this test's own `{:?}` fingerprint on the commit before
-/// modules shared their functions (`instrument_module` opened with a
-/// deep `m.clone()` then).
+/// The statistics are pinned since the commit before modules shared
+/// their functions; the fingerprint, of the canonical text (`FuncIr`'s
+/// `Display`), was computed on the commit before functions held one
+/// instruction array — the `{:?}` text pinned until then shows that
+/// layout and so moved by construction.
 const PINNED_STATS: InstrumentStats = InstrumentStats {
     cc_collective: 7,
     cc_return: 6,
@@ -26,7 +29,7 @@ const PINNED_STATS: InstrumentStats = InstrumentStats {
     concurrency_sites: 0,
     p2p_epochs: 0,
 };
-const PINNED_INSTRUMENTED_FINGERPRINT: u64 = 10_663_543_730_233_567_509;
+const PINNED_INSTRUMENTED_FINGERPRINT: u64 = 18_102_890_386_629_120_908;
 
 #[test]
 fn hera_b_unshares_exactly_the_functions_the_plan_names() {
@@ -54,7 +57,8 @@ fn hera_b_unshares_exactly_the_functions_the_plan_names() {
     }
     assert!(Arc::ptr_eq(&m.by_name, &instrumented.by_name));
 
-    let fingerprint = fnv1a(format!("{:?}", instrumented.funcs).as_bytes());
+    let text: String = instrumented.funcs.iter().map(|f| f.to_string()).collect();
+    let fingerprint = fnv1a(text.as_bytes());
     assert_eq!(
         (stats, fingerprint),
         (PINNED_STATS, PINNED_INSTRUMENTED_FINGERPRINT),

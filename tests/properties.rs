@@ -211,18 +211,14 @@ fn random_world_comm_program(rng: &mut Rng) -> String {
 fn strip_comm_operands(m: &mut parcoach::ir::Module) {
     use parcoach::ir::instr::{Instr, MpiIr};
     for f in &mut m.funcs {
-        for b in &mut std::sync::Arc::make_mut(f).blocks {
-            for i in &mut b.instrs {
-                if let Instr::Mpi {
-                    op:
-                        MpiIr::Collective { comm, .. }
-                        | MpiIr::Send { comm, .. }
-                        | MpiIr::Recv { comm, .. },
-                    ..
-                } = i
-                {
-                    *comm = None;
-                }
+        for i in &mut std::sync::Arc::make_mut(f).instrs {
+            if let Instr::Mpi {
+                op:
+                    MpiIr::Collective { comm, .. } | MpiIr::Send { comm, .. } | MpiIr::Recv { comm, .. },
+                ..
+            } = i
+            {
+                *comm = None;
             }
         }
     }
