@@ -9,15 +9,15 @@
 //!
 //! Usage: `cargo run --release -p parcoach-bench --bin ablation_selective [A|B|C]`
 
-use parcoach_bench::compile_baseline;
+use parcoach_bench::{compile_baseline, parse_class, usage_exit};
 use parcoach_core::{instrument_module, AnalysisSession, InstrumentMode};
-use parcoach_workloads::{figure1_suite, WorkloadClass};
+use parcoach_workloads::figure1_suite;
+use std::process::ExitCode;
 
-fn main() {
-    let class = match std::env::args().nth(1).as_deref() {
-        Some("A") => WorkloadClass::A,
-        Some("C") => WorkloadClass::C,
-        _ => WorkloadClass::B,
+fn main() -> ExitCode {
+    let class = match parse_class(std::env::args().nth(1).as_deref()) {
+        Ok(class) => class,
+        Err(msg) => return usage_exit("ablation_selective [A|B|C]", &msg),
     };
 
     println!("E5a — selective vs. full instrumentation (class {class:?})");
@@ -72,4 +72,5 @@ fn main() {
             refined.pdf_candidates.saturating_sub(refined.pdf_confirmed)
         );
     }
+    ExitCode::SUCCESS
 }

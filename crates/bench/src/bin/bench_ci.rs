@@ -1,26 +1,31 @@
 //! CI perf-regression gate.
 //!
-//! Measures the fig1 micro-bench (full `compile_with_codegen` per
-//! class-A workload), one end-to-end detection pass over the error
-//! catalogue, cold and warm HERA class-B checks, the per-phase analysis
-//! breakdown, and instrumented 2×2 runs of three class-A programs
-//! (timings informational, SP-MZ-A's `RunStats` counts exact); writes
-//! everything to a flat JSON file and compares against a checked-in
-//! baseline.
+//! Measures Figure 1 on class B (the three interleaved compile
+//! pipelines of [`figure1_rows`], as the `fig1` bin prints them), one
+//! end-to-end detection pass over the error catalogue, cold and warm
+//! HERA class-B checks, the per-phase analysis breakdown, and
+//! instrumented and plain 2×2 runs of three class-A programs (SP-MZ-A's
+//! `RunStats` counts exact); writes everything to a flat JSON file and
+//! compares against a checked-in baseline.
+//!
+//! The paper's two overhead claims are gated rows: per Figure-1
+//! workload `info/fig1/<W>/{warn,code}_overhead_x1000`, and per
+//! simulated program `info/sim/<row>_instr_overhead_x1000`, each
+//! instrumented ÷ plain × 1000. A ratio needs no calibration: each is
+//! gated absolutely at its baseline value plus one slack per family.
 //!
 //! Robustness, in layers:
-//! * **Cross-machine**: gated numbers are normalized by an arithmetic
-//!   *calibration* spin timed in the same run, so a uniformly slower CI
-//!   runner does not trip the gate — only a change in the *shape* of
-//!   the cost does.
-//! * **Cross-run noise**: the gate compares two *aggregates* (total
-//!   fig1 compile time, detection-table wall clock) rather than
-//!   individual sub-millisecond compiles whose minima still jitter by
-//!   tens of percent on busy runners; per-workload times are recorded
-//!   as `info/` for humans. A gated aggregate that lands over tolerance
-//!   is re-measured up to two times and the fastest attempt kept — a
-//!   real regression fails every attempt, a descheduling spike does
-//!   not.
+//! * **Cross-machine**: gated wall-clock numbers are normalized by an
+//!   arithmetic *calibration* spin timed in the same run, so a uniformly
+//!   slower CI runner does not trip the gate — only a change in the
+//!   *shape* of the cost does.
+//! * **Cross-run noise**: the wall-clock gates compare two *aggregates*
+//!   (the Figure-1 code series summed over the suite, detection-table
+//!   wall clock) rather than individual compiles; per-workload times
+//!   are recorded as `info/` for humans. A gated aggregate that lands
+//!   over tolerance is re-measured up to two times and the fastest
+//!   attempt kept — a real regression fails every attempt, a
+//!   descheduling spike does not.
 //!
 //! ```text
 //! bench_ci [--out FILE] [--baseline FILE] [--phases-out FILE]
@@ -30,7 +35,9 @@
 //! Exit codes: 0 = ok, 1 = regression (> tolerance) or detection
 //! failure, 3 = usage error.
 
-use parcoach_bench::{compile_with_codegen, lower_workload, measure, static_phase_breakdown};
+use parcoach_bench::{
+    figure1_rows, lower_workload, measure, overhead_x1000, static_phase_breakdown, Fig1Row,
+};
 use parcoach_core::{instrument_module, AnalysisSession, InstrumentMode, QueryDb, StaticReport};
 use parcoach_front::lexer::lex_source;
 use parcoach_front::parser::parse_source;
@@ -47,9 +54,8 @@ use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-/// Repetitions per workload for the compile benches. The per-workload
-/// minimum is the least noise-contaminated estimate of a CPU-bound
-/// compile; the gate sums those minima.
+/// Samples per pipeline and workload for Figure 1 (`fig1`'s default);
+/// each series reports its median.
 const COMPILE_REPS: usize = 15;
 /// Repetitions for the cold- and warm-check latency probes.
 const ANALYZE_REPS: usize = 21;
@@ -63,6 +69,14 @@ const GATE_RETRIES: usize = 2;
 const SIM_RUN_REPS: usize = 9;
 /// Default regression tolerance on normalized ratios, percent.
 const DEFAULT_TOLERANCE: f64 = 25.0;
+/// How far a Figure-1 `_overhead_x1000` row may read above its baseline
+/// value (x1000 units: 120 is 12 points of overhead): twice the widest
+/// spread of one row over five runs, 58 (EXPERIMENTS.md E24).
+const FIG1_OVERHEAD_SLACK_X1000: u64 = 120;
+/// The same for the `info/sim/<row>_instr_overhead_x1000` rows, whose
+/// widest five-run spread was 207: a run of a few threaded milliseconds
+/// is far noisier than a compile.
+const SIM_OVERHEAD_SLACK_X1000: u64 = 420;
 /// Wall-clock watchdog per catalogue case in the detection pass. Every
 /// case resolves in well under a second (the deadlocking ones via the
 /// liveness census / wait-for graph, not timeouts); a case still
@@ -137,21 +151,19 @@ fn run(args: &[String]) -> Result<bool, String> {
     results.insert("calibration_ns".into(), calibration_ns);
     println!("calibration: {:.3} ms", calibration_ns as f64 / 1e6);
 
-    // Warm every compile path before the first timed sample: the first
-    // workload otherwise pays one-off cold costs — lazy relocations,
-    // branch-predictor and allocator warm-up — that the baseline run did
-    // not, which reads as a phantom regression.
-    let suite = figure1_suite(WorkloadClass::A);
-    for w in &suite {
-        let _ = compile_with_codegen(w.name, &w.source);
-    }
-
     // The single-CPU-baseline NOTE is printed at most once per run (it
     // repeats identically per gated key otherwise and drowns CI logs).
     let mut slack_note_printed = false;
 
-    // --- fig1 micro-bench (gated on the suite total) ----------------------
-    let (mut fig1_total, per_workload) = measure_fig1(&suite);
+    // --- Figure 1, class B (gated: the code total and every ratio) -------
+    // `bench/fig1_total` sums the code series' medians and is gated on
+    // its calibration ratio; a re-measure that reads faster replaces
+    // every row, so the total and the ratios come from the same samples.
+    let fig1_suite = figure1_suite(WorkloadClass::B);
+    let code_total =
+        |rows: &[Fig1Row]| -> u64 { rows.iter().map(|r| r.codegen.as_nanos() as u64).sum() };
+    let mut fig1 = figure1_rows(&fig1_suite, COMPILE_REPS);
+    let mut fig1_total = code_total(&fig1);
     gate_ok &= gate(
         "bench/fig1_total",
         &mut fig1_total,
@@ -159,18 +171,44 @@ fn run(args: &[String]) -> Result<bool, String> {
         baseline.as_ref(),
         tolerance,
         &mut slack_note_printed,
-        || measure_fig1(&suite).0,
+        || {
+            let again = figure1_rows(&fig1_suite, COMPILE_REPS);
+            let total = code_total(&again);
+            if total < code_total(&fig1) {
+                fig1 = again;
+            }
+            total
+        },
     );
-    for (name, ns) in &per_workload {
-        println!(
-            "  fig1/{name:<8} min {:>9.3} ms  (x{:.3} cal)",
-            *ns as f64 / 1e6,
-            *ns as f64 / calibration_ns as f64
-        );
-    }
     results.insert("bench/fig1_total".into(), fig1_total);
-    for (name, ns) in per_workload {
-        results.insert(format!("info/fig1/{name}"), ns);
+    for r in &fig1 {
+        println!(
+            "  fig1/{:<6} base {:>7.3} ms  warn {:>7.3} ms  code {:>7.3} ms",
+            r.name,
+            r.baseline.as_secs_f64() * 1e3,
+            r.warnings.as_secs_f64() * 1e3,
+            r.codegen.as_secs_f64() * 1e3,
+        );
+        let key = |row: &str| format!("info/fig1/{}/{row}", r.name);
+        for (row, t) in [
+            ("base_ns", r.baseline),
+            ("warn_ns", r.warnings),
+            ("code_ns", r.codegen),
+        ] {
+            results.insert(key(row), t.as_nanos() as u64);
+        }
+        for (row, x1000) in [
+            ("warn_overhead_x1000", r.warn_overhead_x1000),
+            ("code_overhead_x1000", r.code_overhead_x1000),
+        ] {
+            gate_ok &= overhead_gate(
+                &key(row),
+                x1000,
+                baseline.as_ref(),
+                FIG1_OVERHEAD_SLACK_X1000,
+            );
+            results.insert(key(row), x1000);
+        }
     }
 
     // --- detection table (gated wall-clock + correctness) ----------------
@@ -396,17 +434,29 @@ fn run(args: &[String]) -> Result<bool, String> {
         if sim_ok { "ok" } else { "GATE FAILURE" }
     );
 
-    // --- instrumented class-A runs (timings informational, counts exact) --
+    // --- class-A runs (overhead gated, counts exact) ---------------------
     // The programs of the benchmark's `sim_run` at its 2 ranks × 2
-    // threads. What a run *does* is a property of the program: SP-MZ-A's
-    // steps, forks and barrier waits must repeat exactly over the
-    // repetitions and equal the baseline's — a simulator change that
+    // threads, instrumented and plain: the paper's run-time claim is the
+    // ratio of the two. What a run *does* is a property of the program:
+    // SP-MZ-A's steps, forks and barrier waits must repeat exactly over
+    // the repetitions and equal the baseline's — a simulator change that
     // adds a synchronisation or a step shows here as a count, whatever
     // the machine does to the timings.
     let mut sim_counts_ok = true;
-    for (row, run_ns, stats) in sim_runs(&suite) {
+    for SimRow {
+        row,
+        run_ns,
+        overhead_x1000,
+        stats,
+    } in sim_runs()
+    {
         results.insert(format!("info/sim/{row}_run_ns"), run_ns);
-        print!("sim run {row}: fastest {:.3} ms", run_ns as f64 / 1e6);
+        let key = format!("info/sim/{row}_instr_overhead_x1000");
+        results.insert(key.clone(), overhead_x1000);
+        print!(
+            "sim run {row}: fastest {:.3} ms, x{overhead_x1000} of plain",
+            run_ns as f64 / 1e6
+        );
         match stats {
             Some(stats) => print!(", every run {stats}"),
             None => {
@@ -415,6 +465,12 @@ fn run(args: &[String]) -> Result<bool, String> {
             }
         }
         println!();
+        gate_ok &= overhead_gate(
+            &key,
+            overhead_x1000,
+            baseline.as_ref(),
+            SIM_OVERHEAD_SLACK_X1000,
+        );
         if let ("sp_mz_a", Some(stats)) = (row.as_str(), stats) {
             for (name, count) in [
                 ("steps", stats.steps),
@@ -465,13 +521,24 @@ fn run(args: &[String]) -> Result<bool, String> {
         && sim_counts_ok)
 }
 
-/// The three class-A programs of the benchmark's `sim_run`, selectively
-/// instrumented, at 2 ranks × 2 threads: per program its row name, the
-/// fastest `Executor::run` of [`SIM_RUN_REPS`] (after one warm-up), and
-/// what every run counted — `None` when a run failed or two runs
-/// counted differently.
-fn sim_runs(suite: &[Workload]) -> Vec<(String, u64, Option<RunStats>)> {
-    suite
+/// One class-A program of [`sim_runs`].
+struct SimRow {
+    row: String,
+    /// The fastest instrumented `Executor::run`.
+    run_ns: u64,
+    /// [`overhead_x1000`] of that run over the fastest plain one.
+    overhead_x1000: u64,
+    /// What every instrumented run counted — `None` when a run failed or
+    /// two runs counted differently.
+    stats: Option<RunStats>,
+}
+
+/// The three class-A programs of the benchmark's `sim_run` at 2 ranks ×
+/// 2 threads: [`SIM_RUN_REPS`] runs each (after one warm-up) of the
+/// selectively instrumented module, interleaved with as many of the
+/// plain one.
+fn sim_runs() -> Vec<SimRow> {
+    figure1_suite(WorkloadClass::A)
         .iter()
         .filter(|w| ["EPCC", "HERA", "SP-MZ"].contains(&w.name))
         .map(|w| {
@@ -483,20 +550,28 @@ fn sim_runs(suite: &[Workload]) -> Vec<(String, u64, Option<RunStats>)> {
                 default_threads: 2,
                 ..RunConfig::default()
             };
-            let exec = Executor::new(instrumented, cfg);
+            let exec = Executor::new(instrumented, cfg.clone());
+            let plain = Executor::new(module, cfg);
             let warm = exec.run();
-            let mut stats = warm.is_clean().then_some(warm.stats);
-            let mut fastest = u64::MAX;
+            let mut stats = (warm.is_clean() && plain.run().is_clean()).then_some(warm.stats);
+            let (mut fastest, mut fastest_plain) = (Duration::MAX, Duration::MAX);
             for _ in 0..SIM_RUN_REPS {
                 let t0 = Instant::now();
                 let run = black_box(exec.run());
-                fastest = fastest.min(t0.elapsed().as_nanos() as u64);
-                if !run.is_clean() || stats != Some(run.stats) {
+                fastest = fastest.min(t0.elapsed());
+                let t0 = Instant::now();
+                let plain_run = black_box(plain.run());
+                fastest_plain = fastest_plain.min(t0.elapsed());
+                if !run.is_clean() || !plain_run.is_clean() || stats != Some(run.stats) {
                     stats = None;
                 }
             }
-            let row = format!("{}_a", w.name.to_lowercase().replace('-', "_"));
-            (row, fastest, stats)
+            SimRow {
+                row: format!("{}_a", w.name.to_lowercase().replace('-', "_")),
+                run_ns: fastest.as_nanos() as u64,
+                overhead_x1000: overhead_x1000(fastest_plain, fastest),
+                stats,
+            }
         })
         .collect()
 }
@@ -510,7 +585,7 @@ fn sim_oracle_bench() -> (u64, u64) {
     const MODULES: u64 = 50;
     let cfg = OracleConfig::default();
     let sources: Vec<String> = (0..MODULES)
-        .map(|i| criterion::Scenario::generate(module_seed(42, i)).render())
+        .map(|i| parcoach_testutil::Scenario::generate(module_seed(42, i)).render())
         .collect();
     let t0 = Instant::now();
     for (i, src) in sources.iter().enumerate() {
@@ -522,22 +597,6 @@ fn sim_oracle_bench() -> (u64, u64) {
     let per_module = total.as_nanos() as u64 / MODULES;
     let mps = (MODULES as f64 / total.as_secs_f64()) as u64;
     (per_module, mps)
-}
-
-/// Minimum compile time per workload; returns the suite total and the
-/// per-workload breakdown.
-fn measure_fig1(suite: &[Workload]) -> (u64, BTreeMap<String, u64>) {
-    let mut per_workload = BTreeMap::new();
-    let mut total = 0u64;
-    for w in suite {
-        let t = measure(COMPILE_REPS, || {
-            let _ = compile_with_codegen(w.name, &w.source);
-        });
-        let ns = t.min.as_nanos() as u64;
-        total += ns;
-        per_workload.insert(w.name.to_string(), ns);
-    }
-    (total, per_workload)
 }
 
 /// Check one gated aggregate against the baseline, re-measuring (and
@@ -604,6 +663,32 @@ fn gate(
     }
 }
 
+/// Gate one `_overhead_x1000` row absolutely: it passes while it reads
+/// at most its baseline value plus `slack`. A row missing from the
+/// baseline fails; without a baseline (`--write-baseline` mode) every
+/// row passes.
+fn overhead_gate(
+    key: &str,
+    now: u64,
+    baseline: Option<&BTreeMap<String, u64>>,
+    slack: u64,
+) -> bool {
+    let Some(base) = baseline else {
+        return true;
+    };
+    let Some(&pinned) = base.get(key) else {
+        eprintln!("{key}: missing from baseline — regenerate it with --write-baseline");
+        return false;
+    };
+    let bound = pinned.saturating_add(slack);
+    let ok = now <= bound;
+    println!(
+        "{key:<40} base x{pinned:>5}  now x{now:>5}  (bound x{bound})  {}",
+        if ok { "ok" } else { "REGRESSION" }
+    );
+    ok
+}
+
 /// Single-threaded arithmetic spin: the machine-speed yardstick. Many
 /// ~2 ms spins (the compiles' timescale) with the minimum taken, so
 /// both sides of the `bench / calibration` ratio dodge scheduler and
@@ -618,10 +703,10 @@ fn calibrate() -> u64 {
         }
         std::hint::black_box(x)
     };
-    let t = measure(31, || {
+    measure(31, || {
         spin();
-    });
-    t.min.as_nanos() as u64
+    })
+    .as_nanos() as u64
 }
 
 /// Run one catalogue case on a watchdog thread: `None` when the
@@ -758,7 +843,7 @@ fn incremental_latency() -> (ColdSpans, u64, bool) {
     // single-core CI runners have enough scheduler noise to swing a
     // median by 25%, and the minimum is the standard low-noise
     // estimator for a deterministic computation.
-    (cold, warm.min.as_nanos() as u64, identical)
+    (cold, warm.as_nanos() as u64, identical)
 }
 
 /// Where one cold check spent its time, stage by stage.
@@ -792,7 +877,6 @@ fn cold_check_spans(name: &str, src: &str) -> ColdSpans {
     let lex_ns = measure(ANALYZE_REPS, || {
         black_box(lex_source(name, black_box(src), &mut Diagnostics::new()));
     })
-    .min
     .as_nanos() as u64;
 
     let mut best: Option<ColdSpans> = None;
@@ -982,7 +1066,7 @@ fn neutral_edit_latency() -> (u64, bool) {
         && after.1 - before.1 == reps
         && after.2 - before.2 == reps
         && after.3 == before.3;
-    (t.min.as_nanos() as u64, live)
+    (t.as_nanos() as u64, live)
 }
 
 /// The module-table counterpart of [`incremental_latency`]: the probe
@@ -1022,7 +1106,7 @@ fn module_warm_latency() -> (u64, bool, bool) {
         && after.p2p_hits > before.p2p_hits
         && after.comm_misses == before.comm_misses
         && after.p2p_misses == before.p2p_misses;
-    (warm.min.as_nanos() as u64, identical, memo_live)
+    (warm.as_nanos() as u64, identical, memo_live)
 }
 
 // --- flat JSON (no external deps) ----------------------------------------
@@ -1058,4 +1142,29 @@ fn parse_flat_json(text: &str) -> Option<BTreeMap<String, u64>> {
         map.insert(key.to_string(), value);
     }
     Some(map)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const KEY: &str = "info/fig1/EPCC/warn_overhead_x1000";
+
+    #[test]
+    fn overhead_row_over_baseline_plus_slack_fails() {
+        let baseline = BTreeMap::from([(KEY.to_string(), 1250)]);
+        assert!(overhead_gate(KEY, 1300, Some(&baseline), 50));
+        assert!(!overhead_gate(KEY, 1301, Some(&baseline), 50));
+    }
+
+    #[test]
+    fn overhead_row_missing_from_baseline_fails() {
+        let baseline = BTreeMap::from([("calibration_ns".to_string(), 1)]);
+        assert!(!overhead_gate(KEY, 1000, Some(&baseline), 50));
+    }
+
+    #[test]
+    fn overhead_rows_pass_in_write_baseline_mode() {
+        assert!(overhead_gate(KEY, u64::MAX, None, 0));
+    }
 }

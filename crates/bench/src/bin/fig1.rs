@@ -5,17 +5,23 @@
 //!
 //! Usage: `cargo run --release -p parcoach-bench --bin fig1 [A|B|C] [reps]`
 
-use parcoach_bench::{figure1_rows, render_fig1};
-use parcoach_workloads::{figure1_suite, WorkloadClass};
+use parcoach_bench::{figure1_rows, parse_class, render_fig1, usage_exit};
+use parcoach_workloads::figure1_suite;
+use std::process::ExitCode;
 
-fn main() {
+const USAGE: &str = "fig1 [A|B|C] [reps ≥ 1, default 15]";
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let class = match args.first().map(String::as_str) {
-        Some("A") => WorkloadClass::A,
-        Some("C") => WorkloadClass::C,
-        _ => WorkloadClass::B, // the paper uses class B
+    let class = match parse_class(args.first().map(String::as_str)) {
+        Ok(class) => class,
+        Err(msg) => return usage_exit(USAGE, &msg),
     };
-    let reps: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(15);
+    let reps = match args.get(1).map(|s| s.parse::<usize>()) {
+        None => 15,
+        Some(Ok(reps)) if reps > 0 => reps,
+        Some(_) => return usage_exit(USAGE, &format!("bad repetition count `{}`", args[1])),
+    };
 
     eprintln!("generating workloads (class {class:?})…");
     let suite = figure1_suite(class);
@@ -32,7 +38,12 @@ fn main() {
     );
     let max = rows
         .iter()
-        .map(|r| r.codegen_pct)
-        .fold(f64::NEG_INFINITY, f64::max);
-    println!("measured maximum overhead: {max:.2}%");
+        .map(|r| r.code_overhead_x1000)
+        .max()
+        .unwrap_or(1000);
+    println!(
+        "measured maximum overhead: {:.1}%",
+        (max as f64 - 1000.0) / 10.0
+    );
+    ExitCode::SUCCESS
 }

@@ -5,15 +5,15 @@
 //!
 //! Usage: `cargo run --release -p parcoach-bench --bin warnings_table [A|B|C]`
 
-use parcoach_bench::compile_with_warnings;
+use parcoach_bench::{compile_with_warnings, parse_class, usage_exit};
 use parcoach_core::WarningKind;
-use parcoach_workloads::{figure1_suite, WorkloadClass};
+use parcoach_workloads::figure1_suite;
+use std::process::ExitCode;
 
-fn main() {
-    let class = match std::env::args().nth(1).as_deref() {
-        Some("A") => WorkloadClass::A,
-        Some("C") => WorkloadClass::C,
-        _ => WorkloadClass::B,
+fn main() -> ExitCode {
+    let class = match parse_class(std::env::args().nth(1).as_deref()) {
+        Ok(class) => class,
+        Err(msg) => return usage_exit("warnings_table [A|B|C]", &msg),
     };
     let kinds = [
         (WarningKind::MultithreadedCollective, "mt-coll"),
@@ -50,4 +50,5 @@ fn main() {
          phase cannot prove uniform — the false-positive class the dynamic CC \
          validates at run time (paper §3)."
     );
+    ExitCode::SUCCESS
 }

@@ -1,14 +1,20 @@
 //! # parcoach-bench — harness regenerating the paper's evaluation
 //!
-//! The paper's evaluation is **Figure 1**: the overhead of average
-//! compilation time, with two series — "Warnings" (static analysis only)
-//! and "Warnings + verification code generation" (analysis +
-//! instrumentation) — over BT-MZ, SP-MZ, LU-MZ, the EPCC suite and HERA.
+//! The paper's evaluation makes two claims. **Figure 1**: the overhead
+//! of average compilation time, with two series — "Warnings" (static
+//! analysis only) and "Warnings + verification code generation"
+//! (analysis + instrumentation) — over BT-MZ, SP-MZ, LU-MZ, the EPCC
+//! suite and HERA, stays small. And the inserted checks add little run
+//! time.
 //!
-//! This crate provides the three compilation pipelines being compared
-//! and the measurement helpers; the `bin/` targets print the paper-shaped
-//! tables (see EXPERIMENTS.md) and the `benches/` targets give Criterion
-//! confidence intervals for the same quantities.
+//! This crate provides the three compilation pipelines being compared,
+//! the optimizer and register allocator that give the baseline its
+//! weight ([`opt`]), and [`figure1_rows`], the one measurement of
+//! Figure 1: the `fig1` bin prints its table and `bench_ci` gates its
+//! ratios next to the run-time overhead of the checks (see
+//! EXPERIMENTS.md E1, E4 and E9).
+
+pub mod opt;
 
 use parcoach_core::{
     instrument_module, AnalysisSession, InstrumentMode, PhaseTimings, StaticReport,
@@ -17,6 +23,8 @@ use parcoach_front::parse_and_check;
 use parcoach_front::CheckedUnit;
 use parcoach_ir::lower::lower_program;
 use parcoach_ir::Module;
+use parcoach_workloads::{Workload, WorkloadClass};
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 /// Stage 1: the plain compiler — parse, type-check, lower, verify,
@@ -28,9 +36,9 @@ pub fn compile_baseline(name: &str, src: &str) -> (CheckedUnit, Module) {
     let unit = parse_and_check(name, src).expect("workload compiles");
     let mut module = lower_program(&unit.program, &unit.signatures);
     debug_assert!(parcoach_ir::verify_module(&module).is_empty());
-    parcoach_ir::opt::optimize_module(&mut module, 4);
+    opt::optimize_module(&mut module, 4);
     for f in &module.funcs {
-        let _ = parcoach_ir::opt::allocate(f);
+        let _ = opt::allocate(f);
     }
     (unit, module)
 }
@@ -42,9 +50,9 @@ pub fn compile_with_warnings(name: &str, src: &str) -> (Module, StaticReport) {
     let unit = parse_and_check(name, src).expect("workload compiles");
     let mut module = lower_program(&unit.program, &unit.signatures);
     let report = AnalysisSession::builder().build().check_module(&module);
-    parcoach_ir::opt::optimize_module(&mut module, 4);
+    opt::optimize_module(&mut module, 4);
     for f in &module.funcs {
-        let _ = parcoach_ir::opt::allocate(f);
+        let _ = opt::allocate(f);
     }
     (module, report)
 }
@@ -57,17 +65,17 @@ pub fn compile_with_codegen(name: &str, src: &str) -> (Module, StaticReport) {
     let module = lower_program(&unit.program, &unit.signatures);
     let report = AnalysisSession::builder().build().check_module(&module);
     let (mut instrumented, _stats) = instrument_module(&module, &report, InstrumentMode::Selective);
-    parcoach_ir::opt::optimize_module(&mut instrumented, 4);
+    opt::optimize_module(&mut instrumented, 4);
     for f in &instrumented.funcs {
-        let _ = parcoach_ir::opt::allocate(f);
+        let _ = opt::allocate(f);
     }
     (instrumented, report)
 }
 
 /// Lower a workload to its analysis-input IR (parse + sema + lower,
 /// no optimizer) — the module shape the analysis session sees inside
-/// the compile pipelines. Used by the static-phase micro-benches.
-pub fn lower_workload(w: &parcoach_workloads::Workload) -> Module {
+/// the compile pipelines.
+pub fn lower_workload(w: &Workload) -> Module {
     let unit = parse_and_check(w.name, &w.source).expect("workload compiles");
     lower_program(&unit.program, &unit.signatures)
 }
@@ -103,43 +111,25 @@ pub fn static_phase_breakdown(
     best.unwrap_or_default()
 }
 
-/// Timing statistics over repeated runs.
-#[derive(Debug, Clone, Copy)]
-pub struct Timing {
-    /// Arithmetic mean.
-    pub mean: Duration,
-    /// Median (robust against scheduler noise; used for the tables).
-    pub median: Duration,
-    /// Minimum observed.
-    pub min: Duration,
-}
-
-/// Measure `f` over `reps` repetitions (plus one warm-up).
-pub fn measure(reps: usize, mut f: impl FnMut()) -> Timing {
+/// The fastest of `reps` runs of `f` (after one warm-up): the least
+/// noise-contaminated estimate of a deterministic computation.
+pub fn measure(reps: usize, mut f: impl FnMut()) -> Duration {
     f(); // warm-up
-    let mut samples = Vec::with_capacity(reps);
-    let mut total = Duration::ZERO;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        let dt = t0.elapsed();
-        total += dt;
-        samples.push(dt);
-    }
-    samples.sort_unstable();
-    Timing {
-        mean: total / reps as u32,
-        median: samples[samples.len() / 2],
-        min: samples[0],
-    }
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed()
+        })
+        .min()
+        .unwrap_or_default()
 }
 
-/// Percentage overhead of `b` relative to `a`.
-pub fn overhead_pct(a: Duration, b: Duration) -> f64 {
-    if a.is_zero() {
-        return 0.0;
-    }
-    (b.as_secs_f64() / a.as_secs_f64() - 1.0) * 100.0
+/// `instrumented` ÷ `plain` × 1000, rounded: the unit of every
+/// `_overhead_x1000` row (1 000 is no overhead, 1 060 is +6 %).
+pub fn overhead_x1000(plain: Duration, instrumented: Duration) -> u64 {
+    let plain = plain.as_nanos().max(1);
+    ((instrumented.as_nanos() * 1000 + plain / 2) / plain) as u64
 }
 
 /// One row of the Figure-1 table.
@@ -149,26 +139,34 @@ pub struct Fig1Row {
     pub name: &'static str,
     /// Source lines.
     pub lines: usize,
-    /// Baseline compile time.
+    /// Samples of the baseline pipeline, sorted.
+    pub base: Vec<Duration>,
+    /// Samples of the +warnings pipeline, sorted.
+    pub warn: Vec<Duration>,
+    /// Samples of the +warnings +codegen pipeline, sorted.
+    pub code: Vec<Duration>,
+    /// Median of `base`.
     pub baseline: Duration,
-    /// + warnings.
+    /// Median of `warn`.
     pub warnings: Duration,
-    /// + warnings + codegen.
+    /// Median of `code`.
     pub codegen: Duration,
-    /// Overhead percentages.
-    pub warnings_pct: f64,
-    /// Overhead of the full pipeline.
-    pub codegen_pct: f64,
+    /// [`overhead_x1000`] of `warnings` over `baseline`.
+    pub warn_overhead_x1000: u64,
+    /// [`overhead_x1000`] of `codegen` over `baseline`.
+    pub code_overhead_x1000: u64,
 }
 
-/// Compute the Figure-1 rows for a suite of workloads.
+/// Compute the Figure-1 rows for a suite of workloads, `reps` ≥ 1
+/// samples per pipeline.
 ///
 /// Samples of the three pipelines are *interleaved* (baseline, warnings,
 /// codegen, baseline, …) so slow environmental drift (frequency scaling,
 /// page-cache warm-up, noisy neighbours) hits all three series equally;
 /// the reported value is the per-series median. Each workload warms up
 /// all three pipelines once before its timed samples.
-pub fn figure1_rows(workloads: &[parcoach_workloads::Workload], reps: usize) -> Vec<Fig1Row> {
+pub fn figure1_rows(workloads: &[Workload], reps: usize) -> Vec<Fig1Row> {
+    assert!(reps > 0, "figure1_rows needs at least one repetition");
     workloads
         .iter()
         .map(|w| {
@@ -193,15 +191,19 @@ pub fn figure1_rows(workloads: &[parcoach_workloads::Workload], reps: usize) -> 
                 v.sort_unstable();
                 v[v.len() / 2]
             };
-            let (b, wn, cd) = (median(&mut base), median(&mut warn), median(&mut code));
+            let (baseline, warnings, codegen) =
+                (median(&mut base), median(&mut warn), median(&mut code));
             Fig1Row {
                 name: w.name,
                 lines: w.lines(),
-                baseline: b,
-                warnings: wn,
-                codegen: cd,
-                warnings_pct: overhead_pct(b, wn),
-                codegen_pct: overhead_pct(b, cd),
+                base,
+                warn,
+                code,
+                baseline,
+                warnings,
+                codegen,
+                warn_overhead_x1000: overhead_x1000(baseline, warnings),
+                code_overhead_x1000: overhead_x1000(baseline, codegen),
             }
         })
         .collect()
@@ -215,25 +217,44 @@ pub fn render_fig1(rows: &[Fig1Row]) -> String {
         "{:<8} {:>7} {:>12} {:>12} {:>12} {:>11} {:>11}\n",
         "bench", "lines", "baseline", "warnings", "warn+code", "warn %", "code %"
     ));
+    let pct = |x1000: u64| (x1000 as f64 - 1000.0) / 10.0;
     for r in rows {
         out.push_str(&format!(
-            "{:<8} {:>7} {:>12} {:>12} {:>12} {:>10.2}% {:>10.2}%\n",
+            "{:<8} {:>7} {:>12} {:>12} {:>12} {:>10.1}% {:>10.1}%\n",
             r.name,
             r.lines,
             format!("{:.2?}", r.baseline),
             format!("{:.2?}", r.warnings),
             format!("{:.2?}", r.codegen),
-            r.warnings_pct,
-            r.codegen_pct,
+            pct(r.warn_overhead_x1000),
+            pct(r.code_overhead_x1000),
         ));
     }
     out
 }
 
+/// The workload class a table bin was asked for: `A`, `B` or `C`, and
+/// class B (the paper's) when absent.
+pub fn parse_class(arg: Option<&str>) -> Result<WorkloadClass, String> {
+    match arg {
+        Some("A") => Ok(WorkloadClass::A),
+        None | Some("B") => Ok(WorkloadClass::B),
+        Some("C") => Ok(WorkloadClass::C),
+        Some(other) => Err(format!("unknown class `{other}` (expected A, B or C)")),
+    }
+}
+
+/// Print `msg` and a bin's usage line to stderr and exit with 3, the
+/// workspace's usage code.
+pub fn usage_exit(usage: &str, msg: &str) -> ExitCode {
+    eprintln!("{msg}\nusage: {usage}");
+    ExitCode::from(3)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parcoach_workloads::{figure1_suite, WorkloadClass};
+    use parcoach_workloads::figure1_suite;
 
     #[test]
     fn pipelines_run_on_every_workload() {
@@ -263,8 +284,9 @@ mod tests {
     fn overhead_math() {
         let a = Duration::from_millis(100);
         let b = Duration::from_millis(106);
-        assert!((overhead_pct(a, b) - 6.0).abs() < 0.01);
-        assert_eq!(overhead_pct(Duration::ZERO, b), 0.0);
+        assert_eq!(overhead_x1000(a, b), 1060);
+        assert_eq!(overhead_x1000(b, a), 943);
+        assert_eq!(overhead_x1000(a, a), 1000);
     }
 
     #[test]
@@ -283,7 +305,7 @@ mod tests {
         // The test harness runs tests concurrently, so leave wide noise
         // margins — this guards against gross inversions only.
         assert!(
-            code.min.as_secs_f64() > base.min.as_secs_f64() * 0.5,
+            code.as_secs_f64() > base.as_secs_f64() * 0.5,
             "full pipeline should not be faster than baseline: {base:?} vs {code:?}"
         );
     }
@@ -295,6 +317,23 @@ mod tests {
         let table = render_fig1(&rows);
         for w in &suite {
             assert!(table.contains(w.name), "{table}");
+        }
+    }
+
+    #[test]
+    fn overheads_come_from_the_rows_own_samples() {
+        let suite = figure1_suite(WorkloadClass::A);
+        for r in figure1_rows(&suite, 3) {
+            let median = |v: &[Duration]| {
+                let mut v = v.to_vec();
+                v.sort_unstable();
+                v[v.len() / 2]
+            };
+            assert_eq!([r.base.len(), r.warn.len(), r.code.len()], [3; 3]);
+            let (b, w, c) = (median(&r.base), median(&r.warn), median(&r.code));
+            assert_eq!((r.baseline, r.warnings, r.codegen), (b, w, c), "{}", r.name);
+            assert_eq!(r.warn_overhead_x1000, overhead_x1000(b, w), "{}", r.name);
+            assert_eq!(r.code_overhead_x1000, overhead_x1000(b, c), "{}", r.name);
         }
     }
 }

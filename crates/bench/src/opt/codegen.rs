@@ -9,11 +9,10 @@
 //! invariants (and by the Figure-1 baseline pipeline); we do not emit
 //! actual machine code.
 
-use crate::func::FuncIr;
-use crate::graph::reverse_post_order;
 use crate::opt::liveness::liveness;
 use crate::opt::usedef::{directive_defs, directive_uses, instr_uses, term_uses};
-use crate::types::Reg;
+use parcoach_ir::graph::reverse_post_order;
+use parcoach_ir::{FuncIr, Reg};
 use std::collections::HashMap;
 
 /// Where a virtual register lives.
@@ -160,8 +159,8 @@ fn build_intervals(f: &FuncIr) -> Vec<Interval> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_program;
     use parcoach_front::parse_and_check;
+    use parcoach_ir::lower::lower_program;
 
     fn func(src: &str) -> FuncIr {
         let unit = parse_and_check("t.mh", src).expect("valid");

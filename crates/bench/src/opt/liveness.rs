@@ -3,10 +3,10 @@
 //! Used by dead-code elimination and by the linear-scan register
 //! allocator in `codegen`.
 
-use crate::func::FuncIr;
-use crate::graph::post_order;
 use crate::opt::bitset::BitSet;
 use crate::opt::usedef::{directive_defs, directive_uses, instr_uses, term_uses};
+use parcoach_ir::graph::reverse_post_order;
+use parcoach_ir::FuncIr;
 
 /// Per-block live-in / live-out sets.
 #[derive(Debug, Clone)]
@@ -62,7 +62,8 @@ pub fn liveness(f: &FuncIr) -> Liveness {
     let mut live_in: Vec<BitSet> = (0..nb).map(|_| BitSet::new(nr)).collect();
     let mut live_out: Vec<BitSet> = (0..nb).map(|_| BitSet::new(nr)).collect();
     // Iterate in post-order (good order for backward problems).
-    let order = post_order(f);
+    let mut order = reverse_post_order(f);
+    order.reverse();
     let mut changed = true;
     while changed {
         changed = false;
@@ -94,8 +95,8 @@ pub fn liveness(f: &FuncIr) -> Liveness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_program;
     use parcoach_front::parse_and_check;
+    use parcoach_ir::lower::lower_program;
 
     fn func(src: &str) -> FuncIr {
         let unit = parse_and_check("t.mh", src).expect("valid");
@@ -110,7 +111,7 @@ mod tests {
         f.instrs(f.entry)
             .iter()
             .filter_map(|i| match i {
-                crate::instr::Instr::Copy { dest, .. } => Some(dest.index()),
+                parcoach_ir::Instr::Copy { dest, .. } => Some(dest.index()),
                 _ => None,
             })
             .nth(n)

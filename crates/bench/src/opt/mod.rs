@@ -2,7 +2,9 @@
 //! gives the Figure-1 baseline its realistic weight (see DESIGN.md §2:
 //! the paper measures analysis overhead relative to a *full* GCC
 //! compilation, so the reproduction needs a non-trivial compilation
-//! pipeline to be overhead-comparable).
+//! pipeline to be overhead-comparable). Only the Figure-1 pipelines run
+//! it, so it lives here and not in `parcoach-ir`: the shipped binaries
+//! never compile it.
 
 pub mod bitset;
 pub mod codegen;
@@ -10,6 +12,5 @@ pub mod liveness;
 pub mod passes;
 pub mod usedef;
 
-pub use codegen::{allocate, Allocation, Location, PHYS_REGS};
-pub use liveness::{liveness, Liveness};
-pub use passes::{optimize_func, optimize_module, OptStats};
+pub use codegen::allocate;
+pub use passes::optimize_module;

@@ -2,18 +2,15 @@
 //! propagation, local common-subexpression elimination, and global
 //! dead-code elimination. Together with `codegen`, these give the
 //! baseline "compiler" pipeline the realistic weight against which the
-//! PARCOACH analysis overhead is measured (Figure 1); they are also
-//! genuinely useful for the interpreter's execution speed.
+//! PARCOACH analysis overhead is measured (Figure 1).
 //!
 //! Instrumentation `Check` instructions are side-effecting and are never
 //! touched by any pass.
 
-use crate::func::{FuncIr, Module};
-use crate::instr::{Instr, Terminator};
 use crate::opt::liveness::liveness;
 use crate::opt::usedef::{instr_uses, is_pure};
-use crate::types::{Const, Reg, Value};
 use parcoach_front::ast::{BinOp, UnOp};
+use parcoach_ir::{Const, FuncIr, Instr, Module, MpiIr, Reg, Terminator, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -132,7 +129,7 @@ fn local_fold_and_propagate(f: &mut FuncIr, stats: &mut OptStats) {
                 Instr::Mpi { op, .. } => match op {
                     // Communicator operands stay registers: they are
                     // opaque handles with no constant form.
-                    crate::instr::MpiIr::Collective { value, root, .. } => {
+                    MpiIr::Collective { value, root, .. } => {
                         if let Some(v) = value {
                             *v = resolve(*v, &known, stats);
                         }
@@ -140,32 +137,32 @@ fn local_fold_and_propagate(f: &mut FuncIr, stats: &mut OptStats) {
                             *r = resolve(*r, &known, stats);
                         }
                     }
-                    crate::instr::MpiIr::Send {
+                    MpiIr::Send {
                         value, dest, tag, ..
                     } => {
                         *value = resolve(*value, &known, stats);
                         *dest = resolve(*dest, &known, stats);
                         *tag = resolve(*tag, &known, stats);
                     }
-                    crate::instr::MpiIr::Recv { src, tag, .. } => {
+                    MpiIr::Recv { src, tag, .. } => {
                         *src = resolve(*src, &known, stats);
                         *tag = resolve(*tag, &known, stats);
                     }
-                    crate::instr::MpiIr::CommSplit { color, key, .. } => {
+                    MpiIr::CommSplit { color, key, .. } => {
                         *color = resolve(*color, &known, stats);
                         *key = resolve(*key, &known, stats);
                     }
                     // Request operands stay registers (opaque handles);
                     // the scalar operands of the posts fold like their
                     // blocking counterparts.
-                    crate::instr::MpiIr::Isend {
+                    MpiIr::Isend {
                         value, dest, tag, ..
                     } => {
                         *value = resolve(*value, &known, stats);
                         *dest = resolve(*dest, &known, stats);
                         *tag = resolve(*tag, &known, stats);
                     }
-                    crate::instr::MpiIr::Irecv { src, tag, .. } => {
+                    MpiIr::Irecv { src, tag, .. } => {
                         *src = resolve(*src, &known, stats);
                         *tag = resolve(*tag, &known, stats);
                     }
@@ -363,9 +360,9 @@ fn dce(f: &mut FuncIr, stats: &mut OptStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_program;
-    use crate::verify::verify_module;
     use parcoach_front::parse_and_check;
+    use parcoach_ir::lower::lower_program;
+    use parcoach_ir::verify_module;
 
     fn lower(src: &str) -> Module {
         let unit = parse_and_check("t.mh", src).expect("valid");

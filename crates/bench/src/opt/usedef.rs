@@ -1,8 +1,6 @@
 //! Use/def extraction shared by the dataflow and codegen passes.
 
-use crate::func::BasicBlock;
-use crate::instr::{Directive, Instr, MpiIr, Terminator};
-use crate::types::{Reg, Value};
+use parcoach_ir::{BasicBlock, Directive, Instr, MpiIr, Reg, Terminator, Value};
 
 fn push_val(v: &Value, out: &mut Vec<Reg>) {
     if let Value::Reg(r) = v {
@@ -198,7 +196,6 @@ pub fn is_pure(i: &Instr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Value;
     use parcoach_front::ast::{BinOp, Intrinsic};
     use parcoach_front::span::Span;
 
@@ -247,8 +244,8 @@ mod tests {
     fn term_uses_cover_branch_and_return() {
         let t = Terminator::Branch {
             cond: Value::Reg(Reg(5)),
-            then_bb: crate::types::BlockId(0),
-            else_bb: crate::types::BlockId(1),
+            then_bb: parcoach_ir::BlockId(0),
+            else_bb: parcoach_ir::BlockId(1),
             span: Span::DUMMY,
         };
         assert_eq!(term_uses(&t), vec![Reg(5)]);
@@ -257,6 +254,6 @@ mod tests {
             span: Span::DUMMY,
         };
         assert_eq!(term_uses(&r), vec![Reg(7)]);
-        assert!(term_uses(&Terminator::Goto(crate::types::BlockId(0))).is_empty());
+        assert!(term_uses(&Terminator::Goto(parcoach_ir::BlockId(0))).is_empty());
     }
 }

@@ -164,13 +164,6 @@ pub fn reverse_post_order(f: &FuncIr) -> Vec<BlockId> {
     CfgOrder::of(f).rpo
 }
 
-/// Post-order of reachable blocks (reverse of [`reverse_post_order`]).
-pub fn post_order(f: &FuncIr) -> Vec<BlockId> {
-    let mut rpo = reverse_post_order(f);
-    rpo.reverse();
-    rpo
-}
-
 /// Vectors the CFG algorithms ([`crate::dom`], [`crate::loops`]) need
 /// only while they run. A caller computing them for many functions
 /// passes one scratch to all, so the temporaries are allocated once.

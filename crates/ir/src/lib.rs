@@ -36,7 +36,6 @@ pub mod graph;
 pub mod instr;
 pub mod loops;
 pub mod lower;
-pub mod opt;
 pub mod types;
 pub mod verify;
 

@@ -123,7 +123,7 @@ fn optimization_preserves_output() {
             .unwrap_or_else(|(d, sm)| panic!("seed {seed}: {}", d.render(&sm)));
         let plain = lower_program(&unit.program, &unit.signatures);
         let mut optimized = plain.clone();
-        parcoach::ir::opt::optimize_module(&mut optimized, 4);
+        parcoach_bench::opt::optimize_module(&mut optimized, 4);
         assert!(
             parcoach::ir::verify_module(&optimized).is_empty(),
             "seed {seed}"
