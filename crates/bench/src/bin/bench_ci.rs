@@ -28,12 +28,11 @@
 //!   descheduling spike does not.
 //!
 //! ```text
-//! bench_ci [--out FILE] [--baseline FILE] [--phases-out FILE]
-//!          [--tolerance PCT] [--write-baseline FILE]
+//! bench_ci [--out FILE] [--baseline FILE] [--write-baseline FILE]
 //! ```
 //!
-//! Exit codes: 0 = ok, 1 = regression (> tolerance) or detection
-//! failure, 3 = usage error.
+//! Exit codes: 0 = ok, 1 = regression (> `DEFAULT_TOLERANCE` %) or
+//! detection failure, 3 = usage error.
 
 use parcoach_bench::{
     figure1_rows, lower_workload, measure, overhead_x1000, static_phase_breakdown, Fig1Row,
@@ -46,9 +45,7 @@ use parcoach_front::{parse_and_check, Diagnostics};
 use parcoach_interp::{check_and_run, Executor, RunConfig, RunStats};
 use parcoach_ir::lower::lower_program;
 use parcoach_ir::{verify_module, Module};
-use parcoach_workloads::{
-    error_catalogue, figure1_suite, ExpectDynamic, ExpectStatic, Workload, WorkloadClass,
-};
+use parcoach_workloads::{error_catalogue, figure1_suite, Workload, WorkloadClass};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -67,7 +64,7 @@ const GATE_RETRIES: usize = 2;
 /// Repetitions per program for the simulated class-A runs (the fastest
 /// is kept; every one is counted).
 const SIM_RUN_REPS: usize = 9;
-/// Default regression tolerance on normalized ratios, percent.
+/// Regression tolerance on normalized ratios, percent.
 const DEFAULT_TOLERANCE: f64 = 25.0;
 /// How far a Figure-1 `_overhead_x1000` row may read above its baseline
 /// value (x1000 units: 120 is 12 points of overhead): twice the widest
@@ -104,9 +101,7 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<bool, String> {
     let mut out_path = "BENCH_ci.json".to_string();
     let mut baseline_path = "BENCH_baseline.json".to_string();
-    let mut phases_path = "BENCH_phases.json".to_string();
     let mut write_baseline: Option<String> = None;
-    let mut tolerance = DEFAULT_TOLERANCE;
     let mut i = 0;
     while i < args.len() {
         let take = |i: &mut usize| -> Result<String, String> {
@@ -118,13 +113,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         match args[i].as_str() {
             "--out" => out_path = take(&mut i)?,
             "--baseline" => baseline_path = take(&mut i)?,
-            "--phases-out" => phases_path = take(&mut i)?,
             "--write-baseline" => write_baseline = Some(take(&mut i)?),
-            "--tolerance" => {
-                tolerance = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 1;
@@ -169,7 +158,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         &mut fig1_total,
         calibration_ns,
         baseline.as_ref(),
-        tolerance,
         &mut slack_note_printed,
         || {
             let again = figure1_rows(&fig1_suite, COMPILE_REPS);
@@ -225,7 +213,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         &mut detection_ns,
         calibration_ns,
         baseline.as_ref(),
-        tolerance,
         &mut slack_note_printed,
         &mut run_detection,
     );
@@ -314,15 +301,9 @@ fn run(args: &[String]) -> Result<bool, String> {
     );
 
     // --- per-phase static-analysis breakdown (informational) -------------
-    // Recorded per phase into the main JSON (trend spelunking) and
-    // mirrored into a compact phases-only file uploaded as its own CI
-    // artifact.
     let phase_records = phase_breakdown();
-    let mut phases_only: BTreeMap<String, u64> = BTreeMap::new();
-    phases_only.insert("calibration_ns".into(), calibration_ns);
     for (key, ns) in &phase_records {
         results.insert(format!("info/{key}"), *ns);
-        phases_only.insert(key.clone(), *ns);
     }
 
     // Absolute latency bar: a full cold static analysis of HERA class B
@@ -417,7 +398,6 @@ fn run(args: &[String]) -> Result<bool, String> {
     const SIM_DETECTION_BOUND_NS: u64 = 500_000_000;
     const SIM_ORACLE_MODULE_BOUND_NS: u64 = 5_000_000;
     const SIM_FUZZ_MPS_BOUND: u64 = 100;
-    results.insert("sim/detection_table_ns".into(), detection_ns);
     let (oracle_module_ns, fuzz_mps) = sim_oracle_bench();
     results.insert("sim/oracle_module_ns".into(), oracle_module_ns);
     results.insert("sim/fuzz_modules_per_s".into(), fuzz_mps);
@@ -493,9 +473,6 @@ fn run(args: &[String]) -> Result<bool, String> {
     let json = to_json(&results);
     std::fs::write(&out_path, &json).map_err(|e| format!("write {out_path}: {e}"))?;
     println!("wrote {out_path}");
-    let phases_json = to_json(&phases_only);
-    std::fs::write(&phases_path, &phases_json).map_err(|e| format!("write {phases_path}: {e}"))?;
-    println!("wrote {phases_path}");
     if let Some(p) = write_baseline {
         std::fs::write(&p, &json).map_err(|e| format!("write {p}: {e}"))?;
         println!("wrote baseline {p}");
@@ -604,13 +581,11 @@ fn sim_oracle_bench() -> (u64, u64) {
 /// whether the metric passes; `current` is updated to the kept attempt.
 /// `slack_note_printed` suppresses repeats of the baseline-slack NOTE
 /// across gated keys within one run.
-#[allow(clippy::too_many_arguments)]
 fn gate(
     key: &str,
     current: &mut u64,
     calibration_ns: u64,
     baseline: Option<&BTreeMap<String, u64>>,
-    tolerance: f64,
     slack_note_printed: &mut bool,
     mut remeasure: impl FnMut() -> u64,
 ) -> bool {
@@ -622,7 +597,7 @@ fn gate(
         return false;
     };
     let base_ratio = base_ns as f64 / base_cal as f64;
-    let limit = base_ratio * (1.0 + tolerance / 100.0);
+    let limit = base_ratio * (1.0 + DEFAULT_TOLERANCE / 100.0);
     let mut attempts = 0;
     loop {
         let ratio = *current as f64 / calibration_ns as f64;
@@ -756,16 +731,10 @@ fn detection_pass() -> bool {
                 continue;
             }
         };
-        let static_ok = match case.expect_static {
-            ExpectStatic::Clean => report.is_clean(),
-            ExpectStatic::Warns(code) => report.warnings.iter().any(|w| w.kind.code() == code),
-        };
-        let dynamic_ok = match case.expect_dynamic {
-            ExpectDynamic::Clean => run.is_clean(),
-            ExpectDynamic::CaughtByCheck => !run.is_clean() && run.detected_by_check(),
-            ExpectDynamic::CaughtBySubstrate | ExpectDynamic::Fails => !run.is_clean(),
-            ExpectDynamic::MayFail => true,
-        };
+        let static_ok = case.expect_static.holds(&report);
+        let dynamic_ok = case
+            .expect_dynamic
+            .holds(!run.is_clean(), run.detected_by_check());
         if !(static_ok && dynamic_ok) {
             eprintln!(
                 "{}: unexpected behavior (static_ok={static_ok}, dynamic_ok={dynamic_ok})",
@@ -1100,11 +1069,11 @@ fn module_warm_latency() -> (u64, bool, bool) {
         let _ = probe.flip();
     });
     let after = probe.db.stats();
-    // Every timed rep must have reused the comm and p2p module tables
+    // Every timed rep must have reused the handle and p2p module tables
     // without a single rebuild.
-    let memo_live = after.comm_hits > before.comm_hits
+    let memo_live = after.handle_hits > before.handle_hits
         && after.p2p_hits > before.p2p_hits
-        && after.comm_misses == before.comm_misses
+        && after.handle_misses == before.handle_misses
         && after.p2p_misses == before.p2p_misses;
     (warm.as_nanos() as u64, identical, memo_live)
 }

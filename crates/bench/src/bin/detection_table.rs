@@ -8,7 +8,7 @@
 //! sub-communicator slice).
 
 use parcoach_interp::{check_and_run, RunConfig};
-use parcoach_workloads::{error_catalogue, ExpectDynamic, ExpectStatic};
+use parcoach_workloads::{error_catalogue, ExpectDynamic};
 
 fn main() {
     let filters: Vec<String> = std::env::args()
@@ -47,18 +47,10 @@ fn main() {
         let dynamic = if run.is_clean() { "clean" } else { "fails" };
         let by_check = if run.detected_by_check() { "yes" } else { "-" };
 
-        let static_ok = match case.expect_static {
-            ExpectStatic::Clean => report.is_clean(),
-            ExpectStatic::Warns(code) => report.warnings.iter().any(|w| w.kind.code() == code),
-        };
-        let dynamic_ok = match case.expect_dynamic {
-            ExpectDynamic::Clean => run.is_clean(),
-            ExpectDynamic::CaughtByCheck => !run.is_clean() && run.detected_by_check(),
-            ExpectDynamic::CaughtBySubstrate => !run.is_clean(),
-            ExpectDynamic::Fails => !run.is_clean(),
-            ExpectDynamic::MayFail => true,
-        };
-        let ok = static_ok && dynamic_ok;
+        let ok = case.expect_static.holds(&report)
+            && case
+                .expect_dynamic
+                .holds(!run.is_clean(), run.detected_by_check());
         all_ok &= ok;
         let expected = match case.expect_dynamic {
             ExpectDynamic::Clean => "clean",

@@ -78,8 +78,8 @@ struct RegionColl {
 pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
     let f = &cx.module.funcs[fidx];
     let facts = cx.facts(fidx);
-    let comms = cx.comms_of(fidx);
-    let table = &cx.comms.table;
+    let handles = cx.handles.func(fidx);
+    let table = &cx.handles.comms;
     let mut out = ConcurrencyResult::default();
 
     // Collect MPI nodes in monothreaded regions (words ending in S
@@ -124,7 +124,7 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
             };
             let (name, class) = match op {
                 MpiIr::Collective { kind, comm, .. } => {
-                    (kind.mpi_name(), OpClass::Coll(comms.of_operand(*comm)))
+                    (kind.mpi_name(), OpClass::Coll(handles.comm(*comm)))
                 }
                 MpiIr::Send { .. } => ("MPI_Send", OpClass::P2p),
                 MpiIr::Recv { .. } => ("MPI_Recv", OpClass::P2p),
@@ -140,7 +140,7 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
                 MpiIr::Waitall { .. } => ("MPI_Waitall", OpClass::P2p),
                 // Comm management synchronizes the *parent* communicator.
                 _ => match op.comm_mgmt() {
-                    Some((name, parent)) => (name, OpClass::Coll(comms.of_operand(Some(parent)))),
+                    Some((name, parent)) => (name, OpClass::Coll(handles.comm(Some(parent)))),
                     None => continue,
                 },
             };

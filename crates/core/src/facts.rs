@@ -12,7 +12,8 @@
 //! * the parallelism-word result under the function's final context,
 //!   plus interned per-block entry words;
 //! * the block→event map with interned [`EventId`]s;
-//! * the module-wide communicator and request register resolutions.
+//! * the module-wide handle (communicator and request) register
+//!   resolution.
 //!
 //! Facts exist only for the functions a check asked for — the ones whose
 //! phase results the table could not serve. The arenas
@@ -31,13 +32,12 @@
 //! dominator trees, and the vectors the algorithms need only while they
 //! run, recycled from function to function.
 
-use crate::comm::{compute_comms, FuncComms, ModuleComms};
 use crate::context::{contexts_in, pw_under, CallContexts};
+use crate::handle::{compute_handles, ModuleHandles};
 use crate::intern::{EventArena, EventId, WordArena, WordId};
 use crate::matching::block_events;
 use crate::pw::{InitialContext, PwResult, PwScratch, PwState};
 use crate::query::QueryDb;
-use crate::request::{compute_requests, FuncRequests, ModuleRequests};
 use parcoach_ir::dom::{DomTree, Frontiers, PostDomTree};
 use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::graph::{order_into, CfgScratch, Order};
@@ -162,12 +162,9 @@ pub struct AnalysisCx<'m> {
     /// Interprocedural call contexts, `Arc`-shared with the [`QueryDb`]'s
     /// module-wide slot.
     pub ctxs: Arc<CallContexts>,
-    /// Interned communicator classes + per-function register resolution
-    /// (`Arc`-shared like [`AnalysisCx::ctxs`]).
-    pub comms: Arc<ModuleComms>,
-    /// Interned request classes + per-function register resolution
-    /// (`Arc`-shared like [`AnalysisCx::ctxs`]).
-    pub reqs: Arc<ModuleRequests>,
+    /// Interned communicator and request classes + per-function register
+    /// resolution (`Arc`-shared like [`AnalysisCx::ctxs`]).
+    pub handles: Arc<ModuleHandles>,
     /// Interned collective events.
     pub events: EventArena,
     /// Interned parallelism words.
@@ -221,16 +218,18 @@ impl<'m> AnalysisCx<'m> {
     }
 
     /// The module-wide part of the store, with no function's facts yet:
-    /// the register resolutions are served from `db` where present and
+    /// the register resolution is served from `db` where present and
     /// stored into it where not (an edit touching no communicator or
-    /// request instruction leaves the whole table in its slot). `db`
-    /// must have been reconciled against `m` ([`QueryDb::reconcile`]).
+    /// request definition leaves it in its slot). `db` must have been
+    /// reconciled against `m` ([`QueryDb::reconcile`]).
     pub fn new(m: &'m Module, ctxs: Arc<CallContexts>, db: &mut QueryDb) -> Self {
         AnalysisCx {
             module: m,
             ctxs,
-            comms: db.comms.get_or_put(|| Arc::new(compute_comms(m))).clone(),
-            reqs: db.reqs.get_or_put(|| Arc::new(compute_requests(m))).clone(),
+            handles: db
+                .handles
+                .get_or_put(|| Arc::new(compute_handles(m)))
+                .clone(),
             events: EventArena::default(),
             words: WordArena::default(),
             funcs: (0..m.funcs.len()).map(|_| None).collect(),
@@ -242,7 +241,7 @@ impl<'m> AnalysisCx<'m> {
     /// words and CFG facts are served from `db` where present and stored
     /// into it where not.
     pub(crate) fn derive(&mut self, which: &[usize], db: &mut QueryDb, scratch: &mut CheckScratch) {
-        let (m, ctxs, comms) = (self.module, &self.ctxs, &self.comms);
+        let (m, ctxs, handles) = (self.module, &self.ctxs, &self.handles);
         for &i in which {
             let f = &m.funcs[i];
             let s = &ctxs.summaries[i];
@@ -253,10 +252,10 @@ impl<'m> AnalysisCx<'m> {
             // are not walked at all (most kernels of a large workload).
             let relevant = s.has_mpi || s.call_sites.iter().any(|(_, _, c)| ctxs.callee_bears(*c));
             let block_events: Vec<Vec<(EventId, usize)>> = if relevant {
-                let fc = comms.func(&f.name);
+                let fh = handles.func(i);
                 f.block_ids()
                     .map(|b| {
-                        block_events(m, f, b, ctxs, fc)
+                        block_events(m, f, b, ctxs, fh)
                             .map(|(e, ii)| (self.events.intern(e), ii))
                             .collect()
                     })
@@ -320,16 +319,6 @@ impl<'m> AnalysisCx<'m> {
     /// Is function `fidx` reachable from the entry point?
     pub fn is_reachable(&self, fidx: usize) -> bool {
         self.ctxs.reachable[fidx]
-    }
-
-    /// The communicator register resolution of function `fidx`.
-    pub fn comms_of(&self, fidx: usize) -> &FuncComms {
-        self.comms.func(&self.module.funcs[fidx].name)
-    }
-
-    /// The request register resolution of function `fidx`.
-    pub fn reqs_of(&self, fidx: usize) -> &FuncRequests {
-        self.reqs.func(&self.module.funcs[fidx].name)
     }
 }
 

@@ -9,7 +9,7 @@
 //! operand bits) to a word-at-a-time hasher. Spans are the one thing it
 //! skips: code that only moved hashes the same.
 
-use parcoach_front::ast::Type;
+use crate::handle::is_handle;
 use parcoach_ir::func::FuncIr;
 use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiIr, Terminator};
 use parcoach_ir::types::{Const, Reg, Value};
@@ -434,14 +434,14 @@ pub fn fingerprint(f: &FuncIr) -> Fingerprint {
     Fingerprint(h.finish())
 }
 
-/// Span-insensitive hash of everything the per-register lattice
-/// resolution of `ty`-typed registers reads from `f`: `0` when the
-/// function has no such register (the resolvers' fast path), else the
-/// signature, the register types and every instruction defining a
-/// `ty`-typed register, with its position (class definitions are keyed
-/// by [`Locator`](crate::query::Locator)).
-pub(crate) fn typed_def_fp(f: &FuncIr, ty: Type) -> u128 {
-    if !f.reg_types.contains(&ty) {
+/// Span-insensitive hash of everything the handle resolution
+/// ([`crate::handle`]) reads from `f`: `0` when the function has no
+/// handle-typed register (the resolver's fast path), else the signature,
+/// the register types and every instruction defining a handle-typed
+/// register, with its position (class definitions are keyed by
+/// [`Locator`](crate::query::Locator)).
+pub(crate) fn handle_def_fp(f: &FuncIr) -> u128 {
+    if !f.reg_types.iter().any(|&t| is_handle(t)) {
         return 0;
     }
     let mut h = Hash128::new();
@@ -450,7 +450,7 @@ pub(crate) fn typed_def_fp(f: &FuncIr, ty: Type) -> u128 {
         h.tag(0x52, 0);
         for (ii, i) in f.instrs(b).iter().enumerate() {
             if i.dest()
-                .is_some_and(|d| f.reg_types.get(d.index()) == Some(&ty))
+                .is_some_and(|d| f.reg_types.get(d.index()).is_some_and(|&t| is_handle(t)))
             {
                 h.word(ii as u64);
                 h.instr(i);

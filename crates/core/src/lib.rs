@@ -39,6 +39,7 @@ pub mod concurrency;
 pub mod context;
 pub mod facts;
 pub mod fingerprint;
+pub mod handle;
 pub mod instrument;
 pub mod intern;
 pub mod lang;
@@ -54,9 +55,10 @@ pub mod session;
 pub mod word;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use comm::{compute_comms, CommDef, CommId, CommTable, ModuleComms};
+pub use comm::{CommDef, CommId};
 pub use context::{compute_contexts, CallContexts};
 pub use facts::{AnalysisCx, FuncFacts};
+pub use handle::{compute_handles, ClassTable, ModuleHandles};
 pub use instrument::{instrument_module, InstrumentMode, InstrumentStats};
 pub use intern::{EventArena, EventId, Sym, WordArena, WordDag, WordId, WordNode};
 pub use lang::{classify, ContextClass, MonoVerdict};
@@ -64,6 +66,6 @@ pub use pipeline::{AnalysisOptions, PhaseTimings};
 pub use pw::{compute_pw, InitialContext, PwResult};
 pub use query::{fingerprint, Fingerprint, Locator, QueryDb, QueryStats};
 pub use report::{InstrumentationPlan, StaticReport, StaticWarning, WarningKind};
-pub use request::{compute_requests, ModuleRequests, ReqDef, ReqId, ReqTable};
+pub use request::{ReqDef, ReqId};
 pub use session::{AnalysisSession, AnalysisSessionBuilder};
 pub use word::{SKind, Token, Word};

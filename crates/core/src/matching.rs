@@ -22,9 +22,10 @@
 //! classic `if/else`-balanced false positive. The ablation experiment E5
 //! measures its effect.
 
-use crate::comm::{CommId, CommTable, FuncComms};
+use crate::comm::{CommDef, CommId};
 use crate::context::CallContexts;
 use crate::facts::AnalysisCx;
+use crate::handle::{ClassTable, FuncHandles};
 use crate::intern::{EventId, Sym};
 use crate::query::Locator;
 use crate::report::{WarningCore, WarningKind};
@@ -63,7 +64,7 @@ pub enum Event {
 
 impl Event {
     /// Display name for warnings.
-    pub fn name(&self, table: &CommTable, m: &Module) -> String {
+    pub fn name(&self, table: &ClassTable<CommDef>, m: &Module) -> String {
         match self {
             Event::Coll(c, k) if c.is_world() => k.mpi_name().to_string(),
             Event::Coll(c, k) => format!("{} on {}", k.mpi_name(), table.label(*c)),
@@ -102,15 +103,15 @@ pub(crate) fn block_events<'a>(
     f: &'a FuncIr,
     b: BlockId,
     ctxs: &'a CallContexts,
-    comms: &'a FuncComms,
+    handles: &'a FuncHandles,
 ) -> impl Iterator<Item = (Event, usize)> + 'a {
     f.instrs(b).iter().enumerate().filter_map(move |(ii, i)| {
         let event = match i {
             Instr::Mpi { op, .. } => match op {
-                MpiIr::Collective { kind, comm, .. } => Event::Coll(comms.of_operand(*comm), *kind),
+                MpiIr::Collective { kind, comm, .. } => Event::Coll(handles.comm(*comm), *kind),
                 _ => {
                     let (name, parent) = op.comm_mgmt()?;
-                    Event::CommMgmt(comms.of_operand(Some(parent)), name)
+                    Event::CommMgmt(handles.comm(Some(parent)), name)
                 }
             },
             Instr::Call { func, .. } => {
@@ -163,7 +164,7 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
     let m = cx.module;
     let f = &m.funcs[fidx];
     let facts = cx.facts(fidx);
-    let table = &cx.comms.table;
+    let table = &cx.handles.comms;
     let mut out = MatchingResult::default();
 
     // Group blocks by (interned) event.

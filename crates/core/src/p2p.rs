@@ -34,6 +34,7 @@
 use crate::comm::CommId;
 use crate::context::CallContexts;
 use crate::facts::{AnalysisCx, CfgFacts};
+use crate::handle::FuncHandles;
 use crate::query::Locator;
 use crate::report::{StaticWarning, WarningCore, WarningKind};
 use crate::request::{ReqId, ReqResolution};
@@ -153,7 +154,7 @@ pub fn materialize_p2p(core: &P2pCore, m: &Module) -> P2pResult {
 /// [`Locator`]s ([`materialize_p2p`] resolves them).
 pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>) -> P2pCore {
     let m = cx.module;
-    let comms = &cx.comms;
+    let comms = &cx.handles.comms;
     let mut out = P2pCore::default();
 
     // Collect every site, module-wide, in deterministic order —
@@ -166,15 +167,14 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
         if !cx.is_reachable(fidx) {
             continue;
         }
-        let fc = cx.comms_of(fidx);
-        let fr = cx.reqs_of(fidx);
+        let fh = cx.handles.func(fidx);
         for bid in f.block_ids() {
             for (iidx, i) in f.instrs(bid).iter().enumerate() {
                 let Instr::Mpi { op, dest, .. } = i else {
                     continue;
                 };
                 let req_class = || {
-                    dest.map(|d| match fr.of_operand(Value::Reg(d)) {
+                    dest.map(|d| match fh.req(Value::Reg(d)) {
                         ReqResolution::One(c) => c,
                         _ => ReqId::UNKNOWN,
                     })
@@ -194,7 +194,7 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
                             func: fidx,
                             block: bid,
                             instr: iidx,
-                            class: wait_class(fr, *request),
+                            class: wait_class(fh, *request),
                         });
                         continue;
                     }
@@ -204,7 +204,7 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
                                 func: fidx,
                                 block: bid,
                                 instr: iidx,
-                                class: wait_class(fr, *r),
+                                class: wait_class(fh, *r),
                             });
                         }
                         continue;
@@ -216,7 +216,7 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
                     block: bid,
                     instr: iidx,
                     dir,
-                    comm: fc.of_operand(*comm),
+                    comm: fh.comm(*comm),
                     tag: tag_key(*tag),
                     name,
                     req,
@@ -251,7 +251,7 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
                     "{} with tag {} on {} is unmatched: {consequence}",
                     s.name,
                     s.tag,
-                    comms.table.label(s.comm),
+                    comms.label(s.comm),
                 ),
                 site: Locator::Instr(s.func, s.block, s.instr),
                 related: Vec::new(),
@@ -340,7 +340,7 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
                      any rank can have sent",
                     r.name,
                     r.tag,
-                    comms.table.label(r.comm),
+                    comms.label(r.comm),
                 ),
                 site: Locator::Instr(r.func, r.block, r.instr),
                 related,
@@ -381,8 +381,8 @@ fn tag_key(v: Value) -> TagKey {
 }
 
 /// The request class a wait operand resolves to (None = any class).
-fn wait_class(fr: &crate::request::FuncRequests, v: Value) -> Option<ReqId> {
-    match fr.of_operand(v) {
+fn wait_class(fh: &FuncHandles, v: Value) -> Option<ReqId> {
+    match fh.req(v) {
         ReqResolution::One(c) => Some(c),
         // Unknown or never-posted: may complete any request (the
         // request pass reports never-posted operands).

@@ -130,7 +130,7 @@ impl PhaseInputs {
             reachable: cx.is_reachable(fidx),
             ctx: cx.ctxs.initial[fidx],
             callee_bearing: callee_bearing(&cx.ctxs, fidx).collect(),
-            comms: cx.comms.view(&cx.module.funcs[fidx].name),
+            comms: cx.handles.view(fidx),
             refine: opts.refine_matching,
         }
     }
@@ -145,7 +145,7 @@ impl PhaseInputs {
         self.ctx == cx.ctxs.initial[fidx]
             && self.refine == opts.refine_matching
             && callee_bearing(&cx.ctxs, fidx).eq(self.callee_bearing.iter().copied())
-            && (self.comms.is_empty() || self.comms == cx.comms.view(&cx.module.funcs[fidx].name))
+            && (self.comms.is_empty() || self.comms == cx.handles.view(fidx))
     }
 }
 

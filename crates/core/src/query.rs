@@ -21,10 +21,9 @@
 //!   functions an edit actually reached;
 //! * per module: the context fixpoint's result ([`CallContexts`], reused
 //!   while no re-derived function hands it anything new — see
-//!   [`crate::context`]), the communicator classes ([`ModuleComms`]),
-//!   the request classes ([`ModuleRequests`]) and the p2p matching core
-//!   ([`P2pCore`], stored beside the reachability vector it was matched
-//!   under).
+//!   [`crate::context`]), the communicator and request classes
+//!   ([`ModuleHandles`]) and the p2p matching core ([`P2pCore`], stored
+//!   beside the reachability vector it was matched under).
 //!
 //! [`QueryStats`] is a view summed from the slots.
 //!
@@ -56,22 +55,21 @@
 //! [`QueryDb::reconcile`] re-derives it from the new IR and either
 //! *greens* the entry (structure unchanged: a whitespace, reverted or
 //! no-op edit keeps every fact) or *invalidates* it, and drops a module
-//! table iff a dirty function's projection for that family changed. A
+//! table iff a dirty function's projection for that table changed. A
 //! table with nothing stored has nothing to compare against and computes
 //! no key at all — which is why the one-shot path costs what it did
 //! before it had a table.
 //!
 //! [`AnalysisSession::check_module`]: crate::session::AnalysisSession::check_module
 
-use crate::comm::ModuleComms;
 use crate::context::CallContexts;
 use crate::facts::{compute_cfg, CfgFacts, CheckScratch};
-use crate::fingerprint::typed_def_fp;
+use crate::fingerprint::handle_def_fp;
 pub use crate::fingerprint::{fingerprint, Fingerprint};
+use crate::handle::ModuleHandles;
 use crate::p2p::P2pCore;
 use crate::pipeline::FuncAnalysis;
 use crate::pw::PwResult;
-use crate::request::ModuleRequests;
 use parcoach_front::ast::{ThreadLevel, Type};
 use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
@@ -121,15 +119,12 @@ pub fn span_at(m: &Module, loc: Locator) -> Span {
 /// What [`QueryDb::reconcile`] compares for an edited function: the
 /// structural fingerprint that keys its own slots, and its projection
 /// onto each module table's inputs — so an edit touching none of a
-/// family's inputs leaves that family's table in place.
+/// table's inputs leaves that table in place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FuncKey {
     fp: Fingerprint,
-    /// Inputs of the communicator resolution
-    /// ([`typed_def_fp`] of `comm`-typed registers).
-    comm: u128,
-    /// Same projection for `request`-typed registers.
-    req: u128,
+    /// Inputs of the handle resolution ([`handle_def_fp`]).
+    handles: u128,
     /// Inputs of the p2p matcher: the full structural fingerprint when
     /// the function contains any point-to-point or wait operation
     /// (matching reads sites, waits *and* dominators), the sentinel `1`
@@ -157,8 +152,7 @@ impl FuncKey {
         }
         FuncKey {
             fp,
-            comm: typed_def_fp(f, Type::Comm),
-            req: typed_def_fp(f, Type::Request),
+            handles: handle_def_fp(f),
             p2p,
         }
     }
@@ -253,14 +247,10 @@ pub struct QueryStats {
     pub greened: u64,
     /// Dirty entries whose facts were actually dropped.
     pub invalidated: u64,
-    /// Module-wide communicator tables served from the table.
-    pub comm_hits: u64,
-    /// Module-wide communicator tables recomputed.
-    pub comm_misses: u64,
-    /// Module-wide request tables served from the table.
-    pub req_hits: u64,
-    /// Module-wide request tables recomputed.
-    pub req_misses: u64,
+    /// Module-wide handle resolutions served from the table.
+    pub handle_hits: u64,
+    /// Module-wide handle resolutions recomputed.
+    pub handle_misses: u64,
     /// Module-wide p2p matching results served from the table.
     pub p2p_hits: u64,
     /// Module-wide p2p matching results recomputed.
@@ -374,10 +364,8 @@ pub struct QueryDb {
     /// The context fixpoint's result, with what it read from every
     /// function (see [`crate::context`]).
     pub(crate) contexts: Slot<Arc<CallContexts>>,
-    /// The module-wide communicator tables.
-    pub(crate) comms: Slot<Arc<ModuleComms>>,
-    /// The module-wide request tables.
-    pub(crate) reqs: Slot<Arc<ModuleRequests>>,
+    /// The module-wide handle resolution.
+    pub(crate) handles: Slot<Arc<ModuleHandles>>,
     /// The span-free p2p matching core, beside the entry-reachability
     /// vector it was matched under (a call-graph edit anywhere can
     /// silence or unmask sites without touching any p2p instruction).
@@ -437,10 +425,11 @@ impl QueryDb {
     ///
     /// A dirty entry is either *greened* (fingerprint unchanged — keep
     /// its facts) or *invalidated* (drop them); a module table goes iff
-    /// some dirty function's projection for that family changed, the p2p
-    /// core also when a table it was matched against went. Clean entries
-    /// cost nothing. A table that belongs to another module shape —
-    /// first use included — starts over with one entry per function.
+    /// some dirty function's projection for that table changed, the p2p
+    /// core also when the handle table it was matched against went.
+    /// Clean entries cost nothing. A table that belongs to another module
+    /// shape — first use included — starts over with one entry per
+    /// function.
     pub fn reconcile(&mut self, m: &Module) {
         let stored = self.funcs.iter().map(|e| &e.name);
         if !stored.eq(m.funcs.iter().map(|f| &f.name)) {
@@ -470,14 +459,11 @@ impl QueryDb {
                 e.summary.clear();
                 e.analysis.clear();
             }
-            let (comm, req) = (new.comm != old.comm, new.req != old.req);
-            if comm {
-                self.comms.clear();
+            let handles = new.handles != old.handles;
+            if handles {
+                self.handles.clear();
             }
-            if req {
-                self.reqs.clear();
-            }
-            if comm || req || new.p2p != old.p2p {
+            if handles || new.p2p != old.p2p {
                 self.p2p.clear();
             }
             e.key = Some(new);
@@ -508,10 +494,8 @@ impl QueryDb {
         }
         s.context_hits += self.contexts.hits;
         s.context_misses += self.contexts.misses;
-        s.comm_hits += self.comms.hits;
-        s.comm_misses += self.comms.misses;
-        s.req_hits += self.reqs.hits;
-        s.req_misses += self.reqs.misses;
+        s.handle_hits += self.handles.hits;
+        s.handle_misses += self.handles.misses;
         s.p2p_hits += self.p2p.hits;
         s.p2p_misses += self.p2p.misses;
         s
@@ -696,7 +680,7 @@ mod tests {
     }
 
     /// The size bound, by construction: the table holds one entry per
-    /// function and four module slots, whatever the edit history, and
+    /// function and three module slots, whatever the edit history, and
     /// keeps no reference a finished check has not released.
     #[test]
     fn thousand_alternating_edits_keep_the_table_bounded() {
@@ -735,11 +719,7 @@ mod tests {
                 .value
                 .iter()
                 .for_each(|v| held(Arc::strong_count(v), 1));
-            db.comms
-                .value
-                .iter()
-                .for_each(|v| held(Arc::strong_count(v), 1));
-            db.reqs
+            db.handles
                 .value
                 .iter()
                 .for_each(|v| held(Arc::strong_count(v), 1));

@@ -1,14 +1,10 @@
-//! Static non-blocking-request abstraction: a small interned request
-//! table plus a per-register resolution pass — the request-side sibling
-//! of [`crate::comm`].
+//! Static non-blocking-request classes and the request life-cycle pass.
 //!
 //! Every `MPI_Isend` / `MPI_Irecv` call site forms one static **request
 //! class**; in SPMD programs all ranks post their requests at the same
-//! sites, so a `Wait` operand resolves to the class of the post that
-//! produced it. Handles merged across control flow degrade to
-//! [`ReqId::UNKNOWN`], which conservatively aliases everything. Request
-//! handles cannot cross function boundaries in MiniHPC (no `request`
-//! parameters or returns), so resolution is purely per-function.
+//! sites, so a `Wait` operand resolves ([`crate::handle`]) to the class of
+//! the post that produced it. Handles merged across control flow degrade
+//! to [`ReqId::UNKNOWN`], which conservatively aliases everything.
 //!
 //! On top of the resolution the pass checks the request life-cycle:
 //!
@@ -25,14 +21,13 @@
 //!   transformed IR fails loudly instead of waiting on a null handle at
 //!   run time).
 
+use crate::handle::FuncHandles;
 use crate::query::Locator;
 use crate::report::{StaticWarning, WarningKind};
-use parcoach_front::ast::Type;
 use parcoach_front::span::Span;
-use parcoach_ir::func::{FuncIr, Module};
+use parcoach_ir::func::FuncIr;
 use parcoach_ir::instr::{Instr, MpiIr};
 use parcoach_ir::types::Value;
-use std::collections::HashMap;
 
 /// An interned static request class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,48 +55,6 @@ pub enum ReqDef {
     Irecv(Locator),
 }
 
-/// The module-wide interned request table.
-#[derive(Debug, Clone, Default)]
-pub struct ReqTable {
-    defs: Vec<ReqDef>,
-    by_def: HashMap<ReqDef, ReqId>,
-}
-
-impl ReqTable {
-    fn new() -> ReqTable {
-        let mut t = ReqTable::default();
-        let u = t.intern(ReqDef::Unknown);
-        debug_assert_eq!(u, ReqId::UNKNOWN);
-        t
-    }
-
-    /// Intern a definition, returning its stable id.
-    pub fn intern(&mut self, def: ReqDef) -> ReqId {
-        if let Some(&id) = self.by_def.get(&def) {
-            return id;
-        }
-        let id = ReqId(self.defs.len() as u32);
-        self.defs.push(def);
-        self.by_def.insert(def, id);
-        id
-    }
-
-    /// The definition of an interned id.
-    pub fn def(&self, id: ReqId) -> ReqDef {
-        self.defs[id.0 as usize]
-    }
-
-    /// Number of interned classes (including the unknown class).
-    pub fn len(&self) -> usize {
-        self.defs.len()
-    }
-
-    /// True when only the built-in unknown class exists.
-    pub fn is_empty(&self) -> bool {
-        self.defs.len() <= 1
-    }
-}
-
 /// Per-register resolution of one request-typed register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReqResolution {
@@ -111,198 +64,6 @@ pub enum ReqResolution {
     One(ReqId),
     /// Multiple classes merge here.
     Unknown,
-}
-
-/// Per-register lattice value during the fixpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RegReq {
-    Bottom,
-    One(ReqId),
-    Many,
-}
-
-impl RegReq {
-    fn join(self, other: ReqId) -> RegReq {
-        match self {
-            RegReq::Bottom => RegReq::One(other),
-            RegReq::One(c) if c == other => self,
-            _ => RegReq::Many,
-        }
-    }
-}
-
-/// Resolved request classes for one function's registers.
-#[derive(Debug, Clone, Default)]
-pub struct FuncRequests {
-    /// Resolution per register index; None for non-request registers.
-    per_reg: Vec<Option<ReqResolution>>,
-}
-
-impl FuncRequests {
-    /// The resolution of a request-typed operand.
-    pub fn of_operand(&self, v: Value) -> ReqResolution {
-        match v {
-            Value::Reg(r) => self
-                .per_reg
-                .get(r.index())
-                .copied()
-                .flatten()
-                .unwrap_or(ReqResolution::Unknown),
-            // Request operands are never constants (sema enforces the
-            // type); a constant here is hand-built IR.
-            Value::Const(_) => ReqResolution::Unknown,
-        }
-    }
-}
-
-/// Module-wide result: the interned table + per-function resolution.
-#[derive(Debug, Clone, Default)]
-pub struct ModuleRequests {
-    /// The interned table.
-    pub table: ReqTable,
-    /// Per function name: register resolution — only for functions
-    /// with a `request`-typed register; [`ModuleRequests::func`] serves
-    /// every other one the empty resolution, which reads the same.
-    pub per_func: HashMap<String, FuncRequests>,
-}
-
-/// Shared empty resolution for functions absent from the map.
-static EMPTY_FUNC_REQUESTS: FuncRequests = FuncRequests {
-    per_reg: Vec::new(),
-};
-
-impl ModuleRequests {
-    /// Borrowed resolution for one function (a shared empty resolution
-    /// when absent) — the analysis phases read this through
-    /// [`crate::facts::AnalysisCx`].
-    pub fn func(&self, name: &str) -> &FuncRequests {
-        self.per_func.get(name).unwrap_or(&EMPTY_FUNC_REQUESTS)
-    }
-}
-
-/// Compute the request table and per-function register resolution for a
-/// whole module. Deterministic: functions are visited in module order
-/// and instructions in block order, so interned ids are stable.
-pub fn compute_requests(m: &Module) -> ModuleRequests {
-    let mut table = ReqTable::new();
-    let mut per_func = HashMap::new();
-    // A function with no request-typed register can neither post a
-    // request (Isend/Irecv define request-typed destinations) nor wait on
-    // one: it gets no entry.
-    for (fidx, f) in m.funcs.iter().enumerate() {
-        if f.reg_types.contains(&Type::Request) {
-            per_func.insert(f.name.clone(), resolve_func(fidx, f, &mut table));
-        }
-    }
-    ModuleRequests { table, per_func }
-}
-
-/// Flow-insensitive per-register fixpoint over one function, mirroring
-/// [`crate::comm`]'s communicator resolution.
-fn resolve_func(fidx: usize, f: &FuncIr, table: &mut ReqTable) -> FuncRequests {
-    let n = f.reg_types.len();
-    let mut state: Vec<RegReq> = (0..n)
-        .map(|i| {
-            if f.reg_types[i] == Type::Request {
-                RegReq::Bottom
-            } else {
-                RegReq::Many // non-request registers are never queried
-            }
-        })
-        .collect();
-    // Request-typed parameters cannot exist in type-checked source, but
-    // hand-built IR gets the conservative treatment.
-    for &p in &f.params {
-        if f.reg_types[p.index()] == Type::Request {
-            state[p.index()] = RegReq::Many;
-        }
-    }
-    loop {
-        let mut changed = false;
-        let set = |state: &mut Vec<RegReq>, r: parcoach_ir::types::Reg, c: ReqId| {
-            let next = state[r.index()].join(c);
-            if next != state[r.index()] {
-                state[r.index()] = next;
-                true
-            } else {
-                false
-            }
-        };
-        for bid in f.block_ids() {
-            for (iidx, i) in f.instrs(bid).iter().enumerate() {
-                match i {
-                    Instr::Mpi {
-                        dest: Some(d), op, ..
-                    } => {
-                        let def = match op {
-                            MpiIr::Isend { .. } => {
-                                Some(ReqDef::Isend(Locator::Instr(fidx, bid, iidx)))
-                            }
-                            MpiIr::Irecv { .. } => {
-                                Some(ReqDef::Irecv(Locator::Instr(fidx, bid, iidx)))
-                            }
-                            _ => None,
-                        };
-                        if let Some(def) = def {
-                            let id = table.intern(def);
-                            changed |= set(&mut state, *d, id);
-                        }
-                    }
-                    Instr::Copy {
-                        dest,
-                        src: Value::Reg(s),
-                    } if f.reg_types[dest.index()] == Type::Request => match state[s.index()] {
-                        RegReq::Bottom => {}
-                        RegReq::One(c) => changed |= set(&mut state, *dest, c),
-                        RegReq::Many => {
-                            if state[dest.index()] != RegReq::Many {
-                                state[dest.index()] = RegReq::Many;
-                                changed = true;
-                            }
-                        }
-                    },
-                    // Any other definition of a request-typed register
-                    // is unresolvable.
-                    _ => {
-                        if let Some(d) = i.dest() {
-                            if f.reg_types[d.index()] == Type::Request
-                                && !matches!(
-                                    i,
-                                    Instr::Mpi { .. }
-                                        | Instr::Copy {
-                                            src: Value::Reg(_),
-                                            ..
-                                        }
-                                )
-                                && state[d.index()] != RegReq::Many
-                            {
-                                state[d.index()] = RegReq::Many;
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    FuncRequests {
-        per_reg: (0..n)
-            .map(|i| {
-                if f.reg_types[i] != Type::Request {
-                    None
-                } else {
-                    Some(match state[i] {
-                        RegReq::Bottom => ReqResolution::NeverPosted,
-                        RegReq::One(c) => ReqResolution::One(c),
-                        RegReq::Many => ReqResolution::Unknown,
-                    })
-                }
-            })
-            .collect(),
-    }
 }
 
 /// Result of the request life-cycle pass.
@@ -326,7 +87,7 @@ pub fn check_requests(cx: &crate::facts::AnalysisCx) -> RequestResult {
         if !cx.ctxs.summaries[fidx].has_requests || !cx.is_reachable(fidx) {
             continue;
         }
-        let fr = cx.reqs_of(fidx);
+        let fr = cx.handles.func(fidx);
         // Collect post sites and the classes the function's waits cover.
         let mut posts: Vec<(ReqId, &'static str, Span)> = Vec::new();
         let mut waited: Vec<ReqId> = Vec::new();
@@ -400,9 +161,9 @@ pub fn check_requests(cx: &crate::facts::AnalysisCx) -> RequestResult {
 }
 
 /// The class the destination register of a post resolves to.
-fn post_class(fr: &FuncRequests, post: &Instr) -> ReqId {
+fn post_class(fr: &FuncHandles, post: &Instr) -> ReqId {
     match post.dest() {
-        Some(d) => match fr.of_operand(Value::Reg(d)) {
+        Some(d) => match fr.req(Value::Reg(d)) {
             ReqResolution::One(c) => c,
             _ => ReqId::UNKNOWN,
         },
@@ -413,7 +174,7 @@ fn post_class(fr: &FuncRequests, post: &Instr) -> ReqId {
 /// Record one wait operand: its class joins the waited set; a
 /// never-posted operand is reported.
 fn record_wait(
-    fr: &FuncRequests,
+    fr: &FuncHandles,
     operand: Value,
     span: Span,
     f: &FuncIr,
@@ -421,7 +182,7 @@ fn record_wait(
     any_unknown: &mut bool,
     out: &mut RequestResult,
 ) {
-    match fr.of_operand(operand) {
+    match fr.req(operand) {
         ReqResolution::One(c) => waited.push(c),
         ReqResolution::Unknown => *any_unknown = true,
         ReqResolution::NeverPosted => out.warnings.push(StaticWarning {
@@ -439,15 +200,17 @@ fn record_wait(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::{compute_handles, ModuleHandles};
+    use parcoach_front::ast::Type;
     use parcoach_front::parse_and_check;
     use parcoach_ir::lower::lower_program;
 
-    fn run(src: &str) -> (ModuleRequests, RequestResult) {
+    fn run(src: &str) -> (ModuleHandles, RequestResult) {
         let unit = parse_and_check("t.mh", src).expect("valid");
         let m = lower_program(&unit.program, &unit.signatures);
         let cx = crate::facts::AnalysisCx::build(&m, crate::pw::InitialContext::Sequential);
         let result = check_requests(&cx);
-        (compute_requests(&m), result)
+        (compute_handles(&m), result)
     }
 
     #[test]
@@ -459,7 +222,7 @@ mod tests {
                 MPI_Waitall(b);
             }");
         assert!(r.warnings.is_empty(), "{:?}", r.warnings);
-        assert_eq!(reqs.table.len(), 3, "two post sites + unknown");
+        assert_eq!(reqs.reqs.len(), 3, "two post sites + unknown");
     }
 
     #[test]

@@ -336,22 +336,19 @@ mod tests {
             first.warnings
         );
         let cold = db.stats();
-        assert_eq!(cold.comm_misses, 1);
-        assert_eq!(cold.req_misses, 1);
+        assert_eq!(cold.handle_misses, 1);
         assert_eq!(cold.p2p_misses, 1);
         // Unedited warm re-check: pure hits.
         check_in(&mut s, &m1, &mut db);
         let warm = db.stats();
-        assert_eq!(warm.comm_hits, cold.comm_hits + 1);
-        assert_eq!(warm.req_hits, cold.req_hits + 1);
+        assert_eq!(warm.handle_hits, cold.handle_hits + 1);
         assert_eq!(warm.p2p_hits, cold.p2p_hits + 1);
         assert_eq!(warm.p2p_misses, cold.p2p_misses);
         // Edit only `compute`: every module table stays green.
         mark(&mut db, &m1, "compute");
         let edited = check_in(&mut s, &m2, &mut db);
         let after = db.stats();
-        assert_eq!(after.comm_misses, warm.comm_misses);
-        assert_eq!(after.req_misses, warm.req_misses);
+        assert_eq!(after.handle_misses, warm.handle_misses);
         assert_eq!(after.p2p_misses, warm.p2p_misses);
         assert_eq!(after.p2p_hits, warm.p2p_hits + 1);
         // Byte-identical to cold — in particular the cached p2p

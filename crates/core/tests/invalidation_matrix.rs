@@ -178,18 +178,20 @@ fn callee_bearing_bit() {
     edit_case(&lost, CHAIN, &["leaf"], &["leaf", "work", "main"]);
 }
 
+const COMMS: &str = "
+fn first() { let c = MPI_Comm_dup(MPI_COMM_WORLD); MPI_Barrier(c); }
+fn second() { let d = MPI_Comm_dup(MPI_COMM_WORLD); if (rank() == 0) { MPI_Barrier(d); } }
+fn plain() { MPI_Barrier(); }
+fn main() { MPI_Init(); first(); second(); plain(); MPI_Finalize(); }
+";
+
 /// Input 4 — the communicator table: a `MPI_Comm_dup` added in one
 /// function renumbers the classes created after it, so a later function
 /// that reads the table re-derives (its warning names the class), and
 /// functions that never read it do not.
 #[test]
 fn communicator_table_rekeyed_elsewhere() {
-    let before = "
-fn first() { let c = MPI_Comm_dup(MPI_COMM_WORLD); MPI_Barrier(c); }
-fn second() { let d = MPI_Comm_dup(MPI_COMM_WORLD); if (rank() == 0) { MPI_Barrier(d); } }
-fn plain() { MPI_Barrier(); }
-fn main() { MPI_Init(); first(); second(); plain(); MPI_Finalize(); }
-";
+    let before = COMMS;
     let after = before.replace(
         "fn first() { let c",
         "fn first() { let extra = MPI_Comm_dup(MPI_COMM_WORLD); let c",
@@ -202,6 +204,34 @@ fn main() { MPI_Init(); first(); second(); plain(); MPI_Finalize(); }
     assert_ne!(label(&lower(before)), label(&lower(&after)), "renumbered");
     edit_case(before, &after, &["first"], &["first", "second"]);
     edit_case(&after, before, &["first"], &["first", "second"]);
+}
+
+/// Not an input: communicators and requests share one handle table, so
+/// an `MPI_Irecv` + `MPI_Wait` added to `first` rebuilds it — but the
+/// request numbering is all that moves, `second`'s communicator labels
+/// are what they were, and only the edited function re-derives.
+#[test]
+fn request_only_edit() {
+    let after = COMMS.replace(
+        "fn first() { let c",
+        "fn first() { let r = MPI_Irecv(0, 1); let v = MPI_Wait(r); let c",
+    );
+    let (m1, m2) = (lower(COMMS), lower(&after));
+    let mut db = QueryDb::new();
+    let mut s = session(AnalysisOptions::default());
+    check(&mut s, &m1, &mut db);
+    let before = db.stats();
+    let fi = m1.by_name["first"];
+    db.mark_dirty(fi, &m1.funcs[fi]);
+    check(&mut s, &m2, &mut db);
+    assert_eq!(
+        db.stats().handle_misses,
+        before.handle_misses + 1,
+        "the handle table is rebuilt"
+    );
+
+    edit_case(COMMS, &after, &["first"], &["first"]);
+    edit_case(&after, COMMS, &["first"], &["first"]);
 }
 
 /// Input 5 — reachability from `main`.

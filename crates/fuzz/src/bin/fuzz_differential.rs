@@ -7,30 +7,27 @@
 //!
 //! ```text
 //! fuzz_differential [--seed S] [--rounds N] [--modules M] [--dry K]
-//!                   [--jobs J] [--workers W | --shard I/N]
-//!                   [--minimize] [--corpus-out DIR]
+//!                   [--jobs J] [--minimize] [--corpus-out DIR]
 //!                   [--summary-out FILE] [--records-out FILE]
 //!                   [--expected FILE] [--quiet]
 //! ```
 //!
 //! Deterministic by construction: module seeds derive from
 //! `(--seed, module index)` only, so the summary is byte-identical at
-//! any `--jobs` thread count (default: the machine's parallelism) and
-//! any `--workers` process count.
+//! any `--jobs` thread count (default: the machine's parallelism).
 //!
 //! Exit status: `0` clean; `1` gate failure (a generator-invalid module,
 //! or — with `--expected` — a disagreement class missing from the
-//! expected file); `2` worker process failure; `3` usage error.
+//! expected file); `2` I/O failure; `3` usage error.
 
-use parcoach_fuzz::summary::{records_from_tsv, records_to_tsv};
-use parcoach_fuzz::{apply_dry, minimize, parse_expected, run_campaign, CampaignConfig, Summary};
+use parcoach_fuzz::summary::records_to_tsv;
+use parcoach_fuzz::{minimize, parse_expected, run_campaign, CampaignConfig, Summary};
 use parcoach_testutil::Scenario;
 use std::process::ExitCode;
 
 struct Opts {
     cfg: CampaignConfig,
     jobs: usize,
-    workers: usize,
     minimize: bool,
     corpus_out: Option<String>,
     summary_out: Option<String>,
@@ -40,8 +37,8 @@ struct Opts {
 }
 
 const USAGE: &str = "usage: fuzz_differential [--seed S] [--rounds N] [--modules M] [--dry K] \
-[--jobs J] [--workers W | --shard I/N] [--minimize] [--corpus-out DIR] \
-[--summary-out FILE] [--records-out FILE] [--expected FILE] [--quiet]";
+[--jobs J] [--minimize] [--corpus-out DIR] [--summary-out FILE] \
+[--records-out FILE] [--expected FILE] [--quiet]";
 
 fn usage_err(msg: &str) -> ! {
     eprintln!("fuzz_differential: {msg}\n{USAGE}");
@@ -58,7 +55,6 @@ fn parse_opts() -> Opts {
     let mut opts = Opts {
         cfg: CampaignConfig::default(),
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        workers: 1,
         minimize: false,
         corpus_out: None,
         summary_out: None,
@@ -78,18 +74,6 @@ fn parse_opts() -> Opts {
             }
             "--dry" => opts.cfg.dry_rounds = parse_num("--dry", args.next()) as usize,
             "--jobs" => opts.jobs = parse_num("--jobs", args.next()).max(1) as usize,
-            "--workers" => opts.workers = parse_num("--workers", args.next()).max(1) as usize,
-            "--shard" => {
-                let v = args
-                    .next()
-                    .unwrap_or_else(|| usage_err("--shard needs I/N"));
-                let (i, n) = v
-                    .split_once('/')
-                    .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
-                    .filter(|&(i, n)| n >= 1 && i < n)
-                    .unwrap_or_else(|| usage_err(&format!("--shard: bad spec `{v}`")));
-                opts.cfg.shard = Some((i, n));
-            }
             "--minimize" => opts.minimize = true,
             "--corpus-out" => {
                 opts.corpus_out = Some(
@@ -123,59 +107,7 @@ fn parse_opts() -> Opts {
             other => usage_err(&format!("unknown flag `{other}`")),
         }
     }
-    if opts.workers > 1 && opts.cfg.shard.is_some() {
-        usage_err("--workers and --shard are mutually exclusive");
-    }
     opts
-}
-
-/// Fan the campaign out over worker processes: each worker runs one
-/// shard over the full round budget (dry-out disabled), the parent
-/// merges records by module index and re-applies the dry-out criterion
-/// — byte-identical to the in-process result.
-fn run_workers(opts: &Opts) -> Result<Vec<parcoach_fuzz::ModuleRecord>, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let pid = std::process::id();
-    let mut children = Vec::new();
-    for k in 0..opts.workers {
-        let records = std::env::temp_dir().join(format!("parcoach_fuzz_{pid}_{k}.tsv"));
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("--seed")
-            .arg(opts.cfg.seed.to_string())
-            .arg("--rounds")
-            .arg(opts.cfg.rounds.to_string())
-            .arg("--modules")
-            .arg(opts.cfg.modules_per_round.to_string())
-            .arg("--dry")
-            .arg("0")
-            .arg("--shard")
-            .arg(format!("{k}/{}", opts.workers))
-            .arg("--records-out")
-            .arg(&records)
-            .arg("--jobs")
-            .arg(opts.jobs.div_ceil(opts.workers).to_string())
-            .arg("--quiet");
-        let child = cmd.spawn().map_err(|e| format!("spawn worker {k}: {e}"))?;
-        children.push((k, child, records));
-    }
-    let mut merged = Vec::new();
-    for (k, mut child, records) in children {
-        let status = child
-            .wait()
-            .map_err(|e| format!("wait worker {k}: {e}"))
-            .map_err(|e| e.to_string())?;
-        // Workers run with neither --expected nor gating output; any
-        // non-zero exit is a real failure.
-        if !status.success() {
-            return Err(format!("worker {k} failed: {status}"));
-        }
-        let text =
-            std::fs::read_to_string(&records).map_err(|e| format!("worker {k} records: {e}"))?;
-        let _ = std::fs::remove_file(&records);
-        merged.extend(records_from_tsv(&text)?);
-    }
-    merged.sort_by_key(|r| r.index);
-    Ok(merged)
 }
 
 fn sanitize(key: &str) -> String {
@@ -192,27 +124,17 @@ fn sanitize(key: &str) -> String {
 
 fn main() -> ExitCode {
     let opts = parse_opts();
-    let result = if opts.workers > 1 {
-        match run_workers(&opts) {
-            Ok(records) => apply_dry(records, opts.cfg.rounds, opts.cfg.dry_rounds),
-            Err(e) => {
-                eprintln!("fuzz_differential: {e}");
-                return ExitCode::from(2);
-            }
+    let quiet = opts.quiet;
+    let result = run_campaign(&opts.cfg, opts.jobs, |round, batch, tracker| {
+        if !quiet {
+            let invalid = batch.iter().filter(|r| r.invalid.is_some()).count();
+            println!(
+                "round {round}: {} modules ({invalid} invalid), {} disagreement classes so far",
+                batch.len(),
+                tracker.seen().len()
+            );
         }
-    } else {
-        let quiet = opts.quiet;
-        run_campaign(&opts.cfg, opts.jobs, |round, batch, tracker| {
-            if !quiet {
-                let invalid = batch.iter().filter(|r| r.invalid.is_some()).count();
-                println!(
-                    "round {round}: {} modules ({invalid} invalid), {} disagreement classes so far",
-                    batch.len(),
-                    tracker.seen().len()
-                );
-            }
-        })
-    };
+    });
 
     let summary = Summary::from_result(&opts.cfg, &result);
     if let Some(path) = &opts.records_out {

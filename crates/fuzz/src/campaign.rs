@@ -1,6 +1,5 @@
 //! Campaign driver: rounds of generated modules through the oracle,
-//! spread over threads in-process (and over worker processes by the
-//! bin), with the loop-until-dry stopping criterion.
+//! spread over threads, with the loop-until-dry stopping criterion.
 
 use crate::classify::{classify, is_disagreement};
 use crate::oracle::{observe, OracleConfig, OracleOutcome};
@@ -19,10 +18,6 @@ pub struct CampaignConfig {
     /// Stop after this many consecutive rounds with no new
     /// disagreement class; `0` disables early stopping.
     pub dry_rounds: usize,
-    /// Process sharding: `(shard_index, shard_count)` keeps only module
-    /// indices with `index % shard_count == shard_index`. The parent
-    /// merges records by index, so sharding never changes results.
-    pub shard: Option<(usize, usize)>,
     /// Oracle knobs.
     pub oracle: OracleConfig,
 }
@@ -34,7 +29,6 @@ impl Default for CampaignConfig {
             rounds: 5,
             modules_per_round: 40,
             dry_rounds: 3,
-            shard: None,
             oracle: OracleConfig::default(),
         }
     }
@@ -62,9 +56,9 @@ pub struct ModuleRecord {
 }
 
 /// Mix a campaign seed and a module index into a generator seed.
-/// Depends on nothing else — not jobs, not shards, not the round count
-/// — which is what makes every execution layout equivalent and smaller
-/// campaigns strict prefixes of larger ones.
+/// Depends on nothing else — not jobs, not the round count — which is
+/// what makes every thread count equivalent and smaller campaigns strict
+/// prefixes of larger ones.
 pub fn module_seed(campaign_seed: u64, index: u64) -> u64 {
     let mut z = campaign_seed
         .rotate_left(17)
@@ -106,9 +100,7 @@ pub fn evaluate_module(cfg: &CampaignConfig, index: u64, round: usize) -> Module
 }
 
 /// Dry-out bookkeeping: the set of disagreement classes seen so far and
-/// the streak of rounds that added nothing. Shared between the
-/// in-process loop and the post-hoc merge of worker records so both
-/// stop at the same round.
+/// the streak of rounds that added nothing.
 #[derive(Debug, Default)]
 pub struct DryTracker {
     seen: BTreeSet<String>,
@@ -161,21 +153,9 @@ pub struct CampaignResult {
     pub dried_out: bool,
 }
 
-/// The module indices of one round, after shard filtering.
-fn round_indices(cfg: &CampaignConfig, round: usize) -> Vec<u64> {
-    let lo = (round * cfg.modules_per_round) as u64;
-    (lo..lo + cfg.modules_per_round as u64)
-        .filter(|i| match cfg.shard {
-            Some((k, n)) => (*i as usize) % n == k,
-            None => true,
-        })
-        .collect()
-}
-
-/// Run a campaign on up to `jobs` threads (in-process sharding: the
-/// round's modules fan out over [`parcoach_pool::par_map`], whose
-/// results keep index order). `progress` is called once per completed
-/// round.
+/// Run a campaign on up to `jobs` threads (the round's modules fan out
+/// over [`parcoach_pool::par_map`], whose results keep index order).
+/// `progress` is called once per completed round.
 pub fn run_campaign(
     cfg: &CampaignConfig,
     jobs: usize,
@@ -186,7 +166,8 @@ pub fn run_campaign(
     let mut rounds_run = 0;
     let mut dried_out = false;
     for round in 0..cfg.rounds {
-        let indices = round_indices(cfg, round);
+        let lo = (round * cfg.modules_per_round) as u64;
+        let indices: Vec<u64> = (lo..lo + cfg.modules_per_round as u64).collect();
         let batch = parcoach_pool::par_map(jobs, &indices, |&i| evaluate_module(cfg, i, round));
         tracker.observe_round(batch.iter().flat_map(|m| m.class_keys.iter()));
         rounds_run = round + 1;
@@ -204,39 +185,6 @@ pub fn run_campaign(
     }
 }
 
-/// Re-apply the dry-out criterion to merged records (the worker-process
-/// path: each worker runs its shard over the full round budget, the
-/// parent merges by index and truncates where the in-process loop would
-/// have stopped). `records` must be sorted by index.
-pub fn apply_dry(records: Vec<ModuleRecord>, rounds: usize, dry_rounds: usize) -> CampaignResult {
-    let mut tracker = DryTracker::new();
-    let mut kept = Vec::new();
-    let mut rounds_run = 0;
-    let mut dried_out = false;
-    let mut it = records.into_iter().peekable();
-    for round in 0..rounds {
-        let mut batch = Vec::new();
-        while it.peek().is_some_and(|r| r.round == round) {
-            batch.push(it.next().unwrap());
-        }
-        if batch.is_empty() && it.peek().is_none() && round > 0 {
-            break;
-        }
-        tracker.observe_round(batch.iter().flat_map(|m| m.class_keys.iter()));
-        rounds_run = round + 1;
-        kept.extend(batch);
-        if tracker.is_dry(dry_rounds) {
-            dried_out = true;
-            break;
-        }
-    }
-    CampaignResult {
-        records: kept,
-        rounds_run,
-        dried_out,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,22 +195,6 @@ mod tests {
         assert_eq!(module_seed(42, 17), module_seed(42, 17));
         assert_ne!(module_seed(42, 17), module_seed(42, 18));
         assert_ne!(module_seed(42, 17), module_seed(43, 17));
-    }
-
-    #[test]
-    fn shards_partition_each_round() {
-        let mut cfg = CampaignConfig {
-            modules_per_round: 10,
-            ..CampaignConfig::default()
-        };
-        let full = round_indices(&cfg, 3);
-        let mut merged = Vec::new();
-        for k in 0..3 {
-            cfg.shard = Some((k, 3));
-            merged.extend(round_indices(&cfg, 3));
-        }
-        merged.sort_unstable();
-        assert_eq!(full, merged);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!
 //! Everything is deterministic: module seeds derive from
 //! `(campaign seed, module index)` only, so a campaign's records are
-//! identical at any `--jobs` width, any `--workers` process count, and
-//! any round budget that covers the same indices.
+//! identical at any `--jobs` width and any round budget that covers the
+//! same indices.
 
 pub mod campaign;
 pub mod classify;
@@ -32,7 +32,7 @@ pub mod oracle;
 pub mod summary;
 
 pub use campaign::{
-    apply_dry, module_seed, run_campaign, CampaignConfig, CampaignResult, DryTracker, ModuleRecord,
+    module_seed, run_campaign, CampaignConfig, CampaignResult, DryTracker, ModuleRecord,
 };
 pub use classify::{classify, dyn_family, is_disagreement, Classified, Polarity};
 pub use minimize::minimize;

@@ -211,9 +211,9 @@ pub fn parse_expected(text: &str) -> BTreeSet<String> {
         .collect()
 }
 
-/// Serialize records as the tab-separated worker exchange format (one
-/// module per line: index, seed, round, polarity, class keys, static
-/// codes, dynamic codes, sanitized compile diagnostic).
+/// Serialize records as tab-separated lines (`--records-out`; one module
+/// per line: index, seed, round, polarity, class keys, static codes,
+/// dynamic codes, compile diagnostic with tabs and newlines blanked).
 pub fn records_to_tsv(records: &[ModuleRecord]) -> String {
     let mut out = String::new();
     for r in records {
@@ -236,50 +236,6 @@ pub fn records_to_tsv(records: &[ModuleRecord]) -> String {
         ));
     }
     out
-}
-
-/// Parse the worker exchange format back into records.
-pub fn records_from_tsv(text: &str) -> Result<Vec<ModuleRecord>, String> {
-    let mut records = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let cols: Vec<&str> = line.split('\t').collect();
-        if cols.len() != 8 {
-            return Err(format!(
-                "records line {}: {} columns",
-                lineno + 1,
-                cols.len()
-            ));
-        }
-        let unflat = |s: &str| -> Vec<String> {
-            if s.is_empty() {
-                Vec::new()
-            } else {
-                s.split(',').map(|x| x.to_string()).collect()
-            }
-        };
-        let parse = |s: &str, what: &str| -> Result<u64, String> {
-            s.parse::<u64>()
-                .map_err(|_| format!("records line {}: bad {what} `{s}`", lineno + 1))
-        };
-        records.push(ModuleRecord {
-            index: parse(cols[0], "index")?,
-            seed: parse(cols[1], "seed")?,
-            round: parse(cols[2], "round")? as usize,
-            polarity: cols[3].to_string(),
-            class_keys: unflat(cols[4]),
-            static_codes: unflat(cols[5]),
-            dyn_codes: unflat(cols[6]),
-            invalid: if cols[7].is_empty() {
-                None
-            } else {
-                Some(cols[7].to_string())
-            },
-        });
-    }
-    Ok(records)
 }
 
 #[cfg(test)]
@@ -367,13 +323,16 @@ mod tests {
             ..rec(4, "", &[])
         });
         let tsv = records_to_tsv(&with_invalid);
-        let back = records_from_tsv(&tsv).unwrap();
-        assert_eq!(back.len(), with_invalid.len());
-        assert_eq!(back[2], with_invalid[2]);
-        // The diagnostic survives, whitespace-sanitized.
+        let lines: Vec<&str> = tsv.lines().collect();
+        assert_eq!(lines.len(), with_invalid.len());
         assert_eq!(
-            back[4].invalid.as_deref(),
-            Some("parse error:  unexpected token")
+            lines[2],
+            "2\t21\t1\tstatic-only\tstatic-only:unmatched-p2p\t\t\t"
+        );
+        // The diagnostic stays on its line, whitespace-sanitized.
+        assert_eq!(
+            lines[4],
+            "4\t41\t2\tinvalid\t\t\t\tparse error:  unexpected token"
         );
     }
 

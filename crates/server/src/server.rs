@@ -27,7 +27,6 @@ use crate::proto::{self, code, Request, PROTOCOL_VERSION, PROTOCOL_VERSION_LEGAC
 use crate::sched::{CheckCache, ServerShared};
 use parcoach_core::{CancelToken, StaticReport, WarningKind};
 use parcoach_front::{SourceMap, Span};
-use std::io::{BufRead, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -323,11 +322,8 @@ impl Server {
                         ("pwMisses", Value::from(stats.pw_misses)),
                         ("cfgHits", Value::from(stats.cfg_hits)),
                         ("cfgMisses", Value::from(stats.cfg_misses)),
-                        ("moduleHits", Value::from(stats.comm_hits + stats.req_hits)),
-                        (
-                            "moduleMisses",
-                            Value::from(stats.comm_misses + stats.req_misses),
-                        ),
+                        ("moduleHits", Value::from(stats.handle_hits)),
+                        ("moduleMisses", Value::from(stats.handle_misses)),
                         ("p2pHits", Value::from(stats.p2p_hits)),
                         ("p2pMisses", Value::from(stats.p2p_misses)),
                         ("greened", Value::from(stats.greened)),
@@ -340,28 +336,6 @@ impl Server {
                 ),
             ]),
         )
-    }
-
-    /// Serve line-delimited requests from `input`, writing one response
-    /// line each to `output`, until EOF or `shutdown`. This is the
-    /// simple *serial* driver; concurrent connections with cancellation
-    /// and backpressure go through
-    /// [`drive_connection`](crate::sched::drive_connection).
-    pub fn serve<R: BufRead, W: Write>(&mut self, input: R, mut output: W) -> std::io::Result<()> {
-        for line in input.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let resp = self.handle_line(&line);
-            output.write_all(resp.as_bytes())?;
-            output.write_all(b"\n")?;
-            output.flush()?;
-            if self.shutdown {
-                break;
-            }
-        }
-        Ok(())
     }
 }
 

@@ -6,6 +6,8 @@
 //! integration tests: each case records the *expected* static verdict
 //! and dynamic outcome.
 
+use parcoach_core::StaticReport;
+
 /// Expected static outcome for a case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExpectStatic {
@@ -13,6 +15,16 @@ pub enum ExpectStatic {
     Clean,
     /// At least one warning, with the given code expected among them.
     Warns(&'static str),
+}
+
+impl ExpectStatic {
+    /// Does `report` meet the expectation?
+    pub fn holds(self, report: &StaticReport) -> bool {
+        match self {
+            ExpectStatic::Clean => report.is_clean(),
+            ExpectStatic::Warns(code) => report.warnings.iter().any(|w| w.kind.code() == code),
+        }
+    }
 }
 
 /// Expected dynamic outcome (run with instrumentation, 2 ranks / 4
@@ -34,6 +46,19 @@ pub enum ExpectDynamic {
     /// parallelism, or a `single` claimed by the initial thread under
     /// `MPI_THREAD_SINGLE`). Runs are accepted either way.
     MayFail,
+}
+
+impl ExpectDynamic {
+    /// Does a run that `failed` (and, if so, was intercepted by a
+    /// PARCOACH check when `by_check`) meet the expectation?
+    pub fn holds(self, failed: bool, by_check: bool) -> bool {
+        match self {
+            ExpectDynamic::Clean => !failed,
+            ExpectDynamic::CaughtByCheck => failed && by_check,
+            ExpectDynamic::CaughtBySubstrate | ExpectDynamic::Fails => failed,
+            ExpectDynamic::MayFail => true,
+        }
+    }
 }
 
 /// One catalogue entry.
@@ -1036,6 +1061,54 @@ mod tests {
         let md = catalogue_markdown();
         for c in error_catalogue() {
             assert!(md.contains(&format!("`{}`", c.id)), "{} missing", c.id);
+        }
+    }
+
+    /// Every expectation against every outcome.
+    #[test]
+    fn verdicts_over_every_expectation_and_outcome() {
+        use parcoach_core::{StaticWarning, WarningKind};
+        use parcoach_front::span::Span;
+        let warns = |kind: WarningKind| StaticReport {
+            warnings: vec![StaticWarning {
+                kind,
+                func: "main".into(),
+                message: String::new(),
+                span: Span::DUMMY,
+                related: Vec::new(),
+            }],
+            ..StaticReport::default()
+        };
+        let clean = StaticReport::default();
+        let mismatch = warns(WarningKind::CollectiveMismatch);
+        let other = warns(WarningKind::UnwaitedRequest);
+        let code = WarningKind::CollectiveMismatch.code();
+        for (expect, report, holds) in [
+            (ExpectStatic::Clean, &clean, true),
+            (ExpectStatic::Clean, &mismatch, false),
+            (ExpectStatic::Warns(code), &clean, false),
+            (ExpectStatic::Warns(code), &mismatch, true),
+            (ExpectStatic::Warns(code), &other, false),
+        ] {
+            assert_eq!(expect.holds(report), holds, "{expect:?}");
+        }
+
+        // Outcomes: (failed, by_check) = clean, by the substrate, by a check.
+        let outcomes = [(false, false), (true, false), (true, true)];
+        for (expect, holds) in [
+            (ExpectDynamic::Clean, [true, false, false]),
+            (ExpectDynamic::CaughtByCheck, [false, false, true]),
+            (ExpectDynamic::CaughtBySubstrate, [false, true, true]),
+            (ExpectDynamic::Fails, [false, true, true]),
+            (ExpectDynamic::MayFail, [true, true, true]),
+        ] {
+            for ((failed, by_check), holds) in outcomes.into_iter().zip(holds) {
+                assert_eq!(
+                    expect.holds(failed, by_check),
+                    holds,
+                    "{expect:?} failed={failed} by_check={by_check}"
+                );
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! ```
 
 use parcoach::interp::{check_and_run, RunConfig};
-use parcoach::workloads::{error_catalogue, ExpectDynamic, ExpectStatic};
+use parcoach::workloads::error_catalogue;
 
 fn main() {
     println!(
@@ -22,18 +22,10 @@ fn main() {
         let static_str = if report.is_clean() { "clean" } else { "warns" };
         let dynamic_str = if run.is_clean() { "clean" } else { "fails" };
         let by_check = if run.detected_by_check() { "yes" } else { "-" };
-        let ok = match (case.expect_static, case.expect_dynamic) {
-            (ExpectStatic::Clean, _) if !report.is_clean() => false,
-            (ExpectStatic::Warns(code), _)
-                if !report.warnings.iter().any(|w| w.kind.code() == code) =>
-            {
-                false
-            }
-            (_, ExpectDynamic::Clean) => run.is_clean(),
-            (_, ExpectDynamic::CaughtByCheck) => !run.is_clean() && run.detected_by_check(),
-            (_, ExpectDynamic::CaughtBySubstrate | ExpectDynamic::Fails) => !run.is_clean(),
-            (_, ExpectDynamic::MayFail) => true,
-        };
+        let ok = case.expect_static.holds(&report)
+            && case
+                .expect_dynamic
+                .holds(!run.is_clean(), run.detected_by_check());
         if !ok {
             failures += 1;
         }

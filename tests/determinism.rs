@@ -250,16 +250,10 @@ fn analyze_reports_identical_cold_and_warm() {
             "seed {seed}: the warm re-check missed"
         );
         assert_eq!(
-            (
-                hit.context_misses,
-                hit.comm_misses,
-                hit.req_misses,
-                hit.p2p_misses
-            ),
+            (hit.context_misses, hit.handle_misses, hit.p2p_misses),
             (
                 filled.context_misses,
-                filled.comm_misses,
-                filled.req_misses,
+                filled.handle_misses,
                 filled.p2p_misses
             ),
             "seed {seed}: the warm re-check missed a module table"

@@ -14,42 +14,38 @@ fn catalogue_detection_matrix() {
     for case in error_catalogue() {
         let (report, run) = check_and_run(case.id, &case.source, RunConfig::fast_fail(2, 4), true)
             .unwrap_or_else(|e| panic!("{}: compile error {e}", case.id));
-        match case.expect_static {
-            ExpectStatic::Clean => assert!(
-                report.is_clean(),
-                "{}: expected clean static report, got {:#?}",
-                case.id,
-                report.warnings
-            ),
-            ExpectStatic::Warns(code) => assert!(
-                report.warnings.iter().any(|w| w.kind.code() == code),
-                "{}: expected a `{code}` warning, got {:?}",
-                case.id,
-                report
-                    .warnings
-                    .iter()
-                    .map(|w| w.kind.code())
-                    .collect::<Vec<_>>()
-            ),
-        }
-        match case.expect_dynamic {
-            ExpectDynamic::Clean => {
-                assert!(run.is_clean(), "{}: {:?}", case.id, run.errors)
+        assert!(
+            case.expect_static.holds(&report),
+            "{}: {}",
+            case.id,
+            match case.expect_static {
+                ExpectStatic::Clean => {
+                    format!("expected clean static report, got {:#?}", report.warnings)
+                }
+                ExpectStatic::Warns(code) => format!(
+                    "expected a `{code}` warning, got {:?}",
+                    report
+                        .warnings
+                        .iter()
+                        .map(|w| w.kind.code())
+                        .collect::<Vec<_>>()
+                ),
             }
-            ExpectDynamic::CaughtByCheck => {
-                assert!(!run.is_clean(), "{}: expected failure", case.id);
-                assert!(
-                    run.detected_by_check(),
-                    "{}: expected PARCOACH check, got {:?}",
-                    case.id,
-                    run.errors
-                );
+        );
+        let failed = !run.is_clean();
+        assert!(
+            case.expect_dynamic.holds(failed, run.detected_by_check()),
+            "{}: {}",
+            case.id,
+            match case.expect_dynamic {
+                ExpectDynamic::Clean => format!("{:?}", run.errors),
+                ExpectDynamic::CaughtByCheck if failed => {
+                    format!("expected PARCOACH check, got {:?}", run.errors)
+                }
+                ExpectDynamic::CaughtByCheck => "expected failure".to_string(),
+                _ => "expected failure, ran clean".to_string(),
             }
-            ExpectDynamic::CaughtBySubstrate | ExpectDynamic::Fails => {
-                assert!(!run.is_clean(), "{}: expected failure, ran clean", case.id)
-            }
-            ExpectDynamic::MayFail => {} // either outcome accepted
-        }
+        );
     }
 }
 
