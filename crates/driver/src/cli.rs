@@ -71,7 +71,6 @@ USAGE:
     `dump` prints lowered IR (or a Graphviz CFG with --dot).
 
     --timings         print per-phase analysis wall times to stderr
-                      (also enabled by PARCOACH_TIMINGS=1)
 
 EXIT CODES:
     0  clean (statically verified or ran cleanly)

@@ -16,9 +16,8 @@
 //! parcoachc catalogue                    # list the error catalogue
 //! ```
 //!
-//! The static analysis runs on the calling thread. `--timings` (or
-//! `PARCOACH_TIMINGS=1`) prints its per-phase wall-time breakdown to
-//! stderr.
+//! The static analysis runs on the calling thread. `--timings` prints
+//! its per-phase wall-time breakdown to stderr.
 //!
 //! Exit codes (see [`cli::Exit`]): 0 = clean, 1 = static warnings only,
 //! 2 = dynamic error detected, 3 = usage/compile error. Bad flag values
@@ -52,9 +51,6 @@ fn run(args: &[String]) -> Result<Exit, String> {
         "diagnostics" => cmd_check(&args[1..], Output::Json),
         "run" => cmd_run(&args[1..]),
         "dump" => cmd_dump(&args[1..]),
-        // Former spellings, kept as aliases of `dump`.
-        "dump-cfg" => cmd_dump_as(&args[1..], true),
-        "dump-ir" => cmd_dump_as(&args[1..], false),
         "workload" => cmd_workload(&args[1..]),
         "catalogue" => cmd_catalogue(),
         "help" | "--help" | "-h" => {
@@ -85,7 +81,7 @@ enum Output {
 fn cmd_check(args: &[String], output: Output) -> Result<Exit, String> {
     let path = args.first().ok_or("check: missing file")?;
     let mut flags = SessionFlags::default();
-    let mut timings = std::env::var("PARCOACH_TIMINGS").is_ok_and(|v| v == "1");
+    let mut timings = false;
     let mut i = 1;
     while i < args.len() {
         if flags.eat(args, &mut i)? {
@@ -120,7 +116,7 @@ fn cmd_check(args: &[String], output: Output) -> Result<Exit, String> {
                 "{}",
                 obj([
                     ("clean", Value::from(report.is_clean())),
-                    ("warnings", warnings_json(&report)),
+                    ("warnings", warnings_json(&report, doc.source_map())),
                 ])
                 .to_line()
             );
@@ -214,24 +210,10 @@ fn cmd_dump(args: &[String]) -> Result<Exit, String> {
             other => return Err(format!("dump: unexpected argument `{other}`")),
         }
     }
-    let path = path.ok_or("dump: missing file")?;
-    dump(&path, which.as_deref(), dot)
-}
-
-/// The `dump-cfg` / `dump-ir` aliases (fixed format, same positional
-/// arguments as before the rename).
-fn cmd_dump_as(args: &[String], dot: bool) -> Result<Exit, String> {
-    let path = args.first().ok_or("dump: missing file")?;
-    dump(path, args.get(1).map(String::as_str), dot)
-}
-
-fn dump(path: &str, which: Option<&str>, dot: bool) -> Result<Exit, String> {
-    let doc = load(path)?;
+    let doc = load(&path.ok_or("dump: missing file")?)?;
     for f in &doc.module().funcs {
-        if let Some(name) = which {
-            if f.name != name {
-                continue;
-            }
+        if which.as_deref().is_some_and(|name| f.name != name) {
+            continue;
         }
         if dot {
             println!("{}", parcoach_ir::dot::func_to_dot(f));

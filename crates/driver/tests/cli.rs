@@ -249,14 +249,41 @@ fn check_timings_prints_phase_breakdown() {
     // The timed path must not change the report itself.
     let plain = parcoachc(&["check", file]);
     assert_eq!(stdout(&out), stdout(&plain));
-    // Env form.
-    let out = Command::new(env!("CARGO_BIN_EXE_parcoachc"))
-        .args(["check", file])
-        .env("PARCOACH_TIMINGS", "1")
-        .output()
-        .expect("spawn parcoachc");
-    let err = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(err.contains("static phase timings"), "{err}");
+}
+
+/// `diagnostics` prints the daemon's warning objects: one line of JSON,
+/// zero-based LSP ranges, exit code as for `check`.
+#[test]
+fn diagnostics_prints_the_daemon_warning_shape() {
+    let p = write_mh("diagnostics", DIVERGENT);
+    let out = parcoachc(&["diagnostics", p.to_str().unwrap()]);
+    assert_eq!(exit_code(&out), 1, "stdout: {}", stdout(&out));
+    assert_eq!(
+        stdout(&out),
+        concat!(
+            r#"{"clean":false,"warnings":[{"func":"main","code":"collective-mismatch","severity":1,"#,
+            r#""range":{"start":{"line":4,"character":8},"end":{"line":4,"character":21}},"#,
+            r#""message":"MPI_Barrier may not be executed by all processes (or not the same number "#,
+            r#"of times): control-flow divergence at 1 point(s)","relatedInformation":[{"range":"#,
+            r#"{"start":{"line":3,"character":8},"end":{"line":3,"character":19}},"#,
+            r#""message":"execution depends on this conditional"}]}]}"#,
+            "\n"
+        )
+    );
+}
+
+/// `dump [--dot]` is the one spelling of the IR and CFG dumps: the
+/// former `dump-<cfg|ir>` aliases are unknown commands.
+#[test]
+fn removed_dump_aliases_are_unknown_commands() {
+    let p = write_mh("dump-aliases", CLEAN);
+    for cmd in ["cfg", "ir"].map(|what| format!("dump-{what}")) {
+        let out = parcoachc(&[&cmd, p.to_str().unwrap()]);
+        assert_eq!(exit_code(&out), 3, "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown command `{cmd}`")), "{err}");
+        assert!(out.stdout.is_empty(), "{cmd}: nothing dumped");
+    }
 }
 
 #[test]

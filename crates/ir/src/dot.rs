@@ -2,7 +2,7 @@
 //!
 //! Directive nodes are drawn as boxes (parallel constructs double-framed,
 //! barriers filled) so that the paper's "modified CFG" is visually
-//! inspectable: `parcoachc dump-cfg prog.mh | dot -Tsvg`.
+//! inspectable: `parcoachc dump prog.mh --dot | dot -Tsvg`.
 
 use crate::func::FuncIr;
 use crate::instr::{BlockKind, Directive, Instr};

@@ -38,8 +38,7 @@
 
 use parcoach_core::AnalysisSession;
 use parcoach_server::json::{obj, parse, Value};
-use parcoach_server::server::check_result_json_v2;
-use parcoach_server::Document;
+use parcoach_server::{check_result_json, Document};
 use parcoach_testutil::{EditStream, Scenario, ScenarioConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -483,12 +482,12 @@ fn storm_client(
     Ok(())
 }
 
-/// The expected v2 `check` result bytes for `text`, computed cold.
+/// The expected `check` result bytes for `text`, computed cold.
 fn oracle_check(uri: &str, text: &str) -> Result<String, String> {
     let fresh = Document::open(uri, text).map_err(|e| format!("oracle recompile: {e:?}"))?;
     let report = AnalysisSession::default().check_module(fresh.module());
     let rendered = report.render(fresh.source_map());
-    Ok(check_result_json_v2(&report, rendered, fresh.source_map()).to_line())
+    Ok(check_result_json(&report, rendered, fresh.source_map()).to_line())
 }
 
 fn run(args: &[String]) -> Result<bool, String> {

@@ -4,7 +4,7 @@
 //! parcoachd [--stdio] [--socket PATH] [--queue N]
 //! ```
 //!
-//! Speaks line-delimited JSON-RPC, protocol v1 and v2 (see
+//! Speaks line-delimited JSON-RPC, protocol revision 2 only (see
 //! `parcoach_server::proto`). `--stdio` (the default) serves one session
 //! over stdin/stdout — the shape editors and the soak harness use.
 //! `--socket PATH` binds a unix listener and serves connections

@@ -9,10 +9,10 @@
 //!   the replaced function, rebases the resident IR's spans after the
 //!   splice point, and marks that function dirty in the memo table it
 //!   owns, so the next check re-derives exactly the facts that died.
-//! * [`server`] — the JSON-RPC dispatcher: `initialize` (protocol v1 or
-//!   v2), `open`, `edit`, `check`, `diagnostics`, `timings`,
-//!   `shutdown`, `$/cancelRequest`. Each [`Server`] is a per-connection
-//!   view over the process-wide [`ServerShared`].
+//! * [`server`] — the JSON-RPC dispatcher: `initialize` (protocol
+//!   [`PROTOCOL_VERSION`]), `open`, `edit`, `check`, `diagnostics`,
+//!   `timings`, `shutdown`, `$/cancelRequest`. Each [`Server`] is a
+//!   per-connection view over the process-wide [`ServerShared`].
 //! * [`sched`] — the concurrency layer: the shared document map (each
 //!   document paired with its own [`parcoach_core::AnalysisSession`]
 //!   and an epoch-keyed result cache), plus the per-connection
@@ -31,7 +31,7 @@
 //!
 //! let mut srv = Server::new(ServerConfig::default());
 //! let resp = srv.handle_line(
-//!     r#"{"jsonrpc":"2.0","id":1,"method":"initialize","params":{"protocolVersion":1}}"#,
+//!     r#"{"jsonrpc":"2.0","id":1,"method":"initialize","params":{"protocolVersion":2}}"#,
 //! );
 //! assert!(resp.contains(r#""serverName":"parcoachd""#));
 //! ```
@@ -44,8 +44,6 @@ pub mod server;
 
 pub use document::{DocError, Document, EditOutcome};
 pub use json::Value;
-pub use proto::{PROTOCOL_VERSION, PROTOCOL_VERSION_LEGACY};
+pub use proto::PROTOCOL_VERSION;
 pub use sched::{drive_connection, ServerShared};
-pub use server::{
-    check_result_json, check_result_json_v2, warnings_json, warnings_json_v2, Server, ServerConfig,
-};
+pub use server::{check_result_json, warnings_json, Server, ServerConfig};

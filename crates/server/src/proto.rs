@@ -15,13 +15,11 @@
 //! | `shutdown`         | `{}`                        | `null`, then the server drains |
 //! | `$/cancelRequest`  | `{id}`                      | *notification* — no response; the named request answers [`code::REQUEST_CANCELLED`] |
 //!
-//! Two revisions are spoken (negotiated per connection at `initialize`):
-//! **v1** warnings carry raw byte offsets (`lo`/`hi`) and the response
-//! bytes are frozen; **v2** is LSP-shaped — warnings carry `severity`,
-//! zero-based `{line, character}` ranges and `relatedInformation`, and
-//! `check`/`diagnostics` accept a `deadlineMs` budget. `$/cancelRequest`
-//! and `deadlineMs` are honored on concurrent connections (see
-//! [`crate::sched`]).
+//! One revision is spoken, [`PROTOCOL_VERSION`], and it is LSP-shaped:
+//! warnings carry `severity`, zero-based `{line, character}` ranges and
+//! `relatedInformation`, and `check`/`diagnostics` accept a `deadlineMs`
+//! budget. `$/cancelRequest` and `deadlineMs` are honored on concurrent
+//! connections (see [`crate::sched`]).
 //!
 //! Error codes follow JSON-RPC where a standard code exists and use the
 //! `-320xx` application range for the rest (see [`code`]). Responses are
@@ -30,15 +28,10 @@
 
 use crate::json::{self, obj, Value};
 
-/// Current protocol revision. `initialize` accepts this or
-/// [`PROTOCOL_VERSION_LEGACY`] and rejects anything else with
-/// [`code::VERSION_MISMATCH`]: a one-line protocol has no room for
-/// silent downgrades.
+/// The protocol revision. `initialize` accepts exactly this and rejects
+/// anything else with [`code::VERSION_MISMATCH`]: a one-line protocol
+/// has no room for silent downgrades.
 pub const PROTOCOL_VERSION: i64 = 2;
-
-/// The frozen v1 revision, still accepted behind the version gate so
-/// existing clients keep their exact bytes.
-pub const PROTOCOL_VERSION_LEGACY: i64 = 1;
 
 /// Typed JSON-RPC error codes.
 pub mod code {

@@ -12,17 +12,18 @@
 //!   parallel; same-document requests serialize on the entry lock, which
 //!   is what byte-deterministic transcripts per document require.
 //! * [`drive_connection`] — the per-connection request scheduler: the
-//!   calling thread reads lines and enqueues them on a *bounded* queue
-//!   (overflow answers [`code::SERVER_BUSY`] immediately), a cached
-//!   worker thread drains the queue in order, and `$/cancelRequest`
-//!   notifications bypass the queue to flip the [`CancelToken`] of the
-//!   matching in-flight or queued request. EOF, `shutdown` and write
-//!   errors (client gone) all end the connection gracefully — never the
+//!   calling thread reads lines, decodes each once and enqueues the
+//!   decoded request on a *bounded* queue (overflow answers
+//!   [`code::SERVER_BUSY`] immediately), a cached worker thread drains
+//!   the queue in order, and `$/cancelRequest` notifications bypass the
+//!   queue to flip the [`CancelToken`] of the matching in-flight or
+//!   queued request. EOF, an acknowledged `shutdown` and write errors
+//!   (client gone) all end the connection gracefully — never the
 //!   process.
 
 use crate::document::Document;
 use crate::json::Value;
-use crate::proto::{self, code};
+use crate::proto::{self, code, Request};
 use crate::server::{Server, ServerConfig};
 use parcoach_core::{AnalysisSession, CancelToken, StaticReport};
 use std::collections::{HashMap, VecDeque};
@@ -35,11 +36,11 @@ pub(crate) struct CheckCache {
     pub(crate) epoch: u64,
     pub(crate) report: StaticReport,
     pub(crate) rendered: String,
-    /// The encoded `result` member of the response, per verb and per
-    /// protocol version, each filled by the first request that wants
-    /// it: a repeated `check` of a quiet document is then the envelope,
-    /// the id and one copy of these bytes.
-    pub(crate) encoded: [[Option<String>; 2]; 2],
+    /// The encoded `result` member of the response, per verb, each
+    /// filled by the first request that wants it: a repeated `check` of
+    /// a quiet document is then the envelope, the id and one copy of
+    /// these bytes.
+    pub(crate) encoded: [Option<String>; 2],
 }
 
 /// One resident document plus everything derived from it. The memo
@@ -129,13 +130,30 @@ impl ServerShared {
     }
 }
 
-/// One queued request: the raw line (re-parsed by the dispatcher), the
-/// cancellation token minted for it, and the rendered id for error
-/// replies issued without dispatch.
+/// One queued request: the line as decoded once by the reader (or the
+/// error it decoded to) and the cancellation token minted for it.
 struct Job {
-    line: String,
-    id: Value,
+    req: Result<Request, (i64, String)>,
     token: CancelToken,
+}
+
+impl Job {
+    /// The id a reply echoes; null when the line did not decode.
+    fn id(&self) -> &Value {
+        match &self.req {
+            Ok(req) => &req.id,
+            Err(_) => &Value::Null,
+        }
+    }
+}
+
+/// What the worker has done so far: requests answered, and whether it
+/// has stopped answering (shutdown acknowledged, client gone, or queue
+/// closed and drained).
+#[derive(Default)]
+struct Progress {
+    answered: u64,
+    stopped: bool,
 }
 
 /// Bounded FIFO between the reader and the worker.
@@ -206,11 +224,11 @@ fn write_line<W: Write>(w: &Mutex<W>, line: &str) -> std::io::Result<()> {
     w.flush()
 }
 
-/// Serve one connection: read lines on the calling thread, dispatch on a
-/// cached worker thread, answer in request order. Returns when the
-/// client disconnects (EOF), after a `shutdown` request, or on a write
-/// error (client gone mid-response) — all of which are *per-connection*
-/// outcomes the caller may log and survive.
+/// Serve one connection: read and decode lines on the calling thread,
+/// dispatch on a cached worker thread, answer in request order. Returns
+/// when the client disconnects (EOF), after an acknowledged `shutdown`,
+/// or on a write error (client gone mid-response) — all of which are
+/// *per-connection* outcomes the caller may log and survive.
 pub fn drive_connection<R, W>(mut server: Server, reader: R, writer: W) -> std::io::Result<()>
 where
     R: BufRead,
@@ -219,38 +237,43 @@ where
     let queue = Queue::new(server.queue_capacity());
     let registry: CancelRegistry = Arc::new(Mutex::new(HashMap::new()));
     let writer = Arc::new(Mutex::new(writer));
-    let done = Arc::new((Mutex::new(false), Condvar::new()));
+    let progress = Arc::new((Mutex::new(Progress::default()), Condvar::new()));
 
     let worker = {
         let queue = Arc::clone(&queue);
         let registry = Arc::clone(&registry);
         let writer = Arc::clone(&writer);
-        let done = Arc::clone(&done);
+        let progress = Arc::clone(&progress);
         move || {
+            let (state, cv) = &*progress;
             while let Some(job) = queue.pop() {
+                let key = job.id().to_line();
                 let resp = if job.token.is_cancelled() {
-                    proto::err(&job.id, code::REQUEST_CANCELLED, "request cancelled", None)
+                    proto::err(job.id(), code::REQUEST_CANCELLED, "request cancelled", None)
                 } else {
-                    server.handle_line_cancellable(&job.line, &job.token)
+                    server.handle(job.req, &job.token)
                 };
-                registry.lock().unwrap().remove(&job.id.to_line());
-                if write_line(&writer, &resp).is_err() {
-                    // Client went away mid-response: stop answering, let
-                    // the reader observe EOF. Nothing here is fatal to
-                    // the daemon.
-                    break;
-                }
-                if server.is_shut_down() {
-                    break;
+                registry.lock().unwrap().remove(&key);
+                // A write error means the client went away mid-response:
+                // stop answering, let the reader observe EOF. Nothing
+                // here is fatal to the daemon.
+                let stop = write_line(&writer, &resp).is_err() || server.is_shut_down();
+                let mut st = state.lock().unwrap();
+                st.answered += 1;
+                st.stopped = stop;
+                cv.notify_all();
+                if stop {
+                    return;
                 }
             }
-            let (flag, cv) = &*done;
-            *flag.lock().unwrap() = true;
+            state.lock().unwrap().stopped = true;
             cv.notify_all();
         }
     };
     parcoach_pool::thread_cache().spawn(worker);
 
+    let (state, cv) = &*progress;
+    let mut queued = 0u64;
     let mut result = Ok(());
     for line in reader.lines() {
         let line = match line {
@@ -263,29 +286,31 @@ where
         if line.trim().is_empty() {
             continue;
         }
-        // Cheap pre-parse: enough to route notifications and mint ids.
-        let (id, method) = match proto::parse_request(&line) {
-            Ok(req) => (req.id.clone(), req.method.clone()),
-            Err(_) => (Value::Null, String::new()), // dispatcher re-answers
-        };
+        let req = proto::parse_request(&line);
+        let method = req.as_ref().map_or("", |r| r.method.as_str());
         if method == "$/cancelRequest" {
             // A notification: cancel the matching request, no response.
-            if let Ok(req) = proto::parse_request(&line) {
-                if let Some(target) = req.params.get("id") {
-                    if let Some(token) = registry.lock().unwrap().get(&target.to_line()) {
-                        token.cancel();
-                    }
-                }
+            let registry = registry.lock().unwrap();
+            let target = req.as_ref().ok().and_then(|r| r.params.get("id"));
+            if let Some(token) = target.and_then(|t| registry.get(&t.to_line())) {
+                token.cancel();
             }
             continue;
         }
-        let token = CancelToken::new();
-        registry.lock().unwrap().insert(id.to_line(), token.clone());
         let is_shutdown = method == "shutdown";
-        if let Err(job) = queue.push(Job { line, id, token }) {
-            registry.lock().unwrap().remove(&job.id.to_line());
+        let job = Job {
+            req,
+            token: CancelToken::new(),
+        };
+        let key = job.id().to_line();
+        registry
+            .lock()
+            .unwrap()
+            .insert(key.clone(), job.token.clone());
+        if let Err(job) = queue.push(job) {
+            registry.lock().unwrap().remove(&key);
             let busy = proto::err(
-                &job.id,
+                job.id(),
                 code::SERVER_BUSY,
                 "server busy: request queue is full",
                 None,
@@ -295,25 +320,35 @@ where
             }
             continue;
         }
+        queued += 1;
         if is_shutdown {
-            // Stop reading; the worker drains everything queued (the
-            // graceful part of the drain) and answers `shutdown` last.
-            break;
+            // Everything queued ahead is answered first (the graceful
+            // part of the drain). Stop reading only if the server
+            // acknowledged this `shutdown`: one rejected before
+            // `initialize` leaves the connection open.
+            let st = cv
+                .wait_while(state.lock().unwrap(), |st| {
+                    st.answered < queued && !st.stopped
+                })
+                .unwrap();
+            if st.stopped {
+                break;
+            }
         }
     }
 
     queue.close();
-    let (flag, cv) = &*done;
-    let mut finished = flag.lock().unwrap();
-    while !*finished {
-        finished = cv.wait(finished).unwrap();
-    }
+    drop(
+        cv.wait_while(state.lock().unwrap(), |st| !st.stopped)
+            .unwrap(),
+    );
     result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn req(id: i64, method: &str, params: &str) -> String {
         format!(r#"{{"jsonrpc":"2.0","id":{id},"method":"{method}","params":{params}}}"#)
@@ -334,59 +369,108 @@ mod tests {
             req(4, "check", r#"{"uri":"a.mh"}"#), // never read: after shutdown
         ]
         .join("\n");
-        let out: Arc<Mutex<Vec<u8>>> = Arc::default();
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
+        let out = SharedBuf::default();
         let server = Server::with_shared(Arc::clone(&shared));
-        drive_connection(server, input.as_bytes(), SharedBuf(Arc::clone(&out))).unwrap();
-        let text = String::from_utf8(out.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "{text}");
+        drive_connection(server, input.as_bytes(), out.clone()).unwrap();
+        let lines = out.lines();
+        assert_eq!(lines.len(), 4, "{lines:?}");
         for (i, l) in lines.iter().enumerate() {
             assert!(l.contains(&format!(r#""id":{i}"#)), "{l}");
         }
         assert!(lines[3].contains(r#""result":null"#), "{}", lines[3]);
     }
 
+    /// The response sink of a driven connection.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl SharedBuf {
+        fn lines(&self) -> Vec<String> {
+            let bytes = self.0.lock().unwrap().clone();
+            String::from_utf8(bytes)
+                .unwrap()
+                .lines()
+                .map(str::to_string)
+                .collect()
+        }
+    }
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn cancel_request_notification_cancels_a_queued_request() {
-        // A queue of capacity 1 cannot be raced reliably in a unit test,
-        // so drive the registry path directly: a token registered for id
-        // 5 flips when the reader sees `$/cancelRequest` for 5.
-        let registry: CancelRegistry = Arc::default();
-        let token = CancelToken::new();
-        registry
-            .lock()
-            .unwrap()
-            .insert(Value::from(5i64).to_line(), token.clone());
-        let req = proto::parse_request(
-            r#"{"jsonrpc":"2.0","method":"$/cancelRequest","params":{"id":5}}"#,
-        )
-        .unwrap();
-        let target = req.params.get("id").unwrap();
-        registry
-            .lock()
-            .unwrap()
-            .get(&target.to_line())
-            .unwrap()
-            .cancel();
-        assert!(token.is_cancelled());
+        // The first response write blocks until the reader hits EOF, so
+        // request 1 is still queued when the reader routes the
+        // `$/cancelRequest` naming it. The last line ends in a newline:
+        // the read that finds EOF comes after the reader has routed it.
+        use std::io::Read;
+        struct Input<'a> {
+            bytes: &'a [u8],
+            at_eof: Option<mpsc::Sender<()>>,
+        }
+        impl Read for Input<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = self.bytes.read(buf)?;
+                if n == 0 {
+                    self.at_eof = None; // disconnects the gate
+                }
+                Ok(n)
+            }
+        }
+        struct GatedBuf(Option<mpsc::Receiver<()>>, SharedBuf);
+        impl Write for GatedBuf {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if let Some(gate) = self.0.take() {
+                    let _ = gate.recv();
+                }
+                self.1.write(buf)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let input = [
+            req(0, "initialize", r#"{"protocolVersion":2}"#),
+            req(1, "timings", "{}"),
+            r#"{"jsonrpc":"2.0","method":"$/cancelRequest","params":{"id":1}}"#.to_string(),
+        ]
+        .join("\n")
+            + "\n";
+        let (at_eof, gate) = mpsc::channel();
+        let reader = std::io::BufReader::new(Input {
+            bytes: input.as_bytes(),
+            at_eof: Some(at_eof),
+        });
+        let out = SharedBuf::default();
+        let server = Server::new(ServerConfig::default());
+        drive_connection(server, reader, GatedBuf(Some(gate), out.clone())).unwrap();
+        let lines = out.lines();
+        assert_eq!(
+            lines.len(),
+            2,
+            "the notification is not answered: {lines:?}"
+        );
+        assert!(lines[0].contains(r#""id":0,"result""#), "{}", lines[0]);
+        assert_eq!(
+            lines[1],
+            r#"{"jsonrpc":"2.0","id":1,"error":{"code":-32800,"message":"request cancelled"}}"#
+        );
     }
 
     #[test]
     fn queue_overflow_is_reported_busy() {
         let q = Queue::new(1);
         let mk = || Job {
-            line: String::new(),
-            id: Value::Null,
+            req: Err((code::PARSE_ERROR, String::new())),
             token: CancelToken::new(),
         };
         assert!(q.push(mk()).is_ok());

@@ -2,16 +2,15 @@
 //! request, one line per response.
 //!
 //! A [`Server`] is a *per-connection view* over the process-wide
-//! [`ServerShared`]: it holds only the connection's negotiated protocol
-//! version and shutdown flag, while documents — each owning its memo
+//! [`ServerShared`]: it holds only the connection's handshake and
+//! shutdown flags, while documents — each owning its memo
 //! table, paired with an [`AnalysisSession`](parcoach_core::AnalysisSession)
 //! and an epoch-keyed result cache — live in the shared map (see
 //! [`crate::sched`]). Any number of connections dispatch concurrently:
 //! different documents in parallel, same-document requests serialized on
 //! the document lock.
 //!
-//! Two protocol revisions are spoken (see [`PROTOCOL_VERSION`]):
-//! v1 responses are byte-frozen (golden-tested), v2 is LSP-shaped —
+//! One protocol revision is spoken ([`PROTOCOL_VERSION`]), LSP-shaped:
 //! warnings carry `severity`, zero-based `{line, character}` ranges and
 //! `relatedInformation`, and requests may carry a `deadlineMs` budget.
 //!
@@ -23,7 +22,7 @@
 
 use crate::document::{DocError, Document};
 use crate::json::{self, obj, Value};
-use crate::proto::{self, code, Request, PROTOCOL_VERSION, PROTOCOL_VERSION_LEGACY};
+use crate::proto::{self, code, Request, PROTOCOL_VERSION};
 use crate::sched::{CheckCache, ServerShared};
 use parcoach_core::{CancelToken, StaticReport, WarningKind};
 use parcoach_front::{SourceMap, Span};
@@ -47,9 +46,8 @@ impl Default for ServerConfig {
 /// One connection's view of the resident analysis service.
 pub struct Server {
     shared: Arc<ServerShared>,
-    /// Negotiated protocol version; `None` until a successful
-    /// `initialize`.
-    protocol: Option<i64>,
+    /// Whether `initialize` has succeeded on this connection.
+    initialized: bool,
     /// Document of this connection's last `check` (what `timings`
     /// reports on).
     last_checked: Option<String>,
@@ -65,19 +63,14 @@ impl Server {
     }
 
     /// A view over existing shared state; the connection starts
-    /// uninitialized, whatever other connections have negotiated.
+    /// uninitialized, whatever other connections have done.
     pub fn with_shared(shared: Arc<ServerShared>) -> Server {
         Server {
             shared,
-            protocol: None,
+            initialized: false,
             last_checked: None,
             shutdown: false,
         }
-    }
-
-    /// The shared state, for spawning sibling connection views.
-    pub fn shared(&self) -> Arc<ServerShared> {
-        Arc::clone(&self.shared)
     }
 
     /// Whether `shutdown` has been acknowledged on this connection.
@@ -91,22 +84,23 @@ impl Server {
 
     /// Handle one request line, producing one response line.
     pub fn handle_line(&mut self, line: &str) -> String {
-        self.handle_line_cancellable(line, &CancelToken::new())
+        self.handle(proto::parse_request(line), &CancelToken::new())
     }
 
-    /// [`Server::handle_line`] under a cancellation token: a `check`/
-    /// `diagnostics` in flight observes the token at analysis phase
-    /// boundaries and answers [`code::REQUEST_CANCELLED`] if it fires.
-    pub fn handle_line_cancellable(&mut self, line: &str, token: &CancelToken) -> String {
-        let req = match proto::parse_request(line) {
+    /// Answer one decoded request (or its decode error) under a
+    /// cancellation token: a `check`/`diagnostics` in flight observes the
+    /// token at analysis phase boundaries and answers
+    /// [`code::REQUEST_CANCELLED`] if it fires.
+    pub(crate) fn handle(
+        &mut self,
+        req: Result<Request, (i64, String)>,
+        token: &CancelToken,
+    ) -> String {
+        let req = match req {
             Ok(r) => r,
             Err((c, msg)) => return proto::err(&Value::Null, c, &msg, None),
         };
-        self.dispatch(&req, token)
-    }
-
-    fn dispatch(&mut self, req: &Request, token: &CancelToken) -> String {
-        if self.protocol.is_none() && req.method != "initialize" {
+        if !self.initialized && req.method != "initialize" {
             return proto::err(
                 &req.id,
                 code::NOT_INITIALIZED,
@@ -115,12 +109,12 @@ impl Server {
             );
         }
         match req.method.as_str() {
-            "initialize" => self.initialize(req),
-            "open" => self.open(req),
-            "edit" => self.edit(req),
-            "check" => self.check(req, token),
-            "diagnostics" => self.diagnostics(req, token),
-            "timings" => self.timings(req),
+            "initialize" => self.initialize(&req),
+            "open" => self.open(&req),
+            "edit" => self.edit(&req),
+            "check" => self.run_check(&req, token, Verb::Check),
+            "diagnostics" => self.run_check(&req, token, Verb::Diagnostics),
+            "timings" => self.timings(&req),
             "shutdown" => {
                 self.shutdown = true;
                 self.shared.begin_drain();
@@ -137,45 +131,34 @@ impl Server {
 
     fn initialize(&mut self, req: &Request) -> String {
         let version = req.params.get("protocolVersion").and_then(Value::as_i64);
-        let version = match version {
-            Some(v) if v == PROTOCOL_VERSION || v == PROTOCOL_VERSION_LEGACY => v,
-            other => {
-                return proto::err(
-                    &req.id,
-                    code::VERSION_MISMATCH,
-                    &format!(
-                        "unsupported protocolVersion {other:?} (server speaks \
-                         {PROTOCOL_VERSION_LEGACY} and {PROTOCOL_VERSION})"
-                    ),
-                    None,
-                );
-            }
-        };
-        self.protocol = Some(version);
-        // The v1 response shape is frozen: bytes golden-tested since
-        // protocol 1 shipped. v2 adds the capabilities new clients probe.
-        let capabilities = if version == PROTOCOL_VERSION_LEGACY {
-            obj([
-                ("incrementalEdits", Value::from(true)),
-                ("deterministic", Value::from(true)),
-            ])
-        } else {
-            obj([
-                ("incrementalEdits", Value::from(true)),
-                ("deterministic", Value::from(true)),
-                ("positionEncoding", Value::from("utf-8")),
-                ("cancelRequest", Value::from(true)),
-                ("deadlineMs", Value::from(true)),
-                ("concurrentClients", Value::from(true)),
-            ])
-        };
+        if version != Some(PROTOCOL_VERSION) {
+            return proto::err(
+                &req.id,
+                code::VERSION_MISMATCH,
+                &format!(
+                    "unsupported protocolVersion {version:?} (server speaks {PROTOCOL_VERSION})"
+                ),
+                None,
+            );
+        }
+        self.initialized = true;
         proto::ok(
             &req.id,
             obj([
-                ("protocolVersion", Value::from(version)),
+                ("protocolVersion", Value::from(PROTOCOL_VERSION)),
                 ("serverName", Value::from("parcoachd")),
                 ("serverVersion", Value::from(env!("CARGO_PKG_VERSION"))),
-                ("capabilities", capabilities),
+                (
+                    "capabilities",
+                    obj([
+                        ("incrementalEdits", Value::from(true)),
+                        ("deterministic", Value::from(true)),
+                        ("positionEncoding", Value::from("utf-8")),
+                        ("cancelRequest", Value::from(true)),
+                        ("deadlineMs", Value::from(true)),
+                        ("concurrentClients", Value::from(true)),
+                    ]),
+                ),
             ]),
         )
     }
@@ -236,14 +219,6 @@ impl Server {
         }
     }
 
-    fn check(&mut self, req: &Request, token: &CancelToken) -> String {
-        self.run_check(req, token, Verb::Check)
-    }
-
-    fn diagnostics(&mut self, req: &Request, token: &CancelToken) -> String {
-        self.run_check(req, token, Verb::Diagnostics)
-    }
-
     /// Shared `check`/`diagnostics` body. Serves the epoch-keyed cache
     /// when the document has not changed since the last analysis
     /// (concurrent readers of a quiet document never recompute, and
@@ -278,14 +253,9 @@ impl Server {
         if self.last_checked.as_deref() != Some(uri) {
             self.last_checked = Some(uri.to_string());
         }
-        let legacy = self.protocol == Some(PROTOCOL_VERSION_LEGACY);
         let cache = st.cache.as_mut().expect("cache just filled");
-        let result = cache.encoded[verb as usize][usize::from(legacy)].get_or_insert_with(|| {
-            let warnings = if legacy {
-                warnings_json(&cache.report)
-            } else {
-                warnings_json_v2(&cache.report, st.doc.source_map())
-            };
+        let result = cache.encoded[verb as usize].get_or_insert_with(|| {
+            let warnings = warnings_json(&cache.report, st.doc.source_map());
             let rendered = matches!(verb, Verb::Check).then_some(cache.rendered.as_str());
             encode_check_result(cache.report.is_clean(), &warnings, rendered)
         });
@@ -348,8 +318,8 @@ enum Verb {
 }
 
 /// The bytes of a `check` (`rendered` given) or `diagnostics` result:
-/// what [`check_result_json`] / [`check_result_json_v2`] serialize to,
-/// written without first copying the rendered report into a [`Value`].
+/// what [`check_result_json`] serializes to, written without first
+/// copying the rendered report into a [`Value`].
 fn encode_check_result(clean: bool, warnings: &Value, rendered: Option<&str>) -> String {
     let text = rendered.map_or(0, |r| r.len() + r.len() / 16);
     let mut out = String::with_capacity(warnings.len_hint() + text + 64);
@@ -365,52 +335,23 @@ fn encode_check_result(clean: bool, warnings: &Value, rendered: Option<&str>) ->
     out
 }
 
-/// The protocol-v1 `check` result object. Public so the soak client can
-/// construct the *expected* response from an independently compiled
-/// document and compare transcripts byte-for-byte.
-pub fn check_result_json(report: &StaticReport, rendered: String) -> Value {
+/// The `check` result object. Public so the soak client can construct
+/// the *expected* response from an independently compiled document and
+/// compare transcripts byte-for-byte.
+pub fn check_result_json(report: &StaticReport, rendered: String, sm: &SourceMap) -> Value {
     obj([
         ("clean", Value::from(report.is_clean())),
-        ("warnings", warnings_json(report)),
+        ("warnings", warnings_json(report, sm)),
         ("rendered", Value::from(rendered)),
     ])
 }
 
-/// The protocol-v2 `check` result object ([`check_result_json`] with
-/// LSP-shaped warnings).
-pub fn check_result_json_v2(report: &StaticReport, rendered: String, sm: &SourceMap) -> Value {
-    obj([
-        ("clean", Value::from(report.is_clean())),
-        ("warnings", warnings_json_v2(report, sm)),
-        ("rendered", Value::from(rendered)),
-    ])
-}
-
-/// The protocol-v1 structured warning array shared by `check` and
-/// `diagnostics` (and printed by `parcoachc diagnostics`): discovery
-/// order, which the analysis fixes from run to run.
-pub fn warnings_json(report: &StaticReport) -> Value {
-    Value::Arr(
-        report
-            .warnings
-            .iter()
-            .map(|w| {
-                obj([
-                    ("func", Value::from(w.func.as_str())),
-                    ("code", Value::from(w.kind.code())),
-                    ("lo", Value::from(w.span.lo)),
-                    ("hi", Value::from(w.span.hi)),
-                    ("message", Value::from(w.message.as_str())),
-                ])
-            })
-            .collect(),
-    )
-}
-
-/// The protocol-v2 warning array: LSP-shaped, with `severity`,
-/// zero-based `{line, character}` ranges resolved through the source
-/// map, and `relatedInformation` for the secondary locations.
-pub fn warnings_json_v2(report: &StaticReport, sm: &SourceMap) -> Value {
+/// The warning array shared by `check` and `diagnostics` (and printed by
+/// `parcoachc diagnostics`), in discovery order, which the analysis
+/// fixes from run to run. LSP-shaped: `severity`, zero-based
+/// `{line, character}` ranges resolved through the source map, and
+/// `relatedInformation` for the secondary locations.
+pub fn warnings_json(report: &StaticReport, sm: &SourceMap) -> Value {
     Value::Arr(
         report
             .warnings
@@ -509,7 +450,7 @@ mod tests {
     use parcoach_core::AnalysisSession;
 
     /// The direct encoder writes what the `Value` builders serialize to,
-    /// for both verbs and both protocol versions.
+    /// for both verbs.
     #[test]
     fn encoded_results_are_the_value_builders_bytes() {
         let src = "fn helper() {\n    MPI_Barrier();\n}\nfn main() {\n    MPI_Init();\n    \
@@ -526,19 +467,14 @@ mod tests {
             let rendered = report.render(doc.source_map());
             let clean = report.is_clean();
 
-            let v1 = warnings_json(&report);
+            let warnings = warnings_json(&report, doc.source_map());
             assert_eq!(
-                encode_check_result(clean, &v1, Some(&rendered)),
-                check_result_json(&report, rendered.clone()).to_line()
-            );
-            let v2 = warnings_json_v2(&report, doc.source_map());
-            assert_eq!(
-                encode_check_result(clean, &v2, Some(&rendered)),
-                check_result_json_v2(&report, rendered.clone(), doc.source_map()).to_line()
+                encode_check_result(clean, &warnings, Some(&rendered)),
+                check_result_json(&report, rendered.clone(), doc.source_map()).to_line()
             );
             assert_eq!(
-                encode_check_result(clean, &v2, None),
-                obj([("clean", Value::from(clean)), ("warnings", v2)]).to_line()
+                encode_check_result(clean, &warnings, None),
+                obj([("clean", Value::from(clean)), ("warnings", warnings)]).to_line()
             );
         }
     }

@@ -23,7 +23,7 @@ const EDITS: u64 = 25;
 fn server() -> Server {
     let mut srv = Server::new(ServerConfig::default());
     let resp = srv.handle_line(
-        r#"{"jsonrpc":"2.0","id":0,"method":"initialize","params":{"protocolVersion":1}}"#,
+        r#"{"jsonrpc":"2.0","id":0,"method":"initialize","params":{"protocolVersion":2}}"#,
     );
     assert!(resp.contains(r#""result""#), "{resp}");
     srv
@@ -112,7 +112,10 @@ fn warm_checks_match_cold_oracle() {
         let fresh = Document::open(uri, mirror.text()).unwrap();
         let report = AnalysisSession::default().check_module(fresh.module());
         let rendered = report.render(fresh.source_map());
-        let want = proto::ok(&Value::from(id), check_result_json(&report, rendered));
+        let want = proto::ok(
+            &Value::from(id),
+            check_result_json(&report, rendered, fresh.source_map()),
+        );
         assert_eq!(
             got, want,
             "warm/cold divergence after edit #{accepted} of `{func}`"

@@ -14,7 +14,7 @@ fn server() -> Server {
 
 fn init(srv: &mut Server) {
     let resp = srv.handle_line(
-        r#"{"jsonrpc":"2.0","id":0,"method":"initialize","params":{"protocolVersion":1}}"#,
+        r#"{"jsonrpc":"2.0","id":0,"method":"initialize","params":{"protocolVersion":2}}"#,
     );
     assert!(resp.contains(r#""result""#), "{resp}");
 }
@@ -30,21 +30,6 @@ fn open(srv: &mut Server, text: &str) -> String {
         r#"{{"jsonrpc":"2.0","id":1,"method":"open","params":{}}}"#,
         params.to_line()
     ))
-}
-
-#[test]
-fn initialize_golden_response() {
-    let mut srv = server();
-    let resp = srv.handle_line(
-        r#"{"jsonrpc":"2.0","id":7,"method":"initialize","params":{"protocolVersion":1}}"#,
-    );
-    assert_eq!(
-        resp,
-        format!(
-            r#"{{"jsonrpc":"2.0","id":7,"result":{{"protocolVersion":1,"serverName":"parcoachd","serverVersion":"{}","capabilities":{{"incrementalEdits":true,"deterministic":true}}}}}}"#,
-            env!("CARGO_PKG_VERSION")
-        )
-    );
 }
 
 #[test]
@@ -65,10 +50,7 @@ fn initialize_v2_golden_response() {
 #[test]
 fn v2_diagnostics_carry_ranges_severity_and_related() {
     let mut srv = server();
-    let resp = srv.handle_line(
-        r#"{"jsonrpc":"2.0","id":0,"method":"initialize","params":{"protocolVersion":2}}"#,
-    );
-    assert!(resp.contains(r#""result""#), "{resp}");
+    init(&mut srv);
     let resp = open(&mut srv, DIVERGENT);
     assert!(resp.contains(r#""functions""#), "{resp}");
     let diag = srv
@@ -81,29 +63,14 @@ fn v2_diagnostics_carry_ranges_severity_and_related() {
         "{diag}"
     );
     assert!(diag.contains(r#""relatedInformation":[{"range""#), "{diag}");
-    // v1 byte-offset keys are gone from the v2 shape.
+    // Raw byte-offset keys are not part of the shape.
     assert!(!diag.contains(r#""lo":"#), "{diag}");
-
-    // The same document over a sibling v1 connection keeps the frozen
-    // v1 shape — negotiation is per connection, state is shared.
-    let mut v1 = parcoach_server::Server::with_shared(srv.shared());
-    let resp = v1.handle_line(
-        r#"{"jsonrpc":"2.0","id":0,"method":"initialize","params":{"protocolVersion":1}}"#,
-    );
-    assert!(resp.contains(r#""protocolVersion":1"#), "{resp}");
-    let old = v1
-        .handle_line(r#"{"jsonrpc":"2.0","id":3,"method":"diagnostics","params":{"uri":"t.mh"}}"#);
-    assert!(old.contains(r#""lo":"#), "{old}");
-    assert!(!old.contains(r#""severity""#), "{old}");
 }
 
 #[test]
 fn expired_deadline_is_request_cancelled() {
     let mut srv = server();
-    let resp = srv.handle_line(
-        r#"{"jsonrpc":"2.0","id":0,"method":"initialize","params":{"protocolVersion":2}}"#,
-    );
-    assert!(resp.contains(r#""result""#), "{resp}");
+    init(&mut srv);
     let _ = open(&mut srv, DIVERGENT);
     let resp = srv.handle_line(
         r#"{"jsonrpc":"2.0","id":2,"method":"check","params":{"uri":"t.mh","deadlineMs":0}}"#,
@@ -120,6 +87,7 @@ fn expired_deadline_is_request_cancelled() {
 fn version_mismatch_is_rejected_with_32002() {
     let mut srv = server();
     for params in [
+        r#"{"protocolVersion":1}"#,
         r#"{"protocolVersion":99}"#,
         r#"{"protocolVersion":"1"}"#,
         r#"{}"#,
