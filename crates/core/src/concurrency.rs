@@ -25,9 +25,9 @@
 
 use crate::comm::CommId;
 use crate::facts::AnalysisCx;
-use crate::intern::WordId;
 use crate::query::Locator;
 use crate::report::{WarningCore, WarningKind};
+use crate::word::Word;
 use parcoach_front::ast::ThreadLevel;
 use parcoach_ir::func::FuncIr;
 use parcoach_ir::instr::{BlockKind, Directive, Instr, MpiIr, Terminator};
@@ -66,8 +66,9 @@ struct RegionColl {
     site: Locator,
     name: &'static str,
     class: OpClass,
-    /// Interned entry word of the block (resolved via the module arena).
-    word: WordId,
+    /// The block's entry word: an index into the phase's materialized
+    /// words, one per MPI block.
+    word: usize,
     /// Index in the word of the innermost S token.
     s_pos: usize,
     region: RegionId,
@@ -85,6 +86,7 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
     // Collect MPI nodes in monothreaded regions (words ending in S
     // after stripping; phase 1 already handled the rest).
     let mut colls: Vec<RegionColl> = Vec::new();
+    let mut words: Vec<Word> = Vec::new();
     let mut mpi_blocks = f.collective_blocks();
     for b in f.p2p_blocks() {
         if !mpi_blocks.contains(&b) {
@@ -102,12 +104,10 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
     }
     mpi_blocks.sort_unstable();
     for bid in mpi_blocks {
-        // None covers unreachable blocks and conflict states alike —
-        // exactly the blocks the old `word_at` lookup skipped.
-        let Some(wid) = facts.words[bid.index()] else {
+        // None covers unreachable blocks and conflict states alike.
+        let Some(w) = facts.pw.word_at(bid) else {
             continue;
         };
-        let w = cx.words.get(wid);
         // Find the innermost S token (last S in the word).
         let Some(s_pos) = w.tokens().iter().rposition(|t| t.is_s()) else {
             continue;
@@ -118,6 +118,8 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
             continue;
         }
         let region = w.tokens()[s_pos].region().expect("S token has region");
+        let word = words.len();
+        words.push(w);
         for (ii, i) in f.instrs(bid).iter().enumerate() {
             let Instr::Mpi { op, .. } = i else {
                 continue;
@@ -149,7 +151,7 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
                 site: Locator::Instr(fidx, bid, ii),
                 name,
                 class,
-                word: wid,
+                word,
                 s_pos,
                 region,
             });
@@ -177,8 +179,7 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
             if a.region == b.region {
                 continue; // same region: ordered by its single executor
             }
-            let wa = cx.words.get(a.word);
-            let wb = cx.words.get(b.word);
+            let (wa, wb) = (&words[a.word], &words[b.word]);
             let lcp = wa.common_prefix_len(wb);
             // Concurrent iff the first differing tokens are both S tokens
             // of different regions — i.e. pw = w·S_j·u vs w·S_k·v.

@@ -10,21 +10,15 @@
 //! * dominator / post-dominator trees, per-block post-dominance
 //!   frontiers (the memoized `PDF+` engine's input) and natural loops;
 //! * the parallelism-word result under the function's final context,
-//!   plus interned per-block entry words;
-//! * the block→event map with interned [`EventId`]s;
+//!   whose dag holds every block's entry word;
+//! * the block→event map, each [`Event`] a `Copy` value;
 //! * the module-wide handle (communicator and request) register
 //!   resolution.
 //!
 //! Facts exist only for the functions a check asked for — the ones whose
-//! phase results the table could not serve. The arenas
-//! ([`crate::intern`]) are per check and hold what those functions
-//! needed, so an [`EventId`] or [`WordId`] means nothing outside the
-//! check that minted it: the phases turn ids back into events and words
-//! before anything is stored or ordered.
-//!
-//! Construction is one loop over the functions in module order, so the
-//! arenas are filled in that order — functions ascending, blocks in id
-//! order — and an id is the same in every check of the same module.
+//! phase results the table could not serve. Nothing in them is numbered
+//! per check: events are values, words are nodes of the function's own
+//! dag, and a callee is its index in the module's functions.
 //!
 //! A check carries one scratch (`CheckScratch`) through all of this: every
 //! function's CFG order, computed the first time the check needs it and
@@ -34,9 +28,8 @@
 
 use crate::context::{contexts_in, pw_under, CallContexts};
 use crate::handle::{compute_handles, ModuleHandles};
-use crate::intern::{EventArena, EventId, WordArena, WordId};
-use crate::matching::block_events;
-use crate::pw::{InitialContext, PwResult, PwScratch, PwState};
+use crate::matching::{block_events, Event};
+use crate::pw::{InitialContext, PwResult, PwScratch};
 use crate::query::QueryDb;
 use parcoach_ir::dom::{DomTree, Frontiers, PostDomTree};
 use parcoach_ir::func::{FuncIr, Module};
@@ -93,9 +86,6 @@ pub(crate) struct CheckScratch {
     pub(crate) pw: PwScratch,
     /// Dominators, frontiers and loops ([`compute_cfg`]).
     pub(crate) cfg: CfgScratch,
-    /// Interned id per word node of the function being derived
-    /// ([`WordId`], or `u32::MAX` before the node is met).
-    word_ids: Vec<u32>,
 }
 
 /// Control-flow facts for one *MPI-relevant* function: functions with
@@ -127,14 +117,9 @@ pub struct FuncFacts {
     cfg: Option<Arc<CfgFacts>>,
     /// Parallelism words under the function's final calling context.
     pub pw: Arc<PwResult>,
-    /// Interned entry word per block (`None` = unreachable or conflict;
-    /// [`PwResult`] distinguishes the two when it matters). All-`None`
-    /// for MPI-irrelevant functions: only the concurrency phase reads
-    /// these, indexed by MPI block, so nothing else is interned.
-    pub words: Vec<Option<WordId>>,
     /// Collective events issued per block, in instruction order, each
     /// with the index of the instruction issuing it.
-    pub block_events: Vec<Vec<(EventId, usize)>>,
+    pub block_events: Vec<Vec<(Event, usize)>>,
 }
 
 impl FuncFacts {
@@ -165,10 +150,6 @@ pub struct AnalysisCx<'m> {
     /// Interned communicator and request classes + per-function register
     /// resolution (`Arc`-shared like [`AnalysisCx::ctxs`]).
     pub handles: Arc<ModuleHandles>,
-    /// Interned collective events.
-    pub events: EventArena,
-    /// Interned parallelism words.
-    pub words: WordArena,
     /// Per-function facts, indexed like `module.funcs`; `None` for the
     /// functions this check did not ask for.
     funcs: Vec<Option<FuncFacts>>,
@@ -230,8 +211,6 @@ impl<'m> AnalysisCx<'m> {
                 .handles
                 .get_or_put(|| Arc::new(compute_handles(m)))
                 .clone(),
-            events: EventArena::default(),
-            words: WordArena::default(),
             funcs: (0..m.funcs.len()).map(|_| None).collect(),
         }
     }
@@ -251,14 +230,10 @@ impl<'m> AnalysisCx<'m> {
             // has no events and never queries CFG facts, so its blocks
             // are not walked at all (most kernels of a large workload).
             let relevant = s.has_mpi || s.call_sites.iter().any(|(_, _, c)| ctxs.callee_bears(*c));
-            let block_events: Vec<Vec<(EventId, usize)>> = if relevant {
+            let block_events: Vec<Vec<(Event, usize)>> = if relevant {
                 let fh = handles.func(i);
                 f.block_ids()
-                    .map(|b| {
-                        block_events(m, f, b, ctxs, fh)
-                            .map(|(e, ii)| (self.events.intern(e), ii))
-                            .collect()
-                    })
+                    .map(|b| block_events(m, f, b, ctxs, fh).collect())
                     .collect()
             } else {
                 vec![Vec::new(); f.block_count()]
@@ -272,37 +247,11 @@ impl<'m> AnalysisCx<'m> {
             let needs_cfg = s.has_mpi || has_events;
             let cfg = needs_cfg.then(|| db.cfg_of(m, i, has_events, scratch));
 
-            // The words the context stage left in the table. Entry words
-            // are only read by the phases for MPI-relevant functions
-            // (concurrency indexes them per MPI block), so the rest skip
-            // the per-block interning. Words materialize from the
-            // function's dag at most once per distinct node
-            // (straight-line blocks share nodes).
+            // The words the context stage left in the table.
             let pw = pw_under(m, i, ctxs.initial[i], db, scratch);
-            let words = if needs_cfg {
-                let memo = &mut scratch.word_ids;
-                memo.clear();
-                memo.resize(pw.dag.node_count(), u32::MAX);
-                pw.entry
-                    .iter()
-                    .map(|state| match state {
-                        Some(PwState::Word(n)) => {
-                            let id = &mut memo[n.0 as usize];
-                            if *id == u32::MAX {
-                                *id = self.words.intern(&pw.dag.materialize(*n)).0;
-                            }
-                            Some(WordId(*id))
-                        }
-                        _ => None,
-                    })
-                    .collect()
-            } else {
-                vec![None; pw.entry.len()]
-            };
             self.funcs[i] = Some(FuncFacts {
                 cfg,
                 pw,
-                words,
                 block_events,
             });
         }
@@ -325,7 +274,6 @@ impl<'m> AnalysisCx<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::Event;
     use parcoach_front::parse_and_check;
     use parcoach_ir::lower::lower_program;
 
@@ -347,7 +295,7 @@ mod tests {
         for (fi, f) in m.funcs.iter().enumerate() {
             let facts = cx.facts(fi);
             assert_eq!(facts.block_events.len(), f.block_count());
-            assert_eq!(facts.words.len(), f.block_count());
+            assert_eq!(facts.pw.entry.len(), f.block_count());
             let has_events = facts.block_events.iter().any(|v| !v.is_empty());
             if has_events {
                 assert_eq!(facts.cfg().pdf.len(), f.block_count());
@@ -359,14 +307,9 @@ mod tests {
             }
         }
         // The call to `exchange` is an event of `main`.
-        let call = Event::Call(crate::intern::Sym(m.by_name["exchange"] as u32));
+        let call = Event::Call(m.by_name["exchange"]);
         let main_events = &cx.facts(m.by_name["main"]).block_events;
-        assert!(main_events
-            .iter()
-            .flatten()
-            .any(|(e, _)| cx.events.get(*e) == call));
-        assert!(!cx.events.is_empty());
-        assert!(!cx.words.is_empty());
+        assert!(main_events.iter().flatten().any(|(e, _)| *e == call));
     }
 
     #[test]
@@ -376,12 +319,18 @@ mod tests {
         let m = lower("fn main() { let a = 1; let b = a + 1; MPI_Barrier(); print(b); }");
         let cx = AnalysisCx::build(&m, InitialContext::Sequential);
         let facts = cx.facts(m.by_name["main"]);
-        let distinct = cx.words.len();
-        let populated = facts.words.iter().filter(|w| w.is_some()).count();
+        let distinct = facts.pw.dag.node_count();
+        let populated = facts
+            .pw
+            .entry
+            .iter()
+            .flatten()
+            .filter(|s| s.node().is_some())
+            .count();
         assert!(populated >= 1);
         assert!(
             distinct <= 2,
-            "straight-line blocks must share interned words, got {distinct}"
+            "straight-line blocks must share word nodes, got {distinct}"
         );
     }
 }

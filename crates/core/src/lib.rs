@@ -41,7 +41,6 @@ pub mod facts;
 pub mod fingerprint;
 pub mod handle;
 pub mod instrument;
-pub mod intern;
 pub mod lang;
 pub mod matching;
 pub mod mono;
@@ -60,7 +59,6 @@ pub use context::{compute_contexts, CallContexts};
 pub use facts::{AnalysisCx, FuncFacts};
 pub use handle::{compute_handles, ClassTable, ModuleHandles};
 pub use instrument::{instrument_module, InstrumentMode, InstrumentStats};
-pub use intern::{EventArena, EventId, Sym, WordArena, WordDag, WordId, WordNode};
 pub use lang::{classify, ContextClass, MonoVerdict};
 pub use pipeline::{AnalysisOptions, PhaseTimings};
 pub use pw::{compute_pw, InitialContext, PwResult};
@@ -68,4 +66,4 @@ pub use query::{fingerprint, Fingerprint, Locator, QueryDb, QueryStats};
 pub use report::{InstrumentationPlan, StaticReport, StaticWarning, WarningKind};
 pub use request::{ReqDef, ReqId};
 pub use session::{AnalysisSession, AnalysisSessionBuilder};
-pub use word::{SKind, Token, Word};
+pub use word::{SKind, Token, Word, WordDag, WordNode};

@@ -10,7 +10,7 @@
 //! instrumentation.
 //!
 //! The phase reads the per-function [`crate::facts::FuncFacts`]: the
-//! block→event map is precomputed (interned [`EventId`]s), the per-block
+//! block→event map is precomputed (`Copy` [`Event`]s), the per-block
 //! post-dominance frontiers are computed once, and `PDF+(S_e)` queries
 //! go through a memoizing [`IpdfEngine`] so events issued from the same
 //! block set share one fixpoint.
@@ -26,7 +26,6 @@ use crate::comm::{CommDef, CommId};
 use crate::context::CallContexts;
 use crate::facts::AnalysisCx;
 use crate::handle::{ClassTable, FuncHandles};
-use crate::intern::{EventId, Sym};
 use crate::query::Locator;
 use crate::report::{WarningCore, WarningKind};
 use parcoach_front::ast::CollectiveKind;
@@ -46,8 +45,8 @@ use std::collections::HashMap;
 /// differently, so `MPI_Barrier(a)` and `MPI_Barrier(b)` are distinct
 /// events when `a` and `b` cannot alias.
 ///
-/// Callees are [`Sym`]s — indices into `Module::funcs` — which makes the
-/// whole enum `Copy`: event sequences and phase results carry ids, not
+/// A callee is its index in `Module::funcs`, which makes the whole enum
+/// `Copy`: event sequences and phase results carry indices, not
 /// `String`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Event {
@@ -59,7 +58,7 @@ pub enum Event {
     /// communicator creation is a mismatch like any other.
     CommMgmt(CommId, &'static str),
     /// Call to a function that may execute collectives.
-    Call(Sym),
+    Call(usize),
 }
 
 impl Event {
@@ -70,13 +69,12 @@ impl Event {
             Event::Coll(c, k) => format!("{} on {}", k.mpi_name(), table.label(*c)),
             Event::CommMgmt(c, name) if c.is_world() => (*name).to_string(),
             Event::CommMgmt(c, name) => format!("{} of {}", name, table.label(*c)),
-            Event::Call(f) => format!("call to `{}`", f.name(m)),
+            Event::Call(f) => format!("call to `{}`", m.funcs[*f].name),
         }
     }
 
     /// Report order: collectives, then comm management, then calls —
-    /// calls compared by *name* (not by `Sym` id), so the warning order
-    /// matches the pre-interning `Ord`-on-`Event` sort exactly.
+    /// calls compared by callee *name*, not by function index.
     pub fn cmp_for_report(&self, other: &Event, m: &Module) -> Ordering {
         fn rank(e: &Event) -> u8 {
             match e {
@@ -88,7 +86,7 @@ impl Event {
         match (self, other) {
             (Event::Coll(c1, k1), Event::Coll(c2, k2)) => c1.cmp(c2).then(k1.cmp(k2)),
             (Event::CommMgmt(c1, n1), Event::CommMgmt(c2, n2)) => c1.cmp(c2).then(n1.cmp(n2)),
-            (Event::Call(s1), Event::Call(s2)) => s1.name(m).cmp(s2.name(m)),
+            (Event::Call(f1), Event::Call(f2)) => m.funcs[*f1].name.cmp(&m.funcs[*f2].name),
             _ => rank(self).cmp(&rank(other)),
         }
     }
@@ -97,7 +95,7 @@ impl Event {
 /// The events issued by one block, in instruction order, each with the
 /// index of the instruction issuing it. Called once per block by the
 /// fact-store construction ([`crate::facts`]); the phases read the
-/// precomputed (interned) map.
+/// precomputed map.
 pub(crate) fn block_events<'a>(
     m: &'a Module,
     f: &'a FuncIr,
@@ -119,7 +117,7 @@ pub(crate) fn block_events<'a>(
                 if !ctxs.collective_bearing[callee] {
                     return None;
                 }
-                Event::Call(Sym(callee as u32))
+                Event::Call(callee)
             }
             _ => return None,
         };
@@ -136,8 +134,8 @@ pub struct MatchingResult {
     /// (all blocks of the affected event kinds).
     pub suspects: Vec<BlockId>,
     /// Called functions involved in mismatch warnings (their bodies need
-    /// `CC` instrumentation too), by name.
-    pub tainted_callees: Vec<Sym>,
+    /// `CC` instrumentation too), as function indices sorted by name.
+    pub tainted_callees: Vec<usize>,
     /// Candidate conditionals found by PDF+ *before* the sequence
     /// refinement (ablation metric).
     pub candidates_before_refinement: usize,
@@ -145,30 +143,18 @@ pub struct MatchingResult {
     pub candidates_confirmed: usize,
 }
 
-/// Options for the matching phase.
-#[derive(Debug, Clone, Copy)]
-pub struct MatchingOptions {
-    /// Apply the balanced-arms sequence refinement.
-    pub refine: bool,
-}
-
-impl Default for MatchingOptions {
-    fn default() -> Self {
-        MatchingOptions { refine: true }
-    }
-}
-
 /// Run Algorithm 1 on one function, with one PDF+ query per
-/// (communicator, event) group.
-pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> MatchingResult {
+/// (communicator, event) group; `refine` applies the balanced-arms
+/// sequence refinement.
+pub fn check_matching(cx: &AnalysisCx, fidx: usize, refine: bool) -> MatchingResult {
     let m = cx.module;
     let f = &m.funcs[fidx];
     let facts = cx.facts(fidx);
     let table = &cx.handles.comms;
     let mut out = MatchingResult::default();
 
-    // Group blocks by (interned) event.
-    let mut by_event: HashMap<EventId, Vec<(BlockId, usize)>> = HashMap::new();
+    // Group blocks by event.
+    let mut by_event: HashMap<Event, Vec<(BlockId, usize)>> = HashMap::new();
     for b in f.block_ids() {
         for &(e, ii) in &facts.block_events[b.index()] {
             by_event.entry(e).or_default().push((b, ii));
@@ -178,8 +164,8 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
         return out;
     }
 
-    let mut events: Vec<EventId> = by_event.keys().copied().collect();
-    events.sort_unstable_by(|a, b| cx.events.get(*a).cmp_for_report(&cx.events.get(*b), m));
+    let mut events: Vec<Event> = by_event.keys().copied().collect();
+    events.sort_unstable_by(|a, b| a.cmp_for_report(b, m));
     let locate = |&(b, ii): &(BlockId, usize)| Locator::Instr(fidx, b, ii);
 
     // A collective whose communicator operand could not be resolved to
@@ -188,8 +174,7 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
     // unresolved = merged): ranks taking different paths call the same
     // collective on *different* communicators, which no per-class PDF+
     // group can see. Report the site itself.
-    for &id in &events {
-        let e = cx.events.get(id);
+    for e in &events {
         let unknown_comm = match e {
             Event::Coll(c, _) | Event::CommMgmt(c, _) => c.is_unknown(),
             Event::Call(_) => false,
@@ -197,7 +182,7 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
         if !unknown_comm {
             continue;
         }
-        let sites = &by_event[&id];
+        let sites = &by_event[e];
         out.warnings.push(WarningCore {
             kind: WarningKind::CollectiveMismatch,
             message: format!(
@@ -220,9 +205,8 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
     // event sets sharing the same blocks share one PDF+ fixpoint.
     let mut engine = IpdfEngine::new(&facts.cfg().pdf);
 
-    for id in events {
-        let e = cx.events.get(id);
-        let sites = &by_event[&id];
+    for e in events {
+        let sites = &by_event[&e];
         let blocks: Vec<BlockId> = sites.iter().map(|(b, _)| *b).collect();
         let mut frontier = engine.iterated(&blocks);
         // OpenMP dispatch branches (`single`/`master`/`section` entry)
@@ -239,7 +223,7 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
         // sequences up to the re-join point.
         let confirmed: Vec<BlockId> = frontier
             .into_iter()
-            .filter(|&cond| !opts.refine || !balanced_arms(f, facts, cond))
+            .filter(|&cond| !refine || !balanced_arms(f, facts, cond))
             .collect();
         out.candidates_confirmed += confirmed.len();
         if confirmed.is_empty() {
@@ -279,7 +263,7 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
     out.suspects.sort_unstable();
     out.suspects.dedup();
     out.tainted_callees
-        .sort_unstable_by(|a, b| a.name(m).cmp(b.name(m)));
+        .sort_unstable_by(|a, b| m.funcs[*a].name.cmp(&m.funcs[*b].name));
     out.tainted_callees.dedup();
     out
 }
@@ -287,7 +271,7 @@ pub fn check_matching(cx: &AnalysisCx, fidx: usize, opts: MatchingOptions) -> Ma
 /// True when all successors of `cond` provably issue the same sequence
 /// of collective events before reaching `ipdom(cond)`.
 ///
-/// The per-arm sequence is a `Vec<EventId>` read off the precomputed
+/// The per-arm sequence is a `Vec<Event>` read off the precomputed
 /// block→event map, computed by a memoized walk that fails (and keeps
 /// the warning) on cycles, on returns before the join, and on any
 /// interior divergence.
@@ -301,7 +285,7 @@ fn balanced_arms(f: &FuncIr, facts: &crate::facts::FuncFacts, cond: BlockId) -> 
     if succs.len() < 2 {
         return false;
     }
-    let mut memo: HashMap<BlockId, Option<Vec<EventId>>> = HashMap::new();
+    let mut memo: HashMap<BlockId, Option<Vec<Event>>> = HashMap::new();
     let mut visiting: Vec<BlockId> = Vec::new();
     let first = arm_sequence(f, facts, succs[0], join, &mut memo, &mut visiting);
     let Some(first) = first else { return false };
@@ -321,9 +305,9 @@ fn arm_sequence(
     facts: &crate::facts::FuncFacts,
     n: BlockId,
     stop: BlockId,
-    memo: &mut HashMap<BlockId, Option<Vec<EventId>>>,
+    memo: &mut HashMap<BlockId, Option<Vec<Event>>>,
     visiting: &mut Vec<BlockId>,
-) -> Option<Vec<EventId>> {
+) -> Option<Vec<Event>> {
     if n == stop {
         return Some(Vec::new());
     }
@@ -334,7 +318,7 @@ fn arm_sequence(
         return None; // cycle
     }
     visiting.push(n);
-    let own: Vec<EventId> = facts.block_events[n.index()]
+    let own: Vec<Event> = facts.block_events[n.index()]
         .iter()
         .map(|&(e, _)| e)
         .collect();
@@ -342,7 +326,7 @@ fn arm_sequence(
     let result = if succs.is_empty() {
         None // leaves the function before the join
     } else {
-        let mut tail: Option<Vec<EventId>> = None;
+        let mut tail: Option<Vec<Event>> = None;
         let mut ok = true;
         for &s in &succs {
             match arm_sequence(f, facts, s, stop, memo, visiting) {
@@ -389,14 +373,13 @@ mod tests {
         lower_program(&unit.program, &unit.signatures)
     }
 
-    fn run_on(m: &Module, opts: MatchingOptions) -> MatchingResult {
+    fn run_on(m: &Module, refine: bool) -> MatchingResult {
         let cx = AnalysisCx::build(m, InitialContext::Sequential);
-        check_matching(&cx, m.by_name["main"], opts)
+        check_matching(&cx, m.by_name["main"], refine)
     }
 
     fn run_with(src: &str, refine: bool) -> MatchingResult {
-        let m = lower(src);
-        run_on(&m, MatchingOptions { refine })
+        run_on(&lower(src), refine)
     }
 
     fn run(src: &str) -> MatchingResult {
@@ -478,10 +461,10 @@ mod tests {
              fn main() { if (rank() == 0) { exchange(); } }",
         );
         let cx = AnalysisCx::build(&m, InitialContext::Sequential);
-        let r = check_matching(&cx, m.by_name["main"], MatchingOptions::default());
+        let r = check_matching(&cx, m.by_name["main"], true);
         assert_eq!(r.warnings.len(), 1, "{:?}", r.warnings);
         assert_eq!(r.tainted_callees.len(), 1);
-        assert_eq!(r.tainted_callees[0].name(&m), "exchange");
+        assert_eq!(r.tainted_callees, [m.by_name["exchange"]]);
     }
 
     #[test]
@@ -490,7 +473,7 @@ mod tests {
             "fn exchange() { MPI_Barrier(); }
              fn main() { if (rank() == 0) { exchange(); } else { exchange(); } }",
         );
-        let r = run_on(&m, MatchingOptions::default());
+        let r = run_on(&m, true);
         assert!(r.warnings.is_empty(), "{:?}", r.warnings);
     }
 

@@ -7,14 +7,12 @@ use crate::comm::{CommDef, CommId};
 use crate::concurrency::check_concurrency;
 use crate::context::CallContexts;
 use crate::facts::{AnalysisCx, CheckScratch};
-use crate::intern::Sym;
-use crate::matching::{check_matching, MatchingOptions};
+use crate::matching::check_matching;
 use crate::mono::check_monothread;
 use crate::pw::InitialContext;
-use crate::query::{span_at, Locator};
-use crate::report::{StaticReport, StaticWarning, WarningCore, WarningKind};
+use crate::query::Locator;
+use crate::report::{StaticReport, WarningCore, WarningKind};
 use parcoach_front::ast::ThreadLevel;
-use parcoach_front::span::Span;
 use parcoach_ir::func::Module;
 use parcoach_ir::types::BlockId;
 use std::sync::Arc;
@@ -27,12 +25,6 @@ pub struct AnalysisOptions {
     pub entry_context: InitialContext,
     /// Apply the balanced-arms refinement in the matching phase.
     pub refine_matching: bool,
-    /// Emit `InsufficientThreadLevel` warnings.
-    pub check_thread_level: bool,
-    /// Run the non-blocking request life-cycle pass (`request`). On
-    /// request-free modules disabling it is report-invisible — pinned by
-    /// the `no_request_modules_match_blocking_path` property test.
-    pub check_requests: bool,
 }
 
 impl Default for AnalysisOptions {
@@ -40,8 +32,6 @@ impl Default for AnalysisOptions {
         AnalysisOptions {
             entry_context: InitialContext::Sequential,
             refine_matching: true,
-            check_thread_level: true,
-            check_requests: true,
         }
     }
 }
@@ -150,8 +140,8 @@ impl PhaseInputs {
 }
 
 /// The three per-function phases' findings for one function — the value
-/// of its `analysis` slot. Span-free: positions are [`Locator`]s, callees
-/// are function indices, and nothing is numbered by a per-check arena.
+/// of its `analysis` slot. Span-free: positions are [`Locator`]s and
+/// callees are function indices.
 #[derive(Debug, Default)]
 pub(crate) struct FuncAnalysis {
     inputs: PhaseInputs,
@@ -165,7 +155,7 @@ pub(crate) struct FuncAnalysis {
     /// renumbered globally when the report is assembled).
     concurrency_sites: Vec<(u32, u32)>,
     needs_cc: bool,
-    tainted: Vec<Sym>,
+    tainted: Vec<usize>,
     required_level: Option<ThreadLevel>,
     pdf_candidates: usize,
     pdf_confirmed: usize,
@@ -215,13 +205,7 @@ fn analyze_function(
 
     // Phase 3 — inter-process matching (Algorithm 1, per communicator).
     let t = Instant::now();
-    let mat = check_matching(
-        cx,
-        fidx,
-        MatchingOptions {
-            refine: opts.refine_matching,
-        },
-    );
+    let mat = check_matching(cx, fidx, opts.refine_matching);
     timings.matching += t.elapsed();
     out.suspects.extend(mat.suspects.iter().copied());
     out.needs_cc |= !mat.suspects.is_empty();
@@ -313,18 +297,18 @@ pub(crate) fn analyze_module(
         if !ctxs.reachable[site.func()] {
             continue;
         }
-        report.warnings.push(StaticWarning {
+        let warning = WarningCore {
             kind: WarningKind::MultithreadedCall,
-            func: m.funcs[site.func()].name.clone(),
             message: format!(
                 "`{}` executes MPI collectives but is called from a \
                  multithreaded context; every thread of the team will run its \
                  collectives",
                 m.funcs[callee].name
             ),
-            span: span_at(m, site),
+            site,
             related: Vec::new(),
-        });
+        };
+        report.warnings.push(warning.materialize(m));
     }
 
     let mut needs_cc = vec![false; m.funcs.len()];
@@ -355,7 +339,7 @@ pub(crate) fn analyze_module(
             next_site = next_site.max(global + 1);
         }
         needs_cc[fi] = fa.needs_cc;
-        tainted.extend(fa.tainted.iter().map(|s| s.0 as usize));
+        tainted.extend(&fa.tainted);
         report.pdf_candidates += fa.pdf_candidates;
         report.pdf_confirmed += fa.pdf_confirmed;
         report
@@ -410,39 +394,36 @@ pub(crate) fn analyze_module(
     // Request life-cycle (leaked request / wait-without-post). A leaked
     // request leaves traffic permanently unconsumed, so the p2p epoch
     // census must also be placed when only this pass warns.
-    if opts.check_requests {
-        let t = Instant::now();
-        let req = crate::request::check_requests(&cx);
-        timings.requests = t.elapsed();
-        if !req.warnings.is_empty() && report.plan.p2p_epoch_functions.is_empty() {
-            report.plan.p2p_epoch_functions = crate::p2p::finalize_functions(m, ctxs);
-        }
-        report.warnings.extend(req.warnings);
+    let t = Instant::now();
+    let req = crate::request::check_requests(&cx);
+    timings.requests = t.elapsed();
+    if !req.warnings.is_empty() && report.plan.p2p_epoch_functions.is_empty() {
+        report.plan.p2p_epoch_functions = crate::p2p::finalize_functions(m, ctxs);
     }
+    report.warnings.extend(req.warnings);
 
     // Thread-level adequacy: the level the program requests via
     // `MPI_Init`/`MPI_Init_thread` (the highest, if it has several)
     // against the level its MPI calls require. The warning sits at the
     // first init of the module.
-    let inits = ctxs.summaries.iter().enumerate();
-    let mut inits = inits.filter_map(|(fi, s)| s.init.map(|(b, ii, level)| (fi, b, ii, level)));
+    let mut inits = ctxs.summaries.iter().enumerate().filter_map(|(fi, s)| {
+        s.init
+            .map(|(b, ii, level)| (Locator::Instr(fi, b, ii), level))
+    });
     report.required_level = required_level;
-    report.requested_level = inits.clone().map(|(.., level)| level).max();
-    if opts.check_thread_level {
-        if let Some(req) = report.requested_level {
-            if required_level > req {
-                let first = inits.next().map(|(fi, b, ii, _)| Locator::Instr(fi, b, ii));
-                report.warnings.push(StaticWarning {
-                    kind: WarningKind::InsufficientThreadLevel,
-                    func: "main".into(),
-                    message: format!(
-                        "program requests {} but its MPI calls require at least {}",
-                        req, required_level
-                    ),
-                    span: first.map_or(Span::DUMMY, |loc| span_at(m, loc)),
-                    related: Vec::new(),
-                });
-            }
+    report.requested_level = inits.clone().map(|(_, level)| level).max();
+    if let (Some(req), Some((site, _))) = (report.requested_level, inits.next()) {
+        if required_level > req {
+            let warning = WarningCore {
+                kind: WarningKind::InsufficientThreadLevel,
+                message: format!(
+                    "program requests {} but its MPI calls require at least {}",
+                    req, required_level
+                ),
+                site,
+                related: Vec::new(),
+            };
+            report.warnings.push(warning.materialize(m));
         }
     }
 
@@ -673,17 +654,12 @@ mod tests {
             src + "    parallel { single { MPI_Barrier(); } }\n    MPI_Finalize();\n}\n"
         };
 
-        // Request-free, 50 functions: the life-cycle pass has nothing to
-        // look at, on or off.
+        // Request-free, 50 functions.
         let m = lower(&helpers(""));
         assert_eq!(m.funcs.len(), 50);
         let on = AnalysisSession::builder().build().check_module(&m);
-        let off = AnalysisSession::builder()
-            .check_requests(false)
-            .build()
-            .check_module(&m);
-        assert_eq!(format!("{on:?}"), format!("{off:?}"));
-        // The init is in a helper: level and position are still found.
+        // The init is in a helper: level, position and function are
+        // still found.
         assert_eq!(on.requested_level, Some(ThreadLevel::Funneled));
         assert_eq!(on.required_level, ThreadLevel::Serialized);
         let level: Vec<_> = on
@@ -695,6 +671,7 @@ mod tests {
         let src = helpers("");
         let init = src.find("MPI_Init_thread").unwrap() as u32;
         assert_eq!(level[0].span.lo, init);
+        assert_eq!(level[0].func, "setup");
         assert_eq!(on.warnings.len(), 1, "{:#?}", on.warnings);
         assert!(on.plan.p2p_epoch_functions.is_empty());
 
@@ -765,15 +742,16 @@ mod tests {
             .expect("valid");
         let m = lower_program(&unit.program, &unit.signatures);
         let mut s = AnalysisSession::builder().build();
+        let mut check = |token: &crate::cancel::CancelToken| {
+            s.check_module_in(&m, &mut crate::query::QueryDb::new(), Some(token))
+        };
         let cancelled = crate::cancel::CancelToken::new();
         cancelled.cancel();
-        assert!(s.check_module_cancellable(&m, &cancelled).is_err());
+        assert!(check(&cancelled).is_err());
         let expired = crate::cancel::CancelToken::with_deadline(Duration::ZERO);
-        assert!(s.check_module_cancellable(&m, &expired).is_err());
+        assert!(check(&expired).is_err());
         let fresh = crate::cancel::CancelToken::new();
-        let report = s
-            .check_module_cancellable(&m, &fresh)
-            .expect("not cancelled");
+        let report = check(&fresh).expect("not cancelled");
         let cold = AnalysisSession::builder().build().check_module(&m);
         assert_eq!(format!("{report:?}"), format!("{cold:?}"));
     }

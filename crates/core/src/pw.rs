@@ -21,18 +21,18 @@
 //!
 //! Words live in a per-result hash-consed [`WordDag`]: extending by one
 //! token is an O(1) intern, the meet compares node ids, and the
-//! membership verdict is cached on the node (see [`crate::intern`]).
-//! `Vec`-backed [`Word`]s materialize only at report boundaries
-//! (divergences, warning messages).
+//! membership verdict is cached on the node (see [`crate::word`]).
+//! `Vec`-backed [`Word`]s materialize only where tokens are read:
+//! divergences, warning messages and the concurrency phase's prefix
+//! comparison ([`PwResult::word_at`]).
 //!
 //! The propagation reads the function's CFG [`Order`], computed once per
 //! check however many contexts the function is evaluated under, and runs
 //! in a [`PwScratch`] the check recycles from function to function and
 //! round to round: a result allocates only what it keeps.
 
-use crate::intern::{WordDag, WordNode, EPSILON};
 use crate::lang::ContextClass;
-use crate::word::{SKind, Token, Word};
+use crate::word::{SKind, Token, Word, WordDag, WordNode, EPSILON};
 use parcoach_ir::func::FuncIr;
 use parcoach_ir::graph::Order;
 use parcoach_ir::instr::{Directive, Terminator};

@@ -32,7 +32,7 @@ use crate::cancel::{CancelToken, Cancelled};
 use crate::pipeline::{analyze_module, AnalysisOptions, PhaseTimings};
 use crate::pw::InitialContext;
 use crate::query::QueryDb;
-use crate::report::{StaticReport, StaticWarning};
+use crate::report::StaticReport;
 use parcoach_ir::func::Module;
 
 /// Builder for [`AnalysisSession`] — the one place the analysis is
@@ -57,18 +57,6 @@ impl AnalysisSessionBuilder {
     /// Toggle the balanced-arms refinement in the matching phase.
     pub fn refine_matching(mut self, on: bool) -> Self {
         self.opts.refine_matching = on;
-        self
-    }
-
-    /// Toggle `InsufficientThreadLevel` warnings.
-    pub fn check_thread_level(mut self, on: bool) -> Self {
-        self.opts.check_thread_level = on;
-        self
-    }
-
-    /// Toggle the non-blocking request life-cycle pass.
-    pub fn check_requests(mut self, on: bool) -> Self {
-        self.opts.check_requests = on;
         self
     }
 
@@ -115,25 +103,16 @@ impl AnalysisSession {
             .expect("no token, cannot cancel")
     }
 
-    /// [`AnalysisSession::check_module`] with cooperative cancellation:
-    /// `token` is observed at every phase boundary, and a cancelled (or
-    /// deadline-expired) check returns `Err(Cancelled)` without a
-    /// report.
-    pub fn check_module_cancellable(
-        &mut self,
-        m: &Module,
-        token: &CancelToken,
-    ) -> Result<StaticReport, Cancelled> {
-        self.check_module_in(m, &mut QueryDb::new(), Some(token))
-    }
-
     /// The resident entry: analyze `m` over the caller's table, serving
     /// what `db` already holds and storing what it does not. Whoever
     /// owns `db` owns `m` too and has reported every edit since the last
     /// check through [`QueryDb::mark_dirty`] (see [`crate::query`]); the
-    /// report is then byte-identical to a one-shot check of `m`. Facts
-    /// computed before a cancellation stay in `db` — they are valid, so
-    /// the next check starts warmer.
+    /// report is then byte-identical to a one-shot check of `m`.
+    ///
+    /// `token`, if any, is observed at every phase boundary: a cancelled
+    /// (or deadline-expired) check returns `Err(Cancelled)` without a
+    /// report. Facts computed before a cancellation stay in `db` — they
+    /// are valid, so the next check starts warmer.
     pub fn check_module_in(
         &mut self,
         m: &Module,
@@ -143,22 +122,6 @@ impl AnalysisSession {
         let (report, timings) = analyze_module(m, &self.opts, db, token)?;
         self.timings = Some(timings);
         Ok(report)
-    }
-
-    /// Run the analysis and return only the warnings attributed to
-    /// `name` (`None` if the module has no such function).
-    pub fn check_function(&mut self, m: &Module, name: &str) -> Option<Vec<StaticWarning>> {
-        if !m.by_name.contains_key(name) {
-            return None;
-        }
-        let report = self.check_module(m);
-        Some(
-            report
-                .warnings
-                .into_iter()
-                .filter(|w| w.func == name)
-                .collect(),
-        )
     }
 
     /// Per-phase wall-time breakdown of the most recent check.
@@ -378,16 +341,6 @@ mod tests {
         assert_eq!(db.stats().p2p_misses, 2, "reachability is keyed");
         let cold_report = AnalysisSession::builder().build().check_module(&m2);
         assert_eq!(format!("{edited:?}"), format!("{cold_report:?}"));
-    }
-
-    #[test]
-    fn check_function_filters_and_rejects_unknown() {
-        let m = lower(SRC);
-        let mut s = AnalysisSession::builder().build();
-        assert!(s.check_function(&m, "nope").is_none());
-        let main_warnings = s.check_function(&m, "main").unwrap();
-        assert!(main_warnings.iter().all(|w| w.func == "main"));
-        assert!(!main_warnings.is_empty());
     }
 
     #[test]

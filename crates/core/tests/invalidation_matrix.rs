@@ -243,8 +243,7 @@ fn reachability() {
 }
 
 /// Input 6 — the analysis options: `refine_matching` is read by the
-/// matching phase of every function; the module-level options are read
-/// by no function.
+/// matching phase of every function.
 #[test]
 fn analysis_options() {
     let m = lower(CHAIN);
@@ -254,20 +253,13 @@ fn analysis_options() {
         refine_matching: false,
         ..default
     };
-    let module_level = AnalysisOptions {
-        check_thread_level: false,
-        check_requests: false,
-        ..default
-    };
-    for (opts, expect) in [(unrefined, &all[..]), (module_level, &[][..])] {
-        let mut db = QueryDb::new();
-        check(&mut session(default), &m, &mut db);
-        let counts = db.analysis_counts();
-        let warm = check(&mut session(opts), &m, &mut db);
-        assert_eq!(rederived(&m, &counts, &db), expect);
-        let cold = session(opts).check_module(&m);
-        assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
-    }
+    let mut db = QueryDb::new();
+    check(&mut session(default), &m, &mut db);
+    let counts = db.analysis_counts();
+    let warm = check(&mut session(unrefined), &m, &mut db);
+    assert_eq!(rederived(&m, &counts, &db), all);
+    let cold = session(unrefined).check_module(&m);
+    assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
 
     // `entry_context` reaches the functions through their contexts.
     let parallel_entry = AnalysisOptions {

@@ -8,8 +8,9 @@
 //! functions, divergent collectives (mismatch warnings), multithreaded
 //! collectives (phase-1 warnings), concurrency sites (global
 //! renumbering), cross-function calls (taint propagation) and
-//! communicator/request resolutions — and, since the interning arenas
-//! key on hash maps, any iteration-order leak would show as a diff.
+//! communicator/request resolutions — and, since the matching phase
+//! groups events in a hash map, any iteration-order leak would show as
+//! a diff.
 //!
 //! The dynamic side's reference is the catalogue's `ExpectDynamic`,
 //! checked by `tests/end_to_end.rs` and the `detection_table` bin.

@@ -247,7 +247,7 @@ fn world_only_analysis_matches_single_comm_path() {
     }
 }
 
-/// Generator for the request-equivalence property: hybrid programs that
+/// Generator for the request-silence property: hybrid programs that
 /// mix collectives and *blocking* point-to-point but never touch a
 /// non-blocking request — the pre-refactor language surface.
 fn random_blocking_only_program(rng: &mut Rng) -> String {
@@ -284,23 +284,31 @@ fn random_blocking_only_program(rng: &mut Rng) -> String {
 }
 
 /// The non-blocking/request generalization must be invisible on modules
-/// that never use requests: analysing with the request life-cycle pass
-/// enabled (the default) and with it disabled (the pre-refactor
-/// blocking path) must produce **byte-identical** reports. The mirror of
+/// that never use requests: the request life-cycle pass raises no
+/// warning there, and so never places a p2p epoch census of its own —
+/// the plan's census functions are exactly what the p2p pass asked for
+/// (some iff it warned). The mirror of
 /// `world_only_analysis_matches_single_comm_path`.
 #[test]
-fn no_request_modules_match_blocking_path() {
-    let mut requests = AnalysisSession::default();
-    let mut blocking = AnalysisSession::builder().check_requests(false).build();
+fn request_pass_is_silent_on_request_free_modules() {
+    let mut session = AnalysisSession::default();
     for seed in 400..(400 + 12 * parcoach_testutil::case_budget(1)) {
         let src = random_blocking_only_program(&mut Rng::new(seed));
         let unit = parse_and_check("gen.mh", &src)
             .unwrap_or_else(|(d, sm)| panic!("seed {seed}: {}", d.render(&sm)));
         let module = lower_program(&unit.program, &unit.signatures);
+        let report = session.check_module(&module);
+        let warns =
+            |family: [WarningKind; 2]| report.warnings.iter().any(|w| family.contains(&w.kind));
+        assert!(
+            !warns([WarningKind::UnwaitedRequest, WarningKind::WaitWithoutPost]),
+            "seed {seed}: a request warning on a request-free module\n{src}\n{:#?}",
+            report.warnings
+        );
         assert_eq!(
-            format!("{:?}", requests.check_module(&module)),
-            format!("{:?}", blocking.check_module(&module)),
-            "seed {seed}: the report differs from the blocking path in\n{src}"
+            report.plan.p2p_epoch_functions.is_empty(),
+            !warns([WarningKind::UnmatchedP2p, WarningKind::P2pOrder]),
+            "seed {seed}: the census is not the p2p pass's own\n{src}"
         );
     }
 }

@@ -1,0 +1,76 @@
+//! The static phase's output, pinned: one fingerprint over everything a
+//! user of `parcoachc check` (and of the instrumented run) can observe,
+//! on the error catalogue, the Figure-1 suite (classes A, B and C) and
+//! 300 seeded `Scenario` modules.
+//!
+//! Per module it hashes the report's `{:?}` text, the rendered report,
+//! the instrumentation statistics and the `Display` of every
+//! instrumented function. The fingerprint below was computed by this
+//! very test on the commit before the static phase's per-check interning
+//! arenas were deleted. A refactor of the static phase that claims "same
+//! reports" passes this test unchanged; a change of verdict on purpose
+//! re-pins it (the assertion message prints the new value).
+
+use parcoach::analysis::{instrument_module, AnalysisSession, InstrumentMode};
+use parcoach::front::parse_and_check;
+use parcoach::ir::lower::lower_program;
+use parcoach::workloads::{error_catalogue, figure1_suite, WorkloadClass};
+use parcoach_testutil::Scenario;
+
+/// Catalogue cases, the Figure-1 programs of every class and 300 seeded
+/// scenario modules.
+fn corpus() -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = error_catalogue()
+        .into_iter()
+        .map(|c| (format!("catalogue/{}", c.id), c.source))
+        .collect();
+    for class in [WorkloadClass::A, WorkloadClass::B, WorkloadClass::C] {
+        out.extend(
+            figure1_suite(class)
+                .into_iter()
+                .map(|w| (format!("figure1/{}/{class:?}", w.name), w.source)),
+        );
+    }
+    out.extend((0..300).map(|seed| {
+        (
+            format!("scenario/{seed}"),
+            Scenario::generate(seed).render(),
+        )
+    }));
+    out
+}
+
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+#[test]
+fn static_reports_and_instrumentation_are_pinned() {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut modules = 0usize;
+    let mut session = AnalysisSession::default();
+    for (name, src) in corpus() {
+        let unit = parse_and_check(&name, &src)
+            .unwrap_or_else(|(d, sm)| panic!("{name}: {}", d.render(&sm)));
+        let module = lower_program(&unit.program, &unit.signatures);
+        let report = session.check_module(&module);
+        fnv1a(&mut h, format!("{report:?}").as_bytes());
+        fnv1a(&mut h, report.render(&unit.source_map).as_bytes());
+        let (instrumented, stats) = instrument_module(&module, &report, InstrumentMode::Selective);
+        fnv1a(&mut h, format!("{stats:?}").as_bytes());
+        for f in &instrumented.funcs {
+            fnv1a(&mut h, f.to_string().as_bytes());
+        }
+        modules += 1;
+    }
+    assert_eq!(
+        (modules, h),
+        (PINNED_MODULES, PINNED_REPORT_FINGERPRINT),
+        "static reports or instrumentation of the corpus changed"
+    );
+}
+
+const PINNED_MODULES: usize = 362;
+const PINNED_REPORT_FINGERPRINT: u64 = 853_373_662_056_072_352;
