@@ -4,9 +4,10 @@
 //! pipelines of [`figure1_rows`], as the `fig1` bin prints them), one
 //! end-to-end detection pass over the error catalogue, cold and warm
 //! HERA class-B checks, the per-phase analysis breakdown, and
-//! instrumented and plain 2×2 runs of three class-A programs (SP-MZ-A's
-//! `RunStats` counts exact); writes everything to a flat JSON file and
-//! compares against a checked-in baseline.
+//! instrumented and plain 2×2 runs of three class-A programs (their
+//! shared-cell counts and SP-MZ-A's other `RunStats` counts exact);
+//! writes everything to a flat JSON file and compares against a
+//! checked-in baseline.
 //!
 //! The paper's two overhead claims are gated rows: per Figure-1
 //! workload `info/fig1/<W>/{warn,code}_overhead_x1000`, and per
@@ -418,10 +419,11 @@ fn run(args: &[String]) -> Result<bool, String> {
     // The programs of the benchmark's `sim_run` at its 2 ranks × 2
     // threads, instrumented and plain: the paper's run-time claim is the
     // ratio of the two. What a run *does* is a property of the program:
-    // SP-MZ-A's steps, forks and barrier waits must repeat exactly over
-    // the repetitions and equal the baseline's — a simulator change that
-    // adds a synchronisation or a step shows here as a count, whatever
-    // the machine does to the timings.
+    // every row's shared register cells, and SP-MZ-A's steps, forks and
+    // barrier waits, must repeat exactly over the repetitions and equal
+    // the baseline's — a simulator change that adds a synchronisation, a
+    // step or a locked register shows here as a count, whatever the
+    // machine does to the timings.
     let mut sim_counts_ok = true;
     for SimRow {
         row,
@@ -451,21 +453,19 @@ fn run(args: &[String]) -> Result<bool, String> {
             baseline.as_ref(),
             SIM_OVERHEAD_SLACK_X1000,
         );
-        if let ("sp_mz_a", Some(stats)) = (row.as_str(), stats) {
-            for (name, count) in [
+        let Some(stats) = stats else { continue };
+        let mut counts = vec![("shared_cells", stats.shared_cells)];
+        if row == "sp_mz_a" {
+            counts.extend([
                 ("steps", stats.steps),
                 ("forks", stats.forks),
                 ("barrier_waits", stats.barrier_waits),
-            ] {
-                let key = format!("info/sim/sp_mz_a_{name}");
-                if let Some(&pinned) = baseline.as_ref().and_then(|b| b.get(&key)) {
-                    if pinned != count {
-                        sim_counts_ok = false;
-                        println!("  {key} = {count}, baseline {pinned} — COUNT MOVED");
-                    }
-                }
-                results.insert(key, count);
-            }
+            ]);
+        }
+        for (name, count) in counts {
+            let key = format!("info/sim/{row}_{name}");
+            sim_counts_ok &= count_gate(&key, count, baseline.as_ref());
+            results.insert(key, count);
         }
     }
 
@@ -662,6 +662,26 @@ fn overhead_gate(
         if ok { "ok" } else { "REGRESSION" }
     );
     ok
+}
+
+/// Gate one exact count: it passes only at its baseline value. A count
+/// missing from the baseline fails; without a baseline
+/// (`--write-baseline` mode) every count passes.
+fn count_gate(key: &str, now: u64, baseline: Option<&BTreeMap<String, u64>>) -> bool {
+    let Some(base) = baseline else {
+        return true;
+    };
+    match base.get(key) {
+        Some(&pinned) if pinned == now => true,
+        Some(&pinned) => {
+            println!("  {key} = {now}, baseline {pinned} — COUNT MOVED");
+            false
+        }
+        None => {
+            eprintln!("{key}: missing from baseline — regenerate it with --write-baseline");
+            false
+        }
+    }
 }
 
 /// Single-threaded arithmetic spin: the machine-speed yardstick. Many
@@ -1135,5 +1155,20 @@ mod tests {
     #[test]
     fn overhead_rows_pass_in_write_baseline_mode() {
         assert!(overhead_gate(KEY, u64::MAX, None, 0));
+    }
+
+    #[test]
+    fn a_count_passes_only_at_its_baseline_value() {
+        let key = "info/sim/hera_a_shared_cells";
+        let baseline = BTreeMap::from([(key.to_string(), 72)]);
+        assert!(count_gate(key, 72, Some(&baseline)));
+        assert!(!count_gate(key, 71, Some(&baseline)));
+        assert!(!count_gate(key, 73, Some(&baseline)));
+        assert!(!count_gate(
+            "info/sim/epcc_a_shared_cells",
+            0,
+            Some(&baseline)
+        ));
+        assert!(count_gate(key, 504, None));
     }
 }

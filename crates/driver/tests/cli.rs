@@ -166,6 +166,26 @@ fn run_uninstrumented_still_reports_dynamic_error() {
     assert!(!stdout(&out).contains("intercepted by a PARCOACH dynamic check"));
 }
 
+/// An array larger than the machine can allocate is a dynamic error of
+/// the program (exit 2), not an abort (134) or a panic (101).
+#[test]
+fn unallocatable_array_exits_2() {
+    for (name, n, elem) in [
+        ("huge-array", "1000000000000", "0.0"),
+        ("overflowing-array", "4611686018427387904", "0"),
+    ] {
+        let src = format!("fn main() {{ let a = array({n}, {elem}); print(len(a)); }}");
+        let p = write_mh(name, &src);
+        let out = parcoachc(&["run", p.to_str().unwrap(), "--ranks", "1"]);
+        assert_eq!(exit_code(&out), 2, "{name}: stdout: {}", stdout(&out));
+        assert!(
+            stdout(&out).contains(&format!("invalid array length {n} [bad-array-length]")),
+            "{name}: stdout: {}",
+            stdout(&out)
+        );
+    }
+}
+
 #[test]
 fn bad_numeric_flag_values_are_usage_errors() {
     // `--ranks 0`-style values used to be silently accepted or silently

@@ -229,6 +229,10 @@ pub struct RunStats {
     pub steps: u64,
     /// `parallel` regions forked.
     pub forks: u64,
+    /// Team-shared register cells the forks created: one per register a
+    /// region writes that was assigned before it. A register a region
+    /// only reads reaches each member as a copy and counts nothing.
+    pub shared_cells: u64,
     /// Waits at a team barrier, one per member per barrier. A region's
     /// end is not among them: there the join is the synchronisation.
     pub barrier_waits: u64,
@@ -245,6 +249,7 @@ impl RunStats {
     pub(crate) fn add(&mut self, other: &RunStats) {
         self.steps += other.steps;
         self.forks += other.forks;
+        self.shared_cells += other.shared_cells;
         self.barrier_waits += other.barrier_waits;
         self.mpi_calls += other.mpi_calls;
         self.os_threads += other.os_threads;
@@ -255,9 +260,14 @@ impl fmt::Display for RunStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} step(s), {} fork(s), {} barrier wait(s), {} MPI call(s), \
-             {} thread(s) handed to another OS thread",
-            self.steps, self.forks, self.barrier_waits, self.mpi_calls, self.os_threads
+            "{} step(s), {} fork(s), {} shared cell(s), {} barrier wait(s), \
+             {} MPI call(s), {} thread(s) handed to another OS thread",
+            self.steps,
+            self.forks,
+            self.shared_cells,
+            self.barrier_waits,
+            self.mpi_calls,
+            self.os_threads
         )
     }
 }

@@ -8,9 +8,15 @@
 //! the simulated program's threads are the only threads. Each carries
 //! its own `ThreadState` — step lease, frame pool, counters — so
 //! interpretation between two synchronisations shares nothing.
-//! Scalars follow OpenMP sharing rules (registers defined outside a
-//! parallel region and used inside become shared cells; everything else
-//! is thread-private); arrays are reference types.
+//! Registers follow OpenMP sharing rules. A register assigned before a
+//! parallel region and written inside it becomes a shared cell at the
+//! fork, so a write is seen by the team and, after the join, by the
+//! encountering thread. A register the region only reads reaches each
+//! member as a copy in its frame (`firstprivate`): nothing writes it
+//! while the team runs, since the encountering thread is member 0 until
+//! the join. Everything else is thread-private. Arrays are reference
+//! types with lock-free elements (`value.rs`), so a copied array register
+//! still names the one array.
 
 use crate::error::{RunError, RunErrorKind, RunReport, RunStats};
 use crate::value::Value;
@@ -92,7 +98,8 @@ struct RegionPlan {
     /// region's end needs.
     end_barrier: BlockId,
     end_block: BlockId,
-    /// Registers defined outside the region but used inside: shared.
+    /// Registers assigned outside the region and written inside it:
+    /// shared cells. The rest of the frame reaches the members as a copy.
     shared_regs: Vec<Reg>,
 }
 
@@ -608,10 +615,12 @@ impl Executor {
         self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
         let nt = num_threads.map(|v| self.read(frame, v).as_int().max(1) as usize);
         let plan = &self.plans[&(fidx, region.0)];
-        // Promote shared registers.
+        // Promote the registers the region writes (a cell of an
+        // enclosing region stays that cell).
         for &r in &plan.shared_regs {
             if let Slot::Owned(v) = &frame[r.index()] {
                 frame[r.index()] = Slot::Shared(Arc::new(RwLock::new(v.clone())));
+                ts.stats.shared_cells += 1;
             }
         }
         let parent_frame: &Frame = frame;
@@ -784,33 +793,18 @@ impl Executor {
                 dest,
                 len,
                 init,
-                elem,
                 span,
+                ..
             } => {
+                // A negative length, or one the allocator refuses, is the
+                // program's error, not the interpreter's abort.
                 let n = self.read(frame, *len).as_int();
-                if n < 0 {
-                    return Err(RunError::new(
-                        RunErrorKind::BadArrayLength(n),
-                        *span,
-                        env.rank,
-                    ));
-                }
-                let out = match elem {
-                    Type::Int => {
-                        Value::ArrayInt(Arc::new(RwLock::new(vec![
-                            self.read(frame, *init).as_int();
-                            n as usize
-                        ])))
-                    }
-                    Type::Float => {
-                        Value::ArrayFloat(Arc::new(RwLock::new(vec![
-                            self.read(frame, *init)
-                                .as_float();
-                            n as usize
-                        ])))
-                    }
-                    _ => panic!("sema guaranteed numeric array element"),
-                };
+                let out = usize::try_from(n)
+                    .ok()
+                    .and_then(|n| Value::filled_array(n, &self.read(frame, *init)))
+                    .ok_or_else(|| {
+                        RunError::new(RunErrorKind::BadArrayLength(n), *span, env.rank)
+                    })?;
                 self.write(frame, *dest, out);
             }
             Instr::Load {
@@ -822,14 +816,12 @@ impl Executor {
                 let i = self.read(frame, *idx).as_int();
                 let out = with_reg(frame, *arr, |arr| match arr {
                     Value::ArrayInt(a) => {
-                        let a = a.read();
-                        check_bounds(i, a.len(), *span, env.rank)?;
-                        Ok(Value::Int(a[i as usize]))
+                        let i = check_bounds(i, a.len(), *span, env.rank)?;
+                        Ok(Value::Int(a[i].load(Ordering::Relaxed)))
                     }
                     Value::ArrayFloat(a) => {
-                        let a = a.read();
-                        check_bounds(i, a.len(), *span, env.rank)?;
-                        Ok(Value::Float(a[i as usize]))
+                        let i = check_bounds(i, a.len(), *span, env.rank)?;
+                        Ok(Value::Float(f64::from_bits(a[i].load(Ordering::Relaxed))))
                     }
                     other => panic!("type-checked load from {other:?}"),
                 })?;
@@ -845,15 +837,13 @@ impl Executor {
                 let v = self.read(frame, *value);
                 with_reg(frame, *arr, |arr| match arr {
                     Value::ArrayInt(a) => {
-                        let mut a = a.write();
-                        check_bounds(i, a.len(), *span, env.rank)?;
-                        a[i as usize] = v.as_int();
+                        let i = check_bounds(i, a.len(), *span, env.rank)?;
+                        a[i].store(v.as_int(), Ordering::Relaxed);
                         Ok(())
                     }
                     Value::ArrayFloat(a) => {
-                        let mut a = a.write();
-                        check_bounds(i, a.len(), *span, env.rank)?;
-                        a[i as usize] = v.as_float();
+                        let i = check_bounds(i, a.len(), *span, env.rank)?;
+                        a[i].store(v.as_float().to_bits(), Ordering::Relaxed);
                         Ok(())
                     }
                     other => panic!("type-checked store to {other:?}"),
@@ -1239,7 +1229,7 @@ impl Executor {
             Intrinsic::InParallel => Value::Bool(omp.in_parallel()),
             Intrinsic::Sqrt => Value::Float(arg(0).as_float().sqrt()),
             Intrinsic::Abs => match arg(0) {
-                Value::Int(x) => Value::Int(x.abs()),
+                Value::Int(x) => Value::Int(x.wrapping_abs()),
                 Value::Float(x) => Value::Float(x.abs()),
                 v => panic!("type-checked abs on {v:?}"),
             },
@@ -1256,8 +1246,8 @@ impl Executor {
             Intrinsic::IntOf => Value::Int(arg(0).as_float() as i64),
             Intrinsic::FloatOf => Value::Float(arg(0).as_int() as f64),
             Intrinsic::Len => match arg(0) {
-                Value::ArrayInt(a) => Value::Int(a.read().len() as i64),
-                Value::ArrayFloat(a) => Value::Int(a.read().len() as i64),
+                Value::ArrayInt(a) => Value::Int(a.len() as i64),
+                Value::ArrayFloat(a) => Value::Int(a.len() as i64),
                 v => panic!("type-checked len on {v:?}"),
             },
             Intrinsic::ArrayNew => unreachable!("lowered to Instr::ArrayNew"),
@@ -1377,7 +1367,8 @@ fn scalar_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn check_bounds(i: i64, len: usize, span: Span, rank: usize) -> Result<(), RunError> {
+/// `i` as an index into an array of `len` elements.
+fn check_bounds(i: i64, len: usize, span: Span, rank: usize) -> Result<usize, RunError> {
     if i < 0 || i as usize >= len {
         Err(RunError::new(
             RunErrorKind::IndexOutOfBounds { index: i, len },
@@ -1385,7 +1376,7 @@ fn check_bounds(i: i64, len: usize, span: Span, rank: usize) -> Result<(), RunEr
             rank,
         ))
     } else {
-        Ok(())
+        Ok(i as usize)
     }
 }
 
@@ -1444,23 +1435,19 @@ fn region_plan(f: &FuncIr, begin: BlockId, region: RegionId) -> RegionPlan {
             }
         }
     }
-    // Registers used inside the region vs. assigned outside it.
-    let mut used: HashSet<Reg> = HashSet::new();
-    let mut assigned_outside: HashSet<Reg> = HashSet::new();
-    for p in &f.params {
-        assigned_outside.insert(*p);
-    }
+    // Registers written inside the region vs. assigned outside it (a
+    // parameter counts as assigned on entry).
+    let mut written: HashSet<Reg> = HashSet::new();
+    let mut assigned_outside: HashSet<Reg> = f.params.iter().copied().collect();
     for (id, b) in f.iter_blocks() {
-        let inside = in_region.contains(&id);
-        let (refs, defs) = block_regs(b, f.instrs(id));
-        if inside {
-            used.extend(refs.iter().copied());
-            used.extend(defs.iter().copied());
+        let defs = block_defs(b, f.instrs(id));
+        if in_region.contains(&id) {
+            written.extend(defs);
         } else {
-            assigned_outside.extend(defs.iter().copied());
+            assigned_outside.extend(defs);
         }
     }
-    let mut shared_regs: Vec<Reg> = used.intersection(&assigned_outside).copied().collect();
+    let mut shared_regs: Vec<Reg> = written.intersection(&assigned_outside).copied().collect();
     shared_regs.sort_unstable();
     RegionPlan {
         body_entry,
@@ -1470,151 +1457,23 @@ fn region_plan(f: &FuncIr, begin: BlockId, region: RegionId) -> RegionPlan {
     }
 }
 
-/// All registers block `b`, whose instructions are `instrs`, references
-/// (reads) and defines (writes).
-fn block_regs(b: &parcoach_ir::func::BasicBlock, instrs: &[Instr]) -> (Vec<Reg>, Vec<Reg>) {
-    let mut refs: Vec<Reg> = Vec::new();
-    let mut defs: Vec<Reg> = Vec::new();
-    let val = |v: &IrValue, out: &mut Vec<Reg>| {
-        if let IrValue::Reg(r) = v {
-            out.push(*r);
-        }
-    };
-    for i in instrs {
-        if let Some(d) = i.dest() {
-            defs.push(d);
-        }
-        match i {
-            Instr::Copy { src, .. } | Instr::Unary { src, .. } => val(src, &mut refs),
-            Instr::Binary { lhs, rhs, .. } => {
-                val(lhs, &mut refs);
-                val(rhs, &mut refs);
-            }
-            Instr::ArrayNew { len, init, .. } => {
-                val(len, &mut refs);
-                val(init, &mut refs);
-            }
-            Instr::Load { arr, idx, .. } => {
-                refs.push(*arr);
-                val(idx, &mut refs);
-            }
-            Instr::Store {
-                arr, idx, value, ..
-            } => {
-                refs.push(*arr);
-                val(idx, &mut refs);
-                val(value, &mut refs);
-            }
-            Instr::Intrinsic { args, .. } | Instr::Print { args } => {
-                for a in args {
-                    val(a, &mut refs);
-                }
-            }
-            Instr::Call { args, .. } => {
-                for a in args {
-                    val(a, &mut refs);
-                }
-            }
-            Instr::Mpi { op, .. } => match op {
-                MpiIr::Collective {
-                    value, root, comm, ..
-                } => {
-                    if let Some(v) = value {
-                        val(v, &mut refs);
-                    }
-                    if let Some(r) = root {
-                        val(r, &mut refs);
-                    }
-                    if let Some(c) = comm {
-                        val(c, &mut refs);
-                    }
-                }
-                MpiIr::Send {
-                    value,
-                    dest,
-                    tag,
-                    comm,
-                } => {
-                    val(value, &mut refs);
-                    val(dest, &mut refs);
-                    val(tag, &mut refs);
-                    if let Some(c) = comm {
-                        val(c, &mut refs);
-                    }
-                }
-                MpiIr::Recv { src, tag, comm } => {
-                    val(src, &mut refs);
-                    val(tag, &mut refs);
-                    if let Some(c) = comm {
-                        val(c, &mut refs);
-                    }
-                }
-                MpiIr::CommSplit { parent, color, key } => {
-                    val(parent, &mut refs);
-                    val(color, &mut refs);
-                    val(key, &mut refs);
-                }
-                MpiIr::CommDup { comm } => val(comm, &mut refs),
-                MpiIr::Isend {
-                    value,
-                    dest,
-                    tag,
-                    comm,
-                } => {
-                    val(value, &mut refs);
-                    val(dest, &mut refs);
-                    val(tag, &mut refs);
-                    if let Some(c) = comm {
-                        val(c, &mut refs);
-                    }
-                }
-                MpiIr::Irecv { src, tag, comm } => {
-                    val(src, &mut refs);
-                    val(tag, &mut refs);
-                    if let Some(c) = comm {
-                        val(c, &mut refs);
-                    }
-                }
-                MpiIr::Wait { request } => val(request, &mut refs),
-                MpiIr::Waitall { requests } => {
-                    for r in requests {
-                        val(r, &mut refs);
-                    }
-                }
-                _ => {}
-            },
-            Instr::Check(CheckOp::CollectiveCc { comm: Some(c), .. }) => val(c, &mut refs),
-            Instr::Check(_) => {}
-        }
-    }
-    if let Some(d) = b.directive() {
-        match d {
-            Directive::ParallelBegin {
-                num_threads: Some(v),
-                ..
-            } => val(v, &mut refs),
+/// The registers block `b`, whose instructions are `instrs`, writes:
+/// every instruction's destination and the registers its directive sets.
+fn block_defs<'a>(
+    b: &'a parcoach_ir::func::BasicBlock,
+    instrs: &'a [Instr],
+) -> impl Iterator<Item = Reg> + 'a {
+    let directive = match b.directive() {
+        Some(
             Directive::SingleBegin { chosen, .. }
             | Directive::MasterBegin { chosen, .. }
-            | Directive::SectionBegin { chosen, .. } => {
-                defs.push(*chosen);
-            }
-            Directive::PForInit {
-                var,
-                chunk_end,
-                lo,
-                hi,
-                ..
-            } => {
-                defs.push(*var);
-                defs.push(*chunk_end);
-                val(lo, &mut refs);
-                val(hi, &mut refs);
-            }
-            _ => {}
-        }
-    }
-    if let Terminator::Branch { cond, .. } = &b.term {
-        val(cond, &mut refs);
-    }
-    (refs, defs)
+            | Directive::SectionBegin { chosen, .. },
+        ) => [Some(*chosen), None],
+        Some(Directive::PForInit { var, chunk_end, .. }) => [Some(*var), Some(*chunk_end)],
+        _ => [None, None],
+    };
+    instrs
+        .iter()
+        .filter_map(Instr::dest)
+        .chain(directive.into_iter().flatten())
 }

@@ -1,14 +1,20 @@
 //! Runtime values.
 //!
-//! Scalars are copied; arrays are reference types (`Arc<RwLock<…>>`) so
-//! element writes are visible across threads, nested parallel regions and
-//! function calls — the shared-memory semantics of the C/Fortran codes
-//! the paper analyses.
+//! Scalars are copied; arrays are reference types, so element writes are
+//! visible across threads, nested parallel regions and function calls —
+//! the shared-memory semantics of the C/Fortran codes the paper analyses.
+//! An array is one `Arc` of atomic elements (a float element holds its
+//! bits in an `AtomicU64`) and takes no lock: its length is fixed when it
+//! is created, and each element is loaded and stored on its own with
+//! `Relaxed` ordering. Team barriers, joins and MPI calls synchronise
+//! through the simulators' locks, which order element accesses between
+//! them; a simulated program that races on an element sees the race as
+//! values, as its C original would.
 
 use parcoach_front::ast::Type;
 use parcoach_mpisim::MpiValue;
-use parking_lot::RwLock;
 use std::fmt;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// A runtime value.
@@ -21,9 +27,9 @@ pub enum Value {
     /// Boolean.
     Bool(bool),
     /// Shared integer array.
-    ArrayInt(Arc<RwLock<Vec<i64>>>),
-    /// Shared float array.
-    ArrayFloat(Arc<RwLock<Vec<f64>>>),
+    ArrayInt(Arc<Vec<AtomicI64>>),
+    /// Shared float array: each element is an `f64`'s bits.
+    ArrayFloat(Arc<Vec<AtomicU64>>),
     /// An MPI communicator handle (0 = `MPI_COMM_WORLD`).
     Comm(usize),
     /// A non-blocking MPI request handle ([`Value::NULL_REQUEST`] before
@@ -44,11 +50,28 @@ impl Value {
             Type::Int | Type::Void => Value::Int(0),
             Type::Float => Value::Float(0.0),
             Type::Bool => Value::Bool(false),
-            Type::ArrayInt => Value::ArrayInt(Arc::new(RwLock::new(Vec::new()))),
-            Type::ArrayFloat => Value::ArrayFloat(Arc::new(RwLock::new(Vec::new()))),
+            Type::ArrayInt => Value::ArrayInt(Arc::default()),
+            Type::ArrayFloat => Value::ArrayFloat(Arc::default()),
             Type::Comm => Value::Comm(0),
             Type::Request => Value::Request(Value::NULL_REQUEST),
         }
+    }
+
+    /// `len` copies of `init` as an array, or `None` when the memory
+    /// cannot be had (the program asked for more than the machine has,
+    /// or than an address space holds).
+    pub(crate) fn filled_array(len: usize, init: &Value) -> Option<Value> {
+        fn filled<T>(len: usize, elem: impl Fn() -> T) -> Option<Arc<Vec<T>>> {
+            let mut v = Vec::new();
+            v.try_reserve_exact(len).ok()?;
+            v.extend((0..len).map(|_| elem()));
+            Some(Arc::new(v))
+        }
+        Some(match *init {
+            Value::Int(x) => Value::ArrayInt(filled(len, || AtomicI64::new(x))?),
+            Value::Float(x) => Value::ArrayFloat(filled(len, || AtomicU64::new(x.to_bits()))?),
+            ref other => panic!("sema guaranteed numeric array element, got {other:?}"),
+        })
     }
 
     /// Integer content (sema guarantees the type).
@@ -91,14 +114,15 @@ impl Value {
         }
     }
 
-    /// Convert to an MPI payload (arrays are snapshotted).
+    /// Convert to an MPI payload (arrays are copied element by element,
+    /// so a later store does not reach the message).
     pub fn to_mpi(&self) -> MpiValue {
         match self {
             Value::Int(v) => MpiValue::Int(*v),
             Value::Float(v) => MpiValue::Float(*v),
             Value::Bool(v) => MpiValue::Int(*v as i64),
-            Value::ArrayInt(a) => MpiValue::ArrayInt(a.read().clone()),
-            Value::ArrayFloat(a) => MpiValue::ArrayFloat(a.read().clone()),
+            Value::ArrayInt(a) => MpiValue::ArrayInt(a.iter().map(|x| x.load(Relaxed)).collect()),
+            Value::ArrayFloat(a) => MpiValue::ArrayFloat(float_elems(a).collect()),
             Value::Comm(_) => panic!("communicator handles are not MPI payloads"),
             Value::Request(_) => panic!("request handles are not MPI payloads"),
         }
@@ -109,10 +133,19 @@ impl Value {
         match v {
             MpiValue::Int(x) => Value::Int(x),
             MpiValue::Float(x) => Value::Float(x),
-            MpiValue::ArrayInt(a) => Value::ArrayInt(Arc::new(RwLock::new(a))),
-            MpiValue::ArrayFloat(a) => Value::ArrayFloat(Arc::new(RwLock::new(a))),
+            MpiValue::ArrayInt(a) => {
+                Value::ArrayInt(Arc::new(a.into_iter().map(AtomicI64::new).collect()))
+            }
+            MpiValue::ArrayFloat(a) => Value::ArrayFloat(Arc::new(
+                a.into_iter().map(|x| AtomicU64::new(x.to_bits())).collect(),
+            )),
         }
     }
+}
+
+/// A float array's elements, each loaded on its own.
+fn float_elems(a: &[AtomicU64]) -> impl Iterator<Item = f64> + '_ {
+    a.iter().map(|x| f64::from_bits(x.load(Relaxed)))
 }
 
 impl fmt::Display for Value {
@@ -121,14 +154,12 @@ impl fmt::Display for Value {
             Value::Int(v) => write!(f, "{v}"),
             Value::Float(v) => write!(f, "{v}"),
             Value::Bool(v) => write!(f, "{v}"),
-            Value::ArrayInt(a) => {
-                let a = a.read();
-                write!(f, "{a:?}")
-            }
-            Value::ArrayFloat(a) => {
-                let a = a.read();
-                write!(f, "{a:?}")
-            }
+            // The bytes a `Vec`'s `{:?}` prints: `[1, 2]`, `[0.5, 2.0]`.
+            Value::ArrayInt(a) => f
+                .debug_list()
+                .entries(a.iter().map(|x| x.load(Relaxed)))
+                .finish(),
+            Value::ArrayFloat(a) => f.debug_list().entries(float_elems(a)).finish(),
             Value::Comm(h) => write!(f, "comm#{h}"),
             Value::Request(h) if *h == Value::NULL_REQUEST => write!(f, "request#<null>"),
             Value::Request(h) => write!(f, "request#{h}"),
@@ -147,16 +178,23 @@ mod tests {
         assert!(!Value::default_for(Type::Bool).as_bool());
     }
 
+    /// An array is one thin pointer, so a register stays two words.
+    #[test]
+    fn a_value_is_two_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
+
     #[test]
     fn arrays_are_reference_types() {
-        let a = Value::default_for(Type::ArrayInt);
+        let a = Value::filled_array(2, &Value::Int(0)).unwrap();
         let b = a.clone();
         if let (Value::ArrayInt(x), Value::ArrayInt(y)) = (&a, &b) {
-            x.write().push(7);
-            assert_eq!(*y.read(), vec![7]);
+            x[1].store(7, Relaxed);
+            assert_eq!(y[1].load(Relaxed), 7);
         } else {
             panic!();
         }
+        assert_eq!(b.to_string(), "[0, 7]");
     }
 
     #[test]
@@ -164,16 +202,16 @@ mod tests {
         let v = Value::Int(42);
         assert_eq!(v.to_mpi(), MpiValue::Int(42));
         let arr = Value::from_mpi(MpiValue::ArrayFloat(vec![1.0, 2.0]));
-        if let Value::ArrayFloat(a) = &arr {
-            assert_eq!(*a.read(), vec![1.0, 2.0]);
-        } else {
-            panic!();
-        }
-        // Snapshot: mutating the Value after to_mpi must not alter the payload.
+        assert_eq!(arr.to_mpi(), MpiValue::ArrayFloat(vec![1.0, 2.0]));
+        // A copy: storing into the Value after to_mpi must not alter the
+        // payload.
         if let Value::ArrayFloat(a) = &arr {
             let payload = arr.to_mpi();
-            a.write().push(3.0);
+            a[0].store(3.0f64.to_bits(), Relaxed);
             assert_eq!(payload, MpiValue::ArrayFloat(vec![1.0, 2.0]));
+            assert_eq!(arr.to_mpi(), MpiValue::ArrayFloat(vec![3.0, 2.0]));
+        } else {
+            panic!();
         }
     }
 
@@ -181,7 +219,10 @@ mod tests {
     fn display_forms() {
         assert_eq!(Value::Int(3).to_string(), "3");
         assert_eq!(Value::Bool(true).to_string(), "true");
-        let a = Value::ArrayInt(Arc::new(RwLock::new(vec![1, 2])));
+        let a = Value::from_mpi(MpiValue::ArrayInt(vec![1, 2]));
         assert_eq!(a.to_string(), "[1, 2]");
+        let f = Value::from_mpi(MpiValue::ArrayFloat(vec![0.5, 2.0, -0.0]));
+        assert_eq!(f.to_string(), format!("{:?}", vec![0.5, 2.0, -0.0]));
+        assert_eq!(Value::default_for(Type::ArrayFloat).to_string(), "[]");
     }
 }

@@ -121,6 +121,40 @@ fn index_out_of_bounds_reported() {
     ));
 }
 
+/// An array the allocator cannot give is the program's error, reported
+/// like a negative length — not an abort of the whole process.
+#[test]
+fn unallocatable_array_is_a_bad_length() {
+    for (src, n) in [
+        (
+            "fn main() { let a = array(1000000000000, 0.0); print(len(a)); }",
+            1_000_000_000_000,
+        ),
+        (
+            "fn main() { let a = array(4611686018427387904, 0); print(len(a)); }",
+            4_611_686_018_427_387_904,
+        ),
+        ("fn main() { let a = array(0 - 1, 0); print(len(a)); }", -1),
+    ] {
+        let r = run_plain(src, 1, 1);
+        assert_eq!(
+            r.first_error().map(|e| &e.kind),
+            Some(&RunErrorKind::BadArrayLength(n)),
+            "{src}"
+        );
+        assert!(r.output.is_empty());
+    }
+}
+
+/// Integer arithmetic wraps, `abs` included: the one value without a
+/// positive counterpart is its own absolute value.
+#[test]
+fn abs_of_the_most_negative_integer_wraps() {
+    let r = run_plain("fn main() { print(abs(-9223372036854775807 - 1)); }", 1, 1);
+    assert!(r.is_clean(), "{:?}", r.errors);
+    assert_eq!(r.output, vec!["[rank 0] -9223372036854775808"]);
+}
+
 #[test]
 fn infinite_loop_hits_step_limit() {
     let cfg = RunConfig {
@@ -239,6 +273,90 @@ fn nested_parallel_regions() {
         2,
     );
     assert_eq!(r.output, vec!["[rank 0] 4"]);
+}
+
+// The sharing rule: a register assigned before a region and written in
+// it is one cell for the team and the encountering thread; a register
+// the region only reads is a copy taken at the fork.
+
+#[test]
+fn a_write_in_a_nested_region_is_seen_after_the_outer_join() {
+    let r = run_plain(
+        "fn main() {
+            let x = 0;
+            parallel num_threads(2) {
+                parallel num_threads(2) {
+                    master { x = 7; }
+                }
+            }
+            print(x);
+        }",
+        1,
+        2,
+    );
+    assert!(r.is_clean(), "{:?}", r.errors);
+    assert_eq!(r.output, vec!["[rank 0] 7"]);
+}
+
+#[test]
+fn a_parameter_written_in_a_region_is_seen_after_the_join() {
+    let r = run_plain(
+        "fn bump(n: int) -> int {
+            parallel num_threads(2) {
+                single { n = n + 1; }
+            }
+            return n;
+        }
+        fn main() { print(bump(41)); }",
+        1,
+        2,
+    );
+    assert!(r.is_clean(), "{:?}", r.errors);
+    assert_eq!(r.output, vec!["[rank 0] 42"]);
+}
+
+#[test]
+fn every_member_reads_a_read_only_register_as_it_was_at_the_fork() {
+    let r = run_plain(
+        "fn main() {
+            let v = 0;
+            let seen = array(4, 0);
+            for (k in 1..4) {
+                v = v + k;
+                parallel num_threads(4) {
+                    seen[thread_num()] = seen[thread_num()] + v;
+                }
+            }
+            print(seen);
+        }",
+        1,
+        4,
+    );
+    assert!(r.is_clean(), "{:?}", r.errors);
+    // 1 + 3 + 6 for every member.
+    assert_eq!(r.output, vec!["[rank 0] [10, 10, 10, 10]"]);
+}
+
+#[test]
+fn an_element_store_is_seen_by_another_member_after_a_barrier() {
+    let r = run_plain(
+        "fn main() {
+            let a = array(1, 0);
+            let f = array(1, 0.0);
+            let seen = array(1, 0);
+            let seen_f = array(1, 0.0);
+            parallel num_threads(2) {
+                if (thread_num() == 0) { a[0] = 42; f[0] = 2.5; }
+                barrier;
+                if (thread_num() == 1) { seen[0] = a[0]; seen_f[0] = f[0]; }
+            }
+            print(seen[0], seen_f[0]);
+        }",
+        1,
+        2,
+    );
+    assert!(r.is_clean(), "{:?}", r.errors);
+    assert_eq!(r.output, vec!["[rank 0] 42 2.5"]);
 }
 
 #[test]
@@ -390,6 +508,39 @@ fn scan_and_scatter() {
     assert!(r.is_clean(), "{:?}", r.errors);
     assert!(r.output.contains(&"[rank 0] 1 5".to_string()));
     assert!(r.output.contains(&"[rank 2] 3 5".to_string()));
+}
+
+/// An array payload is copied when the call takes it: storing into the
+/// array afterwards changes neither what was delivered nor the result.
+/// (`MPI_Send` and `MPI_Bcast` take scalars in this language; the
+/// collectives that carry arrays are these.)
+#[test]
+fn an_array_sent_then_overwritten_delivers_the_old_values() {
+    let r = run_plain(
+        "fn main() {
+            MPI_Init();
+            let a = array(2, 1.5);
+            let all = MPI_Alltoall(a);
+            let one = MPI_Scatter(a, 0);
+            a[0] = 9.0;
+            a[1] = 9.0;
+            MPI_Barrier();
+            print(all, one, a);
+            MPI_Finalize();
+        }",
+        2,
+        1,
+    );
+    assert!(r.is_clean(), "{:?}", r.errors);
+    let mut out = r.output;
+    out.sort();
+    assert_eq!(
+        out,
+        vec![
+            "[rank 0] [1.5, 1.5] 1.5 [9.0, 9.0]",
+            "[rank 1] [1.5, 1.5] 1.5 [9.0, 9.0]",
+        ]
+    );
 }
 
 // ---- error detection: uninstrumented (substrate fallback) ------------

@@ -76,12 +76,15 @@ fn class_a_workloads_run_clean_instrumented() {
 /// `RunStats` (both ranks together) repeat exactly, run after run.
 #[test]
 fn class_a_run_stats_repeat_exactly() {
-    // (forks, barrier waits, MPI calls); steps are pinned by the
-    // generated source, so only required to repeat.
+    // (forks, shared cells, barrier waits, MPI calls); steps are pinned
+    // by the generated source, so only required to repeat. A region
+    // shares only the registers it writes: HERA's regions write 72
+    // registers assigned before them, the other two programs' regions
+    // only read theirs.
     let expect = [
-        ("EPCC", (28, 88, 62)),
-        ("HERA", (144, 432, 34)),
-        ("SP-MZ", (544, 1152, 48)),
+        ("EPCC", (28, 0, 88, 62)),
+        ("HERA", (144, 72, 432, 34)),
+        ("SP-MZ", (544, 0, 1152, 48)),
     ];
     for w in figure1_suite(WorkloadClass::A) {
         let Some((_, counts)) = expect.iter().find(|(name, _)| *name == w.name) else {
@@ -99,7 +102,12 @@ fn class_a_run_stats_repeat_exactly() {
         };
         let first = run();
         assert_eq!(
-            (first.forks, first.barrier_waits, first.mpi_calls),
+            (
+                first.forks,
+                first.shared_cells,
+                first.barrier_waits,
+                first.mpi_calls
+            ),
             *counts,
             "{}",
             w.name
