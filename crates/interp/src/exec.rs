@@ -1060,6 +1060,12 @@ impl Executor {
         span: Span,
     ) -> Result<Option<Value>, RunError> {
         let mpi_err = |e: MpiError| RunError::new(classify_mpi_error(e), span, env.rank);
+        // `MPI_Recv` and `MPI_Wait` are float-typed in the language;
+        // coerce integer payloads.
+        let completion = |v| match Value::from_mpi(v) {
+            Value::Int(x) => Value::Float(x as f64),
+            other => other,
+        };
         match op {
             MpiIr::Init { required } => {
                 env.world
@@ -1075,40 +1081,8 @@ impl Executor {
                 dest,
                 tag,
                 comm,
-            } => {
-                let v = self.read(frame, *value).to_mpi();
-                let d = self.read(frame, *dest).as_int();
-                let t = self.read(frame, *tag).as_int();
-                let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
-                if d < 0 {
-                    return Err(mpi_err(MpiError::ArgError(format!(
-                        "negative destination {d}"
-                    ))));
-                }
-                env.world
-                    .send_on(env.rank, c, d as usize, t, v, is_initial)
-                    .map_err(mpi_err)?;
-                Ok(None)
             }
-            MpiIr::Recv { src, tag, comm } => {
-                let s = self.read(frame, *src).as_int();
-                let t = self.read(frame, *tag).as_int();
-                let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
-                // Wildcard sentinels pass through; the world rejects
-                // other negative sources/tags.
-                let v = env
-                    .world
-                    .recv_on(env.rank, c, s, t, is_initial)
-                    .map_err(mpi_err)?;
-                // `MPI_Recv` is float-typed in the language; coerce
-                // integer payloads.
-                let out = match Value::from_mpi(v) {
-                    Value::Int(x) => Value::Float(x as f64),
-                    other => other,
-                };
-                Ok(Some(out))
-            }
-            MpiIr::Isend {
+            | MpiIr::Isend {
                 value,
                 dest,
                 tag,
@@ -1123,16 +1097,32 @@ impl Executor {
                         "negative destination {d}"
                     ))));
                 }
+                let d = d as usize;
+                if matches!(op, MpiIr::Send { .. }) {
+                    env.world
+                        .send_on(env.rank, c, d, t, v, is_initial)
+                        .map_err(mpi_err)?;
+                    return Ok(None);
+                }
                 let handle = env
                     .world
-                    .isend(env.rank, c, d as usize, t, v, is_initial)
+                    .isend(env.rank, c, d, t, v, is_initial)
                     .map_err(mpi_err)?;
                 Ok(Some(Value::Request(handle)))
             }
-            MpiIr::Irecv { src, tag, comm } => {
+            MpiIr::Recv { src, tag, comm } | MpiIr::Irecv { src, tag, comm } => {
                 let s = self.read(frame, *src).as_int();
                 let t = self.read(frame, *tag).as_int();
                 let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
+                // Wildcard sentinels pass through; the world rejects
+                // other negative sources/tags.
+                if matches!(op, MpiIr::Recv { .. }) {
+                    let v = env
+                        .world
+                        .recv_on(env.rank, c, s, t, is_initial)
+                        .map_err(mpi_err)?;
+                    return Ok(Some(completion(v)));
+                }
                 let handle = env
                     .world
                     .irecv(env.rank, c, s, t, is_initial)
@@ -1142,12 +1132,7 @@ impl Executor {
             MpiIr::Wait { request } => {
                 let h = self.read(frame, *request).as_request();
                 let v = env.world.wait(env.rank, h, is_initial).map_err(mpi_err)?;
-                // Like MPI_Recv: the completion value is float-typed.
-                let out = match Value::from_mpi(v) {
-                    Value::Int(x) => Value::Float(x as f64),
-                    other => other,
-                };
-                Ok(Some(out))
+                Ok(Some(completion(v)))
             }
             MpiIr::Waitall { requests } => {
                 for r in requests {

@@ -295,3 +295,41 @@ fn a_flat_2x2_run_puts_three_threads_on_other_os_threads() {
     assert_eq!(r.stats.barrier_waits, 4, "the explicit barrier only");
     assert_eq!(r.stats.mpi_calls, 6);
 }
+
+// ---- the liveness census under MPI_THREAD_MULTIPLE ----------------------
+
+#[test]
+fn a_finished_rank_does_not_make_a_live_sibling_thread_a_wait_cycle() {
+    // Rank 1 returns at once. On rank 0, thread 0 receives from its own
+    // rank while thread 1 is still counting towards the matching send:
+    // no cycle, because thread 1 is alive. What does hang is the
+    // `MPI_Finalize` rank 1 never reaches.
+    let src = "fn main() {
+        MPI_Init_thread(MULTIPLE);
+        if (rank() == 1) {
+            return;
+        }
+        parallel num_threads(2) {
+            if (thread_num() == 0) {
+                let x = MPI_Recv(rank(), 5);
+            } else {
+                let acc = 0;
+                for (i in 0..200000) {
+                    acc = acc + 1;
+                }
+                MPI_Send(1.5, rank(), 5);
+            }
+        }
+        MPI_Finalize();
+    }";
+    let r = run_with(src, cfg(2, 2));
+    let e = r.first_error().expect("the unmatched finalize is reported");
+    assert_eq!(line_of(src, e.span.lo), 17, "the `MPI_Finalize`: {e}");
+    assert!(
+        e.to_string().contains(
+            "deadlock: all ranks blocked: \
+             [rank 0: blocked in collective #0 (MPI_Finalize)] [rank 1: finished]"
+        ),
+        "{e}"
+    );
+}

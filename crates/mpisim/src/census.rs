@@ -3,19 +3,24 @@
 //! The census proves a deadlock instead of waiting out the operation
 //! timeout. It fires when nothing can progress:
 //!
-//! * under `MPI_THREAD_SINGLE`/`FUNNELED`/`SERIALIZED` (or once some
-//!   rank terminated), every rank is blocked or finished — a rank's
-//!   single MPI slot is its whole liveness;
-//! * under pure `MPI_THREAD_MULTIPLE`, a blocked rank may still be
-//!   rescued by *another thread* of the same rank (e.g. a self-send),
-//!   which a per-rank activity slot cannot observe. The embedder
-//!   (the interpreter) registers thread liveness via
+//! * under `MPI_THREAD_SINGLE`/`FUNNELED`/`SERIALIZED`, every rank is
+//!   blocked or finished — a rank's single MPI slot is its whole
+//!   liveness;
+//! * under `MPI_THREAD_MULTIPLE`, a blocked rank may still be rescued by
+//!   *another thread* of the same rank (e.g. a self-send), which a
+//!   per-rank activity slot cannot observe. The embedder (the
+//!   interpreter) registers thread liveness via
 //!   `thread_started`/`thread_departed`; rescue is ruled out exactly
 //!   when every live thread of every unfinished rank is parked in a
-//!   blocking MPI wait (`blocked == live`). Unregistered worlds
-//!   (`live == 0`) keep the pure timeout fallback.
+//!   blocking MPI wait (`blocked == live`). This holds whether or not
+//!   some rank has finished: another rank's exit does not stop a
+//!   sibling thread from sending.
+//! * A world with no registered threads (`live == 0` everywhere) under
+//!   `MPI_THREAD_MULTIPLE` keeps the pure timeout fallback until some
+//!   rank finishes, and then uses the single-slot view of the first
+//!   regime.
 //!
-//! In both regimes the verdict additionally requires that nothing is
+//! In every regime the verdict additionally requires that nothing is
 //! completable: no collective instance holds computed-but-uncollected
 //! results, and no parked receive/wait has a matching buffered message.
 
@@ -52,7 +57,8 @@ pub(crate) fn deadlock_census(
         .activity
         .iter()
         .any(|a| matches!(a, RankActivity::Finished));
-    let threaded = provided == ThreadLevel::Multiple && !any_finished;
+    let registered = input.live.iter().any(|&n| n > 0);
+    let threaded = provided == ThreadLevel::Multiple && (registered || !any_finished);
     if threaded {
         // The single-slot activity can be stale under MULTIPLE (a
         // sibling's completion overwrote it with Running); the
@@ -79,27 +85,16 @@ pub(crate) fn deadlock_census(
     // A recv/wait whose message is already buffered will complete. In
     // threaded mode check every parked pattern, not just the
     // single-slot activity view.
-    for (rank, act) in input.activity.iter().enumerate() {
-        let (comm, src, tag) = match act {
-            RankActivity::InRecv { comm, src, tag }
-            | RankActivity::InWait { comm, src, tag, .. } => (*comm, *src, *tag),
-            _ => continue,
-        };
-        if has_buffered(rank, comm, src, tag) {
-            return None;
-        }
-    }
-    if threaded {
-        for (rank, ops) in input.blocked.iter().enumerate() {
-            for act in ops {
-                let (comm, src, tag) = match act {
-                    RankActivity::InRecv { comm, src, tag }
-                    | RankActivity::InWait { comm, src, tag, .. } => (*comm, *src, *tag),
-                    _ => continue,
-                };
-                if has_buffered(rank, comm, src, tag) {
-                    return None;
-                }
+    let parked = input
+        .blocked
+        .iter()
+        .enumerate()
+        .filter(|_| threaded)
+        .flat_map(|(rank, ops)| ops.iter().map(move |act| (rank, act)));
+    for (rank, act) in input.activity.iter().enumerate().chain(parked) {
+        if let RankActivity::InRecv { comm, src, tag, .. } = act {
+            if has_buffered(rank, *comm, *src, *tag) {
+                return None;
             }
         }
     }
@@ -148,22 +143,15 @@ fn wait_for_cycle(
     member_global: &dyn Fn(usize, usize) -> Option<usize>,
 ) -> Option<Vec<usize>> {
     let n = states.len();
-    let mut edge: Vec<Option<usize>> = vec![None; n];
-    for (rank, act) in states.iter().enumerate() {
-        let (comm, src) = match act {
+    let edge: Vec<Option<usize>> = states
+        .iter()
+        .map(|act| match act {
             RankActivity::InRecv {
                 comm, src: Some(s), ..
-            }
-            | RankActivity::InWait {
-                comm, src: Some(s), ..
-            } => (*comm, *s),
-            _ => continue,
-        };
-        let Some(awaited_global) = member_global(comm, src) else {
-            continue;
-        };
-        edge[rank] = Some(awaited_global);
-    }
+            } => member_global(*comm, *s),
+            _ => None,
+        })
+        .collect();
     for start in 0..n {
         let mut cur = start;
         let mut path = Vec::new();

@@ -18,20 +18,12 @@ pub enum RankActivity {
         /// What it is waiting in.
         what: String,
     },
-    /// Blocked in `MPI_Recv`.
+    /// Blocked in a receive: `MPI_Recv`, or `MPI_Wait`/`MPI_Waitall` on
+    /// a receive request.
     InRecv {
+        /// Request handle being waited on (None = a blocking `MPI_Recv`).
+        request: Option<usize>,
         /// Communicator handle the receive is posted on (0 = world).
-        comm: usize,
-        /// Source rank awaited (local to `comm`; None = `MPI_ANY_SOURCE`).
-        src: Option<usize>,
-        /// Tag awaited (None = `MPI_ANY_TAG`).
-        tag: Option<i64>,
-    },
-    /// Blocked in `MPI_Wait`/`MPI_Waitall` on a receive request.
-    InWait {
-        /// Request handle being waited on.
-        request: usize,
-        /// Communicator handle the receive was posted on (0 = world).
         comm: usize,
         /// Source rank awaited (local to `comm`; None = `MPI_ANY_SOURCE`).
         src: Option<usize>,
@@ -57,24 +49,16 @@ impl fmt::Display for RankActivity {
             RankActivity::InCollective { seq, what } => {
                 write!(f, "blocked in collective #{seq} ({what})")
             }
-            RankActivity::InRecv { comm, src, tag } => {
-                write!(f, "blocked in MPI_Recv(")?;
-                opt_field(f, "src", *src)?;
-                write!(f, ", ")?;
-                opt_field(f, "tag", *tag)?;
-                write!(f, ")")?;
-                if *comm != 0 {
-                    write!(f, " on comm #{comm}")?;
-                }
-                Ok(())
-            }
-            RankActivity::InWait {
+            RankActivity::InRecv {
                 request,
                 comm,
                 src,
                 tag,
             } => {
-                write!(f, "blocked in MPI_Wait(req #{request}: ")?;
+                match request {
+                    None => write!(f, "blocked in MPI_Recv(")?,
+                    Some(r) => write!(f, "blocked in MPI_Wait(req #{r}: ")?,
+                }
                 opt_field(f, "src", *src)?;
                 write!(f, ", ")?;
                 opt_field(f, "tag", *tag)?;

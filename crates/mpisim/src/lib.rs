@@ -43,7 +43,7 @@ pub mod world;
 pub use error::{MpiError, RankActivity};
 pub use signature::{CollectiveOp, Signature};
 pub use value::{MpiType, MpiValue};
-pub use world::{data_signature, run_ranks, CcOutcome, MpiConfig, World};
+pub use world::{run_ranks, CcOutcome, MpiConfig, World};
 
 #[cfg(test)]
 mod tests {
@@ -338,7 +338,7 @@ mod tests {
         let res = run_ranks(&w, 3, |r| w.control_cc(r, 7, true).unwrap());
         for out in &res {
             assert!(out.unanimous());
-            assert_eq!(out.min_max(), (7, 7));
+            assert_eq!(out.colors, vec![7, 7, 7]);
         }
         let w = world(2);
         let res = run_ranks(&w, 2, |r| {
@@ -346,7 +346,6 @@ mod tests {
         });
         for out in &res {
             assert!(!out.unanimous());
-            assert_eq!(out.min_max(), (1, 2));
             assert_eq!(out.colors, vec![1, 2]);
         }
     }
@@ -856,6 +855,139 @@ mod tests {
         let w = fast_world(2);
         let err = w.comm_split(0, world::COMM_WORLD, -1, 0, true).unwrap_err();
         assert!(matches!(err, MpiError::ArgError(_)), "{err:?}");
+    }
+
+    #[test]
+    fn finished_rank_does_not_hide_a_registered_sibling_thread() {
+        // Rank 1 has finished. One thread of rank 0 receives from rank 0
+        // while a registered sibling is still about to send: no cycle,
+        // since the sibling is alive (the single-slot view saw only the
+        // receive and reported "rank 0 waits on rank 0").
+        let w = world(2);
+        w.init(0, ThreadLevel::Multiple);
+        w.thread_started(1);
+        w.finish_rank(1);
+        w.thread_started(0);
+        w.thread_started(0);
+        let got = std::thread::scope(|s| {
+            let w1 = w.clone();
+            let receiver = s.spawn(move || w1.recv(0, 0, 5, true));
+            std::thread::sleep(Duration::from_millis(50));
+            w.send(0, 0, 5, MpiValue::Float(1.5), false).unwrap();
+            w.thread_departed(0);
+            receiver.join().unwrap()
+        });
+        assert_eq!(got, Ok(MpiValue::Float(1.5)));
+        // The finalize rank 1 never reaches is still proven, not timed out.
+        let err = w.finalize(0, true).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "deadlock: all ranks blocked: \
+             [rank 0: blocked in collective #0 (MPI_Finalize)] [rank 1: finished]"
+        );
+    }
+
+    /// The text a blocked operation times out with. Rank 0 (and rank 1)
+    /// run `op`; rank 1 then stays in user code until the world aborts,
+    /// so the census cannot fire; ranks 2.. have finished before the
+    /// start.
+    fn timeout_text(size: usize, op: impl Fn(&World, usize) + Sync) -> String {
+        let w = World::new(MpiConfig {
+            world_size: size,
+            max_provided: ThreadLevel::Multiple,
+            op_timeout: Duration::from_millis(250),
+        });
+        for r in 2..size {
+            w.finish_rank(r);
+        }
+        run_ranks(&w, size, |r| {
+            if r < 2 {
+                op(&w, r);
+            }
+            while r == 1 && w.abort_reason().is_none() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
+        w.abort_reason().expect("rank 0 timed out").to_string()
+    }
+
+    #[test]
+    fn timeout_and_activity_texts_are_pinned() {
+        use parcoach_front::ast::{ANY_SOURCE, ANY_TAG};
+        let bar = Signature::collective(CollectiveOp::Barrier, None, None, None);
+        let dup = |w: &World, r| w.comm_dup(r, world::COMM_WORLD, true).unwrap();
+        type Op<'a> = &'a (dyn Fn(&World, usize) + Sync);
+        let cases: [(usize, Op, &str); 6] = [
+            (
+                2,
+                &|w, r| {
+                    if r == 0 {
+                        let _ = w.collective(0, bar, None, true);
+                    }
+                },
+                "timeout in MPI_Barrier on rank 0 (collective #0): \
+                 [rank 0: blocked in collective #0 (MPI_Barrier)] [rank 1: running]",
+            ),
+            (
+                2,
+                &|w, r| {
+                    let c = dup(w, r);
+                    if r == 0 {
+                        let _ = w.collective_on(0, c, bar, None, true);
+                    }
+                },
+                "timeout in MPI_Barrier on comm #1 on rank 0 (collective #0): \
+                 [rank 0: blocked in collective #0 (MPI_Barrier on comm #1)] [rank 1: running]",
+            ),
+            (
+                3,
+                &|w, r| {
+                    if r == 0 {
+                        let _ = w.recv(0, 1, 5, true);
+                    }
+                },
+                "timeout in MPI_Recv(src=1, tag=5) on rank 0: \
+                 [rank 0: blocked in MPI_Recv(src=1, tag=5)] [rank 1: running] [rank 2: finished]",
+            ),
+            (
+                2,
+                &|w, r| {
+                    let c = dup(w, r);
+                    if r == 0 {
+                        let _ = w.recv_on(0, c, ANY_SOURCE, ANY_TAG, true);
+                    }
+                },
+                "timeout in MPI_Recv(src=ANY, tag=ANY on comm #1) on rank 0: \
+                 [rank 0: blocked in MPI_Recv(src=ANY, tag=ANY) on comm #1] [rank 1: running]",
+            ),
+            (
+                2,
+                &|w, r| {
+                    if r == 0 {
+                        let h = w.irecv(0, world::COMM_WORLD, 1, 5, true).unwrap();
+                        let _ = w.wait(0, h, true);
+                    }
+                },
+                "timeout in MPI_Wait(req #0) on rank 0: \
+                 [rank 0: blocked in MPI_Wait(req #0: src=1, tag=5)] [rank 1: running]",
+            ),
+            (
+                2,
+                &|w, r| {
+                    let c = dup(w, r);
+                    if r == 0 {
+                        let h = w.irecv(0, c, ANY_SOURCE, ANY_TAG, true).unwrap();
+                        let _ = w.wait(0, h, true);
+                    }
+                },
+                "timeout in MPI_Wait(req #0) on comm #1 on rank 0: \
+                 [rank 0: blocked in MPI_Wait(req #0: src=ANY, tag=ANY) on comm #1] \
+                 [rank 1: running]",
+            ),
+        ];
+        for (size, op, want) in cases {
+            assert_eq!(timeout_text(size, op), want);
+        }
     }
 
     #[test]

@@ -114,57 +114,6 @@ impl Signature {
             ty,
         }
     }
-
-    /// The `CC` signature (colors are payload, not signature).
-    pub fn control_cc() -> Signature {
-        Signature {
-            op: CollectiveOp::ControlCc,
-            reduce_op: None,
-            root: None,
-            ty: None,
-        }
-    }
-
-    /// The finalize pseudo-collective.
-    pub fn finalize() -> Signature {
-        Signature {
-            op: CollectiveOp::Finalize,
-            reduce_op: None,
-            root: None,
-            ty: None,
-        }
-    }
-
-    /// The `MPI_Comm_split` management collective (colors/keys are
-    /// payload, not signature).
-    pub fn comm_split() -> Signature {
-        Signature {
-            op: CollectiveOp::CommSplit,
-            reduce_op: None,
-            root: None,
-            ty: None,
-        }
-    }
-
-    /// The `MPI_Comm_dup` management collective.
-    pub fn comm_dup() -> Signature {
-        Signature {
-            op: CollectiveOp::CommDup,
-            reduce_op: None,
-            root: None,
-            ty: None,
-        }
-    }
-
-    /// The point-to-point epoch census control collective.
-    pub fn p2p_census() -> Signature {
-        Signature {
-            op: CollectiveOp::P2pCensus,
-            reduce_op: None,
-            root: None,
-            ty: None,
-        }
-    }
 }
 
 impl fmt::Display for Signature {

@@ -35,31 +35,39 @@
 //! ## Deadlock detection
 //!
 //! A real MPI run with mismatched collective *counts* hangs. Here every
-//! blocking wait participates in a liveness census (see
-//! `census.rs`): when **all** ranks are blocked
-//! (collective/recv/wait) or finished and nothing can complete on any
-//! communicator, the world aborts with a per-rank activity dump. Before
-//! declaring a generic deadlock the census builds a **wait-for graph**
-//! over the blocked receives and waits (an edge rank → r when rank
-//! awaits a message only r could send); a genuine cycle is reported as
-//! [`MpiError::WaitCycle`] naming the ranks on it. A rank finishing
-//! while others wait in a collective aborts immediately.
+//! blocking operation — a collective, `MPI_Recv`, `MPI_Wait` — parks at
+//! one point, `World::block_until`: it records the pattern the thread
+//! waits for, runs the liveness census (see `census.rs`) and only then
+//! sleeps. When **all** ranks are blocked or finished and nothing can
+//! complete on any communicator, the world aborts with a per-rank
+//! activity dump. Before declaring a generic deadlock the census builds
+//! a **wait-for graph** over the blocked receives (an edge rank → r
+//! when rank awaits a message only r could send); a genuine cycle is
+//! reported as [`MpiError::WaitCycle`] naming the ranks on it. A rank
+//! finishing while others wait in a collective aborts immediately.
 //!
 //! ## Locking
 //!
 //! One `Mutex<WorldState>` and one `Condvar` serialize every rank,
 //! communicator, mailbox, request and census operation: every blocking
 //! wait parks on the one condvar and every state change that could
-//! complete a wait notifies it. (A sharded engine with per-communicator
-//! and per-mailbox locks was retired in PR 13 at measured parity, see
-//! git history.)
+//! complete a wait notifies it. Every operation enters through one
+//! guard, `World::call`, which holds the lock three times: to enter
+//! (abort and thread-level checks, the rank's in-flight count), to run
+//! the operation's body (whose error aborts the world), and to leave.
+//! Entry and leave stay separate holds on purpose: the gaps between them
+//! are where a second thread of the rank sees the call in flight and
+//! reports an `MPI_THREAD_SERIALIZED` violation, even for a call that
+//! never blocks; one hold would make every non-blocking call invisible
+//! to it. (A sharded engine with per-communicator and per-mailbox locks
+//! was retired at measured parity, see git history.)
 
 use crate::census::{deadlock_census, CensusInput};
 use crate::error::{MpiError, RankActivity};
 use crate::signature::{CollectiveOp, Signature};
-use crate::value::{reduce_array, reduce_scalar, MpiType, MpiValue};
-use parcoach_front::ast::{ReduceOp, ThreadLevel, ANY_SOURCE, ANY_TAG};
-use parking_lot::{Condvar, Mutex};
+use crate::value::{reduce_array, reduce_scalar, MpiValue};
+use parcoach_front::ast::{ThreadLevel, ANY_SOURCE, ANY_TAG};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -106,7 +114,6 @@ struct Instance {
     payloads: Vec<Option<MpiValue>>,
     arrived_count: usize,
     results: Option<Vec<MpiValue>>,
-    collected: Vec<bool>,
     collected_count: usize,
 }
 
@@ -118,14 +125,13 @@ impl Instance {
             payloads: vec![None; size],
             arrived_count: 0,
             results: None,
-            collected: vec![false; size],
             collected_count: 0,
         }
     }
 }
 
 /// State of one non-blocking request.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum RequestState {
     /// A buffered isend: complete at post time, `wait` just retires it.
     SendDone,
@@ -143,7 +149,7 @@ enum RequestState {
 }
 
 /// One non-blocking request, owned by the rank that posted it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Request {
     owner: usize,
     state: RequestState,
@@ -176,30 +182,6 @@ fn matching_message(
         }
     }
     best
-}
-
-/// Decode a sentinel-encoded (source, tag) receive key: `ANY_SOURCE` /
-/// `ANY_TAG` become wildcards, other negative values are errors.
-fn decode_recv_key(src: i64, tag: i64) -> Result<(Option<usize>, Option<i64>), MpiError> {
-    let s = match src {
-        ANY_SOURCE => None,
-        s if s < 0 => {
-            return Err(MpiError::ArgError(format!(
-                "receive source {s} is neither a rank nor MPI_ANY_SOURCE"
-            )))
-        }
-        s => Some(s as usize),
-    };
-    let t = match tag {
-        ANY_TAG => None,
-        t if t < 0 => {
-            return Err(MpiError::ArgError(format!(
-                "receive tag {t} is neither a tag nor MPI_ANY_TAG"
-            )))
-        }
-        t => Some(t),
-    };
-    Ok((s, t))
 }
 
 /// The thread-level enforcement: `Some(detail)`
@@ -309,13 +291,6 @@ impl CcOutcome {
     pub fn unanimous(&self) -> bool {
         self.colors.windows(2).all(|w| w[0] == w[1])
     }
-
-    /// Minimum and maximum color (the paper's `(min, max)` all-reduce).
-    pub fn min_max(&self) -> (u32, u32) {
-        let min = self.colors.iter().copied().min().unwrap_or(0);
-        let max = self.colors.iter().copied().max().unwrap_or(0);
-        (min, max)
-    }
 }
 
 /// One communicator's p2p census row: (handle, total sent, total
@@ -381,20 +356,11 @@ impl World {
         provided
     }
 
-    /// The currently provided thread level (`Multiple` before init —
-    /// enforcement only starts once the program declared its level).
-    pub fn provided(&self) -> ThreadLevel {
-        self.state.lock().provided.unwrap_or(ThreadLevel::Multiple)
-    }
-
     /// Abort the world: all blocked and future operations fail with
     /// [`MpiError::Aborted`] carrying `reason`. The first abort wins.
     pub fn abort(&self, reason: MpiError) {
         let mut st = self.state.lock();
-        if st.abort.is_none() {
-            st.abort = Some(reason);
-        }
-        self.cv.notify_all();
+        self.abort_locked(&mut st, reason);
     }
 
     /// The abort reason, if the world aborted.
@@ -402,10 +368,8 @@ impl World {
         self.state.lock().abort.clone()
     }
 
-    /// Guard every MPI entry: enforces the provided thread level.
-    ///
-    /// `is_initial_thread` = the calling thread is the process's initial
-    /// thread (master of every enclosing team).
+    /// Enforce the provided thread level at an MPI entry and count the
+    /// call in flight.
     fn enter_mpi(&self, rank: usize, is_initial_thread: bool) -> Result<(), MpiError> {
         let mut st = self.state.lock();
         if let Some(e) = &st.abort {
@@ -415,10 +379,7 @@ impl World {
         let concurrent = st.in_flight[rank] > 0;
         if let Some(detail) = thread_level_violation(provided, concurrent, is_initial_thread) {
             let err = MpiError::ThreadLevelViolation { provided, detail };
-            if st.abort.is_none() {
-                st.abort = Some(err.clone());
-            }
-            self.cv.notify_all();
+            self.abort_locked(&mut st, err.clone());
             return Err(err);
         }
         st.in_flight[rank] += 1;
@@ -428,6 +389,67 @@ impl World {
     fn leave_mpi(&self, rank: usize) {
         let mut st = self.state.lock();
         st.in_flight[rank] = st.in_flight[rank].saturating_sub(1);
+    }
+
+    /// The one MPI entry: every operation runs its `body` through here.
+    /// Three lock holds, on purpose (see *Locking*): enter, then `body`
+    /// — whose error aborts the world — then leave.
+    ///
+    /// `is_initial_thread` = the calling thread is the process's initial
+    /// thread (master of every enclosing team).
+    fn call<T>(
+        &self,
+        rank: usize,
+        is_initial_thread: bool,
+        body: impl FnOnce(&mut MutexGuard<'_, WorldState>) -> Result<T, MpiError>,
+    ) -> Result<T, MpiError> {
+        self.enter_mpi(rank, is_initial_thread)?;
+        let mut st = self.state.lock();
+        let result = body(&mut st);
+        if let Err(e) = &result {
+            self.abort_locked(&mut st, e.clone());
+        }
+        drop(st);
+        self.leave_mpi(rank);
+        result
+    }
+
+    /// The one park point. Until `ready` completes the operation (under
+    /// the lock), record `act` as one of the rank's parked patterns, run
+    /// the liveness census and sleep until notified. A proven deadlock or
+    /// the op timeout (described by `what`) is the operation's error.
+    fn block_until<T>(
+        &self,
+        st: &mut MutexGuard<'_, WorldState>,
+        rank: usize,
+        act: RankActivity,
+        what: impl FnOnce() -> String,
+        mut ready: impl FnMut(&mut WorldState) -> Result<Option<T>, MpiError>,
+    ) -> Result<T, MpiError> {
+        let deadline = Instant::now() + self.cfg.op_timeout;
+        loop {
+            if let Some(e) = &st.abort {
+                return Err(MpiError::Aborted(e.to_string()));
+            }
+            if let Some(out) = ready(st)? {
+                st.activity[rank] = RankActivity::Running;
+                return Ok(out);
+            }
+            st.activity[rank] = act.clone();
+            st.blocked[rank].push(act.clone());
+            if let Some(dl) = deadlock(st) {
+                unpark(st, rank, &act);
+                return Err(dl);
+            }
+            let res = self.cv.wait_until(st, deadline);
+            unpark(st, rank, &act);
+            if res.timed_out() {
+                return Err(MpiError::Timeout {
+                    what: what(),
+                    states: st.activity.clone(),
+                });
+            }
+        }
     }
 
     /// Register one interpreter thread that may issue MPI calls for
@@ -479,6 +501,8 @@ impl World {
         self.cv.notify_all();
     }
 
+    /// Arrive at the next collective of `comm` with `sig` and this rank's
+    /// `payload`, then park until the instance's results are computed.
     fn enter_collective(
         &self,
         rank: usize,
@@ -487,148 +511,83 @@ impl World {
         payload: Option<MpiValue>,
         is_initial_thread: bool,
     ) -> Result<MpiValue, MpiError> {
-        self.enter_mpi(rank, is_initial_thread)?;
-        let result = self.enter_collective_inner(rank, comm, sig, payload);
-        self.leave_mpi(rank);
-        result
-    }
-
-    fn enter_collective_inner(
-        &self,
-        rank: usize,
-        comm: usize,
-        sig: Signature,
-        payload: Option<MpiValue>,
-    ) -> Result<MpiValue, MpiError> {
-        let deadline = Instant::now() + self.cfg.op_timeout;
-        let mut st = self.state.lock();
-        if let Some(e) = &st.abort {
-            return Err(MpiError::Aborted(e.to_string()));
-        }
-        let Some(c) = st.comms.get(comm) else {
-            let err = bad_comm(comm);
-            self.abort_locked(&mut st, err.clone());
-            return Err(err);
-        };
-        let Some(local) = c.local_rank(rank) else {
-            let err = not_member(rank, comm);
-            self.abort_locked(&mut st, err.clone());
-            return Err(err);
-        };
-        let size = c.members.len();
-        let seq = st.comms[comm].per_rank_seq[local];
-        st.comms[comm].per_rank_seq[local] += 1;
-        // Materialize instances up to `seq`.
-        while st.comms[comm].base_seq + (st.comms[comm].instances.len() as u64) <= seq {
-            st.comms[comm].instances.push_back(Instance::new(size));
-        }
-        let idx = (seq - st.comms[comm].base_seq) as usize;
-        let complete = {
-            let inst = &mut st.comms[comm].instances[idx];
+        self.call(rank, is_initial_thread, |st| {
+            if let Some(e) = &st.abort {
+                return Err(MpiError::Aborted(e.to_string()));
+            }
+            let local = member(st, rank, comm)?;
+            let c = &mut st.comms[comm];
+            let size = c.members.len();
+            let seq = c.per_rank_seq[local];
+            c.per_rank_seq[local] += 1;
+            // Materialize instances up to `seq`.
+            while c.base_seq + (c.instances.len() as u64) <= seq {
+                c.instances.push_back(Instance::new(size));
+            }
+            let inst = &mut c.instances[(seq - c.base_seq) as usize];
             match &inst.signature {
                 None => {
                     inst.signature = Some(sig);
                     inst.first_rank = rank;
                 }
                 Some(existing) if *existing != sig => {
-                    let err = MpiError::CollectiveMismatch {
+                    return Err(MpiError::CollectiveMismatch {
                         comm,
                         seq,
                         expected: *existing,
                         expected_rank: inst.first_rank,
                         got: sig,
                         got_rank: rank,
-                    };
-                    st.abort = Some(err.clone());
-                    self.cv.notify_all();
-                    return Err(err);
+                    });
                 }
                 Some(_) => {}
             }
             inst.payloads[local] = payload;
             inst.arrived_count += 1;
-            inst.arrived_count == size
-        };
-        if complete {
-            // Compute results outside the instance borrow: communicator
-            // management collectives allocate new communicators.
-            let payloads = st.comms[comm].instances[idx].payloads.clone();
-            let results = match sig.op {
-                CollectiveOp::CommSplit => split_results(&mut st, comm, &payloads),
-                CollectiveOp::CommDup => Ok(dup_results(&mut st, comm)),
-                CollectiveOp::P2pCensus => Ok(census_results(&mut st, size)),
-                _ => compute_results(sig, &payloads, size),
-            };
-            match results {
-                Ok(results) => {
-                    st.comms[comm].instances[idx].results = Some(results);
-                    self.cv.notify_all();
-                }
-                Err(err) => {
-                    st.abort = Some(err.clone());
-                    self.cv.notify_all();
-                    return Err(err);
-                }
-            }
-        }
-        let act = RankActivity::InCollective {
-            seq,
-            what: format!("{sig}{}", comm_suffix(comm)),
-        };
-        st.activity[rank] = act.clone();
-        // Wait for results.
-        loop {
-            if let Some(e) = &st.abort {
-                return Err(MpiError::Aborted(e.to_string()));
-            }
-            let idx = (seq - st.comms[comm].base_seq) as usize;
-            let done = {
-                let inst = &mut st.comms[comm].instances[idx];
-                if let Some(results) = &inst.results {
-                    let out = results[local].clone();
-                    inst.collected[local] = true;
-                    inst.collected_count += 1;
-                    Some(out)
-                } else {
-                    None
-                }
-            };
-            if let Some(out) = done {
-                st.activity[rank] = RankActivity::Running;
-                // Drop fully-collected instances from the front.
-                let cs = &mut st.comms[comm];
-                while let Some(front) = cs.instances.front() {
-                    if front.collected_count == cs.members.len() {
-                        cs.instances.pop_front();
-                        cs.base_seq += 1;
-                    } else {
-                        break;
-                    }
-                }
-                return Ok(out);
-            }
-            st.blocked[rank].push(act.clone());
-            if let Some(dl) = deadlock(&st) {
-                unpark(&mut st, rank, &act);
-                st.abort = Some(dl.clone());
-                self.cv.notify_all();
-                return Err(dl);
-            }
-            let res = self.cv.wait_until(&mut st, deadline);
-            unpark(&mut st, rank, &act);
-            if res.timed_out() {
-                let err = MpiError::Timeout {
-                    what: format!(
-                        "{sig}{} on rank {rank} (collective #{seq})",
-                        comm_suffix(comm)
-                    ),
-                    states: st.activity.clone(),
+            if inst.arrived_count == size {
+                // Compute results outside the instance borrow: communicator
+                // management collectives allocate new communicators.
+                let payloads = std::mem::take(&mut inst.payloads);
+                let results = match sig.op {
+                    CollectiveOp::CommSplit => split_results(st, comm, &payloads)?,
+                    CollectiveOp::CommDup => dup_results(st, comm),
+                    CollectiveOp::P2pCensus => census_results(st, size),
+                    _ => compute_results(sig, &payloads, size)?,
                 };
-                st.abort = Some(err.clone());
+                let c = &mut st.comms[comm];
+                c.instances[(seq - c.base_seq) as usize].results = Some(results);
                 self.cv.notify_all();
-                return Err(err);
             }
-        }
+            let act = RankActivity::InCollective {
+                seq,
+                what: format!("{sig}{}", comm_suffix(comm)),
+            };
+            let what = || {
+                format!(
+                    "{sig}{} on rank {rank} (collective #{seq})",
+                    comm_suffix(comm)
+                )
+            };
+            self.block_until(st, rank, act, what, |st| {
+                let c = &mut st.comms[comm];
+                let inst = &mut c.instances[(seq - c.base_seq) as usize];
+                let Some(results) = &inst.results else {
+                    return Ok(None);
+                };
+                let out = results[local].clone();
+                inst.collected_count += 1;
+                // Drop fully-collected instances from the front.
+                while c
+                    .instances
+                    .front()
+                    .is_some_and(|front| front.collected_count == c.members.len())
+                {
+                    c.instances.pop_front();
+                    c.base_seq += 1;
+                }
+                Ok(Some(out))
+            })
+        })
     }
 
     /// The PARCOACH `CC` control collective on `MPI_COMM_WORLD`.
@@ -644,7 +603,8 @@ impl World {
     /// The PARCOACH `CC` control collective on a communicator:
     /// all-reduce the color among its members and return every member's
     /// color. Running the CC on the *guarded collective's* communicator
-    /// keeps unrelated communicators out of each other's checks.
+    /// keeps unrelated communicators out of each other's checks. Colors
+    /// are payload, not signature.
     pub fn control_cc_on(
         &self,
         rank: usize,
@@ -655,7 +615,7 @@ impl World {
         let out = self.enter_collective(
             rank,
             comm,
-            Signature::control_cc(),
+            Signature::collective(CollectiveOp::ControlCc, None, None, None),
             Some(MpiValue::Int(color as i64)),
             is_initial_thread,
         )?;
@@ -669,14 +629,9 @@ impl World {
 
     /// `MPI_Finalize` — synchronizing pseudo-collective on the world.
     pub fn finalize(&self, rank: usize, is_initial_thread: bool) -> Result<(), MpiError> {
-        self.enter_collective(
-            rank,
-            COMM_WORLD,
-            Signature::finalize(),
-            None,
-            is_initial_thread,
-        )
-        .map(|_| ())
+        let sig = Signature::collective(CollectiveOp::Finalize, None, None, None);
+        self.enter_collective(rank, COMM_WORLD, sig, None, is_initial_thread)
+            .map(|_| ())
     }
 
     /// Execute a data collective on `MPI_COMM_WORLD`.
@@ -735,7 +690,7 @@ impl World {
         let out = self.enter_collective(
             rank,
             parent,
-            Signature::comm_split(),
+            Signature::collective(CollectiveOp::CommSplit, None, None, None),
             Some(MpiValue::ArrayInt(vec![color, key])),
             is_initial_thread,
         )?;
@@ -750,8 +705,8 @@ impl World {
         comm: usize,
         is_initial_thread: bool,
     ) -> Result<usize, MpiError> {
-        let out =
-            self.enter_collective(rank, comm, Signature::comm_dup(), None, is_initial_thread)?;
+        let sig = Signature::collective(CollectiveOp::CommDup, None, None, None);
+        let out = self.enter_collective(rank, comm, sig, None, is_initial_thread)?;
         Ok(out.as_int() as usize)
     }
 
@@ -767,13 +722,8 @@ impl World {
         rank: usize,
         is_initial_thread: bool,
     ) -> Result<Vec<P2pCensusRow>, MpiError> {
-        let out = self.enter_collective(
-            rank,
-            COMM_WORLD,
-            Signature::p2p_census(),
-            None,
-            is_initial_thread,
-        )?;
+        let sig = Signature::collective(CollectiveOp::P2pCensus, None, None, None);
+        let out = self.enter_collective(rank, COMM_WORLD, sig, None, is_initial_thread)?;
         let MpiValue::ArrayInt(flat) = out else {
             panic!("census result must be an int array, got {:?}", out.ty());
         };
@@ -794,17 +744,9 @@ impl World {
         value: MpiValue,
         is_initial_thread: bool,
     ) -> Result<(), MpiError> {
-        self.enter_mpi(rank, is_initial_thread)?;
-        let result = {
-            let mut st = self.state.lock();
-            deliver(&mut st, rank, comm, dest, tag, value)
-        };
-        if let Err(e) = &result {
-            self.abort(e.clone());
-        }
-        self.cv.notify_all();
-        self.leave_mpi(rank);
-        result
+        self.call(rank, is_initial_thread, |st| {
+            self.deliver(st, rank, comm, dest, tag, value)
+        })
     }
 
     /// `MPI_Isend`: buffered send on a communicator (the message is
@@ -820,22 +762,10 @@ impl World {
         value: MpiValue,
         is_initial_thread: bool,
     ) -> Result<usize, MpiError> {
-        self.enter_mpi(rank, is_initial_thread)?;
-        let result: Result<usize, MpiError> = (|| {
-            let mut st = self.state.lock();
-            deliver(&mut st, rank, comm, dest, tag, value)?;
-            st.requests.push(Request {
-                owner: rank,
-                state: RequestState::SendDone,
-            });
-            Ok(st.requests.len() - 1)
-        })();
-        if let Err(e) = &result {
-            self.abort(e.clone());
-        }
-        self.cv.notify_all();
-        self.leave_mpi(rank);
-        result
+        self.call(rank, is_initial_thread, |st| {
+            self.deliver(st, rank, comm, dest, tag, value)?;
+            Ok(post(st, rank, RequestState::SendDone))
+        })
     }
 
     /// `MPI_Irecv`: non-blocking receive post on a communicator. `src`
@@ -851,39 +781,10 @@ impl World {
         tag: i64,
         is_initial_thread: bool,
     ) -> Result<usize, MpiError> {
-        self.enter_mpi(rank, is_initial_thread)?;
-        let result = (|| {
-            let (s, t) = decode_recv_key(src, tag)?;
-            let mut st = self.state.lock();
-            let Some(c) = st.comms.get(comm) else {
-                return Err(bad_comm(comm));
-            };
-            if c.local_rank(rank).is_none() {
-                return Err(not_member(rank, comm));
-            }
-            if let Some(s) = s {
-                if s >= c.members.len() {
-                    return Err(MpiError::ArgError(format!(
-                        "irecv source {s} out of range for communicator size {}",
-                        c.members.len()
-                    )));
-                }
-            }
-            st.requests.push(Request {
-                owner: rank,
-                state: RequestState::RecvPending {
-                    comm,
-                    src: s,
-                    tag: t,
-                },
-            });
-            Ok(st.requests.len() - 1)
-        })();
-        if let Err(e) = &result {
-            self.abort(e.clone());
-        }
-        self.leave_mpi(rank);
-        result
+        self.call(rank, is_initial_thread, |st| {
+            let (src, tag) = recv_key(st, rank, comm, src, tag, "irecv")?;
+            Ok(post(st, rank, RequestState::RecvPending { comm, src, tag }))
+        })
     }
 
     /// `MPI_Wait`: block until `request` completes. Send requests
@@ -898,99 +799,52 @@ impl World {
         request: usize,
         is_initial_thread: bool,
     ) -> Result<MpiValue, MpiError> {
-        self.enter_mpi(rank, is_initial_thread)?;
-        let result = self.wait_inner(rank, request);
-        self.leave_mpi(rank);
-        result
-    }
-
-    fn wait_inner(&self, rank: usize, request: usize) -> Result<MpiValue, MpiError> {
-        let deadline = Instant::now() + self.cfg.op_timeout;
-        let mut st = self.state.lock();
-        let req = match st.requests.get(request).cloned() {
-            Some(r) => r,
-            None => {
-                let err = MpiError::ArgError(format!("invalid request handle #{request}"));
-                self.abort_locked(&mut st, err.clone());
-                return Err(err);
+        self.call(rank, is_initial_thread, |st| {
+            let Some(&Request { owner, state }) = st.requests.get(request) else {
+                return Err(MpiError::ArgError(format!(
+                    "invalid request handle #{request}"
+                )));
+            };
+            if owner != rank {
+                return Err(MpiError::ArgError(format!(
+                    "rank {rank} cannot wait on request #{request} posted by rank {owner}"
+                )));
             }
-        };
-        if req.owner != rank {
-            let err = MpiError::ArgError(format!(
-                "rank {rank} cannot wait on request #{request} posted by rank {}",
-                req.owner
-            ));
-            self.abort_locked(&mut st, err.clone());
-            return Err(err);
-        }
-        let (comm, src, tag) = match req.state {
-            RequestState::SendDone => {
-                st.requests[request].state = RequestState::Retired;
-                return Ok(MpiValue::Int(0));
-            }
-            RequestState::Retired => {
-                let err = MpiError::ArgError(format!(
-                    "request #{request} was already completed by a previous wait"
-                ));
-                self.abort_locked(&mut st, err.clone());
-                return Err(err);
-            }
-            RequestState::RecvPending { comm, src, tag } => (comm, src, tag),
-        };
-        loop {
-            if let Some(e) = &st.abort {
-                return Err(MpiError::Aborted(e.to_string()));
-            }
-            // Re-read the state every round: under MPI_THREAD_MULTIPLE a
-            // sibling thread waiting on the same request may have
-            // completed it while we slept — that is a double wait and
-            // must error, not steal the next matching message.
-            if matches!(st.requests[request].state, RequestState::Retired) {
-                let err = MpiError::ArgError(format!(
-                    "request #{request} was already completed by a previous wait"
-                ));
-                self.abort_locked(&mut st, err.clone());
-                return Err(err);
-            }
-            if let Some(pos) = matching_message(&st.mailboxes[rank], comm, src, tag) {
-                let msg = st.mailboxes[rank].remove(pos);
-                let my_local = st.comms[comm]
-                    .local_rank(rank)
-                    .expect("membership checked at post time");
-                st.comms[comm].p2p_recvd[my_local] += 1;
-                st.requests[request].state = RequestState::Retired;
-                st.activity[rank] = RankActivity::Running;
-                return Ok(msg.value);
-            }
-            let act = RankActivity::InWait {
-                request,
+            let (comm, src, tag) = match state {
+                RequestState::SendDone => {
+                    st.requests[request].state = RequestState::Retired;
+                    return Ok(MpiValue::Int(0));
+                }
+                RequestState::Retired => return Err(already_waited(request)),
+                RequestState::RecvPending { comm, src, tag } => (comm, src, tag),
+            };
+            let act = RankActivity::InRecv {
+                request: Some(request),
                 comm,
                 src,
                 tag,
             };
-            st.activity[rank] = act.clone();
-            st.blocked[rank].push(act.clone());
-            if let Some(dl) = deadlock(&st) {
-                unpark(&mut st, rank, &act);
-                st.abort = Some(dl.clone());
-                self.cv.notify_all();
-                return Err(dl);
-            }
-            let res = self.cv.wait_until(&mut st, deadline);
-            unpark(&mut st, rank, &act);
-            if res.timed_out() {
-                let err = MpiError::Timeout {
-                    what: format!(
-                        "MPI_Wait(req #{request}){} on rank {rank}",
-                        comm_suffix(comm)
-                    ),
-                    states: st.activity.clone(),
-                };
-                st.abort = Some(err.clone());
-                self.cv.notify_all();
-                return Err(err);
-            }
-        }
+            let what = || {
+                format!(
+                    "MPI_Wait(req #{request}){} on rank {rank}",
+                    comm_suffix(comm)
+                )
+            };
+            self.block_until(st, rank, act, what, |st| {
+                // Re-read the state every round: under MPI_THREAD_MULTIPLE a
+                // sibling thread waiting on the same request may have
+                // completed it while we slept — that is a double wait and
+                // must error, not steal the next matching message.
+                if matches!(st.requests[request].state, RequestState::Retired) {
+                    return Err(already_waited(request));
+                }
+                let value = take_message(st, rank, comm, src, tag);
+                if value.is_some() {
+                    st.requests[request].state = RequestState::Retired;
+                }
+                Ok(value)
+            })
+        })
     }
 
     /// Buffered send on `MPI_COMM_WORLD`.
@@ -1017,91 +871,26 @@ impl World {
         tag: i64,
         is_initial_thread: bool,
     ) -> Result<MpiValue, MpiError> {
-        self.enter_mpi(rank, is_initial_thread)?;
-        let result = self.recv_inner(rank, comm, src, tag);
-        self.leave_mpi(rank);
-        result
-    }
-
-    fn recv_inner(
-        &self,
-        rank: usize,
-        comm: usize,
-        src: i64,
-        tag: i64,
-    ) -> Result<MpiValue, MpiError> {
-        let deadline = Instant::now() + self.cfg.op_timeout;
-        let mut st = self.state.lock();
-        let (src, tag) = match decode_recv_key(src, tag) {
-            Ok(k) => k,
-            Err(err) => {
-                self.abort_locked(&mut st, err.clone());
-                return Err(err);
-            }
-        };
-        let Some(c) = st.comms.get(comm) else {
-            let err = bad_comm(comm);
-            self.abort_locked(&mut st, err.clone());
-            return Err(err);
-        };
-        let Some(my_local) = c.local_rank(rank) else {
-            let err = not_member(rank, comm);
-            self.abort_locked(&mut st, err.clone());
-            return Err(err);
-        };
-        if let Some(s) = src {
-            if s >= c.members.len() {
-                let err = MpiError::ArgError(format!(
-                    "recv source {s} out of range for communicator size {}",
-                    c.members.len()
-                ));
-                self.abort_locked(&mut st, err.clone());
-                return Err(err);
-            }
-        }
-        loop {
-            if let Some(e) = &st.abort {
-                return Err(MpiError::Aborted(e.to_string()));
-            }
-            if let Some(pos) = matching_message(&st.mailboxes[rank], comm, src, tag) {
-                let msg = st.mailboxes[rank].remove(pos);
-                st.comms[comm].p2p_recvd[my_local] += 1;
-                st.activity[rank] = RankActivity::Running;
-                return Ok(msg.value);
-            }
-            let act = RankActivity::InRecv { comm, src, tag };
-            st.activity[rank] = act.clone();
-            st.blocked[rank].push(act.clone());
-            if let Some(dl) = deadlock(&st) {
-                unpark(&mut st, rank, &act);
-                st.abort = Some(dl.clone());
-                self.cv.notify_all();
-                return Err(dl);
-            }
-            let res = self.cv.wait_until(&mut st, deadline);
-            unpark(&mut st, rank, &act);
-            if res.timed_out() {
-                let err = MpiError::Timeout {
-                    what: format!(
-                        "MPI_Recv(src={}, tag={}{}) on rank {rank}",
-                        value_or_any(src),
-                        value_or_any(tag),
-                        comm_suffix(comm)
-                    ),
-                    states: st.activity.clone(),
-                };
-                st.abort = Some(err.clone());
-                self.cv.notify_all();
-                return Err(err);
-            }
-        }
-    }
-
-    fn abort_locked(&self, st: &mut WorldState, err: MpiError) {
-        if st.abort.is_none() {
-            st.abort = Some(err);
-        }
-        self.cv.notify_all();
+        self.call(rank, is_initial_thread, |st| {
+            let (src, tag) = recv_key(st, rank, comm, src, tag, "recv")?;
+            let act = RankActivity::InRecv {
+                request: None,
+                comm,
+                src,
+                tag,
+            };
+            let what = || {
+                format!(
+                    "MPI_Recv(src={}, tag={}{}) on rank {rank}",
+                    value_or_any(src),
+                    value_or_any(tag),
+                    comm_suffix(comm)
+                )
+            };
+            self.block_until(st, rank, act, what, |st| {
+                Ok(take_message(st, rank, comm, src, tag))
+            })
+        })
     }
 
     /// Blocking receive on `MPI_COMM_WORLD`.
@@ -1114,46 +903,134 @@ impl World {
     ) -> Result<MpiValue, MpiError> {
         self.recv_on(rank, COMM_WORLD, src, tag, is_initial_thread)
     }
+
+    fn abort_locked(&self, st: &mut WorldState, err: MpiError) {
+        if st.abort.is_none() {
+            st.abort = Some(err);
+        }
+        self.cv.notify_all();
+    }
+
+    /// Deliver one buffered message — the shared core of the blocking and
+    /// non-blocking sends: validates the destination and tag, bumps the
+    /// sender's per-communicator counter, appends to the destination's
+    /// mailbox and wakes the parked receivers.
+    fn deliver(
+        &self,
+        st: &mut WorldState,
+        rank: usize,
+        comm: usize,
+        dest: usize,
+        tag: i64,
+        value: MpiValue,
+    ) -> Result<(), MpiError> {
+        if tag < 0 {
+            return Err(MpiError::ArgError(format!(
+                "send tag {tag} must be non-negative (wildcards are receive-only)"
+            )));
+        }
+        let src = member(st, rank, comm)?;
+        let c = &mut st.comms[comm];
+        if dest >= c.members.len() {
+            return Err(MpiError::ArgError(format!(
+                "send destination {dest} out of range for communicator size {}",
+                c.members.len()
+            )));
+        }
+        c.p2p_sent[src] += 1;
+        let global_dest = c.members[dest];
+        st.mailboxes[global_dest].push(Message {
+            comm,
+            src,
+            tag,
+            value,
+        });
+        self.cv.notify_all();
+        Ok(())
+    }
 }
 
-/// Deliver one buffered message — the shared core of the blocking and
-/// non-blocking sends: validates the destination and tag, bumps the
-/// sender's per-communicator counter and appends to the destination's
-/// mailbox.
-fn deliver(
+/// `rank`'s local rank in `comm` — the one membership check.
+fn member(st: &WorldState, rank: usize, comm: usize) -> Result<usize, MpiError> {
+    let Some(c) = st.comms.get(comm) else {
+        return Err(MpiError::ArgError(format!(
+            "invalid communicator handle #{comm}"
+        )));
+    };
+    c.local_rank(rank).ok_or_else(|| {
+        MpiError::ArgError(format!(
+            "rank {rank} is not a member of communicator #{comm}"
+        ))
+    })
+}
+
+/// Check a receive's sentinel-encoded (source, tag) key for `op`:
+/// `ANY_SOURCE` / `ANY_TAG` become wildcards and other negative values
+/// are errors, then `rank` must be a member of `comm` and a pinned
+/// source a rank of it.
+fn recv_key(
+    st: &WorldState,
+    rank: usize,
+    comm: usize,
+    src: i64,
+    tag: i64,
+    op: &str,
+) -> Result<(Option<usize>, Option<i64>), MpiError> {
+    let src = match src {
+        ANY_SOURCE => None,
+        s if s < 0 => {
+            return Err(MpiError::ArgError(format!(
+                "receive source {s} is neither a rank nor MPI_ANY_SOURCE"
+            )))
+        }
+        s => Some(s as usize),
+    };
+    let tag = match tag {
+        ANY_TAG => None,
+        t if t < 0 => {
+            return Err(MpiError::ArgError(format!(
+                "receive tag {t} is neither a tag nor MPI_ANY_TAG"
+            )))
+        }
+        t => Some(t),
+    };
+    member(st, rank, comm)?;
+    let size = st.comms[comm].members.len();
+    if let Some(s) = src.filter(|&s| s >= size) {
+        return Err(MpiError::ArgError(format!(
+            "{op} source {s} out of range for communicator size {size}"
+        )));
+    }
+    Ok((src, tag))
+}
+
+/// Consume the buffered message a receive of `rank` on `comm` takes
+/// (see [`matching_message`]), if any, and count it received — the one
+/// consume path of `MPI_Recv` and `MPI_Wait`.
+fn take_message(
     st: &mut WorldState,
     rank: usize,
     comm: usize,
-    dest: usize,
-    tag: i64,
-    value: MpiValue,
-) -> Result<(), MpiError> {
-    if tag < 0 {
-        return Err(MpiError::ArgError(format!(
-            "send tag {tag} must be non-negative (wildcards are receive-only)"
-        )));
-    }
-    let Some(c) = st.comms.get(comm) else {
-        return Err(bad_comm(comm));
-    };
-    let Some(src_local) = c.local_rank(rank) else {
-        return Err(not_member(rank, comm));
-    };
-    if dest >= c.members.len() {
-        return Err(MpiError::ArgError(format!(
-            "send destination {dest} out of range for communicator size {}",
-            c.members.len()
-        )));
-    }
-    let global_dest = c.members[dest];
-    st.comms[comm].p2p_sent[src_local] += 1;
-    st.mailboxes[global_dest].push(Message {
-        comm,
-        src: src_local,
-        tag,
-        value,
-    });
-    Ok(())
+    src: Option<usize>,
+    tag: Option<i64>,
+) -> Option<MpiValue> {
+    let pos = matching_message(&st.mailboxes[rank], comm, src, tag)?;
+    let c = &mut st.comms[comm];
+    let local = c.local_rank(rank).expect("membership checked at post");
+    c.p2p_recvd[local] += 1;
+    Some(st.mailboxes[rank].remove(pos).value)
+}
+
+/// Post a non-blocking request owned by `owner`; returns its handle.
+fn post(st: &mut WorldState, owner: usize, state: RequestState) -> usize {
+    st.requests.push(Request { owner, state });
+    st.requests.len() - 1
+}
+
+fn already_waited(request: usize) -> MpiError {
+    MpiError::ArgError(format!(
+        "request #{request} was already completed by a previous wait"
+    ))
 }
 
 /// `MPI_Comm_split` results: group the parent's members by color,
@@ -1267,16 +1144,6 @@ fn deadlock(st: &WorldState) -> Option<MpiError> {
                 .and_then(|c| c.members.get(local).copied())
         },
     )
-}
-
-fn bad_comm(comm: usize) -> MpiError {
-    MpiError::ArgError(format!("invalid communicator handle #{comm}"))
-}
-
-fn not_member(rank: usize, comm: usize) -> MpiError {
-    MpiError::ArgError(format!(
-        "rank {rank} is not a member of communicator #{comm}"
-    ))
 }
 
 /// Render an optional receive-key field as its value or `ANY`.
@@ -1394,39 +1261,16 @@ fn compute_results(
         }
         CollectiveOp::Alltoall => {
             // Rank r receives element r of every rank's array.
-            let mut out = Vec::with_capacity(size);
-            for r in 0..size {
-                match payloads[0] {
-                    MpiValue::ArrayInt(_) => {
-                        let mut row = Vec::with_capacity(size);
-                        for p in &payloads {
-                            match p {
-                                MpiValue::ArrayInt(a) if a.len() >= size => row.push(a[r]),
-                                MpiValue::ArrayInt(a) => {
-                                    return Err(short_array(&sig, a.len(), size))
-                                }
-                                _ => unreachable!("type-matched by signature"),
-                            }
-                        }
-                        out.push(MpiValue::ArrayInt(row));
-                    }
-                    MpiValue::ArrayFloat(_) => {
-                        let mut row = Vec::with_capacity(size);
-                        for p in &payloads {
-                            match p {
-                                MpiValue::ArrayFloat(a) if a.len() >= size => row.push(a[r]),
-                                MpiValue::ArrayFloat(a) => {
-                                    return Err(short_array(&sig, a.len(), size))
-                                }
-                                _ => unreachable!("type-matched by signature"),
-                            }
-                        }
-                        out.push(MpiValue::ArrayFloat(row));
-                    }
-                    _ => return Err(MpiError::ArgError("alltoall needs arrays".into())),
-                }
+            if !matches!(payloads[0], MpiValue::ArrayInt(_) | MpiValue::ArrayFloat(_)) {
+                return Err(MpiError::ArgError("alltoall needs arrays".into()));
             }
-            out
+            let columns = payloads
+                .iter()
+                .map(|p| scatter_elems(p, size, &sig))
+                .collect::<Result<Vec<_>, _>>()?;
+            (0..size)
+                .map(|r| gather_array(&columns.iter().map(|c| &c[r]).collect::<Vec<_>>()))
+                .collect::<Result<_, _>>()?
         }
         CollectiveOp::ReduceScatter => {
             let op = sig.reduce_op.expect("reduce_scatter has op");
@@ -1461,22 +1305,17 @@ fn empty_like(v: &MpiValue) -> MpiValue {
     }
 }
 
+/// The first `size` elements of an array payload, one scalar each.
 fn scatter_elems(src: &MpiValue, size: usize, sig: &Signature) -> Result<Vec<MpiValue>, MpiError> {
-    match src {
-        MpiValue::ArrayInt(a) => {
-            if a.len() < size {
-                return Err(short_array(sig, a.len(), size));
-            }
-            Ok(a.iter().take(size).map(|&x| MpiValue::Int(x)).collect())
-        }
-        MpiValue::ArrayFloat(a) => {
-            if a.len() < size {
-                return Err(short_array(sig, a.len(), size));
-            }
-            Ok(a.iter().take(size).map(|&x| MpiValue::Float(x)).collect())
-        }
-        _ => Err(MpiError::ArgError(format!("{sig} needs an array payload"))),
+    let elems: Vec<MpiValue> = match src {
+        MpiValue::ArrayInt(a) => a.iter().take(size).map(|&x| MpiValue::Int(x)).collect(),
+        MpiValue::ArrayFloat(a) => a.iter().take(size).map(|&x| MpiValue::Float(x)).collect(),
+        _ => return Err(MpiError::ArgError(format!("{sig} needs an array payload"))),
+    };
+    if elems.len() < size {
+        return Err(short_array(sig, elems.len(), size));
     }
+    Ok(elems)
 }
 
 fn short_array(sig: &Signature, len: usize, size: usize) -> MpiError {
@@ -1499,14 +1338,4 @@ where
     F: Fn(usize) -> R + Sync,
 {
     parcoach_pool::thread_cache().run_map(world.size(), f)
-}
-
-/// Convenience: the signature of a data collective from IR-level facts.
-pub fn data_signature(
-    kind: parcoach_front::ast::CollectiveKind,
-    reduce_op: Option<ReduceOp>,
-    root: Option<usize>,
-    ty: Option<MpiType>,
-) -> Signature {
-    Signature::collective(kind.into(), reduce_op, root, ty)
 }
