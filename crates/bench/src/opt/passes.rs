@@ -10,7 +10,7 @@
 use crate::opt::liveness::liveness;
 use crate::opt::usedef::{instr_uses, is_pure};
 use parcoach_front::ast::{BinOp, UnOp};
-use parcoach_ir::{Const, FuncIr, Instr, Module, MpiIr, Reg, Terminator, Value};
+use parcoach_ir::{Const, FuncIr, Instr, Module, Reg, Terminator, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -126,48 +126,17 @@ fn local_fold_and_propagate(f: &mut FuncIr, stats: &mut OptStats) {
                         *a = resolve(*a, &known, stats);
                     }
                 }
-                Instr::Mpi { op, .. } => match op {
-                    // Communicator operands stay registers: they are
-                    // opaque handles with no constant form.
-                    MpiIr::Collective { value, root, .. } => {
-                        if let Some(v) = value {
-                            *v = resolve(*v, &known, stats);
+                // Handle operands (communicators, requests) stay
+                // registers: they are opaque, with no constant form.
+                Instr::Mpi { op, .. } => {
+                    *op = op.map(|role, v| {
+                        if role.is_handle() {
+                            v
+                        } else {
+                            resolve(v, &known, stats)
                         }
-                        if let Some(r) = root {
-                            *r = resolve(*r, &known, stats);
-                        }
-                    }
-                    MpiIr::Send {
-                        value, dest, tag, ..
-                    } => {
-                        *value = resolve(*value, &known, stats);
-                        *dest = resolve(*dest, &known, stats);
-                        *tag = resolve(*tag, &known, stats);
-                    }
-                    MpiIr::Recv { src, tag, .. } => {
-                        *src = resolve(*src, &known, stats);
-                        *tag = resolve(*tag, &known, stats);
-                    }
-                    MpiIr::CommSplit { color, key, .. } => {
-                        *color = resolve(*color, &known, stats);
-                        *key = resolve(*key, &known, stats);
-                    }
-                    // Request operands stay registers (opaque handles);
-                    // the scalar operands of the posts fold like their
-                    // blocking counterparts.
-                    MpiIr::Isend {
-                        value, dest, tag, ..
-                    } => {
-                        *value = resolve(*value, &known, stats);
-                        *dest = resolve(*dest, &known, stats);
-                        *tag = resolve(*tag, &known, stats);
-                    }
-                    MpiIr::Irecv { src, tag, .. } => {
-                        *src = resolve(*src, &known, stats);
-                        *tag = resolve(*tag, &known, stats);
-                    }
-                    _ => {}
-                },
+                    });
+                }
                 Instr::Check(_) => {}
             }
             // Fold.

@@ -1,6 +1,6 @@
 //! Use/def extraction shared by the dataflow and codegen passes.
 
-use parcoach_ir::{BasicBlock, Directive, Instr, MpiIr, Reg, Terminator, Value};
+use parcoach_ir::{BasicBlock, Directive, Instr, Reg, Terminator, Value};
 
 fn push_val(v: &Value, out: &mut Vec<Reg>) {
     if let Value::Reg(r) = v {
@@ -42,74 +42,7 @@ pub fn instr_uses(i: &Instr) -> Vec<Reg> {
                 push_val(a, &mut out);
             }
         }
-        Instr::Mpi { op, .. } => match op {
-            MpiIr::Collective {
-                value, root, comm, ..
-            } => {
-                if let Some(v) = value {
-                    push_val(v, &mut out);
-                }
-                if let Some(r) = root {
-                    push_val(r, &mut out);
-                }
-                if let Some(c) = comm {
-                    push_val(c, &mut out);
-                }
-            }
-            MpiIr::Send {
-                value,
-                dest,
-                tag,
-                comm,
-            } => {
-                push_val(value, &mut out);
-                push_val(dest, &mut out);
-                push_val(tag, &mut out);
-                if let Some(c) = comm {
-                    push_val(c, &mut out);
-                }
-            }
-            MpiIr::Recv { src, tag, comm } => {
-                push_val(src, &mut out);
-                push_val(tag, &mut out);
-                if let Some(c) = comm {
-                    push_val(c, &mut out);
-                }
-            }
-            MpiIr::CommSplit { parent, color, key } => {
-                push_val(parent, &mut out);
-                push_val(color, &mut out);
-                push_val(key, &mut out);
-            }
-            MpiIr::CommDup { comm } => push_val(comm, &mut out),
-            MpiIr::Isend {
-                value,
-                dest,
-                tag,
-                comm,
-            } => {
-                push_val(value, &mut out);
-                push_val(dest, &mut out);
-                push_val(tag, &mut out);
-                if let Some(c) = comm {
-                    push_val(c, &mut out);
-                }
-            }
-            MpiIr::Irecv { src, tag, comm } => {
-                push_val(src, &mut out);
-                push_val(tag, &mut out);
-                if let Some(c) = comm {
-                    push_val(c, &mut out);
-                }
-            }
-            MpiIr::Wait { request } => push_val(request, &mut out),
-            MpiIr::Waitall { requests } => {
-                for r in requests {
-                    push_val(r, &mut out);
-                }
-            }
-            MpiIr::Init { .. } | MpiIr::Finalize | MpiIr::CommWorld => {}
-        },
+        Instr::Mpi { op, .. } => op.operands(|_, v| push_val(&v, &mut out)),
         Instr::Check(_) => {}
     }
     out

@@ -83,7 +83,7 @@ mod tests {
     use crate::handle::{compute_handles, ModuleHandles};
     use parcoach_front::parse_and_check;
     use parcoach_ir::func::Module;
-    use parcoach_ir::instr::{Instr, MpiIr};
+    use parcoach_ir::instr::{Instr, MpiOp};
     use parcoach_ir::lower::lower_program;
 
     fn comms(src: &str) -> (Module, ModuleHandles) {
@@ -102,7 +102,7 @@ mod tests {
         for b in f.block_ids() {
             for i in f.instrs(b) {
                 if let Instr::Mpi {
-                    op: MpiIr::Collective { comm, .. },
+                    op: MpiOp::Collective { comm, .. },
                     ..
                 } = i
                 {

@@ -30,7 +30,7 @@ use crate::report::{WarningCore, WarningKind};
 use crate::word::Word;
 use parcoach_front::ast::ThreadLevel;
 use parcoach_ir::func::FuncIr;
-use parcoach_ir::instr::{BlockKind, Directive, Instr, MpiIr, Terminator};
+use parcoach_ir::instr::{BlockKind, Directive, Instr, Terminator};
 use parcoach_ir::types::{BlockId, RegionId};
 use std::collections::HashMap;
 
@@ -87,22 +87,9 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
     // after stripping; phase 1 already handled the rest).
     let mut colls: Vec<RegionColl> = Vec::new();
     let mut words: Vec<Word> = Vec::new();
-    let mut mpi_blocks = f.collective_blocks();
-    for b in f.p2p_blocks() {
-        if !mpi_blocks.contains(&b) {
-            mpi_blocks.push(b);
-        }
-    }
-    for bid in f.block_ids() {
-        let has_mgmt = f.instrs(bid).iter().any(|i| match i {
-            Instr::Mpi { op, .. } => op.comm_mgmt().is_some(),
-            _ => false,
-        });
-        if has_mgmt && !mpi_blocks.contains(&bid) {
-            mpi_blocks.push(bid);
-        }
-    }
-    mpi_blocks.sort_unstable();
+    let mpi_blocks = f.blocks_with(
+        |i| matches!(i, Instr::Mpi { op, .. } if op.synchronizes().is_some() || op.is_p2p()),
+    );
     for bid in mpi_blocks {
         // None covers unreachable blocks and conflict states alike.
         let Some(w) = facts.pw.word_at(bid) else {
@@ -124,32 +111,22 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
             let Instr::Mpi { op, .. } = i else {
                 continue;
             };
-            let (name, class) = match op {
-                MpiIr::Collective { kind, comm, .. } => {
-                    (kind.mpi_name(), OpClass::Coll(handles.comm(*comm)))
-                }
-                MpiIr::Send { .. } => ("MPI_Send", OpClass::P2p),
-                MpiIr::Recv { .. } => ("MPI_Recv", OpClass::P2p),
-                // Non-blocking posts and completions live in the p2p
-                // matching space: concurrent regions driving them (or a
-                // request posted in one region and waited in a
-                // concurrent sibling) are legal under
-                // MPI_THREAD_MULTIPLE — no ordering warning, but the
-                // level demand is recorded below.
-                MpiIr::Isend { .. } => ("MPI_Isend", OpClass::P2p),
-                MpiIr::Irecv { .. } => ("MPI_Irecv", OpClass::P2p),
-                MpiIr::Wait { .. } => ("MPI_Wait", OpClass::P2p),
-                MpiIr::Waitall { .. } => ("MPI_Waitall", OpClass::P2p),
+            let class = match op.synchronizes() {
                 // Comm management synchronizes the *parent* communicator.
-                _ => match op.comm_mgmt() {
-                    Some((name, parent)) => (name, OpClass::Coll(handles.comm(Some(parent)))),
-                    None => continue,
-                },
+                Some((_, comm)) => OpClass::Coll(handles.comm(comm)),
+                // Point-to-point operations live in the p2p matching
+                // space: concurrent regions driving them (or a request
+                // posted in one region and waited in a concurrent
+                // sibling) are legal under MPI_THREAD_MULTIPLE — no
+                // ordering warning, but the level demand is recorded
+                // below.
+                None if op.is_p2p() => OpClass::P2p,
+                None => continue,
             };
             colls.push(RegionColl {
                 block: bid,
                 site: Locator::Instr(fidx, bid, ii),
-                name,
+                name: op.name(),
                 class,
                 word,
                 s_pos,

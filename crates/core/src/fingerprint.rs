@@ -6,12 +6,14 @@
 //! The walk below mirrors the IR shape by hand — every `match` names
 //! every field, so a new field fails compilation here instead of
 //! silently escaping the key — feeding integers (discriminants, ids,
-//! operand bits) to a word-at-a-time hasher. Spans are the one thing it
-//! skips: code that only moved hashes the same.
+//! operand bits) to a word-at-a-time hasher. An MPI operation's operands
+//! come from [`MpiOp::operands`], the one walk that names them all.
+//! Spans are the one thing it skips: code that only moved hashes the
+//! same.
 
 use crate::handle::is_handle;
 use parcoach_ir::func::FuncIr;
-use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiIr, Terminator};
+use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator};
 use parcoach_ir::types::{Const, Reg, Value};
 
 /// A 128-bit span-insensitive structural hash of one function's IR.
@@ -219,81 +221,21 @@ impl Hash128 {
         }
     }
 
-    fn mpi(&mut self, op: &MpiIr) {
+    /// The name and the fields that are not operands by hand; the
+    /// operands, each with its role, by the one walk that names them all.
+    fn mpi(&mut self, op: &MpiOp<Value>) {
+        self.str(op.name());
         match op {
-            MpiIr::Init { required } => {
-                self.tag(0x40, required.map_or(u32::MAX, |l| l as u32));
-            }
-            MpiIr::Finalize => self.tag(0x41, 0),
-            MpiIr::Collective {
-                kind,
-                value,
-                reduce_op,
-                root,
-                comm,
-            } => {
-                self.tag(0x42, *kind as u32);
+            MpiOp::Init { required } => self.word(required.map_or(u64::MAX, |l| l as u64)),
+            MpiOp::Collective { reduce_op, .. } => {
                 self.word(reduce_op.map_or(u64::MAX, |r| r as u64));
-                self.opt_value(*value);
-                self.opt_value(*root);
-                self.opt_value(*comm);
             }
-            MpiIr::Send {
-                value,
-                dest,
-                tag,
-                comm,
-            } => {
-                self.tag(0x43, 0);
-                self.value(*value);
-                self.value(*dest);
-                self.value(*tag);
-                self.opt_value(*comm);
-            }
-            MpiIr::Recv { src, tag, comm } => {
-                self.tag(0x44, 0);
-                self.value(*src);
-                self.value(*tag);
-                self.opt_value(*comm);
-            }
-            MpiIr::CommWorld => self.tag(0x45, 0),
-            MpiIr::CommSplit { parent, color, key } => {
-                self.tag(0x46, 0);
-                self.value(*parent);
-                self.value(*color);
-                self.value(*key);
-            }
-            MpiIr::CommDup { comm } => {
-                self.tag(0x47, 0);
-                self.value(*comm);
-            }
-            MpiIr::Isend {
-                value,
-                dest,
-                tag,
-                comm,
-            } => {
-                self.tag(0x48, 0);
-                self.value(*value);
-                self.value(*dest);
-                self.value(*tag);
-                self.opt_value(*comm);
-            }
-            MpiIr::Irecv { src, tag, comm } => {
-                self.tag(0x49, 0);
-                self.value(*src);
-                self.value(*tag);
-                self.opt_value(*comm);
-            }
-            MpiIr::Wait { request } => {
-                self.tag(0x4a, 0);
-                self.value(*request);
-            }
-            MpiIr::Waitall { requests } => {
-                self.tag(0x4b, 0);
-                self.values(requests);
-            }
+            _ => {}
         }
+        op.operands(|role, v| {
+            self.word(role as u64);
+            self.value(v);
+        });
     }
 
     fn directive(&mut self, d: &Directive) {

@@ -24,7 +24,7 @@ use crate::query::Locator;
 use crate::request::{ReqDef, ReqId, ReqResolution};
 use parcoach_front::ast::Type;
 use parcoach_ir::func::{FuncIr, Module};
-use parcoach_ir::instr::{Instr, MpiIr};
+use parcoach_ir::instr::{Instr, MpiOp};
 use parcoach_ir::types::Value;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -242,11 +242,11 @@ fn resolve(
                 let now = state[d.index()];
                 let next = match i {
                     Instr::Mpi { op, .. } => match op {
-                        MpiIr::CommWorld => now.join(comms.intern(CommDef::World)),
-                        MpiIr::CommSplit { .. } => now.join(comms.intern(CommDef::Split(at))),
-                        MpiIr::CommDup { .. } => now.join(comms.intern(CommDef::Dup(at))),
-                        MpiIr::Isend { .. } => now.join(reqs.intern(ReqDef::Isend(at))),
-                        MpiIr::Irecv { .. } => now.join(reqs.intern(ReqDef::Irecv(at))),
+                        MpiOp::CommWorld => now.join(comms.intern(CommDef::World)),
+                        MpiOp::CommSplit { .. } => now.join(comms.intern(CommDef::Split(at))),
+                        MpiOp::CommDup { .. } => now.join(comms.intern(CommDef::Dup(at))),
+                        MpiOp::Isend { .. } => now.join(reqs.intern(ReqDef::Isend(at))),
+                        MpiOp::Irecv { .. } => now.join(reqs.intern(ReqDef::Irecv(at))),
                         _ => now,
                     },
                     Instr::Copy {

@@ -20,7 +20,7 @@
 use crate::report::StaticReport;
 use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
-use parcoach_ir::instr::{CheckOp, Instr, MpiIr, Terminator};
+use parcoach_ir::instr::{CheckOp, Instr, MpiOp, Terminator};
 use parcoach_ir::types::{BlockId, RegionId, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -185,7 +185,7 @@ impl FuncPlan<'_> {
                     }
                 }
                 if let Instr::Mpi {
-                    op: MpiIr::Finalize,
+                    op: MpiOp::Finalize,
                     span,
                     ..
                 } = &i
@@ -218,16 +218,8 @@ fn guarded_collective(i: &Instr) -> Option<(&'static str, u32, Option<Value>, Sp
     let Instr::Mpi { op, span, .. } = i else {
         return None;
     };
-    if let MpiIr::Collective { kind, comm, .. } = op {
-        return Some((kind.mpi_name(), kind.color(), *comm, *span));
-    }
-    let (name, parent) = op.comm_mgmt()?;
-    let color = if name == "MPI_Comm_split" {
-        parcoach_ir::instr::COLOR_COMM_SPLIT
-    } else {
-        parcoach_ir::instr::COLOR_COMM_DUP
-    };
-    Some((name, color, Some(parent), *span))
+    let (color, comm) = op.synchronizes()?;
+    Some((op.name(), color, comm, *span))
 }
 
 /// Where each `(region, site)` pair's counter goes: `ConcEnter` at the
@@ -432,7 +424,7 @@ mod tests {
                     [
                         Instr::Check(CheckOp::P2pEpoch { .. }),
                         Instr::Mpi {
-                            op: MpiIr::Finalize,
+                            op: MpiOp::Finalize,
                             ..
                         }
                     ]

@@ -31,7 +31,7 @@ use crate::report::{WarningCore, WarningKind};
 use parcoach_front::ast::CollectiveKind;
 use parcoach_ir::dom::IpdfEngine;
 use parcoach_ir::func::{FuncIr, Module};
-use parcoach_ir::instr::{Instr, MpiIr};
+use parcoach_ir::instr::Instr;
 use parcoach_ir::types::BlockId;
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -105,13 +105,14 @@ pub(crate) fn block_events<'a>(
 ) -> impl Iterator<Item = (Event, usize)> + 'a {
     f.instrs(b).iter().enumerate().filter_map(move |(ii, i)| {
         let event = match i {
-            Instr::Mpi { op, .. } => match op {
-                MpiIr::Collective { kind, comm, .. } => Event::Coll(handles.comm(*comm), *kind),
-                _ => {
-                    let (name, parent) = op.comm_mgmt()?;
-                    Event::CommMgmt(handles.comm(Some(parent)), name)
+            Instr::Mpi { op, .. } => {
+                // Comm management synchronizes the *parent* communicator.
+                let comm = handles.comm(op.synchronizes()?.1);
+                match op.collective_kind() {
+                    Some(kind) => Event::Coll(comm, kind),
+                    None => Event::CommMgmt(comm, op.name()),
                 }
-            },
+            }
             Instr::Call { func, .. } => {
                 let callee = *m.by_name.get(func)?;
                 if !ctxs.collective_bearing[callee] {

@@ -62,13 +62,10 @@ pub fn check_monothread(cx: &AnalysisCx, fidx: usize) -> MonoResult {
             let parcoach_ir::instr::Instr::Mpi { op, .. } = i else {
                 continue;
             };
-            let name = match op.collective_kind() {
-                Some(k) => k.mpi_name(),
-                None => match op.comm_mgmt() {
-                    Some((n, _)) => n,
-                    None => continue,
-                },
-            };
+            if op.synchronizes().is_none() {
+                continue;
+            }
+            let name = op.name();
             let site = Locator::Instr(fidx, bid, ii);
             match pw.entry[bid.index()] {
                 None => continue, // unreachable

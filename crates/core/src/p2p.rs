@@ -38,9 +38,9 @@ use crate::handle::FuncHandles;
 use crate::query::Locator;
 use crate::report::{StaticWarning, WarningCore, WarningKind};
 use crate::request::{ReqId, ReqResolution};
-use parcoach_front::ast::ANY_TAG;
+use parcoach_front::ast::{Role, ANY_TAG};
 use parcoach_ir::func::Module;
-use parcoach_ir::instr::{Instr, MpiIr};
+use parcoach_ir::instr::{Instr, MpiOp};
 use parcoach_ir::types::{BlockId, Const, Value};
 use std::sync::Arc;
 
@@ -180,37 +180,29 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
                     })
                     .unwrap_or(ReqId::UNKNOWN)
                 };
-                let (dir, tag, comm, name, req) = match op {
-                    MpiIr::Send { tag, comm, .. } => (Dir::Send, tag, comm, "MPI_Send", None),
-                    MpiIr::Recv { tag, comm, .. } => (Dir::Recv, tag, comm, "MPI_Recv", None),
-                    MpiIr::Isend { tag, comm, .. } => {
-                        (Dir::Send, tag, comm, "MPI_Isend", Some(req_class()))
+                let (dir, tag, comm) = match op {
+                    MpiOp::Send { tag, comm, .. } | MpiOp::Isend { tag, comm, .. } => {
+                        (Dir::Send, tag, comm)
                     }
-                    MpiIr::Irecv { tag, comm, .. } => {
-                        (Dir::Recv, tag, comm, "MPI_Irecv", Some(req_class()))
+                    MpiOp::Recv { tag, comm, .. } | MpiOp::Irecv { tag, comm, .. } => {
+                        (Dir::Recv, tag, comm)
                     }
-                    MpiIr::Wait { request } => {
-                        waits.push(WaitSite {
-                            func: fidx,
-                            block: bid,
-                            instr: iidx,
-                            class: wait_class(fh, *request),
+                    _ => {
+                        // The request operands of `MPI_Wait` and `MPI_Waitall`.
+                        op.operands(|role, r| {
+                            if role == Role::Request {
+                                waits.push(WaitSite {
+                                    func: fidx,
+                                    block: bid,
+                                    instr: iidx,
+                                    class: wait_class(fh, r),
+                                });
+                            }
                         });
                         continue;
                     }
-                    MpiIr::Waitall { requests } => {
-                        for r in requests {
-                            waits.push(WaitSite {
-                                func: fidx,
-                                block: bid,
-                                instr: iidx,
-                                class: wait_class(fh, *r),
-                            });
-                        }
-                        continue;
-                    }
-                    _ => continue,
                 };
+                let req = matches!(op, MpiOp::Isend { .. } | MpiOp::Irecv { .. }).then(req_class);
                 sites.push(Site {
                     func: fidx,
                     block: bid,
@@ -218,7 +210,7 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
                     dir,
                     comm: fh.comm(*comm),
                     tag: tag_key(*tag),
-                    name,
+                    name: op.name(),
                     req,
                 });
             }

@@ -73,7 +73,7 @@ use crate::pw::PwResult;
 use parcoach_front::ast::{ThreadLevel, Type};
 use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
-use parcoach_ir::instr::{Instr, MpiIr, Terminator};
+use parcoach_ir::instr::{Instr, MpiOp, Terminator};
 use parcoach_ir::types::BlockId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -146,7 +146,7 @@ impl FuncKey {
                 p2p = fp.0;
                 break;
             }
-            if matches!(op, MpiIr::Finalize) {
+            if matches!(op, MpiOp::Finalize) {
                 p2p = 1;
             }
         }
@@ -206,10 +206,10 @@ pub fn call_summary(f: &FuncIr, by_name: &HashMap<String, usize>) -> CallSummary
             match i {
                 Instr::Mpi { op, .. } => {
                     s.has_mpi = true;
-                    s.own_bearing |= op.collective_kind().is_some() || op.comm_mgmt().is_some();
+                    s.own_bearing |= op.synchronizes().is_some();
                     match op {
-                        MpiIr::Finalize => s.has_finalize = true,
-                        MpiIr::Init { required } => {
+                        MpiOp::Finalize => s.has_finalize = true,
+                        MpiOp::Init { required } => {
                             let level = required.unwrap_or(ThreadLevel::Single);
                             s.init = Some(match s.init {
                                 None => (bid, ii, level),

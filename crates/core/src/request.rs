@@ -24,9 +24,10 @@
 use crate::handle::FuncHandles;
 use crate::query::Locator;
 use crate::report::{StaticWarning, WarningKind};
+use parcoach_front::ast::Role;
 use parcoach_front::span::Span;
 use parcoach_ir::func::FuncIr;
-use parcoach_ir::instr::{Instr, MpiIr};
+use parcoach_ir::instr::{Instr, MpiOp};
 use parcoach_ir::types::Value;
 
 /// An interned static request class.
@@ -96,17 +97,15 @@ pub fn check_requests(cx: &crate::facts::AnalysisCx) -> RequestResult {
             let Instr::Mpi { op, span, .. } = i else {
                 continue;
             };
-            match op {
-                MpiIr::Isend { .. } => {
-                    posts.push((post_class(fr, i), "MPI_Isend", *span));
-                }
-                MpiIr::Irecv { .. } => {
-                    posts.push((post_class(fr, i), "MPI_Irecv", *span));
-                }
-                MpiIr::Wait { request } => {
+            if let MpiOp::Isend { .. } | MpiOp::Irecv { .. } = op {
+                posts.push((post_class(fr, i), op.name(), *span));
+            }
+            // The request operands of `MPI_Wait` and `MPI_Waitall`.
+            op.operands(|role, r| {
+                if role == Role::Request {
                     record_wait(
                         fr,
-                        *request,
+                        r,
                         *span,
                         f,
                         &mut waited,
@@ -114,21 +113,7 @@ pub fn check_requests(cx: &crate::facts::AnalysisCx) -> RequestResult {
                         &mut out,
                     );
                 }
-                MpiIr::Waitall { requests } => {
-                    for r in requests {
-                        record_wait(
-                            fr,
-                            *r,
-                            *span,
-                            f,
-                            &mut waited,
-                            &mut any_unknown_wait,
-                            &mut out,
-                        );
-                    }
-                }
-                _ => {}
-            }
+            });
         }
         if any_unknown_wait {
             // Some wait operand may complete any class: no leak can be
@@ -290,7 +275,7 @@ mod tests {
             blocks: vec![b],
             instrs: vec![Instr::Mpi {
                 dest: None,
-                op: MpiIr::Wait {
+                op: MpiOp::Wait {
                     request: Value::Reg(Reg(0)),
                 },
                 span: Span::DUMMY,

@@ -436,6 +436,30 @@ impl CollectiveKind {
                 | CollectiveKind::ReduceScatter
         )
     }
+
+    /// True when the payload is an array: the scattering collectives.
+    pub fn takes_array(self) -> bool {
+        matches!(
+            self,
+            CollectiveKind::Scatter | CollectiveKind::ReduceScatter | CollectiveKind::Alltoall
+        )
+    }
+
+    /// The type the collective yields for a payload of type `payload`,
+    /// or `None` when the payload has the wrong type. The one typing
+    /// rule of the collectives: sema checks it, lowering reads it.
+    pub fn result_type(self, payload: Type) -> Option<Type> {
+        match self {
+            CollectiveKind::Barrier => Some(Type::Void),
+            CollectiveKind::Bcast
+            | CollectiveKind::Reduce
+            | CollectiveKind::Allreduce
+            | CollectiveKind::Scan => payload.is_numeric().then_some(payload),
+            CollectiveKind::Gather | CollectiveKind::Allgather => Type::array_of(payload),
+            CollectiveKind::Scatter | CollectiveKind::ReduceScatter => payload.elem(),
+            CollectiveKind::Alltoall => payload.is_array().then_some(payload),
+        }
+    }
 }
 
 impl fmt::Display for CollectiveKind {
@@ -444,115 +468,360 @@ impl fmt::Display for CollectiveKind {
     }
 }
 
-/// A full MPI operation as it appears in source.
+/// `CC` color of `MPI_Comm_split` (data-collective colors are
+/// 1..=10; 0 is the return/exit color).
+pub const COLOR_COMM_SPLIT: u32 = 11;
+/// `CC` color of `MPI_Comm_dup`.
+pub const COLOR_COMM_DUP: u32 = 12;
+
+/// What an MPI operand stands for. Sema reads the type it must have,
+/// and names it in a message by its noun.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// The payload: numeric for the point-to-point sends, typed by the
+    /// collective's kind otherwise.
+    Value,
+    /// A send's destination rank.
+    Dest,
+    /// A receive's source rank (or `MPI_ANY_SOURCE`).
+    Src,
+    /// A message tag (or `MPI_ANY_TAG`).
+    Tag,
+    /// The communicator an operation runs on.
+    Comm,
+    /// The communicator `MPI_Comm_split` partitions.
+    Parent,
+    /// `MPI_Comm_split`'s partition color.
+    Color,
+    /// `MPI_Comm_split`'s ordering key.
+    Key,
+    /// A rooted collective's root rank.
+    Root,
+    /// A request to complete.
+    Request,
+}
+
+impl Role {
+    /// The type the operand must have; `None` for the payload.
+    pub fn ty(self) -> Option<Type> {
+        match self {
+            Role::Value => None,
+            Role::Dest | Role::Src | Role::Tag | Role::Color | Role::Key | Role::Root => {
+                Some(Type::Int)
+            }
+            Role::Comm | Role::Parent => Some(Type::Comm),
+            Role::Request => Some(Type::Request),
+        }
+    }
+
+    /// True for the opaque handles: communicators and requests.
+    pub fn is_handle(self) -> bool {
+        matches!(self.ty(), Some(Type::Comm | Type::Request))
+    }
+
+    /// The operand's name in a message.
+    pub fn noun(self) -> &'static str {
+        match self {
+            Role::Value => "value",
+            Role::Dest => "destination",
+            Role::Src => "source",
+            Role::Tag => "tag",
+            Role::Comm => "communicator",
+            Role::Parent => "parent",
+            Role::Color => "color",
+            Role::Key => "key",
+            Role::Root => "root",
+            Role::Request => "request",
+        }
+    }
+}
+
+/// What an MPI operand is: an expression in the AST ([`ExprId`]), a
+/// register or constant in the IR, or `()` for a walk that only looks.
+pub trait Operand: Copy {
+    /// The operand list of `MPI_Waitall`.
+    type List;
+
+    /// The operands of `list`, in order.
+    fn list(list: &Self::List) -> impl Iterator<Item = Self> + '_;
+}
+
+impl Operand for ExprId {
+    type List = ExprRange;
+
+    fn list(list: &ExprRange) -> impl Iterator<Item = ExprId> + '_ {
+        list.iter()
+    }
+}
+
+impl Operand for () {
+    type List = ();
+
+    fn list(_: &()) -> impl Iterator<Item = ()> + '_ {
+        std::iter::empty()
+    }
+}
+
+/// An MPI operation, from parser to simulator: the AST holds
+/// `MpiOp<ExprId>`, the IR `MpiOp<Value>`. [`MpiOp::map`] is the one walk
+/// over its operands.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MpiOp {
-    /// `MPI_Init()`
-    Init,
-    /// `MPI_Init_thread(REQUIRED)` with a requested thread level name
-    /// (`SINGLE` / `FUNNELED` / `SERIALIZED` / `MULTIPLE`).
-    InitThread {
-        /// Requested level.
-        required: ThreadLevel,
+pub enum MpiOp<O: Operand> {
+    /// `MPI_Init()` / `MPI_Init_thread(LEVEL)`.
+    Init {
+        /// Requested thread level (None for plain `MPI_Init`).
+        required: Option<ThreadLevel>,
     },
     /// `MPI_Finalize()`
     Finalize,
-    /// A collective operation.
-    Collective(CollectiveCall),
+    /// A collective, e.g. `MPI_Reduce(v, op, root[, comm])`: the
+    /// arguments come in this order, each present or not by its kind.
+    Collective {
+        /// Which collective.
+        kind: CollectiveKind,
+        /// Payload (absent for `MPI_Barrier`).
+        value: Option<O>,
+        /// Reduction operator for reducing collectives.
+        reduce_op: Option<ReduceOp>,
+        /// Root rank for rooted collectives.
+        root: Option<O>,
+        /// Communicator (None = `MPI_COMM_WORLD`).
+        comm: Option<O>,
+    },
     /// `MPI_Send(v, dest, tag[, comm])` — blocking (buffered) send,
     /// checked by the static point-to-point matching pass.
     Send {
-        /// Value expression.
-        value: ExprId,
-        /// Destination rank (within `comm`).
-        dest: ExprId,
-        /// Message tag.
-        tag: ExprId,
+        /// Payload.
+        value: O,
+        /// Destination rank within `comm`.
+        dest: O,
+        /// Tag.
+        tag: O,
         /// Communicator (None = `MPI_COMM_WORLD`).
-        comm: Option<ExprId>,
+        comm: Option<O>,
     },
     /// `MPI_Recv(src, tag[, comm])` — returns the received value.
     Recv {
-        /// Source rank (within `comm`).
-        src: ExprId,
-        /// Message tag.
-        tag: ExprId,
+        /// Source rank within `comm`.
+        src: O,
+        /// Tag.
+        tag: O,
         /// Communicator (None = `MPI_COMM_WORLD`).
-        comm: Option<ExprId>,
+        comm: Option<O>,
     },
-    /// The `MPI_COMM_WORLD` handle as an expression.
+    /// The `MPI_COMM_WORLD` handle.
     CommWorld,
     /// `MPI_Comm_split(parent, color, key)` — collective over `parent`;
     /// ranks with equal `color` form a new communicator, ordered by
     /// (`key`, parent rank).
     CommSplit {
         /// Parent communicator.
-        parent: ExprId,
+        parent: O,
         /// Partition color (non-negative).
-        color: ExprId,
+        color: O,
         /// Ordering key within the new communicator.
-        key: ExprId,
+        key: O,
     },
     /// `MPI_Comm_dup(comm)` — collective over `comm`; returns a new
     /// communicator with the same members but a separate matching space.
     CommDup {
         /// Communicator to duplicate.
-        comm: ExprId,
+        comm: O,
     },
     /// `MPI_Isend(v, dest, tag[, comm])` — non-blocking (buffered) send;
     /// returns a request that must be completed by `MPI_Wait[all]`.
     Isend {
-        /// Value expression.
-        value: ExprId,
-        /// Destination rank (within `comm`).
-        dest: ExprId,
-        /// Message tag.
-        tag: ExprId,
+        /// Payload.
+        value: O,
+        /// Destination rank within `comm`.
+        dest: O,
+        /// Tag.
+        tag: O,
         /// Communicator (None = `MPI_COMM_WORLD`).
-        comm: Option<ExprId>,
+        comm: Option<O>,
     },
     /// `MPI_Irecv(src, tag[, comm])` — non-blocking receive post; `src`
-    /// may be `MPI_ANY_SOURCE` and `tag` may be `MPI_ANY_TAG`. Returns a
-    /// request; the received value is produced by `MPI_Wait`.
+    /// may be `MPI_ANY_SOURCE` ([`ANY_SOURCE`]) and `tag` `MPI_ANY_TAG`
+    /// ([`ANY_TAG`]). Returns a request; `MPI_Wait` yields the value.
     Irecv {
-        /// Source rank (within `comm`) or `MPI_ANY_SOURCE`.
-        src: ExprId,
-        /// Message tag or `MPI_ANY_TAG`.
-        tag: ExprId,
+        /// Source rank within `comm` (or `ANY_SOURCE`).
+        src: O,
+        /// Tag (or `ANY_TAG`).
+        tag: O,
         /// Communicator (None = `MPI_COMM_WORLD`).
-        comm: Option<ExprId>,
+        comm: Option<O>,
     },
     /// `MPI_Wait(req)` — block until the request completes; returns the
     /// received value for receive requests (0.0 for send requests).
     Wait {
         /// The request to complete.
-        request: ExprId,
+        request: O,
     },
     /// `MPI_Waitall(r1, r2, …)` — complete every request, in order.
     Waitall {
         /// The requests to complete.
-        requests: ExprRange,
+        requests: O::List,
     },
-    /// The `MPI_ANY_SOURCE` receive wildcard as an (int) expression.
-    AnySource,
-    /// The `MPI_ANY_TAG` receive wildcard as an (int) expression.
-    AnyTag,
 }
 
-/// A collective call: kind + arguments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CollectiveCall {
-    /// Which collective.
-    pub kind: CollectiveKind,
-    /// Payload value (absent for `MPI_Barrier`).
-    pub value: Option<ExprId>,
-    /// Reduction operator for reducing collectives.
-    pub reduce_op: Option<ReduceOp>,
-    /// Root rank expression for rooted collectives.
-    pub root: Option<ExprId>,
-    /// Communicator the collective runs on (None = `MPI_COMM_WORLD`),
-    /// always the last argument when present.
-    pub comm: Option<ExprId>,
+impl<O: Operand> MpiOp<O> {
+    /// The one walk over an operation's operands: `f` sees each with its
+    /// role, in source order, and its results take their places.
+    pub fn map<P: Operand>(&self, mut f: impl FnMut(Role, O) -> P) -> MpiOp<P>
+    where
+        P::List: FromIterator<P>,
+    {
+        match self {
+            MpiOp::Init { required } => MpiOp::Init {
+                required: *required,
+            },
+            MpiOp::Finalize => MpiOp::Finalize,
+            MpiOp::Collective {
+                kind,
+                value,
+                reduce_op,
+                root,
+                comm,
+            } => MpiOp::Collective {
+                kind: *kind,
+                value: value.map(|v| f(Role::Value, v)),
+                reduce_op: *reduce_op,
+                root: root.map(|r| f(Role::Root, r)),
+                comm: comm.map(|c| f(Role::Comm, c)),
+            },
+            MpiOp::Send {
+                value,
+                dest,
+                tag,
+                comm,
+            } => MpiOp::Send {
+                value: f(Role::Value, *value),
+                dest: f(Role::Dest, *dest),
+                tag: f(Role::Tag, *tag),
+                comm: comm.map(|c| f(Role::Comm, c)),
+            },
+            MpiOp::Recv { src, tag, comm } => MpiOp::Recv {
+                src: f(Role::Src, *src),
+                tag: f(Role::Tag, *tag),
+                comm: comm.map(|c| f(Role::Comm, c)),
+            },
+            MpiOp::CommWorld => MpiOp::CommWorld,
+            MpiOp::CommSplit { parent, color, key } => MpiOp::CommSplit {
+                parent: f(Role::Parent, *parent),
+                color: f(Role::Color, *color),
+                key: f(Role::Key, *key),
+            },
+            MpiOp::CommDup { comm } => MpiOp::CommDup {
+                comm: f(Role::Comm, *comm),
+            },
+            MpiOp::Isend {
+                value,
+                dest,
+                tag,
+                comm,
+            } => MpiOp::Isend {
+                value: f(Role::Value, *value),
+                dest: f(Role::Dest, *dest),
+                tag: f(Role::Tag, *tag),
+                comm: comm.map(|c| f(Role::Comm, c)),
+            },
+            MpiOp::Irecv { src, tag, comm } => MpiOp::Irecv {
+                src: f(Role::Src, *src),
+                tag: f(Role::Tag, *tag),
+                comm: comm.map(|c| f(Role::Comm, c)),
+            },
+            MpiOp::Wait { request } => MpiOp::Wait {
+                request: f(Role::Request, *request),
+            },
+            MpiOp::Waitall { requests } => MpiOp::Waitall {
+                requests: O::list(requests).map(|r| f(Role::Request, r)).collect(),
+            },
+        }
+    }
+
+    /// Every operand with its role, in source order.
+    pub fn operands(&self, f: impl FnMut(Role, O)) {
+        let _: MpiOp<()> = self.map(f);
+    }
+
+    /// The MPI name, e.g. `MPI_Isend`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            MpiOp::Init { required: None } => "MPI_Init",
+            MpiOp::Init { required: Some(_) } => "MPI_Init_thread",
+            MpiOp::Finalize => "MPI_Finalize",
+            MpiOp::Collective { kind, .. } => kind.mpi_name(),
+            MpiOp::Send { .. } => "MPI_Send",
+            MpiOp::Recv { .. } => "MPI_Recv",
+            MpiOp::CommWorld => "MPI_COMM_WORLD",
+            MpiOp::CommSplit { .. } => "MPI_Comm_split",
+            MpiOp::CommDup { .. } => "MPI_Comm_dup",
+            MpiOp::Isend { .. } => "MPI_Isend",
+            MpiOp::Irecv { .. } => "MPI_Irecv",
+            MpiOp::Wait { .. } => "MPI_Wait",
+            MpiOp::Waitall { .. } => "MPI_Waitall",
+        }
+    }
+
+    /// The collective kind, if this is a data collective.
+    pub fn collective_kind(&self) -> Option<CollectiveKind> {
+        match self {
+            MpiOp::Collective { kind, .. } => Some(*kind),
+            _ => None,
+        }
+    }
+
+    /// For an operation that synchronizes like a collective — a data
+    /// collective, or `MPI_Comm_split`/`MPI_Comm_dup`, which synchronize
+    /// their parent's members — its `CC` color and the communicator it
+    /// synchronizes (None = `MPI_COMM_WORLD`). The static phases treat
+    /// all of them as collective events.
+    pub fn synchronizes(&self) -> Option<(u32, Option<O>)> {
+        match self {
+            MpiOp::Collective { kind, comm, .. } => Some((kind.color(), *comm)),
+            MpiOp::CommSplit { parent, .. } => Some((COLOR_COMM_SPLIT, Some(*parent))),
+            MpiOp::CommDup { comm } => Some((COLOR_COMM_DUP, Some(*comm))),
+            _ => None,
+        }
+    }
+
+    /// True for point-to-point operations: blocking send/recv, the
+    /// non-blocking posts and their completions. All of them demand the
+    /// MPI thread level of their context (any thread of a team calling
+    /// them needs `MPI_THREAD_MULTIPLE`) without being errors there.
+    pub fn is_p2p(&self) -> bool {
+        matches!(
+            self,
+            MpiOp::Send { .. }
+                | MpiOp::Recv { .. }
+                | MpiOp::Isend { .. }
+                | MpiOp::Irecv { .. }
+                | MpiOp::Wait { .. }
+                | MpiOp::Waitall { .. }
+        )
+    }
+
+    /// The type of the operation's result ([`Type::Void`] for none),
+    /// given its payload's type; `None` when a collective's payload is
+    /// missing or has the wrong type.
+    pub fn result_type(&self, payload: Option<Type>) -> Option<Type> {
+        Some(match self {
+            MpiOp::Init { .. } | MpiOp::Finalize | MpiOp::Send { .. } | MpiOp::Waitall { .. } => {
+                Type::Void
+            }
+            // Halo exchanges carry field values: a receive yields float
+            // (integer payloads are coerced at run time), a send
+            // completion 0.0.
+            MpiOp::Recv { .. } | MpiOp::Wait { .. } => Type::Float,
+            MpiOp::CommWorld | MpiOp::CommSplit { .. } | MpiOp::CommDup { .. } => Type::Comm,
+            MpiOp::Isend { .. } | MpiOp::Irecv { .. } => Type::Request,
+            MpiOp::Collective {
+                kind: CollectiveKind::Barrier,
+                ..
+            } => Type::Void,
+            MpiOp::Collective { kind, .. } => kind.result_type(payload?)?,
+        })
+    }
 }
 
 /// MPI threading support levels (MPI-2 §12.4).
@@ -579,6 +848,17 @@ impl ThreadLevel {
             "MULTIPLE" => ThreadLevel::Multiple,
             _ => return None,
         })
+    }
+
+    /// The bare identifier used in source, as [`ThreadLevel::from_name`]
+    /// reads it.
+    pub fn name(self) -> &'static str {
+        match self {
+            ThreadLevel::Single => "SINGLE",
+            ThreadLevel::Funneled => "FUNNELED",
+            ThreadLevel::Serialized => "SERIALIZED",
+            ThreadLevel::Multiple => "MULTIPLE",
+        }
     }
 
     /// MPI constant name.
@@ -630,7 +910,12 @@ pub enum ExprKind {
     /// Call to a builtin intrinsic.
     Intrinsic(Intrinsic, ExprRange),
     /// An MPI operation used as an expression.
-    Mpi(MpiOp),
+    Mpi(MpiOp<ExprId>),
+    /// `MPI_ANY_SOURCE`, the receive-source wildcard: an int
+    /// ([`ANY_SOURCE`]).
+    AnySource,
+    /// `MPI_ANY_TAG`, the receive-tag wildcard: an int ([`ANY_TAG`]).
+    AnyTag,
 }
 
 impl Expr {
@@ -646,62 +931,20 @@ impl Expr {
 
     /// The direct sub-expressions, in source order.
     pub fn children(&self, mut f: impl FnMut(ExprId)) {
-        fn opt(e: &Option<ExprId>, f: &mut impl FnMut(ExprId)) {
-            if let Some(e) = e {
-                f(*e)
-            }
-        }
         match &self.kind {
-            ExprKind::Int(_) | ExprKind::Float(_) | ExprKind::Bool(_) | ExprKind::Var(_) => {}
+            ExprKind::Int(_)
+            | ExprKind::Float(_)
+            | ExprKind::Bool(_)
+            | ExprKind::Var(_)
+            | ExprKind::AnySource
+            | ExprKind::AnyTag => {}
             ExprKind::Index(_, e) | ExprKind::Unary(_, e) => f(*e),
             ExprKind::Binary(_, l, r) => {
                 f(*l);
                 f(*r);
             }
             ExprKind::Call(_, args) | ExprKind::Intrinsic(_, args) => args.iter().for_each(f),
-            ExprKind::Mpi(op) => match op {
-                MpiOp::Init
-                | MpiOp::InitThread { .. }
-                | MpiOp::Finalize
-                | MpiOp::CommWorld
-                | MpiOp::AnySource
-                | MpiOp::AnyTag => {}
-                MpiOp::Collective(c) => {
-                    opt(&c.value, &mut f);
-                    opt(&c.root, &mut f);
-                    opt(&c.comm, &mut f);
-                }
-                MpiOp::Send {
-                    value,
-                    dest,
-                    tag,
-                    comm,
-                }
-                | MpiOp::Isend {
-                    value,
-                    dest,
-                    tag,
-                    comm,
-                } => {
-                    f(*value);
-                    f(*dest);
-                    f(*tag);
-                    opt(comm, &mut f);
-                }
-                MpiOp::Recv { src, tag, comm } | MpiOp::Irecv { src, tag, comm } => {
-                    f(*src);
-                    f(*tag);
-                    opt(comm, &mut f);
-                }
-                MpiOp::CommSplit { parent, color, key } => {
-                    f(*parent);
-                    f(*color);
-                    f(*key);
-                }
-                MpiOp::CommDup { comm } => f(*comm),
-                MpiOp::Wait { request } => f(*request),
-                MpiOp::Waitall { requests } => requests.iter().for_each(f),
-            },
+            ExprKind::Mpi(op) => op.operands(|_, e| f(e)),
         }
     }
 }

@@ -40,8 +40,8 @@ pub mod symbol;
 pub mod token;
 
 pub use ast::{
-    BinOp, Block, CollectiveCall, CollectiveKind, Expr, ExprId, ExprKind, ExprRange, Function,
-    Ident, Intrinsic, LValue, MpiOp, OmpStmt, Param, Program, ReduceOp, Stmt, StmtKind, StmtRange,
+    BinOp, Block, CollectiveKind, Expr, ExprId, ExprKind, ExprRange, Function, Ident, Intrinsic,
+    LValue, MpiOp, OmpStmt, Operand, Param, Program, ReduceOp, Role, Stmt, StmtKind, StmtRange,
     ThreadLevel, Type, UnOp,
 };
 pub use diag::{Diagnostic, Diagnostics, Severity};

@@ -882,13 +882,13 @@ impl<'s> Parser<'s> {
                     return self.call_expr(name, start);
                 }
                 let constant = match name {
-                    "MPI_COMM_WORLD" => Some(MpiOp::CommWorld),
-                    "MPI_ANY_SOURCE" => Some(MpiOp::AnySource),
-                    "MPI_ANY_TAG" => Some(MpiOp::AnyTag),
+                    "MPI_COMM_WORLD" => Some(ExprKind::Mpi(MpiOp::CommWorld)),
+                    "MPI_ANY_SOURCE" => Some(ExprKind::AnySource),
+                    "MPI_ANY_TAG" => Some(ExprKind::AnyTag),
                     _ => None,
                 };
-                if let Some(op) = constant {
-                    Expr::new(ExprKind::Mpi(op), start)
+                if let Some(kind) = constant {
+                    Expr::new(kind, start)
                 } else if self.at(TokenKind::LBracket) {
                     self.bump();
                     let idx = self.expr_id();
@@ -941,8 +941,8 @@ impl<'s> Parser<'s> {
 
     fn mpi_call(&mut self, name: &str, start: Span) -> Expr {
         // `(` already consumed.
-        let op: Option<MpiOp> = match name {
-            "MPI_Init" => Some(MpiOp::Init),
+        let op: Option<MpiOp<ExprId>> = match name {
+            "MPI_Init" => Some(MpiOp::Init { required: None }),
             "MPI_Finalize" => Some(MpiOp::Finalize),
             "MPI_Init_thread" => {
                 let level = self.bare_name_arg("thread level").and_then(|(level, span)| {
@@ -957,8 +957,8 @@ impl<'s> Parser<'s> {
                     }
                     l
                 });
-                Some(MpiOp::InitThread {
-                    required: level.unwrap_or(ThreadLevel::Single),
+                Some(MpiOp::Init {
+                    required: Some(level.unwrap_or(ThreadLevel::Single)),
                 })
             }
             "MPI_Send" => {
@@ -1027,7 +1027,7 @@ impl<'s> Parser<'s> {
                 Some(MpiOp::Waitall { requests })
             }
             _ => match CollectiveKind::from_name(name) {
-                Some(kind) => Some(MpiOp::Collective(self.collective_args(kind))),
+                Some(kind) => Some(self.collective_args(kind)),
                 None => {
                     self.error(format!("unknown MPI operation `{name}`"), start);
                     None
@@ -1055,28 +1055,26 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn collective_args(&mut self, kind: CollectiveKind) -> CollectiveCall {
-        let mut call = CollectiveCall {
-            kind,
-            value: None,
-            reduce_op: None,
-            root: None,
-            comm: None,
-        };
+    /// The arguments of a collective, each present or not by its kind:
+    /// `[value[, op][, root]][, comm]`.
+    fn collective_args(&mut self, kind: CollectiveKind) -> MpiOp<ExprId> {
         if kind == CollectiveKind::Barrier {
             // Only argument (if any) is the communicator.
-            if !self.at(TokenKind::RParen) {
-                call.comm = Some(self.expr_id());
-            }
-            return call;
+            let comm = (!self.at(TokenKind::RParen)).then(|| self.expr_id());
+            return MpiOp::Collective {
+                kind,
+                value: None,
+                reduce_op: None,
+                root: None,
+                comm,
+            };
         }
-        // value
-        call.value = Some(self.expr_id());
-        // reduce op
+        let value = Some(self.expr_id());
+        let mut reduce_op = None;
         if kind.has_reduce_op() && self.expect(TokenKind::Comma) {
             if let Some((op, span)) = self.bare_name_arg("reduction operator") {
-                call.reduce_op = ReduceOp::from_name(op);
-                if call.reduce_op.is_none() {
+                reduce_op = ReduceOp::from_name(op);
+                if reduce_op.is_none() {
                     self.error(
                         format!(
                             "unknown reduction operator `{op}` (expected SUM, PROD, MIN, MAX, LAND or LOR)"
@@ -1086,13 +1084,14 @@ impl<'s> Parser<'s> {
                 }
             }
         }
-        // root
-        if kind.has_root() && self.expect(TokenKind::Comma) {
-            call.root = Some(self.expr_id());
+        let root = (kind.has_root() && self.expect(TokenKind::Comma)).then(|| self.expr_id());
+        MpiOp::Collective {
+            kind,
+            value,
+            reduce_op,
+            root,
+            comm: self.trailing_comm_arg(),
         }
-        // optional trailing communicator
-        call.comm = self.trailing_comm_arg();
-        call
     }
 }
 
@@ -1255,29 +1254,41 @@ mod tests {
         };
         assert!(matches!(
             f.expr(*e).kind,
-            ExprKind::Mpi(MpiOp::Collective(CollectiveCall {
+            ExprKind::Mpi(MpiOp::Collective {
                 kind: CollectiveKind::Barrier,
                 ..
-            }))
+            })
         ));
         let StmtKind::Let { init, .. } = &stmts[2].kind else {
             panic!()
         };
-        let ExprKind::Mpi(MpiOp::Collective(c)) = f.expr(*init).kind else {
+        let ExprKind::Mpi(MpiOp::Collective {
+            kind,
+            reduce_op,
+            root,
+            ..
+        }) = f.expr(*init).kind
+        else {
             panic!()
         };
-        assert_eq!(c.kind, CollectiveKind::Allreduce);
-        assert_eq!(c.reduce_op, Some(ReduceOp::Sum));
-        assert!(c.root.is_none());
+        assert_eq!(kind, CollectiveKind::Allreduce);
+        assert_eq!(reduce_op, Some(ReduceOp::Sum));
+        assert!(root.is_none());
         let StmtKind::Let { init, .. } = &stmts[4].kind else {
             panic!()
         };
-        let ExprKind::Mpi(MpiOp::Collective(c)) = f.expr(*init).kind else {
+        let ExprKind::Mpi(MpiOp::Collective {
+            kind,
+            reduce_op,
+            root,
+            ..
+        }) = f.expr(*init).kind
+        else {
             panic!()
         };
-        assert_eq!(c.kind, CollectiveKind::Reduce);
-        assert_eq!(c.reduce_op, Some(ReduceOp::Max));
-        assert!(c.root.is_some());
+        assert_eq!(kind, CollectiveKind::Reduce);
+        assert_eq!(reduce_op, Some(ReduceOp::Max));
+        assert!(root.is_some());
     }
 
     #[test]
@@ -1288,8 +1299,8 @@ mod tests {
         };
         assert!(matches!(
             p.functions[0].expr(*e).kind,
-            ExprKind::Mpi(MpiOp::InitThread {
-                required: ThreadLevel::Multiple
+            ExprKind::Mpi(MpiOp::Init {
+                required: Some(ThreadLevel::Multiple)
             })
         ));
     }
@@ -1343,7 +1354,7 @@ mod tests {
             .iter()
             .filter_map(|s| match &s.kind {
                 StmtKind::Expr(e) => match f.expr(*e).kind {
-                    ExprKind::Mpi(MpiOp::Collective(call)) => Some(call.comm.is_some()),
+                    ExprKind::Mpi(MpiOp::Collective { comm, .. }) => Some(comm.is_some()),
                     _ => None,
                 },
                 _ => None,
@@ -1353,10 +1364,13 @@ mod tests {
         let StmtKind::Let { init, .. } = &body(&p)[3].kind else {
             panic!()
         };
-        let ExprKind::Mpi(MpiOp::Collective(call)) = f.expr(*init).kind else {
+        let ExprKind::Mpi(MpiOp::Collective {
+            comm, reduce_op, ..
+        }) = f.expr(*init).kind
+        else {
             panic!("{:?}", f.expr(*init))
         };
-        assert!(call.comm.is_some() && call.reduce_op.is_some());
+        assert!(comm.is_some() && reduce_op.is_some());
     }
 
     #[test]

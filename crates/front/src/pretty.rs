@@ -252,7 +252,9 @@ impl<'a> Printer<'a> {
                 self.args(*args);
                 self.out.push(')');
             }
-            ExprKind::Mpi(op) => self.mpi(op),
+            ExprKind::Mpi(op) => self.mpi(*op),
+            ExprKind::AnySource => self.out.push_str("MPI_ANY_SOURCE"),
+            ExprKind::AnyTag => self.out.push_str("MPI_ANY_TAG"),
         }
     }
 
@@ -265,134 +267,33 @@ impl<'a> Printer<'a> {
         }
     }
 
-    fn mpi(&mut self, op: &MpiOp) {
-        match *op {
-            MpiOp::Init => self.out.push_str("MPI_Init()"),
-            MpiOp::InitThread { required } => {
-                let name = match required {
-                    ThreadLevel::Single => "SINGLE",
-                    ThreadLevel::Funneled => "FUNNELED",
-                    ThreadLevel::Serialized => "SERIALIZED",
-                    ThreadLevel::Multiple => "MULTIPLE",
-                };
-                let _ = write!(self.out, "MPI_Init_thread({name})");
-            }
-            MpiOp::Finalize => self.out.push_str("MPI_Finalize()"),
-            MpiOp::Send {
-                value,
-                dest,
-                tag,
-                comm,
-            } => {
-                self.out.push_str("MPI_Send(");
-                self.expr(value);
-                self.out.push_str(", ");
-                self.expr(dest);
-                self.out.push_str(", ");
-                self.expr(tag);
-                if let Some(cm) = comm {
-                    self.out.push_str(", ");
-                    self.expr(cm);
-                }
-                self.out.push(')');
-            }
-            MpiOp::Recv { src, tag, comm } => {
-                self.out.push_str("MPI_Recv(");
-                self.expr(src);
-                self.out.push_str(", ");
-                self.expr(tag);
-                if let Some(cm) = comm {
-                    self.out.push_str(", ");
-                    self.expr(cm);
-                }
-                self.out.push(')');
-            }
-            MpiOp::CommWorld => self.out.push_str("MPI_COMM_WORLD"),
-            MpiOp::CommSplit { parent, color, key } => {
-                self.out.push_str("MPI_Comm_split(");
-                self.expr(parent);
-                self.out.push_str(", ");
-                self.expr(color);
-                self.out.push_str(", ");
-                self.expr(key);
-                self.out.push(')');
-            }
-            MpiOp::CommDup { comm } => {
-                self.out.push_str("MPI_Comm_dup(");
-                self.expr(comm);
-                self.out.push(')');
-            }
-            MpiOp::Isend {
-                value,
-                dest,
-                tag,
-                comm,
-            } => {
-                self.out.push_str("MPI_Isend(");
-                self.expr(value);
-                self.out.push_str(", ");
-                self.expr(dest);
-                self.out.push_str(", ");
-                self.expr(tag);
-                if let Some(cm) = comm {
-                    self.out.push_str(", ");
-                    self.expr(cm);
-                }
-                self.out.push(')');
-            }
-            MpiOp::Irecv { src, tag, comm } => {
-                self.out.push_str("MPI_Irecv(");
-                self.expr(src);
-                self.out.push_str(", ");
-                self.expr(tag);
-                if let Some(cm) = comm {
-                    self.out.push_str(", ");
-                    self.expr(cm);
-                }
-                self.out.push(')');
-            }
-            MpiOp::Wait { request } => {
-                self.out.push_str("MPI_Wait(");
-                self.expr(request);
-                self.out.push(')');
-            }
-            MpiOp::Waitall { requests } => {
-                self.out.push_str("MPI_Waitall(");
-                self.args(requests);
-                self.out.push(')');
-            }
-            MpiOp::AnySource => self.out.push_str("MPI_ANY_SOURCE"),
-            MpiOp::AnyTag => self.out.push_str("MPI_ANY_TAG"),
-            MpiOp::Collective(c) => {
-                let _ = write!(self.out, "{}(", c.kind.mpi_name());
-                let mut first = true;
-                if let Some(v) = c.value {
-                    self.expr(v);
-                    first = false;
-                }
-                if let Some(op) = c.reduce_op {
-                    if !first {
-                        self.out.push_str(", ");
-                    }
-                    self.out.push_str(op.name());
-                    first = false;
-                }
-                if let Some(root) = c.root {
-                    if !first {
-                        self.out.push_str(", ");
-                    }
-                    self.expr(root);
-                    first = false;
-                }
-                if let Some(cm) = c.comm {
-                    if !first {
-                        self.out.push_str(", ");
-                    }
-                    self.expr(cm);
-                }
-                self.out.push(')');
-            }
+    fn mpi(&mut self, op: MpiOp<ExprId>) {
+        self.out.push_str(op.name());
+        if let MpiOp::CommWorld = op {
+            return; // a constant, not a call
         }
+        self.out.push('(');
+        // The bare-name arguments: the thread level, and a reduction
+        // operator right after the payload.
+        let (level, reduce_op) = match op {
+            MpiOp::Init { required } => (required, None),
+            MpiOp::Collective { reduce_op, .. } => (None, reduce_op),
+            _ => (None, None),
+        };
+        if let Some(level) = level {
+            self.out.push_str(level.name());
+        }
+        let mut sep = "";
+        op.operands(|role, e| {
+            self.out.push_str(sep);
+            self.expr(e);
+            sep = ", ";
+            if let (Role::Value, Some(r)) = (role, reduce_op) {
+                self.out.push_str(", ");
+                self.out.push_str(r.name());
+            }
+        });
+        self.out.push(')');
     }
 }
 
@@ -485,6 +386,40 @@ mod tests {
                 MPI_Finalize();
             }",
         );
+    }
+
+    /// Every MPI operation and constant prints back as it was written.
+    #[test]
+    fn every_mpi_operation_prints_as_written() {
+        let src = "fn main() {
+    MPI_Init();
+    MPI_Init_thread(SERIALIZED);
+    let c = MPI_Comm_split(MPI_COMM_WORLD, 1, 2);
+    let d = MPI_Comm_dup(c);
+    MPI_Send(1.5, 0, 3, d);
+    MPI_Send(1, 0, 3);
+    let v = MPI_Recv(MPI_ANY_SOURCE, MPI_ANY_TAG);
+    let u = MPI_Recv(0, 3, d);
+    let s = MPI_Isend(2, 1, 4);
+    let r = MPI_Irecv(1, 4, c);
+    let w = MPI_Wait(r);
+    MPI_Waitall(s, r);
+    MPI_Barrier();
+    MPI_Barrier(c);
+    let a = MPI_Allreduce(1, SUM);
+    let b = MPI_Reduce(1.5, MAX, 0, c);
+    let g = MPI_Gather(1, 0);
+    let h = MPI_Bcast(1, 0, d);
+    let e = MPI_Scatter(g, 0);
+    let t = MPI_Alltoall(g, c);
+    let q = MPI_Scan(1, PROD);
+    let z = MPI_Reduce_scatter(g, LOR);
+    MPI_Finalize();
+}
+";
+        let (p, d) = parse_program(src);
+        assert!(!d.has_errors(), "{d:?}");
+        assert_eq!(pretty_program(&p), src);
     }
 
     #[test]

@@ -545,7 +545,7 @@ impl<'a> Checker<'a> {
         );
     }
 
-    fn expect_ty(&mut self, e: ExprId, want: Type, what: &str) {
+    fn expect_ty(&mut self, e: ExprId, want: Type, what: impl std::fmt::Display) {
         let got = self.check_expr(e);
         if got != want {
             self.diags.error(
@@ -741,7 +741,8 @@ impl<'a> Checker<'a> {
                 self.arg_tys.truncate(mark);
                 ty
             }
-            ExprKind::Mpi(op) => self.check_mpi(&op, e.span),
+            ExprKind::Mpi(op) => self.check_mpi(op, e.span),
+            ExprKind::AnySource | ExprKind::AnyTag => Type::Int,
         }
     }
 
@@ -887,198 +888,75 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn check_mpi(&mut self, op: &MpiOp, span: Span) -> Type {
-        match *op {
-            MpiOp::Init | MpiOp::InitThread { .. } | MpiOp::Finalize => Type::Void,
-            MpiOp::Send {
-                value,
-                dest,
-                tag,
-                comm,
-            } => {
-                let vt = self.check_expr(value);
+    /// Check an MPI operation's operands, each against the type its
+    /// role demands, in source order; a collective's payload comes last,
+    /// typed by the collective's kind.
+    fn check_mpi(&mut self, op: MpiOp<ExprId>, span: Span) -> Type {
+        let kind = op.collective_kind();
+        let who = if kind.is_some() {
+            "collective"
+        } else {
+            op.name()
+        };
+        let mut payload = None;
+        op.operands(|role, e| match role.ty() {
+            Some(want) => self.expect_ty(e, want, format_args!("{who} {}", role.noun())),
+            None if kind.is_some() => payload = Some(e),
+            None => {
+                let vt = self.check_expr(e);
                 if !vt.is_numeric() {
                     self.diags.error(
                         "type-mismatch",
-                        format!("MPI_Send value must be numeric, found {vt}"),
-                        self.span_of(value),
+                        format!("{who} value must be numeric, found {vt}"),
+                        self.span_of(e),
                     );
                 }
-                self.expect_ty(dest, Type::Int, "MPI_Send destination");
-                self.expect_ty(tag, Type::Int, "MPI_Send tag");
-                if let Some(cm) = comm {
-                    self.expect_ty(cm, Type::Comm, "MPI_Send communicator");
+            }
+        });
+        let Some(kind) = kind else {
+            return op
+                .result_type(None)
+                .expect("only a collective's type depends on its payload");
+        };
+        if kind.has_reduce_op()
+            && matches!(
+                op,
+                MpiOp::Collective {
+                    reduce_op: None,
+                    ..
                 }
-                Type::Void
-            }
-            MpiOp::Recv { src, tag, comm } => {
-                self.expect_ty(src, Type::Int, "MPI_Recv source");
-                self.expect_ty(tag, Type::Int, "MPI_Recv tag");
-                if let Some(cm) = comm {
-                    self.expect_ty(cm, Type::Comm, "MPI_Recv communicator");
-                }
-                // Halo exchanges carry field values: Recv yields float
-                // (integer payloads are coerced at run time).
-                Type::Float
-            }
-            MpiOp::CommWorld => Type::Comm,
-            MpiOp::CommSplit { parent, color, key } => {
-                self.expect_ty(parent, Type::Comm, "MPI_Comm_split parent");
-                self.expect_ty(color, Type::Int, "MPI_Comm_split color");
-                self.expect_ty(key, Type::Int, "MPI_Comm_split key");
-                Type::Comm
-            }
-            MpiOp::CommDup { comm } => {
-                self.expect_ty(comm, Type::Comm, "MPI_Comm_dup communicator");
-                Type::Comm
-            }
-            MpiOp::Isend {
-                value,
-                dest,
-                tag,
-                comm,
-            } => {
-                let vt = self.check_expr(value);
-                if !vt.is_numeric() {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("MPI_Isend value must be numeric, found {vt}"),
-                        self.span_of(value),
-                    );
-                }
-                self.expect_ty(dest, Type::Int, "MPI_Isend destination");
-                self.expect_ty(tag, Type::Int, "MPI_Isend tag");
-                if let Some(cm) = comm {
-                    self.expect_ty(cm, Type::Comm, "MPI_Isend communicator");
-                }
-                Type::Request
-            }
-            MpiOp::Irecv { src, tag, comm } => {
-                self.expect_ty(src, Type::Int, "MPI_Irecv source");
-                self.expect_ty(tag, Type::Int, "MPI_Irecv tag");
-                if let Some(cm) = comm {
-                    self.expect_ty(cm, Type::Comm, "MPI_Irecv communicator");
-                }
-                Type::Request
-            }
-            MpiOp::Wait { request } => {
-                self.expect_ty(request, Type::Request, "MPI_Wait request");
-                // Like MPI_Recv: receive completions carry field values
-                // (float); send completions yield 0.0.
-                Type::Float
-            }
-            MpiOp::Waitall { requests } => {
-                for r in requests.iter() {
-                    self.expect_ty(r, Type::Request, "MPI_Waitall request");
-                }
-                Type::Void
-            }
-            MpiOp::AnySource | MpiOp::AnyTag => Type::Int,
-            MpiOp::Collective(c) => self.check_collective(&c, span),
-        }
-    }
-
-    fn check_collective(&mut self, c: &CollectiveCall, span: Span) -> Type {
-        if let Some(root) = c.root {
-            self.expect_ty(root, Type::Int, "collective root");
-        }
-        if c.kind.has_reduce_op() && c.reduce_op.is_none() {
+            )
+        {
             self.diags.error(
                 "mpi-args",
-                format!("{} requires a reduction operator", c.kind),
+                format!("{kind} requires a reduction operator"),
                 span,
             );
         }
-        if let Some(cm) = c.comm {
-            self.expect_ty(cm, Type::Comm, "collective communicator");
+        let vt = payload.map(|v| self.check_expr(v));
+        if let Some(t) = op.result_type(vt) {
+            return t;
         }
-        let vt = c.value.map(|v| self.check_expr(v));
-        match c.kind {
-            CollectiveKind::Barrier => Type::Void,
-            CollectiveKind::Bcast => match vt {
-                Some(t) if t.is_numeric() => t,
-                Some(t) => {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("MPI_Bcast value must be numeric, found {t}"),
-                        span,
-                    );
-                    Type::Int
-                }
-                None => {
-                    self.diags
-                        .error("mpi-args", "MPI_Bcast requires a value", span);
-                    Type::Int
-                }
-            },
-            CollectiveKind::Reduce | CollectiveKind::Allreduce | CollectiveKind::Scan => match vt {
-                Some(t) if t.is_numeric() => t,
-                Some(t) => {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("{} value must be numeric, found {t}", c.kind),
-                        span,
-                    );
-                    Type::Int
-                }
-                None => {
-                    self.diags
-                        .error("mpi-args", format!("{} requires a value", c.kind), span);
-                    Type::Int
-                }
-            },
-            CollectiveKind::Gather | CollectiveKind::Allgather => match vt {
-                Some(t) if t.is_numeric() => Type::array_of(t).expect("numeric elem"),
-                Some(t) => {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("{} value must be numeric, found {t}", c.kind),
-                        span,
-                    );
-                    Type::ArrayInt
-                }
-                None => {
-                    self.diags
-                        .error("mpi-args", format!("{} requires a value", c.kind), span);
-                    Type::ArrayInt
-                }
-            },
-            CollectiveKind::Scatter | CollectiveKind::ReduceScatter => match vt {
-                Some(t) if t.is_array() => t.elem().expect("array elem"),
-                Some(t) => {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("{} requires an array argument, found {t}", c.kind),
-                        span,
-                    );
-                    Type::Int
-                }
-                None => {
-                    self.diags.error(
-                        "mpi-args",
-                        format!("{} requires an array argument", c.kind),
-                        span,
-                    );
-                    Type::Int
-                }
-            },
-            CollectiveKind::Alltoall => match vt {
-                Some(t) if t.is_array() => t,
-                Some(t) => {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("MPI_Alltoall requires an array argument, found {t}"),
-                        span,
-                    );
-                    Type::ArrayInt
-                }
-                None => {
-                    self.diags
-                        .error("mpi-args", "MPI_Alltoall requires an array argument", span);
-                    Type::ArrayInt
-                }
-            },
-        }
+        let (code, message) = match (vt, kind.takes_array()) {
+            (Some(t), false) => (
+                "type-mismatch",
+                format!("{kind} value must be numeric, found {t}"),
+            ),
+            (Some(t), true) => (
+                "type-mismatch",
+                format!("{kind} requires an array argument, found {t}"),
+            ),
+            (None, false) => ("mpi-args", format!("{kind} requires a value")),
+            (None, true) => ("mpi-args", format!("{kind} requires an array argument")),
+        };
+        self.diags.error(code, message, span);
+        // Carry on as if the payload had the expected type.
+        let assumed = if kind.takes_array() {
+            Type::ArrayInt
+        } else {
+            Type::Int
+        };
+        kind.result_type(assumed).expect("the assumed payload fits")
     }
 }
 
@@ -1426,6 +1304,73 @@ mod tests {
         sema_err("fn main() { let x = sqrt(2); }", "type-mismatch");
         sema_err("fn main() { let x = min(1, 2.0); }", "type-mismatch");
         sema_err("fn main() { let x = rank(1); }", "arity-mismatch");
+    }
+
+    /// The text, code and position of every MPI operand and payload
+    /// check, in the order sema reports them.
+    #[test]
+    fn mpi_operand_diagnostics_are_pinned() {
+        let src = "fn main() {
+            let b = true;
+            MPI_Send(b, b, b, b);
+            let r = MPI_Recv(b, b, b);
+            let i = MPI_Isend(b, b, b, b);
+            let j = MPI_Irecv(b, b, b);
+            let c = MPI_Comm_split(b, b, b);
+            let d = MPI_Comm_dup(b);
+            let w = MPI_Wait(b);
+            MPI_Waitall(b, b);
+            MPI_Barrier(b);
+            let x = MPI_Bcast(b, b, b);
+            let s = MPI_Reduce(b, SUM, b, b);
+            let g = MPI_Gather(b, 0);
+            let t = MPI_Scatter(1, 0);
+            let a = MPI_Alltoall(b);
+            let e = MPI_Reduce_scatter(u, SUM);
+        }";
+        let (prog, mut diags) = parse_program(src);
+        assert!(!diags.has_errors(), "parse failed: {diags:?}");
+        check_program(&prog, &mut diags);
+        let got: Vec<String> = diags
+            .iter()
+            .map(|d| format!("{} {} {}", d.span.lo, d.code, d.message))
+            .collect();
+        let want = [
+            "59 type-mismatch MPI_Send value must be numeric, found bool",
+            "62 type-mismatch MPI_Send destination must be int, found bool",
+            "65 type-mismatch MPI_Send tag must be int, found bool",
+            "68 type-mismatch MPI_Send communicator must be comm, found bool",
+            "101 type-mismatch MPI_Recv source must be int, found bool",
+            "104 type-mismatch MPI_Recv tag must be int, found bool",
+            "107 type-mismatch MPI_Recv communicator must be comm, found bool",
+            "141 type-mismatch MPI_Isend value must be numeric, found bool",
+            "144 type-mismatch MPI_Isend destination must be int, found bool",
+            "147 type-mismatch MPI_Isend tag must be int, found bool",
+            "150 type-mismatch MPI_Isend communicator must be comm, found bool",
+            "184 type-mismatch MPI_Irecv source must be int, found bool",
+            "187 type-mismatch MPI_Irecv tag must be int, found bool",
+            "190 type-mismatch MPI_Irecv communicator must be comm, found bool",
+            "229 type-mismatch MPI_Comm_split parent must be comm, found bool",
+            "232 type-mismatch MPI_Comm_split color must be int, found bool",
+            "235 type-mismatch MPI_Comm_split key must be int, found bool",
+            "272 type-mismatch MPI_Comm_dup communicator must be comm, found bool",
+            "305 type-mismatch MPI_Wait request must be request, found bool",
+            "333 type-mismatch MPI_Waitall request must be request, found bool",
+            "336 type-mismatch MPI_Waitall request must be request, found bool",
+            "364 type-mismatch collective communicator must be comm, found bool",
+            "401 type-mismatch collective root must be int, found bool",
+            "404 type-mismatch collective communicator must be comm, found bool",
+            "388 type-mismatch MPI_Bcast value must be numeric, found bool",
+            "447 type-mismatch collective root must be int, found bool",
+            "450 type-mismatch collective communicator must be comm, found bool",
+            "428 type-mismatch MPI_Reduce value must be numeric, found bool",
+            "474 type-mismatch MPI_Gather value must be numeric, found bool",
+            "512 type-mismatch MPI_Scatter requires an array argument, found int",
+            "551 type-mismatch MPI_Alltoall requires an array argument, found bool",
+            "607 undeclared-variable use of undeclared variable `u`",
+            "588 type-mismatch MPI_Reduce_scatter requires an array argument, found int",
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

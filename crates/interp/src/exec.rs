@@ -20,10 +20,12 @@
 
 use crate::error::{RunError, RunErrorKind, RunReport, RunStats};
 use crate::value::Value;
-use parcoach_front::ast::{BinOp, CollectiveKind, Intrinsic, ThreadLevel, Type, UnOp};
+use parcoach_front::ast::{
+    BinOp, CollectiveKind, Intrinsic, ThreadLevel, Type, UnOp, COLOR_COMM_DUP, COLOR_COMM_SPLIT,
+};
 use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
-use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiIr, Terminator};
+use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator};
 use parcoach_ir::types::{BlockId, Const, Reg, RegionId, Value as IrValue};
 use parcoach_mpisim::{MpiConfig, MpiError, Signature, World};
 use parcoach_ompsim::{ForkError, OmpConfig, OmpSim, ThreadCtx};
@@ -1056,7 +1058,7 @@ impl Executor {
         omp: &mut ThreadCtx,
         is_initial: bool,
         frame: &mut Frame,
-        op: &MpiIr,
+        op: &MpiOp<IrValue>,
         span: Span,
     ) -> Result<Option<Value>, RunError> {
         let mpi_err = |e: MpiError| RunError::new(classify_mpi_error(e), span, env.rank);
@@ -1067,22 +1069,22 @@ impl Executor {
             other => other,
         };
         match op {
-            MpiIr::Init { required } => {
+            MpiOp::Init { required } => {
                 env.world
                     .init(env.rank, required.unwrap_or(ThreadLevel::Single));
                 Ok(None)
             }
-            MpiIr::Finalize => {
+            MpiOp::Finalize => {
                 env.world.finalize(env.rank, is_initial).map_err(mpi_err)?;
                 Ok(None)
             }
-            MpiIr::Send {
+            MpiOp::Send {
                 value,
                 dest,
                 tag,
                 comm,
             }
-            | MpiIr::Isend {
+            | MpiOp::Isend {
                 value,
                 dest,
                 tag,
@@ -1098,7 +1100,7 @@ impl Executor {
                     ))));
                 }
                 let d = d as usize;
-                if matches!(op, MpiIr::Send { .. }) {
+                if matches!(op, MpiOp::Send { .. }) {
                     env.world
                         .send_on(env.rank, c, d, t, v, is_initial)
                         .map_err(mpi_err)?;
@@ -1110,13 +1112,13 @@ impl Executor {
                     .map_err(mpi_err)?;
                 Ok(Some(Value::Request(handle)))
             }
-            MpiIr::Recv { src, tag, comm } | MpiIr::Irecv { src, tag, comm } => {
+            MpiOp::Recv { src, tag, comm } | MpiOp::Irecv { src, tag, comm } => {
                 let s = self.read(frame, *src).as_int();
                 let t = self.read(frame, *tag).as_int();
                 let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
                 // Wildcard sentinels pass through; the world rejects
                 // other negative sources/tags.
-                if matches!(op, MpiIr::Recv { .. }) {
+                if matches!(op, MpiOp::Recv { .. }) {
                     let v = env
                         .world
                         .recv_on(env.rank, c, s, t, is_initial)
@@ -1129,20 +1131,20 @@ impl Executor {
                     .map_err(mpi_err)?;
                 Ok(Some(Value::Request(handle)))
             }
-            MpiIr::Wait { request } => {
+            MpiOp::Wait { request } => {
                 let h = self.read(frame, *request).as_request();
                 let v = env.world.wait(env.rank, h, is_initial).map_err(mpi_err)?;
                 Ok(Some(completion(v)))
             }
-            MpiIr::Waitall { requests } => {
+            MpiOp::Waitall { requests } => {
                 for r in requests {
                     let h = self.read(frame, *r).as_request();
                     env.world.wait(env.rank, h, is_initial).map_err(mpi_err)?;
                 }
                 Ok(None)
             }
-            MpiIr::CommWorld => Ok(Some(Value::Comm(0))),
-            MpiIr::CommSplit { parent, color, key } => {
+            MpiOp::CommWorld => Ok(Some(Value::Comm(0))),
+            MpiOp::CommSplit { parent, color, key } => {
                 let p = self.read(frame, *parent).as_comm();
                 let c = self.read(frame, *color).as_int();
                 let k = self.read(frame, *key).as_int();
@@ -1152,7 +1154,7 @@ impl Executor {
                     .map_err(mpi_err)?;
                 Ok(Some(Value::Comm(handle)))
             }
-            MpiIr::CommDup { comm } => {
+            MpiOp::CommDup { comm } => {
                 let p = self.read(frame, *comm).as_comm();
                 let handle = env
                     .world
@@ -1160,7 +1162,7 @@ impl Executor {
                     .map_err(mpi_err)?;
                 Ok(Some(Value::Comm(handle)))
             }
-            MpiIr::Collective {
+            MpiOp::Collective {
                 kind,
                 value,
                 reduce_op,
@@ -1371,10 +1373,10 @@ fn color_name(color: u32) -> std::borrow::Cow<'static, str> {
     if color == 0 {
         return "<return/exit>".into();
     }
-    if color == parcoach_ir::instr::COLOR_COMM_SPLIT {
+    if color == COLOR_COMM_SPLIT {
         return "MPI_Comm_split".into();
     }
-    if color == parcoach_ir::instr::COLOR_COMM_DUP {
+    if color == COLOR_COMM_DUP {
         return "MPI_Comm_dup".into();
     }
     CollectiveKind::ALL

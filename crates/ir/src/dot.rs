@@ -92,20 +92,7 @@ fn summarize_instr(i: &Instr) -> String {
             Some(d) => format!("{d} = call {func}"),
             None => format!("call {func}"),
         },
-        Instr::Mpi { op, .. } => match op {
-            crate::instr::MpiIr::Collective { kind, .. } => kind.mpi_name().to_string(),
-            crate::instr::MpiIr::Init { .. } => "MPI_Init".into(),
-            crate::instr::MpiIr::Finalize => "MPI_Finalize".into(),
-            crate::instr::MpiIr::Send { .. } => "MPI_Send".into(),
-            crate::instr::MpiIr::Recv { .. } => "MPI_Recv".into(),
-            crate::instr::MpiIr::CommWorld => "MPI_COMM_WORLD".into(),
-            crate::instr::MpiIr::CommSplit { .. } => "MPI_Comm_split".into(),
-            crate::instr::MpiIr::CommDup { .. } => "MPI_Comm_dup".into(),
-            crate::instr::MpiIr::Isend { .. } => "MPI_Isend".into(),
-            crate::instr::MpiIr::Irecv { .. } => "MPI_Irecv".into(),
-            crate::instr::MpiIr::Wait { .. } => "MPI_Wait".into(),
-            crate::instr::MpiIr::Waitall { .. } => "MPI_Waitall".into(),
-        },
+        Instr::Mpi { op, .. } => op.name().into(),
         Instr::Print { .. } => "print".into(),
         Instr::Check(c) => format!("CHECK {c:?}"),
     }
@@ -135,6 +122,22 @@ mod tests {
         assert!(dot.contains("MPI_Barrier"));
         assert!(dot.contains("barrier.implicit"));
         assert!(dot.ends_with("}\n"));
+    }
+
+    /// A node names its MPI operation as the source spells it.
+    #[test]
+    fn mpi_nodes_carry_the_operation_name() {
+        let unit = parse_and_check(
+            "t.mh",
+            "fn main() { MPI_Init_thread(MULTIPLE); MPI_Waitall(MPI_Irecv(0, 1)); }",
+        )
+        .unwrap();
+        let m = lower_program(&unit.program, &unit.signatures);
+        let dot = func_to_dot(m.main().unwrap());
+        assert!(
+            dot.contains(r#"label="bb0\nMPI_Init_thread\lMPI_Irecv\lMPI_Waitall\l""#),
+            "{dot}"
+        );
     }
 
     #[test]

@@ -175,8 +175,8 @@ impl FuncIr {
             .collect()
     }
 
-    /// Blocks whose instructions satisfy `pred` somewhere.
-    fn blocks_with(&self, pred: impl Fn(&Instr) -> bool) -> Vec<BlockId> {
+    /// Blocks whose instructions satisfy `pred` somewhere, in id order.
+    pub fn blocks_with(&self, pred: impl Fn(&Instr) -> bool) -> Vec<BlockId> {
         self.block_ids()
             .filter(|&b| self.instrs(b).iter().any(&pred))
             .collect()

@@ -7,158 +7,12 @@
 //! `implicit = true`).
 
 use crate::types::{BlockId, Reg, RegionId, Value};
-use parcoach_front::ast::{BinOp, CollectiveKind, Intrinsic, ReduceOp, ThreadLevel, Type, UnOp};
+/// An MPI operation; the IR holds `MpiOp<Value>`, the AST's type with
+/// registers and constants for operands.
+pub use parcoach_front::ast::MpiOp;
+use parcoach_front::ast::{BinOp, CollectiveKind, Intrinsic, Type, UnOp};
 use parcoach_front::span::Span;
 use std::fmt;
-
-/// MPI operation in IR form (operands are [`Value`]s).
-#[derive(Debug, Clone, PartialEq)]
-pub enum MpiIr {
-    /// `MPI_Init` / `MPI_Init_thread`.
-    Init {
-        /// Requested thread level (None for plain `MPI_Init`).
-        required: Option<ThreadLevel>,
-    },
-    /// `MPI_Finalize`.
-    Finalize,
-    /// Any collective operation.
-    Collective {
-        /// Which collective.
-        kind: CollectiveKind,
-        /// Payload operand (absent for barrier).
-        value: Option<Value>,
-        /// Reduction operator for reducing collectives.
-        reduce_op: Option<ReduceOp>,
-        /// Root operand for rooted collectives.
-        root: Option<Value>,
-        /// Communicator operand (None = `MPI_COMM_WORLD`).
-        comm: Option<Value>,
-    },
-    /// Blocking (buffered) point-to-point send, checked by the static
-    /// p2p matching pass.
-    Send {
-        /// Payload.
-        value: Value,
-        /// Destination rank within `comm`.
-        dest: Value,
-        /// Tag.
-        tag: Value,
-        /// Communicator operand (None = `MPI_COMM_WORLD`).
-        comm: Option<Value>,
-    },
-    /// Blocking point-to-point receive.
-    Recv {
-        /// Source rank within `comm`.
-        src: Value,
-        /// Tag.
-        tag: Value,
-        /// Communicator operand (None = `MPI_COMM_WORLD`).
-        comm: Option<Value>,
-    },
-    /// The `MPI_COMM_WORLD` handle (written to `dest`).
-    CommWorld,
-    /// `MPI_Comm_split(parent, color, key)` — collective over `parent`.
-    CommSplit {
-        /// Parent communicator operand.
-        parent: Value,
-        /// Partition color.
-        color: Value,
-        /// Ordering key.
-        key: Value,
-    },
-    /// `MPI_Comm_dup(comm)` — collective over `comm`.
-    CommDup {
-        /// Duplicated communicator operand.
-        comm: Value,
-    },
-    /// Non-blocking (buffered) send; the destination register receives
-    /// a request handle that must be completed by `Wait`/`Waitall`.
-    Isend {
-        /// Payload.
-        value: Value,
-        /// Destination rank within `comm`.
-        dest: Value,
-        /// Tag.
-        tag: Value,
-        /// Communicator operand (None = `MPI_COMM_WORLD`).
-        comm: Option<Value>,
-    },
-    /// Non-blocking receive post. `src` may be the `MPI_ANY_SOURCE`
-    /// sentinel and `tag` the `MPI_ANY_TAG` sentinel
-    /// (`parcoach_front::ast::{ANY_SOURCE, ANY_TAG}`).
-    Irecv {
-        /// Source rank within `comm` (or `ANY_SOURCE`).
-        src: Value,
-        /// Tag (or `ANY_TAG`).
-        tag: Value,
-        /// Communicator operand (None = `MPI_COMM_WORLD`).
-        comm: Option<Value>,
-    },
-    /// `MPI_Wait(req)` — block until the request completes; the
-    /// destination register (if any) receives the received value.
-    Wait {
-        /// Request operand.
-        request: Value,
-    },
-    /// `MPI_Waitall(r1, …)` — complete every request, in operand order.
-    Waitall {
-        /// Request operands.
-        requests: Vec<Value>,
-    },
-}
-
-impl MpiIr {
-    /// The collective kind, if this is a collective.
-    pub fn collective_kind(&self) -> Option<CollectiveKind> {
-        match self {
-            MpiIr::Collective { kind, .. } => Some(*kind),
-            _ => None,
-        }
-    }
-
-    /// True for point-to-point operations: blocking send/recv, the
-    /// non-blocking posts and their completions. All of them demand the
-    /// MPI thread level of their context (any thread of a team calling
-    /// them needs `MPI_THREAD_MULTIPLE`) without being errors there.
-    pub fn is_p2p(&self) -> bool {
-        matches!(
-            self,
-            MpiIr::Send { .. }
-                | MpiIr::Recv { .. }
-                | MpiIr::Isend { .. }
-                | MpiIr::Irecv { .. }
-                | MpiIr::Wait { .. }
-                | MpiIr::Waitall { .. }
-        )
-    }
-
-    /// True for the non-blocking request operations (posts and waits).
-    pub fn is_request_op(&self) -> bool {
-        matches!(
-            self,
-            MpiIr::Isend { .. } | MpiIr::Irecv { .. } | MpiIr::Wait { .. } | MpiIr::Waitall { .. }
-        )
-    }
-
-    /// Communicator-management collectives (`MPI_Comm_split`,
-    /// `MPI_Comm_dup`): dynamically these synchronize like collectives
-    /// over their *parent* communicator, so the static phases must
-    /// treat them as collective events. Returns the MPI name and the
-    /// parent communicator operand.
-    pub fn comm_mgmt(&self) -> Option<(&'static str, Value)> {
-        match self {
-            MpiIr::CommSplit { parent, .. } => Some(("MPI_Comm_split", *parent)),
-            MpiIr::CommDup { comm } => Some(("MPI_Comm_dup", *comm)),
-            _ => None,
-        }
-    }
-}
-
-/// `CC` color of `MPI_Comm_split` (data-collective colors are
-/// 1..=10; 0 is the return/exit color).
-pub const COLOR_COMM_SPLIT: u32 = 11;
-/// `CC` color of `MPI_Comm_dup`.
-pub const COLOR_COMM_DUP: u32 = 12;
 
 /// Dynamic checks inserted by the PARCOACH instrumentation pass (§3 of the
 /// paper). They are ordinary instructions so the executor runs them
@@ -170,8 +24,7 @@ pub enum CheckOp {
     /// control all-reduce of `color` over the guarded collective's
     /// communicator; mismatch aborts.
     CollectiveCc {
-        /// Color communicated (collective kind color, or
-        /// [`COLOR_COMM_SPLIT`]/[`COLOR_COMM_DUP`]).
+        /// Color communicated ([`MpiOp::synchronizes`]).
         color: u32,
         /// Communicator of the guarded collective (None = world). The CC
         /// runs on the *same* communicator so collectives on unrelated
@@ -316,7 +169,7 @@ pub enum Instr {
         /// Destination (None for void ops).
         dest: Option<Reg>,
         /// The operation.
-        op: MpiIr,
+        op: MpiOp<Value>,
         /// Source span — the paper's warnings and run-time error messages
         /// cite this line.
         span: Span,
@@ -753,7 +606,7 @@ mod tests {
     fn collective_kind_extraction() {
         let i = Instr::Mpi {
             dest: None,
-            op: MpiIr::Collective {
+            op: MpiOp::Collective {
                 kind: CollectiveKind::Barrier,
                 value: None,
                 reduce_op: None,
@@ -765,7 +618,7 @@ mod tests {
         assert_eq!(i.collective_kind(), Some(CollectiveKind::Barrier));
         let j = Instr::Mpi {
             dest: None,
-            op: MpiIr::Finalize,
+            op: MpiOp::Finalize,
             span: Span::DUMMY,
         };
         assert_eq!(j.collective_kind(), None);

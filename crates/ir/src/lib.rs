@@ -42,7 +42,7 @@ pub mod verify;
 pub use dom::{DomTree, Frontiers, PostDomTree};
 pub use edit::shift_spans;
 pub use func::{BasicBlock, FuncIr, Module};
-pub use instr::{BlockKind, CheckOp, Directive, Instr, MpiIr, Terminator, WorkshareKind};
+pub use instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator, WorkshareKind};
 pub use loops::{LoopInfo, NaturalLoop};
 pub use lower::lower_program;
 pub use types::{BlockId, Const, Reg, RegionId, Value};

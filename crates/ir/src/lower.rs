@@ -14,7 +14,7 @@
 //! registers; `&&`/`||` short-circuit through the CFG.
 
 use crate::func::{BasicBlock, FuncIr, Module};
-use crate::instr::{BlockKind, Directive, Instr, MpiIr, Terminator, WorkshareKind};
+use crate::instr::{BlockKind, Directive, Instr, Terminator, WorkshareKind};
 use crate::types::{BlockId, Reg, RegionId, Value};
 use parcoach_front::ast::{
     BinOp, Block, Expr, ExprId, ExprKind, Function, Ident, Intrinsic, LValue, MpiOp, OmpStmt,
@@ -842,208 +842,24 @@ impl<'a> Lowerer<'a> {
                 });
                 dest.into()
             }
-            ExprKind::Mpi(op) => self.lower_mpi(&op, e.span),
+            ExprKind::Mpi(op) => self.lower_mpi(op, e.span),
+            ExprKind::AnySource => Value::int(parcoach_front::ast::ANY_SOURCE),
+            ExprKind::AnyTag => Value::int(parcoach_front::ast::ANY_TAG),
         }
     }
 
-    fn lower_mpi(&mut self, op: &MpiOp, span: Span) -> Value {
-        use parcoach_front::ast::CollectiveKind as CK;
-        match *op {
-            MpiOp::Init => {
-                self.emit(Instr::Mpi {
-                    dest: None,
-                    op: MpiIr::Init { required: None },
-                    span,
-                });
-                Value::int(0)
-            }
-            MpiOp::InitThread { required } => {
-                self.emit(Instr::Mpi {
-                    dest: None,
-                    op: MpiIr::Init {
-                        required: Some(required),
-                    },
-                    span,
-                });
-                Value::int(0)
-            }
-            MpiOp::Finalize => {
-                self.emit(Instr::Mpi {
-                    dest: None,
-                    op: MpiIr::Finalize,
-                    span,
-                });
-                Value::int(0)
-            }
-            MpiOp::Send {
-                value,
-                dest,
-                tag,
-                comm,
-            } => {
-                let v = self.lower_expr(value);
-                let d = self.lower_expr(dest);
-                let t = self.lower_expr(tag);
-                let c = comm.map(|e| self.lower_expr(e));
-                self.emit(Instr::Mpi {
-                    dest: None,
-                    op: MpiIr::Send {
-                        value: v,
-                        dest: d,
-                        tag: t,
-                        comm: c,
-                    },
-                    span,
-                });
-                Value::int(0)
-            }
-            MpiOp::Recv { src, tag, comm } => {
-                let s = self.lower_expr(src);
-                let t = self.lower_expr(tag);
-                let c = comm.map(|e| self.lower_expr(e));
-                let dest = self.fresh(Type::Float);
-                self.emit(Instr::Mpi {
-                    dest: Some(dest),
-                    op: MpiIr::Recv {
-                        src: s,
-                        tag: t,
-                        comm: c,
-                    },
-                    span,
-                });
-                dest.into()
-            }
-            MpiOp::CommWorld => {
-                let dest = self.fresh(Type::Comm);
-                self.emit(Instr::Mpi {
-                    dest: Some(dest),
-                    op: MpiIr::CommWorld,
-                    span,
-                });
-                dest.into()
-            }
-            MpiOp::CommSplit { parent, color, key } => {
-                let p = self.lower_expr(parent);
-                let c = self.lower_expr(color);
-                let k = self.lower_expr(key);
-                let dest = self.fresh(Type::Comm);
-                self.emit(Instr::Mpi {
-                    dest: Some(dest),
-                    op: MpiIr::CommSplit {
-                        parent: p,
-                        color: c,
-                        key: k,
-                    },
-                    span,
-                });
-                dest.into()
-            }
-            MpiOp::CommDup { comm } => {
-                let c = self.lower_expr(comm);
-                let dest = self.fresh(Type::Comm);
-                self.emit(Instr::Mpi {
-                    dest: Some(dest),
-                    op: MpiIr::CommDup { comm: c },
-                    span,
-                });
-                dest.into()
-            }
-            MpiOp::Isend {
-                value,
-                dest,
-                tag,
-                comm,
-            } => {
-                let v = self.lower_expr(value);
-                let d = self.lower_expr(dest);
-                let t = self.lower_expr(tag);
-                let c = comm.map(|e| self.lower_expr(e));
-                let req = self.fresh(Type::Request);
-                self.emit(Instr::Mpi {
-                    dest: Some(req),
-                    op: MpiIr::Isend {
-                        value: v,
-                        dest: d,
-                        tag: t,
-                        comm: c,
-                    },
-                    span,
-                });
-                req.into()
-            }
-            MpiOp::Irecv { src, tag, comm } => {
-                let s = self.lower_expr(src);
-                let t = self.lower_expr(tag);
-                let c = comm.map(|e| self.lower_expr(e));
-                let req = self.fresh(Type::Request);
-                self.emit(Instr::Mpi {
-                    dest: Some(req),
-                    op: MpiIr::Irecv {
-                        src: s,
-                        tag: t,
-                        comm: c,
-                    },
-                    span,
-                });
-                req.into()
-            }
-            MpiOp::Wait { request } => {
-                let r = self.lower_expr(request);
-                let dest = self.fresh(Type::Float);
-                self.emit(Instr::Mpi {
-                    dest: Some(dest),
-                    op: MpiIr::Wait { request: r },
-                    span,
-                });
-                dest.into()
-            }
-            MpiOp::Waitall { requests } => {
-                let rs: Vec<Value> = requests.iter().map(|r| self.lower_expr(r)).collect();
-                self.emit(Instr::Mpi {
-                    dest: None,
-                    op: MpiIr::Waitall { requests: rs },
-                    span,
-                });
-                Value::int(0)
-            }
-            MpiOp::AnySource => Value::int(parcoach_front::ast::ANY_SOURCE),
-            MpiOp::AnyTag => Value::int(parcoach_front::ast::ANY_TAG),
-            MpiOp::Collective(c) => {
-                let value = c.value.map(|v| self.lower_expr(v));
-                let root = c.root.map(|r| self.lower_expr(r));
-                let comm = c.comm.map(|e| self.lower_expr(e));
-                // Result type mirrors sema's typing rules.
-                let ret = match c.kind {
-                    CK::Barrier => None,
-                    CK::Bcast | CK::Reduce | CK::Allreduce | CK::Scan => {
-                        Some(self.value_ty(value.expect("checked by sema")))
-                    }
-                    CK::Gather | CK::Allgather => Some(
-                        Type::array_of(self.value_ty(value.expect("checked by sema")))
-                            .expect("numeric payload"),
-                    ),
-                    CK::Scatter | CK::ReduceScatter => Some(
-                        self.value_ty(value.expect("checked by sema"))
-                            .elem()
-                            .expect("array payload"),
-                    ),
-                    CK::Alltoall => Some(self.value_ty(value.expect("checked by sema"))),
-                };
-                let dest = ret.map(|t| self.fresh(t));
-                self.emit(Instr::Mpi {
-                    dest,
-                    op: MpiIr::Collective {
-                        kind: c.kind,
-                        value,
-                        reduce_op: c.reduce_op,
-                        root,
-                        comm,
-                    },
-                    span,
-                });
-                dest.map(Value::Reg).unwrap_or(Value::int(0))
-            }
-        }
+    /// Lower the operands in source order, then the operation, whose
+    /// result (if any) gets a fresh register.
+    fn lower_mpi(&mut self, op: MpiOp<ExprId>, span: Span) -> Value {
+        let op = op.map(|_, e| self.lower_expr(e));
+        let payload = match &op {
+            MpiOp::Collective { value: Some(v), .. } => Some(self.value_ty(*v)),
+            _ => None,
+        };
+        let ty = op.result_type(payload).expect("checked by sema");
+        let dest = (ty != Type::Void).then(|| self.fresh(ty));
+        self.emit(Instr::Mpi { dest, op, span });
+        dest.map_or(Value::int(0), Value::Reg)
     }
 }
 
@@ -1328,7 +1144,7 @@ mod tests {
             .find_map(|i| match i {
                 Instr::Mpi {
                     dest: Some(d),
-                    op: MpiIr::Irecv { src, tag, comm },
+                    op: MpiOp::Irecv { src, tag, comm },
                     ..
                 } => Some((*d, *src, *tag, *comm)),
                 _ => None,
@@ -1346,7 +1162,7 @@ mod tests {
             i,
             Instr::Mpi {
                 dest: Some(_),
-                op: MpiIr::Isend { .. },
+                op: MpiOp::Isend { .. },
                 ..
             }
         )));
@@ -1354,13 +1170,13 @@ mod tests {
             i,
             Instr::Mpi {
                 dest: Some(_),
-                op: MpiIr::Wait { .. },
+                op: MpiOp::Wait { .. },
                 ..
             }
         )));
         assert!(instrs
             .iter()
-            .any(|i| matches!(i, Instr::Mpi { dest: None, op: MpiIr::Waitall { requests }, .. } if requests.len() == 1)));
+            .any(|i| matches!(i, Instr::Mpi { dest: None, op: MpiOp::Waitall { requests }, .. } if requests.len() == 1)));
         assert!(f.has_p2p(), "request ops count as p2p blocks");
     }
 

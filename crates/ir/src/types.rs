@@ -1,6 +1,6 @@
 //! Core identifier and operand types for the IR.
 
-use parcoach_front::ast::Type;
+use parcoach_front::ast::{Operand, Type};
 use std::fmt;
 
 /// A virtual register (three-address temporary or named local).
@@ -118,6 +118,15 @@ impl fmt::Display for Value {
             Value::Reg(r) => write!(f, "{r}"),
             Value::Const(c) => write!(f, "{c}"),
         }
+    }
+}
+
+/// An IR operand of an MPI operation: `MPI_Waitall`'s list is a vector.
+impl Operand for Value {
+    type List = Vec<Value>;
+
+    fn list(list: &Vec<Value>) -> impl Iterator<Item = Value> + '_ {
+        list.iter().copied()
     }
 }
 

@@ -130,7 +130,11 @@ fn verify_into(f: &FuncIr, walk: &mut NestingWalk, errs: &mut Vec<VerifyError>) 
                 Instr::Call { dest, args, .. } => {
                     dest.is_none_or(|d| d.index() < max_reg) && args.iter().all(check_val)
                 }
-                Instr::Mpi { dest, .. } => dest.is_none_or(|d| d.index() < max_reg),
+                Instr::Mpi { dest, op, .. } => {
+                    let mut ok = dest.is_none_or(|d| d.index() < max_reg);
+                    op.operands(|_, v| ok &= check_val(&v));
+                    ok
+                }
                 Instr::Print { args } => args.iter().all(check_val),
                 Instr::Check(_) => true,
             };
@@ -378,6 +382,53 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| e.message.contains("out-of-range register")));
+    }
+
+    /// An MPI operand is a register read like any other: one out of
+    /// range is reported, whichever operand of whichever operation it is.
+    #[test]
+    fn detects_out_of_range_mpi_operand() {
+        let src = "fn main() {
+            let c = MPI_Comm_dup(MPI_COMM_WORLD);
+            MPI_Send(1, 0, 7, c);
+            let r = MPI_Irecv(0, 7);
+            MPI_Waitall(r);
+            let s = MPI_Reduce(1, SUM, 0, c);
+        }";
+        let m = lower_ok(src);
+        assert!(verify_module(&m).is_empty());
+        let mut corrupted = 0;
+        for (ii, i) in m.funcs[0].instrs.iter().enumerate() {
+            let Instr::Mpi { op, .. } = i else {
+                continue;
+            };
+            let mut operands = 0;
+            op.operands(|_, _| operands += 1);
+            for which in 0..operands {
+                let mut bad = m.clone();
+                let Instr::Mpi { op, .. } = &mut Arc::make_mut(&mut bad.funcs[0]).instrs[ii] else {
+                    unreachable!()
+                };
+                let mut at = 0;
+                *op = op.map(|_, v| {
+                    at += 1;
+                    if at == which + 1 {
+                        crate::types::Reg(999).into()
+                    } else {
+                        v
+                    }
+                });
+                let what = op.name();
+                let errs = verify_module(&bad);
+                assert!(
+                    errs.iter()
+                        .any(|e| e.message.contains("out-of-range register")),
+                    "operand {which} of {what}: {errs:?}"
+                );
+                corrupted += 1;
+            }
+        }
+        assert_eq!(corrupted, 11, "every operand of every MPI operation");
     }
 
     #[test]

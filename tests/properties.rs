@@ -209,12 +209,12 @@ fn random_world_comm_program(rng: &mut Rng) -> String {
 /// pre-refactor "single implicit communicator" IR shape, with spans and
 /// registers untouched.
 fn strip_comm_operands(m: &mut parcoach::ir::Module) {
-    use parcoach::ir::instr::{Instr, MpiIr};
+    use parcoach::ir::instr::{Instr, MpiOp};
     for f in &mut m.funcs {
         for i in &mut std::sync::Arc::make_mut(f).instrs {
             if let Instr::Mpi {
                 op:
-                    MpiIr::Collective { comm, .. } | MpiIr::Send { comm, .. } | MpiIr::Recv { comm, .. },
+                    MpiOp::Collective { comm, .. } | MpiOp::Send { comm, .. } | MpiOp::Recv { comm, .. },
                 ..
             } = i
             {
