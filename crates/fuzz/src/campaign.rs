@@ -3,8 +3,10 @@
 
 use crate::classify::{classify, is_disagreement};
 use crate::oracle::{observe, OracleConfig, OracleOutcome};
+use parcoach_sync::thread_cache;
 use parcoach_testutil::Scenario;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Campaign parameters.
 #[derive(Debug, Clone)]
@@ -154,7 +156,7 @@ pub struct CampaignResult {
 }
 
 /// Run a campaign on up to `jobs` threads (the round's modules fan out
-/// over [`parcoach_pool::par_map`], whose results keep index order).
+/// over [`par_map`], whose results keep index order).
 /// `progress` is called once per completed round.
 pub fn run_campaign(
     cfg: &CampaignConfig,
@@ -168,7 +170,7 @@ pub fn run_campaign(
     for round in 0..cfg.rounds {
         let lo = (round * cfg.modules_per_round) as u64;
         let indices: Vec<u64> = (lo..lo + cfg.modules_per_round as u64).collect();
-        let batch = parcoach_pool::par_map(jobs, &indices, |&i| evaluate_module(cfg, i, round));
+        let batch = par_map(jobs, &indices, |&i| evaluate_module(cfg, i, round));
         tracker.observe_round(batch.iter().flat_map(|m| m.class_keys.iter()));
         rounds_run = round + 1;
         progress(round, &batch, &tracker);
@@ -183,6 +185,40 @@ pub fn run_campaign(
         rounds_run,
         dried_out,
     }
+}
+
+/// Map `f` over `items` on up to `jobs` lanes of the thread cache, for
+/// items that are each a module's worth of work. Lane 0 is the caller;
+/// every lane takes the next index from one shared cursor, so a slow
+/// item holds up no other, and the results come back in index order
+/// whatever the schedule. One lane (or one item) runs on the caller
+/// alone. A panic in `f` is resumed here once every lane has finished.
+///
+/// ```
+/// let squares = parcoach_fuzz::par_map(3, &[1u64, 2, 3, 4], |&x| x * x);
+/// assert_eq!(squares, vec![1, 4, 9, 16]); // index order, any schedule
+/// ```
+pub fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let lanes = jobs.clamp(1, items.len().max(1));
+    let cursor = AtomicUsize::new(0);
+    let per_lane = thread_cache().run_map(lanes, |_| {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    });
+    let mut all: Vec<(usize, R)> = per_lane.into_iter().flatten().collect();
+    all.sort_unstable_by_key(|&(i, _)| i);
+    all.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

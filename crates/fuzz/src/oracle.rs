@@ -96,7 +96,7 @@ pub fn observe_module(module: &Module, cfg: &OracleConfig) -> Observation {
     // on timeout the worker is abandoned, not the thread: if the run
     // ever finishes, the worker re-parks and serves later modules.
     let (tx, rx) = mpsc::channel();
-    parcoach_pool::thread_cache().spawn(move || {
+    parcoach_sync::thread_cache().spawn(move || {
         let _ = tx.send(Executor::new(instrumented, run_cfg).run());
     });
     let mut dyn_codes: Vec<String> = match rx.recv_timeout(cfg.watchdog) {

@@ -7,8 +7,8 @@
 //! suites.
 
 use parcoach_fuzz::{
-    classify, minimize, module_seed, observe, parse_expected, run_campaign, CampaignConfig,
-    OracleConfig, OracleOutcome, Summary,
+    classify, minimize, module_seed, observe, par_map, parse_expected, run_campaign,
+    CampaignConfig, OracleConfig, OracleOutcome, Summary,
 };
 use parcoach_testutil::{case_budget, Scenario};
 use std::collections::BTreeSet;
@@ -81,7 +81,7 @@ fn every_generated_module_is_frontend_valid() {
 fn generation_is_independent_of_pool_shape() {
     let idx: Vec<u64> = (0..64).collect();
     let render = |jobs| {
-        parcoach_pool::par_map(jobs, &idx, |&i| {
+        par_map(jobs, &idx, |&i| {
             Scenario::generate(module_seed(42, i)).render()
         })
         .concat()

@@ -29,7 +29,7 @@ use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator
 use parcoach_ir::types::{BlockId, Const, Reg, RegionId, Value as IrValue};
 use parcoach_mpisim::{MpiConfig, MpiError, Signature, World};
 use parcoach_ompsim::{ForkError, OmpConfig, OmpSim, ThreadCtx};
-use parking_lot::{Mutex, RwLock};
+use parcoach_sync::{Mutex, ReentrantMutexGuard, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -314,10 +314,8 @@ impl Executor {
         });
         let output: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
         let budget = Arc::new(AtomicU64::new(self.cfg.max_steps));
-        let stats = Mutex::new(RunStats::default());
-        let errors: Vec<Mutex<Option<RunError>>> =
-            (0..self.cfg.ranks).map(|_| Mutex::new(None)).collect();
-        let run_rank = |rank: usize| {
+        // Each rank returns its error, if any, and what it counted.
+        let per_rank = parcoach_sync::thread_cache().run_map(self.cfg.ranks, |rank| {
             let env = RankEnv {
                 world: world.clone(),
                 omp: OmpSim::new(OmpConfig {
@@ -348,19 +346,23 @@ impl Executor {
             let res = self.exec_function(&env, &mut ctx, &mut ts, true, "main", Vec::new(), 0);
             world.finish_rank(rank);
             ts.return_lease(&env);
-            stats.lock().add(&ts.stats);
-            if let Err(e) = res {
-                // Make sure peers blocked in MPI wake up.
+            let err = res.err();
+            // Make sure peers blocked in MPI wake up.
+            if let Some(e) = &err {
                 if world.abort_reason().is_none() {
                     world.abort(MpiError::Aborted(e.to_string()));
                 }
-                *errors[rank].lock() = Some(e);
             }
-        };
-        parcoach_pool::thread_cache().run_set(self.cfg.ranks, run_rank);
+            (err, ts.stats)
+        });
+        let mut stats = RunStats::default();
+        let mut errs = Vec::new();
+        for (err, rank_stats) in per_rank {
+            stats.add(&rank_stats);
+            errs.extend(err);
+        }
         // Prefer root-cause errors over secondary echoes (aborted MPI
         // calls, poisoned barriers on sibling ranks).
-        let mut errs: Vec<RunError> = errors.into_iter().filter_map(|m| m.into_inner()).collect();
         let has_root = errs.iter().any(|e| !is_secondary_error(e));
         if has_root {
             errs.retain(|e| !is_secondary_error(e));
@@ -370,7 +372,7 @@ impl Executor {
             output: Arc::try_unwrap(output)
                 .map(|m| m.into_inner())
                 .unwrap_or_default(),
-            stats: stats.into_inner(),
+            stats,
         }
     }
 
@@ -449,7 +451,7 @@ impl Executor {
         depth: usize,
     ) -> Result<Flow, RunError> {
         let mut cur = start;
-        let mut critical_guards: Vec<parking_lot::ReentrantMutexGuard<'_, ()>> = Vec::new();
+        let mut critical_guards: Vec<ReentrantMutexGuard<'_, ()>> = Vec::new();
         loop {
             ts.step(env, || Span::DUMMY)?;
             let block = func.block(cur);

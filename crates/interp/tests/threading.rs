@@ -296,6 +296,50 @@ fn a_flat_2x2_run_puts_three_threads_on_other_os_threads() {
     assert_eq!(r.stats.mpi_calls, 6);
 }
 
+#[test]
+fn two_failing_ranks_report_in_rank_order_and_sum_their_counts() {
+    // Each rank forks a team of two, then fails on its own: rank 0
+    // divides by zero, rank 1 indexes past an array. Both errors are
+    // root causes and come back in rank order; every thread's counts
+    // are in the sum, the failing ones' included.
+    let src = "fn main() {
+        let t = 0;
+        parallel num_threads(2) {
+            barrier;
+            t = thread_num();
+        }
+        if (rank() == 0) {
+            let x = 1 / (rank() * 0);
+            print(x);
+        } else {
+            let a = array(2, 0);
+            a[5] = t;
+        }
+    }";
+    let r = run_with(src, cfg(2, 2));
+    assert!(
+        matches!(
+            kinds(&r)[..],
+            [
+                RunErrorKind::DivisionByZero,
+                RunErrorKind::IndexOutOfBounds { index: 5, len: 2 }
+            ]
+        ),
+        "{:?}",
+        r.errors
+    );
+    assert_eq!(
+        r.errors.iter().map(|e| e.rank).collect::<Vec<_>>(),
+        vec![0, 1]
+    );
+    assert_eq!(r.stats.steps, 46, "{:?}", r.stats);
+    assert_eq!(r.stats.forks, 2);
+    assert_eq!(r.stats.shared_cells, 2);
+    assert_eq!(r.stats.barrier_waits, 4);
+    assert_eq!(r.stats.mpi_calls, 0);
+    assert_eq!(r.stats.os_threads, 3);
+}
+
 // ---- the liveness census under MPI_THREAD_MULTIPLE ----------------------
 
 #[test]

@@ -67,7 +67,7 @@ use crate::error::{MpiError, RankActivity};
 use crate::signature::{CollectiveOp, Signature};
 use crate::value::{reduce_array, reduce_scalar, MpiValue};
 use parcoach_front::ast::{ThreadLevel, ANY_SOURCE, ANY_TAG};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parcoach_sync::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1337,5 +1337,5 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    parcoach_pool::thread_cache().run_map(world.size(), f)
+    parcoach_sync::thread_cache().run_map(world.size(), f)
 }

@@ -8,7 +8,7 @@
 //! * can be **poisoned** when another thread aborts (a failed dynamic
 //!   check must stop the whole program, not deadlock it).
 
-use parking_lot::{Condvar, Mutex};
+use parcoach_sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Why a barrier wait did not complete.

@@ -37,7 +37,7 @@ pub mod team;
 pub use barrier::{BarrierError, SimBarrier};
 pub use team::{OmpError, TeamShared, ThreadCtx};
 
-use parking_lot::ReentrantMutex;
+use parcoach_sync::{ReentrantMutex, ReentrantMutexGuard};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -114,28 +114,19 @@ impl OmpSim {
             ))));
         }
         let team = team::new_team(size, level);
-        let results: Vec<parking_lot::Mutex<Option<Result<(), E>>>> =
-            (0..size).map(|_| parking_lot::Mutex::new(None)).collect();
-        // Cached simulator threads ([`parcoach_pool::ThreadCache`]) for
+        // Cached simulator threads ([`parcoach_sync::ThreadCache`]) for
         // members 1..: the spawn cost is paid once per process, not once
         // per member per region.
-        parcoach_pool::thread_cache().run_set(size, |tid| {
+        let results = parcoach_sync::thread_cache().run_map(size, |tid| {
             let mut ctx = team::member_ctx(team.clone(), tid);
-            *results[tid].lock() = Some(body(&mut ctx));
+            let res = body(&mut ctx);
             // The member has left the region body for good: siblings
             // still waiting at a barrier learn immediately whether
             // the team has diverged.
             team.barrier.depart();
+            res
         });
-        let mut first_err = None;
-        for r in results.into_iter().filter_map(|m| m.into_inner()) {
-            if let Err(e) = r {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-        match first_err {
+        match results.into_iter().find_map(Result::err) {
             Some(e) => Err(ForkError::Body(e)),
             None => Ok(()),
         }
@@ -148,7 +139,7 @@ impl OmpSim {
     }
 
     /// Enter the global `critical` section; the guard releases on drop.
-    pub fn critical(&self) -> parking_lot::ReentrantMutexGuard<'_, ()> {
+    pub fn critical(&self) -> ReentrantMutexGuard<'_, ()> {
         self.critical.lock()
     }
 
@@ -258,6 +249,26 @@ mod tests {
             }
         });
         assert!(matches!(res, Err(ForkError::Body(ref s)) if s == "boom"));
+    }
+
+    /// Member 3 fails first in time; the fork still reports member 1's
+    /// error, the first in member order.
+    #[test]
+    fn fork_reports_the_first_error_in_member_order() {
+        let sim = OmpSim::default();
+        let mut ctx = ThreadCtx::initial();
+        let res = sim.fork::<String, _>(&mut ctx, Some(4), &|c| match c.thread_num() {
+            1 => {
+                std::thread::sleep(Duration::from_millis(20));
+                Err("member 1".to_string())
+            }
+            3 => Err("member 3".to_string()),
+            _ => Ok(()),
+        });
+        assert!(
+            matches!(res, Err(ForkError::Body(ref s)) if s == "member 1"),
+            "{res:?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! team and runs a closure on every member thread.
 
 use crate::barrier::{BarrierError, SimBarrier};
-use parking_lot::Mutex;
+use parcoach_sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

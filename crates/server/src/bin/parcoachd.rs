@@ -115,16 +115,16 @@ fn serve_socket(shared: Arc<ServerShared>, path: &str) -> Result<(), String> {
                         continue;
                     }
                 };
-                let shared = Arc::clone(&shared);
-                shared.connection_opened();
-                parcoach_pool::thread_cache().spawn(move || {
-                    let server = Server::with_shared(Arc::clone(&shared));
+                let open = shared.connection();
+                let server = Server::with_shared(Arc::clone(&shared));
+                parcoach_sync::thread_cache().spawn(move || {
+                    // Uncounted when this task ends, an unwind included.
+                    let _open = open;
                     if let Err(e) = drive_connection(server, reader, conn) {
                         // The bugfix this daemon carries: a client gone
                         // mid-request is that client's problem.
                         eprintln!("parcoachd: connection error (client dropped?): {e}");
                     }
-                    shared.connection_closed();
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

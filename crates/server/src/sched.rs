@@ -26,10 +26,11 @@ use crate::json::Value;
 use crate::proto::{self, code, Request};
 use crate::server::{Server, ServerConfig};
 use parcoach_core::{AnalysisSession, CancelToken, StaticReport};
+use parcoach_sync::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::Arc;
 
 /// A `check` result memoized at the epoch it was computed for.
 pub(crate) struct CheckCache {
@@ -96,14 +97,14 @@ impl ServerShared {
 
     /// Look up a resident document (read lock only).
     pub(crate) fn doc(&self, uri: &str) -> Option<Arc<DocEntry>> {
-        self.docs.read().unwrap().get(uri).map(Arc::clone)
+        self.docs.read().get(uri).map(Arc::clone)
     }
 
     /// Install (or replace) a document; a re-open starts a fresh session
     /// and epoch, exactly like a cold daemon would.
     pub(crate) fn insert_doc(&self, uri: &str, doc: Document) {
         let entry = Arc::new(DocEntry::new(doc));
-        self.docs.write().unwrap().insert(uri.to_string(), entry);
+        self.docs.write().insert(uri.to_string(), entry);
     }
 
     /// Enter drain mode: accept loops stop taking connections; in-flight
@@ -116,17 +117,25 @@ impl ServerShared {
         self.draining.load(Ordering::Relaxed)
     }
 
-    /// Connection accounting for graceful drain.
-    pub fn connection_opened(&self) {
+    /// Count one open connection for graceful drain, until the guard
+    /// drops — also when the connection's thread unwinds.
+    pub fn connection(self: &Arc<Self>) -> ConnectionGuard {
         self.active_connections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn connection_closed(&self) {
-        self.active_connections.fetch_sub(1, Ordering::Relaxed);
+        ConnectionGuard(Arc::clone(self))
     }
 
     pub fn active_connections(&self) -> usize {
         self.active_connections.load(Ordering::Relaxed)
+    }
+}
+
+/// One open connection, counted by [`ServerShared::active_connections`]
+/// while it lives.
+pub struct ConnectionGuard(Arc<ServerShared>);
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        self.0.active_connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -156,6 +165,18 @@ struct Progress {
     stopped: bool,
 }
 
+/// Marks the worker stopped on every way out of it, an unwind included:
+/// the reader waits for `stopped` before it returns.
+struct StopOnExit(Arc<(Mutex<Progress>, Condvar)>);
+
+impl Drop for StopOnExit {
+    fn drop(&mut self) {
+        let (state, cv) = &*self.0;
+        state.lock().stopped = true;
+        cv.notify_all();
+    }
+}
+
 /// Bounded FIFO between the reader and the worker.
 struct Queue {
     state: Mutex<QueueState>,
@@ -182,7 +203,7 @@ impl Queue {
 
     /// Enqueue, or return the job back if the queue is full.
     fn push(&self, job: Job) -> Result<(), Job> {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         if st.jobs.len() >= self.capacity {
             return Err(job);
         }
@@ -194,20 +215,14 @@ impl Queue {
 
     /// Dequeue; `None` once the queue is closed *and* drained.
     fn pop(&self) -> Option<Job> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(j) = st.jobs.pop_front() {
-                return Some(j);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.ready.wait(st).unwrap();
-        }
+        let mut st = self.state.lock();
+        self.ready
+            .wait_while(&mut st, |st| st.jobs.is_empty() && !st.closed);
+        st.jobs.pop_front()
     }
 
     fn close(&self) {
-        self.state.lock().unwrap().closed = true;
+        self.state.lock().closed = true;
         self.ready.notify_all();
     }
 }
@@ -218,7 +233,7 @@ impl Queue {
 type CancelRegistry = Arc<Mutex<HashMap<String, CancelToken>>>;
 
 fn write_line<W: Write>(w: &Mutex<W>, line: &str) -> std::io::Result<()> {
-    let mut w = w.lock().unwrap();
+    let mut w = w.lock();
     w.write_all(line.as_bytes())?;
     w.write_all(b"\n")?;
     w.flush()
@@ -243,9 +258,10 @@ where
         let queue = Arc::clone(&queue);
         let registry = Arc::clone(&registry);
         let writer = Arc::clone(&writer);
-        let progress = Arc::clone(&progress);
+        let stop_on_exit = StopOnExit(Arc::clone(&progress));
         move || {
-            let (state, cv) = &*progress;
+            let stop_on_exit = stop_on_exit;
+            let (state, cv) = &*stop_on_exit.0;
             while let Some(job) = queue.pop() {
                 let key = job.id().to_line();
                 let resp = if job.token.is_cancelled() {
@@ -253,12 +269,12 @@ where
                 } else {
                     server.handle(job.req, &job.token)
                 };
-                registry.lock().unwrap().remove(&key);
+                registry.lock().remove(&key);
                 // A write error means the client went away mid-response:
                 // stop answering, let the reader observe EOF. Nothing
                 // here is fatal to the daemon.
                 let stop = write_line(&writer, &resp).is_err() || server.is_shut_down();
-                let mut st = state.lock().unwrap();
+                let mut st = state.lock();
                 st.answered += 1;
                 st.stopped = stop;
                 cv.notify_all();
@@ -266,11 +282,9 @@ where
                     return;
                 }
             }
-            state.lock().unwrap().stopped = true;
-            cv.notify_all();
         }
     };
-    parcoach_pool::thread_cache().spawn(worker);
+    parcoach_sync::thread_cache().spawn(worker);
 
     let (state, cv) = &*progress;
     let mut queued = 0u64;
@@ -290,7 +304,7 @@ where
         let method = req.as_ref().map_or("", |r| r.method.as_str());
         if method == "$/cancelRequest" {
             // A notification: cancel the matching request, no response.
-            let registry = registry.lock().unwrap();
+            let registry = registry.lock();
             let target = req.as_ref().ok().and_then(|r| r.params.get("id"));
             if let Some(token) = target.and_then(|t| registry.get(&t.to_line())) {
                 token.cancel();
@@ -303,12 +317,9 @@ where
             token: CancelToken::new(),
         };
         let key = job.id().to_line();
-        registry
-            .lock()
-            .unwrap()
-            .insert(key.clone(), job.token.clone());
+        registry.lock().insert(key.clone(), job.token.clone());
         if let Err(job) = queue.push(job) {
-            registry.lock().unwrap().remove(&key);
+            registry.lock().remove(&key);
             let busy = proto::err(
                 job.id(),
                 code::SERVER_BUSY,
@@ -326,11 +337,8 @@ where
             // part of the drain). Stop reading only if the server
             // acknowledged this `shutdown`: one rejected before
             // `initialize` leaves the connection open.
-            let st = cv
-                .wait_while(state.lock().unwrap(), |st| {
-                    st.answered < queued && !st.stopped
-                })
-                .unwrap();
+            let mut st = state.lock();
+            cv.wait_while(&mut st, |st| st.answered < queued && !st.stopped);
             if st.stopped {
                 break;
             }
@@ -338,10 +346,7 @@ where
     }
 
     queue.close();
-    drop(
-        cv.wait_while(state.lock().unwrap(), |st| !st.stopped)
-            .unwrap(),
-    );
+    cv.wait_while(&mut state.lock(), |st| !st.stopped);
     result
 }
 
@@ -386,7 +391,7 @@ mod tests {
 
     impl SharedBuf {
         fn lines(&self) -> Vec<String> {
-            let bytes = self.0.lock().unwrap().clone();
+            let bytes = self.0.lock().clone();
             String::from_utf8(bytes)
                 .unwrap()
                 .lines()
@@ -397,7 +402,7 @@ mod tests {
 
     impl Write for SharedBuf {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
+            self.0.lock().extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -464,6 +469,49 @@ mod tests {
             lines[1],
             r#"{"jsonrpc":"2.0","id":1,"error":{"code":-32800,"message":"request cancelled"}}"#
         );
+    }
+
+    /// A worker that unwinds still releases the reader: the call returns
+    /// at EOF instead of waiting for a `stopped` nobody will set.
+    #[test]
+    fn a_panicking_writer_does_not_wedge_the_reader() {
+        struct PanickingWriter;
+        impl Write for PanickingWriter {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                panic!("writer down");
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let input = [
+            req(0, "initialize", r#"{"protocolVersion":2}"#),
+            req(1, "timings", "{}"),
+        ]
+        .join("\n");
+        let (done, returned) = mpsc::channel();
+        std::thread::spawn(move || {
+            let server = Server::new(ServerConfig::default());
+            let res = drive_connection(server, input.as_bytes(), PanickingWriter);
+            let _ = done.send(res.is_ok());
+        });
+        let ok = returned
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("drive_connection returned within 5 s");
+        assert!(ok);
+    }
+
+    #[test]
+    fn a_connection_that_unwinds_is_still_uncounted() {
+        let shared = ServerShared::new(ServerConfig::default());
+        let open = shared.connection();
+        assert_eq!(shared.active_connections(), 1);
+        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _open = open;
+            panic!("connection down");
+        }));
+        assert!(res.is_err());
+        assert_eq!(shared.active_connections(), 0);
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl Server {
         let Some(entry) = self.shared.doc(uri) else {
             return unknown_doc(&req.id, uri);
         };
-        let mut st = entry.state.lock().unwrap();
+        let mut st = entry.state.lock();
         let st = &mut *st;
         match st.doc.edit(func, text) {
             Ok(out) => {
@@ -236,7 +236,7 @@ impl Server {
             Some(ms) => token.bounded(Duration::from_millis(ms.max(0) as u64)),
             None => token.clone(),
         };
-        let mut st = entry.state.lock().unwrap();
+        let mut st = entry.state.lock();
         let st = &mut *st;
         if st.cache.as_ref().is_none_or(|c| c.epoch != st.epoch) {
             let Ok(report) = st.doc.check(&mut st.session, Some(&token)) else {
@@ -267,7 +267,7 @@ impl Server {
         let Some(entry) = entry else {
             return proto::ok(&req.id, obj([("available", Value::from(false))]));
         };
-        let st = entry.state.lock().unwrap();
+        let st = entry.state.lock();
         let Some(t) = st.session.timings() else {
             return proto::ok(&req.id, obj([("available", Value::from(false))]));
         };

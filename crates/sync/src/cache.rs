@@ -1,10 +1,13 @@
-//! A cache of parked OS threads for *blocking* simulator workloads.
+//! The workspace's one threading primitive: a cache of parked OS
+//! threads for work whose tasks block on one another — the simulators'
+//! MPI ranks and team members, which meet at barriers and collectives,
+//! the daemon's per-connection workers and the fuzz campaign's lanes.
 //!
 //! A team of 4 simulated threads meeting at a barrier needs all 4
 //! running **simultaneously**, which a fixed-width pool of lanes cannot
 //! guarantee. The [`ThreadCache`] keeps that guarantee while
 //! killing the per-region spawn cost the simulators used to pay: a
-//! [`run_set`] of `n` members runs member 0 on the calling thread — which
+//! [`run_map`] of `n` members runs member 0 on the calling thread — which
 //! would otherwise only park until the set is done — and acquires one
 //! *dedicated* parked thread for each of the other `n - 1` (spawning new
 //! OS threads only when the idle list runs dry); the threads return to
@@ -12,16 +15,32 @@
 //! or rank set reuses them.
 //!
 //! A member returns its thread to the idle list *before* it counts down
-//! the completion latch, so by the time `run_set` returns, every thread
+//! the completion latch, so by the time `run_map` returns, every thread
 //! it used is already reusable — back-to-back regions never over-spawn.
 //!
-//! [`run_set`]: ThreadCache::run_set
+//! The static analysis uses none of it: it runs on one lane, because a
+//! function's analysis takes a few microseconds — too little to pay for
+//! handing it to another thread.
+//!
+//! ```
+//! let squares = parcoach_sync::thread_cache().run_map(4, |i| i * i);
+//! assert_eq!(squares, vec![0, 1, 4, 9]); // member order, any schedule
+//! ```
+//!
+//! [`run_map`]: ThreadCache::run_map
 
-use parking_lot::{Condvar, Mutex};
+use crate::{Condvar, Mutex};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+static GLOBAL_CACHE: OnceLock<ThreadCache> = OnceLock::new();
+
+/// The process-wide thread cache.
+pub fn thread_cache() -> &'static ThreadCache {
+    GLOBAL_CACHE.get_or_init(ThreadCache::default)
+}
 
 type CacheTask = Box<dyn FnOnce() + Send + 'static>;
 
@@ -102,7 +121,7 @@ fn cached_worker(slot: Arc<WorkSlot>) {
     }
 }
 
-/// Countdown latch with a panic slot: `run_set` waits on it and resumes
+/// Countdown latch with a panic slot: `run_map` waits on it and resumes
 /// the first member panic.
 struct Latch {
     state: Mutex<LatchState>,
@@ -144,8 +163,8 @@ impl Latch {
     }
 }
 
-/// The cache. Cheap to share (`&'static` via
-/// [`thread_cache`](crate::thread_cache) in normal use).
+/// The cache. Cheap to share (`&'static` via [`thread_cache`] in
+/// normal use).
 pub struct ThreadCache {
     shared: Arc<CacheShared>,
 }
@@ -179,15 +198,32 @@ impl ThreadCache {
         self.shared.reused.load(Ordering::Relaxed)
     }
 
-    /// Run `f(0), f(1), …, f(n-1)` concurrently and return when all have
-    /// finished: `f(0)` on the calling thread, every other member on a
-    /// dedicated thread of its own. Members may block on one another
-    /// (barriers, collectives); the concurrency guarantee is what the
-    /// simulators' fork/join semantics require. `run_set(1, f)` touches
-    /// no other thread. A member panic is resumed on the caller once
-    /// every member has finished — member 0's own first, else the first
-    /// one reported.
-    pub fn run_set<F>(&self, n: usize, f: F)
+    /// The workspace's one fork/join: run `f(0), f(1), …, f(n-1)`
+    /// concurrently and return their results in member order once all
+    /// have finished — `f(0)` on the calling thread, every other member
+    /// on a dedicated thread of its own. Members may block on one
+    /// another (barriers, collectives); the concurrency guarantee is what
+    /// the simulators' fork/join semantics require. `run_map(1, f)`
+    /// touches no other thread. A member panic is resumed on the caller
+    /// once every member has finished — member 0's own first, else the
+    /// first one reported.
+    pub fn run_map<R, F>(&self, n: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        self.run_set(n, |i| {
+            *slots[i].lock() = Some(f(i));
+        });
+        slots
+            .into_iter()
+            .map(|m| m.into_inner().expect("member wrote its result"))
+            .collect()
+    }
+
+    /// [`run_map`](Self::run_map) without the results.
+    fn run_set<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -272,23 +308,6 @@ impl ThreadCache {
             shared.release(&task_slot);
         });
         slot.deliver(SlotMsg::Run(task));
-    }
-
-    /// [`run_set`](Self::run_set) collecting one result per member, in
-    /// member order.
-    pub fn run_map<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        self.run_set(n, |i| {
-            *slots[i].lock() = Some(f(i));
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().expect("member wrote its result"))
-            .collect()
     }
 }
 

@@ -1,21 +1,30 @@
-//! # parcoach-sync — parking_lot-compatible shim over `std::sync`
+//! # parcoach-sync — every lock and every thread of the workspace
 //!
-//! The simulators (`parcoach-mpisim`, `parcoach-ompsim`) and the
-//! interpreter were written against the `parking_lot` API: `lock()`
-//! returns a guard directly (no poisoning `Result`), and `Condvar::wait*`
-//! takes the guard by `&mut` instead of by value. This crate provides the
-//! small subset of that API they use, implemented purely on `std::sync`,
-//! so the workspace builds with zero external dependencies. Consumers
-//! depend on it under the rename `parking_lot` (see their `Cargo.toml`),
-//! which keeps the simulator sources byte-compatible with the real crate.
+//! Two halves, one crate, so that one hook sees both the threads and
+//! what they wait on:
+//!
+//! * the locks: [`Mutex`], [`RwLock`], [`Condvar`] (`wait`,
+//!   `wait_while`, `wait_until`, `notify_one`, `notify_all`) and
+//!   [`ReentrantMutex`] (for `critical` sections, which OpenMP defines
+//!   as reentrant per-name locks), implemented purely on `std::sync` so
+//!   the workspace builds with zero external dependencies. `lock()`
+//!   returns a guard directly, and a condvar wait takes the guard by
+//!   `&mut` instead of by value;
+//! * the threads: [`ThreadCache`] and the process-wide
+//!   [`thread_cache`], whose [`ThreadCache::run_map`] is the one
+//!   fork/join of the simulators and whose [`ThreadCache::spawn`] runs
+//!   the detached tasks (the daemon's connections, the fuzz oracle's
+//!   watchdog).
 //!
 //! Poisoning is deliberately swallowed (`PoisonError::into_inner`): a
 //! panicking simulator thread is itself the error condition under test,
-//! and the deadlock census must keep running to report it.
-//!
-//! Provided: [`Mutex`], [`RwLock`], [`Condvar`] (`wait`, `wait_until`,
-//! `notify_one`, `notify_all`), [`ReentrantMutex`] (used for `critical`
-//! sections, which OpenMP defines as reentrant per-name locks).
+//! and the deadlock census must keep running to report it; a panicking
+//! daemon worker must not turn every later lock of its connection into a
+//! second panic.
+
+mod cache;
+
+pub use cache::{thread_cache, ThreadCache};
 
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
@@ -31,7 +40,7 @@ pub struct Mutex<T: ?Sized>(ss::Mutex<T>);
 pub struct MutexGuard<'a, T: ?Sized>(Option<ss::MutexGuard<'a, T>>);
 
 impl<T> Mutex<T> {
-    pub const fn new(value: T) -> Self {
+    pub fn new(value: T) -> Self {
         Mutex(ss::Mutex::new(value))
     }
 
@@ -48,21 +57,11 @@ impl<T: ?Sized> Mutex<T> {
             self.0.lock().unwrap_or_else(ss::PoisonError::into_inner),
         ))
     }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(ss::PoisonError::into_inner)
-    }
 }
 
 impl<T: Default> Default for Mutex<T> {
     fn default() -> Self {
         Mutex::new(T::default())
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("Mutex").field(&self.0).finish()
     }
 }
 
@@ -91,13 +90,13 @@ impl WaitTimeoutResult {
     }
 }
 
-/// Condition variable whose waits take the guard by `&mut`
-/// (parking_lot style) instead of by value (std style).
+/// Condition variable whose waits take the guard by `&mut` instead of
+/// by value (std style).
 #[derive(Default)]
 pub struct Condvar(ss::Condvar);
 
 impl Condvar {
-    pub const fn new() -> Self {
+    pub fn new() -> Self {
         Condvar(ss::Condvar::new())
     }
 
@@ -118,9 +117,9 @@ impl Condvar {
         );
     }
 
-    /// Block until `condition` returns false (parking_lot's
-    /// `wait_while`): re-checks after every wakeup, so spurious wakeups
-    /// and notify-storms are absorbed here instead of at every caller.
+    /// Block until `condition` returns false: re-checks after every
+    /// wakeup, so spurious wakeups and notify-storms are absorbed here
+    /// instead of at every caller.
     pub fn wait_while<T, F>(&self, guard: &mut MutexGuard<'_, T>, mut condition: F)
     where
         F: FnMut(&mut T) -> bool,
@@ -155,14 +154,8 @@ impl Condvar {
 pub struct RwLock<T: ?Sized>(ss::RwLock<T>);
 
 impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
+    pub fn new(value: T) -> Self {
         RwLock(ss::RwLock::new(value))
-    }
-
-    pub fn into_inner(self) -> T {
-        self.0
-            .into_inner()
-            .unwrap_or_else(ss::PoisonError::into_inner)
     }
 }
 
@@ -182,12 +175,6 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for RwLock<T> {
             Ok(guard) => f.debug_tuple("RwLock").field(&&*guard).finish(),
             Err(_) => f.write_str("RwLock(<locked>)"),
         }
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
     }
 }
 

@@ -11,5 +11,4 @@ pub use parcoach_interp as interp;
 pub use parcoach_ir as ir;
 pub use parcoach_mpisim as mpisim;
 pub use parcoach_ompsim as ompsim;
-pub use parcoach_pool as pool;
 pub use parcoach_workloads as workloads;
