@@ -36,17 +36,19 @@
 //! detection failure, 3 = usage error.
 
 use parcoach_bench::{
-    figure1_rows, lower_workload, measure, overhead_x1000, static_phase_breakdown, Fig1Row,
+    detection, figure1_rows, lower_workload, measure, overhead_x1000, static_phase_breakdown,
+    Fig1Row, RunOutcome, CASE_WATCHDOG,
 };
 use parcoach_core::{instrument_module, AnalysisSession, InstrumentMode, QueryDb, StaticReport};
 use parcoach_front::lexer::lex_source;
 use parcoach_front::parser::parse_source;
 use parcoach_front::sema::check_program;
 use parcoach_front::{parse_and_check, Diagnostics};
-use parcoach_interp::{check_and_run, Executor, RunConfig, RunStats};
+use parcoach_interp::{Executor, RunConfig, RunStats};
 use parcoach_ir::lower::lower_program;
 use parcoach_ir::{verify_module, Module};
-use parcoach_workloads::{error_catalogue, figure1_suite, Workload, WorkloadClass};
+use parcoach_server::json::{self, Value};
+use parcoach_workloads::{figure1_suite, Workload, WorkloadClass};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -75,13 +77,6 @@ const FIG1_OVERHEAD_SLACK_X1000: u64 = 120;
 /// widest five-run spread was 207: a run of a few threaded milliseconds
 /// is far noisier than a compile.
 const SIM_OVERHEAD_SLACK_X1000: u64 = 420;
-/// Wall-clock watchdog per catalogue case in the detection pass. Every
-/// case resolves in well under a second (the deadlocking ones via the
-/// liveness census / wait-for graph, not timeouts); a case still
-/// running after this long has regressed into a real hang — fail the
-/// gate in seconds instead of stalling the job until the runner
-/// timeout.
-const CASE_WATCHDOG: Duration = Duration::from_secs(20);
 
 fn main() -> ExitCode {
     match run(&std::env::args().skip(1).collect::<Vec<_>>()) {
@@ -127,7 +122,7 @@ fn run(args: &[String]) -> Result<bool, String> {
                 let text = std::fs::read_to_string(&baseline_path).map_err(|e| {
                     format!("read baseline {baseline_path}: {e} (create one with --write-baseline)")
                 })?;
-                Some(parse_flat_json(&text).ok_or_else(|| {
+                Some(parse_baseline(&text).ok_or_else(|| {
                     format!("{baseline_path}: not a flat JSON object of integers")
                 })?)
             }
@@ -204,9 +199,28 @@ fn run(args: &[String]) -> Result<bool, String> {
     let mut detection_ok = true;
     let mut run_detection = || {
         let t0 = Instant::now();
-        let ok = detection_pass();
-        detection_ok &= ok;
-        t0.elapsed().as_nanos() as u64
+        let rows = detection(&[]);
+        let ns = t0.elapsed().as_nanos() as u64;
+        for d in rows.iter().filter(|d| !d.ok) {
+            detection_ok = false;
+            let id = d.case.id;
+            match &d.outcome {
+                RunOutcome::Ran(_) => eprintln!(
+                    "{id}: unexpected behavior (static {:?}, expected {:?} / {:?})",
+                    d.static_codes, d.case.expect_static, d.case.expect_dynamic
+                ),
+                RunOutcome::Hung => eprintln!(
+                    "{id}: WATCHDOG — still running after {}s; the simulator hung \
+                     (deadlock-detection regression?)",
+                    CASE_WATCHDOG.as_secs()
+                ),
+                RunOutcome::Panicked => eprintln!(
+                    "{id}: case worker panicked before producing a result (see stderr backtrace)"
+                ),
+                RunOutcome::CompileError(e) => eprintln!("{id}: {e}"),
+            }
+        }
+        ns
     };
     let mut detection_ns = run_detection();
     gate_ok &= gate(
@@ -476,26 +490,22 @@ fn run(args: &[String]) -> Result<bool, String> {
     if let Some(p) = write_baseline {
         std::fs::write(&p, &json).map_err(|e| format!("write {p}: {e}"))?;
         println!("wrote baseline {p}");
-        return Ok(detection_ok
-            && incr_ok
-            && neutral_ok
-            && module_ok
-            && hera_ok
-            && budget_ok
-            && layout_ok
-            && sim_ok
-            && sim_counts_ok);
     }
-    Ok(gate_ok
-        && detection_ok
-        && incr_ok
-        && neutral_ok
-        && module_ok
-        && hera_ok
-        && budget_ok
-        && layout_ok
-        && sim_ok
-        && sim_counts_ok)
+    // Without a baseline every baseline-relative gate passed, so one
+    // verdict serves both modes.
+    let verdicts = [
+        gate_ok,
+        detection_ok,
+        incr_ok,
+        neutral_ok,
+        module_ok,
+        hera_ok,
+        budget_ok,
+        layout_ok,
+        sim_ok,
+        sim_counts_ok,
+    ];
+    Ok(verdicts.iter().all(|&ok| ok))
 }
 
 /// One class-A program of [`sim_runs`].
@@ -589,12 +599,9 @@ fn gate(
     slack_note_printed: &mut bool,
     mut remeasure: impl FnMut() -> u64,
 ) -> bool {
-    let Some(base) = baseline else {
-        return true; // --write-baseline mode
-    };
-    let (Some(&base_ns), Some(&base_cal)) = (base.get(key), base.get("calibration_ns")) else {
-        eprintln!("{key}: missing from baseline — regenerate it with --write-baseline");
-        return false;
+    let (base_ns, base_cal) = match (pinned(key, baseline), pinned("calibration_ns", baseline)) {
+        (Ok(base_ns), Ok(base_cal)) => (base_ns, base_cal),
+        (Err(verdict), _) | (_, Err(verdict)) => return verdict,
     };
     let base_ratio = base_ns as f64 / base_cal as f64;
     let limit = base_ratio * (1.0 + DEFAULT_TOLERANCE / 100.0);
@@ -648,12 +655,9 @@ fn overhead_gate(
     baseline: Option<&BTreeMap<String, u64>>,
     slack: u64,
 ) -> bool {
-    let Some(base) = baseline else {
-        return true;
-    };
-    let Some(&pinned) = base.get(key) else {
-        eprintln!("{key}: missing from baseline — regenerate it with --write-baseline");
-        return false;
+    let pinned = match pinned(key, baseline) {
+        Ok(pinned) => pinned,
+        Err(verdict) => return verdict,
     };
     let bound = pinned.saturating_add(slack);
     let ok = now <= bound;
@@ -668,20 +672,27 @@ fn overhead_gate(
 /// missing from the baseline fails; without a baseline
 /// (`--write-baseline` mode) every count passes.
 fn count_gate(key: &str, now: u64, baseline: Option<&BTreeMap<String, u64>>) -> bool {
-    let Some(base) = baseline else {
-        return true;
-    };
-    match base.get(key) {
-        Some(&pinned) if pinned == now => true,
-        Some(&pinned) => {
+    match pinned(key, baseline) {
+        Ok(pinned) if pinned == now => true,
+        Ok(pinned) => {
             println!("  {key} = {now}, baseline {pinned} — COUNT MOVED");
             false
         }
-        None => {
-            eprintln!("{key}: missing from baseline — regenerate it with --write-baseline");
-            false
-        }
+        Err(verdict) => verdict,
     }
+}
+
+/// `key`'s baseline value, or the verdict of a gate that cannot read
+/// one: it passes without a baseline (`--write-baseline` mode) and fails
+/// when the baseline lacks `key`.
+fn pinned(key: &str, baseline: Option<&BTreeMap<String, u64>>) -> Result<u64, bool> {
+    let Some(base) = baseline else {
+        return Err(true);
+    };
+    base.get(key).copied().ok_or_else(|| {
+        eprintln!("{key}: missing from baseline — regenerate it with --write-baseline");
+        false
+    })
 }
 
 /// Single-threaded arithmetic spin: the machine-speed yardstick. Many
@@ -702,68 +713,6 @@ fn calibrate() -> u64 {
         spin();
     })
     .as_nanos() as u64
-}
-
-/// Run one catalogue case on a watchdog thread: `None` when the
-/// simulator run exceeded [`CASE_WATCHDOG`] (the hung worker is left
-/// detached — the gate reports and exits; the process does not wait on
-/// it). A worker that *panics* is reported as an error, not a hang.
-#[allow(clippy::type_complexity)]
-fn run_case_with_watchdog(
-    id: &'static str,
-    source: String,
-) -> Option<Result<(parcoach_core::StaticReport, parcoach_interp::RunReport), String>> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(check_and_run(id, &source, RunConfig::fast_fail(2, 4), true));
-    });
-    match rx.recv_timeout(CASE_WATCHDOG) {
-        Ok(outcome) => Some(outcome),
-        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => None,
-        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => Some(Err(
-            "case worker panicked before producing a result (see stderr backtrace)".into(),
-        )),
-    }
-}
-
-/// One instrumented run per catalogue case; true when every case behaves
-/// as the paper predicts (same checks as the `detection_table` bin).
-/// Each case runs under a wall-clock watchdog so a regression that
-/// introduces a genuine deadlock fails the gate instead of hanging it.
-fn detection_pass() -> bool {
-    let mut all_ok = true;
-    for case in error_catalogue() {
-        let Some(outcome) = run_case_with_watchdog(case.id, case.source.clone()) else {
-            eprintln!(
-                "{}: WATCHDOG — still running after {}s; the simulator hung \
-                 (deadlock-detection regression?)",
-                case.id,
-                CASE_WATCHDOG.as_secs()
-            );
-            all_ok = false;
-            continue;
-        };
-        let (report, run) = match outcome {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("{}: {e}", case.id);
-                all_ok = false;
-                continue;
-            }
-        };
-        let static_ok = case.expect_static.holds(&report);
-        let dynamic_ok = case
-            .expect_dynamic
-            .holds(!run.is_clean(), run.detected_by_check());
-        if !(static_ok && dynamic_ok) {
-            eprintln!(
-                "{}: unexpected behavior (static_ok={static_ok}, dynamic_ok={dynamic_ok})",
-                case.id
-            );
-            all_ok = false;
-        }
-    }
-    all_ok
 }
 
 /// Per-phase static-analysis minima for the EPCC and HERA class-B
@@ -1115,22 +1064,16 @@ fn to_json(map: &BTreeMap<String, u64>) -> String {
     out
 }
 
-/// Parse the subset emitted by [`to_json`]: one flat object of
-/// string-keyed integers (whitespace-insensitive).
-fn parse_flat_json(text: &str) -> Option<BTreeMap<String, u64>> {
-    let body = text.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut map = BTreeMap::new();
-    for entry in body.split(',') {
-        let entry = entry.trim();
-        if entry.is_empty() {
-            continue;
-        }
-        let (key, value) = entry.split_once(':')?;
-        let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-        let value: u64 = value.trim().parse().ok()?;
-        map.insert(key.to_string(), value);
-    }
-    Some(map)
+/// Read a baseline written by [`to_json`]: one flat object of
+/// string-keyed integers.
+fn parse_baseline(text: &str) -> Option<BTreeMap<String, u64>> {
+    let Ok(Value::Obj(fields)) = json::parse(text) else {
+        return None;
+    };
+    fields
+        .into_iter()
+        .map(|(key, value)| Some((key.into_owned(), u64::try_from(value.as_i64()?).ok()?)))
+        .collect()
 }
 
 #[cfg(test)]

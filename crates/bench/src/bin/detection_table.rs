@@ -7,52 +7,39 @@
 //! a catalogue slice (e.g. `p2p,subcomm,multiple` for the E6 p2p /
 //! sub-communicator slice).
 
-use parcoach_interp::{check_and_run, RunConfig};
-use parcoach_workloads::{error_catalogue, ExpectDynamic};
+use parcoach_bench::{detection, RunOutcome};
+use parcoach_workloads::ExpectDynamic;
 
 fn main() {
-    let filters: Vec<String> = std::env::args()
-        .nth(1)
-        .map(|arg| arg.split(',').map(|s| s.to_string()).collect())
+    let arg = std::env::args().nth(1);
+    let filters: Vec<&str> = arg
+        .as_deref()
+        .map(|arg| arg.split(',').collect())
         .unwrap_or_default();
-    let selected = |id: &str| filters.is_empty() || filters.iter().any(|f| id.contains(f.as_str()));
     println!(
         "{:<28} {:<26} {:<10} {:<14} {:<10} ok?",
         "case", "static verdict", "expected", "dynamic", "by-check"
     );
-    let mut all_ok = true;
-    let mut any = false;
-    for case in error_catalogue() {
-        if !selected(case.id) {
-            continue;
-        }
-        any = true;
-        let cfg = RunConfig::fast_fail(2, 4);
-        let (report, run) = match check_and_run(case.id, &case.source, cfg, true) {
-            Ok(x) => x,
-            Err(e) => {
-                println!("{:<28} COMPILE ERROR: {e}", case.id);
-                all_ok = false;
+    let rows = detection(&filters);
+    for d in &rows {
+        let (dynamic, by_check) = match &d.outcome {
+            RunOutcome::CompileError(e) => {
+                println!("{:<28} COMPILE ERROR: {e}", d.case.id);
                 continue;
             }
+            RunOutcome::Ran(run) => (
+                if run.is_clean() { "clean" } else { "fails" },
+                if run.detected_by_check() { "yes" } else { "-" },
+            ),
+            RunOutcome::Hung => ("hung", "-"),
+            RunOutcome::Panicked => ("panicked", "-"),
         };
-        let static_verdict = if report.is_clean() {
+        let static_verdict = if d.static_codes.is_empty() {
             "clean".to_string()
         } else {
-            let mut kinds: Vec<&str> = report.warnings.iter().map(|w| w.kind.code()).collect();
-            kinds.sort_unstable();
-            kinds.dedup();
-            kinds.join(",")
+            d.static_codes.join(",")
         };
-        let dynamic = if run.is_clean() { "clean" } else { "fails" };
-        let by_check = if run.detected_by_check() { "yes" } else { "-" };
-
-        let ok = case.expect_static.holds(&report)
-            && case
-                .expect_dynamic
-                .holds(!run.is_clean(), run.detected_by_check());
-        all_ok &= ok;
-        let expected = match case.expect_dynamic {
+        let expected = match d.case.expect_dynamic {
             ExpectDynamic::Clean => "clean",
             ExpectDynamic::CaughtByCheck => "check",
             ExpectDynamic::CaughtBySubstrate => "substrate",
@@ -61,20 +48,20 @@ fn main() {
         };
         println!(
             "{:<28} {:<26} {:<10} {:<14} {:<10} {}",
-            case.id,
+            d.case.id,
             truncate(&static_verdict, 26),
             expected,
             dynamic,
             by_check,
-            if ok { "ok" } else { "MISMATCH" }
+            if d.ok { "ok" } else { "MISMATCH" }
         );
     }
     println!();
-    if !any {
+    if rows.is_empty() {
         println!("no catalogue case matches the filter(s).");
         std::process::exit(1);
     }
-    if all_ok {
+    if rows.iter().all(|d| d.ok) {
         println!("all catalogue cases behave as expected.");
     } else {
         println!("SOME CASES DIVERGED FROM EXPECTATION — see rows marked MISMATCH.");

@@ -12,7 +12,9 @@
 //! weight ([`opt`]), and [`figure1_rows`], the one measurement of
 //! Figure 1: the `fig1` bin prints its table and `bench_ci` gates its
 //! ratios next to the run-time overhead of the checks (see
-//! EXPERIMENTS.md E1, E4 and E9).
+//! EXPERIMENTS.md E1, E4 and E9). [`detection`] is the one pass over the
+//! error catalogue (E3) that the `detection_table` bin, `bench_ci` and
+//! the end-to-end test share.
 
 pub mod opt;
 
@@ -21,9 +23,10 @@ use parcoach_core::{
 };
 use parcoach_front::parse_and_check;
 use parcoach_front::CheckedUnit;
+use parcoach_interp::{prepare, Executor, NoReport, RunConfig, RunReport};
 use parcoach_ir::lower::lower_program;
 use parcoach_ir::Module;
-use parcoach_workloads::{Workload, WorkloadClass};
+use parcoach_workloads::{error_catalogue, ErrorCase, Workload, WorkloadClass};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -231,6 +234,84 @@ pub fn render_fig1(rows: &[Fig1Row]) -> String {
         ));
     }
     out
+}
+
+/// Wall-clock watchdog per catalogue case in [`detection`]. Every case
+/// resolves in well under a second (the deadlocking ones via the
+/// liveness census / wait-for graph, not timeouts); a case still
+/// running after this long has regressed into a real hang, and fails
+/// by name in seconds instead of stalling the caller.
+pub const CASE_WATCHDOG: Duration = Duration::from_secs(20);
+
+/// How one catalogue case's instrumented run ended.
+#[derive(Debug)]
+pub enum RunOutcome {
+    /// The run finished with this report.
+    Ran(RunReport),
+    /// Still running after [`CASE_WATCHDOG`].
+    Hung,
+    /// The run panicked before producing its report.
+    Panicked,
+    /// The case did not compile (rendered diagnostics).
+    CompileError(String),
+}
+
+/// One catalogue case's verdict (experiment E3).
+#[derive(Debug)]
+pub struct Detection {
+    /// The case, with its expectations.
+    pub case: ErrorCase,
+    /// Static warning codes, sorted and deduplicated.
+    pub static_codes: Vec<&'static str>,
+    /// What the instrumented run did.
+    pub outcome: RunOutcome,
+    /// Both the static report and the run met the case's expectations.
+    pub ok: bool,
+}
+
+/// The catalogue's detection matrix: every case whose id contains one of
+/// `filters` (every case when there is none), compiled and instrumented,
+/// run at 2 ranks × 4 threads with fast-fail timeouts under
+/// [`CASE_WATCHDOG`], and judged against its expectations, in catalogue
+/// order. The `detection_table` bin prints it, `bench_ci` times it and
+/// the end-to-end test asserts on it.
+pub fn detection(filters: &[&str]) -> Vec<Detection> {
+    error_catalogue()
+        .into_iter()
+        .filter(|case| filters.is_empty() || filters.iter().any(|f| case.id.contains(f)))
+        .map(|case| {
+            let (report, module) = match prepare(case.id, &case.source, true) {
+                Ok(x) => x,
+                Err(e) => {
+                    return Detection {
+                        case,
+                        static_codes: Vec::new(),
+                        outcome: RunOutcome::CompileError(e),
+                        ok: false,
+                    }
+                }
+            };
+            let mut static_codes: Vec<&'static str> =
+                report.warnings.iter().map(|w| w.kind.code()).collect();
+            static_codes.sort_unstable();
+            static_codes.dedup();
+            let outcome =
+                match Executor::new(module, RunConfig::fast_fail(2, 4)).run_within(CASE_WATCHDOG) {
+                    Ok(run) => RunOutcome::Ran(run),
+                    Err(NoReport::TimedOut) => RunOutcome::Hung,
+                    Err(NoReport::Panicked) => RunOutcome::Panicked,
+                };
+            let ok = case.expect_static.holds(&report)
+                && matches!(&outcome, RunOutcome::Ran(run)
+                    if case.expect_dynamic.holds(!run.is_clean(), run.detected_by_check()));
+            Detection {
+                case,
+                static_codes,
+                outcome,
+                ok,
+            }
+        })
+        .collect()
 }
 
 /// The workload class a table bin was asked for: `A`, `B` or `C`, and

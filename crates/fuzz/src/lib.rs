@@ -36,7 +36,7 @@ pub use campaign::{
 };
 pub use classify::{classify, dyn_family, is_disagreement, Classified, Polarity};
 pub use minimize::minimize;
-pub use oracle::{observe, observe_module, Observation, OracleConfig, OracleOutcome};
+pub use oracle::{observe, Observation, OracleConfig, OracleOutcome};
 pub use summary::{parse_expected, ClassStat, Summary};
 
 // Tests of `par_map`, the campaign's lanes.

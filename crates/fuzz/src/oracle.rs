@@ -2,12 +2,7 @@
 //! out — the static warning codes and the instrumented run's error
 //! codes, gathered under a per-module watchdog.
 
-use parcoach_core::{instrument_module, AnalysisSession, InstrumentMode};
-use parcoach_front::parse_and_check;
-use parcoach_interp::{Executor, RunConfig};
-use parcoach_ir::lower::lower_program;
-use parcoach_ir::Module;
-use std::sync::mpsc;
+use parcoach_interp::{prepare, Executor, RunConfig};
 use std::time::Duration;
 
 /// Oracle knobs. The defaults match the catalogue's detection runs
@@ -20,7 +15,8 @@ pub struct OracleConfig {
     /// Default team width for `parallel` regions.
     pub threads: usize,
     /// Hard wall-clock cap per module; a run that exceeds it is
-    /// recorded as the synthetic dynamic code `hang`.
+    /// recorded as the synthetic dynamic code `hang` (as is a run that
+    /// panicked).
     pub watchdog: Duration,
 }
 
@@ -56,29 +52,13 @@ pub enum OracleOutcome {
 }
 
 /// Run the full differential pipeline on one module: parse → lower →
-/// verify → analyze → instrument (selective) → execute under the
-/// watchdog. The module is lowered exactly once; the static and
-/// instrumented phases both work from that lowering via
-/// [`observe_module`].
+/// verify → analyze → instrument (selective), then execute under the
+/// watchdog.
 pub fn observe(name: &str, src: &str, cfg: &OracleConfig) -> OracleOutcome {
-    let unit = match parse_and_check(name, src) {
-        Ok(u) => u,
-        Err((diags, sm)) => return OracleOutcome::Invalid(diags.render(&sm)),
+    let (report, instrumented) = match prepare(name, src, true) {
+        Ok(x) => x,
+        Err(diags) => return OracleOutcome::Invalid(diags),
     };
-    let module = lower_program(&unit.program, &unit.signatures);
-    let verify = parcoach_ir::verify_module(&module);
-    if !verify.is_empty() {
-        return OracleOutcome::Invalid(format!("IR verification failed: {verify:?}"));
-    }
-    OracleOutcome::Valid(observe_module(&module, cfg))
-}
-
-/// The post-frontend half of [`observe`]: static analysis, selective
-/// instrumentation and the watchdogged execution of one already-lowered
-/// (and verified) module. Callers that hold a lowered module — the
-/// micro-benchmarks, batched replays — skip the parse entirely.
-pub fn observe_module(module: &Module, cfg: &OracleConfig) -> Observation {
-    let report = AnalysisSession::builder().build().check_module(module);
     let mut static_codes: Vec<String> = report
         .warnings
         .iter()
@@ -87,30 +67,20 @@ pub fn observe_module(module: &Module, cfg: &OracleConfig) -> Observation {
     static_codes.sort_unstable();
     static_codes.dedup();
 
-    let (instrumented, _stats) = instrument_module(module, &report, InstrumentMode::Selective);
     let run_cfg = RunConfig::fast_fail(cfg.ranks, cfg.threads);
-    // The executor joins its rank threads before returning, so a stuck
-    // schedule would stall the campaign without this watchdog. The run
-    // is dispatched to a parked cache worker instead of a fresh OS
-    // thread — the steady-state campaign pays zero thread spawns — and
-    // on timeout the worker is abandoned, not the thread: if the run
-    // ever finishes, the worker re-parks and serves later modules.
-    let (tx, rx) = mpsc::channel();
-    parcoach_sync::thread_cache().spawn(move || {
-        let _ = tx.send(Executor::new(instrumented, run_cfg).run());
-    });
-    let mut dyn_codes: Vec<String> = match rx.recv_timeout(cfg.watchdog) {
-        Ok(run) => run
-            .errors
-            .iter()
-            .map(|e| e.kind.code().to_string())
-            .collect(),
-        Err(_) => vec!["hang".to_string()],
-    };
+    let mut dyn_codes: Vec<String> =
+        match Executor::new(instrumented, run_cfg).run_within(cfg.watchdog) {
+            Ok(run) => run
+                .errors
+                .iter()
+                .map(|e| e.kind.code().to_string())
+                .collect(),
+            Err(_) => vec!["hang".to_string()],
+        };
     dyn_codes.sort_unstable();
     dyn_codes.dedup();
-    Observation {
+    OracleOutcome::Valid(Observation {
         static_codes,
         dyn_codes,
-    }
+    })
 }

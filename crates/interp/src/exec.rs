@@ -32,6 +32,7 @@ use parcoach_ompsim::{ForkError, OmpConfig, OmpSim, ThreadCtx};
 use parcoach_sync::{Mutex, ReentrantMutexGuard, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -270,6 +271,15 @@ enum Flow {
     Stopped,
 }
 
+/// Why [`Executor::run_within`] returned no report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NoReport {
+    /// The limit passed first; the run may still be going.
+    TimedOut,
+    /// The run panicked before producing its report.
+    Panicked,
+}
+
 /// The executor: owns the module and per-region plans.
 pub struct Executor {
     module: Module,
@@ -374,6 +384,24 @@ impl Executor {
                 .unwrap_or_default(),
             stats,
         }
+    }
+
+    /// [`run`](Executor::run) under a wall-clock watchdog: the run goes to
+    /// a parked [`parcoach_sync::thread_cache`] worker, and the caller
+    /// waits at most `limit` for its report. The executor joins its rank
+    /// threads before returning, so a stuck schedule would otherwise stall
+    /// the caller for good. On timeout the worker is abandoned, not
+    /// joined: if the run ever finishes, the worker re-parks and serves
+    /// later runs.
+    pub fn run_within(self, limit: Duration) -> Result<RunReport, NoReport> {
+        let (tx, rx) = mpsc::channel();
+        parcoach_sync::thread_cache().spawn(move || {
+            let _ = tx.send(self.run());
+        });
+        rx.recv_timeout(limit).map_err(|e| match e {
+            RecvTimeoutError::Timeout => NoReport::TimedOut,
+            RecvTimeoutError::Disconnected => NoReport::Panicked,
+        })
     }
 
     // ---- function & block execution ------------------------------------

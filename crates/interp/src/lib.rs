@@ -32,24 +32,18 @@ pub mod exec;
 pub mod value;
 
 pub use error::{RunError, RunErrorKind, RunReport, RunStats};
-pub use exec::{Executor, RunConfig};
+pub use exec::{Executor, NoReport, RunConfig};
 pub use value::Value;
 
-use parcoach_core::{instrument_module, AnalysisSession, InstrumentMode};
+use parcoach_core::{instrument_module, AnalysisSession, InstrumentMode, StaticReport};
 use parcoach_front::parse_and_check;
 use parcoach_ir::lower::lower_program;
+use parcoach_ir::Module;
 
-/// End-to-end convenience: parse, check, lower, (optionally) analyze +
-/// instrument, then run.
-///
-/// Returns the static report alongside the run report so callers can
-/// correlate "what was predicted" with "what happened".
-pub fn check_and_run(
-    name: &str,
-    src: &str,
-    cfg: RunConfig,
-    instrument: bool,
-) -> Result<(parcoach_core::StaticReport, RunReport), String> {
+/// The compile half of [`check_and_run`]: parse, check, lower, verify,
+/// analyze and (when `instrument`) instrument selectively. Returns the
+/// static report and the module to run, or the rendered diagnostics.
+pub fn prepare(name: &str, src: &str, instrument: bool) -> Result<(StaticReport, Module), String> {
     let unit = parse_and_check(name, src).map_err(|(diags, sm)| diags.render(&sm))?;
     let module = lower_program(&unit.program, &unit.signatures);
     let verify = parcoach_ir::verify_module(&module);
@@ -58,11 +52,23 @@ pub fn check_and_run(
     }
     let report = AnalysisSession::builder().build().check_module(&module);
     let module = if instrument {
-        let (m, _stats) = instrument_module(&module, &report, InstrumentMode::Selective);
-        m
+        instrument_module(&module, &report, InstrumentMode::Selective).0
     } else {
         module
     };
-    let run = Executor::new(module, cfg).run();
-    Ok((report, run))
+    Ok((report, module))
+}
+
+/// End-to-end convenience: [`prepare`], then run.
+///
+/// Returns the static report alongside the run report so callers can
+/// correlate "what was predicted" with "what happened".
+pub fn check_and_run(
+    name: &str,
+    src: &str,
+    cfg: RunConfig,
+    instrument: bool,
+) -> Result<(StaticReport, RunReport), String> {
+    let (report, module) = prepare(name, src, instrument)?;
+    Ok((report, Executor::new(module, cfg).run()))
 }

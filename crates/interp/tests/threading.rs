@@ -4,7 +4,7 @@
 //! leased per thread, and a region's join is its closing barrier.
 
 use parcoach_front::parse_and_check;
-use parcoach_interp::{check_and_run, Executor, RunConfig, RunErrorKind, RunReport};
+use parcoach_interp::{check_and_run, Executor, NoReport, RunConfig, RunErrorKind, RunReport};
 use parcoach_ir::instr::{CheckOp, Directive, Instr};
 use parcoach_ir::lower::lower_program;
 use std::time::{Duration, Instant};
@@ -376,4 +376,47 @@ fn a_finished_rank_does_not_make_a_live_sibling_thread_a_wait_cycle() {
         ),
         "{e}"
     );
+}
+
+// ---- the watchdog ------------------------------------------------------
+
+fn executor(src: &str, cfg: RunConfig) -> Executor {
+    let unit = parse_and_check("t.mh", src).expect("valid program");
+    Executor::new(lower_program(&unit.program, &unit.signatures), cfg)
+}
+
+#[test]
+fn run_within_returns_what_run_returns() {
+    let src = "fn main() {
+        MPI_Init_thread(FUNNELED);
+        let t = 0;
+        parallel { t = thread_num(); barrier; }
+        let sum = MPI_Allreduce(rank() + 1, SUM);
+        if (rank() == 0) { print(sum); }
+        MPI_Finalize();
+    }";
+    let run = executor(src, cfg(2, 2)).run();
+    let watched = executor(src, cfg(2, 2))
+        .run_within(Duration::from_secs(60))
+        .expect("a clean run reports");
+    assert!(run.is_clean(), "{:?}", run.errors);
+    assert_eq!(watched.errors, run.errors);
+    assert_eq!(watched.output, run.output);
+    assert_eq!(watched.output, ["[rank 0] 3"]);
+    assert_eq!(watched.stats, run.stats);
+}
+
+#[test]
+fn run_within_reports_a_run_that_outlives_its_limit() {
+    // About 0.4 s of steps in a release build: far past the limit, and
+    // short enough that the abandoned worker soon hits the step limit
+    // and re-parks.
+    let cfg = RunConfig {
+        max_steps: 50_000_000,
+        ..cfg(1, 1)
+    };
+    let outcome = executor("fn main() { while (true) { } }", cfg)
+        .run_within(Duration::from_millis(50))
+        .map(|r| r.errors);
+    assert_eq!(outcome, Err(NoReport::TimedOut));
 }

@@ -6,44 +6,49 @@ use parcoach::interp::{check_and_run, RunConfig};
 use parcoach::workloads::{
     error_catalogue, figure1_suite, ExpectDynamic, ExpectStatic, WorkloadClass,
 };
+use parcoach_bench::{detection, RunOutcome, CASE_WATCHDOG};
 
 /// Every catalogue case must match its recorded static and dynamic
-/// expectations — this is experiment E3 as a test.
+/// expectations — this is experiment E3 as a test, on the same pass the
+/// `detection_table` bin prints, each run under its watchdog.
 #[test]
 fn catalogue_detection_matrix() {
-    for case in error_catalogue() {
-        let (report, run) = check_and_run(case.id, &case.source, RunConfig::fast_fail(2, 4), true)
-            .unwrap_or_else(|e| panic!("{}: compile error {e}", case.id));
-        assert!(
-            case.expect_static.holds(&report),
-            "{}: {}",
-            case.id,
-            match case.expect_static {
-                ExpectStatic::Clean => {
-                    format!("expected clean static report, got {:#?}", report.warnings)
-                }
-                ExpectStatic::Warns(code) => format!(
-                    "expected a `{code}` warning, got {:?}",
-                    report
-                        .warnings
-                        .iter()
-                        .map(|w| w.kind.code())
-                        .collect::<Vec<_>>()
-                ),
-            }
-        );
+    for d in detection(&[]) {
+        let case = &d.case;
+        let run = match d.outcome {
+            RunOutcome::Ran(run) => run,
+            RunOutcome::CompileError(e) => panic!("{}: compile error {e}", case.id),
+            RunOutcome::Hung => panic!(
+                "{}: still running after {} s — the simulator hung",
+                case.id,
+                CASE_WATCHDOG.as_secs()
+            ),
+            RunOutcome::Panicked => panic!("{}: the run panicked", case.id),
+        };
+        // `d.ok` is both expectations; name the one that failed.
         let failed = !run.is_clean();
         assert!(
-            case.expect_dynamic.holds(failed, run.detected_by_check()),
+            d.ok,
             "{}: {}",
             case.id,
-            match case.expect_dynamic {
-                ExpectDynamic::Clean => format!("{:?}", run.errors),
-                ExpectDynamic::CaughtByCheck if failed => {
-                    format!("expected PARCOACH check, got {:?}", run.errors)
+            if case.expect_dynamic.holds(failed, run.detected_by_check()) {
+                match case.expect_static {
+                    ExpectStatic::Clean => {
+                        format!("expected clean static report, got {:?}", d.static_codes)
+                    }
+                    ExpectStatic::Warns(code) => {
+                        format!("expected a `{code}` warning, got {:?}", d.static_codes)
+                    }
                 }
-                ExpectDynamic::CaughtByCheck => "expected failure".to_string(),
-                _ => "expected failure, ran clean".to_string(),
+            } else {
+                match case.expect_dynamic {
+                    ExpectDynamic::Clean => format!("{:?}", run.errors),
+                    ExpectDynamic::CaughtByCheck if failed => {
+                        format!("expected PARCOACH check, got {:?}", run.errors)
+                    }
+                    ExpectDynamic::CaughtByCheck => "expected failure".to_string(),
+                    _ => "expected failure, ran clean".to_string(),
+                }
             }
         );
     }
