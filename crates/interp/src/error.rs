@@ -8,6 +8,7 @@
 
 use parcoach_front::span::Span;
 use parcoach_mpisim::MpiError;
+use parcoach_ompsim::{BarrierError, OmpError};
 use std::fmt;
 
 /// Classified run-time error.
@@ -53,9 +54,9 @@ pub enum RunErrorKind {
     /// deadlock census, thread-level violation, …).
     Mpi(MpiError),
     /// A thread barrier diverged or was poisoned.
-    ThreadBarrier(String),
+    ThreadBarrier(BarrierError),
     /// The OpenMP substrate refused an operation.
-    Omp(String),
+    Omp(OmpError),
     /// Plain program faults.
     DivisionByZero,
     /// Array access out of bounds.
@@ -200,8 +201,8 @@ impl fmt::Display for RunError {
                 Ok(())
             }
             RunErrorKind::Mpi(e) => write!(f, "{e}"),
-            RunErrorKind::ThreadBarrier(m) => write!(f, "thread barrier: {m}"),
-            RunErrorKind::Omp(m) => write!(f, "OpenMP runtime: {m}"),
+            RunErrorKind::ThreadBarrier(e) => write!(f, "thread barrier: {e}"),
+            RunErrorKind::Omp(e) => write!(f, "OpenMP runtime: {e}"),
             RunErrorKind::DivisionByZero => write!(f, "division by zero"),
             RunErrorKind::IndexOutOfBounds { index, len } => {
                 write!(f, "index {index} out of bounds (len {len})")

@@ -5,9 +5,11 @@
 //!
 //! Each MPI rank is an OS thread (rank 0 the caller's) and `parallel`
 //! regions fork real teams whose member 0 is the encountering thread:
-//! the simulated program's threads are the only threads. Each carries
-//! its own `ThreadState` — step lease, frame pool, counters — so
-//! interpretation between two synchronisations shares nothing.
+//! the simulated program's threads are the only threads. Each is one
+//! `SimThread`: its rank's environment, its place in the team tree, its
+//! own `ThreadState` — step lease, frame pool, counters — and the check
+//! records of its team, so interpretation between two synchronisations
+//! shares nothing.
 //! Registers follow OpenMP sharing rules. A register assigned before a
 //! parallel region and written inside it becomes a shared cell at the
 //! fork, so a write is seen by the team and, after the join, by the
@@ -28,10 +30,10 @@ use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator};
 use parcoach_ir::types::{BlockId, Const, Reg, RegionId, Value as IrValue};
 use parcoach_mpisim::{MpiConfig, MpiError, Signature, World};
-use parcoach_ompsim::{ForkError, OmpConfig, OmpSim, ThreadCtx};
+use parcoach_ompsim::{BarrierError, ForkError, OmpConfig, OmpError, OmpSim, ThreadCtx};
 use parcoach_sync::{Mutex, ReentrantMutexGuard, RwLock};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -109,8 +111,9 @@ struct RegionPlan {
 /// Dense ids for the instrumentation's check sites, computed once per
 /// executor. Concurrency site ids are already dense (the analysis
 /// renumbers them 0..n across functions); monothread-assert sites are
-/// interned here from their spans. Both let the per-rank counters be
-/// flat vectors indexed by site instead of hash maps behind one lock.
+/// interned here from their spans. Both let the per-rank counters and
+/// the per-team records be flat vectors indexed by site instead of hash
+/// maps behind one lock.
 struct SiteTable {
     /// One slot per `ConcEnter`/`ConcExit` site id.
     conc_sites: usize,
@@ -144,15 +147,16 @@ impl SiteTable {
     }
 }
 
-/// Per-rank runtime environment.
-struct RankEnv {
-    world: Arc<World>,
+/// Per-rank runtime environment: what the run shares, borrowed from
+/// [`Executor::run`]'s frame, and what the rank's threads share.
+struct RankEnv<'r> {
+    world: &'r World,
     omp: OmpSim,
     rank: usize,
-    output: Arc<Mutex<Vec<String>>>,
+    output: &'r Mutex<Vec<String>>,
     /// Steps of `RunConfig::max_steps` no thread has leased yet — one
     /// counter for all ranks, touched once per [`STEP_LEASE`] steps.
-    budget: Arc<AtomicU64>,
+    budget: &'r AtomicU64,
     /// Concurrency counters per static site (paper's `S_cc` check):
     /// live occupancy, catching regions that truly overlap in time.
     /// Occupancy is inherently cross-thread (thread A's enter must be
@@ -160,23 +164,60 @@ struct RankEnv {
     /// thread-private — but they are dense and lock-free: one atomic
     /// per interned site.
     conc: Vec<AtomicI64>,
-    /// Executions per (site, team instance, barrier epoch). The paper
+}
+
+/// The check records of one team instance: created when the team is
+/// forked, dropped when it has joined. Outside any team only the rank's
+/// initial thread runs, so neither record is needed there.
+struct TeamChecks {
+    /// Per interned assert site, the first member to reach it ([`NOBODY`]
+    /// until one has): a second *distinct* member reaching the same site
+    /// proves the context is not monothreaded.
+    mono: Vec<AtomicUsize>,
+    /// Per concurrency site, (barrier epoch, executions in it). The paper
     /// resets `S_cc` at synchronization points: a suspect region running
     /// *twice between barriers* of one team is an ordering error even
     /// when the schedule happens to serialize the two executions — this
-    /// keeps detection deterministic on any scheduler. Keying by each
-    /// member's own barrier count (equal across the team after every
-    /// barrier) makes the epoch roll-over race-free: nothing is ever
-    /// reset, a new epoch simply uses fresh keys. Stale epochs are
-    /// pruned lazily at barriers. Sharded per site: members of one team
-    /// only contend when they hit the *same* suspect region, and each
-    /// shard holds the handful of live (team, epoch) entries.
-    conc_seen: Vec<Mutex<Vec<(u64, u64, u32)>>>,
-    /// First executing thread per (assert site, team instance): a second
-    /// *distinct* thread reaching the same site in the same team
-    /// encounter proves the context is not monothreaded. Sharded per
-    /// interned assert site, like `conc_seen`.
-    mono: Vec<Mutex<Vec<(u64, usize)>>>,
+    /// keeps detection deterministic on any scheduler. The epoch is each
+    /// member's own barrier count, equal across the team after every
+    /// barrier; a member arriving with a newer epoch restarts the count.
+    /// No member counts in an older epoch afterwards: a member reaches
+    /// epoch e+1 only once the whole team has arrived at barrier e.
+    conc: Vec<Mutex<(u64, u32)>>,
+}
+
+/// An assert site no member has reached yet.
+const NOBODY: usize = usize::MAX;
+
+impl TeamChecks {
+    fn new(sites: &SiteTable) -> TeamChecks {
+        TeamChecks {
+            mono: (0..sites.mono_sites.len())
+                .map(|_| AtomicUsize::new(NOBODY))
+                .collect(),
+            conc: (0..sites.conc_sites).map(|_| Mutex::new((0, 0))).collect(),
+        }
+    }
+
+    /// Record member `me` at assert site `site`: is it the first member
+    /// that reached it? `Relaxed`: the slot publishes nothing but itself.
+    fn is_first_at(&self, site: usize, me: usize) -> bool {
+        match self.mono[site].compare_exchange(NOBODY, me, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => true,
+            Err(first) => first == me,
+        }
+    }
+
+    /// Count one execution of concurrency site `site` in barrier epoch
+    /// `epoch`; the executions of the site in that epoch so far.
+    fn executed(&self, site: usize, epoch: u64) -> u32 {
+        let mut seen = self.conc[site].lock();
+        if seen.0 < epoch {
+            *seen = (epoch, 0);
+        }
+        seen.1 += 1;
+        seen.1
+    }
 }
 
 /// Steps a thread leases from the shared budget at a time: large enough
@@ -184,12 +225,14 @@ struct RankEnv {
 /// steps, small enough that what the other live threads hold unexecuted
 /// when one of them finds the budget empty — at most
 /// `(live threads - 1) × STEP_LEASE` steps — is noise against any
-/// `max_steps` worth configuring.
+/// `max_steps` worth configuring. A lease is also never more than half
+/// of what is left (rounded up): near the end of the budget, one thread
+/// taking its lease leaves the others theirs.
 const STEP_LEASE: u64 = 1024;
 
-/// What one simulated thread owns while it runs, threaded beside its
-/// `ThreadCtx`. Nothing in here is shared, so a step, a call and a
-/// counter cost no other thread a cache line.
+/// What one simulated thread owns while it runs. Nothing in here is
+/// shared, so a step, a call and a counter cost no other thread a cache
+/// line.
 #[derive(Default)]
 struct ThreadState {
     /// Steps leased from `RankEnv::budget` and not executed yet.
@@ -227,7 +270,7 @@ impl ThreadState {
             let _ = env
                 .budget
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
-                    got = left.min(STEP_LEASE);
+                    got = left.min(STEP_LEASE).min(left.div_ceil(2));
                     (got > 0).then(|| left - got)
                 });
             if got == 0 {
@@ -261,6 +304,31 @@ impl ThreadState {
         f.clear();
         if self.frames.len() < 64 {
             self.frames.push(f);
+        }
+    }
+}
+
+/// One simulated thread, as every step function takes it: its rank's
+/// environment, its place in the team tree, what it owns, and the check
+/// records of its innermost team (`None` outside any team).
+struct SimThread<'a> {
+    env: &'a RankEnv<'a>,
+    ctx: &'a mut ThreadCtx,
+    state: &'a mut ThreadState,
+    checks: Option<&'a TeamChecks>,
+}
+
+impl SimThread<'_> {
+    /// Stop the run on `err`: abort the MPI world, unless a thread already
+    /// has (the first reason stands), and poison this thread's team, so
+    /// that no rank or sibling waits for this thread any more.
+    fn abort_all(&self, err: &RunError) {
+        let world = self.env.world;
+        if world.abort_reason().is_none() {
+            world.abort(MpiError::Aborted(err.to_string()));
+        }
+        if let Some(team) = &self.ctx.team {
+            OmpSim::poison_team(team);
         }
     }
 }
@@ -322,48 +390,44 @@ impl Executor {
             max_provided: self.cfg.max_provided,
             op_timeout: self.cfg.mpi_timeout,
         });
-        let output: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-        let budget = Arc::new(AtomicU64::new(self.cfg.max_steps));
+        let output = Mutex::new(Vec::new());
+        let budget = AtomicU64::new(self.cfg.max_steps);
         // Each rank returns its error, if any, and what it counted.
         let per_rank = parcoach_sync::thread_cache().run_map(self.cfg.ranks, |rank| {
             let env = RankEnv {
-                world: world.clone(),
+                world: &world,
                 omp: OmpSim::new(OmpConfig {
                     default_num_threads: self.cfg.default_threads,
                     barrier_timeout: self.cfg.barrier_timeout,
-                    max_levels: 8,
                 }),
                 rank,
-                output: output.clone(),
-                budget: budget.clone(),
+                output: &output,
+                budget: &budget,
                 conc: (0..self.sites.conc_sites)
                     .map(|_| AtomicI64::new(0))
                     .collect(),
-                conc_seen: (0..self.sites.conc_sites)
-                    .map(|_| Mutex::new(Vec::new()))
-                    .collect(),
-                mono: (0..self.sites.mono_sites.len())
-                    .map(|_| Mutex::new(Vec::new()))
-                    .collect(),
             };
-            let mut ctx = ThreadCtx::initial();
             // Rank 0 runs on `run`'s caller.
-            let mut ts = match rank {
+            let mut state = match rank {
                 0 => ThreadState::default(),
                 _ => ThreadState::dispatched(),
             };
+            let mut thread = SimThread {
+                env: &env,
+                ctx: &mut ThreadCtx::initial(),
+                state: &mut state,
+                checks: None,
+            };
             world.thread_started(rank);
-            let res = self.exec_function(&env, &mut ctx, &mut ts, true, "main", Vec::new(), 0);
+            let res = self.exec_function(&mut thread, "main", Vec::new(), 0, Span::DUMMY);
             world.finish_rank(rank);
-            ts.return_lease(&env);
+            thread.state.return_lease(&env);
             let err = res.err();
             // Make sure peers blocked in MPI wake up.
             if let Some(e) = &err {
-                if world.abort_reason().is_none() {
-                    world.abort(MpiError::Aborted(e.to_string()));
-                }
+                thread.abort_all(e);
             }
-            (err, ts.stats)
+            (err, state.stats)
         });
         let mut stats = RunStats::default();
         let mut errs = Vec::new();
@@ -379,9 +443,7 @@ impl Executor {
         }
         RunReport {
             errors: errs,
-            output: Arc::try_unwrap(output)
-                .map(|m| m.into_inner())
-                .unwrap_or_default(),
+            output: output.into_inner(),
             stats,
         }
     }
@@ -406,47 +468,37 @@ impl Executor {
 
     // ---- function & block execution ------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    /// Call `name` at call depth `depth`; `call` is the call's span (dummy
+    /// for a rank's `main`), where a stack overflow or an unknown callee is
+    /// reported.
     fn exec_function(
         &self,
-        env: &RankEnv,
-        omp: &mut ThreadCtx,
-        ts: &mut ThreadState,
-        is_initial: bool,
+        t: &mut SimThread<'_>,
         name: &str,
         args: Vec<Value>,
         depth: usize,
+        call: Span,
     ) -> Result<Option<Value>, RunError> {
+        let rank = t.env.rank;
         if depth > self.cfg.max_call_depth {
-            return Err(RunError::new(
-                RunErrorKind::StackOverflow,
-                Span::DUMMY,
-                env.rank,
-            ));
+            return Err(RunError::new(RunErrorKind::StackOverflow, call, rank));
         }
-        let (fidx, func) = match self.module.by_name.get(name) {
-            Some(&i) => (i, &self.module.funcs[i]),
-            None => {
-                return Err(RunError::new(
-                    RunErrorKind::MissingReturn { func: name.into() },
-                    Span::DUMMY,
-                    env.rank,
-                ))
-            }
+        let Some(&fidx) = self.module.by_name.get(name) else {
+            let missing = RunErrorKind::MissingReturn { func: name.into() };
+            return Err(RunError::new(missing, call, rank));
         };
-        let mut frame: Frame = ts.take_frame();
+        let func = &self.module.funcs[fidx];
+        let mut frame: Frame = t.state.take_frame();
         frame.extend(
             func.reg_types
                 .iter()
-                .map(|&t| Slot::Owned(Value::default_for(t))),
+                .map(|&ty| Slot::Owned(Value::default_for(ty))),
         );
         for (param, arg) in func.params.iter().zip(args) {
             frame[param.index()] = Slot::Owned(arg);
         }
-        let flow = self.exec_from(
-            env, omp, ts, is_initial, &mut frame, fidx, func, func.entry, None, depth,
-        );
-        ts.put_frame(frame);
+        let flow = self.exec_from(t, &mut frame, fidx, func.entry, None, depth);
+        t.state.put_frame(frame);
         match flow? {
             Flow::Return(v) => {
                 if func.ret != Type::Void && v.is_none() {
@@ -455,7 +507,7 @@ impl Executor {
                             func: name.to_string(),
                         },
                         func.span,
-                        env.rank,
+                        rank,
                     ));
                 }
                 Ok(v)
@@ -464,29 +516,26 @@ impl Executor {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_from(
         &self,
-        env: &RankEnv,
-        omp: &mut ThreadCtx,
-        ts: &mut ThreadState,
-        is_initial: bool,
+        t: &mut SimThread<'_>,
         frame: &mut Frame,
         fidx: usize,
-        func: &FuncIr,
         start: BlockId,
         stop: Option<BlockId>,
         depth: usize,
     ) -> Result<Flow, RunError> {
+        let env = t.env;
+        let func = &self.module.funcs[fidx];
         let mut cur = start;
         let mut critical_guards: Vec<ReentrantMutexGuard<'_, ()>> = Vec::new();
         loop {
-            ts.step(env, || Span::DUMMY)?;
             let block = func.block(cur);
+            t.state.step(env, || block_span(func, cur))?;
             if stop == Some(cur) {
                 // The region's end barrier: nothing to wait for here,
                 // the join synchronises the team.
-                self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
+                self.exec_checks_only(t, frame, func.instrs(cur))?;
                 return Ok(Flow::Stopped);
             }
 
@@ -494,19 +543,17 @@ impl Executor {
             if let BlockKind::Directive(d) = &block.kind {
                 match d {
                     Directive::ParallelBegin { .. } => {
-                        cur = self.exec_parallel(
-                            env, omp, ts, is_initial, frame, fidx, func, cur, depth,
-                        )?;
+                        cur = self.exec_parallel(t, frame, fidx, cur, depth)?;
                         continue;
                     }
                     Directive::SingleBegin { region, chosen, .. } => {
-                        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
-                        let mine = omp.enter_single(region.0);
+                        self.exec_checks_only(t, frame, func.instrs(cur))?;
+                        let mine = t.ctx.enter_single(region.0);
                         self.write(frame, *chosen, Value::Bool(mine));
                     }
                     Directive::MasterBegin { chosen, .. } => {
-                        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
-                        self.write(frame, *chosen, Value::Bool(omp.is_master()));
+                        self.exec_checks_only(t, frame, func.instrs(cur))?;
+                        self.write(frame, *chosen, Value::Bool(t.ctx.is_master()));
                     }
                     Directive::SectionBegin {
                         parent,
@@ -514,8 +561,8 @@ impl Executor {
                         chosen,
                         ..
                     } => {
-                        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
-                        let mine = omp.enter_section(parent.0, *index);
+                        self.exec_checks_only(t, frame, func.instrs(cur))?;
+                        let mine = t.ctx.enter_section(parent.0, *index);
                         self.write(frame, *chosen, Value::Bool(mine));
                     }
                     Directive::CriticalBegin { .. } => {
@@ -525,28 +572,15 @@ impl Executor {
                         critical_guards.pop();
                     }
                     Directive::Barrier { span, .. } => {
-                        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
-                        ts.stats.barrier_waits += omp.team.is_some() as u64;
-                        omp.barrier(env.omp.barrier_timeout()).map_err(|e| {
-                            RunError::new(
-                                RunErrorKind::ThreadBarrier(e.to_string()),
-                                *span,
-                                env.rank,
-                            )
+                        self.exec_checks_only(t, frame, func.instrs(cur))?;
+                        t.state.stats.barrier_waits += t.ctx.team.is_some() as u64;
+                        t.ctx.barrier(env.omp.barrier_timeout()).map_err(|e| {
+                            let kind = match e {
+                                OmpError::Barrier(b) => RunErrorKind::ThreadBarrier(b),
+                                other => RunErrorKind::Omp(other),
+                            };
+                            RunError::new(kind, *span, env.rank)
                         })?;
-                        // Prune concurrency-site counts of epochs this
-                        // team has left behind. Every member has passed
-                        // the barrier, so entries of older epochs can
-                        // never be incremented again — removing them
-                        // cannot race with a fast member already
-                        // counting in the *new* epoch (fresh keys).
-                        let instance = omp.team_instance();
-                        let epoch = omp.barriers_passed();
-                        for shard in &env.conc_seen {
-                            shard
-                                .lock()
-                                .retain(|(team, e, _)| *team != instance || *e >= epoch);
-                        }
                     }
                     Directive::PForInit {
                         var,
@@ -557,7 +591,7 @@ impl Executor {
                     } => {
                         let lo = self.read(frame, *lo).as_int();
                         let hi = self.read(frame, *hi).as_int();
-                        let (s, e) = omp.static_chunk(lo, hi);
+                        let (s, e) = t.ctx.static_chunk(lo, hi);
                         self.write(frame, *var, Value::Int(s));
                         self.write(frame, *chunk_end, Value::Int(e));
                     }
@@ -569,21 +603,24 @@ impl Executor {
                     | Directive::SectionEnd { .. }
                     | Directive::WorkshareBegin { .. }
                     | Directive::WorkshareEnd { .. } => {
-                        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
+                        self.exec_checks_only(t, frame, func.instrs(cur))?;
                     }
                 }
             } else {
                 // Normal block: run all instructions.
-                let mut pending_mono: Option<u32> = None;
                 for i in func.instrs(cur) {
-                    ts.step(env, || i.span().unwrap_or(Span::DUMMY))?;
-                    self.exec_instr(env, omp, ts, is_initial, frame, i, depth, &mut pending_mono)?;
+                    t.state.step(env, || {
+                        i.span()
+                            .filter(|s| !s.is_dummy())
+                            .unwrap_or_else(|| block_span(func, cur))
+                    })?;
+                    self.exec_instr(t, frame, i, depth)?;
                 }
             }
 
             // Terminator.
             match &block.term {
-                Terminator::Goto(t) => cur = *t,
+                Terminator::Goto(next) => cur = *next,
                 Terminator::Branch {
                     cond,
                     then_bb,
@@ -596,12 +633,10 @@ impl Executor {
                         *else_bb
                     };
                 }
-                Terminator::Return { value, span } => {
+                Terminator::Return { value, .. } => {
                     // Return-site CC checks were already executed as
                     // instructions (they sit at the end of the block).
-                    let v = value.map(|v| self.read(frame, v));
-                    let _ = span;
-                    return Ok(Flow::Return(v));
+                    return Ok(Flow::Return(value.map(|v| self.read(frame, v))));
                 }
                 Terminator::Unreachable => {
                     return Err(RunError::new(
@@ -621,19 +656,15 @@ impl Executor {
     /// thread continues at. (A function of its own so that the block
     /// walk, which recursion through calls stacks up, does not carry
     /// this one's locals in its frame.)
-    #[allow(clippy::too_many_arguments)]
     fn exec_parallel(
         &self,
-        env: &RankEnv,
-        omp: &mut ThreadCtx,
-        ts: &mut ThreadState,
-        is_initial: bool,
+        t: &mut SimThread<'_>,
         frame: &mut Frame,
         fidx: usize,
-        func: &FuncIr,
         cur: BlockId,
         depth: usize,
     ) -> Result<BlockId, RunError> {
+        let func = &self.module.funcs[fidx];
         let Some(Directive::ParallelBegin {
             region,
             num_threads,
@@ -644,25 +675,27 @@ impl Executor {
         };
         // Run pre-directive checks (instrumentation may guard directive
         // nodes).
-        self.exec_checks_only(env, omp, is_initial, frame, func.instrs(cur))?;
-        let nt = num_threads.map(|v| self.read(frame, v).as_int().max(1) as usize);
+        self.exec_checks_only(t, frame, func.instrs(cur))?;
+        let team_size = num_threads
+            .map_or(self.cfg.default_threads, |v| {
+                self.read(frame, v).as_int().max(1) as usize
+            })
+            .max(1);
         let plan = &self.plans[&(fidx, region.0)];
         // Promote the registers the region writes (a cell of an
         // enclosing region stays that cell).
         for &r in &plan.shared_regs {
             if let Slot::Owned(v) = &frame[r.index()] {
                 frame[r.index()] = Slot::Shared(Arc::new(RwLock::new(v.clone())));
-                ts.stats.shared_cells += 1;
+                t.state.stats.shared_cells += 1;
             }
         }
         let parent_frame: &Frame = frame;
+        let env = t.env;
         // The first *root-cause* error across the team; sibling threads
         // that then fail on poisoned barriers / aborted MPI must not
         // mask it.
         let root_err: Mutex<Option<RunError>> = Mutex::new(None);
-        // Team instance id, exported by the members so the parent can
-        // retire its counters after join.
-        let team_id = AtomicU64::new(0);
         // This thread goes on as member 0 and stays MPI-live as such;
         // members 1.. register *before* the fork: a member the scheduler
         // has not started yet must already count as live-and-unblocked,
@@ -671,95 +704,66 @@ impl Executor {
         // departs when it leaves the body, so while this thread waits at
         // the join the census counts exactly the threads that can still
         // issue MPI calls for this rank.
-        let team_size = nt.unwrap_or(self.cfg.default_threads).max(1);
         for _ in 1..team_size {
             env.world.thread_started(env.rank);
         }
-        ts.stats.forks += 1;
+        t.state.stats.forks += 1;
+        let checks = TeamChecks::new(&self.sites);
         // Member 0 runs on this thread and carries its state on; what
         // members 1.. counted comes back through `joined`.
-        let own_state = Mutex::new(Some(&mut *ts));
+        let own_state = Mutex::new(Some(&mut *t.state));
         let joined = Mutex::new(RunStats::default());
-        let fork_res = env.omp.fork::<RunError, _>(omp, nt, &|child| {
-            team_id.store(child.team_instance(), Ordering::Relaxed);
-            let member_0 = child.thread_num() == 0;
+        let fork_res = env.omp.fork(t.ctx, Some(team_size), &|ctx| {
+            let member_0 = ctx.thread_num() == 0;
             let mut dispatched;
-            let ts: &mut ThreadState = if member_0 {
+            let state = if member_0 {
                 own_state.lock().take().expect("member 0 runs once")
             } else {
                 dispatched = ThreadState::dispatched();
                 &mut dispatched
             };
-            let mut child_frame = ts.take_frame();
-            child_frame.extend(parent_frame.iter().cloned());
-            let res = self.exec_from(
+            let mut member = SimThread {
                 env,
-                child,
-                ts,
-                is_initial && member_0,
-                &mut child_frame,
+                ctx,
+                state,
+                checks: Some(&checks),
+            };
+            let mut member_frame = member.state.take_frame();
+            member_frame.extend(parent_frame.iter().cloned());
+            let res = self.exec_from(
+                &mut member,
+                &mut member_frame,
                 fidx,
-                func,
                 plan.body_entry,
                 Some(plan.end_barrier),
                 depth,
             );
-            ts.put_frame(child_frame);
-            ts.return_lease(env);
+            member.state.put_frame(member_frame);
+            member.state.return_lease(env);
             if !member_0 {
-                joined.lock().add(&ts.stats);
+                joined.lock().add(&member.state.stats);
             }
-            let out = match res {
-                Ok(_) => Ok(()),
-                Err(e) => {
-                    if !is_secondary_error(&e) {
-                        let mut root = root_err.lock();
-                        if root.is_none() {
-                            *root = Some(e.clone());
-                        }
-                    }
-                    // Wake siblings + remote ranks.
-                    if let Some(team) = &child.team {
-                        OmpSim::poison_team(team);
-                    }
-                    if env.world.abort_reason().is_none() {
-                        env.world.abort(MpiError::Aborted(e.to_string()));
-                    }
-                    Err(e)
+            if let Err(e) = &res {
+                if !is_secondary_error(e) {
+                    root_err.lock().get_or_insert_with(|| e.clone());
                 }
-            };
+                member.abort_all(e);
+            }
             env.world.thread_departed(env.rank);
-            out
+            res.map(|_| ())
         });
-        ts.stats.add(&joined.into_inner());
+        t.state.stats.add(&joined.into_inner());
         env.world.thread_started(env.rank);
-        // The team is retired: drop its concurrency-site epoch counts
-        // and monothread first-executor records (both are keyed by the
-        // globally-unique team instance and would otherwise grow by one
-        // entry per site per region executed over the rank's lifetime).
-        let retired = team_id.load(Ordering::Relaxed);
-        if retired != 0 {
-            for shard in &env.conc_seen {
-                shard.lock().retain(|(team, _, _)| *team != retired);
-            }
-            for shard in &env.mono {
-                shard.lock().retain(|(team, _)| *team != retired);
-            }
-        }
         match fork_res {
             Ok(()) => Ok(plan.end_block),
-            Err(ForkError::Body(e)) => Err(root_err.lock().take().unwrap_or(e)),
+            Err(ForkError::Body(e)) => Err(root_err.into_inner().unwrap_or(e)),
             Err(ForkError::Omp(e)) => {
                 // The fork was refused before any member ran: unwind
                 // their liveness pre-registration.
                 for _ in 0..team_size {
                     env.world.thread_departed(env.rank);
                 }
-                Err(RunError::new(
-                    RunErrorKind::Omp(e.to_string()),
-                    *span,
-                    env.rank,
-                ))
+                Err(RunError::new(RunErrorKind::Omp(e), *span, env.rank))
             }
         }
     }
@@ -767,33 +771,26 @@ impl Executor {
     /// Run only the `Check` instructions of a directive block.
     fn exec_checks_only(
         &self,
-        env: &RankEnv,
-        omp: &mut ThreadCtx,
-        is_initial: bool,
+        t: &mut SimThread<'_>,
         frame: &mut Frame,
         instrs: &[Instr],
     ) -> Result<(), RunError> {
-        let mut pending = None;
         for i in instrs {
             if let Instr::Check(check) = i {
-                self.exec_check(env, omp, is_initial, frame, check, &mut pending)?;
+                self.exec_check(t, frame, check)?;
             }
         }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_instr(
         &self,
-        env: &RankEnv,
-        omp: &mut ThreadCtx,
-        ts: &mut ThreadState,
-        is_initial: bool,
+        t: &mut SimThread<'_>,
         frame: &mut Frame,
         instr: &Instr,
         depth: usize,
-        pending_mono: &mut Option<u32>,
     ) -> Result<(), RunError> {
+        let rank = t.env.rank;
         match instr {
             Instr::Copy { dest, src } => {
                 let v = self.read(frame, *src);
@@ -818,7 +815,7 @@ impl Executor {
             } => {
                 let l = self.read(frame, *lhs);
                 let r = self.read(frame, *rhs);
-                let out = self.binary(env, *op, l, r, *span)?;
+                let out = self.binary(rank, *op, l, r, *span)?;
                 self.write(frame, *dest, out);
             }
             Instr::ArrayNew {
@@ -834,9 +831,7 @@ impl Executor {
                 let out = usize::try_from(n)
                     .ok()
                     .and_then(|n| Value::filled_array(n, &self.read(frame, *init)))
-                    .ok_or_else(|| {
-                        RunError::new(RunErrorKind::BadArrayLength(n), *span, env.rank)
-                    })?;
+                    .ok_or_else(|| RunError::new(RunErrorKind::BadArrayLength(n), *span, rank))?;
                 self.write(frame, *dest, out);
             }
             Instr::Load {
@@ -848,11 +843,11 @@ impl Executor {
                 let i = self.read(frame, *idx).as_int();
                 let out = with_reg(frame, *arr, |arr| match arr {
                     Value::ArrayInt(a) => {
-                        let i = check_bounds(i, a.len(), *span, env.rank)?;
+                        let i = check_bounds(i, a.len(), *span, rank)?;
                         Ok(Value::Int(a[i].load(Ordering::Relaxed)))
                     }
                     Value::ArrayFloat(a) => {
-                        let i = check_bounds(i, a.len(), *span, env.rank)?;
+                        let i = check_bounds(i, a.len(), *span, rank)?;
                         Ok(Value::Float(f64::from_bits(a[i].load(Ordering::Relaxed))))
                     }
                     other => panic!("type-checked load from {other:?}"),
@@ -869,12 +864,12 @@ impl Executor {
                 let v = self.read(frame, *value);
                 with_reg(frame, *arr, |arr| match arr {
                     Value::ArrayInt(a) => {
-                        let i = check_bounds(i, a.len(), *span, env.rank)?;
+                        let i = check_bounds(i, a.len(), *span, rank)?;
                         a[i].store(v.as_int(), Ordering::Relaxed);
                         Ok(())
                     }
                     Value::ArrayFloat(a) => {
-                        let i = check_bounds(i, a.len(), *span, env.rank)?;
+                        let i = check_bounds(i, a.len(), *span, rank)?;
                         a[i].store(v.as_float().to_bits(), Ordering::Relaxed);
                         Ok(())
                     }
@@ -882,24 +877,24 @@ impl Executor {
                 })?;
             }
             Instr::Intrinsic { dest, intr, args } => {
-                let out = self.intrinsic(env, omp, frame, *intr, args);
+                let out = self.intrinsic(t, frame, *intr, args);
                 self.write(frame, *dest, out);
             }
             Instr::Call {
                 dest,
                 func: callee,
                 args,
-                ..
+                span,
             } => {
                 let argv: Vec<Value> = args.iter().map(|a| self.read(frame, *a)).collect();
-                let ret = self.exec_function(env, omp, ts, is_initial, callee, argv, depth + 1)?;
+                let ret = self.exec_function(t, callee, argv, depth + 1, *span)?;
                 if let (Some(d), Some(v)) = (dest, ret) {
                     self.write(frame, *d, v);
                 }
             }
             Instr::Mpi { dest, op, span } => {
-                ts.stats.mpi_calls += 1;
-                let out = self.exec_mpi(env, omp, is_initial, frame, op, *span)?;
+                t.state.stats.mpi_calls += 1;
+                let out = self.exec_mpi(t, frame, op, *span)?;
                 if let (Some(d), Some(v)) = (dest, out) {
                     self.write(frame, *d, v);
                 }
@@ -910,79 +905,66 @@ impl Executor {
                 // a join.
                 use std::fmt::Write as _;
                 let mut line = String::new();
-                let _ = write!(line, "[rank {}] ", env.rank);
+                let _ = write!(line, "[rank {rank}] ");
                 for (k, a) in args.iter().enumerate() {
                     if k > 0 {
                         line.push(' ');
                     }
                     let _ = write!(line, "{}", self.read(frame, *a));
                 }
-                env.output.lock().push(line);
+                t.env.output.lock().push(line);
             }
             Instr::Check(check) => {
-                self.exec_check(env, omp, is_initial, frame, check, pending_mono)?;
+                self.exec_check(t, frame, check)?;
             }
         }
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_check(
         &self,
-        env: &RankEnv,
-        omp: &mut ThreadCtx,
-        is_initial: bool,
+        t: &mut SimThread<'_>,
         frame: &mut Frame,
         check: &CheckOp,
-        pending_mono: &mut Option<u32>,
     ) -> Result<(), RunError> {
+        let rank = t.env.rank;
         match check {
             CheckOp::CollectiveCc {
                 color, comm, span, ..
             } => {
                 // The CC runs on the guarded collective's communicator.
                 let handle = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
-                self.run_cc(env, omp, is_initial, handle, *color, *span)
+                self.run_cc(t, handle, *color, *span)
             }
             CheckOp::ReturnCc { span } => {
                 // Wrapped in `single` semantics when inside a team (paper
                 // §3: "this function is wrapped into a single pragma").
-                if omp.in_parallel() {
+                if t.ctx.in_parallel() {
                     let synth_region = 0x8000_0000u32 | (span.lo & 0x7fff_ffff);
-                    if !omp.enter_single(synth_region) {
+                    if !t.ctx.enter_single(synth_region) {
                         return Ok(());
                     }
                 }
-                self.run_cc(env, omp, is_initial, 0, 0, *span)
+                self.run_cc(t, 0, 0, *span)
             }
             CheckOp::AssertMonothread { what, span } => {
                 // Deterministic: within one team encounter, two *distinct*
                 // threads reaching the same collective site prove the
                 // context is multithreaded, regardless of interleaving.
+                // Outside any team the rank's initial thread runs alone.
                 let site = self.sites.mono_sites[&span.lo] as usize;
-                let team = omp.team_instance();
-                let me = omp.thread_num();
-                let first = {
-                    let mut mono = env.mono[site].lock();
-                    match mono.iter().find(|(t, _)| *t == team) {
-                        Some(&(_, f)) => f,
-                        None => {
-                            mono.push((team, me));
-                            me
-                        }
-                    }
-                };
-                if first != me {
+                let me = t.ctx.thread_num();
+                if t.checks.is_some_and(|checks| !checks.is_first_at(site, me)) {
                     let err =
-                        RunError::new(RunErrorKind::MonothreadViolation { what }, *span, env.rank);
-                    self.abort_everyone(env, omp, &err);
+                        RunError::new(RunErrorKind::MonothreadViolation { what }, *span, rank);
+                    t.abort_all(&err);
                     return Err(err);
                 }
-                let _ = pending_mono;
                 Ok(())
             }
             CheckOp::ConcEnter { site, span } => {
-                let overlapping = env.conc[*site as usize].fetch_add(1, Ordering::SeqCst) + 1 >= 2;
+                let overlapping =
+                    t.env.conc[*site as usize].fetch_add(1, Ordering::SeqCst) + 1 >= 2;
                 // Second execution of a suspect site within one barrier
                 // epoch of a team: an ordering error even if the two
                 // executions happen not to overlap on this particular
@@ -990,41 +972,27 @@ impl Executor {
                 // ordered by program order and must not count — a
                 // suspect function re-called sequentially would
                 // otherwise accumulate counts for the rank's lifetime.
-                let reexecuted = omp.team.is_some() && {
-                    let team = omp.team_instance();
-                    let epoch = omp.barriers_passed();
-                    let mut seen = env.conc_seen[*site as usize].lock();
-                    match seen.iter_mut().find(|(t, e, _)| *t == team && *e == epoch) {
-                        Some(entry) => {
-                            entry.2 += 1;
-                            entry.2 >= 2
-                        }
-                        None => {
-                            seen.push((team, epoch, 1));
-                            false
-                        }
-                    }
-                };
+                let reexecuted = t.checks.is_some_and(|checks| {
+                    checks.executed(*site as usize, t.ctx.barriers_passed()) >= 2
+                });
                 if overlapping || reexecuted {
-                    let err = RunError::new(
-                        RunErrorKind::ConcurrentRegions { site: *site },
-                        *span,
-                        env.rank,
-                    );
-                    self.abort_everyone(env, omp, &err);
+                    let err =
+                        RunError::new(RunErrorKind::ConcurrentRegions { site: *site }, *span, rank);
+                    t.abort_all(&err);
                     return Err(err);
                 }
                 Ok(())
             }
             CheckOp::ConcExit { site } => {
-                env.conc[*site as usize].fetch_sub(1, Ordering::SeqCst);
+                t.env.conc[*site as usize].fetch_sub(1, Ordering::SeqCst);
                 Ok(())
             }
             CheckOp::P2pEpoch { span } => {
-                let rows = env
+                let rows = t
+                    .env
                     .world
-                    .p2p_census(env.rank, is_initial)
-                    .map_err(|e| RunError::new(classify_mpi_error(e), *span, env.rank))?;
+                    .p2p_census(rank, t.ctx.is_initial_thread())
+                    .map_err(|e| RunError::new(classify_mpi_error(e), *span, rank))?;
                 let unbalanced: Vec<(usize, u64, u64)> = rows
                     .into_iter()
                     .filter(|(_, sent, recvd)| sent != recvd)
@@ -1035,9 +1003,9 @@ impl Executor {
                 let err = RunError::new(
                     RunErrorKind::P2pImbalance { comms: unbalanced },
                     *span,
-                    env.rank,
+                    rank,
                 );
-                self.abort_everyone(env, omp, &err);
+                t.abort_all(&err);
                 Err(err)
             }
         }
@@ -1046,20 +1014,19 @@ impl Executor {
     /// Execute the `CC` color all-reduce (on the guarded collective's
     /// communicator) and translate a disagreement into the paper's
     /// error report (per-rank collective names).
-    #[allow(clippy::too_many_arguments)]
     fn run_cc(
         &self,
-        env: &RankEnv,
-        omp: &mut ThreadCtx,
-        is_initial: bool,
+        t: &SimThread<'_>,
         comm: usize,
         color: u32,
         span: Span,
     ) -> Result<(), RunError> {
-        let outcome = env
+        let rank = t.env.rank;
+        let outcome = t
+            .env
             .world
-            .control_cc_on(env.rank, comm, color, is_initial)
-            .map_err(|e| RunError::new(classify_mpi_error(e), span, env.rank))?;
+            .control_cc_on(rank, comm, color, t.ctx.is_initial_thread())
+            .map_err(|e| RunError::new(classify_mpi_error(e), span, rank))?;
         if outcome.unanimous() {
             return Ok(());
         }
@@ -1068,30 +1035,21 @@ impl Executor {
             .iter()
             .map(|&c| color_name(c).into_owned())
             .collect::<Vec<_>>();
-        let err = RunError::new(RunErrorKind::CcMismatch { per_rank }, span, env.rank);
-        self.abort_everyone(env, omp, &err);
+        let err = RunError::new(RunErrorKind::CcMismatch { per_rank }, span, rank);
+        t.abort_all(&err);
         Err(err)
-    }
-
-    fn abort_everyone(&self, env: &RankEnv, omp: &ThreadCtx, err: &RunError) {
-        if env.world.abort_reason().is_none() {
-            env.world.abort(MpiError::Aborted(err.to_string()));
-        }
-        if let Some(team) = &omp.team {
-            OmpSim::poison_team(team);
-        }
     }
 
     fn exec_mpi(
         &self,
-        env: &RankEnv,
-        omp: &mut ThreadCtx,
-        is_initial: bool,
+        t: &SimThread<'_>,
         frame: &mut Frame,
         op: &MpiOp<IrValue>,
         span: Span,
     ) -> Result<Option<Value>, RunError> {
-        let mpi_err = |e: MpiError| RunError::new(classify_mpi_error(e), span, env.rank);
+        let (world, rank) = (t.env.world, t.env.rank);
+        let initial = t.ctx.is_initial_thread();
+        let mpi_err = |e: MpiError| RunError::new(classify_mpi_error(e), span, rank);
         // `MPI_Recv` and `MPI_Wait` are float-typed in the language;
         // coerce integer payloads.
         let completion = |v| match Value::from_mpi(v) {
@@ -1100,12 +1058,11 @@ impl Executor {
         };
         match op {
             MpiOp::Init { required } => {
-                env.world
-                    .init(env.rank, required.unwrap_or(ThreadLevel::Single));
+                world.init(rank, required.unwrap_or(ThreadLevel::Single));
                 Ok(None)
             }
             MpiOp::Finalize => {
-                env.world.finalize(env.rank, is_initial).map_err(mpi_err)?;
+                world.finalize(rank, initial).map_err(mpi_err)?;
                 Ok(None)
             }
             MpiOp::Send {
@@ -1122,7 +1079,7 @@ impl Executor {
             } => {
                 let v = self.read(frame, *value).to_mpi();
                 let d = self.read(frame, *dest).as_int();
-                let t = self.read(frame, *tag).as_int();
+                let tag = self.read(frame, *tag).as_int();
                 let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
                 if d < 0 {
                     return Err(mpi_err(MpiError::ArgError(format!(
@@ -1131,45 +1088,36 @@ impl Executor {
                 }
                 let d = d as usize;
                 if matches!(op, MpiOp::Send { .. }) {
-                    env.world
-                        .send_on(env.rank, c, d, t, v, is_initial)
+                    world
+                        .send_on(rank, c, d, tag, v, initial)
                         .map_err(mpi_err)?;
                     return Ok(None);
                 }
-                let handle = env
-                    .world
-                    .isend(env.rank, c, d, t, v, is_initial)
-                    .map_err(mpi_err)?;
+                let handle = world.isend(rank, c, d, tag, v, initial).map_err(mpi_err)?;
                 Ok(Some(Value::Request(handle)))
             }
             MpiOp::Recv { src, tag, comm } | MpiOp::Irecv { src, tag, comm } => {
                 let s = self.read(frame, *src).as_int();
-                let t = self.read(frame, *tag).as_int();
+                let tag = self.read(frame, *tag).as_int();
                 let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
                 // Wildcard sentinels pass through; the world rejects
                 // other negative sources/tags.
                 if matches!(op, MpiOp::Recv { .. }) {
-                    let v = env
-                        .world
-                        .recv_on(env.rank, c, s, t, is_initial)
-                        .map_err(mpi_err)?;
+                    let v = world.recv_on(rank, c, s, tag, initial).map_err(mpi_err)?;
                     return Ok(Some(completion(v)));
                 }
-                let handle = env
-                    .world
-                    .irecv(env.rank, c, s, t, is_initial)
-                    .map_err(mpi_err)?;
+                let handle = world.irecv(rank, c, s, tag, initial).map_err(mpi_err)?;
                 Ok(Some(Value::Request(handle)))
             }
             MpiOp::Wait { request } => {
                 let h = self.read(frame, *request).as_request();
-                let v = env.world.wait(env.rank, h, is_initial).map_err(mpi_err)?;
+                let v = world.wait(rank, h, initial).map_err(mpi_err)?;
                 Ok(Some(completion(v)))
             }
             MpiOp::Waitall { requests } => {
                 for r in requests {
                     let h = self.read(frame, *r).as_request();
-                    env.world.wait(env.rank, h, is_initial).map_err(mpi_err)?;
+                    world.wait(rank, h, initial).map_err(mpi_err)?;
                 }
                 Ok(None)
             }
@@ -1178,18 +1126,12 @@ impl Executor {
                 let p = self.read(frame, *parent).as_comm();
                 let c = self.read(frame, *color).as_int();
                 let k = self.read(frame, *key).as_int();
-                let handle = env
-                    .world
-                    .comm_split(env.rank, p, c, k, is_initial)
-                    .map_err(mpi_err)?;
+                let handle = world.comm_split(rank, p, c, k, initial).map_err(mpi_err)?;
                 Ok(Some(Value::Comm(handle)))
             }
             MpiOp::CommDup { comm } => {
                 let p = self.read(frame, *comm).as_comm();
-                let handle = env
-                    .world
-                    .comm_dup(env.rank, p, is_initial)
-                    .map_err(mpi_err)?;
+                let handle = world.comm_dup(rank, p, initial).map_err(mpi_err)?;
                 Ok(Some(Value::Comm(handle)))
             }
             MpiOp::Collective {
@@ -1213,12 +1155,8 @@ impl Executor {
                 let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
                 let ty = payload.as_ref().map(|p| p.ty());
                 let sig = Signature::collective((*kind).into(), *reduce_op, root_v, ty);
-                // `omp` is only used for diagnostics here; the collective
-                // blocks in the world.
-                let _ = omp;
-                let out = env
-                    .world
-                    .collective_on(env.rank, c, sig, payload, is_initial)
+                let out = world
+                    .collective_on(rank, c, sig, payload, initial)
                     .map_err(mpi_err)?;
                 if *kind == CollectiveKind::Barrier {
                     Ok(None)
@@ -1231,19 +1169,18 @@ impl Executor {
 
     fn intrinsic(
         &self,
-        env: &RankEnv,
-        omp: &ThreadCtx,
+        t: &SimThread<'_>,
         frame: &Frame,
         intr: Intrinsic,
         args: &[IrValue],
     ) -> Value {
         let arg = |i: usize| self.read(frame, args[i]);
         match intr {
-            Intrinsic::Rank => Value::Int(env.rank as i64),
-            Intrinsic::Size => Value::Int(env.world.size() as i64),
-            Intrinsic::ThreadNum => Value::Int(omp.thread_num() as i64),
-            Intrinsic::NumThreads => Value::Int(omp.num_threads() as i64),
-            Intrinsic::InParallel => Value::Bool(omp.in_parallel()),
+            Intrinsic::Rank => Value::Int(t.env.rank as i64),
+            Intrinsic::Size => Value::Int(t.env.world.size() as i64),
+            Intrinsic::ThreadNum => Value::Int(t.ctx.thread_num() as i64),
+            Intrinsic::NumThreads => Value::Int(t.ctx.num_threads() as i64),
+            Intrinsic::InParallel => Value::Bool(t.ctx.in_parallel()),
             Intrinsic::Sqrt => Value::Float(arg(0).as_float().sqrt()),
             Intrinsic::Abs => match arg(0) {
                 Value::Int(x) => Value::Int(x.wrapping_abs()),
@@ -1273,7 +1210,7 @@ impl Executor {
 
     fn binary(
         &self,
-        env: &RankEnv,
+        rank: usize,
         op: BinOp,
         l: Value,
         r: Value,
@@ -1286,13 +1223,13 @@ impl Executor {
             (Mul, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_mul(*b)),
             (Div, Value::Int(a), Value::Int(b)) => {
                 if *b == 0 {
-                    return Err(RunError::new(RunErrorKind::DivisionByZero, span, env.rank));
+                    return Err(RunError::new(RunErrorKind::DivisionByZero, span, rank));
                 }
                 Value::Int(a.wrapping_div(*b))
             }
             (Rem, Value::Int(a), Value::Int(b)) => {
                 if *b == 0 {
-                    return Err(RunError::new(RunErrorKind::DivisionByZero, span, env.rank));
+                    return Err(RunError::new(RunErrorKind::DivisionByZero, span, rank));
                 }
                 Value::Int(a.wrapping_rem(*b))
             }
@@ -1357,11 +1294,37 @@ fn classify_mpi_error(e: MpiError) -> RunErrorKind {
 /// Errors that are consequences of another thread's failure (poisoned
 /// barrier, aborted MPI) rather than root causes.
 fn is_secondary_error(e: &RunError) -> bool {
-    match &e.kind {
-        RunErrorKind::Mpi(MpiError::Aborted(_)) => true,
-        RunErrorKind::ThreadBarrier(m) => m.contains("poisoned"),
-        _ => false,
+    matches!(
+        &e.kind,
+        RunErrorKind::Mpi(MpiError::Aborted(_))
+            | RunErrorKind::ThreadBarrier(BarrierError::Poisoned)
+    )
+}
+
+/// Where a step of block `b` without a span of its own is reported: the
+/// first real span along `b`'s chain of jumps — a block's span, else its
+/// branch's or return's — else the function's. (An empty loop body is
+/// reported at its loop's condition.)
+fn block_span(func: &FuncIr, mut b: BlockId) -> Span {
+    for _ in 0..func.block_count() {
+        let block = func.block(b);
+        let (term, next) = match block.term {
+            Terminator::Branch { span, .. } | Terminator::Return { span, .. } => (span, None),
+            Terminator::Goto(next) => (Span::DUMMY, Some(next)),
+            Terminator::Unreachable => (Span::DUMMY, None),
+        };
+        let span = if block.span.is_dummy() {
+            term
+        } else {
+            block.span
+        };
+        match next {
+            _ if !span.is_dummy() => return span,
+            Some(next) => b = next,
+            None => break,
+        }
     }
+    func.span
 }
 
 /// Look at a register's value in place: an array operand is borrowed for

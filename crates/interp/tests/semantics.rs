@@ -753,6 +753,37 @@ fn barrier_resets_concurrency_epoch() {
 }
 
 #[test]
+fn each_region_counts_a_suspect_site_in_a_team_of_its_own() {
+    // The single is statically self-concurrent (it sits in a loop with
+    // no barrier), so it carries a concurrency counter. The outer loop
+    // runs the region three times: three fresh teams, each at barrier
+    // epoch 0. One execution in each is clean; two in one team are not.
+    let src = |per_team: &str| {
+        format!(
+            "fn main() {{
+                for (k in 0..3) {{
+                    parallel num_threads(2) {{
+                        for (i in 0..{per_team}) {{
+                            single nowait {{ let x = MPI_Allreduce(i, SUM); }}
+                        }}
+                    }}
+                }}
+            }}"
+        )
+    };
+    let r = run_instr(&src("1"), 2, 2);
+    assert!(r.is_clean(), "{:?}", r.errors);
+    let r = run_instr(&src("k"), 2, 2);
+    assert!(
+        r.errors
+            .iter()
+            .any(|e| matches!(e.kind, RunErrorKind::ConcurrentRegions { .. })),
+        "{:?}",
+        r.errors
+    );
+}
+
+#[test]
 fn rank_dependent_loop_count_detected() {
     let r = run_instr(
         "fn main() {
@@ -802,6 +833,64 @@ fn funneled_violation_from_worker_thread() {
         1,
         2,
     );
+    assert!(
+        matches!(
+            r.first_error().map(|e| &e.kind),
+            Some(RunErrorKind::Mpi(MpiError::ThreadLevelViolation { .. }))
+        ),
+        "{:?}",
+        r.errors
+    );
+}
+
+#[test]
+fn a_monothread_assert_reached_by_one_member_per_team_passes() {
+    // The analysis cannot prove that only member 0 calls the barrier,
+    // so the call gets a monothread assert; at run time one member per
+    // team (per rank, and per region encounter) reaches it.
+    let src = "fn main() {
+        MPI_Init_thread(MULTIPLE);
+        for (k in 0..2) {
+            parallel num_threads(2) {
+                if (thread_num() == k) { MPI_Barrier(); }
+            }
+        }
+        MPI_Finalize();
+    }";
+    let (report, _) = parcoach_interp::prepare("t.mh", src, true).expect("valid program");
+    assert!(!report.is_clean(), "the static phase must warn");
+    let r = run_instr(src, 2, 2);
+    assert!(r.is_clean(), "{:?}", r.errors);
+    assert_eq!(r.stats.mpi_calls, 2 * (2 + 2), "{:?}", r.stats);
+}
+
+#[test]
+fn funneled_admits_only_member_0_of_teams_the_initial_thread_forked() {
+    // The initial thread goes on as member 0 of the outer team, and as
+    // member 0 of the inner team that member forks: its MPI call is
+    // legal. Member 0 of the inner team outer member 1 forks is another
+    // thread.
+    let run = |caller: u32| {
+        run_fast(
+            &format!(
+                "fn main() {{
+                    MPI_Init_thread(FUNNELED);
+                    parallel num_threads(2) {{
+                        let outer = thread_num();
+                        parallel num_threads(2) {{
+                            if (outer == {caller} && thread_num() == 0) {{ MPI_Barrier(); }}
+                        }}
+                    }}
+                    MPI_Finalize();
+                }}"
+            ),
+            1,
+            2,
+        )
+    };
+    let legal = run(0);
+    assert!(legal.is_clean(), "{:?}", legal.errors);
+    let r = run(1);
     assert!(
         matches!(
             r.first_error().map(|e| &e.kind),

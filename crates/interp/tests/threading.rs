@@ -7,6 +7,7 @@ use parcoach_front::parse_and_check;
 use parcoach_interp::{check_and_run, Executor, NoReport, RunConfig, RunErrorKind, RunReport};
 use parcoach_ir::instr::{CheckOp, Directive, Instr};
 use parcoach_ir::lower::lower_program;
+use parcoach_ompsim::BarrierError;
 use std::time::{Duration, Instant};
 
 fn run_with(src: &str, cfg: RunConfig) -> RunReport {
@@ -107,6 +108,39 @@ fn every_thread_of_a_runaway_2x2_ends_in_step_limit_within_the_budget() {
     assert!(r.stats.steps > max_steps - 4 * 1024, "{:?}", r.stats);
 }
 
+#[test]
+fn errors_without_a_span_of_their_own_report_the_nearest_line() {
+    // A budget that runs out in the loop's condition block or in its
+    // empty body: both report the loop.
+    let src = "fn main() {
+        let x = 0;
+        while (true) { }
+    }";
+    for max_steps in [1_000, 1_001] {
+        let r = run_with(
+            src,
+            RunConfig {
+                max_steps,
+                ..cfg(1, 1)
+            },
+        );
+        let e = r.first_error().expect("the runaway loop is stopped");
+        assert_eq!(e.kind, RunErrorKind::StepLimit);
+        assert_eq!(line_of(src, e.span.lo), 3, "the `while`: {e}");
+    }
+    // A stack overflow is reported at the call that overflows: `down(0)`,
+    // called from `down(1)`'s `else` branch.
+    let src = format!("{NESTED_DESCENT}\nfn main() {{ print(down(128)); }}");
+    let r = on_a_2_mib_stack(src.clone());
+    let e = r.first_error().expect("the descent overflows");
+    assert_eq!(e.kind, RunErrorKind::StackOverflow);
+    assert_eq!(
+        line_of(&src, e.span.lo),
+        9,
+        "`r[0] = down(n - 1) + 1;`: {e}"
+    );
+}
+
 // ---- the join is the region-end barrier --------------------------------
 
 #[test]
@@ -128,7 +162,13 @@ fn a_divergent_team_is_reported_at_the_barrier_that_diverged_without_a_timeout()
         best = best.min(t0.elapsed());
         let e = r.first_error().expect("divergence reported");
         assert!(
-            matches!(&e.kind, RunErrorKind::ThreadBarrier(m) if m.contains("1/2")),
+            matches!(
+                e.kind,
+                RunErrorKind::ThreadBarrier(BarrierError::Timeout {
+                    arrived: 1,
+                    expected: 2
+                })
+            ),
             "{e}"
         );
         assert_eq!(line_of(src, e.span.lo), 4, "the inner `barrier;`: {e}");
@@ -177,6 +217,47 @@ fn checks_attached_to_a_regions_end_barrier_still_run() {
             what: "MPI_Barrier"
         }]
     );
+}
+
+#[test]
+fn a_ninth_nested_region_is_refused_on_every_rank_without_a_timeout() {
+    // Each level opens a region of one thread and descends in it. The
+    // fork at nesting depth 9 is refused before any member runs, so
+    // nothing waits: each rank reports the refusal at once, the
+    // liveness pre-registration of the refused team unwound.
+    let src = "fn dive(d: int) {
+        print(d);
+        parallel num_threads(1) { dive(d + 1); }
+    }
+    fn main() { dive(1); }";
+    let cfg = cfg(2, 2);
+    let timeout = cfg.barrier_timeout.min(cfg.mpi_timeout);
+    let t0 = Instant::now();
+    let r = run_with(src, cfg);
+    let elapsed = t0.elapsed();
+    assert_eq!(
+        r.errors
+            .iter()
+            .map(|e| (e.rank, e.kind.code(), line_of(src, e.span.lo)))
+            .collect::<Vec<_>>(),
+        [(0, "omp", 3), (1, "omp", 3)],
+        "{:?}",
+        r.errors
+    );
+    for e in &r.errors {
+        assert!(
+            e.to_string()
+                .ends_with("parallel nesting depth 9 exceeds the configured maximum 8"),
+            "{e}"
+        );
+    }
+    let mut levels = r.output.clone();
+    levels.sort_unstable();
+    let expected: Vec<String> = (0..2)
+        .flat_map(|rank| (1..=9).map(move |d| format!("[rank {rank}] {d}")))
+        .collect();
+    assert_eq!(levels, expected);
+    assert!(elapsed < timeout, "took {elapsed:?}: waited out a timeout?");
 }
 
 // ---- member 0 continues on the encountering thread -------------------------

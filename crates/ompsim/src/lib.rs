@@ -41,6 +41,10 @@ use parcoach_sync::{ReentrantMutex, ReentrantMutexGuard};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Maximum nesting depth of parallel regions (defensive bound): a fork
+/// at level `MAX_LEVELS + 1` is refused.
+pub const MAX_LEVELS: usize = 8;
+
 /// Configuration of the threading substrate.
 #[derive(Debug, Clone)]
 pub struct OmpConfig {
@@ -48,8 +52,6 @@ pub struct OmpConfig {
     pub default_num_threads: usize,
     /// How long barriers wait before declaring divergence.
     pub barrier_timeout: Duration,
-    /// Maximum nesting depth of parallel regions (defensive bound).
-    pub max_levels: usize,
 }
 
 impl Default for OmpConfig {
@@ -57,7 +59,6 @@ impl Default for OmpConfig {
         OmpConfig {
             default_num_threads: 4,
             barrier_timeout: Duration::from_secs(5),
-            max_levels: 8,
         }
     }
 }
@@ -107,13 +108,12 @@ impl OmpSim {
     {
         let size = num_threads.unwrap_or(self.cfg.default_num_threads).max(1);
         let level = parent.active_level() + 1;
-        if level > self.cfg.max_levels {
+        if level > MAX_LEVELS {
             return Err(ForkError::Omp(OmpError::ForkRefused(format!(
-                "parallel nesting depth {level} exceeds the configured maximum {}",
-                self.cfg.max_levels
+                "parallel nesting depth {level} exceeds the configured maximum {MAX_LEVELS}"
             ))));
         }
-        let team = team::new_team(size, level);
+        let team = team::new_team(size, level, parent.is_initial_thread());
         // Cached simulator threads ([`parcoach_sync::ThreadCache`]) for
         // members 1..: the spawn cost is paid once per process, not once
         // per member per region.
@@ -214,27 +214,63 @@ mod tests {
         .unwrap();
     }
 
+    /// Fork `levels` nested teams of one, each from the previous one's
+    /// member.
+    fn nest(sim: &OmpSim, ctx: &mut ThreadCtx, levels: usize) -> Result<(), OmpError> {
+        if levels == 0 {
+            return Ok(());
+        }
+        sim.fork(ctx, Some(1), &|c| nest(sim, c, levels - 1))
+            .map_err(|e| match e {
+                ForkError::Omp(e) | ForkError::Body(e) => e,
+            })
+    }
+
     #[test]
     fn nesting_limit_enforced() {
-        let sim = OmpSim::new(OmpConfig {
-            max_levels: 1,
-            ..OmpConfig::default()
-        });
-        let mut ctx = ThreadCtx::initial();
-        let res = sim.fork::<OmpError, _>(&mut ctx, Some(2), &|c| {
-            let inner = OmpSim::new(OmpConfig {
-                max_levels: 1,
-                ..OmpConfig::default()
-            });
-            match inner.fork::<OmpError, _>(c, Some(2), &|_| Ok(())) {
-                Err(ForkError::Omp(e)) => Err(e),
-                _ => Ok(()),
-            }
-        });
-        assert!(matches!(
-            res,
-            Err(ForkError::Body(OmpError::ForkRefused(_)))
-        ));
+        let sim = OmpSim::default();
+        assert_eq!(nest(&sim, &mut ThreadCtx::initial(), MAX_LEVELS), Ok(()));
+        let res = nest(&sim, &mut ThreadCtx::initial(), MAX_LEVELS + 1);
+        assert!(
+            matches!(&res, Err(OmpError::ForkRefused(m)) if m.contains("depth 9 ")),
+            "{res:?}"
+        );
+    }
+
+    #[test]
+    fn only_member_0_of_teams_the_initial_thread_forked_is_the_initial_thread() {
+        let sim = OmpSim::default();
+        let initial = std::sync::Mutex::new(Vec::new());
+        sim.fork::<(), _>(&mut ThreadCtx::initial(), Some(2), &|outer| {
+            let o = outer.thread_num();
+            initial
+                .lock()
+                .unwrap()
+                .push((o, None, outer.is_initial_thread()));
+            sim.fork::<(), _>(outer, Some(2), &|inner| {
+                let i = inner.thread_num();
+                initial
+                    .lock()
+                    .unwrap()
+                    .push((o, Some(i), inner.is_initial_thread()));
+                Ok(())
+            })
+            .map_err(|_| ())
+        })
+        .unwrap();
+        let mut seen = initial.into_inner().unwrap();
+        seen.sort_unstable();
+        assert_eq!(
+            seen,
+            [
+                (0, None, true),
+                (0, Some(0), true),
+                (0, Some(1), false),
+                (1, None, false),
+                (1, Some(0), false),
+                (1, Some(1), false),
+            ]
+        );
     }
 
     #[test]

@@ -48,18 +48,22 @@ pub struct TeamShared {
     pub level: usize,
     /// The team barrier.
     pub barrier: SimBarrier,
+    /// Whether the thread that forked this team is the initial thread:
+    /// then this team's member 0 is the initial thread too.
+    forked_by_initial: bool,
     /// `single` instance claims: (region id, per-team encounter index) →
     /// claimed flag.
     singles: Mutex<HashMap<(u32, u64), Arc<AtomicBool>>>,
 }
 
 impl TeamShared {
-    fn new(id: u64, size: usize, level: usize) -> Arc<TeamShared> {
+    fn new(id: u64, size: usize, level: usize, forked_by_initial: bool) -> Arc<TeamShared> {
         Arc::new(TeamShared {
             id,
             size,
             level,
             barrier: SimBarrier::new(size),
+            forked_by_initial,
             singles: Mutex::new(HashMap::new()),
         })
     }
@@ -127,6 +131,15 @@ impl ThreadCtx {
     /// Team instance id (0 outside any team).
     pub fn team_instance(&self) -> u64 {
         self.team.as_ref().map_or(0, |t| t.id)
+    }
+
+    /// Is this the initial thread — the one thread outside every team, and
+    /// member 0 of every team it forks? MPI's `FUNNELED` level admits
+    /// calls from this thread only.
+    pub fn is_initial_thread(&self) -> bool {
+        self.team
+            .as_ref()
+            .is_none_or(|t| t.forked_by_initial && self.thread_num == 0)
     }
 
     /// Is this thread the master of its team?
@@ -205,10 +218,10 @@ impl ThreadCtx {
 /// Global team-instance id allocator.
 pub(crate) static NEXT_TEAM_ID: AtomicU64 = AtomicU64::new(1);
 
-/// Create a fresh team instance.
-pub(crate) fn new_team(size: usize, level: usize) -> Arc<TeamShared> {
+/// Create a fresh team instance, forked by the initial thread or not.
+pub(crate) fn new_team(size: usize, level: usize, forked_by_initial: bool) -> Arc<TeamShared> {
     let id = NEXT_TEAM_ID.fetch_add(1, Ordering::Relaxed);
-    TeamShared::new(id, size, level)
+    TeamShared::new(id, size, level, forked_by_initial)
 }
 
 /// Build the member context for thread `tid` of `team`.
@@ -232,6 +245,7 @@ mod tests {
         assert_eq!(ctx.num_threads(), 1);
         assert!(!ctx.in_parallel());
         assert!(ctx.is_master());
+        assert!(ctx.is_initial_thread());
         assert_eq!(ctx.active_level(), 0);
     }
 
@@ -244,7 +258,7 @@ mod tests {
 
     #[test]
     fn single_in_team_exactly_one() {
-        let team = new_team(4, 1);
+        let team = new_team(4, 1, true);
         let mut ctxs: Vec<ThreadCtx> = (0..4).map(|t| member_ctx(team.clone(), t)).collect();
         let chosen: usize = ctxs.iter_mut().map(|c| c.enter_single(3) as usize).sum();
         assert_eq!(chosen, 1);
@@ -255,7 +269,7 @@ mod tests {
 
     #[test]
     fn sections_round_robin() {
-        let team = new_team(2, 1);
+        let team = new_team(2, 1, true);
         let mut c0 = member_ctx(team.clone(), 0);
         let mut c1 = member_ctx(team.clone(), 1);
         assert!(c0.enter_section(5, 0));
@@ -267,7 +281,7 @@ mod tests {
 
     #[test]
     fn static_chunks_partition_range() {
-        let team = new_team(3, 1);
+        let team = new_team(3, 1, true);
         let total: Vec<(i64, i64)> = (0..3)
             .map(|t| member_ctx(team.clone(), t).static_chunk(0, 10))
             .collect();
@@ -286,7 +300,7 @@ mod tests {
 
     #[test]
     fn static_chunk_empty_range() {
-        let team = new_team(4, 1);
+        let team = new_team(4, 1, true);
         let c = member_ctx(team, 2);
         let (s, e) = c.static_chunk(5, 5);
         assert_eq!(s, e);
@@ -294,7 +308,7 @@ mod tests {
 
     #[test]
     fn static_chunk_fewer_iterations_than_threads() {
-        let team = new_team(8, 1);
+        let team = new_team(8, 1, true);
         let mut nonempty = 0;
         for t in 0..8 {
             let (s, e) = member_ctx(team.clone(), t).static_chunk(0, 3);
