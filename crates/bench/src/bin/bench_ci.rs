@@ -820,9 +820,9 @@ fn cold_check_spans(name: &str, src: &str) -> ColdSpans {
     let mut best: Option<ColdSpans> = None;
     for _ in 0..=ANALYZE_REPS {
         let t0 = Instant::now();
-        let (program, mut diags, source_map) = parse_source(name, black_box(src));
+        let (mut program, mut diags, source_map) = parse_source(name, black_box(src));
         let t1 = Instant::now();
-        let signatures = check_program(&program, &mut diags).signatures;
+        let signatures = check_program(&mut program, &mut diags);
         assert!(!diags.has_errors(), "workload compiles");
         let t2 = Instant::now();
         let module = lower_program(&program, &signatures);
@@ -884,7 +884,7 @@ impl WarmProbe {
         let mut p = WarmProbe {
             session: AnalysisSession::default(),
             db: QueryDb::new(),
-            probe: a.by_name["bench_ci_probe"],
+            probe: a.index("bench_ci_probe").unwrap(),
             modules: [a, b],
             cur: 1,
         };

@@ -356,7 +356,7 @@ mod tests {
                 Instr::Print { args } if args == &vec![Value::Const(Const::Int(14))]
             )
         });
-        assert!(has_const_print, "{}", f.dump());
+        assert!(has_const_print, "{}", f.dump(&m));
     }
 
     #[test]
@@ -417,7 +417,7 @@ mod tests {
         assert!(
             has_div,
             "possibly-trapping division must stay:\n{}",
-            f.dump()
+            f.dump(&m)
         );
     }
 

@@ -97,7 +97,7 @@ mod tests {
     fn collective_comms(src: &str) -> Vec<CommId> {
         let (m, mc) = comms(src);
         let f = m.main().unwrap();
-        let fc = mc.func(m.by_name["main"]);
+        let fc = mc.func(m.index("main").unwrap());
         let mut out = Vec::new();
         for b in f.block_ids() {
             for i in f.instrs(b) {

@@ -294,7 +294,7 @@ mod tests {
         let unit = parse_and_check("t.mh", src).expect("valid");
         let m = lower_program(&unit.program, &unit.signatures);
         let cx = AnalysisCx::build(&m, InitialContext::Sequential);
-        check_concurrency(&cx, m.by_name["main"])
+        check_concurrency(&cx, m.index("main").unwrap())
     }
 
     #[test]

@@ -74,12 +74,6 @@ pub struct CallContexts {
 }
 
 impl CallContexts {
-    /// Does the function at the other end of a call site (`None`: not a
-    /// function of the module) execute collectives?
-    pub fn callee_bears(&self, callee: Option<usize>) -> bool {
-        callee.is_some_and(|ci| self.collective_bearing[ci])
-    }
-
     /// Would the fixpoint read from function `fi`, as `db` now holds it,
     /// what it read when this result was computed?
     fn reads_the_same_from(
@@ -160,7 +154,7 @@ pub(crate) fn contexts_in(
     for (fi, f) in m.funcs.iter().enumerate() {
         let slot = &mut db.func(fi).summary;
         if slot.get().is_none() {
-            slot.put(Arc::new(call_summary(f, &m.by_name)));
+            slot.put(Arc::new(call_summary(f)));
             rederived.push(fi);
         }
     }
@@ -194,7 +188,7 @@ pub(crate) fn contexts_in(
             let has = summaries[fi]
                 .call_sites
                 .iter()
-                .any(|(_, _, c)| c.is_some_and(|ci| bearing[ci]));
+                .any(|&(_, _, ci)| bearing[ci]);
             if has {
                 bearing[fi] = true;
                 changed = true;
@@ -204,7 +198,7 @@ pub(crate) fn contexts_in(
 
     // --- initial contexts: ascending fixpoint from main.
     let mut initial: Vec<InitialContext> = vec![InitialContext::Sequential; n];
-    if let Some(&mi) = m.by_name.get("main") {
+    if let Some(mi) = m.index("main") {
         initial[mi] = entry_context;
     }
     let mut pw_cache: Vec<Option<(InitialContext, Arc<PwResult>)>> = vec![None; n];
@@ -224,8 +218,7 @@ pub(crate) fn contexts_in(
             // function of this round may have raised it since.
             let (ctx, pw) = pw_cache[fi].as_ref().expect("refreshed");
             let sites = site_ctxs[fi][*ctx as usize].get_or_insert_with(|| site_contexts(pw, s));
-            for ((_, _, callee), site_ctx) in s.call_sites.iter().zip(sites.iter()) {
-                let Some(ci) = *callee else { continue };
+            for (&(_, _, ci), site_ctx) in s.call_sites.iter().zip(sites.iter()) {
                 let joined = initial[ci].join(*site_ctx);
                 if joined != initial[ci] {
                     initial[ci] = joined;
@@ -250,9 +243,8 @@ pub(crate) fn contexts_in(
         let sites = site_ctxs[fi][initial[fi] as usize]
             .as_ref()
             .expect("evaluated in the last round");
-        for (&(bid, ii, callee), site_ctx) in s.call_sites.iter().zip(sites) {
-            let callee = callee.filter(|&ci| bearing[ci]);
-            if let (Some(ci), InitialContext::Parallel) = (callee, site_ctx) {
+        for (&(bid, ii, ci), site_ctx) in s.call_sites.iter().zip(sites) {
+            if bearing[ci] && *site_ctx == InitialContext::Parallel {
                 multithreaded_calls.push((Locator::Instr(fi, bid, ii), ci));
             }
         }
@@ -275,19 +267,17 @@ pub(crate) fn contexts_in(
 /// walk). Modules without a `main` (library-style inputs, unit-test
 /// fixtures) keep every function reachable.
 fn compute_reachable(m: &Module, summaries: &[Arc<CallSummary>]) -> Vec<bool> {
-    let Some(&entry) = m.by_name.get("main") else {
+    let Some(entry) = m.index("main") else {
         return vec![true; m.funcs.len()];
     };
     let mut reachable = vec![false; m.funcs.len()];
     reachable[entry] = true;
     let mut work = vec![entry];
     while let Some(fidx) = work.pop() {
-        for &(_, _, callee) in &summaries[fidx].call_sites {
-            if let Some(cidx) = callee {
-                if !reachable[cidx] {
-                    reachable[cidx] = true;
-                    work.push(cidx);
-                }
+        for &(_, _, cidx) in &summaries[fidx].call_sites {
+            if !reachable[cidx] {
+                reachable[cidx] = true;
+                work.push(cidx);
             }
         }
     }
@@ -364,11 +354,11 @@ mod tests {
 
     impl Named<'_> {
         fn context_of(&self, func: &str) -> InitialContext {
-            self.ctxs.initial[self.m.by_name[func]]
+            self.ctxs.initial[self.m.index(func).unwrap()]
         }
 
         fn bears_collectives(&self, func: &str) -> bool {
-            self.ctxs.collective_bearing[self.m.by_name[func]]
+            self.ctxs.collective_bearing[self.m.index(func).unwrap()]
         }
 
         /// `(caller, callee)` of every multithreaded call, in order.

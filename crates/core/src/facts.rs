@@ -229,11 +229,12 @@ impl<'m> AnalysisCx<'m> {
             // with no MPI instruction and no collective-bearing callee
             // has no events and never queries CFG facts, so its blocks
             // are not walked at all (most kernels of a large workload).
-            let relevant = s.has_mpi || s.call_sites.iter().any(|(_, _, c)| ctxs.callee_bears(*c));
+            let bearing = &ctxs.collective_bearing;
+            let relevant = s.has_mpi || s.call_sites.iter().any(|&(_, _, c)| bearing[c]);
             let block_events: Vec<Vec<(Event, usize)>> = if relevant {
                 let fh = handles.func(i);
                 f.block_ids()
-                    .map(|b| block_events(m, f, b, ctxs, fh).collect())
+                    .map(|b| block_events(f, b, ctxs, fh).collect())
                     .collect()
             } else {
                 vec![Vec::new(); f.block_count()]
@@ -307,8 +308,8 @@ mod tests {
             }
         }
         // The call to `exchange` is an event of `main`.
-        let call = Event::Call(m.by_name["exchange"]);
-        let main_events = &cx.facts(m.by_name["main"]).block_events;
+        let call = Event::Call(m.index("exchange").unwrap());
+        let main_events = &cx.facts(m.index("main").unwrap()).block_events;
         assert!(main_events.iter().flatten().any(|(e, _)| *e == call));
     }
 
@@ -318,7 +319,7 @@ mod tests {
         // word plus at most a couple of region words.
         let m = lower("fn main() { let a = 1; let b = a + 1; MPI_Barrier(); print(b); }");
         let cx = AnalysisCx::build(&m, InitialContext::Sequential);
-        let facts = cx.facts(m.by_name["main"]);
+        let facts = cx.facts(m.index("main").unwrap());
         let distinct = facts.pw.dag.node_count();
         let populated = facts
             .pw

@@ -182,13 +182,13 @@ impl Hash128 {
             }
             Instr::Call {
                 dest,
-                func,
+                callee,
                 args,
                 span: _,
             } => {
                 self.tag(0x17, 0);
                 self.opt_reg(*dest);
-                self.str(func);
+                self.word(*callee as u64);
                 self.values(args);
             }
             Instr::Mpi { dest, op, span: _ } => {

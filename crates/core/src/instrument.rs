@@ -431,7 +431,7 @@ mod tests {
                 )
             })
         });
-        assert!(guarded, "{}", shutdown.dump());
+        assert!(guarded, "{}", shutdown.dump(&m));
         // Without p2p traffic there is nothing to count.
         let (_, stats) = pipeline(
             "fn main() { MPI_Init(); MPI_Barrier(); MPI_Finalize(); }",

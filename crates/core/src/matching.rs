@@ -97,7 +97,6 @@ impl Event {
 /// fact-store construction ([`crate::facts`]); the phases read the
 /// precomputed map.
 pub(crate) fn block_events<'a>(
-    m: &'a Module,
     f: &'a FuncIr,
     b: BlockId,
     ctxs: &'a CallContexts,
@@ -113,13 +112,7 @@ pub(crate) fn block_events<'a>(
                     None => Event::CommMgmt(comm, op.name()),
                 }
             }
-            Instr::Call { func, .. } => {
-                let callee = *m.by_name.get(func)?;
-                if !ctxs.collective_bearing[callee] {
-                    return None;
-                }
-                Event::Call(callee)
-            }
+            Instr::Call { callee, .. } if ctxs.collective_bearing[*callee] => Event::Call(*callee),
             _ => return None,
         };
         Some((event, ii))
@@ -376,7 +369,7 @@ mod tests {
 
     fn run_on(m: &Module, refine: bool) -> MatchingResult {
         let cx = AnalysisCx::build(m, InitialContext::Sequential);
-        check_matching(&cx, m.by_name["main"], refine)
+        check_matching(&cx, m.index("main").unwrap(), refine)
     }
 
     fn run_with(src: &str, refine: bool) -> MatchingResult {
@@ -462,10 +455,10 @@ mod tests {
              fn main() { if (rank() == 0) { exchange(); } }",
         );
         let cx = AnalysisCx::build(&m, InitialContext::Sequential);
-        let r = check_matching(&cx, m.by_name["main"], true);
+        let r = check_matching(&cx, m.index("main").unwrap(), true);
         assert_eq!(r.warnings.len(), 1, "{:?}", r.warnings);
         assert_eq!(r.tainted_callees.len(), 1);
-        assert_eq!(r.tainted_callees, [m.by_name["exchange"]]);
+        assert_eq!(r.tainted_callees, [m.index("exchange").unwrap()]);
     }
 
     #[test]

@@ -199,7 +199,7 @@ mod tests {
 
     fn main_result(src: &str) -> MonoResult {
         let (m, rs) = run(src);
-        let idx = m.by_name["main"];
+        let idx = m.index("main").unwrap();
         rs.into_iter().nth(idx).unwrap()
     }
 
@@ -309,7 +309,7 @@ mod tests {
     fn callee_in_parallel_context_flagged() {
         let (m, rs) = run("fn exchange() { MPI_Allreduce(1, SUM); }
              fn main() { parallel { exchange(); } }");
-        let idx = m.by_name["exchange"];
+        let idx = m.index("exchange").unwrap();
         let r = &rs[idx];
         assert!(
             r.warnings
@@ -329,7 +329,7 @@ mod tests {
     fn callee_in_single_context_clean() {
         let (m, rs) = run("fn exchange() { MPI_Allreduce(1, SUM); }
              fn main() { parallel { single { exchange(); } } }");
-        let idx = m.by_name["exchange"];
+        let idx = m.index("exchange").unwrap();
         assert!(rs[idx].warnings.is_empty(), "{:?}", rs[idx].warnings);
         assert_eq!(rs[idx].required_level, Some(ThreadLevel::Serialized));
     }

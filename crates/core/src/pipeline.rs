@@ -107,10 +107,8 @@ struct PhaseInputs {
 
 /// Is each call site of function `fi` a collective event?
 fn callee_bearing(ctxs: &CallContexts, fi: usize) -> impl Iterator<Item = bool> + '_ {
-    let sites = &ctxs.summaries[fi].call_sites;
-    sites
-        .iter()
-        .map(|(_, _, callee)| ctxs.callee_bears(*callee))
+    let sites = ctxs.summaries[fi].call_sites.iter();
+    sites.map(|&(_, _, callee)| ctxs.collective_bearing[callee])
 }
 
 impl PhaseInputs {
@@ -354,8 +352,10 @@ pub(crate) fn analyze_module(
         if std::mem::replace(&mut needs_cc[fi], true) {
             continue;
         }
-        for &(_, _, callee) in &ctxs.summaries[fi].call_sites {
-            tainted.extend(callee.filter(|&ci| ctxs.collective_bearing[ci] && !needs_cc[ci]));
+        for &(_, _, ci) in &ctxs.summaries[fi].call_sites {
+            if ctxs.collective_bearing[ci] && !needs_cc[ci] {
+                tainted.push(ci);
+            }
         }
     }
     report.plan.cc_functions = m

@@ -75,7 +75,6 @@ use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::instr::{Instr, MpiOp, Terminator};
 use parcoach_ir::types::BlockId;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A span-free program point. Stored values name positions this way;
@@ -184,15 +183,13 @@ pub struct CallSummary {
     pub init: Option<(BlockId, usize, ThreadLevel)>,
     /// Every call site as `(block, instruction index, callee)`, in block
     /// order then instruction order; the callee is an index into
-    /// `Module::funcs` (`None`: not a function of this module). Valid
-    /// for as long as the table is — it starts over when the module's
-    /// function list changes.
-    pub call_sites: Vec<(BlockId, usize, Option<usize>)>,
+    /// `Module::funcs`. Valid for as long as the table is — it starts
+    /// over when the module's function list changes.
+    pub call_sites: Vec<(BlockId, usize, usize)>,
 }
 
-/// Compute one function's [`CallSummary`] from its IR; `by_name` is the
-/// module's (`Module::by_name`).
-pub fn call_summary(f: &FuncIr, by_name: &HashMap<String, usize>) -> CallSummary {
+/// Compute one function's [`CallSummary`] from its IR.
+pub fn call_summary(f: &FuncIr) -> CallSummary {
     let mut s = CallSummary {
         own_bearing: false,
         has_mpi: false,
@@ -219,9 +216,7 @@ pub fn call_summary(f: &FuncIr, by_name: &HashMap<String, usize>) -> CallSummary
                         _ => {}
                     }
                 }
-                Instr::Call { func, .. } => {
-                    s.call_sites.push((bid, ii, by_name.get(func).copied()));
-                }
+                Instr::Call { callee, .. } => s.call_sites.push((bid, ii, *callee)),
                 _ => {}
             }
         }
@@ -537,12 +532,12 @@ mod tests {
 
     /// What the owner does just before replacing `name` in `old`.
     fn mark(db: &mut QueryDb, old: &Module, name: &str) {
-        let fi = old.by_name[name];
+        let fi = old.index(name).unwrap();
         db.mark_dirty(fi, &old.funcs[fi]);
     }
 
     fn main_pw<'a>(db: &'a mut QueryDb, m: &Module) -> &'a mut Slot<Arc<PwResult>> {
-        &mut db.func(m.by_name["main"]).pw[InitialContext::Sequential as usize]
+        &mut db.func(m.index("main").unwrap()).pw[InitialContext::Sequential as usize]
     }
 
     #[test]

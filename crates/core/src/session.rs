@@ -148,7 +148,7 @@ mod tests {
 
     /// What the owner does just before replacing `name` in `old`.
     fn mark(db: &mut QueryDb, old: &Module, name: &str) {
-        let fi = old.by_name[name];
+        let fi = old.index(name).unwrap();
         db.mark_dirty(fi, &old.funcs[fi]);
     }
 

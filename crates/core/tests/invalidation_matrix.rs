@@ -68,7 +68,7 @@ fn edit_case(before: &str, after: &str, edited: &[&str], expect: &[&str]) {
         let (mut s, mut db) = (session(opts), QueryDb::new());
         check(&mut s, &m1, &mut db);
         for name in edited {
-            let fi = m1.by_name[*name];
+            let fi = m1.index(name).unwrap();
             db.mark_dirty(fi, &m1.funcs[fi]);
         }
         // What a check of `m2` cancelled at that phase boundary has done
@@ -221,7 +221,7 @@ fn request_only_edit() {
     let mut s = session(AnalysisOptions::default());
     check(&mut s, &m1, &mut db);
     let before = db.stats();
-    let fi = m1.by_name["first"];
+    let fi = m1.index("first").unwrap();
     db.mark_dirty(fi, &m1.funcs[fi]);
     check(&mut s, &m2, &mut db);
     assert_eq!(
@@ -291,7 +291,7 @@ fn main() { MPI_Init(); ping(2); MPI_Finalize(); }
 ";
     let after = before.replace("parallel { pong(n); }", "critical { pong(n); }");
     let (m1, m2) = (lower(before), lower(&after));
-    let summary = |m: &Module| parcoach_core::query::call_summary(&m.funcs[0], &m.by_name);
+    let summary = |m: &Module| parcoach_core::query::call_summary(&m.funcs[0]);
     assert_eq!(summary(&m1), summary(&m2), "the call graph sees no edit");
     let contexts = |m: &Module| session(AnalysisOptions::default()).check_module(m).contexts;
     assert_eq!(contexts(&m1)[..2], [InitialContext::Parallel; 2]);

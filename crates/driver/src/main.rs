@@ -211,14 +211,19 @@ fn cmd_dump(args: &[String]) -> Result<Exit, String> {
         }
     }
     let doc = load(&path.ok_or("dump: missing file")?)?;
-    for f in &doc.module().funcs {
-        if which.as_deref().is_some_and(|name| f.name != name) {
-            continue;
-        }
+    let m = doc.module();
+    let funcs = match which {
+        None => &m.funcs[..],
+        Some(name) => match m.index(&name) {
+            Some(i) => &m.funcs[i..=i],
+            None => return Err(format!("dump: no function `{name}`")),
+        },
+    };
+    for f in funcs {
         if dot {
-            println!("{}", parcoach_ir::dot::func_to_dot(f));
+            println!("{}", parcoach_ir::dot::func_to_dot(f, m));
         } else {
-            println!("{}", f.dump());
+            println!("{}", f.dump(m));
         }
     }
     Ok(Exit::Clean)

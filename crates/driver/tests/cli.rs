@@ -306,6 +306,28 @@ fn removed_dump_aliases_are_unknown_commands() {
     }
 }
 
+/// `dump <file> <name>` names one function: an unknown name is a usage
+/// error in either spelling, with nothing dumped, and a known one dumps
+/// exactly that function.
+#[test]
+fn dump_of_an_unknown_function_is_a_usage_error() {
+    let p = write_mh("dump-unknown", CLEAN);
+    let path = p.to_str().unwrap();
+    for args in [
+        &["dump", path, "nope"][..],
+        &["dump", path, "--dot", "nope"][..],
+    ] {
+        let out = parcoachc(args);
+        assert_eq!(exit_code(&out), 3, "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("dump: no function `nope`"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing dumped");
+    }
+    let out = parcoachc(&["dump", path, "main"]);
+    assert_eq!(exit_code(&out), 0);
+    assert!(stdout(&out).starts_with("fn main("), "{}", stdout(&out));
+}
+
 #[test]
 fn catalogue_lists_the_error_catalogue() {
     let out = parcoachc(&["catalogue"]);

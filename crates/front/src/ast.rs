@@ -878,6 +878,14 @@ impl fmt::Display for ThreadLevel {
     }
 }
 
+/// A variable's binding slot: its index among the variables its
+/// function declares, in declaration order, the parameters first (slot
+/// `k` is parameter `k`). Sema assigns slots; [`NO_SLOT`] before it runs.
+pub type Slot = u32;
+
+/// The slot of a node sema has not resolved, or that names nothing.
+pub const NO_SLOT: Slot = u32::MAX;
+
 /// Expression node. Sub-expressions are [`ExprId`]s into the arena of
 /// the function the node belongs to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -886,6 +894,12 @@ pub struct Expr {
     pub kind: ExprKind,
     /// Source span.
     pub span: Span,
+    /// The type sema gave it; [`Type::Void`] until sema runs.
+    pub ty: Type,
+    /// What sema resolved its name to: the variable's [`Slot`] for
+    /// `Var` and `Index`, the callee's index in [`Program::functions`]
+    /// for `Call`.
+    pub slot: Slot,
 }
 
 /// Expression kinds.
@@ -921,7 +935,12 @@ pub enum ExprKind {
 impl Expr {
     /// Construct an expression.
     pub fn new(kind: ExprKind, span: Span) -> Self {
-        Expr { kind, span }
+        Expr {
+            kind,
+            span,
+            ty: Type::Void,
+            slot: NO_SLOT,
+        }
     }
 
     /// Integer literal helper.
@@ -1002,12 +1021,16 @@ pub struct Stmt {
     pub kind: StmtKind,
     /// Source span.
     pub span: Span,
+    /// The [`Slot`] sema resolved the variable it declares (`let`,
+    /// `for`, `pfor`) or assigns to.
+    pub slot: Slot,
 }
 
 impl Stmt {
     /// Construct a statement.
     pub fn new(kind: StmtKind, span: Span) -> Self {
-        Stmt { kind, span }
+        let slot = NO_SLOT;
+        Stmt { kind, span, slot }
     }
 }
 

@@ -33,7 +33,7 @@ pub mod diag;
 pub mod lexer;
 pub mod parser;
 pub mod pretty;
-pub mod scope;
+mod scope;
 pub mod sema;
 pub mod span;
 pub mod symbol;
@@ -45,7 +45,6 @@ pub use ast::{
     ThreadLevel, Type, UnOp,
 };
 pub use diag::{Diagnostic, Diagnostics, Severity};
-pub use scope::ScopeStack;
 pub use span::{LineCol, SourceMap, Span};
 pub use symbol::{Interner, Symbol};
 
@@ -68,11 +67,11 @@ pub struct CheckedUnit {
 /// On failure returns the full diagnostics (errors and warnings) plus the
 /// source map needed to render them.
 pub fn parse_and_check(name: &str, src: &str) -> Result<CheckedUnit, (Diagnostics, SourceMap)> {
-    let (program, mut diags, source_map) = parser::parse_source(name, src);
-    let sema = if diags.has_errors() {
+    let (mut program, mut diags, source_map) = parser::parse_source(name, src);
+    let signatures = if diags.has_errors() {
         Default::default()
     } else {
-        sema::check_program(&program, &mut diags)
+        sema::check_program(&mut program, &mut diags)
     };
     if diags.has_errors() {
         Err((diags, source_map))
@@ -80,7 +79,7 @@ pub fn parse_and_check(name: &str, src: &str) -> Result<CheckedUnit, (Diagnostic
         Ok(CheckedUnit {
             program,
             source_map,
-            signatures: sema.signatures,
+            signatures,
             warnings: diags,
         })
     }

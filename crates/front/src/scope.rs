@@ -1,10 +1,10 @@
-//! Lexical scopes for the passes that walk the AST.
+//! Lexical scopes for sema, the one pass that resolves names.
 //!
-//! Sema maps names to types and lowering maps them to registers; both
-//! need "innermost binding of this name", "open a block" and "close a
-//! block, forgetting its bindings". [`ScopeStack`] is that, once, as one
-//! flat vector of bindings plus the positions where the open scopes
-//! start.
+//! Sema maps each name to its binding (a type and a slot): it needs
+//! "innermost binding of this name", "open a block" and "close a block,
+//! forgetting its bindings". [`ScopeStack`] is that, as one flat vector
+//! of bindings plus the positions where the open scopes start. The
+//! stages after sema read the slot it wrote into each identifier.
 //!
 //! Names are [`Symbol`]s, so a binding costs a push and a lookup
 //! compares integers: nothing is allocated, cloned or hashed per `let`
@@ -69,12 +69,6 @@ impl<T: Copy> ScopeStack<T> {
             .rev()
             .find(|(n, _)| *n == name)
             .map(|&(_, v)| v)
-    }
-}
-
-impl<T: Copy> Default for ScopeStack<T> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -12,6 +12,10 @@
 //! * an explicit `barrier` may not be nested inside `single`, `master`,
 //!   `critical`, `pfor` or `sections` (illegal in OpenMP and would
 //!   deadlock the team).
+//!
+//! Sema decides every name, type and callee, and writes each answer into
+//! the AST ([`Expr::ty`], [`Expr::slot`], [`Stmt::slot`]) for the stages
+//! after it.
 
 use crate::ast::*;
 use crate::diag::Diagnostics;
@@ -26,6 +30,9 @@ pub struct Signature {
     pub params: Vec<Type>,
     /// Return type.
     pub ret: Type,
+    /// The function's index in [`Program::functions`]: what a call to
+    /// it resolves to.
+    pub index: usize,
 }
 
 /// The signature of every function of a unit, keyed by the function
@@ -52,28 +59,23 @@ impl Signatures {
     }
 }
 
-/// Result of semantic analysis over a whole program.
-#[derive(Debug, Clone, Default)]
-pub struct SemaResult {
-    /// Signatures for every function.
-    pub signatures: Signatures,
-}
-
-/// The externally visible signature of `f`, as callers see it.
-pub fn signature_of(f: &Function) -> Signature {
+/// The externally visible signature of `f`, the function at `index` of
+/// its program, as callers see it.
+pub fn signature_of(f: &Function, index: usize) -> Signature {
     Signature {
         params: f.params.iter().map(|p| p.ty).collect(),
         ret: f.ret,
+        index,
     }
 }
 
-/// Type-check and structurally validate a single function body against a
-/// complete `signatures` table; `interner` is the one `f`'s and the
-/// table's symbols belong to. This is the per-function half of
-/// [`check_program`]; incremental sessions call it directly after a
-/// single-function edit whose signature is unchanged.
+/// Type-check, structurally validate and annotate a single function
+/// body against a complete `signatures` table; `interner` is the one
+/// `f`'s and the table's symbols belong to. This is the per-function
+/// half of [`check_program`]; incremental sessions call it directly
+/// after a single-function edit whose signature is unchanged.
 pub fn check_function(
-    f: &Function,
+    f: &mut Function,
     interner: &Interner,
     signatures: &Signatures,
     diags: &mut Diagnostics,
@@ -81,11 +83,12 @@ pub fn check_function(
     Checker::new(interner, signatures, diags).check(f);
 }
 
-/// Type-check and structurally validate `prog`, reporting into `diags`.
-pub fn check_program(prog: &Program, diags: &mut Diagnostics) -> SemaResult {
+/// Type-check, structurally validate and annotate `prog`, reporting
+/// into `diags`; returns the signature of every function.
+pub fn check_program(prog: &mut Program, diags: &mut Diagnostics) -> Signatures {
     let mut signatures = Signatures::default();
-    for f in &prog.functions {
-        let sig = signature_of(f);
+    for (i, f) in prog.functions.iter().enumerate() {
+        let sig = signature_of(f, i);
         if signatures.insert(f.name.sym, sig).is_some() {
             diags.error(
                 "duplicate-function",
@@ -110,11 +113,10 @@ pub fn check_program(prog: &Program, diags: &mut Diagnostics) -> SemaResult {
     // One checker for the whole program: its scopes and stacks keep
     // their storage from one function to the next.
     let mut ck = Checker::new(&prog.interner, &signatures, diags);
-    for f in &prog.functions {
+    for f in &mut prog.functions {
         ck.check(f);
     }
-
-    SemaResult { signatures }
+    signatures
 }
 
 /// What kind of loop a `break`/`continue` may target.
@@ -131,24 +133,32 @@ struct LoopCtx {
     omp_depth: u32,
 }
 
+/// A node that names a variable: an expression or a statement of the
+/// function's arenas.
+#[derive(Clone, Copy)]
+enum At {
+    Expr(usize),
+    Stmt(usize),
+}
+
 /// Checks the functions of one unit, one after the other. The vectors
 /// a function grows are the checker's: [`Checker::check`] clears them
 /// and they keep their capacity.
 struct Checker<'a> {
-    /// The arenas of the function being checked: they resolve every
+    /// The arenas of the function being checked, moved out of it for
+    /// the check so that it can annotate them: they resolve every
     /// [`StmtRange`] and [`ExprId`].
-    stmts: &'a [Stmt],
-    exprs: &'a [Expr],
+    stmts: Vec<Stmt>,
+    exprs: Vec<Expr>,
     /// Its name, for messages.
     func_name: Ident,
     interner: &'a Interner,
     signatures: &'a Signatures,
     diags: &'a mut Diagnostics,
-    /// Types of the variables in scope.
-    scopes: ScopeStack<Type>,
-    /// Types of the arguments of the calls being checked, innermost
-    /// last.
-    arg_tys: Vec<Type>,
+    /// The type and slot of each variable in scope.
+    scopes: ScopeStack<(Type, Slot)>,
+    /// The slot the function's next declaration gets.
+    next_slot: Slot,
     ret_ty: Type,
     omp_depth: u32,
     loops: Vec<LoopCtx>,
@@ -160,14 +170,14 @@ struct Checker<'a> {
 impl<'a> Checker<'a> {
     fn new(interner: &'a Interner, signatures: &'a Signatures, diags: &'a mut Diagnostics) -> Self {
         Checker {
-            stmts: &[],
-            exprs: &[],
+            stmts: Vec::new(),
+            exprs: Vec::new(),
             func_name: Ident::new(Symbol(0), Span::DUMMY),
             interner,
             signatures,
             diags,
             scopes: ScopeStack::new(),
-            arg_tys: Vec::new(),
+            next_slot: 0,
             ret_ty: Type::Void,
             omp_depth: 0,
             loops: Vec::new(),
@@ -175,14 +185,14 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Check function `f`: its parameters, then its body.
-    fn check(&mut self, f: &'a Function) {
-        self.stmts = &f.stmts;
-        self.exprs = &f.exprs;
+    /// Check and annotate function `f`: its parameters, then its body.
+    fn check(&mut self, f: &mut Function) {
+        self.stmts = std::mem::take(&mut f.stmts);
+        self.exprs = std::mem::take(&mut f.exprs);
         self.func_name = f.name;
         self.ret_ty = f.ret;
         self.scopes.clear();
-        self.arg_tys.clear();
+        self.next_slot = 0;
         self.loops.clear();
         self.omp_depth = 0;
         self.barrier_forbidden = false;
@@ -194,17 +204,31 @@ impl<'a> Checker<'a> {
                     p.name.span,
                 );
             }
-            self.declare(p.name, p.ty);
+            self.declare(p.name.sym, p.ty);
         }
         self.check_block(&f.body);
+        f.stmts = std::mem::take(&mut self.stmts);
+        f.exprs = std::mem::take(&mut self.exprs);
     }
 
-    fn declare(&mut self, name: Ident, ty: Type) {
-        self.scopes.declare(name.sym, ty);
+    /// Bind `name` in the innermost scope to the next slot, which it
+    /// returns: the parameters get the first ones, in order.
+    fn declare(&mut self, name: Symbol, ty: Type) -> Slot {
+        let slot = self.next_slot;
+        self.next_slot += 1;
+        self.scopes.declare(name, (ty, slot));
+        slot
     }
 
-    fn lookup(&self, name: Ident) -> Option<Type> {
-        self.scopes.lookup(name.sym)
+    /// The type of the variable `name`, whose slot the node at `at`
+    /// records.
+    fn resolve(&mut self, at: At, name: Ident) -> Option<Type> {
+        let (ty, slot) = self.scopes.lookup(name.sym)?;
+        match at {
+            At::Expr(i) => self.exprs[i].slot = slot,
+            At::Stmt(i) => self.stmts[i].slot = slot,
+        }
+        Some(ty)
     }
 
     /// The identifier's text, for a message.
@@ -218,20 +242,19 @@ impl<'a> Checker<'a> {
 
     fn check_block(&mut self, b: &Block) {
         self.scopes.push();
-        for s in b.stmts.of(self.stmts) {
-            self.check_stmt(s);
+        let StmtRange { start, len } = b.stmts;
+        for i in start..start + len {
+            self.check_stmt(i as usize);
         }
         self.scopes.pop();
     }
 
-    /// Check a loop body with its induction variable bound in the
-    /// body's own scope.
-    fn check_loop_body(&mut self, var: Ident, body: &Block) {
+    /// Check the body of loop statement `i` with its induction variable
+    /// bound in a scope around the body's own.
+    fn check_loop_body(&mut self, i: usize, var: Ident, body: &Block) {
         self.scopes.push();
-        self.declare(var, Type::Int);
-        for st in body.stmts.of(self.stmts) {
-            self.check_stmt(st);
-        }
+        self.stmts[i].slot = self.declare(var.sym, Type::Int);
+        self.check_block(body);
         self.scopes.pop();
     }
 
@@ -242,20 +265,21 @@ impl<'a> Checker<'a> {
         self.omp_depth -= 1;
     }
 
-    fn check_stmt(&mut self, s: &'a Stmt) {
-        match &s.kind {
+    /// Check and annotate the statement at `i` of the arena.
+    fn check_stmt(&mut self, i: usize) {
+        let span = self.stmts[i].span;
+        match self.stmts[i].kind {
             StmtKind::Let { name, ty, init } => {
-                let (name, init) = (*name, *init);
                 let init_ty = self.check_expr(init);
                 let final_ty = match ty {
                     Some(annot) => {
-                        if *annot == Type::Void {
+                        if annot == Type::Void {
                             self.diags.error(
                                 "bad-type",
                                 "variables cannot have type void",
                                 name.span,
                             );
-                        } else if init_ty != Type::Void && init_ty != *annot {
+                        } else if init_ty != Type::Void && init_ty != annot {
                             self.diags.error(
                                 "type-mismatch",
                                 format!(
@@ -265,7 +289,7 @@ impl<'a> Checker<'a> {
                                 self.span_of(init),
                             );
                         }
-                        *annot
+                        annot
                     }
                     None => {
                         if init_ty == Type::Void {
@@ -283,13 +307,12 @@ impl<'a> Checker<'a> {
                         }
                     }
                 };
-                self.declare(name, final_ty);
+                self.stmts[i].slot = self.declare(name.sym, final_ty);
             }
             StmtKind::Assign { target, value } => {
-                let value = *value;
                 let value_ty = self.check_expr(value);
-                match *target {
-                    LValue::Var(id) => match self.lookup(id) {
+                match target {
+                    LValue::Var(id) => match self.resolve(At::Stmt(i), id) {
                         Some(t) => {
                             if value_ty != Type::Void && value_ty != t {
                                 self.diags.error(
@@ -313,7 +336,7 @@ impl<'a> Checker<'a> {
                                 self.span_of(idx),
                             );
                         }
-                        match self.lookup(id) {
+                        match self.resolve(At::Stmt(i), id) {
                             Some(t) if t.is_array() => {
                                 let elem = t.elem().expect("array type has elem");
                                 if value_ty != elem {
@@ -342,29 +365,29 @@ impl<'a> Checker<'a> {
                 then_blk,
                 else_blk,
             } => {
-                self.expect_ty(*cond, Type::Bool, "if condition");
-                self.check_block(then_blk);
+                self.expect_ty(cond, Type::Bool, "if condition");
+                self.check_block(&then_blk);
                 if let Some(e) = else_blk {
-                    self.check_block(e);
+                    self.check_block(&e);
                 }
             }
             StmtKind::While { cond, body } => {
-                self.expect_ty(*cond, Type::Bool, "while condition");
+                self.expect_ty(cond, Type::Bool, "while condition");
                 self.loops.push(LoopCtx {
                     kind: LoopKind::Sequential,
                     omp_depth: self.omp_depth,
                 });
-                self.check_block(body);
+                self.check_block(&body);
                 self.loops.pop();
             }
             StmtKind::For { var, lo, hi, body } => {
-                self.expect_ty(*lo, Type::Int, "for lower bound");
-                self.expect_ty(*hi, Type::Int, "for upper bound");
+                self.expect_ty(lo, Type::Int, "for lower bound");
+                self.expect_ty(hi, Type::Int, "for upper bound");
                 self.loops.push(LoopCtx {
                     kind: LoopKind::Sequential,
                     omp_depth: self.omp_depth,
                 });
-                self.check_loop_body(*var, body);
+                self.check_loop_body(i, var, &body);
                 self.loops.pop();
             }
             StmtKind::Return(value) => {
@@ -376,15 +399,15 @@ impl<'a> Checker<'a> {
                              `{}` (the model requires perfectly nested regions)",
                             self.name(self.func_name)
                         ),
-                        s.span,
+                        span,
                     );
                 }
-                match (*value, self.ret_ty) {
+                match (value, self.ret_ty) {
                     (None, Type::Void) => {}
                     (None, t) => self.diags.error(
                         "type-mismatch",
                         format!("function returns {t} but `return;` has no value"),
-                        s.span,
+                        span,
                     ),
                     (Some(v), t) => {
                         let vt = self.check_expr(v);
@@ -407,16 +430,16 @@ impl<'a> Checker<'a> {
             StmtKind::Break => match self.loops.last() {
                 None => self
                     .diags
-                    .error("break-outside-loop", "`break` outside of a loop", s.span),
+                    .error("break-outside-loop", "`break` outside of a loop", span),
                 Some(l) if l.kind == LoopKind::Workshare => self.diags.error(
                     "break-in-pfor",
                     "`break` cannot leave a worksharing `pfor` loop",
-                    s.span,
+                    span,
                 ),
                 Some(l) if l.omp_depth != self.omp_depth => self.diags.error(
                     "break-across-omp",
                     "`break` would leave an enclosing parallel construct",
-                    s.span,
+                    span,
                 ),
                 Some(_) => {}
             },
@@ -424,19 +447,19 @@ impl<'a> Checker<'a> {
                 None => self.diags.error(
                     "continue-outside-loop",
                     "`continue` outside of a loop",
-                    s.span,
+                    span,
                 ),
                 Some(l) if l.kind != LoopKind::Workshare && l.omp_depth != self.omp_depth => {
                     self.diags.error(
                         "continue-across-omp",
                         "`continue` would leave an enclosing parallel construct",
-                        s.span,
+                        span,
                     )
                 }
                 Some(_) => {}
             },
             StmtKind::Expr(e) => {
-                self.check_expr(*e);
+                self.check_expr(e);
             }
             StmtKind::Print(args) => {
                 for a in args.iter() {
@@ -457,15 +480,19 @@ impl<'a> Checker<'a> {
                         "barrier-bad-nesting",
                         "`barrier` may not be nested inside single, master, critical, \
                          pfor or sections",
-                        s.span,
+                        span,
                     );
                 }
             }
-            StmtKind::Omp(omp) => self.check_omp(omp, s.span),
+            StmtKind::Omp(_) => self.check_omp(i, span),
         }
     }
 
-    fn check_omp(&mut self, omp: &'a OmpStmt, span: Span) {
+    /// Check the OpenMP construct statement `i`.
+    fn check_omp(&mut self, i: usize, span: Span) {
+        let StmtKind::Omp(omp) = &self.stmts[i].kind else {
+            unreachable!("statement {i} is a construct")
+        };
         // OpenMP closely-nested-region rule: worksharing constructs,
         // `single` and `master` may not be closely nested inside
         // worksharing, `single`, `master` or `critical` regions (an
@@ -485,35 +512,35 @@ impl<'a> Checker<'a> {
                 span,
             );
         }
-        match omp {
+        match *omp {
             OmpStmt::Parallel { num_threads, body } => {
                 if let Some(e) = num_threads {
-                    self.expect_ty(*e, Type::Int, "num_threads clause");
+                    self.expect_ty(e, Type::Int, "num_threads clause");
                 }
                 // A new parallel region resets the barrier restriction:
                 // a barrier directly inside the nested region is legal.
                 let saved = self.barrier_forbidden;
                 self.barrier_forbidden = false;
-                self.check_omp_body(body);
+                self.check_omp_body(&body);
                 self.barrier_forbidden = saved;
             }
             OmpStmt::Single { body, .. } | OmpStmt::Master { body } => {
                 let saved = self.barrier_forbidden;
                 self.barrier_forbidden = true;
-                self.check_omp_body(body);
+                self.check_omp_body(&body);
                 self.barrier_forbidden = saved;
             }
             OmpStmt::Critical { body } => {
                 let saved = self.barrier_forbidden;
                 self.barrier_forbidden = true;
-                self.check_omp_body(body);
+                self.check_omp_body(&body);
                 self.barrier_forbidden = saved;
             }
             OmpStmt::PFor {
                 var, lo, hi, body, ..
             } => {
-                self.expect_ty(*lo, Type::Int, "pfor lower bound");
-                self.expect_ty(*hi, Type::Int, "pfor upper bound");
+                self.expect_ty(lo, Type::Int, "pfor lower bound");
+                self.expect_ty(hi, Type::Int, "pfor upper bound");
                 let saved = self.barrier_forbidden;
                 self.barrier_forbidden = true;
                 self.loops.push(LoopCtx {
@@ -521,16 +548,23 @@ impl<'a> Checker<'a> {
                     omp_depth: self.omp_depth + 1,
                 });
                 self.omp_depth += 1;
-                self.check_loop_body(*var, body);
+                self.check_loop_body(i, var, &body);
                 self.omp_depth -= 1;
                 self.loops.pop();
                 self.barrier_forbidden = saved;
             }
-            OmpStmt::Sections { sections, .. } => {
+            OmpStmt::Sections { .. } => {
                 let saved = self.barrier_forbidden;
                 self.barrier_forbidden = true;
-                for sec in sections {
-                    self.check_omp_body(sec);
+                // Re-read per section: checking one writes into the arena
+                // the list lives in.
+                for k in 0.. {
+                    let StmtKind::Omp(OmpStmt::Sections { sections, .. }) = &self.stmts[i].kind
+                    else {
+                        unreachable!()
+                    };
+                    let Some(&sec) = sections.get(k) else { break };
+                    self.check_omp_body(&sec);
                 }
                 self.barrier_forbidden = saved;
             }
@@ -556,24 +590,23 @@ impl<'a> Checker<'a> {
         }
     }
 
-    /// Check every argument, leaving their types on top of `arg_tys`;
-    /// returns where they start. The caller truncates back to it.
-    fn check_args(&mut self, args: ExprRange) -> usize {
-        let mark = self.arg_tys.len();
+    /// Check every argument: their types are in the arena afterwards.
+    fn check_args(&mut self, args: ExprRange) {
         for a in args.iter() {
-            let t = self.check_expr(a);
-            self.arg_tys.push(t);
+            self.check_expr(a);
         }
-        mark
     }
 
+    /// Check expression `id`, recording its type and what its names
+    /// resolve to.
     fn check_expr(&mut self, id: ExprId) -> Type {
-        let e = self.exprs[id.0 as usize];
-        match e.kind {
+        let i = id.0 as usize;
+        let e = self.exprs[i];
+        let ty = match e.kind {
             ExprKind::Int(_) => Type::Int,
             ExprKind::Float(_) => Type::Float,
             ExprKind::Bool(_) => Type::Bool,
-            ExprKind::Var(id) => match self.lookup(id) {
+            ExprKind::Var(id) => match self.resolve(At::Expr(i), id) {
                 Some(t) => t,
                 None => {
                     self.undeclared(id);
@@ -582,7 +615,7 @@ impl<'a> Checker<'a> {
             },
             ExprKind::Index(id, idx) => {
                 self.expect_ty(idx, Type::Int, "array index");
-                match self.lookup(id) {
+                match self.resolve(At::Expr(i), id) {
                     Some(t) if t.is_array() => t.elem().expect("array elem"),
                     Some(t) => {
                         self.diags.error(
@@ -638,9 +671,10 @@ impl<'a> Checker<'a> {
                             ),
                             e.span,
                         );
-                        return Type::Int;
+                        Type::Int
+                    } else {
+                        lt
                     }
-                    lt
                 } else if op.is_cmp() {
                     if lt != rt {
                         self.diags.error(
@@ -687,9 +721,9 @@ impl<'a> Checker<'a> {
                 }
             }
             ExprKind::Call(name, args) => {
-                let mark = self.check_args(args);
+                self.check_args(args);
                 let signatures = self.signatures;
-                let ret = match signatures.get(name.sym) {
+                match signatures.get(name.sym) {
                     None => {
                         self.diags.error(
                             "unknown-function",
@@ -699,6 +733,7 @@ impl<'a> Checker<'a> {
                         Type::Int
                     }
                     Some(sig) => {
+                        self.exprs[i].slot = sig.index as u32;
                         if sig.params.len() != args.len() {
                             self.diags.error(
                                 "arity-mismatch",
@@ -712,7 +747,7 @@ impl<'a> Checker<'a> {
                             );
                         } else {
                             for (i, want) in sig.params.iter().enumerate() {
-                                let got = self.arg_tys[mark + i];
+                                let got = self.exprs[args.get(i).0 as usize].ty;
                                 if *want != got {
                                     self.diags.error(
                                         "type-mismatch",
@@ -728,164 +763,18 @@ impl<'a> Checker<'a> {
                         }
                         sig.ret
                     }
-                };
-                self.arg_tys.truncate(mark);
-                ret
+                }
             }
             ExprKind::Intrinsic(intr, args) => {
-                let mark = self.check_args(args);
-                // Lent out for the call: it checks no further expression.
-                let tys = std::mem::take(&mut self.arg_tys);
-                let ty = self.check_intrinsic(intr, args, &tys[mark..], e.span);
-                self.arg_tys = tys;
-                self.arg_tys.truncate(mark);
-                ty
+                self.check_args(args);
+                let args = &self.exprs[args.start as usize..(args.start + args.len) as usize];
+                check_intrinsic(self.diags, intr, args, e.span)
             }
             ExprKind::Mpi(op) => self.check_mpi(op, e.span),
             ExprKind::AnySource | ExprKind::AnyTag => Type::Int,
-        }
-    }
-
-    /// `arg_tys` are the types of `args`, already checked.
-    fn check_intrinsic(
-        &mut self,
-        intr: Intrinsic,
-        args: ExprRange,
-        arg_tys: &[Type],
-        span: Span,
-    ) -> Type {
-        let arity_err = |ck: &mut Self, want: usize| {
-            ck.diags.error(
-                "arity-mismatch",
-                format!(
-                    "`{}` expects {want} argument(s), {} given",
-                    intr.name(),
-                    args.len()
-                ),
-                span,
-            );
         };
-        match intr {
-            Intrinsic::Rank | Intrinsic::Size | Intrinsic::ThreadNum | Intrinsic::NumThreads => {
-                if !args.is_empty() {
-                    arity_err(self, 0);
-                }
-                Type::Int
-            }
-            Intrinsic::InParallel => {
-                if !args.is_empty() {
-                    arity_err(self, 0);
-                }
-                Type::Bool
-            }
-            Intrinsic::Sqrt => {
-                if arg_tys.len() != 1 {
-                    arity_err(self, 1);
-                } else if arg_tys[0] != Type::Float {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("`sqrt` requires float, found {}", arg_tys[0]),
-                        self.span_of(args.get(0)),
-                    );
-                }
-                Type::Float
-            }
-            Intrinsic::Abs => {
-                if arg_tys.len() != 1 {
-                    arity_err(self, 1);
-                    return Type::Int;
-                }
-                if !arg_tys[0].is_numeric() {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("`abs` requires a numeric argument, found {}", arg_tys[0]),
-                        self.span_of(args.get(0)),
-                    );
-                    return Type::Int;
-                }
-                arg_tys[0]
-            }
-            Intrinsic::MinOf | Intrinsic::MaxOf => {
-                if arg_tys.len() != 2 {
-                    arity_err(self, 2);
-                    return Type::Int;
-                }
-                if arg_tys[0] != arg_tys[1] || !arg_tys[0].is_numeric() {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!(
-                            "`{}` requires two matching numeric arguments, found {} and {}",
-                            intr.name(),
-                            arg_tys[0],
-                            arg_tys[1]
-                        ),
-                        span,
-                    );
-                    return Type::Int;
-                }
-                arg_tys[0]
-            }
-            Intrinsic::IntOf => {
-                if arg_tys.len() != 1 {
-                    arity_err(self, 1);
-                } else if arg_tys[0] != Type::Float {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("`int_of` requires float, found {}", arg_tys[0]),
-                        self.span_of(args.get(0)),
-                    );
-                }
-                Type::Int
-            }
-            Intrinsic::FloatOf => {
-                if arg_tys.len() != 1 {
-                    arity_err(self, 1);
-                } else if arg_tys[0] != Type::Int {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("`float_of` requires int, found {}", arg_tys[0]),
-                        self.span_of(args.get(0)),
-                    );
-                }
-                Type::Float
-            }
-            Intrinsic::ArrayNew => {
-                if arg_tys.len() != 2 {
-                    arity_err(self, 2);
-                    return Type::ArrayInt;
-                }
-                if arg_tys[0] != Type::Int {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("array length must be int, found {}", arg_tys[0]),
-                        self.span_of(args.get(0)),
-                    );
-                }
-                match Type::array_of(arg_tys[1]) {
-                    Some(t) => t,
-                    None => {
-                        self.diags.error(
-                            "type-mismatch",
-                            format!("array elements must be int or float, found {}", arg_tys[1]),
-                            self.span_of(args.get(1)),
-                        );
-                        Type::ArrayInt
-                    }
-                }
-            }
-            Intrinsic::Len => {
-                if arg_tys.len() != 1 {
-                    arity_err(self, 1);
-                } else if !arg_tys[0].is_array() {
-                    self.diags.error(
-                        "type-mismatch",
-                        format!("`len` requires an array, found {}", arg_tys[0]),
-                        self.span_of(args.get(0)),
-                    );
-                }
-                Type::Int
-            }
-        }
+        self.exprs[i].ty = ty;
+        ty
     }
 
     /// Check an MPI operation's operands, each against the type its
@@ -960,15 +849,151 @@ impl<'a> Checker<'a> {
     }
 }
 
+/// The type of a call of `intr` with `args`, already checked.
+fn check_intrinsic(diags: &mut Diagnostics, intr: Intrinsic, args: &[Expr], span: Span) -> Type {
+    let arity_err = |diags: &mut Diagnostics, want: usize| {
+        diags.error(
+            "arity-mismatch",
+            format!(
+                "`{}` expects {want} argument(s), {} given",
+                intr.name(),
+                args.len()
+            ),
+            span,
+        );
+    };
+    match intr {
+        Intrinsic::Rank | Intrinsic::Size | Intrinsic::ThreadNum | Intrinsic::NumThreads => {
+            if !args.is_empty() {
+                arity_err(diags, 0);
+            }
+            Type::Int
+        }
+        Intrinsic::InParallel => {
+            if !args.is_empty() {
+                arity_err(diags, 0);
+            }
+            Type::Bool
+        }
+        Intrinsic::Sqrt => {
+            if args.len() != 1 {
+                arity_err(diags, 1);
+            } else if args[0].ty != Type::Float {
+                diags.error(
+                    "type-mismatch",
+                    format!("`sqrt` requires float, found {}", args[0].ty),
+                    args[0].span,
+                );
+            }
+            Type::Float
+        }
+        Intrinsic::Abs => {
+            if args.len() != 1 {
+                arity_err(diags, 1);
+                return Type::Int;
+            }
+            if !args[0].ty.is_numeric() {
+                diags.error(
+                    "type-mismatch",
+                    format!("`abs` requires a numeric argument, found {}", args[0].ty),
+                    args[0].span,
+                );
+                return Type::Int;
+            }
+            args[0].ty
+        }
+        Intrinsic::MinOf | Intrinsic::MaxOf => {
+            if args.len() != 2 {
+                arity_err(diags, 2);
+                return Type::Int;
+            }
+            if args[0].ty != args[1].ty || !args[0].ty.is_numeric() {
+                diags.error(
+                    "type-mismatch",
+                    format!(
+                        "`{}` requires two matching numeric arguments, found {} and {}",
+                        intr.name(),
+                        args[0].ty,
+                        args[1].ty
+                    ),
+                    span,
+                );
+                return Type::Int;
+            }
+            args[0].ty
+        }
+        Intrinsic::IntOf => {
+            if args.len() != 1 {
+                arity_err(diags, 1);
+            } else if args[0].ty != Type::Float {
+                diags.error(
+                    "type-mismatch",
+                    format!("`int_of` requires float, found {}", args[0].ty),
+                    args[0].span,
+                );
+            }
+            Type::Int
+        }
+        Intrinsic::FloatOf => {
+            if args.len() != 1 {
+                arity_err(diags, 1);
+            } else if args[0].ty != Type::Int {
+                diags.error(
+                    "type-mismatch",
+                    format!("`float_of` requires int, found {}", args[0].ty),
+                    args[0].span,
+                );
+            }
+            Type::Float
+        }
+        Intrinsic::ArrayNew => {
+            if args.len() != 2 {
+                arity_err(diags, 2);
+                return Type::ArrayInt;
+            }
+            if args[0].ty != Type::Int {
+                diags.error(
+                    "type-mismatch",
+                    format!("array length must be int, found {}", args[0].ty),
+                    args[0].span,
+                );
+            }
+            match Type::array_of(args[1].ty) {
+                Some(t) => t,
+                None => {
+                    diags.error(
+                        "type-mismatch",
+                        format!("array elements must be int or float, found {}", args[1].ty),
+                        args[1].span,
+                    );
+                    Type::ArrayInt
+                }
+            }
+        }
+        Intrinsic::Len => {
+            if args.len() != 1 {
+                arity_err(diags, 1);
+            } else if !args[0].ty.is_array() {
+                diags.error(
+                    "type-mismatch",
+                    format!("`len` requires an array, found {}", args[0].ty),
+                    args[0].span,
+                );
+            }
+            Type::Int
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program;
 
     fn sema_ok(src: &str) {
-        let (prog, mut diags) = parse_program(src);
+        let (mut prog, mut diags) = parse_program(src);
         assert!(!diags.has_errors(), "parse failed: {diags:?}");
-        check_program(&prog, &mut diags);
+        check_program(&mut prog, &mut diags);
         assert!(
             !diags.has_errors(),
             "unexpected sema errors:\n{:#?}",
@@ -977,9 +1002,9 @@ mod tests {
     }
 
     fn sema_err(src: &str, code: &str) {
-        let (prog, mut diags) = parse_program(src);
+        let (mut prog, mut diags) = parse_program(src);
         assert!(!diags.has_errors(), "parse failed: {diags:?}");
-        check_program(&prog, &mut diags);
+        check_program(&mut prog, &mut diags);
         assert!(
             diags.iter().any(|d| d.code == code),
             "expected error code `{code}`, got {:#?}",
@@ -1328,9 +1353,9 @@ mod tests {
             let a = MPI_Alltoall(b);
             let e = MPI_Reduce_scatter(u, SUM);
         }";
-        let (prog, mut diags) = parse_program(src);
+        let (mut prog, mut diags) = parse_program(src);
         assert!(!diags.has_errors(), "parse failed: {diags:?}");
-        check_program(&prog, &mut diags);
+        check_program(&mut prog, &mut diags);
         let got: Vec<String> = diags
             .iter()
             .map(|d| format!("{} {} {}", d.span.lo, d.code, d.message))
@@ -1378,16 +1403,55 @@ mod tests {
         sema_err("fn main() { let x = MPI_Init(); }", "type-mismatch");
     }
 
+    /// Every expression carries its type, every variable use and
+    /// declaration its binding's slot and every call its callee's index.
+    #[test]
+    fn sema_annotates_types_slots_and_callees() {
+        let (mut prog, mut diags) = parse_program(
+            "fn main() { let x = 1.5; if (true) { let x = f(2); print(x); } print(x); }
+             fn f(a: int) -> int { let b = a; return b; }",
+        );
+        check_program(&mut prog, &mut diags);
+        assert!(!diags.has_errors(), "{diags:?}");
+        let [main, f] = &prog.functions[..] else {
+            panic!("two functions");
+        };
+        let uses = |g: &Function| -> Vec<(Type, u32)> {
+            let vars = g.exprs.iter().filter_map(|e| match e.kind {
+                ExprKind::Var(_) => Some((e.ty, e.slot)),
+                _ => None,
+            });
+            vars.collect()
+        };
+        // `x` (float) is slot 0, the inner `x` (int) slot 1.
+        assert_eq!(uses(main), [(Type::Int, 1), (Type::Float, 0)]);
+        // Parameters first: `a` is slot 0, `b` slot 1.
+        assert_eq!(uses(f), [(Type::Int, 0), (Type::Int, 1)]);
+        let call = main.exprs.iter().find_map(|e| match e.kind {
+            ExprKind::Call(..) => Some((e.ty, e.slot)),
+            _ => None,
+        });
+        assert_eq!(call, Some((Type::Int, 1)), "`f` is function 1");
+        let lets: Vec<u32> = (main.stmts.iter())
+            .filter_map(|s| match s.kind {
+                StmtKind::Let { .. } => Some(s.slot),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(lets, [1, 0], "a nested block's statements come first");
+    }
+
     #[test]
     fn signatures_exposed() {
-        let (prog, mut diags) =
+        let (mut prog, mut diags) =
             parse_program("fn f(a: int) -> float { return 1.0; } fn main() { }");
-        let res = check_program(&prog, &mut diags);
+        let res = check_program(&mut prog, &mut diags);
         assert_eq!(
-            res.signatures.get(prog.interner.get("f").unwrap()),
+            res.get(prog.interner.get("f").unwrap()),
             Some(&Signature {
                 params: vec![Type::Int],
-                ret: Type::Float
+                ret: Type::Float,
+                index: 0,
             })
         );
     }

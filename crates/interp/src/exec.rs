@@ -392,6 +392,10 @@ impl Executor {
         });
         let output = Mutex::new(Vec::new());
         let budget = AtomicU64::new(self.cfg.max_steps);
+        let main = self.module.index("main");
+        let no_main = || RunErrorKind::MissingReturn {
+            func: "main".into(),
+        };
         // Each rank returns its error, if any, and what it counted.
         let per_rank = parcoach_sync::thread_cache().run_map(self.cfg.ranks, |rank| {
             let env = RankEnv {
@@ -419,7 +423,10 @@ impl Executor {
                 checks: None,
             };
             world.thread_started(rank);
-            let res = self.exec_function(&mut thread, "main", Vec::new(), 0, Span::DUMMY);
+            let res = match main {
+                Some(fi) => self.exec_function(&mut thread, fi, Vec::new(), 0, Span::DUMMY),
+                None => Err(RunError::new(no_main(), Span::DUMMY, rank)),
+            };
             world.finish_rank(rank);
             thread.state.return_lease(&env);
             let err = res.err();
@@ -468,13 +475,13 @@ impl Executor {
 
     // ---- function & block execution ------------------------------------
 
-    /// Call `name` at call depth `depth`; `call` is the call's span (dummy
-    /// for a rank's `main`), where a stack overflow or an unknown callee is
+    /// Call function `fidx` at call depth `depth`; `call` is the call's
+    /// span (dummy for a rank's `main`), where a stack overflow is
     /// reported.
     fn exec_function(
         &self,
         t: &mut SimThread<'_>,
-        name: &str,
+        fidx: usize,
         args: Vec<Value>,
         depth: usize,
         call: Span,
@@ -483,10 +490,6 @@ impl Executor {
         if depth > self.cfg.max_call_depth {
             return Err(RunError::new(RunErrorKind::StackOverflow, call, rank));
         }
-        let Some(&fidx) = self.module.by_name.get(name) else {
-            let missing = RunErrorKind::MissingReturn { func: name.into() };
-            return Err(RunError::new(missing, call, rank));
-        };
         let func = &self.module.funcs[fidx];
         let mut frame: Frame = t.state.take_frame();
         frame.extend(
@@ -504,7 +507,7 @@ impl Executor {
                 if func.ret != Type::Void && v.is_none() {
                     return Err(RunError::new(
                         RunErrorKind::MissingReturn {
-                            func: name.to_string(),
+                            func: func.name.clone(),
                         },
                         func.span,
                         rank,
@@ -882,12 +885,12 @@ impl Executor {
             }
             Instr::Call {
                 dest,
-                func: callee,
+                callee,
                 args,
                 span,
             } => {
                 let argv: Vec<Value> = args.iter().map(|a| self.read(frame, *a)).collect();
-                let ret = self.exec_function(t, callee, argv, depth + 1, *span)?;
+                let ret = self.exec_function(t, *callee, argv, depth + 1, *span)?;
                 if let (Some(d), Some(v)) = (dest, ret) {
                     self.write(frame, *d, v);
                 }

@@ -4,12 +4,12 @@
 //! barriers filled) so that the paper's "modified CFG" is visually
 //! inspectable: `parcoachc dump prog.mh --dot | dot -Tsvg`.
 
-use crate::func::FuncIr;
+use crate::func::{FuncIr, Module};
 use crate::instr::{BlockKind, Directive, Instr};
 use std::fmt::Write;
 
-/// Render the CFG of `f` as a DOT digraph.
-pub fn func_to_dot(f: &FuncIr) -> String {
+/// Render the CFG of `f`, a function of `m`, as a DOT digraph.
+pub fn func_to_dot(f: &FuncIr, m: &Module) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph \"{}\" {{", f.name);
     let _ = writeln!(out, "  node [fontname=\"monospace\", fontsize=10];");
@@ -20,7 +20,7 @@ pub fn func_to_dot(f: &FuncIr) -> String {
                 let mut body = String::new();
                 let instrs = f.instrs(id);
                 for i in instrs.iter().take(6) {
-                    let line = summarize_instr(i);
+                    let line = summarize_instr(i, m);
                     body.push_str(&line);
                     body.push_str("\\l");
                 }
@@ -73,7 +73,7 @@ pub fn func_to_dot(f: &FuncIr) -> String {
     out
 }
 
-fn summarize_instr(i: &Instr) -> String {
+fn summarize_instr(i: &Instr, m: &Module) -> String {
     match i {
         Instr::Copy { dest, src } => format!("{dest} = {src}"),
         Instr::Unary { dest, op, src } => format!("{dest} = {op:?} {src}"),
@@ -88,10 +88,12 @@ fn summarize_instr(i: &Instr) -> String {
             arr, idx, value, ..
         } => format!("{arr}[{idx}] = {value}"),
         Instr::Intrinsic { dest, intr, .. } => format!("{dest} = {}()", intr.name()),
-        Instr::Call { dest, func, .. } => match dest {
-            Some(d) => format!("{d} = call {func}"),
-            None => format!("call {func}"),
-        },
+        Instr::Call {
+            dest: Some(d),
+            callee,
+            ..
+        } => format!("{d} = call {}", m.funcs[*callee].name),
+        Instr::Call { callee, .. } => format!("call {}", m.funcs[*callee].name),
         Instr::Mpi { op, .. } => op.name().into(),
         Instr::Print { .. } => "print".into(),
         Instr::Check(c) => format!("CHECK {c:?}"),
@@ -113,7 +115,7 @@ mod tests {
         .unwrap();
         let m = lower_program(&unit.program, &unit.signatures);
         let f = m.main().unwrap();
-        let dot = func_to_dot(f);
+        let dot = func_to_dot(f, &m);
         assert!(dot.starts_with("digraph"));
         for id in f.block_ids() {
             assert!(dot.contains(&format!("n{} [", id.0)), "missing node {id}");
@@ -133,7 +135,7 @@ mod tests {
         )
         .unwrap();
         let m = lower_program(&unit.program, &unit.signatures);
-        let dot = func_to_dot(m.main().unwrap());
+        let dot = func_to_dot(m.main().unwrap(), &m);
         assert!(
             dot.contains(r#"label="bb0\nMPI_Init_thread\lMPI_Irecv\lMPI_Waitall\l""#),
             "{dot}"
@@ -145,7 +147,7 @@ mod tests {
         let unit =
             parse_and_check("t.mh", "fn main() { if (rank() == 0) { MPI_Barrier(); } }").unwrap();
         let m = lower_program(&unit.program, &unit.signatures);
-        let dot = func_to_dot(m.main().unwrap());
+        let dot = func_to_dot(m.main().unwrap(), &m);
         assert!(dot.contains("label=\"T\""));
         assert!(dot.contains("label=\"F\""));
     }

@@ -5,8 +5,7 @@ use crate::instr::{BlockKind, Directive, Instr, Successors, Terminator};
 use crate::types::{BlockId, Reg, RegionId, Value};
 use parcoach_front::ast::Type;
 use parcoach_front::span::Span;
-use std::collections::HashMap;
-use std::fmt;
+use std::fmt::Write;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -221,10 +220,10 @@ impl FuncIr {
             .map(|(id, _)| id)
     }
 
-    /// Textual dump for debugging and golden tests.
-    pub fn dump(&self) -> String {
+    /// Textual dump for debugging and golden tests; `m` is the module
+    /// the function belongs to, which names its callees.
+    pub fn dump(&self, m: &Module) -> String {
         let mut out = String::new();
-        use fmt::Write;
         let _ = writeln!(
             out,
             "fn {}({} params) -> {:?}",
@@ -238,40 +237,53 @@ impl FuncIr {
                 BlockKind::Directive(d) => format!(" [{}]", d.mnemonic()),
             };
             let _ = writeln!(out, "{id}{kind}:");
-            for i in self.instrs(id) {
-                let _ = writeln!(out, "    {i:?}");
-            }
+            self.write_instrs(&mut out, id, m);
             let _ = writeln!(out, "    {}", b.term);
         }
         out
     }
-}
 
-/// The canonical text of a function: its signature, register types,
-/// entry and region count, then every block in id order with its span,
-/// kind, instructions and terminator. It names no register and shows
-/// nothing of how the instructions are stored, so it pins what the IR
-/// means, not its layout.
-impl fmt::Display for FuncIr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "fn {}{:?} -> {:?} {}",
-            self.name, self.params, self.ret, self.span
-        )?;
-        writeln!(f, "  regs {:?}", self.reg_types)?;
-        writeln!(f, "  entry {} regions {}", self.entry, self.region_count)?;
+    /// The canonical text of this function of `m`: its signature,
+    /// register types, entry and region count, then every block in id
+    /// order with its span, kind, instructions and terminator. It names
+    /// no register and shows nothing of how the instructions are stored,
+    /// so it pins what the IR means, not its layout.
+    pub fn canonical(&self, m: &Module) -> String {
+        let mut out = String::new();
+        let (name, params, ret, span) = (&self.name, &self.params, self.ret, self.span);
+        let _ = writeln!(out, "fn {name}{params:?} -> {ret:?} {span}");
+        let _ = writeln!(out, "  regs {:?}", self.reg_types);
+        let _ = writeln!(out, "  entry {} regions {}", self.entry, self.region_count);
         for (id, b) in self.iter_blocks() {
-            match &b.kind {
-                BlockKind::Normal => writeln!(f, "{id} {}:", b.span)?,
-                BlockKind::Directive(d) => writeln!(f, "{id} {} {d:?}:", b.span)?,
-            }
-            for i in self.instrs(id) {
-                writeln!(f, "    {i:?}")?;
-            }
-            writeln!(f, "    {:?}", b.term)?;
+            let _ = match &b.kind {
+                BlockKind::Normal => writeln!(out, "{id} {}:", b.span),
+                BlockKind::Directive(d) => writeln!(out, "{id} {} {d:?}:", b.span),
+            };
+            self.write_instrs(&mut out, id, m);
+            let _ = writeln!(out, "    {:?}", b.term);
         }
-        Ok(())
+        out
+    }
+
+    /// The instructions of block `id`, a line each, as the printers show
+    /// them: the `{:?}` text, except that a call names its callee as `m`
+    /// does.
+    fn write_instrs(&self, out: &mut String, id: BlockId, m: &Module) {
+        for i in self.instrs(id) {
+            let _ = match i {
+                Instr::Call {
+                    dest,
+                    callee,
+                    args,
+                    span,
+                } => writeln!(
+                    out,
+                    "    Call {{ dest: {dest:?}, func: {:?}, args: {args:?}, span: {span:?} }}",
+                    m.funcs[*callee].name
+                ),
+                i => writeln!(out, "    {i:?}"),
+            };
+        }
     }
 }
 
@@ -281,37 +293,35 @@ impl fmt::Display for FuncIr {
 /// pointers, and a pass that rewrites some functions
 /// ([`Arc::make_mut`], [`Module::func_mut`]) copies exactly those — the
 /// rest stay the very allocations of the module it started from.
+/// A call names its callee by its index in `funcs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     /// Functions in definition order.
     pub funcs: Vec<Arc<FuncIr>>,
-    /// Name → index into `funcs`.
-    pub by_name: Arc<HashMap<String, usize>>,
 }
 
 impl Module {
     /// Build a module from functions.
     pub fn new(funcs: Vec<FuncIr>) -> Self {
-        let by_name = funcs
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.name.clone(), i))
-            .collect();
         Module {
             funcs: funcs.into_iter().map(Arc::new).collect(),
-            by_name: Arc::new(by_name),
         }
+    }
+
+    /// The index of the function named `name`.
+    pub fn index(&self, name: &str) -> Option<usize> {
+        self.funcs.iter().position(|f| f.name == name)
     }
 
     /// Find a function by name.
     pub fn func(&self, name: &str) -> Option<&FuncIr> {
-        self.by_name.get(name).map(|&i| &*self.funcs[i])
+        self.index(name).map(|i| &*self.funcs[i])
     }
 
     /// Mutable lookup by name; un-shares the function if another
     /// module still holds it.
     pub fn func_mut(&mut self, name: &str) -> Option<&mut FuncIr> {
-        let i = *self.by_name.get(name)?;
+        let i = self.index(name)?;
         Some(Arc::make_mut(&mut self.funcs[i]))
     }
 
@@ -386,6 +396,8 @@ mod tests {
         let m = Module::new(vec![tiny_func()]);
         assert!(m.func("t").is_some());
         assert!(m.func("nope").is_none());
+        assert_eq!(m.index("t"), Some(0));
+        assert_eq!(m.index("nope"), None);
         assert_eq!(m.total_blocks(), 3);
         assert_eq!(m.total_instrs(), 1);
     }

@@ -157,8 +157,8 @@ pub enum Instr {
     Call {
         /// Destination (None for void functions).
         dest: Option<Reg>,
-        /// Callee name.
-        func: String,
+        /// The callee: an index into [`Module::funcs`](crate::Module::funcs).
+        callee: usize,
         /// Arguments.
         args: Vec<Value>,
         /// Call-site span.

@@ -46,4 +46,4 @@ pub use instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator, Worksha
 pub use loops::{LoopInfo, NaturalLoop};
 pub use lower::lower_program;
 pub use types::{BlockId, Const, Reg, RegionId, Value};
-pub use verify::{verify_func, verify_module, VerifyError};
+pub use verify::{verify_module, VerifyError};

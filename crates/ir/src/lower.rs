@@ -12,33 +12,38 @@
 //!
 //! Expressions are lowered to three-address instructions over virtual
 //! registers; `&&`/`||` short-circuit through the CFG.
+//!
+//! Lowering decides no name and no type: it reads sema's annotations
+//! (every expression's type, every variable's slot, every callee's
+//! index) off the AST.
 
 use crate::func::{BasicBlock, FuncIr, Module};
 use crate::instr::{BlockKind, Directive, Instr, Terminator, WorkshareKind};
 use crate::types::{BlockId, Reg, RegionId, Value};
 use parcoach_front::ast::{
-    BinOp, Block, Expr, ExprId, ExprKind, Function, Ident, Intrinsic, LValue, MpiOp, OmpStmt,
-    Program, Stmt, StmtKind, Type, UnOp,
+    BinOp, Block, Expr, ExprId, ExprKind, Function, Intrinsic, LValue, OmpStmt, Program, Slot,
+    Stmt, StmtKind, Type,
 };
-use parcoach_front::scope::ScopeStack;
 use parcoach_front::sema::Signatures;
 use parcoach_front::span::Span;
 use parcoach_front::symbol::Interner;
 
-/// Lower a full checked program to IR.
-pub fn lower_program(prog: &Program, sigs: &Signatures) -> Module {
-    let mut lowerer = Lowerer::new(&prog.interner, sigs);
+/// Lower a full checked program to IR. Sema annotated `prog` when it
+/// checked it against `_sigs`; lowering reads the annotations and needs
+/// nothing from the table itself.
+pub fn lower_program(prog: &Program, _sigs: &Signatures) -> Module {
+    let mut lowerer = Lowerer::new(&prog.interner);
     let funcs = prog.functions.iter().map(|f| lowerer.run(f)).collect();
     Module::new(funcs)
 }
 
-/// Lower a single checked function against a full signature table;
-/// `interner` is the one `f`'s and the table's symbols belong to. The
-/// incremental session (`parcoachd` edits) re-lowers only the edited
-/// function; the result is bit-identical to the corresponding entry of
-/// [`lower_program`] because lowering is per-function pure.
-pub fn lower_function(f: &Function, interner: &Interner, sigs: &Signatures) -> FuncIr {
-    Lowerer::new(interner, sigs).run(f)
+/// Lower a single checked function; `interner` is the one `f`'s symbols
+/// belong to. The incremental session (`parcoachd` edits) re-lowers only
+/// the edited function; the result is bit-identical to the
+/// corresponding entry of [`lower_program`] because lowering is
+/// per-function pure.
+pub fn lower_function(f: &Function, interner: &Interner) -> FuncIr {
+    Lowerer::new(interner).run(f)
 }
 
 struct LoopTargets {
@@ -57,7 +62,6 @@ struct LoopTargets {
 /// when it is finished, block after block.
 struct Lowerer<'a> {
     interner: &'a Interner,
-    sigs: &'a Signatures,
     /// The arenas of the function being lowered.
     stmts: &'a [Stmt],
     exprs: &'a [Expr],
@@ -67,24 +71,24 @@ struct Lowerer<'a> {
     /// with their capacity.
     block_instrs: Vec<Vec<Instr>>,
     reg_types: Vec<Type>,
-    /// Registers of the variables in scope.
-    scopes: ScopeStack<Reg>,
+    /// The register of each binding slot lowered so far: a slot gets
+    /// its register where it is declared, in declaration order.
+    slot_regs: Vec<Reg>,
     cur: BlockId,
     regions: u32,
     loops: Vec<LoopTargets>,
 }
 
 impl<'a> Lowerer<'a> {
-    fn new(interner: &'a Interner, sigs: &'a Signatures) -> Self {
+    fn new(interner: &'a Interner) -> Self {
         Lowerer {
             interner,
-            sigs,
             stmts: &[],
             exprs: &[],
             blocks: Vec::new(),
             block_instrs: Vec::new(),
             reg_types: Vec::new(),
-            scopes: ScopeStack::new(),
+            slot_regs: Vec::new(),
             cur: BlockId(0),
             regions: 0,
             loops: Vec::new(),
@@ -98,9 +102,9 @@ impl<'a> Lowerer<'a> {
         self.cur = BlockId(0);
         self.regions = 0;
         let mut params = Vec::with_capacity(src.params.len());
-        for p in &src.params {
+        for (k, p) in src.params.iter().enumerate() {
             let r = self.fresh(p.ty);
-            self.scopes.declare(p.name.sym, r);
+            self.bind(k as Slot, r);
             params.push(r);
         }
         self.blocks[0].span = src.span;
@@ -112,7 +116,7 @@ impl<'a> Lowerer<'a> {
                 span: src.span,
             };
         }
-        self.scopes.clear();
+        self.slot_regs.clear();
         FuncIr {
             name: self.interner.resolve(src.name.sym).to_string(),
             params,
@@ -195,44 +199,33 @@ impl<'a> Lowerer<'a> {
         !matches!(self.blocks[self.cur.index()].term, Terminator::Unreachable)
     }
 
-    fn lookup(&self, name: Ident) -> Reg {
-        self.scopes.lookup(name.sym).unwrap_or_else(|| {
-            panic!(
-                "sema guaranteed variable `{}` exists",
-                self.interner.resolve(name.sym)
-            )
-        })
+    /// Give the variable in `slot`, being declared, its register.
+    fn bind(&mut self, slot: Slot, r: Reg) {
+        let slot = slot as usize;
+        if self.slot_regs.len() <= slot {
+            self.slot_regs.resize(slot + 1, r);
+        }
+        self.slot_regs[slot] = r;
     }
 
-    fn span_of(&self, e: ExprId) -> Span {
-        self.exprs[e.0 as usize].span
+    /// The register of the variable in `slot`.
+    fn lookup(&self, slot: Slot) -> Reg {
+        self.slot_regs[slot as usize]
+    }
+
+    fn expr(&self, e: ExprId) -> &'a Expr {
+        &self.exprs[e.0 as usize]
     }
 
     // ---- statements -------------------------------------------------------
 
     fn lower_block(&mut self, b: &Block) {
-        self.scopes.push();
         for s in b.stmts.of(self.stmts) {
             if self.terminated() {
                 break; // dead code after break/continue/return
             }
             self.lower_stmt(s);
         }
-        self.scopes.pop();
-    }
-
-    /// Lower a loop body with its induction variable bound to `iv` in
-    /// the body's own scope.
-    fn lower_loop_body(&mut self, var: Ident, iv: Reg, body: &Block) {
-        self.scopes.push();
-        self.scopes.declare(var.sym, iv);
-        for st in body.stmts.of(self.stmts) {
-            if self.terminated() {
-                break;
-            }
-            self.lower_stmt(st);
-        }
-        self.scopes.pop();
     }
 
     fn lower_stmt(&mut self, s: &'a Stmt) {
@@ -240,22 +233,21 @@ impl<'a> Lowerer<'a> {
             self.blocks[self.cur.index()].span = s.span;
         }
         match &s.kind {
-            StmtKind::Let { name, ty, init } => {
+            StmtKind::Let { ty, init, .. } => {
                 let v = self.lower_expr(*init);
-                let ty = ty.unwrap_or_else(|| self.value_ty(v));
-                let r = self.fresh(ty);
+                let r = self.fresh(ty.unwrap_or(self.expr(*init).ty));
                 self.emit(Instr::Copy { dest: r, src: v });
-                self.scopes.declare(name.sym, r);
+                self.bind(s.slot, r);
             }
             StmtKind::Assign { target, value } => {
                 let v = self.lower_expr(*value);
                 match *target {
-                    LValue::Var(id) => {
-                        let r = self.lookup(id);
+                    LValue::Var(_) => {
+                        let r = self.lookup(s.slot);
                         self.emit(Instr::Copy { dest: r, src: v });
                     }
-                    LValue::Index(id, idx) => {
-                        let arr = self.lookup(id);
+                    LValue::Index(_, idx) => {
+                        let arr = self.lookup(s.slot);
                         let i = self.lower_expr(idx);
                         self.emit(Instr::Store {
                             arr,
@@ -283,7 +275,7 @@ impl<'a> Lowerer<'a> {
                     cond: c,
                     then_bb,
                     else_bb,
-                    span: self.span_of(*cond),
+                    span: self.expr(*cond).span,
                 });
                 self.cur = then_bb;
                 self.lower_block(then_blk);
@@ -309,7 +301,7 @@ impl<'a> Lowerer<'a> {
                     cond: c,
                     then_bb: body_bb,
                     else_bb: exit,
-                    span: self.span_of(*cond),
+                    span: self.expr(*cond).span,
                 });
                 self.loops.push(LoopTargets {
                     continue_bb: head,
@@ -323,7 +315,7 @@ impl<'a> Lowerer<'a> {
                 self.loops.pop();
                 self.cur = exit;
             }
-            StmtKind::For { var, lo, hi, body } => {
+            StmtKind::For { lo, hi, body, .. } => {
                 let lo_v = self.lower_expr(*lo);
                 let hi_v = self.lower_expr(*hi);
                 // Materialize the bound so it is evaluated once.
@@ -361,7 +353,8 @@ impl<'a> Lowerer<'a> {
                     break_bb: exit,
                 });
                 self.cur = body_bb;
-                self.lower_loop_body(*var, iv, body);
+                self.bind(s.slot, iv);
+                self.lower_block(body);
                 if !self.terminated() {
                     self.set_term(Terminator::Goto(incr));
                 }
@@ -420,11 +413,12 @@ impl<'a> Lowerer<'a> {
                 let cont = self.new_block();
                 self.goto(cont);
             }
-            StmtKind::Omp(omp) => self.lower_omp(omp, s.span),
+            StmtKind::Omp(omp) => self.lower_omp(omp, s.span, s.slot),
         }
     }
 
-    fn lower_omp(&mut self, omp: &'a OmpStmt, span: Span) {
+    /// Lower construct `omp`; `slot` is a `pfor`'s induction variable's.
+    fn lower_omp(&mut self, omp: &'a OmpStmt, span: Span, slot: Slot) {
         match omp {
             OmpStmt::Parallel { num_threads, body } => {
                 let nt = num_threads.map(|e| self.lower_expr(e));
@@ -548,10 +542,10 @@ impl<'a> Lowerer<'a> {
             }
             OmpStmt::PFor {
                 nowait,
-                var,
                 lo,
                 hi,
                 body,
+                ..
             } => {
                 let lo_v = self.lower_expr(*lo);
                 let hi_v = self.lower_expr(*hi);
@@ -605,7 +599,8 @@ impl<'a> Lowerer<'a> {
                     break_bb: we,
                 });
                 self.cur = body_bb;
-                self.lower_loop_body(*var, iv, body);
+                self.bind(slot, iv);
+                self.lower_block(body);
                 if !self.terminated() {
                     self.set_term(Terminator::Goto(incr));
                 }
@@ -703,27 +698,17 @@ impl<'a> Lowerer<'a> {
 
     // ---- expressions -------------------------------------------------------
 
-    fn value_ty(&self, v: Value) -> Type {
-        match v {
-            Value::Reg(r) => self.reg_types[r.index()],
-            Value::Const(c) => c.ty(),
-        }
-    }
-
     fn lower_expr(&mut self, e: ExprId) -> Value {
-        let e = self.exprs[e.0 as usize];
+        let e = *self.expr(e);
         match e.kind {
             ExprKind::Int(v) => Value::int(v),
             ExprKind::Float(v) => Value::Const(crate::types::Const::Float(v)),
             ExprKind::Bool(v) => Value::bool(v),
-            ExprKind::Var(id) => Value::Reg(self.lookup(id)),
-            ExprKind::Index(id, idx) => {
-                let arr = self.lookup(id);
+            ExprKind::Var(_) => Value::Reg(self.lookup(e.slot)),
+            ExprKind::Index(_, idx) => {
+                let arr = self.lookup(e.slot);
                 let i = self.lower_expr(idx);
-                let elem = self.reg_types[arr.index()]
-                    .elem()
-                    .expect("sema guaranteed array type");
-                let dest = self.fresh(elem);
+                let dest = self.fresh(e.ty);
                 self.emit(Instr::Load {
                     dest,
                     arr,
@@ -734,11 +719,7 @@ impl<'a> Lowerer<'a> {
             }
             ExprKind::Unary(op, inner) => {
                 let v = self.lower_expr(inner);
-                let ty = match op {
-                    UnOp::Neg => self.value_ty(v),
-                    UnOp::Not => Type::Bool,
-                };
-                let dest = self.fresh(ty);
+                let dest = self.fresh(e.ty);
                 self.emit(Instr::Unary { dest, op, src: v });
                 dest.into()
             }
@@ -776,12 +757,7 @@ impl<'a> Lowerer<'a> {
             ExprKind::Binary(op, l, r) => {
                 let lv = self.lower_expr(l);
                 let rv = self.lower_expr(r);
-                let ty = if op.is_cmp() {
-                    Type::Bool
-                } else {
-                    self.value_ty(lv)
-                };
-                let dest = self.fresh(ty);
+                let dest = self.fresh(e.ty);
                 self.emit(Instr::Binary {
                     dest,
                     op,
@@ -791,17 +767,12 @@ impl<'a> Lowerer<'a> {
                 });
                 dest.into()
             }
-            ExprKind::Call(name, args) => {
+            ExprKind::Call(_, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.lower_expr(a)).collect();
-                let ret = self.sigs.get(name.sym).map_or(Type::Void, |s| s.ret);
-                let dest = if ret == Type::Void {
-                    None
-                } else {
-                    Some(self.fresh(ret))
-                };
+                let dest = (e.ty != Type::Void).then(|| self.fresh(e.ty));
                 self.emit(Instr::Call {
                     dest,
-                    func: self.interner.resolve(name.sym).to_string(),
+                    callee: e.slot as usize,
                     args: vals,
                     span: e.span,
                 });
@@ -809,57 +780,37 @@ impl<'a> Lowerer<'a> {
             }
             ExprKind::Intrinsic(intr, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.lower_expr(a)).collect();
+                let dest = self.fresh(e.ty);
                 if intr == Intrinsic::ArrayNew {
-                    let elem = self.value_ty(vals[1]);
-                    let ty = Type::array_of(elem).expect("sema checked elem type");
-                    let dest = self.fresh(ty);
                     self.emit(Instr::ArrayNew {
                         dest,
                         len: vals[0],
                         init: vals[1],
-                        elem,
+                        elem: self.expr(args.get(1)).ty,
                         span: e.span,
                     });
-                    return dest.into();
+                } else {
+                    self.emit(Instr::Intrinsic {
+                        dest,
+                        intr,
+                        args: vals,
+                    });
                 }
-                let ty = match intr {
-                    Intrinsic::Rank
-                    | Intrinsic::Size
-                    | Intrinsic::ThreadNum
-                    | Intrinsic::NumThreads
-                    | Intrinsic::IntOf
-                    | Intrinsic::Len => Type::Int,
-                    Intrinsic::InParallel => Type::Bool,
-                    Intrinsic::Sqrt | Intrinsic::FloatOf => Type::Float,
-                    Intrinsic::Abs | Intrinsic::MinOf | Intrinsic::MaxOf => self.value_ty(vals[0]),
-                    Intrinsic::ArrayNew => unreachable!("handled above"),
-                };
-                let dest = self.fresh(ty);
-                self.emit(Instr::Intrinsic {
-                    dest,
-                    intr,
-                    args: vals,
-                });
                 dest.into()
             }
-            ExprKind::Mpi(op) => self.lower_mpi(op, e.span),
+            ExprKind::Mpi(op) => {
+                let op = op.map(|_, e| self.lower_expr(e));
+                let dest = (e.ty != Type::Void).then(|| self.fresh(e.ty));
+                self.emit(Instr::Mpi {
+                    dest,
+                    op,
+                    span: e.span,
+                });
+                dest.map_or(Value::int(0), Value::Reg)
+            }
             ExprKind::AnySource => Value::int(parcoach_front::ast::ANY_SOURCE),
             ExprKind::AnyTag => Value::int(parcoach_front::ast::ANY_TAG),
         }
-    }
-
-    /// Lower the operands in source order, then the operation, whose
-    /// result (if any) gets a fresh register.
-    fn lower_mpi(&mut self, op: MpiOp<ExprId>, span: Span) -> Value {
-        let op = op.map(|_, e| self.lower_expr(e));
-        let payload = match &op {
-            MpiOp::Collective { value: Some(v), .. } => Some(self.value_ty(*v)),
-            _ => None,
-        };
-        let ty = op.result_type(payload).expect("checked by sema");
-        let dest = (ty != Type::Void).then(|| self.fresh(ty));
-        self.emit(Instr::Mpi { dest, op, span });
-        dest.map_or(Value::int(0), Value::Reg)
     }
 }
 
@@ -867,6 +818,7 @@ impl<'a> Lowerer<'a> {
 mod tests {
     use super::*;
     use crate::types::Const;
+    use parcoach_front::ast::MpiOp;
     use parcoach_front::parse_and_check;
 
     fn lower(src: &str) -> Module {
@@ -971,7 +923,7 @@ mod tests {
                 }
             }
         }
-        assert!(has_back, "while must create a back edge:\n{}", f.dump());
+        assert!(has_back, "while must create a back edge:\n{}", f.dump(&m));
     }
 
     #[test]
@@ -1188,7 +1140,7 @@ mod tests {
             f.block_count() >= 7,
             "got {}:\n{}",
             f.block_count(),
-            f.dump()
+            f.dump(&m)
         );
     }
 
@@ -1213,9 +1165,18 @@ mod tests {
             assert!(
                 !matches!(b.term, Terminator::Unreachable),
                 "block {id} unterminated:\n{}",
-                f.dump()
+                f.dump(&m)
             );
         }
+    }
+
+    /// The callee of every call of `f`, in order.
+    fn callees(f: &FuncIr) -> Vec<usize> {
+        let calls = f.instrs.iter().filter_map(|i| match i {
+            Instr::Call { callee, .. } => Some(*callee),
+            _ => None,
+        });
+        calls.collect()
     }
 
     #[test]
@@ -1224,11 +1185,29 @@ mod tests {
             "fn work(a: int) -> int { return a * 2; }
              fn main() { let x = work(21); print(x); }",
         );
-        let f = m.main().unwrap();
-        assert!(f
-            .instrs
-            .iter()
-            .any(|i| matches!(i, Instr::Call { func, .. } if func == "work")));
+        assert_eq!(callees(m.main().unwrap()), [m.index("work").unwrap()]);
+
+        // Mutual recursion, and calls to functions defined later.
+        let m = lower(
+            "fn even(n: int) -> bool { if (n == 0) { return true; } return odd(n - 1); }
+             fn main() { let e = even(4); tick(); }
+             fn odd(n: int) -> bool { if (n == 0) { return false; } return even(n - 1); }
+             fn tick() { }",
+        );
+        let ix = |name: &str| m.index(name).unwrap();
+        assert_eq!(callees(m.func("even").unwrap()), [ix("odd")]);
+        assert_eq!(callees(m.func("odd").unwrap()), [ix("even")]);
+        assert_eq!(callees(m.main().unwrap()), [ix("even"), ix("tick")]);
+        assert_eq!(
+            (ix("even"), ix("main"), ix("odd"), ix("tick")),
+            (0, 1, 2, 3)
+        );
+        assert!(
+            m.main().unwrap().instrs.iter().any(
+                |i| matches!(i, Instr::Call { dest: None, callee, .. } if *callee == ix("tick"))
+            ),
+            "a call of a void function has no destination"
+        );
     }
 
     #[test]

@@ -7,6 +7,8 @@ use crate::func::{FuncIr, Module};
 use crate::graph::reachable;
 use crate::instr::{BlockKind, Directive, Instr, Terminator};
 use crate::types::BlockId;
+use parcoach_front::ast::Type;
+use std::sync::Arc;
 
 /// A verifier finding.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,21 +32,19 @@ pub fn verify_module(m: &Module) -> Vec<VerifyError> {
     let mut errs = Vec::new();
     let mut walk = NestingWalk::default();
     for f in &m.funcs {
-        verify_into(f, &mut walk, &mut errs);
+        verify_into(f, &m.funcs, &mut walk, &mut errs);
     }
     errs
 }
 
-/// Verify a single function.
-pub fn verify_func(f: &FuncIr) -> Vec<VerifyError> {
-    let mut errs = Vec::new();
-    verify_into(f, &mut NestingWalk::default(), &mut errs);
-    errs
-}
-
-/// Append `f`'s findings to `errs`; `walk` is scratch space that one
-/// module's functions share.
-fn verify_into(f: &FuncIr, walk: &mut NestingWalk, errs: &mut Vec<VerifyError>) {
+/// Append the findings of `f`, a function of `funcs`, to `errs`; `walk`
+/// is scratch space that the module's functions share.
+fn verify_into(
+    f: &FuncIr,
+    funcs: &[Arc<FuncIr>],
+    walk: &mut NestingWalk,
+    errs: &mut Vec<VerifyError>,
+) {
     let before = errs.len();
     let mut err = |block: BlockId, message: String| {
         errs.push(VerifyError {
@@ -127,7 +127,17 @@ fn verify_into(f: &FuncIr, walk: &mut NestingWalk, errs: &mut Vec<VerifyError>) 
                 Instr::Intrinsic { dest, args, .. } => {
                     dest.index() < max_reg && args.iter().all(check_val)
                 }
-                Instr::Call { dest, args, .. } => {
+                Instr::Call {
+                    dest, callee, args, ..
+                } => {
+                    // The callee exists, takes as many arguments, and
+                    // returns a value exactly when the call keeps one.
+                    let fits = funcs.get(*callee).is_some_and(|g| {
+                        g.params.len() == args.len() && dest.is_some() == (g.ret != Type::Void)
+                    });
+                    if !fits {
+                        err(id, format!("call does not fit its callee: {i:?}"));
+                    }
                     dest.is_none_or(|d| d.index() < max_reg) && args.iter().all(check_val)
                 }
                 Instr::Mpi { dest, op, .. } => {
@@ -429,6 +439,69 @@ mod tests {
             }
         }
         assert_eq!(corrupted, 11, "every operand of every MPI operation");
+    }
+
+    /// The `Call` instruction of the one-call module `m`'s `main`.
+    fn main_call(m: &mut Module) -> &mut Instr {
+        let main = m.index("main").unwrap();
+        let f = Arc::make_mut(&mut m.funcs[main]);
+        let call = f
+            .instrs
+            .iter()
+            .position(|i| matches!(i, Instr::Call { .. }));
+        &mut f.instrs[call.expect("main calls")]
+    }
+
+    const CALLS_F: &str = "fn f(a: int) -> int { return a; } fn main() { let x = f(1); }";
+
+    #[test]
+    fn detects_out_of_range_callee() {
+        let mut m = lower_ok(CALLS_F);
+        assert!(verify_module(&m).is_empty());
+        let Instr::Call { callee, .. } = main_call(&mut m) else {
+            unreachable!()
+        };
+        *callee = 2;
+        let errs = verify_module(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].func, "main");
+        assert!(errs[0]
+            .message
+            .starts_with("call does not fit its callee: Call"));
+    }
+
+    #[test]
+    fn detects_call_arity_mismatch() {
+        let mut m = lower_ok(CALLS_F);
+        let Instr::Call { args, .. } = main_call(&mut m) else {
+            unreachable!()
+        };
+        args.push(crate::types::Value::int(2));
+        let errs = verify_module(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0]
+            .message
+            .starts_with("call does not fit its callee: Call"));
+    }
+
+    #[test]
+    fn detects_call_destination_mismatch() {
+        let mut m = lower_ok(CALLS_F);
+        let Instr::Call { dest, .. } = main_call(&mut m) else {
+            unreachable!()
+        };
+        *dest = None;
+        let errs = verify_module(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].message.starts_with("call does not fit its callee"));
+        let mut m = lower_ok("fn g() { } fn main() { let y = 1; g(); }");
+        let Instr::Call { dest, .. } = main_call(&mut m) else {
+            unreachable!()
+        };
+        *dest = Some(crate::types::Reg(0));
+        let errs = verify_module(&m);
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].message.starts_with("call does not fit its callee"));
     }
 
     #[test]

@@ -47,11 +47,11 @@ fn pipeline_at_the_nesting_limit_fits_a_worker_stack() {
         .spawn(|| {
             for src in deepest_programs() {
                 let head = &src[..src.len().min(60)];
-                let (prog, mut diags) = parse_program(&src);
+                let (mut prog, mut diags) = parse_program(&src);
                 assert!(!diags.has_errors(), "{head}…: {:?}", diags.iter().next());
-                let sema = check_program(&prog, &mut diags);
+                let signatures = check_program(&mut prog, &mut diags);
                 assert!(!diags.has_errors(), "{head}…: {:?}", diags.iter().next());
-                let module = lower_program(&prog, &sema.signatures);
+                let module = lower_program(&prog, &signatures);
                 assert!(verify_module(&module).is_empty(), "{head}…");
                 assert!(!pretty_program(&prog).is_empty());
                 drop(prog.clone());

@@ -7,7 +7,8 @@
 //! path**: reparse *only* the replacement function (lexed at its byte
 //! offset in the file, so its spans are absolute, and interned into the
 //! document's own interner, so its symbols are the document's),
-//! sema-check it against the existing signature table, re-lower it in isolation, splice the
+//! sema-check and annotate it against the existing signature table,
+//! re-lower it in isolation, splice the
 //! text and its line index in place ([`SourceMap::splice`]), and rebase
 //! the spans of every function after the splice point in the resident
 //! AST and IR by the byte delta. The document is the only thing that
@@ -128,15 +129,8 @@ impl Document {
     /// Replace the definition of `func` with `new_text` (which must
     /// contain the full replacement definition, `fn` keyword included).
     pub fn edit(&mut self, func: &str, new_text: &str) -> Result<EditOutcome, DocError> {
-        let idx = self
-            .program
-            .interner
-            .get(func)
-            .and_then(|sym| {
-                let functions = &self.program.functions;
-                functions.iter().position(|f| f.name.sym == sym)
-            })
-            .ok_or_else(|| DocError::UnknownFunction(func.to_string()))?;
+        let idx =
+            (self.module.index(func)).ok_or_else(|| DocError::UnknownFunction(func.to_string()))?;
         let old_span = self.program.functions[idx].span;
         let (lo, hi) = (old_span.lo as usize, old_span.hi as usize);
         let delta = new_text.len() as i64 - (hi - lo) as i64;
@@ -180,8 +174,10 @@ impl Document {
     /// The single-function path: parse `new_text` alone (at its
     /// absolute offset, into the document's interner), and accept it
     /// only if it is a drop-in replacement for function `idx` — same
-    /// name, same signature, sema-clean against the existing signature
-    /// table. A declined text leaves at most its new names behind in the
+    /// name, same parameter and return types, sema-clean against the
+    /// existing signature table, which also annotates it: its callees
+    /// resolve to the indices the other functions' calls use. A
+    /// declined text leaves at most its new names behind in the
     /// interner, which nothing refers to.
     fn try_incremental(
         &mut self,
@@ -194,22 +190,24 @@ impl Document {
         if diags.has_errors() || functions.len() != 1 {
             return None;
         }
-        let new_fn = functions.into_iter().next().unwrap();
+        let mut new_fn = functions.into_iter().next().unwrap();
         let name = self.program.functions[idx].name.sym;
         if new_fn.name.sym != name {
             return None;
         }
+        // The replacement keeps the function's place, so of the two
+        // signatures only the parameter and return types can differ.
         let old_sig = self.signatures.get(name).expect("resident function");
-        if sema::signature_of(&new_fn) != *old_sig {
+        if sema::signature_of(&new_fn, idx) != *old_sig {
             return None;
         }
         let mut diags = parcoach_front::Diagnostics::new();
         let interner = &self.program.interner;
-        sema::check_function(&new_fn, interner, &self.signatures, &mut diags);
+        sema::check_function(&mut new_fn, interner, &self.signatures, &mut diags);
         if diags.has_errors() {
             return None;
         }
-        let new_ir = lower_function(&new_fn, interner, &self.signatures);
+        let new_ir = lower_function(&new_fn, interner);
         debug_assert_eq!(self.module.funcs[idx].name, new_ir.name);
         Some((new_fn, new_ir))
     }
@@ -289,15 +287,9 @@ fn main() {
         assert!(out.delta > 0);
 
         // The edited document equals a from-scratch compile of its text,
-        // module spans included (the shift rebased `main`). Compare the
-        // function vector, not the whole module: `by_name` is a HashMap
-        // whose Debug order is not part of the contract.
+        // module spans included (the shift rebased `main`).
         let fresh = Document::open("t.mh", doc.text()).unwrap();
-        assert_eq!(
-            format!("{:?}", doc.module().funcs),
-            format!("{:?}", fresh.module().funcs)
-        );
-        assert_eq!(doc.module().by_name, fresh.module().by_name);
+        assert_eq!(doc.module(), fresh.module());
 
         // And a warm check is byte-identical to a cold one.
         let warm = format!("{:?}", doc.check(&mut s, None).unwrap());

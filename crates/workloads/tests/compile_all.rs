@@ -71,10 +71,10 @@ fn workloads_have_realistic_scale() {
     // Class B sizes should be ordered: HERA biggest, EPCC mid, NAS
     // solvers substantial.
     let suite = figure1_suite(WorkloadClass::B);
-    let by_name: std::collections::HashMap<_, _> =
+    let lines: std::collections::HashMap<_, _> =
         suite.iter().map(|w| (w.name, w.lines())).collect();
-    assert!(by_name["HERA"] > by_name["EPCC"], "{by_name:?}");
-    assert!(by_name["BT-MZ"] > 200, "{by_name:?}");
+    assert!(lines["HERA"] > lines["EPCC"], "{lines:?}");
+    assert!(lines["BT-MZ"] > 200, "{lines:?}");
     for w in &suite {
         assert!(w.lines() > 100, "{} too small: {}", w.name, w.lines());
     }

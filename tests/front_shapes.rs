@@ -7,7 +7,7 @@
 //!   behind that many blanks (the padding survives only here);
 //! * lowering produces exactly the IR it produced before the IR lost its
 //!   register names and its per-block instruction vectors — pinned by the
-//!   fingerprint of the IR's canonical text (`FuncIr`'s `Display`),
+//!   fingerprint of the IR's canonical text (`FuncIr::canonical`),
 //!   which shows what the IR means and nothing of how it is laid out.
 
 use parcoach::front::lexer::{lex, lex_at};
@@ -141,7 +141,7 @@ fn lowering_is_unchanged_by_the_scope_stack() {
         let module = lower_program(&unit.program, &unit.signatures);
         funcs += module.funcs.len();
         for f in &module.funcs {
-            fnv1a(&mut h, f.to_string().as_bytes());
+            fnv1a(&mut h, f.canonical(&module).as_bytes());
         }
     }
     assert_eq!(

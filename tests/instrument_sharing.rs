@@ -18,8 +18,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The statistics are pinned since the commit before modules shared
-/// their functions; the fingerprint, of the canonical text (`FuncIr`'s
-/// `Display`), was computed on the commit before functions held one
+/// their functions; the fingerprint, of the canonical text
+/// (`FuncIr::canonical`), was computed on the commit before functions held one
 /// instruction array — the `{:?}` text pinned until then shows that
 /// layout and so moved by construction.
 const PINNED_STATS: InstrumentStats = InstrumentStats {
@@ -55,9 +55,12 @@ fn hera_b_unshares_exactly_the_functions_the_plan_names() {
             before.name
         );
     }
-    assert!(Arc::ptr_eq(&m.by_name, &instrumented.by_name));
 
-    let text: String = instrumented.funcs.iter().map(|f| f.to_string()).collect();
+    let text: String = instrumented
+        .funcs
+        .iter()
+        .map(|f| f.canonical(&instrumented))
+        .collect();
     let fingerprint = fnv1a(text.as_bytes());
     assert_eq!(
         (stats, fingerprint),

@@ -4,7 +4,7 @@
 //! 300 seeded `Scenario` modules.
 //!
 //! Per module it hashes the report's `{:?}` text, the rendered report,
-//! the instrumentation statistics and the `Display` of every
+//! the instrumentation statistics and the canonical text of every
 //! instrumented function. The fingerprint below was computed by this
 //! very test on the commit before the static phase's per-check interning
 //! arenas were deleted. A refactor of the static phase that claims "same
@@ -61,7 +61,7 @@ fn static_reports_and_instrumentation_are_pinned() {
         let (instrumented, stats) = instrument_module(&module, &report, InstrumentMode::Selective);
         fnv1a(&mut h, format!("{stats:?}").as_bytes());
         for f in &instrumented.funcs {
-            fnv1a(&mut h, f.to_string().as_bytes());
+            fnv1a(&mut h, f.canonical(&instrumented).as_bytes());
         }
         modules += 1;
     }
