@@ -33,7 +33,7 @@ fn main() -> ExitCode {
             .map(|f| {
                 f.instrs
                     .iter()
-                    .filter(|i| i.collective_kind().is_some())
+                    .filter(|(i, _)| i.collective_kind().is_some())
                     .count()
             })
             .sum();

@@ -125,7 +125,7 @@ fn build_intervals(f: &FuncIr) -> Vec<Interval> {
         for r in directive_uses(blk).into_iter().chain(directive_defs(blk)) {
             touch(r.index(), point, &mut start, &mut end);
         }
-        for i in f.instrs(b) {
+        for (i, _) in f.instrs(b) {
             point += 1;
             for u in instr_uses(i) {
                 touch(u.index(), point, &mut start, &mut end);

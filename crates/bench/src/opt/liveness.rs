@@ -40,7 +40,7 @@ pub fn liveness(f: &FuncIr) -> Liveness {
         for r in directive_defs(b) {
             k.insert(r.index());
         }
-        for i in f.instrs(id) {
+        for (i, _) in f.instrs(id) {
             for u in instr_uses(i) {
                 if !k.contains(u.index()) {
                     g.insert(u.index());
@@ -110,7 +110,7 @@ mod tests {
     fn let_reg(f: &FuncIr, n: usize) -> usize {
         f.instrs(f.entry)
             .iter()
-            .filter_map(|i| match i {
+            .filter_map(|(i, _)| match i {
                 parcoach_ir::Instr::Copy { dest, .. } => Some(dest.index()),
                 _ => None,
             })

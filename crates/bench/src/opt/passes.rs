@@ -98,7 +98,7 @@ fn local_fold_and_propagate(f: &mut FuncIr, stats: &mut OptStats) {
             known.remove(&r);
             known.retain(|_, v| !matches!(v, Known::CopyOf(s) if *s == r));
         }
-        for i in &mut instrs[b.instrs.start as usize..b.instrs.end as usize] {
+        for (i, _) in &mut instrs[b.instrs.start as usize..b.instrs.end as usize] {
             // Rewrite operands first.
             match i {
                 Instr::Copy { src, .. } | Instr::Unary { src, .. } => {
@@ -252,7 +252,7 @@ fn local_cse(f: &mut FuncIr, stats: &mut OptStats) {
         // (key, result reg); invalidated when any operand register is
         // redefined.
         let mut avail: Vec<(ExprKey, Reg)> = Vec::new();
-        for i in f.instrs_mut(b) {
+        for (i, _) in f.instrs_mut(b) {
             let pure = is_pure(i);
             let key = match &*i {
                 Instr::Binary { op, lhs, rhs, .. } if pure => {
@@ -305,7 +305,7 @@ fn dce(f: &mut FuncIr, stats: &mut OptStats) {
             live.insert(u.index());
         }
         let run = b.instrs.start as usize..b.instrs.end as usize;
-        for (ii, i) in f.instrs[run.clone()].iter().enumerate().rev() {
+        for (ii, (i, _)) in f.instrs[run.clone()].iter().enumerate().rev() {
             let dead_dest = i.dest().map(|d| !live.contains(d.index())).unwrap_or(false);
             if dead_dest && is_pure(i) {
                 keep[run.start + ii] = false;
@@ -350,7 +350,7 @@ mod tests {
         assert!(verify_module(&m).is_empty());
         // The print argument should now be the constant 14.
         let f = m.main().unwrap();
-        let has_const_print = f.instrs.iter().any(|i| {
+        let has_const_print = f.instrs.iter().any(|(i, _)| {
             matches!(
                 i,
                 Instr::Print { args } if args == &vec![Value::Const(Const::Int(14))]
@@ -393,14 +393,14 @@ mod tests {
             .funcs
             .iter()
             .flat_map(|f| &f.instrs)
-            .filter(|i| matches!(i, Instr::Mpi { .. }))
+            .filter(|(i, _)| matches!(i, Instr::Mpi { .. }))
             .count();
         optimize_module(&mut m, 4);
         let mpi_after = m
             .funcs
             .iter()
             .flat_map(|f| &f.instrs)
-            .filter(|i| matches!(i, Instr::Mpi { .. }))
+            .filter(|(i, _)| matches!(i, Instr::Mpi { .. }))
             .count();
         assert_eq!(mpi_before, mpi_after, "MPI ops must never be removed");
     }
@@ -413,7 +413,7 @@ mod tests {
         let has_div = f
             .instrs
             .iter()
-            .any(|i| matches!(i, Instr::Binary { op: BinOp::Div, .. }));
+            .any(|(i, _)| matches!(i, Instr::Binary { op: BinOp::Div, .. }));
         assert!(
             has_div,
             "possibly-trapping division must stay:\n{}",
@@ -460,7 +460,7 @@ mod tests {
                 ..
             } = &b.term
             {
-                let defined = f.instrs.iter().any(|i| i.dest() == Some(*r));
+                let defined = f.instrs.iter().any(|(i, _)| i.dest() == Some(*r));
                 assert!(defined, "branch condition {r} of {id} has no definition");
             }
         }

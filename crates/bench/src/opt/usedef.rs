@@ -130,7 +130,6 @@ pub fn is_pure(i: &Instr) -> bool {
 mod tests {
     use super::*;
     use parcoach_front::ast::{BinOp, Intrinsic};
-    use parcoach_front::span::Span;
 
     #[test]
     fn uses_of_binary() {
@@ -139,7 +138,6 @@ mod tests {
             op: BinOp::Add,
             lhs: Value::Reg(Reg(0)),
             rhs: Value::int(3),
-            span: Span::DUMMY,
         };
         assert_eq!(instr_uses(&i), vec![Reg(0)]);
         assert_eq!(i.dest(), Some(Reg(2)));
@@ -152,7 +150,6 @@ mod tests {
             op: BinOp::Mul,
             lhs: Value::int(1),
             rhs: Value::int(2),
-            span: Span::DUMMY,
         };
         assert!(is_pure(&pure));
         let div = Instr::Binary {
@@ -160,7 +157,6 @@ mod tests {
             op: BinOp::Div,
             lhs: Value::int(1),
             rhs: Value::Reg(Reg(1)),
-            span: Span::DUMMY,
         };
         assert!(!is_pure(&div), "division may trap");
         let print = Instr::Print { args: vec![] };
@@ -179,12 +175,10 @@ mod tests {
             cond: Value::Reg(Reg(5)),
             then_bb: parcoach_ir::BlockId(0),
             else_bb: parcoach_ir::BlockId(1),
-            span: Span::DUMMY,
         };
         assert_eq!(term_uses(&t), vec![Reg(5)]);
         let r = Terminator::Return {
             value: Some(Value::Reg(Reg(7))),
-            span: Span::DUMMY,
         };
         assert_eq!(term_uses(&r), vec![Reg(7)]);
         assert!(term_uses(&Terminator::Goto(parcoach_ir::BlockId(0))).is_empty());

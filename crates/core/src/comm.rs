@@ -100,7 +100,7 @@ mod tests {
         let fc = mc.func(m.index("main").unwrap());
         let mut out = Vec::new();
         for b in f.block_ids() {
-            for i in f.instrs(b) {
+            for (i, _) in f.instrs(b) {
                 if let Instr::Mpi {
                     op: MpiOp::Collective { comm, .. },
                     ..

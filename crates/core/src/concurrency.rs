@@ -107,7 +107,7 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
         let region = w.tokens()[s_pos].region().expect("S token has region");
         let word = words.len();
         words.push(w);
-        for (ii, i) in f.instrs(bid).iter().enumerate() {
+        for (ii, (i, _)) in f.instrs(bid).iter().enumerate() {
             let Instr::Mpi { op, .. } = i else {
                 continue;
             };

@@ -33,8 +33,8 @@
 //! differs, returns the stored result without looking at any other
 //! function: the loop would read the same values in the same order and
 //! end where it ended. The comparison is on derived *values*, so an edit
-//! that changes a function's fingerprint but nothing the call graph sees
-//! of it — the common case — stops here.
+//! that changes a function's code but nothing the call graph sees of
+//! it — the common case — stops here.
 
 use crate::facts::CheckScratch;
 use crate::lang::MonoVerdict;

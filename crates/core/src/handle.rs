@@ -234,7 +234,7 @@ fn resolve(
     loop {
         let mut changed = false;
         for bid in f.block_ids() {
-            for (iidx, i) in f.instrs(bid).iter().enumerate() {
+            for (iidx, (i, _)) in f.instrs(bid).iter().enumerate() {
                 let Some(d) = i.dest().filter(|d| is_handle(f.reg_types[d.index()])) else {
                     continue;
                 };

@@ -167,59 +167,56 @@ impl FuncPlan<'_> {
         func.rewrite_instrs(|bid, block, old, out| {
             for &(entry, _, site, span) in self.counters.iter().rev() {
                 if entry == bid {
-                    out.push(Instr::Check(CheckOp::ConcEnter { site, span }));
+                    out.push((Instr::Check(CheckOp::ConcEnter { site }), span));
                 }
             }
             let mono = self.mono_blocks.contains(&bid);
-            for i in old {
-                if let Some((what, color, comm, span)) = guarded_collective(&i) {
+            for (i, span) in old {
+                if let Some((what, color, comm)) = guarded_collective(&i) {
                     if self.cc {
                         // The CC runs on the guarded collective's
                         // communicator (see CheckOp::CollectiveCc).
-                        out.push(Instr::Check(CheckOp::CollectiveCc { color, comm, span }));
+                        out.push((Instr::Check(CheckOp::CollectiveCc { color, comm }), span));
                         stats.cc_collective += 1;
                     }
                     if mono {
-                        out.push(Instr::Check(CheckOp::AssertMonothread { what, span }));
+                        out.push((Instr::Check(CheckOp::AssertMonothread { what }), span));
                         stats.monothread_asserts += 1;
                     }
                 }
                 if let Instr::Mpi {
                     op: MpiOp::Finalize,
-                    span,
                     ..
                 } = &i
                 {
                     if self.p2p {
-                        out.push(Instr::Check(CheckOp::P2pEpoch { span: *span }));
+                        out.push((Instr::Check(CheckOp::P2pEpoch), span));
                         stats.p2p_epochs += 1;
                     }
                 }
-                out.push(i);
+                out.push((i, span));
             }
-            if let Terminator::Return { span, .. } = &block.term {
-                if self.cc {
-                    out.push(Instr::Check(CheckOp::ReturnCc { span: *span }));
-                    stats.cc_return += 1;
-                }
+            if self.cc && matches!(block.term, Terminator::Return { .. }) {
+                out.push((Instr::Check(CheckOp::ReturnCc), block.term_span));
+                stats.cc_return += 1;
             }
             for &(_, end, site, _) in &self.counters {
                 if end == bid {
-                    out.push(Instr::Check(CheckOp::ConcExit { site }));
+                    out.push((Instr::Check(CheckOp::ConcExit { site }), Span::DUMMY));
                 }
             }
         });
     }
 }
 
-/// What a `CC` guarding `i` checks — `(MPI name, color, communicator,
-/// span)` — if `i` is a collective.
-fn guarded_collective(i: &Instr) -> Option<(&'static str, u32, Option<Value>, Span)> {
-    let Instr::Mpi { op, span, .. } = i else {
+/// What a `CC` guarding `i` checks — `(MPI name, color, communicator)`
+/// — if `i` is a collective.
+fn guarded_collective(i: &Instr) -> Option<(&'static str, u32, Option<Value>)> {
+    let Instr::Mpi { op, .. } = i else {
         return None;
     };
     let (color, comm) = op.synchronizes()?;
-    Some((op.name(), color, comm, *span))
+    Some((op.name(), color, comm))
 }
 
 /// Where each `(region, site)` pair's counter goes: `ConcEnter` at the
@@ -294,7 +291,7 @@ mod tests {
         let has_cc = f
             .instrs
             .iter()
-            .any(|i| matches!(i, Instr::Check(CheckOp::CollectiveCc { .. })));
+            .any(|(i, _)| matches!(i, Instr::Check(CheckOp::CollectiveCc { .. })));
         assert!(has_cc);
     }
 
@@ -324,12 +321,12 @@ mod tests {
         let enters = f
             .instrs
             .iter()
-            .filter(|i| matches!(i, Instr::Check(CheckOp::ConcEnter { .. })))
+            .filter(|(i, _)| matches!(i, Instr::Check(CheckOp::ConcEnter { .. })))
             .count();
         let exits = f
             .instrs
             .iter()
-            .filter(|i| matches!(i, Instr::Check(CheckOp::ConcExit { .. })))
+            .filter(|(i, _)| matches!(i, Instr::Check(CheckOp::ConcExit { .. })))
             .count();
         assert_eq!(enters, 2);
         assert_eq!(exits, 2);
@@ -422,11 +419,14 @@ mod tests {
                 matches!(
                     w,
                     [
-                        Instr::Check(CheckOp::P2pEpoch { .. }),
-                        Instr::Mpi {
-                            op: MpiOp::Finalize,
-                            ..
-                        }
+                        (Instr::Check(CheckOp::P2pEpoch), _),
+                        (
+                            Instr::Mpi {
+                                op: MpiOp::Finalize,
+                                ..
+                            },
+                            _
+                        )
                     ]
                 )
             })

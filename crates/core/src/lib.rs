@@ -38,7 +38,6 @@ pub mod comm;
 pub mod concurrency;
 pub mod context;
 pub mod facts;
-pub mod fingerprint;
 pub mod handle;
 pub mod instrument;
 pub mod lang;
@@ -62,7 +61,7 @@ pub use instrument::{instrument_module, InstrumentMode, InstrumentStats};
 pub use lang::{classify, ContextClass, MonoVerdict};
 pub use pipeline::{AnalysisOptions, PhaseTimings};
 pub use pw::{compute_pw, InitialContext, PwResult};
-pub use query::{fingerprint, Fingerprint, Locator, QueryDb, QueryStats};
+pub use query::{Locator, QueryDb, QueryStats};
 pub use report::{InstrumentationPlan, StaticReport, StaticWarning, WarningKind};
 pub use request::{ReqDef, ReqId};
 pub use session::{AnalysisSession, AnalysisSessionBuilder};

@@ -102,7 +102,8 @@ pub(crate) fn block_events<'a>(
     ctxs: &'a CallContexts,
     handles: &'a FuncHandles,
 ) -> impl Iterator<Item = (Event, usize)> + 'a {
-    f.instrs(b).iter().enumerate().filter_map(move |(ii, i)| {
+    let instrs = f.instrs(b).iter().enumerate();
+    instrs.filter_map(move |(ii, (i, _))| {
         let event = match i {
             Instr::Mpi { op, .. } => {
                 // Comm management synchronizes the *parent* communicator.

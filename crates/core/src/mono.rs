@@ -58,7 +58,7 @@ pub fn check_monothread(cx: &AnalysisCx, fidx: usize) -> MonoResult {
     // parent's members — a whole team creating a communicator is the
     // same error as a whole team entering a barrier).
     for bid in f.block_ids() {
-        for (ii, i) in f.instrs(bid).iter().enumerate() {
+        for (ii, (i, _)) in f.instrs(bid).iter().enumerate() {
             let parcoach_ir::instr::Instr::Mpi { op, .. } = i else {
                 continue;
             };

@@ -169,7 +169,7 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
         }
         let fh = cx.handles.func(fidx);
         for bid in f.block_ids() {
-            for (iidx, i) in f.instrs(bid).iter().enumerate() {
+            for (iidx, (i, _)) in f.instrs(bid).iter().enumerate() {
                 let Instr::Mpi { op, dest, .. } = i else {
                     continue;
                 };

@@ -83,7 +83,7 @@ impl PhaseTimings {
 /// Everything the three per-function phases read beyond the function's
 /// own structure: the key of its stored findings, kept beside them. The
 /// structure itself is guarded by the red-green pass, which empties the
-/// slot when the fingerprint moves. (The request tables are not here:
+/// slot when an edit changes the function's code. (The request tables are not here:
 /// only the module-wide p2p and life-cycle passes read them.)
 #[derive(Debug, Default)]
 struct PhaseInputs {

@@ -29,11 +29,11 @@
 //!
 //! Two kinds of key guard a value. What a function's *own structure*
 //! determines is guarded by the red-green pass below, which empties the
-//! function's slots when its fingerprint moves. What depends on *other*
+//! function's slots when an edit changed its code. What depends on *other*
 //! functions — a calling context, whether a callee executes collectives,
 //! a communicator class numbered module-wide — is kept beside the value
-//! and compared at lookup ([`Slot::get_if`]): cheaper than hashing it,
-//! and exact.
+//! and compared at lookup ([`Slot::get_if`]): cheaper than deriving it
+//! again, and exact.
 //!
 //! ## Span-free by construction
 //!
@@ -44,29 +44,28 @@
 //! structure — whitespace above a function *or inside it* — therefore
 //! needs no rebasing: the table never knew where anything was.
 //!
-//! ## Keys on demand
+//! ## Exact comparison on demand (red-green)
 //!
 //! The table belongs to one module lineage whose only editor (the
-//! document) reports every edit through [`QueryDb::mark_dirty`], so a
-//! clean entry is trusted without hashing anything. A function's key —
-//! its span-insensitive structural [`fingerprint`] plus its projection
-//! onto each module table's inputs — is computed only once the function
-//! is marked dirty, from the IR the stored values were derived from;
-//! [`QueryDb::reconcile`] re-derives it from the new IR and either
-//! *greens* the entry (structure unchanged: a whitespace, reverted or
-//! no-op edit keeps every fact) or *invalidates* it, and drops a module
-//! table iff a dirty function's projection for that table changed. A
-//! table with nothing stored has nothing to compare against and computes
-//! no key at all — which is why the one-shot path costs what it did
-//! before it had a table.
+//! document) reports every edit through [`QueryDb::mark_dirty`], handing
+//! over the IR it replaces, so a clean entry is trusted without looking
+//! at anything. The first edit of a function since the last check keeps
+//! the replaced `Arc<FuncIr>` — the IR the stored values were derived
+//! from; [`QueryDb::reconcile`] takes it back and compares it with the
+//! new IR. The entry is *greened* (a whitespace, reverted or no-op edit
+//! keeps every fact) iff the two are the same code
+//! ([`FuncIr::same_code`]: equal but for their spans), else
+//! *invalidated*; a module table is dropped iff the edit changed what
+//! that table reads from the function. The comparison is exact, and no
+//! old IR outlives the check that compares it. A table with nothing
+//! stored keeps nothing — which is why the one-shot path costs what it
+//! did before it had a table.
 //!
 //! [`AnalysisSession::check_module`]: crate::session::AnalysisSession::check_module
 
 use crate::context::CallContexts;
 use crate::facts::{compute_cfg, CfgFacts, CheckScratch};
-use crate::fingerprint::handle_def_fp;
-pub use crate::fingerprint::{fingerprint, Fingerprint};
-use crate::handle::ModuleHandles;
+use crate::handle::{is_handle, ModuleHandles};
 use crate::p2p::P2pCore;
 use crate::pipeline::FuncAnalysis;
 use crate::pw::PwResult;
@@ -103,62 +102,72 @@ impl Locator {
 /// The span the program point `loc` has *now*.
 pub fn span_at(m: &Module, loc: Locator) -> Span {
     match loc {
-        Locator::Instr(fi, b, ii) => m.funcs[fi].instrs(b)[ii].span().unwrap_or(Span::DUMMY),
+        Locator::Instr(fi, b, ii) => m.funcs[fi].instrs(b)[ii].1,
         Locator::Block(fi, b) => m.funcs[fi].blocks[b.index()].span,
         Locator::Cond(fi, b) => {
             let block = &m.funcs[fi].blocks[b.index()];
-            match &block.term {
-                Terminator::Branch { span, .. } => *span,
+            match block.term {
+                Terminator::Branch { .. } => block.term_span,
                 _ => block.span,
             }
         }
     }
 }
 
-/// What [`QueryDb::reconcile`] compares for an edited function: the
-/// structural fingerprint that keys its own slots, and its projection
-/// onto each module table's inputs — so an edit touching none of a
-/// table's inputs leaves that table in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct FuncKey {
-    fp: Fingerprint,
-    /// Inputs of the handle resolution ([`handle_def_fp`]).
-    handles: u128,
-    /// Inputs of the p2p matcher: the full structural fingerprint when
-    /// the function contains any point-to-point or wait operation
-    /// (matching reads sites, waits *and* dominators), the sentinel `1`
-    /// when it only contains `MPI_Finalize` (the epoch census is placed
-    /// where finalize is), else `0`.
-    p2p: u128,
-}
-
-impl FuncKey {
-    fn of(f: &FuncIr) -> FuncKey {
-        let fp = fingerprint(f);
-        let mpi_ops = f.instrs.iter().filter_map(|i| match i {
-            Instr::Mpi { op, .. } => Some(op),
-            _ => None,
-        });
-        let mut p2p = 0;
-        for op in mpi_ops {
-            if op.is_p2p() {
-                p2p = fp.0;
-                break;
-            }
-            if matches!(op, MpiOp::Finalize) {
-                p2p = 1;
-            }
-        }
-        FuncKey {
-            fp,
-            handles: handle_def_fp(f),
-            p2p,
-        }
+/// Whether the handle resolution ([`crate::handle`]) reads the same from
+/// `a` and `b`: neither has a handle-typed register (the resolver's fast
+/// path), or both have the same signature and register types and the
+/// same handle-defining instructions at the same positions (class
+/// definitions are keyed by [`Locator`]).
+fn same_handle_defs(a: &FuncIr, b: &FuncIr) -> bool {
+    fn defs(f: &FuncIr) -> impl Iterator<Item = (BlockId, usize, &Instr)> {
+        let defines_handle = |i: &Instr| {
+            i.dest()
+                .is_some_and(|d| f.reg_types.get(d.index()).is_some_and(|&t| is_handle(t)))
+        };
+        f.block_ids().flat_map(move |bid| {
+            let instrs = f.instrs(bid).iter().enumerate();
+            instrs.filter_map(move |(ii, (i, _))| defines_handle(i).then_some((bid, ii, i)))
+        })
+    }
+    let has_handles = |f: &FuncIr| f.reg_types.iter().any(|&t| is_handle(t));
+    match (has_handles(a), has_handles(b)) {
+        (false, false) => true,
+        (true, true) => a.params == b.params && a.reg_types == b.reg_types && defs(a).eq(defs(b)),
+        _ => false,
     }
 }
 
+/// What the p2p matcher reads from a function: all of it when the
+/// function contains any point-to-point or wait operation (matching
+/// reads sites, waits *and* dominators), only that it calls
+/// `MPI_Finalize` when that is all (the epoch census is placed where
+/// finalize is), else nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum P2pReads {
+    Nothing,
+    Finalize,
+    All,
+}
+
+fn p2p_reads(f: &FuncIr) -> P2pReads {
+    let mut reads = P2pReads::Nothing;
+    for (i, _) in &f.instrs {
+        match i {
+            Instr::Mpi { op, .. } if op.is_p2p() => return P2pReads::All,
+            Instr::Mpi {
+                op: MpiOp::Finalize,
+                ..
+            } => reads = P2pReads::Finalize,
+            _ => {}
+        }
+    }
+    reads
+}
+
 /// What the module-level passes read from one function, derived from its
-/// IR alone (one walk) — which makes it cacheable by [`fingerprint`].
+/// IR alone (one walk) — which makes it reusable across edits that keep
+/// the function's code ([`FuncIr::same_code`]).
 /// The context fixpoint, entry reachability, the taint propagation, the
 /// thread-level check and the census placement all read these instead of
 /// re-walking instructions.
@@ -199,7 +208,7 @@ pub fn call_summary(f: &FuncIr) -> CallSummary {
         call_sites: Vec::new(),
     };
     for bid in f.block_ids() {
-        for (ii, i) in f.instrs(bid).iter().enumerate() {
+        for (ii, (i, _)) in f.instrs(bid).iter().enumerate() {
             match i {
                 Instr::Mpi { op, .. } => {
                     s.has_mpi = true;
@@ -237,7 +246,7 @@ pub struct QueryStats {
     pub cfg_hits: u64,
     /// CFG facts recomputed.
     pub cfg_misses: u64,
-    /// Dirty entries whose recomputed fingerprint still matched (the
+    /// Dirty entries whose new IR was the same code as the old (the
     /// edit was structurally a no-op — the red-green short-circuit).
     pub greened: u64,
     /// Dirty entries whose facts were actually dropped.
@@ -330,11 +339,10 @@ pub(crate) struct FuncSlots {
     /// The function this entry describes — what ties the table to one
     /// module shape.
     name: String,
-    /// The key of the IR the stored values were derived from; present
-    /// once the function has been marked dirty (see the module docs).
-    key: Option<FuncKey>,
-    /// Set by [`QueryDb::mark_dirty`]; cleared by reconciliation.
-    dirty: bool,
+    /// The IR the stored values were derived from, kept by the first
+    /// [`QueryDb::mark_dirty`] since the last reconciliation, which takes
+    /// it back (see the module docs). Present iff the entry is dirty.
+    old: Option<Arc<FuncIr>>,
     /// Parallelism words per [`InitialContext`](crate::pw::InitialContext)
     /// (index = lattice position, `ctx as usize`).
     pub(crate) pw: [Slot<Arc<PwResult>>; 3],
@@ -402,26 +410,25 @@ impl QueryDb {
         cfg
     }
 
-    /// Function `fi` is about to be replaced; `old` is the IR the stored
-    /// values were derived from. Its key is computed now unless an
-    /// earlier edit already did (two edits between checks must compare
-    /// against the IR the tables were built from, not the one in
-    /// between). A table that stores nothing for `old` ignores the call.
-    pub fn mark_dirty(&mut self, fi: usize, old: &FuncIr) {
-        let Some(e) = self.funcs.get_mut(fi).filter(|e| e.name == old.name) else {
-            return;
-        };
-        e.key.get_or_insert_with(|| FuncKey::of(old));
-        e.dirty = true;
+    /// Function `fi` is being replaced; `old` is the IR it held. The
+    /// table keeps it unless an earlier edit already left one (two edits
+    /// between checks must compare against the IR the tables were built
+    /// from, not the one in between). A table that stores nothing for
+    /// `old` ignores the call.
+    pub fn mark_dirty(&mut self, fi: usize, old: &Arc<FuncIr>) {
+        if let Some(e) = self.funcs.get_mut(fi).filter(|e| e.name == old.name) {
+            e.old.get_or_insert_with(|| old.clone());
+        }
     }
 
-    /// The red-green pass, run before any lookup against `m`: re-key
-    /// exactly the dirty functions and drop what their edits changed.
+    /// The red-green pass, run before any lookup against `m`: compare
+    /// exactly the dirty functions with the IR they replaced, drop what
+    /// their edits changed and release the old IR.
     ///
-    /// A dirty entry is either *greened* (fingerprint unchanged — keep
-    /// its facts) or *invalidated* (drop them); a module table goes iff
-    /// some dirty function's projection for that table changed, the p2p
-    /// core also when the handle table it was matched against went.
+    /// A dirty entry is either *greened* (the same code — keep its
+    /// facts) or *invalidated* (drop them); a module table goes iff some
+    /// dirty function's edit changed what that table reads from it, the
+    /// p2p core also when the handle table it was matched against went.
     /// Clean entries cost nothing. A table that belongs to another module
     /// shape — first use included — starts over with one entry per
     /// function.
@@ -440,12 +447,11 @@ impl QueryDb {
             return;
         }
         for (e, f) in self.funcs.iter_mut().zip(&m.funcs) {
-            if !std::mem::take(&mut e.dirty) {
+            let Some(old) = e.old.take() else {
                 continue;
-            }
-            let old = e.key.expect("mark_dirty stored the key");
-            let new = FuncKey::of(f);
-            if new.fp == old.fp {
+            };
+            let same = old.same_code(f);
+            if same {
                 self.base.greened += 1;
             } else {
                 self.base.invalidated += 1;
@@ -454,14 +460,14 @@ impl QueryDb {
                 e.summary.clear();
                 e.analysis.clear();
             }
-            let handles = new.handles != old.handles;
+            let handles = !same && !same_handle_defs(&old, f);
             if handles {
                 self.handles.clear();
             }
-            if handles || new.p2p != old.p2p {
+            let reads = p2p_reads(f);
+            if handles || reads != p2p_reads(&old) || (reads == P2pReads::All && !same) {
                 self.p2p.clear();
             }
-            e.key = Some(new);
         }
     }
 
@@ -541,7 +547,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_spans() {
+    fn same_code_ignores_spans() {
         let src = "fn main() { if (rank() == 0) { MPI_Barrier(); } }";
         let m0 = lower(src);
         let m1 = lower(&format!("\n\n   {src}"));
@@ -550,24 +556,24 @@ mod tests {
             format!("{:?}", m1.funcs[0]),
             "spans must differ for the test to mean anything"
         );
-        assert_eq!(fingerprint(&m0.funcs[0]), fingerprint(&m1.funcs[0]));
+        assert!(m0.funcs[0].same_code(&m1.funcs[0]));
     }
 
     #[test]
-    fn fingerprint_sees_structure() {
+    fn same_code_sees_structure() {
         let a = lower("fn main() { MPI_Barrier(); }");
         let b = lower("fn main() { MPI_Allreduce(1, SUM); }");
         let c = lower("fn main() { if (rank() == 0) { MPI_Barrier(); } }");
-        let fa = fingerprint(&a.funcs[0]);
-        assert_ne!(fa, fingerprint(&b.funcs[0]));
-        assert_ne!(fa, fingerprint(&c.funcs[0]));
+        let fa = &a.funcs[0];
+        assert!(!fa.same_code(&b.funcs[0]));
+        assert!(!fa.same_code(&c.funcs[0]));
     }
 
     #[test]
-    fn fingerprint_sees_name_and_params() {
+    fn same_code_sees_name_and_params() {
         let m = lower("fn a(x: int) { let y = x; } fn main() { a(1); }");
         let n = lower("fn a(x: float) { let y = x; } fn main() { a(1.0); }");
-        assert_ne!(fingerprint(&m.funcs[0]), fingerprint(&n.funcs[0]));
+        assert!(!m.funcs[0].same_code(&n.funcs[0]));
     }
 
     #[test]
@@ -615,7 +621,7 @@ mod tests {
         assert_eq!(check(&m2, &mut db), cold(&m2));
     }
 
-    /// Two edits of one function between checks: the key stored by the
+    /// Two edits of one function between checks: the IR kept by the
     /// first `mark_dirty` — the IR the tables were built from — is what
     /// reconciliation compares against, not the IR in between.
     #[test]
@@ -676,7 +682,8 @@ mod tests {
 
     /// The size bound, by construction: the table holds one entry per
     /// function and three module slots, whatever the edit history, and
-    /// keeps no reference a finished check has not released.
+    /// keeps no reference a finished check has not released — no
+    /// function's IR included.
     #[test]
     fn thousand_alternating_edits_keep_the_table_bounded() {
         let with = |left: &str, right: &str| {
@@ -693,6 +700,9 @@ mod tests {
                 assert!(n <= by, "a finished check left a reference behind");
             };
             for e in &db.funcs {
+                // The old IR went at the red-green pass: kept past it,
+                // a replaced function would stay resident beside the new.
+                assert!(e.old.is_none(), "a finished check kept an old IR");
                 e.pw.iter()
                     .filter_map(|s| s.value.as_ref())
                     .for_each(|v| held(Arc::strong_count(v), 1));

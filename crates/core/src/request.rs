@@ -93,8 +93,8 @@ pub fn check_requests(cx: &crate::facts::AnalysisCx) -> RequestResult {
         let mut posts: Vec<(ReqId, &'static str, Span)> = Vec::new();
         let mut waited: Vec<ReqId> = Vec::new();
         let mut any_unknown_wait = false;
-        for i in &f.instrs {
-            let Instr::Mpi { op, span, .. } = i else {
+        for (i, span) in &f.instrs {
+            let Instr::Mpi { op, .. } = i else {
                 continue;
             };
             if let MpiOp::Isend { .. } | MpiOp::Irecv { .. } = op {
@@ -263,23 +263,22 @@ mod tests {
         // waited on — unreachable from type-checked source.
         let mut b = BasicBlock::new();
         b.instrs = 0..1;
-        b.term = Terminator::Return {
-            value: None,
-            span: Span::DUMMY,
-        };
+        b.term = Terminator::Return { value: None };
         let f = FuncIr {
             name: "main".into(),
             params: vec![],
             ret: Type::Void,
             reg_types: vec![Type::Request],
             blocks: vec![b],
-            instrs: vec![Instr::Mpi {
-                dest: None,
-                op: MpiOp::Wait {
-                    request: Value::Reg(Reg(0)),
+            instrs: vec![(
+                Instr::Mpi {
+                    dest: None,
+                    op: MpiOp::Wait {
+                        request: Value::Reg(Reg(0)),
+                    },
                 },
-                span: Span::DUMMY,
-            }],
+                Span::DUMMY,
+            )],
             entry: BlockId(0),
             region_count: 0,
             span: Span::DUMMY,

@@ -193,11 +193,6 @@ impl BinOp {
         )
     }
 
-    /// True for `&&` / `||`.
-    pub fn is_logic(self) -> bool {
-        matches!(self, BinOp::And | BinOp::Or)
-    }
-
     /// Source text of the operator.
     pub fn symbol(self) -> &'static str {
         match self {

@@ -279,7 +279,7 @@ impl<'a> Checker<'a> {
                                 "variables cannot have type void",
                                 name.span,
                             );
-                        } else if init_ty != Type::Void && init_ty != annot {
+                        } else if init_ty != annot {
                             self.diags.error(
                                 "type-mismatch",
                                 format!(
@@ -314,7 +314,7 @@ impl<'a> Checker<'a> {
                 match target {
                     LValue::Var(id) => match self.resolve(At::Stmt(i), id) {
                         Some(t) => {
-                            if value_ty != Type::Void && value_ty != t {
+                            if value_ty != t {
                                 self.diags.error(
                                     "type-mismatch",
                                     format!(
@@ -1183,6 +1183,19 @@ mod tests {
         sema_err("fn main() { let x = 1 + 2.0; }", "type-mismatch");
         sema_err("fn main() { if (1) { } }", "type-mismatch");
         sema_err("fn main() { let b = true < false; }", "type-mismatch");
+        // A void call yields no value to bind or to assign.
+        sema_err(
+            "fn g() { } fn main() { let x: int = g(); }",
+            "type-mismatch",
+        );
+        sema_err(
+            "fn main() { let y: float = MPI_Barrier(); }",
+            "type-mismatch",
+        );
+        sema_err(
+            "fn g() { } fn main() { let x = 1; x = g(); }",
+            "type-mismatch",
+        );
         sema_ok("fn main() { let x = 1.0 + float_of(2); let b = 1 < 2; }");
     }
 

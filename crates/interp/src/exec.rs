@@ -126,13 +126,12 @@ impl SiteTable {
         let mut conc_sites = 0usize;
         let mut mono_sites = HashMap::new();
         for f in &module.funcs {
-            for i in &f.instrs {
+            for (i, span) in &f.instrs {
                 match i {
-                    Instr::Check(CheckOp::ConcEnter { site, .. })
-                    | Instr::Check(CheckOp::ConcExit { site }) => {
+                    Instr::Check(CheckOp::ConcEnter { site } | CheckOp::ConcExit { site }) => {
                         conc_sites = conc_sites.max(*site as usize + 1);
                     }
-                    Instr::Check(CheckOp::AssertMonothread { span, .. }) => {
+                    Instr::Check(CheckOp::AssertMonothread { .. }) => {
                         let next = mono_sites.len() as u32;
                         mono_sites.entry(span.lo).or_insert(next);
                     }
@@ -574,7 +573,7 @@ impl Executor {
                     Directive::CriticalEnd { .. } => {
                         critical_guards.pop();
                     }
-                    Directive::Barrier { span, .. } => {
+                    Directive::Barrier { .. } => {
                         self.exec_checks_only(t, frame, func.instrs(cur))?;
                         t.state.stats.barrier_waits += t.ctx.team.is_some() as u64;
                         t.ctx.barrier(env.omp.barrier_timeout()).map_err(|e| {
@@ -582,7 +581,7 @@ impl Executor {
                                 OmpError::Barrier(b) => RunErrorKind::ThreadBarrier(b),
                                 other => RunErrorKind::Omp(other),
                             };
-                            RunError::new(kind, *span, env.rank)
+                            RunError::new(kind, block.span, env.rank)
                         })?;
                     }
                     Directive::PForInit {
@@ -611,13 +610,15 @@ impl Executor {
                 }
             } else {
                 // Normal block: run all instructions.
-                for i in func.instrs(cur) {
+                for (i, span) in func.instrs(cur) {
                     t.state.step(env, || {
-                        i.span()
-                            .filter(|s| !s.is_dummy())
-                            .unwrap_or_else(|| block_span(func, cur))
+                        if span.is_dummy() {
+                            block_span(func, cur)
+                        } else {
+                            *span
+                        }
                     })?;
-                    self.exec_instr(t, frame, i, depth)?;
+                    self.exec_instr(t, frame, i, *span, depth)?;
                 }
             }
 
@@ -668,11 +669,11 @@ impl Executor {
         depth: usize,
     ) -> Result<BlockId, RunError> {
         let func = &self.module.funcs[fidx];
+        let block = func.block(cur);
         let Some(Directive::ParallelBegin {
             region,
             num_threads,
-            span,
-        }) = func.block(cur).directive()
+        }) = block.directive()
         else {
             unreachable!("called on a parallel.begin block");
         };
@@ -766,7 +767,7 @@ impl Executor {
                 for _ in 0..team_size {
                     env.world.thread_departed(env.rank);
                 }
-                Err(RunError::new(RunErrorKind::Omp(e), *span, env.rank))
+                Err(RunError::new(RunErrorKind::Omp(e), block.span, env.rank))
             }
         }
     }
@@ -776,21 +777,23 @@ impl Executor {
         &self,
         t: &mut SimThread<'_>,
         frame: &mut Frame,
-        instrs: &[Instr],
+        instrs: &[(Instr, Span)],
     ) -> Result<(), RunError> {
-        for i in instrs {
+        for (i, span) in instrs {
             if let Instr::Check(check) = i {
-                self.exec_check(t, frame, check)?;
+                self.exec_check(t, frame, check, *span)?;
             }
         }
         Ok(())
     }
 
+    /// Execute `instr`, whose source span is `span`.
     fn exec_instr(
         &self,
         t: &mut SimThread<'_>,
         frame: &mut Frame,
         instr: &Instr,
+        span: Span,
         depth: usize,
     ) -> Result<(), RunError> {
         let rank = t.env.rank;
@@ -809,24 +812,14 @@ impl Executor {
                 };
                 self.write(frame, *dest, out);
             }
-            Instr::Binary {
-                dest,
-                op,
-                lhs,
-                rhs,
-                span,
-            } => {
+            Instr::Binary { dest, op, lhs, rhs } => {
                 let l = self.read(frame, *lhs);
                 let r = self.read(frame, *rhs);
-                let out = self.binary(rank, *op, l, r, *span)?;
+                let out = self.binary(rank, *op, l, r, span)?;
                 self.write(frame, *dest, out);
             }
             Instr::ArrayNew {
-                dest,
-                len,
-                init,
-                span,
-                ..
+                dest, len, init, ..
             } => {
                 // A negative length, or one the allocator refuses, is the
                 // program's error, not the interpreter's abort.
@@ -834,45 +827,35 @@ impl Executor {
                 let out = usize::try_from(n)
                     .ok()
                     .and_then(|n| Value::filled_array(n, &self.read(frame, *init)))
-                    .ok_or_else(|| RunError::new(RunErrorKind::BadArrayLength(n), *span, rank))?;
+                    .ok_or_else(|| RunError::new(RunErrorKind::BadArrayLength(n), span, rank))?;
                 self.write(frame, *dest, out);
             }
-            Instr::Load {
-                dest,
-                arr,
-                idx,
-                span,
-            } => {
+            Instr::Load { dest, arr, idx } => {
                 let i = self.read(frame, *idx).as_int();
                 let out = with_reg(frame, *arr, |arr| match arr {
                     Value::ArrayInt(a) => {
-                        let i = check_bounds(i, a.len(), *span, rank)?;
+                        let i = check_bounds(i, a.len(), span, rank)?;
                         Ok(Value::Int(a[i].load(Ordering::Relaxed)))
                     }
                     Value::ArrayFloat(a) => {
-                        let i = check_bounds(i, a.len(), *span, rank)?;
+                        let i = check_bounds(i, a.len(), span, rank)?;
                         Ok(Value::Float(f64::from_bits(a[i].load(Ordering::Relaxed))))
                     }
                     other => panic!("type-checked load from {other:?}"),
                 })?;
                 self.write(frame, *dest, out);
             }
-            Instr::Store {
-                arr,
-                idx,
-                value,
-                span,
-            } => {
+            Instr::Store { arr, idx, value } => {
                 let i = self.read(frame, *idx).as_int();
                 let v = self.read(frame, *value);
                 with_reg(frame, *arr, |arr| match arr {
                     Value::ArrayInt(a) => {
-                        let i = check_bounds(i, a.len(), *span, rank)?;
+                        let i = check_bounds(i, a.len(), span, rank)?;
                         a[i].store(v.as_int(), Ordering::Relaxed);
                         Ok(())
                     }
                     Value::ArrayFloat(a) => {
-                        let i = check_bounds(i, a.len(), *span, rank)?;
+                        let i = check_bounds(i, a.len(), span, rank)?;
                         a[i].store(v.as_float().to_bits(), Ordering::Relaxed);
                         Ok(())
                     }
@@ -883,21 +866,16 @@ impl Executor {
                 let out = self.intrinsic(t, frame, *intr, args);
                 self.write(frame, *dest, out);
             }
-            Instr::Call {
-                dest,
-                callee,
-                args,
-                span,
-            } => {
+            Instr::Call { dest, callee, args } => {
                 let argv: Vec<Value> = args.iter().map(|a| self.read(frame, *a)).collect();
-                let ret = self.exec_function(t, *callee, argv, depth + 1, *span)?;
+                let ret = self.exec_function(t, *callee, argv, depth + 1, span)?;
                 if let (Some(d), Some(v)) = (dest, ret) {
                     self.write(frame, *d, v);
                 }
             }
-            Instr::Mpi { dest, op, span } => {
+            Instr::Mpi { dest, op } => {
                 t.state.stats.mpi_calls += 1;
-                let out = self.exec_mpi(t, frame, op, *span)?;
+                let out = self.exec_mpi(t, frame, op, span)?;
                 if let (Some(d), Some(v)) = (dest, out) {
                     self.write(frame, *d, v);
                 }
@@ -918,28 +896,28 @@ impl Executor {
                 t.env.output.lock().push(line);
             }
             Instr::Check(check) => {
-                self.exec_check(t, frame, check)?;
+                self.exec_check(t, frame, check, span)?;
             }
         }
         Ok(())
     }
 
+    /// Execute `check`, whose span is `span`.
     fn exec_check(
         &self,
         t: &mut SimThread<'_>,
         frame: &mut Frame,
         check: &CheckOp,
+        span: Span,
     ) -> Result<(), RunError> {
         let rank = t.env.rank;
         match check {
-            CheckOp::CollectiveCc {
-                color, comm, span, ..
-            } => {
+            CheckOp::CollectiveCc { color, comm } => {
                 // The CC runs on the guarded collective's communicator.
                 let handle = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
-                self.run_cc(t, handle, *color, *span)
+                self.run_cc(t, handle, *color, span)
             }
-            CheckOp::ReturnCc { span } => {
+            CheckOp::ReturnCc => {
                 // Wrapped in `single` semantics when inside a team (paper
                 // §3: "this function is wrapped into a single pragma").
                 if t.ctx.in_parallel() {
@@ -948,9 +926,9 @@ impl Executor {
                         return Ok(());
                     }
                 }
-                self.run_cc(t, 0, 0, *span)
+                self.run_cc(t, 0, 0, span)
             }
-            CheckOp::AssertMonothread { what, span } => {
+            CheckOp::AssertMonothread { what } => {
                 // Deterministic: within one team encounter, two *distinct*
                 // threads reaching the same collective site prove the
                 // context is multithreaded, regardless of interleaving.
@@ -958,14 +936,13 @@ impl Executor {
                 let site = self.sites.mono_sites[&span.lo] as usize;
                 let me = t.ctx.thread_num();
                 if t.checks.is_some_and(|checks| !checks.is_first_at(site, me)) {
-                    let err =
-                        RunError::new(RunErrorKind::MonothreadViolation { what }, *span, rank);
+                    let err = RunError::new(RunErrorKind::MonothreadViolation { what }, span, rank);
                     t.abort_all(&err);
                     return Err(err);
                 }
                 Ok(())
             }
-            CheckOp::ConcEnter { site, span } => {
+            CheckOp::ConcEnter { site } => {
                 let overlapping =
                     t.env.conc[*site as usize].fetch_add(1, Ordering::SeqCst) + 1 >= 2;
                 // Second execution of a suspect site within one barrier
@@ -980,7 +957,7 @@ impl Executor {
                 });
                 if overlapping || reexecuted {
                     let err =
-                        RunError::new(RunErrorKind::ConcurrentRegions { site: *site }, *span, rank);
+                        RunError::new(RunErrorKind::ConcurrentRegions { site: *site }, span, rank);
                     t.abort_all(&err);
                     return Err(err);
                 }
@@ -990,12 +967,12 @@ impl Executor {
                 t.env.conc[*site as usize].fetch_sub(1, Ordering::SeqCst);
                 Ok(())
             }
-            CheckOp::P2pEpoch { span } => {
+            CheckOp::P2pEpoch => {
                 let rows = t
                     .env
                     .world
                     .p2p_census(rank, t.ctx.is_initial_thread())
-                    .map_err(|e| RunError::new(classify_mpi_error(e), *span, rank))?;
+                    .map_err(|e| RunError::new(classify_mpi_error(e), span, rank))?;
                 let unbalanced: Vec<(usize, u64, u64)> = rows
                     .into_iter()
                     .filter(|(_, sent, recvd)| sent != recvd)
@@ -1003,11 +980,8 @@ impl Executor {
                 if unbalanced.is_empty() {
                     return Ok(());
                 }
-                let err = RunError::new(
-                    RunErrorKind::P2pImbalance { comms: unbalanced },
-                    *span,
-                    rank,
-                );
+                let err =
+                    RunError::new(RunErrorKind::P2pImbalance { comms: unbalanced }, span, rank);
                 t.abort_all(&err);
                 Err(err)
             }
@@ -1312,7 +1286,7 @@ fn block_span(func: &FuncIr, mut b: BlockId) -> Span {
     for _ in 0..func.block_count() {
         let block = func.block(b);
         let (term, next) = match block.term {
-            Terminator::Branch { span, .. } | Terminator::Return { span, .. } => (span, None),
+            Terminator::Branch { .. } | Terminator::Return { .. } => (block.term_span, None),
             Terminator::Goto(next) => (Span::DUMMY, Some(next)),
             Terminator::Unreachable => (Span::DUMMY, None),
         };
@@ -1444,7 +1418,7 @@ fn region_plan(f: &FuncIr, begin: BlockId, region: RegionId) -> RegionPlan {
 /// every instruction's destination and the registers its directive sets.
 fn block_defs<'a>(
     b: &'a parcoach_ir::func::BasicBlock,
-    instrs: &'a [Instr],
+    instrs: &'a [(Instr, Span)],
 ) -> impl Iterator<Item = Reg> + 'a {
     let directive = match b.directive() {
         Some(
@@ -1457,6 +1431,6 @@ fn block_defs<'a>(
     };
     instrs
         .iter()
-        .filter_map(Instr::dest)
+        .filter_map(|(i, _)| i.dest())
         .chain(directive.into_iter().flatten())
 }

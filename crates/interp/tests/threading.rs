@@ -204,10 +204,8 @@ fn checks_attached_to_a_regions_end_barrier_still_run() {
     f.rewrite_instrs(|b, _, old, out| {
         out.extend(old);
         if b == end_barrier {
-            out.push(Instr::Check(CheckOp::AssertMonothread {
-                what: "MPI_Barrier",
-                span,
-            }));
+            let what = "MPI_Barrier";
+            out.push((Instr::Check(CheckOp::AssertMonothread { what }), span));
         }
     });
     let r = Executor::new(module, cfg(1, 2)).run();

@@ -19,7 +19,7 @@ pub fn func_to_dot(f: &FuncIr, m: &Module) -> String {
             BlockKind::Normal => {
                 let mut body = String::new();
                 let instrs = f.instrs(id);
-                for i in instrs.iter().take(6) {
+                for (i, _) in instrs.iter().take(6) {
                     let line = summarize_instr(i, m);
                     body.push_str(&line);
                     body.push_str("\\l");

@@ -3,97 +3,53 @@
 //! `parcoachd` keeps lowered [`FuncIr`]s resident across single-function
 //! text edits. An edit that grows or shrinks one function shifts the
 //! byte offsets of every function *after* it in the document; their IR
-//! is still valid, but the [`Span`]s baked into it point at the old
-//! offsets. [`shift_spans`] rebases a function wholesale so that a
-//! warm re-analysis reports the same positions a cold re-parse of the
-//! new document would.
-//!
-//! The walk is exhaustive by construction: every match is written
-//! without a wildcard arm over span-carrying variants, so adding a new
-//! span field to the IR fails compilation here instead of silently
-//! drifting warm diagnostics.
+//! is still valid, but its [`Span`]s point at the old offsets.
+//! [`shift_spans`] rebases a function wholesale so that a warm
+//! re-analysis reports the same positions a cold re-parse of the new
+//! document would. Spans sit beside the instructions, directives and
+//! terminators, never inside them, so that is one loop.
 
-use crate::func::FuncIr;
-use crate::instr::{CheckOp, Directive, Instr, Terminator};
+use crate::func::{BasicBlock, FuncIr};
 use parcoach_front::span::Span;
 
-/// Apply `delta` to a span, saturating at zero. The reserved
-/// [`Span::DUMMY`] is left untouched — synthesized nodes have no source
-/// position to rebase.
-fn shift(span: &mut Span, delta: i64) {
-    if span.is_dummy() {
-        return;
-    }
-    let lo = span.lo as i64 + delta;
-    let hi = span.hi as i64 + delta;
-    *span = Span::new(lo.max(0) as u32, hi.max(0) as u32);
-}
-
 /// Rebase every span in `f` by `delta` bytes (positive = the edit grew
-/// an earlier function). A no-op for `delta == 0`.
+/// an earlier function), saturating at zero. The reserved
+/// [`Span::DUMMY`] is left untouched — synthesized nodes have no source
+/// position to rebase. A no-op for `delta == 0`.
 pub fn shift_spans(f: &mut FuncIr, delta: i64) {
     if delta == 0 {
         return;
     }
-    shift(&mut f.span, delta);
-    for b in &mut f.blocks {
-        shift(&mut b.span, delta);
-        if let crate::instr::BlockKind::Directive(d) = &mut b.kind {
-            shift_directive(d, delta);
+    // Named field by field, so a new span field fails compilation here
+    // instead of drifting warm diagnostics.
+    let FuncIr {
+        span,
+        blocks,
+        instrs,
+        name: _,
+        params: _,
+        ret: _,
+        reg_types: _,
+        entry: _,
+        region_count: _,
+    } = f;
+    let block_spans = blocks.iter_mut().flat_map(|b| {
+        let BasicBlock {
+            span,
+            term_span,
+            kind: _,
+            instrs: _,
+            term: _,
+        } = b;
+        [span, term_span]
+    });
+    let instr_spans = instrs.iter_mut().map(|(_, span)| span);
+    for span in std::iter::once(span).chain(block_spans).chain(instr_spans) {
+        if !span.is_dummy() {
+            let lo = (span.lo as i64 + delta).max(0) as u32;
+            let hi = (span.hi as i64 + delta).max(0) as u32;
+            *span = Span::new(lo, hi);
         }
-        shift_terminator(&mut b.term, delta);
-    }
-    for i in &mut f.instrs {
-        shift_instr(i, delta);
-    }
-}
-
-fn shift_instr(i: &mut Instr, delta: i64) {
-    match i {
-        Instr::Binary { span, .. }
-        | Instr::ArrayNew { span, .. }
-        | Instr::Load { span, .. }
-        | Instr::Store { span, .. }
-        | Instr::Call { span, .. }
-        | Instr::Mpi { span, .. } => shift(span, delta),
-        Instr::Check(c) => match c {
-            CheckOp::CollectiveCc { span, .. }
-            | CheckOp::ReturnCc { span }
-            | CheckOp::AssertMonothread { span, .. }
-            | CheckOp::ConcEnter { span, .. }
-            | CheckOp::P2pEpoch { span } => shift(span, delta),
-            CheckOp::ConcExit { .. } => {}
-        },
-        Instr::Copy { .. }
-        | Instr::Unary { .. }
-        | Instr::Intrinsic { .. }
-        | Instr::Print { .. } => {}
-    }
-}
-
-fn shift_directive(d: &mut Directive, delta: i64) {
-    match d {
-        Directive::ParallelBegin { span, .. }
-        | Directive::SingleBegin { span, .. }
-        | Directive::MasterBegin { span, .. }
-        | Directive::CriticalBegin { span, .. }
-        | Directive::WorkshareBegin { span, .. }
-        | Directive::Barrier { span, .. } => shift(span, delta),
-        Directive::ParallelEnd { .. }
-        | Directive::SingleEnd { .. }
-        | Directive::MasterEnd { .. }
-        | Directive::CriticalEnd { .. }
-        | Directive::WorkshareEnd { .. }
-        | Directive::PForInit { .. }
-        | Directive::SectionBegin { .. }
-        | Directive::SectionEnd { .. } => {}
-    }
-}
-
-fn shift_terminator(t: &mut Terminator, delta: i64) {
-    match t {
-        Terminator::Branch { span, .. } | Terminator::Return { span, .. } => shift(span, delta),
-        Terminator::Goto(_) | Terminator::Unreachable => {}
     }
 }
 
@@ -131,12 +87,7 @@ mod tests {
         let m = lower_one(src);
         let mut f = FuncIr::clone(&m.funcs[0]);
         shift_spans(&mut f, 1000);
-        let count_dummy = |f: &FuncIr| {
-            f.instrs
-                .iter()
-                .filter(|i| i.span() == Some(Span::DUMMY))
-                .count()
-        };
+        let count_dummy = |f: &FuncIr| f.instrs.iter().filter(|(_, s)| s.is_dummy()).count();
         assert_eq!(count_dummy(&f), count_dummy(&m.funcs[0]));
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::graph::Preds;
 use crate::instr::{BlockKind, Directive, Instr, Successors, Terminator};
-use crate::types::{BlockId, Reg, RegionId, Value};
+use crate::types::{BlockId, Reg, RegionId};
 use parcoach_front::ast::Type;
 use parcoach_front::span::Span;
 use std::fmt::Write;
@@ -10,7 +10,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// A basic block: a kind (normal or directive), a run of straight-line
-/// instructions, and one terminator.
+/// instructions, and one terminator — beside the block's spans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BasicBlock {
     /// Normal code or an OpenMP directive node.
@@ -20,7 +20,12 @@ pub struct BasicBlock {
     pub instrs: Range<u32>,
     /// The terminator.
     pub term: Terminator,
-    /// Representative source span (first statement lowered into it).
+    /// The terminator's source span: a branch's controlling condition
+    /// (PARCOACH warnings point at it) or a return site; dummy for a
+    /// jump.
+    pub term_span: Span,
+    /// Representative source span: a directive block's construct, else
+    /// the first statement lowered into the block.
     pub span: Span,
 }
 
@@ -32,6 +37,7 @@ impl BasicBlock {
             kind: BlockKind::Normal,
             instrs: 0..0,
             term: Terminator::Unreachable,
+            term_span: Span::DUMMY,
             span: Span::DUMMY,
         }
     }
@@ -53,6 +59,12 @@ impl Default for BasicBlock {
 /// All of a function's instructions live in one array, `instrs`, block
 /// after block in id order; a block holds its run of it. The IR keeps no
 /// source names: a register is its number and its type.
+///
+/// Spans sit beside what they locate — each instruction's in its
+/// `instrs` entry, a block's and its terminator's in the block, the
+/// function's here — and never inside an instruction, directive or
+/// terminator, so those compare by structure alone and
+/// [`FuncIr::same_code`] tells moved code from changed code.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuncIr {
     /// Function name.
@@ -65,8 +77,9 @@ pub struct FuncIr {
     pub reg_types: Vec<Type>,
     /// Block table; `BlockId` indexes into it.
     pub blocks: Vec<BasicBlock>,
-    /// Every instruction, in block order; the blocks' runs tile it.
-    pub instrs: Vec<Instr>,
+    /// Every instruction with its source span, in block order; the
+    /// blocks' runs tile it.
+    pub instrs: Vec<(Instr, Span)>,
     /// The entry block (no predecessors).
     pub entry: BlockId,
     /// Number of OpenMP region instances allocated in this function.
@@ -77,7 +90,7 @@ pub struct FuncIr {
 
 /// The old instructions of one block, moved out by
 /// [`FuncIr::rewrite_instrs`].
-pub type OldInstrs<'a> = std::iter::Take<&'a mut std::vec::IntoIter<Instr>>;
+pub type OldInstrs<'a> = std::iter::Take<&'a mut std::vec::IntoIter<(Instr, Span)>>;
 
 impl FuncIr {
     /// Access a block.
@@ -90,9 +103,9 @@ impl FuncIr {
         &mut self.blocks[id.index()]
     }
 
-    /// The instructions of block `id`, in order.
+    /// The instructions of block `id` with their spans, in order.
     #[inline]
-    pub fn instrs(&self, id: BlockId) -> &[Instr] {
+    pub fn instrs(&self, id: BlockId) -> &[(Instr, Span)] {
         let r = &self.blocks[id.index()].instrs;
         &self.instrs[r.start as usize..r.end as usize]
     }
@@ -100,7 +113,7 @@ impl FuncIr {
     /// Mutable access to the instructions of block `id` — for edits
     /// that keep their number; [`FuncIr::rewrite_instrs`] changes it.
     #[inline]
-    pub fn instrs_mut(&mut self, id: BlockId) -> &mut [Instr] {
+    pub fn instrs_mut(&mut self, id: BlockId) -> &mut [(Instr, Span)] {
         let r = &self.blocks[id.index()].instrs;
         &mut self.instrs[r.start as usize..r.end as usize]
     }
@@ -112,7 +125,7 @@ impl FuncIr {
     /// as lowering lays them out (the verifier checks it).
     pub fn rewrite_instrs(
         &mut self,
-        mut emit: impl FnMut(BlockId, &BasicBlock, OldInstrs<'_>, &mut Vec<Instr>),
+        mut emit: impl FnMut(BlockId, &BasicBlock, OldInstrs<'_>, &mut Vec<(Instr, Span)>),
     ) {
         let mut old = std::mem::take(&mut self.instrs).into_iter();
         let mut out = Vec::with_capacity(old.len());
@@ -143,19 +156,6 @@ impl FuncIr {
         (0..self.blocks.len() as u32).map(BlockId)
     }
 
-    /// The static type of a register.
-    pub fn reg_ty(&self, r: Reg) -> Type {
-        self.reg_types[r.index()]
-    }
-
-    /// The type of an operand.
-    pub fn value_ty(&self, v: Value) -> Type {
-        match v {
-            Value::Reg(r) => self.reg_ty(r),
-            Value::Const(c) => c.ty(),
-        }
-    }
-
     /// Successors of a block (from its terminator).
     pub fn successors(&self, id: BlockId) -> Successors {
         self.block(id).term.successors()
@@ -177,7 +177,7 @@ impl FuncIr {
     /// Blocks whose instructions satisfy `pred` somewhere, in id order.
     pub fn blocks_with(&self, pred: impl Fn(&Instr) -> bool) -> Vec<BlockId> {
         self.block_ids()
-            .filter(|&b| self.instrs(b).iter().any(&pred))
+            .filter(|&b| self.instrs(b).iter().any(|(i, _)| pred(i)))
             .collect()
     }
 
@@ -195,7 +195,7 @@ impl FuncIr {
     pub fn has_p2p(&self) -> bool {
         self.instrs
             .iter()
-            .any(|i| matches!(i, Instr::Mpi { op, .. } if op.is_p2p()))
+            .any(|(i, _)| matches!(i, Instr::Mpi { op, .. } if op.is_p2p()))
     }
 
     /// True if the function contains any OpenMP directive block.
@@ -207,7 +207,9 @@ impl FuncIr {
 
     /// True if the function contains any MPI instruction.
     pub fn has_mpi(&self) -> bool {
-        self.instrs.iter().any(|i| matches!(i, Instr::Mpi { .. }))
+        self.instrs
+            .iter()
+            .any(|(i, _)| matches!(i, Instr::Mpi { .. }))
     }
 
     /// Find the block carrying the begin directive of `region`.
@@ -245,7 +247,8 @@ impl FuncIr {
 
     /// The canonical text of this function of `m`: its signature,
     /// register types, entry and region count, then every block in id
-    /// order with its span, kind, instructions and terminator. It names
+    /// order with its span, kind, instructions and terminator, each
+    /// instruction and terminator followed by `@` and its span. It names
     /// no register and shows nothing of how the instructions are stored,
     /// so it pins what the IR means, not its layout.
     pub fn canonical(&self, m: &Module) -> String {
@@ -260,30 +263,68 @@ impl FuncIr {
                 BlockKind::Directive(d) => writeln!(out, "{id} {} {d:?}:", b.span),
             };
             self.write_instrs(&mut out, id, m);
-            let _ = writeln!(out, "    {:?}", b.term);
+            let _ = writeln!(out, "    {:?} @ {}", b.term, b.term_span);
         }
         out
     }
 
     /// The instructions of block `id`, a line each, as the printers show
     /// them: the `{:?}` text, except that a call names its callee as `m`
-    /// does.
+    /// does, then `@` and the span.
     fn write_instrs(&self, out: &mut String, id: BlockId, m: &Module) {
-        for i in self.instrs(id) {
+        for (i, span) in self.instrs(id) {
             let _ = match i {
-                Instr::Call {
-                    dest,
-                    callee,
-                    args,
-                    span,
-                } => writeln!(
+                Instr::Call { dest, callee, args } => writeln!(
                     out,
-                    "    Call {{ dest: {dest:?}, func: {:?}, args: {args:?}, span: {span:?} }}",
+                    "    Call {{ dest: {dest:?}, func: {:?}, args: {args:?} }} @ {span}",
                     m.funcs[*callee].name
                 ),
-                i => writeln!(out, "    {i:?}"),
+                i => writeln!(out, "    {i:?} @ {span}"),
             };
         }
+    }
+
+    /// True when `self` and `other` are the same code, wherever it sits:
+    /// every field but the spans is equal. An edit that only moved a
+    /// function — whitespace above it or inside it — leaves it the same
+    /// code.
+    pub fn same_code(&self, other: &FuncIr) -> bool {
+        // Named field by field, so a new field fails compilation here
+        // instead of escaping the comparison.
+        let FuncIr {
+            name,
+            params,
+            ret,
+            reg_types,
+            blocks,
+            instrs,
+            entry,
+            region_count,
+            span: _,
+        } = self;
+        let same_block = |a: &BasicBlock, b: &BasicBlock| {
+            let BasicBlock {
+                kind,
+                instrs,
+                term,
+                term_span: _,
+                span: _,
+            } = a;
+            *kind == b.kind && *instrs == b.instrs && *term == b.term
+        };
+        *name == other.name
+            && *params == other.params
+            && *ret == other.ret
+            && *reg_types == other.reg_types
+            && *entry == other.entry
+            && *region_count == other.region_count
+            && blocks.len() == other.blocks.len()
+            && blocks
+                .iter()
+                .zip(&other.blocks)
+                .all(|(a, b)| same_block(a, b))
+            && instrs.len() == other.instrs.len()
+            && instrs.iter().zip(&other.instrs).all(|(a, b)| a.0 == b.0)
     }
 }
 
@@ -344,7 +385,7 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Const;
+    use crate::types::{Const, Value};
 
     fn tiny_func() -> FuncIr {
         // bb0: %0 = 1; br true ? bb1 : bb2
@@ -356,13 +397,9 @@ mod tests {
             cond: Value::bool(true),
             then_bb: BlockId(1),
             else_bb: BlockId(2),
-            span: Span::DUMMY,
         };
         let mut b1 = BasicBlock::new();
-        b1.term = Terminator::Return {
-            value: None,
-            span: Span::DUMMY,
-        };
+        b1.term = Terminator::Return { value: None };
         b1.instrs = 1..1;
         let b2 = b1.clone();
         FuncIr {
@@ -371,10 +408,13 @@ mod tests {
             ret: Type::Void,
             reg_types: vec![Type::Int],
             blocks: vec![b0, b1, b2],
-            instrs: vec![Instr::Copy {
-                dest: Reg(0),
-                src: Value::Const(Const::Int(1)),
-            }],
+            instrs: vec![(
+                Instr::Copy {
+                    dest: Reg(0),
+                    src: Value::Const(Const::Int(1)),
+                },
+                Span::DUMMY,
+            )],
             entry: BlockId(0),
             region_count: 0,
             span: Span::DUMMY,
@@ -400,13 +440,6 @@ mod tests {
         assert_eq!(m.index("nope"), None);
         assert_eq!(m.total_blocks(), 3);
         assert_eq!(m.total_instrs(), 1);
-    }
-
-    #[test]
-    fn value_types() {
-        let f = tiny_func();
-        assert_eq!(f.value_ty(Value::Reg(Reg(0))), Type::Int);
-        assert_eq!(f.value_ty(Value::Const(Const::Float(1.0))), Type::Float);
     }
 
     #[test]

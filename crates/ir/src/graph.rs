@@ -302,16 +302,12 @@ pub fn func_from_edges(n: usize, edges: &[(u32, u32)]) -> FuncIr {
             .map(|(_, b)| *b)
             .collect();
         block.term = match succs.len() {
-            0 => Terminator::Return {
-                value: None,
-                span: Span::DUMMY,
-            },
+            0 => Terminator::Return { value: None },
             1 => Terminator::Goto(BlockId(succs[0])),
             2 => Terminator::Branch {
                 cond: Value::bool(true),
                 then_bb: BlockId(succs[0]),
                 else_bb: BlockId(succs[1]),
-                span: Span::DUMMY,
             },
             k => panic!("block {i} has {k} successors; max 2"),
         };

@@ -11,12 +11,13 @@ use crate::types::{BlockId, Reg, RegionId, Value};
 /// registers and constants for operands.
 pub use parcoach_front::ast::MpiOp;
 use parcoach_front::ast::{BinOp, CollectiveKind, Intrinsic, Type, UnOp};
-use parcoach_front::span::Span;
 use std::fmt;
 
 /// Dynamic checks inserted by the PARCOACH instrumentation pass (§3 of the
 /// paper). They are ordinary instructions so the executor runs them
-/// in-line; an un-instrumented program contains none of them.
+/// in-line; an un-instrumented program contains none of them. A check's
+/// span, beside it in [`FuncIr::instrs`](crate::FuncIr::instrs), is the
+/// source location of what it guards (none for [`CheckOp::ConcExit`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CheckOp {
     /// The `CC` collective-verification call placed *before* an MPI
@@ -30,24 +31,17 @@ pub enum CheckOp {
         /// runs on the *same* communicator so collectives on unrelated
         /// communicators can never be compared against each other.
         comm: Option<Value>,
-        /// Source location of the guarded collective.
-        span: Span,
     },
     /// The `CC` call placed before `return` statements (color 0) so ranks
     /// that leave the function while others still expect collectives are
     /// caught. Wrapped in `single` semantics when in a parallel region.
-    ReturnCc {
-        /// Source location of the return.
-        span: Span,
-    },
+    ReturnCc,
     /// Verify the executing context is monothreaded (inserted at `S_ipw`
     /// nodes — collectives, including communicator management, whose
     /// parallelism word could not be proven in `L` statically).
     AssertMonothread {
         /// MPI name of the guarded operation (for error messages).
         what: &'static str,
-        /// Source location.
-        span: Span,
     },
     /// Concurrency counter entry for an `S_cc` node (possibly-concurrent
     /// monothreaded region containing collectives). Aborts when two
@@ -55,8 +49,6 @@ pub enum CheckOp {
     ConcEnter {
         /// Static site id (one per region pair detected).
         site: u32,
-        /// Source location of the region.
-        span: Span,
     },
     /// Concurrency counter exit, matching [`CheckOp::ConcEnter`].
     ConcExit {
@@ -70,13 +62,15 @@ pub enum CheckOp {
     /// at the communicator's final synchronization point, where all
     /// buffered traffic must have been received). Unbalanced totals
     /// abort with the per-communicator counts.
-    P2pEpoch {
-        /// Source location of the guarded finalize.
-        span: Span,
-    },
+    P2pEpoch,
 }
 
-/// A straight-line instruction.
+/// A straight-line instruction. Its source span sits beside it in
+/// [`FuncIr::instrs`](crate::FuncIr::instrs) — where a division by zero
+/// or a bounds error is reported, and, for an MPI operation, the line the
+/// paper's warnings and run-time error messages cite. An instruction with
+/// no source position of its own (a copy, an intrinsic, a print) has
+/// [`Span::DUMMY`](parcoach_front::span::Span::DUMMY) there.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
     /// `dest = src` (src may be a constant).
@@ -105,8 +99,6 @@ pub enum Instr {
         lhs: Value,
         /// Right operand.
         rhs: Value,
-        /// Source span (division by zero etc. reports here).
-        span: Span,
     },
     /// `dest = array(len, init)`.
     ArrayNew {
@@ -118,8 +110,6 @@ pub enum Instr {
         init: Value,
         /// Element type.
         elem: Type,
-        /// Source span.
-        span: Span,
     },
     /// `dest = arr[idx]`.
     Load {
@@ -129,8 +119,6 @@ pub enum Instr {
         arr: Reg,
         /// Index operand.
         idx: Value,
-        /// Source span (bounds errors report here).
-        span: Span,
     },
     /// `arr[idx] = value`.
     Store {
@@ -140,8 +128,6 @@ pub enum Instr {
         idx: Value,
         /// Stored value.
         value: Value,
-        /// Source span.
-        span: Span,
     },
     /// `dest = intrinsic(args…)` for pure intrinsics (`sqrt`, `len`, …)
     /// and runtime queries (`rank`, `thread_num`, …).
@@ -161,8 +147,6 @@ pub enum Instr {
         callee: usize,
         /// Arguments.
         args: Vec<Value>,
-        /// Call-site span.
-        span: Span,
     },
     /// An MPI operation.
     Mpi {
@@ -170,9 +154,6 @@ pub enum Instr {
         dest: Option<Reg>,
         /// The operation.
         op: MpiOp<Value>,
-        /// Source span — the paper's warnings and run-time error messages
-        /// cite this line.
-        span: Span,
     },
     /// `print(args…)`.
     Print {
@@ -205,27 +186,6 @@ impl Instr {
             _ => None,
         }
     }
-
-    /// Span of the instruction if it carries one.
-    pub fn span(&self) -> Option<Span> {
-        match self {
-            Instr::Binary { span, .. }
-            | Instr::ArrayNew { span, .. }
-            | Instr::Load { span, .. }
-            | Instr::Store { span, .. }
-            | Instr::Call { span, .. }
-            | Instr::Mpi { span, .. } => Some(*span),
-            Instr::Check(c) => match c {
-                CheckOp::CollectiveCc { span, .. }
-                | CheckOp::ReturnCc { span }
-                | CheckOp::AssertMonothread { span, .. }
-                | CheckOp::ConcEnter { span, .. }
-                | CheckOp::P2pEpoch { span } => Some(*span),
-                CheckOp::ConcExit { .. } => None,
-            },
-            _ => None,
-        }
-    }
 }
 
 /// The OpenMP-model work-sharing flavours.
@@ -238,7 +198,8 @@ pub enum WorkshareKind {
 }
 
 /// OpenMP directives. Each directive occupies its own basic block
-/// ([`BlockKind::Directive`]), exactly as the paper's modified CFG does.
+/// ([`BlockKind::Directive`]), exactly as the paper's modified CFG does;
+/// the block's span is the construct's.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Directive {
     /// Fork a team. Runtime: threads of the new team each execute the
@@ -248,8 +209,6 @@ pub enum Directive {
         region: RegionId,
         /// Requested team size (None → runtime default).
         num_threads: Option<Value>,
-        /// Source span of the construct.
-        span: Span,
     },
     /// Join the team forked by the matching begin.
     ParallelEnd {
@@ -265,8 +224,6 @@ pub enum Directive {
         nowait: bool,
         /// Receives "this thread executes the region".
         chosen: Reg,
-        /// Source span.
-        span: Span,
     },
     /// `single` exit (before the implicit barrier, if any).
     SingleEnd {
@@ -279,8 +236,6 @@ pub enum Directive {
         region: RegionId,
         /// Receives "this thread is the master".
         chosen: Reg,
-        /// Source span.
-        span: Span,
     },
     /// `master` exit.
     MasterEnd {
@@ -291,8 +246,6 @@ pub enum Directive {
     CriticalBegin {
         /// Region instance id.
         region: RegionId,
-        /// Source span.
-        span: Span,
     },
     /// `critical` exit: releases the lock.
     CriticalEnd {
@@ -307,8 +260,6 @@ pub enum Directive {
         kind: WorkshareKind,
         /// Whether the trailing implicit barrier is suppressed.
         nowait: bool,
-        /// Source span.
-        span: Span,
     },
     /// Work-sharing exit (before the implicit barrier, if any).
     WorkshareEnd {
@@ -355,8 +306,6 @@ pub enum Directive {
         implicit: bool,
         /// The region whose end generated it (None for explicit).
         region: Option<RegionId>,
-        /// Source span (construct span for implicit barriers).
-        span: Span,
     },
 }
 
@@ -464,16 +413,11 @@ pub enum Terminator {
         then_bb: BlockId,
         /// Target when false.
         else_bb: BlockId,
-        /// Span of the controlling condition — PARCOACH warnings point
-        /// at this.
-        span: Span,
     },
     /// Return from the function.
     Return {
         /// Returned operand, if non-void.
         value: Option<Value>,
-        /// Span of the return site.
-        span: Span,
     },
     /// Placeholder during construction; the verifier rejects it.
     Unreachable,
@@ -557,15 +501,9 @@ mod tests {
             cond: Value::bool(true),
             then_bb: BlockId(1),
             else_bb: BlockId(2),
-            span: Span::DUMMY,
         };
         assert_eq!(*br.successors(), [BlockId(1), BlockId(2)]);
-        assert!(Terminator::Return {
-            value: None,
-            span: Span::DUMMY
-        }
-        .successors()
-        .is_empty());
+        assert!(Terminator::Return { value: None }.successors().is_empty());
     }
 
     #[test]
@@ -573,7 +511,6 @@ mod tests {
         let d = Directive::ParallelBegin {
             region: RegionId(0),
             num_threads: None,
-            span: Span::DUMMY,
         };
         assert!(d.opens_region());
         assert!(!d.closes_region());
@@ -585,7 +522,6 @@ mod tests {
         let b = Directive::Barrier {
             implicit: false,
             region: None,
-            span: Span::DUMMY,
         };
         assert!(!b.opens_region() && !b.closes_region());
         assert_eq!(b.region(), None);
@@ -613,13 +549,11 @@ mod tests {
                 root: None,
                 comm: None,
             },
-            span: Span::DUMMY,
         };
         assert_eq!(i.collective_kind(), Some(CollectiveKind::Barrier));
         let j = Instr::Mpi {
             dest: None,
             op: MpiOp::Finalize,
-            span: Span::DUMMY,
         };
         assert_eq!(j.collective_kind(), None);
     }

@@ -69,7 +69,7 @@ struct Lowerer<'a> {
     /// The instructions of `blocks[i]` so far, at index `i`. Longer than
     /// `blocks` after a larger function: the extra vectors wait, empty,
     /// with their capacity.
-    block_instrs: Vec<Vec<Instr>>,
+    block_instrs: Vec<Vec<(Instr, Span)>>,
     reg_types: Vec<Type>,
     /// The register of each binding slot lowered so far: a slot gets
     /// its register where it is declared, in declaration order.
@@ -110,11 +110,8 @@ impl<'a> Lowerer<'a> {
         self.blocks[0].span = src.span;
         self.lower_block(&src.body);
         // Fall-through at the end of the body: synthesize a return.
-        if matches!(self.blocks[self.cur.index()].term, Terminator::Unreachable) {
-            self.blocks[self.cur.index()].term = Terminator::Return {
-                value: None,
-                span: src.span,
-            };
+        if !self.terminated() {
+            self.set_term(Terminator::Return { value: None }, src.span);
         }
         self.slot_regs.clear();
         FuncIr {
@@ -132,7 +129,7 @@ impl<'a> Lowerer<'a> {
 
     /// Move every block's instructions into one array of the final
     /// size, in block order, and point each block at its run.
-    fn lay_out_instrs(&mut self) -> Vec<Instr> {
+    fn lay_out_instrs(&mut self) -> Vec<(Instr, Span)> {
         let scratch = &mut self.block_instrs[..self.blocks.len()];
         let mut instrs = Vec::with_capacity(scratch.iter().map(Vec::len).sum());
         for (b, own) in self.blocks.iter_mut().zip(scratch) {
@@ -174,22 +171,24 @@ impl<'a> Lowerer<'a> {
         id
     }
 
-    fn emit(&mut self, i: Instr) {
-        self.block_instrs[self.cur.index()].push(i);
+    fn emit(&mut self, i: Instr, span: Span) {
+        self.block_instrs[self.cur.index()].push((i, span));
     }
 
-    fn set_term(&mut self, t: Terminator) {
+    fn set_term(&mut self, t: Terminator, span: Span) {
+        let b = &mut self.blocks[self.cur.index()];
         debug_assert!(
-            matches!(self.blocks[self.cur.index()].term, Terminator::Unreachable),
+            matches!(b.term, Terminator::Unreachable),
             "terminator set twice on {}",
             self.cur
         );
-        self.blocks[self.cur.index()].term = t;
+        b.term = t;
+        b.term_span = span;
     }
 
     /// Finish the current block with a goto and continue in `next`.
     fn goto(&mut self, next: BlockId) {
-        self.set_term(Terminator::Goto(next));
+        self.set_term(Terminator::Goto(next), Span::DUMMY);
         self.cur = next;
     }
 
@@ -236,7 +235,7 @@ impl<'a> Lowerer<'a> {
             StmtKind::Let { ty, init, .. } => {
                 let v = self.lower_expr(*init);
                 let r = self.fresh(ty.unwrap_or(self.expr(*init).ty));
-                self.emit(Instr::Copy { dest: r, src: v });
+                self.emit(Instr::Copy { dest: r, src: v }, Span::DUMMY);
                 self.bind(s.slot, r);
             }
             StmtKind::Assign { target, value } => {
@@ -244,17 +243,19 @@ impl<'a> Lowerer<'a> {
                 match *target {
                     LValue::Var(_) => {
                         let r = self.lookup(s.slot);
-                        self.emit(Instr::Copy { dest: r, src: v });
+                        self.emit(Instr::Copy { dest: r, src: v }, Span::DUMMY);
                     }
                     LValue::Index(_, idx) => {
                         let arr = self.lookup(s.slot);
                         let i = self.lower_expr(idx);
-                        self.emit(Instr::Store {
-                            arr,
-                            idx: i,
-                            value: v,
-                            span: s.span,
-                        });
+                        self.emit(
+                            Instr::Store {
+                                arr,
+                                idx: i,
+                                value: v,
+                            },
+                            s.span,
+                        );
                     }
                 }
             }
@@ -271,22 +272,24 @@ impl<'a> Lowerer<'a> {
                 } else {
                     join
                 };
-                self.set_term(Terminator::Branch {
-                    cond: c,
-                    then_bb,
-                    else_bb,
-                    span: self.expr(*cond).span,
-                });
+                self.set_term(
+                    Terminator::Branch {
+                        cond: c,
+                        then_bb,
+                        else_bb,
+                    },
+                    self.expr(*cond).span,
+                );
                 self.cur = then_bb;
                 self.lower_block(then_blk);
                 if !self.terminated() {
-                    self.set_term(Terminator::Goto(join));
+                    self.set_term(Terminator::Goto(join), Span::DUMMY);
                 }
                 if let Some(eb) = else_blk {
                     self.cur = else_bb;
                     self.lower_block(eb);
                     if !self.terminated() {
-                        self.set_term(Terminator::Goto(join));
+                        self.set_term(Terminator::Goto(join), Span::DUMMY);
                     }
                 }
                 self.cur = join;
@@ -297,12 +300,14 @@ impl<'a> Lowerer<'a> {
                 let c = self.lower_expr(*cond);
                 let body_bb = self.new_block();
                 let exit = self.new_block();
-                self.set_term(Terminator::Branch {
-                    cond: c,
-                    then_bb: body_bb,
-                    else_bb: exit,
-                    span: self.expr(*cond).span,
-                });
+                self.set_term(
+                    Terminator::Branch {
+                        cond: c,
+                        then_bb: body_bb,
+                        else_bb: exit,
+                    },
+                    self.expr(*cond).span,
+                );
                 self.loops.push(LoopTargets {
                     continue_bb: head,
                     break_bb: exit,
@@ -310,7 +315,7 @@ impl<'a> Lowerer<'a> {
                 self.cur = body_bb;
                 self.lower_block(body);
                 if !self.terminated() {
-                    self.set_term(Terminator::Goto(head));
+                    self.set_term(Terminator::Goto(head), Span::DUMMY);
                 }
                 self.loops.pop();
                 self.cur = exit;
@@ -320,34 +325,44 @@ impl<'a> Lowerer<'a> {
                 let hi_v = self.lower_expr(*hi);
                 // Materialize the bound so it is evaluated once.
                 let bound = self.fresh(Type::Int);
-                self.emit(Instr::Copy {
-                    dest: bound,
-                    src: hi_v,
-                });
+                self.emit(
+                    Instr::Copy {
+                        dest: bound,
+                        src: hi_v,
+                    },
+                    Span::DUMMY,
+                );
                 let iv = self.fresh(Type::Int);
-                self.emit(Instr::Copy {
-                    dest: iv,
-                    src: lo_v,
-                });
+                self.emit(
+                    Instr::Copy {
+                        dest: iv,
+                        src: lo_v,
+                    },
+                    Span::DUMMY,
+                );
                 let head = self.new_block();
                 self.goto(head);
                 let c = self.fresh(Type::Bool);
-                self.emit(Instr::Binary {
-                    dest: c,
-                    op: BinOp::Lt,
-                    lhs: iv.into(),
-                    rhs: bound.into(),
-                    span: s.span,
-                });
+                self.emit(
+                    Instr::Binary {
+                        dest: c,
+                        op: BinOp::Lt,
+                        lhs: iv.into(),
+                        rhs: bound.into(),
+                    },
+                    s.span,
+                );
                 let body_bb = self.new_block();
                 let incr = self.new_block();
                 let exit = self.new_block();
-                self.set_term(Terminator::Branch {
-                    cond: c.into(),
-                    then_bb: body_bb,
-                    else_bb: exit,
-                    span: s.span,
-                });
+                self.set_term(
+                    Terminator::Branch {
+                        cond: c.into(),
+                        then_bb: body_bb,
+                        else_bb: exit,
+                    },
+                    s.span,
+                );
                 self.loops.push(LoopTargets {
                     continue_bb: incr,
                     break_bb: exit,
@@ -356,26 +371,25 @@ impl<'a> Lowerer<'a> {
                 self.bind(s.slot, iv);
                 self.lower_block(body);
                 if !self.terminated() {
-                    self.set_term(Terminator::Goto(incr));
+                    self.set_term(Terminator::Goto(incr), Span::DUMMY);
                 }
                 self.loops.pop();
                 self.cur = incr;
-                self.emit(Instr::Binary {
-                    dest: iv,
-                    op: BinOp::Add,
-                    lhs: iv.into(),
-                    rhs: Value::int(1),
-                    span: s.span,
-                });
-                self.set_term(Terminator::Goto(head));
+                self.emit(
+                    Instr::Binary {
+                        dest: iv,
+                        op: BinOp::Add,
+                        lhs: iv.into(),
+                        rhs: Value::int(1),
+                    },
+                    s.span,
+                );
+                self.set_term(Terminator::Goto(head), Span::DUMMY);
                 self.cur = exit;
             }
             StmtKind::Return(value) => {
                 let v = value.map(|e| self.lower_expr(e));
-                self.set_term(Terminator::Return {
-                    value: v,
-                    span: s.span,
-                });
+                self.set_term(Terminator::Return { value: v }, s.span);
             }
             StmtKind::Break => {
                 let target = self
@@ -383,7 +397,7 @@ impl<'a> Lowerer<'a> {
                     .last()
                     .expect("sema guaranteed break is inside a loop")
                     .break_bb;
-                self.set_term(Terminator::Goto(target));
+                self.set_term(Terminator::Goto(target), Span::DUMMY);
             }
             StmtKind::Continue => {
                 let target = self
@@ -391,21 +405,20 @@ impl<'a> Lowerer<'a> {
                     .last()
                     .expect("sema guaranteed continue is inside a loop")
                     .continue_bb;
-                self.set_term(Terminator::Goto(target));
+                self.set_term(Terminator::Goto(target), Span::DUMMY);
             }
             StmtKind::Expr(e) => {
                 self.lower_expr(*e);
             }
             StmtKind::Print(args) => {
                 let vals = args.iter().map(|a| self.lower_expr(a)).collect();
-                self.emit(Instr::Print { args: vals });
+                self.emit(Instr::Print { args: vals }, Span::DUMMY);
             }
             StmtKind::Barrier => {
                 let bar = self.new_directive_block(
                     Directive::Barrier {
                         implicit: false,
                         region: None,
-                        span: s.span,
                     },
                     s.span,
                 );
@@ -427,7 +440,6 @@ impl<'a> Lowerer<'a> {
                     Directive::ParallelBegin {
                         region,
                         num_threads: nt,
-                        span,
                     },
                     span,
                 );
@@ -439,7 +451,6 @@ impl<'a> Lowerer<'a> {
                     Directive::Barrier {
                         implicit: true,
                         region: Some(region),
-                        span,
                     },
                     span,
                 );
@@ -457,7 +468,6 @@ impl<'a> Lowerer<'a> {
                         region,
                         nowait: *nowait,
                         chosen,
-                        span,
                     },
                     span,
                 );
@@ -474,21 +484,22 @@ impl<'a> Lowerer<'a> {
                         Directive::Barrier {
                             implicit: true,
                             region: Some(region),
-                            span,
                         },
                         span,
                     )
                 };
-                self.set_term(Terminator::Branch {
-                    cond: chosen.into(),
-                    then_bb: body_entry,
-                    else_bb: after,
+                self.set_term(
+                    Terminator::Branch {
+                        cond: chosen.into(),
+                        then_bb: body_entry,
+                        else_bb: after,
+                    },
                     span,
-                });
+                );
                 self.cur = body_entry;
                 self.lower_block(body);
                 if !self.terminated() {
-                    self.set_term(Terminator::Goto(se));
+                    self.set_term(Terminator::Goto(se), Span::DUMMY);
                 }
                 self.blocks[se.index()].term = Terminator::Goto(after);
                 self.cur = after;
@@ -502,35 +513,30 @@ impl<'a> Lowerer<'a> {
             OmpStmt::Master { body } => {
                 let region = self.fresh_region();
                 let chosen = self.fresh(Type::Bool);
-                let mb = self.new_directive_block(
-                    Directive::MasterBegin {
-                        region,
-                        chosen,
-                        span,
-                    },
-                    span,
-                );
+                let mb = self.new_directive_block(Directive::MasterBegin { region, chosen }, span);
                 self.goto(mb);
                 let body_entry = self.new_block();
                 let me = self.new_directive_block(Directive::MasterEnd { region }, span);
                 let cont = self.new_block();
-                self.set_term(Terminator::Branch {
-                    cond: chosen.into(),
-                    then_bb: body_entry,
-                    else_bb: cont,
+                self.set_term(
+                    Terminator::Branch {
+                        cond: chosen.into(),
+                        then_bb: body_entry,
+                        else_bb: cont,
+                    },
                     span,
-                });
+                );
                 self.cur = body_entry;
                 self.lower_block(body);
                 if !self.terminated() {
-                    self.set_term(Terminator::Goto(me));
+                    self.set_term(Terminator::Goto(me), Span::DUMMY);
                 }
                 self.blocks[me.index()].term = Terminator::Goto(cont);
                 self.cur = cont;
             }
             OmpStmt::Critical { body } => {
                 let region = self.fresh_region();
-                let cb = self.new_directive_block(Directive::CriticalBegin { region, span }, span);
+                let cb = self.new_directive_block(Directive::CriticalBegin { region }, span);
                 self.goto(cb);
                 let body_entry = self.new_block();
                 self.goto(body_entry);
@@ -555,7 +561,6 @@ impl<'a> Lowerer<'a> {
                         region,
                         kind: WorkshareKind::PFor,
                         nowait: *nowait,
-                        span,
                     },
                     span,
                 );
@@ -576,22 +581,26 @@ impl<'a> Lowerer<'a> {
                 let head = self.new_block();
                 self.goto(head);
                 let c = self.fresh(Type::Bool);
-                self.emit(Instr::Binary {
-                    dest: c,
-                    op: BinOp::Lt,
-                    lhs: iv.into(),
-                    rhs: chunk_end.into(),
+                self.emit(
+                    Instr::Binary {
+                        dest: c,
+                        op: BinOp::Lt,
+                        lhs: iv.into(),
+                        rhs: chunk_end.into(),
+                    },
                     span,
-                });
+                );
                 let body_bb = self.new_block();
                 let incr = self.new_block();
                 let we = self.new_directive_block(Directive::WorkshareEnd { region }, span);
-                self.set_term(Terminator::Branch {
-                    cond: c.into(),
-                    then_bb: body_bb,
-                    else_bb: we,
+                self.set_term(
+                    Terminator::Branch {
+                        cond: c.into(),
+                        then_bb: body_bb,
+                        else_bb: we,
+                    },
                     span,
-                });
+                );
                 // `continue` in a pfor targets the increment block; break
                 // is rejected by sema.
                 self.loops.push(LoopTargets {
@@ -602,18 +611,20 @@ impl<'a> Lowerer<'a> {
                 self.bind(slot, iv);
                 self.lower_block(body);
                 if !self.terminated() {
-                    self.set_term(Terminator::Goto(incr));
+                    self.set_term(Terminator::Goto(incr), Span::DUMMY);
                 }
                 self.loops.pop();
                 self.cur = incr;
-                self.emit(Instr::Binary {
-                    dest: iv,
-                    op: BinOp::Add,
-                    lhs: iv.into(),
-                    rhs: Value::int(1),
+                self.emit(
+                    Instr::Binary {
+                        dest: iv,
+                        op: BinOp::Add,
+                        lhs: iv.into(),
+                        rhs: Value::int(1),
+                    },
                     span,
-                });
-                self.set_term(Terminator::Goto(head));
+                );
+                self.set_term(Terminator::Goto(head), Span::DUMMY);
                 self.cur = we;
                 if *nowait {
                     let cont = self.new_block();
@@ -623,7 +634,6 @@ impl<'a> Lowerer<'a> {
                         Directive::Barrier {
                             implicit: true,
                             region: Some(region),
-                            span,
                         },
                         span,
                     );
@@ -639,7 +649,6 @@ impl<'a> Lowerer<'a> {
                         region: parent,
                         kind: WorkshareKind::Sections,
                         nowait: *nowait,
-                        span,
                     },
                     span,
                 );
@@ -660,16 +669,18 @@ impl<'a> Lowerer<'a> {
                     let body_entry = self.new_block();
                     let se = self.new_directive_block(Directive::SectionEnd { region }, sec.span);
                     let next = self.new_block();
-                    self.set_term(Terminator::Branch {
-                        cond: chosen.into(),
-                        then_bb: body_entry,
-                        else_bb: next,
-                        span: sec.span,
-                    });
+                    self.set_term(
+                        Terminator::Branch {
+                            cond: chosen.into(),
+                            then_bb: body_entry,
+                            else_bb: next,
+                        },
+                        sec.span,
+                    );
                     self.cur = body_entry;
                     self.lower_block(sec);
                     if !self.terminated() {
-                        self.set_term(Terminator::Goto(se));
+                        self.set_term(Terminator::Goto(se), Span::DUMMY);
                     }
                     self.blocks[se.index()].term = Terminator::Goto(next);
                     self.cur = next;
@@ -684,7 +695,6 @@ impl<'a> Lowerer<'a> {
                         Directive::Barrier {
                             implicit: true,
                             region: Some(parent),
-                            span,
                         },
                         span,
                     );
@@ -709,18 +719,13 @@ impl<'a> Lowerer<'a> {
                 let arr = self.lookup(e.slot);
                 let i = self.lower_expr(idx);
                 let dest = self.fresh(e.ty);
-                self.emit(Instr::Load {
-                    dest,
-                    arr,
-                    idx: i,
-                    span: e.span,
-                });
+                self.emit(Instr::Load { dest, arr, idx: i }, e.span);
                 dest.into()
             }
             ExprKind::Unary(op, inner) => {
                 let v = self.lower_expr(inner);
                 let dest = self.fresh(e.ty);
-                self.emit(Instr::Unary { dest, op, src: v });
+                self.emit(Instr::Unary { dest, op, src: v }, Span::DUMMY);
                 dest.into()
             }
             ExprKind::Binary(op @ (BinOp::And | BinOp::Or), l, r) => {
@@ -735,22 +740,27 @@ impl<'a> Lowerer<'a> {
                     BinOp::Or => (short_bb, rhs_bb, true),
                     _ => unreachable!(),
                 };
-                self.set_term(Terminator::Branch {
-                    cond: lv,
-                    then_bb,
-                    else_bb,
-                    span: e.span,
-                });
+                self.set_term(
+                    Terminator::Branch {
+                        cond: lv,
+                        then_bb,
+                        else_bb,
+                    },
+                    e.span,
+                );
                 self.cur = rhs_bb;
                 let rv = self.lower_expr(r);
-                self.emit(Instr::Copy { dest, src: rv });
-                self.set_term(Terminator::Goto(join));
+                self.emit(Instr::Copy { dest, src: rv }, Span::DUMMY);
+                self.set_term(Terminator::Goto(join), Span::DUMMY);
                 self.cur = short_bb;
-                self.emit(Instr::Copy {
-                    dest,
-                    src: Value::bool(short_val),
-                });
-                self.set_term(Terminator::Goto(join));
+                self.emit(
+                    Instr::Copy {
+                        dest,
+                        src: Value::bool(short_val),
+                    },
+                    Span::DUMMY,
+                );
+                self.set_term(Terminator::Goto(join), Span::DUMMY);
                 self.cur = join;
                 dest.into()
             }
@@ -758,54 +768,59 @@ impl<'a> Lowerer<'a> {
                 let lv = self.lower_expr(l);
                 let rv = self.lower_expr(r);
                 let dest = self.fresh(e.ty);
-                self.emit(Instr::Binary {
-                    dest,
-                    op,
-                    lhs: lv,
-                    rhs: rv,
-                    span: e.span,
-                });
+                self.emit(
+                    Instr::Binary {
+                        dest,
+                        op,
+                        lhs: lv,
+                        rhs: rv,
+                    },
+                    e.span,
+                );
                 dest.into()
             }
             ExprKind::Call(_, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.lower_expr(a)).collect();
                 let dest = (e.ty != Type::Void).then(|| self.fresh(e.ty));
-                self.emit(Instr::Call {
-                    dest,
-                    callee: e.slot as usize,
-                    args: vals,
-                    span: e.span,
-                });
+                self.emit(
+                    Instr::Call {
+                        dest,
+                        callee: e.slot as usize,
+                        args: vals,
+                    },
+                    e.span,
+                );
                 dest.map(Value::Reg).unwrap_or(Value::int(0))
             }
             ExprKind::Intrinsic(intr, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.lower_expr(a)).collect();
                 let dest = self.fresh(e.ty);
                 if intr == Intrinsic::ArrayNew {
-                    self.emit(Instr::ArrayNew {
-                        dest,
-                        len: vals[0],
-                        init: vals[1],
-                        elem: self.expr(args.get(1)).ty,
-                        span: e.span,
-                    });
+                    self.emit(
+                        Instr::ArrayNew {
+                            dest,
+                            len: vals[0],
+                            init: vals[1],
+                            elem: self.expr(args.get(1)).ty,
+                        },
+                        e.span,
+                    );
                 } else {
-                    self.emit(Instr::Intrinsic {
-                        dest,
-                        intr,
-                        args: vals,
-                    });
+                    self.emit(
+                        Instr::Intrinsic {
+                            dest,
+                            intr,
+                            args: vals,
+                        },
+                        Span::DUMMY,
+                    );
                 }
                 dest.into()
             }
             ExprKind::Mpi(op) => {
                 let op = op.map(|_, e| self.lower_expr(e));
                 let dest = (e.ty != Type::Void).then(|| self.fresh(e.ty));
-                self.emit(Instr::Mpi {
-                    dest,
-                    op,
-                    span: e.span,
-                });
+                self.emit(Instr::Mpi { dest, op }, e.span);
                 dest.map_or(Value::int(0), Value::Reg)
             }
             ExprKind::AnySource => Value::int(parcoach_front::ast::ANY_SOURCE),
@@ -850,7 +865,7 @@ mod tests {
         let mut prints: Vec<(i64, Reg)> = f
             .instrs
             .iter()
-            .filter_map(|i| match i {
+            .filter_map(|(i, _)| match i {
                 Instr::Print { args } => match args[..] {
                     [Value::Const(Const::Int(tag)), Value::Reg(r)] => Some((tag, r)),
                     _ => None,
@@ -1090,7 +1105,7 @@ mod tests {
             }",
         );
         let f = m.main().unwrap();
-        let instrs: Vec<&Instr> = f.instrs.iter().collect();
+        let instrs: Vec<&Instr> = f.instrs.iter().map(|(i, _)| i).collect();
         let irecv = instrs
             .iter()
             .find_map(|i| match i {
@@ -1172,7 +1187,7 @@ mod tests {
 
     /// The callee of every call of `f`, in order.
     fn callees(f: &FuncIr) -> Vec<usize> {
-        let calls = f.instrs.iter().filter_map(|i| match i {
+        let calls = f.instrs.iter().filter_map(|(i, _)| match i {
             Instr::Call { callee, .. } => Some(*callee),
             _ => None,
         });
@@ -1204,7 +1219,7 @@ mod tests {
         );
         assert!(
             m.main().unwrap().instrs.iter().any(
-                |i| matches!(i, Instr::Call { dest: None, callee, .. } if *callee == ix("tick"))
+                |(i, _)| matches!(i, Instr::Call { dest: None, callee, .. } if *callee == ix("tick"))
             ),
             "a call of a void function has no destination"
         );

@@ -108,7 +108,7 @@ fn verify_into(
             crate::types::Value::Reg(r) => r.index() < max_reg,
             crate::types::Value::Const(_) => true,
         };
-        for i in f.instrs(id) {
+        for (i, _) in f.instrs(id) {
             let ok = match i {
                 Instr::Copy { dest, src } => dest.index() < max_reg && check_val(src),
                 Instr::Unary { dest, src, .. } => dest.index() < max_reg && check_val(src),
@@ -158,7 +158,10 @@ fn verify_into(
         // Directive blocks carry no user instructions (checks are allowed:
         // the instrumentation pass may guard directive nodes).
         if let BlockKind::Directive(_) = &b.kind {
-            if f.instrs(id).iter().any(|i| !matches!(i, Instr::Check(_))) {
+            if f.instrs(id)
+                .iter()
+                .any(|(i, _)| !matches!(i, Instr::Check(_)))
+            {
                 err(id, "directive block contains non-check instructions".into());
             }
         }
@@ -384,7 +387,7 @@ mod tests {
     #[test]
     fn detects_out_of_range_register() {
         let mut m = lower_ok("fn main() { let x = 1; }");
-        Arc::make_mut(&mut m.funcs[0]).instrs_mut(BlockId(0))[0] = Instr::Copy {
+        Arc::make_mut(&mut m.funcs[0]).instrs_mut(BlockId(0))[0].0 = Instr::Copy {
             dest: crate::types::Reg(999),
             src: crate::types::Value::int(0),
         };
@@ -408,7 +411,7 @@ mod tests {
         let m = lower_ok(src);
         assert!(verify_module(&m).is_empty());
         let mut corrupted = 0;
-        for (ii, i) in m.funcs[0].instrs.iter().enumerate() {
+        for (ii, (i, _)) in m.funcs[0].instrs.iter().enumerate() {
             let Instr::Mpi { op, .. } = i else {
                 continue;
             };
@@ -416,7 +419,8 @@ mod tests {
             op.operands(|_, _| operands += 1);
             for which in 0..operands {
                 let mut bad = m.clone();
-                let Instr::Mpi { op, .. } = &mut Arc::make_mut(&mut bad.funcs[0]).instrs[ii] else {
+                let Instr::Mpi { op, .. } = &mut Arc::make_mut(&mut bad.funcs[0]).instrs[ii].0
+                else {
                     unreachable!()
                 };
                 let mut at = 0;
@@ -448,8 +452,8 @@ mod tests {
         let call = f
             .instrs
             .iter()
-            .position(|i| matches!(i, Instr::Call { .. }));
-        &mut f.instrs[call.expect("main calls")]
+            .position(|(i, _)| matches!(i, Instr::Call { .. }));
+        &mut f.instrs[call.expect("main calls")].0
     }
 
     const CALLS_F: &str = "fn f(a: int) -> int { return a; } fn main() { let x = f(1); }";

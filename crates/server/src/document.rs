@@ -13,9 +13,10 @@
 //! the spans of every function after the splice point in the resident
 //! AST and IR by the byte delta. The document is the only thing that
 //! ever edits the module, so it also owns the module's
-//! [`QueryDb`]: `edit` marks the replaced function dirty itself, and a
-//! following [`Document::check`] re-derives that one function's facts
-//! and reuses the rest. The table stores no source positions, so moved
+//! [`QueryDb`]: `edit` marks the replaced function dirty itself, handing
+//! the table the IR it replaces, and a following [`Document::check`]
+//! keeps that function's facts if the new IR is the same code, else
+//! re-derives them, and reuses the rest. The table stores no source positions, so moved
 //! code needs no further bookkeeping.
 //!
 //! The incremental path declines (falling back to a full reopen of the
@@ -300,9 +301,9 @@ fn main() {
         assert_eq!(warm, cold);
     }
 
-    /// A structural no-op as the *first* edit of a function: the table
-    /// has never keyed `helper`, so the key it greens against is the one
-    /// `edit` takes from the IR it is about to replace.
+    /// A structural no-op as the *first* edit of a function: the IR the
+    /// table greens `helper` against is the one `edit` hands it as it
+    /// replaces it.
     #[test]
     fn structural_noop_as_first_edit_greens() {
         let mut s = AnalysisSession::default();

@@ -1,5 +1,5 @@
-//! Whitespace-only edits *inside* a function keep its fingerprint green
-//! while every position inside it moves. The memo table stores no
+//! Whitespace-only edits *inside* a function keep it green — the same
+//! code — while every position inside it moves. The memo table stores no
 //! source positions, so a warm check after such an edit must place each
 //! warning exactly where a cold compile of the same text does — one
 //! case per warning family whose stored value once carried a span.

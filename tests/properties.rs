@@ -211,7 +211,7 @@ fn random_world_comm_program(rng: &mut Rng) -> String {
 fn strip_comm_operands(m: &mut parcoach::ir::Module) {
     use parcoach::ir::instr::{Instr, MpiOp};
     for f in &mut m.funcs {
-        for i in &mut std::sync::Arc::make_mut(f).instrs {
+        for (i, _) in &mut std::sync::Arc::make_mut(f).instrs {
             if let Instr::Mpi {
                 op:
                     MpiOp::Collective { comm, .. } | MpiOp::Send { comm, .. } | MpiOp::Recv { comm, .. },
