@@ -39,9 +39,9 @@ fn main() -> ExitCode {
         }
         println!(
             " {:>9} {:>9} {:>9}",
-            report.plan.suspect_collectives.len(),
-            report.plan.monothread_checks.len(),
-            report.plan.concurrency_sites.len()
+            report.plan.sum(|f| f.suspects.len()),
+            report.plan.sum(|f| f.monothread.len()),
+            report.plan.sum(|f| f.concurrency.len())
         );
     }
     println!();

@@ -22,7 +22,6 @@ use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::instr::{CheckOp, Instr, MpiOp, Terminator};
 use parcoach_ir::types::{BlockId, RegionId, Value};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// How aggressively to instrument.
@@ -62,89 +61,61 @@ impl InstrumentStats {
     }
 }
 
-/// Instrument a module according to the static report. Returns the
-/// transformed module and insertion statistics.
+/// Instrument a module according to its static report (`report` is
+/// `m`'s). Returns the transformed module and insertion statistics.
 ///
 /// The input module stays pristine. The result shares every function
 /// that receives no check with it ([`Module`] holds its functions behind
-/// `Arc`s) and copies only the ones the plan names: code proven correct
-/// statically is not instrumented — it is not even copied.
+/// `Arc`s) and copies only the ones the plan marks: code proven correct
+/// statically is not instrumented — it is not even copied. Monothread
+/// asserts and return `CC`s are numbered densely from 0 in module order,
+/// each kind on its own.
 pub fn instrument_module(
     m: &Module,
     report: &StaticReport,
     mode: InstrumentMode,
 ) -> (Module, InstrumentStats) {
+    assert_eq!(report.plan.funcs.len(), m.funcs.len(), "a report of `m`");
     let mut out = m.clone();
     let mut stats = InstrumentStats::default();
-
-    // Index the plan per function. (`suspect_collectives` is carried in
-    // the plan for reporting; CC coverage is function-granular via
-    // `cc_functions`, which the pipeline derives from the suspects.)
-    let mut mono_checks: HashMap<&str, HashSet<BlockId>> = HashMap::new();
-    for (f, b) in &report.plan.monothread_checks {
-        mono_checks.entry(f).or_default().insert(*b);
-    }
-    let mut conc_sites: HashMap<&str, Vec<(u32, u32)>> = HashMap::new();
-    for (f, region, site) in &report.plan.concurrency_sites {
-        conc_sites.entry(f).or_default().push((*region, *site));
-    }
-    let cc_funcs: HashSet<&str> = report
-        .plan
-        .cc_functions
-        .iter()
-        .map(|s| s.as_str())
-        .collect();
-
-    let p2p_funcs: HashSet<&str> = report
-        .plan
-        .p2p_epoch_functions
-        .iter()
-        .map(|s| s.as_str())
-        .collect();
     // Full mode guards every finalize when the module has p2p traffic
     // anywhere (the counters are world-global; the suspect send may
     // live in a different function than the finalize).
     let guard_every_finalize = mode == InstrumentMode::Full && m.funcs.iter().any(|f| f.has_p2p());
-    let no_blocks = HashSet::new();
 
-    for shared in &mut out.funcs {
-        let name = shared.name.as_str();
+    for (shared, plan) in out.funcs.iter_mut().zip(&report.plan.funcs) {
         let full = mode == InstrumentMode::Full && shared.has_mpi();
-        let cc_here = full || cc_funcs.contains(name);
-        let mono_blocks = mono_checks.get(name).unwrap_or(&no_blocks);
-        let sites = conc_sites.get(name).map_or(&[][..], Vec::as_slice);
-        let p2p_here = (full && guard_every_finalize) || p2p_funcs.contains(name);
-        if !cc_here && mono_blocks.is_empty() && sites.is_empty() && !p2p_here {
+        if !full && plan.is_empty() {
             continue;
         }
         // The one copy: `m` holds the function too.
         let func = Arc::make_mut(shared);
-        let plan = FuncPlan {
-            cc: cc_here,
-            mono_blocks,
-            counters: region_counters(func, sites),
-            p2p: p2p_here,
+        let checks = Checks {
+            cc: full || plan.cc,
+            mono_blocks: &plan.monothread,
+            counters: region_counters(func, &plan.concurrency),
+            p2p: (full && guard_every_finalize) || plan.p2p_epoch,
         };
-        stats.concurrency_sites += plan.counters.len();
-        plan.apply(func, &mut stats);
+        stats.concurrency_sites += checks.counters.len();
+        checks.apply(func, &mut stats);
     }
 
     (out, stats)
 }
 
 /// The checks one function receives.
-struct FuncPlan<'a> {
+struct Checks<'a> {
     /// `CC` before every collective and every return.
     cc: bool,
-    /// Blocks whose collectives get a monothread assert.
-    mono_blocks: &'a HashSet<BlockId>,
+    /// Blocks whose collectives get a monothread assert, sorted.
+    mono_blocks: &'a [BlockId],
     /// Concurrency counters: `(body entry, end block, site, span)`.
     counters: Vec<(BlockId, BlockId, u32, Span)>,
     /// A `P2pEpoch` census before every `MPI_Finalize`.
     p2p: bool,
 }
 
-impl FuncPlan<'_> {
+impl Checks<'_> {
     /// Rebuild `func`'s instruction array with the checks in place, in
     /// one pass. Within a block:
     ///
@@ -163,6 +134,9 @@ impl FuncPlan<'_> {
     ///   error;
     /// * at the end, the `ReturnCc` of a returning block, then the
     ///   `ConcExit`s of the regions that end there, in site order.
+    ///
+    /// The module's asserts and return `CC`s so far, counted in `stats`,
+    /// number the next ones.
     fn apply(&self, func: &mut FuncIr, stats: &mut InstrumentStats) {
         func.rewrite_instrs(|bid, block, old, out| {
             for &(entry, _, site, span) in self.counters.iter().rev() {
@@ -170,7 +144,7 @@ impl FuncPlan<'_> {
                     out.push((Instr::Check(CheckOp::ConcEnter { site }), span));
                 }
             }
-            let mono = self.mono_blocks.contains(&bid);
+            let mono = self.mono_blocks.binary_search(&bid).is_ok();
             for (i, span) in old {
                 if let Some((what, color, comm)) = guarded_collective(&i) {
                     if self.cc {
@@ -180,7 +154,8 @@ impl FuncPlan<'_> {
                         stats.cc_collective += 1;
                     }
                     if mono {
-                        out.push((Instr::Check(CheckOp::AssertMonothread { what }), span));
+                        let site = stats.monothread_asserts as u32;
+                        out.push((Instr::Check(CheckOp::AssertMonothread { what, site }), span));
                         stats.monothread_asserts += 1;
                     }
                 }
@@ -197,7 +172,8 @@ impl FuncPlan<'_> {
                 out.push((i, span));
             }
             if self.cc && matches!(block.term, Terminator::Return { .. }) {
-                out.push((Instr::Check(CheckOp::ReturnCc), block.term_span));
+                let site = stats.cc_return as u32;
+                out.push((Instr::Check(CheckOp::ReturnCc { site }), block.term_span));
                 stats.cc_return += 1;
             }
             for &(_, end, site, _) in &self.counters {
@@ -390,15 +366,56 @@ mod tests {
         let m = lower_program(&unit.program, &unit.signatures);
         let report = AnalysisSession::builder().build().check_module(&m);
         let (instr, _) = instrument_module(&m, &report, InstrumentMode::Selective);
-        for (before, after) in m.funcs.iter().zip(&instr.funcs) {
-            let named = report.plan.cc_functions.contains(&before.name);
-            assert_eq!(Arc::ptr_eq(before, after), !named, "`{}`", before.name);
+        for ((before, after), plan) in m.funcs.iter().zip(&instr.funcs).zip(&report.plan.funcs) {
+            assert_eq!(Arc::ptr_eq(before, after), !plan.cc, "`{}`", before.name);
         }
-        assert!(report.plan.cc_functions.contains(&"dirty".to_string()));
+        assert!(report.plan.funcs[1].cc, "`dirty`");
         assert!(
             Arc::ptr_eq(&m.funcs[0], &instr.funcs[0]),
             "`clean` is shared"
         );
+    }
+
+    /// Asserts and return `CC`s carry site ids, dense from 0 in module
+    /// order, each kind on its own; the functions the plan marks are
+    /// exactly the ones copied.
+    #[test]
+    fn check_sites_are_dense_in_module_order() {
+        let src = "
+            fn helper() { parallel { MPI_Barrier(); MPI_Allreduce(1, SUM); } }
+            fn quiet() { let x = 1; }
+            fn main() {
+                parallel { MPI_Barrier(); }
+                quiet();
+                if (rank() == 0) { return; }
+                helper();
+            }
+        ";
+        let unit = parse_and_check("t.mh", src).expect("valid");
+        let m = lower_program(&unit.program, &unit.signatures);
+        let report = AnalysisSession::builder().build().check_module(&m);
+        let (instr, stats) = instrument_module(&m, &report, InstrumentMode::Selective);
+        let (mut mono, mut ret) = (Vec::new(), Vec::new());
+        for (fi, f) in instr.funcs.iter().enumerate() {
+            for (i, _) in &f.instrs {
+                match i {
+                    Instr::Check(CheckOp::AssertMonothread { site, .. }) => mono.push((*site, fi)),
+                    Instr::Check(CheckOp::ReturnCc { site }) => ret.push((*site, fi)),
+                    _ => {}
+                }
+            }
+        }
+        // `(site, function)`: `helper`'s two collectives, then `main`'s
+        // one; `helper`'s return, then `main`'s early and final ones.
+        assert_eq!(mono, [(0, 0), (1, 0), (2, 2)]);
+        assert_eq!(ret, [(0, 0), (1, 2), (2, 2)]);
+        assert_eq!((stats.monothread_asserts, stats.cc_return), (3, 3));
+        let plans = &report.plan.funcs;
+        for ((before, after), plan) in m.funcs.iter().zip(&instr.funcs).zip(plans) {
+            let shared = Arc::ptr_eq(before, after);
+            assert_eq!(shared, plan.is_empty(), "`{}`", before.name);
+        }
+        assert!(report.plan.funcs[1].is_empty(), "`quiet`");
     }
 
     /// The p2p counters are world-global: in `Full` mode a module with

@@ -62,7 +62,7 @@ pub use lang::{classify, ContextClass, MonoVerdict};
 pub use pipeline::{AnalysisOptions, PhaseTimings};
 pub use pw::{compute_pw, InitialContext, PwResult};
 pub use query::{Locator, QueryDb, QueryStats};
-pub use report::{InstrumentationPlan, StaticReport, StaticWarning, WarningKind};
+pub use report::{FuncPlan, InstrumentationPlan, StaticReport, StaticWarning, WarningKind};
 pub use request::{ReqDef, ReqId};
 pub use session::{AnalysisSession, AnalysisSessionBuilder};
 pub use word::{SKind, Token, Word, WordDag, WordNode};

@@ -123,8 +123,9 @@ struct WaitSite {
 pub struct P2pResult {
     /// Warnings found.
     pub warnings: Vec<StaticWarning>,
-    /// Functions whose `MPI_Finalize` needs the p2p epoch census.
-    pub epoch_functions: Vec<String>,
+    /// Functions (indices into `Module::funcs`) whose `MPI_Finalize`
+    /// needs the p2p epoch census.
+    pub epoch_functions: Vec<usize>,
 }
 
 /// The span-free output of the p2p matching pass — what the
@@ -135,7 +136,7 @@ pub struct P2pResult {
 #[derive(Debug, Clone, Default)]
 pub struct P2pCore {
     warnings: Vec<WarningCore>,
-    epoch_functions: Vec<String>,
+    epoch_functions: Vec<usize>,
 }
 
 /// Turn a stored (or fresh) [`P2pCore`] into span-bearing warnings by
@@ -347,19 +348,17 @@ pub fn p2p_core(cx: &AnalysisCx, cfg_of: &mut dyn FnMut(usize) -> Arc<CfgFacts>)
     // function containing a finalize whenever the module has suspect
     // p2p traffic.
     if !out.warnings.is_empty() {
-        out.epoch_functions = finalize_functions(m, &cx.ctxs);
+        out.epoch_functions = finalize_functions(&cx.ctxs);
     }
     out
 }
 
-/// Names of the functions containing an `MPI_Finalize` — where the p2p
-/// epoch census belongs (world-global counters observe all traffic).
-pub fn finalize_functions(m: &Module, ctxs: &CallContexts) -> Vec<String> {
-    m.funcs
-        .iter()
-        .zip(&ctxs.summaries)
-        .filter(|(_, s)| s.has_finalize)
-        .map(|(f, _)| f.name.clone())
+/// The functions containing an `MPI_Finalize` — where the p2p epoch
+/// census belongs (world-global counters observe all traffic).
+pub fn finalize_functions(ctxs: &CallContexts) -> Vec<usize> {
+    let summaries = ctxs.summaries.iter().enumerate();
+    summaries
+        .filter_map(|(fi, s)| s.has_finalize.then_some(fi))
         .collect()
 }
 
@@ -429,7 +428,7 @@ mod tests {
             }");
         assert_eq!(r.warnings.len(), 1, "{:?}", r.warnings);
         assert_eq!(r.warnings[0].kind, WarningKind::P2pOrder);
-        assert_eq!(r.epoch_functions, vec!["main".to_string()]);
+        assert_eq!(r.epoch_functions, [0], "`main`");
     }
 
     #[test]
@@ -446,8 +445,8 @@ mod tests {
         assert_eq!(r.warnings[0].kind, WarningKind::UnmatchedP2p);
         assert_eq!(
             r.epoch_functions,
-            vec!["main".to_string()],
-            "census goes where finalize is"
+            [1],
+            "census goes where finalize is: `main`"
         );
     }
 
@@ -549,7 +548,7 @@ mod tests {
         assert_eq!(r.warnings.len(), 1, "{:?}", r.warnings);
         assert_eq!(r.warnings[0].kind, WarningKind::P2pOrder);
         assert!(r.warnings[0].message.contains("MPI_Irecv"));
-        assert_eq!(r.epoch_functions, vec!["main".to_string()]);
+        assert_eq!(r.epoch_functions, [0], "`main`");
     }
 
     #[test]

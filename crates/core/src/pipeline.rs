@@ -11,7 +11,7 @@ use crate::matching::check_matching;
 use crate::mono::check_monothread;
 use crate::pw::InitialContext;
 use crate::query::Locator;
-use crate::report::{StaticReport, WarningCore, WarningKind};
+use crate::report::{FuncPlan, StaticReport, WarningCore, WarningKind};
 use parcoach_front::ast::ThreadLevel;
 use parcoach_ir::func::Module;
 use parcoach_ir::types::BlockId;
@@ -144,10 +144,10 @@ impl PhaseInputs {
 pub(crate) struct FuncAnalysis {
     inputs: PhaseInputs,
     warnings: Vec<WarningCore>,
-    /// Collective blocks needing `CC` instrumentation (phases 1–3, in
-    /// phase order).
+    /// Collective blocks needing `CC` instrumentation (phases 1–3),
+    /// sorted and deduplicated.
     suspects: Vec<BlockId>,
-    /// Phase-1 suspects also need monothread asserts.
+    /// Phase-1 suspects also need monothread asserts (sorted, deduped).
     monothread_checks: Vec<BlockId>,
     /// Phase-2 `(region, site)` pairs, in discovery order (site ids are
     /// renumbered globally when the report is assembled).
@@ -211,6 +211,10 @@ fn analyze_function(
     out.pdf_candidates = mat.candidates_before_refinement;
     out.pdf_confirmed = mat.candidates_confirmed;
     out.warnings.extend(mat.warnings);
+    for blocks in [&mut out.suspects, &mut out.monothread_checks] {
+        blocks.sort_unstable();
+        blocks.dedup();
+    }
     out
 }
 
@@ -309,34 +313,31 @@ pub(crate) fn analyze_module(
         report.warnings.push(warning.materialize(m));
     }
 
-    let mut needs_cc = vec![false; m.funcs.len()];
     let mut tainted: Vec<usize> = Vec::new();
     let mut required_level = ThreadLevel::Single;
     // Concurrency sites are numbered per function, densely from 0; the
     // plan needs them unique across functions (they would collide at run
     // time).
     let mut next_site = 0u32;
-    for (fi, f) in m.funcs.iter().enumerate() {
+    let plan = &mut report.plan.funcs;
+    plan.reserve_exact(m.funcs.len());
+    for fi in 0..m.funcs.len() {
         let fa = db.func(fi).analysis.peek().expect("stored or just put");
         if let Some(l) = fa.required_level {
             required_level = required_level.max(l);
         }
-        for b in &fa.suspects {
-            report.plan.suspect_collectives.push((f.name.clone(), *b));
-        }
-        for b in &fa.monothread_checks {
-            report.plan.monothread_checks.push((f.name.clone(), *b));
-        }
         let base = next_site;
-        for &(region, site) in &fa.concurrency_sites {
-            let global = base + site;
-            report
-                .plan
-                .concurrency_sites
-                .push((f.name.clone(), region, global));
-            next_site = next_site.max(global + 1);
-        }
-        needs_cc[fi] = fa.needs_cc;
+        let concurrency = fa.concurrency_sites.iter().map(|&(region, site)| {
+            next_site = next_site.max(base + site + 1);
+            (region, base + site)
+        });
+        plan.push(FuncPlan {
+            cc: fa.needs_cc,
+            suspects: fa.suspects.clone(),
+            monothread: fa.monothread_checks.clone(),
+            concurrency: concurrency.collect(),
+            p2p_epoch: false,
+        });
         tainted.extend(&fa.tainted);
         report.pdf_candidates += fa.pdf_candidates;
         report.pdf_confirmed += fa.pdf_confirmed;
@@ -349,23 +350,15 @@ pub(crate) fn analyze_module(
     // bodies too — a mismatch pairs *their* collectives across processes.
     // Propagate down the call graph, over the call summaries.
     while let Some(fi) = tainted.pop() {
-        if std::mem::replace(&mut needs_cc[fi], true) {
+        if std::mem::replace(&mut plan[fi].cc, true) {
             continue;
         }
         for &(_, _, ci) in &ctxs.summaries[fi].call_sites {
-            if ctxs.collective_bearing[ci] && !needs_cc[ci] {
+            if ctxs.collective_bearing[ci] && !plan[ci].cc {
                 tainted.push(ci);
             }
         }
     }
-    report.plan.cc_functions = m
-        .funcs
-        .iter()
-        .zip(&needs_cc)
-        .filter(|(_, cc)| **cc)
-        .map(|(f, _)| f.name.clone())
-        .collect();
-    report.plan.cc_functions.sort_unstable();
 
     // Point-to-point matching (module-wide: sends in one function may
     // feed receives in another). The request resolution (already in the
@@ -388,7 +381,6 @@ pub(crate) fn analyze_module(
     let p2p = crate::p2p::materialize_p2p(&core, m);
     timings.p2p = t.elapsed();
     report.warnings.extend(p2p.warnings);
-    report.plan.p2p_epoch_functions = p2p.epoch_functions;
     checkpoint(token)?;
 
     // Request life-cycle (leaked request / wait-without-post). A leaked
@@ -397,8 +389,12 @@ pub(crate) fn analyze_module(
     let t = Instant::now();
     let req = crate::request::check_requests(&cx);
     timings.requests = t.elapsed();
-    if !req.warnings.is_empty() && report.plan.p2p_epoch_functions.is_empty() {
-        report.plan.p2p_epoch_functions = crate::p2p::finalize_functions(m, ctxs);
+    let mut epoch_functions = p2p.epoch_functions;
+    if !req.warnings.is_empty() && epoch_functions.is_empty() {
+        epoch_functions = crate::p2p::finalize_functions(ctxs);
+    }
+    for fi in epoch_functions {
+        report.plan.funcs[fi].p2p_epoch = true;
     }
     report.warnings.extend(req.warnings);
 
@@ -426,18 +422,6 @@ pub(crate) fn analyze_module(
             report.warnings.push(warning.materialize(m));
         }
     }
-
-    // Deterministic ordering for stable output.
-    report
-        .plan
-        .suspect_collectives
-        .sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-    report.plan.suspect_collectives.dedup();
-    report
-        .plan
-        .monothread_checks
-        .sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-    report.plan.monothread_checks.dedup();
     timings.total = t0.elapsed();
     Ok((report, timings))
 }
@@ -456,6 +440,13 @@ mod tests {
         AnalysisSession::builder().build().check_module(&m)
     }
 
+    /// The functions the plan marks with `what`, by index.
+    fn marked(r: &StaticReport, what: fn(&FuncPlan) -> bool) -> Vec<usize> {
+        (0..r.plan.funcs.len())
+            .filter(|&fi| what(&r.plan.funcs[fi]))
+            .collect()
+    }
+
     #[test]
     fn clean_hybrid_program() {
         let r = analyze(
@@ -471,7 +462,7 @@ mod tests {
         assert!(r.is_clean(), "{:#?}", r.warnings);
         assert_eq!(r.required_level, ThreadLevel::Serialized);
         assert_eq!(r.requested_level, Some(ThreadLevel::Serialized));
-        assert!(r.plan.cc_functions.is_empty());
+        assert!(marked(&r, |f| f.cc).is_empty());
     }
 
     #[test]
@@ -511,7 +502,7 @@ mod tests {
         );
         assert!(r.count(WarningKind::MultithreadedCollective) >= 1);
         assert!(r.count(WarningKind::CollectiveMismatch) >= 1);
-        assert!(!r.plan.cc_functions.is_empty());
+        assert!(!marked(&r, |f| f.cc).is_empty());
     }
 
     #[test]
@@ -533,7 +524,7 @@ mod tests {
             "{:#?}",
             r.warnings
         );
-        assert_eq!(r.plan.p2p_epoch_functions, vec!["main".to_string()]);
+        assert_eq!(marked(&r, |f| f.p2p_epoch), [0], "`main`");
     }
 
     #[test]
@@ -568,7 +559,7 @@ mod tests {
             }",
         );
         assert!(r.is_clean(), "{:#?}", r.warnings);
-        assert!(r.plan.p2p_epoch_functions.is_empty());
+        assert!(marked(&r, |f| f.p2p_epoch).is_empty());
     }
 
     #[test]
@@ -577,12 +568,8 @@ mod tests {
             "fn exchange() { MPI_Barrier(); MPI_Allreduce(1, SUM); }
              fn main() { if (rank() == 0) { exchange(); } }",
         );
-        assert!(
-            r.plan.cc_functions.contains(&"exchange".to_string()),
-            "divergently-called function must be CC'd: {:?}",
-            r.plan.cc_functions
-        );
-        assert!(r.plan.cc_functions.contains(&"main".to_string()));
+        // `exchange` is divergently called: it must be CC'd too.
+        assert_eq!(marked(&r, |f| f.cc), [0, 1], "`exchange`, `main`");
     }
 
     #[test]
@@ -592,8 +579,7 @@ mod tests {
              fn mid() { leaf(); }
              fn main() { if (rank() == 0) { mid(); } }",
         );
-        assert!(r.plan.cc_functions.contains(&"mid".to_string()));
-        assert!(r.plan.cc_functions.contains(&"leaf".to_string()));
+        assert_eq!(marked(&r, |f| f.cc), [0, 1, 2], "`leaf`, `mid`, `main`");
     }
 
     #[test]
@@ -613,11 +599,12 @@ mod tests {
              }
              fn main() { a(); b(); }",
         );
-        let mut per_pair: Vec<u32> = r.plan.concurrency_sites.iter().map(|s| s.2).collect();
+        let conc = r.plan.funcs.iter().flat_map(|f| &f.concurrency);
+        let mut per_pair: Vec<u32> = conc.map(|s| s.1).collect();
         per_pair.sort_unstable();
         per_pair.dedup();
         // Two clusters (one per function) → two distinct global site ids.
-        assert_eq!(per_pair.len(), 2, "{:?}", r.plan.concurrency_sites);
+        assert_eq!(per_pair.len(), 2, "{:?}", r.plan.funcs);
     }
 
     #[test]
@@ -673,7 +660,7 @@ mod tests {
         assert_eq!(level[0].span.lo, init);
         assert_eq!(level[0].func, "setup");
         assert_eq!(on.warnings.len(), 1, "{:#?}", on.warnings);
-        assert!(on.plan.p2p_epoch_functions.is_empty());
+        assert!(marked(&on, |f| f.p2p_epoch).is_empty());
 
         // One leaked `MPI_Irecv`, in the 9th function: one warning, where
         // the post is, and the census where the finalize is.
@@ -689,7 +676,7 @@ mod tests {
         assert_eq!(leaks.len(), 1, "{:#?}", leaky.warnings);
         assert_eq!(leaks[0].func, "f7");
         assert_eq!(leaks[0].span.lo, src.find("MPI_Irecv").unwrap() as u32);
-        assert_eq!(leaky.plan.p2p_epoch_functions, ["main"]);
+        assert_eq!(marked(&leaky, |f| f.p2p_epoch), [49], "`main`");
         let kinds: Vec<_> = leaky.warnings.iter().map(|w| w.kind).collect();
         assert_eq!(
             kinds,

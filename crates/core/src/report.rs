@@ -182,32 +182,48 @@ impl WarningCore {
     }
 }
 
-/// Instrumentation demand produced by the static phase: which blocks
-/// need which dynamic checks (the paper's sets `S`, `S_ipw`, `S_cc`).
+/// Instrumentation demand produced by the static phase: which checks
+/// each function needs (the paper's sets `S`, `S_ipw`, `S_cc`), one
+/// record per function, indexed like `Module::funcs`.
 #[derive(Debug, Clone, Default)]
 pub struct InstrumentationPlan {
-    /// Per function: suspect collective blocks (set `S`) — get a `CC`
-    /// call and, when the context is unproven, a monothread assert.
-    pub suspect_collectives: Vec<(String, BlockId)>,
-    /// Per function: blocks whose monothread context must be verified at
-    /// run time (set `S_ipw`).
-    pub monothread_checks: Vec<(String, BlockId)>,
-    /// Per function: monothreaded regions that need concurrency counting
-    /// (set `S_cc`), as (function, region id, cluster site id). Regions
-    /// that may overlap share a site id.
-    pub concurrency_sites: Vec<(String, u32, u32)>,
-    /// Functions whose returns need a `CC` (they contain suspect
-    /// collectives or mismatch candidates).
-    pub cc_functions: Vec<String>,
-    /// Functions whose `MPI_Finalize` gets the point-to-point epoch
-    /// census (they contain suspect p2p traffic).
-    pub p2p_epoch_functions: Vec<String>,
+    /// The record of function `i` is `funcs[i]`.
+    pub funcs: Vec<FuncPlan>,
+}
+
+/// The checks one function needs.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FuncPlan {
+    /// A `CC` before every collective and every return (the function
+    /// contains suspect collectives or mismatch candidates, or is called
+    /// under a divergent condition).
+    pub cc: bool,
+    /// Suspect collective blocks (set `S`), sorted and deduplicated —
+    /// the reason for `cc`.
+    pub suspects: Vec<BlockId>,
+    /// Blocks whose collectives' monothread context must be verified at
+    /// run time (set `S_ipw`), sorted and deduplicated.
+    pub monothread: Vec<BlockId>,
+    /// Monothreaded regions that need concurrency counting (set `S_cc`),
+    /// as `(region id, site id)` in discovery order. Site ids are unique
+    /// across the module; regions that may overlap share one.
+    pub concurrency: Vec<(u32, u32)>,
+    /// The function's `MPI_Finalize` gets the point-to-point epoch
+    /// census (the module has suspect p2p traffic).
+    pub p2p_epoch: bool,
+}
+
+impl FuncPlan {
+    /// True when the function needs no check at all.
+    pub fn is_empty(&self) -> bool {
+        !self.cc && self.monothread.is_empty() && self.concurrency.is_empty() && !self.p2p_epoch
+    }
 }
 
 impl InstrumentationPlan {
-    /// Total number of planned check sites (ablation metric).
-    pub fn total_sites(&self) -> usize {
-        self.suspect_collectives.len() + self.monothread_checks.len() + self.concurrency_sites.len()
+    /// `per_func` summed over the functions.
+    pub fn sum(&self, per_func: impl Fn(&FuncPlan) -> usize) -> usize {
+        self.funcs.iter().map(per_func).sum()
     }
 }
 
@@ -269,10 +285,10 @@ impl StaticReport {
             out,
             "{} warning(s); instrumentation: {} collective site(s), {} monothread check(s), {} concurrency site(s), {} p2p epoch function(s)",
             self.warnings.len(),
-            self.plan.suspect_collectives.len(),
-            self.plan.monothread_checks.len(),
-            self.plan.concurrency_sites.len(),
-            self.plan.p2p_epoch_functions.len(),
+            self.plan.sum(|f| f.suspects.len()),
+            self.plan.sum(|f| f.monothread.len()),
+            self.plan.sum(|f| f.concurrency.len()),
+            self.plan.sum(|f| usize::from(f.p2p_epoch)),
         );
         out
     }
@@ -324,6 +340,6 @@ mod tests {
     fn clean_report() {
         let r = StaticReport::default();
         assert!(r.is_clean());
-        assert_eq!(r.plan.total_sites(), 0);
+        assert_eq!(r.plan.sum(|f| f.suspects.len()), 0);
     }
 }

@@ -49,8 +49,7 @@ pub fn dyn_family(code: &str) -> &'static str {
         // means a rank vanished mid-communication (early exit), which
         // races with the deadlock census on the surviving ranks — so it
         // lands in the same family as the census verdict.
-        "wait-cycle" | "mpi-deadlock" | "mpi-wait-cycle" | "mpi-timeout" | "mpi-early-exit"
-        | "aborted" => "deadlock",
+        "wait-cycle" | "mpi-deadlock" | "mpi-timeout" | "mpi-early-exit" | "aborted" => "deadlock",
         "thread-level" => "thread-level",
         "hang" => "hang",
         _ => "fault",

@@ -87,12 +87,11 @@ impl RunErrorKind {
             RunErrorKind::MonothreadViolation { .. } => "monothread-violation",
             RunErrorKind::ConcurrentRegions { .. } => "concurrent-regions",
             RunErrorKind::P2pImbalance { .. } => "p2p-imbalance",
-            RunErrorKind::WaitForCycle { .. } => "wait-cycle",
+            RunErrorKind::WaitForCycle { .. } | RunErrorKind::Mpi(MpiError::WaitCycle { .. }) => {
+                "wait-cycle"
+            }
             RunErrorKind::Mpi(MpiError::CollectiveMismatch { .. }) => "mpi-mismatch",
             RunErrorKind::Mpi(MpiError::Deadlock { .. }) => "mpi-deadlock",
-            // Normally re-classified to WaitForCycle by the executor;
-            // kept addressable for raw substrate errors.
-            RunErrorKind::Mpi(MpiError::WaitCycle { .. }) => "mpi-wait-cycle",
             RunErrorKind::Mpi(MpiError::RankFinishedEarly { .. }) => "mpi-early-exit",
             RunErrorKind::Mpi(MpiError::Timeout { .. }) => "mpi-timeout",
             RunErrorKind::Mpi(MpiError::ThreadLevelViolation { .. }) => "thread-level",
@@ -278,7 +277,8 @@ impl fmt::Display for RunStats {
 pub struct RunReport {
     /// First error per failing rank (empty = clean run).
     pub errors: Vec<RunError>,
-    /// Captured `print` output, in arrival order, prefixed by rank.
+    /// Captured `print` output, prefixed by rank: rank 0's lines, then
+    /// rank 1's, and so on; within a rank, in arrival order.
     pub output: Vec<String>,
     /// What the run did.
     pub stats: RunStats,

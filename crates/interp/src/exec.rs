@@ -108,41 +108,35 @@ struct RegionPlan {
     shared_regs: Vec<Reg>,
 }
 
-/// Dense ids for the instrumentation's check sites, computed once per
-/// executor. Concurrency site ids are already dense (the analysis
-/// renumbers them 0..n across functions); monothread-assert sites are
-/// interned here from their spans. Both let the per-rank counters and
-/// the per-team records be flat vectors indexed by site instead of hash
-/// maps behind one lock.
+/// How many concurrency and monothread-assert sites the module's checks
+/// name, computed once per executor. Both kinds of site id are dense
+/// (the analysis numbers concurrency sites 0..n across functions, the
+/// instrumentation numbers asserts), so the per-rank counters and the
+/// per-team records are flat vectors indexed by site.
+#[derive(Default)]
 struct SiteTable {
     /// One slot per `ConcEnter`/`ConcExit` site id.
     conc_sites: usize,
-    /// Interned `AssertMonothread` sites: `span.lo` → dense index.
-    mono_sites: HashMap<u32, u32>,
+    /// One slot per `AssertMonothread` site id.
+    mono_sites: usize,
 }
 
 impl SiteTable {
     fn build(module: &Module) -> SiteTable {
-        let mut conc_sites = 0usize;
-        let mut mono_sites = HashMap::new();
-        for f in &module.funcs {
-            for (i, span) in &f.instrs {
-                match i {
-                    Instr::Check(CheckOp::ConcEnter { site } | CheckOp::ConcExit { site }) => {
-                        conc_sites = conc_sites.max(*site as usize + 1);
-                    }
-                    Instr::Check(CheckOp::AssertMonothread { .. }) => {
-                        let next = mono_sites.len() as u32;
-                        mono_sites.entry(span.lo).or_insert(next);
-                    }
-                    _ => {}
+        let mut sites = SiteTable::default();
+        for (i, _) in module.funcs.iter().flat_map(|f| &f.instrs) {
+            let (count, site) = match i {
+                Instr::Check(CheckOp::ConcEnter { site } | CheckOp::ConcExit { site }) => {
+                    (&mut sites.conc_sites, site)
                 }
-            }
+                Instr::Check(CheckOp::AssertMonothread { site, .. }) => {
+                    (&mut sites.mono_sites, site)
+                }
+                _ => continue,
+            };
+            *count = (*count).max(*site as usize + 1);
         }
-        SiteTable {
-            conc_sites,
-            mono_sites,
-        }
+        sites
     }
 }
 
@@ -152,7 +146,8 @@ struct RankEnv<'r> {
     world: &'r World,
     omp: OmpSim,
     rank: usize,
-    output: &'r Mutex<Vec<String>>,
+    /// The rank's `print` lines, in arrival order.
+    output: Mutex<Vec<String>>,
     /// Steps of `RunConfig::max_steps` no thread has leased yet — one
     /// counter for all ranks, touched once per [`STEP_LEASE`] steps.
     budget: &'r AtomicU64,
@@ -191,7 +186,7 @@ const NOBODY: usize = usize::MAX;
 impl TeamChecks {
     fn new(sites: &SiteTable) -> TeamChecks {
         TeamChecks {
-            mono: (0..sites.mono_sites.len())
+            mono: (0..sites.mono_sites)
                 .map(|_| AtomicUsize::new(NOBODY))
                 .collect(),
             conc: (0..sites.conc_sites).map(|_| Mutex::new((0, 0))).collect(),
@@ -389,7 +384,6 @@ impl Executor {
             max_provided: self.cfg.max_provided,
             op_timeout: self.cfg.mpi_timeout,
         });
-        let output = Mutex::new(Vec::new());
         let budget = AtomicU64::new(self.cfg.max_steps);
         let main = self.module.index("main");
         let no_main = || RunErrorKind::MissingReturn {
@@ -404,7 +398,7 @@ impl Executor {
                     barrier_timeout: self.cfg.barrier_timeout,
                 }),
                 rank,
-                output: &output,
+                output: Mutex::new(Vec::new()),
                 budget: &budget,
                 conc: (0..self.sites.conc_sites)
                     .map(|_| AtomicI64::new(0))
@@ -433,13 +427,15 @@ impl Executor {
             if let Some(e) = &err {
                 thread.abort_all(e);
             }
-            (err, state.stats)
+            (err, state.stats, env.output.into_inner())
         });
         let mut stats = RunStats::default();
         let mut errs = Vec::new();
-        for (err, rank_stats) in per_rank {
+        let mut output = Vec::new();
+        for (err, rank_stats, lines) in per_rank {
             stats.add(&rank_stats);
             errs.extend(err);
+            output.extend(lines);
         }
         // Prefer root-cause errors over secondary echoes (aborted MPI
         // calls, poisoned barriers on sibling ranks).
@@ -449,7 +445,7 @@ impl Executor {
         }
         RunReport {
             errors: errs,
-            output: output.into_inner(),
+            output,
             stats,
         }
     }
@@ -917,24 +913,24 @@ impl Executor {
                 let handle = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
                 self.run_cc(t, handle, *color, span)
             }
-            CheckOp::ReturnCc => {
+            CheckOp::ReturnCc { site } => {
                 // Wrapped in `single` semantics when inside a team (paper
-                // §3: "this function is wrapped into a single pragma").
+                // §3: "this function is wrapped into a single pragma"),
+                // one region per site, numbered above the source's.
                 if t.ctx.in_parallel() {
-                    let synth_region = 0x8000_0000u32 | (span.lo & 0x7fff_ffff);
+                    let synth_region = 0x8000_0000u32 | *site;
                     if !t.ctx.enter_single(synth_region) {
                         return Ok(());
                     }
                 }
                 self.run_cc(t, 0, 0, span)
             }
-            CheckOp::AssertMonothread { what } => {
+            CheckOp::AssertMonothread { what, site } => {
                 // Deterministic: within one team encounter, two *distinct*
                 // threads reaching the same collective site prove the
                 // context is multithreaded, regardless of interleaving.
                 // Outside any team the rank's initial thread runs alone.
-                let site = self.sites.mono_sites[&span.lo] as usize;
-                let me = t.ctx.thread_num();
+                let (site, me) = (*site as usize, t.ctx.thread_num());
                 if t.checks.is_some_and(|checks| !checks.is_first_at(site, me)) {
                     let err = RunError::new(RunErrorKind::MonothreadViolation { what }, span, rank);
                     t.abort_all(&err);

@@ -8,6 +8,7 @@ use parcoach_interp::{check_and_run, Executor, NoReport, RunConfig, RunErrorKind
 use parcoach_ir::instr::{CheckOp, Directive, Instr};
 use parcoach_ir::lower::lower_program;
 use parcoach_ompsim::BarrierError;
+use parcoach_workloads::{figure1_suite, WorkloadClass};
 use std::time::{Duration, Instant};
 
 fn run_with(src: &str, cfg: RunConfig) -> RunReport {
@@ -205,7 +206,10 @@ fn checks_attached_to_a_regions_end_barrier_still_run() {
         out.extend(old);
         if b == end_barrier {
             let what = "MPI_Barrier";
-            out.push((Instr::Check(CheckOp::AssertMonothread { what }), span));
+            out.push((
+                Instr::Check(CheckOp::AssertMonothread { what, site: 0 }),
+                span,
+            ));
         }
     });
     let r = Executor::new(module, cfg(1, 2)).run();
@@ -417,6 +421,20 @@ fn two_failing_ranks_report_in_rank_order_and_sum_their_counts() {
     assert_eq!(r.stats.barrier_waits, 4);
     assert_eq!(r.stats.mpi_calls, 0);
     assert_eq!(r.stats.os_threads, 3);
+}
+
+/// Each rank prints into its own buffer and the report concatenates
+/// them in rank order, so a run's output does not depend on which rank
+/// printed first.
+#[test]
+fn print_output_comes_back_in_rank_order() {
+    let suite = figure1_suite(WorkloadClass::A);
+    let epcc = suite.iter().find(|w| w.name == "EPCC").expect("EPCC-A");
+    for _ in 0..5 {
+        let r = run_with(&epcc.source, cfg(2, 2));
+        assert!(r.is_clean(), "{:?}", r.errors);
+        assert_eq!(r.output, ["[rank 0] 0", "[rank 1] 1"]);
+    }
 }
 
 // ---- the liveness census under MPI_THREAD_MULTIPLE ----------------------

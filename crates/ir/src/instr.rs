@@ -35,13 +35,20 @@ pub enum CheckOp {
     /// The `CC` call placed before `return` statements (color 0) so ranks
     /// that leave the function while others still expect collectives are
     /// caught. Wrapped in `single` semantics when in a parallel region.
-    ReturnCc,
+    ReturnCc {
+        /// Site id, dense across the module's return `CC`s: the
+        /// `single` region a team runs it in.
+        site: u32,
+    },
     /// Verify the executing context is monothreaded (inserted at `S_ipw`
     /// nodes — collectives, including communicator management, whose
     /// parallelism word could not be proven in `L` statically).
     AssertMonothread {
         /// MPI name of the guarded operation (for error messages).
         what: &'static str,
+        /// Site id, dense across the module's asserts: which member of a
+        /// team reached it first is recorded per site.
+        site: u32,
     },
     /// Concurrency counter entry for an `S_cc` node (possibly-concurrent
     /// monothreaded region containing collectives). Aborts when two

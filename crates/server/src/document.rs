@@ -11,8 +11,10 @@
 //! re-lower it in isolation, splice the
 //! text and its line index in place ([`SourceMap::splice`]), and rebase
 //! the spans of every function after the splice point in the resident
-//! AST and IR by the byte delta. The document is the only thing that
-//! ever edits the module, so it also owns the module's
+//! IR by the byte delta. The document keeps no AST: the names and spans
+//! of its functions are the IR's, and the interner and the signature
+//! table are all an edit needs of the front end. The document is the
+//! only thing that ever edits the module, so it also owns the module's
 //! [`QueryDb`]: `edit` marks the replaced function dirty itself, handing
 //! the table the IR it replaces, and a following [`Document::check`]
 //! keeps that function's facts if the new IR is the same code, else
@@ -26,7 +28,7 @@
 //! how *callers* lower, not just the edited body.
 
 use parcoach_core::{AnalysisSession, CancelToken, Cancelled, QueryDb, QueryStats, StaticReport};
-use parcoach_front::{parser, sema, Function, Program, SourceMap, Span};
+use parcoach_front::{parser, sema, Interner, SourceMap};
 use parcoach_ir::lower::{lower_function, lower_program};
 use parcoach_ir::Module;
 use std::sync::Arc;
@@ -57,10 +59,10 @@ pub struct EditOutcome {
 #[derive(Debug)]
 pub struct Document {
     uri: String,
-    /// The AST and the interner every symbol of the document — the
-    /// AST's and `signatures`' keys — belongs to. It only grows: an edit
-    /// adds the names it introduces, a fallback reopen starts it over.
-    program: Program,
+    /// The interner every symbol of the document — `signatures`' keys
+    /// among them — belongs to. It only grows: an edit adds the names it
+    /// introduces, a fallback reopen starts it over.
+    interner: Interner,
     signatures: sema::Signatures,
     /// Owns the one resident copy of the source text.
     source_map: SourceMap,
@@ -74,10 +76,10 @@ impl Document {
     /// check` pays once per invocation and the daemon pays once per
     /// `open`.
     pub fn open(uri: &str, text: &str) -> Result<Document, DocError> {
-        let (program, signatures, source_map, module) = compile(uri, text)?;
+        let (interner, signatures, source_map, module) = compile(uri, text)?;
         Ok(Document {
             uri: uri.to_string(),
-            program,
+            interner,
             signatures,
             source_map,
             module,
@@ -95,11 +97,7 @@ impl Document {
 
     /// Function names in definition order.
     pub fn functions(&self) -> Vec<String> {
-        self.program
-            .functions
-            .iter()
-            .map(|f| self.program.name(f.name).to_string())
-            .collect()
+        self.module.funcs.iter().map(|f| f.name.clone()).collect()
     }
 
     pub fn module(&self) -> &Module {
@@ -132,16 +130,12 @@ impl Document {
     pub fn edit(&mut self, func: &str, new_text: &str) -> Result<EditOutcome, DocError> {
         let idx =
             (self.module.index(func)).ok_or_else(|| DocError::UnknownFunction(func.to_string()))?;
-        let old_span = self.program.functions[idx].span;
+        let old_span = self.module.funcs[idx].span;
         let (lo, hi) = (old_span.lo as usize, old_span.hi as usize);
         let delta = new_text.len() as i64 - (hi - lo) as i64;
 
-        if let Some((new_fn, new_ir)) = self.try_incremental(idx, old_span.lo, new_text) {
+        if let Some(new_ir) = self.try_incremental(idx, old_span.lo, new_text) {
             self.source_map.splice(lo, hi, new_text);
-            self.program.functions[idx] = new_fn;
-            for later in &mut self.program.functions[idx + 1..] {
-                shift_ast_function(later, delta);
-            }
             self.db.mark_dirty(idx, &self.module.funcs[idx]);
             self.module.funcs[idx] = Arc::new(new_ir);
             for later in &mut self.module.funcs[idx + 1..] {
@@ -160,8 +154,8 @@ impl Document {
         // the document untouched).
         let text = self.text();
         let spliced = [&text[..lo], new_text, &text[hi..]].concat();
-        let (program, signatures, source_map, module) = compile(&self.uri, &spliced)?;
-        self.program = program;
+        let (interner, signatures, source_map, module) = compile(&self.uri, &spliced)?;
+        self.interner = interner;
         self.signatures = signatures;
         self.source_map = source_map;
         self.module = module;
@@ -185,40 +179,40 @@ impl Document {
         idx: usize,
         offset: u32,
         new_text: &str,
-    ) -> Option<(Function, parcoach_ir::FuncIr)> {
-        let interner = &mut self.program.interner;
-        let (functions, diags) = parser::parse_functions_at(new_text, offset, interner);
+    ) -> Option<parcoach_ir::FuncIr> {
+        let (functions, diags) = parser::parse_functions_at(new_text, offset, &mut self.interner);
         if diags.has_errors() || functions.len() != 1 {
             return None;
         }
         let mut new_fn = functions.into_iter().next().unwrap();
-        let name = self.program.functions[idx].name.sym;
-        if new_fn.name.sym != name {
+        let interner = &self.interner;
+        if interner.resolve(new_fn.name.sym) != self.module.funcs[idx].name {
             return None;
         }
         // The replacement keeps the function's place, so of the two
         // signatures only the parameter and return types can differ.
-        let old_sig = self.signatures.get(name).expect("resident function");
+        let old_sig = self
+            .signatures
+            .get(new_fn.name.sym)
+            .expect("resident function");
         if sema::signature_of(&new_fn, idx) != *old_sig {
             return None;
         }
         let mut diags = parcoach_front::Diagnostics::new();
-        let interner = &self.program.interner;
         sema::check_function(&mut new_fn, interner, &self.signatures, &mut diags);
         if diags.has_errors() {
             return None;
         }
-        let new_ir = lower_function(&new_fn, interner);
-        debug_assert_eq!(self.module.funcs[idx].name, new_ir.name);
-        Some((new_fn, new_ir))
+        Some(lower_function(&new_fn, interner))
     }
 }
 
-/// Full front-end: parse, sema, lower, verify.
+/// Full front-end: parse, sema, lower, verify. Of the AST, only the
+/// interner is kept.
 fn compile(
     uri: &str,
     text: &str,
-) -> Result<(Program, sema::Signatures, SourceMap, Module), DocError> {
+) -> Result<(Interner, sema::Signatures, SourceMap, Module), DocError> {
     let unit =
         parcoach_front::parse_and_check(uri, text).map_err(|(diags, sm)| DocError::Compile {
             rendered: diags.render(&sm),
@@ -230,20 +224,8 @@ fn compile(
             rendered: format!("internal IR verification failure: {errs:?}"),
         });
     }
-    Ok((unit.program, unit.signatures, unit.source_map, module))
-}
-
-/// Rebase the one AST span a later fast-path edit reads: the span of
-/// the whole definition (used to locate the splice). Inner AST spans of
-/// untouched functions are never consumed again — a future incremental
-/// edit reparses from text, and a fallback reopen rebuilds the AST.
-fn shift_ast_function(f: &mut Function, delta: i64) {
-    if f.span == Span::DUMMY {
-        return;
-    }
-    let lo = (f.span.lo as i64 + delta).max(0) as u32;
-    let hi = (f.span.hi as i64 + delta).max(0) as u32;
-    f.span = Span::new(lo, hi);
+    let interner = unit.program.interner;
+    Ok((interner, unit.signatures, unit.source_map, module))
 }
 
 #[cfg(test)]
@@ -408,7 +390,7 @@ fn main() {
     #[test]
     fn edit_stream_does_not_grow_the_interner() {
         let mut doc = Document::open("t.mh", SRC).unwrap();
-        let opened = doc.program.interner.len();
+        let opened = doc.interner.len();
         let bodies = [
             "fn helper() {\n    let fresh_name = 1;\n    MPI_Barrier();\n}",
             "fn helper() {\n    MPI_Barrier();\n}",
@@ -416,7 +398,7 @@ fn main() {
         for i in 0..1000 {
             assert!(doc.edit("helper", bodies[i % 2]).unwrap().incremental);
         }
-        assert_eq!(doc.program.interner.len(), opened + 1, "`fresh_name` only");
+        assert_eq!(doc.interner.len(), opened + 1, "`fresh_name` only");
         let fresh = Document::open("t.mh", doc.text()).unwrap();
         assert_eq!(
             format!("{:?}", doc.module().funcs),
@@ -430,8 +412,8 @@ fn main() {
         let out = doc.edit("main", "fn other() { }\nfn main() { }").unwrap();
         assert!(!out.incremental);
         assert_eq!(
-            doc.program.interner,
-            Document::open("t.mh", doc.text()).unwrap().program.interner
+            doc.interner,
+            Document::open("t.mh", doc.text()).unwrap().interner
         );
     }
 

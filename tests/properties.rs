@@ -306,7 +306,7 @@ fn request_pass_is_silent_on_request_free_modules() {
             report.warnings
         );
         assert_eq!(
-            report.plan.p2p_epoch_functions.is_empty(),
+            report.plan.sum(|f| usize::from(f.p2p_epoch)) == 0,
             !warns([WarningKind::UnmatchedP2p, WarningKind::P2pOrder]),
             "seed {seed}: the census is not the p2p pass's own\n{src}"
         );
