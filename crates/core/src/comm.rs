@@ -7,7 +7,7 @@
 //! [`CommId::UNKNOWN`], which conservatively groups with everything.
 
 use crate::handle::ClassTable;
-use crate::query::Locator;
+use parcoach_ir::Locator;
 use std::fmt;
 
 /// An interned static communicator class.

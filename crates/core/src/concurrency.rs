@@ -25,13 +25,13 @@
 
 use crate::comm::CommId;
 use crate::facts::AnalysisCx;
-use crate::query::Locator;
 use crate::report::{WarningCore, WarningKind};
 use crate::word::Word;
 use parcoach_front::ast::ThreadLevel;
 use parcoach_ir::func::FuncIr;
 use parcoach_ir::instr::{BlockKind, Directive, Instr, Terminator};
 use parcoach_ir::types::{BlockId, RegionId};
+use parcoach_ir::Locator;
 use std::collections::HashMap;
 
 /// Phase-2 result for one function.

@@ -39,8 +39,9 @@
 use crate::facts::CheckScratch;
 use crate::lang::MonoVerdict;
 use crate::pw::{compute_pw, InitialContext, PwResult, PwState};
-use crate::query::{call_summary, CallSummary, Locator, QueryDb};
+use crate::query::{call_summary, CallSummary, QueryDb};
 use parcoach_ir::func::Module;
+use parcoach_ir::Locator;
 use std::sync::Arc;
 
 /// Per-module interprocedural facts, indexed like `Module::funcs`.

@@ -20,12 +20,12 @@
 //! so requests resolve purely per function.
 
 use crate::comm::{CommDef, CommId};
-use crate::query::Locator;
 use crate::request::{ReqDef, ReqId, ReqResolution};
 use parcoach_front::ast::Type;
 use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::instr::{Instr, MpiOp};
 use parcoach_ir::types::Value;
+use parcoach_ir::Locator;
 use std::collections::HashMap;
 use std::hash::Hash;
 

@@ -61,7 +61,7 @@ pub use instrument::{instrument_module, InstrumentMode, InstrumentStats};
 pub use lang::{classify, ContextClass, MonoVerdict};
 pub use pipeline::{AnalysisOptions, PhaseTimings};
 pub use pw::{compute_pw, InitialContext, PwResult};
-pub use query::{Locator, QueryDb, QueryStats};
+pub use query::{QueryDb, QueryStats};
 pub use report::{FuncPlan, InstrumentationPlan, StaticReport, StaticWarning, WarningKind};
 pub use request::{ReqDef, ReqId};
 pub use session::{AnalysisSession, AnalysisSessionBuilder};

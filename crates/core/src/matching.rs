@@ -26,13 +26,13 @@ use crate::comm::{CommDef, CommId};
 use crate::context::CallContexts;
 use crate::facts::AnalysisCx;
 use crate::handle::{ClassTable, FuncHandles};
-use crate::query::Locator;
 use crate::report::{WarningCore, WarningKind};
 use parcoach_front::ast::CollectiveKind;
 use parcoach_ir::dom::IpdfEngine;
 use parcoach_ir::func::{FuncIr, Module};
 use parcoach_ir::instr::Instr;
 use parcoach_ir::types::BlockId;
+use parcoach_ir::Locator;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 

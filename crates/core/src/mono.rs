@@ -10,12 +10,12 @@
 use crate::facts::AnalysisCx;
 use crate::lang::MonoVerdict;
 use crate::pw::{PwState, SYNTH_BASE};
-use crate::query::Locator;
 use crate::report::{WarningCore, WarningKind};
 use crate::word::Token;
 use parcoach_front::ast::ThreadLevel;
 use parcoach_ir::func::FuncIr;
 use parcoach_ir::types::BlockId;
+use parcoach_ir::Locator;
 
 /// Phase-1 result for one function.
 #[derive(Debug, Clone, Default)]

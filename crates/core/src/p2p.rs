@@ -35,13 +35,13 @@ use crate::comm::CommId;
 use crate::context::CallContexts;
 use crate::facts::{AnalysisCx, CfgFacts};
 use crate::handle::FuncHandles;
-use crate::query::Locator;
 use crate::report::{StaticWarning, WarningCore, WarningKind};
 use crate::request::{ReqId, ReqResolution};
 use parcoach_front::ast::{Role, ANY_TAG};
 use parcoach_ir::func::Module;
 use parcoach_ir::instr::{Instr, MpiOp};
 use parcoach_ir::types::{BlockId, Const, Value};
+use parcoach_ir::Locator;
 use std::sync::Arc;
 
 /// Direction of a p2p site.

@@ -10,11 +10,11 @@ use crate::facts::{AnalysisCx, CheckScratch};
 use crate::matching::check_matching;
 use crate::mono::check_monothread;
 use crate::pw::InitialContext;
-use crate::query::Locator;
 use crate::report::{FuncPlan, StaticReport, WarningCore, WarningKind};
 use parcoach_front::ast::ThreadLevel;
 use parcoach_ir::func::Module;
 use parcoach_ir::types::BlockId;
+use parcoach_ir::Locator;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

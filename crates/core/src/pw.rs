@@ -104,14 +104,6 @@ impl PwResult {
     pub fn class(&self, n: WordNode) -> ContextClass {
         self.dag.class(n)
     }
-
-    /// True when the block entry is in conflict state.
-    pub fn is_conflict(&self, b: BlockId) -> bool {
-        matches!(
-            self.entry.get(b.index()).and_then(|s| s.as_ref()),
-            Some(PwState::Conflict)
-        )
-    }
 }
 
 /// The initial calling context of a function, i.e. the unknown word

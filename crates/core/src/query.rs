@@ -38,11 +38,12 @@
 //! ## Span-free by construction
 //!
 //! No stored value contains a `Span`. Positions are block ids or
-//! [`Locator`]s — stored warnings are
+//! [`Locator`](parcoach_ir::Locator)s — stored warnings are
 //! [`WarningCore`](crate::report::WarningCore)s — and whoever builds a
-//! warning reads the span from the live IR ([`span_at`]). An edit that moves code without changing its
-//! structure — whitespace above a function *or inside it* — therefore
-//! needs no rebasing: the table never knew where anything was.
+//! warning reads the span from the live IR
+//! ([`span_at`](parcoach_ir::span_at)). An edit that moves code without
+//! changing its structure — whitespace above a function *or inside it* —
+//! therefore needs no rebasing: the table never knew where anything was.
 //!
 //! ## Exact comparison on demand (red-green)
 //!
@@ -70,55 +71,16 @@ use crate::p2p::P2pCore;
 use crate::pipeline::FuncAnalysis;
 use crate::pw::PwResult;
 use parcoach_front::ast::{ThreadLevel, Type};
-use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Module};
-use parcoach_ir::instr::{Instr, MpiOp, Terminator};
+use parcoach_ir::instr::{Instr, MpiOp};
 use parcoach_ir::types::BlockId;
 use std::sync::Arc;
-
-/// A span-free program point. Stored values name positions this way;
-/// [`span_at`] turns one into the span the live IR has there when a
-/// warning is built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Locator {
-    /// `(function index, block, instruction index)`.
-    Instr(usize, BlockId, usize),
-    /// A block, by its representative span.
-    Block(usize, BlockId),
-    /// The condition a block branches on (the block itself when its
-    /// terminator is not a branch).
-    Cond(usize, BlockId),
-}
-
-impl Locator {
-    /// Index of the function the point lies in.
-    pub fn func(self) -> usize {
-        match self {
-            Locator::Instr(fi, ..) | Locator::Block(fi, _) | Locator::Cond(fi, _) => fi,
-        }
-    }
-}
-
-/// The span the program point `loc` has *now*.
-pub fn span_at(m: &Module, loc: Locator) -> Span {
-    match loc {
-        Locator::Instr(fi, b, ii) => m.funcs[fi].instrs(b)[ii].1,
-        Locator::Block(fi, b) => m.funcs[fi].blocks[b.index()].span,
-        Locator::Cond(fi, b) => {
-            let block = &m.funcs[fi].blocks[b.index()];
-            match block.term {
-                Terminator::Branch { .. } => block.term_span,
-                _ => block.span,
-            }
-        }
-    }
-}
 
 /// Whether the handle resolution ([`crate::handle`]) reads the same from
 /// `a` and `b`: neither has a handle-typed register (the resolver's fast
 /// path), or both have the same signature and register types and the
 /// same handle-defining instructions at the same positions (class
-/// definitions are keyed by [`Locator`]).
+/// definitions are keyed by [`Locator`](parcoach_ir::Locator)).
 fn same_handle_defs(a: &FuncIr, b: &FuncIr) -> bool {
     fn defs(f: &FuncIr) -> impl Iterator<Item = (BlockId, usize, &Instr)> {
         let defines_handle = |i: &Instr| {

@@ -7,12 +7,12 @@
 //! source code of MPI collective calls involved." (paper §4)
 
 use crate::pw::InitialContext;
-use crate::query::{span_at, Locator};
 use parcoach_front::ast::ThreadLevel;
 use parcoach_front::diag::{self, Diagnostic, Severity};
 use parcoach_front::span::{SourceMap, Span};
 use parcoach_ir::func::Module;
 use parcoach_ir::types::BlockId;
+use parcoach_ir::{span_at, Locator};
 use std::fmt::{self, Write as _};
 
 /// The kind of potential error a warning reports.

@@ -22,13 +22,13 @@
 //!   run time).
 
 use crate::handle::FuncHandles;
-use crate::query::Locator;
 use crate::report::{StaticWarning, WarningKind};
 use parcoach_front::ast::Role;
 use parcoach_front::span::Span;
 use parcoach_ir::func::FuncIr;
 use parcoach_ir::instr::{Instr, MpiOp};
 use parcoach_ir::types::Value;
+use parcoach_ir::Locator;
 
 /// An interned static request class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

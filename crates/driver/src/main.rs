@@ -29,13 +29,25 @@ mod cli;
 use cli::{parse_num, Exit, SessionFlags, USAGE};
 use parcoach_core::{instrument_module, InstrumentMode};
 use parcoach_interp::{Executor, RunConfig};
+use parcoach_ir::span_at;
 use parcoach_server::{warnings_json, DocError, Document};
 use parcoach_workloads::{error_catalogue, figure1_suite, WorkloadClass};
+use std::io::{self, StdoutLock, Write};
 use std::process::ExitCode;
+
+/// The outcome of a write to the locked stdout: a reader that has
+/// stopped reading (`parcoachc … | head`) ends the output quietly, and
+/// the command still decides the exit code.
+fn quiet(written: io::Result<()>) {
+    match written {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => panic!("failed printing to stdout: {e}"),
+        _ => {}
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    match run(&args, &mut io::stdout().lock()) {
         Ok(code) => code.into(),
         Err(msg) => {
             eprintln!("parcoachc: {msg}");
@@ -44,17 +56,17 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<Exit, String> {
+fn run(args: &[String], out: &mut StdoutLock) -> Result<Exit, String> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     match cmd {
-        "check" => cmd_check(&args[1..], Output::Human),
-        "diagnostics" => cmd_check(&args[1..], Output::Json),
-        "run" => cmd_run(&args[1..]),
-        "dump" => cmd_dump(&args[1..]),
-        "workload" => cmd_workload(&args[1..]),
-        "catalogue" => cmd_catalogue(),
+        "check" => cmd_check(&args[1..], Output::Human, out),
+        "diagnostics" => cmd_check(&args[1..], Output::Json, out),
+        "run" => cmd_run(&args[1..], out),
+        "dump" => cmd_dump(&args[1..], out),
+        "workload" => cmd_workload(&args[1..], out),
+        "catalogue" => cmd_catalogue(out),
         "help" | "--help" | "-h" => {
-            print!("{USAGE}");
+            quiet(write!(out, "{USAGE}"));
             Ok(Exit::Clean)
         }
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
@@ -78,7 +90,7 @@ enum Output {
     Json,
 }
 
-fn cmd_check(args: &[String], output: Output) -> Result<Exit, String> {
+fn cmd_check(args: &[String], output: Output, out: &mut StdoutLock) -> Result<Exit, String> {
     let path = args.first().ok_or("check: missing file")?;
     let mut flags = SessionFlags::default();
     let mut timings = false;
@@ -105,21 +117,25 @@ fn cmd_check(args: &[String], output: Output) -> Result<Exit, String> {
     }
     match output {
         Output::Human => {
-            println!("{}", report.render(doc.source_map()));
+            quiet(writeln!(out, "{}", report.render(doc.source_map())));
             if report.is_clean() {
-                println!("verified statically: no instrumentation needed");
+                quiet(writeln!(
+                    out,
+                    "verified statically: no instrumentation needed"
+                ));
             }
         }
         Output::Json => {
             use parcoach_server::json::{obj, Value};
-            println!(
+            quiet(writeln!(
+                out,
                 "{}",
                 obj([
                     ("clean", Value::from(report.is_clean())),
                     ("warnings", warnings_json(&report, doc.source_map())),
                 ])
                 .to_line()
-            );
+            ));
         }
     }
     Ok(if report.is_clean() {
@@ -129,7 +145,7 @@ fn cmd_check(args: &[String], output: Output) -> Result<Exit, String> {
     })
 }
 
-fn cmd_run(args: &[String]) -> Result<Exit, String> {
+fn cmd_run(args: &[String], out: &mut StdoutLock) -> Result<Exit, String> {
     let path = args.first().ok_or("run: missing file")?;
     let mut cfg = RunConfig::default();
     let mut instrument = true;
@@ -159,46 +175,47 @@ fn cmd_run(args: &[String]) -> Result<Exit, String> {
     let mut session = flags.session();
     let report = session.check_module(doc.module());
     if !report.is_clean() {
-        println!("--- static warnings ---");
-        println!("{}", report.render(doc.source_map()));
-        println!();
+        quiet(writeln!(out, "--- static warnings ---"));
+        quiet(writeln!(out, "{}", report.render(doc.source_map())));
+        quiet(writeln!(out));
     }
     let module = if instrument {
         let (m, stats) = instrument_module(doc.module(), &report, mode);
-        println!(
+        quiet(writeln!(
+            out,
             "instrumentation: {} CC, {} return-CC, {} monothread assert(s), {} concurrency site(s), {} p2p epoch(s)",
             stats.cc_collective,
             stats.cc_return,
             stats.monothread_asserts,
             stats.concurrency_sites,
             stats.p2p_epochs
-        );
+        ));
         m
     } else {
         doc.module().clone()
     };
     let run = Executor::new(module, cfg).run();
     for line in &run.output {
-        println!("{line}");
+        quiet(writeln!(out, "{line}"));
     }
-    println!("run: {}", run.stats);
+    quiet(writeln!(out, "run: {}", run.stats));
     if run.is_clean() {
-        println!("--- run completed cleanly ---");
+        quiet(writeln!(out, "--- run completed cleanly ---"));
         Ok(Exit::Clean)
     } else {
-        println!("--- run failed ---");
+        quiet(writeln!(out, "--- run failed ---"));
         for e in &run.errors {
-            let line = doc.source_map().line_of(e.span);
-            println!("{path}:{line}: {e} [{}]", e.kind.code());
+            let line = doc.source_map().line_of(span_at(doc.module(), e.at));
+            quiet(writeln!(out, "{path}:{line}: {e} [{}]", e.kind.code()));
         }
         if run.detected_by_check() {
-            println!("(intercepted by a PARCOACH dynamic check)");
+            quiet(writeln!(out, "(intercepted by a PARCOACH dynamic check)"));
         }
         Ok(Exit::DynamicError)
     }
 }
 
-fn cmd_dump(args: &[String]) -> Result<Exit, String> {
+fn cmd_dump(args: &[String], out: &mut StdoutLock) -> Result<Exit, String> {
     let mut path = None;
     let mut which = None;
     let mut dot = false;
@@ -221,15 +238,15 @@ fn cmd_dump(args: &[String]) -> Result<Exit, String> {
     };
     for f in funcs {
         if dot {
-            println!("{}", parcoach_ir::dot::func_to_dot(f, m));
+            quiet(writeln!(out, "{}", parcoach_ir::dot::func_to_dot(f, m)));
         } else {
-            println!("{}", f.dump(m));
+            quiet(writeln!(out, "{}", f.dump(m)));
         }
     }
     Ok(Exit::Clean)
 }
 
-fn cmd_workload(args: &[String]) -> Result<Exit, String> {
+fn cmd_workload(args: &[String], out: &mut StdoutLock) -> Result<Exit, String> {
     let name = args.first().ok_or("workload: missing name")?;
     let class = match args.get(1).map(String::as_str) {
         Some("A") | None => WorkloadClass::A,
@@ -244,27 +261,29 @@ fn cmd_workload(args: &[String]) -> Result<Exit, String> {
         .ok_or_else(|| {
             format!("unknown workload `{name}` (try BT-MZ, SP-MZ, LU-MZ, EPCC, HERA)")
         })?;
-    print!("{}", w.source);
+    quiet(write!(out, "{}", w.source));
     Ok(Exit::Clean)
 }
 
-fn cmd_catalogue() -> Result<Exit, String> {
-    println!(
+fn cmd_catalogue(out: &mut StdoutLock) -> Result<Exit, String> {
+    quiet(writeln!(
+        out,
         "{:<28} {:<28} {:<18} description",
         "id", "static", "dynamic"
-    );
+    ));
     for c in error_catalogue() {
         let stat = match c.expect_static {
             parcoach_workloads::ExpectStatic::Clean => "clean".to_string(),
             parcoach_workloads::ExpectStatic::Warns(w) => format!("warns({w})"),
         };
-        println!(
+        quiet(writeln!(
+            out,
             "{:<28} {:<28} {:<18} {}",
             c.id,
             stat,
             format!("{:?}", c.expect_dynamic),
             c.description
-        );
+        ));
     }
     Ok(Exit::Clean)
 }

@@ -344,6 +344,44 @@ fn catalogue_lists_the_error_catalogue() {
     }
 }
 
+/// Run `parcoachc args` with a reader that reads `lines` lines of its
+/// output and then closes the pipe (at once, before the spawn, when
+/// `lines` is 0).
+fn read_then_close(args: &[&str], lines: usize) -> Output {
+    use std::io::{BufRead, BufReader};
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    let reader = (lines > 0).then_some(reader);
+    let child = Command::new(env!("CARGO_BIN_EXE_parcoachc"))
+        .args(args)
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn parcoachc");
+    if let Some(reader) = reader {
+        let mut reader = BufReader::new(reader);
+        for _ in 0..lines {
+            reader.read_line(&mut String::new()).expect("read a line");
+        }
+    }
+    child.wait_with_output().expect("wait for parcoachc")
+}
+
+#[test]
+fn a_reader_that_stops_early_ends_the_output_quietly() {
+    let p = write_mh("closed-pipe", DIVERGENT);
+    let path = p.to_str().unwrap();
+    for args in [&["catalogue"][..], &["check", path]] {
+        let full = exit_code(&parcoachc(args));
+        for lines in [0, 1] {
+            let out = read_then_close(args, lines);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(!err.contains("panicked"), "{args:?} after {lines}: {err}");
+            assert_ne!(exit_code(&out), 101, "{args:?} after {lines}");
+            assert_eq!(exit_code(&out), full, "{args:?} after {lines}: {err}");
+        }
+    }
+}
+
 #[test]
 fn workload_prints_compilable_source() {
     let out = parcoachc(&["workload", "EPCC", "A"]);

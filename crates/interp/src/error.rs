@@ -6,7 +6,7 @@
 //! substrate's last-line-of-defence (matcher mismatch, deadlock census,
 //! timeout — what an uninstrumented run degenerates to).
 
-use parcoach_front::span::Span;
+use parcoach_ir::Locator;
 use parcoach_mpisim::MpiError;
 use parcoach_ompsim::{BarrierError, OmpError};
 use std::fmt;
@@ -139,28 +139,35 @@ impl RunErrorKind {
     }
 }
 
-/// A run-time error with its source location.
+/// A run-time error with its position.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunError {
     /// What happened.
     pub kind: RunErrorKind,
-    /// Where (span of the triggering instruction; dummy if unknown).
-    pub span: Span,
+    /// Where, in the *uninstrumented* module, as warnings name positions
+    /// ([`parcoach_ir::span_at`] renders it). A module without `main`
+    /// (only a hand-built one) fails at its first function's first block.
+    pub at: Locator,
     /// Rank that raised it.
     pub rank: usize,
 }
 
 impl RunError {
     /// Build an error.
-    pub fn new(kind: RunErrorKind, span: Span, rank: usize) -> RunError {
-        RunError { kind, span, rank }
+    pub fn new(kind: RunErrorKind, at: Locator, rank: usize) -> RunError {
+        RunError { kind, at, rank }
     }
 }
 
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rank {}: ", self.rank)?;
-        match &self.kind {
+        write!(f, "rank {}: {}", self.rank, self.kind)
+    }
+}
+
+impl fmt::Display for RunErrorKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
             RunErrorKind::CcMismatch { per_rank } => {
                 write!(
                     f,
@@ -348,7 +355,7 @@ mod tests {
                 RunErrorKind::CcMismatch {
                     per_rank: vec!["MPI_Barrier".into(), "<return>".into()],
                 },
-                Span::DUMMY,
+                Locator::Block(0, parcoach_ir::BlockId(0)),
                 0,
             )],
             output: vec![],

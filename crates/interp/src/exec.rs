@@ -26,7 +26,7 @@ use parcoach_front::ast::{
     BinOp, CollectiveKind, Intrinsic, ThreadLevel, Type, UnOp, COLOR_COMM_DUP, COLOR_COMM_SPLIT,
 };
 use parcoach_front::span::Span;
-use parcoach_ir::func::{FuncIr, Module};
+use parcoach_ir::func::{FuncIr, Locator, Module};
 use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator};
 use parcoach_ir::types::{BlockId, Const, Reg, RegionId, Value as IrValue};
 use parcoach_mpisim::{MpiConfig, MpiError, Signature, World};
@@ -254,10 +254,9 @@ impl ThreadState {
         }
     }
 
-    /// Account one step; `StepLimit` (at `span()`) when the run's budget
-    /// is spent.
+    /// Account one step; `StepLimit` when the run's budget is spent.
     #[inline]
-    fn step(&mut self, env: &RankEnv, span: impl FnOnce() -> Span) -> Result<(), RunError> {
+    fn step(&mut self, env: &RankEnv) -> Result<(), RunErrorKind> {
         if self.lease == 0 {
             // `Relaxed`: the counter publishes nothing but itself.
             let mut got = 0;
@@ -268,7 +267,7 @@ impl ThreadState {
                     (got > 0).then(|| left - got)
                 });
             if got == 0 {
-                return Err(RunError::new(RunErrorKind::StepLimit, span(), env.rank));
+                return Err(RunErrorKind::StepLimit);
             }
             self.lease = got;
             self.stats.steps += got;
@@ -313,13 +312,15 @@ struct SimThread<'a> {
 }
 
 impl SimThread<'_> {
-    /// Stop the run on `err`: abort the MPI world, unless a thread already
-    /// has (the first reason stands), and poison this thread's team, so
-    /// that no rank or sibling waits for this thread any more.
-    fn abort_all(&self, err: &RunError) {
+    /// Stop the run on this thread's `fault`: abort the MPI world, unless
+    /// a thread already has (the first reason stands), and poison this
+    /// thread's team, so that no rank or sibling waits for this thread any
+    /// more.
+    fn abort_all(&self, fault: &RunErrorKind) {
         let world = self.env.world;
         if world.abort_reason().is_none() {
-            world.abort(MpiError::Aborted(err.to_string()));
+            let reason = format!("rank {}: {fault}", self.env.rank);
+            world.abort(MpiError::Aborted(reason));
         }
         if let Some(team) = &self.ctx.team {
             OmpSim::poison_team(team);
@@ -331,6 +332,19 @@ impl SimThread<'_> {
 enum Flow {
     Return(Option<Value>),
     Stopped,
+}
+
+/// Why a step stopped its thread: a fault of the step itself, which the
+/// block walk locates, or a callee's error, located in the callee.
+enum Stop {
+    Fault(RunErrorKind),
+    Located(RunError),
+}
+
+impl From<RunErrorKind> for Stop {
+    fn from(kind: RunErrorKind) -> Stop {
+        Stop::Fault(kind)
+    }
 }
 
 /// Why [`Executor::run_within`] returned no report.
@@ -417,15 +431,19 @@ impl Executor {
             };
             world.thread_started(rank);
             let res = match main {
-                Some(fi) => self.exec_function(&mut thread, fi, Vec::new(), 0, Span::DUMMY),
-                None => Err(RunError::new(no_main(), Span::DUMMY, rank)),
+                Some(fi) => self.exec_function(&mut thread, fi, Vec::new(), 0),
+                None => Err(RunError::new(
+                    no_main(),
+                    Locator::Block(0, BlockId(0)),
+                    rank,
+                )),
             };
             world.finish_rank(rank);
             thread.state.return_lease(&env);
             let err = res.err();
             // Make sure peers blocked in MPI wake up.
             if let Some(e) = &err {
-                thread.abort_all(e);
+                thread.abort_all(&e.kind);
             }
             (err, state.stats, env.output.into_inner())
         });
@@ -470,21 +488,14 @@ impl Executor {
 
     // ---- function & block execution ------------------------------------
 
-    /// Call function `fidx` at call depth `depth`; `call` is the call's
-    /// span (dummy for a rank's `main`), where a stack overflow is
-    /// reported.
+    /// Call function `fidx` at call depth `depth`.
     fn exec_function(
         &self,
         t: &mut SimThread<'_>,
         fidx: usize,
         args: Vec<Value>,
         depth: usize,
-        call: Span,
     ) -> Result<Option<Value>, RunError> {
-        let rank = t.env.rank;
-        if depth > self.cfg.max_call_depth {
-            return Err(RunError::new(RunErrorKind::StackOverflow, call, rank));
-        }
         let func = &self.module.funcs[fidx];
         let mut frame: Frame = t.state.take_frame();
         frame.extend(
@@ -498,22 +509,13 @@ impl Executor {
         let flow = self.exec_from(t, &mut frame, fidx, func.entry, None, depth);
         t.state.put_frame(frame);
         match flow? {
-            Flow::Return(v) => {
-                if func.ret != Type::Void && v.is_none() {
-                    return Err(RunError::new(
-                        RunErrorKind::MissingReturn {
-                            func: func.name.clone(),
-                        },
-                        func.span,
-                        rank,
-                    ));
-                }
-                Ok(v)
-            }
+            Flow::Return(v) => Ok(v),
             Flow::Stopped => unreachable!("stop block only used inside parallel regions"),
         }
     }
 
+    /// Walk function `fidx`'s blocks from `start` until it returns or
+    /// reaches `stop`; a step reports what failed, the walk where.
     fn exec_from(
         &self,
         t: &mut SimThread<'_>,
@@ -523,34 +525,39 @@ impl Executor {
         stop: Option<BlockId>,
         depth: usize,
     ) -> Result<Flow, RunError> {
-        let env = t.env;
+        let (env, rank) = (t.env, t.env.rank);
         let func = &self.module.funcs[fidx];
         let mut cur = start;
         let mut critical_guards: Vec<ReentrantMutexGuard<'_, ()>> = Vec::new();
         loop {
-            let block = func.block(cur);
-            t.state.step(env, || block_span(func, cur))?;
-            if stop == Some(cur) {
-                // The region's end barrier: nothing to wait for here,
-                // the join synchronises the team.
-                self.exec_checks_only(t, frame, func.instrs(cur))?;
-                return Ok(Flow::Stopped);
-            }
-
-            // Directive semantics first.
+            let (block, instrs) = (func.block(cur), func.instrs(cur));
+            let at = move |ii, kind| RunError::new(kind, plain_at(func, fidx, cur, ii), rank);
+            let entry = move |kind| RunError::new(kind, Locator::Entry(fidx, cur), rank);
+            t.state.step(env).map_err(entry)?;
             if let BlockKind::Directive(d) = &block.kind {
+                // A directive block holds only the checks instrumentation
+                // attached to it: they run first, with no step of their
+                // own.
+                for (ii, (i, _)) in instrs.iter().enumerate() {
+                    if let Instr::Check(check) = i {
+                        self.exec_check(t, frame, check).map_err(|k| at(ii, k))?;
+                    }
+                }
+                if stop == Some(cur) {
+                    // The region's end barrier: nothing to wait for here,
+                    // the join synchronises the team.
+                    return Ok(Flow::Stopped);
+                }
                 match d {
                     Directive::ParallelBegin { .. } => {
                         cur = self.exec_parallel(t, frame, fidx, cur, depth)?;
                         continue;
                     }
                     Directive::SingleBegin { region, chosen, .. } => {
-                        self.exec_checks_only(t, frame, func.instrs(cur))?;
                         let mine = t.ctx.enter_single(region.0);
                         self.write(frame, *chosen, Value::Bool(mine));
                     }
                     Directive::MasterBegin { chosen, .. } => {
-                        self.exec_checks_only(t, frame, func.instrs(cur))?;
                         self.write(frame, *chosen, Value::Bool(t.ctx.is_master()));
                     }
                     Directive::SectionBegin {
@@ -559,7 +566,6 @@ impl Executor {
                         chosen,
                         ..
                     } => {
-                        self.exec_checks_only(t, frame, func.instrs(cur))?;
                         let mine = t.ctx.enter_section(parent.0, *index);
                         self.write(frame, *chosen, Value::Bool(mine));
                     }
@@ -570,14 +576,13 @@ impl Executor {
                         critical_guards.pop();
                     }
                     Directive::Barrier { .. } => {
-                        self.exec_checks_only(t, frame, func.instrs(cur))?;
                         t.state.stats.barrier_waits += t.ctx.team.is_some() as u64;
                         t.ctx.barrier(env.omp.barrier_timeout()).map_err(|e| {
                             let kind = match e {
                                 OmpError::Barrier(b) => RunErrorKind::ThreadBarrier(b),
                                 other => RunErrorKind::Omp(other),
                             };
-                            RunError::new(kind, block.span, env.rank)
+                            RunError::new(kind, Locator::Block(fidx, cur), rank)
                         })?;
                     }
                     Directive::PForInit {
@@ -593,28 +598,20 @@ impl Executor {
                         self.write(frame, *var, Value::Int(s));
                         self.write(frame, *chunk_end, Value::Int(e));
                     }
-                    // Pure markers at run time (checks may still be
-                    // attached to them).
+                    // Pure markers at run time.
                     Directive::ParallelEnd { .. }
                     | Directive::SingleEnd { .. }
                     | Directive::MasterEnd { .. }
                     | Directive::SectionEnd { .. }
                     | Directive::WorkshareBegin { .. }
-                    | Directive::WorkshareEnd { .. } => {
-                        self.exec_checks_only(t, frame, func.instrs(cur))?;
-                    }
+                    | Directive::WorkshareEnd { .. } => {}
                 }
             } else {
-                // Normal block: run all instructions.
-                for (i, span) in func.instrs(cur) {
-                    t.state.step(env, || {
-                        if span.is_dummy() {
-                            block_span(func, cur)
-                        } else {
-                            *span
-                        }
+                for (ii, (i, _)) in instrs.iter().enumerate() {
+                    self.exec_instr(t, frame, i, depth).map_err(|s| match s {
+                        Stop::Fault(kind) => at(ii, kind),
+                        Stop::Located(e) => e,
                     })?;
-                    self.exec_instr(t, frame, i, *span, depth)?;
                 }
             }
 
@@ -625,7 +622,6 @@ impl Executor {
                     cond,
                     then_bb,
                     else_bb,
-                    ..
                 } => {
                     cur = if self.read(frame, *cond).as_bool() {
                         *then_bb
@@ -633,19 +629,19 @@ impl Executor {
                         *else_bb
                     };
                 }
-                Terminator::Return { value, .. } => {
-                    // Return-site CC checks were already executed as
-                    // instructions (they sit at the end of the block).
-                    return Ok(Flow::Return(value.map(|v| self.read(frame, v))));
+                // Return-site CC checks were already executed as
+                // instructions (they sit at the end of the block).
+                Terminator::Return { value: Some(v) } => {
+                    return Ok(Flow::Return(Some(self.read(frame, *v))));
                 }
-                Terminator::Unreachable => {
-                    return Err(RunError::new(
-                        RunErrorKind::MissingReturn {
-                            func: func.name.clone(),
-                        },
-                        block.span,
-                        env.rank,
-                    ))
+                Terminator::Return { value: None } if func.ret == Type::Void => {
+                    return Ok(Flow::Return(None));
+                }
+                Terminator::Return { value: None } | Terminator::Unreachable => {
+                    let kind = RunErrorKind::MissingReturn {
+                        func: func.name.clone(),
+                    };
+                    return Err(RunError::new(kind, Locator::Cond(fidx, cur), rank));
                 }
             }
         }
@@ -664,18 +660,13 @@ impl Executor {
         cur: BlockId,
         depth: usize,
     ) -> Result<BlockId, RunError> {
-        let func = &self.module.funcs[fidx];
-        let block = func.block(cur);
         let Some(Directive::ParallelBegin {
             region,
             num_threads,
-        }) = block.directive()
+        }) = self.module.funcs[fidx].block(cur).directive()
         else {
             unreachable!("called on a parallel.begin block");
         };
-        // Run pre-directive checks (instrumentation may guard directive
-        // nodes).
-        self.exec_checks_only(t, frame, func.instrs(cur))?;
         let team_size = num_threads
             .map_or(self.cfg.default_threads, |v| {
                 self.read(frame, v).as_int().max(1) as usize
@@ -747,7 +738,7 @@ impl Executor {
                 if !is_secondary_error(e) {
                     root_err.lock().get_or_insert_with(|| e.clone());
                 }
-                member.abort_all(e);
+                member.abort_all(&e.kind);
             }
             env.world.thread_departed(env.rank);
             res.map(|_| ())
@@ -763,36 +754,21 @@ impl Executor {
                 for _ in 0..team_size {
                     env.world.thread_departed(env.rank);
                 }
-                Err(RunError::new(RunErrorKind::Omp(e), block.span, env.rank))
+                let at = Locator::Block(fidx, cur);
+                Err(RunError::new(RunErrorKind::Omp(e), at, env.rank))
             }
         }
     }
 
-    /// Run only the `Check` instructions of a directive block.
-    fn exec_checks_only(
-        &self,
-        t: &mut SimThread<'_>,
-        frame: &mut Frame,
-        instrs: &[(Instr, Span)],
-    ) -> Result<(), RunError> {
-        for (i, span) in instrs {
-            if let Instr::Check(check) = i {
-                self.exec_check(t, frame, check, *span)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Execute `instr`, whose source span is `span`.
+    /// Take one step and execute `instr` in it.
     fn exec_instr(
         &self,
         t: &mut SimThread<'_>,
         frame: &mut Frame,
         instr: &Instr,
-        span: Span,
         depth: usize,
-    ) -> Result<(), RunError> {
-        let rank = t.env.rank;
+    ) -> Result<(), Stop> {
+        t.state.step(t.env)?;
         match instr {
             Instr::Copy { dest, src } => {
                 let v = self.read(frame, *src);
@@ -811,7 +787,7 @@ impl Executor {
             Instr::Binary { dest, op, lhs, rhs } => {
                 let l = self.read(frame, *lhs);
                 let r = self.read(frame, *rhs);
-                let out = self.binary(rank, *op, l, r, span)?;
+                let out = self.binary(*op, l, r)?;
                 self.write(frame, *dest, out);
             }
             Instr::ArrayNew {
@@ -823,18 +799,18 @@ impl Executor {
                 let out = usize::try_from(n)
                     .ok()
                     .and_then(|n| Value::filled_array(n, &self.read(frame, *init)))
-                    .ok_or_else(|| RunError::new(RunErrorKind::BadArrayLength(n), span, rank))?;
+                    .ok_or(RunErrorKind::BadArrayLength(n))?;
                 self.write(frame, *dest, out);
             }
             Instr::Load { dest, arr, idx } => {
                 let i = self.read(frame, *idx).as_int();
                 let out = with_reg(frame, *arr, |arr| match arr {
                     Value::ArrayInt(a) => {
-                        let i = check_bounds(i, a.len(), span, rank)?;
-                        Ok(Value::Int(a[i].load(Ordering::Relaxed)))
+                        let i = check_bounds(i, a.len())?;
+                        Ok::<_, RunErrorKind>(Value::Int(a[i].load(Ordering::Relaxed)))
                     }
                     Value::ArrayFloat(a) => {
-                        let i = check_bounds(i, a.len(), span, rank)?;
+                        let i = check_bounds(i, a.len())?;
                         Ok(Value::Float(f64::from_bits(a[i].load(Ordering::Relaxed))))
                     }
                     other => panic!("type-checked load from {other:?}"),
@@ -846,12 +822,12 @@ impl Executor {
                 let v = self.read(frame, *value);
                 with_reg(frame, *arr, |arr| match arr {
                     Value::ArrayInt(a) => {
-                        let i = check_bounds(i, a.len(), span, rank)?;
+                        let i = check_bounds(i, a.len())?;
                         a[i].store(v.as_int(), Ordering::Relaxed);
-                        Ok(())
+                        Ok::<_, RunErrorKind>(())
                     }
                     Value::ArrayFloat(a) => {
-                        let i = check_bounds(i, a.len(), span, rank)?;
+                        let i = check_bounds(i, a.len())?;
                         a[i].store(v.as_float().to_bits(), Ordering::Relaxed);
                         Ok(())
                     }
@@ -864,14 +840,19 @@ impl Executor {
             }
             Instr::Call { dest, callee, args } => {
                 let argv: Vec<Value> = args.iter().map(|a| self.read(frame, *a)).collect();
-                let ret = self.exec_function(t, *callee, argv, depth + 1, span)?;
+                if depth >= self.cfg.max_call_depth {
+                    return Err(RunErrorKind::StackOverflow.into());
+                }
+                let ret = self
+                    .exec_function(t, *callee, argv, depth + 1)
+                    .map_err(Stop::Located)?;
                 if let (Some(d), Some(v)) = (dest, ret) {
                     self.write(frame, *d, v);
                 }
             }
             Instr::Mpi { dest, op } => {
                 t.state.stats.mpi_calls += 1;
-                let out = self.exec_mpi(t, frame, op, span)?;
+                let out = self.exec_mpi(t, frame, op)?;
                 if let (Some(d), Some(v)) = (dest, out) {
                     self.write(frame, *d, v);
                 }
@@ -882,7 +863,7 @@ impl Executor {
                 // a join.
                 use std::fmt::Write as _;
                 let mut line = String::new();
-                let _ = write!(line, "[rank {rank}] ");
+                let _ = write!(line, "[rank {}] ", t.env.rank);
                 for (k, a) in args.iter().enumerate() {
                     if k > 0 {
                         line.push(' ');
@@ -892,26 +873,24 @@ impl Executor {
                 t.env.output.lock().push(line);
             }
             Instr::Check(check) => {
-                self.exec_check(t, frame, check, span)?;
+                self.exec_check(t, frame, check)?;
             }
         }
         Ok(())
     }
 
-    /// Execute `check`, whose span is `span`.
+    /// Execute `check`.
     fn exec_check(
         &self,
         t: &mut SimThread<'_>,
         frame: &mut Frame,
         check: &CheckOp,
-        span: Span,
-    ) -> Result<(), RunError> {
-        let rank = t.env.rank;
+    ) -> Result<(), RunErrorKind> {
         match check {
             CheckOp::CollectiveCc { color, comm } => {
                 // The CC runs on the guarded collective's communicator.
                 let handle = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
-                self.run_cc(t, handle, *color, span)
+                self.run_cc(t, handle, *color)
             }
             CheckOp::ReturnCc { site } => {
                 // Wrapped in `single` semantics when inside a team (paper
@@ -923,7 +902,7 @@ impl Executor {
                         return Ok(());
                     }
                 }
-                self.run_cc(t, 0, 0, span)
+                self.run_cc(t, 0, 0)
             }
             CheckOp::AssertMonothread { what, site } => {
                 // Deterministic: within one team encounter, two *distinct*
@@ -932,9 +911,9 @@ impl Executor {
                 // Outside any team the rank's initial thread runs alone.
                 let (site, me) = (*site as usize, t.ctx.thread_num());
                 if t.checks.is_some_and(|checks| !checks.is_first_at(site, me)) {
-                    let err = RunError::new(RunErrorKind::MonothreadViolation { what }, span, rank);
-                    t.abort_all(&err);
-                    return Err(err);
+                    let fault = RunErrorKind::MonothreadViolation { what };
+                    t.abort_all(&fault);
+                    return Err(fault);
                 }
                 Ok(())
             }
@@ -952,10 +931,9 @@ impl Executor {
                     checks.executed(*site as usize, t.ctx.barriers_passed()) >= 2
                 });
                 if overlapping || reexecuted {
-                    let err =
-                        RunError::new(RunErrorKind::ConcurrentRegions { site: *site }, span, rank);
-                    t.abort_all(&err);
-                    return Err(err);
+                    let fault = RunErrorKind::ConcurrentRegions { site: *site };
+                    t.abort_all(&fault);
+                    return Err(fault);
                 }
                 Ok(())
             }
@@ -967,8 +945,8 @@ impl Executor {
                 let rows = t
                     .env
                     .world
-                    .p2p_census(rank, t.ctx.is_initial_thread())
-                    .map_err(|e| RunError::new(classify_mpi_error(e), span, rank))?;
+                    .p2p_census(t.env.rank, t.ctx.is_initial_thread())
+                    .map_err(classify_mpi_error)?;
                 let unbalanced: Vec<(usize, u64, u64)> = rows
                     .into_iter()
                     .filter(|(_, sent, recvd)| sent != recvd)
@@ -976,10 +954,9 @@ impl Executor {
                 if unbalanced.is_empty() {
                     return Ok(());
                 }
-                let err =
-                    RunError::new(RunErrorKind::P2pImbalance { comms: unbalanced }, span, rank);
-                t.abort_all(&err);
-                Err(err)
+                let fault = RunErrorKind::P2pImbalance { comms: unbalanced };
+                t.abort_all(&fault);
+                Err(fault)
             }
         }
     }
@@ -987,19 +964,12 @@ impl Executor {
     /// Execute the `CC` color all-reduce (on the guarded collective's
     /// communicator) and translate a disagreement into the paper's
     /// error report (per-rank collective names).
-    fn run_cc(
-        &self,
-        t: &SimThread<'_>,
-        comm: usize,
-        color: u32,
-        span: Span,
-    ) -> Result<(), RunError> {
-        let rank = t.env.rank;
+    fn run_cc(&self, t: &SimThread<'_>, comm: usize, color: u32) -> Result<(), RunErrorKind> {
         let outcome = t
             .env
             .world
-            .control_cc_on(rank, comm, color, t.ctx.is_initial_thread())
-            .map_err(|e| RunError::new(classify_mpi_error(e), span, rank))?;
+            .control_cc_on(t.env.rank, comm, color, t.ctx.is_initial_thread())
+            .map_err(classify_mpi_error)?;
         if outcome.unanimous() {
             return Ok(());
         }
@@ -1008,9 +978,9 @@ impl Executor {
             .iter()
             .map(|&c| color_name(c).into_owned())
             .collect::<Vec<_>>();
-        let err = RunError::new(RunErrorKind::CcMismatch { per_rank }, span, rank);
-        t.abort_all(&err);
-        Err(err)
+        let fault = RunErrorKind::CcMismatch { per_rank };
+        t.abort_all(&fault);
+        Err(fault)
     }
 
     fn exec_mpi(
@@ -1018,11 +988,9 @@ impl Executor {
         t: &SimThread<'_>,
         frame: &mut Frame,
         op: &MpiOp<IrValue>,
-        span: Span,
-    ) -> Result<Option<Value>, RunError> {
+    ) -> Result<Option<Value>, RunErrorKind> {
         let (world, rank) = (t.env.world, t.env.rank);
         let initial = t.ctx.is_initial_thread();
-        let mpi_err = |e: MpiError| RunError::new(classify_mpi_error(e), span, rank);
         // `MPI_Recv` and `MPI_Wait` are float-typed in the language;
         // coerce integer payloads.
         let completion = |v| match Value::from_mpi(v) {
@@ -1035,7 +1003,7 @@ impl Executor {
                 Ok(None)
             }
             MpiOp::Finalize => {
-                world.finalize(rank, initial).map_err(mpi_err)?;
+                world.finalize(rank, initial).map_err(classify_mpi_error)?;
                 Ok(None)
             }
             MpiOp::Send {
@@ -1055,18 +1023,19 @@ impl Executor {
                 let tag = self.read(frame, *tag).as_int();
                 let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
                 if d < 0 {
-                    return Err(mpi_err(MpiError::ArgError(format!(
-                        "negative destination {d}"
-                    ))));
+                    let e = MpiError::ArgError(format!("negative destination {d}"));
+                    return Err(RunErrorKind::Mpi(e));
                 }
                 let d = d as usize;
                 if matches!(op, MpiOp::Send { .. }) {
                     world
                         .send_on(rank, c, d, tag, v, initial)
-                        .map_err(mpi_err)?;
+                        .map_err(classify_mpi_error)?;
                     return Ok(None);
                 }
-                let handle = world.isend(rank, c, d, tag, v, initial).map_err(mpi_err)?;
+                let handle = world
+                    .isend(rank, c, d, tag, v, initial)
+                    .map_err(classify_mpi_error)?;
                 Ok(Some(Value::Request(handle)))
             }
             MpiOp::Recv { src, tag, comm } | MpiOp::Irecv { src, tag, comm } => {
@@ -1076,21 +1045,25 @@ impl Executor {
                 // Wildcard sentinels pass through; the world rejects
                 // other negative sources/tags.
                 if matches!(op, MpiOp::Recv { .. }) {
-                    let v = world.recv_on(rank, c, s, tag, initial).map_err(mpi_err)?;
+                    let v = world
+                        .recv_on(rank, c, s, tag, initial)
+                        .map_err(classify_mpi_error)?;
                     return Ok(Some(completion(v)));
                 }
-                let handle = world.irecv(rank, c, s, tag, initial).map_err(mpi_err)?;
+                let handle = world
+                    .irecv(rank, c, s, tag, initial)
+                    .map_err(classify_mpi_error)?;
                 Ok(Some(Value::Request(handle)))
             }
             MpiOp::Wait { request } => {
                 let h = self.read(frame, *request).as_request();
-                let v = world.wait(rank, h, initial).map_err(mpi_err)?;
+                let v = world.wait(rank, h, initial).map_err(classify_mpi_error)?;
                 Ok(Some(completion(v)))
             }
             MpiOp::Waitall { requests } => {
                 for r in requests {
                     let h = self.read(frame, *r).as_request();
-                    world.wait(rank, h, initial).map_err(mpi_err)?;
+                    world.wait(rank, h, initial).map_err(classify_mpi_error)?;
                 }
                 Ok(None)
             }
@@ -1099,12 +1072,16 @@ impl Executor {
                 let p = self.read(frame, *parent).as_comm();
                 let c = self.read(frame, *color).as_int();
                 let k = self.read(frame, *key).as_int();
-                let handle = world.comm_split(rank, p, c, k, initial).map_err(mpi_err)?;
+                let handle = world
+                    .comm_split(rank, p, c, k, initial)
+                    .map_err(classify_mpi_error)?;
                 Ok(Some(Value::Comm(handle)))
             }
             MpiOp::CommDup { comm } => {
                 let p = self.read(frame, *comm).as_comm();
-                let handle = world.comm_dup(rank, p, initial).map_err(mpi_err)?;
+                let handle = world
+                    .comm_dup(rank, p, initial)
+                    .map_err(classify_mpi_error)?;
                 Ok(Some(Value::Comm(handle)))
             }
             MpiOp::Collective {
@@ -1119,7 +1096,8 @@ impl Executor {
                     Some(r) => {
                         let x = self.read(frame, *r).as_int();
                         if x < 0 {
-                            return Err(mpi_err(MpiError::ArgError(format!("negative root {x}"))));
+                            let e = MpiError::ArgError(format!("negative root {x}"));
+                            return Err(RunErrorKind::Mpi(e));
                         }
                         Some(x as usize)
                     }
@@ -1130,7 +1108,7 @@ impl Executor {
                 let sig = Signature::collective((*kind).into(), *reduce_op, root_v, ty);
                 let out = world
                     .collective_on(rank, c, sig, payload, initial)
-                    .map_err(mpi_err)?;
+                    .map_err(classify_mpi_error)?;
                 if *kind == CollectiveKind::Barrier {
                     Ok(None)
                 } else {
@@ -1181,14 +1159,7 @@ impl Executor {
         }
     }
 
-    fn binary(
-        &self,
-        rank: usize,
-        op: BinOp,
-        l: Value,
-        r: Value,
-        span: Span,
-    ) -> Result<Value, RunError> {
+    fn binary(&self, op: BinOp, l: Value, r: Value) -> Result<Value, RunErrorKind> {
         use BinOp::*;
         Ok(match (op, &l, &r) {
             (Add, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
@@ -1196,13 +1167,13 @@ impl Executor {
             (Mul, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_mul(*b)),
             (Div, Value::Int(a), Value::Int(b)) => {
                 if *b == 0 {
-                    return Err(RunError::new(RunErrorKind::DivisionByZero, span, rank));
+                    return Err(RunErrorKind::DivisionByZero);
                 }
                 Value::Int(a.wrapping_div(*b))
             }
             (Rem, Value::Int(a), Value::Int(b)) => {
                 if *b == 0 {
-                    return Err(RunError::new(RunErrorKind::DivisionByZero, span, rank));
+                    return Err(RunErrorKind::DivisionByZero);
                 }
                 Value::Int(a.wrapping_rem(*b))
             }
@@ -1274,30 +1245,24 @@ fn is_secondary_error(e: &RunError) -> bool {
     )
 }
 
-/// Where a step of block `b` without a span of its own is reported: the
-/// first real span along `b`'s chain of jumps — a block's span, else its
-/// branch's or return's — else the function's. (An empty loop body is
-/// reported at its loop's condition.)
-fn block_span(func: &FuncIr, mut b: BlockId) -> Span {
-    for _ in 0..func.block_count() {
-        let block = func.block(b);
-        let (term, next) = match block.term {
-            Terminator::Branch { .. } | Terminator::Return { .. } => (block.term_span, None),
-            Terminator::Goto(next) => (Span::DUMMY, Some(next)),
-            Terminator::Unreachable => (Span::DUMMY, None),
-        };
-        let span = if block.span.is_dummy() {
-            term
-        } else {
-            block.span
-        };
-        match next {
-            _ if !span.is_dummy() => return span,
-            Some(next) => b = next,
-            None => break,
+/// Where the uninstrumented module has instruction `ii` of block `b` of
+/// function `f` (index `fi`): instrumentation only inserts checks, so the
+/// checks before it are the difference. A check is at what it guards: the
+/// next instruction, the block's terminator (a return `CC`, concurrency
+/// exits) or the block (a concurrency enter, at a region's body entry).
+fn plain_at(f: &FuncIr, fi: usize, b: BlockId, ii: usize) -> Locator {
+    let instrs = f.instrs(b);
+    match &instrs[ii].0 {
+        Instr::Check(CheckOp::ConcEnter { .. }) => Locator::Block(fi, b),
+        Instr::Check(CheckOp::ReturnCc { .. } | CheckOp::ConcExit { .. }) => Locator::Cond(fi, b),
+        _ => {
+            let checks = instrs[..ii]
+                .iter()
+                .filter(|(i, _)| matches!(i, Instr::Check(_)))
+                .count();
+            Locator::Instr(fi, b, ii - checks)
         }
     }
-    func.span
 }
 
 /// Look at a register's value in place: an array operand is borrowed for
@@ -1321,13 +1286,9 @@ fn scalar_eq(a: &Value, b: &Value) -> bool {
 }
 
 /// `i` as an index into an array of `len` elements.
-fn check_bounds(i: i64, len: usize, span: Span, rank: usize) -> Result<usize, RunError> {
+fn check_bounds(i: i64, len: usize) -> Result<usize, RunErrorKind> {
     if i < 0 || i as usize >= len {
-        Err(RunError::new(
-            RunErrorKind::IndexOutOfBounds { index: i, len },
-            span,
-            rank,
-        ))
+        Err(RunErrorKind::IndexOutOfBounds { index: i, len })
     } else {
         Ok(i as usize)
     }

@@ -4,9 +4,12 @@
 //! leased per thread, and a region's join is its closing barrier.
 
 use parcoach_front::parse_and_check;
-use parcoach_interp::{check_and_run, Executor, NoReport, RunConfig, RunErrorKind, RunReport};
+use parcoach_interp::{
+    check_and_run, prepare, Executor, NoReport, RunConfig, RunError, RunErrorKind, RunReport,
+};
 use parcoach_ir::instr::{CheckOp, Directive, Instr};
 use parcoach_ir::lower::lower_program;
+use parcoach_ir::span_at;
 use parcoach_ompsim::BarrierError;
 use parcoach_workloads::{figure1_suite, WorkloadClass};
 use std::time::{Duration, Instant};
@@ -31,6 +34,13 @@ fn kinds(r: &RunReport) -> Vec<&RunErrorKind> {
 /// 1-based line of a byte offset.
 fn line_of(src: &str, offset: u32) -> usize {
     src[..offset as usize].matches('\n').count() + 1
+}
+
+/// 1-based line of `e`'s position in `src`, compiled as [`run_with`]
+/// compiles it.
+fn line_at(src: &str, e: &RunError) -> usize {
+    let (_, module) = prepare("t.mh", src, false).expect("valid program");
+    line_of(src, span_at(&module, e.at).lo)
 }
 
 // ---- step budget -----------------------------------------------------
@@ -127,7 +137,7 @@ fn errors_without_a_span_of_their_own_report_the_nearest_line() {
         );
         let e = r.first_error().expect("the runaway loop is stopped");
         assert_eq!(e.kind, RunErrorKind::StepLimit);
-        assert_eq!(line_of(src, e.span.lo), 3, "the `while`: {e}");
+        assert_eq!(line_at(src, e), 3, "the `while`: {e}");
     }
     // A stack overflow is reported at the call that overflows: `down(0)`,
     // called from `down(1)`'s `else` branch.
@@ -135,11 +145,7 @@ fn errors_without_a_span_of_their_own_report_the_nearest_line() {
     let r = on_a_2_mib_stack(src.clone());
     let e = r.first_error().expect("the descent overflows");
     assert_eq!(e.kind, RunErrorKind::StackOverflow);
-    assert_eq!(
-        line_of(&src, e.span.lo),
-        9,
-        "`r[0] = down(n - 1) + 1;`: {e}"
-    );
+    assert_eq!(line_at(&src, e), 9, "`r[0] = down(n - 1) + 1;`: {e}");
 }
 
 // ---- the join is the region-end barrier --------------------------------
@@ -172,7 +178,7 @@ fn a_divergent_team_is_reported_at_the_barrier_that_diverged_without_a_timeout()
             ),
             "{e}"
         );
-        assert_eq!(line_of(src, e.span.lo), 4, "the inner `barrier;`: {e}");
+        assert_eq!(line_at(src, e), 4, "the inner `barrier;`: {e}");
         if best < Duration::from_millis(50) {
             return;
         }
@@ -240,7 +246,7 @@ fn a_ninth_nested_region_is_refused_on_every_rank_without_a_timeout() {
     assert_eq!(
         r.errors
             .iter()
-            .map(|e| (e.rank, e.kind.code(), line_of(src, e.span.lo)))
+            .map(|e| (e.rank, e.kind.code(), line_at(src, e)))
             .collect::<Vec<_>>(),
         [(0, "omp", 3), (1, "omp", 3)],
         "{:?}",
@@ -465,7 +471,7 @@ fn a_finished_rank_does_not_make_a_live_sibling_thread_a_wait_cycle() {
     }";
     let r = run_with(src, cfg(2, 2));
     let e = r.first_error().expect("the unmatched finalize is reported");
-    assert_eq!(line_of(src, e.span.lo), 17, "the `MPI_Finalize`: {e}");
+    assert_eq!(line_at(src, e), 17, "the `MPI_Finalize`: {e}");
     assert!(
         e.to_string().contains(
             "deadlock: all ranks blocked: \

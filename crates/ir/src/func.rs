@@ -98,11 +98,6 @@ impl FuncIr {
         &self.blocks[id.index()]
     }
 
-    /// Mutable access to a block.
-    pub fn block_mut(&mut self, id: BlockId) -> &mut BasicBlock {
-        &mut self.blocks[id.index()]
-    }
-
     /// The instructions of block `id` with their spans, in order.
     #[inline]
     pub fn instrs(&self, id: BlockId) -> &[(Instr, Span)] {
@@ -332,7 +327,7 @@ impl FuncIr {
 ///
 /// A module *shares* its functions: cloning one copies a vector of
 /// pointers, and a pass that rewrites some functions
-/// ([`Arc::make_mut`], [`Module::func_mut`]) copies exactly those — the
+/// ([`Arc::make_mut`] on their entries) copies exactly those — the
 /// rest stay the very allocations of the module it started from.
 /// A call names its callee by its index in `funcs`.
 #[derive(Debug, Clone, PartialEq)]
@@ -359,13 +354,6 @@ impl Module {
         self.index(name).map(|i| &*self.funcs[i])
     }
 
-    /// Mutable lookup by name; un-shares the function if another
-    /// module still holds it.
-    pub fn func_mut(&mut self, name: &str) -> Option<&mut FuncIr> {
-        let i = self.index(name)?;
-        Some(Arc::make_mut(&mut self.funcs[i]))
-    }
-
     /// The entry function.
     pub fn main(&self) -> Option<&FuncIr> {
         self.func("main")
@@ -379,6 +367,76 @@ impl Module {
     /// Total instruction count across functions.
     pub fn total_instrs(&self) -> usize {
         self.funcs.iter().map(|f| f.instrs.len()).sum()
+    }
+}
+
+/// A program point of a module: stored findings and run errors name
+/// positions this way, and [`span_at`] renders one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Locator {
+    /// `(function index, block, instruction index)`.
+    Instr(usize, BlockId, usize),
+    /// A block, by its representative span, dummy or not.
+    Block(usize, BlockId),
+    /// The step that enters a block: as `Block`, but a dummy span falls
+    /// back as [`span_at`] says.
+    Entry(usize, BlockId),
+    /// A block's terminator: the condition it branches on or the return
+    /// it makes (the block itself when it jumps).
+    Cond(usize, BlockId),
+}
+
+impl Locator {
+    /// Index of the function the point lies in.
+    pub fn func(self) -> usize {
+        match self {
+            Locator::Instr(fi, ..)
+            | Locator::Block(fi, _)
+            | Locator::Entry(fi, _)
+            | Locator::Cond(fi, _) => fi,
+        }
+    }
+}
+
+/// The span `m` has at `loc`. Any point but a [`Locator::Block`] that
+/// has no span of its own is at the first real span along its block's
+/// chain of jumps (a block's, else its terminator's), else at its
+/// function.
+pub fn span_at(m: &Module, loc: Locator) -> Span {
+    let f = &m.funcs[loc.func()];
+    let (span, mut b) = match loc {
+        Locator::Instr(_, b, ii) => (f.instrs(b)[ii].1, b),
+        Locator::Block(_, b) => return f.block(b).span,
+        Locator::Entry(_, b) => (f.block(b).span, b),
+        Locator::Cond(_, b) => (term_span(f, f.block(b)), b),
+    };
+    if !span.is_dummy() {
+        return span;
+    }
+    for _ in 0..f.block_count() {
+        let block = f.block(b);
+        match (block.span, &block.term) {
+            (s, _) if !s.is_dummy() => return s,
+            (_, Terminator::Goto(next)) => b = *next,
+            _ => break,
+        }
+    }
+    match term_span(f, f.block(b)) {
+        s if s.is_dummy() => f.span,
+        s => s,
+    }
+}
+
+/// Where `block`'s terminator is: a branch at its condition, a `return`
+/// where it stands, the one lowering adds at the end of the body (spanned
+/// as the function) at the closing brace, a jump nowhere.
+fn term_span(f: &FuncIr, block: &BasicBlock) -> Span {
+    match block.term {
+        Terminator::Return { .. } if block.term_span == f.span => {
+            Span::new(f.span.hi.saturating_sub(1), f.span.hi)
+        }
+        Terminator::Branch { .. } | Terminator::Return { .. } => block.term_span,
+        Terminator::Goto(_) | Terminator::Unreachable => Span::DUMMY,
     }
 }
 

@@ -41,7 +41,7 @@ pub mod verify;
 
 pub use dom::{DomTree, Frontiers, PostDomTree};
 pub use edit::shift_spans;
-pub use func::{BasicBlock, FuncIr, Module};
+pub use func::{span_at, BasicBlock, FuncIr, Locator, Module};
 pub use instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator, WorkshareKind};
 pub use loops::{LoopInfo, NaturalLoop};
 pub use lower::lower_program;

@@ -33,10 +33,6 @@ impl Rng {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, bound)`. `bound` must be non-zero.
     pub fn below(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "Rng::below(0)");

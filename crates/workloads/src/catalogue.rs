@@ -188,7 +188,7 @@ fn main() {
 "#
             .into(),
             expect_static: ExpectStatic::Warns("concurrent-collectives"),
-            expect_dynamic: ExpectDynamic::Fails,
+            expect_dynamic: ExpectDynamic::CaughtByCheck,
         },
         ErrorCase {
             id: "concurrent-sections",
@@ -205,7 +205,7 @@ fn main() {
 "#
             .into(),
             expect_static: ExpectStatic::Warns("concurrent-collectives"),
-            expect_dynamic: ExpectDynamic::Fails,
+            expect_dynamic: ExpectDynamic::CaughtByCheck,
         },
         ErrorCase {
             id: "self-concurrent-single",
@@ -222,7 +222,7 @@ fn main() {
 "#
             .into(),
             expect_static: ExpectStatic::Warns("self-concurrent-region"),
-            expect_dynamic: ExpectDynamic::Fails,
+            expect_dynamic: ExpectDynamic::CaughtByCheck,
         },
         ErrorCase {
             id: "barrier-divergence",
@@ -897,7 +897,7 @@ fn main() {
 "#
             .into(),
             expect_static: ExpectStatic::Clean,
-            expect_dynamic: ExpectDynamic::Fails,
+            expect_dynamic: ExpectDynamic::CaughtBySubstrate,
         },
         ErrorCase {
             id: "fuzz-uniform-guard-fp",

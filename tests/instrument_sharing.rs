@@ -2,11 +2,16 @@
 //! real workload: HERA-B's instrumented module holds, pointer for
 //! pointer, the input's functions except the ones the plan marks, and its
 //! canonical IR text is byte for byte what the pass produced when it
-//! inserted each check into a block's own instruction vector.
+//! inserted each check into a block's own instruction vector. And it
+//! only inserts: without its checks, an instrumented function is the
+//! plain one.
+
+mod corpus;
 
 use parcoach::analysis::{instrument_module, AnalysisSession, InstrumentMode, InstrumentStats};
 use parcoach::front::parse_and_check;
 use parcoach::ir::lower::lower_program;
+use parcoach::ir::Instr;
 use parcoach::workloads::{figure1_suite, WorkloadClass};
 use std::sync::Arc;
 
@@ -68,4 +73,29 @@ fn hera_b_unshares_exactly_the_functions_the_plan_names() {
 
     // The input is still what lowering made it.
     assert_eq!(m, lower_program(&unit.program, &unit.signatures));
+}
+
+/// Deleting the `Instr::Check`s of every function of an instrumented
+/// module gives back the plain module's functions: instructions, spans,
+/// blocks and terminators. A run error's position in the plain module is
+/// a prefix count that relies on it.
+#[test]
+fn without_its_checks_an_instrumented_function_is_the_plain_one() {
+    let mut session = AnalysisSession::default();
+    for (name, src) in corpus::corpus() {
+        let unit = parse_and_check(&name, &src)
+            .unwrap_or_else(|(d, sm)| panic!("{name}: {}", d.render(&sm)));
+        let m = lower_program(&unit.program, &unit.signatures);
+        let report = session.check_module(&m);
+        for mode in [InstrumentMode::Selective, InstrumentMode::Full] {
+            let (instrumented, _) = instrument_module(&m, &report, mode);
+            for (plain, f) in m.funcs.iter().zip(&instrumented.funcs) {
+                let mut stripped = (**f).clone();
+                stripped.rewrite_instrs(|_, _, old, out| {
+                    out.extend(old.filter(|(i, _)| !matches!(i, Instr::Check(_))));
+                });
+                assert!(stripped == **plain, "{name}, {mode:?}: `{}`", plain.name);
+            }
+        }
+    }
 }

@@ -17,34 +17,12 @@
 //! test unchanged; a change of verdict on purpose re-pins it (the
 //! assertion message prints the new value).
 
+mod corpus;
+
+use corpus::corpus;
 use parcoach::analysis::{instrument_module, AnalysisSession, InstrumentMode};
 use parcoach::front::parse_and_check;
 use parcoach::ir::lower::lower_program;
-use parcoach::workloads::{error_catalogue, figure1_suite, WorkloadClass};
-use parcoach_testutil::Scenario;
-
-/// Catalogue cases, the Figure-1 programs of every class and 300 seeded
-/// scenario modules.
-fn corpus() -> Vec<(String, String)> {
-    let mut out: Vec<(String, String)> = error_catalogue()
-        .into_iter()
-        .map(|c| (format!("catalogue/{}", c.id), c.source))
-        .collect();
-    for class in [WorkloadClass::A, WorkloadClass::B, WorkloadClass::C] {
-        out.extend(
-            figure1_suite(class)
-                .into_iter()
-                .map(|w| (format!("figure1/{}/{class:?}", w.name), w.source)),
-        );
-    }
-    out.extend((0..300).map(|seed| {
-        (
-            format!("scenario/{seed}"),
-            Scenario::generate(seed).render(),
-        )
-    }));
-    out
-}
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
     for &b in bytes {
