@@ -19,23 +19,29 @@
 //! the join. Everything else is thread-private. Arrays are reference
 //! types with lock-free elements (`value.rs`), so a copied array register
 //! still names the one array.
+//!
+//! A function runs from its [`FuncCode`], decoded on its first call: each
+//! register has a home in one of its frame's two typed banks — scalars
+//! as `u64` bits, arrays as `Arc`s — each operand is a home or an
+//! immediate, and each instruction one typed operation, so a step reads
+//! and writes bits without asking what type they have.
 
 use crate::error::{RunError, RunErrorKind, RunReport, RunStats};
-use crate::value::Value;
+use crate::value::{Array, Value};
 use parcoach_front::ast::{
     BinOp, CollectiveKind, Intrinsic, ThreadLevel, Type, UnOp, COLOR_COMM_DUP, COLOR_COMM_SPLIT,
 };
 use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Locator, Module};
 use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator};
-use parcoach_ir::types::{BlockId, Const, Reg, RegionId, Value as IrValue};
+use parcoach_ir::types::{BlockId, Reg, RegionId, Value as IrValue};
 use parcoach_mpisim::{MpiConfig, MpiError, Signature, World};
 use parcoach_ompsim::{BarrierError, ForkError, OmpConfig, OmpError, OmpSim, ThreadCtx};
-use parcoach_sync::{Mutex, ReentrantMutexGuard, RwLock};
-use std::collections::{HashMap, HashSet, VecDeque};
+use parcoach_sync::{Mutex, ReentrantMutexGuard};
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Execution configuration.
@@ -85,16 +91,379 @@ impl RunConfig {
     }
 }
 
-/// A register slot: private value or team-shared cell.
-#[derive(Debug, Clone)]
-enum Slot {
-    Owned(Value),
-    Shared(Arc<RwLock<Value>>),
+/// Where an operand is, decoded once per function: an immediate, or a
+/// register's home in its frame's banks. A register that a `parallel`
+/// region of the function shares has a cell home: a fork gives it a
+/// cell the team shares, and until one has, it lives in its bank like
+/// any other.
+#[derive(Debug, Clone, Copy)]
+enum Opd {
+    /// A scalar immediate's bits.
+    Imm(u64),
+    /// `Frame::scalars[i]`.
+    Reg(u32),
+    /// `Frame::cells[i]` once a fork has made it, else `scalars[i]`.
+    Cell(u32),
+    /// `Frame::arrays[i]`.
+    Arr(u32),
+    /// `Frame::array_cells[i]` once a fork has made it, else `arrays[i]`.
+    ArrCell(u32),
 }
 
-type Frame = Vec<Slot>;
+/// A cell a team shares a scalar register through. `Relaxed`: team
+/// barriers, joins and MPI calls order the accesses, as they order array
+/// elements'.
+type Cell = Arc<AtomicU64>;
+
+/// A cell a team shares an array register through: the register can be
+/// assigned a new array, so the cell holds the reference under a lock.
+type ArrayCell = Arc<Mutex<Option<Array>>>;
+
+/// One activation's registers in two banks by type: each scalar (`int`,
+/// `float` bits, `bool`, `comm`, `request`) as `u64` bits, each array as
+/// its reference (`None` until assigned: an empty array). In a function
+/// whose regions share registers, the cell vectors are as long as their
+/// banks; elsewhere they are empty.
+#[derive(Default)]
+struct Frame {
+    scalars: Vec<u64>,
+    arrays: Vec<Option<Array>>,
+    cells: Vec<Option<Cell>>,
+    array_cells: Vec<Option<ArrayCell>>,
+}
+
+impl Frame {
+    /// Lay out `code`'s registers, each at its type's default.
+    fn enter(&mut self, code: &FuncCode) {
+        self.scalars.extend_from_slice(&code.scalar_init);
+        self.arrays.resize(code.arrays, None);
+        if code.shares {
+            self.cells.resize(code.scalar_init.len(), None);
+            self.array_cells.resize(code.arrays, None);
+        }
+    }
+
+    /// Become a team member's copy of `parent`: the private registers
+    /// copied, the cells the same cells.
+    fn copy_of(&mut self, parent: &Frame) {
+        self.scalars.extend_from_slice(&parent.scalars);
+        self.arrays.extend_from_slice(&parent.arrays);
+        self.cells.extend_from_slice(&parent.cells);
+        self.array_cells.extend_from_slice(&parent.array_cells);
+    }
+
+    fn clear(&mut self) {
+        self.scalars.clear();
+        self.arrays.clear();
+        self.cells.clear();
+        self.array_cells.clear();
+    }
+
+    /// The bits of scalar operand `o`.
+    #[inline(always)]
+    fn get(&self, o: Opd) -> u64 {
+        match o {
+            Opd::Imm(x) => x,
+            Opd::Reg(i) => self.scalars[i as usize],
+            Opd::Cell(i) => match &self.cells[i as usize] {
+                Some(c) => c.load(Ordering::Relaxed),
+                None => self.scalars[i as usize],
+            },
+            Opd::Arr(_) | Opd::ArrCell(_) => unreachable!("an array read as a scalar"),
+        }
+    }
+
+    /// Set scalar register `o` to `v`.
+    #[inline(always)]
+    fn set(&mut self, o: Opd, v: u64) {
+        match o {
+            Opd::Reg(i) => self.scalars[i as usize] = v,
+            Opd::Cell(i) => match &self.cells[i as usize] {
+                Some(c) => c.store(v, Ordering::Relaxed),
+                None => self.scalars[i as usize] = v,
+            },
+            Opd::Imm(_) | Opd::Arr(_) | Opd::ArrCell(_) => unreachable!("a scalar set to {o:?}"),
+        }
+    }
+
+    /// Look at array register `o`'s elements in place: an element access
+    /// costs no reference-count round trip on a line the whole team
+    /// writes.
+    #[inline(always)]
+    fn with_array<R>(&self, o: Opd, f: impl FnOnce(&[AtomicU64]) -> R) -> R {
+        fn elems(a: &Option<Array>) -> &[AtomicU64] {
+            a.as_deref().map_or(&[], |v| v)
+        }
+        match o {
+            Opd::Arr(i) => f(elems(&self.arrays[i as usize])),
+            Opd::ArrCell(i) => match &self.array_cells[i as usize] {
+                Some(c) => f(elems(&c.lock())),
+                None => f(elems(&self.arrays[i as usize])),
+            },
+            Opd::Imm(_) | Opd::Reg(_) | Opd::Cell(_) => unreachable!("a scalar read as an array"),
+        }
+    }
+
+    /// Array register `o`'s reference.
+    fn array(&self, o: Opd) -> Option<Array> {
+        match o {
+            Opd::Arr(i) => self.arrays[i as usize].clone(),
+            Opd::ArrCell(i) => match &self.array_cells[i as usize] {
+                Some(c) => c.lock().clone(),
+                None => self.arrays[i as usize].clone(),
+            },
+            Opd::Imm(_) | Opd::Reg(_) | Opd::Cell(_) => unreachable!("a scalar read as an array"),
+        }
+    }
+
+    /// Set array register `o` to `a`.
+    fn set_array(&mut self, o: Opd, a: Option<Array>) {
+        match o {
+            Opd::Arr(i) => self.arrays[i as usize] = a,
+            Opd::ArrCell(i) => match &self.array_cells[i as usize] {
+                Some(c) => *c.lock() = a,
+                None => self.arrays[i as usize] = a,
+            },
+            Opd::Imm(_) | Opd::Reg(_) | Opd::Cell(_) => unreachable!("an array set to {o:?}"),
+        }
+    }
+
+    /// Copy `from`'s operand `src` into this frame's register `dst`.
+    fn copy_from(&mut self, dst: Opd, from: &Frame, src: Opd) {
+        match dst {
+            Opd::Arr(_) | Opd::ArrCell(_) => self.set_array(dst, from.array(src)),
+            _ => self.set(dst, from.get(src)),
+        }
+    }
+
+    /// Operand `o`, of type `ty`, as a [`Value`].
+    fn value(&self, o: Opd, ty: Type) -> Value {
+        match o {
+            Opd::Arr(_) | Opd::ArrCell(_) => Value::from_array(ty, self.array(o)),
+            _ => Value::from_bits(ty, self.get(o)),
+        }
+    }
+
+    /// Set register `o` to `v`.
+    fn set_value(&mut self, o: Opd, v: Value) {
+        match o {
+            Opd::Arr(_) | Opd::ArrCell(_) => self.set_array(o, Some(v.into_array())),
+            _ => self.set(o, v.bits()),
+        }
+    }
+
+    /// Give each of `shared` a cell, unless it has one (a cell of an
+    /// enclosing region stays that cell); how many cells it made.
+    fn share(&mut self, shared: &[Opd]) -> u64 {
+        let mut made = 0;
+        for &o in shared {
+            match o {
+                Opd::Cell(i) => {
+                    let (cell, v) = (&mut self.cells[i as usize], self.scalars[i as usize]);
+                    if cell.is_none() {
+                        *cell = Some(Arc::new(AtomicU64::new(v)));
+                        made += 1;
+                    }
+                }
+                Opd::ArrCell(i) => {
+                    let cell = &mut self.array_cells[i as usize];
+                    if cell.is_none() {
+                        let a = self.arrays[i as usize].clone();
+                        *cell = Some(Arc::new(Mutex::new(a)));
+                        made += 1;
+                    }
+                }
+                _ => unreachable!("a shared register has a cell home"),
+            }
+        }
+        made
+    }
+}
+
+/// One typed operation on scalar bits, chosen by decode from an IR
+/// operator and its operands' type: `I` on `i64`s, `F` on `f64`s, `Eq`
+/// and `Ne` on `int` or `bool` bits, `And`/`Or`/`Not` on `bool` bits.
+#[derive(Debug, Clone, Copy)]
+enum Alu {
+    AddI,
+    SubI,
+    MulI,
+    DivI,
+    RemI,
+    AddF,
+    SubF,
+    MulF,
+    DivF,
+    RemF,
+    Eq,
+    Ne,
+    EqF,
+    NeF,
+    LtI,
+    LeI,
+    GtI,
+    GeI,
+    LtF,
+    LeF,
+    GtF,
+    GeF,
+    And,
+    Or,
+    NegI,
+    NegF,
+    Not,
+    AbsI,
+    AbsF,
+    MinI,
+    MinF,
+    MaxI,
+    MaxF,
+    Sqrt,
+    IntOf,
+    FloatOf,
+}
+
+impl Alu {
+    /// Binary operator `op` on operands of type `ty`.
+    fn binary(op: BinOp, ty: Type) -> Alu {
+        use Alu::*;
+        let float = ty == Type::Float;
+        match op {
+            BinOp::Add => [AddI, AddF][float as usize],
+            BinOp::Sub => [SubI, SubF][float as usize],
+            BinOp::Mul => [MulI, MulF][float as usize],
+            BinOp::Div => [DivI, DivF][float as usize],
+            BinOp::Rem => [RemI, RemF][float as usize],
+            BinOp::Eq => [Eq, EqF][float as usize],
+            BinOp::Ne => [Ne, NeF][float as usize],
+            BinOp::Lt => [LtI, LtF][float as usize],
+            BinOp::Le => [LeI, LeF][float as usize],
+            BinOp::Gt => [GtI, GtF][float as usize],
+            BinOp::Ge => [GeI, GeF][float as usize],
+            BinOp::And => And,
+            BinOp::Or => Or,
+        }
+    }
+
+    /// `self` on `a` and `b` (a unary operation ignores `b`).
+    #[inline(always)]
+    fn apply(self, a: u64, b: u64) -> Result<u64, RunErrorKind> {
+        use Alu::*;
+        let (i, j) = (a as i64, b as i64);
+        let (x, y) = (f64::from_bits(a), f64::from_bits(b));
+        Ok(match self {
+            AddI => i.wrapping_add(j) as u64,
+            SubI => i.wrapping_sub(j) as u64,
+            MulI => i.wrapping_mul(j) as u64,
+            DivI | RemI if j == 0 => return Err(RunErrorKind::DivisionByZero),
+            DivI => i.wrapping_div(j) as u64,
+            RemI => i.wrapping_rem(j) as u64,
+            AddF => (x + y).to_bits(),
+            SubF => (x - y).to_bits(),
+            MulF => (x * y).to_bits(),
+            DivF => (x / y).to_bits(),
+            RemF => (x % y).to_bits(),
+            Eq => (a == b) as u64,
+            Ne => (a != b) as u64,
+            EqF => (x == y) as u64,
+            NeF => (x != y) as u64,
+            LtI => (i < j) as u64,
+            LeI => (i <= j) as u64,
+            GtI => (i > j) as u64,
+            GeI => (i >= j) as u64,
+            LtF => (x < y) as u64,
+            LeF => (x <= y) as u64,
+            GtF => (x > y) as u64,
+            GeF => (x >= y) as u64,
+            And => a & b,
+            Or => a | b,
+            NegI => i.wrapping_neg() as u64,
+            NegF => (-x).to_bits(),
+            Not => (a == 0) as u64,
+            AbsI => i.wrapping_abs() as u64,
+            AbsF => x.abs().to_bits(),
+            MinI => i.min(j) as u64,
+            MinF => x.min(y).to_bits(),
+            MaxI => i.max(j) as u64,
+            MaxF => x.max(y).to_bits(),
+            Sqrt => x.sqrt().to_bits(),
+            IntOf => x as i64 as u64,
+            FloatOf => (i as f64).to_bits(),
+        })
+    }
+}
+
+/// One IR instruction, decoded.
+#[derive(Debug)]
+enum Op {
+    /// A scalar `dest = src`.
+    Copy(Opd, Opd),
+    /// An array register's `dest = src`.
+    CopyArray(Opd, Opd),
+    /// `dest = a op b`.
+    Alu(Alu, Opd, Opd, Opd),
+    ArrayNew {
+        dest: Opd,
+        len: Opd,
+        init: Opd,
+    },
+    Load {
+        dest: Opd,
+        arr: Opd,
+        idx: Opd,
+    },
+    Store {
+        arr: Opd,
+        idx: Opd,
+        value: Opd,
+    },
+    /// `dest = len(arr)`.
+    Len(Opd, Opd),
+    /// `dest = ` what the running thread is (`rank()`, `thread_num()`, …).
+    Query(Intrinsic, Opd),
+    Call {
+        dest: Option<Opd>,
+        callee: usize,
+        args: Box<[Opd]>,
+    },
+    /// An MPI operation, a `print` or a check: run from the IR.
+    Ir,
+}
+
+/// A block's terminator, decoded.
+#[derive(Debug)]
+enum Term {
+    Goto(BlockId),
+    Branch(Opd, BlockId, BlockId),
+    Return(Option<Opd>),
+    /// A non-void function's end without a `return`.
+    MissingReturn,
+}
+
+/// A function decoded for execution, once per executor on its first
+/// call, from `FuncIr::reg_types` and its instructions.
+#[derive(Debug)]
+struct FuncCode {
+    /// Each register's home, indexed by `Reg`.
+    homes: Vec<Opd>,
+    /// The scalar bank's defaults.
+    scalar_init: Vec<u64>,
+    /// The array bank's length.
+    arrays: usize,
+    /// Whether a region shares a register: the frame then has cells.
+    shares: bool,
+    /// One op per instruction of `FuncIr::instrs`, in its order: an
+    /// instruction's position is its op's.
+    ops: Vec<Op>,
+    /// Each block's terminator, indexed by `BlockId`.
+    terms: Vec<Term>,
+    /// The plans of the function's parallel regions, indexed by
+    /// `RegionId`.
+    plans: Vec<Option<RegionPlan>>,
+}
 
 /// Precomputed facts about one `parallel` region.
+#[derive(Debug)]
 struct RegionPlan {
     body_entry: BlockId,
     /// The implicit barrier lowering puts at the end of the body. A
@@ -103,9 +472,189 @@ struct RegionPlan {
     /// region's end needs.
     end_barrier: BlockId,
     end_block: BlockId,
-    /// Registers assigned outside the region and written inside it:
-    /// shared cells. The rest of the frame reaches the members as a copy.
-    shared_regs: Vec<Reg>,
+    /// The homes of the registers assigned outside the region and
+    /// written inside it: shared cells. The rest of the frame reaches the
+    /// members as a copy.
+    shared: Vec<Opd>,
+}
+
+impl FuncCode {
+    fn decode(f: &FuncIr) -> FuncCode {
+        // The regions first: the registers they share get cell homes.
+        let mut regions = Vec::new();
+        let mut shared = vec![false; f.reg_types.len()];
+        for (bid, b) in f.iter_blocks() {
+            if let Some(Directive::ParallelBegin { region, .. }) = b.directive() {
+                let (plan, regs) = region_plan(f, bid, *region);
+                for r in &regs {
+                    shared[r.index()] = true;
+                }
+                regions.push((region.0 as usize, plan, regs));
+            }
+        }
+        let (mut scalar_init, mut arrays) = (Vec::new(), 0);
+        let homes: Vec<Opd> = f
+            .reg_types
+            .iter()
+            .zip(&shared)
+            .map(|(&ty, &cell)| {
+                if ty.is_array() {
+                    arrays += 1;
+                    let i = arrays - 1;
+                    [Opd::Arr(i), Opd::ArrCell(i)][cell as usize]
+                } else {
+                    let i = scalar_init.len() as u32;
+                    scalar_init.push(Value::default_bits(ty));
+                    [Opd::Reg(i), Opd::Cell(i)][cell as usize]
+                }
+            })
+            .collect();
+        let mut plans: Vec<Option<RegionPlan>> = Vec::new();
+        for (region, mut plan, regs) in regions {
+            plan.shared = regs.iter().map(|r| homes[r.index()]).collect();
+            if plans.len() <= region {
+                plans.resize_with(region + 1, || None);
+            }
+            plans[region] = Some(plan);
+        }
+        let opd = |v: IrValue| operand(&homes, v);
+        let terms = f
+            .blocks
+            .iter()
+            .map(|b| match &b.term {
+                Terminator::Goto(next) => Term::Goto(*next),
+                Terminator::Branch {
+                    cond,
+                    then_bb,
+                    else_bb,
+                } => Term::Branch(opd(*cond), *then_bb, *else_bb),
+                Terminator::Return { value: Some(v) } => Term::Return(Some(opd(*v))),
+                Terminator::Return { value: None } if f.ret == Type::Void => Term::Return(None),
+                Terminator::Return { value: None } | Terminator::Unreachable => Term::MissingReturn,
+            })
+            .collect();
+        let ops = f.instrs.iter().map(|(i, _)| decode(f, &homes, i)).collect();
+        FuncCode {
+            shares: shared.contains(&true),
+            homes,
+            scalar_init,
+            arrays: arrays as usize,
+            ops,
+            terms,
+            plans,
+        }
+    }
+}
+
+/// Operand `v` of a function whose registers live at `homes`.
+fn operand(homes: &[Opd], v: IrValue) -> Opd {
+    match v {
+        IrValue::Const(c) => Opd::Imm(Value::const_bits(c)),
+        IrValue::Reg(r) => homes[r.index()],
+    }
+}
+
+/// Decode instruction `i` of `f`, whose registers live at `homes`.
+fn decode(f: &FuncIr, homes: &[Opd], i: &Instr) -> Op {
+    let opd = |v: IrValue| operand(homes, v);
+    let home = |r: Reg| homes[r.index()];
+    let ty = |v: IrValue| match v {
+        IrValue::Const(c) => c.ty(),
+        IrValue::Reg(r) => f.reg_types[r.index()],
+    };
+    let none = Opd::Imm(0);
+    match i {
+        Instr::Copy { dest, src } if f.reg_types[dest.index()].is_array() => {
+            Op::CopyArray(home(*dest), opd(*src))
+        }
+        Instr::Copy { dest, src } => Op::Copy(home(*dest), opd(*src)),
+        Instr::Unary { dest, op, src } => {
+            let alu = match (op, ty(*src)) {
+                (UnOp::Neg, Type::Float) => Alu::NegF,
+                (UnOp::Neg, _) => Alu::NegI,
+                (UnOp::Not, _) => Alu::Not,
+            };
+            Op::Alu(alu, home(*dest), opd(*src), none)
+        }
+        Instr::Binary { dest, op, lhs, rhs } => Op::Alu(
+            Alu::binary(*op, ty(*lhs)),
+            home(*dest),
+            opd(*lhs),
+            opd(*rhs),
+        ),
+        Instr::ArrayNew {
+            dest, len, init, ..
+        } => Op::ArrayNew {
+            dest: home(*dest),
+            len: opd(*len),
+            init: opd(*init),
+        },
+        Instr::Load { dest, arr, idx } => Op::Load {
+            dest: home(*dest),
+            arr: home(*arr),
+            idx: opd(*idx),
+        },
+        Instr::Store { arr, idx, value } => Op::Store {
+            arr: home(*arr),
+            idx: opd(*idx),
+            value: opd(*value),
+        },
+        Instr::Intrinsic { dest, intr, args } => {
+            let d = home(*dest);
+            let arg = |k: usize| opd(args[k]);
+            let float = args.first().is_some_and(|a| ty(*a) == Type::Float);
+            let alu = |int, flt| [int, flt][float as usize];
+            match intr {
+                Intrinsic::Rank
+                | Intrinsic::Size
+                | Intrinsic::ThreadNum
+                | Intrinsic::NumThreads
+                | Intrinsic::InParallel => Op::Query(*intr, d),
+                Intrinsic::Len => Op::Len(d, arg(0)),
+                Intrinsic::Sqrt => Op::Alu(Alu::Sqrt, d, arg(0), none),
+                Intrinsic::IntOf => Op::Alu(Alu::IntOf, d, arg(0), none),
+                Intrinsic::FloatOf => Op::Alu(Alu::FloatOf, d, arg(0), none),
+                Intrinsic::Abs => Op::Alu(alu(Alu::AbsI, Alu::AbsF), d, arg(0), none),
+                Intrinsic::MinOf => Op::Alu(alu(Alu::MinI, Alu::MinF), d, arg(0), arg(1)),
+                Intrinsic::MaxOf => Op::Alu(alu(Alu::MaxI, Alu::MaxF), d, arg(0), arg(1)),
+                Intrinsic::ArrayNew => unreachable!("lowered to Instr::ArrayNew"),
+            }
+        }
+        Instr::Call { dest, callee, args } => Op::Call {
+            dest: dest.map(home),
+            callee: *callee,
+            args: args.iter().map(|a| opd(*a)).collect(),
+        },
+        Instr::Mpi { .. } | Instr::Print { .. } | Instr::Check(_) => Op::Ir,
+    }
+}
+
+/// A function as the step functions read it: its index, its IR (for
+/// directives, MPI operations, checks and error positions) and its code.
+#[derive(Clone, Copy)]
+struct Func<'e> {
+    idx: usize,
+    ir: &'e FuncIr,
+    code: &'e FuncCode,
+}
+
+impl Func<'_> {
+    fn home(&self, r: Reg) -> Opd {
+        self.code.homes[r.index()]
+    }
+
+    /// The bits of scalar operand `v`.
+    fn scalar(&self, frame: &Frame, v: IrValue) -> u64 {
+        frame.get(operand(&self.code.homes, v))
+    }
+
+    /// Operand `v` as a [`Value`].
+    fn value(&self, frame: &Frame, v: IrValue) -> Value {
+        match v {
+            IrValue::Const(c) => Value::from_bits(c.ty(), Value::const_bits(c)),
+            IrValue::Reg(r) => frame.value(self.home(r), self.ir.reg_types[r.index()]),
+        }
+    }
 }
 
 /// How many concurrency and monothread-assert sites the module's checks
@@ -292,7 +841,7 @@ impl ThreadState {
         self.frames.pop().unwrap_or_default()
     }
 
-    /// Return a frame's allocation to the pool.
+    /// Return a frame's allocations to the pool.
     fn put_frame(&mut self, mut f: Frame) {
         f.clear();
         if self.frames.len() < 64 {
@@ -356,33 +905,34 @@ pub enum NoReport {
     Panicked,
 }
 
-/// The executor: owns the module and per-region plans.
+/// The executor: owns the module and each function's decoded code.
 pub struct Executor {
     module: Module,
     cfg: RunConfig,
-    plans: HashMap<(usize, u32), RegionPlan>,
+    /// Indexed like `Module::funcs`; a function is decoded on its first
+    /// call, so building an executor costs no decode of code that never
+    /// runs.
+    code: Vec<OnceLock<FuncCode>>,
     sites: SiteTable,
 }
 
 impl Executor {
-    /// Build an executor (precomputes parallel-region plans and the
-    /// dense check-site table).
+    /// Build an executor (precomputes the dense check-site table).
     pub fn new(module: Module, cfg: RunConfig) -> Executor {
-        let mut plans = HashMap::new();
-        for (fidx, f) in module.funcs.iter().enumerate() {
-            for (bid, b) in f.iter_blocks() {
-                if let Some(Directive::ParallelBegin { region, .. }) = b.directive() {
-                    plans.insert((fidx, region.0), region_plan(f, bid, *region));
-                }
-            }
-        }
         let sites = SiteTable::build(&module);
         Executor {
+            code: module.funcs.iter().map(|_| OnceLock::new()).collect(),
             module,
             cfg,
-            plans,
             sites,
         }
+    }
+
+    /// Function `idx`, decoded on first use.
+    fn func(&self, idx: usize) -> Func<'_> {
+        let ir = &self.module.funcs[idx];
+        let code = self.code[idx].get_or_init(|| FuncCode::decode(ir));
+        Func { idx, ir, code }
     }
 
     /// The underlying module.
@@ -431,7 +981,7 @@ impl Executor {
             };
             world.thread_started(rank);
             let res = match main {
-                Some(fi) => self.exec_function(&mut thread, fi, Vec::new(), 0),
+                Some(fi) => self.exec_function(&mut thread, fi, (&Frame::default(), &[]), 0),
                 None => Err(RunError::new(
                     no_main(),
                     Locator::Block(0, BlockId(0)),
@@ -488,25 +1038,22 @@ impl Executor {
 
     // ---- function & block execution ------------------------------------
 
-    /// Call function `fidx` at call depth `depth`.
+    /// Call function `fidx` at call depth `depth` with the arguments
+    /// `args`, operands of the caller's frame.
     fn exec_function(
         &self,
         t: &mut SimThread<'_>,
         fidx: usize,
-        args: Vec<Value>,
+        (caller, args): (&Frame, &[Opd]),
         depth: usize,
     ) -> Result<Option<Value>, RunError> {
-        let func = &self.module.funcs[fidx];
-        let mut frame: Frame = t.state.take_frame();
-        frame.extend(
-            func.reg_types
-                .iter()
-                .map(|&ty| Slot::Owned(Value::default_for(ty))),
-        );
-        for (param, arg) in func.params.iter().zip(args) {
-            frame[param.index()] = Slot::Owned(arg);
+        let f = self.func(fidx);
+        let mut frame = t.state.take_frame();
+        frame.enter(f.code);
+        for (param, &arg) in f.ir.params.iter().zip(args) {
+            frame.copy_from(f.home(*param), caller, arg);
         }
-        let flow = self.exec_from(t, &mut frame, fidx, func.entry, None, depth);
+        let flow = self.exec_from(t, &mut frame, f, f.ir.entry, None, depth);
         t.state.put_frame(frame);
         match flow? {
             Flow::Return(v) => Ok(v),
@@ -514,24 +1061,25 @@ impl Executor {
         }
     }
 
-    /// Walk function `fidx`'s blocks from `start` until it returns or
+    /// Walk function `f`'s blocks from `start` until it returns or
     /// reaches `stop`; a step reports what failed, the walk where.
     fn exec_from(
         &self,
         t: &mut SimThread<'_>,
         frame: &mut Frame,
-        fidx: usize,
+        f: Func<'_>,
         start: BlockId,
         stop: Option<BlockId>,
         depth: usize,
     ) -> Result<Flow, RunError> {
-        let (env, rank) = (t.env, t.env.rank);
-        let func = &self.module.funcs[fidx];
+        let (env, rank, fidx) = (t.env, t.env.rank, f.idx);
         let mut cur = start;
         let mut critical_guards: Vec<ReentrantMutexGuard<'_, ()>> = Vec::new();
         loop {
-            let (block, instrs) = (func.block(cur), func.instrs(cur));
-            let at = move |ii, kind| RunError::new(kind, plain_at(func, fidx, cur, ii), rank);
+            let block = f.ir.block(cur);
+            let run = block.instrs.start as usize..block.instrs.end as usize;
+            let instrs = &f.ir.instrs[run.clone()];
+            let at = move |ii, kind| RunError::new(kind, plain_at(f.ir, fidx, cur, ii), rank);
             let entry = move |kind| RunError::new(kind, Locator::Entry(fidx, cur), rank);
             t.state.step(env).map_err(entry)?;
             if let BlockKind::Directive(d) = &block.kind {
@@ -540,7 +1088,7 @@ impl Executor {
                 // own.
                 for (ii, (i, _)) in instrs.iter().enumerate() {
                     if let Instr::Check(check) = i {
-                        self.exec_check(t, frame, check).map_err(|k| at(ii, k))?;
+                        self.exec_check(t, frame, f, check).map_err(|k| at(ii, k))?;
                     }
                 }
                 if stop == Some(cur) {
@@ -550,15 +1098,15 @@ impl Executor {
                 }
                 match d {
                     Directive::ParallelBegin { .. } => {
-                        cur = self.exec_parallel(t, frame, fidx, cur, depth)?;
+                        cur = self.exec_parallel(t, frame, f, cur, depth)?;
                         continue;
                     }
                     Directive::SingleBegin { region, chosen, .. } => {
                         let mine = t.ctx.enter_single(region.0);
-                        self.write(frame, *chosen, Value::Bool(mine));
+                        frame.set(f.home(*chosen), mine as u64);
                     }
                     Directive::MasterBegin { chosen, .. } => {
-                        self.write(frame, *chosen, Value::Bool(t.ctx.is_master()));
+                        frame.set(f.home(*chosen), t.ctx.is_master() as u64);
                     }
                     Directive::SectionBegin {
                         parent,
@@ -567,7 +1115,7 @@ impl Executor {
                         ..
                     } => {
                         let mine = t.ctx.enter_section(parent.0, *index);
-                        self.write(frame, *chosen, Value::Bool(mine));
+                        frame.set(f.home(*chosen), mine as u64);
                     }
                     Directive::CriticalBegin { .. } => {
                         critical_guards.push(env.omp.critical());
@@ -592,11 +1140,11 @@ impl Executor {
                         hi,
                         ..
                     } => {
-                        let lo = self.read(frame, *lo).as_int();
-                        let hi = self.read(frame, *hi).as_int();
+                        let lo = f.scalar(frame, *lo) as i64;
+                        let hi = f.scalar(frame, *hi) as i64;
                         let (s, e) = t.ctx.static_chunk(lo, hi);
-                        self.write(frame, *var, Value::Int(s));
-                        self.write(frame, *chunk_end, Value::Int(e));
+                        frame.set(f.home(*var), s as u64);
+                        frame.set(f.home(*chunk_end), e as u64);
                     }
                     // Pure markers at run time.
                     Directive::ParallelEnd { .. }
@@ -607,39 +1155,34 @@ impl Executor {
                     | Directive::WorkshareEnd { .. } => {}
                 }
             } else {
-                for (ii, (i, _)) in instrs.iter().enumerate() {
-                    self.exec_instr(t, frame, i, depth).map_err(|s| match s {
-                        Stop::Fault(kind) => at(ii, kind),
-                        Stop::Located(e) => e,
-                    })?;
+                let ops = f.code.ops[run].iter().zip(instrs);
+                for (ii, (op, (i, _))) in ops.enumerate() {
+                    self.exec_instr(t, frame, f, op, i, depth)
+                        .map_err(|s| match s {
+                            Stop::Fault(kind) => at(ii, kind),
+                            Stop::Located(e) => e,
+                        })?;
                 }
             }
 
             // Terminator.
-            match &block.term {
-                Terminator::Goto(next) => cur = *next,
-                Terminator::Branch {
-                    cond,
-                    then_bb,
-                    else_bb,
-                } => {
-                    cur = if self.read(frame, *cond).as_bool() {
-                        *then_bb
+            match f.code.terms[cur.index()] {
+                Term::Goto(next) => cur = next,
+                Term::Branch(cond, then_bb, else_bb) => {
+                    cur = if frame.get(cond) != 0 {
+                        then_bb
                     } else {
-                        *else_bb
+                        else_bb
                     };
                 }
                 // Return-site CC checks were already executed as
                 // instructions (they sit at the end of the block).
-                Terminator::Return { value: Some(v) } => {
-                    return Ok(Flow::Return(Some(self.read(frame, *v))));
+                Term::Return(v) => {
+                    return Ok(Flow::Return(v.map(|v| frame.value(v, f.ir.ret))));
                 }
-                Terminator::Return { value: None } if func.ret == Type::Void => {
-                    return Ok(Flow::Return(None));
-                }
-                Terminator::Return { value: None } | Terminator::Unreachable => {
+                Term::MissingReturn => {
                     let kind = RunErrorKind::MissingReturn {
-                        func: func.name.clone(),
+                        func: f.ir.name.clone(),
                     };
                     return Err(RunError::new(kind, Locator::Cond(fidx, cur), rank));
                 }
@@ -656,31 +1199,27 @@ impl Executor {
         &self,
         t: &mut SimThread<'_>,
         frame: &mut Frame,
-        fidx: usize,
+        f: Func<'_>,
         cur: BlockId,
         depth: usize,
     ) -> Result<BlockId, RunError> {
         let Some(Directive::ParallelBegin {
             region,
             num_threads,
-        }) = self.module.funcs[fidx].block(cur).directive()
+        }) = f.ir.block(cur).directive()
         else {
             unreachable!("called on a parallel.begin block");
         };
         let team_size = num_threads
             .map_or(self.cfg.default_threads, |v| {
-                self.read(frame, v).as_int().max(1) as usize
+                (f.scalar(frame, v) as i64).max(1) as usize
             })
             .max(1);
-        let plan = &self.plans[&(fidx, region.0)];
-        // Promote the registers the region writes (a cell of an
-        // enclosing region stays that cell).
-        for &r in &plan.shared_regs {
-            if let Slot::Owned(v) = &frame[r.index()] {
-                frame[r.index()] = Slot::Shared(Arc::new(RwLock::new(v.clone())));
-                t.state.stats.shared_cells += 1;
-            }
-        }
+        let plan = f.code.plans[region.0 as usize]
+            .as_ref()
+            .expect("every parallel region has a plan");
+        // Give the registers the region writes their cells.
+        t.state.stats.shared_cells += frame.share(&plan.shared);
         let parent_frame: &Frame = frame;
         let env = t.env;
         // The first *root-cause* error across the team; sibling threads
@@ -720,11 +1259,11 @@ impl Executor {
                 checks: Some(&checks),
             };
             let mut member_frame = member.state.take_frame();
-            member_frame.extend(parent_frame.iter().cloned());
+            member_frame.copy_of(parent_frame);
             let res = self.exec_from(
                 &mut member,
                 &mut member_frame,
-                fidx,
+                f,
                 plan.body_entry,
                 Some(plan.end_barrier),
                 depth,
@@ -754,107 +1293,111 @@ impl Executor {
                 for _ in 0..team_size {
                     env.world.thread_departed(env.rank);
                 }
-                let at = Locator::Block(fidx, cur);
+                let at = Locator::Block(f.idx, cur);
                 Err(RunError::new(RunErrorKind::Omp(e), at, env.rank))
             }
         }
     }
 
-    /// Take one step and execute `instr` in it.
+    /// Take one step and execute `instr`, decoded as `op`, in it.
+    #[inline(always)]
     fn exec_instr(
         &self,
         t: &mut SimThread<'_>,
         frame: &mut Frame,
+        f: Func<'_>,
+        op: &Op,
         instr: &Instr,
         depth: usize,
     ) -> Result<(), Stop> {
         t.state.step(t.env)?;
-        match instr {
-            Instr::Copy { dest, src } => {
-                let v = self.read(frame, *src);
-                self.write(frame, *dest, v);
+        match *op {
+            Op::Copy(dest, src) => {
+                let v = frame.get(src);
+                frame.set(dest, v);
             }
-            Instr::Unary { dest, op, src } => {
-                let v = self.read(frame, *src);
-                let out = match (op, v) {
-                    (UnOp::Neg, Value::Int(x)) => Value::Int(x.wrapping_neg()),
-                    (UnOp::Neg, Value::Float(x)) => Value::Float(-x),
-                    (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
-                    (op, v) => panic!("type-checked unary {op:?} on {v:?}"),
-                };
-                self.write(frame, *dest, out);
+            Op::CopyArray(dest, src) => {
+                let a = frame.array(src);
+                frame.set_array(dest, a);
             }
-            Instr::Binary { dest, op, lhs, rhs } => {
-                let l = self.read(frame, *lhs);
-                let r = self.read(frame, *rhs);
-                let out = self.binary(*op, l, r)?;
-                self.write(frame, *dest, out);
+            Op::Alu(alu, dest, a, b) => {
+                let v = alu.apply(frame.get(a), frame.get(b))?;
+                frame.set(dest, v);
             }
-            Instr::ArrayNew {
-                dest, len, init, ..
-            } => {
+            Op::ArrayNew { dest, len, init } => {
                 // A negative length, or one the allocator refuses, is the
                 // program's error, not the interpreter's abort.
-                let n = self.read(frame, *len).as_int();
-                let out = usize::try_from(n)
+                let n = frame.get(len) as i64;
+                let a = usize::try_from(n)
                     .ok()
-                    .and_then(|n| Value::filled_array(n, &self.read(frame, *init)))
+                    .and_then(|n| Value::filled_array(n, frame.get(init)))
                     .ok_or(RunErrorKind::BadArrayLength(n))?;
-                self.write(frame, *dest, out);
+                frame.set_array(dest, Some(a));
             }
-            Instr::Load { dest, arr, idx } => {
-                let i = self.read(frame, *idx).as_int();
-                let out = with_reg(frame, *arr, |arr| match arr {
-                    Value::ArrayInt(a) => {
-                        let i = check_bounds(i, a.len())?;
-                        Ok::<_, RunErrorKind>(Value::Int(a[i].load(Ordering::Relaxed)))
-                    }
-                    Value::ArrayFloat(a) => {
-                        let i = check_bounds(i, a.len())?;
-                        Ok(Value::Float(f64::from_bits(a[i].load(Ordering::Relaxed))))
-                    }
-                    other => panic!("type-checked load from {other:?}"),
+            Op::Load { dest, arr, idx } => {
+                let i = frame.get(idx) as i64;
+                let v = frame.with_array(arr, |a| {
+                    check_bounds(i, a.len()).map(|i| a[i].load(Ordering::Relaxed))
                 })?;
-                self.write(frame, *dest, out);
+                frame.set(dest, v);
             }
-            Instr::Store { arr, idx, value } => {
-                let i = self.read(frame, *idx).as_int();
-                let v = self.read(frame, *value);
-                with_reg(frame, *arr, |arr| match arr {
-                    Value::ArrayInt(a) => {
-                        let i = check_bounds(i, a.len())?;
-                        a[i].store(v.as_int(), Ordering::Relaxed);
-                        Ok::<_, RunErrorKind>(())
-                    }
-                    Value::ArrayFloat(a) => {
-                        let i = check_bounds(i, a.len())?;
-                        a[i].store(v.as_float().to_bits(), Ordering::Relaxed);
-                        Ok(())
-                    }
-                    other => panic!("type-checked store to {other:?}"),
+            Op::Store { arr, idx, value } => {
+                let i = frame.get(idx) as i64;
+                let v = frame.get(value);
+                frame.with_array(arr, |a| {
+                    check_bounds(i, a.len()).map(|i| a[i].store(v, Ordering::Relaxed))
                 })?;
             }
-            Instr::Intrinsic { dest, intr, args } => {
-                let out = self.intrinsic(t, frame, *intr, args);
-                self.write(frame, *dest, out);
+            Op::Len(dest, arr) => {
+                let n = frame.with_array(arr, <[AtomicU64]>::len);
+                frame.set(dest, n as u64);
             }
-            Instr::Call { dest, callee, args } => {
-                let argv: Vec<Value> = args.iter().map(|a| self.read(frame, *a)).collect();
+            Op::Query(intr, dest) => {
+                let v = match intr {
+                    Intrinsic::Rank => t.env.rank as u64,
+                    Intrinsic::Size => t.env.world.size() as u64,
+                    Intrinsic::ThreadNum => t.ctx.thread_num() as u64,
+                    Intrinsic::NumThreads => t.ctx.num_threads() as u64,
+                    Intrinsic::InParallel => t.ctx.in_parallel() as u64,
+                    other => unreachable!("{other:?} is no query"),
+                };
+                frame.set(dest, v);
+            }
+            Op::Call {
+                dest,
+                callee,
+                ref args,
+            } => {
                 if depth >= self.cfg.max_call_depth {
                     return Err(RunErrorKind::StackOverflow.into());
                 }
                 let ret = self
-                    .exec_function(t, *callee, argv, depth + 1)
+                    .exec_function(t, callee, (frame, args), depth + 1)
                     .map_err(Stop::Located)?;
                 if let (Some(d), Some(v)) = (dest, ret) {
-                    self.write(frame, *d, v);
+                    frame.set_value(d, v);
                 }
             }
+            Op::Ir => self.exec_ir(t, frame, f, instr)?,
+        }
+        Ok(())
+    }
+
+    /// Execute an instruction decode left in the IR: an MPI operation, a
+    /// `print` or a check.
+    fn exec_ir(
+        &self,
+        t: &mut SimThread<'_>,
+        frame: &mut Frame,
+        f: Func<'_>,
+        instr: &Instr,
+    ) -> Result<(), RunErrorKind> {
+        match instr {
             Instr::Mpi { dest, op } => {
                 t.state.stats.mpi_calls += 1;
-                let out = self.exec_mpi(t, frame, op)?;
+                let out = self.exec_mpi(t, frame, f, op)?;
                 if let (Some(d), Some(v)) = (dest, out) {
-                    self.write(frame, *d, v);
+                    frame.set_value(f.home(*d), v);
                 }
             }
             Instr::Print { args } => {
@@ -868,13 +1411,12 @@ impl Executor {
                     if k > 0 {
                         line.push(' ');
                     }
-                    let _ = write!(line, "{}", self.read(frame, *a));
+                    let _ = write!(line, "{}", f.value(frame, *a));
                 }
                 t.env.output.lock().push(line);
             }
-            Instr::Check(check) => {
-                self.exec_check(t, frame, check)?;
-            }
+            Instr::Check(check) => self.exec_check(t, frame, f, check)?,
+            other => unreachable!("{other:?} is decoded"),
         }
         Ok(())
     }
@@ -883,13 +1425,14 @@ impl Executor {
     fn exec_check(
         &self,
         t: &mut SimThread<'_>,
-        frame: &mut Frame,
+        frame: &Frame,
+        f: Func<'_>,
         check: &CheckOp,
     ) -> Result<(), RunErrorKind> {
         match check {
             CheckOp::CollectiveCc { color, comm } => {
                 // The CC runs on the guarded collective's communicator.
-                let handle = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
+                let handle = comm.map_or(0, |v| f.scalar(frame, v) as usize);
                 self.run_cc(t, handle, *color)
             }
             CheckOp::ReturnCc { site } => {
@@ -986,7 +1529,8 @@ impl Executor {
     fn exec_mpi(
         &self,
         t: &SimThread<'_>,
-        frame: &mut Frame,
+        frame: &Frame,
+        f: Func<'_>,
         op: &MpiOp<IrValue>,
     ) -> Result<Option<Value>, RunErrorKind> {
         let (world, rank) = (t.env.world, t.env.rank);
@@ -1018,10 +1562,10 @@ impl Executor {
                 tag,
                 comm,
             } => {
-                let v = self.read(frame, *value).to_mpi();
-                let d = self.read(frame, *dest).as_int();
-                let tag = self.read(frame, *tag).as_int();
-                let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
+                let v = f.value(frame, *value).to_mpi();
+                let d = f.scalar(frame, *dest) as i64;
+                let tag = f.scalar(frame, *tag) as i64;
+                let c = comm.map_or(0, |v| f.scalar(frame, v) as usize);
                 if d < 0 {
                     let e = MpiError::ArgError(format!("negative destination {d}"));
                     return Err(RunErrorKind::Mpi(e));
@@ -1039,9 +1583,9 @@ impl Executor {
                 Ok(Some(Value::Request(handle)))
             }
             MpiOp::Recv { src, tag, comm } | MpiOp::Irecv { src, tag, comm } => {
-                let s = self.read(frame, *src).as_int();
-                let tag = self.read(frame, *tag).as_int();
-                let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
+                let s = f.scalar(frame, *src) as i64;
+                let tag = f.scalar(frame, *tag) as i64;
+                let c = comm.map_or(0, |v| f.scalar(frame, v) as usize);
                 // Wildcard sentinels pass through; the world rejects
                 // other negative sources/tags.
                 if matches!(op, MpiOp::Recv { .. }) {
@@ -1056,29 +1600,29 @@ impl Executor {
                 Ok(Some(Value::Request(handle)))
             }
             MpiOp::Wait { request } => {
-                let h = self.read(frame, *request).as_request();
+                let h = f.scalar(frame, *request) as usize;
                 let v = world.wait(rank, h, initial).map_err(classify_mpi_error)?;
                 Ok(Some(completion(v)))
             }
             MpiOp::Waitall { requests } => {
                 for r in requests {
-                    let h = self.read(frame, *r).as_request();
+                    let h = f.scalar(frame, *r) as usize;
                     world.wait(rank, h, initial).map_err(classify_mpi_error)?;
                 }
                 Ok(None)
             }
             MpiOp::CommWorld => Ok(Some(Value::Comm(0))),
             MpiOp::CommSplit { parent, color, key } => {
-                let p = self.read(frame, *parent).as_comm();
-                let c = self.read(frame, *color).as_int();
-                let k = self.read(frame, *key).as_int();
+                let p = f.scalar(frame, *parent) as usize;
+                let c = f.scalar(frame, *color) as i64;
+                let k = f.scalar(frame, *key) as i64;
                 let handle = world
                     .comm_split(rank, p, c, k, initial)
                     .map_err(classify_mpi_error)?;
                 Ok(Some(Value::Comm(handle)))
             }
             MpiOp::CommDup { comm } => {
-                let p = self.read(frame, *comm).as_comm();
+                let p = f.scalar(frame, *comm) as usize;
                 let handle = world
                     .comm_dup(rank, p, initial)
                     .map_err(classify_mpi_error)?;
@@ -1091,10 +1635,10 @@ impl Executor {
                 root,
                 comm,
             } => {
-                let payload = value.map(|v| self.read(frame, v).to_mpi());
+                let payload = value.map(|v| f.value(frame, v).to_mpi());
                 let root_v = match root {
                     Some(r) => {
-                        let x = self.read(frame, *r).as_int();
+                        let x = f.scalar(frame, *r) as i64;
                         if x < 0 {
                             let e = MpiError::ArgError(format!("negative root {x}"));
                             return Err(RunErrorKind::Mpi(e));
@@ -1103,7 +1647,7 @@ impl Executor {
                     }
                     None => None,
                 };
-                let c = comm.map(|v| self.read(frame, v).as_comm()).unwrap_or(0);
+                let c = comm.map_or(0, |v| f.scalar(frame, v) as usize);
                 let ty = payload.as_ref().map(|p| p.ty());
                 let sig = Signature::collective((*kind).into(), *reduce_op, root_v, ty);
                 let out = world
@@ -1115,111 +1659,6 @@ impl Executor {
                     Ok(Some(Value::from_mpi(out)))
                 }
             }
-        }
-    }
-
-    fn intrinsic(
-        &self,
-        t: &SimThread<'_>,
-        frame: &Frame,
-        intr: Intrinsic,
-        args: &[IrValue],
-    ) -> Value {
-        let arg = |i: usize| self.read(frame, args[i]);
-        match intr {
-            Intrinsic::Rank => Value::Int(t.env.rank as i64),
-            Intrinsic::Size => Value::Int(t.env.world.size() as i64),
-            Intrinsic::ThreadNum => Value::Int(t.ctx.thread_num() as i64),
-            Intrinsic::NumThreads => Value::Int(t.ctx.num_threads() as i64),
-            Intrinsic::InParallel => Value::Bool(t.ctx.in_parallel()),
-            Intrinsic::Sqrt => Value::Float(arg(0).as_float().sqrt()),
-            Intrinsic::Abs => match arg(0) {
-                Value::Int(x) => Value::Int(x.wrapping_abs()),
-                Value::Float(x) => Value::Float(x.abs()),
-                v => panic!("type-checked abs on {v:?}"),
-            },
-            Intrinsic::MinOf => match (arg(0), arg(1)) {
-                (Value::Int(a), Value::Int(b)) => Value::Int(a.min(b)),
-                (Value::Float(a), Value::Float(b)) => Value::Float(a.min(b)),
-                _ => panic!("type-checked min"),
-            },
-            Intrinsic::MaxOf => match (arg(0), arg(1)) {
-                (Value::Int(a), Value::Int(b)) => Value::Int(a.max(b)),
-                (Value::Float(a), Value::Float(b)) => Value::Float(a.max(b)),
-                _ => panic!("type-checked max"),
-            },
-            Intrinsic::IntOf => Value::Int(arg(0).as_float() as i64),
-            Intrinsic::FloatOf => Value::Float(arg(0).as_int() as f64),
-            Intrinsic::Len => match arg(0) {
-                Value::ArrayInt(a) => Value::Int(a.len() as i64),
-                Value::ArrayFloat(a) => Value::Int(a.len() as i64),
-                v => panic!("type-checked len on {v:?}"),
-            },
-            Intrinsic::ArrayNew => unreachable!("lowered to Instr::ArrayNew"),
-        }
-    }
-
-    fn binary(&self, op: BinOp, l: Value, r: Value) -> Result<Value, RunErrorKind> {
-        use BinOp::*;
-        Ok(match (op, &l, &r) {
-            (Add, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
-            (Sub, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_sub(*b)),
-            (Mul, Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_mul(*b)),
-            (Div, Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    return Err(RunErrorKind::DivisionByZero);
-                }
-                Value::Int(a.wrapping_div(*b))
-            }
-            (Rem, Value::Int(a), Value::Int(b)) => {
-                if *b == 0 {
-                    return Err(RunErrorKind::DivisionByZero);
-                }
-                Value::Int(a.wrapping_rem(*b))
-            }
-            (Add, Value::Float(a), Value::Float(b)) => Value::Float(a + b),
-            (Sub, Value::Float(a), Value::Float(b)) => Value::Float(a - b),
-            (Mul, Value::Float(a), Value::Float(b)) => Value::Float(a * b),
-            (Div, Value::Float(a), Value::Float(b)) => Value::Float(a / b),
-            (Rem, Value::Float(a), Value::Float(b)) => Value::Float(a % b),
-            (Eq, a, b) => Value::Bool(scalar_eq(a, b)),
-            (Ne, a, b) => Value::Bool(!scalar_eq(a, b)),
-            (Lt, Value::Int(a), Value::Int(b)) => Value::Bool(a < b),
-            (Le, Value::Int(a), Value::Int(b)) => Value::Bool(a <= b),
-            (Gt, Value::Int(a), Value::Int(b)) => Value::Bool(a > b),
-            (Ge, Value::Int(a), Value::Int(b)) => Value::Bool(a >= b),
-            (Lt, Value::Float(a), Value::Float(b)) => Value::Bool(a < b),
-            (Le, Value::Float(a), Value::Float(b)) => Value::Bool(a <= b),
-            (Gt, Value::Float(a), Value::Float(b)) => Value::Bool(a > b),
-            (Ge, Value::Float(a), Value::Float(b)) => Value::Bool(a >= b),
-            (And, Value::Bool(a), Value::Bool(b)) => Value::Bool(*a && *b),
-            (Or, Value::Bool(a), Value::Bool(b)) => Value::Bool(*a || *b),
-            (op, l, r) => panic!("type-checked binary {op:?} on {l:?}/{r:?}"),
-        })
-    }
-
-    // ---- small helpers ---------------------------------------------------
-
-    fn read(&self, frame: &Frame, v: IrValue) -> Value {
-        match v {
-            IrValue::Const(Const::Int(x)) => Value::Int(x),
-            IrValue::Const(Const::Float(x)) => Value::Float(x),
-            IrValue::Const(Const::Bool(x)) => Value::Bool(x),
-            IrValue::Reg(r) => self.read_reg(frame, r),
-        }
-    }
-
-    fn read_reg(&self, frame: &Frame, r: Reg) -> Value {
-        match &frame[r.index()] {
-            Slot::Owned(v) => v.clone(),
-            Slot::Shared(c) => c.read().clone(),
-        }
-    }
-
-    fn write(&self, frame: &mut Frame, r: Reg, v: Value) {
-        match &mut frame[r.index()] {
-            Slot::Owned(slot) => *slot = v,
-            Slot::Shared(c) => *c.write() = v,
         }
     }
 }
@@ -1265,26 +1704,6 @@ fn plain_at(f: &FuncIr, fi: usize, b: BlockId, ii: usize) -> Locator {
     }
 }
 
-/// Look at a register's value in place: an array operand is borrowed for
-/// the one element access instead of cloned, which for a shared array
-/// would be a reference-count round trip on a line the whole team
-/// writes.
-fn with_reg<R>(frame: &Frame, r: Reg, f: impl FnOnce(&Value) -> R) -> R {
-    match &frame[r.index()] {
-        Slot::Owned(v) => f(v),
-        Slot::Shared(c) => f(&c.read()),
-    }
-}
-
-fn scalar_eq(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Float(x), Value::Float(y)) => x == y,
-        (Value::Bool(x), Value::Bool(y)) => x == y,
-        _ => panic!("type-checked equality"),
-    }
-}
-
 /// `i` as an index into an array of `len` elements.
 fn check_bounds(i: i64, len: usize) -> Result<usize, RunErrorKind> {
     if i < 0 || i as usize >= len {
@@ -1313,8 +1732,9 @@ fn color_name(color: u32) -> std::borrow::Cow<'static, str> {
         .unwrap_or_else(|| format!("<color {color}>").into())
 }
 
-/// Precompute the plan of one parallel region.
-fn region_plan(f: &FuncIr, begin: BlockId, region: RegionId) -> RegionPlan {
+/// Precompute the plan of one parallel region, and the registers it
+/// shares (the plan's `shared` is left for their homes).
+fn region_plan(f: &FuncIr, begin: BlockId, region: RegionId) -> (RegionPlan, Vec<Reg>) {
     let body_entry = match &f.block(begin).term {
         Terminator::Goto(t) => *t,
         _ => panic!("parallel.begin must have a goto terminator"),
@@ -1363,12 +1783,13 @@ fn region_plan(f: &FuncIr, begin: BlockId, region: RegionId) -> RegionPlan {
     }
     let mut shared_regs: Vec<Reg> = written.intersection(&assigned_outside).copied().collect();
     shared_regs.sort_unstable();
-    RegionPlan {
+    let plan = RegionPlan {
         body_entry,
         end_barrier,
         end_block,
-        shared_regs,
-    }
+        shared: Vec::new(),
+    };
+    (plan, shared_regs)
 }
 
 /// The registers block `b`, whose instructions are `instrs`, writes:
@@ -1390,4 +1811,35 @@ fn block_defs<'a>(
         .iter()
         .filter_map(|(i, _)| i.dest())
         .chain(directive.into_iter().flatten())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::RunConfig;
+    use crate::check_and_run;
+
+    /// An array register a region assigns, and which was assigned before
+    /// it, is shared through a cell like a scalar one: the team and, after
+    /// the join, the encountering thread see the one new array.
+    #[test]
+    fn a_region_shares_an_array_register_it_assigns() {
+        let src = "fn main() {
+            let a = array(2, 0);
+            let n = 0;
+            parallel num_threads(3) {
+                single { a = array(3, 7); }
+                n = len(a);
+            }
+            a[0] = n;
+            print(a);
+        }";
+        let cfg = RunConfig {
+            ranks: 1,
+            ..RunConfig::default()
+        };
+        let (_, r) = check_and_run("t.mh", src, cfg, false).expect("valid program");
+        assert!(r.is_clean(), "{:?}", r.errors);
+        assert_eq!(r.output, vec!["[rank 0] [3, 7, 7]"]);
+        assert_eq!(r.stats.shared_cells, 2);
+    }
 }

@@ -12,12 +12,19 @@
 //! values, as its C original would.
 
 use parcoach_front::ast::Type;
+use parcoach_ir::types::Const;
 use parcoach_mpisim::MpiValue;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// A runtime value.
+/// An array's elements: each an `i64`'s or an `f64`'s bits, as the
+/// array's static type says.
+pub type Array = Arc<Vec<AtomicU64>>;
+
+/// A runtime value, as it crosses the interpreter's boundaries: an MPI
+/// payload, a `print` argument, a call's result. Inside a function a
+/// register holds bits in its frame's typed banks instead.
 #[derive(Debug, Clone)]
 pub enum Value {
     /// 64-bit integer.
@@ -27,9 +34,9 @@ pub enum Value {
     /// Boolean.
     Bool(bool),
     /// Shared integer array.
-    ArrayInt(Arc<Vec<AtomicI64>>),
-    /// Shared float array: each element is an `f64`'s bits.
-    ArrayFloat(Arc<Vec<AtomicU64>>),
+    ArrayInt(Array),
+    /// Shared float array.
+    ArrayFloat(Array),
     /// An MPI communicator handle (0 = `MPI_COMM_WORLD`).
     Comm(usize),
     /// A non-blocking MPI request handle ([`Value::NULL_REQUEST`] before
@@ -44,74 +51,75 @@ impl Value {
     /// alias request #0.
     pub const NULL_REQUEST: usize = usize::MAX;
 
-    /// Zero-ish default for a type (registers before first assignment).
-    pub fn default_for(ty: Type) -> Value {
+    /// The bits a scalar register of type `ty` holds before its first
+    /// assignment: zero, `0.0`, `false`, `MPI_COMM_WORLD`, or the null
+    /// request.
+    pub(crate) fn default_bits(ty: Type) -> u64 {
         match ty {
-            Type::Int | Type::Void => Value::Int(0),
-            Type::Float => Value::Float(0.0),
-            Type::Bool => Value::Bool(false),
-            Type::ArrayInt => Value::ArrayInt(Arc::default()),
-            Type::ArrayFloat => Value::ArrayFloat(Arc::default()),
-            Type::Comm => Value::Comm(0),
-            Type::Request => Value::Request(Value::NULL_REQUEST),
+            Type::Request => Value::NULL_REQUEST as u64,
+            _ => 0,
         }
     }
 
-    /// `len` copies of `init` as an array, or `None` when the memory
+    /// A constant's bits.
+    pub(crate) fn const_bits(c: Const) -> u64 {
+        match c {
+            Const::Int(x) => x as u64,
+            Const::Float(x) => x.to_bits(),
+            Const::Bool(x) => x as u64,
+        }
+    }
+
+    /// The value a scalar register of type `ty` holding `bits` has.
+    pub(crate) fn from_bits(ty: Type, bits: u64) -> Value {
+        match ty {
+            Type::Int | Type::Void => Value::Int(bits as i64),
+            Type::Float => Value::Float(f64::from_bits(bits)),
+            Type::Bool => Value::Bool(bits != 0),
+            Type::Comm => Value::Comm(bits as usize),
+            Type::Request => Value::Request(bits as usize),
+            Type::ArrayInt | Type::ArrayFloat => panic!("an array is not a scalar register"),
+        }
+    }
+
+    /// The value an array register of type `ty` holds (`None`: never
+    /// assigned, an empty array).
+    pub(crate) fn from_array(ty: Type, a: Option<Array>) -> Value {
+        let a = a.unwrap_or_default();
+        match ty {
+            Type::ArrayInt => Value::ArrayInt(a),
+            Type::ArrayFloat => Value::ArrayFloat(a),
+            other => panic!("{other} is not an array type"),
+        }
+    }
+
+    /// A scalar's bits, as a register holds them.
+    pub(crate) fn bits(&self) -> u64 {
+        match *self {
+            Value::Int(x) => x as u64,
+            Value::Float(x) => x.to_bits(),
+            Value::Bool(x) => x as u64,
+            Value::Comm(h) | Value::Request(h) => h as u64,
+            Value::ArrayInt(_) | Value::ArrayFloat(_) => panic!("an array is not a scalar"),
+        }
+    }
+
+    /// An array's elements.
+    pub(crate) fn into_array(self) -> Array {
+        match self {
+            Value::ArrayInt(a) | Value::ArrayFloat(a) => a,
+            other => panic!("expected an array, got {other:?}"),
+        }
+    }
+
+    /// `len` copies of `bits` as an array, or `None` when the memory
     /// cannot be had (the program asked for more than the machine has,
     /// or than an address space holds).
-    pub(crate) fn filled_array(len: usize, init: &Value) -> Option<Value> {
-        fn filled<T>(len: usize, elem: impl Fn() -> T) -> Option<Arc<Vec<T>>> {
-            let mut v = Vec::new();
-            v.try_reserve_exact(len).ok()?;
-            v.extend((0..len).map(|_| elem()));
-            Some(Arc::new(v))
-        }
-        Some(match *init {
-            Value::Int(x) => Value::ArrayInt(filled(len, || AtomicI64::new(x))?),
-            Value::Float(x) => Value::ArrayFloat(filled(len, || AtomicU64::new(x.to_bits()))?),
-            ref other => panic!("sema guaranteed numeric array element, got {other:?}"),
-        })
-    }
-
-    /// Integer content (sema guarantees the type).
-    pub fn as_int(&self) -> i64 {
-        match self {
-            Value::Int(v) => *v,
-            other => panic!("expected int, got {other:?}"),
-        }
-    }
-
-    /// Float content.
-    pub fn as_float(&self) -> f64 {
-        match self {
-            Value::Float(v) => *v,
-            other => panic!("expected float, got {other:?}"),
-        }
-    }
-
-    /// Bool content.
-    pub fn as_bool(&self) -> bool {
-        match self {
-            Value::Bool(v) => *v,
-            other => panic!("expected bool, got {other:?}"),
-        }
-    }
-
-    /// Communicator handle content.
-    pub fn as_comm(&self) -> usize {
-        match self {
-            Value::Comm(v) => *v,
-            other => panic!("expected comm, got {other:?}"),
-        }
-    }
-
-    /// Request handle content.
-    pub fn as_request(&self) -> usize {
-        match self {
-            Value::Request(v) => *v,
-            other => panic!("expected request, got {other:?}"),
-        }
+    pub(crate) fn filled_array(len: usize, bits: u64) -> Option<Array> {
+        let mut v = Vec::new();
+        v.try_reserve_exact(len).ok()?;
+        v.extend((0..len).map(|_| AtomicU64::new(bits)));
+        Some(Arc::new(v))
     }
 
     /// Convert to an MPI payload (arrays are copied element by element,
@@ -121,7 +129,7 @@ impl Value {
             Value::Int(v) => MpiValue::Int(*v),
             Value::Float(v) => MpiValue::Float(*v),
             Value::Bool(v) => MpiValue::Int(*v as i64),
-            Value::ArrayInt(a) => MpiValue::ArrayInt(a.iter().map(|x| x.load(Relaxed)).collect()),
+            Value::ArrayInt(a) => MpiValue::ArrayInt(int_elems(a).collect()),
             Value::ArrayFloat(a) => MpiValue::ArrayFloat(float_elems(a).collect()),
             Value::Comm(_) => panic!("communicator handles are not MPI payloads"),
             Value::Request(_) => panic!("request handles are not MPI payloads"),
@@ -130,17 +138,23 @@ impl Value {
 
     /// Convert from an MPI result.
     pub fn from_mpi(v: MpiValue) -> Value {
+        let array = |bits: Vec<u64>| Arc::new(bits.into_iter().map(AtomicU64::new).collect());
         match v {
             MpiValue::Int(x) => Value::Int(x),
             MpiValue::Float(x) => Value::Float(x),
             MpiValue::ArrayInt(a) => {
-                Value::ArrayInt(Arc::new(a.into_iter().map(AtomicI64::new).collect()))
+                Value::ArrayInt(array(a.into_iter().map(|x| x as u64).collect()))
             }
-            MpiValue::ArrayFloat(a) => Value::ArrayFloat(Arc::new(
-                a.into_iter().map(|x| AtomicU64::new(x.to_bits())).collect(),
-            )),
+            MpiValue::ArrayFloat(a) => {
+                Value::ArrayFloat(array(a.into_iter().map(f64::to_bits).collect()))
+            }
         }
     }
+}
+
+/// An integer array's elements, each loaded on its own.
+fn int_elems(a: &[AtomicU64]) -> impl Iterator<Item = i64> + '_ {
+    a.iter().map(|x| x.load(Relaxed) as i64)
 }
 
 /// A float array's elements, each loaded on its own.
@@ -155,10 +169,7 @@ impl fmt::Display for Value {
             Value::Float(v) => write!(f, "{v}"),
             Value::Bool(v) => write!(f, "{v}"),
             // The bytes a `Vec`'s `{:?}` prints: `[1, 2]`, `[0.5, 2.0]`.
-            Value::ArrayInt(a) => f
-                .debug_list()
-                .entries(a.iter().map(|x| x.load(Relaxed)))
-                .finish(),
+            Value::ArrayInt(a) => f.debug_list().entries(int_elems(a)).finish(),
             Value::ArrayFloat(a) => f.debug_list().entries(float_elems(a)).finish(),
             Value::Comm(h) => write!(f, "comm#{h}"),
             Value::Request(h) if *h == Value::NULL_REQUEST => write!(f, "request#<null>"),
@@ -173,12 +184,16 @@ mod tests {
 
     #[test]
     fn defaults_match_types() {
-        assert_eq!(Value::default_for(Type::Int).as_int(), 0);
-        assert_eq!(Value::default_for(Type::Float).as_float(), 0.0);
-        assert!(!Value::default_for(Type::Bool).as_bool());
+        let default = |ty| Value::from_bits(ty, Value::default_bits(ty)).to_string();
+        assert_eq!(default(Type::Int), "0");
+        assert_eq!(default(Type::Float), "0");
+        assert_eq!(default(Type::Bool), "false");
+        assert_eq!(default(Type::Comm), "comm#0");
+        assert_eq!(default(Type::Request), "request#<null>");
+        assert_eq!(Value::from_array(Type::ArrayInt, None).to_string(), "[]");
     }
 
-    /// An array is one thin pointer, so a register stays two words.
+    /// An array is one thin pointer, so a value stays two words.
     #[test]
     fn a_value_is_two_words() {
         assert_eq!(std::mem::size_of::<Value>(), 16);
@@ -186,15 +201,12 @@ mod tests {
 
     #[test]
     fn arrays_are_reference_types() {
-        let a = Value::filled_array(2, &Value::Int(0)).unwrap();
-        let b = a.clone();
-        if let (Value::ArrayInt(x), Value::ArrayInt(y)) = (&a, &b) {
-            x[1].store(7, Relaxed);
-            assert_eq!(y[1].load(Relaxed), 7);
-        } else {
-            panic!();
-        }
+        let a = Value::filled_array(2, 0).unwrap();
+        let b = Value::ArrayInt(a.clone());
+        a[1].store(7, Relaxed);
         assert_eq!(b.to_string(), "[0, 7]");
+        let minus_one = Value::ArrayInt(Value::filled_array(1, -1i64 as u64).unwrap());
+        assert_eq!(minus_one.to_string(), "[-1]");
     }
 
     #[test]
@@ -203,16 +215,14 @@ mod tests {
         assert_eq!(v.to_mpi(), MpiValue::Int(42));
         let arr = Value::from_mpi(MpiValue::ArrayFloat(vec![1.0, 2.0]));
         assert_eq!(arr.to_mpi(), MpiValue::ArrayFloat(vec![1.0, 2.0]));
-        // A copy: storing into the Value after to_mpi must not alter the
+        // A copy: storing into the array after to_mpi must not alter the
         // payload.
-        if let Value::ArrayFloat(a) = &arr {
-            let payload = arr.to_mpi();
-            a[0].store(3.0f64.to_bits(), Relaxed);
-            assert_eq!(payload, MpiValue::ArrayFloat(vec![1.0, 2.0]));
-            assert_eq!(arr.to_mpi(), MpiValue::ArrayFloat(vec![3.0, 2.0]));
-        } else {
-            panic!();
-        }
+        let payload = arr.to_mpi();
+        arr.clone().into_array()[0].store(3.0f64.to_bits(), Relaxed);
+        assert_eq!(payload, MpiValue::ArrayFloat(vec![1.0, 2.0]));
+        assert_eq!(arr.to_mpi(), MpiValue::ArrayFloat(vec![3.0, 2.0]));
+        let ints = Value::from_mpi(MpiValue::ArrayInt(vec![-3, 4]));
+        assert_eq!(ints.to_mpi(), MpiValue::ArrayInt(vec![-3, 4]));
     }
 
     #[test]
@@ -223,6 +233,8 @@ mod tests {
         assert_eq!(a.to_string(), "[1, 2]");
         let f = Value::from_mpi(MpiValue::ArrayFloat(vec![0.5, 2.0, -0.0]));
         assert_eq!(f.to_string(), format!("{:?}", vec![0.5, 2.0, -0.0]));
-        assert_eq!(Value::default_for(Type::ArrayFloat).to_string(), "[]");
+        assert_eq!(Value::from_array(Type::ArrayFloat, None).to_string(), "[]");
+        let x = Value::const_bits(Const::Float(-1.5));
+        assert_eq!(Value::from_bits(Type::Float, x).to_string(), "-1.5");
     }
 }
