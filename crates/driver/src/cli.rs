@@ -119,14 +119,18 @@ impl SessionFlags {
     }
 }
 
-/// Parse a numeric flag value that must be at least 1. Anything else —
-/// missing, non-numeric, or zero — is a usage error: the message plus
-/// the usage text goes to stderr and the process exits 3.
-pub fn parse_num(v: Option<&String>, flag: &str) -> Result<usize, String> {
+/// Parse a numeric flag value that must be at least 1 and at most `max`.
+/// Anything else — missing, non-numeric, zero or over `max` — is a usage
+/// error: the message plus the usage text goes to stderr and the process
+/// exits 3.
+pub fn parse_num(v: Option<&String>, flag: &str, max: usize) -> Result<usize, String> {
     let raw = v.ok_or_else(|| usage_error(format!("{flag}: missing value")))?;
     match raw.parse::<usize>() {
         Ok(0) => Err(usage_error(format!(
             "{flag}: value must be at least 1, got `{raw}`"
+        ))),
+        Ok(n) if n > max => Err(usage_error(format!(
+            "{flag}: value must be at most {max}, got `{raw}`"
         ))),
         Ok(n) => Ok(n),
         Err(e) => Err(usage_error(format!("{flag}: invalid value `{raw}`: {e}"))),
@@ -179,9 +183,19 @@ mod tests {
     fn bad_numeric_values_are_usage_errors() {
         for bad in [None, Some("0"), Some("x")] {
             let owned = bad.map(str::to_string);
-            let err = parse_num(owned.as_ref(), "--ranks").unwrap_err();
+            let err = parse_num(owned.as_ref(), "--ranks", 8).unwrap_err();
             assert!(err.contains("--ranks"), "{err}");
             assert!(err.contains("USAGE"), "usage text must follow: {err}");
         }
+    }
+
+    /// A value over the bound is refused like zero; the bound itself
+    /// passes.
+    #[test]
+    fn values_over_the_bound_are_usage_errors() {
+        let arg = |n: usize| Some(n.to_string());
+        let err = parse_num(arg(9).as_ref(), "--ranks", 8).unwrap_err();
+        assert!(err.contains("at most 8") && err.contains("USAGE"), "{err}");
+        assert_eq!(parse_num(arg(8).as_ref(), "--ranks", 8), Ok(8));
     }
 }

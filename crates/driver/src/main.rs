@@ -28,7 +28,7 @@ mod cli;
 
 use cli::{parse_num, Exit, SessionFlags, USAGE};
 use parcoach_core::{instrument_module, InstrumentMode};
-use parcoach_interp::{Executor, RunConfig};
+use parcoach_interp::{Executor, RunConfig, MAX_THREADS};
 use parcoach_ir::span_at;
 use parcoach_server::{warnings_json, DocError, Document};
 use parcoach_workloads::{error_catalogue, figure1_suite, WorkloadClass};
@@ -159,11 +159,11 @@ fn cmd_run(args: &[String], out: &mut StdoutLock) -> Result<Exit, String> {
         match args[i].as_str() {
             "--ranks" => {
                 i += 1;
-                cfg.ranks = parse_num(args.get(i), "--ranks")?;
+                cfg.ranks = parse_num(args.get(i), "--ranks", MAX_THREADS)?;
             }
             "--threads" => {
                 i += 1;
-                cfg.default_threads = parse_num(args.get(i), "--threads")?;
+                cfg.default_threads = parse_num(args.get(i), "--threads", MAX_THREADS)?;
             }
             "--no-instrument" => instrument = false,
             "--full" => mode = InstrumentMode::Full,

@@ -36,7 +36,9 @@ use parcoach_ir::func::{FuncIr, Locator, Module};
 use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator};
 use parcoach_ir::types::{BlockId, Reg, RegionId, Value as IrValue};
 use parcoach_mpisim::{MpiConfig, MpiError, Signature, World};
-use parcoach_ompsim::{BarrierError, ForkError, OmpConfig, OmpError, OmpSim, ThreadCtx};
+use parcoach_ompsim::{
+    BarrierError, ForkError, OmpConfig, OmpError, OmpSim, ThreadCtx, MAX_THREADS,
+};
 use parcoach_sync::{Mutex, ReentrantMutexGuard};
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -943,6 +945,19 @@ impl Executor {
     /// Run the program with `cfg.ranks` MPI ranks. Never panics on
     /// verification errors — they come back classified in the report.
     pub fn run(&self) -> RunReport {
+        if self.cfg.ranks > MAX_THREADS {
+            // Refused before a rank starts: each rank is a thread.
+            let kind = RunErrorKind::Omp(OmpError::ForkRefused(format!(
+                "{} ranks would pass the {MAX_THREADS} simulated threads a run may have alive",
+                self.cfg.ranks
+            )));
+            return RunReport {
+                errors: vec![RunError::new(kind, Locator::Block(0, BlockId(0)), 0)],
+                output: Vec::new(),
+                stats: RunStats::default(),
+            };
+        }
+        let live = Arc::new(AtomicUsize::new(self.cfg.ranks));
         let world = World::new(MpiConfig {
             world_size: self.cfg.ranks,
             max_provided: self.cfg.max_provided,
@@ -957,10 +972,13 @@ impl Executor {
         let per_rank = parcoach_sync::thread_cache().run_map(self.cfg.ranks, |rank| {
             let env = RankEnv {
                 world: &world,
-                omp: OmpSim::new(OmpConfig {
-                    default_num_threads: self.cfg.default_threads,
-                    barrier_timeout: self.cfg.barrier_timeout,
-                }),
+                omp: OmpSim::sharing(
+                    OmpConfig {
+                        default_num_threads: self.cfg.default_threads,
+                        barrier_timeout: self.cfg.barrier_timeout,
+                    },
+                    Arc::clone(&live),
+                ),
                 rank,
                 output: Mutex::new(Vec::new()),
                 budget: &budget,
@@ -1215,6 +1233,12 @@ impl Executor {
                 (f.scalar(frame, v) as i64).max(1) as usize
             })
             .max(1);
+        if team_size > MAX_THREADS {
+            // The fork would refuse it: refuse it before its members are
+            // registered one by one.
+            let kind = RunErrorKind::Omp(OmpError::team_too_large(team_size));
+            return Err(RunError::new(kind, Locator::Block(f.idx, cur), t.env.rank));
+        }
         let plan = f.code.plans[region.0 as usize]
             .as_ref()
             .expect("every parallel region has a plan");

@@ -33,6 +33,7 @@ pub mod value;
 
 pub use error::{RunError, RunErrorKind, RunReport, RunStats};
 pub use exec::{Executor, NoReport, RunConfig};
+pub use parcoach_ompsim::MAX_THREADS;
 pub use value::Value;
 
 use parcoach_core::{instrument_module, AnalysisSession, InstrumentMode, StaticReport};

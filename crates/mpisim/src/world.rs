@@ -51,7 +51,10 @@
 //! One `Mutex<WorldState>` and one `Condvar` serialize every rank,
 //! communicator, mailbox, request and census operation: every blocking
 //! wait parks on the one condvar and every state change that could
-//! complete a wait notifies it. Every operation enters through one
+//! complete a wait notifies it — after the lock is released (a change
+//! made inside an operation sets `WorldState::wake`, and the thread that
+//! releases the lock notifies), so a woken thread does not block again
+//! on the lock its waker holds. Every operation enters through one
 //! guard, `World::call`, which holds the lock three times: to enter
 //! (abort and thread-level checks, the rank's in-flight count), to run
 //! the operation's body (whose error aborts the world), and to leave.
@@ -270,6 +273,9 @@ struct WorldState {
     /// `MPI_THREAD_MULTIPLE`: when every live thread of every
     /// unfinished rank is parked, nothing can progress.
     blocked: Vec<Vec<RankActivity>>,
+    /// A change a parked thread may wait for was made under this hold of
+    /// the lock: [`World::unlock`] notifies once it has released it.
+    wake: bool,
 }
 
 /// The simulated MPI world. Shared by all rank threads via `Arc`.
@@ -316,6 +322,7 @@ impl World {
                 in_flight: vec![0; size],
                 live: vec![0; size],
                 blocked: vec![Vec::new(); size],
+                wake: false,
             }),
             cv: Condvar::new(),
             cfg,
@@ -361,6 +368,7 @@ impl World {
     pub fn abort(&self, reason: MpiError) {
         let mut st = self.state.lock();
         self.abort_locked(&mut st, reason);
+        self.unlock(st);
     }
 
     /// The abort reason, if the world aborted.
@@ -380,6 +388,7 @@ impl World {
         if let Some(detail) = thread_level_violation(provided, concurrent, is_initial_thread) {
             let err = MpiError::ThreadLevelViolation { provided, detail };
             self.abort_locked(&mut st, err.clone());
+            self.unlock(st);
             return Err(err);
         }
         st.in_flight[rank] += 1;
@@ -409,9 +418,19 @@ impl World {
         if let Err(e) = &result {
             self.abort_locked(&mut st, e.clone());
         }
-        drop(st);
+        self.unlock(st);
         self.leave_mpi(rank);
         result
+    }
+
+    /// Release the lock, then wake the parked threads if this hold
+    /// changed what they wait for.
+    fn unlock(&self, mut st: MutexGuard<'_, WorldState>) {
+        let wake = std::mem::take(&mut st.wake);
+        drop(st);
+        if wake {
+            self.cv.notify_all();
+        }
     }
 
     /// The one park point. Until `ready` completes the operation (under
@@ -440,6 +459,11 @@ impl World {
             if let Some(dl) = deadlock(st) {
                 unpark(st, rank, &act);
                 return Err(dl);
+            }
+            // An operation that changed the state and then parks wakes the
+            // others itself: it releases the lock only by waiting.
+            if std::mem::take(&mut st.wake) {
+                self.cv.notify_all();
             }
             let res = self.cv.wait_until(st, deadline);
             unpark(st, rank, &act);
@@ -498,6 +522,7 @@ impl World {
                 st.abort = Some(dl);
             }
         }
+        drop(st);
         self.cv.notify_all();
     }
 
@@ -556,7 +581,7 @@ impl World {
                 };
                 let c = &mut st.comms[comm];
                 c.instances[(seq - c.base_seq) as usize].results = Some(results);
-                self.cv.notify_all();
+                st.wake = true;
             }
             let act = RankActivity::InCollective {
                 seq,
@@ -908,7 +933,7 @@ impl World {
         if st.abort.is_none() {
             st.abort = Some(err);
         }
-        self.cv.notify_all();
+        st.wake = true;
     }
 
     /// Deliver one buffered message — the shared core of the blocking and
@@ -945,7 +970,7 @@ impl World {
             tag,
             value,
         });
-        self.cv.notify_all();
+        st.wake = true;
         Ok(())
     }
 }

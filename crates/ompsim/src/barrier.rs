@@ -8,7 +8,7 @@
 //! * can be **poisoned** when another thread aborts (a failed dynamic
 //!   check must stop the whole program, not deadlock it).
 
-use parcoach_sync::{Condvar, Mutex};
+use parcoach_sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Why a barrier wait did not complete.
@@ -92,13 +92,14 @@ impl SimBarrier {
             // Last arriver releases the generation.
             st.arrived = 0;
             st.generation = st.generation.wrapping_add(1);
+            drop(st);
             self.cv.notify_all();
             return Ok(());
         }
         if st.arrived + st.departed == self.size {
             // Everyone else has left the region: the missing members can
             // never arrive. Divergence, proven without waiting.
-            return Err(self.diverged(&mut st));
+            return Err(self.diverged(st));
         }
         let gen = st.generation;
         loop {
@@ -109,11 +110,8 @@ impl SimBarrier {
             if st.generation != gen {
                 return Ok(());
             }
-            if st.arrived + st.departed == self.size {
-                return Err(self.diverged(&mut st));
-            }
-            if res.timed_out() {
-                return Err(self.diverged(&mut st));
+            if st.arrived + st.departed == self.size || res.timed_out() {
+                return Err(self.diverged(st));
             }
         }
     }
@@ -121,9 +119,10 @@ impl SimBarrier {
     /// Report divergence from inside `wait`: leave the barrier so other
     /// waiters see a consistent count, and poison it — the team is
     /// broken.
-    fn diverged(&self, st: &mut State) -> BarrierError {
+    fn diverged(&self, mut st: MutexGuard<'_, State>) -> BarrierError {
         let arrived = st.arrived;
         st.poisoned = true;
+        drop(st);
         self.cv.notify_all();
         BarrierError::Timeout {
             arrived,
@@ -137,7 +136,9 @@ impl SimBarrier {
     pub fn depart(&self) {
         let mut st = self.state.lock();
         st.departed += 1;
-        if st.arrived > 0 && st.arrived + st.departed == self.size {
+        let divergence = st.arrived > 0 && st.arrived + st.departed == self.size;
+        drop(st);
+        if divergence {
             self.cv.notify_all();
         }
     }
@@ -145,8 +146,7 @@ impl SimBarrier {
     /// Poison the barrier: all current and future waiters fail with
     /// [`BarrierError::Poisoned`].
     pub fn poison(&self) {
-        let mut st = self.state.lock();
-        st.poisoned = true;
+        self.state.lock().poisoned = true;
         self.cv.notify_all();
     }
 

@@ -38,12 +38,20 @@ pub use barrier::{BarrierError, SimBarrier};
 pub use team::{OmpError, TeamShared, ThreadCtx};
 
 use parcoach_sync::{ReentrantMutex, ReentrantMutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Maximum nesting depth of parallel regions (defensive bound): a fork
 /// at level `MAX_LEVELS + 1` is refused.
 pub const MAX_LEVELS: usize = 8;
+
+/// Most simulated threads a run may have alive at once, the initial
+/// threads included. A fork whose team would pass it is refused before
+/// any member starts, so neither a program's `num_threads` (multiplied
+/// by nesting) nor a configuration can ask the host for an unbounded
+/// number of OS threads.
+pub const MAX_THREADS: usize = 256;
 
 /// Configuration of the threading substrate.
 #[derive(Debug, Clone)]
@@ -63,13 +71,18 @@ impl Default for OmpConfig {
     }
 }
 
-/// The runtime: configuration plus the global `critical` lock.
+/// The runtime: configuration, the global `critical` lock and the count
+/// of the run's live threads.
 pub struct OmpSim {
     /// Configuration.
     pub cfg: OmpConfig,
     /// The (unnamed) `critical` lock. Reentrant so nested criticals in a
     /// call chain do not self-deadlock.
     critical: ReentrantMutex<()>,
+    /// The simulated threads alive in the run, at most [`MAX_THREADS`]:
+    /// shared by the runtimes of one run's MPI ranks. `Relaxed`: it
+    /// orders nothing but itself.
+    live: Arc<AtomicUsize>,
 }
 
 impl Default for OmpSim {
@@ -79,11 +92,18 @@ impl Default for OmpSim {
 }
 
 impl OmpSim {
-    /// Build a runtime.
+    /// Build a runtime for a run of its own, with one thread alive.
     pub fn new(cfg: OmpConfig) -> OmpSim {
+        OmpSim::sharing(cfg, Arc::new(AtomicUsize::new(1)))
+    }
+
+    /// Build a runtime whose teams count against `live`, the threads
+    /// alive in a run it shares with other runtimes (one per MPI rank).
+    pub fn sharing(cfg: OmpConfig, live: Arc<AtomicUsize>) -> OmpSim {
         OmpSim {
             cfg,
             critical: ReentrantMutex::new(()),
+            live,
         }
     }
 
@@ -113,6 +133,17 @@ impl OmpSim {
                 "parallel nesting depth {level} exceeds the configured maximum {MAX_LEVELS}"
             ))));
         }
+        // Members 1.. are new threads: count them in, or refuse the fork
+        // before any of them starts.
+        let started = size - 1;
+        let counted = self
+            .live
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                n.checked_add(started).filter(|&m| m <= MAX_THREADS)
+            });
+        if counted.is_err() {
+            return Err(ForkError::Omp(OmpError::team_too_large(size)));
+        }
         let team = team::new_team(size, level, parent.is_initial_thread());
         // Cached simulator threads ([`parcoach_sync::ThreadCache`]) for
         // members 1..: the spawn cost is paid once per process, not once
@@ -126,6 +157,7 @@ impl OmpSim {
             team.barrier.depart();
             res
         });
+        self.live.fetch_sub(started, Ordering::Relaxed);
         match results.into_iter().find_map(Result::err) {
             Some(e) => Err(ForkError::Body(e)),
             None => Ok(()),

@@ -22,6 +22,17 @@ pub enum OmpError {
     ForkRefused(String),
 }
 
+impl OmpError {
+    /// The refusal of a team of `size` threads, which would pass
+    /// [`crate::MAX_THREADS`].
+    pub fn team_too_large(size: usize) -> OmpError {
+        OmpError::ForkRefused(format!(
+            "a team of {size} threads would pass the {} simulated threads a run may have alive",
+            crate::MAX_THREADS
+        ))
+    }
+}
+
 impl std::fmt::Display for OmpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

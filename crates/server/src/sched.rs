@@ -277,6 +277,7 @@ where
                 let mut st = state.lock();
                 st.answered += 1;
                 st.stopped = stop;
+                drop(st);
                 cv.notify_all();
                 if stop {
                     return;

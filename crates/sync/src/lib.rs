@@ -28,6 +28,7 @@ pub use cache::{thread_cache, ThreadCache};
 
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{self as ss};
 use std::thread::{self, ThreadId};
 use std::time::Instant;
@@ -92,29 +93,50 @@ impl WaitTimeoutResult {
 
 /// Condition variable whose waits take the guard by `&mut` instead of
 /// by value (std style).
+///
+/// It counts its sleepers, so a notify with nobody waiting makes no
+/// system call (std's futex condvar keeps no count and always makes
+/// one). The count cannot miss a sleeper as long as every notifier
+/// first changes, under the mutex its waiters hold, the state they
+/// re-check: a waiter raises the count before the wait releases that
+/// mutex, so a notifier that then takes the mutex sees the raised
+/// count, and one that took it earlier made its change before the
+/// waiter looked. Notify after the unlock: a thread woken while the
+/// notifier still holds the mutex only blocks again on it.
 #[derive(Default)]
-pub struct Condvar(ss::Condvar);
+pub struct Condvar {
+    cv: ss::Condvar,
+    /// Threads inside a wait. `Relaxed`: the mutex orders every raise
+    /// before the notifies that must see it.
+    sleepers: AtomicUsize,
+}
 
 impl Condvar {
     pub fn new() -> Self {
-        Condvar(ss::Condvar::new())
+        Condvar::default()
     }
 
     pub fn notify_one(&self) {
-        self.0.notify_one();
+        if self.sleepers.load(Relaxed) > 0 {
+            self.cv.notify_one();
+        }
     }
 
     pub fn notify_all(&self) {
-        self.0.notify_all();
+        if self.sleepers.load(Relaxed) > 0 {
+            self.cv.notify_all();
+        }
     }
 
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.0.take().expect("guard already taken");
-        guard.0 = Some(
-            self.0
-                .wait(inner)
-                .unwrap_or_else(ss::PoisonError::into_inner),
-        );
+        self.sleepers.fetch_add(1, Relaxed);
+        let inner = self
+            .cv
+            .wait(inner)
+            .unwrap_or_else(ss::PoisonError::into_inner);
+        self.sleepers.fetch_sub(1, Relaxed);
+        guard.0 = Some(inner);
     }
 
     /// Block until `condition` returns false: re-checks after every
@@ -139,10 +161,12 @@ impl Condvar {
     ) -> WaitTimeoutResult {
         let timeout = deadline.saturating_duration_since(Instant::now());
         let inner = guard.0.take().expect("guard already taken");
-        let (inner, result) = match self.0.wait_timeout(inner, timeout) {
+        self.sleepers.fetch_add(1, Relaxed);
+        let (inner, result) = match self.cv.wait_timeout(inner, timeout) {
             Ok((g, r)) => (g, r),
             Err(poisoned) => poisoned.into_inner(),
         };
+        self.sleepers.fetch_sub(1, Relaxed);
         guard.0 = Some(inner);
         WaitTimeoutResult {
             timed_out: result.timed_out(),
@@ -307,6 +331,26 @@ mod tests {
         assert_eq!(*g, 3);
         drop(g);
         h.join().unwrap();
+    }
+
+    /// A waiter counts as a sleeper from before it releases the mutex
+    /// until it holds it again, so the notify that wakes it is made.
+    #[test]
+    fn a_waiter_counts_while_it_sleeps() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let h = thread::spawn(move || {
+            let (m, cv) = &*p2;
+            cv.wait_while(&mut m.lock(), |ready| !*ready);
+        });
+        let (m, cv) = &*pair;
+        while cv.sleepers.load(Relaxed) == 0 {
+            thread::yield_now();
+        }
+        *m.lock() = true;
+        cv.notify_all();
+        h.join().unwrap();
+        assert_eq!(cv.sleepers.load(Relaxed), 0);
     }
 
     #[test]
