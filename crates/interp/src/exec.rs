@@ -20,7 +20,7 @@
 //! types with lock-free elements (`value.rs`), so a copied array register
 //! still names the one array.
 //!
-//! A function runs from its [`FuncCode`], decoded on its first call: each
+//! A function runs from its `FuncCode`, decoded on its first call: each
 //! register has a home in one of its frame's two typed banks — scalars
 //! as `u64` bits, arrays as `Arc`s — each operand is a home or an
 //! immediate, and each instruction one typed operation, so a step reads
@@ -188,34 +188,30 @@ impl Frame {
         }
     }
 
-    /// Look at array register `o`'s elements in place: an element access
-    /// costs no reference-count round trip on a line the whole team
-    /// writes.
+    /// Look at array register `o` in place.
     #[inline(always)]
-    fn with_array<R>(&self, o: Opd, f: impl FnOnce(&[AtomicU64]) -> R) -> R {
-        fn elems(a: &Option<Array>) -> &[AtomicU64] {
-            a.as_deref().map_or(&[], |v| v)
-        }
+    fn with_array_reg<R>(&self, o: Opd, f: impl FnOnce(&Option<Array>) -> R) -> R {
         match o {
-            Opd::Arr(i) => f(elems(&self.arrays[i as usize])),
+            Opd::Arr(i) => f(&self.arrays[i as usize]),
             Opd::ArrCell(i) => match &self.array_cells[i as usize] {
-                Some(c) => f(elems(&c.lock())),
-                None => f(elems(&self.arrays[i as usize])),
+                Some(c) => f(&c.lock()),
+                None => f(&self.arrays[i as usize]),
             },
             Opd::Imm(_) | Opd::Reg(_) | Opd::Cell(_) => unreachable!("a scalar read as an array"),
         }
     }
 
+    /// Look at array register `o`'s elements in place: an element access
+    /// costs no reference-count round trip on a line the whole team
+    /// writes.
+    #[inline(always)]
+    fn with_array<R>(&self, o: Opd, f: impl FnOnce(&[AtomicU64]) -> R) -> R {
+        self.with_array_reg(o, |a| f(a.as_deref().map_or(&[], |v| v)))
+    }
+
     /// Array register `o`'s reference.
     fn array(&self, o: Opd) -> Option<Array> {
-        match o {
-            Opd::Arr(i) => self.arrays[i as usize].clone(),
-            Opd::ArrCell(i) => match &self.array_cells[i as usize] {
-                Some(c) => c.lock().clone(),
-                None => self.arrays[i as usize].clone(),
-            },
-            Opd::Imm(_) | Opd::Reg(_) | Opd::Cell(_) => unreachable!("a scalar read as an array"),
-        }
+        self.with_array_reg(o, Option::clone)
     }
 
     /// Set array register `o` to `a`.
@@ -285,7 +281,7 @@ impl Frame {
 /// One typed operation on scalar bits, chosen by decode from an IR
 /// operator and its operands' type: `I` on `i64`s, `F` on `f64`s, `Eq`
 /// and `Ne` on `int` or `bool` bits, `And`/`Or`/`Not` on `bool` bits.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 enum Alu {
     AddI,
     SubI,
@@ -396,7 +392,6 @@ impl Alu {
 }
 
 /// One IR instruction, decoded.
-#[derive(Debug)]
 enum Op {
     /// A scalar `dest = src`.
     Copy(Opd, Opd),
@@ -433,7 +428,6 @@ enum Op {
 }
 
 /// A block's terminator, decoded.
-#[derive(Debug)]
 enum Term {
     Goto(BlockId),
     Branch(Opd, BlockId, BlockId),
@@ -444,7 +438,6 @@ enum Term {
 
 /// A function decoded for execution, once per executor on its first
 /// call, from `FuncIr::reg_types` and its instructions.
-#[derive(Debug)]
 struct FuncCode {
     /// Each register's home, indexed by `Reg`.
     homes: Vec<Opd>,
@@ -465,7 +458,6 @@ struct FuncCode {
 }
 
 /// Precomputed facts about one `parallel` region.
-#[derive(Debug)]
 struct RegionPlan {
     body_entry: BlockId,
     /// The implicit barrier lowering puts at the end of the body. A
