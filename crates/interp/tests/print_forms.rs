@@ -146,3 +146,23 @@ fn a_payload_is_a_copy() {
         ]
     );
 }
+
+/// A request handle is numbered per rank: at two ranks, each rank's first
+/// request is `request#0`, whichever rank posts first.
+#[test]
+fn request_handles_do_not_depend_on_the_schedule() {
+    let src = "fn main() {
+        MPI_Init();
+        let r = MPI_Isend(3, rank(), 5);
+        print(r);
+        let v = MPI_Wait(r);
+        let x = MPI_Recv(rank(), 5);
+        MPI_Finalize();
+    }";
+    for _ in 0..20 {
+        assert_eq!(
+            printed(src, 2),
+            ["[rank 0] request#0", "[rank 1] request#0"]
+        );
+    }
+}

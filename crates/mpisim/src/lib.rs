@@ -756,6 +756,24 @@ mod tests {
         );
     }
 
+    /// A request is process-local: each rank numbers its own from 0, so
+    /// a handle does not depend on which rank posted first.
+    #[test]
+    fn request_handles_are_numbered_per_rank() {
+        for order in [[0, 1], [1, 0]] {
+            let w = fast_world(2);
+            for r in order {
+                let h = w
+                    .isend(r, world::COMM_WORLD, r, 1, MpiValue::Int(1), true)
+                    .unwrap();
+                assert_eq!(h, 0, "rank {r}'s first request, order {order:?}");
+            }
+            for r in order {
+                assert_eq!(w.wait(r, 0, true).unwrap(), MpiValue::Int(0));
+            }
+        }
+    }
+
     #[test]
     fn wait_on_foreign_request_rejected() {
         let w = fast_world(2);
@@ -767,7 +785,8 @@ mod tests {
                 Ok(h)
             } else {
                 std::thread::sleep(Duration::from_millis(30));
-                // Handle 0 was posted by rank 0.
+                // Handles are per rank: rank 1 posted none, so its
+                // handle 0 is invalid, whatever rank 0 posted.
                 w.wait(1, 0, true).map(|_| 0)
             }
         });

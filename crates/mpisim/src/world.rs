@@ -151,13 +151,6 @@ enum RequestState {
     Retired,
 }
 
-/// One non-blocking request, owned by the rank that posted it.
-#[derive(Debug, Clone, Copy)]
-struct Request {
-    owner: usize,
-    state: RequestState,
-}
-
 /// Index of the buffered message a (possibly wildcarded) receive should
 /// take: lowest sender rank first, then earliest arrival — the
 /// deterministic wildcard tie-break.
@@ -256,8 +249,9 @@ struct WorldState {
     comms: Vec<CommState>,
     activity: Vec<RankActivity>,
     mailboxes: Vec<Vec<Message>>,
-    /// All non-blocking requests ever posted; handles index this table.
-    requests: Vec<Request>,
+    /// Per rank, every non-blocking request it has posted: a handle
+    /// indexes its rank's table, as an MPI request is process-local.
+    requests: Vec<Vec<RequestState>>,
     abort: Option<MpiError>,
     provided: Option<ThreadLevel>,
     /// Number of MPI calls currently in flight per rank (threads).
@@ -316,7 +310,7 @@ impl World {
                 comms: vec![CommState::new((0..size).collect())],
                 activity: vec![RankActivity::Running; size],
                 mailboxes: vec![Vec::new(); size],
-                requests: Vec::new(),
+                requests: vec![Vec::new(); size],
                 abort: None,
                 provided: None,
                 in_flight: vec![0; size],
@@ -817,7 +811,7 @@ impl World {
     /// until a matching message is buffered, consume it (deterministic
     /// wildcard tie-break: lowest sender rank first, then earliest
     /// arrival) and return its value. Waiting twice on one request, or
-    /// on another rank's request, is an argument error.
+    /// on a handle the rank has not posted, is an argument error.
     pub fn wait(
         &self,
         rank: usize,
@@ -825,19 +819,14 @@ impl World {
         is_initial_thread: bool,
     ) -> Result<MpiValue, MpiError> {
         self.call(rank, is_initial_thread, |st| {
-            let Some(&Request { owner, state }) = st.requests.get(request) else {
+            let Some(&state) = st.requests[rank].get(request) else {
                 return Err(MpiError::ArgError(format!(
                     "invalid request handle #{request}"
                 )));
             };
-            if owner != rank {
-                return Err(MpiError::ArgError(format!(
-                    "rank {rank} cannot wait on request #{request} posted by rank {owner}"
-                )));
-            }
             let (comm, src, tag) = match state {
                 RequestState::SendDone => {
-                    st.requests[request].state = RequestState::Retired;
+                    st.requests[rank][request] = RequestState::Retired;
                     return Ok(MpiValue::Int(0));
                 }
                 RequestState::Retired => return Err(already_waited(request)),
@@ -860,12 +849,12 @@ impl World {
                 // sibling thread waiting on the same request may have
                 // completed it while we slept — that is a double wait and
                 // must error, not steal the next matching message.
-                if matches!(st.requests[request].state, RequestState::Retired) {
+                if matches!(st.requests[rank][request], RequestState::Retired) {
                     return Err(already_waited(request));
                 }
                 let value = take_message(st, rank, comm, src, tag);
                 if value.is_some() {
-                    st.requests[request].state = RequestState::Retired;
+                    st.requests[rank][request] = RequestState::Retired;
                 }
                 Ok(value)
             })
@@ -1046,10 +1035,12 @@ fn take_message(
     Some(st.mailboxes[rank].remove(pos).value)
 }
 
-/// Post a non-blocking request owned by `owner`; returns its handle.
-fn post(st: &mut WorldState, owner: usize, state: RequestState) -> usize {
-    st.requests.push(Request { owner, state });
-    st.requests.len() - 1
+/// Post a non-blocking request of `rank`; returns its handle, numbered
+/// from 0 in the order the rank posts.
+fn post(st: &mut WorldState, rank: usize, state: RequestState) -> usize {
+    let table = &mut st.requests[rank];
+    table.push(state);
+    table.len() - 1
 }
 
 fn already_waited(request: usize) -> MpiError {
