@@ -16,32 +16,44 @@
 //! encountering thread. A register the region only reads reaches each
 //! member as a copy in its frame (`firstprivate`): nothing writes it
 //! while the team runs, since the encountering thread is member 0 until
-//! the join. Everything else is thread-private. Arrays are reference
-//! types with lock-free elements (`value.rs`), so a copied array register
-//! still names the one array.
+//! the join. Everything else is thread-private.
+//!
+//! Scalars are copied; arrays are reference types, so element writes are
+//! visible across threads, nested parallel regions and function calls —
+//! the shared-memory semantics of the C/Fortran codes the paper analyses.
+//! An array is one `Arc` of atomic elements (a float element holds its
+//! bits in an `AtomicU64`) and takes no lock: its length is fixed when it
+//! is created, and each element is loaded and stored on its own with
+//! `Relaxed` ordering. Team barriers, joins and MPI calls synchronise
+//! through the simulators' locks, which order element accesses between
+//! them; a simulated program that races on an element sees the race as
+//! values, as its C original would. A copied array register still names
+//! the one array; an MPI payload is a copy of its elements.
 //!
 //! A function runs from its `FuncCode`, decoded on its first call: each
 //! register has a home in one of its frame's two typed banks — scalars
 //! as `u64` bits, arrays as `Arc`s — each operand is a home or an
 //! immediate, and each instruction one typed operation, so a step reads
-//! and writes bits without asking what type they have.
+//! and writes bits without asking what type they have. An MPI operation
+//! builds its payload from the banks and writes its result back into
+//! them; `print` formats from a type and the bits.
 
 use crate::error::{RunError, RunErrorKind, RunReport, RunStats};
-use crate::value::{Array, Value};
 use parcoach_front::ast::{
-    BinOp, CollectiveKind, Intrinsic, ThreadLevel, Type, UnOp, COLOR_COMM_DUP, COLOR_COMM_SPLIT,
+    BinOp, CollectiveKind, Intrinsic, Operand, Role, ThreadLevel, Type, UnOp, COLOR_COMM_DUP,
+    COLOR_COMM_SPLIT,
 };
 use parcoach_front::span::Span;
 use parcoach_ir::func::{FuncIr, Locator, Module};
 use parcoach_ir::instr::{BlockKind, CheckOp, Directive, Instr, MpiOp, Terminator};
-use parcoach_ir::types::{BlockId, Reg, RegionId, Value as IrValue};
-use parcoach_mpisim::{MpiConfig, MpiError, Signature, World};
+use parcoach_ir::types::{BlockId, Const, Reg, RegionId, Value as IrValue};
+use parcoach_mpisim::{MpiConfig, MpiError, MpiType, MpiValue, Signature, World};
 use parcoach_ompsim::{
     BarrierError, ForkError, OmpConfig, OmpError, OmpSim, ThreadCtx, MAX_THREADS,
 };
 use parcoach_sync::{Mutex, ReentrantMutexGuard};
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering, Ordering::Relaxed};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -110,6 +122,54 @@ enum Opd {
     Arr(u32),
     /// `Frame::array_cells[i]` once a fork has made it, else `arrays[i]`.
     ArrCell(u32),
+}
+
+/// An operand of a decoded MPI operation: `MPI_Waitall`'s list is a
+/// boxed slice.
+impl Operand for Opd {
+    type List = Box<[Opd]>;
+
+    fn list(list: &Self::List) -> impl Iterator<Item = Opd> + '_ {
+        list.iter().copied()
+    }
+}
+
+/// An array's elements: each an `i64`'s or an `f64`'s bits, as the
+/// array's static type says.
+type Array = Arc<Vec<AtomicU64>>;
+
+/// The request-register default: an invalid handle the simulator
+/// rejects, so waiting on a never-posted request cannot silently alias
+/// request #0.
+const NULL_REQUEST: u64 = usize::MAX as u64;
+
+/// The bits a scalar register of type `ty` holds before its first
+/// assignment: zero, `0.0`, `false`, `MPI_COMM_WORLD`, or the null
+/// request.
+fn default_bits(ty: Type) -> u64 {
+    match ty {
+        Type::Request => NULL_REQUEST,
+        _ => 0,
+    }
+}
+
+/// A constant's bits.
+fn const_bits(c: Const) -> u64 {
+    match c {
+        Const::Int(x) => x as u64,
+        Const::Float(x) => x.to_bits(),
+        Const::Bool(x) => x as u64,
+    }
+}
+
+/// `len` copies of `bits` as an array, or `None` when the memory cannot
+/// be had (the program asked for more than the machine has, or than an
+/// address space holds).
+fn filled_array(len: usize, bits: u64) -> Option<Array> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len).ok()?;
+    v.extend((0..len).map(|_| AtomicU64::new(bits)));
+    Some(Arc::new(v))
 }
 
 /// A cell a team shares a scalar register through. `Relaxed`: team
@@ -234,20 +294,67 @@ impl Frame {
         }
     }
 
-    /// Operand `o`, of type `ty`, as a [`Value`].
-    fn value(&self, o: Opd, ty: Type) -> Value {
-        match o {
-            Opd::Arr(_) | Opd::ArrCell(_) => Value::from_array(ty, self.array(o)),
-            _ => Value::from_bits(ty, self.get(o)),
+    /// Operand `o` as an MPI payload of type `ty`: an array is copied
+    /// element by element, so a later store does not reach the message.
+    fn payload(&self, o: Opd, ty: MpiType) -> MpiValue {
+        match ty {
+            MpiType::Int => MpiValue::Int(self.get(o) as i64),
+            MpiType::Float => MpiValue::Float(f64::from_bits(self.get(o))),
+            MpiType::ArrayInt => MpiValue::ArrayInt(
+                self.with_array(o, |a| a.iter().map(|x| x.load(Relaxed) as i64).collect()),
+            ),
+            MpiType::ArrayFloat => MpiValue::ArrayFloat(self.with_array(o, |a| {
+                a.iter().map(|x| f64::from_bits(x.load(Relaxed))).collect()
+            })),
         }
     }
 
-    /// Set register `o` to `v`.
-    fn set_value(&mut self, o: Opd, v: Value) {
-        match o {
-            Opd::Arr(_) | Opd::ArrCell(_) => self.set_array(o, Some(v.into_array())),
-            _ => self.set(o, v.bits()),
+    /// Write the result `v` of an MPI operation into register `o`: an
+    /// array as a fresh array, a scalar as bits, an int as a float when
+    /// `float` (`MPI_Recv` and `MPI_Wait` are float-typed).
+    fn complete(&mut self, o: Opd, v: MpiValue, float: bool) {
+        let array = |bits: Vec<u64>| Some(Arc::new(bits.into_iter().map(AtomicU64::new).collect()));
+        match v {
+            MpiValue::Int(x) if float => self.set(o, (x as f64).to_bits()),
+            MpiValue::Int(x) => self.set(o, x as u64),
+            MpiValue::Float(x) => self.set(o, x.to_bits()),
+            MpiValue::ArrayInt(a) => {
+                self.set_array(o, array(a.into_iter().map(|x| x as u64).collect()))
+            }
+            MpiValue::ArrayFloat(a) => {
+                self.set_array(o, array(a.into_iter().map(f64::to_bits).collect()))
+            }
         }
+    }
+
+    /// Append operand `o`, of type `ty`, to `line` as `print` shows it:
+    /// an array as a `Vec`'s `{:?}` does (`[1, 2]`, `[0.5, 2.0]`), a
+    /// handle as `comm#N` or `request#N`.
+    fn show(&self, line: &mut String, o: Opd, ty: Type) {
+        use std::fmt::Write as _;
+        let elems = |line: &mut String, a: &[AtomicU64], float: bool| {
+            line.push('[');
+            for (k, x) in a.iter().enumerate() {
+                let (bits, sep) = (x.load(Relaxed), if k > 0 { ", " } else { "" });
+                let _ = if float {
+                    write!(line, "{sep}{:?}", f64::from_bits(bits))
+                } else {
+                    write!(line, "{sep}{}", bits as i64)
+                };
+            }
+            line.push(']');
+        };
+        let _ = match ty {
+            Type::ArrayInt | Type::ArrayFloat => {
+                return self.with_array(o, |a| elems(line, a, ty == Type::ArrayFloat));
+            }
+            Type::Float => write!(line, "{}", f64::from_bits(self.get(o))),
+            Type::Bool => write!(line, "{}", self.get(o) != 0),
+            Type::Comm => write!(line, "comm#{}", self.get(o)),
+            Type::Request if self.get(o) == NULL_REQUEST => write!(line, "request#<null>"),
+            Type::Request => write!(line, "request#{}", self.get(o)),
+            Type::Int | Type::Void => write!(line, "{}", self.get(o) as i64),
+        };
     }
 
     /// Give each of `shared` a cell, unless it has one (a cell of an
@@ -423,8 +530,19 @@ enum Op {
         callee: usize,
         args: Box<[Opd]>,
     },
-    /// An MPI operation, a `print` or a check: run from the IR.
-    Ir,
+    /// An MPI operation, its result written to `dest`. (Boxed: an MPI
+    /// call costs far more than the pointer, and the other ops stay
+    /// small.)
+    Mpi {
+        dest: Option<Opd>,
+        op: Box<MpiOp<Opd>>,
+        /// The payload's type, for an operation that sends one.
+        ty: Option<MpiType>,
+    },
+    /// `print` of each operand, of its type.
+    Print(Box<[(Opd, Type)]>),
+    /// A check, and the communicator a `CollectiveCc` runs on.
+    Check(CheckOp, Opd),
 }
 
 /// A block's terminator, decoded.
@@ -498,7 +616,7 @@ impl FuncCode {
                     [Opd::Arr(i), Opd::ArrCell(i)][cell as usize]
                 } else {
                     let i = scalar_init.len() as u32;
-                    scalar_init.push(Value::default_bits(ty));
+                    scalar_init.push(default_bits(ty));
                     [Opd::Reg(i), Opd::Cell(i)][cell as usize]
                 }
             })
@@ -543,7 +661,7 @@ impl FuncCode {
 /// Operand `v` of a function whose registers live at `homes`.
 fn operand(homes: &[Opd], v: IrValue) -> Opd {
     match v {
-        IrValue::Const(c) => Opd::Imm(Value::const_bits(c)),
+        IrValue::Const(c) => Opd::Imm(const_bits(c)),
         IrValue::Reg(r) => homes[r.index()],
     }
 }
@@ -619,12 +737,45 @@ fn decode(f: &FuncIr, homes: &[Opd], i: &Instr) -> Op {
             callee: *callee,
             args: args.iter().map(|a| opd(*a)).collect(),
         },
-        Instr::Mpi { .. } | Instr::Print { .. } | Instr::Check(_) => Op::Ir,
+        Instr::Mpi { dest, op } => {
+            let mut payload = None;
+            let op = op.map(|role, v| {
+                if role == Role::Value {
+                    payload = Some(mpi_type(ty(v)));
+                }
+                opd(v)
+            });
+            Op::Mpi {
+                dest: dest.map(home),
+                op: Box::new(op),
+                ty: payload,
+            }
+        }
+        Instr::Print { args } => Op::Print(args.iter().map(|&a| (opd(a), ty(a))).collect()),
+        Instr::Check(check) => {
+            let comm = match check {
+                CheckOp::CollectiveCc { comm: Some(c), .. } => opd(*c),
+                _ => Opd::Imm(0),
+            };
+            Op::Check(check.clone(), comm)
+        }
+    }
+}
+
+/// The payload type of a value of type `ty`: a `bool` travels as an
+/// `int`.
+fn mpi_type(ty: Type) -> MpiType {
+    match ty {
+        Type::Int | Type::Bool => MpiType::Int,
+        Type::Float => MpiType::Float,
+        Type::ArrayInt => MpiType::ArrayInt,
+        Type::ArrayFloat => MpiType::ArrayFloat,
+        Type::Comm | Type::Request | Type::Void => panic!("{ty} is not an MPI payload"),
     }
 }
 
 /// A function as the step functions read it: its index, its IR (for
-/// directives, MPI operations, checks and error positions) and its code.
+/// directives and error positions) and its code.
 #[derive(Clone, Copy)]
 struct Func<'e> {
     idx: usize,
@@ -640,14 +791,6 @@ impl Func<'_> {
     /// The bits of scalar operand `v`.
     fn scalar(&self, frame: &Frame, v: IrValue) -> u64 {
         frame.get(operand(&self.code.homes, v))
-    }
-
-    /// Operand `v` as a [`Value`].
-    fn value(&self, frame: &Frame, v: IrValue) -> Value {
-        match v {
-            IrValue::Const(c) => Value::from_bits(c.ty(), Value::const_bits(c)),
-            IrValue::Reg(r) => frame.value(self.home(r), self.ir.reg_types[r.index()]),
-        }
     }
 }
 
@@ -871,9 +1014,10 @@ impl SimThread<'_> {
     }
 }
 
-/// Control flow of a block walk.
+/// Control flow of a block walk: a return, with the operand it returns,
+/// or the stop block reached.
 enum Flow {
-    Return(Option<Value>),
+    Return(Option<Opd>),
     Stopped,
 }
 
@@ -991,7 +1135,9 @@ impl Executor {
             };
             world.thread_started(rank);
             let res = match main {
-                Some(fi) => self.exec_function(&mut thread, fi, (&Frame::default(), &[]), 0),
+                Some(fi) => {
+                    self.exec_function(&mut thread, fi, (&mut Frame::default(), &[]), None, 0)
+                }
                 None => Err(RunError::new(
                     no_main(),
                     Locator::Block(0, BlockId(0)),
@@ -1049,14 +1195,16 @@ impl Executor {
     // ---- function & block execution ------------------------------------
 
     /// Call function `fidx` at call depth `depth` with the arguments
-    /// `args`, operands of the caller's frame.
+    /// `args`, operands of the caller's frame, and copy what it returns
+    /// into the caller's `dest`.
     fn exec_function(
         &self,
         t: &mut SimThread<'_>,
         fidx: usize,
-        (caller, args): (&Frame, &[Opd]),
+        (caller, args): (&mut Frame, &[Opd]),
+        dest: Option<Opd>,
         depth: usize,
-    ) -> Result<Option<Value>, RunError> {
+    ) -> Result<(), RunError> {
         let f = self.func(fidx);
         let mut frame = t.state.take_frame();
         frame.enter(f.code);
@@ -1064,9 +1212,12 @@ impl Executor {
             frame.copy_from(f.home(*param), caller, arg);
         }
         let flow = self.exec_from(t, &mut frame, f, f.ir.entry, None, depth);
+        if let (Ok(Flow::Return(Some(v))), Some(d)) = (&flow, dest) {
+            caller.copy_from(d, &frame, *v);
+        }
         t.state.put_frame(frame);
         match flow? {
-            Flow::Return(v) => Ok(v),
+            Flow::Return(_) => Ok(()),
             Flow::Stopped => unreachable!("stop block only used inside parallel regions"),
         }
     }
@@ -1087,8 +1238,7 @@ impl Executor {
         let mut critical_guards: Vec<ReentrantMutexGuard<'_, ()>> = Vec::new();
         loop {
             let block = f.ir.block(cur);
-            let run = block.instrs.start as usize..block.instrs.end as usize;
-            let instrs = &f.ir.instrs[run.clone()];
+            let ops = &f.code.ops[block.instrs.start as usize..block.instrs.end as usize];
             let at = move |ii, kind| RunError::new(kind, plain_at(f.ir, fidx, cur, ii), rank);
             let entry = move |kind| RunError::new(kind, Locator::Entry(fidx, cur), rank);
             t.state.step(env).map_err(entry)?;
@@ -1096,9 +1246,10 @@ impl Executor {
                 // A directive block holds only the checks instrumentation
                 // attached to it: they run first, with no step of their
                 // own.
-                for (ii, (i, _)) in instrs.iter().enumerate() {
-                    if let Instr::Check(check) = i {
-                        self.exec_check(t, frame, f, check).map_err(|k| at(ii, k))?;
+                for (ii, op) in ops.iter().enumerate() {
+                    if let Op::Check(check, comm) = op {
+                        self.exec_check(t, frame, check, *comm)
+                            .map_err(|k| at(ii, k))?;
                     }
                 }
                 if stop == Some(cur) {
@@ -1165,13 +1316,11 @@ impl Executor {
                     | Directive::WorkshareEnd { .. } => {}
                 }
             } else {
-                let ops = f.code.ops[run].iter().zip(instrs);
-                for (ii, (op, (i, _))) in ops.enumerate() {
-                    self.exec_instr(t, frame, f, op, i, depth)
-                        .map_err(|s| match s {
-                            Stop::Fault(kind) => at(ii, kind),
-                            Stop::Located(e) => e,
-                        })?;
+                for (ii, op) in ops.iter().enumerate() {
+                    self.exec_instr(t, frame, op, depth).map_err(|s| match s {
+                        Stop::Fault(kind) => at(ii, kind),
+                        Stop::Located(e) => e,
+                    })?;
                 }
             }
 
@@ -1187,9 +1336,7 @@ impl Executor {
                 }
                 // Return-site CC checks were already executed as
                 // instructions (they sit at the end of the block).
-                Term::Return(v) => {
-                    return Ok(Flow::Return(v.map(|v| frame.value(v, f.ir.ret))));
-                }
+                Term::Return(v) => return Ok(Flow::Return(v)),
                 Term::MissingReturn => {
                     let kind = RunErrorKind::MissingReturn {
                         func: f.ir.name.clone(),
@@ -1315,15 +1462,13 @@ impl Executor {
         }
     }
 
-    /// Take one step and execute `instr`, decoded as `op`, in it.
+    /// Take one step and execute `op` in it.
     #[inline(always)]
     fn exec_instr(
         &self,
         t: &mut SimThread<'_>,
         frame: &mut Frame,
-        f: Func<'_>,
         op: &Op,
-        instr: &Instr,
         depth: usize,
     ) -> Result<(), Stop> {
         t.state.step(t.env)?;
@@ -1346,7 +1491,7 @@ impl Executor {
                 let n = frame.get(len) as i64;
                 let a = usize::try_from(n)
                     .ok()
-                    .and_then(|n| Value::filled_array(n, frame.get(init)))
+                    .and_then(|n| filled_array(n, frame.get(init)))
                     .ok_or(RunErrorKind::BadArrayLength(n))?;
                 frame.set_array(dest, Some(a));
             }
@@ -1387,69 +1532,48 @@ impl Executor {
                 if depth >= self.cfg.max_call_depth {
                     return Err(RunErrorKind::StackOverflow.into());
                 }
-                let ret = self
-                    .exec_function(t, callee, (frame, args), depth + 1)
+                self.exec_function(t, callee, (frame, args), dest, depth + 1)
                     .map_err(Stop::Located)?;
-                if let (Some(d), Some(v)) = (dest, ret) {
-                    frame.set_value(d, v);
-                }
             }
-            Op::Ir => self.exec_ir(t, frame, f, instr)?,
-        }
-        Ok(())
-    }
-
-    /// Execute an instruction decode left in the IR: an MPI operation, a
-    /// `print` or a check.
-    fn exec_ir(
-        &self,
-        t: &mut SimThread<'_>,
-        frame: &mut Frame,
-        f: Func<'_>,
-        instr: &Instr,
-    ) -> Result<(), RunErrorKind> {
-        match instr {
-            Instr::Mpi { dest, op } => {
+            Op::Mpi { dest, ref op, ty } => {
                 t.state.stats.mpi_calls += 1;
-                let out = self.exec_mpi(t, frame, f, op)?;
-                if let (Some(d), Some(v)) = (dest, out) {
-                    frame.set_value(f.home(*d), v);
+                let v = self.exec_mpi(t, frame, op, ty)?;
+                if let Some(d) = dest {
+                    // `MPI_Recv` and `MPI_Wait` are float-typed in the
+                    // language: an int payload completes as a float.
+                    let float = matches!(**op, MpiOp::Recv { .. } | MpiOp::Wait { .. });
+                    frame.complete(d, v, float);
                 }
             }
-            Instr::Print { args } => {
+            Op::Print(ref args) => {
                 // One pass, one allocation: render straight into the
-                // output line instead of one `String` per argument plus
-                // a join.
-                use std::fmt::Write as _;
-                let mut line = String::new();
-                let _ = write!(line, "[rank {}] ", t.env.rank);
-                for (k, a) in args.iter().enumerate() {
+                // output line.
+                let mut line = format!("[rank {}] ", t.env.rank);
+                for (k, &(a, ty)) in args.iter().enumerate() {
                     if k > 0 {
                         line.push(' ');
                     }
-                    let _ = write!(line, "{}", f.value(frame, *a));
+                    frame.show(&mut line, a, ty);
                 }
                 t.env.output.lock().push(line);
             }
-            Instr::Check(check) => self.exec_check(t, frame, f, check)?,
-            other => unreachable!("{other:?} is decoded"),
+            Op::Check(ref check, comm) => self.exec_check(t, frame, check, comm)?,
         }
         Ok(())
     }
 
-    /// Execute `check`.
+    /// Execute `check`; a `CollectiveCc` runs on communicator `comm`.
     fn exec_check(
         &self,
         t: &mut SimThread<'_>,
         frame: &Frame,
-        f: Func<'_>,
         check: &CheckOp,
+        comm: Opd,
     ) -> Result<(), RunErrorKind> {
         match check {
-            CheckOp::CollectiveCc { color, comm } => {
+            CheckOp::CollectiveCc { color, .. } => {
                 // The CC runs on the guarded collective's communicator.
-                let handle = comm.map_or(0, |v| f.scalar(frame, v) as usize);
-                self.run_cc(t, handle, *color)
+                self.run_cc(t, frame.get(comm) as usize, *color)
             }
             CheckOp::ReturnCc { site } => {
                 // Wrapped in `single` semantics when inside a team (paper
@@ -1542,140 +1666,110 @@ impl Executor {
         Err(fault)
     }
 
+    /// Execute MPI operation `op`, whose payload (if it sends one) is of
+    /// type `ty`; its result, `Int(0)` for an operation that returns
+    /// none, and a handle as an `Int`.
     fn exec_mpi(
         &self,
         t: &SimThread<'_>,
         frame: &Frame,
-        f: Func<'_>,
-        op: &MpiOp<IrValue>,
-    ) -> Result<Option<Value>, RunErrorKind> {
+        op: &MpiOp<Opd>,
+        ty: Option<MpiType>,
+    ) -> Result<MpiValue, RunErrorKind> {
         let (world, rank) = (t.env.world, t.env.rank);
         let initial = t.ctx.is_initial_thread();
-        // `MPI_Recv` and `MPI_Wait` are float-typed in the language;
-        // coerce integer payloads.
-        let completion = |v| match Value::from_mpi(v) {
-            Value::Int(x) => Value::Float(x as f64),
-            other => other,
-        };
-        match op {
+        let int = |o: Opd| frame.get(o) as i64;
+        let comm = |c: Option<Opd>| c.map_or(0, |c| frame.get(c) as usize);
+        let payload = |o: Opd| frame.payload(o, ty.expect("a payload's type is decoded"));
+        let handle = |h: usize| MpiValue::Int(h as i64);
+        let done = MpiValue::Int(0);
+        Ok(match *op {
             MpiOp::Init { required } => {
                 world.init(rank, required.unwrap_or(ThreadLevel::Single));
-                Ok(None)
+                done
             }
             MpiOp::Finalize => {
                 world.finalize(rank, initial).map_err(classify_mpi_error)?;
-                Ok(None)
+                done
             }
             MpiOp::Send {
                 value,
                 dest,
                 tag,
-                comm,
+                comm: c,
             }
             | MpiOp::Isend {
                 value,
                 dest,
                 tag,
-                comm,
+                comm: c,
             } => {
-                let v = f.value(frame, *value).to_mpi();
-                let d = f.scalar(frame, *dest) as i64;
-                let tag = f.scalar(frame, *tag) as i64;
-                let c = comm.map_or(0, |v| f.scalar(frame, v) as usize);
+                let d = int(dest);
                 if d < 0 {
                     let e = MpiError::ArgError(format!("negative destination {d}"));
                     return Err(RunErrorKind::Mpi(e));
                 }
-                let d = d as usize;
+                let (d, v) = (d as usize, payload(value));
                 if matches!(op, MpiOp::Send { .. }) {
                     world
-                        .send_on(rank, c, d, tag, v, initial)
+                        .send_on(rank, comm(c), d, int(tag), v, initial)
                         .map_err(classify_mpi_error)?;
-                    return Ok(None);
+                    return Ok(done);
                 }
-                let handle = world
-                    .isend(rank, c, d, tag, v, initial)
-                    .map_err(classify_mpi_error)?;
-                Ok(Some(Value::Request(handle)))
+                world
+                    .isend(rank, comm(c), d, int(tag), v, initial)
+                    .map(handle)
+                    .map_err(classify_mpi_error)?
             }
-            MpiOp::Recv { src, tag, comm } | MpiOp::Irecv { src, tag, comm } => {
-                let s = f.scalar(frame, *src) as i64;
-                let tag = f.scalar(frame, *tag) as i64;
-                let c = comm.map_or(0, |v| f.scalar(frame, v) as usize);
-                // Wildcard sentinels pass through; the world rejects
-                // other negative sources/tags.
-                if matches!(op, MpiOp::Recv { .. }) {
-                    let v = world
-                        .recv_on(rank, c, s, tag, initial)
-                        .map_err(classify_mpi_error)?;
-                    return Ok(Some(completion(v)));
-                }
-                let handle = world
-                    .irecv(rank, c, s, tag, initial)
-                    .map_err(classify_mpi_error)?;
-                Ok(Some(Value::Request(handle)))
-            }
-            MpiOp::Wait { request } => {
-                let h = f.scalar(frame, *request) as usize;
-                let v = world.wait(rank, h, initial).map_err(classify_mpi_error)?;
-                Ok(Some(completion(v)))
-            }
-            MpiOp::Waitall { requests } => {
-                for r in requests {
-                    let h = f.scalar(frame, *r) as usize;
+            // Wildcard sentinels pass through; the world rejects other
+            // negative sources and tags.
+            MpiOp::Recv { src, tag, comm: c } => world
+                .recv_on(rank, comm(c), int(src), int(tag), initial)
+                .map_err(classify_mpi_error)?,
+            MpiOp::Irecv { src, tag, comm: c } => world
+                .irecv(rank, comm(c), int(src), int(tag), initial)
+                .map(handle)
+                .map_err(classify_mpi_error)?,
+            MpiOp::Wait { request } => world
+                .wait(rank, frame.get(request) as usize, initial)
+                .map_err(classify_mpi_error)?,
+            MpiOp::Waitall { ref requests } => {
+                for &r in requests.iter() {
+                    let h = frame.get(r) as usize;
                     world.wait(rank, h, initial).map_err(classify_mpi_error)?;
                 }
-                Ok(None)
+                done
             }
-            MpiOp::CommWorld => Ok(Some(Value::Comm(0))),
-            MpiOp::CommSplit { parent, color, key } => {
-                let p = f.scalar(frame, *parent) as usize;
-                let c = f.scalar(frame, *color) as i64;
-                let k = f.scalar(frame, *key) as i64;
-                let handle = world
-                    .comm_split(rank, p, c, k, initial)
-                    .map_err(classify_mpi_error)?;
-                Ok(Some(Value::Comm(handle)))
-            }
-            MpiOp::CommDup { comm } => {
-                let p = f.scalar(frame, *comm) as usize;
-                let handle = world
-                    .comm_dup(rank, p, initial)
-                    .map_err(classify_mpi_error)?;
-                Ok(Some(Value::Comm(handle)))
-            }
+            MpiOp::CommWorld => handle(0),
+            MpiOp::CommSplit { parent, color, key } => world
+                .comm_split(rank, comm(Some(parent)), int(color), int(key), initial)
+                .map(handle)
+                .map_err(classify_mpi_error)?,
+            MpiOp::CommDup { comm: c } => world
+                .comm_dup(rank, comm(Some(c)), initial)
+                .map(handle)
+                .map_err(classify_mpi_error)?,
             MpiOp::Collective {
                 kind,
                 value,
                 reduce_op,
                 root,
-                comm,
+                comm: c,
             } => {
-                let payload = value.map(|v| f.value(frame, v).to_mpi());
-                let root_v = match root {
-                    Some(r) => {
-                        let x = f.scalar(frame, *r) as i64;
-                        if x < 0 {
-                            let e = MpiError::ArgError(format!("negative root {x}"));
-                            return Err(RunErrorKind::Mpi(e));
-                        }
-                        Some(x as usize)
+                let payload = value.map(payload);
+                let root = match root.map(int) {
+                    Some(x) if x < 0 => {
+                        let e = MpiError::ArgError(format!("negative root {x}"));
+                        return Err(RunErrorKind::Mpi(e));
                     }
-                    None => None,
+                    r => r.map(|x| x as usize),
                 };
-                let c = comm.map_or(0, |v| f.scalar(frame, v) as usize);
-                let ty = payload.as_ref().map(|p| p.ty());
-                let sig = Signature::collective((*kind).into(), *reduce_op, root_v, ty);
-                let out = world
-                    .collective_on(rank, c, sig, payload, initial)
-                    .map_err(classify_mpi_error)?;
-                if *kind == CollectiveKind::Barrier {
-                    Ok(None)
-                } else {
-                    Ok(Some(Value::from_mpi(out)))
-                }
+                let sig = Signature::collective(kind.into(), reduce_op, root, ty);
+                world
+                    .collective_on(rank, comm(c), sig, payload, initial)
+                    .map_err(classify_mpi_error)?
             }
-        }
+        })
     }
 }
 

@@ -29,12 +29,10 @@
 
 pub mod error;
 pub mod exec;
-pub mod value;
 
 pub use error::{RunError, RunErrorKind, RunReport, RunStats};
 pub use exec::{Executor, NoReport, RunConfig};
 pub use parcoach_ompsim::MAX_THREADS;
-pub use value::Value;
 
 use parcoach_core::{instrument_module, AnalysisSession, InstrumentMode, StaticReport};
 use parcoach_front::parse_and_check;
