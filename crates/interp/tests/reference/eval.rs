@@ -12,10 +12,18 @@
 //!   returning it names the same elements.
 //! - `print` writes `[rank 0] ` and its arguments separated by spaces;
 //!   an array prints as a list, `[1, 2]`.
+//! - At one rank, `MPI_Allreduce`, `MPI_Reduce`, `MPI_Bcast` and
+//!   `MPI_Scan` return their payload, `MPI_Gather` and `MPI_Allgather`
+//!   `[v]`, and `MPI_Alltoall(a)` a new array `[a[0]]` (`a` empty: an
+//!   argument error, since it is shorter than the communicator).
+//! - A message a rank sends itself is received as sent: `MPI_Recv`
+//!   returns it, and `MPI_Wait` on its `MPI_Irecv`; both are `float`, so
+//!   an `int` payload arrives as a `float`. `MPI_Wait` on an `MPI_Isend`
+//!   returns `0.0`.
 //! - The first error stops the program, at the line of the statement it
 //!   happened in.
 
-use crate::gen::{Arith, Cmp, Expr, Program, Stmt, StmtKind};
+use crate::gen::{Arith, Cmp, Coll, Expr, Program, Stmt, StmtKind};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -25,8 +33,13 @@ use std::rc::Rc;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
     DivisionByZero,
-    IndexOutOfBounds { index: i64, len: usize },
+    IndexOutOfBounds {
+        index: i64,
+        len: usize,
+    },
     BadArrayLength(i64),
+    /// An MPI call's argument the communicator cannot take.
+    MpiArg,
 }
 
 /// What a program did: its printed lines, then its first error and the
@@ -65,6 +78,15 @@ impl Val {
         match self {
             Val::Bool(x) => *x,
             _ => panic!("not a bool"),
+        }
+    }
+
+    /// A point-to-point payload, as `MPI_Recv` returns it.
+    fn received(&self) -> Val {
+        match self {
+            Val::Int(x) => Val::Float(*x as f64),
+            Val::Float(x) => Val::Float(*x),
+            _ => panic!("not a numeric payload"),
         }
     }
 }
@@ -178,6 +200,20 @@ impl Eval {
                     self.block(body)?;
                 }
             }
+            StmtKind::SendRecv { name, value, .. } => {
+                let v = self.expr(value).map_err(at)?;
+                self.env.insert(name.clone(), v.received());
+            }
+            StmtKind::Nonblocking {
+                sent,
+                received,
+                value,
+                ..
+            } => {
+                let v = self.expr(value).map_err(at)?;
+                self.env.insert(sent.clone(), Val::Float(0.0));
+                self.env.insert(received.clone(), v.received());
+            }
         }
         Ok(())
     }
@@ -281,6 +317,27 @@ impl Eval {
                     Val::Int(x) => Val::Ints(Rc::new(RefCell::new(vec![x; n]))),
                     Val::Float(x) => Val::Floats(Rc::new(RefCell::new(vec![x; n]))),
                     _ => panic!("ill-typed array element"),
+                }
+            }
+            Expr::Coll(coll, v) => {
+                let v = self.expr(v)?;
+                match (coll, v) {
+                    (Coll::Allreduce(_) | Coll::Reduce(_) | Coll::Bcast | Coll::Scan(_), v) => v,
+                    (Coll::Gather | Coll::Allgather, Val::Int(x)) => {
+                        Val::Ints(Rc::new(RefCell::new(vec![x])))
+                    }
+                    (Coll::Gather | Coll::Allgather, Val::Float(x)) => {
+                        Val::Floats(Rc::new(RefCell::new(vec![x])))
+                    }
+                    (Coll::Alltoall, Val::Ints(a)) => {
+                        let first = *a.borrow().first().ok_or(Fault::MpiArg)?;
+                        Val::Ints(Rc::new(RefCell::new(vec![first])))
+                    }
+                    (Coll::Alltoall, Val::Floats(a)) => {
+                        let first = *a.borrow().first().ok_or(Fault::MpiArg)?;
+                        Val::Floats(Rc::new(RefCell::new(vec![first])))
+                    }
+                    _ => panic!("ill-typed collective"),
                 }
             }
         })

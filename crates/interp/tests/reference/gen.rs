@@ -1,10 +1,11 @@
 //! A seeded generator of well-typed MiniHPC programs, as trees the
 //! reference evaluator walks and as the source text the interpreter runs.
 //!
-//! Every variable of `main` is declared at its top; statements assign,
-//! store, print, branch and loop over them. An expression has a type the
-//! generator chose before it drew the expression, so every program it
-//! writes passes sema.
+//! `main` calls `MPI_Init` first and `MPI_Finalize` last, and declares
+//! every variable at its top; statements assign, store, print, branch,
+//! loop and send messages to the program's own rank. An expression has a
+//! type the generator chose before it drew the expression, so every
+//! program it writes passes sema.
 
 use parcoach_testutil::Rng;
 
@@ -71,6 +72,28 @@ pub enum Cmp {
     Ge,
 }
 
+/// A collective, as one rank sees it.
+#[derive(Debug, Clone, Copy)]
+pub enum Coll {
+    /// `MPI_Allreduce(v, op)`.
+    Allreduce(&'static str),
+    /// `MPI_Reduce(v, op, 0)`.
+    Reduce(&'static str),
+    /// `MPI_Bcast(v, 0)`.
+    Bcast,
+    /// `MPI_Scan(v, op)`.
+    Scan(&'static str),
+    /// `MPI_Gather(v, 0)`.
+    Gather,
+    /// `MPI_Allgather(v)`.
+    Allgather,
+    /// `MPI_Alltoall(a)`.
+    Alltoall,
+}
+
+/// The reduction operators a generated collective names.
+const REDUCE_OPS: [&str; 4] = ["SUM", "PROD", "MIN", "MAX"];
+
 #[derive(Debug)]
 pub enum Expr {
     Int(i64),
@@ -96,6 +119,8 @@ pub enum Expr {
     Id(Ty, Box<Expr>),
     /// `array(len, init)`.
     NewArray(Box<Expr>, Box<Expr>),
+    /// A collective over its payload.
+    Coll(Coll, Box<Expr>),
 }
 
 #[derive(Debug)]
@@ -110,6 +135,21 @@ pub enum StmtKind {
     For(String, i64, i64, Vec<Stmt>),
     /// `counter = 0; while (counter < n) { body counter = counter + 1; }`.
     While(String, i64, Vec<Stmt>),
+    /// `MPI_Send(value, 0, tag); name = MPI_Recv(0, tag);`, on one line.
+    SendRecv {
+        name: String,
+        value: Expr,
+        tag: i64,
+    },
+    /// `let q = MPI_Irecv(0, tag); sent = MPI_Wait(MPI_Isend(value, 0,
+    /// tag)); received = MPI_Wait(q);`, on one line.
+    Nonblocking {
+        request: String,
+        sent: String,
+        received: String,
+        value: Expr,
+        tag: i64,
+    },
 }
 
 /// A statement and the 1-based source line it starts on (where its
@@ -153,6 +193,7 @@ struct Gen<'r> {
     scope: Vec<(String, Ty)>,
     loops: u32,
     counters: u32,
+    requests: u32,
 }
 
 /// Draw a program from `rng`.
@@ -162,6 +203,7 @@ pub fn program(rng: &mut Rng) -> Program {
         scope: Vec::new(),
         loops: 0,
         counters: 0,
+        requests: 0,
     };
     let mut decls = Vec::new();
     for (name, ty) in LOCALS {
@@ -258,7 +300,7 @@ impl Gen<'_> {
         match ty {
             Ty::Int | Ty::Float => {
                 let arith = [Arith::Add, Arith::Sub, Arith::Mul, Arith::Div, Arith::Rem];
-                match self.rng.pick_weighted(&[10, 2, 3, 2, 2, 2, 2, 2]) {
+                match self.rng.pick_weighted(&[10, 2, 3, 2, 2, 2, 2, 2, 2]) {
                     0 => match *self.rng.pick(&arith) {
                         op @ (Arith::Div | Arith::Rem) => {
                             Expr::Arith(op, self.sub(ty, d), self.divisor(ty, d))
@@ -281,7 +323,17 @@ impl Gen<'_> {
                         Expr::Len(self.sub(arr, d))
                     }
                     6 => Expr::Sqrt(self.sub(Ty::Float, d)),
-                    _ => Expr::Id(ty, self.sub(ty, d)),
+                    7 => Expr::Id(ty, self.sub(ty, d)),
+                    _ => {
+                        let op = *self.rng.pick(&REDUCE_OPS);
+                        let coll = *self.rng.pick(&[
+                            Coll::Allreduce(op),
+                            Coll::Reduce(op),
+                            Coll::Bcast,
+                            Coll::Scan(op),
+                        ]);
+                        Expr::Coll(coll, self.sub(ty, d))
+                    }
                 }
             }
             Ty::Bool => match self.rng.pick_weighted(&[8, 2, 3, 3, 2]) {
@@ -299,9 +351,14 @@ impl Gen<'_> {
                 3 => Expr::Or(self.sub(Ty::Bool, d), self.sub(Ty::Bool, d)),
                 _ => Expr::Id(ty, self.sub(ty, d)),
             },
-            Ty::Ints | Ty::Floats => match self.rng.below(3) {
+            Ty::Ints | Ty::Floats => match self.rng.below(5) {
                 0 => self.leaf(ty),
                 1 => Expr::Id(ty, self.sub(ty, d)),
+                2 => {
+                    let coll = *self.rng.pick(&[Coll::Gather, Coll::Allgather]);
+                    Expr::Coll(coll, self.sub(ty.elem(), d))
+                }
+                3 => Expr::Coll(Coll::Alltoall, self.sub(ty, d)),
                 _ => {
                     // Rarely a negative length: the program's error.
                     let len = match self.rng.below(16) {
@@ -312,6 +369,12 @@ impl Gen<'_> {
                 }
             },
         }
+    }
+
+    /// A point-to-point payload: an `int` or a `float`.
+    fn payload(&mut self) -> Expr {
+        let ty = *self.rng.pick(&[Ty::Int, Ty::Float]);
+        self.expr(ty, DEPTH)
     }
 
     /// A local `main` declared, of any type (never a loop variable).
@@ -327,9 +390,9 @@ impl Gen<'_> {
 
     fn stmt(&mut self, nesting: u32) -> Stmt {
         let weights = if nesting < 2 {
-            [30, 15, 25, 10, 8, 7]
+            [30, 15, 25, 10, 8, 7, 4, 4]
         } else {
-            [30, 15, 25, 0, 0, 0]
+            [30, 15, 25, 0, 0, 0, 4, 4]
         };
         let kind = match self.rng.pick_weighted(&weights) {
             0 => {
@@ -373,11 +436,27 @@ impl Gen<'_> {
                 self.scope.pop();
                 StmtKind::For(var, lo, hi, body)
             }
-            _ => {
+            5 => {
                 let counter = format!("w{}", self.counters);
                 self.counters += 1;
                 let n = self.rng.range_i64(0, 4);
                 StmtKind::While(counter, n, self.block(nesting))
+            }
+            6 => StmtKind::SendRecv {
+                name: self.var_of(Ty::Float).expect("declared"),
+                value: self.payload(),
+                tag: self.rng.range_i64(0, 4),
+            },
+            _ => {
+                let request = format!("q{}", self.requests);
+                self.requests += 1;
+                StmtKind::Nonblocking {
+                    request,
+                    sent: self.var_of(Ty::Float).expect("declared"),
+                    received: self.var_of(Ty::Float).expect("declared"),
+                    value: self.payload(),
+                    tag: self.rng.range_i64(0, 4),
+                }
             }
         };
         Stmt { kind, line: 0 }
@@ -392,6 +471,7 @@ fn render(p: &mut Program, counters: u32) {
         out.push(format!("fn {}(x: {t}) -> {t} {{ return x; }}", ty.id_fn()));
     }
     out.push("fn main() {".into());
+    out.push("    MPI_Init();".into());
     for (name, init, line) in &mut p.decls {
         out.push(format!("    let {name} = {};", expr_source(init)));
         *line = out.len() as u32;
@@ -402,6 +482,7 @@ fn render(p: &mut Program, counters: u32) {
     for s in &mut p.body {
         render_stmt(s, 1, &mut out);
     }
+    out.push("    MPI_Finalize();".into());
     out.push("}".into());
     p.source = out.join("\n") + "\n";
 }
@@ -454,6 +535,28 @@ fn render_stmt(s: &mut Stmt, indent: usize, out: &mut Vec<String>) {
             out.push(format!("{pad}    {counter} = {counter} + 1;"));
             out.push(format!("{pad}}}"));
         }
+        StmtKind::SendRecv { name, value, tag } => {
+            let v = expr_source(value);
+            out.push(format!(
+                "{pad}MPI_Send({v}, 0, {tag}); {name} = MPI_Recv(0, {tag});"
+            ));
+            s.line = out.len() as u32;
+        }
+        StmtKind::Nonblocking {
+            request,
+            sent,
+            received,
+            value,
+            tag,
+        } => {
+            let v = expr_source(value);
+            out.push(format!(
+                "{pad}let {request} = MPI_Irecv(0, {tag}); \
+                 {sent} = MPI_Wait(MPI_Isend({v}, 0, {tag})); \
+                 {received} = MPI_Wait({request});"
+            ));
+            s.line = out.len() as u32;
+        }
     }
 }
 
@@ -501,5 +604,14 @@ pub fn expr_source(e: &Expr) -> String {
         Expr::Len(x) => format!("len({})", s(x)),
         Expr::Id(ty, x) => format!("{}({})", ty.id_fn(), s(x)),
         Expr::NewArray(len, init) => format!("array({}, {})", s(len), s(init)),
+        Expr::Coll(coll, v) => match coll {
+            Coll::Allreduce(op) => format!("MPI_Allreduce({}, {op})", s(v)),
+            Coll::Reduce(op) => format!("MPI_Reduce({}, {op}, 0)", s(v)),
+            Coll::Bcast => format!("MPI_Bcast({}, 0)", s(v)),
+            Coll::Scan(op) => format!("MPI_Scan({}, {op})", s(v)),
+            Coll::Gather => format!("MPI_Gather({}, 0)", s(v)),
+            Coll::Allgather => format!("MPI_Allgather({})", s(v)),
+            Coll::Alltoall => format!("MPI_Alltoall({})", s(v)),
+        },
     }
 }

@@ -10,10 +10,14 @@
 //! over locals (wrapping integer arithmetic, comparisons, short-circuit
 //! `&&`/`||`), array `array`/load/store by shared reference, `abs`,
 //! `min`, `max`, `sqrt`, `int_of`, `float_of` and `len`, an identity
-//! helper call per type, `if`, `for` and `while`, and `print`; the
-//! errors are division by zero, an index out of bounds and a negative
-//! array length. Outside the twin: MPI, `parallel` regions (teams of more
-//! than one thread, and their races), wildcard receives and recursion.
+//! helper call per type, `if`, `for` and `while`, and `print`; at one
+//! rank, `MPI_Init`/`MPI_Finalize`, a send to self received by `MPI_Recv`
+//! or by `MPI_Irecv` and `MPI_Wait`, and the collectives `Allreduce`,
+//! `Reduce`, `Bcast`, `Scan`, `Gather`, `Allgather` and `Alltoall`. The
+//! errors are division by zero, an index out of bounds, a negative array
+//! length and an `MPI_Alltoall` of an empty array. Outside the twin: more
+//! than one rank, communicators, `parallel` regions (teams of more than
+//! one thread, and their races), wildcard receives and recursion.
 //!
 //! `PARCOACH_PROP_BUDGET` scales the number of programs.
 
@@ -24,6 +28,7 @@ use eval::{Fault, Outcome};
 use parcoach_front::span::SourceMap;
 use parcoach_interp::{prepare, Executor, RunConfig, RunErrorKind};
 use parcoach_ir::span_at;
+use parcoach_mpisim::MpiError;
 use parcoach_testutil::{case_budget, Rng};
 
 /// Programs per run at the default budget.
@@ -48,6 +53,7 @@ fn interpreted(src: &str) -> Outcome {
                 len: *len,
             },
             RunErrorKind::BadArrayLength(n) => Fault::BadArrayLength(*n),
+            RunErrorKind::Mpi(MpiError::ArgError(_)) => Fault::MpiArg,
             other => panic!("a generated program cannot fail with {other}\n{src}"),
         };
         (fault, map.line_of(span_at(&module, e.at)))
@@ -61,15 +67,19 @@ fn interpreted(src: &str) -> Outcome {
 #[test]
 fn interpreter_agrees_with_the_reference() {
     let mut rng = Rng::new(0x7e5_0022);
-    let (mut faults, mut lines) = (0, 0);
+    let (mut faults, mut mpi_faults, mut lines) = (0, 0, 0);
     for case in 0..case_budget(CASES) {
         let p = gen::program(&mut rng);
         let want = eval::run(&p);
         let got = interpreted(&p.source);
         assert_eq!(got, want, "case {case}:\n{}", p.source);
         faults += want.fault.is_some() as usize;
+        mpi_faults += matches!(want.fault, Some((Fault::MpiArg, _))) as usize;
         lines += want.lines.len();
     }
-    // The generator reaches both outcomes.
-    assert!(faults > 0 && lines > 0, "{faults} faults, {lines} lines");
+    // The generator reaches both outcomes, and an MPI call's error.
+    assert!(
+        faults > 0 && mpi_faults > 0 && lines > 0,
+        "{faults} faults ({mpi_faults} in MPI), {lines} lines"
+    );
 }
