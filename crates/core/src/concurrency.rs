@@ -242,7 +242,7 @@ pub fn check_concurrency(cx: &AnalysisCx, fidx: usize) -> ConcurrencyResult {
                         c.name
                     ),
                     site: c.site,
-                    related: vec![(Some(Locator::Block(fidx, l.header)), "loop here".into())],
+                    related: vec![(Some(Locator::Cond(fidx, l.header)), "loop here".into())],
                 });
                 out.suspects.push(c.block);
                 break; // one warning per collective is enough

@@ -47,7 +47,9 @@ pub fn check_monothread(cx: &AnalysisCx, fidx: usize) -> MonoResult {
                  ({} vs {}) — a barrier may be executed by only part of the team",
                 d.left, d.right
             ),
-            site: Locator::Block(fidx, d.block),
+            // The join lowering synthesized has no position of its own:
+            // the step entering it is where the paths meet.
+            site: Locator::Entry(fidx, d.block),
             related: Vec::new(),
         });
     }
@@ -155,8 +157,9 @@ impl MonoResult {
 }
 
 /// Locate the parallel construct responsible for the multithreaded
-/// context: the innermost `P` token's begin block (or a note that the
-/// context comes from the caller when the token is synthetic).
+/// context: the innermost `P` token's begin block (or, when the token is
+/// synthetic, a note at the function's header that the context comes
+/// from a caller).
 fn responsible_construct(
     f: &FuncIr,
     fidx: usize,

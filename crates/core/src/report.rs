@@ -159,8 +159,8 @@ pub struct WarningCore {
     pub message: String,
     /// Primary location; the warning belongs to the function it is in.
     pub site: Locator,
-    /// Secondary locations (`None`: no source position, e.g. a context
-    /// inherited from a caller).
+    /// Secondary locations (`None`: the header of the function the
+    /// warning is in, e.g. for a context inherited from a caller).
     pub related: Vec<(Option<Locator>, String)>,
 }
 
@@ -168,15 +168,16 @@ impl WarningCore {
     /// The span-bearing warning, with every position read from `m` as it
     /// is now.
     pub fn materialize(&self, m: &Module) -> StaticWarning {
+        let f = &m.funcs[self.site.func()];
         StaticWarning {
             kind: self.kind,
-            func: m.funcs[self.site.func()].name.clone(),
+            func: f.name.clone(),
             message: self.message.clone(),
             span: span_at(m, self.site),
             related: self
                 .related
                 .iter()
-                .map(|(loc, label)| (loc.map_or(Span::DUMMY, |l| span_at(m, l)), label.clone()))
+                .map(|(loc, label)| (loc.map_or(f.span, |l| span_at(m, l)), label.clone()))
                 .collect(),
         }
     }

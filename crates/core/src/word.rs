@@ -19,6 +19,7 @@
 //! ([`WordDag::materialize`]).
 
 use crate::lang::ContextClass;
+use crate::pw::SYNTH_BASE;
 use parcoach_ir::types::RegionId;
 use std::fmt;
 
@@ -80,6 +81,10 @@ impl Token {
 impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // A synthetic region is the context the function is called
+            // in, not one of its own.
+            Token::P(r) if r.0 >= SYNTH_BASE => write!(f, "P(caller)"),
+            Token::S(r, _) if r.0 >= SYNTH_BASE => write!(f, "S(caller)"),
             Token::P(r) => write!(f, "P{}", r.0),
             Token::S(r, _) => write!(f, "S{}", r.0),
             Token::B => write!(f, "B"),

@@ -34,9 +34,9 @@ fn warm_equals_cold_after(src: &str, func: &str, replacement: &str, code: &str) 
     format!("{before:?}") != format!("{warm:?}")
 }
 
-/// `barrier-divergence` in a helper whose body is re-indented (its join
-/// is a synthesized block without a position, so nothing moves — the
-/// case PR 9's review pinned).
+/// `barrier-divergence` in a helper whose body is re-indented: the
+/// warning sits at the step that enters the divergence's join, read from
+/// the live IR, so a warm check places it where a cold one does.
 #[test]
 fn whitespace_interior_edit_keeps_warm_equal_to_cold() {
     warm_equals_cold_after(

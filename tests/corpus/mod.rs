@@ -1,5 +1,5 @@
 //! The corpus the static phase's pins run over (`report_pin`,
-//! `instrument_sharing`).
+//! `instrument_sharing`, `warning_positions`).
 
 use parcoach::workloads::{error_catalogue, figure1_suite, WorkloadClass};
 use parcoach_testutil::Scenario;
