@@ -1537,26 +1537,10 @@ impl Executor {
             }
             Op::Mpi { dest, ref op, ty } => {
                 t.state.stats.mpi_calls += 1;
-                let v = self.exec_mpi(t, frame, op, ty)?;
-                if let Some(d) = dest {
-                    // `MPI_Recv` and `MPI_Wait` are float-typed in the
-                    // language: an int payload completes as a float.
-                    let float = matches!(**op, MpiOp::Recv { .. } | MpiOp::Wait { .. });
-                    frame.complete(d, v, float);
-                }
+                self.exec_mpi(t, frame, dest, op, ty)
+                    .map_err(classify_mpi_error)?;
             }
-            Op::Print(ref args) => {
-                // One pass, one allocation: render straight into the
-                // output line.
-                let mut line = format!("[rank {}] ", t.env.rank);
-                for (k, &(a, ty)) in args.iter().enumerate() {
-                    if k > 0 {
-                        line.push(' ');
-                    }
-                    frame.show(&mut line, a, ty);
-                }
-                t.env.output.lock().push(line);
-            }
+            Op::Print(ref args) => print_line(t, frame, args),
             Op::Check(ref check, comm) => self.exec_check(t, frame, check, comm)?,
         }
         Ok(())
@@ -1667,89 +1651,83 @@ impl Executor {
     }
 
     /// Execute MPI operation `op`, whose payload (if it sends one) is of
-    /// type `ty`; its result, `Int(0)` for an operation that returns
-    /// none, and a handle as an `Int`.
+    /// type `ty`, and write what it returns (a handle as its number) into
+    /// `dest`. Out of line, as `print_line`: the step's other ops are far
+    /// more frequent.
+    #[inline(never)]
     fn exec_mpi(
         &self,
         t: &SimThread<'_>,
-        frame: &Frame,
+        frame: &mut Frame,
+        dest: Option<Opd>,
         op: &MpiOp<Opd>,
         ty: Option<MpiType>,
-    ) -> Result<MpiValue, RunErrorKind> {
+    ) -> Result<(), MpiError> {
+        use MpiOp::*;
         let (world, rank) = (t.env.world, t.env.rank);
         let initial = t.ctx.is_initial_thread();
         let int = |o: Opd| frame.get(o) as i64;
         let comm = |c: Option<Opd>| c.map_or(0, |c| frame.get(c) as usize);
         let payload = |o: Opd| frame.payload(o, ty.expect("a payload's type is decoded"));
+        // A negative destination or root is the program's argument error.
+        let rank_of = |o: Opd, what: &str| match int(o) {
+            x if x < 0 => Err(MpiError::ArgError(format!("negative {what} {x}"))),
+            x => Ok(x as usize),
+        };
         let handle = |h: usize| MpiValue::Int(h as i64);
+        // What an operation that returns nothing (and has no `dest`)
+        // yields.
         let done = MpiValue::Int(0);
-        Ok(match *op {
-            MpiOp::Init { required } => {
+        let v = match *op {
+            Init { required } => {
                 world.init(rank, required.unwrap_or(ThreadLevel::Single));
                 done
             }
-            MpiOp::Finalize => {
-                world.finalize(rank, initial).map_err(classify_mpi_error)?;
+            Finalize => {
+                world.finalize(rank, initial)?;
                 done
             }
-            MpiOp::Send {
-                value,
-                dest,
-                tag,
-                comm: c,
-            }
-            | MpiOp::Isend {
+            Send {
                 value,
                 dest,
                 tag,
                 comm: c,
             } => {
-                let d = int(dest);
-                if d < 0 {
-                    let e = MpiError::ArgError(format!("negative destination {d}"));
-                    return Err(RunErrorKind::Mpi(e));
-                }
-                let (d, v) = (d as usize, payload(value));
-                if matches!(op, MpiOp::Send { .. }) {
-                    world
-                        .send_on(rank, comm(c), d, int(tag), v, initial)
-                        .map_err(classify_mpi_error)?;
-                    return Ok(done);
-                }
-                world
-                    .isend(rank, comm(c), d, int(tag), v, initial)
-                    .map(handle)
-                    .map_err(classify_mpi_error)?
+                let d = rank_of(dest, "destination")?;
+                world.send_on(rank, comm(c), d, int(tag), payload(value), initial)?;
+                done
+            }
+            Isend {
+                value,
+                dest,
+                tag,
+                comm: c,
+            } => {
+                let d = rank_of(dest, "destination")?;
+                handle(world.isend(rank, comm(c), d, int(tag), payload(value), initial)?)
             }
             // Wildcard sentinels pass through; the world rejects other
             // negative sources and tags.
-            MpiOp::Recv { src, tag, comm: c } => world
-                .recv_on(rank, comm(c), int(src), int(tag), initial)
-                .map_err(classify_mpi_error)?,
-            MpiOp::Irecv { src, tag, comm: c } => world
-                .irecv(rank, comm(c), int(src), int(tag), initial)
-                .map(handle)
-                .map_err(classify_mpi_error)?,
-            MpiOp::Wait { request } => world
-                .wait(rank, frame.get(request) as usize, initial)
-                .map_err(classify_mpi_error)?,
-            MpiOp::Waitall { ref requests } => {
+            Recv { src, tag, comm: c } => {
+                world.recv_on(rank, comm(c), int(src), int(tag), initial)?
+            }
+            Irecv { src, tag, comm: c } => {
+                handle(world.irecv(rank, comm(c), int(src), int(tag), initial)?)
+            }
+            Wait { request } => world.wait(rank, frame.get(request) as usize, initial)?,
+            Waitall { ref requests } => {
                 for &r in requests.iter() {
-                    let h = frame.get(r) as usize;
-                    world.wait(rank, h, initial).map_err(classify_mpi_error)?;
+                    world.wait(rank, frame.get(r) as usize, initial)?;
                 }
                 done
             }
-            MpiOp::CommWorld => handle(0),
-            MpiOp::CommSplit { parent, color, key } => world
-                .comm_split(rank, comm(Some(parent)), int(color), int(key), initial)
-                .map(handle)
-                .map_err(classify_mpi_error)?,
-            MpiOp::CommDup { comm: c } => world
-                .comm_dup(rank, comm(Some(c)), initial)
-                .map(handle)
-                .map_err(classify_mpi_error)?,
-            MpiOp::Collective {
+            CommWorld => handle(0),
+            CommSplit { parent, color, key } => {
+                let (c, k) = (int(color), int(key));
+                handle(world.comm_split(rank, comm(Some(parent)), c, k, initial)?)
+            }
+            CommDup { comm: c } => handle(world.comm_dup(rank, comm(Some(c)), initial)?),
+            Collective {
                 kind,
                 value,
                 reduce_op,
@@ -1757,20 +1735,32 @@ impl Executor {
                 comm: c,
             } => {
                 let payload = value.map(payload);
-                let root = match root.map(int) {
-                    Some(x) if x < 0 => {
-                        let e = MpiError::ArgError(format!("negative root {x}"));
-                        return Err(RunErrorKind::Mpi(e));
-                    }
-                    r => r.map(|x| x as usize),
-                };
+                let root = root.map(|r| rank_of(r, "root")).transpose()?;
                 let sig = Signature::collective(kind.into(), reduce_op, root, ty);
-                world
-                    .collective_on(rank, comm(c), sig, payload, initial)
-                    .map_err(classify_mpi_error)?
+                world.collective_on(rank, comm(c), sig, payload, initial)?
             }
-        })
+        };
+        if let Some(d) = dest {
+            // `MPI_Recv` and `MPI_Wait` are float-typed in the language:
+            // an int payload completes as a float.
+            frame.complete(d, v, matches!(op, Recv { .. } | Wait { .. }));
+        }
+        Ok(())
     }
+}
+
+/// `print`: one line of `args`, each of its type, rendered in one pass
+/// straight into the rank's output.
+#[inline(never)]
+fn print_line(t: &SimThread<'_>, frame: &Frame, args: &[(Opd, Type)]) {
+    let mut line = format!("[rank {}] ", t.env.rank);
+    for (k, &(a, ty)) in args.iter().enumerate() {
+        if k > 0 {
+            line.push(' ');
+        }
+        frame.show(&mut line, a, ty);
+    }
+    t.env.output.lock().push(line);
 }
 
 /// Classify an error returned by the MPI substrate: the wait-for-graph
