@@ -40,18 +40,12 @@ pub enum RunErrorKind {
         /// Per unbalanced communicator: (handle, sent, received).
         comms: Vec<(usize, u64, u64)>,
     },
-    /// The wait-for-graph detector fired at a blocked `MPI_Wait`/
-    /// `MPI_Recv`: the graph of "who awaits a message from whom" is
-    /// cyclic, so the deadlock is genuine (and reported with the ranks
-    /// on the cycle instead of hanging until the operation timeout).
-    /// Classified as a check detection: like the `CC`, it names the
-    /// exact error before the run degenerates into a silent hang.
-    WaitForCycle {
-        /// Global ranks on the cycle, in wait-for order.
-        cycle: Vec<usize>,
-    },
     /// The MPI substrate reported an error (mismatch at the matcher,
-    /// deadlock census, thread-level violation, …).
+    /// deadlock census, thread-level violation, …). One of them is a
+    /// check detection: [`MpiError::WaitCycle`], the wait-for-graph
+    /// detector firing at a blocked `MPI_Wait`/`MPI_Recv`. Like the `CC`,
+    /// it names the exact error (the ranks on a genuine cycle) before the
+    /// run degenerates into a hang.
     Mpi(MpiError),
     /// A thread barrier diverged or was poisoned.
     ThreadBarrier(BarrierError),
@@ -87,9 +81,7 @@ impl RunErrorKind {
             RunErrorKind::MonothreadViolation { .. } => "monothread-violation",
             RunErrorKind::ConcurrentRegions { .. } => "concurrent-regions",
             RunErrorKind::P2pImbalance { .. } => "p2p-imbalance",
-            RunErrorKind::WaitForCycle { .. } | RunErrorKind::Mpi(MpiError::WaitCycle { .. }) => {
-                "wait-cycle"
-            }
+            RunErrorKind::Mpi(MpiError::WaitCycle { .. }) => "wait-cycle",
             RunErrorKind::Mpi(MpiError::CollectiveMismatch { .. }) => "mpi-mismatch",
             RunErrorKind::Mpi(MpiError::Deadlock { .. }) => "mpi-deadlock",
             RunErrorKind::Mpi(MpiError::RankFinishedEarly { .. }) => "mpi-early-exit",
@@ -117,25 +109,8 @@ impl RunErrorKind {
                 | RunErrorKind::MonothreadViolation { .. }
                 | RunErrorKind::ConcurrentRegions { .. }
                 | RunErrorKind::P2pImbalance { .. }
-                | RunErrorKind::WaitForCycle { .. }
+                | RunErrorKind::Mpi(MpiError::WaitCycle { .. })
         )
-    }
-
-    /// Is this a verification-relevant error at all (vs. a plain program
-    /// fault like division by zero)?
-    pub fn is_verification_error(&self) -> bool {
-        self.is_check_detection()
-            || matches!(
-                self,
-                RunErrorKind::Mpi(
-                    MpiError::CollectiveMismatch { .. }
-                        | MpiError::Deadlock { .. }
-                        | MpiError::WaitCycle { .. }
-                        | MpiError::RankFinishedEarly { .. }
-                        | MpiError::Timeout { .. }
-                        | MpiError::ThreadLevelViolation { .. }
-                ) | RunErrorKind::ThreadBarrier(_)
-            )
     }
 }
 
@@ -198,7 +173,7 @@ impl fmt::Display for RunErrorKind {
                 }
                 Ok(())
             }
-            RunErrorKind::WaitForCycle { cycle } => {
+            RunErrorKind::Mpi(MpiError::WaitCycle { cycle, .. }) => {
                 write!(f, "PARCOACH wait-for graph: cyclic deadlock:")?;
                 for (i, r) in cycle.iter().enumerate() {
                     let next = cycle[(i + 1) % cycle.len()];
@@ -320,8 +295,17 @@ mod tests {
         }
         .is_check_detection());
         assert!(!RunErrorKind::DivisionByZero.is_check_detection());
-        assert!(RunErrorKind::Mpi(MpiError::Deadlock { states: vec![] }).is_verification_error());
-        assert!(!RunErrorKind::StepLimit.is_verification_error());
+        let cycle = RunErrorKind::Mpi(MpiError::WaitCycle {
+            cycle: vec![0, 1],
+            states: vec![],
+        });
+        assert!(cycle.is_check_detection());
+        assert_eq!(cycle.code(), "wait-cycle");
+        assert_eq!(
+            cycle.to_string(),
+            "PARCOACH wait-for graph: cyclic deadlock: rank 0 waits on rank 1; rank 1 waits on rank 0;"
+        );
+        assert!(!RunErrorKind::Mpi(MpiError::Deadlock { states: vec![] }).is_check_detection());
     }
 
     #[test]

@@ -71,11 +71,10 @@ pub struct RunConfig {
     pub mpi_timeout: Duration,
     /// Global instruction budget (infinite-loop guard).
     pub max_steps: u64,
-    /// Maximum call depth.
-    pub max_call_depth: usize,
-    /// Highest thread level the simulated MPI grants.
-    pub max_provided: ThreadLevel,
 }
+
+/// Maximum call depth: a deeper call is a [`RunErrorKind::StackOverflow`].
+const MAX_CALL_DEPTH: usize = 128;
 
 impl Default for RunConfig {
     fn default() -> Self {
@@ -85,8 +84,6 @@ impl Default for RunConfig {
             barrier_timeout: Duration::from_secs(2),
             mpi_timeout: Duration::from_secs(5),
             max_steps: 200_000_000,
-            max_call_depth: 128,
-            max_provided: ThreadLevel::Multiple,
         }
     }
 }
@@ -1096,7 +1093,7 @@ impl Executor {
         let live = Arc::new(AtomicUsize::new(self.cfg.ranks));
         let world = World::new(MpiConfig {
             world_size: self.cfg.ranks,
-            max_provided: self.cfg.max_provided,
+            max_provided: ThreadLevel::Multiple,
             op_timeout: self.cfg.mpi_timeout,
         });
         let budget = AtomicU64::new(self.cfg.max_steps);
@@ -1287,11 +1284,11 @@ impl Executor {
                     Directive::Barrier { .. } => {
                         t.state.stats.barrier_waits += t.ctx.team.is_some() as u64;
                         t.ctx.barrier(env.omp.barrier_timeout()).map_err(|e| {
-                            let kind = match e {
-                                OmpError::Barrier(b) => RunErrorKind::ThreadBarrier(b),
-                                other => RunErrorKind::Omp(other),
-                            };
-                            RunError::new(kind, Locator::Block(fidx, cur), rank)
+                            RunError::new(
+                                RunErrorKind::ThreadBarrier(e),
+                                Locator::Block(fidx, cur),
+                                rank,
+                            )
                         })?;
                     }
                     Directive::PForInit {
@@ -1529,7 +1526,7 @@ impl Executor {
                 callee,
                 ref args,
             } => {
-                if depth >= self.cfg.max_call_depth {
+                if depth >= MAX_CALL_DEPTH {
                     return Err(RunErrorKind::StackOverflow.into());
                 }
                 self.exec_function(t, callee, (frame, args), dest, depth + 1)
@@ -1538,7 +1535,7 @@ impl Executor {
             Op::Mpi { dest, ref op, ty } => {
                 t.state.stats.mpi_calls += 1;
                 self.exec_mpi(t, frame, dest, op, ty)
-                    .map_err(classify_mpi_error)?;
+                    .map_err(RunErrorKind::Mpi)?;
             }
             Op::Print(ref args) => print_line(t, frame, args),
             Op::Check(ref check, comm) => self.exec_check(t, frame, check, comm)?,
@@ -1613,7 +1610,7 @@ impl Executor {
                     .env
                     .world
                     .p2p_census(t.env.rank, t.ctx.is_initial_thread())
-                    .map_err(classify_mpi_error)?;
+                    .map_err(RunErrorKind::Mpi)?;
                 let unbalanced: Vec<(usize, u64, u64)> = rows
                     .into_iter()
                     .filter(|(_, sent, recvd)| sent != recvd)
@@ -1636,7 +1633,7 @@ impl Executor {
             .env
             .world
             .control_cc_on(t.env.rank, comm, color, t.ctx.is_initial_thread())
-            .map_err(classify_mpi_error)?;
+            .map_err(RunErrorKind::Mpi)?;
         if outcome.unanimous() {
             return Ok(());
         }
@@ -1761,17 +1758,6 @@ fn print_line(t: &SimThread<'_>, frame: &Frame, args: &[(Opd, Type)]) {
         frame.show(&mut line, a, ty);
     }
     t.env.output.lock().push(line);
-}
-
-/// Classify an error returned by the MPI substrate: the wait-for-graph
-/// detector is a PARCOACH-side runtime verifier (it names the exact
-/// cyclic deadlock before the run hangs), so its findings surface as a
-/// check detection rather than a plain substrate error.
-fn classify_mpi_error(e: MpiError) -> RunErrorKind {
-    match e {
-        MpiError::WaitCycle { cycle, .. } => RunErrorKind::WaitForCycle { cycle },
-        other => RunErrorKind::Mpi(other),
-    }
 }
 
 /// Errors that are consequences of another thread's failure (poisoned

@@ -345,7 +345,7 @@ mod tests {
         let before = AtomicUsize::new(0);
         let violated = AtomicUsize::new(0);
         let mut ctx = ThreadCtx::initial();
-        sim.fork::<OmpError, _>(&mut ctx, Some(4), &|c| {
+        sim.fork::<BarrierError, _>(&mut ctx, Some(4), &|c| {
             before.fetch_add(1, Ordering::SeqCst);
             c.barrier(Duration::from_secs(5))?;
             // After the barrier, all 4 must have incremented.
@@ -362,16 +362,16 @@ mod tests {
     fn divergent_barrier_detected() {
         let sim = OmpSim::default();
         let mut ctx = ThreadCtx::initial();
-        let res = sim.fork::<OmpError, _>(&mut ctx, Some(2), &|c| {
+        let res = sim.fork::<BarrierError, _>(&mut ctx, Some(2), &|c| {
             if c.thread_num() == 0 {
                 // Thread 0 waits at a barrier thread 1 never reaches.
-                c.barrier(Duration::from_millis(100)).map(|_| ())
+                c.barrier(Duration::from_millis(100))
             } else {
                 Ok(())
             }
         });
         match res {
-            Err(ForkError::Body(OmpError::Barrier(BarrierError::Timeout { .. }))) => {}
+            Err(ForkError::Body(BarrierError::Timeout { .. })) => {}
             other => panic!("expected barrier timeout, got {other:?}"),
         }
     }
@@ -400,7 +400,7 @@ mod tests {
         let sim = OmpSim::default();
         let hits = AtomicUsize::new(0);
         let mut ctx = ThreadCtx::initial();
-        sim.fork::<OmpError, _>(&mut ctx, Some(4), &|c| {
+        sim.fork::<BarrierError, _>(&mut ctx, Some(4), &|c| {
             for _ in 0..10 {
                 if c.enter_single(42) {
                     hits.fetch_add(1, Ordering::SeqCst);

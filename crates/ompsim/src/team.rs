@@ -15,8 +15,6 @@ use std::time::Duration;
 /// Errors surfaced by the threading substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OmpError {
-    /// A barrier failed (timeout = divergence, or poisoned by abort).
-    Barrier(BarrierError),
     /// The runtime refused to fork (e.g. nesting beyond the configured
     /// limit).
     ForkRefused(String),
@@ -36,15 +34,8 @@ impl OmpError {
 impl std::fmt::Display for OmpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            OmpError::Barrier(b) => write!(f, "{b}"),
             OmpError::ForkRefused(m) => write!(f, "fork refused: {m}"),
         }
-    }
-}
-
-impl From<BarrierError> for OmpError {
-    fn from(b: BarrierError) -> Self {
-        OmpError::Barrier(b)
     }
 }
 
@@ -201,11 +192,11 @@ impl ThreadCtx {
 
     /// Wait at the team barrier (no-op outside a team). A successful
     /// wait advances this member's barrier epoch.
-    pub fn barrier(&mut self, timeout: Duration) -> Result<(), OmpError> {
+    pub fn barrier(&mut self, timeout: Duration) -> Result<(), BarrierError> {
         match &self.team {
             None => Ok(()),
             Some(t) => {
-                t.barrier.wait(timeout).map_err(OmpError::from)?;
+                t.barrier.wait(timeout)?;
                 self.barriers_passed += 1;
                 Ok(())
             }

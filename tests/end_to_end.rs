@@ -203,8 +203,25 @@ fn main() {
         !run.is_clean(),
         "instrumented whole-team comm creation must fail"
     );
+    // A check, the matcher, the census, a timeout or the thread level:
+    // a verification error, not a plain program fault.
+    const VERIFICATION: [&str; 11] = [
+        "cc-mismatch",
+        "monothread-violation",
+        "concurrent-regions",
+        "p2p-imbalance",
+        "wait-cycle",
+        "mpi-mismatch",
+        "mpi-deadlock",
+        "mpi-early-exit",
+        "mpi-timeout",
+        "thread-level",
+        "thread-barrier",
+    ];
     assert!(
-        run.errors.iter().any(|e| e.kind.is_verification_error()),
+        run.errors
+            .iter()
+            .any(|e| VERIFICATION.contains(&e.kind.code())),
         "{:?}",
         run.errors
     );
