@@ -112,8 +112,9 @@ pub struct CfgFacts {
 /// the [`QueryDb`] so warm re-checks reuse them in place.
 #[derive(Debug)]
 pub struct FuncFacts {
-    /// CFG facts; `None` for functions with no MPI instructions and no
-    /// collective events — no phase ever queries those.
+    /// CFG facts; `None` for functions with no MPI instructions, no
+    /// collective events and no barrier divergence — no phase ever
+    /// queries those.
     cfg: Option<Arc<CfgFacts>>,
     /// Parallelism words under the function's final calling context.
     pub pw: Arc<PwResult>,
@@ -123,17 +124,18 @@ pub struct FuncFacts {
 }
 
 impl FuncFacts {
-    /// The CFG facts. Only MPI-relevant functions have them; the phases
-    /// query through here exactly when they found an MPI node or event,
-    /// so a miss is a fact-store construction bug.
+    /// The CFG facts. Only MPI-relevant functions and functions with a
+    /// barrier divergence have them; the phases query through here
+    /// exactly when they found an MPI node, an event or a divergence, so
+    /// a miss is a fact-store construction bug.
     pub fn cfg(&self) -> &CfgFacts {
         self.cfg
             .as_deref()
-            .expect("CFG facts queried for a function without MPI instructions or events")
+            .expect("CFG facts queried for a function without MPI, events or divergences")
     }
 
     /// Whether CFG facts were computed (i.e. the function is
-    /// MPI-relevant).
+    /// MPI-relevant or has a barrier divergence).
     pub fn has_cfg(&self) -> bool {
         self.cfg.is_some()
     }
@@ -239,17 +241,18 @@ impl<'m> AnalysisCx<'m> {
             } else {
                 vec![Vec::new(); f.block_count()]
             };
+            // The words the context stage left in the table.
+            let pw = pw_under(m, i, ctxs.initial[i], db, scratch);
+
             // CFG facts are only queried for functions with MPI nodes
-            // (mono/concurrency/p2p) or collective events (matching) —
+            // (mono/concurrency/p2p), collective events (matching) or a
+            // barrier divergence (mono places it at its branch) —
             // everything else skips the dominator/loop computations
             // entirely. Frontiers feed `PDF+` queries, which only
             // event-bearing functions issue.
             let has_events = block_events.iter().any(|v| !v.is_empty());
-            let needs_cfg = s.has_mpi || has_events;
+            let needs_cfg = s.has_mpi || has_events || !pw.divergences.is_empty();
             let cfg = needs_cfg.then(|| db.cfg_of(m, i, has_events, scratch));
-
-            // The words the context stage left in the table.
-            let pw = pw_under(m, i, ctxs.initial[i], db, scratch);
             self.funcs[i] = Some(FuncFacts {
                 cfg,
                 pw,

@@ -14,6 +14,7 @@ use crate::report::{WarningCore, WarningKind};
 use crate::word::Token;
 use parcoach_front::ast::ThreadLevel;
 use parcoach_ir::func::FuncIr;
+use parcoach_ir::instr::Terminator;
 use parcoach_ir::types::BlockId;
 use parcoach_ir::Locator;
 
@@ -47,9 +48,15 @@ pub fn check_monothread(cx: &AnalysisCx, fidx: usize) -> MonoResult {
                  ({} vs {}) — a barrier may be executed by only part of the team",
                 d.left, d.right
             ),
-            // The join lowering synthesized has no position of its own:
-            // the step entering it is where the paths meet.
-            site: Locator::Entry(fidx, d.block),
+            // At the branch whose paths meet at the join: the join's
+            // immediate dominator, when it branches. Otherwise the step
+            // entering the join, where the paths meet.
+            site: match cx.facts(fidx).cfg().dom.idom(d.block) {
+                Some(b) if matches!(f.block(b).term, Terminator::Branch { .. }) => {
+                    Locator::Cond(fidx, b)
+                }
+                _ => Locator::Entry(fidx, d.block),
+            },
             related: Vec::new(),
         });
     }

@@ -35,8 +35,9 @@ fn warm_equals_cold_after(src: &str, func: &str, replacement: &str, code: &str) 
 }
 
 /// `barrier-divergence` in a helper whose body is re-indented: the
-/// warning sits at the step that enters the divergence's join, read from
-/// the live IR, so a warm check places it where a cold one does.
+/// warning sits at the branch that splits the paths (the join's
+/// immediate dominator), read from the live IR, so a warm check places
+/// it where a cold one does.
 #[test]
 fn whitespace_interior_edit_keeps_warm_equal_to_cold() {
     warm_equals_cold_after(
@@ -59,8 +60,9 @@ fn moved_call_site_is_reported_where_it_is_now() {
     ));
 }
 
-/// `barrier-divergence`: the join block's position used to live in the
-/// stored parallelism words.
+/// `barrier-divergence`: the divergence's position used to live in the
+/// stored parallelism words; it is now the branch's condition, moved by
+/// the edit.
 #[test]
 fn moved_divergence_join_is_reported_where_it_is_now() {
     assert!(warm_equals_cold_after(
