@@ -60,9 +60,8 @@ fn moved_call_site_is_reported_where_it_is_now() {
     ));
 }
 
-/// `barrier-divergence`: the divergence's position used to live in the
-/// stored parallelism words; it is now the branch's condition, moved by
-/// the edit.
+/// `barrier-divergence`: the warning names the branch's condition, which
+/// the edit moves; no position is kept in the stored parallelism words.
 #[test]
 fn moved_divergence_join_is_reported_where_it_is_now() {
     assert!(warm_equals_cold_after(
