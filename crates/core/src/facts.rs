@@ -133,12 +133,6 @@ impl FuncFacts {
             .as_deref()
             .expect("CFG facts queried for a function without MPI, events or divergences")
     }
-
-    /// Whether CFG facts were computed (i.e. the function is
-    /// MPI-relevant or has a barrier divergence).
-    pub fn has_cfg(&self) -> bool {
-        self.cfg.is_some()
-    }
 }
 
 /// The module-wide fact store threaded through the whole static phase.
@@ -303,7 +297,7 @@ mod tests {
             let has_events = facts.block_events.iter().any(|v| !v.is_empty());
             if has_events {
                 assert_eq!(facts.cfg().pdf.len(), f.block_count());
-            } else if facts.has_cfg() {
+            } else if facts.cfg.is_some() {
                 assert!(
                     facts.cfg().pdf.is_empty(),
                     "event-free functions skip frontiers"

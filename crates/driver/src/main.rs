@@ -198,11 +198,14 @@ fn cmd_run(args: &[String], out: &mut StdoutLock) -> Result<Exit, String> {
     for line in &run.output {
         quiet(writeln!(out, "{line}"));
     }
-    quiet(writeln!(out, "run: {}", run.stats));
     if run.is_clean() {
+        quiet(writeln!(out, "run: {}", run.stats));
         quiet(writeln!(out, "--- run completed cleanly ---"));
         Ok(Exit::Clean)
     } else {
+        // How far each rank got before the run stopped is the schedule's:
+        // a failing run's counts go to stderr, and stdout is its verdict.
+        eprintln!("run: {}", run.stats);
         quiet(writeln!(out, "--- run failed ---"));
         for e in &run.errors {
             let line = doc.source_map().line_of(span_at(doc.module(), e.at));

@@ -101,6 +101,8 @@ fn run_clean_program_exits_0() {
     let out = parcoachc(&["run", p.to_str().unwrap(), "--ranks", "2"]);
     assert_eq!(exit_code(&out), 0, "stdout: {}", stdout(&out));
     assert!(stdout(&out).contains("run completed cleanly"));
+    // A clean run's counts repeat exactly: they are part of its stdout.
+    assert!(stdout(&out).contains("\nrun: "), "stdout: {}", stdout(&out));
 }
 
 #[test]
@@ -116,6 +118,11 @@ fn run_divergent_program_exits_2() {
         "stdout: {}",
         stdout(&out)
     );
+    // A failing run's counts depend on how far each rank got before the
+    // run stopped: they go to stderr, and stdout is the verdict.
+    assert!(!stdout(&out).contains("run: "), "stdout: {}", stdout(&out));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("run: "), "stderr: {stderr}");
 }
 
 #[test]

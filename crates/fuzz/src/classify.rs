@@ -43,13 +43,7 @@ pub fn dyn_family(code: &str) -> &'static str {
         | "concurrent-regions"
         | "thread-barrier" => "collective",
         "p2p-imbalance" => "p2p",
-        // `aborted` is a teardown echo, never a primary diagnosis: a
-        // rank sees it only when the world died under it. With any
-        // primary present that family outranks it; standing alone it
-        // means a rank vanished mid-communication (early exit), which
-        // races with the deadlock census on the surviving ranks — so it
-        // lands in the same family as the census verdict.
-        "wait-cycle" | "mpi-deadlock" | "mpi-timeout" | "mpi-early-exit" | "aborted" => "deadlock",
+        "wait-cycle" | "mpi-deadlock" | "mpi-timeout" | "mpi-early-exit" => "deadlock",
         "thread-level" => "thread-level",
         "hang" => "hang",
         _ => "fault",

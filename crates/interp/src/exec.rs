@@ -53,7 +53,9 @@ use parcoach_ompsim::{
 };
 use parcoach_sync::{Mutex, ReentrantMutexGuard};
 use std::collections::{HashSet, VecDeque};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering, Ordering::Relaxed};
+use std::sync::atomic::{
+    AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering, Ordering::Relaxed,
+};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -995,19 +997,22 @@ struct SimThread<'a> {
 }
 
 impl SimThread<'_> {
-    /// Stop the run on this thread's `fault`: abort the MPI world, unless
-    /// a thread already has (the first reason stands), and poison this
-    /// thread's team, so that no rank or sibling waits for this thread any
-    /// more.
-    fn abort_all(&self, fault: &RunErrorKind) {
-        let world = self.env.world;
-        if world.abort_reason().is_none() {
-            let reason = format!("rank {}: {fault}", self.env.rank);
-            world.abort(MpiError::Aborted(reason));
-        }
-        if let Some(team) = &self.ctx.team {
+    /// The one exit of a simulated thread, however its walk ended: hand
+    /// the lease back; if the walk halted, poison the thread's team so no
+    /// sibling waits for it; if it faulted, abort the MPI world too (the
+    /// first reason stands) so no rank does. Its fault, if any. The
+    /// caller then tells the world the thread left.
+    fn leave(&mut self, halt: Option<Halt>) -> Option<RunError> {
+        self.state.return_lease(self.env);
+        if let (Some(_), Some(team)) = (&halt, &self.ctx.team) {
             OmpSim::poison_team(team);
         }
+        let Some(Halt::Fault(e)) = halt else {
+            return None;
+        };
+        let reason = format!("rank {}: {}", self.env.rank, e.kind);
+        self.env.world.abort(MpiError::Aborted(reason));
+        Some(e)
     }
 }
 
@@ -1018,16 +1023,35 @@ enum Flow {
     Stopped,
 }
 
-/// Why a step stopped its thread: a fault of the step itself, which the
-/// block walk locates, or a callee's error, located in the callee.
-enum Stop {
-    Fault(RunErrorKind),
-    Located(RunError),
+/// Why a thread's walk ended before it returned.
+enum Halt {
+    /// The thread's own fault, located.
+    Fault(RunError),
+    /// Another thread's fault or a world verdict ended the run under this
+    /// thread: its MPI call was aborted or its team barrier poisoned. A
+    /// stop is not a fault: the thread unwinds and reports nothing.
+    Stop,
 }
 
-impl From<RunErrorKind> for Stop {
-    fn from(kind: RunErrorKind) -> Stop {
-        Stop::Fault(kind)
+/// Why a step halted its thread: a fault of the step itself, which the
+/// block walk locates, or a halt already decided (a callee's, or a stop).
+enum StepHalt {
+    Fault(RunErrorKind),
+    Halt(Halt),
+}
+
+impl From<RunErrorKind> for StepHalt {
+    fn from(kind: RunErrorKind) -> StepHalt {
+        StepHalt::Fault(kind)
+    }
+}
+
+impl From<MpiError> for StepHalt {
+    fn from(e: MpiError) -> StepHalt {
+        match e {
+            MpiError::Aborted(_) => StepHalt::Halt(Halt::Stop),
+            e => StepHalt::Fault(RunErrorKind::Mpi(e)),
+        }
     }
 }
 
@@ -1135,19 +1159,14 @@ impl Executor {
                 Some(fi) => {
                     self.exec_function(&mut thread, fi, (&mut Frame::default(), &[]), None, 0)
                 }
-                None => Err(RunError::new(
+                None => Err(Halt::Fault(RunError::new(
                     no_main(),
                     Locator::Block(0, BlockId(0)),
                     rank,
-                )),
+                ))),
             };
+            let err = thread.leave(res.err());
             world.finish_rank(rank);
-            thread.state.return_lease(&env);
-            let err = res.err();
-            // Make sure peers blocked in MPI wake up.
-            if let Some(e) = &err {
-                thread.abort_all(&e.kind);
-            }
             (err, state.stats, env.output.into_inner())
         });
         let mut stats = RunStats::default();
@@ -1157,12 +1176,6 @@ impl Executor {
             stats.add(&rank_stats);
             errs.extend(err);
             output.extend(lines);
-        }
-        // Prefer root-cause errors over secondary echoes (aborted MPI
-        // calls, poisoned barriers on sibling ranks).
-        let has_root = errs.iter().any(|e| !is_secondary_error(e));
-        if has_root {
-            errs.retain(|e| !is_secondary_error(e));
         }
         RunReport {
             errors: errs,
@@ -1201,7 +1214,7 @@ impl Executor {
         (caller, args): (&mut Frame, &[Opd]),
         dest: Option<Opd>,
         depth: usize,
-    ) -> Result<(), RunError> {
+    ) -> Result<(), Halt> {
         let f = self.func(fidx);
         let mut frame = t.state.take_frame();
         frame.enter(f.code);
@@ -1229,16 +1242,21 @@ impl Executor {
         start: BlockId,
         stop: Option<BlockId>,
         depth: usize,
-    ) -> Result<Flow, RunError> {
+    ) -> Result<Flow, Halt> {
         let (env, rank, fidx) = (t.env, t.env.rank, f.idx);
         let mut cur = start;
         let mut critical_guards: Vec<ReentrantMutexGuard<'_, ()>> = Vec::new();
         loop {
             let block = f.ir.block(cur);
             let ops = &f.code.ops[block.instrs.start as usize..block.instrs.end as usize];
-            let at = move |ii, kind| RunError::new(kind, plain_at(f.ir, fidx, cur, ii), rank);
-            let entry = move |kind| RunError::new(kind, Locator::Entry(fidx, cur), rank);
-            t.state.step(env).map_err(entry)?;
+            let fault = move |kind, at| Halt::Fault(RunError::new(kind, at, rank));
+            let at = move |ii, halt| match halt {
+                StepHalt::Fault(kind) => fault(kind, plain_at(f.ir, fidx, cur, ii)),
+                StepHalt::Halt(h) => h,
+            };
+            t.state
+                .step(env)
+                .map_err(|kind| fault(kind, Locator::Entry(fidx, cur)))?;
             if let BlockKind::Directive(d) = &block.kind {
                 // A directive block holds only the checks instrumentation
                 // attached to it: they run first, with no step of their
@@ -1246,7 +1264,7 @@ impl Executor {
                 for (ii, op) in ops.iter().enumerate() {
                     if let Op::Check(check, comm) = op {
                         self.exec_check(t, frame, check, *comm)
-                            .map_err(|k| at(ii, k))?;
+                            .map_err(|h| at(ii, h))?;
                     }
                 }
                 if stop == Some(cur) {
@@ -1283,13 +1301,14 @@ impl Executor {
                     }
                     Directive::Barrier { .. } => {
                         t.state.stats.barrier_waits += t.ctx.team.is_some() as u64;
-                        t.ctx.barrier(env.omp.barrier_timeout()).map_err(|e| {
-                            RunError::new(
-                                RunErrorKind::ThreadBarrier(e),
-                                Locator::Block(fidx, cur),
-                                rank,
-                            )
-                        })?;
+                        t.ctx
+                            .barrier(env.omp.barrier_timeout())
+                            .map_err(|e| match e {
+                                BarrierError::Poisoned => Halt::Stop,
+                                e => {
+                                    fault(RunErrorKind::ThreadBarrier(e), Locator::Block(fidx, cur))
+                                }
+                            })?;
                     }
                     Directive::PForInit {
                         var,
@@ -1314,10 +1333,8 @@ impl Executor {
                 }
             } else {
                 for (ii, op) in ops.iter().enumerate() {
-                    self.exec_instr(t, frame, op, depth).map_err(|s| match s {
-                        Stop::Fault(kind) => at(ii, kind),
-                        Stop::Located(e) => e,
-                    })?;
+                    self.exec_instr(t, frame, op, depth)
+                        .map_err(|h| at(ii, h))?;
                 }
             }
 
@@ -1338,7 +1355,7 @@ impl Executor {
                     let kind = RunErrorKind::MissingReturn {
                         func: f.ir.name.clone(),
                     };
-                    return Err(RunError::new(kind, Locator::Cond(fidx, cur), rank));
+                    return Err(fault(kind, Locator::Cond(fidx, cur)));
                 }
             }
         }
@@ -1356,7 +1373,7 @@ impl Executor {
         f: Func<'_>,
         cur: BlockId,
         depth: usize,
-    ) -> Result<BlockId, RunError> {
+    ) -> Result<BlockId, Halt> {
         let Some(Directive::ParallelBegin {
             region,
             num_threads,
@@ -1373,7 +1390,8 @@ impl Executor {
             // The fork would refuse it: refuse it before its members are
             // registered one by one.
             let kind = RunErrorKind::Omp(OmpError::team_too_large(team_size));
-            return Err(RunError::new(kind, Locator::Block(f.idx, cur), t.env.rank));
+            let at = Locator::Block(f.idx, cur);
+            return Err(Halt::Fault(RunError::new(kind, at, t.env.rank)));
         }
         let plan = f.code.plans[region.0 as usize]
             .as_ref()
@@ -1382,10 +1400,10 @@ impl Executor {
         t.state.stats.shared_cells += frame.share(&plan.shared);
         let parent_frame: &Frame = frame;
         let env = t.env;
-        // The first *root-cause* error across the team; sibling threads
-        // that then fail on poisoned barriers / aborted MPI must not
-        // mask it.
-        let root_err: Mutex<Option<RunError>> = Mutex::new(None);
+        // A member that was stopped reports nothing to the fork, whose
+        // error is the first *fault* in member order; the encountering
+        // thread then stops too.
+        let stopped = AtomicBool::new(false);
         // This thread goes on as member 0 and stays MPI-live as such;
         // members 1.. register *before* the fork: a member the scheduler
         // has not started yet must already count as live-and-unblocked,
@@ -1429,32 +1447,29 @@ impl Executor {
                 depth,
             );
             member.state.put_frame(member_frame);
-            member.state.return_lease(env);
+            let halt = res.err();
+            stopped.fetch_or(matches!(halt, Some(Halt::Stop)), Relaxed);
+            let fault = member.leave(halt);
             if !member_0 {
                 joined.lock().add(&member.state.stats);
             }
-            if let Err(e) = &res {
-                if !is_secondary_error(e) {
-                    root_err.lock().get_or_insert_with(|| e.clone());
-                }
-                member.abort_all(&e.kind);
-            }
             env.world.thread_departed(env.rank);
-            res.map(|_| ())
+            fault.map_or(Ok(()), Err)
         });
         t.state.stats.add(&joined.into_inner());
         env.world.thread_started(env.rank);
         match fork_res {
+            Ok(()) if stopped.into_inner() => Err(Halt::Stop),
             Ok(()) => Ok(plan.end_block),
-            Err(ForkError::Body(e)) => Err(root_err.into_inner().unwrap_or(e)),
+            Err(ForkError::Body(e)) => Err(Halt::Fault(e)),
             Err(ForkError::Omp(e)) => {
                 // The fork was refused before any member ran: unwind
                 // their liveness pre-registration.
                 for _ in 0..team_size {
                     env.world.thread_departed(env.rank);
                 }
-                let at = Locator::Block(f.idx, cur);
-                Err(RunError::new(RunErrorKind::Omp(e), at, env.rank))
+                let (kind, at) = (RunErrorKind::Omp(e), Locator::Block(f.idx, cur));
+                Err(Halt::Fault(RunError::new(kind, at, env.rank)))
             }
         }
     }
@@ -1467,7 +1482,7 @@ impl Executor {
         frame: &mut Frame,
         op: &Op,
         depth: usize,
-    ) -> Result<(), Stop> {
+    ) -> Result<(), StepHalt> {
         t.state.step(t.env)?;
         match *op {
             Op::Copy(dest, src) => {
@@ -1530,12 +1545,11 @@ impl Executor {
                     return Err(RunErrorKind::StackOverflow.into());
                 }
                 self.exec_function(t, callee, (frame, args), dest, depth + 1)
-                    .map_err(Stop::Located)?;
+                    .map_err(StepHalt::Halt)?;
             }
             Op::Mpi { dest, ref op, ty } => {
                 t.state.stats.mpi_calls += 1;
-                self.exec_mpi(t, frame, dest, op, ty)
-                    .map_err(RunErrorKind::Mpi)?;
+                self.exec_mpi(t, frame, dest, op, ty)?;
             }
             Op::Print(ref args) => print_line(t, frame, args),
             Op::Check(ref check, comm) => self.exec_check(t, frame, check, comm)?,
@@ -1550,7 +1564,7 @@ impl Executor {
         frame: &Frame,
         check: &CheckOp,
         comm: Opd,
-    ) -> Result<(), RunErrorKind> {
+    ) -> Result<(), StepHalt> {
         match check {
             CheckOp::CollectiveCc { color, .. } => {
                 // The CC runs on the guarded collective's communicator.
@@ -1575,9 +1589,7 @@ impl Executor {
                 // Outside any team the rank's initial thread runs alone.
                 let (site, me) = (*site as usize, t.ctx.thread_num());
                 if t.checks.is_some_and(|checks| !checks.is_first_at(site, me)) {
-                    let fault = RunErrorKind::MonothreadViolation { what };
-                    t.abort_all(&fault);
-                    return Err(fault);
+                    return Err(RunErrorKind::MonothreadViolation { what }.into());
                 }
                 Ok(())
             }
@@ -1595,9 +1607,7 @@ impl Executor {
                     checks.executed(*site as usize, t.ctx.barriers_passed()) >= 2
                 });
                 if overlapping || reexecuted {
-                    let fault = RunErrorKind::ConcurrentRegions { site: *site };
-                    t.abort_all(&fault);
-                    return Err(fault);
+                    return Err(RunErrorKind::ConcurrentRegions { site: *site }.into());
                 }
                 Ok(())
             }
@@ -1609,8 +1619,7 @@ impl Executor {
                 let rows = t
                     .env
                     .world
-                    .p2p_census(t.env.rank, t.ctx.is_initial_thread())
-                    .map_err(RunErrorKind::Mpi)?;
+                    .p2p_census(t.env.rank, t.ctx.is_initial_thread())?;
                 let unbalanced: Vec<(usize, u64, u64)> = rows
                     .into_iter()
                     .filter(|(_, sent, recvd)| sent != recvd)
@@ -1618,9 +1627,7 @@ impl Executor {
                 if unbalanced.is_empty() {
                     return Ok(());
                 }
-                let fault = RunErrorKind::P2pImbalance { comms: unbalanced };
-                t.abort_all(&fault);
-                Err(fault)
+                Err(RunErrorKind::P2pImbalance { comms: unbalanced }.into())
             }
         }
     }
@@ -1628,12 +1635,11 @@ impl Executor {
     /// Execute the `CC` color all-reduce (on the guarded collective's
     /// communicator) and translate a disagreement into the paper's
     /// error report (per-rank collective names).
-    fn run_cc(&self, t: &SimThread<'_>, comm: usize, color: u32) -> Result<(), RunErrorKind> {
-        let outcome = t
-            .env
-            .world
-            .control_cc_on(t.env.rank, comm, color, t.ctx.is_initial_thread())
-            .map_err(RunErrorKind::Mpi)?;
+    fn run_cc(&self, t: &SimThread<'_>, comm: usize, color: u32) -> Result<(), StepHalt> {
+        let outcome =
+            t.env
+                .world
+                .control_cc_on(t.env.rank, comm, color, t.ctx.is_initial_thread())?;
         if outcome.unanimous() {
             return Ok(());
         }
@@ -1642,9 +1648,7 @@ impl Executor {
             .iter()
             .map(|&c| color_name(c).into_owned())
             .collect::<Vec<_>>();
-        let fault = RunErrorKind::CcMismatch { per_rank };
-        t.abort_all(&fault);
-        Err(fault)
+        Err(RunErrorKind::CcMismatch { per_rank }.into())
     }
 
     /// Execute MPI operation `op`, whose payload (if it sends one) is of
@@ -1758,16 +1762,6 @@ fn print_line(t: &SimThread<'_>, frame: &Frame, args: &[(Opd, Type)]) {
         frame.show(&mut line, a, ty);
     }
     t.env.output.lock().push(line);
-}
-
-/// Errors that are consequences of another thread's failure (poisoned
-/// barrier, aborted MPI) rather than root causes.
-fn is_secondary_error(e: &RunError) -> bool {
-    matches!(
-        &e.kind,
-        RunErrorKind::Mpi(MpiError::Aborted(_))
-            | RunErrorKind::ThreadBarrier(BarrierError::Poisoned)
-    )
 }
 
 /// Where the uninstrumented module has instruction `ii` of block `b` of

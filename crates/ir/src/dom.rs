@@ -89,41 +89,6 @@ impl DomTree {
             }
         }
     }
-
-    /// Dominance frontier of every block.
-    ///
-    /// `DF(b)` = blocks `j` with a predecessor dominated by `b` (or equal
-    /// to `b`) where `b` itself does not strictly dominate `j`.
-    pub fn dominance_frontier(&self, f: &FuncIr, preds: &Preds) -> Frontiers {
-        let mut seen = vec![NONE; f.block_count()];
-        Frontiers::collect(f.block_count(), |add| {
-            seen.fill(NONE);
-            for b in f.block_ids() {
-                if preds[b.index()].len() < 2 {
-                    continue;
-                }
-                for &p in &preds[b.index()] {
-                    if self.idom(p).is_none() && p != f.entry {
-                        continue; // unreachable predecessor
-                    }
-                    let Some(stop) = self.idom(b) else {
-                        continue;
-                    };
-                    let mut runner = p;
-                    while runner != stop {
-                        if seen[runner.index()] != b.0 {
-                            seen[runner.index()] = b.0;
-                            add(runner.index(), b);
-                        }
-                        match self.idom(runner) {
-                            Some(d) => runner = d,
-                            None => break,
-                        }
-                    }
-                }
-            }
-        })
-    }
 }
 
 /// CHK intersect: walk the two candidates up the (partial) idom tree
@@ -626,16 +591,6 @@ mod tests {
             ipdf.contains(&BlockId(1)),
             "loop head must be in PDF+ of body, got {ipdf:?}"
         );
-    }
-
-    #[test]
-    fn dominance_frontier_diamond() {
-        let f = func_from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let dt = dom(&f);
-        let df = dt.dominance_frontier(&f, &f.predecessors());
-        assert_eq!(df[1], [BlockId(3)]);
-        assert_eq!(df[2], [BlockId(3)]);
-        assert!(df[0].is_empty());
     }
 
     #[test]

@@ -161,14 +161,6 @@ impl FuncIr {
         Preds::build(self)
     }
 
-    /// Blocks that end in `Return`.
-    pub fn exit_blocks(&self) -> Vec<BlockId> {
-        self.iter_blocks()
-            .filter(|(_, b)| matches!(b.term, Terminator::Return { .. }))
-            .map(|(id, _)| id)
-            .collect()
-    }
-
     /// Blocks whose instructions satisfy `pred` somewhere, in id order.
     pub fn blocks_with(&self, pred: impl Fn(&Instr) -> bool) -> Vec<BlockId> {
         self.block_ids()
@@ -486,7 +478,6 @@ mod tests {
         assert!(preds[0].is_empty());
         assert_eq!(preds[1], vec![BlockId(0)]);
         assert_eq!(preds[2], vec![BlockId(0)]);
-        assert_eq!(f.exit_blocks(), vec![BlockId(1), BlockId(2)]);
     }
 
     #[test]

@@ -21,8 +21,14 @@
 //!   regime.
 //!
 //! In every regime the verdict additionally requires that nothing is
-//! completable: no collective instance holds computed-but-uncollected
-//! results, and no parked receive/wait has a matching buffered message.
+//! completable: no collective instance holds a decided but uncollected
+//! outcome, and no parked receive/wait has a matching buffered message.
+//!
+//! The verdict is then, in this order: a finished rank while some rank
+//! waits in a collective (`RankFinishedEarly`, the lowest finished
+//! rank), a cycle in the wait-for graph (`WaitCycle`), or a plain
+//! `Deadlock`. It is a function of the settled state alone, so it is
+//! the same whichever thread or finish settles the world.
 
 use crate::error::{MpiError, RankActivity};
 use parcoach_front::ast::ThreadLevel;
@@ -38,9 +44,11 @@ pub(crate) struct CensusInput<'a> {
     pub live: &'a [usize],
     /// One pattern per thread parked in a blocking MPI wait, per rank.
     pub blocked: &'a [Vec<RankActivity>],
-    /// Any collective instance with computed-but-uncollected results
+    /// Any collective instance with a decided but uncollected outcome
     /// (its waiters will wake and make progress).
     pub any_uncollected: bool,
+    /// Some rank waits in an undecided collective.
+    pub collective_waited: bool,
 }
 
 /// Evaluate the census. `has_buffered(rank, comm, src, tag)` answers
@@ -124,6 +132,16 @@ pub(crate) fn deadlock_census(
     } else {
         input.activity.to_vec()
     };
+    let finished = input
+        .activity
+        .iter()
+        .position(|a| *a == RankActivity::Finished);
+    if let Some(finished_rank) = finished.filter(|_| input.collective_waited) {
+        return Some(MpiError::RankFinishedEarly {
+            finished_rank,
+            states,
+        });
+    }
     // Before reporting the generic form, build the wait-for graph over
     // the blocked receives/waits: an edge rank → r exists when rank
     // awaits a message only r could send (pinned source; nothing

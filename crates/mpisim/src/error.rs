@@ -77,24 +77,26 @@ impl fmt::Display for RankActivity {
 #[derive(Debug, Clone, PartialEq)]
 pub enum MpiError {
     /// Two ranks issued different collectives as their n-th operation
-    /// on one communicator (MUST-style signature mismatch).
+    /// on one communicator (MUST-style signature mismatch). The two
+    /// ranks are in rank order, whichever arrived first.
     CollectiveMismatch {
         /// Communicator handle the mismatch happened on (0 = world).
         comm: usize,
         /// Per-communicator collective index at which they diverged.
         seq: u64,
-        /// Signature already registered.
-        expected: Signature,
-        /// Rank that registered it.
-        expected_rank: usize,
-        /// The incompatible signature.
-        got: Signature,
-        /// Rank that brought it.
-        got_rank: usize,
+        /// The lower of the two ranks.
+        first_rank: usize,
+        /// Its signature.
+        first: Signature,
+        /// The higher of the two ranks.
+        second_rank: usize,
+        /// Its signature, incompatible with `first`.
+        second: Signature,
     },
-    /// A rank finished while others still wait in a collective.
+    /// A rank finished while others still wait in a collective it never
+    /// entered.
     RankFinishedEarly {
-        /// The rank that left.
+        /// The lowest rank that left.
         finished_rank: usize,
         /// Activities of all ranks at detection time.
         states: Vec<RankActivity>,
@@ -133,7 +135,9 @@ pub enum MpiError {
     /// Malformed arguments (root out of range, short scatter array, …).
     ArgError(String),
     /// The world was aborted (by a failed dynamic check or another
-    /// rank's error); carries the original reason.
+    /// rank's error) under an operation whose outcome was not decided:
+    /// the calling thread is stopped, it did not fault. Carries the
+    /// original reason.
     Aborted(String),
 }
 
@@ -143,15 +147,15 @@ impl fmt::Display for MpiError {
             MpiError::CollectiveMismatch {
                 comm,
                 seq,
-                expected,
-                expected_rank,
-                got,
-                got_rank,
+                first_rank,
+                first,
+                second_rank,
+                second,
             } => {
                 write!(
                     f,
-                    "collective mismatch at operation #{seq}: rank {expected_rank} \
-                     entered {expected} but rank {got_rank} entered {got}"
+                    "collective mismatch at operation #{seq}: rank {first_rank} \
+                     entered {first} but rank {second_rank} entered {second}"
                 )?;
                 if *comm != 0 {
                     write!(f, " (communicator #{comm})")?;
@@ -217,15 +221,15 @@ mod tests {
         let e = MpiError::CollectiveMismatch {
             comm: 0,
             seq: 3,
-            expected: Signature::collective(CollectiveOp::Barrier, None, None, None),
-            expected_rank: 0,
-            got: Signature::collective(
+            first_rank: 0,
+            first: Signature::collective(CollectiveOp::Barrier, None, None, None),
+            second_rank: 2,
+            second: Signature::collective(
                 CollectiveOp::Bcast,
                 None,
                 Some(0),
                 Some(crate::value::MpiType::Int),
             ),
-            got_rank: 2,
         };
         let s = e.to_string();
         assert!(s.contains("rank 0"), "{s}");

@@ -8,11 +8,13 @@
 //! the n-th collective call of every member of a communicator forms
 //! instance `n` of that communicator. The first arriver fixes the
 //! instance's [`Signature`]; any member arriving with a different
-//! signature is a **collective mismatch** and aborts the world with both
-//! signatures and ranks — this is what MUST's tree-based matcher
+//! signature is a **collective mismatch**, naming both signatures and
+//! ranks in rank order — this is what MUST's tree-based matcher
 //! reports, and what the PARCOACH `CC` turns into a *pre*-collective
-//! error with source lines. Collectives on different communicators have
-//! disjoint matching spaces and never see each other.
+//! error with source lines. An instance's outcome, results or error, is
+//! decided once, and every member parked on it reads it, even after the
+//! world aborted. Collectives on different communicators have disjoint
+//! matching spaces and never see each other.
 //!
 //! Communicators are created collectively: handle `0` is
 //! `MPI_COMM_WORLD`; [`World::comm_split`] and [`World::comm_dup`]
@@ -39,12 +41,12 @@
 //! one point, `World::block_until`: it records the pattern the thread
 //! waits for, runs the liveness census (see `census.rs`) and only then
 //! sleeps. When **all** ranks are blocked or finished and nothing can
-//! complete on any communicator, the world aborts with a per-rank
-//! activity dump. Before declaring a generic deadlock the census builds
-//! a **wait-for graph** over the blocked receives (an edge rank → r
-//! when rank awaits a message only r could send); a genuine cycle is
-//! reported as [`MpiError::WaitCycle`] naming the ranks on it. A rank
-//! finishing while others wait in a collective aborts immediately.
+//! complete on any communicator, the world has its verdict, with a
+//! per-rank activity dump (see `census.rs`): an early exit, a
+//! [`MpiError::WaitCycle`] over the blocked receives, or a plain
+//! deadlock. One function decides it, whether a park or a rank's finish
+//! settles the world, so it does not depend on which rank arrives last;
+//! every thread parked when it falls gets it, at its own operation.
 //!
 //! ## Locking
 //!
@@ -116,7 +118,8 @@ struct Instance {
     first_rank: usize,
     payloads: Vec<Option<MpiValue>>,
     arrived_count: usize,
-    results: Option<Vec<MpiValue>>,
+    /// Decided once: every member's result, or the error each gets.
+    outcome: Option<Result<Vec<MpiValue>, MpiError>>,
     collected_count: usize,
 }
 
@@ -127,7 +130,7 @@ impl Instance {
             first_rank: 0,
             payloads: vec![None; size],
             arrived_count: 0,
-            results: None,
+            outcome: None,
             collected_count: 0,
         }
     }
@@ -357,8 +360,9 @@ impl World {
         provided
     }
 
-    /// Abort the world: all blocked and future operations fail with
-    /// [`MpiError::Aborted`] carrying `reason`. The first abort wins.
+    /// Abort the world: future operations, and parked ones whose outcome
+    /// is not decided, fail with [`MpiError::Aborted`] carrying `reason`
+    /// — they were stopped, they did not fault. The first abort wins.
     pub fn abort(&self, reason: MpiError) {
         let mut st = self.state.lock();
         self.abort_locked(&mut st, reason);
@@ -429,8 +433,10 @@ impl World {
 
     /// The one park point. Until `ready` completes the operation (under
     /// the lock), record `act` as one of the rank's parked patterns, run
-    /// the liveness census and sleep until notified. A proven deadlock or
-    /// the op timeout (described by `what`) is the operation's error.
+    /// the world's verdict and sleep until notified. What `ready` decides
+    /// comes first, even after an abort; then a world verdict, which is
+    /// every parked thread's own error; then an abort, which stops the
+    /// thread; then the op timeout (described by `what`).
     fn block_until<T>(
         &self,
         st: &mut MutexGuard<'_, WorldState>,
@@ -440,33 +446,39 @@ impl World {
         mut ready: impl FnMut(&mut WorldState) -> Result<Option<T>, MpiError>,
     ) -> Result<T, MpiError> {
         let deadline = Instant::now() + self.cfg.op_timeout;
+        let mut timed_out = false;
         loop {
-            if let Some(e) = &st.abort {
-                return Err(MpiError::Aborted(e.to_string()));
-            }
             if let Some(out) = ready(st)? {
                 st.activity[rank] = RankActivity::Running;
                 return Ok(out);
             }
+            if let Some(reason) = &st.abort {
+                return Err(match reason {
+                    MpiError::Deadlock { .. }
+                    | MpiError::WaitCycle { .. }
+                    | MpiError::RankFinishedEarly { .. } => reason.clone(),
+                    _ => MpiError::Aborted(reason.to_string()),
+                });
+            }
+            if timed_out {
+                return Err(MpiError::Timeout {
+                    what: what(),
+                    states: st.activity.clone(),
+                });
+            }
             st.activity[rank] = act.clone();
             st.blocked[rank].push(act.clone());
-            if let Some(dl) = deadlock(st) {
+            if let Some(v) = verdict(st) {
                 unpark(st, rank, &act);
-                return Err(dl);
+                return Err(v);
             }
             // An operation that changed the state and then parks wakes the
             // others itself: it releases the lock only by waiting.
             if std::mem::take(&mut st.wake) {
                 self.cv.notify_all();
             }
-            let res = self.cv.wait_until(st, deadline);
+            timed_out = self.cv.wait_until(st, deadline).timed_out();
             unpark(st, rank, &act);
-            if res.timed_out() {
-                return Err(MpiError::Timeout {
-                    what: what(),
-                    states: st.activity.clone(),
-                });
-            }
         }
     }
 
@@ -491,37 +503,21 @@ impl World {
         self.cv.notify_all();
     }
 
-    /// Mark a rank's program as terminated. Detects "finished while
-    /// others wait in a collective".
+    /// Mark a rank's program as terminated; when that settles the world,
+    /// its verdict falls here (the same one a park would give).
     pub fn finish_rank(&self, rank: usize) {
         let mut st = self.state.lock();
         st.activity[rank] = RankActivity::Finished;
         st.live[rank] = st.live[rank].saturating_sub(1);
         if st.abort.is_none() {
-            let pending_collective = st
-                .comms
-                .iter()
-                .flat_map(|c| c.instances.iter())
-                .any(|i| i.results.is_none() && i.arrived_count > 0);
-            let all_settled = st
-                .activity
-                .iter()
-                .all(|a| !matches!(a, RankActivity::Running));
-            if pending_collective && all_settled {
-                st.abort = Some(MpiError::RankFinishedEarly {
-                    finished_rank: rank,
-                    states: st.activity.clone(),
-                });
-            } else if let Some(dl) = deadlock(&st) {
-                st.abort = Some(dl);
-            }
+            st.abort = verdict(&st);
         }
         drop(st);
         self.cv.notify_all();
     }
 
     /// Arrive at the next collective of `comm` with `sig` and this rank's
-    /// `payload`, then park until the instance's results are computed.
+    /// `payload`, then park until the instance's outcome is decided.
     fn enter_collective(
         &self,
         rank: usize,
@@ -531,52 +527,7 @@ impl World {
         is_initial_thread: bool,
     ) -> Result<MpiValue, MpiError> {
         self.call(rank, is_initial_thread, |st| {
-            if let Some(e) = &st.abort {
-                return Err(MpiError::Aborted(e.to_string()));
-            }
-            let local = member(st, rank, comm)?;
-            let c = &mut st.comms[comm];
-            let size = c.members.len();
-            let seq = c.per_rank_seq[local];
-            c.per_rank_seq[local] += 1;
-            // Materialize instances up to `seq`.
-            while c.base_seq + (c.instances.len() as u64) <= seq {
-                c.instances.push_back(Instance::new(size));
-            }
-            let inst = &mut c.instances[(seq - c.base_seq) as usize];
-            match &inst.signature {
-                None => {
-                    inst.signature = Some(sig);
-                    inst.first_rank = rank;
-                }
-                Some(existing) if *existing != sig => {
-                    return Err(MpiError::CollectiveMismatch {
-                        comm,
-                        seq,
-                        expected: *existing,
-                        expected_rank: inst.first_rank,
-                        got: sig,
-                        got_rank: rank,
-                    });
-                }
-                Some(_) => {}
-            }
-            inst.payloads[local] = payload;
-            inst.arrived_count += 1;
-            if inst.arrived_count == size {
-                // Compute results outside the instance borrow: communicator
-                // management collectives allocate new communicators.
-                let payloads = std::mem::take(&mut inst.payloads);
-                let results = match sig.op {
-                    CollectiveOp::CommSplit => split_results(st, comm, &payloads)?,
-                    CollectiveOp::CommDup => dup_results(st, comm),
-                    CollectiveOp::P2pCensus => census_results(st, size),
-                    _ => compute_results(sig, &payloads, size)?,
-                };
-                let c = &mut st.comms[comm];
-                c.instances[(seq - c.base_seq) as usize].results = Some(results);
-                st.wake = true;
-            }
+            let (local, seq) = arrive(st, rank, comm, sig, payload)?;
             let act = RankActivity::InCollective {
                 seq,
                 what: format!("{sig}{}", comm_suffix(comm)),
@@ -590,10 +541,11 @@ impl World {
             self.block_until(st, rank, act, what, |st| {
                 let c = &mut st.comms[comm];
                 let inst = &mut c.instances[(seq - c.base_seq) as usize];
-                let Some(results) = &inst.results else {
-                    return Ok(None);
+                let out = match &inst.outcome {
+                    None => return Ok(None),
+                    Some(Err(e)) => return Err(e.clone()),
+                    Some(Ok(results)) => results[local].clone(),
                 };
-                let out = results[local].clone();
                 inst.collected_count += 1;
                 // Drop fully-collected instances from the front.
                 while c
@@ -964,6 +916,73 @@ impl World {
     }
 }
 
+/// Arrive at `rank`'s next collective instance of `comm` with `sig` and
+/// `payload`; its (local rank, instance sequence number). The arrival
+/// that completes the instance decides its outcome; one with another
+/// signature than the first arriver's decides it a mismatch.
+fn arrive(
+    st: &mut WorldState,
+    rank: usize,
+    comm: usize,
+    sig: Signature,
+    payload: Option<MpiValue>,
+) -> Result<(usize, u64), MpiError> {
+    if let Some(e) = &st.abort {
+        return Err(MpiError::Aborted(e.to_string()));
+    }
+    let local = member(st, rank, comm)?;
+    let c = &mut st.comms[comm];
+    let size = c.members.len();
+    let seq = c.per_rank_seq[local];
+    c.per_rank_seq[local] += 1;
+    // Materialize instances up to `seq`.
+    while c.base_seq + (c.instances.len() as u64) <= seq {
+        c.instances.push_back(Instance::new(size));
+    }
+    let inst = &mut c.instances[(seq - c.base_seq) as usize];
+    match inst.signature {
+        None => {
+            inst.signature = Some(sig);
+            inst.first_rank = rank;
+        }
+        Some(existing) if existing != sig => {
+            let (first, second) = if inst.first_rank < rank {
+                ((inst.first_rank, existing), (rank, sig))
+            } else {
+                ((rank, sig), (inst.first_rank, existing))
+            };
+            inst.outcome = Some(Err(MpiError::CollectiveMismatch {
+                comm,
+                seq,
+                first_rank: first.0,
+                first: first.1,
+                second_rank: second.0,
+                second: second.1,
+            }));
+            st.wake = true;
+            return Ok((local, seq));
+        }
+        Some(_) => {}
+    }
+    inst.payloads[local] = payload;
+    inst.arrived_count += 1;
+    if inst.arrived_count == size {
+        // Compute the outcome outside the instance borrow: communicator
+        // management collectives allocate new communicators.
+        let payloads = std::mem::take(&mut inst.payloads);
+        let outcome = match sig.op {
+            CollectiveOp::CommSplit => split_results(st, comm, &payloads),
+            CollectiveOp::CommDup => Ok(dup_results(st, comm)),
+            CollectiveOp::P2pCensus => Ok(census_results(st, size)),
+            _ => compute_results(sig, &payloads, size),
+        };
+        let c = &mut st.comms[comm];
+        c.instances[(seq - c.base_seq) as usize].outcome = Some(outcome);
+        st.wake = true;
+    }
+    Ok((local, seq))
+}
+
 /// `rank`'s local rank in `comm` — the one membership check.
 fn member(st: &WorldState, rank: usize, comm: usize) -> Result<usize, MpiError> {
     let Some(c) = st.comms.get(comm) else {
@@ -1138,18 +1157,20 @@ fn unpark(st: &mut WorldState, rank: usize, act: &RankActivity) {
     }
 }
 
-/// Evaluate the liveness census over the world state.
-fn deadlock(st: &WorldState) -> Option<MpiError> {
+/// The world's one verdict, whether a park or a rank's finish asks: the
+/// liveness census over the world state. `MPI_Finalize` is no collective
+/// to wait in here: a rank that ends without it deadlocks the others.
+fn verdict(st: &WorldState) -> Option<MpiError> {
+    let instances = || st.comms.iter().flat_map(|c| c.instances.iter());
     let input = CensusInput {
         provided: st.provided,
         activity: &st.activity,
         live: &st.live,
         blocked: &st.blocked,
-        any_uncollected: st
-            .comms
-            .iter()
-            .flat_map(|c| c.instances.iter())
-            .any(|i| i.results.is_some()),
+        any_uncollected: instances().any(|i| i.outcome.is_some()),
+        collective_waited: instances().any(|i| {
+            i.outcome.is_none() && i.signature.is_some_and(|s| s.op != CollectiveOp::Finalize)
+        }),
     };
     deadlock_census(
         &input,
@@ -1354,4 +1375,149 @@ where
     F: Fn(usize) -> R + Sync,
 {
     parcoach_sync::thread_cache().run_map(world.size(), f)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn world(n: usize) -> Arc<World> {
+        World::new(MpiConfig {
+            world_size: n,
+            max_provided: ThreadLevel::Multiple,
+            op_timeout: Duration::from_secs(20),
+        })
+    }
+
+    fn barrier() -> Signature {
+        Signature::collective(CollectiveOp::Barrier, None, None, None)
+    }
+
+    /// Has `rank` parked in an operation, or finished?
+    fn settled(w: &World, rank: usize) -> bool {
+        let st = w.state.lock();
+        !st.blocked[rank].is_empty() || st.activity[rank] == RankActivity::Finished
+    }
+
+    /// Run `op(rank)` for every rank, each started only once the ranks
+    /// before it in `order` have parked or finished; results by rank.
+    fn in_order<R: Send>(w: &World, order: &[usize], op: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        let op = &op;
+        std::thread::scope(|s| {
+            let mut handles: Vec<_> = (0..order.len()).map(|_| None).collect();
+            for (i, &r) in order.iter().enumerate() {
+                handles[r] = Some(s.spawn(move || op(r)));
+                if i + 1 < order.len() {
+                    while !settled(w, r) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+            }
+            handles
+                .into_iter()
+                .map(|h| h.expect("every rank ran").join().unwrap())
+                .collect()
+        })
+    }
+
+    #[test]
+    fn results_decided_before_an_abort_are_still_delivered() {
+        let w = world(2);
+        let got = std::thread::scope(|s| {
+            let parked = s.spawn(|| w.collective(0, barrier(), None, true));
+            while !settled(&w, 0) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // Rank 1's arrival decides the instance and the world aborts
+            // in the same hold of the lock: rank 0 wakes to both.
+            let mut st = w.state.lock();
+            arrive(&mut st, 1, COMM_WORLD, barrier(), None).unwrap();
+            w.abort_locked(&mut st, MpiError::ArgError("elsewhere".into()));
+            w.unlock(st);
+            parked.join().unwrap()
+        });
+        assert_eq!(got, Ok(MpiValue::Int(0)));
+        // An operation that starts after the abort is stopped.
+        assert!(matches!(w.finalize(0, true), Err(MpiError::Aborted(_))));
+    }
+
+    #[test]
+    fn a_mismatch_reaches_both_members_in_rank_order_whichever_arrives_first() {
+        let sum = Signature::collective(
+            CollectiveOp::Allreduce,
+            Some(parcoach_front::ast::ReduceOp::Sum),
+            None,
+            Some(crate::value::MpiType::Int),
+        );
+        let mut texts = Vec::new();
+        for order in [[0, 1], [1, 0]] {
+            let w = world(2);
+            let res = in_order(&w, &order, |r| match r {
+                0 => w.collective(0, barrier(), None, true),
+                _ => w.collective(1, sum, Some(MpiValue::Int(1)), true),
+            });
+            assert_eq!(res[0], res[1], "order {order:?}");
+            let Err(e @ MpiError::CollectiveMismatch { .. }) = &res[0] else {
+                panic!("order {order:?}: {res:?}");
+            };
+            texts.push(e.to_string());
+        }
+        assert_eq!(texts[0], texts[1]);
+        assert_eq!(
+            texts[0],
+            "collective mismatch at operation #0: rank 0 entered MPI_Barrier \
+             but rank 1 entered MPI_Allreduce op=SUM type=int"
+        );
+    }
+
+    #[test]
+    fn an_early_exit_reaches_every_parked_thread_whichever_settles_the_world() {
+        let mut seen = Vec::new();
+        for order in [[0, 1, 2], [2, 1, 0], [0, 2, 1]] {
+            let w = world(3);
+            let res = in_order(&w, &order, |r| match r {
+                2 => {
+                    w.finish_rank(2);
+                    None
+                }
+                _ => Some(w.collective(r, barrier(), None, true)),
+            });
+            assert_eq!(res[0], res[1], "order {order:?}");
+            assert!(
+                matches!(
+                    res[0],
+                    Some(Err(MpiError::RankFinishedEarly {
+                        finished_rank: 2,
+                        ..
+                    }))
+                ),
+                "order {order:?}: {res:?}"
+            );
+            seen.push(res[0].clone());
+        }
+        assert!(seen.windows(2).all(|p| p[0] == p[1]), "{seen:?}");
+    }
+
+    #[test]
+    fn a_census_verdict_reaches_every_parked_thread_whichever_parks_last() {
+        // Ranks 0 and 1 wait in a barrier rank 2 never reaches; rank 2
+        // waits for a message rank 0 never sends. Nobody finished, and
+        // nothing waits in a cycle: a plain deadlock.
+        let mut seen = Vec::new();
+        for order in [[0, 1, 2], [2, 1, 0], [1, 2, 0]] {
+            let w = world(3);
+            w.init(0, ThreadLevel::Single);
+            let res = in_order(&w, &order, |r| match r {
+                2 => w.recv(2, 0, 5, true).map(|_| ()),
+                _ => w.collective(r, barrier(), None, true).map(|_| ()),
+            });
+            assert!(res.iter().all(|r| r == &res[0]), "order {order:?}: {res:?}");
+            assert!(
+                matches!(res[0], Err(MpiError::Deadlock { .. })),
+                "order {order:?}: {res:?}"
+            );
+            seen.push(res[0].clone());
+        }
+        assert!(seen.windows(2).all(|p| p[0] == p[1]), "{seen:?}");
+    }
 }

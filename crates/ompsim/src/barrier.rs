@@ -6,7 +6,9 @@
 //!   arrives — exactly the failure mode of a control-flow divergent
 //!   `barrier`/`single` the paper detects;
 //! * can be **poisoned** when another thread aborts (a failed dynamic
-//!   check must stop the whole program, not deadlock it).
+//!   check must stop the whole program, not deadlock it). A generation
+//!   that completed before the poison still returns `Ok` to every member
+//!   it released: the poison stops only waits that were not decided.
 
 use parcoach_sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -104,11 +106,11 @@ impl SimBarrier {
         let gen = st.generation;
         loop {
             let res = self.cv.wait_until(&mut st, deadline);
-            if st.poisoned {
-                return Err(BarrierError::Poisoned);
-            }
             if st.generation != gen {
                 return Ok(());
+            }
+            if st.poisoned {
+                return Err(BarrierError::Poisoned);
             }
             if st.arrived + st.departed == self.size || res.timed_out() {
                 return Err(self.diverged(st));
@@ -148,11 +150,6 @@ impl SimBarrier {
     pub fn poison(&self) {
         self.state.lock().poisoned = true;
         self.cv.notify_all();
-    }
-
-    /// Has the barrier been poisoned?
-    pub fn is_poisoned(&self) -> bool {
-        self.state.lock().poisoned
     }
 }
 
@@ -225,7 +222,29 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         b.poison();
         assert_eq!(h.join().unwrap(), Err(BarrierError::Poisoned));
-        assert!(b.is_poisoned());
+        assert!(b.state.lock().poisoned);
+    }
+
+    #[test]
+    fn a_generation_completed_before_a_poison_returns_ok() {
+        let b = SimBarrier::new(2);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| b.wait(Duration::from_secs(30)));
+            while b.state.lock().arrived == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // The last member arrives and the team is poisoned in the same
+            // hold of the lock: the waiter wakes to both.
+            let mut st = b.state.lock();
+            st.arrived = 0;
+            st.generation += 1;
+            st.poisoned = true;
+            drop(st);
+            b.cv.notify_all();
+            assert_eq!(waiter.join().unwrap(), Ok(()));
+        });
+        // A wait that starts after the poison is stopped.
+        assert_eq!(b.wait(Duration::from_secs(1)), Err(BarrierError::Poisoned));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::barrier::{BarrierError, SimBarrier};
 use parcoach_sync::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,8 +42,6 @@ impl std::fmt::Display for OmpError {
 /// Shared state of one team *instance* (one dynamic encounter of a
 /// `parallel` construct).
 pub struct TeamShared {
-    /// Globally unique instance id (used to key concurrency counters).
-    pub id: u64,
     /// Number of threads.
     pub size: usize,
     /// Nesting level (outermost parallel region = level 1).
@@ -59,9 +57,9 @@ pub struct TeamShared {
 }
 
 impl TeamShared {
-    fn new(id: u64, size: usize, level: usize, forked_by_initial: bool) -> Arc<TeamShared> {
+    /// A fresh team instance, forked by the initial thread or not.
+    pub(crate) fn new(size: usize, level: usize, forked_by_initial: bool) -> Arc<TeamShared> {
         Arc::new(TeamShared {
-            id,
             size,
             level,
             barrier: SimBarrier::new(size),
@@ -128,11 +126,6 @@ impl ThreadCtx {
     /// Nesting level (0 outside any parallel region).
     pub fn active_level(&self) -> usize {
         self.team.as_ref().map_or(0, |t| t.level)
-    }
-
-    /// Team instance id (0 outside any team).
-    pub fn team_instance(&self) -> u64 {
-        self.team.as_ref().map_or(0, |t| t.id)
     }
 
     /// Is this the initial thread — the one thread outside every team, and
@@ -217,15 +210,6 @@ impl ThreadCtx {
     }
 }
 
-/// Global team-instance id allocator.
-pub(crate) static NEXT_TEAM_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Create a fresh team instance, forked by the initial thread or not.
-pub(crate) fn new_team(size: usize, level: usize, forked_by_initial: bool) -> Arc<TeamShared> {
-    let id = NEXT_TEAM_ID.fetch_add(1, Ordering::Relaxed);
-    TeamShared::new(id, size, level, forked_by_initial)
-}
-
 /// Build the member context for thread `tid` of `team`.
 pub(crate) fn member_ctx(team: Arc<TeamShared>, tid: usize) -> ThreadCtx {
     ThreadCtx {
@@ -260,7 +244,7 @@ mod tests {
 
     #[test]
     fn single_in_team_exactly_one() {
-        let team = new_team(4, 1, true);
+        let team = TeamShared::new(4, 1, true);
         let mut ctxs: Vec<ThreadCtx> = (0..4).map(|t| member_ctx(team.clone(), t)).collect();
         let chosen: usize = ctxs.iter_mut().map(|c| c.enter_single(3) as usize).sum();
         assert_eq!(chosen, 1);
@@ -271,7 +255,7 @@ mod tests {
 
     #[test]
     fn sections_round_robin() {
-        let team = new_team(2, 1, true);
+        let team = TeamShared::new(2, 1, true);
         let mut c0 = member_ctx(team.clone(), 0);
         let mut c1 = member_ctx(team.clone(), 1);
         assert!(c0.enter_section(5, 0));
@@ -283,7 +267,7 @@ mod tests {
 
     #[test]
     fn static_chunks_partition_range() {
-        let team = new_team(3, 1, true);
+        let team = TeamShared::new(3, 1, true);
         let total: Vec<(i64, i64)> = (0..3)
             .map(|t| member_ctx(team.clone(), t).static_chunk(0, 10))
             .collect();
@@ -302,7 +286,7 @@ mod tests {
 
     #[test]
     fn static_chunk_empty_range() {
-        let team = new_team(4, 1, true);
+        let team = TeamShared::new(4, 1, true);
         let c = member_ctx(team, 2);
         let (s, e) = c.static_chunk(5, 5);
         assert_eq!(s, e);
@@ -310,7 +294,7 @@ mod tests {
 
     #[test]
     fn static_chunk_fewer_iterations_than_threads() {
-        let team = new_team(8, 1, true);
+        let team = TeamShared::new(8, 1, true);
         let mut nonempty = 0;
         for t in 0..8 {
             let (s, e) = member_ctx(team.clone(), t).static_chunk(0, 3);
