@@ -61,12 +61,12 @@ pub(crate) fn deadlock_census(
     member_global: &dyn Fn(usize, usize) -> Option<usize>,
 ) -> Option<MpiError> {
     let provided = input.provided.unwrap_or(ThreadLevel::Multiple);
-    let any_finished = input
+    let finished = input
         .activity
         .iter()
-        .any(|a| matches!(a, RankActivity::Finished));
+        .position(|a| *a == RankActivity::Finished);
     let registered = input.live.iter().any(|&n| n > 0);
-    let threaded = provided == ThreadLevel::Multiple && (registered || !any_finished);
+    let threaded = provided == ThreadLevel::Multiple && (registered || finished.is_none());
     if threaded {
         // The single-slot activity can be stale under MULTIPLE (a
         // sibling's completion overwrote it with Running); the
@@ -132,10 +132,6 @@ pub(crate) fn deadlock_census(
     } else {
         input.activity.to_vec()
     };
-    let finished = input
-        .activity
-        .iter()
-        .position(|a| *a == RankActivity::Finished);
     if let Some(finished_rank) = finished.filter(|_| input.collective_waited) {
         return Some(MpiError::RankFinishedEarly {
             finished_rank,
