@@ -447,13 +447,7 @@ impl<'a> Lowerer<'a> {
                 let body_entry = self.new_block();
                 self.goto(body_entry);
                 self.lower_block(body);
-                let ib = self.new_directive_block(
-                    Directive::Barrier {
-                        implicit: true,
-                        region: Some(region),
-                    },
-                    span,
-                );
+                let ib = self.implicit_barrier(region, span);
                 self.goto(ib);
                 let pe = self.new_directive_block(Directive::ParallelEnd { region }, span);
                 self.goto(pe);
@@ -463,49 +457,25 @@ impl<'a> Lowerer<'a> {
             OmpStmt::Single { nowait, body } => {
                 let region = self.fresh_region();
                 let chosen = self.fresh(Type::Bool);
-                let sb = self.new_directive_block(
-                    Directive::SingleBegin {
-                        region,
-                        nowait: *nowait,
-                        chosen,
-                    },
-                    span,
-                );
-                self.goto(sb);
-                let body_entry = self.new_block();
+                let begin = Directive::SingleBegin {
+                    region,
+                    nowait: *nowait,
+                    chosen,
+                };
                 // Non-chosen threads jump around the body *and* the end
                 // directive, to the barrier (or to the continuation when
                 // nowait).
-                let se = self.new_directive_block(Directive::SingleEnd { region }, span);
-                let after = if *nowait {
-                    self.new_block()
-                } else {
-                    self.new_directive_block(
-                        Directive::Barrier {
-                            implicit: true,
-                            region: Some(region),
-                        },
-                        span,
-                    )
-                };
-                self.set_term(
-                    Terminator::Branch {
-                        cond: chosen.into(),
-                        then_bb: body_entry,
-                        else_bb: after,
-                    },
-                    span,
-                );
-                self.cur = body_entry;
-                self.lower_block(body);
-                if !self.terminated() {
-                    self.set_term(Terminator::Goto(se), Span::DUMMY);
-                }
-                self.blocks[se.index()].term = Terminator::Goto(after);
-                self.cur = after;
+                let end = Directive::SingleEnd { region };
+                self.guarded_body(begin, chosen, end, body, span, |s| {
+                    if *nowait {
+                        s.new_block()
+                    } else {
+                        s.implicit_barrier(region, span)
+                    }
+                });
                 if !*nowait {
-                    // `after` is the barrier directive; fall through to a
-                    // fresh normal block.
+                    // The guarded body left us at the barrier directive;
+                    // fall through to a fresh normal block.
                     let cont = self.new_block();
                     self.goto(cont);
                 }
@@ -513,26 +483,9 @@ impl<'a> Lowerer<'a> {
             OmpStmt::Master { body } => {
                 let region = self.fresh_region();
                 let chosen = self.fresh(Type::Bool);
-                let mb = self.new_directive_block(Directive::MasterBegin { region, chosen }, span);
-                self.goto(mb);
-                let body_entry = self.new_block();
-                let me = self.new_directive_block(Directive::MasterEnd { region }, span);
-                let cont = self.new_block();
-                self.set_term(
-                    Terminator::Branch {
-                        cond: chosen.into(),
-                        then_bb: body_entry,
-                        else_bb: cont,
-                    },
-                    span,
-                );
-                self.cur = body_entry;
-                self.lower_block(body);
-                if !self.terminated() {
-                    self.set_term(Terminator::Goto(me), Span::DUMMY);
-                }
-                self.blocks[me.index()].term = Terminator::Goto(cont);
-                self.cur = cont;
+                let begin = Directive::MasterBegin { region, chosen };
+                let end = Directive::MasterEnd { region };
+                self.guarded_body(begin, chosen, end, body, span, Self::new_block);
             }
             OmpStmt::Critical { body } => {
                 let region = self.fresh_region();
@@ -626,21 +579,7 @@ impl<'a> Lowerer<'a> {
                 );
                 self.set_term(Terminator::Goto(head), Span::DUMMY);
                 self.cur = we;
-                if *nowait {
-                    let cont = self.new_block();
-                    self.goto(cont);
-                } else {
-                    let ib = self.new_directive_block(
-                        Directive::Barrier {
-                            implicit: true,
-                            region: Some(region),
-                        },
-                        span,
-                    );
-                    self.goto(ib);
-                    let cont = self.new_block();
-                    self.goto(cont);
-                }
+                self.construct_tail(region, *nowait, span);
             }
             OmpStmt::Sections { nowait, sections } => {
                 let parent = self.fresh_region();
@@ -656,54 +595,75 @@ impl<'a> Lowerer<'a> {
                 for (idx, sec) in sections.iter().enumerate() {
                     let region = self.fresh_region();
                     let chosen = self.fresh(Type::Bool);
-                    let sb = self.new_directive_block(
-                        Directive::SectionBegin {
-                            region,
-                            parent,
-                            index: idx as u32,
-                            chosen,
-                        },
-                        sec.span,
-                    );
-                    self.goto(sb);
-                    let body_entry = self.new_block();
-                    let se = self.new_directive_block(Directive::SectionEnd { region }, sec.span);
-                    let next = self.new_block();
-                    self.set_term(
-                        Terminator::Branch {
-                            cond: chosen.into(),
-                            then_bb: body_entry,
-                            else_bb: next,
-                        },
-                        sec.span,
-                    );
-                    self.cur = body_entry;
-                    self.lower_block(sec);
-                    if !self.terminated() {
-                        self.set_term(Terminator::Goto(se), Span::DUMMY);
-                    }
-                    self.blocks[se.index()].term = Terminator::Goto(next);
-                    self.cur = next;
+                    let begin = Directive::SectionBegin {
+                        region,
+                        parent,
+                        index: idx as u32,
+                        chosen,
+                    };
+                    let end = Directive::SectionEnd { region };
+                    self.guarded_body(begin, chosen, end, sec, sec.span, Self::new_block);
                 }
                 let we = self.new_directive_block(Directive::WorkshareEnd { region: parent }, span);
                 self.goto(we);
-                if *nowait {
-                    let cont = self.new_block();
-                    self.goto(cont);
-                } else {
-                    let ib = self.new_directive_block(
-                        Directive::Barrier {
-                            implicit: true,
-                            region: Some(parent),
-                        },
-                        span,
-                    );
-                    self.goto(ib);
-                    let cont = self.new_block();
-                    self.goto(cont);
-                }
+                self.construct_tail(parent, *nowait, span);
             }
         }
+    }
+
+    /// The guarded body of `single`, `master` and each `section`: the
+    /// `begin` directive branches on its `chosen` register to the body,
+    /// which ends in the `end` directive, or around both to the block
+    /// `after` makes; lowering continues there.
+    fn guarded_body(
+        &mut self,
+        begin: Directive,
+        chosen: Reg,
+        end: Directive,
+        body: &Block,
+        span: Span,
+        after: impl FnOnce(&mut Self) -> BlockId,
+    ) {
+        let bb = self.new_directive_block(begin, span);
+        self.goto(bb);
+        let body_entry = self.new_block();
+        let eb = self.new_directive_block(end, span);
+        let after = after(self);
+        self.set_term(
+            Terminator::Branch {
+                cond: chosen.into(),
+                then_bb: body_entry,
+                else_bb: after,
+            },
+            span,
+        );
+        self.cur = body_entry;
+        self.lower_block(body);
+        if !self.terminated() {
+            self.set_term(Terminator::Goto(eb), Span::DUMMY);
+        }
+        self.blocks[eb.index()].term = Terminator::Goto(after);
+        self.cur = after;
+    }
+
+    /// The end of a `pfor` or `sections`: the continuation, behind the
+    /// construct's implicit barrier unless `nowait`.
+    fn construct_tail(&mut self, region: RegionId, nowait: bool, span: Span) {
+        if !nowait {
+            let ib = self.implicit_barrier(region, span);
+            self.goto(ib);
+        }
+        let cont = self.new_block();
+        self.goto(cont);
+    }
+
+    /// A new block holding `region`'s implicit barrier.
+    fn implicit_barrier(&mut self, region: RegionId, span: Span) -> BlockId {
+        let barrier = Directive::Barrier {
+            implicit: true,
+            region: Some(region),
+        };
+        self.new_directive_block(barrier, span)
     }
 
     // ---- expressions -------------------------------------------------------

@@ -1,138 +1,77 @@
 //! The global liveness census.
 //!
 //! The census proves a deadlock instead of waiting out the operation
-//! timeout. It fires when nothing can progress:
+//! timeout. It reads one record per rank (`RankState`: its parked
+//! patterns, live threads and whether it finished) and fires when no
+//! rank can progress. A rank cannot progress when it has finished, or
+//! when some thread of it is parked and no other thread of it can
+//! rescue that one (e.g. by a self-send):
 //!
-//! * under `MPI_THREAD_SINGLE`/`FUNNELED`/`SERIALIZED`, every rank is
-//!   blocked or finished — a rank's single MPI slot is its whole
-//!   liveness;
-//! * under `MPI_THREAD_MULTIPLE`, a blocked rank may still be rescued by
-//!   *another thread* of the same rank (e.g. a self-send), which a
-//!   per-rank activity slot cannot observe. The embedder (the
-//!   interpreter) registers thread liveness via
-//!   `thread_started`/`thread_departed`; rescue is ruled out exactly
-//!   when every live thread of every unfinished rank is parked in a
-//!   blocking MPI wait (`blocked == live`). This holds whether or not
-//!   some rank has finished: another rank's exit does not stop a
+//! * under `MPI_THREAD_SINGLE`/`FUNNELED`/`SERIALIZED` a rank has at
+//!   most one thread inside MPI, so one parked thread is the whole rank;
+//! * under `MPI_THREAD_MULTIPLE` the embedder (the interpreter)
+//!   registers each thread that may call MPI via
+//!   `thread_started`/`thread_departed`, and rescue is ruled out exactly
+//!   when every live thread of the rank is parked. This holds whether or
+//!   not some rank has finished: another rank's exit does not stop a
 //!   sibling thread from sending.
-//! * A world with no registered threads (`live == 0` everywhere) under
-//!   `MPI_THREAD_MULTIPLE` keeps the pure timeout fallback until some
-//!   rank finishes, and then uses the single-slot view of the first
-//!   regime.
+//! * A world with no registered threads under `MPI_THREAD_MULTIPLE`
+//!   cannot count its threads: it keeps the pure timeout fallback until
+//!   some rank finishes, and then counts one parked thread as the rank.
 //!
-//! In every regime the verdict additionally requires that nothing is
-//! completable: no collective instance holds a decided but uncollected
-//! outcome, and no parked receive/wait has a matching buffered message.
+//! The verdict additionally requires that nothing is completable: no
+//! collective instance holds a decided but uncollected outcome, and no
+//! parked receive/wait has a matching buffered message.
 //!
 //! The verdict is then, in this order: a finished rank while some rank
 //! waits in a collective (`RankFinishedEarly`, the lowest finished
 //! rank), a cycle in the wait-for graph (`WaitCycle`), or a plain
-//! `Deadlock`. It is a function of the settled state alone, so it is
-//! the same whichever thread or finish settles the world.
+//! `Deadlock`. Each rank renders as `RankState::activity` (a rank with
+//! several parked threads as the pattern with the lowest key), so the
+//! verdict is a function of the settled state alone: the same whichever
+//! thread or finish settles the world, and in whichever order its
+//! threads parked.
 
 use crate::error::{MpiError, RankActivity};
+use crate::signature::CollectiveOp;
+use crate::world::{matching_message, CommState, RankState, WorldState};
 use parcoach_front::ast::ThreadLevel;
 
-/// A consistent snapshot of the census-relevant state, borrowed from the
-/// world's state under its lock.
-pub(crate) struct CensusInput<'a> {
-    /// Declared thread level (None before `MPI_Init`).
-    pub provided: Option<ThreadLevel>,
-    /// Per-rank single-slot activity (the reported states).
-    pub activity: &'a [RankActivity],
-    /// Registered live interpreter threads per rank.
-    pub live: &'a [usize],
-    /// One pattern per thread parked in a blocking MPI wait, per rank.
-    pub blocked: &'a [Vec<RankActivity>],
-    /// Any collective instance with a decided but uncollected outcome
-    /// (its waiters will wake and make progress).
-    pub any_uncollected: bool,
-    /// Some rank waits in an undecided collective.
-    pub collective_waited: bool,
-}
-
-/// Evaluate the census. `has_buffered(rank, comm, src, tag)` answers
-/// "does a buffered message match this parked receive pattern";
-/// `member_global(comm, local)` resolves a communicator-local rank to
-/// its global rank (None for stale handles).
-pub(crate) fn deadlock_census(
-    input: &CensusInput<'_>,
-    has_buffered: &dyn Fn(usize, usize, Option<usize>, Option<i64>) -> bool,
-    member_global: &dyn Fn(usize, usize) -> Option<usize>,
-) -> Option<MpiError> {
-    let provided = input.provided.unwrap_or(ThreadLevel::Multiple);
-    let finished = input
-        .activity
-        .iter()
-        .position(|a| *a == RankActivity::Finished);
-    let registered = input.live.iter().any(|&n| n > 0);
-    let threaded = provided == ThreadLevel::Multiple && (registered || finished.is_none());
-    if threaded {
-        // The single-slot activity can be stale under MULTIPLE (a
-        // sibling's completion overwrote it with Running); the
-        // live/blocked counts are exact, so they gate instead.
-        for (rank, a) in input.activity.iter().enumerate() {
-            if matches!(a, RankActivity::Finished) {
-                continue;
-            }
-            if input.live[rank] == 0 || input.blocked[rank].len() != input.live[rank] {
-                return None; // cannot rule out rescue by another thread
-            }
-        }
-    } else if input
-        .activity
-        .iter()
-        .any(|a| matches!(a, RankActivity::Running))
-    {
-        // Any rank still running may still make progress.
-        return None;
-    }
-    if input.any_uncollected {
-        return None;
-    }
-    // A recv/wait whose message is already buffered will complete. In
-    // threaded mode check every parked pattern, not just the
-    // single-slot activity view.
-    let parked = input
-        .blocked
-        .iter()
-        .enumerate()
-        .filter(|_| threaded)
-        .flat_map(|(rank, ops)| ops.iter().map(move |act| (rank, act)));
-    for (rank, act) in input.activity.iter().enumerate().chain(parked) {
-        if let RankActivity::InRecv { comm, src, tag, .. } = act {
-            if has_buffered(rank, *comm, *src, *tag) {
-                return None;
-            }
-        }
-    }
-    // All blocked/finished and nothing completable.
-    if input
-        .activity
-        .iter()
-        .all(|a| matches!(a, RankActivity::Finished))
-    {
-        return None; // clean exit
-    }
-    // Genuine deadlock. In threaded mode derive accurate per-rank
-    // states from the parked patterns (activity may claim Running).
-    let states: Vec<RankActivity> = if threaded {
-        input
-            .activity
-            .iter()
-            .enumerate()
-            .map(|(r, a)| match a {
-                RankActivity::Finished => a.clone(),
-                _ => input.blocked[r]
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| a.clone()),
-            })
-            .collect()
-    } else {
-        input.activity.to_vec()
+/// The world's one verdict, whether a park or a rank's finish asks.
+/// `MPI_Finalize` is no collective to wait in here: a rank that ends
+/// without it deadlocks the others.
+pub(crate) fn verdict(st: &WorldState) -> Option<MpiError> {
+    let below_multiple = st.provided.is_some_and(|p| p != ThreadLevel::Multiple);
+    let finished = st.ranks.iter().position(|r| r.finished);
+    let unregistered = st.ranks.iter().all(|r| r.live == 0) && finished.is_some();
+    let stuck = |r: &RankState| {
+        r.finished
+            || (!r.parked.is_empty()
+                && (below_multiple || unregistered || r.parked.len() == r.live))
     };
-    if let Some(finished_rank) = finished.filter(|_| input.collective_waited) {
+    if !st.ranks.iter().all(stuck) || st.ranks.iter().all(|r| r.finished) {
+        return None;
+    }
+    let instances = || st.comms.iter().flat_map(|c| c.instances.iter());
+    if instances().any(|i| i.outcome.is_some()) {
+        return None; // its waiters will wake and collect it
+    }
+    // A parked receive or wait whose message is already buffered will
+    // complete.
+    for r in &st.ranks {
+        for wait in &r.parked {
+            if let RankActivity::InRecv { comm, src, tag, .. } = *wait {
+                if matching_message(&r.mailbox, comm, src, tag).is_some() {
+                    return None;
+                }
+            }
+        }
+    }
+    let states: Vec<RankActivity> = st.ranks.iter().map(RankState::activity).collect();
+    let collective_waited = instances().any(|i| {
+        i.outcome.is_none() && i.signature.is_some_and(|s| s.op != CollectiveOp::Finalize)
+    });
+    if let Some(finished_rank) = finished.filter(|_| collective_waited) {
         return Some(MpiError::RankFinishedEarly {
             finished_rank,
             states,
@@ -144,7 +83,7 @@ pub(crate) fn deadlock_census(
     // matching buffered — checked above). A cycle names the ranks that
     // starve each other, the precise report a hung `MPI_Wait` chain
     // deserves.
-    if let Some(cycle) = wait_for_cycle(&states, member_global) {
+    if let Some(cycle) = wait_for_cycle(&states, &st.comms) {
         return Some(MpiError::WaitCycle { cycle, states });
     }
     Some(MpiError::Deadlock { states })
@@ -152,17 +91,14 @@ pub(crate) fn deadlock_census(
 
 /// Find a cycle in the wait-for graph of blocked pinned-source
 /// receives/waits, as global ranks in wait-for order.
-fn wait_for_cycle(
-    states: &[RankActivity],
-    member_global: &dyn Fn(usize, usize) -> Option<usize>,
-) -> Option<Vec<usize>> {
+fn wait_for_cycle(states: &[RankActivity], comms: &[CommState]) -> Option<Vec<usize>> {
     let n = states.len();
     let edge: Vec<Option<usize>> = states
         .iter()
-        .map(|act| match act {
+        .map(|act| match *act {
             RankActivity::InRecv {
                 comm, src: Some(s), ..
-            } => member_global(*comm, *s),
+            } => comms.get(comm).and_then(|c| c.members.get(s).copied()),
             _ => None,
         })
         .collect();

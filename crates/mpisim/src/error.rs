@@ -5,18 +5,23 @@ use crate::signature::Signature;
 use parcoach_front::ast::ThreadLevel;
 use std::fmt;
 
-/// What each rank was doing when a deadlock was declared.
-#[derive(Debug, Clone, PartialEq)]
+/// What a rank is doing when a verdict or a timeout lists it: the
+/// pattern a thread of it is parked on, or the rank's running or
+/// finished state. Plain data: a parked thread records it without
+/// formatting anything.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RankActivity {
     /// Executing user code.
     Running,
     /// Blocked in collective number `seq` (0-based per-communicator
-    /// order), described by its signature.
+    /// order).
     InCollective {
         /// Per-communicator sequence number.
         seq: u64,
-        /// What it is waiting in.
-        what: String,
+        /// The collective it waits in.
+        sig: Signature,
+        /// Communicator handle it waits on (0 = world).
+        comm: usize,
     },
     /// Blocked in a receive: `MPI_Recv`, or `MPI_Wait`/`MPI_Waitall` on
     /// a receive request.
@@ -42,12 +47,22 @@ fn opt_field(f: &mut fmt::Formatter<'_>, name: &str, v: Option<impl fmt::Display
     }
 }
 
+/// Name a communicator other than the world.
+fn on_comm(f: &mut fmt::Formatter<'_>, comm: usize) -> fmt::Result {
+    if comm != 0 {
+        write!(f, " on comm #{comm}")?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for RankActivity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
+        match *self {
             RankActivity::Running => write!(f, "running"),
-            RankActivity::InCollective { seq, what } => {
-                write!(f, "blocked in collective #{seq} ({what})")
+            RankActivity::InCollective { seq, sig, comm } => {
+                write!(f, "blocked in collective #{seq} ({sig}")?;
+                on_comm(f, comm)?;
+                write!(f, ")")
             }
             RankActivity::InRecv {
                 request,
@@ -59,14 +74,11 @@ impl fmt::Display for RankActivity {
                     None => write!(f, "blocked in MPI_Recv(")?,
                     Some(r) => write!(f, "blocked in MPI_Wait(req #{r}: ")?,
                 }
-                opt_field(f, "src", *src)?;
+                opt_field(f, "src", src)?;
                 write!(f, ", ")?;
-                opt_field(f, "tag", *tag)?;
+                opt_field(f, "tag", tag)?;
                 write!(f, ")")?;
-                if *comm != 0 {
-                    write!(f, " on comm #{comm}")?;
-                }
-                Ok(())
+                on_comm(f, comm)
             }
             RankActivity::Finished => write!(f, "finished"),
         }
@@ -240,7 +252,8 @@ mod tests {
             states: vec![
                 RankActivity::InCollective {
                     seq: 1,
-                    what: "MPI_Barrier".into(),
+                    sig: Signature::collective(CollectiveOp::Barrier, None, None, None),
+                    comm: 0,
                 },
                 RankActivity::Finished,
             ],

@@ -39,14 +39,15 @@
 //! A real MPI run with mismatched collective *counts* hangs. Here every
 //! blocking operation — a collective, `MPI_Recv`, `MPI_Wait` — parks at
 //! one point, `World::block_until`: it records the pattern the thread
-//! waits for, runs the liveness census (see `census.rs`) and only then
-//! sleeps. When **all** ranks are blocked or finished and nothing can
-//! complete on any communicator, the world has its verdict, with a
-//! per-rank activity dump (see `census.rs`): an early exit, a
-//! [`MpiError::WaitCycle`] over the blocked receives, or a plain
-//! deadlock. One function decides it, whether a park or a rank's finish
-//! settles the world, so it does not depend on which rank arrives last;
-//! every thread parked when it falls gets it, at its own operation.
+//! waits for in its rank's record (`RankState`), runs the liveness
+//! census (see `census.rs`) and only then sleeps. When **no** rank can
+//! progress and nothing can complete on any communicator, the world has
+//! its verdict, with a per-rank activity dump (see `census.rs`): an
+//! early exit, a [`MpiError::WaitCycle`] over the blocked receives, or a
+//! plain deadlock. One function decides it, whether a park or a rank's
+//! finish settles the world, so it does not depend on which rank arrives
+//! last; every thread parked when it falls gets it, at its own
+//! operation.
 //!
 //! ## Locking
 //!
@@ -67,7 +68,7 @@
 //! to it. (A sharded engine with per-communicator and per-mailbox locks
 //! was retired at measured parity, see git history.)
 
-use crate::census::{deadlock_census, CensusInput};
+use crate::census::verdict;
 use crate::error::{MpiError, RankActivity};
 use crate::signature::{CollectiveOp, Signature};
 use crate::value::{reduce_array, reduce_scalar, MpiValue};
@@ -103,7 +104,7 @@ impl Default for MpiConfig {
 
 /// One buffered point-to-point message.
 #[derive(Debug, Clone)]
-struct Message {
+pub(crate) struct Message {
     /// Communicator the message travels on.
     comm: usize,
     /// Sender's local rank within `comm`.
@@ -113,13 +114,13 @@ struct Message {
 }
 
 /// One collective instance (the n-th collective of a communicator).
-struct Instance {
-    signature: Option<Signature>,
+pub(crate) struct Instance {
+    pub(crate) signature: Option<Signature>,
     first_rank: usize,
     payloads: Vec<Option<MpiValue>>,
     arrived_count: usize,
     /// Decided once: every member's result, or the error each gets.
-    outcome: Option<Result<Vec<MpiValue>, MpiError>>,
+    pub(crate) outcome: Option<Result<Vec<MpiValue>, MpiError>>,
     collected_count: usize,
 }
 
@@ -157,7 +158,7 @@ enum RequestState {
 /// Index of the buffered message a (possibly wildcarded) receive should
 /// take: lowest sender rank first, then earliest arrival — the
 /// deterministic wildcard tie-break.
-fn matching_message(
+pub(crate) fn matching_message(
     mailbox: &[Message],
     comm: usize,
     src: Option<usize>,
@@ -218,10 +219,10 @@ fn thread_level_violation(
 }
 
 /// Per-communicator matching state.
-struct CommState {
+pub(crate) struct CommState {
     /// Global ranks, ordered; the position is the comm-local rank.
-    members: Vec<usize>,
-    instances: VecDeque<Instance>,
+    pub(crate) members: Vec<usize>,
+    pub(crate) instances: VecDeque<Instance>,
     base_seq: u64,
     per_rank_seq: Vec<u64>,
     /// Messages sent on this communicator, per local sender.
@@ -248,28 +249,62 @@ impl CommState {
     }
 }
 
-struct WorldState {
-    comms: Vec<CommState>,
-    activity: Vec<RankActivity>,
-    mailboxes: Vec<Vec<Message>>,
-    /// Per rank, every non-blocking request it has posted: a handle
-    /// indexes its rank's table, as an MPI request is process-local.
-    requests: Vec<Vec<RequestState>>,
-    abort: Option<MpiError>,
-    provided: Option<ThreadLevel>,
-    /// Number of MPI calls currently in flight per rank (threads).
-    in_flight: Vec<usize>,
-    /// Interpreter threads currently able to issue MPI calls, per rank
+/// One rank's record: every fact about the rank, once.
+#[derive(Default)]
+pub(crate) struct RankState {
+    /// One pattern per thread of the rank parked in a blocking MPI wait.
+    /// With `live` it lets the census rule out rescue by a sibling
+    /// thread under `MPI_THREAD_MULTIPLE`.
+    pub(crate) parked: Vec<RankActivity>,
+    /// Threads currently able to issue MPI calls for the rank
     /// (registered via `thread_started`/`thread_departed`). Zero when
     /// the embedder does not register — the liveness census then falls
     /// back to the pure timeout under `MPI_THREAD_MULTIPLE`.
-    live: Vec<usize>,
-    /// One entry per thread parked in a blocking MPI wait, per rank:
-    /// the pattern it is blocked on. Together with `live` this lets the
-    /// census rule out rescue-by-sibling-thread under
-    /// `MPI_THREAD_MULTIPLE`: when every live thread of every
-    /// unfinished rank is parked, nothing can progress.
-    blocked: Vec<Vec<RankActivity>>,
+    pub(crate) live: usize,
+    /// The rank's program has terminated.
+    pub(crate) finished: bool,
+    /// MPI calls currently in flight (one per thread inside one).
+    in_flight: usize,
+    /// Buffered messages sent to the rank, in arrival order.
+    pub(crate) mailbox: Vec<Message>,
+    /// Every non-blocking request the rank has posted: a handle indexes
+    /// this table, as an MPI request is process-local.
+    requests: Vec<RequestState>,
+}
+
+impl RankState {
+    /// How the rank renders in a verdict or a timeout: `finished`, else
+    /// its parked pattern with the lowest key — communicator, then the
+    /// collective's sequence number or the receive's source, tag and
+    /// request — else `running`. It does not depend on the order in
+    /// which the rank's threads parked.
+    pub(crate) fn activity(&self) -> RankActivity {
+        if self.finished {
+            return RankActivity::Finished;
+        }
+        let key = |wait: &&RankActivity| match **wait {
+            RankActivity::InCollective { seq, comm, .. } => (comm, Some(seq), None, None, None),
+            RankActivity::InRecv {
+                request,
+                comm,
+                src,
+                tag,
+            } => (comm, None, src, tag, request),
+            RankActivity::Running | RankActivity::Finished => unreachable!("not a parked pattern"),
+        };
+        self.parked
+            .iter()
+            .min_by_key(key)
+            .copied()
+            .unwrap_or(RankActivity::Running)
+    }
+}
+
+pub(crate) struct WorldState {
+    pub(crate) comms: Vec<CommState>,
+    pub(crate) ranks: Vec<RankState>,
+    abort: Option<MpiError>,
+    pub(crate) provided: Option<ThreadLevel>,
     /// A change a parked thread may wait for was made under this hold of
     /// the lock: [`World::unlock`] notifies once it has released it.
     wake: bool,
@@ -311,14 +346,9 @@ impl World {
         Arc::new(World {
             state: Mutex::new(WorldState {
                 comms: vec![CommState::new((0..size).collect())],
-                activity: vec![RankActivity::Running; size],
-                mailboxes: vec![Vec::new(); size],
-                requests: vec![Vec::new(); size],
+                ranks: (0..size).map(|_| RankState::default()).collect(),
                 abort: None,
                 provided: None,
-                in_flight: vec![0; size],
-                live: vec![0; size],
-                blocked: vec![Vec::new(); size],
                 wake: false,
             }),
             cv: Condvar::new(),
@@ -382,20 +412,21 @@ impl World {
             return Err(MpiError::Aborted(e.to_string()));
         }
         let provided = st.provided.unwrap_or(ThreadLevel::Multiple);
-        let concurrent = st.in_flight[rank] > 0;
+        let concurrent = st.ranks[rank].in_flight > 0;
         if let Some(detail) = thread_level_violation(provided, concurrent, is_initial_thread) {
             let err = MpiError::ThreadLevelViolation { provided, detail };
             self.abort_locked(&mut st, err.clone());
             self.unlock(st);
             return Err(err);
         }
-        st.in_flight[rank] += 1;
+        st.ranks[rank].in_flight += 1;
         Ok(())
     }
 
     fn leave_mpi(&self, rank: usize) {
         let mut st = self.state.lock();
-        st.in_flight[rank] = st.in_flight[rank].saturating_sub(1);
+        let r = &mut st.ranks[rank];
+        r.in_flight = r.in_flight.saturating_sub(1);
     }
 
     /// The one MPI entry: every operation runs its `body` through here.
@@ -431,29 +462,28 @@ impl World {
         }
     }
 
-    /// The one park point. Until `ready` completes the operation (under
-    /// the lock), record `act` as one of the rank's parked patterns, run
-    /// the world's verdict and sleep until notified. What `ready` decides
-    /// comes first, even after an abort; then a world verdict, which is
-    /// every parked thread's own error; then an abort, which stops the
-    /// thread; then the op timeout (described by `what`).
+    /// The one park point. What `ready` decides (under the lock) comes
+    /// first, even after an abort. Until it completes the operation, the
+    /// thread stays parked on `wait`, one of its rank's parked patterns,
+    /// and runs the world's verdict before each sleep. Then comes a world
+    /// verdict, which is every parked thread's own error; then an abort,
+    /// which stops the thread; then the op timeout.
     fn block_until<T>(
         &self,
         st: &mut MutexGuard<'_, WorldState>,
         rank: usize,
-        act: RankActivity,
-        what: impl FnOnce() -> String,
+        wait: RankActivity,
         mut ready: impl FnMut(&mut WorldState) -> Result<Option<T>, MpiError>,
     ) -> Result<T, MpiError> {
+        if let Some(out) = ready(st).transpose() {
+            return out; // an operation that can complete never parks
+        }
         let deadline = Instant::now() + self.cfg.op_timeout;
         let mut timed_out = false;
-        loop {
-            if let Some(out) = ready(st)? {
-                st.activity[rank] = RankActivity::Running;
-                return Ok(out);
-            }
+        st.ranks[rank].parked.push(wait);
+        let out = loop {
             if let Some(reason) = &st.abort {
-                return Err(match reason {
+                break Err(match reason {
                     MpiError::Deadlock { .. }
                     | MpiError::WaitCycle { .. }
                     | MpiError::RankFinishedEarly { .. } => reason.clone(),
@@ -461,16 +491,13 @@ impl World {
                 });
             }
             if timed_out {
-                return Err(MpiError::Timeout {
-                    what: what(),
-                    states: st.activity.clone(),
+                break Err(MpiError::Timeout {
+                    what: timeout_what(rank, wait),
+                    states: st.ranks.iter().map(RankState::activity).collect(),
                 });
             }
-            st.activity[rank] = act.clone();
-            st.blocked[rank].push(act.clone());
             if let Some(v) = verdict(st) {
-                unpark(st, rank, &act);
-                return Err(v);
+                break Err(v);
             }
             // An operation that changed the state and then parks wakes the
             // others itself: it releases the lock only by waiting.
@@ -478,18 +505,30 @@ impl World {
                 self.cv.notify_all();
             }
             timed_out = self.cv.wait_until(st, deadline).timed_out();
-            unpark(st, rank, &act);
-        }
+            if let Some(out) = ready(st).transpose() {
+                break out;
+            }
+        };
+        // Equal patterns of sibling threads are interchangeable: removing
+        // any one keeps the rank's parked multiset right.
+        let parked = &mut st.ranks[rank].parked;
+        let i = parked.iter().rposition(|p| *p == wait);
+        parked.swap_remove(i.expect("parked above"));
+        out
     }
 
     /// Register one interpreter thread that may issue MPI calls for
     /// `rank` (the rank's main thread, or a parallel-region member).
     /// Pairs with [`World::thread_departed`]; the counts feed the
     /// liveness census so it can prove deadlocks under
-    /// `MPI_THREAD_MULTIPLE` instead of waiting out the op timeout.
+    /// `MPI_THREAD_MULTIPLE` instead of waiting out the op timeout. An
+    /// embedder that runs several threads per rank under
+    /// `MPI_THREAD_MULTIPLE` registers each one ([`run_ranks`] does not
+    /// register); registering some threads of a rank but not others
+    /// lets the census call a deadlock an unregistered thread could
+    /// still resolve.
     pub fn thread_started(&self, rank: usize) {
-        let mut st = self.state.lock();
-        st.live[rank] += 1;
+        self.state.lock().ranks[rank].live += 1;
     }
 
     /// A registered thread can no longer issue MPI calls for `rank`
@@ -498,7 +537,8 @@ impl World {
     /// just become provable.
     pub fn thread_departed(&self, rank: usize) {
         let mut st = self.state.lock();
-        st.live[rank] = st.live[rank].saturating_sub(1);
+        let r = &mut st.ranks[rank];
+        r.live = r.live.saturating_sub(1);
         drop(st);
         self.cv.notify_all();
     }
@@ -507,8 +547,9 @@ impl World {
     /// its verdict falls here (the same one a park would give).
     pub fn finish_rank(&self, rank: usize) {
         let mut st = self.state.lock();
-        st.activity[rank] = RankActivity::Finished;
-        st.live[rank] = st.live[rank].saturating_sub(1);
+        let r = &mut st.ranks[rank];
+        r.finished = true;
+        r.live = r.live.saturating_sub(1);
         if st.abort.is_none() {
             st.abort = verdict(&st);
         }
@@ -528,17 +569,8 @@ impl World {
     ) -> Result<MpiValue, MpiError> {
         self.call(rank, is_initial_thread, |st| {
             let (local, seq) = arrive(st, rank, comm, sig, payload)?;
-            let act = RankActivity::InCollective {
-                seq,
-                what: format!("{sig}{}", comm_suffix(comm)),
-            };
-            let what = || {
-                format!(
-                    "{sig}{} on rank {rank} (collective #{seq})",
-                    comm_suffix(comm)
-                )
-            };
-            self.block_until(st, rank, act, what, |st| {
+            let wait = RankActivity::InCollective { seq, sig, comm };
+            self.block_until(st, rank, wait, |st| {
                 let c = &mut st.comms[comm];
                 let inst = &mut c.instances[(seq - c.base_seq) as usize];
                 let out = match &inst.outcome {
@@ -771,42 +803,36 @@ impl World {
         is_initial_thread: bool,
     ) -> Result<MpiValue, MpiError> {
         self.call(rank, is_initial_thread, |st| {
-            let Some(&state) = st.requests[rank].get(request) else {
+            let Some(&state) = st.ranks[rank].requests.get(request) else {
                 return Err(MpiError::ArgError(format!(
                     "invalid request handle #{request}"
                 )));
             };
             let (comm, src, tag) = match state {
                 RequestState::SendDone => {
-                    st.requests[rank][request] = RequestState::Retired;
+                    st.ranks[rank].requests[request] = RequestState::Retired;
                     return Ok(MpiValue::Int(0));
                 }
                 RequestState::Retired => return Err(already_waited(request)),
                 RequestState::RecvPending { comm, src, tag } => (comm, src, tag),
             };
-            let act = RankActivity::InRecv {
+            let wait = RankActivity::InRecv {
                 request: Some(request),
                 comm,
                 src,
                 tag,
             };
-            let what = || {
-                format!(
-                    "MPI_Wait(req #{request}){} on rank {rank}",
-                    comm_suffix(comm)
-                )
-            };
-            self.block_until(st, rank, act, what, |st| {
+            self.block_until(st, rank, wait, |st| {
                 // Re-read the state every round: under MPI_THREAD_MULTIPLE a
                 // sibling thread waiting on the same request may have
                 // completed it while we slept — that is a double wait and
                 // must error, not steal the next matching message.
-                if matches!(st.requests[rank][request], RequestState::Retired) {
+                if matches!(st.ranks[rank].requests[request], RequestState::Retired) {
                     return Err(already_waited(request));
                 }
                 let value = take_message(st, rank, comm, src, tag);
                 if value.is_some() {
-                    st.requests[rank][request] = RequestState::Retired;
+                    st.ranks[rank].requests[request] = RequestState::Retired;
                 }
                 Ok(value)
             })
@@ -839,21 +865,13 @@ impl World {
     ) -> Result<MpiValue, MpiError> {
         self.call(rank, is_initial_thread, |st| {
             let (src, tag) = recv_key(st, rank, comm, src, tag, "recv")?;
-            let act = RankActivity::InRecv {
+            let wait = RankActivity::InRecv {
                 request: None,
                 comm,
                 src,
                 tag,
             };
-            let what = || {
-                format!(
-                    "MPI_Recv(src={}, tag={}{}) on rank {rank}",
-                    value_or_any(src),
-                    value_or_any(tag),
-                    comm_suffix(comm)
-                )
-            };
-            self.block_until(st, rank, act, what, |st| {
+            self.block_until(st, rank, wait, |st| {
                 Ok(take_message(st, rank, comm, src, tag))
             })
         })
@@ -905,7 +923,7 @@ impl World {
         }
         c.p2p_sent[src] += 1;
         let global_dest = c.members[dest];
-        st.mailboxes[global_dest].push(Message {
+        st.ranks[global_dest].mailbox.push(Message {
             comm,
             src,
             tag,
@@ -1047,17 +1065,17 @@ fn take_message(
     src: Option<usize>,
     tag: Option<i64>,
 ) -> Option<MpiValue> {
-    let pos = matching_message(&st.mailboxes[rank], comm, src, tag)?;
+    let pos = matching_message(&st.ranks[rank].mailbox, comm, src, tag)?;
     let c = &mut st.comms[comm];
     let local = c.local_rank(rank).expect("membership checked at post");
     c.p2p_recvd[local] += 1;
-    Some(st.mailboxes[rank].remove(pos).value)
+    Some(st.ranks[rank].mailbox.remove(pos).value)
 }
 
 /// Post a non-blocking request of `rank`; returns its handle, numbered
 /// from 0 in the order the rank posts.
 fn post(st: &mut WorldState, rank: usize, state: RequestState) -> usize {
-    let table = &mut st.requests[rank];
+    let table = &mut st.ranks[rank].requests;
     table.push(state);
     table.len() - 1
 }
@@ -1147,40 +1165,36 @@ fn census_results(st: &mut WorldState, size: usize) -> Vec<MpiValue> {
     vec![MpiValue::ArrayInt(flat); size]
 }
 
-/// Remove one parked-pattern record for `rank` equal to `act` (the
-/// entry this thread pushed before waiting; equal records from sibling
-/// threads are interchangeable, so removing any one keeps the multiset
-/// right).
-fn unpark(st: &mut WorldState, rank: usize, act: &RankActivity) {
-    if let Some(i) = st.blocked[rank].iter().rposition(|a| a == act) {
-        st.blocked[rank].swap_remove(i);
+/// What a timeout names: the operation `wait` parks `rank` in.
+fn timeout_what(rank: usize, wait: RankActivity) -> String {
+    match wait {
+        RankActivity::InCollective { seq, sig, comm } => {
+            format!(
+                "{sig}{} on rank {rank} (collective #{seq})",
+                comm_suffix(comm)
+            )
+        }
+        RankActivity::InRecv {
+            request: None,
+            comm,
+            src,
+            tag,
+        } => format!(
+            "MPI_Recv(src={}, tag={}{}) on rank {rank}",
+            value_or_any(src),
+            value_or_any(tag),
+            comm_suffix(comm)
+        ),
+        RankActivity::InRecv {
+            request: Some(request),
+            comm,
+            ..
+        } => format!(
+            "MPI_Wait(req #{request}){} on rank {rank}",
+            comm_suffix(comm)
+        ),
+        RankActivity::Running | RankActivity::Finished => unreachable!("not a parked pattern"),
     }
-}
-
-/// The world's one verdict, whether a park or a rank's finish asks: the
-/// liveness census over the world state. `MPI_Finalize` is no collective
-/// to wait in here: a rank that ends without it deadlocks the others.
-fn verdict(st: &WorldState) -> Option<MpiError> {
-    let instances = || st.comms.iter().flat_map(|c| c.instances.iter());
-    let input = CensusInput {
-        provided: st.provided,
-        activity: &st.activity,
-        live: &st.live,
-        blocked: &st.blocked,
-        any_uncollected: instances().any(|i| i.outcome.is_some()),
-        collective_waited: instances().any(|i| {
-            i.outcome.is_none() && i.signature.is_some_and(|s| s.op != CollectiveOp::Finalize)
-        }),
-    };
-    deadlock_census(
-        &input,
-        &|rank, comm, src, tag| matching_message(&st.mailboxes[rank], comm, src, tag).is_some(),
-        &|comm, local| {
-            st.comms
-                .get(comm)
-                .and_then(|c| c.members.get(local).copied())
-        },
-    )
 }
 
 /// Render an optional receive-key field as its value or `ANY`.
@@ -1188,7 +1202,7 @@ fn value_or_any(v: Option<impl std::fmt::Display>) -> String {
     v.map(|x| x.to_string()).unwrap_or_else(|| "ANY".into())
 }
 
-/// Suffix for activity/error strings; empty for the world.
+/// Suffix for a timeout's text; empty for the world.
 fn comm_suffix(comm: usize) -> String {
     if comm == COMM_WORLD {
         String::new()
@@ -1368,7 +1382,10 @@ fn short_array(sig: &Signature, len: usize, size: usize) -> MpiError {
 ///
 /// Ranks may block in collectives/recv; the cache guarantees all of
 /// them run simultaneously, which the matching engine's liveness census
-/// assumes.
+/// assumes. It registers no thread with the world: under
+/// `MPI_THREAD_MULTIPLE`, `f` registers each thread that may call MPI
+/// ([`World::thread_started`]), or the census waits for a rank to finish
+/// before it counts a parked thread as its whole rank.
 pub fn run_ranks<R, F>(world: &Arc<World>, f: F) -> Vec<R>
 where
     R: Send,
@@ -1393,14 +1410,18 @@ mod tests {
         Signature::collective(CollectiveOp::Barrier, None, None, None)
     }
 
-    /// Has `rank` parked in an operation, or finished?
-    fn settled(w: &World, rank: usize) -> bool {
+    /// How many threads are parked, plus how many ranks finished.
+    fn settled(w: &World) -> usize {
         let st = w.state.lock();
-        !st.blocked[rank].is_empty() || st.activity[rank] == RankActivity::Finished
+        st.ranks
+            .iter()
+            .map(|r| r.parked.len() + r.finished as usize)
+            .sum()
     }
 
-    /// Run `op(rank)` for every rank, each started only once the ranks
-    /// before it in `order` have parked or finished; results by rank.
+    /// Run `op(i)` for every `i` in `order` (a rank, or one thread of a
+    /// rank), each started only once the ones before it have parked or
+    /// finished their rank; results by `i`.
     fn in_order<R: Send>(w: &World, order: &[usize], op: impl Fn(usize) -> R + Sync) -> Vec<R> {
         let op = &op;
         std::thread::scope(|s| {
@@ -1408,7 +1429,7 @@ mod tests {
             for (i, &r) in order.iter().enumerate() {
                 handles[r] = Some(s.spawn(move || op(r)));
                 if i + 1 < order.len() {
-                    while !settled(w, r) {
+                    while settled(w) <= i {
                         std::thread::sleep(Duration::from_millis(1));
                     }
                 }
@@ -1425,7 +1446,7 @@ mod tests {
         let w = world(2);
         let got = std::thread::scope(|s| {
             let parked = s.spawn(|| w.collective(0, barrier(), None, true));
-            while !settled(&w, 0) {
+            while settled(&w) == 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
             // Rank 1's arrival decides the instance and the world aborts
@@ -1519,5 +1540,40 @@ mod tests {
             seen.push(res[0].clone());
         }
         assert!(seen.windows(2).all(|p| p[0] == p[1]), "{seen:?}");
+    }
+
+    /// A parked pattern is plain data: a `String` in it fails to compile.
+    const _: () = copy::<RankActivity>();
+    const fn copy<T: Copy>() {}
+
+    #[test]
+    fn a_rank_with_two_parked_threads_renders_alike_in_either_park_order() {
+        // Under MPI_THREAD_MULTIPLE, rank 0 has two registered threads:
+        // one waits for rank 1's message (0), one in a barrier rank 1
+        // never enters (1). Rank 1 waits for rank 0's message (2). Each
+        // rank waits on the other: a cycle, whichever of rank 0's
+        // threads parked first.
+        let mut seen = Vec::new();
+        for order in [[0, 1, 2], [1, 0, 2], [2, 1, 0]] {
+            let w = world(2);
+            w.init(0, ThreadLevel::Multiple);
+            for r in [0, 0, 1] {
+                w.thread_started(r);
+            }
+            let res = in_order(&w, &order, |i| match i {
+                0 => w.recv(0, 1, 5, true).map(|_| ()),
+                1 => w.collective(0, barrier(), None, false).map(|_| ()),
+                _ => w.recv(1, 0, 7, true).map(|_| ()),
+            });
+            assert!(res.iter().all(|r| r == &res[0]), "order {order:?}: {res:?}");
+            seen.push(res[0].clone().unwrap_err().to_string());
+        }
+        assert!(seen.windows(2).all(|p| p[0] == p[1]), "{seen:?}");
+        assert_eq!(
+            seen[0],
+            "wait-for cycle: rank 0 waits on rank 1; rank 1 waits on rank 0; \
+             [rank 0: blocked in MPI_Recv(src=1, tag=5)] \
+             [rank 1: blocked in MPI_Recv(src=0, tag=7)]"
+        );
     }
 }
